@@ -290,6 +290,16 @@ type RunResponse struct {
 	PulledBytes int64                `json:"pulled_bytes,omitempty"`
 	Arrays      map[string]ArrayJSON `json:"arrays,omitempty"`
 	Cached      bool                 `json:"cached"`
+	// KernelCalls, KernelBails and NativeFlopShare say how much of the
+	// run the native tier served (engine "codegen"; zero otherwise):
+	// loop-nest invocations that ran a native kernel, invocations whose
+	// precheck bailed to the closure engine keyed by reason (absent when
+	// there were none), and the share of all flops executed inside
+	// native kernels.  Results never depend on them; a codegen run whose
+	// share is near zero ran at closure-engine speed.
+	KernelCalls     int64            `json:"kernel_calls"`
+	KernelBails     map[string]int64 `json:"kernel_bails,omitempty"`
+	NativeFlopShare float64          `json:"native_flop_share"`
 }
 
 // TuneOptions configures an auto-tuning search (Tune, /v1/tune,

@@ -418,12 +418,28 @@ func benchExecuteSPStepPin(b *testing.B, pin bool) {
 	}
 }
 
+// BenchmarkExecuteBTStep and its Codegen twin are the same pair on one
+// BT step at the corpus shape (12³ on 2×2).  BT spends most of its
+// flops inside the LOCALIZE wrapper, whose guards are unions of boxes,
+// so this pair — not SP's — is the one that shows whether those nests
+// run natively; tools/benchjson -check gates it like SP's.
+func BenchmarkExecuteBTStep(b *testing.B) {
+	benchExecuteStep(b, nas.BTSource(12, 1, 2, 2), spmd.EngineCompiled, spmd.DefaultOptions())
+}
+func BenchmarkExecuteBTStepCodegen(b *testing.B) {
+	benchExecuteStep(b, nas.BTSource(12, 1, 2, 2), spmd.EngineCodegen, spmd.DefaultOptions())
+}
+
 func benchExecuteSPStep(b *testing.B, engine spmd.Engine) {
 	benchExecuteSPStepOpt(b, engine, spmd.DefaultOptions())
 }
 
 func benchExecuteSPStepOpt(b *testing.B, engine spmd.Engine, opt spmd.Options) {
-	prog, err := spmd.CompileSource(nas.SPSource(16, 1, 2, 2), nil, opt)
+	benchExecuteStep(b, nas.SPSource(16, 1, 2, 2), engine, opt)
+}
+
+func benchExecuteStep(b *testing.B, src string, engine spmd.Engine, opt spmd.Options) {
+	prog, err := spmd.CompileSource(src, nil, opt)
 	if err != nil {
 		b.Fatal(err)
 	}

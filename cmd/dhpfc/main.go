@@ -330,6 +330,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "\nexecution: %d ranks, %.6fs virtual time, %d messages, %d bytes\n",
 			prog.Grid.Size(), res.Machine.Time, res.Machine.TotalMessages(), res.Machine.TotalBytes())
 	}
+	if engine == spmd.EngineCodegen {
+		// Which tier actually served the run: a bail is never an error,
+		// so this line is the only place a slow native run shows.
+		fmt.Fprintln(stdout, res.Kernels.String())
+	}
 	if *doTrace {
 		fmt.Fprintln(stdout)
 		fmt.Fprint(stdout, trace.Build(res.Machine, *bins).Render(fs.Arg(0)))

@@ -319,6 +319,15 @@ func (r *Result) PulledBytes() int64 {
 	return r.exec.Shm.TotalPulledBytes()
 }
 
+// KernelStats is the native codegen tier's coverage of one run: kernel
+// units bound, native invocations, precheck bails by reason, and the
+// native share of the flops.
+type KernelStats = spmd.KernelStats
+
+// Kernels reports how much of the run native kernels served; all zero
+// unless the run used the codegen engine.
+func (r *Result) Kernels() KernelStats { return r.exec.Kernels }
+
 // SpaceTime renders an ASCII space–time diagram of the run (requires the
 // machine config to have had Trace enabled).
 func (r *Result) SpaceTime(title string, bins int) string {

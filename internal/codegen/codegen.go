@@ -43,10 +43,14 @@ type CorpusEntry struct {
 // their standard benchmark sizes (the exact compiles BenchmarkExecute*
 // runs, so the checked-in gen package accelerates them out of the box),
 // ablation variants (disabled passes change computation partitions and
-// therefore kernel shapes), backend/grain variants, and small feature
+// therefore kernel shapes), backend/grain variants, small feature
 // programs covering emission paths the NAS codes miss (conditionals,
-// intrinsics, broadcast reads).  gencorpus emits kernels for every
-// entry; the parity tests execute every entry under all three tiers.
+// intrinsics, broadcast reads, a cross-shaped LOCALIZE guard), and SP/BT
+// on 1×4 and 4×1 grids — same kernels as 2×2 (guards are runtime data),
+// but halo boxes of a different shape on every rank.  gencorpus emits
+// kernels for every entry; the parity tests execute every entry under
+// all three tiers.  Entries are appended, never reordered: the fuzz
+// target's seeds index this list.
 func Corpus() []CorpusEntry {
 	shm := spmd.DefaultOptions()
 	shm.Backend = passes.BackendShm
@@ -67,6 +71,11 @@ func Corpus() []CorpusEntry {
 		{Name: "features-cond", Source: featCondSource, Procs: 4, Opt: spmd.DefaultOptions()},
 		{Name: "features-intrin", Source: featIntrinSource, Procs: 4, Opt: spmd.DefaultOptions()},
 		{Name: "features-broadcast", Source: featBroadcastSource, Procs: 4, Opt: spmd.DefaultOptions()},
+		{Name: "features-localize", Source: featLocalizeSource, Procs: 9, Opt: spmd.DefaultOptions()},
+		{Name: "sp16-1x4", Source: nas.SPSource(16, 1, 1, 4), Procs: 4, Opt: spmd.DefaultOptions()},
+		{Name: "sp16-4x1", Source: nas.SPSource(16, 1, 4, 1), Procs: 4, Opt: spmd.DefaultOptions()},
+		{Name: "bt12-1x4", Source: nas.BTSource(12, 1, 1, 4), Procs: 4, Opt: spmd.DefaultOptions()},
+		{Name: "bt12-4x1", Source: nas.BTSource(12, 1, 4, 1), Procs: 4, Opt: spmd.DefaultOptions()},
 	}
 }
 
@@ -145,6 +154,45 @@ subroutine main()
   enddo
   do i = 0, N-1
     b(i) = a(9) * i + a(2)
+  enddo
+end
+`
+
+// featLocalizeSource covers union-of-boxes guards: rho is LOCALIZE'd
+// and read at ±1 in both distributed dimensions, so on the 3×3 grid the
+// interior rank computes rho over its own block plus four halo faces —
+// a cross, which no single box describes.
+const featLocalizeSource = `
+program floc
+param N = 18
+!hpf$ processors procs(3, 3)
+!hpf$ template tm(N, N)
+!hpf$ align u with tm(d0, d1)
+!hpf$ align v with tm(d0, d1)
+!hpf$ align rho with tm(d0, d1)
+!hpf$ distribute tm(BLOCK, BLOCK) onto procs
+subroutine main()
+  real u(0:N-1, 0:N-1)
+  real v(0:N-1, 0:N-1)
+  real rho(0:N-1, 0:N-1)
+  do j = 0, N-1
+    do i = 0, N-1
+      u(i,j) = 1.0 + 0.01 * i + 0.02 * j
+      v(i,j) = 0.0
+    enddo
+  enddo
+  !hpf$ independent, localize(rho)
+  do onetrip = 1, 1
+    do j = 0, N-1
+      do i = 0, N-1
+        rho(i,j) = 1.0 / u(i,j)
+      enddo
+    enddo
+    do j = 1, N-2
+      do i = 1, N-2
+        v(i,j) = rho(i+1,j) + rho(i-1,j) + rho(i,j+1) + rho(i,j-1) - 4.0 * rho(i,j)
+      enddo
+    enddo
   enddo
 end
 `

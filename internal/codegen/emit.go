@@ -1,6 +1,6 @@
 // Package codegen is the native execution tier: it emits specialized
 // Go source for a program's kernel units (flat loops with inlined
-// affine subscripts, hoisted box-guard bounds and precomputed slot
+// affine subscripts, hoisted guard boxes and precomputed slot
 // offsets), compiles it either into the binary as a checked-in
 // generated corpus (internal/codegen/gen) or on the fly via `go build
 // -buildmode=plugin` behind a content-addressed cache, and registers
@@ -240,18 +240,23 @@ func (em *emitter) loop(kl *spmd.KLoop, ind int) {
 	em.line(ind, "}")
 }
 
-// assign emits the per-point guard-box test over the kernel dimensions
+// assign emits the per-point guard test over the kernel dimensions
 // (outer dimensions were checked once by the precheck) and, on pass,
-// the evaluate → count flops → store sequence of execPlanAssign.
+// the evaluate → count flops → store sequence of execPlanAssign.  A
+// single-box statement tests its one packed box inline; a multi-box
+// statement ORs the test over the boxes the precheck packed.
 func (em *emitter) assign(ka *spmd.KAssign, ind int) {
-	var conds []string
-	for d := 0; d < ka.KDims; d++ {
-		v := em.local(ka.Levels[d])
-		conds = append(conds,
-			fmt.Sprintf("%s >= bounds[%d]", v, ka.BoundsIdx+2*d),
-			fmt.Sprintf("%s <= bounds[%d]", v, ka.BoundsIdx+2*d+1))
+	if ka.MaxBoxes > 1 {
+		g, w := fmt.Sprintf("g%d", ka.BoundsIdx), 2*ka.KDims
+		em.line(ind, "%s := false", g)
+		em.line(ind, "for q := bounds[%d : %d+%d*bounds[%d]]; len(q) >= %d && !%s; q = q[%d:] {",
+			ka.BoundsIdx+1, ka.BoundsIdx+1, w, ka.BoundsIdx, w, g, w)
+		em.line(ind+1, "%s = %s", g, em.boxTest(ka, "q", 0))
+		em.line(ind, "}")
+		em.line(ind, "if %s {", g)
+	} else {
+		em.line(ind, "if %s {", em.boxTest(ka, "bounds", ka.BoundsIdx))
 	}
-	em.line(ind, "if %s {", strings.Join(conds, " && "))
 	em.line(ind+1, "v := %s", em.expr(ka.RHS))
 	em.line(ind+1, "flops += %s", hexFloat(ka.Flops))
 	if ka.Scalar {
@@ -262,6 +267,19 @@ func (em *emitter) assign(ka *spmd.KAssign, ind int) {
 		em.line(ind+1, "arrays[%d][%s] = v", ka.Arr, em.index(arr, ka.Subs))
 	}
 	em.line(ind, "}")
+}
+
+// boxTest renders "the point lies in one box": every kernel dimension's
+// local within the box's lo/hi pair, the pairs starting at arr[at].
+func (em *emitter) boxTest(ka *spmd.KAssign, arr string, at int) string {
+	var conds []string
+	for d := 0; d < ka.KDims; d++ {
+		v := em.local(ka.Levels[d])
+		conds = append(conds,
+			fmt.Sprintf("%s >= %s[%d]", v, arr, at+2*d),
+			fmt.Sprintf("%s <= %s[%d]", v, arr, at+2*d+1))
+	}
+	return strings.Join(conds, " && ")
 }
 
 func (em *emitter) ifStmt(ki *spmd.KIf, ind int) {

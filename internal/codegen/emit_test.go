@@ -6,6 +6,8 @@ package codegen
 
 import (
 	"go/format"
+	"os"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -88,6 +90,73 @@ func TestEmitKernelShape(t *testing.T) {
 		if strings.Contains(line, "flops += ") && !strings.Contains(line, "0x") {
 			t.Errorf("non-hex flop constant: %s", line)
 		}
+	}
+}
+
+// corpusEntry returns the named corpus entry.
+func corpusEntry(t *testing.T, name string) CorpusEntry {
+	t.Helper()
+	for _, e := range Corpus() {
+		if e.Name == name {
+			return e
+		}
+	}
+	t.Fatalf("no corpus entry %q", name)
+	return CorpusEntry{}
+}
+
+// corpusUnit compiles the named corpus entry and returns its i-th unit.
+func corpusUnit(t *testing.T, name string, i int) *spmd.KernelUnit {
+	t.Helper()
+	e := corpusEntry(t, name)
+	prog, err := spmd.CompileSource(e.Source, e.Params, e.Opt)
+	if err != nil {
+		t.Fatalf("compile %s: %v", name, err)
+	}
+	return prog.KernelUnits()[i]
+}
+
+// TestEmitSingleTermUnchanged: a unit whose statements all have
+// single-term CPs emits the text the ABI v1 emitter did — one inline
+// box test per statement, the same bounds[] indices.  The golden file
+// was written by that emitter with the fingerprint masked, so only the
+// ABI tag (through the fingerprint) may move.
+func TestEmitSingleTermUnchanged(t *testing.T) {
+	u := corpusUnit(t, "features-cond", 0)
+	got := EmitKernel(u)
+	got = strings.ReplaceAll(got, u.Fingerprint(), "FINGERPRINT")
+	got = strings.ReplaceAll(got, u.Fingerprint()[:16], "FINGERPRINT16")
+	want, err := os.ReadFile("testdata/single_term.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("single-term unit's emitted text changed:\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+}
+
+// TestEmitUnionGuard pins the per-point test of a multi-term statement:
+// an OR over the boxes the precheck packed behind the count, then the
+// same evaluate → flops → store body; the capacity the unit reserved
+// shows in where the next statement's bounds start.
+func TestEmitUnionGuard(t *testing.T) {
+	src := EmitKernel(corpusUnit(t, "features-localize", 1))
+	const want = `
+				g6 := false
+				for q := bounds[7 : 7+6*bounds[6]]; len(q) >= 6 && !g6; q = q[6:] {
+					g6 = i0 >= q[0] && i0 <= q[1] && i1 >= q[2] && i1 <= q[3] && i2 >= q[4] && i2 <= q[5]
+				}
+				if g6 {
+					v := float64(0x1p+00 / arrays[0][i2*18+i1])
+					flops += 0x1p+02
+					arrays[1][i2*18+i1] = v
+				}
+`
+	if !strings.Contains(src, want) {
+		t.Errorf("multi-term guard test missing or changed, want:%s\ngot:\n%s", want, src)
+	}
+	if next := 7 + spmd.KernelGuardBoxes*6; !strings.Contains(src, "lo3 = bounds["+strconv.Itoa(next)+"]") {
+		t.Errorf("statement after the union guard does not start at bounds[%d]:\n%s", next, src)
 	}
 }
 

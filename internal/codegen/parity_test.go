@@ -12,6 +12,7 @@ package codegen
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -84,11 +85,24 @@ func requireIdentical(t *testing.T, prog *spmd.Program, la, lb string, ra, rb *s
 	}
 }
 
+// isNAS reports whether a corpus entry is one of the NAS codes (or a
+// backend/ablation/grid variant of one): the programs whose flops sit
+// almost entirely in loop nests, LOCALIZE wrappers included.
+func isNAS(name string) bool {
+	for _, p := range []string{"sp16", "bt12", "lu16"} {
+		if strings.HasPrefix(name, p) {
+			return true
+		}
+	}
+	return false
+}
+
 // TestCodegenParityCorpus runs every corpus entry under all three
 // execution tiers and requires bit-identical observables, and — since
 // the gen package pre-registers every corpus kernel — requires that
-// the native tier actually invoked kernels rather than silently
-// falling back everywhere.
+// the native tier actually served the run: no precheck bailed, and on
+// the NAS codes at least 95 % of the flops ran inside native kernels,
+// so the tier cannot quietly fall back to closure-engine speed.
 func TestCodegenParityCorpus(t *testing.T) {
 	for _, e := range Corpus() {
 		e := e
@@ -113,12 +127,67 @@ func TestCodegenParityCorpus(t *testing.T) {
 			if spmd.KernelInvocations() == before {
 				t.Fatalf("codegen run invoked no native kernels (all prechecks bailed)")
 			}
+			if rc.Kernels.Units != len(units) || rc.Kernels.TotalBails() != 0 {
+				t.Fatalf("native coverage, want all %d units bound and no bails: %s", len(units), rc.Kernels)
+			}
+			if share := rc.Kernels.NativeFlopShare(); isNAS(e.Name) && share < 0.95 {
+				t.Fatalf("native flop share %.3f < 0.95: %s", share, rc.Kernels)
+			}
 			re := runEngine(t, prog, e.Procs, spmd.EngineCompiled)
 			ri := runEngine(t, prog, e.Procs, spmd.EngineInterp)
 			requireIdentical(t, prog, "codegen", "compiled", rc, re)
 			requireIdentical(t, prog, "codegen", "interp", rc, ri)
 		})
 	}
+}
+
+// TestGuardOverflowBails forces a guard over its box capacity: in
+// features-localize the three ranks of the grid's middle row — the
+// interior rank's cross included — compute rho over three boxes, the
+// other six over two, so shrinking that statement's capacity to two
+// must send exactly those three invocations back to the closure engine,
+// counted as guard-overflow, with every observable still bit-identical.
+func TestGuardOverflowBails(t *testing.T) {
+	e := corpusEntry(t, "features-localize")
+	prog, err := spmd.CompileSource(e.Source, e.Params, e.Opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shrunk := 0
+	var walk func(body []spmd.KStmt)
+	walk = func(body []spmd.KStmt) {
+		for _, s := range body {
+			switch st := s.(type) {
+			case *spmd.KLoop:
+				walk(st.Body)
+			case *spmd.KAssign:
+				if st.MaxBoxes > 1 {
+					st.MaxBoxes = 2
+					shrunk++
+				}
+			}
+		}
+	}
+	for _, u := range prog.KernelUnits() {
+		u.Fingerprint() // memoized before the spec changes: the registered kernel still binds
+		walk([]spmd.KStmt{u.Root})
+	}
+	if shrunk != 1 {
+		t.Fatalf("want exactly one multi-box statement (rho), found %d", shrunk)
+	}
+	rc := runEngine(t, prog, e.Procs, spmd.EngineCodegen)
+	ks := rc.Kernels
+	if ks.Bails[spmd.BailGuardOverflow] != 3 || ks.TotalBails() != 3 {
+		t.Fatalf("want three guard-overflow bails (ranks 1, 4 and 7), got %s", ks)
+	}
+	if ks.Calls == 0 || ks.NativeFlopShare() >= 1 {
+		t.Fatalf("want the other ranks native and the bailed nest on closures, got %s", ks)
+	}
+	if !strings.Contains(ks.String(), "3 bails (guard-overflow 3)") {
+		t.Fatalf("summary line does not name the bail: %s", ks)
+	}
+	re := runEngine(t, prog, e.Procs, spmd.EngineCompiled)
+	requireIdentical(t, prog, "codegen", "compiled", rc, re)
 }
 
 // TestCodegenEmptyRegistryEqualsCompiled: a program whose kernels are
@@ -241,11 +310,19 @@ end
 // native tier to stay bit-identical to the closure engine.  Cost
 // parameters change virtual-time interleavings and strip windows
 // without changing which kernels are registered, so prechecks and
-// window packing get exercised under many schedules.
+// window packing get exercised under many schedules.  The seeds include
+// the union-of-boxes guards: features-localize's cross and SP/BT on 1×4
+// and 4×1 grids, whose LOCALIZE halo boxes differ in shape per rank.
 func FuzzCodegenVsEngine(f *testing.F) {
 	f.Add(uint8(0), uint16(29), uint16(12), uint8(8))
 	f.Add(uint8(2), uint16(1), uint16(1), uint8(3))
 	f.Add(uint8(7), uint16(500), uint16(80), uint8(1))
+	for i, e := range Corpus() {
+		switch e.Name {
+		case "features-localize", "sp16-1x4", "sp16-4x1", "bt12-1x4", "bt12-4x1":
+			f.Add(uint8(i), uint16(29), uint16(12), uint8(8))
+		}
+	}
 	f.Fuzz(func(t *testing.T, idx uint8, latency, flop uint16, grain uint8) {
 		corpus := Corpus()
 		e := corpus[int(idx)%len(corpus)]

@@ -658,6 +658,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusUnprocessableEntity, err)
 		return
 	}
+	ks := res.Kernels()
 	resp := dhpf.RunResponse{
 		Fingerprint: key,
 		Ranks:       ent.ranks,
@@ -666,6 +667,10 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		Bytes:       res.Bytes(),
 		RankSeconds: res.RankSeconds(),
 		Cached:      cached,
+
+		KernelCalls:     ks.Calls,
+		KernelBails:     ks.BailsByReason(),
+		NativeFlopShare: ks.NativeFlopShare(),
 	}
 	if b, err := passes.ParseBackend(opt.Backend); err == nil && b != passes.BackendMP {
 		resp.Backend = b

@@ -31,9 +31,13 @@ type ExecResult struct {
 	Machine *mpsim.Result
 	// Shm carries the shared-memory team's own counters (pulls, pulled
 	// bytes, barriers); nil under the message-passing backend.
-	Shm   *shm.Result
-	prog  *Program
-	ranks []*rankExec
+	Shm *shm.Result
+	// Kernels is the native tier's coverage of this run: units bound,
+	// invocations, precheck bails by reason, native share of the flops.
+	// All zero except under EngineCodegen.
+	Kernels KernelStats
+	prog    *Program
+	ranks   []*rankExec
 }
 
 // Global assembles the authoritative global contents of an array: each
@@ -147,7 +151,7 @@ func (p *Program) ExecuteEngine(cfg mpsim.Config, engine Engine) (*ExecResult, e
 	if execErr != nil {
 		return nil, execErr
 	}
-	return &ExecResult{Machine: res, prog: p, ranks: ranks}, nil
+	return &ExecResult{Machine: res, Kernels: kernelStatsOf(len(kernels), ranks, res.RankFlops), prog: p, ranks: ranks}, nil
 }
 
 // --- array storage -----------------------------------------------------------
@@ -220,7 +224,8 @@ type frame struct {
 	aslots      []*array
 	guards      []stmtGuard
 	clamps      []clampRange
-	point       []int // reusable membership buffer for guardSet
+	point       []int        // reusable membership buffer for guardSet
+	setBoxes    [][]iset.Box // guardSet guards' boxes by guard index, for the kernel precheck
 	savedFloats []float64
 	savedFset   []bool
 	savedArrays []*array
@@ -260,12 +265,14 @@ type rankExec struct {
 	// Native-kernel state (nil/empty except under EngineCodegen):
 	// kernels maps plan loop roots to registered kernels for this
 	// execution; kb/ka/khull/knarrow are reused invocation scratch
-	// (kernel_invoke.go), never shared across ranks.
+	// (kernel_invoke.go), never shared across ranks; kstats counts this
+	// rank's invocations and bails, merged into ExecResult after the join.
 	kernels map[*pLoop]*boundKernel
 	kb      []int
 	ka      [][]float64
 	khull   []kiv
 	knarrow []kiv
+	kstats  KernelStats
 
 	// Reused scratch for transferKey (never shared across ranks).
 	keyBuf   []byte

@@ -107,7 +107,7 @@ func (p *Program) executeShm(cfg mpsim.Config, engine Engine, backend string) (*
 		SentBytes: sres.OuterBytes,
 		RecvMsgs:  make([]int64, sres.Threads),
 	}
-	return &ExecResult{Machine: res, Shm: sres, prog: p, ranks: ranks}, nil
+	return &ExecResult{Machine: res, Shm: sres, Kernels: kernelStatsOf(len(kernels), ranks, res.RankFlops), prog: p, ranks: ranks}, nil
 }
 
 // pullPayload copies the set's elements from src into dst directly,

@@ -32,7 +32,14 @@ import (
 // KernelABI names the kernel calling convention; it participates in the
 // unit fingerprint so a registry populated by an older generator can
 // never serve a newer engine.
-const KernelABI = "dhpf-kernel-v1"
+const KernelABI = "dhpf-kernel-v2"
+
+// KernelGuardBoxes is the guard-box capacity the ABI reserves in
+// bounds[] for a statement whose CP has more than one ON_HOME term (a
+// partially replicated CP such as LOCALIZE's owner ∪ halo faces, whose
+// per-rank iteration set is a union of boxes).  An invocation whose
+// guard needs more boxes than this bails to the closure engine.
+const KernelGuardBoxes = 8
 
 // KernelFunc is the compiled form of one kernel unit.  The signature
 // uses only unnamed/builtin types so implementations can cross a
@@ -173,16 +180,22 @@ type KLoop struct {
 	Body     []KStmt
 }
 
-// KAssign is one guarded assignment.  bounds[BoundsIdx : BoundsIdx+2·KDims]
-// holds the guard box over the kernel-scope dimensions ([1,0] pairs when
-// the statement is disabled for this invocation); outer-nest dimensions
-// are checked once by the precheck, not per point.
+// KAssign is one guarded assignment.  Its guard is a union of boxes over
+// the kernel-scope dimensions; outer-nest dimensions are checked once by
+// the precheck, not per point.  With MaxBoxes == 1 (a CP of at most one
+// term yields at most one box) bounds[BoundsIdx : BoundsIdx+2·KDims]
+// holds that box's lo/hi pairs ([1,0] pairs when the statement is
+// disabled for this invocation).  Otherwise bounds[BoundsIdx] holds the
+// number n of packed boxes and box b's pairs start at
+// bounds[BoundsIdx+1+b·2·KDims], for b < n ≤ MaxBoxes; a point passes
+// when any packed box contains it.
 type KAssign struct {
 	GuardIdx  int   // index into the frame's guard table (precheck input)
 	NestSlots []int // full-nest slots, outer dims first (precheck input)
 	Levels    []int // kernel levels enclosing this stmt, nest order
 	BoundsIdx int
 	KDims     int // == len(Levels); guard dims checked per point
+	MaxBoxes  int // guard-box capacity: 1, or KernelGuardBoxes for a multi-term CP
 	Scalar    bool
 	FSlot     int    // scalar store
 	Arr       int    // array store
@@ -229,8 +242,8 @@ type KernelUnit struct {
 // Fingerprint returns the unit's content hash: a SHA-256 over a
 // canonical encoding of the whole spec (ABI tag, loop structure,
 // variable names, slot numbers, affine coefficients, array geometry,
-// guard layout, and exact flop bits).  Two units share a fingerprint
-// iff a single compiled kernel can serve both.
+// guard layout and capacity, and exact flop bits).  Two units share a
+// fingerprint iff a single compiled kernel can serve both.
 func (u *KernelUnit) Fingerprint() string {
 	if u.fp != "" {
 		return u.fp
@@ -348,7 +361,7 @@ func hashStmt(w func(...interface{}), s KStmt) {
 		for _, lv := range x.Levels {
 			w(lv)
 		}
-		w(x.BoundsIdx, x.KDims, x.Scalar, x.FSlot, x.Arr, len(x.Subs))
+		w(x.BoundsIdx, x.KDims, x.MaxBoxes, x.Scalar, x.FSlot, x.Arr, len(x.Subs))
 		for _, sb := range x.Subs {
 			hashSub(w, sb)
 		}

@@ -12,6 +12,7 @@ package spmd
 // body is scanned for smaller roots.
 
 import (
+	"dhpf/internal/cp"
 	"dhpf/internal/ir"
 )
 
@@ -43,7 +44,7 @@ func scanKernelRoots(ep *enginePlan, pp *procPlan, params map[string]int, body [
 	for _, s := range body {
 		switch st := s.(type) {
 		case *pLoop:
-			if u := tryKernelUnit(ep, pp, params, st, depth); u != nil {
+			if u := tryKernelUnit(ep, pp, params, p.Sel, st, depth); u != nil {
 				p.kunits = append(p.kunits, u)
 				p.krootList = append(p.krootList, st)
 			} else {
@@ -62,6 +63,7 @@ type kextract struct {
 	ep     *enginePlan
 	pp     *procPlan
 	params map[string]int
+	sel    *cp.Selection
 	u      *KernelUnit
 
 	scope    []kscopeEntry // in-scope kernel loops, outer → inner
@@ -79,9 +81,9 @@ type kscopeEntry struct {
 	level int
 }
 
-func tryKernelUnit(ep *enginePlan, pp *procPlan, params map[string]int, pl *pLoop, depth int) *KernelUnit {
+func tryKernelUnit(ep *enginePlan, pp *procPlan, params map[string]int, sel *cp.Selection, pl *pLoop, depth int) *KernelUnit {
 	x := &kextract{
-		ep: ep, pp: pp, params: params,
+		ep: ep, pp: pp, params: params, sel: sel,
 		u: &KernelUnit{
 			Proc:      pp.proc.Name,
 			RootID:    pl.l.ID,
@@ -208,10 +210,17 @@ func (x *kextract) assign(st *pAssign) *KAssign {
 		Levels:    levels,
 		BoundsIdx: x.nBounds,
 		KDims:     kd,
+		MaxBoxes:  1,
 		RHS:       rhs,
 		Flops:     st.flops,
 	}
-	x.nBounds += 2 * kd
+	// IterSet unions one box per CP term, so only a multi-term CP can
+	// give this rank a guard of more than one box.
+	if len(x.sel.CPOf(st.a.ID).Terms) > 1 {
+		ka.MaxBoxes = KernelGuardBoxes
+		x.nBounds++ // the packed-box count
+	}
+	x.nBounds += ka.MaxBoxes * 2 * kd
 	lhs := st.a.LHS
 	if len(lhs.Subs) == 0 {
 		fs, ok := x.pp.floatSlot[lhs.Name]

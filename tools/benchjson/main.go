@@ -1,6 +1,6 @@
 // Command benchjson runs the execution-engine, incremental-compile and
 // durable-store benchmark set and emits a machine-readable summary
-// (BENCH_10.json).  Five pairings are reported:
+// (BENCH_13.json).  Five pairings are reported:
 //
 //   - engine pairs: each benchmark family has a compiled variant and an
 //     Interp-suffixed interpreter variant over the same workload
@@ -25,7 +25,9 @@
 //     closure-engine base name.  The native tier replaces the closure
 //     walk with emitted flat-loop kernels at bit-identical results (the
 //     parity suite enforces identity), and -check gates the speedup at
-//     3x — the headline claim of the native backend;
+//     3x — the headline claim of the native backend.  Two pairs, one SP
+//     and one BT step: BT's flops sit in LOCALIZE nests SP barely has,
+//     so each pair can fall back to closure speed without the other;
 //   - pin pairs: each WallClockPinned benchmark against its unpinned
 //     WallClock twin — the same simulation under the Go scheduler's
 //     default goroutine placement vs rank goroutines locked to OS
@@ -37,9 +39,10 @@
 //	go run ./tools/benchjson [flags]
 //
 //	-bench RE     benchmark selection regexp (default the ExecuteSPStep,
-//	              LUWavefront, WarmEditRecompile and RestartWarm families)
+//	              ExecuteBTStep, LUWavefront, WarmEditRecompile and
+//	              RestartWarm families)
 //	-benchtime T  passed through to go test (default 1x per bench: "2s")
-//	-o FILE       write JSON here (default BENCH_10.json; "-" = stdout)
+//	-o FILE       write JSON here (default BENCH_13.json; "-" = stdout)
 //	-check        gate mode: exit 1 unless the compiled engine beats the
 //	              interpreter on every engine pair AND every warm/cold
 //	              recompile pair is at least 10x faster warm at p50 AND
@@ -141,7 +144,7 @@ const backendBand = 3.0
 // must beat the closure engine by at least this much on every pair.
 const codegenGate = 3.0
 
-// Report is the BENCH_10.json document.
+// Report is the BENCH_13.json document.
 type Report struct {
 	GoTestArgs   []string      `json:"go_test_args"`
 	Benchmarks   []Bench       `json:"benchmarks"`
@@ -153,10 +156,10 @@ type Report struct {
 }
 
 func main() {
-	benchRE := flag.String("bench", "BenchmarkExecuteSPStep|BenchmarkLUWavefront|BenchmarkWarmEditRecompile|BenchmarkRestartWarm",
+	benchRE := flag.String("bench", "BenchmarkExecuteSPStep|BenchmarkExecuteBTStep|BenchmarkLUWavefront|BenchmarkWarmEditRecompile|BenchmarkRestartWarm",
 		"benchmark selection regexp (go test -bench)")
 	benchtime := flag.String("benchtime", "", "go test -benchtime (default 2s, or 40x with -check)")
-	out := flag.String("o", "BENCH_10.json", `output file ("-" for stdout)`)
+	out := flag.String("o", "BENCH_13.json", `output file ("-" for stdout)`)
 	check := flag.Bool("check", false, "exit 1 unless compiled beats interp on every pair")
 	flag.Parse()
 
@@ -257,11 +260,15 @@ func main() {
 				fail = true
 			}
 		}
-		if strings.Contains(*benchRE, "ExecuteSPStep") {
-			if len(rep.CodegenPairs) == 0 {
-				fmt.Fprintln(os.Stderr, "benchjson: -check found no codegen/compiled pair")
+		// Every step family in the selection must bring its own gated
+		// pair: SP's ratio says nothing about BT's LOCALIZE nests.
+		for _, step := range []string{"ExecuteSPStep", "ExecuteBTStep"} {
+			if strings.Contains(*benchRE, step) && !hasCodegenPair(rep.CodegenPairs, "Benchmark"+step) {
+				fmt.Fprintf(os.Stderr, "benchjson: -check found no codegen/compiled pair for %s\n", step)
 				fail = true
 			}
+		}
+		if strings.Contains(*benchRE, "ExecuteSPStep") {
 			if len(rep.PinPairs) == 0 {
 				fmt.Fprintln(os.Stderr, "benchjson: -check found no pinned/unpinned wall-clock pair")
 				fail = true
@@ -421,6 +428,15 @@ func pairCodegen(bs []Bench) []CodegenPair {
 		})
 	}
 	return pairs
+}
+
+func hasCodegenPair(pairs []CodegenPair, benchmark string) bool {
+	for _, p := range pairs {
+		if p.Benchmark == benchmark {
+			return true
+		}
+	}
+	return false
 }
 
 // pairPinned matches each WallClockPinned benchmark with its unpinned
