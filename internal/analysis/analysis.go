@@ -13,13 +13,13 @@
 //     distributed data, dead stores, dead communication and redundant
 //     write-backs.  Diagnostics reuse the verify package's Diagnostic
 //     type so every surface renders compiler findings uniformly.
-//   - A static cost oracle (predict.go): Predict walks the program's
-//     control skeleton with pure counting semantics and returns flop
-//     and traffic counters that agree exactly — integer for integer —
-//     with what the virtual machines measure.
+//   - A static cost oracle (predict.go): Predict runs the rank
+//     schedule's walker (internal/sched) with counting ops and returns
+//     flop and traffic counters that agree exactly — integer for
+//     integer — with what the virtual machines measure.
 //
 // The package deliberately imports only the fact layers (ir, iset, cp,
-// comm, hpf, verify); the pipeline and the executors sit above it.
+// comm, hpf, verify, sched); the pipeline and the executors sit above it.
 package analysis
 
 import (
@@ -45,15 +45,6 @@ const (
 	CheckRedundantWB   = "redundantwb"   // write-back a sound eliminator would have removed
 )
 
-// Reduction mirrors the pipeline's reduction plan without importing the
-// passes package (which imports this one).
-type Reduction struct {
-	Loop *ir.Loop
-	Stmt *ir.Assign
-	Var  string
-	Op   byte // '+', '<' (min), '>' (max)
-}
-
 // Input carries the post-pipeline facts the analyses read.  It mirrors
 // verify.Input so both passes are fed from the same compile context.
 type Input struct {
@@ -61,17 +52,8 @@ type Input struct {
 	Ctx  *cp.Context
 	Sel  *cp.Selection
 	Comm map[string]*comm.Analysis
-	// Reductions maps procedure name to the reduction plans recognized
-	// in it.
-	Reductions map[string][]Reduction
 	// Grid is the processor grid; when nil it is derived from Ctx.
 	Grid *hpf.Grid
-	// Backend is the canonical backend name ("mp", "shm" or "hybrid");
-	// empty means "mp".  Only Predict depends on it.
-	Backend string
-	// PipelineGrain is the coarse-grain pipelining strip width
-	// (Options.PipelineGrain); only Predict depends on it.
-	PipelineGrain int
 
 	// memoMu guards the whole-program memos below.  Phase footprints
 	// and procedure interfaces depend only on the IR and the bound

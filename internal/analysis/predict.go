@@ -2,14 +2,10 @@ package analysis
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 
 	"dhpf/internal/comm"
-	"dhpf/internal/cp"
-	"dhpf/internal/hpf"
 	"dhpf/internal/ir"
-	"dhpf/internal/iset"
+	"dhpf/internal/sched"
 )
 
 // Cost is Predict's output: the counters the virtual machines would
@@ -76,19 +72,15 @@ func (c *Cost) TotalPulled() int64 {
 
 // Predict statically derives the execution counters of the compiled
 // program: per-rank flops, messages and bytes (message backend), pulls,
-// pulled bytes and barriers (shared-memory backends).  It walks the
-// same control skeleton the executors walk — same iteration sets, same
-// event placements, same strip-mining — but evaluates nothing
-// numerically, bulk-counting communication-free subtrees with set
-// cardinalities.  The result is integer-equal to the measured counters
-// on affine programs (the exactness invariant; see the differential
-// tests).
-func Predict(in *Input) (*Cost, error) {
-	grid, err := in.grid()
-	if err != nil {
-		return nil, fmt.Errorf("analysis: %w", err)
-	}
-	backend := in.Backend
+// pulled bytes and barriers (shared-memory backends).  It is the rank
+// schedule's walker — the one the reference interpreter runs on, so same
+// iteration sets, same event placements, same strip-mining by
+// construction — with ops that count instead of evaluating, and that
+// bulk-count communication-free subtrees with set cardinalities.  The
+// result is integer-equal to the measured counters on affine programs
+// (the exactness invariant; see the differential tests).  backend is the
+// canonical name ("mp", "shm" or "hybrid"); empty means "mp".
+func Predict(s *sched.Schedule, backend string) (*Cost, error) {
 	if backend == "" {
 		backend = "mp"
 	}
@@ -97,7 +89,10 @@ func Predict(in *Input) (*Cost, error) {
 	default:
 		return nil, fmt.Errorf("analysis: unknown backend %q", backend)
 	}
-	p := grid.Size()
+	if err := s.Check(); err != nil {
+		return nil, fmt.Errorf("analysis: %w", err)
+	}
+	p := s.Grid.Size()
 	cost := &Cost{
 		Ranks:   p,
 		Backend: backend,
@@ -111,186 +106,72 @@ func Predict(in *Input) (*Cost, error) {
 	groups := make([]int, p) // group per rank; all zero except hybrid
 	if backend == "hybrid" {
 		for r := 0; r < p; r++ {
-			groups[r] = grid.Coord(r)[0]
+			groups[r] = s.Grid.Coord(r)[0]
 		}
 	}
 	if backend != "mp" {
 		cost.Pulls = make([]int64, p)
 		cost.PulledBytes = make([]int64, p)
 	}
-	shared := &predictShared{
-		in:     in,
-		grid:   grid,
-		mp:     backend == "mp",
-		groups: groups,
-		plans:  map[string][]planTransfer{},
-		pure:   map[*ir.Loop]bool{},
-	}
-	main := in.IR.Main()
-	if main == nil {
-		return nil, fmt.Errorf("analysis: program has no main procedure")
-	}
+	pure := map[*ir.Loop]bool{}
 	for me := 0; me < p; me++ {
-		cx := &costExec{sh: shared, me: me, cost: cost, bind: map[string]int{}}
-		for k, v := range in.Ctx.Bind.Params {
-			cx.bind[k] = v
-		}
-		if err := cx.runProc(main); err != nil {
-			return nil, err
-		}
+		c := &counter{cost: cost, mp: backend == "mp", groups: groups, pure: pure}
+		c.w = sched.NewWalker(s, me, c)
+		c.w.Run()
 	}
 	return cost, nil
 }
 
-// planTransfer is one coalesced point-to-point transfer of a plan, with
-// only what counting needs: endpoints and payload size.
-type planTransfer struct {
-	from, to int
-	card     int64
-}
-
-// predictShared is the state all rank walks share: the plan cache (the
-// executor's transfer plans are rank-independent, so each distinct
-// firing is computed once and re-attributed per rank) and the per-loop
-// purity memo that gates bulk counting.
-type predictShared struct {
-	in     *Input
-	grid   *hpf.Grid
+// counter is one rank's counting sched.Ops.  The transfer plans it
+// counts are rank-independent and memoized on the schedule, so each
+// distinct firing is planned once and re-attributed per rank; pure is
+// the per-loop memo, shared by all rank walks, that gates bulk counting.
+type counter struct {
+	w      *sched.Walker
+	cost   *Cost
 	mp     bool
 	groups []int
-	plans  map[string][]planTransfer
 	pure   map[*ir.Loop]bool
 }
 
-func (sh *predictShared) crossGroup(a, b int) bool {
-	return sh.groups[a] != sh.groups[b]
-}
+// Value state does not exist here: activations and value actuals carry
+// nothing to count.
+func (c *counter) Enter(*sched.Frame)     {}
+func (c *counter) Leave()                 {}
+func (c *counter) Actual(string, ir.Expr) {}
+func (c *counter) Drain()                 {}
 
-// cframe mirrors the executor's frame: iteration sets and nest shapes
-// per statement, fixed at procedure entry under the entry binding.
-type cframe struct {
-	proc  *ir.Procedure
-	iters map[int]iset.Set
-	vars  map[int][]string
-	nests map[int][]*ir.Loop
-}
+func (c *counter) Assign(a *ir.Assign) { c.cost.Flops[c.w.Me] += FlopsOf(a) }
 
-type stripCtl struct {
-	variable string
-	lo, hi   int
-}
-
-// costExec is one rank's counting walk.  It mirrors rankExec in
-// internal/spmd/exec.go member for member, minus all value state.
-type costExec struct {
-	sh     *predictShared
-	me     int
-	bind   map[string]int
-	frames []*cframe
-	strip  *stripCtl
-	cost   *Cost
-}
-
-func (cx *costExec) top() *cframe { return cx.frames[len(cx.frames)-1] }
-
-// runProc mirrors rankExec.runProc: a fresh frame whose iteration sets
-// are computed over each statement's full nest at entry.
-func (cx *costExec) runProc(proc *ir.Procedure) error {
-	f := &cframe{
-		proc:  proc,
-		iters: map[int]iset.Set{},
-		vars:  map[int][]string{},
-		nests: map[int][]*ir.Loop{},
+// Scalar evaluates the expression forms a static walk can decide.  An
+// expression that reads a computed scalar value degrades Exact and
+// evaluates with that scalar as zero — deterministically, so repeated
+// Predicts agree.
+func (c *counter) Scalar(e ir.Expr) float64 {
+	v, ok := c.evalScalar(e)
+	if !ok {
+		c.cost.Exact = false
 	}
-	localOf := cx.sh.in.Ctx.LocalOf(proc, cx.me)
-	ir.Walk(proc.Body, func(s ir.Stmt, loops []*ir.Loop) bool {
-		nest := make([]*ir.Loop, len(loops))
-		copy(nest, loops)
-		switch st := s.(type) {
-		case *ir.Assign:
-			f.iters[st.ID] = cx.sh.in.Sel.CPOf(st.ID).IterSet(nest, cx.bind, localOf)
-			f.vars[st.ID] = ir.NestVars(nest)
-			f.nests[st.ID] = nest
-		case *ir.CallStmt:
-			f.iters[st.ID] = cx.sh.in.Sel.CPOf(st.ID).IterSet(nest, cx.bind, localOf)
-			f.vars[st.ID] = ir.NestVars(nest)
-			f.nests[st.ID] = nest
-		}
-		return true
-	})
-	cx.frames = append(cx.frames, f)
-	err := cx.execStmts(proc, proc.Body, 0)
-	cx.frames = cx.frames[:len(cx.frames)-1]
-	return err
+	return v
 }
 
-func (cx *costExec) execStmts(proc *ir.Procedure, stmts []ir.Stmt, depth int) error {
-	for _, s := range stmts {
-		var err error
-		switch st := s.(type) {
-		case *ir.Assign:
-			cx.execAssign(proc, st, depth)
-		case *ir.CallStmt:
-			err = cx.execCall(proc, st, depth)
-		case *ir.Loop:
-			err = cx.execLoop(proc, st, depth)
-		case *ir.IfStmt:
-			if cx.evalCond(st.Cond) {
-				err = cx.execStmts(proc, st.Then, depth)
-			} else {
-				err = cx.execStmts(proc, st.Else, depth)
-			}
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// evalCond mirrors the executor's uniform-condition evaluation over the
-// expression forms a static walk can decide.  A condition that reads a
-// computed scalar value degrades Exact and evaluates with that scalar
-// as zero — deterministically, so repeated Predicts agree.
-func (cx *costExec) evalCond(c ir.Cond) bool {
-	l, okl := cx.evalScalar(c.L)
-	r, okr := cx.evalScalar(c.R)
-	if !okl || !okr {
-		cx.cost.Exact = false
-	}
-	switch c.Op {
-	case "<":
-		return l < r
-	case ">":
-		return l > r
-	case "<=":
-		return l <= r
-	case ">=":
-		return l >= r
-	case "==":
-		return l == r
-	case "/=":
-		return l != r
-	}
-	return false
-}
-
-func (cx *costExec) evalScalar(e ir.Expr) (float64, bool) {
+func (c *counter) evalScalar(e ir.Expr) (float64, bool) {
+	bind := c.w.Bind
 	switch x := e.(type) {
 	case ir.FloatConst:
 		return x.Val, true
 	case ir.IndexRef:
-		return float64(cx.bind[x.Name]), true
+		return float64(bind[x.Name]), true
 	case ir.ParamRef:
-		return float64(cx.bind[x.Name]), true
+		return float64(bind[x.Name]), true
 	case ir.ScalarRef:
-		if v, ok := cx.bind[x.Name]; ok {
+		if v, ok := bind[x.Name]; ok {
 			return float64(v), true // integer formal read as a value
 		}
 		return 0, false
 	case *ir.Bin:
-		l, okl := cx.evalScalar(x.L)
-		r, okr := cx.evalScalar(x.R)
+		l, okl := c.evalScalar(x.L)
+		r, okr := c.evalScalar(x.R)
 		ok := okl && okr
 		switch x.Op {
 		case '+':
@@ -306,230 +187,65 @@ func (cx *costExec) evalScalar(e ir.Expr) (float64, bool) {
 	return 0, false
 }
 
-func (cx *costExec) execAssign(proc *ir.Procedure, a *ir.Assign, depth int) {
-	f := cx.top()
-	if depth == 0 {
-		cx.fireEvents(proc, cx.eventsAt(proc, a, comm.ReadComm), 0)
-		if cx.ownsTopLevel(proc, a.ID) {
-			cx.cost.Flops[cx.me] += FlopsOf(a)
-		}
-		cx.fireEvents(proc, cx.eventsAt(proc, a, comm.WriteBack), 0)
-		return
+// Each reduction finalization is one collective: a barrier-priced
+// AllReduce on the shm team, messageless on the message machine.
+func (c *counter) ReduceInit([]sched.Reduction) []float64 { return nil }
+
+func (c *counter) ReduceCombine(reds []sched.Reduction, _ []float64) {
+	if !c.mp {
+		c.cost.Barriers += int64(len(reds))
 	}
-	vars := f.vars[a.ID]
-	point := make([]int, len(vars))
-	for k, v := range vars {
-		point[k] = cx.bind[v]
-	}
-	if !f.iters[a.ID].Contains(point) {
-		return
-	}
-	cx.cost.Flops[cx.me] += FlopsOf(a)
 }
 
-// ownsTopLevel mirrors rankExec.ownsTopLevel.
-func (cx *costExec) ownsTopLevel(proc *ir.Procedure, id int) bool {
-	c := cx.sh.in.Sel.CPOf(id)
-	if c.Replicated() {
-		return true
-	}
-	for _, t := range c.Terms {
-		layout := cx.sh.in.Ctx.Layout(proc, t.Array)
-		if layout == nil {
-			return true
-		}
-		local := layout.LocalBox(cx.me)
-		owns := true
-		for k, sub := range t.Subs {
-			if sub.IsRange {
-				lo := sub.Lo.EvalOr(cx.bind, 0)
-				hi := sub.Hi.EvalOr(cx.bind, 0)
-				if max(lo, local.Lo[k]) > min(hi, local.Hi[k]) {
-					owns = false
-					break
-				}
-				continue
-			}
-			v := sub.Off.EvalOr(cx.bind, 0)
-			if sub.Var != "" {
-				v += sub.Coef * cx.bind[sub.Var]
-			}
-			if v < local.Lo[k] || v > local.Hi[k] {
-				owns = false
-				break
-			}
-		}
-		if owns {
-			return true
+// Send and Recv count this rank's side of a plan: messages on the
+// message machine; on a shm team pulls, plus — for a hybrid layout —
+// the outer-level message a cross-group pull stands for.
+func (c *counter) Send(plan []comm.Transfer, _ int) {
+	me := c.w.Me
+	for _, tr := range plan {
+		if tr.From == me && (c.mp || c.groups[tr.From] != c.groups[tr.To]) {
+			c.cost.SentMsgs[me]++
+			c.cost.SentBytes[me] += tr.Bytes()
 		}
 	}
-	return false
 }
 
-// execCall mirrors rankExec.execCall: same membership gating, same
-// integer-formal binding discipline.  Value formals carry no counting
-// state and are skipped.
-func (cx *costExec) execCall(proc *ir.Procedure, call *ir.CallStmt, depth int) error {
-	f := cx.top()
-	if depth == 0 {
-		if !cx.ownsTopLevel(proc, call.ID) {
-			return nil
-		}
-	} else {
-		vars := f.vars[call.ID]
-		point := make([]int, len(vars))
-		for k, v := range vars {
-			point[k] = cx.bind[v]
-		}
-		if !f.iters[call.ID].Contains(point) {
-			return nil
+func (c *counter) Recv(plan []comm.Transfer, _ int) {
+	me := c.w.Me
+	for _, tr := range plan {
+		switch {
+		case tr.To != me:
+		case c.mp:
+			c.cost.RecvMsgs[me]++
+		default:
+			c.cost.Pulls[me]++
+			c.cost.PulledBytes[me] += tr.Bytes()
 		}
 	}
-	callee := cx.sh.in.IR.Proc(call.Callee)
-	if callee == nil {
-		return fmt.Errorf("analysis: call to unknown procedure %q", call.Callee)
-	}
-	var savedInts []struct {
-		name string
-		val  int
-		had  bool
-	}
-	for k, formal := range callee.Formals {
-		if k >= len(call.Args) {
-			break
-		}
-		switch arg := call.Args[k].(type) {
-		case *ir.ArrayRef:
-			// Whole-array aliases and subscripted value formals alike
-			// carry no integer binding.
-		case ir.IndexRef, ir.ParamRef:
-			v, _ := cx.evalScalar(arg)
-			old, had := cx.bind[formal]
-			savedInts = append(savedInts, struct {
-				name string
-				val  int
-				had  bool
-			}{formal, old, had})
-			cx.bind[formal] = int(v)
-		case ir.FloatConst:
-			if float64(int(arg.Val)) == arg.Val {
-				old, had := cx.bind[formal]
-				savedInts = append(savedInts, struct {
-					name string
-					val  int
-					had  bool
-				}{formal, old, had})
-				cx.bind[formal] = int(arg.Val)
-			}
-		}
-	}
-	err := cx.runProc(callee)
-	for i := len(savedInts) - 1; i >= 0; i-- {
-		s := savedInts[i]
-		if s.had {
-			cx.bind[s.name] = s.val
-		} else {
-			delete(cx.bind, s.name)
-		}
-	}
-	return err
 }
 
-func (cx *costExec) execLoop(proc *ir.Procedure, l *ir.Loop, depth int) error {
-	cx.fireEvents(proc, cx.eventsBeforeLoop(proc, l, depth, comm.ReadComm), depth)
-
-	plans := cx.reductionsAt(proc, l)
-
-	var err error
-	if pipe := cx.pipelinedEvents(proc, l); len(pipe) > 0 {
-		err = cx.execPipelined(proc, l, depth, pipe)
-	} else {
-		err = cx.iterateLoop(proc, l, depth)
+// Handled bulk-counts subtrees that contain no communication, no
+// conditionals, no calls and no reduction boundaries: for such a subtree
+// the executed instances of every assignment are exactly the statement's
+// iteration set clamped to the visited ranges, so one Card per
+// assignment replaces the walk.
+func (c *counter) Handled(f *sched.Frame, l *ir.Loop, depth int) bool {
+	bulk, ok := c.pure[l]
+	if !ok {
+		bulk = bulkable(f, l)
+		c.pure[l] = bulk
 	}
-	if err != nil {
-		return err
+	if bulk {
+		c.bulkCount(f, l, depth)
 	}
-
-	// Each reduction finalization is one collective: a barrier-priced
-	// AllReduce on the shm team, messageless on the message machine.
-	if !cx.sh.mp {
-		cx.cost.Barriers += int64(len(plans))
-	}
-
-	cx.fireEvents(proc, cx.eventsBeforeLoop(proc, l, depth, comm.WriteBack), depth)
-	return nil
-}
-
-func (cx *costExec) reductionsAt(proc *ir.Procedure, l *ir.Loop) []Reduction {
-	var out []Reduction
-	for _, p := range cx.sh.in.Reductions[proc.Name] {
-		if p.Loop == l {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// loopRange evaluates the visited range of a loop under the current
-// binding and strip window, mirroring iterateLoop's clamps, and
-// normalizes it to an ascending interval (empty when lo > hi).
-func (cx *costExec) loopRange(l *ir.Loop) (int, int) {
-	lo := l.Lo.EvalOr(cx.bind, 0)
-	hi := l.Hi.EvalOr(cx.bind, 0)
-	if cx.strip != nil && cx.strip.variable == l.Var {
-		if l.Step > 0 {
-			lo, hi = max(lo, cx.strip.lo), min(hi, cx.strip.hi)
-		} else {
-			lo, hi = min(lo, cx.strip.hi), max(hi, cx.strip.lo)
-		}
-	}
-	if l.Step < 0 {
-		lo, hi = hi, lo
-	}
-	return lo, hi
-}
-
-// iterateLoop mirrors rankExec.iterateLoop but bulk-counts subtrees
-// that contain no communication, no conditionals, no calls and no
-// reduction boundaries: for such a subtree the executed instances of
-// every assignment are exactly the statement's iteration set clamped to
-// the visited ranges, so one Card per assignment replaces the walk.
-func (cx *costExec) iterateLoop(proc *ir.Procedure, l *ir.Loop, depth int) error {
-	if cx.bulkable(proc, l) {
-		cx.bulkCount(proc, l, depth)
-		return nil
-	}
-	lo, hi := cx.loopRange(l)
-	old, had := cx.bind[l.Var]
-	// Direction does not matter for counting; visit ascending.
-	for v := lo; v <= hi; v++ {
-		cx.bind[l.Var] = v
-		if err := cx.execStmts(proc, l.Body, depth+1); err != nil {
-			return err
-		}
-	}
-	if had {
-		cx.bind[l.Var] = old
-	} else {
-		delete(cx.bind, l.Var)
-	}
-	return nil
+	return bulk
 }
 
 // bulkable reports whether the loop's subtree can be counted in closed
-// form.  The memo is binding-independent: it looks only at statement
-// kinds, event anchors, reduction plans and which variables the bounds
-// reference.
-func (cx *costExec) bulkable(proc *ir.Procedure, l *ir.Loop) bool {
-	if v, ok := cx.sh.pure[l]; ok {
-		return v
-	}
-	v := cx.computeBulkable(proc, l)
-	cx.sh.pure[l] = v
-	return v
-}
-
-func (cx *costExec) computeBulkable(proc *ir.Procedure, l *ir.Loop) bool {
+// form.  It is binding-independent: it looks only at statement kinds,
+// what the schedule places at the subtree's loops and which variables
+// the bounds reference.
+func bulkable(f *sched.Frame, l *ir.Loop) bool {
 	// Collect the subtree's own loop variables; any bound referencing
 	// one makes ranges iteration-dependent (triangular nests), which
 	// bulk counting does not model.
@@ -549,7 +265,6 @@ func (cx *costExec) computeBulkable(proc *ir.Procedure, l *ir.Loop) bool {
 	if !ok {
 		return false
 	}
-	an := cx.sh.in.Comm[proc.Name]
 	for _, m := range loops {
 		for _, b := range []ir.AffExpr{m.Lo, m.Hi} {
 			for _, t := range b.Terms {
@@ -558,34 +273,10 @@ func (cx *costExec) computeBulkable(proc *ir.Procedure, l *ir.Loop) bool {
 				}
 			}
 		}
-		if m == l {
-			continue
-		}
 		// A strict descendant that fires events, carries a pipeline or
-		// finalizes a reduction needs its execLoop boundary to run.
-		if len(cx.sh.in.Reductions[proc.Name]) > 0 {
-			for _, p := range cx.sh.in.Reductions[proc.Name] {
-				if p.Loop == m {
-					return false
-				}
-			}
-		}
-		if an != nil {
-			for _, e := range an.Events {
-				if e.Eliminated {
-					continue
-				}
-				if e.Pipelined {
-					if e.CarriedBy == m {
-						return false
-					}
-					continue
-				}
-				d := min(e.Depth, len(e.Nest)-1)
-				if d >= 0 && e.Nest[d] == m {
-					return false
-				}
-			}
+		// finalizes a reduction needs the walker to run its boundary.
+		if ls := f.Loops[m]; m != l && len(ls.Reads)+len(ls.Writes)+len(ls.Pipe)+len(ls.Reds) > 0 {
+			return false
 		}
 	}
 	return true
@@ -595,316 +286,31 @@ func (cx *costExec) computeBulkable(proc *ir.Procedure, l *ir.Loop) bool {
 // statement's iteration set, with outer dimensions pinned to the
 // current binding and subtree dimensions clamped to their visited
 // ranges, counts executed instances exactly.
-func (cx *costExec) bulkCount(proc *ir.Procedure, l *ir.Loop, depth int) {
-	f := cx.top()
+func (c *counter) bulkCount(f *sched.Frame, l *ir.Loop, depth int) {
 	ir.Walk([]ir.Stmt{l}, func(s ir.Stmt, _ []*ir.Loop) bool {
 		a, isAssign := s.(*ir.Assign)
 		if !isAssign {
 			return true
 		}
-		set := f.iters[a.ID]
-		vars := f.vars[a.ID]
-		nest := f.nests[a.ID]
-		for k := range vars {
-			if k < depth {
-				v := cx.bind[vars[k]]
-				set = set.ClampDim(k, v, v)
-			} else {
-				lo, hi := cx.loopRange(nest[k])
+		set := f.Iters[a.ID]
+		nest := f.Nest[a.ID]
+		for k, v := range f.Vars[a.ID] {
+			lo, hi := c.w.Bind[v], c.w.Bind[v]
+			if k >= depth {
+				lo, hi = c.w.Range(nest[k])
+				if nest[k].Step < 0 {
+					lo, hi = hi, lo // direction does not matter for counting
+				}
 				if lo > hi {
 					return true // visited range empty: zero instances
 				}
-				set = set.ClampDim(k, lo, hi)
 			}
+			set = set.ClampDim(k, lo, hi)
 			if set.IsEmpty() {
 				return true
 			}
 		}
-		cx.cost.Flops[cx.me] += FlopsOf(a) * float64(set.Card())
+		c.cost.Flops[c.w.Me] += FlopsOf(a) * float64(set.Card())
 		return true
 	})
-}
-
-// --- event selection (mirrors exec.go) ---------------------------------------
-
-func (cx *costExec) eventsBeforeLoop(proc *ir.Procedure, l *ir.Loop, depth int, kind comm.Kind) []*comm.Event {
-	an := cx.sh.in.Comm[proc.Name]
-	if an == nil {
-		return nil
-	}
-	var out []*comm.Event
-	for _, e := range an.Events {
-		if e.Kind != kind || e.Eliminated || e.Pipelined {
-			continue
-		}
-		d := min(e.Depth, len(e.Nest)-1)
-		if d < 0 {
-			continue
-		}
-		if d == depth && e.Nest[d] == l {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-func (cx *costExec) pipelinedEvents(proc *ir.Procedure, l *ir.Loop) []*comm.Event {
-	an := cx.sh.in.Comm[proc.Name]
-	if an == nil {
-		return nil
-	}
-	var out []*comm.Event
-	for _, e := range an.Events {
-		if e.Pipelined && !e.Eliminated && e.CarriedBy == l {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-func (cx *costExec) eventsAt(proc *ir.Procedure, stmt *ir.Assign, kind comm.Kind) []*comm.Event {
-	an := cx.sh.in.Comm[proc.Name]
-	if an == nil {
-		return nil
-	}
-	var out []*comm.Event
-	for _, e := range an.Events {
-		if e.Kind != kind || e.Eliminated || e.Pipelined {
-			continue
-		}
-		if e.Stmt == stmt && len(e.Nest) == 0 {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// --- transfer counting --------------------------------------------------------
-
-// fireEvents counts one non-pipelined plan firing: the executor's
-// doTransfers with counters instead of traffic.
-func (cx *costExec) fireEvents(proc *ir.Procedure, events []*comm.Event, depth int) {
-	if len(events) == 0 {
-		return
-	}
-	plan := cx.plansFor(proc, events, depth, nil)
-	if len(plan) == 0 {
-		return
-	}
-	if !cx.sh.mp {
-		for _, tr := range plan {
-			if tr.from == cx.me && cx.sh.crossGroup(tr.from, tr.to) {
-				cx.cost.SentMsgs[cx.me]++
-				cx.cost.SentBytes[cx.me] += 8 * tr.card
-			}
-		}
-		for _, tr := range plan {
-			if tr.to == cx.me {
-				cx.cost.Pulls[cx.me]++
-				cx.cost.PulledBytes[cx.me] += 8 * tr.card
-			}
-		}
-		return
-	}
-	for _, tr := range plan {
-		if tr.from == cx.me {
-			cx.cost.SentMsgs[cx.me]++
-			cx.cost.SentBytes[cx.me] += 8 * tr.card
-		}
-	}
-	for _, tr := range plan {
-		if tr.to == cx.me {
-			cx.cost.RecvMsgs[cx.me]++
-		}
-	}
-}
-
-// countRecvMine / countSendMine mirror the pipelined tagged paths.
-func (cx *costExec) countRecvMine(plan []planTransfer) {
-	for _, tr := range plan {
-		if tr.to != cx.me {
-			continue
-		}
-		if !cx.sh.mp {
-			cx.cost.Pulls[cx.me]++
-			cx.cost.PulledBytes[cx.me] += 8 * tr.card
-			continue
-		}
-		cx.cost.RecvMsgs[cx.me]++
-	}
-}
-
-func (cx *costExec) countSendMine(plan []planTransfer) {
-	for _, tr := range plan {
-		if tr.from != cx.me {
-			continue
-		}
-		if !cx.sh.mp {
-			if cx.sh.crossGroup(tr.from, tr.to) {
-				cx.cost.SentMsgs[cx.me]++
-				cx.cost.SentBytes[cx.me] += 8 * tr.card
-			}
-			continue
-		}
-		cx.cost.SentMsgs[cx.me]++
-		cx.cost.SentBytes[cx.me] += 8 * tr.card
-	}
-}
-
-// execPipelined mirrors rankExec.execPipelined: strip-mined wavefront
-// chunks, each with its own boundary plan.
-func (cx *costExec) execPipelined(proc *ir.Procedure, l *ir.Loop, depth int, events []*comm.Event) error {
-	if cx.strip != nil {
-		plan := cx.plansFor(proc, events, depth, cx.strip)
-		cx.countRecvMine(plan)
-		if err := cx.iterateLoop(proc, l, depth); err != nil {
-			return err
-		}
-		cx.countSendMine(plan)
-		return nil
-	}
-	strip := chooseStrip(l, events)
-	if strip == nil {
-		plan := cx.plansFor(proc, events, depth, nil)
-		cx.countRecvMine(plan)
-		if err := cx.iterateLoop(proc, l, depth); err != nil {
-			return err
-		}
-		cx.countSendMine(plan)
-		return nil
-	}
-	lo := strip.Lo.EvalOr(cx.bind, 0)
-	hi := strip.Hi.EvalOr(cx.bind, 0)
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	g := cx.sh.in.PipelineGrain
-	if g <= 0 {
-		g = hi - lo + 1
-	}
-	for s := lo; s <= hi; s += g {
-		chunk := &stripCtl{variable: strip.Var, lo: s, hi: min(s+g-1, hi)}
-		plan := cx.plansFor(proc, events, depth, chunk)
-		cx.countRecvMine(plan)
-		cx.strip = chunk
-		if err := cx.iterateLoop(proc, l, depth); err != nil {
-			return err
-		}
-		cx.strip = nil
-		cx.countSendMine(plan)
-	}
-	return nil
-}
-
-func chooseStrip(l *ir.Loop, events []*comm.Event) *ir.Loop {
-	for _, e := range events {
-		nest := e.Nest
-		for i := len(nest) - 1; i >= 0; i-- {
-			if nest[i] != l {
-				return nest[i]
-			}
-		}
-	}
-	return nil
-}
-
-// plansFor computes (or recalls) the transfer plan of one event firing.
-// The executor's plans depend only on sets, the integer binding of the
-// outer loop variables and the strip window — never on the computing
-// rank — so the cache is shared across the per-rank walks.
-func (cx *costExec) plansFor(proc *ir.Procedure, events []*comm.Event, depth int, strip *stripCtl) []planTransfer {
-	key := cx.planKey(proc, events, depth, strip)
-	if plan, ok := cx.sh.plans[key]; ok {
-		return plan
-	}
-	plan := cx.computePlan(proc, events, depth, strip)
-	cx.sh.plans[key] = plan
-	return plan
-}
-
-func (cx *costExec) planKey(proc *ir.Procedure, events []*comm.Event, depth int, strip *stripCtl) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s|%d|", proc.Name, depth)
-	for _, e := range events {
-		fmt.Fprintf(&b, "e%d.%d.%d;", e.Stmt.ID, e.Kind, e.Depth)
-	}
-	if strip != nil {
-		fmt.Fprintf(&b, "|s%s=%d:%d", strip.variable, strip.lo, strip.hi)
-	}
-	names := make([]string, 0, len(cx.bind))
-	for k := range cx.bind {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, k := range names {
-		fmt.Fprintf(&b, "|%s=%d", k, cx.bind[k])
-	}
-	return b.String()
-}
-
-// computePlan mirrors rankExec.transfersFor, keeping only endpoint and
-// cardinality per coalesced transfer.
-func (cx *costExec) computePlan(proc *ir.Procedure, events []*comm.Event, depth int, strip *stripCtl) []planTransfer {
-	type key struct {
-		array    string
-		from, to int
-	}
-	acc := map[key]iset.Set{}
-	var order []key
-	grid := cx.sh.grid
-	in := cx.sh.in
-	for _, e := range events {
-		layout := in.Ctx.Layout(proc, e.Ref.Name)
-		if layout == nil {
-			continue
-		}
-		vars := ir.NestVars(e.Nest)
-		for t := 0; t < grid.Size(); t++ {
-			iters := in.Sel.CPOf(e.Stmt.ID).IterSet(e.Nest, cx.bind, in.Ctx.LocalOf(proc, t))
-			for k := 0; k < depth && k < len(vars); k++ {
-				v := cx.bind[vars[k]]
-				iters = iters.ClampDim(k, v, v)
-			}
-			if strip != nil {
-				for k, v := range vars {
-					if v == strip.variable {
-						iters = iters.ClampDim(k, strip.lo, strip.hi)
-					}
-				}
-			}
-			if iters.IsEmpty() {
-				continue
-			}
-			data := cp.RefDataSet(e.Ref, vars, iters, cx.bind)
-			data = data.IntersectBox(layout.Space())
-			nl := data.SubtractBox(layout.LocalBox(t))
-			if nl.IsEmpty() {
-				continue
-			}
-			for peer := 0; peer < grid.Size(); peer++ {
-				if peer == t {
-					continue
-				}
-				part := nl.IntersectBox(layout.LocalBox(peer))
-				if part.IsEmpty() {
-					continue
-				}
-				var k key
-				if e.Kind == comm.ReadComm {
-					k = key{array: e.Ref.Name, from: peer, to: t}
-				} else {
-					k = key{array: e.Ref.Name, from: t, to: peer}
-				}
-				if _, seen := acc[k]; !seen {
-					order = append(order, k)
-				}
-				acc[k] = acc[k].Union(part)
-			}
-		}
-	}
-	out := make([]planTransfer, 0, len(order))
-	for _, k := range order {
-		out = append(out, planTransfer{from: k.from, to: k.to, card: acc[k].Card()})
-	}
-	return out
 }

@@ -8,7 +8,6 @@ package comm
 
 import (
 	"fmt"
-	"sort"
 
 	"dhpf/internal/cp"
 	"dhpf/internal/dep"
@@ -525,123 +524,3 @@ type Transfer struct {
 
 // Bytes returns the message payload size.
 func (t Transfer) Bytes() int64 { return 8 * t.Data.Card() }
-
-// ReadTransfers computes the vectorized, coalesced messages satisfying a
-// set of read events placed at the same point: for every rank, the data
-// it needs but does not own, grouped by owner, merged per (owner, needer,
-// array) across events — dhpf's message coalescing.
-func ReadTransfers(ctx *cp.Context, proc *ir.Procedure, sel *cp.Selection, events []*Event) []Transfer {
-	grid, err := ctx.Grid()
-	if err != nil {
-		return nil
-	}
-	type key struct {
-		array    string
-		from, to int
-	}
-	acc := map[key]iset.Set{}
-	var order []key
-	for _, e := range events {
-		if e.Kind != ReadComm || e.Eliminated {
-			continue
-		}
-		layout := ctx.Layout(proc, e.Ref.Name)
-		if layout == nil {
-			continue
-		}
-		for rank := 0; rank < grid.Size(); rank++ {
-			nl := nonLocalOf(ctx, proc, sel, e.Stmt, e.Nest, e.Ref, rank)
-			if nl.IsEmpty() {
-				continue
-			}
-			for owner := 0; owner < grid.Size(); owner++ {
-				if owner == rank {
-					continue
-				}
-				part := nl.IntersectBox(layout.LocalBox(owner))
-				if part.IsEmpty() {
-					continue
-				}
-				k := key{array: e.Ref.Name, from: owner, to: rank}
-				if _, seen := acc[k]; !seen {
-					order = append(order, k)
-				}
-				acc[k] = acc[k].Union(part)
-			}
-		}
-	}
-	out := make([]Transfer, 0, len(order))
-	for _, k := range order {
-		out = append(out, Transfer{Array: k.array, From: k.from, To: k.to, Data: acc[k]})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Array != b.Array {
-			return a.Array < b.Array
-		}
-		if a.From != b.From {
-			return a.From < b.From
-		}
-		return a.To < b.To
-	})
-	return out
-}
-
-// WriteBackTransfers computes the messages returning non-owner writes to
-// their owners for a set of write-back events.
-func WriteBackTransfers(ctx *cp.Context, proc *ir.Procedure, sel *cp.Selection, events []*Event) []Transfer {
-	grid, err := ctx.Grid()
-	if err != nil {
-		return nil
-	}
-	type key struct {
-		array    string
-		from, to int
-	}
-	acc := map[key]iset.Set{}
-	var order []key
-	for _, e := range events {
-		if e.Kind != WriteBack || e.Eliminated {
-			continue
-		}
-		layout := ctx.Layout(proc, e.Ref.Name)
-		if layout == nil {
-			continue
-		}
-		for rank := 0; rank < grid.Size(); rank++ {
-			nl := nonLocalOf(ctx, proc, sel, e.Stmt, e.Nest, e.Ref, rank)
-			if nl.IsEmpty() {
-				continue
-			}
-			for owner := 0; owner < grid.Size(); owner++ {
-				if owner == rank {
-					continue
-				}
-				part := nl.IntersectBox(layout.LocalBox(owner))
-				if part.IsEmpty() {
-					continue
-				}
-				k := key{array: e.Ref.Name, from: rank, to: owner}
-				if _, seen := acc[k]; !seen {
-					order = append(order, k)
-				}
-				acc[k] = acc[k].Union(part)
-			}
-		}
-	}
-	out := make([]Transfer, 0, len(order))
-	for _, k := range order {
-		out = append(out, Transfer{Array: k.array, From: k.from, To: k.to, Data: acc[k]})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Array != b.Array {
-			return a.Array < b.Array
-		}
-		if a.From != b.From {
-			return a.From < b.From
-		}
-		return a.To < b.To
-	})
-	return out
-}

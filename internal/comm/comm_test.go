@@ -78,69 +78,6 @@ func TestStencilReadEventsHoisted(t *testing.T) {
 	}
 }
 
-func TestStencilTransfersShape(t *testing.T) {
-	ctx, sel := build(t, stencilSrc)
-	proc := ctx.Prog.Main()
-	an := Analyze(ctx, proc, sel, DefaultOptions())
-	tr := ReadTransfers(ctx, proc, sel, an.Live())
-	// 4 ranks in a line, each interior rank exchanges one column with
-	// each neighbour: transfers = 2*(P-1) = 6 after coalescing.
-	if len(tr) != 6 {
-		t.Fatalf("transfers = %d, want 6: %v", len(tr), tr)
-	}
-	for _, x := range tr {
-		if x.From == x.To {
-			t.Errorf("self transfer: %+v", x)
-		}
-		// Each is one boundary column of 30 interior elements... the
-		// full column is fetched for rows 1..N-2 = 30 elements.
-		if x.Data.Card() != 30 {
-			t.Errorf("transfer %v carries %d elements, want 30", x, x.Data.Card())
-		}
-	}
-}
-
-func TestCoalescingMergesRefs(t *testing.T) {
-	// Two reads of the same array at j-1 and j-2 must coalesce into one
-	// message per neighbour pair carrying both columns.
-	ctx, sel := build(t, `
-program t
-param N = 32
-!hpf$ processors procs(4)
-!hpf$ template tm(N, N)
-!hpf$ align a with tm(d0, d1)
-!hpf$ align b with tm(d0, d1)
-!hpf$ distribute tm(*, BLOCK) onto procs
-
-subroutine main()
-  real a(0:N-1, 0:N-1)
-  real b(0:N-1, 0:N-1)
-  do j = 2, N-2
-    do i = 1, N-2
-      b(i,j) = a(i,j-1) + a(i,j-2)
-    enddo
-  enddo
-end
-`)
-	proc := ctx.Prog.Main()
-	an := Analyze(ctx, proc, sel, DefaultOptions())
-	tr := ReadTransfers(ctx, proc, sel, an.Live())
-	// Selection aligns the statement with the reads (ON_HOME a(i,j-1)),
-	// leaving one read column per downward-neighbour pair; both read
-	// references coalesce into a single message per pair.
-	if len(tr) != 3 {
-		t.Fatalf("read transfers = %d, want 3: %v", len(tr), tr)
-	}
-	for _, x := range tr {
-		if x.From != x.To-1 {
-			t.Errorf("unexpected direction: %+v", x)
-		}
-		if x.Data.Card()%30 != 0 {
-			t.Errorf("transfer carries %d elements, want a multiple of one 30-row column", x.Data.Card())
-		}
-	}
-}
-
 // ySolve4Src reproduces the §7 scenario: forward elimination writing
 // rows j+1 and j+2 with non-owner CPs; the read of lhs(i,j+1,k4) is
 // covered by the previous iteration's write of lhs(i,j+2,k4), while the
@@ -271,12 +208,6 @@ end
 	for _, e := range an.Events {
 		if e.Kind == ReadComm && e.Ref.Name == "rho_i" && !e.Eliminated {
 			t.Fatalf("rho_i read event survived: %v", e)
-		}
-	}
-	tr := ReadTransfers(ctx, proc, sel, an.Live())
-	for _, x := range tr {
-		if x.Array == "rho_i" {
-			t.Fatalf("LOCALIZE left rho_i transfer: %v", x)
 		}
 	}
 }

@@ -376,6 +376,11 @@ func (m *Machine) Abort(cause error) {
 	m.reduceMu.Unlock()
 }
 
+// Abort lets a rank kill its own machine — typically from a panic
+// handler, so peers blocked on a message, barrier or reduction the dead
+// rank will never complete unwind instead of deadlocking.
+func (r *Rank) Abort(cause error) { r.m.Abort(cause) }
+
 // abortedErr returns the abort cause, or nil while the machine is live.
 func (m *Machine) abortedErr() error {
 	if p := m.abortErr.Load(); p != nil {

@@ -409,6 +409,29 @@ func TestWallLimitBreaksVirtualDeadlock(t *testing.T) {
 	}
 }
 
+func TestRankAbortWakesBlockedPeers(t *testing.T) {
+	// No limit is configured: only the dying rank's own Abort can free
+	// the peers blocked on a message, a barrier and a reduction it will
+	// never complete (the test itself would otherwise time out).
+	cause := fmt.Errorf("rank 0 died: %w", ErrAborted)
+	cfg := Config{Procs: 4, FlopTime: 1e-6, Latency: 1e-6}
+	_, err := runRecovering(cfg, func(r *Rank) {
+		switch r.ID {
+		case 0:
+			r.Abort(cause)
+		case 1:
+			r.Recv(0, 7)
+		case 2:
+			r.Barrier()
+		default:
+			r.AllReduceSum(1)
+		}
+	})
+	if err != cause {
+		t.Fatalf("want the aborting rank's cause, got %v", err)
+	}
+}
+
 func TestNoLimitsUnchanged(t *testing.T) {
 	// Zero limits keep the legacy behaviour: no aborts, exact clocks.
 	cfg := Config{Procs: 2, FlopTime: 1e-6, Latency: 1e-6}

@@ -7,22 +7,9 @@ import (
 )
 
 // buildAnalysisInput assembles the static-analysis input from the
-// compile context — the same facts the verifier reads, plus the grain
-// and backend the cost oracle prices.
+// compile context — the same facts the verifier reads.
 func buildAnalysisInput(cc *CompileContext) *analysis.Input {
-	reds := map[string][]analysis.Reduction{}
-	for name, plans := range cc.Reductions {
-		for _, r := range plans {
-			reds[name] = append(reds[name], analysis.Reduction{Loop: r.Loop, Stmt: r.Stmt, Var: r.Var, Op: r.Op})
-		}
-	}
-	return &analysis.Input{
-		IR: cc.IR, Ctx: cc.Ctx, Sel: cc.Sel, Comm: cc.Comm,
-		Reductions:    reds,
-		Grid:          cc.Grid,
-		Backend:       canonicalBackend(cc.Opt.Backend),
-		PipelineGrain: cc.Opt.PipelineGrain,
-	}
+	return &analysis.Input{IR: cc.IR, Ctx: cc.Ctx, Sel: cc.Sel, Comm: cc.Comm, Grid: cc.Grid}
 }
 
 // runAnalyze executes the static-analysis pass: symbolic loop summaries

@@ -4,15 +4,12 @@ import (
 	"dhpf/internal/cp"
 	"dhpf/internal/dep"
 	"dhpf/internal/ir"
+	"dhpf/internal/sched"
 )
 
-// ReductionPlan is one recognized parallel reduction.
-type ReductionPlan struct {
-	Loop *ir.Loop   // finalize at this loop's exit
-	Stmt *ir.Assign // the accumulation statement
-	Var  string
-	Op   byte // '+' sum, '<' min, '>' max
-}
+// ReductionPlan is one recognized parallel reduction: the rank
+// schedule's reduction entry, which this pass produces.
+type ReductionPlan = sched.Reduction
 
 // planReductions recognizes scalar reductions in each outermost loop:
 // statements of the shape s = s ⊕ e whose scalar is touched nowhere else

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"dhpf/internal/comm"
+	"dhpf/internal/sched"
 )
 
 // Stat is one pass's instrumentation record.
@@ -49,19 +50,27 @@ func measureComm(cc *CompileContext) (probe, bool) {
 		return probe{}, false
 	}
 	var p probe
+	grid, err := cc.Ctx.Grid()
+	if err != nil {
+		return p, true
+	}
+	planner := sched.Planner{Ctx: cc.Ctx, Sel: cc.Sel, Grid: grid}
+	zero := sched.Point{Bind: cc.Ctx.Bind.Params}
 	for _, proc := range cc.IR.Procs {
 		a := cc.Comm[proc.Name]
 		if a == nil {
 			a = comm.BuildEvents(cc.Ctx, proc, cc.Sel)
 		}
-		live := a.Live()
-		for _, t := range comm.ReadTransfers(cc.Ctx, proc, cc.Sel, live) {
-			p.msgs++
-			p.bytes += t.Bytes()
+		// Reads coalesce with reads and write-backs with write-backs.
+		var byKind [2][]*comm.Event
+		for _, e := range a.Live() {
+			byKind[e.Kind] = append(byKind[e.Kind], e)
 		}
-		for _, t := range comm.WriteBackTransfers(cc.Ctx, proc, cc.Sel, live) {
-			p.msgs++
-			p.bytes += t.Bytes()
+		for _, events := range byKind {
+			for _, t := range planner.Plan(proc, events, zero) {
+				p.msgs++
+				p.bytes += t.Bytes()
+			}
 		}
 	}
 	return p, true

@@ -1,0 +1,337 @@
+package sched
+
+import (
+	"fmt"
+
+	"dhpf/internal/comm"
+	"dhpf/internal/ir"
+	"dhpf/internal/iset"
+)
+
+// Ops is what a consumer supplies to fold over the schedule on one rank.
+// The walker owns control: frames, the scalar binding, integer-formal
+// save/restore, membership, strip-clamped iteration, and the order in
+// which things fire.  Ops owns values and the machine.  The reference
+// interpreter's Ops evaluate, store and communicate; analysis.Predict's
+// count.
+type Ops interface {
+	// Enter begins a procedure activation (main, or the callee of the
+	// call whose non-integer actuals were just passed to Actual); Leave
+	// ends the innermost one.
+	Enter(f *Frame)
+	Leave()
+	// Actual binds one array or value actual of the call being entered.
+	// Actuals arrive in argument order, interleaved with the walker's own
+	// binding of the integer formals before them.
+	Actual(formal string, arg ir.Expr)
+	// Scalar evaluates a condition operand or an integer actual.
+	Scalar(e ir.Expr) float64
+	// Assign executes one statement instance this rank owns.
+	Assign(a *ir.Assign)
+	// Handled lets the consumer account for the whole range of l under
+	// the current binding and strip in one step; when it returns true
+	// the walker does not iterate l.
+	Handled(f *Frame, l *ir.Loop, depth int) bool
+	// ReduceInit runs before a loop that finalizes reductions and its
+	// result is handed to ReduceCombine after it.
+	ReduceInit(reds []Reduction) []float64
+	ReduceCombine(reds []Reduction, init []float64)
+	// Send and Recv perform this rank's side of a plan under tag block
+	// base (transfer i uses tag base+i); Drain ends an exchange or a
+	// wavefront: nothing this rank sent may still be unread afterwards.
+	Send(plan []comm.Transfer, base int)
+	Recv(plan []comm.Transfer, base int)
+	Drain()
+}
+
+// Frame is one procedure activation: the procedure's placement tables
+// plus this rank's iteration sets under the entry binding.
+type Frame struct {
+	Proc *ir.Procedure
+	*ProcSched
+	Iters map[int]iset.Set
+}
+
+// tagBlock is the tag space of one plan firing.  Every rank advances its
+// block counter at the same firings, so tags agree without negotiation.
+const tagBlock = 8192
+
+type savedInt struct {
+	name string
+	val  int
+	had  bool
+}
+
+// Walker is one rank's walk of the schedule.
+type Walker struct {
+	S  *Schedule
+	Me int
+	// Bind holds parameters, loop variables and integer formals.
+	Bind map[string]int
+	// Strip is the active strip window, nil outside a strip-mined
+	// wavefront.
+	Strip *Strip
+
+	ops    Ops
+	saved  []savedInt
+	tagSeq int
+	point  []int
+	key    KeyScratch
+}
+
+// NewWalker returns rank me's walker, bound to the program parameters.
+func NewWalker(s *Schedule, me int, ops Ops) *Walker {
+	w := &Walker{S: s, Me: me, Bind: map[string]int{}, ops: ops}
+	for k, v := range s.Ctx.Bind.Params {
+		w.Bind[k] = v
+	}
+	return w
+}
+
+// Run walks the main procedure.  The schedule must pass Check.
+func (w *Walker) Run() { w.proc(w.S.prog.Main()) }
+
+func (w *Walker) proc(proc *ir.Procedure) {
+	f := &Frame{Proc: proc, ProcSched: w.S.procs[proc], Iters: w.S.IterSets(proc, w.Me, w.Bind)}
+	w.ops.Enter(f)
+	w.stmts(f, proc.Body, 0)
+	w.ops.Leave()
+}
+
+func (w *Walker) stmts(f *Frame, stmts []ir.Stmt, depth int) {
+	for _, s := range stmts {
+		switch st := s.(type) {
+		case *ir.Assign:
+			w.assign(f, st, depth)
+		case *ir.CallStmt:
+			if w.member(f, st.ID, depth) {
+				w.call(st)
+			}
+		case *ir.Loop:
+			w.loop(f, st, depth)
+		case *ir.IfStmt:
+			if Compare(st.Cond.Op, w.ops.Scalar(st.Cond.L), w.ops.Scalar(st.Cond.R)) {
+				w.stmts(f, st.Then, depth)
+			} else {
+				w.stmts(f, st.Else, depth)
+			}
+		}
+	}
+}
+
+// Compare evaluates the comparison of a (processor-uniform) condition.
+func Compare(op string, l, r float64) bool {
+	switch op {
+	case "<":
+		return l < r
+	case ">":
+		return l > r
+	case "<=":
+		return l <= r
+	case ">=":
+		return l >= r
+	case "==":
+		return l == r
+	case "/=":
+		return l != r
+	}
+	panic(fmt.Sprintf("sched: unknown comparison %q", op))
+}
+
+// member reports whether this rank executes the statement at the current
+// loop point.
+func (w *Walker) member(f *Frame, id, depth int) bool {
+	if depth == 0 {
+		return w.S.OwnsTopLevel(f.Proc, id, w.Me, w.Bind)
+	}
+	pt := w.point[:0]
+	for _, v := range f.Vars[id] {
+		pt = append(pt, w.Bind[v])
+	}
+	w.point = pt
+	return f.Iters[id].Contains(pt)
+}
+
+func (w *Walker) assign(f *Frame, a *ir.Assign, depth int) {
+	if depth > 0 {
+		if w.member(f, a.ID, depth) {
+			w.ops.Assign(a)
+		}
+		return
+	}
+	// Top-level statement: its comm events fire around it.
+	ss := f.Top[a]
+	w.Fire(f.Proc, ss.Reads, 0)
+	if w.member(f, a.ID, 0) {
+		w.ops.Assign(a)
+	}
+	w.Fire(f.Proc, ss.Writes, 0)
+}
+
+// ArgKind is how a call's actual binds to its formal.
+type ArgKind int
+
+const (
+	ArgAlias ArgKind = iota // whole array: the callee aliases the caller's storage
+	ArgInt                  // index, parameter or integral constant: an integer formal in Bind
+	ArgFloat                // anything else: a value formal
+)
+
+// ClassifyArg classifies one actual.
+func ClassifyArg(arg ir.Expr) ArgKind {
+	switch a := arg.(type) {
+	case *ir.ArrayRef:
+		if len(a.Subs) == 0 {
+			return ArgAlias
+		}
+	case ir.IndexRef, ir.ParamRef:
+		return ArgInt
+	case ir.FloatConst:
+		if float64(int(a.Val)) == a.Val {
+			return ArgInt
+		}
+	}
+	return ArgFloat
+}
+
+func (w *Walker) call(c *ir.CallStmt) {
+	callee := w.S.prog.Proc(c.Callee)
+	mark := w.Mark()
+	for k, formal := range callee.Formals {
+		if arg := c.Args[k]; ClassifyArg(arg) == ArgInt {
+			w.BindInt(formal, int(w.ops.Scalar(arg)))
+		} else {
+			w.ops.Actual(formal, arg)
+		}
+	}
+	w.proc(callee)
+	w.Unbind(mark)
+}
+
+// Mark, BindInt and Unbind are the integer save/restore discipline of
+// calls and loops: BindInt shadows a name, Unbind(mark) restores every
+// name shadowed since Mark returned mark, innermost first.
+func (w *Walker) Mark() int { return len(w.saved) }
+
+func (w *Walker) BindInt(name string, v int) {
+	old, had := w.Bind[name]
+	w.saved = append(w.saved, savedInt{name, old, had})
+	w.Bind[name] = v
+}
+
+func (w *Walker) Unbind(mark int) {
+	for i := len(w.saved) - 1; i >= mark; i-- {
+		if s := w.saved[i]; s.had {
+			w.Bind[s.name] = s.val
+		} else {
+			delete(w.Bind, s.name)
+		}
+	}
+	w.saved = w.saved[:mark]
+}
+
+func (w *Walker) loop(f *Frame, l *ir.Loop, depth int) {
+	ls := f.Loops[l]
+	w.Fire(f.Proc, ls.Reads, depth)
+	init := w.ops.ReduceInit(ls.Reds)
+	if len(ls.Pipe) > 0 {
+		w.Pipeline(f.Proc, ls, depth, func() { w.iterate(f, l, depth) })
+	} else {
+		w.iterate(f, l, depth)
+	}
+	w.ops.ReduceCombine(ls.Reds, init)
+	w.Fire(f.Proc, ls.Writes, depth)
+}
+
+// Range evaluates the range loop l visits under the current binding and
+// strip, from its first value to its last in the direction of l.Step.
+func (w *Walker) Range(l *ir.Loop) (lo, hi int) {
+	return w.Strip.Clamp(l, l.Lo.EvalOr(w.Bind, 0), l.Hi.EvalOr(w.Bind, 0))
+}
+
+func (w *Walker) iterate(f *Frame, l *ir.Loop, depth int) {
+	if w.ops.Handled(f, l, depth) {
+		return
+	}
+	lo, hi := w.Range(l)
+	mark := w.Mark()
+	w.BindInt(l.Var, lo)
+	if l.Step > 0 {
+		for v := lo; v <= hi; v++ {
+			w.Bind[l.Var] = v
+			w.stmts(f, l.Body, depth+1)
+		}
+	} else {
+		for v := lo; v >= hi; v-- {
+			w.Bind[l.Var] = v
+			w.stmts(f, l.Body, depth+1)
+		}
+	}
+	w.Unbind(mark)
+}
+
+// Fire takes the plan the events require under the current binding, with
+// the outermost depth loop variables fixed, and exchanges it: every rank
+// sends what it sources, then receives what targets it (sends are
+// buffered, so this cannot deadlock).
+func (w *Walker) Fire(proc *ir.Procedure, events []*comm.Event, depth int) {
+	if len(events) == 0 {
+		return
+	}
+	plan := w.S.Transfers(proc, events, Point{Bind: w.Bind, Depth: depth}, &w.key)
+	if len(plan) == 0 {
+		return
+	}
+	base := w.nextTags()
+	w.ops.Send(plan, base)
+	w.ops.Recv(plan, base)
+	w.ops.Drain()
+}
+
+func (w *Walker) nextTags() int {
+	base := w.tagSeq * tagBlock
+	w.tagSeq++
+	return base
+}
+
+// Pipeline runs the wavefront loop ls describes with coarse-grain
+// pipelining (SC'98 §2, §8.1): the strip loop is cut into chunks of the
+// grain; each chunk receives its incoming boundary data, runs the loop
+// body through iterate with Strip set to the chunk, and forwards its
+// outgoing boundary data.  A wavefront without a strip loop, or one
+// nested inside an enclosing wavefront's chunk (the 2-D diagonal
+// wavefront of LU-class codes), does not strip again: it runs
+// block-serialized, exchanging its boundary once, restricted to the
+// enclosing chunk if there is one.
+func (w *Walker) Pipeline(proc *ir.Procedure, ls *LoopSched, depth int, iterate func()) {
+	if w.Strip != nil || ls.Strip == nil {
+		w.chunk(proc, ls.Pipe, depth, w.Strip, iterate)
+	} else {
+		lo := ls.Strip.Lo.EvalOr(w.Bind, 0)
+		hi := ls.Strip.Hi.EvalOr(w.Bind, 0)
+		if lo > hi {
+			lo, hi = hi, lo
+		}
+		g := w.S.grain
+		if g <= 0 {
+			g = hi - lo + 1
+		}
+		for s := lo; s <= hi; s += g {
+			w.chunk(proc, ls.Pipe, depth, &Strip{Var: ls.Strip.Var, Lo: s, Hi: min(s+g-1, hi)}, iterate)
+		}
+	}
+	w.ops.Drain()
+}
+
+// chunk is one receive → compute → send step of a wavefront, with its
+// own tag block.
+func (w *Walker) chunk(proc *ir.Procedure, events []*comm.Event, depth int, strip *Strip, iterate func()) {
+	plan := w.S.Transfers(proc, events, Point{Bind: w.Bind, Depth: depth, Strip: strip}, &w.key)
+	base := w.nextTags()
+	w.ops.Recv(plan, base)
+	outer := w.Strip
+	w.Strip = strip
+	iterate()
+	w.Strip = outer
+	w.ops.Send(plan, base)
+}

@@ -19,6 +19,7 @@ import (
 	"dhpf/internal/hpf"
 	"dhpf/internal/ir"
 	"dhpf/internal/passes"
+	"dhpf/internal/sched"
 	"dhpf/internal/verify"
 )
 
@@ -64,13 +65,34 @@ type Program struct {
 	kunits    []*KernelUnit
 	krootList []*pLoop
 
-	// tplans memoizes transfersFor results (exec.go): a transfer plan
-	// depends only on the compile-time communication sets plus the
-	// scalar binding, call depth and strip window — all captured in the
-	// cache key — and every rank of every execution with the same key
-	// computes the identical, subsequently read-only list, so the first
-	// computation serves all of them.
-	tplans sync.Map // string → []comm.Transfer
+	// Lazily built rank schedule (internal/sched): placement tables plus
+	// the transfer-plan memo every execution of this Program shares.
+	schedOnce sync.Once
+	sched     *sched.Schedule
+}
+
+// Schedule returns the program's rank schedule, building it once.  Its
+// plan memo lives as long as the Program, so only executions — which
+// repeat their firings run after run — plan through it; PredictCost
+// walks a schedule of its own that dies with the call.
+func (p *Program) Schedule() *sched.Schedule {
+	p.schedOnce.Do(func() { p.sched = p.newSchedule() })
+	return p.sched
+}
+
+func (p *Program) newSchedule() *sched.Schedule {
+	return sched.New(sched.Input{
+		IR: p.IR, Ctx: p.Ctx, Sel: p.Sel, Comm: p.Comm,
+		Reductions: p.Reductions,
+		Grid:       p.Grid,
+		Grain:      p.Opt.PipelineGrain,
+	})
+}
+
+// zeroPlan is the fully vectorized plan of one event — the planner at
+// the zero point — as Report and EmitNodeProgram print it.
+func (p *Program) zeroPlan(proc *ir.Procedure, e *comm.Event) []comm.Transfer {
+	return p.Schedule().Plan(proc, []*comm.Event{e}, sched.Point{Bind: p.Ctx.Bind.Params})
 }
 
 // Compile parses nothing: it takes an already-parsed program and runs
@@ -158,23 +180,9 @@ func (p *Program) Verify() (*verify.Report, error) {
 
 // AnalysisInput builds the static-analysis input for this program: the
 // same post-pipeline facts the in-pipeline analyze pass reads, so
-// analysis.Run and analysis.Predict on it agree with the pipeline's own
-// analysis (and, by the exactness invariant, with execution).
+// analysis.Run on it agrees with the pipeline's own analysis.
 func (p *Program) AnalysisInput() *analysis.Input {
-	reds := map[string][]analysis.Reduction{}
-	for name, plans := range p.Reductions {
-		for _, r := range plans {
-			reds[name] = append(reds[name], analysis.Reduction{Loop: r.Loop, Stmt: r.Stmt, Var: r.Var, Op: r.Op})
-		}
-	}
-	backend, _ := passes.ParseBackend(p.Opt.Backend)
-	return &analysis.Input{
-		IR: p.IR, Ctx: p.Ctx, Sel: p.Sel, Comm: p.Comm,
-		Reductions:    reds,
-		Grid:          p.Grid,
-		Backend:       backend,
-		PipelineGrain: p.Opt.PipelineGrain,
-	}
+	return &analysis.Input{IR: p.IR, Ctx: p.Ctx, Sel: p.Sel, Comm: p.Comm, Grid: p.Grid}
 }
 
 // Analyze runs the whole-program static analysis over the compiled
@@ -183,9 +191,11 @@ func (p *Program) Analyze() (*analysis.Result, error) {
 	return analysis.Run(p.AnalysisInput())
 }
 
-// PredictCost runs the static cost oracle for this program's backend.
+// PredictCost runs the static cost oracle for this program's backend: a
+// counting walk of the rank schedule Execute walks.
 func (p *Program) PredictCost() (*analysis.Cost, error) {
-	return analysis.Predict(p.AnalysisInput())
+	backend, _ := passes.ParseBackend(p.Opt.Backend)
+	return analysis.Predict(p.newSchedule(), backend)
 }
 
 // Report renders the compilation decisions (CPs, communication events,
@@ -225,12 +235,7 @@ func (p *Program) eventVolume(proc *ir.Procedure, e *comm.Event) string {
 	if e.Eliminated {
 		return ""
 	}
-	var plan []comm.Transfer
-	if e.Kind == comm.ReadComm {
-		plan = comm.ReadTransfers(p.Ctx, proc, p.Sel, []*comm.Event{e})
-	} else {
-		plan = comm.WriteBackTransfers(p.Ctx, proc, p.Sel, []*comm.Event{e})
-	}
+	plan := p.zeroPlan(proc, e)
 	if len(plan) == 0 {
 		return ""
 	}

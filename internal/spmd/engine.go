@@ -4,12 +4,17 @@ package spmd
 // compiled Program's procedure bodies into closure trees over a
 // slot-indexed environment, so the per-iteration-point work of Execute
 // carries no map lookups, no slice allocations, and no interface
-// dispatch.  The tree-walking interpreter in exec.go remains the
-// reference oracle (Program.ExecuteEngine(cfg, EngineInterp)); the
+// dispatch.  The interpreter (the schedule walker with exec.go's
+// evaluating ops) remains the reference oracle
+// (Program.ExecuteEngine(cfg, EngineInterp)); the
 // engine's results are byte-identical to it — same array contents, same
 // virtual clocks, same message counts and bytes — because it performs
 // the exact same floating-point operations, flop accounting, guard
-// decisions, and communication calls in the exact same order.  Only
+// decisions, and communication calls in the exact same order: placement
+// is read from the same rank schedule (internal/sched) at plan build,
+// and firing, pipelining, procedure entry and integer-formal binding go
+// through the same walker code at run time.  The plan tree stays
+// compiled rather than walked because it is the fast path.  Only
 // provably result-free work is removed:
 //
 //   - name → value resolution moves from per-point map lookups to
@@ -35,6 +40,7 @@ import (
 
 	"dhpf/internal/comm"
 	"dhpf/internal/ir"
+	"dhpf/internal/sched"
 )
 
 // Engine selects Program.Execute's execution strategy.
@@ -163,36 +169,24 @@ type pCall struct {
 	args      []planArg
 }
 
-type planArgKind int
-
-const (
-	argAlias planArgKind = iota // whole-array actual: alias into the callee
-	argInt                      // integer actual: bind[formal] = int(value)
-	argIntConst
-	argFloat // float actual: floatFormals[formal] = value
-)
-
 type planArg struct {
-	kind     planArgKind
-	formal   string
-	slot     int    // int slot of formal (argInt/argIntConst)
-	srcName  string // caller array name (argAlias)
-	fn       evalFn // argInt / argFloat
-	intConst int    // argIntConst
+	kind    sched.ArgKind
+	formal  string
+	slot    int    // int slot of formal (ArgInt)
+	srcName string // caller array name (ArgAlias)
+	fn      evalFn // ArgInt / ArgFloat
 }
 
 type pLoop struct {
-	l           *ir.Loop
-	depth       int
-	varSlot     int
-	lo, hi      intFn
-	body        []planStmt
-	pure        bool // no calls/loops/comm inside: loop vars live in slots only
-	clampIdx    int  // index into frame.clamps, -1 when not clampable
-	readEvents  []*comm.Event
-	writeEvents []*comm.Event
-	pipeEvents  []*comm.Event
-	reds        []redSlot
+	l        *ir.Loop
+	depth    int
+	varSlot  int
+	lo, hi   intFn
+	body     []planStmt
+	pure     bool // no calls/loops/comm inside: loop vars live in slots only
+	clampIdx int  // index into frame.clamps, -1 when not clampable
+	ls       *sched.LoopSched
+	reds     []redSlot // ls.Reds resolved to float slots
 }
 
 type redSlot struct {
@@ -247,7 +241,7 @@ func buildEnginePlan(p *Program) (*enginePlan, error) {
 		if p.Comm[proc.Name] == nil {
 			return nil, fmt.Errorf("spmd: engine: no communication analysis for %q", proc.Name)
 		}
-		c := &planCompiler{p: p, ep: ep, proc: proc, pp: &procPlan{
+		c := &planCompiler{p: p, ep: ep, proc: proc, ps: p.Schedule().Proc(proc), pp: &procPlan{
 			proc:      proc,
 			floatSlot: map[string]int{},
 			arraySlot: map[string]int{},
@@ -291,6 +285,7 @@ type planCompiler struct {
 	p    *Program
 	ep   *enginePlan
 	proc *ir.Procedure
+	ps   *sched.ProcSched
 	pp   *procPlan
 }
 
@@ -380,8 +375,7 @@ func (c *planCompiler) compileAssign(a *ir.Assign, depth int, nest []*ir.Loop) (
 		flops:    flopsOf(a),
 	}
 	if depth == 0 {
-		ps.readEvents = staticEventsAt(c.p.Comm[c.proc.Name], a, comm.ReadComm)
-		ps.writeEvents = staticEventsAt(c.p.Comm[c.proc.Name], a, comm.WriteBack)
+		ps.readEvents, ps.writeEvents = c.ps.Top[a].Reads, c.ps.Top[a].Writes
 	} else {
 		ps.nestSlots = c.nestSlots(nest)
 		ps.guardIdx = c.newGuard(a.ID, ps.nestSlots)
@@ -404,32 +398,15 @@ func (c *planCompiler) compileCall(call *ir.CallStmt, depth int, nest []*ir.Loop
 		ps.guardIdx = c.newGuard(call.ID, ps.nestSlots)
 	}
 	for k, formal := range callee.Formals {
-		pa := planArg{formal: formal}
-		switch arg := call.Args[k].(type) {
-		case *ir.ArrayRef:
-			if len(arg.Subs) == 0 {
-				pa.kind = argAlias
-				pa.srcName = arg.Name
-			} else {
-				pa.kind = argFloat
-				pa.fn = c.compileExpr(arg)
-			}
-		case ir.IndexRef, ir.ParamRef:
-			pa.kind = argInt
+		arg := call.Args[k]
+		pa := planArg{kind: sched.ClassifyArg(arg), formal: formal}
+		switch pa.kind {
+		case sched.ArgAlias:
+			pa.srcName = arg.(*ir.ArrayRef).Name
+		case sched.ArgInt:
 			pa.slot = c.ep.islot(formal)
 			pa.fn = c.compileExpr(arg)
-		case ir.FloatConst:
-			if float64(int(arg.Val)) == arg.Val {
-				pa.kind = argIntConst
-				pa.slot = c.ep.islot(formal)
-				pa.intConst = int(arg.Val)
-			} else {
-				v := arg.Val
-				pa.kind = argFloat
-				pa.fn = func(*engineEnv) float64 { return v }
-			}
 		default:
-			pa.kind = argFloat
 			pa.fn = c.compileExpr(arg)
 		}
 		ps.args = append(ps.args, pa)
@@ -442,23 +419,18 @@ func (c *planCompiler) compileLoop(l *ir.Loop, depth int, nest []*ir.Loop) (*pLo
 	if err != nil {
 		return nil, err
 	}
-	an := c.p.Comm[c.proc.Name]
 	pl := &pLoop{
-		l:           l,
-		depth:       depth,
-		varSlot:     c.ep.islot(l.Var),
-		lo:          c.compileAff(l.Lo),
-		hi:          c.compileAff(l.Hi),
-		body:        body,
-		clampIdx:    -1,
-		readEvents:  staticEventsBeforeLoop(an, l, depth, comm.ReadComm),
-		writeEvents: staticEventsBeforeLoop(an, l, depth, comm.WriteBack),
-		pipeEvents:  staticPipelinedEvents(an, l),
+		l:        l,
+		depth:    depth,
+		varSlot:  c.ep.islot(l.Var),
+		lo:       c.compileAff(l.Lo),
+		hi:       c.compileAff(l.Hi),
+		body:     body,
+		clampIdx: -1,
+		ls:       c.ps.Loops[l],
 	}
-	for _, r := range c.p.Reductions[c.proc.Name] {
-		if r.Loop == l {
-			pl.reds = append(pl.reds, redSlot{op: r.Op, fslot: c.fslot(r.Var)})
-		}
+	for _, r := range pl.ls.Reds {
+		pl.reds = append(pl.reds, redSlot{op: r.Op, fslot: c.fslot(r.Var)})
 	}
 	// A loop whose body holds only (possibly if-guarded) assignments has
 	// no communication boundaries, calls or bind-map readers inside: its
@@ -552,52 +524,6 @@ func exprPanicFree(e ir.Expr) bool {
 		return true
 	}
 	return false
-}
-
-// --- static event selection ----------------------------------------------------
-//
-// These mirror eventsAt / eventsBeforeLoop / pipelinedEvents in exec.go
-// exactly; they are hoisted to plan-build time because their inputs (the
-// analysis event list, the loop identity, the nest depth) are all static.
-
-func staticEventsAt(an *comm.Analysis, stmt *ir.Assign, kind comm.Kind) []*comm.Event {
-	var out []*comm.Event
-	for _, e := range an.Events {
-		if e.Kind != kind || e.Eliminated || e.Pipelined {
-			continue
-		}
-		if e.Stmt == stmt && len(e.Nest) == 0 {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-func staticEventsBeforeLoop(an *comm.Analysis, l *ir.Loop, depth int, kind comm.Kind) []*comm.Event {
-	var out []*comm.Event
-	for _, e := range an.Events {
-		if e.Kind != kind || e.Eliminated || e.Pipelined {
-			continue
-		}
-		d := min(e.Depth, len(e.Nest)-1)
-		if d < 0 {
-			continue
-		}
-		if d == depth && e.Nest[d] == l {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-func staticPipelinedEvents(an *comm.Analysis, l *ir.Loop) []*comm.Event {
-	var out []*comm.Event
-	for _, e := range an.Events {
-		if e.Pipelined && !e.Eliminated && e.CarriedBy == l {
-			out = append(out, e)
-		}
-	}
-	return out
 }
 
 // --- expression compilation ----------------------------------------------------
@@ -855,6 +781,23 @@ func (c *planCompiler) compileCond(cond ir.Cond) condFn {
 
 // --- engine execution ----------------------------------------------------------
 
+// runProc executes a procedure body in a fresh frame: the shared
+// activation set-up (pushFrame, the schedule's iteration sets) plus the
+// engine's slot views.
+func (rx *rankExec) runProc(proc *ir.Procedure, actualArrays map[string]*array, floatFormals map[string]float64) {
+	f := rx.pushFrame(proc, rx.S.IterSets(proc, rx.Me, rx.Bind), actualArrays, floatFormals)
+	pp := rx.plan.procs[proc.Name]
+	rx.pushPlanFrame(f, pp, floatFormals)
+	rx.execPlanStmts(proc, pp.body)
+	rx.popPlanFrame(f)
+	rx.frames = rx.frames[:len(rx.frames)-1]
+}
+
+// setSlot maintains the slot shadow of one Bind entry.
+func (rx *rankExec) setSlot(slot, v int, set bool) {
+	rx.env.ints[slot], rx.env.intSet[slot] = v, set
+}
+
 // pushPlanFrame installs a frame's slot views into the rank environment
 // and derives the per-frame guards and clamps from the freshly computed
 // iteration sets.
@@ -928,13 +871,13 @@ func (rx *rankExec) planGuardPass(guardIdx int, nestSlots []int) bool {
 
 func (rx *rankExec) execPlanAssign(proc *ir.Procedure, sp *pAssign) {
 	if sp.depth == 0 {
-		rx.fireEvents(proc, sp.readEvents, 0)
-		if rx.ownsTopLevel(proc, sp.a.ID) {
+		rx.Fire(proc, sp.readEvents, 0)
+		if rx.S.OwnsTopLevel(proc, sp.a.ID, rx.Me, rx.Bind) {
 			v := sp.rhs(&rx.env)
 			rx.flops += sp.flops
 			sp.store(&rx.env, v)
 		}
-		rx.fireEvents(proc, sp.writeEvents, 0)
+		rx.Fire(proc, sp.writeEvents, 0)
 		return
 	}
 	if !rx.planGuardPass(sp.guardIdx, sp.nestSlots) {
@@ -947,7 +890,7 @@ func (rx *rankExec) execPlanAssign(proc *ir.Procedure, sp *pAssign) {
 
 func (rx *rankExec) execPlanCall(proc *ir.Procedure, pc *pCall) {
 	if pc.depth == 0 {
-		if !rx.ownsTopLevel(proc, pc.call.ID) {
+		if !rx.S.OwnsTopLevel(proc, pc.call.ID, rx.Me, rx.Bind) {
 			return
 		}
 	} else if !rx.planGuardPass(pc.guardIdx, pc.nestSlots) {
@@ -956,58 +899,34 @@ func (rx *rankExec) execPlanCall(proc *ir.Procedure, pc *pCall) {
 	f := rx.top()
 	actualArrays := map[string]*array{}
 	floatFormals := map[string]float64{}
-	type savedInt struct {
-		name     string
-		slot     int
-		val      int
-		had      bool
-		slotVal  int
-		slotport bool
-	}
-	var saved []savedInt
-	bindInt := func(a *planArg, v int) {
-		old, had := rx.bind[a.formal]
-		saved = append(saved, savedInt{
-			name: a.formal, slot: a.slot, val: old, had: had,
-			slotVal: rx.env.ints[a.slot], slotport: rx.env.intSet[a.slot],
-		})
-		rx.bind[a.formal] = v
-		rx.env.ints[a.slot] = v
-		rx.env.intSet[a.slot] = true
-	}
+	mark := rx.Mark()
 	for i := range pc.args {
 		a := &pc.args[i]
 		switch a.kind {
-		case argAlias:
+		case sched.ArgAlias:
 			actualArrays[a.formal] = f.arrays[a.srcName]
-		case argInt:
-			bindInt(a, int(a.fn(&rx.env)))
-		case argIntConst:
-			bindInt(a, a.intConst)
-		case argFloat:
+		case sched.ArgInt:
+			v := int(a.fn(&rx.env))
+			rx.BindInt(a.formal, v)
+			rx.setSlot(a.slot, v, true)
+		default:
 			floatFormals[a.formal] = a.fn(&rx.env)
 		}
 	}
 	rx.runProc(pc.callee, actualArrays, floatFormals)
-	for i := len(saved) - 1; i >= 0; i-- {
-		s := saved[i]
-		if s.had {
-			rx.bind[s.name] = s.val
-		} else {
-			delete(rx.bind, s.name)
-		}
-		if s.slotport {
-			rx.env.ints[s.slot] = s.slotVal
-			rx.env.intSet[s.slot] = true
-		} else {
-			rx.env.ints[s.slot] = 0
-			rx.env.intSet[s.slot] = false
+	rx.Unbind(mark)
+	// No call sits inside a slot-only loop, so every formal's slot
+	// equalled its Bind entry before the call: restore it from there.
+	for i := range pc.args {
+		if a := &pc.args[i]; a.kind == sched.ArgInt {
+			v, had := rx.Bind[a.formal]
+			rx.setSlot(a.slot, v, had)
 		}
 	}
 }
 
 func (rx *rankExec) execPlanLoop(proc *ir.Procedure, pl *pLoop) {
-	rx.fireEvents(proc, pl.readEvents, pl.depth)
+	rx.Fire(proc, pl.ls.Reads, pl.depth)
 
 	var s0 []float64
 	if len(pl.reds) > 0 {
@@ -1017,28 +936,21 @@ func (rx *rankExec) execPlanLoop(proc *ir.Procedure, pl *pLoop) {
 		}
 	}
 
-	if len(pl.pipeEvents) > 0 {
-		rx.execPipelined(proc, pl.l, pl.depth, pl.pipeEvents, func() { rx.iteratePlanLoop(proc, pl) })
+	if len(pl.ls.Pipe) > 0 {
+		rx.Pipeline(proc, pl.ls, pl.depth, func() { rx.iteratePlanLoop(proc, pl) })
 	} else {
 		rx.iteratePlanLoop(proc, pl)
 	}
 
 	for i, r := range pl.reds {
-		rx.flushFlops()
-		v := rx.env.floats[r.fslot]
-		switch r.op {
-		case '+':
-			rx.env.floats[r.fslot] = s0[i] + rx.allReduce('+', v-s0[i])
-		default: // '<' min, '>' max: every rank's partial includes s0
-			rx.env.floats[r.fslot] = rx.allReduce(r.op, v)
-		}
+		rx.env.floats[r.fslot] = rx.combine(r.op, rx.env.floats[r.fslot], s0[i])
 		rx.env.fset[r.fslot] = true
 	}
 
-	rx.fireEvents(proc, pl.writeEvents, pl.depth)
+	rx.Fire(proc, pl.ls.Writes, pl.depth)
 }
 
-// iteratePlanLoop is the compiled iterateLoop: bounds come from compiled
+// iteratePlanLoop is the compiled loop iteration: bounds come from compiled
 // affine closures, the range is clamped by the active strip and (for
 // pure loops) by the hoisted union of member iteration boxes, and the
 // loop variable is maintained in its slot — plus the bind map only when
@@ -1053,16 +965,8 @@ func (rx *rankExec) iteratePlanLoop(proc *ir.Procedure, pl *pLoop) {
 		}
 	}
 	e := &rx.env
-	lo := pl.lo(e)
-	hi := pl.hi(e)
 	l := pl.l
-	if rx.strip != nil && rx.strip.variable == l.Var {
-		if l.Step > 0 {
-			lo, hi = max(lo, rx.strip.lo), min(hi, rx.strip.hi)
-		} else {
-			lo, hi = min(lo, rx.strip.hi), max(hi, rx.strip.lo)
-		}
-	}
+	lo, hi := rx.Strip.Clamp(l, pl.lo(e), pl.hi(e))
 	if pl.clampIdx >= 0 {
 		c := &rx.top().clamps[pl.clampIdx]
 		if l.Step > 0 {
@@ -1088,33 +992,24 @@ func (rx *rankExec) iteratePlanLoop(proc *ir.Procedure, pl *pLoop) {
 			}
 		}
 	} else {
-		oldB, hadB := rx.bind[l.Var]
+		mark := rx.Mark()
+		rx.BindInt(l.Var, lo)
 		if l.Step > 0 {
 			for v := lo; v <= hi; v++ {
 				e.ints[vs] = v
 				e.intSet[vs] = true
-				rx.bind[l.Var] = v
+				rx.Bind[l.Var] = v
 				rx.execPlanStmts(proc, pl.body)
 			}
 		} else {
 			for v := lo; v >= hi; v-- {
 				e.ints[vs] = v
 				e.intSet[vs] = true
-				rx.bind[l.Var] = v
+				rx.Bind[l.Var] = v
 				rx.execPlanStmts(proc, pl.body)
 			}
 		}
-		if hadB {
-			rx.bind[l.Var] = oldB
-		} else {
-			delete(rx.bind, l.Var)
-		}
+		rx.Unbind(mark)
 	}
-	if oldSet {
-		e.ints[vs] = oldV
-		e.intSet[vs] = true
-	} else {
-		e.ints[vs] = 0
-		e.intSet[vs] = false
-	}
+	rx.setSlot(vs, oldV, oldSet) // oldV is 0 when the slot was unset
 }

@@ -1,7 +1,7 @@
 package spmd
 
-// engine_pack.go is the bulk message marshalling used by doTransfers and
-// the pipelined send/recv paths: instead of gathering and scattering one
+// engine_pack.go is the bulk message marshalling used by Send and Recv
+// (exec.go): instead of gathering and scattering one
 // element per iset point through array.get/array.set, transfer sets are
 // walked box by box and moved with contiguous last-dimension row copies.
 // The element order is exactly iset.Set.Each's canonical order (sorted

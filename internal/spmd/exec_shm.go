@@ -3,8 +3,8 @@ package spmd
 // exec_shm.go runs a compiled program on the shared-memory substrate
 // (internal/shm): one goroutine per rank of the processor grid, private
 // full-size arrays per thread, and the message-machine transfer plans
-// replayed as rendezvous-then-pull synchronization (see doTransfers and
-// the pipelined paths in exec.go).  The threads execute exactly the
+// replayed as rendezvous-then-pull synchronization (see Send, Recv and
+// Drain in exec.go).  The threads execute exactly the
 // iteration partitions the message ranks would — same ON_HOME sets,
 // same loop order, same rank-order reductions — so numeric results are
 // bit-identical across backends by construction; only the virtual
@@ -16,88 +16,32 @@ package spmd
 // groups are priced like the messages the outer rank level would send.
 
 import (
-	"errors"
-	"fmt"
-	"sync"
-
 	"dhpf/internal/iset"
 	"dhpf/internal/mpsim"
 	"dhpf/internal/passes"
 	"dhpf/internal/shm"
 )
 
-// executeShm is ExecuteEngine's shared-memory path: same program, same
-// engine choice, same per-rank setup, run on a shm.Team instead of the
-// message machine.  backend is the canonical name (BackendShm or
-// BackendHybrid) and only chooses the grouping.
-func (p *Program) executeShm(cfg mpsim.Config, engine Engine, backend string) (*ExecResult, error) {
-	var groups []int
-	if backend == passes.BackendHybrid {
-		groups = make([]int, p.Grid.Size())
-		for r := range groups {
-			groups[r] = p.Grid.Coord(r)[0]
-		}
+// shmGroups returns the shared-memory grouping of the canonical backend
+// name: nil (one group) for BackendShm, the grid's outermost coordinate
+// for BackendHybrid.
+func (p *Program) shmGroups(backend string) []int {
+	if backend != passes.BackendHybrid {
+		return nil
 	}
-	var plan *enginePlan
-	if engine == EngineCompiled || engine == EngineCodegen {
-		plan, _ = p.enginePlanFor()
+	groups := make([]int, p.Grid.Size())
+	for r := range groups {
+		groups[r] = p.Grid.Coord(r)[0]
 	}
-	var kernels map[*pLoop]*boundKernel
-	if engine == EngineCodegen && plan != nil {
-		kernels = p.kernelBindings()
-	}
-	ranks := make([]*rankExec, cfg.Procs)
-	var mu sync.Mutex
-	var execErr error
-	sres := shm.Run(shm.FromMachine(cfg, groups), func(t *shm.Thread) {
-		rx := &rankExec{p: p, th: t, me: t.ID, bind: map[string]int{}, plan: plan, kernels: kernels}
-		if plan != nil {
-			rx.env.ints = make([]int, plan.nInts)
-			rx.env.intSet = make([]bool, plan.nInts)
-		}
-		for k, v := range p.Ctx.Bind.Params {
-			rx.bind[k] = v
-			if plan != nil {
-				s := plan.intSlot[k]
-				rx.env.ints[s] = v
-				rx.env.intSet[s] = true
-			}
-		}
-		mu.Lock()
-		ranks[t.ID] = rx
-		mu.Unlock()
-		defer func() {
-			if rec := recover(); rec != nil {
-				mu.Lock()
-				if execErr == nil {
-					if err, ok := rec.(error); ok && errors.Is(err, mpsim.ErrAborted) {
-						execErr = err
-					} else {
-						execErr = fmt.Errorf("spmd: rank %d: %v", t.ID, rec)
-					}
-				}
-				if debugPanics {
-					fmt.Println("SPMD-PANIC:", execErr)
-				}
-				mu.Unlock()
-				// A dead thread can never publish or acknowledge again:
-				// abort the team so peers blocked in Await/Drain unwind
-				// instead of deadlocking until the wall limit.
-				t.Abort(mpsim.ErrAborted)
-			}
-		}()
-		main := p.IR.Main()
-		rx.runProc(main, map[string]*array{}, nil)
-		rx.flushFlops()
-	})
-	if execErr != nil {
-		return nil, execErr
-	}
-	// Synthesize the uniform Machine view from the team's clocks: rank
-	// times map one-to-one, and the message counters carry the hybrid
-	// layout's outer traffic (zero for pure shm), so Seconds/Messages/
-	// Bytes accessors and the tuner read every backend the same way.
-	res := &mpsim.Result{
+	return groups
+}
+
+// machineView synthesizes the uniform Machine view from the team's
+// clocks: rank times map one-to-one, and the message counters carry the
+// hybrid layout's outer traffic (zero for pure shm), so Seconds/Messages/
+// Bytes accessors and the tuner read every backend the same way.
+func machineView(sres *shm.Result) *mpsim.Result {
+	return &mpsim.Result{
 		Procs:     sres.Threads,
 		Time:      sres.Time,
 		RankTime:  sres.ThreadTime,
@@ -107,7 +51,6 @@ func (p *Program) executeShm(cfg mpsim.Config, engine Engine, backend string) (*
 		SentBytes: sres.OuterBytes,
 		RecvMsgs:  make([]int64, sres.Threads),
 	}
-	return &ExecResult{Machine: res, Shm: sres, Kernels: kernelStatsOf(len(kernels), ranks, res.RankFlops), prog: p, ranks: ranks}, nil
 }
 
 // pullPayload copies the set's elements from src into dst directly,

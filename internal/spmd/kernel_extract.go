@@ -136,8 +136,8 @@ func (x *kextract) loop(pl *pLoop, isRoot bool) *KLoop {
 	if !x.ok {
 		return nil
 	}
-	if !isRoot && (len(pl.readEvents) > 0 || len(pl.writeEvents) > 0 ||
-		len(pl.pipeEvents) > 0 || len(pl.reds) > 0) {
+	if !isRoot && (len(pl.ls.Reads) > 0 || len(pl.ls.Writes) > 0 ||
+		len(pl.ls.Pipe) > 0 || len(pl.reds) > 0) {
 		x.fail()
 		return nil
 	}
@@ -419,7 +419,7 @@ func (x *kextract) array(name string) int {
 }
 
 // paramAff evaluates a declaration-bound affine over parameters alone,
-// matching runProc's EvalOr(bind, 0) when every term is a parameter.
+// matching pushFrame's EvalOr(Bind, 0) when every term is a parameter.
 func (x *kextract) paramAff(a ir.AffExpr) (int, bool) {
 	v := a.Const
 	for _, t := range a.Terms {

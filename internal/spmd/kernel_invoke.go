@@ -317,8 +317,8 @@ func kernelGeomOK(arr *array, ka *KArray) bool {
 // clamp narrowing exactly.
 func (rx *rankExec) prepKLoop(u *KernelUnit, kl *KLoop, f *frame, kb []int, hull []kiv) bool {
 	wLo, wHi := math.MinInt, math.MaxInt
-	if rx.strip != nil && rx.strip.variable == kl.Var {
-		wLo, wHi = max(wLo, rx.strip.lo), min(wHi, rx.strip.hi)
+	if rx.Strip != nil && rx.Strip.Var == kl.Var {
+		wLo, wHi = max(wLo, rx.Strip.Lo), min(wHi, rx.Strip.Hi)
 	}
 	if kl.ClampIdx >= 0 {
 		if kl.ClampIdx >= len(f.clamps) {

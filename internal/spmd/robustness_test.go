@@ -1,8 +1,10 @@
 package spmd
 
 import (
+	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"dhpf/internal/mpsim"
 )
@@ -228,4 +230,64 @@ end
 	}
 }
 
-var _ = mpsim.SP2Config
+// TestRankPanicAbortsPeers: a rank that dies must take its machine down
+// with it.  The last rank's second nest reads a(i,N), one column past the
+// array; the third nest makes rank 2 wait for a halo from that dead rank.
+// Every engine × backend must return the rank-3 error at once — before
+// Rank.Abort existed the message machine hung here forever (dhpfc -run and
+// /v1/run set no wall limit).  The wall limit below is a fail-safe only,
+// so a regression fails instead of hanging CI.
+func TestRankPanicAbortsPeers(t *testing.T) {
+	src := `
+program oob
+param N = 16
+!hpf$ processors procs(4)
+!hpf$ distribute a(*, BLOCK) onto procs
+!hpf$ distribute b(*, BLOCK) onto procs
+subroutine main()
+  real a(0:N-1, 0:N-1)
+  real b(0:N-1, 0:N-1)
+  do j = 0, N-1
+    do i = 0, N-1
+      a(i,j) = 1.0*i + 2.0*j
+    enddo
+  enddo
+  do j = 0, N-1
+    do i = 0, N-1
+      b(i,j) = a(i,j+1)
+    enddo
+  enddo
+  do j = 0, N-2
+    do i = 0, N-1
+      a(i,j) = b(i,j+1)
+    enddo
+  enddo
+end
+`
+	const want = "spmd: rank 3: spmd: a[0 16] out of bounds [[0 0]:[15 15]]"
+	for _, backend := range []string{"mp", "shm", "hybrid"} {
+		opt := DefaultOptions()
+		opt.Backend = backend
+		prog, err := CompileSource(src, nil, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, engine := range []Engine{EngineInterp, EngineCompiled, EngineCodegen} {
+			cfg := testMachine(4)
+			cfg.WallLimit = 30 * time.Second
+			start := time.Now()
+			_, err := prog.ExecuteEngine(cfg, engine)
+			took := time.Since(start)
+			switch {
+			case err == nil:
+				t.Errorf("%s/%s: out-of-bounds read executed without error", backend, engine)
+			case errors.Is(err, mpsim.ErrWallLimit):
+				t.Errorf("%s/%s: peers of the dead rank waited for the wall limit", backend, engine)
+			case err.Error() != want:
+				t.Errorf("%s/%s: error %q, want %q", backend, engine, err, want)
+			case took > 10*time.Second:
+				t.Errorf("%s/%s: took %v to report a dead rank", backend, engine, took)
+			}
+		}
+	}
+}

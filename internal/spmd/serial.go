@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"dhpf/internal/ir"
+	"dhpf/internal/sched"
 )
 
 // SerialResult holds the arrays of a sequential reference execution.
@@ -108,8 +109,7 @@ func (se *serialExec) execStmts(proc *ir.Procedure, stmts []ir.Stmt) {
 		case *ir.CallStmt:
 			se.call(proc, st)
 		case *ir.IfStmt:
-			rx := &rankExec{bind: se.bind, frames: se.frames}
-			if rx.evalCond(st.Cond) {
+			if sched.Compare(st.Cond.Op, se.eval(st.Cond.L), se.eval(st.Cond.R)) {
 				se.execStmts(proc, st.Then)
 			} else {
 				se.execStmts(proc, st.Else)
@@ -218,6 +218,6 @@ func (se *serialExec) call(proc *ir.Procedure, call *ir.CallStmt) {
 
 func (se *serialExec) eval(e ir.Expr) float64 {
 	// Reuse the rank evaluator's logic through a lightweight shim.
-	rx := &rankExec{bind: se.bind, frames: se.frames}
+	rx := &rankExec{Walker: &sched.Walker{Bind: se.bind}, frames: se.frames}
 	return rx.eval(e)
 }

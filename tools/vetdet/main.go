@@ -188,7 +188,7 @@ func deterministicCore(importPath string) bool {
 	switch importPath {
 	case "dhpf/internal/parser", "dhpf/internal/hpf", "dhpf/internal/ir",
 		"dhpf/internal/iset", "dhpf/internal/cp", "dhpf/internal/comm",
-		"dhpf/internal/spmd", "dhpf/internal/passes", "dhpf/internal/analysis",
+		"dhpf/internal/sched", "dhpf/internal/spmd", "dhpf/internal/passes", "dhpf/internal/analysis",
 		"dhpf/internal/verify", "dhpf/internal/perfmodel", "dhpf/internal/nas",
 		// The native tier: emission is fingerprinted (kernel sources are
 		// content-addressed), so the emitter must be deterministic; the
