@@ -394,30 +394,6 @@ func BenchmarkExecuteSPStepShm(b *testing.B) {
 // against BenchmarkExecuteSPStep.
 func BenchmarkExecuteSPStepCodegen(b *testing.B) { benchExecuteSPStep(b, spmd.EngineCodegen) }
 
-// BenchmarkExecuteSPStepWallClock and its Pinned twin run the identical
-// simulation under the two goroutine-placement regimes — the Go
-// scheduler's default multiplexing vs Config.PinOSThreads locking each
-// rank onto its own OS thread — so the claim that pinning maps ranks
-// onto hardware threads is measured wall-clock, not asserted.  Virtual
-// results are bit-identical either way.
-func BenchmarkExecuteSPStepWallClock(b *testing.B)       { benchExecuteSPStepPin(b, false) }
-func BenchmarkExecuteSPStepWallClockPinned(b *testing.B) { benchExecuteSPStepPin(b, true) }
-
-func benchExecuteSPStepPin(b *testing.B, pin bool) {
-	prog, err := spmd.CompileSource(nas.SPSource(16, 1, 2, 2), nil, spmd.DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := mpsim.SP2Config(4)
-	cfg.PinOSThreads = pin
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := prog.ExecuteEngine(cfg, spmd.EngineCompiled); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkExecuteBTStep and its Codegen twin are the same pair on one
 // BT step at the corpus shape (12³ on 2×2).  BT spends most of its
 // flops inside the LOCALIZE wrapper, whose guards are unions of boxes,

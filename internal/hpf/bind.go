@@ -39,6 +39,11 @@ func Bind(prog *ir.Program, params map[string]int) (*Binding, error) {
 	for _, pd := range prog.Processors {
 		shape := make([]int, len(pd.Extents))
 		for k, e := range pd.Extents {
+			for _, t := range e.Terms {
+				if _, ok := bind[t.Name]; !ok {
+					return nil, fmt.Errorf("hpf: PROCESSORS %s dimension %d uses unbound parameter %q", pd.Name, k, t.Name)
+				}
+			}
 			shape[k] = e.Eval(bind)
 			if shape[k] <= 0 {
 				return nil, fmt.Errorf("hpf: PROCESSORS %s dimension %d has non-positive extent %d",

@@ -12,13 +12,19 @@
 // Matching is deterministic (per (src,dst,tag) FIFO mailboxes), so both
 // numeric results and virtual times are reproducible run to run,
 // regardless of goroutine scheduling.
+//
+// The package is the one machine core under every execution substrate:
+// rank goroutines, clocks and idle accounting, the keyed FIFO boxes, the
+// abort protocol, barriers, rank-order reductions, trace capture and
+// result assembly live here once.  Send/Recv below are the message front;
+// internal/shm is the shared-memory front, built on Post, Take, PaySend,
+// Spend, Sleep and NewCond.
 package mpsim
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -52,14 +58,6 @@ type Config struct {
 	// virtual clocks stop advancing (e.g. a deadlocked exchange), which
 	// TimeLimit alone can never catch.
 	WallLimit time.Duration
-	// PinOSThreads locks every rank goroutine to its own OS thread for
-	// the duration of the run (runtime.LockOSThread), so a run with
-	// Procs ≤ GOMAXPROCS maps each rank onto a hardware thread and
-	// wall-clock time scales with real cores instead of the scheduler's
-	// whim.  Results are unaffected — pinning changes where goroutines
-	// run, never what they compute — so it is safe to flip for
-	// wall-clock benchmarking while keeping virtual clocks identical.
-	PinOSThreads bool
 }
 
 // ErrAborted is the base error of every mpsim-initiated abort; aborted
@@ -124,47 +122,49 @@ type Event struct {
 	Label      string
 }
 
-// message is an in-flight message.
-type message struct {
-	data    []float64
-	arrival float64 // virtual time the last byte reaches the receiver
-	bytes   int
+// Message is one element of a keyed FIFO box: what a sender posts and a
+// receiver takes.  The message front queues a payload copy (Data); the
+// shared-memory front queues a reference to the producer's storage (Ref).
+type Message struct {
+	Data []float64
+	Ref  any
+	// At is the virtual time the data is available to the receiver.
+	At float64
 }
 
-type mailboxKey struct {
+type boxKey struct {
 	src, dst, tag int
 }
 
 type mailbox struct {
 	mu    sync.Mutex
-	cond  *sync.Cond
-	queue []message
+	cond  sync.Cond
+	queue []Message
 }
 
-func (mb *mailbox) push(m message) {
-	mb.mu.Lock()
-	mb.queue = append(mb.queue, m)
-	mb.cond.Signal()
-	mb.mu.Unlock()
+// SyncCost is what completing a team-wide collective adds to the latest
+// arrival; a front computes its log-tree terms once per run.  Reduce's
+// terms are added one at a time, in order: pre-summing them would change
+// the last bit of every clock downstream.
+type SyncCost struct {
+	Barrier float64
+	Reduce  [3]float64
 }
 
-// pop blocks until a message is queued or the machine aborts.  The
-// abort flag is re-checked around every wait: Abort broadcasts while
-// holding mb.mu, so a waiter either sees the flag before sleeping or is
-// woken by the broadcast — it can never sleep through an abort.
-func (mb *mailbox) pop(m *Machine) message {
-	mb.mu.Lock()
-	for len(mb.queue) == 0 {
-		if err := m.abortedErr(); err != nil {
-			mb.mu.Unlock()
-			panic(err)
-		}
-		mb.cond.Wait()
-	}
-	msg := mb.queue[0]
-	mb.queue = mb.queue[1:]
-	mb.mu.Unlock()
-	return msg
+// collective is one generation-counted team-wide meeting point.  The
+// completing rank publishes target and result; waiters read them after
+// wake-up.  The next generation cannot complete — and so cannot overwrite
+// them — until every rank of this one has left and re-entered.
+type collective struct {
+	mu     sync.Mutex
+	cond   sync.Cond
+	cost   [3]float64
+	count  int
+	gen    int
+	max    float64   // latest arrival of the generation being assembled
+	vals   []float64 // its contributions, by rank
+	target float64   // completion time of the last finished generation
+	result float64   // its fold
 }
 
 // Machine is the running virtual machine.
@@ -173,24 +173,14 @@ type Machine struct {
 	// abortErr is set once by Abort; every rank observing it panics with
 	// the stored error, which the body's recover handler reports.
 	abortErr atomic.Pointer[error]
-	mu       sync.Mutex
-	boxes    map[mailboxKey]*mailbox
+	// mu guards boxes and conds.  conds holds every condition a rank can
+	// block on other than a box's own: both collectives' and whatever a
+	// front registered with NewCond.
+	mu    sync.Mutex
+	boxes map[boxKey]*mailbox
+	conds []*sync.Cond
 
-	barrierMu     sync.Mutex
-	barrierCond   *sync.Cond
-	barrierCount  int
-	barrierGen    int
-	barrierMax    float64
-	barrierTarget float64 // completion time of the last finished barrier
-
-	reduceMu     sync.Mutex
-	reduceCond   *sync.Cond
-	reduceCnt    int
-	reduceGen    int
-	reduceMax    float64
-	reduceVals   []float64
-	reduceSum    float64 // result of the last finished reduction
-	reduceTarget float64
+	barrier, reduce collective
 
 	// bufPool recycles message payload buffers: Send draws its internal
 	// copy from here and Recycle returns consumed receive buffers.
@@ -241,6 +231,7 @@ type Rank struct {
 	sentB  int64
 	recvd  int64
 	idle   float64
+	syncs  int64
 	events []Event
 }
 
@@ -277,36 +268,66 @@ func (r *Result) TotalBytes() int64 {
 	return n
 }
 
-// Run executes body on every rank concurrently and collects the result.
+// Run executes body on every rank of a message machine concurrently and
+// collects the result; barriers and reductions complete a log-tree of
+// message latencies after the last arrival.
 //
-// When the machine aborts (Config.TimeLimit, Config.WallLimit), every
-// rank blocked in a machine operation is woken and panics with an error
-// wrapping ErrAborted; body is expected to recover it (the spmd executor
-// and the nas hand-coded drivers do) and surface it to their caller.
+// When the machine aborts (Config.TimeLimit, Config.WallLimit,
+// Rank.Abort), every rank blocked in a machine operation is woken and
+// panics with an error wrapping ErrAborted; body is expected to recover
+// it (the spmd executor and the nas hand-coded drivers do) and surface it
+// to their caller.
 func Run(cfg Config, body func(r *Rank)) *Result {
+	steps := math.Ceil(math.Log2(float64(cfg.Procs)))
+	return NewMachine(cfg, SyncCost{
+		Barrier: cfg.Latency * steps,
+		Reduce:  [3]float64{steps * (cfg.Latency + 8*cfg.GapPerByte)},
+	}).Run(body)
+}
+
+// NewMachine builds a machine whose collectives complete cost after the
+// last arrival.  A front with a blocking condition of its own registers
+// it (NewCond) before calling Run.
+func NewMachine(cfg Config, cost SyncCost) *Machine {
 	if cfg.Procs <= 0 {
 		panic("mpsim: Procs must be positive")
 	}
-	m := &Machine{cfg: cfg, boxes: map[mailboxKey]*mailbox{}}
-	m.barrierCond = sync.NewCond(&m.barrierMu)
-	m.reduceCond = sync.NewCond(&m.reduceMu)
+	m := &Machine{cfg: cfg, boxes: map[boxKey]*mailbox{}}
+	m.barrier.cost[0] = cost.Barrier
+	m.reduce.cost = cost.Reduce
+	for _, c := range []*collective{&m.barrier, &m.reduce} {
+		c.cond.L = &c.mu
+		c.vals = make([]float64, cfg.Procs)
+		m.conds = append(m.conds, &c.cond)
+	}
+	return m
+}
 
+// NewCond returns a condition on l that Abort wakes; ranks wait on it
+// through Sleep.
+func (m *Machine) NewCond(l sync.Locker) *sync.Cond {
+	c := sync.NewCond(l)
+	m.mu.Lock()
+	m.conds = append(m.conds, c)
+	m.mu.Unlock()
+	return c
+}
+
+// Run executes body on every rank concurrently and collects the result.
+func (m *Machine) Run(body func(r *Rank)) *Result {
+	procs := m.cfg.Procs
 	var wallTimer *time.Timer
-	if cfg.WallLimit > 0 {
-		wallTimer = time.AfterFunc(cfg.WallLimit, func() { m.Abort(ErrWallLimit) })
+	if m.cfg.WallLimit > 0 {
+		wallTimer = time.AfterFunc(m.cfg.WallLimit, func() { m.Abort(ErrWallLimit) })
 	}
 
-	ranks := make([]*Rank, cfg.Procs)
+	ranks := make([]*Rank, procs)
 	var wg sync.WaitGroup
-	for i := 0; i < cfg.Procs; i++ {
+	for i := range ranks {
 		ranks[i] = &Rank{ID: i, m: m}
 		wg.Add(1)
 		go func(r *Rank) {
 			defer wg.Done()
-			if cfg.PinOSThreads {
-				runtime.LockOSThread()
-				defer runtime.UnlockOSThread()
-			}
 			body(r)
 		}(ranks[i])
 	}
@@ -316,13 +337,13 @@ func Run(cfg Config, body func(r *Rank)) *Result {
 	}
 
 	res := &Result{
-		Procs:     cfg.Procs,
-		RankTime:  make([]float64, cfg.Procs),
-		RankIdle:  make([]float64, cfg.Procs),
-		RankFlops: make([]float64, cfg.Procs),
-		SentMsgs:  make([]int64, cfg.Procs),
-		SentBytes: make([]int64, cfg.Procs),
-		RecvMsgs:  make([]int64, cfg.Procs),
+		Procs:     procs,
+		RankTime:  make([]float64, procs),
+		RankIdle:  make([]float64, procs),
+		RankFlops: make([]float64, procs),
+		SentMsgs:  make([]int64, procs),
+		SentBytes: make([]int64, procs),
+		RecvMsgs:  make([]int64, procs),
 	}
 	for i, r := range ranks {
 		res.RankTime[i] = r.clock
@@ -344,9 +365,9 @@ func Run(cfg Config, body func(r *Rank)) *Result {
 }
 
 // Abort marks the machine dead with the given cause (first call wins)
-// and wakes every rank blocked in a receive, barrier or reduction; woken
-// ranks — and any rank entering a machine operation afterwards — panic
-// with the cause, to be recovered by the run body.
+// and wakes every blocked rank; woken ranks — and any rank entering a
+// machine operation afterwards — panic with the cause, to be recovered by
+// the run body.
 func (m *Machine) Abort(cause error) {
 	if cause == nil {
 		cause = ErrAborted
@@ -356,29 +377,27 @@ func (m *Machine) Abort(cause error) {
 	}
 	// Broadcast under each condition's own lock: a waiter holds that
 	// lock from its flag check until Wait releases it, so it either saw
-	// the flag or receives this wake-up.
+	// the flag or receives this wake-up.  No rank takes m.mu while it
+	// holds a condition's lock, so holding it across the sweep is safe.
+	wake := func(c *sync.Cond) {
+		c.L.Lock()
+		c.Broadcast()
+		c.L.Unlock()
+	}
 	m.mu.Lock()
-	boxes := make([]*mailbox, 0, len(m.boxes))
+	defer m.mu.Unlock()
+	for _, c := range m.conds {
+		wake(c)
+	}
 	for _, mb := range m.boxes {
-		boxes = append(boxes, mb)
+		wake(&mb.cond)
 	}
-	m.mu.Unlock()
-	for _, mb := range boxes {
-		mb.mu.Lock()
-		mb.cond.Broadcast()
-		mb.mu.Unlock()
-	}
-	m.barrierMu.Lock()
-	m.barrierCond.Broadcast()
-	m.barrierMu.Unlock()
-	m.reduceMu.Lock()
-	m.reduceCond.Broadcast()
-	m.reduceMu.Unlock()
 }
 
 // Abort lets a rank kill its own machine — typically from a panic
-// handler, so peers blocked on a message, barrier or reduction the dead
-// rank will never complete unwind instead of deadlocking.
+// handler, so peers blocked on a message, rendezvous, barrier or
+// reduction the dead rank will never complete unwind instead of
+// deadlocking.
 func (r *Rank) Abort(cause error) { r.m.Abort(cause) }
 
 // abortedErr returns the abort cause, or nil while the machine is live.
@@ -389,12 +408,26 @@ func (m *Machine) abortedErr() error {
 	return nil
 }
 
-// checkLimits panics with the abort cause if the machine is dead, and
+// Sleep is the machine's one blocking site: every wait — for a message,
+// a collective or a front's own condition — loops over it with c.L held.
+// It waits on c, unless the machine is dead: then it releases c.L and
+// panics with the abort cause.  Abort broadcasts while holding c.L, so a
+// waiter either sees the flag here or is woken by the broadcast — it can
+// never sleep through an abort.
+func (r *Rank) Sleep(c *sync.Cond) {
+	if err := r.m.abortedErr(); err != nil {
+		c.L.Unlock()
+		panic(err)
+	}
+	c.Wait()
+}
+
+// CheckLimits panics with the abort cause if the machine is dead, and
 // trips the virtual-time limit when this rank's clock has passed it.
 // Called from every clock-advancing operation, so an over-limit run
 // aborts deterministically: virtual clocks only grow, hence a run aborts
 // iff its makespan would exceed the limit.
-func (r *Rank) checkLimits() {
+func (r *Rank) CheckLimits() {
 	m := r.m
 	if err := m.abortedErr(); err != nil {
 		panic(err)
@@ -405,13 +438,18 @@ func (r *Rank) checkLimits() {
 	}
 }
 
-func (m *Machine) box(k mailboxKey) *mailbox {
+// box returns the FIFO of messages from src to dst under the tag.
+func (m *Machine) box(src, dst, tag int) *mailbox {
+	if min(src, dst) < 0 || max(src, dst) >= m.cfg.Procs {
+		panic(fmt.Sprintf("mpsim: message %d -> %d names an invalid rank", src, dst))
+	}
+	k := boxKey{src: src, dst: dst, tag: tag}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	mb, ok := m.boxes[k]
 	if !ok {
 		mb = &mailbox{}
-		mb.cond = sync.NewCond(&mb.mu)
+		mb.cond.L = &mb.mu
 		m.boxes[k] = mb
 	}
 	return mb
@@ -423,28 +461,71 @@ func (r *Rank) Procs() int { return r.m.cfg.Procs }
 // Time returns the rank's current virtual clock (seconds).
 func (r *Rank) Time() float64 { return r.clock }
 
-// Compute advances the clock by flops floating-point operations.
-func (r *Rank) Compute(flops float64) {
-	if flops <= 0 {
-		return
-	}
-	dt := flops * r.m.cfg.FlopTime
-	r.emit(Event{Kind: EvCompute, Start: r.clock, End: r.clock + dt, Peer: -1})
-	r.clock += dt
-	r.flops += flops
-	r.checkLimits()
+// Collectives returns how many barriers and reductions the rank has
+// completed.
+func (r *Rank) Collectives() int64 { return r.syncs }
+
+// Spend advances the clock by cost seconds of the given kind of work.
+func (r *Rank) Spend(kind EventKind, cost float64, peer, bytes, tag int, label string) {
+	r.emit(Event{Kind: kind, Start: r.clock, End: r.clock + cost, Peer: peer, Bytes: bytes, Tag: tag, Label: label})
+	r.clock += cost
 }
+
+// idleUntil advances the clock to at, if that is later, as idle time.
+func (r *Rank) idleUntil(kind EventKind, at float64, peer, bytes, tag int, label string) {
+	if at > r.clock {
+		r.emit(Event{Kind: kind, Start: r.clock, End: at, Peer: peer, Bytes: bytes, Tag: tag, Label: label})
+		r.idle += at - r.clock
+		r.clock = at
+	}
+}
+
+// Compute advances the clock by flops floating-point operations.
+func (r *Rank) Compute(flops float64) { r.ComputeLabeled(flops, "") }
 
 // ComputeLabeled is Compute with a phase label recorded in the trace.
 func (r *Rank) ComputeLabeled(flops float64, label string) {
 	if flops <= 0 {
 		return
 	}
-	dt := flops * r.m.cfg.FlopTime
-	r.emit(Event{Kind: EvCompute, Start: r.clock, End: r.clock + dt, Peer: -1, Label: label})
-	r.clock += dt
+	r.Spend(EvCompute, flops*r.m.cfg.FlopTime, -1, 0, 0, label)
 	r.flops += flops
-	r.checkLimits()
+	r.CheckLimits()
+}
+
+// PaySend charges the sender-side cost of one message to dst — overhead
+// plus bytes over the wire — counts it, and returns the virtual time its
+// last byte reaches dst.
+func (r *Rank) PaySend(dst, tag, bytes int) float64 {
+	r.Spend(EvSend, r.m.cfg.SendOverhead+float64(bytes)*r.m.cfg.GapPerByte, dst, bytes, tag, "")
+	r.sent++
+	r.sentB += int64(bytes)
+	return r.clock + r.m.cfg.Latency
+}
+
+// Post queues msg for rank dst under the tag and returns at once.
+func (r *Rank) Post(dst, tag int, msg Message) {
+	mb := r.m.box(r.ID, dst, tag)
+	mb.mu.Lock()
+	mb.queue = append(mb.queue, msg)
+	mb.cond.Signal()
+	mb.mu.Unlock()
+}
+
+// Take blocks until rank src has posted under the tag, then advances the
+// clock to the message's availability (idle time is recorded).
+func (r *Rank) Take(src, tag int) Message {
+	mb := r.m.box(src, r.ID, tag)
+	r.CheckLimits()
+	mb.mu.Lock()
+	for len(mb.queue) == 0 {
+		r.Sleep(&mb.cond)
+	}
+	msg := mb.queue[0]
+	mb.queue = mb.queue[1:]
+	mb.mu.Unlock()
+	r.idleUntil(EvRecvWait, msg.At, src, 8*len(msg.Data), tag, "")
+	return msg
 }
 
 // Send transmits data to rank dst with a tag.  The model is a buffered
@@ -456,20 +537,11 @@ func (r *Rank) ComputeLabeled(flops float64, label string) {
 // contract the spmd engine's pooled packing buffers rely on.  This is a
 // stable part of the API, covered by TestSendCopiesCallerBuffer.
 func (r *Rank) Send(dst, tag int, data []float64) {
-	if dst < 0 || dst >= r.m.cfg.Procs {
-		panic(fmt.Sprintf("mpsim: Send to invalid rank %d", dst))
-	}
-	r.checkLimits()
-	bytes := 8 * len(data)
-	cost := r.m.cfg.SendOverhead + float64(bytes)*r.m.cfg.GapPerByte
-	r.emit(Event{Kind: EvSend, Start: r.clock, End: r.clock + cost, Peer: dst, Bytes: bytes, Tag: tag})
-	r.clock += cost
-	arrival := r.clock + r.m.cfg.Latency
+	r.CheckLimits()
+	at := r.PaySend(dst, tag, 8*len(data))
 	cp := r.m.getBuf(len(data))
 	copy(cp, data)
-	r.m.box(mailboxKey{src: r.ID, dst: dst, tag: tag}).push(message{data: cp, arrival: arrival, bytes: bytes})
-	r.sent++
-	r.sentB += int64(bytes)
+	r.Post(dst, tag, Message{Data: cp, At: at})
 }
 
 // Recv blocks until a message from src with the tag arrives, advancing
@@ -479,22 +551,11 @@ func (r *Rank) Send(dst, tag int, data []float64) {
 // consumed it may hand it back with Recycle so later Sends reuse the
 // storage instead of allocating.
 func (r *Rank) Recv(src, tag int) []float64 {
-	if src < 0 || src >= r.m.cfg.Procs {
-		panic(fmt.Sprintf("mpsim: Recv from invalid rank %d", src))
-	}
-	r.checkLimits()
-	msg := r.m.box(mailboxKey{src: src, dst: r.ID, tag: tag}).pop(r.m)
-	if msg.arrival > r.clock {
-		r.emit(Event{Kind: EvRecvWait, Start: r.clock, End: msg.arrival, Peer: src, Bytes: msg.bytes, Tag: tag})
-		r.idle += msg.arrival - r.clock
-		r.clock = msg.arrival
-	}
-	cost := r.m.cfg.RecvOverhead
-	r.emit(Event{Kind: EvRecvCopy, Start: r.clock, End: r.clock + cost, Peer: src, Bytes: msg.bytes, Tag: tag})
-	r.clock += cost
+	msg := r.Take(src, tag)
+	r.Spend(EvRecvCopy, r.m.cfg.RecvOverhead, src, 8*len(msg.Data), tag, "")
 	r.recvd++
-	r.checkLimits()
-	return msg.data
+	r.CheckLimits()
+	return msg.Data
 }
 
 // Recycle returns a buffer previously obtained from Recv to the
@@ -510,140 +571,72 @@ func (r *Rank) Recycle(buf []float64) {
 	r.m.bufPool.Put(&buf)
 }
 
-// Request is a pending non-blocking receive.
-type Request struct {
-	rank *Rank
-	src  int
-	tag  int
-	done bool
-	data []float64
-}
-
-// Irecv posts a non-blocking receive; Wait completes it.
-func (r *Rank) Irecv(src, tag int) *Request {
-	return &Request{rank: r, src: src, tag: tag}
-}
-
-// Wait completes a pending receive.
-func (q *Request) Wait() []float64 {
-	if !q.done {
-		q.data = q.rank.Recv(q.src, q.tag)
-		q.done = true
-	}
-	return q.data
-}
-
-// Barrier synchronizes all ranks; every clock advances to the global max
-// plus a log-tree latency term.  The completing rank computes the target
-// time; waiters read it after wake-up.  A subsequent barrier cannot start
-// overwriting state until every rank of this one has re-entered, so the
-// published target is stable for all readers.
-func (r *Rank) Barrier() {
-	r.checkLimits()
-	m := r.m
-	m.barrierMu.Lock()
-	gen := m.barrierGen
-	if m.barrierCount == 0 {
-		m.barrierMax = 0
-	}
-	if r.clock > m.barrierMax {
-		m.barrierMax = r.clock
-	}
-	m.barrierCount++
-	if m.barrierCount == m.cfg.Procs {
-		m.barrierCount = 0
-		m.barrierTarget = m.barrierMax + m.cfg.Latency*math.Ceil(math.Log2(float64(m.cfg.Procs)))
-		m.barrierGen++
-		m.barrierCond.Broadcast()
-	} else {
-		for gen == m.barrierGen {
-			if err := m.abortedErr(); err != nil {
-				m.barrierMu.Unlock()
-				panic(err)
-			}
-			m.barrierCond.Wait()
-		}
-	}
-	target := m.barrierTarget
-	m.barrierMu.Unlock()
-
-	if target > r.clock {
-		r.emit(Event{Kind: EvBarrier, Start: r.clock, End: target, Peer: -1})
-		r.idle += target - r.clock
-		r.clock = target
-	}
-}
-
-// AllReduceSum combines one value from every rank; all ranks receive the
-// global sum and advance to the combined completion time.
-func (r *Rank) AllReduceSum(v float64) float64 { return r.AllReduce('+', v) }
+// Barrier synchronizes all ranks: every clock advances to the latest
+// arrival plus the machine's barrier cost.  It is a reduction whose value
+// nobody reads, on a meeting point of its own.
+func (r *Rank) Barrier() { r.collect(&r.m.barrier, '>', 0, "") }
 
 // AllReduce combines one value from every rank under op: '+' sum,
 // '*' product, '<' min, '>' max.  All ranks receive the result and
-// advance to the combined completion time (log-tree latency).
+// advance to the latest arrival plus the machine's reduction cost.
 //
 // Contributions are folded in rank order 0..P-1 regardless of which
 // goroutine arrives last, so floating-point reductions are bit-exact
-// run to run — and bit-exact against the shared-memory backend, whose
-// teams fold in the same order.
+// run to run and across fronts.
 func (r *Rank) AllReduce(op byte, v float64) float64 {
-	r.checkLimits()
-	m := r.m
-	m.reduceMu.Lock()
-	gen := m.reduceGen
-	if m.reduceCnt == 0 {
-		if cap(m.reduceVals) < m.cfg.Procs {
-			m.reduceVals = make([]float64, m.cfg.Procs)
-		}
-		m.reduceVals = m.reduceVals[:m.cfg.Procs]
-		m.reduceMax = 0
-	}
-	m.reduceVals[r.ID] = v
-	if r.clock > m.reduceMax {
-		m.reduceMax = r.clock
-	}
-	m.reduceCnt++
-	if m.reduceCnt == m.cfg.Procs {
-		m.reduceCnt = 0
-		sum := m.reduceVals[0]
-		for _, x := range m.reduceVals[1:] {
-			switch op {
-			case '+':
-				sum += x
-			case '*':
-				sum *= x
-			case '<':
-				sum = math.Min(sum, x)
-			case '>':
-				sum = math.Max(sum, x)
-			default:
-				panic(fmt.Sprintf("mpsim: unknown reduction op %q", op))
-			}
-		}
-		steps := math.Ceil(math.Log2(float64(m.cfg.Procs)))
-		m.reduceSum = sum
-		m.reduceTarget = m.reduceMax + steps*(m.cfg.Latency+8*m.cfg.GapPerByte)
-		m.reduceGen++
-		m.reduceCond.Broadcast()
-	} else {
-		for gen == m.reduceGen {
-			if err := m.abortedErr(); err != nil {
-				m.reduceMu.Unlock()
-				panic(err)
-			}
-			m.reduceCond.Wait()
-		}
-	}
-	sum := m.reduceSum
-	target := m.reduceTarget
-	m.reduceMu.Unlock()
+	return r.collect(&r.m.reduce, op, v, "allreduce")
+}
 
-	if target > r.clock {
-		r.emit(Event{Kind: EvBarrier, Start: r.clock, End: target, Peer: -1, Label: "allreduce"})
-		r.idle += target - r.clock
-		r.clock = target
+func (r *Rank) collect(c *collective, op byte, v float64, label string) float64 {
+	r.CheckLimits()
+	c.mu.Lock()
+	gen := c.gen
+	if c.count == 0 {
+		c.max = 0
 	}
-	return sum
+	c.vals[r.ID] = v
+	if r.clock > c.max {
+		c.max = r.clock
+	}
+	c.count++
+	if c.count == len(c.vals) {
+		c.count = 0
+		c.result = fold(op, c.vals)
+		c.target = c.max
+		for _, t := range c.cost {
+			c.target += t
+		}
+		c.gen++
+		c.cond.Broadcast()
+	} else {
+		for gen == c.gen {
+			r.Sleep(&c.cond)
+		}
+	}
+	result, target := c.result, c.target
+	c.mu.Unlock()
+	r.syncs++
+	r.idleUntil(EvBarrier, target, -1, 0, 0, label)
+	return result
+}
+
+func fold(op byte, vals []float64) float64 {
+	acc := vals[0]
+	for _, x := range vals[1:] {
+		switch op {
+		case '+':
+			acc += x
+		case '*':
+			acc *= x
+		case '<':
+			acc = math.Min(acc, x)
+		case '>':
+			acc = math.Max(acc, x)
+		default:
+			panic(fmt.Sprintf("mpsim: unknown reduction op %q", op))
+		}
+	}
+	return acc
 }
 
 func (r *Rank) emit(e Event) {

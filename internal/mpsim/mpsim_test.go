@@ -1,12 +1,8 @@
 package mpsim
 
 import (
-	"errors"
-	"fmt"
 	"math"
-	"sync"
 	"testing"
-	"time"
 )
 
 func testCfg(p int) Config {
@@ -17,50 +13,6 @@ func testCfg(p int) Config {
 		Latency:      10e-6,
 		GapPerByte:   1e-8,
 		FlopTime:     1e-8,
-	}
-}
-
-// TestPinOSThreadsInvisible runs the same exchange with and without
-// PinOSThreads and requires bit-identical virtual clocks, counters, and
-// payloads: pinning maps goroutines onto OS threads but must never
-// change what the machine computes.
-func TestPinOSThreadsInvisible(t *testing.T) {
-	run := func(pin bool) (*Result, float64) {
-		cfg := testCfg(4)
-		cfg.PinOSThreads = pin
-		var got float64
-		var mu sync.Mutex
-		res := Run(cfg, func(r *Rank) {
-			next, prev := (r.ID+1)%4, (r.ID+3)%4
-			acc := float64(r.ID)
-			for step := 0; step < 8; step++ {
-				r.Send(next, step, []float64{acc})
-				in := r.Recv(prev, step)
-				acc += in[0] * 0.5
-				r.Compute(100)
-				r.Recycle(in)
-			}
-			r.Barrier()
-			if r.ID == 2 {
-				mu.Lock()
-				got = acc
-				mu.Unlock()
-			}
-		})
-		return res, got
-	}
-	plain, accPlain := run(false)
-	pinned, accPinned := run(true)
-	if math.Float64bits(accPlain) != math.Float64bits(accPinned) {
-		t.Fatalf("accumulated value differs under pinning: %v vs %v", accPlain, accPinned)
-	}
-	for rk := 0; rk < 4; rk++ {
-		if math.Float64bits(plain.RankTime[rk]) != math.Float64bits(pinned.RankTime[rk]) {
-			t.Fatalf("rank %d clock differs: %v vs %v", rk, plain.RankTime[rk], pinned.RankTime[rk])
-		}
-		if plain.SentMsgs[rk] != pinned.SentMsgs[rk] || plain.SentBytes[rk] != pinned.SentBytes[rk] {
-			t.Fatalf("rank %d counters differ under pinning", rk)
-		}
 	}
 }
 
@@ -187,9 +139,9 @@ func TestBarrierTwiceNoCarryover(t *testing.T) {
 	_ = res
 }
 
-func TestAllReduceSum(t *testing.T) {
+func TestAllReduce(t *testing.T) {
 	Run(testCfg(4), func(r *Rank) {
-		got := r.AllReduceSum(float64(r.ID + 1))
+		got := r.AllReduce('+', float64(r.ID+1))
 		if got != 10 {
 			t.Errorf("rank %d sum = %g", r.ID, got)
 		}
@@ -199,28 +151,9 @@ func TestAllReduceSum(t *testing.T) {
 func TestAllReduceRepeated(t *testing.T) {
 	Run(testCfg(3), func(r *Rank) {
 		for k := 0; k < 5; k++ {
-			got := r.AllReduceSum(1)
+			got := r.AllReduce('+', 1)
 			if got != 3 {
 				t.Errorf("round %d sum = %g", k, got)
-			}
-		}
-	})
-}
-
-func TestIrecvWait(t *testing.T) {
-	Run(testCfg(2), func(r *Rank) {
-		if r.ID == 0 {
-			r.Send(1, 3, []float64{9})
-		} else {
-			req := r.Irecv(0, 3)
-			r.Compute(100) // overlap
-			data := req.Wait()
-			if data[0] != 9 {
-				t.Errorf("Irecv data = %v", data)
-			}
-			// Wait twice is idempotent.
-			if req.Wait()[0] != 9 {
-				t.Error("second Wait failed")
 			}
 		}
 	})
@@ -321,125 +254,28 @@ func TestSP2ConfigSanity(t *testing.T) {
 	}
 }
 
-// runRecovering runs body on every rank with the panic-recovery wrapper
-// real callers (spmd, nas) install, collecting the first abort error.
-func runRecovering(cfg Config, body func(r *Rank)) (res *Result, err error) {
-	var mu sync.Mutex
-	res = Run(cfg, func(r *Rank) {
-		defer func() {
-			if rec := recover(); rec != nil {
-				mu.Lock()
-				if err == nil {
-					if e, ok := rec.(error); ok {
-						err = e
-					} else {
-						err = fmt.Errorf("rank %d: %v", r.ID, rec)
-					}
-				}
-				mu.Unlock()
-			}
-		}()
-		body(r)
-	})
-	return res, err
-}
-
-func TestTimeLimitAbortsDeterministically(t *testing.T) {
-	cfg := Config{Procs: 2, FlopTime: 1e-6, Latency: 1e-6, TimeLimit: 50e-6}
-	// Under the limit: completes.
-	_, err := runRecovering(cfg, func(r *Rank) { r.Compute(40) })
-	if err != nil {
-		t.Fatalf("run under the limit aborted: %v", err)
-	}
-	// Over the limit: every run aborts with ErrTimeLimit.
-	for i := 0; i < 3; i++ {
-		_, err := runRecovering(cfg, func(r *Rank) {
-			for j := 0; j < 100; j++ {
-				r.Compute(1)
-			}
-		})
-		if !errors.Is(err, ErrTimeLimit) || !errors.Is(err, ErrAborted) {
-			t.Fatalf("run %d: want ErrTimeLimit, got %v", i, err)
-		}
-	}
-}
-
-func TestTimeLimitWakesBlockedReceiver(t *testing.T) {
-	// Rank 0 exceeds the limit while rank 1 is blocked in Recv on a
-	// message that will never be sent; the abort must wake rank 1 or the
-	// run deadlocks (the test itself would then time out).
-	cfg := Config{Procs: 2, FlopTime: 1e-6, Latency: 1e-6, TimeLimit: 10e-6}
-	_, err := runRecovering(cfg, func(r *Rank) {
-		if r.ID == 0 {
-			r.Compute(100)
-		} else {
-			r.Recv(0, 7)
-		}
-	})
-	if !errors.Is(err, ErrTimeLimit) {
-		t.Fatalf("want ErrTimeLimit, got %v", err)
-	}
-}
-
-func TestTimeLimitWakesBarrierAndReduce(t *testing.T) {
-	cfg := Config{Procs: 3, FlopTime: 1e-6, Latency: 1e-6, TimeLimit: 10e-6}
-	_, err := runRecovering(cfg, func(r *Rank) {
-		if r.ID == 0 {
-			r.Compute(100)
-		} else if r.ID == 1 {
-			r.Barrier()
-		} else {
-			r.AllReduceSum(1)
-		}
-	})
-	if !errors.Is(err, ErrTimeLimit) {
-		t.Fatalf("want ErrTimeLimit, got %v", err)
-	}
-}
-
-func TestWallLimitBreaksVirtualDeadlock(t *testing.T) {
-	// Both ranks wait on messages that are never sent: virtual time is
-	// stuck, so only the wall-clock limit can end the run.
-	cfg := Config{Procs: 2, FlopTime: 1e-6, Latency: 1e-6, WallLimit: 50 * time.Millisecond}
-	_, err := runRecovering(cfg, func(r *Rank) {
-		r.Recv(1-r.ID, 9)
-	})
-	if !errors.Is(err, ErrWallLimit) || !errors.Is(err, ErrAborted) {
-		t.Fatalf("want ErrWallLimit, got %v", err)
-	}
-}
-
-func TestRankAbortWakesBlockedPeers(t *testing.T) {
-	// No limit is configured: only the dying rank's own Abort can free
-	// the peers blocked on a message, a barrier and a reduction it will
-	// never complete (the test itself would otherwise time out).
-	cause := fmt.Errorf("rank 0 died: %w", ErrAborted)
-	cfg := Config{Procs: 4, FlopTime: 1e-6, Latency: 1e-6}
-	_, err := runRecovering(cfg, func(r *Rank) {
-		switch r.ID {
-		case 0:
-			r.Abort(cause)
-		case 1:
-			r.Recv(0, 7)
-		case 2:
-			r.Barrier()
-		default:
-			r.AllReduceSum(1)
-		}
-	})
-	if err != cause {
-		t.Fatalf("want the aborting rank's cause, got %v", err)
-	}
-}
-
 func TestNoLimitsUnchanged(t *testing.T) {
-	// Zero limits keep the legacy behaviour: no aborts, exact clocks.
-	cfg := Config{Procs: 2, FlopTime: 1e-6, Latency: 1e-6}
-	res, err := runRecovering(cfg, func(r *Rank) { r.Compute(1000) })
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Zero limits: no aborts, exact clocks.
+	res := Run(Config{Procs: 2, FlopTime: 1e-6, Latency: 1e-6}, func(r *Rank) { r.Compute(1000) })
 	if math.Abs(res.Time-1000e-6) > 1e-12 {
 		t.Fatalf("Time = %g, want 1e-3", res.Time)
+	}
+}
+
+// TestUntracedOpsDoNotAllocate: with Trace off, advancing the clock and
+// meeting in a collective cost no allocation (events are never built up).
+func TestUntracedOpsDoNotAllocate(t *testing.T) {
+	res := Run(testCfg(1), func(r *Rank) {
+		n := testing.AllocsPerRun(100, func() {
+			r.Compute(10)
+			r.Barrier()
+			r.AllReduce('+', 1)
+		})
+		if n != 0 {
+			t.Errorf("%v allocations per untraced compute+barrier+allreduce, want 0", n)
+		}
+	})
+	if len(res.Events) != 0 {
+		t.Errorf("untraced run recorded %d events", len(res.Events))
 	}
 }

@@ -5,11 +5,10 @@
 // not a packed message, it is a synchronization edge after which the
 // consumer pulls the producer's data directly, array to array.
 //
-// The synchronization protocol mirrors the message machine's mailbox
-// semantics exactly — per (src, dst, tag) FIFO token queues — so any
-// program whose sends and receives match on the message machine matches
-// here too, strip for strip, and the pulled values are the values the
-// message would have carried:
+// Tokens travel through the message machine's own per (src, dst, tag)
+// FIFO boxes, so any program whose sends and receives match on the
+// message machine matches here too, strip for strip, and the pulled
+// values are the values the message would have carried:
 //
 //   - Publish replaces Send: the producer posts a token carrying its
 //     virtual clock and a reference to the source storage, then keeps
@@ -35,19 +34,19 @@
 // Numeric results never depend on the cost model — clocks only decide
 // how shm candidates rank against message-passing ones in the tuner.
 //
-// Reductions fold contributions in rank order 0..P-1, the same order
-// mpsim.AllReduce folds, so reductions are bit-identical across the two
-// substrates.  Aborts (virtual-time limit, wall-clock limit) panic with
-// the mpsim error values, wrapping mpsim.ErrAborted, so callers prune
-// over-budget runs with one errors.Is regardless of backend.
+// The team is a front on the one machine core (internal/mpsim): rank
+// goroutines, clocks, the keyed FIFO boxes, barriers, rank-order
+// reductions, trace capture and the abort protocol are the core's, so
+// reductions are bit-identical across substrates and aborts (virtual-time
+// limit, wall-clock limit, Thread.Abort) panic with the mpsim error
+// values whatever the backend.  This package adds the rendezvous
+// operations, the group map, the outstanding-acknowledgement wait and the
+// cost model.
 package shm
 
 import (
-	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"dhpf/internal/mpsim"
 )
@@ -64,168 +63,68 @@ const MemSpeedup = 12.0
 // Latency/SyncSpeedup.  Shared with perfmodel like MemSpeedup.
 const SyncSpeedup = 20.0
 
-// Config fixes the team size and cost model.
+// Config is a machine configuration — one thread per rank, the machine's
+// flop cost, limits and trace flag, its LogGP terms for cross-group pulls
+// — plus the shared-memory cost model.
 type Config struct {
-	Threads int
+	mpsim.Config
 	// Groups assigns each thread an outer group for hybrid layouts;
 	// pulls within a group cost memory bandwidth, pulls across groups
 	// cost the message-level LogGP terms.  nil = one group (pure shm).
 	Groups []int
-	// FlopTime is the cost of one floating-point operation (seconds).
-	FlopTime float64
 	// MemGapPerByte is the memory-system inverse bandwidth an intra-group
 	// pull pays per byte (seconds).
 	MemGapPerByte float64
 	// BarrierLatency is the cost of one log-tree step of a barrier or
 	// reduction within a group (seconds).
 	BarrierLatency float64
-	// SendOverhead, RecvOverhead, Latency and GapPerByte price
-	// cross-group pulls exactly like mpsim messages (hybrid layouts).
-	SendOverhead float64
-	RecvOverhead float64
-	Latency      float64
-	GapPerByte   float64
-	// TimeLimit aborts once any thread's virtual clock exceeds it
-	// (0 = unlimited); deterministic, like mpsim's.
-	TimeLimit float64
-	// WallLimit aborts after a real-time duration (0 = unlimited): the
-	// safety valve for deadlocked rendezvous.
-	WallLimit time.Duration
 }
 
 // FromMachine derives a shared-memory cost model from a message-machine
-// configuration: same flop cost and limits, memory bandwidth and sync
-// latency scaled by the documented MemSpeedup/SyncSpeedup constants, and
-// the machine's own LogGP terms retained for cross-group pulls.
+// configuration: memory bandwidth and sync latency scaled by the
+// documented MemSpeedup/SyncSpeedup constants, everything else the
+// machine's own.
 func FromMachine(cfg mpsim.Config, groups []int) Config {
 	return Config{
-		Threads:        cfg.Procs,
+		Config:         cfg,
 		Groups:         groups,
-		FlopTime:       cfg.FlopTime,
 		MemGapPerByte:  cfg.GapPerByte / MemSpeedup,
 		BarrierLatency: cfg.Latency / SyncSpeedup,
-		SendOverhead:   cfg.SendOverhead,
-		RecvOverhead:   cfg.RecvOverhead,
-		Latency:        cfg.Latency,
-		GapPerByte:     cfg.GapPerByte,
-		TimeLimit:      cfg.TimeLimit,
-		WallLimit:      cfg.WallLimit,
 	}
 }
 
-// token is one published rendezvous: the producer's availability time
-// and a reference to the source storage the consumer pulls from.
-type token struct {
-	avail float64
-	src   any
-}
-
-type boxKey struct {
-	src, dst, tag int
-}
-
-type tokenBox struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	queue []token
-}
-
-func (tb *tokenBox) push(t token) {
-	tb.mu.Lock()
-	tb.queue = append(tb.queue, t)
-	tb.cond.Signal()
-	tb.mu.Unlock()
-}
-
-func (tb *tokenBox) pop(tm *Team) token {
-	tb.mu.Lock()
-	for len(tb.queue) == 0 {
-		if err := tm.abortedErr(); err != nil {
-			tb.mu.Unlock()
-			panic(err)
-		}
-		tb.cond.Wait()
-	}
-	t := tb.queue[0]
-	tb.queue = tb.queue[1:]
-	tb.mu.Unlock()
-	return t
-}
-
-// Team is the running shared-memory machine.
-type Team struct {
-	cfg      Config
-	abortErr atomic.Pointer[error]
-
-	mu    sync.Mutex
-	boxes map[boxKey]*tokenBox
-
+// team is the state the threads of one run share beyond the core
+// machine's.
+type team struct {
+	cfg Config
 	// ackMu guards pending: published-not-yet-acknowledged token counts
 	// per producer thread.  Drain waits for its own count to reach zero.
 	ackMu   sync.Mutex
 	ackCond *sync.Cond
 	pending []int
-
-	barrierMu     sync.Mutex
-	barrierCond   *sync.Cond
-	barrierCount  int
-	barrierGen    int
-	barrierMax    float64
-	barrierTarget float64
-
-	reduceMu     sync.Mutex
-	reduceCond   *sync.Cond
-	reduceCnt    int
-	reduceGen    int
-	reduceMax    float64
-	reduceVals   []float64
-	reduceSum    float64
-	reduceTarget float64
-
-	// groupSteps/outerSteps are the log-tree depths of the intra-group
-	// and cross-group levels of a barrier or reduction.
-	groupSteps float64
-	outerSteps float64
 }
 
-// Thread is one team member, owned by its goroutine.
+// Thread is one team member, owned by its goroutine: the core rank
+// (Compute, Barrier, AllReduce, Abort, …) plus the rendezvous operations.
 type Thread struct {
-	ID       int
-	tm       *Team
-	clock    float64
-	flops    float64
-	idle     float64
-	pulls    int64
-	pulledB  int64
-	barriers int64
-	// outer message traffic this thread originated (cross-group
-	// publishes, hybrid layouts only).
-	outMsgs  int64
-	outBytes int64
+	*mpsim.Rank
+	tm      *team
+	pulls   int64
+	pulledB int64
 }
 
-// Result aggregates a finished run.
+// Result is what a shared-memory run measures beyond the core machine's
+// result.
 type Result struct {
 	Threads int
 	Groups  int
-	// Time is the makespan: the maximum final virtual clock.
-	Time float64
-	// ThreadTime, ThreadIdle, ThreadFlops index by thread.
-	ThreadTime  []float64
-	ThreadIdle  []float64
-	ThreadFlops []float64
 	// Pulls and PulledBytes count direct memory pulls, charged to the
 	// consuming thread.
 	Pulls       []int64
 	PulledBytes []int64
 	// Barriers counts team-wide synchronizations (barriers and
-	// reductions).
+	// reductions), summed over threads.
 	Barriers int64
-	// OuterMsgs and OuterBytes count cross-group publishes per
-	// originating thread — the message traffic of a hybrid layout
-	// (all zero for pure shm).
-	OuterMsgs  []int64
-	OuterBytes []int64
 }
 
 // TotalPulls sums pulls by all threads.
@@ -246,94 +145,63 @@ func (r *Result) TotalPulledBytes() int64 {
 	return n
 }
 
-// Run executes body on every thread concurrently and collects the
-// result.  Aborts wake every blocked thread, which panics with an error
-// wrapping mpsim.ErrAborted; body is expected to recover it.
-func Run(cfg Config, body func(t *Thread)) *Result {
-	if cfg.Threads <= 0 {
-		panic("shm: Threads must be positive")
-	}
-	if cfg.Groups != nil && len(cfg.Groups) != cfg.Threads {
+// Run executes body on every thread concurrently.  The machine result
+// carries clocks, idle time, flops and trace events as on the message
+// machine; its message counters hold the cross-group publishes of a
+// hybrid layout (all zero for pure shm).  Aborts wake every blocked
+// thread, which panics with an error wrapping mpsim.ErrAborted; body is
+// expected to recover it.
+func Run(cfg Config, body func(t *Thread)) (*mpsim.Result, *Result) {
+	if cfg.Groups != nil && len(cfg.Groups) != cfg.Procs {
 		panic("shm: Groups must have one entry per thread")
 	}
-	tm := &Team{cfg: cfg, boxes: map[boxKey]*tokenBox{}, pending: make([]int, cfg.Threads)}
-	tm.ackCond = sync.NewCond(&tm.ackMu)
-	tm.barrierCond = sync.NewCond(&tm.barrierMu)
-	tm.reduceCond = sync.NewCond(&tm.reduceMu)
-	tm.groupSteps, tm.outerSteps = treeDepths(cfg)
+	// A barrier or reduction completes a log-tree of intra-group steps at
+	// BarrierLatency plus cross-group steps at the message latency; a
+	// reduction also moves 8 bytes per step at each level's bandwidth.
+	groups, groupSteps, outerSteps := treeDepths(cfg)
+	syncCost := groupSteps*cfg.BarrierLatency + outerSteps*cfg.Latency
+	m := mpsim.NewMachine(cfg.Config, mpsim.SyncCost{
+		Barrier: syncCost,
+		Reduce:  [3]float64{syncCost, groupSteps * 8 * cfg.MemGapPerByte, outerSteps * 8 * cfg.GapPerByte},
+	})
+	tm := &team{cfg: cfg, pending: make([]int, cfg.Procs)}
+	tm.ackCond = m.NewCond(&tm.ackMu)
 
-	var wallTimer *time.Timer
-	if cfg.WallLimit > 0 {
-		wallTimer = time.AfterFunc(cfg.WallLimit, func() { tm.Abort(mpsim.ErrWallLimit) })
-	}
-
-	threads := make([]*Thread, cfg.Threads)
-	var wg sync.WaitGroup
-	var barriers atomic.Int64
-	for i := 0; i < cfg.Threads; i++ {
-		threads[i] = &Thread{ID: i, tm: tm}
-		wg.Add(1)
-		go func(t *Thread) {
-			defer wg.Done()
-			// Deferred closure, not a deferred call: t.barriers must be
-			// read after body returns, not captured as zero here.
-			defer func() { barriers.Add(t.barriers) }()
-			body(t)
-		}(threads[i])
-	}
-	wg.Wait()
-	if wallTimer != nil {
-		wallTimer.Stop()
-	}
-
-	groups := 1
-	for _, g := range cfg.Groups {
-		if g+1 > groups {
-			groups = g + 1
-		}
-	}
+	threads := make([]*Thread, cfg.Procs)
+	mres := m.Run(func(r *mpsim.Rank) {
+		threads[r.ID] = &Thread{Rank: r, tm: tm}
+		body(threads[r.ID])
+	})
 	res := &Result{
-		Threads:     cfg.Threads,
+		Threads:     cfg.Procs,
 		Groups:      groups,
-		ThreadTime:  make([]float64, cfg.Threads),
-		ThreadIdle:  make([]float64, cfg.Threads),
-		ThreadFlops: make([]float64, cfg.Threads),
-		Pulls:       make([]int64, cfg.Threads),
-		PulledBytes: make([]int64, cfg.Threads),
-		OuterMsgs:   make([]int64, cfg.Threads),
-		OuterBytes:  make([]int64, cfg.Threads),
-		Barriers:    barriers.Load(),
+		Pulls:       make([]int64, cfg.Procs),
+		PulledBytes: make([]int64, cfg.Procs),
 	}
 	for i, t := range threads {
-		res.ThreadTime[i] = t.clock
-		res.ThreadIdle[i] = t.idle
-		res.ThreadFlops[i] = t.flops
 		res.Pulls[i] = t.pulls
 		res.PulledBytes[i] = t.pulledB
-		res.OuterMsgs[i] = t.outMsgs
-		res.OuterBytes[i] = t.outBytes
-		res.Time = math.Max(res.Time, t.clock)
+		res.Barriers += t.Collectives()
 	}
-	return res
+	return mres, res
 }
 
-// treeDepths returns the log-tree depths of the intra-group and
-// cross-group levels of a team-wide synchronization.
-func treeDepths(cfg Config) (group, outer float64) {
+// treeDepths returns the group count and the log-tree depths of the
+// intra-group and cross-group levels of a team-wide synchronization.
+func treeDepths(cfg Config) (groups int, group, outer float64) {
 	if cfg.Groups == nil {
-		return logSteps(cfg.Threads), 0
+		return 1, logSteps(cfg.Procs), 0
 	}
 	sizes := map[int]int{}
 	for _, g := range cfg.Groups {
 		sizes[g]++
+		groups = max(groups, g+1)
 	}
 	maxSize := 1
 	for _, n := range sizes {
-		if n > maxSize {
-			maxSize = n
-		}
+		maxSize = max(maxSize, n)
 	}
-	return logSteps(maxSize), logSteps(len(sizes))
+	return groups, logSteps(maxSize), logSteps(len(sizes))
 }
 
 func logSteps(n int) float64 {
@@ -343,94 +211,11 @@ func logSteps(n int) float64 {
 	return math.Ceil(math.Log2(float64(n)))
 }
 
-// Abort marks the team dead with the given cause (first call wins) and
-// wakes every blocked thread.
-func (tm *Team) Abort(cause error) {
-	if cause == nil {
-		cause = mpsim.ErrAborted
-	}
-	if !tm.abortErr.CompareAndSwap(nil, &cause) {
-		return
-	}
-	tm.mu.Lock()
-	boxes := make([]*tokenBox, 0, len(tm.boxes))
-	for _, tb := range tm.boxes {
-		boxes = append(boxes, tb)
-	}
-	tm.mu.Unlock()
-	for _, tb := range boxes {
-		tb.mu.Lock()
-		tb.cond.Broadcast()
-		tb.mu.Unlock()
-	}
-	tm.ackMu.Lock()
-	tm.ackCond.Broadcast()
-	tm.ackMu.Unlock()
-	tm.barrierMu.Lock()
-	tm.barrierCond.Broadcast()
-	tm.barrierMu.Unlock()
-	tm.reduceMu.Lock()
-	tm.reduceCond.Broadcast()
-	tm.reduceMu.Unlock()
-}
-
-// Abort lets a thread kill its own team — typically from a panic
-// handler, so peers blocked on a rendezvous with the dead thread unwind
-// instead of deadlocking.
-func (t *Thread) Abort(cause error) { t.tm.Abort(cause) }
-
-func (tm *Team) abortedErr() error {
-	if p := tm.abortErr.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
-
-func (tm *Team) box(k boxKey) *tokenBox {
-	tm.mu.Lock()
-	defer tm.mu.Unlock()
-	tb, ok := tm.boxes[k]
-	if !ok {
-		tb = &tokenBox{}
-		tb.cond = sync.NewCond(&tb.mu)
-		tm.boxes[k] = tb
-	}
-	return tb
-}
-
-// group returns the outer group of a thread (0 for pure shm).
-func (tm *Team) group(id int) int {
-	if tm.cfg.Groups == nil {
-		return 0
-	}
-	return tm.cfg.Groups[id]
-}
-
-func (t *Thread) checkLimits() {
-	tm := t.tm
-	if err := tm.abortedErr(); err != nil {
-		panic(err)
-	}
-	if tm.cfg.TimeLimit > 0 && t.clock > tm.cfg.TimeLimit {
-		tm.Abort(mpsim.ErrTimeLimit)
-		panic(mpsim.ErrTimeLimit)
-	}
-}
-
-// Procs returns the team size.
-func (t *Thread) Procs() int { return t.tm.cfg.Threads }
-
-// Time returns the thread's current virtual clock (seconds).
-func (t *Thread) Time() float64 { return t.clock }
-
-// Compute advances the clock by flops floating-point operations.
-func (t *Thread) Compute(flops float64) {
-	if flops <= 0 {
-		return
-	}
-	t.clock += flops * t.tm.cfg.FlopTime
-	t.flops += flops
-	t.checkLimits()
+// crosses reports whether a transfer between this thread and peer
+// crosses outer groups (never, for pure shm).
+func (t *Thread) crosses(peer int) bool {
+	g := t.tm.cfg.Groups
+	return g != nil && g[t.ID] != g[peer]
 }
 
 // Publish posts a rendezvous token to thread dst: the consumer's Await
@@ -439,51 +224,33 @@ func (t *Thread) Compute(flops float64) {
 // cross-group publish additionally pays the message-level send cost on
 // the producer's clock and counts as outer traffic.
 func (t *Thread) Publish(dst, tag, bytes int, src any) {
-	if dst < 0 || dst >= t.tm.cfg.Threads {
-		panic(fmt.Sprintf("shm: Publish to invalid thread %d", dst))
-	}
-	t.checkLimits()
-	avail := t.clock
-	if t.tm.group(t.ID) != t.tm.group(dst) {
-		cost := t.tm.cfg.SendOverhead + float64(bytes)*t.tm.cfg.GapPerByte
-		t.clock += cost
-		avail = t.clock + t.tm.cfg.Latency
-		t.outMsgs++
-		t.outBytes += int64(bytes)
+	t.CheckLimits()
+	avail := t.Time()
+	if t.crosses(dst) {
+		avail = t.PaySend(dst, tag, bytes)
 	}
 	t.tm.ackMu.Lock()
 	t.tm.pending[t.ID]++
 	t.tm.ackMu.Unlock()
-	t.tm.box(boxKey{src: t.ID, dst: dst, tag: tag}).push(token{avail: avail, src: src})
+	t.Post(dst, tag, mpsim.Message{Ref: src, At: avail})
 }
 
 // Await blocks until thread src publishes under the tag, advances this
 // thread's clock to the data's availability (idle time recorded), and
 // returns the published source reference.  The caller pulls from it and
 // then calls Ack.
-func (t *Thread) Await(src, tag int) any {
-	if src < 0 || src >= t.tm.cfg.Threads {
-		panic(fmt.Sprintf("shm: Await from invalid thread %d", src))
-	}
-	t.checkLimits()
-	tk := t.tm.box(boxKey{src: src, dst: t.ID, tag: tag}).pop(t.tm)
-	if tk.avail > t.clock {
-		t.idle += tk.avail - t.clock
-		t.clock = tk.avail
-	}
-	return tk.src
-}
+func (t *Thread) Await(src, tag int) any { return t.Take(src, tag).Ref }
 
 // Ack completes a pull started by Await: it charges the consumer's
 // clock the pull cost — bytes·MemGapPerByte within a group, the
 // message-level receive overhead across groups — and releases the
 // producer's Drain.  Call it after the data has actually been copied.
 func (t *Thread) Ack(src, bytes int) {
-	if t.tm.group(t.ID) != t.tm.group(src) {
-		t.clock += t.tm.cfg.RecvOverhead
-	} else {
-		t.clock += float64(bytes) * t.tm.cfg.MemGapPerByte
+	cost := float64(bytes) * t.tm.cfg.MemGapPerByte
+	if t.crosses(src) {
+		cost = t.tm.cfg.RecvOverhead
 	}
+	t.Spend(mpsim.EvRecvCopy, cost, src, bytes, 0, "")
 	t.pulls++
 	t.pulledB += int64(bytes)
 	tm := t.tm
@@ -493,7 +260,7 @@ func (t *Thread) Ack(src, bytes int) {
 		tm.ackCond.Broadcast()
 	}
 	tm.ackMu.Unlock()
-	t.checkLimits()
+	t.CheckLimits()
 }
 
 // Drain blocks until every token this thread published has been
@@ -506,122 +273,8 @@ func (t *Thread) Drain() {
 	tm := t.tm
 	tm.ackMu.Lock()
 	for tm.pending[t.ID] > 0 {
-		if err := tm.abortedErr(); err != nil {
-			tm.ackMu.Unlock()
-			panic(err)
-		}
-		tm.ackCond.Wait()
+		t.Sleep(tm.ackCond)
 	}
 	tm.ackMu.Unlock()
-	t.checkLimits()
-}
-
-// Barrier synchronizes all threads; every clock advances to the global
-// max plus the hierarchical log-tree term (intra-group steps at
-// BarrierLatency, cross-group steps at the message latency).
-func (t *Thread) Barrier() {
-	t.checkLimits()
-	tm := t.tm
-	tm.barrierMu.Lock()
-	gen := tm.barrierGen
-	if tm.barrierCount == 0 {
-		tm.barrierMax = 0
-	}
-	if t.clock > tm.barrierMax {
-		tm.barrierMax = t.clock
-	}
-	tm.barrierCount++
-	if tm.barrierCount == tm.cfg.Threads {
-		tm.barrierCount = 0
-		tm.barrierTarget = tm.barrierMax + tm.syncCost()
-		tm.barrierGen++
-		tm.barrierCond.Broadcast()
-	} else {
-		for gen == tm.barrierGen {
-			if err := tm.abortedErr(); err != nil {
-				tm.barrierMu.Unlock()
-				panic(err)
-			}
-			tm.barrierCond.Wait()
-		}
-	}
-	target := tm.barrierTarget
-	tm.barrierMu.Unlock()
-
-	t.barriers++
-	if target > t.clock {
-		t.idle += target - t.clock
-		t.clock = target
-	}
-}
-
-// syncCost is the log-tree completion term of a barrier or reduction:
-// intra-group steps at BarrierLatency plus cross-group steps at the
-// message latency (zero for a single group).
-func (tm *Team) syncCost() float64 {
-	return tm.groupSteps*tm.cfg.BarrierLatency + tm.outerSteps*tm.cfg.Latency
-}
-
-// AllReduce combines one value from every thread under op: '+' sum,
-// '*' product, '<' min, '>' max.  Contributions fold in thread order
-// 0..P-1 — the same order mpsim folds — so reductions are bit-identical
-// across backends.
-func (t *Thread) AllReduce(op byte, v float64) float64 {
-	t.checkLimits()
-	tm := t.tm
-	tm.reduceMu.Lock()
-	gen := tm.reduceGen
-	if tm.reduceCnt == 0 {
-		if cap(tm.reduceVals) < tm.cfg.Threads {
-			tm.reduceVals = make([]float64, tm.cfg.Threads)
-		}
-		tm.reduceVals = tm.reduceVals[:tm.cfg.Threads]
-		tm.reduceMax = 0
-	}
-	tm.reduceVals[t.ID] = v
-	if t.clock > tm.reduceMax {
-		tm.reduceMax = t.clock
-	}
-	tm.reduceCnt++
-	if tm.reduceCnt == tm.cfg.Threads {
-		tm.reduceCnt = 0
-		sum := tm.reduceVals[0]
-		for _, x := range tm.reduceVals[1:] {
-			switch op {
-			case '+':
-				sum += x
-			case '*':
-				sum *= x
-			case '<':
-				sum = math.Min(sum, x)
-			case '>':
-				sum = math.Max(sum, x)
-			default:
-				panic(fmt.Sprintf("shm: unknown reduction op %q", op))
-			}
-		}
-		tm.reduceSum = sum
-		tm.reduceTarget = tm.reduceMax + tm.syncCost() +
-			tm.groupSteps*8*tm.cfg.MemGapPerByte + tm.outerSteps*8*tm.cfg.GapPerByte
-		tm.reduceGen++
-		tm.reduceCond.Broadcast()
-	} else {
-		for gen == tm.reduceGen {
-			if err := tm.abortedErr(); err != nil {
-				tm.reduceMu.Unlock()
-				panic(err)
-			}
-			tm.reduceCond.Wait()
-		}
-	}
-	sum := tm.reduceSum
-	target := tm.reduceTarget
-	tm.reduceMu.Unlock()
-
-	t.barriers++
-	if target > t.clock {
-		t.idle += target - t.clock
-		t.clock = target
-	}
-	return sum
+	t.CheckLimits()
 }

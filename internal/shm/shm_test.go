@@ -1,10 +1,8 @@
 package shm
 
 import (
-	"errors"
 	"math"
 	"testing"
-	"time"
 
 	"dhpf/internal/mpsim"
 )
@@ -31,7 +29,7 @@ func TestRendezvousPull(t *testing.T) {
 		vals[i] = []float64{float64(i) * 10}
 	}
 	got := make([]float64, P)
-	res := Run(testConfig(P, nil), func(th *Thread) {
+	mres, res := Run(testConfig(P, nil), func(th *Thread) {
 		th.Compute(100)
 		right := (th.ID + 1) % P
 		left := (th.ID + P - 1) % P
@@ -54,12 +52,10 @@ func TestRendezvousPull(t *testing.T) {
 	if res.Groups != 1 || res.Barriers != P {
 		t.Errorf("groups = %d, barriers = %d, want 1, %d", res.Groups, res.Barriers, P)
 	}
-	for i, m := range res.OuterMsgs {
-		if m != 0 {
-			t.Errorf("pure shm thread %d has %d outer messages", i, m)
-		}
+	if n := mres.TotalMessages(); n != 0 {
+		t.Errorf("pure shm run has %d outer messages", n)
 	}
-	if res.Time <= 0 {
+	if mres.Time <= 0 {
 		t.Error("zero makespan")
 	}
 }
@@ -89,7 +85,7 @@ func TestAllReduceRankOrderFold(t *testing.T) {
 // memory pull.
 func TestHybridOuterTraffic(t *testing.T) {
 	buf := []float64{1}
-	res := Run(testConfig(4, []int{0, 0, 1, 1}), func(th *Thread) {
+	mres, res := Run(testConfig(4, []int{0, 0, 1, 1}), func(th *Thread) {
 		switch th.ID {
 		case 0: // intra-group to 1, cross-group to 2
 			th.Publish(1, 1, 8, buf)
@@ -107,35 +103,11 @@ func TestHybridOuterTraffic(t *testing.T) {
 	if res.Groups != 2 {
 		t.Fatalf("groups = %d, want 2", res.Groups)
 	}
-	if res.OuterMsgs[0] != 1 || res.OuterBytes[0] != 8 {
+	if mres.SentMsgs[0] != 1 || mres.SentBytes[0] != 8 {
 		t.Errorf("thread 0 outer traffic = %d msgs %d bytes, want 1 msg 8 bytes",
-			res.OuterMsgs[0], res.OuterBytes[0])
+			mres.SentMsgs[0], mres.SentBytes[0])
 	}
 	if res.TotalPulls() != 2 {
 		t.Errorf("pulls = %d, want 2", res.TotalPulls())
-	}
-}
-
-// TestWallLimitAbort: a deadlocked rendezvous (Await with no matching
-// Publish) unwinds through the wall-clock safety valve with the mpsim
-// abort error, on every thread.
-func TestWallLimitAbort(t *testing.T) {
-	cfg := testConfig(2, nil)
-	cfg.WallLimit = 50 * time.Millisecond
-	errs := make([]error, 2)
-	Run(cfg, func(th *Thread) {
-		defer func() {
-			if r := recover(); r != nil {
-				if err, ok := r.(error); ok {
-					errs[th.ID] = err
-				}
-			}
-		}()
-		th.Await(1-th.ID, 99) // nobody publishes
-	})
-	for i, err := range errs {
-		if !errors.Is(err, mpsim.ErrAborted) || !errors.Is(err, mpsim.ErrWallLimit) {
-			t.Errorf("thread %d error = %v, want wall-limit abort", i, err)
-		}
 	}
 }

@@ -29,6 +29,41 @@ func rowCopyable(b iset.Box, arr *array) bool {
 	return true
 }
 
+// rowWalk steps through the last-dimension rows of a row-copyable box in
+// iset.Box.Each's order: the one box odometer under pack, unpack and pull.
+type rowWalk struct {
+	b    iset.Box
+	p    []int // first point of the current row
+	w    int   // row width
+	more bool
+}
+
+func walkRows(b iset.Box) rowWalk {
+	r := b.Rank()
+	return rowWalk{b: b, p: append([]int(nil), b.Lo...), w: b.Hi[r-1] - b.Lo[r-1] + 1, more: true}
+}
+
+func (rw *rowWalk) next() {
+	b, p := rw.b, rw.p
+	for k := len(p) - 2; k >= 0; k-- {
+		p[k]++
+		if p[k] <= b.Hi[k] {
+			return
+		}
+		p[k] = b.Lo[k]
+	}
+	rw.more = false
+}
+
+// row returns arr's storage of the current row.
+func (rw *rowWalk) row(arr *array) []float64 {
+	off := 0
+	for k, v := range rw.p {
+		off += (v - arr.lo[k]) * arr.stride[k]
+	}
+	return arr.data[off : off+rw.w]
+}
+
 // packPayload appends the set's elements of arr to buf in canonical
 // order and returns the extended buffer.
 func packPayload(buf []float64, arr *array, s iset.Set) []float64 {
@@ -40,27 +75,8 @@ func packPayload(buf []float64, arr *array, s iset.Set) []float64 {
 			})
 			continue
 		}
-		r := b.Rank()
-		w := b.Hi[r-1] - b.Lo[r-1] + 1
-		p := make([]int, r)
-		copy(p, b.Lo)
-		for {
-			off := 0
-			for k := 0; k < r; k++ {
-				off += (p[k] - arr.lo[k]) * arr.stride[k]
-			}
-			buf = append(buf, arr.data[off:off+w]...)
-			k := r - 2
-			for ; k >= 0; k-- {
-				p[k]++
-				if p[k] <= b.Hi[k] {
-					break
-				}
-				p[k] = b.Lo[k]
-			}
-			if k < 0 {
-				break
-			}
+		for rw := walkRows(b); rw.more; rw.next() {
+			buf = append(buf, rw.row(arr)...)
 		}
 	}
 	return buf
@@ -79,28 +95,30 @@ func unpackPayload(data []float64, arr *array, s iset.Set) {
 			})
 			continue
 		}
-		r := b.Rank()
-		w := b.Hi[r-1] - b.Lo[r-1] + 1
-		p := make([]int, r)
-		copy(p, b.Lo)
-		for {
-			off := 0
-			for k := 0; k < r; k++ {
-				off += (p[k] - arr.lo[k]) * arr.stride[k]
-			}
-			copy(arr.data[off:off+w], data[j:j+w])
-			j += w
-			k := r - 2
-			for ; k >= 0; k-- {
-				p[k]++
-				if p[k] <= b.Hi[k] {
-					break
-				}
-				p[k] = b.Lo[k]
-			}
-			if k < 0 {
-				break
-			}
+		for rw := walkRows(b); rw.more; rw.next() {
+			j += copy(rw.row(arr), data[j:j+rw.w])
+		}
+	}
+}
+
+// pullPayload copies the set's elements from src into dst directly,
+// array to array: the shared-memory replacement for packPayload +
+// unpackPayload with no staging buffer in between.  dst and src are the
+// two ranks' private copies of the same declaration, so they share
+// geometry; offsets are still computed per array for robustness, and
+// boxes that cannot be row-copied on both fall back to the element-wise
+// walk with the interpreter's exact bounds panics.
+func pullPayload(dst, src *array, s iset.Set) {
+	for _, b := range s.Boxes() {
+		if !rowCopyable(b, dst) || !rowCopyable(b, src) {
+			b.Each(func(p []int) bool {
+				dst.set(p, src.get(p))
+				return true
+			})
+			continue
+		}
+		for rw := walkRows(b); rw.more; rw.next() {
+			copy(rw.row(dst), rw.row(src))
 		}
 	}
 }

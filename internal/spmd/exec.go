@@ -21,11 +21,10 @@ var debugPanics = false
 
 // ExecResult is the outcome of running a compiled program.
 type ExecResult struct {
-	// Machine carries the virtual clocks and (for the message backends)
-	// the traffic counters.  Under the shared-memory backend it is
-	// synthesized from the team's thread clocks — message counters hold
-	// the hybrid layout's outer traffic, zero for pure shm — so callers
-	// read makespan and per-rank times uniformly across backends.
+	// Machine carries the virtual clocks, trace events and message
+	// counters of the run on every backend; under the shared-memory
+	// backends the message counters hold the hybrid layout's outer
+	// traffic, zero for pure shm.
 	Machine *mpsim.Result
 	// Shm carries the shared-memory team's own counters (pulls, pulled
 	// bytes, barriers); nil under the message-passing backend.
@@ -110,9 +109,8 @@ func (p *Program) ExecuteEngine(cfg mpsim.Config, engine Engine) (*ExecResult, e
 	ranks := make([]*rankExec, cfg.Procs)
 	var mu sync.Mutex
 	var execErr error
-	// runRank is every rank's body on either substrate; abort kills the
-	// rank's machine.
-	runRank := func(rx *rankExec, abort func(cause error)) {
+	// runRank is every rank's body on either substrate.
+	runRank := func(rx *rankExec) {
 		ranks[rx.Me] = rx
 		defer func() {
 			rec := recover()
@@ -136,7 +134,7 @@ func (p *Program) ExecuteEngine(cfg mpsim.Config, engine Engine) (*ExecResult, e
 			// A dead rank can never send, publish or acknowledge again:
 			// abort the machine so peers blocked on it unwind at once
 			// instead of waiting for a wall limit nobody may have set.
-			abort(mpsim.ErrAborted)
+			rx.rk.Abort(mpsim.ErrAborted)
 		}()
 		if plan != nil {
 			rx.runProc(p.IR.Main(), nil, nil)
@@ -149,13 +147,12 @@ func (p *Program) ExecuteEngine(cfg mpsim.Config, engine Engine) (*ExecResult, e
 	var sres *shm.Result
 	if backend == passes.BackendMP {
 		res = mpsim.Run(cfg, func(r *mpsim.Rank) {
-			runRank(newRankExec(p, s, r.ID, r, nil, plan, kernels), r.Abort)
+			runRank(newRankExec(p, s, r, nil, plan, kernels))
 		})
 	} else {
-		sres = shm.Run(shm.FromMachine(cfg, p.shmGroups(backend)), func(t *shm.Thread) {
-			runRank(newRankExec(p, s, t.ID, nil, t, plan, kernels), t.Abort)
+		res, sres = shm.Run(shm.FromMachine(cfg, p.shmGroups(backend)), func(t *shm.Thread) {
+			runRank(newRankExec(p, s, t.Rank, t, plan, kernels))
 		})
-		res = machineView(sres)
 	}
 	if execErr != nil {
 		return nil, execErr
@@ -248,10 +245,9 @@ type frame struct {
 type rankExec struct {
 	*sched.Walker
 	p *Program
-	// Exactly one of rk and th is non-nil: the message-passing rank or
-	// the shared-memory thread this executor runs on.  All machine
-	// operations funnel through flushFlops, allReduce, Send, Recv and
-	// Drain.
+	// rk is the machine rank this executor runs on; th is the
+	// shared-memory thread around it, nil on the message backend.  Only
+	// Send, Recv and Drain ask which.
 	rk        *mpsim.Rank
 	th        *shm.Thread
 	frames    []*frame
@@ -285,9 +281,9 @@ type rankExec struct {
 	kstats  KernelStats
 }
 
-func newRankExec(p *Program, s *sched.Schedule, me int, rk *mpsim.Rank, th *shm.Thread, plan *enginePlan, kernels map[*pLoop]*boundKernel) *rankExec {
+func newRankExec(p *Program, s *sched.Schedule, rk *mpsim.Rank, th *shm.Thread, plan *enginePlan, kernels map[*pLoop]*boundKernel) *rankExec {
 	rx := &rankExec{p: p, rk: rk, th: th, plan: plan, kernels: kernels}
-	rx.Walker = sched.NewWalker(s, me, rx)
+	rx.Walker = sched.NewWalker(s, rk.ID, rx)
 	if plan != nil {
 		rx.env.ints = make([]int, plan.nInts)
 		rx.env.intSet = make([]bool, plan.nInts)
@@ -302,23 +298,9 @@ func (rx *rankExec) top() *frame { return rx.frames[len(rx.frames)-1] }
 
 func (rx *rankExec) flushFlops() {
 	if rx.flops > 0 {
-		if rx.th != nil {
-			rx.th.Compute(rx.flops)
-		} else {
-			rx.rk.Compute(rx.flops)
-		}
+		rx.rk.Compute(rx.flops)
 		rx.flops = 0
 	}
-}
-
-// allReduce combines one value collectively on whichever substrate the
-// executor runs on.  Both substrates fold contributions in rank order,
-// so the result is bit-identical across backends.
-func (rx *rankExec) allReduce(op byte, v float64) float64 {
-	if rx.th != nil {
-		return rx.th.AllReduce(op, v)
-	}
-	return rx.rk.AllReduce(op, v)
 }
 
 // combine finalizes one reduction whose variable held s0 before the loop
@@ -326,9 +308,9 @@ func (rx *rankExec) allReduce(op byte, v float64) float64 {
 func (rx *rankExec) combine(op byte, v, s0 float64) float64 {
 	rx.flushFlops()
 	if op == '+' {
-		return s0 + rx.allReduce('+', v-s0)
+		return s0 + rx.rk.AllReduce('+', v-s0)
 	}
-	return rx.allReduce(op, v) // '<' min, '>' max: every rank's partial includes s0
+	return rx.rk.AllReduce(op, v) // '<' min, '>' max: every rank's partial includes s0
 }
 
 // pushFrame opens a procedure activation.  actualArrays maps formal

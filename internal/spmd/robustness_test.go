@@ -2,11 +2,13 @@ package spmd
 
 import (
 	"errors"
+	"os"
 	"strings"
 	"testing"
 	"time"
 
 	"dhpf/internal/mpsim"
+	"dhpf/internal/trace"
 )
 
 // TestExplicitBlockSize exercises BLOCK(n) end to end: an explicit block
@@ -181,10 +183,12 @@ end
 	}
 }
 
-// TestTraceEventsWellFormed: per-rank events must be time-ordered and
-// non-overlapping (the space–time diagram invariant).
+// TestTraceEventsWellFormed: on every backend a traced run yields events
+// on every rank, time-ordered and non-overlapping per rank (the
+// space–time diagram invariant), with a compute share above zero.  The
+// shared-memory backends once dropped Config.Trace and emitted nothing.
 func TestTraceEventsWellFormed(t *testing.T) {
-	src := `
+	inline := `
 program tr
 param N = 24
 param P = 3
@@ -208,25 +212,47 @@ subroutine main()
   enddo
 end
 `
-	prog, err := CompileSource(src, nil, DefaultOptions())
+	stencil, err := os.ReadFile("../../testdata/stencil.hpf")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := testMachine(3)
-	cfg.Trace = true
-	res, err := prog.Execute(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	last := make([]float64, 3)
-	for _, e := range res.Machine.Events {
-		if e.End < e.Start {
-			t.Fatalf("event ends before it starts: %+v", e)
-		}
-		if e.Start+1e-15 < last[e.Rank] {
-			t.Fatalf("rank %d events overlap: start %g before previous end %g", e.Rank, e.Start, last[e.Rank])
-		}
-		last[e.Rank] = e.End
+	for _, c := range []struct{ name, src, backend string }{
+		{"inline/mp", inline, "mp"},
+		{"stencil/shm", string(stencil), "shm"},
+		{"stencil/hybrid", string(stencil), "hybrid"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			prog := compileBackend(t, c.src, DefaultOptions(), c.backend)
+			cfg := testMachine(prog.Grid.Size())
+			cfg.Trace = true
+			res, err := prog.Execute(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			last := make([]float64, cfg.Procs)
+			seen := make([]bool, cfg.Procs)
+			for _, e := range res.Machine.Events {
+				if e.End < e.Start {
+					t.Fatalf("event ends before it starts: %+v", e)
+				}
+				if e.Start+1e-15 < last[e.Rank] {
+					t.Fatalf("rank %d events overlap: start %g before previous end %g", e.Rank, e.Start, last[e.Rank])
+				}
+				last[e.Rank], seen[e.Rank] = e.End, true
+			}
+			for r, ok := range seen {
+				if !ok {
+					t.Errorf("rank %d has no events", r)
+				}
+			}
+			if st := trace.Summarize(res.Machine); st.MeanCompute <= 0 {
+				t.Errorf("mean compute share %g, want > 0", st.MeanCompute)
+			}
+			cfg.Trace = false
+			if res, err = prog.Execute(cfg); err != nil || len(res.Machine.Events) != 0 {
+				t.Errorf("untraced run: %d events, err %v", len(res.Machine.Events), err)
+			}
+		})
 	}
 }
 

@@ -27,12 +27,7 @@
 //     parity suite enforces identity), and -check gates the speedup at
 //     3x — the headline claim of the native backend.  Two pairs, one SP
 //     and one BT step: BT's flops sit in LOCALIZE nests SP barely has,
-//     so each pair can fall back to closure speed without the other;
-//   - pin pairs: each WallClockPinned benchmark against its unpinned
-//     WallClock twin — the same simulation under the Go scheduler's
-//     default goroutine placement vs rank goroutines locked to OS
-//     threads.  Recorded, not gated: the ratio is hardware- and
-//     load-dependent, the point is that it is measured.
+//     so each pair can fall back to closure speed without the other.
 //
 // Usage:
 //
@@ -122,15 +117,6 @@ type CodegenPair struct {
 	Speedup    float64 `json:"speedup"`
 }
 
-// PinPair is a WallClockPinned benchmark matched with its unpinned
-// WallClock twin; recorded but never gated.
-type PinPair struct {
-	Benchmark  string  `json:"benchmark"`
-	UnpinnedNs float64 `json:"unpinned_ns_per_op"`
-	PinnedNs   float64 `json:"pinned_ns_per_op"`
-	Ratio      float64 `json:"unpinned_over_pinned"`
-}
-
 // warmGate is the -check floor for warm/cold speedup: a warm-edit
 // recompile, and a restart-warm store hit, must each beat their cold
 // twin by at least this much at p50.
@@ -152,7 +138,6 @@ type Report struct {
 	WarmPairs    []WarmPair    `json:"warm_pairs,omitempty"`
 	BackendPairs []BackendPair `json:"backend_pairs,omitempty"`
 	CodegenPairs []CodegenPair `json:"codegen_pairs,omitempty"`
-	PinPairs     []PinPair     `json:"pin_pairs,omitempty"`
 }
 
 func main() {
@@ -199,7 +184,6 @@ func main() {
 	rep.WarmPairs = pairWarm(rep.Benchmarks)
 	rep.BackendPairs = pairBackends(rep.Benchmarks)
 	rep.CodegenPairs = pairCodegen(rep.Benchmarks)
-	rep.PinPairs = pairPinned(rep.Benchmarks)
 
 	js, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -268,12 +252,6 @@ func main() {
 				fail = true
 			}
 		}
-		if strings.Contains(*benchRE, "ExecuteSPStep") {
-			if len(rep.PinPairs) == 0 {
-				fmt.Fprintln(os.Stderr, "benchjson: -check found no pinned/unpinned wall-clock pair")
-				fail = true
-			}
-		}
 		if fail {
 			os.Exit(1)
 		}
@@ -293,10 +271,6 @@ func main() {
 	for _, cg := range rep.CodegenPairs {
 		fmt.Fprintf(os.Stderr, "benchjson: %s codegen speedup %.2fx (%.0f ns vs compiled %.0f ns)\n",
 			cg.Benchmark, cg.Speedup, cg.CodegenNs, cg.CompiledNs)
-	}
-	for _, pp := range rep.PinPairs {
-		fmt.Fprintf(os.Stderr, "benchjson: %s unpinned/pinned wall-clock ratio %.2f (unpinned %.0f ns, pinned %.0f ns)\n",
-			pp.Benchmark, pp.Ratio, pp.UnpinnedNs, pp.PinnedNs)
 	}
 }
 
@@ -437,32 +411,6 @@ func hasCodegenPair(pairs []CodegenPair, benchmark string) bool {
 		}
 	}
 	return false
-}
-
-// pairPinned matches each WallClockPinned benchmark with its unpinned
-// WallClock twin.
-func pairPinned(bs []Bench) []PinPair {
-	byName := make(map[string]Bench, len(bs))
-	for _, b := range bs {
-		byName[b.Name] = b
-	}
-	var pairs []PinPair
-	for _, b := range bs {
-		if !strings.HasSuffix(b.Name, "WallClockPinned") {
-			continue
-		}
-		base, ok := byName[strings.TrimSuffix(b.Name, "Pinned")]
-		if !ok || b.NsPerOp <= 0 {
-			continue
-		}
-		pairs = append(pairs, PinPair{
-			Benchmark:  strings.TrimSuffix(b.Name, "Pinned"),
-			UnpinnedNs: base.NsPerOp,
-			PinnedNs:   b.NsPerOp,
-			Ratio:      base.NsPerOp / b.NsPerOp,
-		})
-	}
-	return pairs
 }
 
 // pairWarm matches each recompile benchmark with its Cold-suffixed
