@@ -76,7 +76,7 @@ func (c *Cost) TotalPulled() int64 {
 // schedule's walker — the one the reference interpreter runs on, so same
 // iteration sets, same event placements, same strip-mining by
 // construction — with ops that count instead of evaluating, and that
-// bulk-count communication-free subtrees with set cardinalities.  The
+// bulk-count the schedule's compute nests with set cardinalities.  The
 // result is integer-equal to the measured counters on affine programs
 // (the exactness invariant; see the differential tests).  backend is the
 // canonical name ("mp", "shm" or "hybrid"); empty means "mp".
@@ -224,15 +224,14 @@ func (c *counter) Recv(plan []comm.Transfer, _ int) {
 	}
 }
 
-// Handled bulk-counts subtrees that contain no communication, no
-// conditionals, no calls and no reduction boundaries: for such a subtree
-// the executed instances of every assignment are exactly the statement's
-// iteration set clamped to the visited ranges, so one Card per
-// assignment replaces the walk.
+// Handled bulk-counts compute nests that contain no conditionals and no
+// triangular bounds: for such a subtree the executed instances of every
+// assignment are exactly the statement's iteration set clamped to the
+// visited ranges, so one Card per assignment replaces the walk.
 func (c *counter) Handled(f *sched.Frame, l *ir.Loop, depth int) bool {
 	bulk, ok := c.pure[l]
 	if !ok {
-		bulk = bulkable(f, l)
+		bulk = f.Loops[l].ComputeNest && bulkable(l)
 		c.pure[l] = bulk
 	}
 	if bulk {
@@ -241,11 +240,10 @@ func (c *counter) Handled(f *sched.Frame, l *ir.Loop, depth int) bool {
 	return bulk
 }
 
-// bulkable reports whether the loop's subtree can be counted in closed
-// form.  It is binding-independent: it looks only at statement kinds,
-// what the schedule places at the subtree's loops and which variables
-// the bounds reference.
-func bulkable(f *sched.Frame, l *ir.Loop) bool {
+// bulkable reports whether a compute nest can be counted in closed form.
+// It is binding-independent: it looks only at statement kinds and which
+// variables the bounds reference.
+func bulkable(l *ir.Loop) bool {
 	// Collect the subtree's own loop variables; any bound referencing
 	// one makes ranges iteration-dependent (triangular nests), which
 	// bulk counting does not model.
@@ -257,7 +255,7 @@ func bulkable(f *sched.Frame, l *ir.Loop) bool {
 		case *ir.Loop:
 			subVars[st.Var] = true
 			loops = append(loops, st)
-		case *ir.CallStmt, *ir.IfStmt:
+		case *ir.IfStmt:
 			ok = false
 		}
 		return true
@@ -272,11 +270,6 @@ func bulkable(f *sched.Frame, l *ir.Loop) bool {
 					return false
 				}
 			}
-		}
-		// A strict descendant that fires events, carries a pipeline or
-		// finalizes a reduction needs the walker to run its boundary.
-		if ls := f.Loops[m]; m != l && len(ls.Reads)+len(ls.Writes)+len(ls.Pipe)+len(ls.Reds) > 0 {
-			return false
 		}
 	}
 	return true

@@ -242,7 +242,7 @@ func (em *emitter) loop(kl *spmd.KLoop, ind int) {
 
 // assign emits the per-point guard test over the kernel dimensions
 // (outer dimensions were checked once by the precheck) and, on pass,
-// the evaluate → count flops → store sequence of execPlanAssign.  A
+// the evaluate → count flops → store sequence of execPlanStmts.  A
 // single-box statement tests its one packed box inline; a multi-box
 // statement ORs the test over the boxes the precheck packed.
 func (em *emitter) assign(ka *spmd.KAssign, ind int) {

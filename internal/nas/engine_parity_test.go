@@ -11,6 +11,7 @@ import (
 	"math"
 	"testing"
 
+	"dhpf/internal/ir"
 	"dhpf/internal/spmd"
 )
 
@@ -73,4 +74,75 @@ func TestEnginesByteIdenticalNAS(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestNestCoverageNAS pins where the NAS codes spend their statement
+// instances under the compiled engines: every one runs inside a compute
+// nest the engines claim from the walker, none through the walker's
+// per-instance Assign, and the plan build declines no nest.  A schedule
+// change that pushes a hot loop out of a nest fails here before it shows
+// as a slowdown.  The modular SP is checked on its schedule only: it
+// does not run to completion yet (ROADMAP item 1).
+func TestNestCoverageNAS(t *testing.T) {
+	cases := []struct {
+		name  string
+		src   string
+		grain int
+	}{
+		{"sp16", SPSource(16, 1, 2, 2), 0},
+		{"bt12", BTSource(12, 1, 2, 2), 0},
+		{"lu16-g1", LUSource(16, 1, 2, 2), 1},
+		{"lu16-g8", LUSource(16, 1, 2, 2), 8},
+	}
+	for _, c := range cases {
+		opt := spmd.DefaultOptions()
+		if c.grain > 0 {
+			opt.PipelineGrain = c.grain
+		}
+		prog, err := spmd.CompileSource(c.src, nil, opt)
+		if err != nil {
+			t.Fatalf("%s: compile: %v", c.name, err)
+		}
+		if n := assignsOutsideNests(prog); n != 0 {
+			t.Errorf("%s: %d assignments lie outside every compute nest", c.name, n)
+		}
+		for _, engine := range []spmd.Engine{spmd.EngineCompiled, spmd.EngineCodegen} {
+			res, err := prog.ExecuteEngine(smallMachine(4), engine)
+			if err != nil {
+				t.Fatalf("%s %s: %v", c.name, engine, err)
+			}
+			if n := res.Nests; n.Walked != 0 || n.Declined != 0 || n.Entries == 0 {
+				t.Errorf("%s %s: %s, want every instance inside a claimed nest", c.name, engine, n)
+			}
+		}
+	}
+	prog, err := spmd.CompileSource(SPModSource(12, 1, 2, 2), nil, spmd.DefaultOptions())
+	if err != nil {
+		t.Fatalf("spmod12: compile: %v", err)
+	}
+	if n := assignsOutsideNests(prog); n != 0 {
+		t.Errorf("spmod12: %d assignments lie outside every compute nest", n)
+	}
+}
+
+// assignsOutsideNests counts the assignments of prog that no loop the
+// schedule marks as a compute nest encloses.
+func assignsOutsideNests(prog *spmd.Program) int {
+	n := 0
+	for _, proc := range prog.IR.Procs {
+		loops := prog.Schedule().Proc(proc).Loops
+		ir.Walk(proc.Body, func(s ir.Stmt, nest []*ir.Loop) bool {
+			if _, ok := s.(*ir.Assign); ok {
+				inside := false
+				for _, l := range nest {
+					inside = inside || loops[l].ComputeNest
+				}
+				if !inside {
+					n++
+				}
+			}
+			return true
+		})
+	}
+	return n
 }

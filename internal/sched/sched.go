@@ -3,11 +3,11 @@
 // placed (§7), how it is vectorized and coalesced, and how a wavefront is
 // strip-mined (§2, §8.1).  A Schedule is built once per program from the
 // IR, the CP selection, the communication events, the reduction loops and
-// the pipeline grain; the reference interpreter and analysis.Predict are
-// folds over it through the Walker (walk.go), the closure engine reads
-// its placement tables at plan build and calls the walker's fire /
-// pipeline / bind code at run time, and the report and node-program
-// printers call its planner (plan.go) at the zero point.
+// the pipeline grain; every execution engine and analysis.Predict are
+// folds over it through the Walker (walk.go) — the compiled engines being
+// the reference interpreter's fold with the compute nests it marks
+// claimed through Ops.Handled — and the report and node-program printers
+// call its planner (plan.go) at the zero point.
 package sched
 
 import (
@@ -51,6 +51,12 @@ type LoopSched struct {
 	Pipe  []*comm.Event
 	Strip *ir.Loop
 	Reds  []Reduction
+	// ComputeNest marks a loop whose strict interior needs no walker: no
+	// loop below it has events, a pipeline or a reduction at its boundary
+	// and no statement below it is a call.  Whatever fires at the loop's
+	// own boundary fires outside its iteration, so a consumer may run the
+	// whole range in one step (Ops.Handled) with its own representation.
+	ComputeNest bool
 }
 
 // StmtSched is the communication around one top-level assignment.
@@ -138,10 +144,11 @@ func (s *Schedule) buildProc(proc *ir.Procedure, an *comm.Analysis, reds []Reduc
 			ls.Reds = append(ls.Reds, r)
 		}
 	}
-	if an == nil {
-		return ps
+	var events []*comm.Event
+	if an != nil {
+		events = an.Events
 	}
-	for _, e := range an.Events {
+	for _, e := range events {
 		switch {
 		case e.Eliminated:
 		case e.Pipelined:
@@ -164,7 +171,28 @@ func (s *Schedule) buildProc(proc *ir.Procedure, an *comm.Analysis, reds []Reduc
 	for l, ls := range ps.Loops {
 		ls.Strip = chooseStrip(l, ls.Pipe)
 	}
+	ps.markNests(proc.Body)
 	return ps
+}
+
+// markNests sets ComputeNest on every loop under stmts and reports
+// whether they hold a call or a loop with something at its boundary.
+func (ps *ProcSched) markNests(stmts []ir.Stmt) bool {
+	busy := false
+	for _, s := range stmts {
+		switch st := s.(type) {
+		case *ir.CallStmt:
+			busy = true
+		case *ir.IfStmt:
+			then, els := ps.markNests(st.Then), ps.markNests(st.Else)
+			busy = busy || then || els
+		case *ir.Loop:
+			ls := ps.Loops[st]
+			ls.ComputeNest = !ps.markNests(st.Body)
+			busy = busy || !ls.ComputeNest || len(ls.Reads)+len(ls.Writes)+len(ls.Pipe)+len(ls.Reds) > 0
+		}
+	}
+	return busy
 }
 
 func (s *Schedule) checkCall(c *ir.CallStmt) error {

@@ -12,8 +12,8 @@ import (
 // The walker owns control: frames, the scalar binding, integer-formal
 // save/restore, membership, strip-clamped iteration, and the order in
 // which things fire.  Ops owns values and the machine.  The reference
-// interpreter's Ops evaluate, store and communicate; analysis.Predict's
-// count.
+// interpreter's Ops evaluate, store and communicate, the compiled
+// engines' additionally claim compute nests; analysis.Predict's count.
 type Ops interface {
 	// Enter begins a procedure activation (main, or the callee of the
 	// call whose non-integer actuals were just passed to Actual); Leave
@@ -161,11 +161,11 @@ func (w *Walker) assign(f *Frame, a *ir.Assign, depth int) {
 	}
 	// Top-level statement: its comm events fire around it.
 	ss := f.Top[a]
-	w.Fire(f.Proc, ss.Reads, 0)
+	w.fire(f.Proc, ss.Reads, 0)
 	if w.member(f, a.ID, 0) {
 		w.ops.Assign(a)
 	}
-	w.Fire(f.Proc, ss.Writes, 0)
+	w.fire(f.Proc, ss.Writes, 0)
 }
 
 // ArgKind is how a call's actual binds to its formal.
@@ -196,30 +196,30 @@ func ClassifyArg(arg ir.Expr) ArgKind {
 
 func (w *Walker) call(c *ir.CallStmt) {
 	callee := w.S.prog.Proc(c.Callee)
-	mark := w.Mark()
+	mark := w.mark()
 	for k, formal := range callee.Formals {
 		if arg := c.Args[k]; ClassifyArg(arg) == ArgInt {
-			w.BindInt(formal, int(w.ops.Scalar(arg)))
+			w.bindInt(formal, int(w.ops.Scalar(arg)))
 		} else {
 			w.ops.Actual(formal, arg)
 		}
 	}
 	w.proc(callee)
-	w.Unbind(mark)
+	w.unbind(mark)
 }
 
-// Mark, BindInt and Unbind are the integer save/restore discipline of
-// calls and loops: BindInt shadows a name, Unbind(mark) restores every
-// name shadowed since Mark returned mark, innermost first.
-func (w *Walker) Mark() int { return len(w.saved) }
+// mark, bindInt and unbind are the integer save/restore discipline of
+// calls and loops: bindInt shadows a name, unbind(mark) restores every
+// name shadowed since mark returned mark, innermost first.
+func (w *Walker) mark() int { return len(w.saved) }
 
-func (w *Walker) BindInt(name string, v int) {
+func (w *Walker) bindInt(name string, v int) {
 	old, had := w.Bind[name]
 	w.saved = append(w.saved, savedInt{name, old, had})
 	w.Bind[name] = v
 }
 
-func (w *Walker) Unbind(mark int) {
+func (w *Walker) unbind(mark int) {
 	for i := len(w.saved) - 1; i >= mark; i-- {
 		if s := w.saved[i]; s.had {
 			w.Bind[s.name] = s.val
@@ -232,15 +232,15 @@ func (w *Walker) Unbind(mark int) {
 
 func (w *Walker) loop(f *Frame, l *ir.Loop, depth int) {
 	ls := f.Loops[l]
-	w.Fire(f.Proc, ls.Reads, depth)
+	w.fire(f.Proc, ls.Reads, depth)
 	init := w.ops.ReduceInit(ls.Reds)
 	if len(ls.Pipe) > 0 {
-		w.Pipeline(f.Proc, ls, depth, func() { w.iterate(f, l, depth) })
+		w.pipeline(f.Proc, ls, depth, func() { w.iterate(f, l, depth) })
 	} else {
 		w.iterate(f, l, depth)
 	}
 	w.ops.ReduceCombine(ls.Reds, init)
-	w.Fire(f.Proc, ls.Writes, depth)
+	w.fire(f.Proc, ls.Writes, depth)
 }
 
 // Range evaluates the range loop l visits under the current binding and
@@ -254,8 +254,8 @@ func (w *Walker) iterate(f *Frame, l *ir.Loop, depth int) {
 		return
 	}
 	lo, hi := w.Range(l)
-	mark := w.Mark()
-	w.BindInt(l.Var, lo)
+	mark := w.mark()
+	w.bindInt(l.Var, lo)
 	if l.Step > 0 {
 		for v := lo; v <= hi; v++ {
 			w.Bind[l.Var] = v
@@ -267,14 +267,14 @@ func (w *Walker) iterate(f *Frame, l *ir.Loop, depth int) {
 			w.stmts(f, l.Body, depth+1)
 		}
 	}
-	w.Unbind(mark)
+	w.unbind(mark)
 }
 
-// Fire takes the plan the events require under the current binding, with
+// fire takes the plan the events require under the current binding, with
 // the outermost depth loop variables fixed, and exchanges it: every rank
 // sends what it sources, then receives what targets it (sends are
 // buffered, so this cannot deadlock).
-func (w *Walker) Fire(proc *ir.Procedure, events []*comm.Event, depth int) {
+func (w *Walker) fire(proc *ir.Procedure, events []*comm.Event, depth int) {
 	if len(events) == 0 {
 		return
 	}
@@ -294,7 +294,7 @@ func (w *Walker) nextTags() int {
 	return base
 }
 
-// Pipeline runs the wavefront loop ls describes with coarse-grain
+// pipeline runs the wavefront loop ls describes with coarse-grain
 // pipelining (SC'98 §2, §8.1): the strip loop is cut into chunks of the
 // grain; each chunk receives its incoming boundary data, runs the loop
 // body through iterate with Strip set to the chunk, and forwards its
@@ -303,7 +303,7 @@ func (w *Walker) nextTags() int {
 // wavefront of LU-class codes), does not strip again: it runs
 // block-serialized, exchanging its boundary once, restricted to the
 // enclosing chunk if there is one.
-func (w *Walker) Pipeline(proc *ir.Procedure, ls *LoopSched, depth int, iterate func()) {
+func (w *Walker) pipeline(proc *ir.Procedure, ls *LoopSched, depth int, iterate func()) {
 	if w.Strip != nil || ls.Strip == nil {
 		w.chunk(proc, ls.Pipe, depth, w.Strip, iterate)
 	} else {

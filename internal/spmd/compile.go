@@ -56,7 +56,6 @@ type Program struct {
 	// once per Program and shared read-only by every execution and rank.
 	engOnce sync.Once
 	eng     *enginePlan
-	engErr  error
 
 	// Lazily extracted native-kernel units (kernel_extract.go):
 	// kunits[i]'s plan root is krootList[i]; registry resolution happens

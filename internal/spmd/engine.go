@@ -1,44 +1,35 @@
 package spmd
 
-// engine.go is the compile-once/run-many execution engine: it lowers a
-// compiled Program's procedure bodies into closure trees over a
-// slot-indexed environment, so the per-iteration-point work of Execute
-// carries no map lookups, no slice allocations, and no interface
-// dispatch.  The interpreter (the schedule walker with exec.go's
-// evaluating ops) remains the reference oracle
-// (Program.ExecuteEngine(cfg, EngineInterp)); the
-// engine's results are byte-identical to it — same array contents, same
-// virtual clocks, same message counts and bytes — because it performs
-// the exact same floating-point operations, flop accounting, guard
-// decisions, and communication calls in the exact same order: placement
-// is read from the same rank schedule (internal/sched) at plan build,
-// and firing, pipelining, procedure entry and integer-formal binding go
-// through the same walker code at run time.  The plan tree stays
-// compiled rather than walked because it is the fast path.  Only
-// provably result-free work is removed:
+// engine.go is the compute-nest compiler and runner of the closure and
+// native tiers.  Control belongs to the schedule walker on every engine:
+// frames, calls, integer-formal binding, event firing, pipelining and
+// reductions run through the reference interpreter's Ops (exec.go).  The
+// compiled tiers add one thing: nestOps.Handled claims every compute nest
+// — a loop whose strict interior the schedule marks as needing no walker
+// (sched.LoopSched.ComputeNest) — and runs it as a closure tree over a
+// slot-indexed environment, or as its native kernel.  Results are
+// byte-identical to the interpreter because a nest performs the same
+// floating-point operations, flop accounting, guard decisions and stores
+// in the same order; only provably result-free work is removed:
 //
 //   - name → value resolution moves from per-point map lookups to
 //     integer slots assigned once per Program (engineEnv);
 //   - the per-point membership test against a statement's iteration set
 //     becomes per-dimension bounds comparisons when the set is a single
 //     box (iset.Set.AsBox), with loop ranges additionally clamped to the
-//     union of member boxes for communication-free innermost loops
-//     (engine_bounds.go);
-//   - message payloads are packed/unpacked with bulk row copies into a
-//     reused staging buffer instead of element-at-a-time gather/scatter
-//     (engine_pack.go).
+//     union of member boxes for innermost loops (engine_bounds.go).
 //
-// Plan construction is total and conservative: any construct whose
-// runtime behaviour the plan cannot reproduce exactly (a malformed call,
-// a missing communication analysis) fails the build, and ExecuteEngine
-// falls back to the interpreter for the whole run.
+// The nest contract: slots mean nothing outside a nest.  runNest copies
+// the integers and scalars the nest names from Bind and the frame's fenv
+// into their slots on entry and the scalars it may store back on exit;
+// inside, loop variables live in slots only.  A nest holding a construct
+// the compiler cannot lower is not claimed and the walker iterates it.
 
 import (
 	"fmt"
 	"math"
 	"sort"
 
-	"dhpf/internal/comm"
 	"dhpf/internal/ir"
 	"dhpf/internal/sched"
 )
@@ -87,19 +78,18 @@ func ParseEngine(s string) (Engine, error) {
 
 // --- slot-indexed environment --------------------------------------------------
 
-// engineEnv is the flat runtime environment compiled closures read and
-// write.  Integer state (params, loop variables, integer formals) is
-// program-global, mirroring the interpreter's shared bind map; float
-// scalars and array bindings are per-frame views swapped on procedure
-// entry/exit.  Invariant: ints[s] equals the interpreter's bind[name]
-// when the name is bound and 0 when it is not (intSet tracks presence),
-// so compiled affine evaluation matches AffExpr.EvalOr(bind, 0) exactly.
+// engineEnv is the flat environment compiled closures and kernels read
+// and write while a nest runs.  Integer slots are program-global, scalar
+// and array slots per procedure; runNest loads them.  Invariant inside a
+// nest: ints[s] equals the interpreter's bind[name] when the name is
+// bound and 0 when it is not (intSet tracks presence), so compiled affine
+// evaluation matches AffExpr.EvalOr(bind, 0) exactly.
 type engineEnv struct {
 	ints   []int
 	intSet []bool
-	floats []float64 // current frame's scalar slots
-	fset   []bool    // current frame's scalar presence (the fenv map's "ok")
-	arrays []*array  // current frame's array slots
+	floats []float64 // scalar slots
+	fset   []bool    // scalar presence (the fenv map's "ok")
+	arrays []*array  // the current frame's array slots
 }
 
 type (
@@ -114,19 +104,21 @@ type (
 // enginePlan is the once-per-Program compiled form shared (read-only) by
 // all ranks of all executions.
 type enginePlan struct {
-	nInts   int
-	intSlot map[string]int
-	procs   map[string]*procPlan
+	nInts    int
+	intSlot  map[string]int
+	nFloats  int                // the widest procedure's scalar slots
+	nests    map[*ir.Loop]*nest // claimed compute nests by root loop
+	roots    []*nest            // the same, in program order
+	declined int                // compute nests the compiler could not lower
 }
 
-// procPlan is one procedure's compiled body plus its slot tables.
+// procPlan is one procedure's slot tables.
 type procPlan struct {
 	proc      *ir.Procedure
 	nFloats   int
 	floatSlot map[string]int
 	nArrays   int
 	arraySlot map[string]int
-	body      []planStmt
 	// guardStmts maps dense guard indices to the statement identity the
 	// per-frame guard is derived from (engine_bounds.go).
 	guardStmts []guardedStmt
@@ -146,35 +138,31 @@ type clampSpec struct {
 	members []int // guard indices of all statements under the loop
 }
 
+// nest is one claimed compute nest: its loop tree plus the names whose
+// slots runNest loads on entry (ints from Bind, floats from fenv) and
+// stores back on exit, each sorted by name.
+type nest struct {
+	pp     *procPlan
+	root   *pLoop
+	ints   []slotName
+	floats []slotName
+	stores []slotName
+}
+
+type slotName struct {
+	name string
+	slot int
+}
+
 type planStmt interface{ planStmtNode() }
 
 type pAssign struct {
-	a           *ir.Assign
-	depth       int
-	guardIdx    int // -1 at depth 0
-	nestSlots   []int
-	rhs         evalFn
-	store       storeFn
-	flops       float64
-	readEvents  []*comm.Event // depth-0 statements only
-	writeEvents []*comm.Event
-}
-
-type pCall struct {
-	call      *ir.CallStmt
-	callee    *ir.Procedure
-	depth     int
-	guardIdx  int // -1 at depth 0
+	a         *ir.Assign
+	guardIdx  int
 	nestSlots []int
-	args      []planArg
-}
-
-type planArg struct {
-	kind    sched.ArgKind
-	formal  string
-	slot    int    // int slot of formal (ArgInt)
-	srcName string // caller array name (ArgAlias)
-	fn      evalFn // ArgInt / ArgFloat
+	rhs       evalFn
+	store     storeFn
+	flops     float64
 }
 
 type pLoop struct {
@@ -183,15 +171,7 @@ type pLoop struct {
 	varSlot  int
 	lo, hi   intFn
 	body     []planStmt
-	pure     bool // no calls/loops/comm inside: loop vars live in slots only
-	clampIdx int  // index into frame.clamps, -1 when not clampable
-	ls       *sched.LoopSched
-	reds     []redSlot // ls.Reds resolved to float slots
-}
-
-type redSlot struct {
-	op    byte
-	fslot int
+	clampIdx int // index into frame.clamps, -1 when not clampable
 }
 
 type pIf struct {
@@ -202,54 +182,46 @@ type pIf struct {
 }
 
 func (*pAssign) planStmtNode() {}
-func (*pCall) planStmtNode()   {}
 func (*pLoop) planStmtNode()   {}
 func (*pIf) planStmtNode()     {}
 
 // --- plan construction ---------------------------------------------------------
 
-// enginePlanFor returns the Program's compiled plan, building it once.
-// A nil plan with a nil error never occurs; build failures surface as an
-// error and the caller falls back to the interpreter.
-func (p *Program) enginePlanFor() (*enginePlan, error) {
+// enginePlanFor returns the Program's compiled plan, building it once;
+// nil for a program the schedule cannot walk.
+func (p *Program) enginePlanFor() *enginePlan {
 	p.engOnce.Do(func() {
-		p.eng, p.engErr = buildEnginePlan(p)
+		if p.Schedule().Check() == nil {
+			p.eng = buildEnginePlan(p)
+		}
 	})
-	return p.eng, p.engErr
+	return p.eng
 }
 
-func buildEnginePlan(p *Program) (*enginePlan, error) {
-	if p.IR == nil || p.IR.Main() == nil {
-		return nil, fmt.Errorf("spmd: engine: program has no procedures")
+func buildEnginePlan(p *Program) *enginePlan {
+	ep := &enginePlan{intSlot: map[string]int{}, nests: map[*ir.Loop]*nest{}}
+	c := &planCompiler{p: p, ep: ep}
+	// Parameters claim their global slots first.  Sorted: slot numbers
+	// feed kernel-unit fingerprints and the emitted native code, so
+	// allocation order must not depend on map iteration.
+	names := make([]string, 0, len(p.Ctx.Bind.Params))
+	for name := range p.Ctx.Bind.Params {
+		names = append(names, name)
 	}
-	ep := &enginePlan{intSlot: map[string]int{}, procs: map[string]*procPlan{}}
-	// Parameters claim their global slots first so Execute can install
-	// them without consulting per-procedure tables.  Sorted: slot
-	// numbers feed kernel-unit fingerprints and the emitted native
-	// code, so allocation order must not depend on map iteration.
-	if p.Ctx != nil && p.Ctx.Bind != nil {
-		names := make([]string, 0, len(p.Ctx.Bind.Params))
-		for name := range p.Ctx.Bind.Params {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			ep.islot(name)
-		}
+	sort.Strings(names)
+	for _, name := range names {
+		c.islot(name)
 	}
 	for _, proc := range p.IR.Procs {
-		if p.Comm[proc.Name] == nil {
-			return nil, fmt.Errorf("spmd: engine: no communication analysis for %q", proc.Name)
-		}
-		c := &planCompiler{p: p, ep: ep, proc: proc, ps: p.Schedule().Proc(proc), pp: &procPlan{
+		c.ps, c.pp = p.Schedule().Proc(proc), &procPlan{
 			proc:      proc,
 			floatSlot: map[string]int{},
 			arraySlot: map[string]int{},
-		}}
+		}
 		// Formals may be bound as arrays, integers or floats depending on
 		// the call site; give every formal all three identities up front.
 		for _, formal := range proc.Formals {
-			ep.islot(formal)
+			c.islot(formal)
 			c.fslot(formal)
 			c.aslot(formal)
 		}
@@ -260,42 +232,54 @@ func buildEnginePlan(p *Program) (*enginePlan, error) {
 				c.fslot(d.Name)
 			}
 		}
-		body, err := c.compileStmts(proc.Body, 0, nil)
-		if err != nil {
-			return nil, err
-		}
-		c.pp.body = body
-		ep.procs[proc.Name] = c.pp
+		// The whole body is compiled, in program order, and only the nests
+		// are kept: slots and guard indices are claimed by compiling, so
+		// their numbering — and with it every kernel fingerprint — does not
+		// depend on where the schedule draws the nests.
+		c.compileStmts(proc.Body, 0, nil)
+		ep.nFloats = max(ep.nFloats, c.pp.nFloats)
 	}
-	return ep, nil
+	return ep
 }
 
-func (ep *enginePlan) islot(name string) int {
-	if s, ok := ep.intSlot[name]; ok {
-		return s
+// planCompiler compiles one procedure's body at a time.  While a nest is
+// being compiled (cur != nil) every slot claim records its name on it,
+// and bad collects constructs only the interpreter reproduces.
+type planCompiler struct {
+	p   *Program
+	ep  *enginePlan
+	ps  *sched.ProcSched
+	pp  *procPlan
+	cur *nestNames
+	bad bool
+}
+
+// nestNames are the names a nest under compilation has claimed slots for.
+type nestNames struct{ ints, floats, stores map[string]int }
+
+func (c *planCompiler) islot(name string) int {
+	s, ok := c.ep.intSlot[name]
+	if !ok {
+		s = c.ep.nInts
+		c.ep.intSlot[name] = s
+		c.ep.nInts++
 	}
-	s := ep.nInts
-	ep.intSlot[name] = s
-	ep.nInts++
+	if c.cur != nil {
+		c.cur.ints[name] = s
+	}
 	return s
 }
 
-// planCompiler compiles one procedure's body.
-type planCompiler struct {
-	p    *Program
-	ep   *enginePlan
-	proc *ir.Procedure
-	ps   *sched.ProcSched
-	pp   *procPlan
-}
-
 func (c *planCompiler) fslot(name string) int {
-	if s, ok := c.pp.floatSlot[name]; ok {
-		return s
+	s, ok := c.pp.floatSlot[name]
+	if !ok {
+		s = c.pp.nFloats
+		c.pp.floatSlot[name] = s
+		c.pp.nFloats++
 	}
-	s := c.pp.nFloats
-	c.pp.floatSlot[name] = s
-	c.pp.nFloats++
+	if c.cur != nil {
+		c.cur.floats[name] = s
+	}
 	return s
 }
 
@@ -309,11 +293,11 @@ func (c *planCompiler) aslot(name string) int {
 	return s
 }
 
-func (c *planCompiler) nestSlots(nest []*ir.Loop) []int {
-	vars := ir.NestVars(nest)
+func (c *planCompiler) nestSlots(loops []*ir.Loop) []int {
+	vars := ir.NestVars(loops)
 	out := make([]int, len(vars))
 	for i, v := range vars {
-		out[i] = c.ep.islot(v)
+		out[i] = c.islot(v)
 	}
 	if len(out) > c.pp.maxNest {
 		c.pp.maxNest = len(out)
@@ -322,208 +306,143 @@ func (c *planCompiler) nestSlots(nest []*ir.Loop) []int {
 }
 
 func (c *planCompiler) newGuard(id int, nestSlots []int) int {
-	idx := len(c.pp.guardStmts)
 	c.pp.guardStmts = append(c.pp.guardStmts, guardedStmt{id: id, nestSlots: nestSlots})
-	return idx
+	return len(c.pp.guardStmts) - 1
 }
 
-func (c *planCompiler) compileStmts(stmts []ir.Stmt, depth int, nest []*ir.Loop) ([]planStmt, error) {
+func sortedSlots(m map[string]int) []slotName {
+	out := make([]slotName, 0, len(m))
+	for name, slot := range m { //vetdet:ok sorted below
+		out = append(out, slotName{name, slot})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
+	return out
+}
+
+func (c *planCompiler) compileStmts(stmts []ir.Stmt, depth int, loops []*ir.Loop) []planStmt {
 	var out []planStmt
 	for _, s := range stmts {
 		switch st := s.(type) {
 		case *ir.Assign:
-			ps, err := c.compileAssign(st, depth, nest)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, ps)
+			out = append(out, c.compileAssign(st, depth, loops))
 		case *ir.CallStmt:
-			ps, err := c.compileCall(st, depth, nest)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, ps)
+			c.claimCall(st, depth, loops)
 		case *ir.Loop:
-			ps, err := c.compileLoop(st, depth, nest)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, ps)
+			out = append(out, c.compileLoop(st, depth, loops))
 		case *ir.IfStmt:
-			then, err := c.compileStmts(st.Then, depth, nest)
-			if err != nil {
-				return nil, err
-			}
-			els, err := c.compileStmts(st.Else, depth, nest)
-			if err != nil {
-				return nil, err
-			}
+			then := c.compileStmts(st.Then, depth, loops)
+			els := c.compileStmts(st.Else, depth, loops)
 			out = append(out, &pIf{cond: st.Cond, fn: c.compileCond(st.Cond), then: then, els: els})
-			// Other statement kinds are ignored, as in execStmts.
 		}
 	}
-	return out, nil
+	return out
 }
 
-func (c *planCompiler) compileAssign(a *ir.Assign, depth int, nest []*ir.Loop) (*pAssign, error) {
+func (c *planCompiler) compileAssign(a *ir.Assign, depth int, loops []*ir.Loop) *pAssign {
 	ps := &pAssign{
 		a:        a,
-		depth:    depth,
 		guardIdx: -1,
 		rhs:      c.compileExpr(a.RHS),
 		store:    c.compileStore(a.LHS),
 		flops:    flopsOf(a),
 	}
-	if depth == 0 {
-		ps.readEvents, ps.writeEvents = c.ps.Top[a].Reads, c.ps.Top[a].Writes
-	} else {
-		ps.nestSlots = c.nestSlots(nest)
+	if depth > 0 {
+		ps.nestSlots = c.nestSlots(loops)
 		ps.guardIdx = c.newGuard(a.ID, ps.nestSlots)
 	}
-	return ps, nil
+	return ps
 }
 
-func (c *planCompiler) compileCall(call *ir.CallStmt, depth int, nest []*ir.Loop) (*pCall, error) {
-	callee := c.p.IR.Proc(call.Callee)
-	if callee == nil {
-		return nil, fmt.Errorf("spmd: engine: call to undefined procedure %q", call.Callee)
-	}
-	if len(call.Args) != len(callee.Formals) {
-		return nil, fmt.Errorf("spmd: engine: call to %q has %d args for %d formals",
-			call.Callee, len(call.Args), len(callee.Formals))
-	}
-	ps := &pCall{call: call, callee: callee, depth: depth, guardIdx: -1}
+// claimCall claims the guard index and the slots a call, its actuals and
+// its integer formals name; the call itself runs through the walker.
+func (c *planCompiler) claimCall(call *ir.CallStmt, depth int, loops []*ir.Loop) {
 	if depth > 0 {
-		ps.nestSlots = c.nestSlots(nest)
-		ps.guardIdx = c.newGuard(call.ID, ps.nestSlots)
+		c.newGuard(call.ID, c.nestSlots(loops))
 	}
-	for k, formal := range callee.Formals {
-		arg := call.Args[k]
-		pa := planArg{kind: sched.ClassifyArg(arg), formal: formal}
-		switch pa.kind {
-		case sched.ArgAlias:
-			pa.srcName = arg.(*ir.ArrayRef).Name
-		case sched.ArgInt:
-			pa.slot = c.ep.islot(formal)
-			pa.fn = c.compileExpr(arg)
-		default:
-			pa.fn = c.compileExpr(arg)
+	for k, formal := range c.p.IR.Proc(call.Callee).Formals {
+		kind := sched.ClassifyArg(call.Args[k])
+		if kind == sched.ArgInt {
+			c.islot(formal)
 		}
-		ps.args = append(ps.args, pa)
+		if kind != sched.ArgAlias {
+			c.compileExpr(call.Args[k])
+		}
 	}
-	return ps, nil
 }
 
-func (c *planCompiler) compileLoop(l *ir.Loop, depth int, nest []*ir.Loop) (*pLoop, error) {
-	body, err := c.compileStmts(l.Body, depth+1, append(nest, l))
-	if err != nil {
-		return nil, err
+func (c *planCompiler) compileLoop(l *ir.Loop, depth int, loops []*ir.Loop) *pLoop {
+	// The outermost loop the schedule marks is the nest; loops below it
+	// are marked too and belong to it.
+	root := c.cur == nil && c.ps.Loops[l].ComputeNest
+	if root {
+		c.cur, c.bad = &nestNames{map[string]int{}, map[string]int{}, map[string]int{}}, false
 	}
+	body := c.compileStmts(l.Body, depth+1, append(loops, l))
 	pl := &pLoop{
 		l:        l,
 		depth:    depth,
-		varSlot:  c.ep.islot(l.Var),
+		body:     body,
+		varSlot:  c.islot(l.Var),
 		lo:       c.compileAff(l.Lo),
 		hi:       c.compileAff(l.Hi),
-		body:     body,
 		clampIdx: -1,
-		ls:       c.ps.Loops[l],
 	}
-	for _, r := range pl.ls.Reds {
-		pl.reds = append(pl.reds, redSlot{op: r.Op, fslot: c.fslot(r.Var)})
+	// An innermost loop whose if conditions all read no array skips
+	// nothing observable on an iteration where every statement is guarded
+	// out, so its range can be clamped to the union of the statements'
+	// iteration boxes (engine_bounds.go).
+	if members, ok := clampMembers(body); ok && c.cur != nil {
+		pl.clampIdx = len(c.pp.clamps)
+		c.pp.clamps = append(c.pp.clamps, clampSpec{pos: depth, members: members})
 	}
-	// A loop whose body holds only (possibly if-guarded) assignments has
-	// no communication boundaries, calls or bind-map readers inside: its
-	// variable can live in slots alone.  If additionally every if
-	// condition in the body is panic-free, skipped iterations are fully
-	// unobservable, so the range can be clamped to the union of the
-	// statements' iteration boxes (engine_bounds.go).
-	if members, pureOK, clampOK := pureMembers(body); pureOK {
-		pl.pure = true
-		if clampOK {
-			pl.clampIdx = len(c.pp.clamps)
-			c.pp.clamps = append(c.pp.clamps, clampSpec{pos: depth, members: members})
+	if root {
+		if c.bad {
+			c.ep.declined++
+		} else {
+			n := &nest{pp: c.pp, root: pl, ints: sortedSlots(c.cur.ints), floats: sortedSlots(c.cur.floats), stores: sortedSlots(c.cur.stores)}
+			c.ep.nests[l] = n
+			c.ep.roots = append(c.ep.roots, n)
 		}
+		c.cur = nil
 	}
-	return pl, nil
+	return pl
 }
 
-// pureMembers reports whether the compiled body contains only assigns
-// and ifs (recursively), returning the guard indices of every assign.
-// The third result additionally requires every if condition to be
-// panic-free: the interpreter evaluates conditions even on iterations
-// whose statements are all guarded out, so clamping such iterations away
-// is only sound when that evaluation cannot be observed.
-func pureMembers(body []planStmt) (members []int, pure, clampOK bool) {
-	members, clampOK = nil, true
+// clampMembers returns the guard indices of every assign under body when
+// it holds only assigns and ifs (recursively) and no condition reads an
+// array: the interpreter evaluates conditions even on iterations whose
+// statements are all guarded out, so clamping such iterations away is
+// only sound when that evaluation cannot panic.
+func clampMembers(body []planStmt) ([]int, bool) {
+	var members []int
 	for _, s := range body {
 		switch st := s.(type) {
 		case *pAssign:
 			members = append(members, st.guardIdx)
 		case *pIf:
-			if !condPanicFree(st.cond) {
-				clampOK = false
+			a, okA := clampMembers(st.then)
+			b, okB := clampMembers(st.els)
+			if !okA || !okB || !readsNoArray(st.cond.L) || !readsNoArray(st.cond.R) {
+				return nil, false
 			}
-			a, ok, aClamp := pureMembers(st.then)
-			if !ok {
-				return nil, false, false
-			}
-			b, ok, bClamp := pureMembers(st.els)
-			if !ok {
-				return nil, false, false
-			}
-			clampOK = clampOK && aClamp && bClamp
-			members = append(members, a...)
-			members = append(members, b...)
+			members = append(append(members, a...), b...)
 		default:
-			return nil, false, false
+			return nil, false
 		}
 	}
-	return members, true, clampOK
+	return members, true
 }
 
-func condPanicFree(c ir.Cond) bool {
-	switch c.Op {
-	case "<", ">", "<=", ">=", "==", "/=":
-		return exprPanicFree(c.L) && exprPanicFree(c.R)
-	}
-	return false
-}
-
-// exprPanicFree reports whether evaluating the expression can never
-// panic: no array reads (bounds), no non-canonical intrinsic arities, no
-// unknown node kinds.
-func exprPanicFree(e ir.Expr) bool {
-	switch x := e.(type) {
-	case ir.FloatConst, ir.IndexRef, ir.ParamRef, ir.ScalarRef:
-		return true
-	case *ir.Bin:
-		switch x.Op {
-		case '+', '-', '*', '/':
-			return exprPanicFree(x.L) && exprPanicFree(x.R)
+// readsNoArray reports whether evaluating the expression, once compiled,
+// can never panic: the panics compiled code keeps are array accesses'.
+func readsNoArray(e ir.Expr) bool {
+	ok := true
+	ir.WalkExpr(e, func(x ir.Expr) {
+		if _, isRef := x.(*ir.ArrayRef); isRef {
+			ok = false
 		}
-		return false
-	case *ir.Intrinsic:
-		switch x.Name {
-		case "sqrt", "exp", "sin", "cos", "log", "abs":
-			if len(x.Args) != 1 {
-				return false
-			}
-		case "min", "max", "mod", "pow":
-			if len(x.Args) != 2 {
-				return false
-			}
-		default:
-			return false
-		}
-		for _, a := range x.Args {
-			if !exprPanicFree(a) {
-				return false
-			}
-		}
-		return true
-	}
-	return false
+	})
+	return ok
 }
 
 // --- expression compilation ----------------------------------------------------
@@ -536,13 +455,13 @@ func (c *planCompiler) compileAff(a ir.AffExpr) intFn {
 		return func(*engineEnv) int { return cst }
 	}
 	if len(a.Terms) == 1 {
-		coef, slot := a.Terms[0].Coef, c.ep.islot(a.Terms[0].Name)
+		coef, slot := a.Terms[0].Coef, c.islot(a.Terms[0].Name)
 		return func(e *engineEnv) int { return cst + coef*e.ints[slot] }
 	}
 	type term struct{ coef, slot int }
 	ts := make([]term, len(a.Terms))
 	for i, t := range a.Terms {
-		ts[i] = term{coef: t.Coef, slot: c.ep.islot(t.Name)}
+		ts[i] = term{coef: t.Coef, slot: c.islot(t.Name)}
 	}
 	return func(e *engineEnv) int {
 		v := cst
@@ -559,26 +478,26 @@ func (c *planCompiler) compileSub(s ir.Subscript) intFn {
 	if s.Var == "" {
 		return off
 	}
-	coef, slot := s.Coef, c.ep.islot(s.Var)
+	coef, slot := s.Coef, c.islot(s.Var)
 	return func(e *engineEnv) int { return coef*e.ints[slot] + off(e) }
 }
 
 // compileExpr lowers an RHS expression to a closure tree that performs
 // the same floating-point operations in the same order as rankExec.eval,
-// including its panics.
+// including its bounds panics.
 func (c *planCompiler) compileExpr(expr ir.Expr) evalFn {
 	switch x := expr.(type) {
 	case ir.FloatConst:
 		v := x.Val
 		return func(*engineEnv) float64 { return v }
 	case ir.IndexRef:
-		slot := c.ep.islot(x.Name)
+		slot := c.islot(x.Name)
 		return func(e *engineEnv) float64 { return float64(e.ints[slot]) }
 	case ir.ParamRef:
-		slot := c.ep.islot(x.Name)
+		slot := c.islot(x.Name)
 		return func(e *engineEnv) float64 { return float64(e.ints[slot]) }
 	case ir.ScalarRef:
-		fs, is := c.fslot(x.Name), c.ep.islot(x.Name)
+		fs, is := c.fslot(x.Name), c.islot(x.Name)
 		return func(e *engineEnv) float64 {
 			if e.fset[fs] {
 				return e.floats[fs]
@@ -602,17 +521,13 @@ func (c *planCompiler) compileExpr(expr ir.Expr) evalFn {
 		case '/':
 			return func(e *engineEnv) float64 { return l(e) / r(e) }
 		}
-		// Unknown operator: evaluate both sides (for identical panic
-		// order), then fail exactly like the interpreter.
-		return func(e *engineEnv) float64 {
-			l(e)
-			r(e)
-			panic(fmt.Sprintf("spmd: cannot evaluate %v", expr))
-		}
 	case *ir.Intrinsic:
 		return c.compileIntrinsic(x)
 	}
-	return func(*engineEnv) float64 { panic(fmt.Sprintf("spmd: cannot evaluate %v", expr)) }
+	// An operator or node kind the interpreter fails on, in its own
+	// evaluation order: the nest is left to it.
+	c.bad = true
+	return nil
 }
 
 func (c *planCompiler) compileIntrinsic(x *ir.Intrinsic) evalFn {
@@ -620,10 +535,6 @@ func (c *planCompiler) compileIntrinsic(x *ir.Intrinsic) evalFn {
 	for i, a := range x.Args {
 		fns[i] = c.compileExpr(a)
 	}
-	// Canonical arities specialize to allocation-free closures; anything
-	// else falls back to the interpreter-shaped generic path so argument
-	// evaluation order, extra-argument evaluation, and arity panics stay
-	// identical.
 	if len(fns) == 1 {
 		a0 := fns[0]
 		switch x.Name {
@@ -654,36 +565,9 @@ func (c *planCompiler) compileIntrinsic(x *ir.Intrinsic) evalFn {
 			return func(e *engineEnv) float64 { return math.Pow(a0(e), a1(e)) }
 		}
 	}
-	name := x.Name
-	return func(e *engineEnv) float64 {
-		args := make([]float64, len(fns))
-		for i, fn := range fns {
-			args[i] = fn(e)
-		}
-		switch name {
-		case "sqrt":
-			return math.Sqrt(args[0])
-		case "exp":
-			return math.Exp(args[0])
-		case "sin":
-			return math.Sin(args[0])
-		case "cos":
-			return math.Cos(args[0])
-		case "log":
-			return math.Log(args[0])
-		case "abs":
-			return math.Abs(args[0])
-		case "min":
-			return math.Min(args[0], args[1])
-		case "max":
-			return math.Max(args[0], args[1])
-		case "mod":
-			return math.Mod(args[0], args[1])
-		case "pow":
-			return math.Pow(args[0], args[1])
-		}
-		panic(fmt.Sprintf("spmd: cannot evaluate %v", x))
-	}
+	// Any other name or arity evaluates and fails the interpreter's way.
+	c.bad = true
+	return nil
 }
 
 // compileArrayRead lowers an array element read: direct *array access
@@ -718,6 +602,9 @@ func (c *planCompiler) compileArrayRead(x *ir.ArrayRef) evalFn {
 func (c *planCompiler) compileStore(lhs *ir.ArrayRef) storeFn {
 	if len(lhs.Subs) == 0 {
 		fs := c.fslot(lhs.Name)
+		if c.cur != nil {
+			c.cur.stores[lhs.Name] = fs
+		}
 		return func(e *engineEnv, v float64) {
 			e.floats[fs] = v
 			e.fset[fs] = true
@@ -771,74 +658,76 @@ func (c *planCompiler) compileCond(cond ir.Cond) condFn {
 	case "/=":
 		return func(e *engineEnv) bool { return l(e) != r(e) }
 	}
-	op := cond.Op
-	return func(e *engineEnv) bool {
-		l(e)
-		r(e)
-		panic(fmt.Sprintf("spmd: unknown comparison %q", op))
+	c.bad = true
+	return nil
+}
+
+// --- nest execution --------------------------------------------------------------
+
+// nestOps is the sched.Ops of the closure and native tiers: the
+// reference interpreter's, with compute nests claimed and counted.
+type nestOps struct{ *rankExec }
+
+func (o nestOps) Assign(a *ir.Assign) {
+	o.nstats.Walked++
+	o.rankExec.Assign(a)
+}
+
+func (o nestOps) Handled(_ *sched.Frame, l *ir.Loop, _ int) bool {
+	n := o.plan.nests[l]
+	if n == nil {
+		return false
 	}
+	o.runNest(n)
+	return true
 }
 
-// --- engine execution ----------------------------------------------------------
-
-// runProc executes a procedure body in a fresh frame: the shared
-// activation set-up (pushFrame, the schedule's iteration sets) plus the
-// engine's slot views.
-func (rx *rankExec) runProc(proc *ir.Procedure, actualArrays map[string]*array, floatFormals map[string]float64) {
-	f := rx.pushFrame(proc, rx.S.IterSets(proc, rx.Me, rx.Bind), actualArrays, floatFormals)
-	pp := rx.plan.procs[proc.Name]
-	rx.pushPlanFrame(f, pp, floatFormals)
-	rx.execPlanStmts(proc, pp.body)
-	rx.popPlanFrame(f)
-	rx.frames = rx.frames[:len(rx.frames)-1]
-}
-
-// setSlot maintains the slot shadow of one Bind entry.
-func (rx *rankExec) setSlot(slot, v int, set bool) {
-	rx.env.ints[slot], rx.env.intSet[slot] = v, set
-}
-
-// pushPlanFrame installs a frame's slot views into the rank environment
-// and derives the per-frame guards and clamps from the freshly computed
-// iteration sets.
-func (rx *rankExec) pushPlanFrame(f *frame, pp *procPlan, floatFormals map[string]float64) {
-	f.plan = pp
-	f.floats = make([]float64, pp.nFloats)
-	f.fset = make([]bool, pp.nFloats)
-	f.aslots = make([]*array, pp.nArrays)
-	for name, idx := range pp.arraySlot {
-		f.aslots[idx] = f.arrays[name]
+// runNest runs one claimed nest over the walker's current binding and
+// strip: slots are loaded from Bind and the frame's scalars on entry,
+// and the scalars the nest may have stored go back on exit.
+func (rx *rankExec) runNest(n *nest) {
+	f, e := rx.top(), &rx.env
+	if f.aslots == nil {
+		f.aslots = make([]*array, n.pp.nArrays)
+		for name, idx := range n.pp.arraySlot {
+			f.aslots[idx] = f.arrays[name]
+		}
+		f.point = make([]int, n.pp.maxNest)
+		buildGuards(f, n.pp)
 	}
-	for name, v := range floatFormals {
-		if idx, ok := pp.floatSlot[name]; ok {
-			f.floats[idx] = v
-			f.fset[idx] = true
+	e.arrays = f.aslots
+	for _, v := range n.ints {
+		e.ints[v.slot], e.intSet[v.slot] = rx.Bind[v.name]
+	}
+	for _, v := range n.floats {
+		e.floats[v.slot], e.fset[v.slot] = f.fenv[v.name]
+	}
+	rx.nstats.Entries++
+	rx.iteratePlanLoop(n.root)
+	for _, v := range n.stores {
+		if e.fset[v.slot] {
+			f.fenv[v.name] = e.floats[v.slot]
 		}
 	}
-	f.point = make([]int, pp.maxNest)
-	rx.buildGuards(f, pp)
-	f.savedFloats, f.savedFset, f.savedArrays = rx.env.floats, rx.env.fset, rx.env.arrays
-	rx.env.floats, rx.env.fset, rx.env.arrays = f.floats, f.fset, f.aslots
 }
 
-func (rx *rankExec) popPlanFrame(f *frame) {
-	rx.env.floats, rx.env.fset, rx.env.arrays = f.savedFloats, f.savedFset, f.savedArrays
-}
-
-func (rx *rankExec) execPlanStmts(proc *ir.Procedure, stmts []planStmt) {
+func (rx *rankExec) execPlanStmts(stmts []planStmt) {
 	for _, s := range stmts {
 		switch st := s.(type) {
 		case *pAssign:
-			rx.execPlanAssign(proc, st)
-		case *pCall:
-			rx.execPlanCall(proc, st)
+			if rx.planGuardPass(st.guardIdx, st.nestSlots) {
+				v := st.rhs(&rx.env)
+				rx.flops += st.flops
+				st.store(&rx.env, v)
+				rx.nstats.InNest++
+			}
 		case *pLoop:
-			rx.execPlanLoop(proc, st)
+			rx.iteratePlanLoop(st)
 		case *pIf:
 			if st.fn(&rx.env) {
-				rx.execPlanStmts(proc, st.then)
+				rx.execPlanStmts(st.then)
 			} else {
-				rx.execPlanStmts(proc, st.els)
+				rx.execPlanStmts(st.els)
 			}
 		}
 	}
@@ -869,93 +758,11 @@ func (rx *rankExec) planGuardPass(guardIdx int, nestSlots []int) bool {
 	}
 }
 
-func (rx *rankExec) execPlanAssign(proc *ir.Procedure, sp *pAssign) {
-	if sp.depth == 0 {
-		rx.Fire(proc, sp.readEvents, 0)
-		if rx.S.OwnsTopLevel(proc, sp.a.ID, rx.Me, rx.Bind) {
-			v := sp.rhs(&rx.env)
-			rx.flops += sp.flops
-			sp.store(&rx.env, v)
-		}
-		rx.Fire(proc, sp.writeEvents, 0)
-		return
-	}
-	if !rx.planGuardPass(sp.guardIdx, sp.nestSlots) {
-		return
-	}
-	v := sp.rhs(&rx.env)
-	rx.flops += sp.flops
-	sp.store(&rx.env, v)
-}
-
-func (rx *rankExec) execPlanCall(proc *ir.Procedure, pc *pCall) {
-	if pc.depth == 0 {
-		if !rx.S.OwnsTopLevel(proc, pc.call.ID, rx.Me, rx.Bind) {
-			return
-		}
-	} else if !rx.planGuardPass(pc.guardIdx, pc.nestSlots) {
-		return
-	}
-	f := rx.top()
-	actualArrays := map[string]*array{}
-	floatFormals := map[string]float64{}
-	mark := rx.Mark()
-	for i := range pc.args {
-		a := &pc.args[i]
-		switch a.kind {
-		case sched.ArgAlias:
-			actualArrays[a.formal] = f.arrays[a.srcName]
-		case sched.ArgInt:
-			v := int(a.fn(&rx.env))
-			rx.BindInt(a.formal, v)
-			rx.setSlot(a.slot, v, true)
-		default:
-			floatFormals[a.formal] = a.fn(&rx.env)
-		}
-	}
-	rx.runProc(pc.callee, actualArrays, floatFormals)
-	rx.Unbind(mark)
-	// No call sits inside a slot-only loop, so every formal's slot
-	// equalled its Bind entry before the call: restore it from there.
-	for i := range pc.args {
-		if a := &pc.args[i]; a.kind == sched.ArgInt {
-			v, had := rx.Bind[a.formal]
-			rx.setSlot(a.slot, v, had)
-		}
-	}
-}
-
-func (rx *rankExec) execPlanLoop(proc *ir.Procedure, pl *pLoop) {
-	rx.Fire(proc, pl.ls.Reads, pl.depth)
-
-	var s0 []float64
-	if len(pl.reds) > 0 {
-		s0 = make([]float64, len(pl.reds))
-		for i, r := range pl.reds {
-			s0[i] = rx.env.floats[r.fslot]
-		}
-	}
-
-	if len(pl.ls.Pipe) > 0 {
-		rx.Pipeline(proc, pl.ls, pl.depth, func() { rx.iteratePlanLoop(proc, pl) })
-	} else {
-		rx.iteratePlanLoop(proc, pl)
-	}
-
-	for i, r := range pl.reds {
-		rx.env.floats[r.fslot] = rx.combine(r.op, rx.env.floats[r.fslot], s0[i])
-		rx.env.fset[r.fslot] = true
-	}
-
-	rx.Fire(proc, pl.ls.Writes, pl.depth)
-}
-
-// iteratePlanLoop is the compiled loop iteration: bounds come from compiled
+// iteratePlanLoop runs one loop of a nest: bounds come from compiled
 // affine closures, the range is clamped by the active strip and (for
-// pure loops) by the hoisted union of member iteration boxes, and the
-// loop variable is maintained in its slot — plus the bind map only when
-// something inside the loop can read it.
-func (rx *rankExec) iteratePlanLoop(proc *ir.Procedure, pl *pLoop) {
+// innermost loops) by the hoisted union of member iteration boxes, and
+// the loop variable lives in its slot.
+func (rx *rankExec) iteratePlanLoop(pl *pLoop) {
 	if rx.kernels != nil {
 		// EngineCodegen: a registered native kernel replaces the whole
 		// closure walk when its precheck holds (kernel_invoke.go).  This
@@ -976,40 +783,18 @@ func (rx *rankExec) iteratePlanLoop(proc *ir.Procedure, pl *pLoop) {
 		}
 	}
 	vs := pl.varSlot
-	oldV, oldSet := e.ints[vs], e.intSet[vs]
-	if pl.pure {
-		if l.Step > 0 {
-			for v := lo; v <= hi; v++ {
-				e.ints[vs] = v
-				e.intSet[vs] = true
-				rx.execPlanStmts(proc, pl.body)
-			}
-		} else {
-			for v := lo; v >= hi; v-- {
-				e.ints[vs] = v
-				e.intSet[vs] = true
-				rx.execPlanStmts(proc, pl.body)
-			}
+	oldV, oldSet := e.ints[vs], e.intSet[vs] // oldV is 0 when the slot was unset
+	e.intSet[vs] = true
+	if l.Step > 0 {
+		for v := lo; v <= hi; v++ {
+			e.ints[vs] = v
+			rx.execPlanStmts(pl.body)
 		}
 	} else {
-		mark := rx.Mark()
-		rx.BindInt(l.Var, lo)
-		if l.Step > 0 {
-			for v := lo; v <= hi; v++ {
-				e.ints[vs] = v
-				e.intSet[vs] = true
-				rx.Bind[l.Var] = v
-				rx.execPlanStmts(proc, pl.body)
-			}
-		} else {
-			for v := lo; v >= hi; v-- {
-				e.ints[vs] = v
-				e.intSet[vs] = true
-				rx.Bind[l.Var] = v
-				rx.execPlanStmts(proc, pl.body)
-			}
+		for v := lo; v >= hi; v-- {
+			e.ints[vs] = v
+			rx.execPlanStmts(pl.body)
 		}
-		rx.Unbind(mark)
 	}
-	rx.setSlot(vs, oldV, oldSet) // oldV is 0 when the slot was unset
+	e.ints[vs], e.intSet[vs] = oldV, oldSet
 }

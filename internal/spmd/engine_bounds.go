@@ -7,9 +7,8 @@ package spmd
 // scan on every iteration point; here the overwhelmingly common case —
 // the statement's iteration set is a single box (iset.Set.AsBox) — is
 // specialized to per-dimension comparisons on slot values, and for
-// communication-free innermost loops the member boxes additionally
-// tighten the loop range itself so non-member points are never visited
-// at all.
+// innermost loops the member boxes additionally tighten the loop range
+// itself so non-member points are never visited at all.
 
 import (
 	"math"
@@ -38,11 +37,11 @@ type clampRange struct {
 	lo, hi int
 }
 
-// buildGuards populates f.guards and f.clamps from the iteration sets
-// just computed by runProc.  Guards are exact restatements of the
-// interpreter's membership test; clamps may only discard iterations on
-// which no member statement would execute.
-func (rx *rankExec) buildGuards(f *frame, pp *procPlan) {
+// buildGuards populates f.guards and f.clamps from the activation's
+// iteration sets.  Guards are exact restatements of the interpreter's
+// membership test; clamps may only discard iterations on which no member
+// statement would execute.
+func buildGuards(f *frame, pp *procPlan) {
 	f.guards = make([]stmtGuard, len(pp.guardStmts))
 	for i, gs := range pp.guardStmts {
 		s := f.iters[gs.id]

@@ -152,7 +152,120 @@ subroutine main()
   enddo
 end
 `,
+	// The shapes below sit on the boundary between the walker and the
+	// compute nests the compiled engines claim from it.
+	"call-and-assign-loop": callAndAssignSrc,
+	"scalar-into-nest": `
+program sin
+param N = 16
+!hpf$ processors procs(4)
+!hpf$ distribute a(BLOCK) onto procs
+subroutine main()
+  real a(0:N-1)
+  real s
+  s = 2.5
+  do i = 0, N-1
+    a(i) = s * i + s
+  enddo
+end
+`,
+	"value-formal": `
+program vf
+param N = 16
+!hpf$ processors procs(4)
+!hpf$ distribute a(BLOCK) onto procs
+subroutine fill(v, x)
+  real v(0:N-1)
+  do i = 0, N-1
+    v(i) = x + 0.5 * i
+  enddo
+end
+subroutine main()
+  real a(0:N-1)
+  call fill(a, 1.25)
+end
+`,
+	"reduction-read-after": `
+program rra
+param N = 32
+!hpf$ processors procs(4)
+!hpf$ distribute a(BLOCK) onto procs
+subroutine main()
+  real a(0:N-1)
+  real total
+  real twice
+  total = 1.0
+  do i = 0, N-1
+    a(i) = 0.125 * i
+  enddo
+  do i = 0, N-1
+    total = total + a(i)
+  enddo
+  twice = 2.0 * total
+  do i = 0, N-1
+    a(i) = a(i) + twice - total
+  enddo
+end
+`,
+	"if-around-events": `
+program ife
+param N = 32
+!hpf$ processors procs(4)
+!hpf$ distribute a(BLOCK) onto procs
+!hpf$ distribute b(BLOCK) onto procs
+subroutine main()
+  real a(0:N-1)
+  real b(0:N-1)
+  do i = 0, N-1
+    a(i) = 0.5 * i
+    b(i) = 0.0
+  enddo
+  do step = 1, 3
+    if (step /= 2) then
+      do i = 1, N-2
+        b(i) = a(i-1) + a(i+1) + step
+      enddo
+    else
+      do i = 0, N-1
+        a(i) = a(i) + 1.0
+      enddo
+    endif
+  enddo
+end
+`,
 }
+
+// callAndAssignSrc holds a loop the compiled engines cannot claim: it
+// calls, so its own array assignment runs through the walker while the
+// callee's loop is a nest.  It is also the committed FuzzExecEngines seed.
+const callAndAssignSrc = `
+program cal
+param N = 16
+!hpf$ processors procs(4)
+!hpf$ template tm(N, N)
+!hpf$ align w with tm(d0, d1)
+!hpf$ align c with tm(d0, d1)
+!hpf$ distribute tm(*, BLOCK) onto procs
+subroutine bump(v, jj, x)
+  real v(0:N-1, 0:N-1)
+  do i = 0, N-1
+    v(i, jj) = v(i, jj) * 2.0 + x
+  enddo
+end
+subroutine main()
+  real w(0:N-1, 0:N-1)
+  real c(0:N-1, 0:N-1)
+  do j = 0, N-1
+    do i = 0, N-1
+      w(i,j) = 0.01 * i + 0.1 * j
+    enddo
+  enddo
+  do j = 0, N-1
+    call bump(w, j, 0.75)
+    c(0,j) = w(0,j) + 1.0
+  enddo
+end
+`
 
 // requireEnginesIdentical executes prog under both engines and fails the
 // test on any bit-level difference in results or machine state.
@@ -237,6 +350,40 @@ func TestEnginesByteIdenticalInline(t *testing.T) {
 			requireEnginesIdentical(t, prog, testMachine(prog.Grid.Size()))
 		})
 	}
+}
+
+// TestDeclinedNestRunsOnWalker: a nest holding a construct the closure
+// compiler does not lower — here an intrinsic with one argument too many,
+// which the interpreter evaluates and ignores — is not claimed; the
+// walker runs it, the run says so, and the engines still agree.
+func TestDeclinedNestRunsOnWalker(t *testing.T) {
+	prog, err := CompileSource(`
+program dec
+param N = 16
+!hpf$ processors procs(4)
+!hpf$ distribute a(BLOCK) onto procs
+subroutine main()
+  real a(0:N-1)
+  do i = 0, N-1
+    a(i) = max(0.5 * i, 3.0, 100.0)
+  enddo
+  do i = 0, N-1
+    a(i) = a(i) + 1.0
+  enddo
+end
+`, nil, DefaultOptions())
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	cfg := testMachine(prog.Grid.Size())
+	res, err := prog.ExecuteEngine(cfg, EngineCompiled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := res.Nests; n.Declined != 1 || n.Walked != 16 || n.InNest != 16 {
+		t.Errorf("%s, want 1 declined nest with its 16 instances walked and the other nest's 16 compiled", n)
+	}
+	requireEnginesIdentical(t, prog, cfg)
 }
 
 // TestEnginesByteIdenticalTestdata runs the whole shipped corpus, with

@@ -33,8 +33,27 @@ type ExecResult struct {
 	// invocations, precheck bails by reason, native share of the flops.
 	// All zero except under EngineCodegen.
 	Kernels KernelStats
-	prog    *Program
-	ranks   []*rankExec
+	// Nests is the compiled tiers' coverage of this run: statement
+	// instances run inside claimed compute nests against those the walker
+	// ran one at a time.  All zero under EngineInterp.
+	Nests NestStats
+	prog  *Program
+	ranks []*rankExec
+}
+
+// NestStats is one execution's compute-nest coverage, summed over ranks
+// after they join.  It is telemetry only: nothing in it feeds results or
+// virtual time.
+type NestStats struct {
+	Entries  int64 // nests claimed from the walker
+	InNest   int64 // statement instances the closure trees ran (a kernel's are in KernelStats)
+	Walked   int64 // statement instances run through the walker's Assign
+	Declined int   // compute nests the plan build could not lower, left to the walker
+}
+
+func (n NestStats) String() string {
+	return fmt.Sprintf("nests: %d entries, %d closure instances, %d walked instances, %d declined",
+		n.Entries, n.InNest, n.Walked, n.Declined)
 }
 
 // Global assembles the authoritative global contents of an array: each
@@ -77,11 +96,10 @@ func (p *Program) Execute(cfg mpsim.Config) (*ExecResult, error) {
 }
 
 // ExecuteEngine runs the compiled program with an explicit engine
-// choice.  EngineCompiled lowers procedure bodies to closure trees over
-// a slot-indexed environment (engine.go) and is byte-identical to
-// EngineInterp, the schedule walker with evaluating ops, retained as the
-// reference oracle.  If the engine plan cannot be built for a program,
-// the interpreter runs instead.
+// choice.  Every engine is the schedule walker over the reference
+// interpreter's ops; EngineCompiled and EngineCodegen additionally claim
+// compute nests and run them compiled (engine.go), byte-identical to
+// EngineInterp, the oracle.
 func (p *Program) ExecuteEngine(cfg mpsim.Config, engine Engine) (*ExecResult, error) {
 	if cfg.Procs != p.Grid.Size() {
 		return nil, fmt.Errorf("spmd: machine has %d ranks, program wants %d", cfg.Procs, p.Grid.Size())
@@ -94,16 +112,14 @@ func (p *Program) ExecuteEngine(cfg mpsim.Config, engine Engine) (*ExecResult, e
 	if err := s.Check(); err != nil {
 		return nil, fmt.Errorf("spmd: %w", err)
 	}
+	// The plan is built once per Program, before any rank spawns; it is
+	// immutable and shared read-only by all ranks.
 	var plan *enginePlan
-	if engine == EngineCompiled || engine == EngineCodegen {
-		// Plan build happens once per Program, before any rank spawns;
-		// the plan is immutable and shared read-only by all ranks.  A
-		// build error (pathological program shape) falls back to the
-		// interpreter for the whole run.
-		plan, _ = p.enginePlanFor()
+	if engine != EngineInterp {
+		plan = p.enginePlanFor()
 	}
 	var kernels map[*pLoop]*boundKernel
-	if engine == EngineCodegen && plan != nil {
+	if engine == EngineCodegen {
 		kernels = p.kernelBindings()
 	}
 	ranks := make([]*rankExec, cfg.Procs)
@@ -136,28 +152,33 @@ func (p *Program) ExecuteEngine(cfg mpsim.Config, engine Engine) (*ExecResult, e
 			// instead of waiting for a wall limit nobody may have set.
 			rx.rk.Abort(mpsim.ErrAborted)
 		}()
-		if plan != nil {
-			rx.runProc(p.IR.Main(), nil, nil)
-		} else {
-			rx.Run()
-		}
+		rx.Run()
 		rx.flushFlops()
 	}
 	var res *mpsim.Result
 	var sres *shm.Result
 	if backend == passes.BackendMP {
 		res = mpsim.Run(cfg, func(r *mpsim.Rank) {
-			runRank(newRankExec(p, s, r, nil, plan, kernels))
+			runRank(newRankExec(s, r, nil, plan, kernels))
 		})
 	} else {
 		res, sres = shm.Run(shm.FromMachine(cfg, p.shmGroups(backend)), func(t *shm.Thread) {
-			runRank(newRankExec(p, s, t.Rank, t, plan, kernels))
+			runRank(newRankExec(s, t.Rank, t, plan, kernels))
 		})
 	}
 	if execErr != nil {
 		return nil, execErr
 	}
-	return &ExecResult{Machine: res, Shm: sres, Kernels: kernelStatsOf(len(kernels), ranks, res.RankFlops), prog: p, ranks: ranks}, nil
+	er := &ExecResult{Machine: res, Shm: sres, Kernels: kernelStatsOf(len(kernels), ranks, res.RankFlops), prog: p, ranks: ranks}
+	if plan != nil {
+		er.Nests.Declined = plan.declined
+	}
+	for _, rx := range ranks {
+		er.Nests.Entries += rx.nstats.Entries
+		er.Nests.InNest += rx.nstats.InNest
+		er.Nests.Walked += rx.nstats.Walked
+	}
+	return er, nil
 }
 
 // --- array storage -----------------------------------------------------------
@@ -219,32 +240,23 @@ type frame struct {
 	// computed over the statement's full nest at procedure entry
 	iters map[int]iset.Set
 
-	// Compiled-engine state (nil/unused under the interpreter): the
-	// frame's slot views installed into the rank environment, the guards
-	// and clamps derived from iters (engine_bounds.go), and the saved
-	// caller views restored on frame pop.
-	plan        *procPlan
-	floats      []float64
-	fset        []bool
-	aslots      []*array
-	guards      []stmtGuard
-	clamps      []clampRange
-	point       []int        // reusable membership buffer for guardSet
-	setBoxes    [][]iset.Box // guardSet guards' boxes by guard index, for the kernel precheck
-	savedFloats []float64
-	savedFset   []bool
-	savedArrays []*array
+	// Compiled-engine state, derived on the frame's first nest entry
+	// (nil under the interpreter): array slots, and the guards and clamps
+	// derived from iters (engine_bounds.go).
+	aslots   []*array
+	guards   []stmtGuard
+	clamps   []clampRange
+	point    []int        // reusable membership buffer for guardSet
+	setBoxes [][]iset.Box // guardSet guards' boxes by guard index, for the kernel precheck
 }
 
 // rankExec is one rank of one execution.  The embedded walker carries
-// the control state every engine shares — the scalar binding (params +
-// loop variables + integer formals), the strip window, the tag-block
-// counter — and, under the interpreter, drives rankExec's sched.Ops
-// methods below; the compiled engine walks its own plan tree (engine.go)
-// and calls the walker's Fire / Pipeline / BindInt.
+// the control state — the scalar binding (params + loop variables +
+// integer formals), the strip window, the tag-block counter — and drives
+// rankExec's sched.Ops methods below, the reference interpreter; the
+// compiled tiers wrap them in nestOps (engine.go).
 type rankExec struct {
 	*sched.Walker
-	p *Program
 	// rk is the machine rank this executor runs on; th is the
 	// shared-memory thread around it, nil on the message backend.  Only
 	// Send, Recv and Drain ask which.
@@ -254,23 +266,25 @@ type rankExec struct {
 	flops     float64
 	mainFrame *frame // retained after execution for result gathering
 
-	// Interpreter only: the array and value actuals of the call being
-	// entered, collected by Actual and consumed by Enter.
+	// The array and value actuals of the call being entered, collected
+	// by Actual and consumed by Enter.
 	actualArrays map[string]*array
 	actualFloats map[string]float64
 
-	// Compiled-engine state (nil/zero under the interpreter).  env's
-	// integer slots shadow Bind — ints[slot] == Bind[name], 0 when
-	// unbound — except inside communication-free loops where only the
-	// slot is maintained (engine.go).  payload is the reused message
-	// staging buffer (mpsim.Send copies before returning).
-	plan    *enginePlan
-	env     engineEnv
+	// payload is the reused message staging buffer (mpsim.Send copies
+	// before returning).
 	payload []float64
 
+	// Compiled-tier state (nil/zero under the interpreter): env holds the
+	// slots of the nest being run; nstats counts this rank's nest
+	// coverage, merged into ExecResult after the join.
+	plan   *enginePlan
+	env    engineEnv
+	nstats NestStats
+
 	// Native-kernel state (nil/empty except under EngineCodegen):
-	// kernels maps plan loop roots to registered kernels for this
-	// execution; kb/ka/khull/knarrow are reused invocation scratch
+	// kernels maps plan loops to registered kernels for this execution;
+	// kb/ka/khull/knarrow are reused invocation scratch
 	// (kernel_invoke.go), never shared across ranks; kstats counts this
 	// rank's invocations and bails, merged into ExecResult after the join.
 	kernels map[*pLoop]*boundKernel
@@ -281,16 +295,17 @@ type rankExec struct {
 	kstats  KernelStats
 }
 
-func newRankExec(p *Program, s *sched.Schedule, rk *mpsim.Rank, th *shm.Thread, plan *enginePlan, kernels map[*pLoop]*boundKernel) *rankExec {
-	rx := &rankExec{p: p, rk: rk, th: th, plan: plan, kernels: kernels}
-	rx.Walker = sched.NewWalker(s, rk.ID, rx)
+func newRankExec(s *sched.Schedule, rk *mpsim.Rank, th *shm.Thread, plan *enginePlan, kernels map[*pLoop]*boundKernel) *rankExec {
+	rx := &rankExec{rk: rk, th: th, plan: plan, kernels: kernels}
+	var ops sched.Ops = rx
 	if plan != nil {
-		rx.env.ints = make([]int, plan.nInts)
-		rx.env.intSet = make([]bool, plan.nInts)
-		for k, v := range rx.Bind {
-			rx.setSlot(plan.intSlot[k], v, true)
+		rx.env = engineEnv{
+			ints: make([]int, plan.nInts), intSet: make([]bool, plan.nInts),
+			floats: make([]float64, plan.nFloats), fset: make([]bool, plan.nFloats),
 		}
+		ops = nestOps{rx}
 	}
+	rx.Walker = sched.NewWalker(s, rk.ID, ops)
 	return rx
 }
 
@@ -313,11 +328,11 @@ func (rx *rankExec) combine(op byte, v, s0 float64) float64 {
 	return rx.rk.AllReduce(op, v) // '<' min, '>' max: every rank's partial includes s0
 }
 
-// pushFrame opens a procedure activation.  actualArrays maps formal
-// array names to the caller's array objects (aliasing, like Fortran);
-// integer formals were already installed into Bind by the caller.
-func (rx *rankExec) pushFrame(proc *ir.Procedure, iters map[int]iset.Set, actualArrays map[string]*array, floatFormals map[string]float64) *frame {
-	f := &frame{proc: proc, arrays: map[string]*array{}, fenv: map[string]float64{}, iters: iters}
+// newFrame lays out a procedure activation under the entry binding.
+// actualArrays maps formal array names to the caller's array objects
+// (aliasing, like Fortran); every other declared array is allocated.
+func newFrame(proc *ir.Procedure, bind map[string]int, actualArrays map[string]*array, floatFormals map[string]float64) *frame {
+	f := &frame{proc: proc, arrays: map[string]*array{}, fenv: map[string]float64{}}
 	for name, a := range actualArrays {
 		f.arrays[name] = a
 	}
@@ -334,14 +349,10 @@ func (rx *rankExec) pushFrame(proc *ir.Procedure, iters map[int]iset.Set, actual
 		lo := make([]int, d.Rank())
 		hi := make([]int, d.Rank())
 		for k := range d.LB {
-			lo[k] = d.LB[k].EvalOr(rx.Bind, 0)
-			hi[k] = d.UB[k].EvalOr(rx.Bind, 0)
+			lo[k] = d.LB[k].EvalOr(bind, 0)
+			hi[k] = d.UB[k].EvalOr(bind, 0)
 		}
 		f.arrays[d.Name] = newArray(d.Name, lo, hi)
-	}
-	rx.frames = append(rx.frames, f)
-	if rx.mainFrame == nil {
-		rx.mainFrame = f
 	}
 	return f
 }
@@ -349,7 +360,12 @@ func (rx *rankExec) pushFrame(proc *ir.Procedure, iters map[int]iset.Set, actual
 // --- sched.Ops: the reference interpreter ----------------------------------------
 
 func (rx *rankExec) Enter(sf *sched.Frame) {
-	rx.pushFrame(sf.Proc, sf.Iters, rx.actualArrays, rx.actualFloats)
+	f := newFrame(sf.Proc, rx.Bind, rx.actualArrays, rx.actualFloats)
+	f.iters = sf.Iters
+	rx.frames = append(rx.frames, f)
+	if rx.mainFrame == nil {
+		rx.mainFrame = f
+	}
 	rx.actualArrays, rx.actualFloats = nil, nil
 }
 

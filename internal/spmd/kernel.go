@@ -6,13 +6,13 @@ package spmd
 // content-addressed fingerprint a generated kernel is registered under,
 // and the process-wide kernel registry.
 //
-// A kernel unit is a maximal engine-plan loop subtree whose every
-// iteration point is communication-free: all transfers, reductions and
-// pipelined exchanges attached to the root loop fire outside the
-// iteration (execPlanLoop), so replacing iteratePlanLoop's closure walk
-// with one flat compiled function is unobservable as long as that
-// function performs the same floating-point operations, flop
-// accumulation, guard decisions and stores in the same order.  The
+// A kernel unit is a maximal loop subtree of a compute nest: all
+// transfers, reductions and pipelined exchanges attached to the root loop
+// fire outside the iteration (the walker's loop boundary), so replacing
+// iteratePlanLoop's closure walk with one flat compiled function is
+// unobservable as long as that function performs the same floating-point
+// operations, flop accumulation, guard decisions and stores in the same
+// order.  The
 // emitted Go source (internal/codegen) and the runtime precheck
 // (kernel_invoke.go) are two consumers of the same spec; the
 // fingerprint ties them together, so a registered kernel is reused by

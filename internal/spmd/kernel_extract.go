@@ -1,13 +1,14 @@
 package spmd
 
-// kernel_extract.go lowers engine-plan loop subtrees to KernelUnit
-// specs.  Extraction is conservative: a subtree qualifies only when the
-// runtime precheck plus the emitted flat code can reproduce the closure
-// engine's behaviour exactly — same FP operations and order, same flop
-// accumulation, same guard decisions, same stores — so anything with
-// interior communication, calls, non-canonical intrinsics, or shapes
-// whose bounds safety interval analysis cannot establish is simply left
-// to the closures.  Maximal qualifying subtrees are chosen: if a loop
+// kernel_extract.go lowers loop subtrees of the engine plan's compute
+// nests to KernelUnit specs.  Extraction is conservative: a subtree
+// qualifies only when the runtime precheck plus the emitted flat code can
+// reproduce the closure tree's behaviour exactly — same FP operations
+// and order, same flop accumulation, same guard decisions, same stores —
+// so shapes whose bounds safety interval analysis cannot establish are
+// simply left to the closures.  Units are cut from claimed nests only,
+// so every operator, intrinsic and comparison met here is one the closure
+// compiler lowered.  Maximal qualifying subtrees are chosen: if a loop
 // qualifies, its descendants are covered by the same unit; if not, its
 // body is scanned for smaller roots.
 
@@ -18,41 +19,31 @@ import (
 
 // KernelUnits returns the program's specializable loop nests, extracted
 // once and shared.  The list is deterministic (procedure order, then
-// body order) and empty when the engine plan itself cannot be built.
+// body order) and empty for a program the schedule cannot walk.
 func (p *Program) KernelUnits() []*KernelUnit {
 	p.kuOnce.Do(func() {
-		ep, err := p.enginePlanFor()
-		if err != nil {
-			return
-		}
-		var params map[string]int
-		if p.Ctx != nil && p.Ctx.Bind != nil {
-			params = p.Ctx.Bind.Params
-		}
-		for _, proc := range p.IR.Procs {
-			pp := ep.procs[proc.Name]
-			if pp == nil {
-				continue
+		if ep := p.enginePlanFor(); ep != nil {
+			for _, n := range ep.roots {
+				scanKernelRoots(ep, n.pp, []planStmt{n.root}, p)
 			}
-			scanKernelRoots(ep, pp, params, pp.body, 0, p)
 		}
 	})
 	return p.kunits
 }
 
-func scanKernelRoots(ep *enginePlan, pp *procPlan, params map[string]int, body []planStmt, depth int, p *Program) {
+func scanKernelRoots(ep *enginePlan, pp *procPlan, body []planStmt, p *Program) {
 	for _, s := range body {
 		switch st := s.(type) {
 		case *pLoop:
-			if u := tryKernelUnit(ep, pp, params, p.Sel, st, depth); u != nil {
+			if u := tryKernelUnit(ep, pp, p.Ctx.Bind.Params, p.Sel, st); u != nil {
 				p.kunits = append(p.kunits, u)
 				p.krootList = append(p.krootList, st)
 			} else {
-				scanKernelRoots(ep, pp, params, st.body, depth+1, p)
+				scanKernelRoots(ep, pp, st.body, p)
 			}
 		case *pIf:
-			scanKernelRoots(ep, pp, params, st.then, depth, p)
-			scanKernelRoots(ep, pp, params, st.els, depth, p)
+			scanKernelRoots(ep, pp, st.then, p)
+			scanKernelRoots(ep, pp, st.els, p)
 		}
 	}
 }
@@ -81,19 +72,19 @@ type kscopeEntry struct {
 	level int
 }
 
-func tryKernelUnit(ep *enginePlan, pp *procPlan, params map[string]int, sel *cp.Selection, pl *pLoop, depth int) *KernelUnit {
+func tryKernelUnit(ep *enginePlan, pp *procPlan, params map[string]int, sel *cp.Selection, pl *pLoop) *KernelUnit {
 	x := &kextract{
 		ep: ep, pp: pp, params: params, sel: sel,
 		u: &KernelUnit{
 			Proc:      pp.proc.Name,
 			RootID:    pl.l.ID,
-			RootDepth: depth,
+			RootDepth: pl.depth,
 			SlotNames: map[int]string{},
 		},
 		arrIdx: map[string]int{},
 		ok:     true,
 	}
-	root := x.loop(pl, true)
+	root := x.loop(pl)
 	if !x.ok || x.nAssigns == 0 {
 		return nil
 	}
@@ -129,16 +120,11 @@ func (x *kextract) islot(name string) int {
 	return s
 }
 
-// loop converts one pLoop level.  Only the unit root may carry events
-// and reductions (they fire outside iteratePlanLoop); interior loops
-// must be communication-free or the whole candidate is rejected.
-func (x *kextract) loop(pl *pLoop, isRoot bool) *KLoop {
+// loop converts one pLoop level.  Whatever fires at the unit root's
+// boundary fires outside its iteration, and inside a compute nest no
+// interior loop has a boundary.
+func (x *kextract) loop(pl *pLoop) *KLoop {
 	if !x.ok {
-		return nil
-	}
-	if !isRoot && (len(pl.ls.Reads) > 0 || len(pl.ls.Writes) > 0 ||
-		len(pl.ls.Pipe) > 0 || len(pl.reds) > 0) {
-		x.fail()
 		return nil
 	}
 	if pl.l.Step != 1 && pl.l.Step != -1 {
@@ -177,22 +163,15 @@ func (x *kextract) stmts(body []planStmt) []KStmt {
 		case *pAssign:
 			out = append(out, x.assign(st))
 		case *pLoop:
-			out = append(out, x.loop(st, false))
+			out = append(out, x.loop(st))
 		case *pIf:
 			out = append(out, x.ifStmt(st))
-		default:
-			x.fail()
-			return nil
 		}
 	}
 	return out
 }
 
 func (x *kextract) assign(st *pAssign) *KAssign {
-	if st.guardIdx < 0 {
-		x.fail()
-		return nil
-	}
 	kd := len(st.nestSlots) - x.u.RootDepth
 	if kd != len(x.scope) || kd < 1 {
 		x.fail()
@@ -245,12 +224,6 @@ func (x *kextract) assign(st *pAssign) *KAssign {
 }
 
 func (x *kextract) ifStmt(st *pIf) *KIf {
-	switch st.cond.Op {
-	case "<", ">", "<=", ">=", "==", "/=":
-	default:
-		x.fail()
-		return nil
-	}
 	// The closure engine evaluates the condition on every enclosing
 	// iteration point regardless of guards; that is only reproducible
 	// without bounds analysis if the condition cannot touch arrays.
@@ -299,33 +272,13 @@ func (x *kextract) expr(e ir.Expr) KExpr {
 		}
 		return &KARead{Arr: ai, Subs: subs}
 	case *ir.Bin:
-		switch v.Op {
-		case '+', '-', '*', '/':
-			l := x.expr(v.L)
-			r := x.expr(v.R)
-			if !x.ok {
-				return nil
-			}
-			return &KBin{Op: v.Op, L: l, R: r}
-		}
-		x.fail()
-		return nil
-	case *ir.Intrinsic:
-		switch v.Name {
-		case "sqrt", "exp", "sin", "cos", "log", "abs":
-			if len(v.Args) != 1 {
-				x.fail()
-				return nil
-			}
-		case "min", "max", "mod", "pow":
-			if len(v.Args) != 2 {
-				x.fail()
-				return nil
-			}
-		default:
-			x.fail()
+		l := x.expr(v.L)
+		r := x.expr(v.R)
+		if !x.ok {
 			return nil
 		}
+		return &KBin{Op: v.Op, L: l, R: r}
+	case *ir.Intrinsic:
 		args := make([]KExpr, len(v.Args))
 		for i, a := range v.Args {
 			args[i] = x.expr(a)

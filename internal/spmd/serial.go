@@ -53,7 +53,7 @@ func RunSerial(prog *ir.Program, params map[string]int) (*SerialResult, error) {
 				err = fmt.Errorf("spmd: serial execution: %v", rec)
 			}
 		}()
-		se.runProc(prog.Main(), map[string]*array{}, nil)
+		se.enter(prog.Main(), nil, nil)
 	}()
 	if err != nil {
 		return nil, err
@@ -70,29 +70,10 @@ type serialExec struct {
 
 func (se *serialExec) top() *frame { return se.frames[len(se.frames)-1] }
 
-func (se *serialExec) runProc(proc *ir.Procedure, actualArrays map[string]*array, floatFormals map[string]float64) {
-	f := &frame{proc: proc, arrays: map[string]*array{}, fenv: map[string]float64{}}
-	for name, a := range actualArrays {
-		f.arrays[name] = a
-	}
-	for name, v := range floatFormals {
-		f.fenv[name] = v
-	}
-	for _, d := range proc.Decls {
-		if d.Rank() == 0 {
-			continue
-		}
-		if _, aliased := f.arrays[d.Name]; aliased {
-			continue
-		}
-		lo := make([]int, d.Rank())
-		hi := make([]int, d.Rank())
-		for k := range d.LB {
-			lo[k] = d.LB[k].EvalOr(se.bind, 0)
-			hi[k] = d.UB[k].EvalOr(se.bind, 0)
-		}
-		f.arrays[d.Name] = newArray(d.Name, lo, hi)
-	}
+// enter runs proc in a fresh frame; the layout is the SPMD executor's,
+// the walk below is this file's own.
+func (se *serialExec) enter(proc *ir.Procedure, actualArrays map[string]*array, floatFormals map[string]float64) {
+	f := newFrame(proc, se.bind, actualArrays, floatFormals)
 	se.frames = append(se.frames, f)
 	if se.mainArrays == nil {
 		se.mainArrays = f.arrays
@@ -205,7 +186,7 @@ func (se *serialExec) call(proc *ir.Procedure, call *ir.CallStmt) {
 			floatFormals[formal] = se.eval(arg)
 		}
 	}
-	se.runProc(callee, actualArrays, floatFormals)
+	se.enter(callee, actualArrays, floatFormals)
 	for i := len(saved) - 1; i >= 0; i-- {
 		s := saved[i]
 		if s.had {
