@@ -330,6 +330,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "\nexecution: %d ranks, %.6fs virtual time, %d messages, %d bytes\n",
 			prog.Grid.Size(), res.Machine.Time, res.Machine.TotalMessages(), res.Machine.TotalBytes())
 	}
+	// What the run computed of its schedule rather than found memoized.
+	fmt.Fprintln(stdout, res.Plans.String())
 	if engine == spmd.EngineCodegen {
 		// Which tier actually served the run: a bail is never an error,
 		// so this line is the only place a slow native run shows.

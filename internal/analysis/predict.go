@@ -3,7 +3,6 @@ package analysis
 import (
 	"fmt"
 
-	"dhpf/internal/comm"
 	"dhpf/internal/ir"
 	"dhpf/internal/sched"
 )
@@ -200,7 +199,7 @@ func (c *counter) ReduceCombine(reds []sched.Reduction, _ []float64) {
 // Send and Recv count this rank's side of a plan: messages on the
 // message machine; on a shm team pulls, plus — for a hybrid layout —
 // the outer-level message a cross-group pull stands for.
-func (c *counter) Send(plan []comm.Transfer, _ int) {
+func (c *counter) Send(plan []sched.Transfer, _ int) {
 	me := c.w.Me
 	for _, tr := range plan {
 		if tr.From == me && (c.mp || c.groups[tr.From] != c.groups[tr.To]) {
@@ -210,7 +209,7 @@ func (c *counter) Send(plan []comm.Transfer, _ int) {
 	}
 }
 
-func (c *counter) Recv(plan []comm.Transfer, _ int) {
+func (c *counter) Recv(plan []sched.Transfer, _ int) {
 	me := c.w.Me
 	for _, tr := range plan {
 		switch {

@@ -144,6 +144,7 @@ func Bind(prog *ir.Program, params map[string]int) (*Binding, error) {
 			}
 			l.Dims[k] = dl
 		}
+		l.setLocal()
 		out.Layouts[array] = l
 		return nil
 	}

@@ -384,3 +384,32 @@ func TestQuickMultipartitionIsPartition(t *testing.T) {
 
 // Guard: ir import used for building programs directly if needed later.
 var _ = ir.Num
+
+// TestLocalBoxShared: every rank's box is computed once per layout, so
+// asking is free; a CYCLIC layout binds (the compiler rejects it later)
+// and still has no boxes to hand out.
+func TestLocalBoxShared(t *testing.T) {
+	l := NewBlockLayout("a", NewGrid("p", 2, 2), []int{0, 0}, []int{63, 63}, []int{0, 1})
+	if n := testing.AllocsPerRun(100, func() { _ = l.LocalBox(3) }); n != 0 {
+		t.Errorf("LocalBox allocates %v times per call", n)
+	}
+	b, err := Bind(parser.MustParse(`
+program t
+param N = 16
+!hpf$ processors procs(4)
+!hpf$ distribute a(CYCLIC) onto procs
+subroutine main()
+  real a(0:N-1)
+  a(0) = 1.0
+end
+`), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Errorf("LocalBox on a CYCLIC layout did not panic")
+		}
+	}()
+	b.LayoutOf("a").LocalBox(0)
+}

@@ -106,11 +106,15 @@ type DimLayout struct {
 	TplOff int
 }
 
-// Layout is the complete layout of one array over a grid.
+// Layout is the complete layout of one array over a grid.  Build one
+// with NewBlockLayout or Bind and do not change it afterwards: the
+// per-rank boxes are computed once from Dims.
 type Layout struct {
 	Name string
 	Grid *Grid
 	Dims []DimLayout
+
+	local []iset.Box // LocalBox by rank; nil when a dimension is CYCLIC
 }
 
 // NewBlockLayout builds the common case directly: array with the given
@@ -132,6 +136,7 @@ func NewBlockLayout(name string, g *Grid, lo, hi []int, distDims []int) *Layout 
 		}
 		l.Dims[k] = d
 	}
+	l.setLocal()
 	return l
 }
 
@@ -164,10 +169,31 @@ func (l *Layout) Distributed() bool {
 }
 
 // LocalBox returns the box of array indices owned by the processor with
-// the given linear rank.  For CYCLIC dimensions ownership is not a box;
-// LocalBox panics — the compiler rejects CYCLIC earlier (the paper's
-// codes use BLOCK only).
+// the given linear rank.  The box is shared by every caller: read it,
+// never write its bounds (iset.Box's own methods copy).  For CYCLIC
+// dimensions ownership is not a box; LocalBox panics — the compiler
+// rejects CYCLIC earlier (the paper's codes use BLOCK only).
 func (l *Layout) LocalBox(rank int) iset.Box {
+	if l.local == nil {
+		panic("hpf: LocalBox on CYCLIC dimension")
+	}
+	return l.local[rank]
+}
+
+// setLocal computes every rank's box, once the dimensions are final.
+func (l *Layout) setLocal() {
+	for _, d := range l.Dims {
+		if d.Kind == Cyclic {
+			return
+		}
+	}
+	l.local = make([]iset.Box, l.Grid.Size())
+	for rank := range l.local {
+		l.local[rank] = l.localBox(rank)
+	}
+}
+
+func (l *Layout) localBox(rank int) iset.Box {
 	coord := l.Grid.Coord(rank)
 	lo := make([]int, l.Rank())
 	hi := make([]int, l.Rank())
@@ -183,11 +209,9 @@ func (l *Layout) LocalBox(rank int) iset.Box {
 			end := start + d.BlockSz - 1
 			lo[k] = max(d.Lo, start)
 			hi[k] = min(d.Hi, end)
-		case Cyclic:
-			panic("hpf: LocalBox on CYCLIC dimension")
 		}
 	}
-	return iset.NewBox(lo, hi)
+	return iset.Box{Lo: lo, Hi: hi}
 }
 
 // OwnerOf returns the linear rank of the unique owner of the element.

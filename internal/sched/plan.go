@@ -1,8 +1,8 @@
 package sched
 
 import (
+	"encoding/binary"
 	"sort"
-	"strconv"
 	"sync"
 
 	"dhpf/internal/comm"
@@ -42,78 +42,158 @@ type Point struct {
 	Strip *Strip
 }
 
-// KeyScratch is caller-owned scratch the memo key is rendered on, so a
-// rank planning in a loop does not allocate per lookup beyond the key
-// string itself.  Never share one across goroutines.
-type KeyScratch struct {
-	buf   []byte
-	names []string
-}
-
-// Planner is the coalescing transfer planner and its memo.  A zero memo
-// is ready to use, so a caller that only plans (the pass pipeline's
-// volume probe) can build one from the three facts alone.
+// Planner is the coalescing transfer planner: a pure function of the
+// three facts, so a caller that only plans (the pass pipeline's volume
+// probe) can build one from them alone.
 type Planner struct {
 	Ctx  *cp.Context
 	Sel  *cp.Selection
 	Grid *hpf.Grid
-
-	memo sync.Map // key → []comm.Transfer
 }
 
-// key renders every input of a plan: the procedure, the depth, each
-// event's identity (statement, kind, full reference text, nest length —
-// together these determine the event's sets), the strip window, and the
-// entire scalar binding (a superset of the values the set algebra can
-// read, so equal keys imply equal plans even if some bound scalar never
-// occurs in a subscript).
-func (ks *KeyScratch) key(proc *ir.Procedure, events []*comm.Event, at Point) string {
-	b := ks.buf[:0]
-	b = append(b, proc.Name...)
-	b = strconv.AppendInt(b, int64(at.Depth), 10)
-	for _, e := range events {
-		b = append(b, '|')
-		b = strconv.AppendInt(b, int64(e.Stmt.ID), 10)
-		b = append(b, ':')
-		b = strconv.AppendInt(b, int64(e.Kind), 10)
-		b = append(b, e.Ref.String()...)
-		b = append(b, ':')
-		b = strconv.AppendInt(b, int64(len(e.Nest)), 10)
-	}
-	if at.Strip != nil {
-		b = append(b, '#')
-		b = append(b, at.Strip.Var...)
-		b = append(b, ':')
-		b = strconv.AppendInt(b, int64(at.Strip.Lo), 10)
-		b = append(b, ':')
-		b = strconv.AppendInt(b, int64(at.Strip.Hi), 10)
-	}
-	names := ks.names[:0]
-	for name := range at.Bind {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	ks.names = names
+// Firing is one placed event list — the events that fire together at one
+// boundary — under the program-dense id that stands for them in the memo
+// key.  Firings are built by New and never change.
+type Firing struct {
+	ID     int
+	Proc   *ir.Procedure
+	Events []*comm.Event
+}
+
+// Transfer is one transfer of a memoized plan, resolved once when the
+// plan is stored: Boxes are Data's boxes in canonical order
+// (iset.Set.Each's, so every consumer packs and unpacks the same element
+// order) and Elems its cardinality.  Both are shared and read-only.
+type Transfer struct {
+	comm.Transfer
+	Boxes []iset.Box
+	Elems int64
+}
+
+// Bytes returns the message payload size.
+func (t Transfer) Bytes() int64 { return 8 * t.Elems }
+
+// KeyScratch is caller-owned scratch the memo key is built on, so a rank
+// looking up in a loop does not allocate.  Never share one across
+// goroutines.
+type KeyScratch struct{ buf []byte }
+
+// Memo key tags: a key is a tag byte, the tag's own fields, then the
+// whole scalar binding.  Every field is a varint or a length-prefixed
+// string, so a key parses one way only and two keys are equal exactly
+// when every field is.
+const (
+	keyPlan       = 'P' // firing id, depth, strip
+	keyActivation = 'A' // procedure id, rank
+)
+
+// bind completes the key b (built on ks's buffer) with the value of every
+// scalar name of the program (parameters, loop variables, integer formals
+// — names, in New's sorted order) as unbound, or bound and the value.
+// That is the entire binding, a superset of what the set algebra can
+// read, so equal keys imply equal sets even if some bound scalar never
+// occurs in a subscript.  A binding that holds a name outside names has
+// no key: the result is nil.
+func (ks *KeyScratch) bind(b []byte, names []string, bind map[string]int) []byte {
+	bound := 0
 	for _, name := range names {
-		b = append(b, ';')
-		b = append(b, name...)
-		b = append(b, '=')
-		b = strconv.AppendInt(b, int64(at.Bind[name]), 10)
+		v, ok := bind[name]
+		if !ok {
+			b = append(b, 0)
+			continue
+		}
+		bound++
+		b = append(b, 1)
+		b = binary.AppendVarint(b, int64(v))
 	}
 	ks.buf = b
-	return string(b)
+	if bound != len(bind) {
+		return nil
+	}
+	return b
+}
+
+// memo is the schedule's one memo: firing plans and activation iteration
+// sets by key.  It hangs off the Schedule and dies with its Program —
+// never make it (or anything it holds) process-global, which pins the IR
+// of every program ever compiled.
+type memo struct {
+	mu sync.RWMutex
+	m  map[string]memoEntry
+}
+
+type memoEntry struct {
+	plan  []Transfer
+	iters map[int]iset.Set
+}
+
+// load and store treat a nil key as no key: nothing is found, nothing
+// is kept.
+func (m *memo) load(key []byte) (memoEntry, bool) {
+	if key == nil {
+		return memoEntry{}, false
+	}
+	m.mu.RLock()
+	e, ok := m.m[string(key)]
+	m.mu.RUnlock()
+	return e, ok
+}
+
+// store keeps the first entry stored under a key and returns it with
+// whether that was e, so racing ranks share one value and exactly one of
+// them counts the miss.
+func (m *memo) store(key []byte, e memoEntry) (memoEntry, bool) {
+	if key == nil {
+		return e, true
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if have, ok := m.m[string(key)]; ok {
+		return have, false
+	}
+	if m.m == nil {
+		m.m = map[string]memoEntry{}
+	}
+	m.m[string(key)] = e
+	return e, true
+}
+
+// planKey builds the key of firing f at the point.
+func (s *Schedule) planKey(ks *KeyScratch, f *Firing, at Point) []byte {
+	b := append(ks.buf[:0], keyPlan)
+	b = binary.AppendUvarint(b, uint64(f.ID))
+	b = binary.AppendVarint(b, int64(at.Depth))
+	if at.Strip == nil {
+		b = append(b, 0)
+	} else {
+		b = append(b, 1)
+		b = binary.AppendUvarint(b, uint64(len(at.Strip.Var)))
+		b = append(b, at.Strip.Var...)
+		b = binary.AppendVarint(b, int64(at.Strip.Lo))
+		b = binary.AppendVarint(b, int64(at.Strip.Hi))
+	}
+	return ks.bind(b, s.names, at.Bind)
 }
 
 // Transfers is Plan through the memo, for firings that repeat: the first
 // computation of a key serves all ranks, executions and analyses that
-// share the planner.  The result is shared: callers must not modify it.
-func (pl *Planner) Transfers(proc *ir.Procedure, events []*comm.Event, at Point, ks *KeyScratch) []comm.Transfer {
-	key := ks.key(proc, events, at)
-	if cached, ok := pl.memo.Load(key); ok {
-		return cached.([]comm.Transfer)
+// share the schedule, and a warm lookup allocates nothing.  The result is
+// shared: callers must not modify it.  miss reports that this call
+// stored the plan.
+func (s *Schedule) Transfers(f *Firing, at Point, ks *KeyScratch) (plan []Transfer, miss bool) {
+	key := s.planKey(ks, f, at)
+	if e, hit := s.memo.load(key); hit {
+		return e.plan, false
 	}
-	out := pl.Plan(proc, events, at)
-	pl.memo.Store(key, out)
+	e, miss := s.memo.store(key, memoEntry{plan: resolve(s.Plan(f.Proc, f.Events, at))})
+	return e.plan, miss
+}
+
+func resolve(plan []comm.Transfer) []Transfer {
+	out := make([]Transfer, len(plan))
+	for i, t := range plan {
+		out[i] = Transfer{Transfer: t, Boxes: t.Data.Boxes(), Elems: t.Data.Card()}
+	}
 	return out
 }
 

@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"dhpf/internal/comm"
@@ -10,9 +12,9 @@ import (
 	"dhpf/internal/parser"
 )
 
-// planFor compiles src as far as the communication events of main and
-// returns the planner, main, its live read events and the zero point.
-func planFor(t *testing.T, src string) (*Planner, *ir.Procedure, []*comm.Event, Point) {
+// schedFor compiles src as far as the communication events and returns
+// its schedule (and through it the planner) with the analyses it placed.
+func schedFor(t *testing.T, src string) (*Schedule, map[string]*comm.Analysis) {
 	t.Helper()
 	prog, err := parser.Parse(src)
 	if err != nil {
@@ -34,17 +36,28 @@ func planFor(t *testing.T, src string) (*Planner, *ir.Procedure, []*comm.Event, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	proc := prog.Main()
+	analyses := map[string]*comm.Analysis{}
+	for _, proc := range prog.Procs {
+		analyses[proc.Name] = comm.Analyze(ctx, proc, sel, comm.DefaultOptions())
+	}
+	return New(Input{IR: prog, Ctx: ctx, Sel: sel, Comm: analyses, Grid: grid}), analyses
+}
+
+// planFor is schedFor plus main, its live read events and the zero point.
+func planFor(t *testing.T, src string) (*Schedule, *ir.Procedure, []*comm.Event, Point) {
+	t.Helper()
+	s, analyses := schedFor(t, src)
+	proc := s.prog.Main()
 	var reads []*comm.Event
-	for _, e := range comm.Analyze(ctx, proc, sel, comm.DefaultOptions()).Live() {
+	for _, e := range analyses[proc.Name].Live() {
 		if e.Kind == comm.ReadComm {
 			reads = append(reads, e)
 		}
 	}
-	return &Planner{Ctx: ctx, Sel: sel, Grid: grid}, proc, reads, Point{Bind: b.Params}
+	return s, proc, reads, Point{Bind: s.Ctx.Bind.Params}
 }
 
-const stencilHead = `
+const stencilDirs = `
 program t
 param N = 32
 !hpf$ processors procs(4)
@@ -52,13 +65,17 @@ param N = 32
 !hpf$ align a with tm(d0, d1)
 !hpf$ align b with tm(d0, d1)
 !hpf$ distribute tm(*, BLOCK) onto procs
+`
 
-subroutine main()
+const stencilDecls = `
   real a(0:N-1, 0:N-1)
   real b(0:N-1, 0:N-1)
 `
 
-const stencilSrc = stencilHead + `
+const stencilHead = stencilDirs + `
+subroutine main()` + stencilDecls
+
+const stencilLoop = `
   do j = 1, N-2
     do i = 1, N-2
       b(i,j) = a(i,j-1) + a(i,j+1)
@@ -66,6 +83,18 @@ const stencilSrc = stencilHead + `
   enddo
 end
 `
+
+const stencilSrc = stencilHead + stencilLoop
+
+// prefixProcsSrc runs the stencil in two procedures, x and x1.
+const prefixProcsSrc = stencilDirs + `
+subroutine main()` + stencilDecls + `
+  a(0,0) = 1.0
+  call x(a, b)
+  call x1(a, b)
+end
+subroutine x(a, b)` + stencilDecls + stencilLoop + `
+subroutine x1(a, b)` + stencilDecls + stencilLoop
 
 func TestStencilTransfersShape(t *testing.T) {
 	pl, proc, reads, zero := planFor(t, stencilSrc)
@@ -158,12 +187,22 @@ end
 }
 
 // TestMemoKey: every input of a plan is in its key — a different
-// binding, depth, strip window or event list gets a different key — and
-// equal inputs get the one memoized slice back.
+// binding, depth, strip window or firing gets a different key — and equal
+// inputs get the one memoized slice back.
 func TestMemoKey(t *testing.T) {
-	pl, proc, reads, zero := planFor(t, stencilSrc)
+	s, proc, reads, zero := planFor(t, stencilSrc)
 	if len(reads) != 2 {
 		t.Fatalf("read events = %d, want 2", len(reads))
+	}
+	// The j loop is where both reads were placed; its Pipe list is empty.
+	ls := s.Proc(proc).Loops[proc.Body[0].(*ir.Loop)]
+	placed := &ls.Reads
+	if len(placed.Events) != 2 || len(ls.Pipe.Events) != 0 {
+		t.Fatalf("placement: %d reads and %d pipelined events at the j loop, want 2 and 0", len(placed.Events), len(ls.Pipe.Events))
+	}
+	// Event lists New did not place get ids past its dense range.
+	unplaced := func(n int, events ...*comm.Event) *Firing {
+		return &Firing{ID: s.firings + n, Proc: proc, Events: events}
 	}
 	bound := func(j int) map[string]int {
 		m := map[string]int{"j": j}
@@ -173,42 +212,167 @@ func TestMemoKey(t *testing.T) {
 		return m
 	}
 	points := map[string]struct {
-		events []*comm.Event
-		at     Point
+		f  *Firing
+		at Point
 	}{
-		"zero":        {reads, zero},
-		"one event":   {reads[:1], zero},
-		"other event": {reads[1:], zero},
-		"swapped":     {[]*comm.Event{reads[1], reads[0]}, zero},
-		"j=8":         {reads, Point{Bind: bound(8)}},
-		"j=9":         {reads, Point{Bind: bound(9)}},
-		"j=8 depth 1": {reads, Point{Bind: bound(8), Depth: 1}},
-		"strip":       {reads, Point{Bind: zero.Bind, Strip: &Strip{Var: "i", Lo: 1, Hi: 8}}},
-		"strip hi":    {reads, Point{Bind: zero.Bind, Strip: &Strip{Var: "i", Lo: 1, Hi: 9}}},
-		"strip lo":    {reads, Point{Bind: zero.Bind, Strip: &Strip{Var: "i", Lo: 2, Hi: 9}}},
-		"strip var":   {reads, Point{Bind: zero.Bind, Strip: &Strip{Var: "j", Lo: 2, Hi: 9}}},
+		"zero":        {placed, zero},
+		"one event":   {unplaced(0, reads[0]), zero},
+		"other event": {unplaced(1, reads[1]), zero},
+		"swapped":     {unplaced(2, reads[1], reads[0]), zero},
+		"j=8":         {placed, Point{Bind: bound(8)}},
+		"j=9":         {placed, Point{Bind: bound(9)}},
+		"j=8 depth 1": {placed, Point{Bind: bound(8), Depth: 1}},
+		"strip":       {placed, Point{Bind: zero.Bind, Strip: &Strip{Var: "i", Lo: 1, Hi: 8}}},
+		"strip hi":    {placed, Point{Bind: zero.Bind, Strip: &Strip{Var: "i", Lo: 1, Hi: 9}}},
+		"strip lo":    {placed, Point{Bind: zero.Bind, Strip: &Strip{Var: "i", Lo: 2, Hi: 9}}},
+		"strip var":   {placed, Point{Bind: zero.Bind, Strip: &Strip{Var: "j", Lo: 2, Hi: 9}}},
+		// Unbound is not bound to zero.
+		"j=0": {placed, Point{Bind: bound(0)}},
+		// Two firings of one loop with identical events.
+		"same events as Pipe": {&Firing{ID: ls.Pipe.ID, Proc: proc, Events: reads}, zero},
 	}
 	var ks KeyScratch
 	seen := map[string]string{}
 	for name, p := range points {
-		key := ks.key(proc, p.events, p.at)
+		key := string(s.planKey(&ks, p.f, p.at))
 		if other, dup := seen[key]; dup {
 			t.Errorf("%q and %q share the key %q", name, other, key)
 		}
 		seen[key] = name
-		if again := new(KeyScratch).key(proc, p.events, p.at); again != key {
+		if again := string(s.planKey(new(KeyScratch), p.f, p.at)); again != key {
 			t.Errorf("%q: key depends on the scratch: %q vs %q", name, key, again)
 		}
-		first := pl.Transfers(proc, p.events, p.at, &ks)
-		second := pl.Transfers(proc, p.events, p.at, new(KeyScratch))
+		first, miss := s.Transfers(p.f, p.at, &ks)
+		second, again := s.Transfers(p.f, p.at, new(KeyScratch))
 		if len(first) == 0 || len(second) != len(first) || &first[0] != &second[0] {
 			t.Errorf("%q: equal inputs did not return the memoized slice", name)
 		}
+		if !miss || again {
+			t.Errorf("%q: first lookup miss = %v, second = %v; want true, false", name, miss, again)
+		}
+		for _, tr := range first {
+			if tr.Elems != tr.Data.Card() || fmt.Sprint(tr.Boxes) != fmt.Sprint(tr.Data.Boxes()) {
+				t.Errorf("%q: resolved %d elements %v, the set holds %d %v", name, tr.Elems, tr.Boxes, tr.Data.Card(), tr.Data.Boxes())
+			}
+		}
 	}
 	// The strip window really restricts the plan it keys.
-	full := pl.Transfers(proc, reads, zero, &ks)
-	strip := pl.Transfers(proc, reads, points["strip"].at, &ks)
-	if full[0].Data.Card() != 30 || strip[0].Data.Card() != 8 {
-		t.Errorf("full column %d elements, strip window %d; want 30 and 8", full[0].Data.Card(), strip[0].Data.Card())
+	full, _ := s.Transfers(placed, zero, &ks)
+	strip, _ := s.Transfers(placed, points["strip"].at, &ks)
+	if full[0].Elems != 30 || strip[0].Elems != 8 {
+		t.Errorf("full column %d elements, strip window %d; want 30 and 8", full[0].Elems, strip[0].Elems)
+	}
+	// A binding with a name the program does not have has no key: it is
+	// planned, never memoized.
+	foreign := Point{Bind: map[string]int{"N": 32, "nosuch": 1}}
+	if key := s.planKey(&ks, placed, foreign); key != nil {
+		t.Errorf("foreign binding got the key %q", key)
+	}
+	a, missA := s.Transfers(placed, foreign, &ks)
+	b, missB := s.Transfers(placed, foreign, &ks)
+	if !missA || !missB || len(a) == 0 || &a[0] == &b[0] {
+		t.Errorf("foreign binding was memoized")
+	}
+}
+
+// TestMemoKeyProperty: over random firings, depths, strips and bindings —
+// drawn from ranges small enough that equal draws recur, with names that
+// are prefixes of each other — two keys are equal exactly when every
+// field is.
+func TestMemoKeyProperty(t *testing.T) {
+	s := &Schedule{names: []string{"i", "i1", "n", "x", "x1"}}
+	rng := rand.New(rand.NewSource(17))
+	var ks KeyScratch
+	byKey, byFields := map[string]string{}, map[string]string{}
+	for n := 0; n < 20000; n++ {
+		f := &Firing{ID: rng.Intn(3) * 127}
+		at := Point{Bind: map[string]int{}, Depth: rng.Intn(3) * 5}
+		if rng.Intn(2) == 0 {
+			at.Strip = &Strip{Var: s.names[rng.Intn(2)], Lo: rng.Intn(2) - 1, Hi: rng.Intn(2) * 64}
+		}
+		for _, name := range s.names {
+			if rng.Intn(2) == 0 {
+				at.Bind[name] = rng.Intn(3)*64 - 64
+			}
+		}
+		fields := fmt.Sprintf("%d %d %v %v", f.ID, at.Depth, at.Strip, at.Bind)
+		key := string(s.planKey(&ks, f, at))
+		if other, ok := byKey[key]; ok && other != fields {
+			t.Fatalf("key %q stands for both %s and %s", key, other, fields)
+		}
+		if other, ok := byFields[fields]; ok && other != key {
+			t.Fatalf("%s has the keys %q and %q", fields, other, key)
+		}
+		byKey[key], byFields[fields] = fields, key
+	}
+	if len(byKey) < 1000 || len(byKey) > 15000 {
+		t.Errorf("%d distinct keys in 20000 draws: the ranges no longer exercise both directions", len(byKey))
+	}
+}
+
+// TestMemoKeyProcedures: two procedures whose names are prefixes of each
+// other ("x1" at depth 0 against "x" at depth 10 was one text in the old
+// rendered key) get distinct plan keys and distinct activations.
+func TestMemoKeyProcedures(t *testing.T) {
+	s, _ := schedFor(t, prefixProcsSrc)
+	params := s.Ctx.Bind.Params
+	x, x1 := s.prog.Proc("x"), s.prog.Proc("x1")
+	fx := &s.Proc(x).Loops[x.Body[0].(*ir.Loop)].Reads
+	fx1 := &s.Proc(x1).Loops[x1.Body[0].(*ir.Loop)].Reads
+	if len(fx.Events) != 2 || len(fx1.Events) != 2 {
+		t.Fatalf("placement: %d and %d reads, want 2 and 2", len(fx.Events), len(fx1.Events))
+	}
+	var ks KeyScratch
+	kx := string(s.planKey(&ks, fx, Point{Bind: params, Depth: 10}))
+	kx1 := string(s.planKey(&ks, fx1, Point{Bind: params}))
+	if kx == kx1 {
+		t.Errorf("x at depth 10 and x1 at depth 0 share the key %q", kx)
+	}
+	ix, missX := s.IterSets(x, 1, params, &ks)
+	ix1, missX1 := s.IterSets(x1, 1, params, &ks)
+	again, missAgain := s.IterSets(x, 1, params, &ks)
+	other, missOther := s.IterSets(x, 2, params, &ks)
+	if !missX || !missX1 || missAgain || !missOther {
+		t.Errorf("activation misses %v %v %v %v, want true true false true", missX, missX1, missAgain, missOther)
+	}
+	// The two procedures number their statements apart, so sharing an
+	// activation would show as the other's statement ids.
+	for id := range ix {
+		if _, shared := ix1[id]; shared {
+			t.Errorf("x and x1 share an activation: statement %d in both", id)
+		}
+		if _, same := again[id]; !same {
+			t.Errorf("second activation of x lost statement %d", id)
+		}
+		if fmt.Sprint(other[id]) == fmt.Sprint(ix[id]) {
+			t.Errorf("ranks 1 and 2 share the iteration set %v of statement %d", ix[id], id)
+		}
+	}
+}
+
+// TestFiringIDs: New numbers every placed list of every procedure, empty
+// or not, densely and apart.
+func TestFiringIDs(t *testing.T) {
+	s, _ := schedFor(t, prefixProcsSrc)
+	seen := map[int]*ir.Procedure{}
+	note := func(proc *ir.Procedure, fs ...Firing) {
+		for _, f := range fs {
+			if other, dup := seen[f.ID]; dup || f.ID < 0 || f.ID >= s.firings || f.Proc != proc {
+				t.Errorf("firing %d of %s (recorded for %v): duplicate of %v or outside [0, %d)", f.ID, proc.Name, f.Proc, other, s.firings)
+			}
+			seen[f.ID] = proc
+		}
+	}
+	for proc, ps := range s.procs {
+		for _, ls := range ps.Loops {
+			note(proc, ls.Reads, ls.Writes, ls.Pipe)
+		}
+		for _, ss := range ps.Top {
+			note(proc, ss.Reads, ss.Writes)
+		}
+	}
+	// Two loops in each of x and x1, one top-level assignment in main.
+	if len(seen) != s.firings || s.firings != 4*3+2 {
+		t.Errorf("%d firings seen, %d numbered, want %d", len(seen), s.firings, 4*3+2)
 	}
 }

@@ -11,7 +11,9 @@
 package sched
 
 import (
+	"encoding/binary"
 	"fmt"
+	"sort"
 
 	"dhpf/internal/comm"
 	"dhpf/internal/cp"
@@ -45,10 +47,10 @@ type Input struct {
 // reduction init, the loop itself (a wavefront carrying Pipe when that is
 // non-empty), reduction combine, Writes.
 type LoopSched struct {
-	Reads, Writes []*comm.Event
+	Reads, Writes Firing
 	// Pipe are the live pipelined events the loop carries; Strip is the
 	// loop their wavefront is strip-mined over (nil: block-serialized).
-	Pipe  []*comm.Event
+	Pipe  Firing
 	Strip *ir.Loop
 	Reds  []Reduction
 	// ComputeNest marks a loop whose strict interior needs no walker: no
@@ -61,13 +63,14 @@ type LoopSched struct {
 
 // StmtSched is the communication around one top-level assignment.
 type StmtSched struct {
-	Reads, Writes []*comm.Event
+	Reads, Writes Firing
 }
 
 // ProcSched is one procedure's placement tables.  Every loop has a
 // LoopSched, every assignment outside all loops a StmtSched, and every
 // assignment or call an entry in Nest and Vars.
 type ProcSched struct {
+	id    int // position in the program, for the activation key
 	Loops map[*ir.Loop]*LoopSched
 	Top   map[*ir.Assign]*StmtSched
 	Nest  map[int][]*ir.Loop // enclosing loops per statement id, outermost first
@@ -75,8 +78,8 @@ type ProcSched struct {
 }
 
 // Schedule is the immutable per-program rank schedule.  It is shared
-// read-only by every rank of every execution and analysis; the embedded
-// planner's memo is its only mutable state.
+// read-only by every rank of every execution and analysis; the memo
+// (plan.go) is its only mutable state.
 type Schedule struct {
 	Planner
 
@@ -84,6 +87,12 @@ type Schedule struct {
 	grain   int
 	procs   map[*ir.Procedure]*ProcSched
 	invalid error
+
+	// names are the program's scalar names — everything a walker ever
+	// binds — sorted: the fixed order the memo keys spell a binding in.
+	names   []string
+	firings int
+	memo    memo
 }
 
 // New builds the schedule.  It is total: a program the walker cannot run
@@ -99,10 +108,51 @@ func New(in Input) *Schedule {
 	if in.IR.Main() == nil {
 		s.invalid = fmt.Errorf("program has no main procedure")
 	}
-	for _, proc := range in.IR.Procs {
-		s.procs[proc] = s.buildProc(proc, in.Comm[proc.Name], in.Reductions[proc.Name])
+	for i, proc := range in.IR.Procs {
+		ps := s.buildProc(proc, in.Comm[proc.Name], in.Reductions[proc.Name])
+		ps.id = i
+		s.procs[proc] = ps
 	}
+	s.names = scalarNames(in.IR, in.Ctx.Bind.Params)
 	return s
+}
+
+// scalarNames collects every name a walker binds: the parameters, every
+// loop variable and every formal some call passes an integer actual to.
+func scalarNames(prog *ir.Program, params map[string]int) []string {
+	set := map[string]bool{}
+	for name := range params {
+		set[name] = true
+	}
+	for _, proc := range prog.Procs {
+		ir.Walk(proc.Body, func(st ir.Stmt, _ []*ir.Loop) bool {
+			switch x := st.(type) {
+			case *ir.Loop:
+				set[x.Var] = true
+			case *ir.CallStmt:
+				if callee := prog.Proc(x.Callee); callee != nil {
+					for k, arg := range x.Args {
+						if k < len(callee.Formals) && ClassifyArg(arg) == ArgInt {
+							set[callee.Formals[k]] = true
+						}
+					}
+				}
+			}
+			return true
+		})
+	}
+	names := make([]string, 0, len(set))
+	for name := range set {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// firing returns the next placed event list of proc, still empty.
+func (s *Schedule) firing(proc *ir.Procedure) Firing {
+	s.firings++
+	return Firing{ID: s.firings - 1, Proc: proc}
 }
 
 // Check reports why the program cannot be walked, or nil.
@@ -122,14 +172,14 @@ func (s *Schedule) buildProc(proc *ir.Procedure, an *comm.Analysis, reds []Reduc
 		switch x := st.(type) {
 		case *ir.Assign:
 			if len(loops) == 0 {
-				ps.Top[x] = &StmtSched{}
+				ps.Top[x] = &StmtSched{Reads: s.firing(proc), Writes: s.firing(proc)}
 			}
 		case *ir.CallStmt:
 			if s.invalid == nil {
 				s.invalid = s.checkCall(x)
 			}
 		case *ir.Loop:
-			ps.Loops[x] = &LoopSched{}
+			ps.Loops[x] = &LoopSched{Reads: s.firing(proc), Writes: s.firing(proc), Pipe: s.firing(proc)}
 			return true
 		default:
 			return true
@@ -153,7 +203,7 @@ func (s *Schedule) buildProc(proc *ir.Procedure, an *comm.Analysis, reds []Reduc
 		case e.Eliminated:
 		case e.Pipelined:
 			if ls := ps.Loops[e.CarriedBy]; ls != nil {
-				ls.Pipe = append(ls.Pipe, e)
+				ls.Pipe.Events = append(ls.Pipe.Events, e)
 			}
 		case len(e.Nest) == 0:
 			if ss := ps.Top[e.Stmt]; ss != nil {
@@ -169,7 +219,7 @@ func (s *Schedule) buildProc(proc *ir.Procedure, an *comm.Analysis, reds []Reduc
 		}
 	}
 	for l, ls := range ps.Loops {
-		ls.Strip = chooseStrip(l, ls.Pipe)
+		ls.Strip = chooseStrip(l, ls.Pipe.Events)
 	}
 	ps.markNests(proc.Body)
 	return ps
@@ -189,7 +239,7 @@ func (ps *ProcSched) markNests(stmts []ir.Stmt) bool {
 		case *ir.Loop:
 			ls := ps.Loops[st]
 			ls.ComputeNest = !ps.markNests(st.Body)
-			busy = busy || !ls.ComputeNest || len(ls.Reads)+len(ls.Writes)+len(ls.Pipe)+len(ls.Reds) > 0
+			busy = busy || !ls.ComputeNest || len(ls.Reads.Events)+len(ls.Writes.Events)+len(ls.Pipe.Events)+len(ls.Reds) > 0
 		}
 	}
 	return busy
@@ -206,11 +256,11 @@ func (s *Schedule) checkCall(c *ir.CallStmt) error {
 	return nil
 }
 
-func place(e *comm.Event, reads, writes *[]*comm.Event) {
+func place(e *comm.Event, reads, writes *Firing) {
 	if e.Kind == comm.ReadComm {
-		*reads = append(*reads, e)
+		reads.Events = append(reads.Events, e)
 	} else {
-		*writes = append(*writes, e)
+		writes.Events = append(writes.Events, e)
 	}
 }
 
@@ -227,17 +277,28 @@ func chooseStrip(l *ir.Loop, events []*comm.Event) *ir.Loop {
 	return nil
 }
 
-// IterSets computes one activation's iteration sets: for every assignment
+// IterSets returns one activation's iteration sets: for every assignment
 // and call of proc, the points of its full nest this rank executes under
-// the entry binding (parameters plus integer formals).
-func (s *Schedule) IterSets(proc *ir.Procedure, rank int, bind map[string]int) map[int]iset.Set {
+// the entry binding (parameters plus integer formals).  It goes through
+// the memo, keyed by (procedure, rank, binding): frames on every engine
+// and every execution share the result, which callers must not modify.
+// miss reports that this call stored the sets.
+func (s *Schedule) IterSets(proc *ir.Procedure, rank int, bind map[string]int, ks *KeyScratch) (iters map[int]iset.Set, miss bool) {
 	ps := s.procs[proc]
+	b := append(ks.buf[:0], keyActivation)
+	b = binary.AppendUvarint(b, uint64(ps.id))
+	b = binary.AppendUvarint(b, uint64(rank))
+	key := ks.bind(b, s.names, bind)
+	if e, hit := s.memo.load(key); hit {
+		return e.iters, false
+	}
 	localOf := s.Ctx.LocalOf(proc, rank)
 	out := make(map[int]iset.Set, len(ps.Nest))
 	for id, nest := range ps.Nest {
 		out[id] = s.Sel.CPOf(id).IterSet(nest, bind, localOf)
 	}
-	return out
+	e, miss := s.memo.store(key, memoEntry{iters: out})
+	return e.iters, miss
 }
 
 // OwnsTopLevel guards a statement outside any loop: the rank executes it

@@ -3,7 +3,6 @@ package sched
 import (
 	"fmt"
 
-	"dhpf/internal/comm"
 	"dhpf/internal/ir"
 	"dhpf/internal/iset"
 )
@@ -39,13 +38,14 @@ type Ops interface {
 	// Send and Recv perform this rank's side of a plan under tag block
 	// base (transfer i uses tag base+i); Drain ends an exchange or a
 	// wavefront: nothing this rank sent may still be unread afterwards.
-	Send(plan []comm.Transfer, base int)
-	Recv(plan []comm.Transfer, base int)
+	Send(plan []Transfer, base int)
+	Recv(plan []Transfer, base int)
 	Drain()
 }
 
 // Frame is one procedure activation: the procedure's placement tables
-// plus this rank's iteration sets under the entry binding.
+// plus this rank's iteration sets under the entry binding, shared
+// read-only with every other activation under the same binding.
 type Frame struct {
 	Proc *ir.Procedure
 	*ProcSched
@@ -71,12 +71,27 @@ type Walker struct {
 	// Strip is the active strip window, nil outside a strip-mined
 	// wavefront.
 	Strip *Strip
+	// Plans counts this walk's memo traffic.
+	Plans PlanStats
 
 	ops    Ops
 	saved  []savedInt
 	tagSeq int
 	point  []int
 	key    KeyScratch
+	strip  Strip // what Strip points at: wavefronts do not nest their strips
+}
+
+// PlanStats is a walk's memo traffic: plans taken, and how many of them
+// and of the procedure activations this walk computed and stored rather
+// than found.  It is telemetry only: nothing in it feeds results or
+// virtual time.
+type PlanStats struct {
+	Firings, PlanMisses, ActivationMisses int64
+}
+
+func (p PlanStats) String() string {
+	return fmt.Sprintf("plans: %d firings, %d plan misses, %d activation misses", p.Firings, p.PlanMisses, p.ActivationMisses)
 }
 
 // NewWalker returns rank me's walker, bound to the program parameters.
@@ -92,7 +107,11 @@ func NewWalker(s *Schedule, me int, ops Ops) *Walker {
 func (w *Walker) Run() { w.proc(w.S.prog.Main()) }
 
 func (w *Walker) proc(proc *ir.Procedure) {
-	f := &Frame{Proc: proc, ProcSched: w.S.procs[proc], Iters: w.S.IterSets(proc, w.Me, w.Bind)}
+	iters, miss := w.S.IterSets(proc, w.Me, w.Bind, &w.key)
+	if miss {
+		w.Plans.ActivationMisses++
+	}
+	f := &Frame{Proc: proc, ProcSched: w.S.procs[proc], Iters: iters}
 	w.ops.Enter(f)
 	w.stmts(f, proc.Body, 0)
 	w.ops.Leave()
@@ -161,11 +180,11 @@ func (w *Walker) assign(f *Frame, a *ir.Assign, depth int) {
 	}
 	// Top-level statement: its comm events fire around it.
 	ss := f.Top[a]
-	w.fire(f.Proc, ss.Reads, 0)
+	w.fire(&ss.Reads, 0)
 	if w.member(f, a.ID, 0) {
 		w.ops.Assign(a)
 	}
-	w.fire(f.Proc, ss.Writes, 0)
+	w.fire(&ss.Writes, 0)
 }
 
 // ArgKind is how a call's actual binds to its formal.
@@ -232,15 +251,15 @@ func (w *Walker) unbind(mark int) {
 
 func (w *Walker) loop(f *Frame, l *ir.Loop, depth int) {
 	ls := f.Loops[l]
-	w.fire(f.Proc, ls.Reads, depth)
+	w.fire(&ls.Reads, depth)
 	init := w.ops.ReduceInit(ls.Reds)
-	if len(ls.Pipe) > 0 {
-		w.pipeline(f.Proc, ls, depth, func() { w.iterate(f, l, depth) })
+	if len(ls.Pipe.Events) > 0 {
+		w.pipeline(f, l, depth)
 	} else {
 		w.iterate(f, l, depth)
 	}
 	w.ops.ReduceCombine(ls.Reds, init)
-	w.fire(f.Proc, ls.Writes, depth)
+	w.fire(&ls.Writes, depth)
 }
 
 // Range evaluates the range loop l visits under the current binding and
@@ -270,15 +289,25 @@ func (w *Walker) iterate(f *Frame, l *ir.Loop, depth int) {
 	w.unbind(mark)
 }
 
-// fire takes the plan the events require under the current binding, with
-// the outermost depth loop variables fixed, and exchanges it: every rank
-// sends what it sources, then receives what targets it (sends are
-// buffered, so this cannot deadlock).
-func (w *Walker) fire(proc *ir.Procedure, events []*comm.Event, depth int) {
-	if len(events) == 0 {
+// transfers takes the plan firing f requires under the current binding,
+// with the outermost depth loop variables fixed, inside the strip.
+func (w *Walker) transfers(f *Firing, depth int, strip *Strip) []Transfer {
+	plan, miss := w.S.Transfers(f, Point{Bind: w.Bind, Depth: depth, Strip: strip}, &w.key)
+	w.Plans.Firings++
+	if miss {
+		w.Plans.PlanMisses++
+	}
+	return plan
+}
+
+// fire exchanges the plan of firing f: every rank sends what it sources,
+// then receives what targets it (sends are buffered, so this cannot
+// deadlock).
+func (w *Walker) fire(f *Firing, depth int) {
+	if len(f.Events) == 0 {
 		return
 	}
-	plan := w.S.Transfers(proc, events, Point{Bind: w.Bind, Depth: depth}, &w.key)
+	plan := w.transfers(f, depth, nil)
 	if len(plan) == 0 {
 		return
 	}
@@ -294,18 +323,19 @@ func (w *Walker) nextTags() int {
 	return base
 }
 
-// pipeline runs the wavefront loop ls describes with coarse-grain
-// pipelining (SC'98 §2, §8.1): the strip loop is cut into chunks of the
-// grain; each chunk receives its incoming boundary data, runs the loop
-// body through iterate with Strip set to the chunk, and forwards its
-// outgoing boundary data.  A wavefront without a strip loop, or one
+// pipeline runs the wavefront loop l with coarse-grain pipelining (SC'98
+// §2, §8.1): the strip loop is cut into chunks of the grain; each chunk
+// receives its incoming boundary data, runs the loop body through
+// iterate with Strip set to the chunk, and forwards its outgoing
+// boundary data.  A wavefront without a strip loop, or one
 // nested inside an enclosing wavefront's chunk (the 2-D diagonal
 // wavefront of LU-class codes), does not strip again: it runs
 // block-serialized, exchanging its boundary once, restricted to the
 // enclosing chunk if there is one.
-func (w *Walker) pipeline(proc *ir.Procedure, ls *LoopSched, depth int, iterate func()) {
+func (w *Walker) pipeline(f *Frame, l *ir.Loop, depth int) {
+	ls := f.Loops[l]
 	if w.Strip != nil || ls.Strip == nil {
-		w.chunk(proc, ls.Pipe, depth, w.Strip, iterate)
+		w.chunk(f, l, depth, w.Strip)
 	} else {
 		lo := ls.Strip.Lo.EvalOr(w.Bind, 0)
 		hi := ls.Strip.Hi.EvalOr(w.Bind, 0)
@@ -317,7 +347,8 @@ func (w *Walker) pipeline(proc *ir.Procedure, ls *LoopSched, depth int, iterate 
 			g = hi - lo + 1
 		}
 		for s := lo; s <= hi; s += g {
-			w.chunk(proc, ls.Pipe, depth, &Strip{Var: ls.Strip.Var, Lo: s, Hi: min(s+g-1, hi)}, iterate)
+			w.strip = Strip{Var: ls.Strip.Var, Lo: s, Hi: min(s+g-1, hi)}
+			w.chunk(f, l, depth, &w.strip)
 		}
 	}
 	w.ops.Drain()
@@ -325,13 +356,13 @@ func (w *Walker) pipeline(proc *ir.Procedure, ls *LoopSched, depth int, iterate 
 
 // chunk is one receive → compute → send step of a wavefront, with its
 // own tag block.
-func (w *Walker) chunk(proc *ir.Procedure, events []*comm.Event, depth int, strip *Strip, iterate func()) {
-	plan := w.S.Transfers(proc, events, Point{Bind: w.Bind, Depth: depth, Strip: strip}, &w.key)
+func (w *Walker) chunk(f *Frame, l *ir.Loop, depth int, strip *Strip) {
+	plan := w.transfers(&f.Loops[l].Pipe, depth, strip)
 	base := w.nextTags()
 	w.ops.Recv(plan, base)
 	outer := w.Strip
 	w.Strip = strip
-	iterate()
+	w.iterate(f, l, depth)
 	w.Strip = outer
 	w.ops.Send(plan, base)
 }

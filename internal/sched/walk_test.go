@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"dhpf/internal/comm"
 	"dhpf/internal/ir"
 	"dhpf/internal/nas"
 	"dhpf/internal/sched"
@@ -61,7 +60,7 @@ func (r *recorder) Scalar(e ir.Expr) float64 {
 // it runs under, and always lets the walker iterate (the strip-clamped
 // ranges below it show in the statement-instance counts).
 func (r *recorder) Handled(f *sched.Frame, l *ir.Loop, depth int) bool {
-	if len(f.Loops[l].Pipe) > 0 {
+	if len(f.Loops[l].Pipe.Events) > 0 {
 		strip := ""
 		if s := r.w.Strip; s != nil {
 			strip = fmt.Sprintf(" strip %s[%d:%d]", s.Var, s.Lo, s.Hi)
@@ -85,7 +84,7 @@ func (r *recorder) ReduceCombine(reds []sched.Reduction, _ []float64) {
 	}
 }
 
-func (r *recorder) side(what string, plan []comm.Transfer, base int, mine func(comm.Transfer) (bool, int)) {
+func (r *recorder) side(what string, plan []sched.Transfer, base int, mine func(sched.Transfer) (bool, int)) {
 	var parts []string
 	for i, tr := range plan {
 		if ok, peer := mine(tr); ok {
@@ -95,12 +94,12 @@ func (r *recorder) side(what string, plan []comm.Transfer, base int, mine func(c
 	r.logf("%s block %d: %s", what, base, strings.Join(parts, "; "))
 }
 
-func (r *recorder) Send(plan []comm.Transfer, base int) {
-	r.side("send", plan, base, func(tr comm.Transfer) (bool, int) { return tr.From == r.w.Me, tr.To })
+func (r *recorder) Send(plan []sched.Transfer, base int) {
+	r.side("send", plan, base, func(tr sched.Transfer) (bool, int) { return tr.From == r.w.Me, tr.To })
 }
 
-func (r *recorder) Recv(plan []comm.Transfer, base int) {
-	r.side("recv", plan, base, func(tr comm.Transfer) (bool, int) { return tr.To == r.w.Me, tr.From })
+func (r *recorder) Recv(plan []sched.Transfer, base int) {
+	r.side("recv", plan, base, func(tr sched.Transfer) (bool, int) { return tr.To == r.w.Me, tr.From })
 }
 
 func (r *recorder) Drain() { r.logf("drain") }

@@ -2,27 +2,30 @@ package spmd
 
 // engine_pack.go is the bulk message marshalling used by Send and Recv
 // (exec.go): instead of gathering and scattering one
-// element per iset point through array.get/array.set, transfer sets are
-// walked box by box and moved with contiguous last-dimension row copies.
-// The element order is exactly iset.Set.Each's canonical order (sorted
-// boxes, lexicographic within a box, last dimension fastest), so sender
-// and receiver agree and payload contents stay byte-identical to the
-// element-wise interpreter path.  Boxes that cannot be row-copied (rank
+// element per iset point through array.get/array.set, a transfer's boxes
+// — resolved in canonical order when its plan was memoized
+// (sched.Transfer.Boxes) — are moved with contiguous last-dimension row
+// copies.  The element order is exactly iset.Set.Each's canonical order
+// (sorted boxes, lexicographic within a box, last dimension fastest), so
+// sender and receiver agree and payload contents stay byte-identical to
+// the element-wise interpreter path.  Boxes that cannot be row-copied (rank
 // mismatch with the array, out-of-bounds points, zero rank) fall back to
 // the element-wise walk, preserving the interpreter's panics exactly.
 
 import "dhpf/internal/iset"
 
 // rowCopyable reports whether the box can be transferred with direct row
-// copies on arr: every point in bounds and the last dimension unit-stride
-// (always true for newArray storage, checked for robustness).
+// copies on arr: non-empty (a plan's boxes always are; the local box of a
+// rank past the end of a short array is not), every point in bounds and
+// the last dimension unit-stride (always true for newArray storage,
+// checked for robustness).
 func rowCopyable(b iset.Box, arr *array) bool {
 	r := b.Rank()
 	if arr == nil || r == 0 || len(arr.lo) != r || arr.stride[r-1] != 1 {
 		return false
 	}
 	for k := 0; k < r; k++ {
-		if b.Lo[k] < arr.lo[k] || b.Hi[k] > arr.hi[k] {
+		if b.Lo[k] < arr.lo[k] || b.Hi[k] > arr.hi[k] || b.Lo[k] > b.Hi[k] {
 			return false
 		}
 	}
@@ -64,10 +67,10 @@ func (rw *rowWalk) row(arr *array) []float64 {
 	return arr.data[off : off+rw.w]
 }
 
-// packPayload appends the set's elements of arr to buf in canonical
-// order and returns the extended buffer.
-func packPayload(buf []float64, arr *array, s iset.Set) []float64 {
-	for _, b := range s.Boxes() {
+// packPayload appends the boxes' elements of arr to buf in order and
+// returns the extended buffer.
+func packPayload(buf []float64, arr *array, boxes []iset.Box) []float64 {
+	for _, b := range boxes {
 		if !rowCopyable(b, arr) {
 			b.Each(func(p []int) bool {
 				buf = append(buf, arr.get(p))
@@ -83,10 +86,10 @@ func packPayload(buf []float64, arr *array, s iset.Set) []float64 {
 }
 
 // unpackPayload scatters data (packed by packPayload's order) into arr
-// over the set's elements.
-func unpackPayload(data []float64, arr *array, s iset.Set) {
+// over the boxes' elements.
+func unpackPayload(data []float64, arr *array, boxes []iset.Box) {
 	j := 0
-	for _, b := range s.Boxes() {
+	for _, b := range boxes {
 		if !rowCopyable(b, arr) {
 			b.Each(func(p []int) bool {
 				arr.set(p, data[j])
@@ -101,15 +104,15 @@ func unpackPayload(data []float64, arr *array, s iset.Set) {
 	}
 }
 
-// pullPayload copies the set's elements from src into dst directly,
+// pullPayload copies the boxes' elements from src into dst directly,
 // array to array: the shared-memory replacement for packPayload +
 // unpackPayload with no staging buffer in between.  dst and src are the
 // two ranks' private copies of the same declaration, so they share
 // geometry; offsets are still computed per array for robustness, and
 // boxes that cannot be row-copied on both fall back to the element-wise
 // walk with the interpreter's exact bounds panics.
-func pullPayload(dst, src *array, s iset.Set) {
-	for _, b := range s.Boxes() {
+func pullPayload(dst, src *array, boxes []iset.Box) {
+	for _, b := range boxes {
 		if !rowCopyable(b, dst) || !rowCopyable(b, src) {
 			b.Each(func(p []int) bool {
 				dst.set(p, src.get(p))

@@ -6,7 +6,6 @@ import (
 	"math"
 	"sync"
 
-	"dhpf/internal/comm"
 	"dhpf/internal/ir"
 	"dhpf/internal/iset"
 	"dhpf/internal/mpsim"
@@ -37,6 +36,9 @@ type ExecResult struct {
 	// instances run inside claimed compute nests against those the walker
 	// ran one at a time.  All zero under EngineInterp.
 	Nests NestStats
+	// Plans is the run's traffic on the schedule's memo: how many of its
+	// firings and activations were computed rather than found.
+	Plans sched.PlanStats
 	prog  *Program
 	ranks []*rankExec
 }
@@ -75,12 +77,7 @@ func (er *ExecResult) Global(name string) ([]float64, []int, []int, error) {
 		return out.data, out.lo, out.hi, nil
 	}
 	for rank := 0; rank < er.prog.Grid.Size(); rank++ {
-		ra := er.ranks[rank].mainFrame.arrays[name]
-		lb := layout.LocalBox(rank)
-		lb.Each(func(p []int) bool {
-			out.set(p, ra.get(p))
-			return true
-		})
+		pullPayload(out, er.ranks[rank].mainFrame.arrays[name], []iset.Box{layout.LocalBox(rank)})
 	}
 	return out.data, out.lo, out.hi, nil
 }
@@ -177,6 +174,9 @@ func (p *Program) ExecuteEngine(cfg mpsim.Config, engine Engine) (*ExecResult, e
 		er.Nests.Entries += rx.nstats.Entries
 		er.Nests.InNest += rx.nstats.InNest
 		er.Nests.Walked += rx.nstats.Walked
+		er.Plans.Firings += rx.Plans.Firings
+		er.Plans.PlanMisses += rx.Plans.PlanMisses
+		er.Plans.ActivationMisses += rx.Plans.ActivationMisses
 	}
 	return er, nil
 }
@@ -513,7 +513,7 @@ func (rx *rankExec) eval(e ir.Expr) float64 {
 // wait in the Drain that ends the wavefront — outside the strip loop, so
 // the pipeline itself stays fully overlapped.
 
-func (rx *rankExec) Send(plan []comm.Transfer, base int) {
+func (rx *rankExec) Send(plan []sched.Transfer, base int) {
 	rx.flushFlops()
 	f := rx.top()
 	for i, tr := range plan {
@@ -521,15 +521,15 @@ func (rx *rankExec) Send(plan []comm.Transfer, base int) {
 			continue
 		}
 		if rx.th != nil {
-			rx.th.Publish(tr.To, base+i, 8*int(tr.Data.Card()), f.arrays[tr.Array])
+			rx.th.Publish(tr.To, base+i, int(tr.Bytes()), f.arrays[tr.Array])
 			continue
 		}
-		rx.payload = packPayload(rx.payload[:0], f.arrays[tr.Array], tr.Data)
+		rx.payload = packPayload(rx.payload[:0], f.arrays[tr.Array], tr.Boxes)
 		rx.rk.Send(tr.To, base+i, rx.payload)
 	}
 }
 
-func (rx *rankExec) Recv(plan []comm.Transfer, base int) {
+func (rx *rankExec) Recv(plan []sched.Transfer, base int) {
 	rx.flushFlops()
 	f := rx.top()
 	for i, tr := range plan {
@@ -538,12 +538,12 @@ func (rx *rankExec) Recv(plan []comm.Transfer, base int) {
 		}
 		if rx.th != nil {
 			src := rx.th.Await(tr.From, base+i).(*array)
-			pullPayload(f.arrays[tr.Array], src, tr.Data)
-			rx.th.Ack(tr.From, 8*int(tr.Data.Card()))
+			pullPayload(f.arrays[tr.Array], src, tr.Boxes)
+			rx.th.Ack(tr.From, int(tr.Bytes()))
 			continue
 		}
 		data := rx.rk.Recv(tr.From, base+i)
-		unpackPayload(data, f.arrays[tr.Array], tr.Data)
+		unpackPayload(data, f.arrays[tr.Array], tr.Boxes)
 		rx.rk.Recycle(data)
 	}
 }

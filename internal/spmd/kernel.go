@@ -236,7 +236,10 @@ type KernelUnit struct {
 	// analysis.Predict to skip units too small to be worth specializing.
 	Points float64
 
-	fp string // memoized fingerprint
+	// The fingerprint, hashed once: concurrent executions of one Program
+	// on the codegen engine all ask for it.
+	fpOnce sync.Once
+	fp     string
 }
 
 // Fingerprint returns the unit's content hash: a SHA-256 over a
@@ -245,9 +248,11 @@ type KernelUnit struct {
 // guard layout and capacity, and exact flop bits).  Two units share a
 // fingerprint iff a single compiled kernel can serve both.
 func (u *KernelUnit) Fingerprint() string {
-	if u.fp != "" {
-		return u.fp
-	}
+	u.fpOnce.Do(func() { u.fp = u.fingerprint() })
+	return u.fp
+}
+
+func (u *KernelUnit) fingerprint() string {
 	h := sha256.New()
 	w := func(vals ...interface{}) {
 		for _, v := range vals {
@@ -296,8 +301,7 @@ func (u *KernelUnit) Fingerprint() string {
 		w(s, u.SlotNames[s])
 	}
 	hashStmt(w, u.Root)
-	u.fp = hex.EncodeToString(h.Sum(nil))
-	return u.fp
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 func hashAff(w func(...interface{}), a KAff) {

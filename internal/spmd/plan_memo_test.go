@@ -1,0 +1,173 @@
+package spmd_test
+
+// The schedule's memo (sched/plan.go) as executions see it: a warm firing
+// and a warm activation are lookups, a steady execution stays inside an
+// allocation budget, the counters say what was computed, and one Program
+// may be executed from many goroutines at once.
+
+import (
+	"math"
+	"sort"
+	"sync"
+	"testing"
+
+	"dhpf/internal/mpsim"
+	"dhpf/internal/nas"
+	"dhpf/internal/sched"
+	"dhpf/internal/spmd"
+)
+
+// compileAt compiles src at the pipeline grain, 0 for the default.
+func compileAt(t *testing.T, src string, grain int) *spmd.Program {
+	t.Helper()
+	opt := spmd.DefaultOptions()
+	if grain > 0 {
+		opt.PipelineGrain = grain
+	}
+	prog, err := spmd.CompileSource(src, nil, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog
+}
+
+func execute(t *testing.T, prog *spmd.Program, engine spmd.Engine) *spmd.ExecResult {
+	t.Helper()
+	res, err := prog.ExecuteEngine(mpsim.SP2Config(prog.Grid.Size()), engine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestAllocationBudgets pins what a steady execution on the closure
+// engine (mp) allocates, at the measured count plus a tenth: a walker that
+// renders its memo keys as text or re-derives iteration sets on every
+// activation allocates five to eight times as much.
+func TestAllocationBudgets(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	for _, c := range []struct {
+		name   string
+		prog   *spmd.Program
+		budget float64
+	}{
+		{"lu16 grain 1", compileAt(t, nas.LUSource(16, 1, 2, 2), 1), 3050}, // measured 2 765–2 766
+		{"sp16", compileAt(t, nas.SPSource(16, 1, 2, 2), 0), 750},          // measured 679–680
+	} {
+		got := testing.AllocsPerRun(5, func() { execute(t, c.prog, spmd.EngineCompiled) })
+		if got > c.budget {
+			t.Errorf("%s: a steady execution allocates %.0f times, budget %.0f", c.name, got, c.budget)
+		}
+		t.Logf("%s: %.0f allocations per steady execution", c.name, got)
+	}
+}
+
+// TestWarmLookupsDoNotAllocate: once stored, a plan and an activation are
+// found without allocating more than the key.
+func TestWarmLookupsDoNotAllocate(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	prog := compileAt(t, nas.LUSource(16, 1, 2, 2), 1)
+	s, main := prog.Schedule(), prog.IR.Main()
+	var firing *sched.Firing
+	for _, ls := range s.Proc(main).Loops {
+		if len(ls.Pipe.Events) > 0 {
+			firing = &ls.Pipe
+		}
+	}
+	if firing == nil {
+		t.Fatal("LU has no pipelined firing")
+	}
+	var ks sched.KeyScratch
+	at := sched.Point{Bind: prog.Ctx.Bind.Params}
+	if plan, miss := s.Transfers(firing, at, &ks); !miss || len(plan) == 0 {
+		t.Fatalf("first lookup: %d transfers, miss %v", len(plan), miss)
+	}
+	if n := testing.AllocsPerRun(100, func() { s.Transfers(firing, at, &ks) }); n > 1 {
+		t.Errorf("a warm Transfers lookup allocates %v times", n)
+	}
+	s.IterSets(main, 1, prog.Ctx.Bind.Params, &ks)
+	if n := testing.AllocsPerRun(100, func() { s.IterSets(main, 1, prog.Ctx.Bind.Params, &ks) }); n > 1 {
+		t.Errorf("a warm IterSets lookup allocates %v times", n)
+	}
+}
+
+// TestPlanStats: the first execution of a program computes its plans and
+// activations, every later one finds them, and the counts repeat from
+// program to program and engine to engine.
+func TestPlanStats(t *testing.T) {
+	src := nas.LUSource(16, 1, 2, 2)
+	prog := compileAt(t, src, 1)
+	first := execute(t, prog, spmd.EngineCompiled).Plans
+	second := execute(t, prog, spmd.EngineInterp).Plans
+	if first.Firings == 0 || first.PlanMisses == 0 || first.ActivationMisses != int64(prog.Grid.Size()) {
+		t.Errorf("first execution: %v; want firings, plan misses and one activation miss per rank", first)
+	}
+	if first.PlanMisses > first.Firings {
+		t.Errorf("first execution: %v: more misses than firings", first)
+	}
+	if want := (sched.PlanStats{Firings: first.Firings}); second != want {
+		t.Errorf("second execution: %v, want %v", second, want)
+	}
+	if again := execute(t, compileAt(t, src, 1), spmd.EngineInterp).Plans; again != first {
+		t.Errorf("a fresh program counted %v, the first %v", again, first)
+	}
+}
+
+// TestConcurrentExecutions: eight goroutines execute one cold sp16
+// Program at once — the daemon's /v1/run shape — across all three
+// engines.  They share the schedule's memo and its read-only plans and
+// iteration sets; every result is bit-identical to a lone execution's.
+func TestConcurrentExecutions(t *testing.T) {
+	src := nas.SPSource(16, 1, 2, 2)
+	want := execute(t, compileAt(t, src, 0), spmd.EngineCompiled)
+	prog := compileAt(t, src, 0)
+	var arrays []string
+	for name := range prog.Ctx.Bind.Layouts {
+		arrays = append(arrays, name)
+	}
+	sort.Strings(arrays)
+	results := make([]*spmd.ExecResult, 8)
+	var wg sync.WaitGroup
+	for g := range results {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			res, err := prog.ExecuteEngine(mpsim.SP2Config(prog.Grid.Size()), spmd.Engine(g%3))
+			if err != nil {
+				t.Errorf("goroutine %d: %v", g, err)
+				return
+			}
+			results[g] = res
+		}(g)
+	}
+	wg.Wait()
+	for g, res := range results {
+		if res == nil {
+			continue
+		}
+		for r, clock := range want.Machine.RankTime {
+			if math.Float64bits(res.Machine.RankTime[r]) != math.Float64bits(clock) ||
+				math.Float64bits(res.Machine.RankIdle[r]) != math.Float64bits(want.Machine.RankIdle[r]) {
+				t.Errorf("goroutine %d rank %d: clock %v idle %v, want %v and %v", g, r,
+					res.Machine.RankTime[r], res.Machine.RankIdle[r], clock, want.Machine.RankIdle[r])
+			}
+		}
+		for _, name := range arrays {
+			got, _, _, err := res.Global(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, _, _, _ := want.Global(name)
+			for i := range ref {
+				if math.Float64bits(got[i]) != math.Float64bits(ref[i]) {
+					t.Errorf("goroutine %d: %s[%d] = %v, want %v", g, name, i, got[i], ref[i])
+					break
+				}
+			}
+		}
+	}
+}
