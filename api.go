@@ -14,21 +14,15 @@ import (
 // and Client (the client), so the two cannot drift.
 
 // RequestOptions is the JSON form of Options.  Absent fields take the
-// paper's defaults (DefaultOptions); pointer fields distinguish "not
-// set" from an explicit false.
+// paper's defaults (DefaultOptions).
 type RequestOptions struct {
 	// NewProp is the §4.1 privatizable-array mode: "translate"
 	// (default), "owner", or "replicate".
 	NewProp       string `json:"newprop,omitempty"`
-	Localize      *bool  `json:"localize,omitempty"`       // §4.2 LOCALIZE
-	LoopDist      *bool  `json:"loopdist,omitempty"`       // §5 loop distribution
-	Interproc     *bool  `json:"interproc,omitempty"`      // §6 interprocedural CPs
-	Availability  *bool  `json:"availability,omitempty"`   // §7 data availability
-	WritebackElim *bool  `json:"writeback_elim,omitempty"` // redundant write-back elimination
 	PipelineGrain int    `json:"pipeline_grain,omitempty"` // wavefront strip width (default 8)
 	MaxCombos     int    `json:"max_combos,omitempty"`     // CP search cap
 	// Disable drops optional passes by name (PassNames lists them) —
-	// the pass-level ablation switch.
+	// the one way to turn an optimization off.
 	Disable []string `json:"disable,omitempty"`
 	// Instrument enables the per-pass communication-volume probe
 	// reported in pass_stats (costs one comm analysis per pass).
@@ -59,21 +53,6 @@ func (r *RequestOptions) Resolve() (Options, error) {
 	default:
 		return opt, fmt.Errorf("unknown newprop mode %q (want translate, owner or replicate)", r.NewProp)
 	}
-	if r.Localize != nil {
-		opt.CP.Localize = *r.Localize
-	}
-	if r.LoopDist != nil {
-		opt.CP.LoopDist = *r.LoopDist
-	}
-	if r.Interproc != nil {
-		opt.CP.Interproc = *r.Interproc
-	}
-	if r.Availability != nil {
-		opt.Comm.Availability = *r.Availability
-	}
-	if r.WritebackElim != nil {
-		opt.Comm.RedundantWriteback = *r.WritebackElim
-	}
 	if r.PipelineGrain != 0 {
 		opt.PipelineGrain = r.PipelineGrain
 	}
@@ -97,11 +76,6 @@ func (r *RequestOptions) Resolve() (Options, error) {
 // emit a winner's configuration as a /v1/compile-ready fragment.
 func RequestOptionsFrom(o Options) *RequestOptions {
 	r := &RequestOptions{
-		Localize:      boolPtr(o.CP.Localize),
-		LoopDist:      boolPtr(o.CP.LoopDist),
-		Interproc:     boolPtr(o.CP.Interproc),
-		Availability:  boolPtr(o.Comm.Availability),
-		WritebackElim: boolPtr(o.Comm.RedundantWriteback),
 		PipelineGrain: o.PipelineGrain,
 		MaxCombos:     o.CP.MaxCombos,
 		Instrument:    o.Instrument,
@@ -122,8 +96,6 @@ func RequestOptionsFrom(o Options) *RequestOptions {
 	}
 	return r
 }
-
-func boolPtr(b bool) *bool { return &b }
 
 // CompileRequest asks the service to compile mini-HPF source.  The
 // (source, params, options) triple is the cache key; identical requests

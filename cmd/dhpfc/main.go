@@ -21,10 +21,6 @@
 //	-trace           with -run: print an ASCII space–time diagram
 //	-bins N          diagram width in time bins (default 100)
 //	-param NAME=V    override a program parameter (repeatable)
-//	-no-localize     disable §4.2 LOCALIZE partial replication
-//	-no-loopdist     disable §5 loop distribution
-//	-no-interproc    disable §6 interprocedural CPs
-//	-no-avail        disable §7 data availability analysis
 //	-newprop MODE    translate (default) | owner | replicate  (§4.1)
 //	-backend B       execution substrate: mp (message-passing, default) |
 //	                 shm (shared-memory threads, barrier phases in place
@@ -33,7 +29,10 @@
 //	                 race-freedom theorem to the verifier's obligations
 //	-grain N         coarse-grain pipelining strip width (default 8)
 //	-emit R          print the generated SPMD node program for rank R
-//	-disable LIST    drop optional passes by name (comma-separated)
+//	-disable LIST    drop optional passes by name (comma-separated; -h
+//	                 lists them) — the one way to turn an optimization
+//	                 off: localize (§4.2), loopdist (§5), interproc (§6),
+//	                 availability (§7), …
 //	-explain         print the per-pass table: wall time, communication
 //	                 volume after each pass (with deltas), and decisions
 //	-incremental     compile through the per-procedure artifact store:
@@ -112,6 +111,31 @@ func sumInt64(xs []int64) int64 {
 	return t
 }
 
+// compileOptions maps the option flags onto pipeline options.
+func compileOptions(newprop, backend, disable string, grain int, instrument bool) (spmd.Options, error) {
+	opt := spmd.DefaultOptions()
+	opt.PipelineGrain = grain
+	opt.Instrument = instrument
+	var err error
+	if opt.Backend, err = passes.ParseBackend(backend); err != nil {
+		return opt, err
+	}
+	if disable != "" {
+		opt.Disable = strings.Split(disable, ",")
+	}
+	switch newprop {
+	case "translate":
+		opt.CP.NewProp = cp.NewPropTranslate
+	case "owner":
+		opt.CP.NewProp = cp.NewPropOwner
+	case "replicate":
+		opt.CP.NewProp = cp.NewPropReplicate
+	default:
+		return opt, fmt.Errorf("unknown -newprop mode %q", newprop)
+	}
+	return opt, nil
+}
+
 // run is main with its environment made explicit, so tests can drive the
 // CLI end to end.  Returns the process exit code.
 func run(args []string, stdout, stderr io.Writer) int {
@@ -122,10 +146,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	engineName := fs.String("engine", "", "execution engine: compiled|interp|codegen (with -run)")
 	doTrace := fs.Bool("trace", false, "print a space-time diagram (with -run)")
 	bins := fs.Int("bins", 100, "space-time diagram bins")
-	noLocalize := fs.Bool("no-localize", false, "disable LOCALIZE (§4.2)")
-	noLoopdist := fs.Bool("no-loopdist", false, "disable loop distribution (§5)")
-	noInterproc := fs.Bool("no-interproc", false, "disable interprocedural CPs (§6)")
-	noAvail := fs.Bool("no-avail", false, "disable data availability (§7)")
 	newprop := fs.String("newprop", "translate", "NEW propagation mode: translate|owner|replicate")
 	backend := fs.String("backend", "", "execution substrate: mp|shm|hybrid")
 	grain := fs.Int("grain", 8, "pipeline strip width")
@@ -154,29 +174,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	opt := spmd.DefaultOptions()
-	opt.CP.Localize = !*noLocalize
-	opt.CP.LoopDist = !*noLoopdist
-	opt.CP.Interproc = !*noInterproc
-	opt.Comm.Availability = !*noAvail
-	opt.PipelineGrain = *grain
-	opt.Instrument = *explain
-	if opt.Backend, err = passes.ParseBackend(*backend); err != nil {
+	opt, err := compileOptions(*newprop, *backend, *disable, *grain, *explain)
+	if err != nil {
 		fmt.Fprintln(stderr, "dhpfc:", err)
-		return 1
-	}
-	if *disable != "" {
-		opt.Disable = strings.Split(*disable, ",")
-	}
-	switch *newprop {
-	case "translate":
-		opt.CP.NewProp = cp.NewPropTranslate
-	case "owner":
-		opt.CP.NewProp = cp.NewPropOwner
-	case "replicate":
-		opt.CP.NewProp = cp.NewPropReplicate
-	default:
-		fmt.Fprintln(stderr, "dhpfc:", fmt.Errorf("unknown -newprop mode %q", *newprop))
 		return 1
 	}
 

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"dhpf"
 	"dhpf/internal/passes"
 )
 
@@ -145,18 +146,60 @@ func TestExplainTable(t *testing.T) {
 	}
 }
 
-// TestDisableFlag checks -disable maps to pass-level ablation and
-// matches the legacy boolean flag.
+// TestDisableFlag: -disable is the one spelling of an ablation.  Every
+// optional pass, dropped through the library, the wire options and the
+// CLI flags, is the same compilation — one dhpf.Fingerprint, one report —
+// and the removed -no-* flags are usage errors, not silent full compiles.
 func TestDisableFlag(t *testing.T) {
-	var a, b, errb bytes.Buffer
-	if code := run([]string{"-no-avail", "../../testdata/lhsy.hpf"}, &a, &errb); code != 0 {
-		t.Fatalf("exit %d: %s", code, errb.String())
+	src, err := os.ReadFile("../../testdata/lhsy.hpf")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if code := run([]string{"-disable", "availability", "../../testdata/lhsy.hpf"}, &b, &errb); code != 0 {
-		t.Fatalf("exit %d: %s", code, errb.String())
+	seen := map[string]string{}
+	for _, pass := range passes.OptionalPassNames() {
+		lib := dhpf.DefaultOptions().WithDisabled(pass)
+		prog, err := dhpf.Compile(string(src), nil, lib)
+		if err != nil {
+			t.Fatalf("%s: %v", pass, err)
+		}
+		want := dhpf.Fingerprint(string(src), nil, lib)
+		wire, err := (&dhpf.RequestOptions{Disable: []string{pass}}).Resolve()
+		if err != nil {
+			t.Fatalf("%s: %v", pass, err)
+		}
+		if got := dhpf.Fingerprint(string(src), nil, wire); got != want {
+			t.Errorf("%s: RequestOptions.Resolve fingerprints %s, library %s", pass, got, want)
+		}
+		cli, err := compileOptions("translate", "", pass, 8, false)
+		if err != nil {
+			t.Fatalf("%s: %v", pass, err)
+		}
+		if got := dhpf.Fingerprint(string(src), nil, cli); got != want {
+			t.Errorf("%s: dhpfc -disable fingerprints %s, library %s", pass, got, want)
+		}
+		if prev, dup := seen[want]; dup {
+			t.Errorf("disabling %s and %s fingerprint identically", pass, prev)
+		}
+		seen[want] = pass
+
+		var out, errb bytes.Buffer
+		if code := run([]string{"-disable", pass, "../../testdata/lhsy.hpf"}, &out, &errb); code != 0 {
+			t.Fatalf("-disable %s: exit %d: %s", pass, code, errb.String())
+		}
+		if out.String() != prog.Report() {
+			t.Errorf("-disable %s report differs from the library's", pass)
+		}
 	}
-	if a.String() != b.String() {
-		t.Error("-disable availability and -no-avail reports differ")
+
+	for _, old := range []string{"localize", "loopdist", "interproc", "avail"} {
+		flag := "-no-" + old
+		var out, errb bytes.Buffer
+		if code := run([]string{flag, "../../testdata/lhsy.hpf"}, &out, &errb); code != 2 {
+			t.Errorf("%s exit = %d, want 2", flag, code)
+		}
+		if !strings.Contains(errb.String(), "flag provided but not defined: "+flag) {
+			t.Errorf("%s stderr = %q, want the flag package's not-defined message", flag, errb.String())
+		}
 	}
 }
 
@@ -289,5 +332,30 @@ func TestIncrementalFlag(t *testing.T) {
 	}
 	if !strings.Contains(errb.String(), "-incremental") {
 		t.Errorf("stderr = %q, want mention of -incremental", errb.String())
+	}
+}
+
+// TestOptionSurface is the CLI third of the root package's test of the
+// same name: every flag the FlagSet defines, read off the -h listing,
+// against the shared golden.
+func TestOptionSurface(t *testing.T) {
+	golden, err := os.ReadFile("../../testdata/option_surface.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out, errb bytes.Buffer
+	if code := run([]string{"-h"}, &out, &errb); code != 2 {
+		t.Fatalf("-h exit = %d, want 2", code)
+	}
+	var flags []string
+	for _, line := range strings.Split(errb.String(), "\n") {
+		if name, ok := strings.CutPrefix(line, "  -"); ok {
+			name, _, _ = strings.Cut(name, " ")
+			flags = append(flags, "-"+name)
+		}
+	}
+	section := "[dhpfc flags]\n" + strings.Join(flags, "\n") + "\n\n"
+	if !strings.Contains(string(golden), section) {
+		t.Errorf("flag surface changed; testdata/option_surface.golden does not contain:\n%s", section)
 	}
 }

@@ -64,12 +64,18 @@ func TestEmitOptionsRoundTrips(t *testing.T) {
 	// -no-transpose forces a compiled winner, which carries replayable
 	// params and options.
 	out := runOK(t, append(smokeArgs, "-no-transpose", "-emit-options")...)
+	// Decoded the way the server decodes a request body: a field the
+	// wire type no longer has would be a 400 on replay, so it is an
+	// error here too.
 	var frag struct {
+		Key     string               `json:"key"`
 		Scheme  string               `json:"scheme"`
 		Params  map[string]int       `json:"params"`
 		Options *dhpf.RequestOptions `json:"options"`
 	}
-	if err := json.Unmarshal([]byte(out), &frag); err != nil {
+	dec := json.NewDecoder(strings.NewReader(out))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&frag); err != nil {
 		t.Fatalf("bad JSON: %v\n%s", err, out)
 	}
 	if frag.Params["P1"]*frag.Params["P2"] != 4 {

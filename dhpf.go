@@ -40,11 +40,11 @@ import (
 	"dhpf/internal/trace"
 )
 
-// Options configures the compilation pipeline.  The zero value disables
-// every optimization; use DefaultOptions for the paper's configuration.
-// Options.Disable drops optional passes by name (see the Pass* name
-// constants) and Options.Instrument enables the per-pass communication
-// probe reported by Program.PassStats.
+// Options configures the compilation pipeline; start from
+// DefaultOptions, the paper's configuration.  Options.Disable drops
+// optional passes by name (see the Pass* name constants) — the only way
+// to turn an optimization off — and Options.Instrument enables the
+// per-pass communication probe reported by Program.PassStats.
 type Options = spmd.Options
 
 // DefaultOptions enables all the paper's optimizations with a pipeline

@@ -256,20 +256,10 @@ type Options struct {
 	// MinPhaseFlops is the specialization threshold (0 = default,
 	// negative = every unit); see SelectUnits.
 	MinPhaseFlops float64
-	// NoPlugin disables on-the-fly plugin builds: only kernels already
-	// in the registry (the checked-in gen corpus, or a prior
-	// EnableNative) are used.  The DHPF_NO_PLUGIN environment variable
-	// forces this.
-	NoPlugin bool
 	// CacheDir overrides the plugin build/cache directory (default: a
 	// "dhpf-codegen" directory under os.UserCacheDir, falling back to
 	// the system temp directory).
 	CacheDir string
-	// StorePath, when non-empty, persists built plugins in a dhpf
-	// chunk store at this path, keyed by pipeline-option fingerprint +
-	// emitted-source hash + toolchain version, so rebuilt caches
-	// survive CacheDir cleanups.
-	StorePath string
 }
 
 // Report says what EnableNative did.  Fallback is empty when native
@@ -306,10 +296,10 @@ func (r Report) String() string {
 // benchmarks), and emits + builds + loads a plugin for the rest.  The
 // error return is reserved for invariant violations (corrupt cache
 // store); every expected obstacle — no go toolchain, plugin buildmode
-// unsupported on this platform, race-instrumented host binary — lands
-// in Report.Fallback with a nil error, and execution under
-// Options.Engine=codegen silently uses the closure engine for
-// unregistered units.
+// unsupported on this platform, race-instrumented host binary,
+// DHPF_NO_PLUGIN set in the environment (only kernels already in the
+// registry are used) — lands in Report.Fallback with a nil error, and
+// EngineCodegen silently uses the closure engine for unregistered units.
 func EnableNative(p *spmd.Program, opt Options) (Report, error) {
 	var rep Report
 	units := p.KernelUnits()
@@ -327,7 +317,7 @@ func EnableNative(p *spmd.Program, opt Options) (Report, error) {
 	if len(missing) == 0 {
 		return rep, nil
 	}
-	if opt.NoPlugin || os.Getenv("DHPF_NO_PLUGIN") != "" {
+	if os.Getenv("DHPF_NO_PLUGIN") != "" {
 		rep.Fallback = fmt.Sprintf("%d kernels not pre-generated and plugin builds disabled", len(missing))
 		return rep, nil
 	}

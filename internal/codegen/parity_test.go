@@ -256,7 +256,8 @@ func TestEnableNativePreRegistered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := EnableNative(prog, Options{NoPlugin: true})
+	t.Setenv("DHPF_NO_PLUGIN", "1")
+	rep, err := EnableNative(prog, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,18 +288,10 @@ end
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := EnableNative(prog, Options{MinPhaseFlops: -1, NoPlugin: true})
+	t.Setenv("DHPF_NO_PLUGIN", "1")
+	rep, err := EnableNative(prog, Options{MinPhaseFlops: -1})
 	if err != nil {
 		t.Fatalf("fallback must not be an error: %v", err)
-	}
-	if rep.Fallback == "" {
-		t.Fatalf("want a fallback reason, got %s", rep.String())
-	}
-
-	t.Setenv("DHPF_NO_PLUGIN", "1")
-	rep, err = EnableNative(prog, Options{MinPhaseFlops: -1})
-	if err != nil {
-		t.Fatalf("env-disabled fallback must not be an error: %v", err)
 	}
 	if rep.Fallback == "" {
 		t.Fatalf("DHPF_NO_PLUGIN did not force a fallback: %s", rep.String())

@@ -5,9 +5,7 @@ package codegen
 // hash of (kernel ABI, pipeline-option fingerprint, emitted source,
 // toolchain version), so recompiling the same program with the same
 // options reuses the artifact, and any change to emission or options
-// misses cleanly.  When Options.StorePath is set the artifact is also
-// persisted in a dhpf chunk store (internal/store), surviving cache
-// directory cleanups.
+// misses cleanly.
 
 import (
 	"crypto/sha256"
@@ -21,7 +19,6 @@ import (
 	"sync"
 
 	"dhpf/internal/spmd"
-	"dhpf/internal/store"
 )
 
 // loadedKernels caches kernel tables by content key.  The Go runtime
@@ -80,9 +77,9 @@ func cacheDir(opt Options) (string, error) {
 }
 
 // buildAndLoad turns emitted plugin source into a fingerprint → kernel
-// map: cache-directory hit, then store hit, then a real
-// `go build -buildmode=plugin` in a throwaway module.  The boolean
-// reports whether the .so came from either cache.
+// map: cache-directory hit, then a real `go build -buildmode=plugin` in
+// a throwaway module.  The boolean reports whether the .so came from the
+// cache.
 func buildAndLoad(src string, compileOpt spmd.Options, opt Options) (map[string]spmd.KernelFunc, bool, error) {
 	key := pluginKey(src, compileOpt)
 	loadedMu.Lock()
@@ -103,17 +100,9 @@ func buildAndLoad(src string, compileOpt spmd.Options, opt Options) (map[string]
 		}
 		return kernels, true, err
 	}
-	if fetchFromStore(opt.StorePath, key, soPath) {
-		kernels, err := loadPlugin(soPath)
-		if err == nil {
-			rememberLoaded(key, kernels)
-		}
-		return kernels, true, err
-	}
 	if err := buildPlugin(src, key, dir, soPath); err != nil {
 		return nil, false, err
 	}
-	putInStore(opt.StorePath, key, soPath)
 	kernels, err := loadPlugin(soPath)
 	if err == nil {
 		rememberLoaded(key, kernels)
@@ -177,64 +166,4 @@ func loadPlugin(soPath string) (map[string]spmd.KernelFunc, error) {
 		kernels[e.Unit] = e.Fn
 	}
 	return kernels, nil
-}
-
-// storeKey names a plugin artifact inside the chunk store.
-func storeKey(key string) string { return "codegen.plugin:" + key }
-
-// fetchFromStore materializes a persisted plugin at soPath, reporting
-// whether it did.  Store problems are treated as misses: the build
-// path remains available.
-func fetchFromStore(path, key, soPath string) bool {
-	if path == "" {
-		return false
-	}
-	st, err := store.Open(path, store.Options{})
-	if err != nil {
-		return false
-	}
-	defer st.Close()
-	man, ok := st.GetManifest(storeKey(key))
-	if !ok {
-		return false
-	}
-	var so []byte
-	for _, ref := range man.Refs {
-		chunk, ok := st.GetChunk(ref.Addr)
-		if !ok {
-			return false
-		}
-		so = append(so, chunk...)
-	}
-	tmp := soPath + ".tmp"
-	if os.WriteFile(tmp, so, 0o666) != nil {
-		return false
-	}
-	return os.Rename(tmp, soPath) == nil
-}
-
-// putInStore persists a built plugin; failures are ignored (the cache
-// directory copy still serves this process).
-func putInStore(path, key, soPath string) {
-	if path == "" {
-		return
-	}
-	so, err := os.ReadFile(soPath)
-	if err != nil {
-		return
-	}
-	st, err := store.Open(path, store.Options{})
-	if err != nil {
-		return
-	}
-	defer st.Close()
-	addr, err := st.PutChunk(so)
-	if err != nil {
-		return
-	}
-	_ = st.PutManifest(storeKey(key), store.Manifest{
-		Kind: "codegen.plugin",
-		Meta: map[string]string{"go": runtime.Version(), "abi": spmd.KernelABI},
-		Refs: []store.ChunkRef{{Name: "so", Addr: addr}},
-	})
 }

@@ -1,15 +1,13 @@
 package codegen
 
 // Plugin-path tests: emit → go build -buildmode=plugin → load →
-// register → execute, plus both cache layers.  Skipped where plugins
+// register → execute, plus the build cache.  Skipped where plugins
 // cannot work (race-instrumented binary, unsupported OS, no
 // toolchain); the parity suite still covers the native tier there via
 // the compiled-in gen corpus.
 
 import (
 	"math"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"dhpf/internal/mpsim"
@@ -52,9 +50,8 @@ func requirePlugins(t *testing.T) {
 	}
 }
 
-// TestPluginBuildLoadAndCache drives buildAndLoad through all three
-// acquisition paths — fresh build, cache-directory hit, store
-// rehydration — and checks the loaded kernels cover every unit.
+// TestPluginBuildLoadAndCache drives buildAndLoad through a fresh build
+// and a cache hit, and checks the loaded kernels cover every unit.
 func TestPluginBuildLoadAndCache(t *testing.T) {
 	requirePlugins(t)
 	prog, err := spmd.CompileSource(pluginSource, nil, spmd.DefaultOptions())
@@ -66,10 +63,7 @@ func TestPluginBuildLoadAndCache(t *testing.T) {
 		t.Fatal("no kernel units extracted")
 	}
 	src := EmitPlugin(units)
-	opt := Options{
-		CacheDir:  t.TempDir(),
-		StorePath: filepath.Join(t.TempDir(), "plugins.store"),
-	}
+	opt := Options{CacheDir: t.TempDir()}
 
 	kernels, cacheHit, err := buildAndLoad(src, prog.Opt, opt)
 	if err != nil {
@@ -86,30 +80,6 @@ func TestPluginBuildLoadAndCache(t *testing.T) {
 
 	if _, cacheHit, err = buildAndLoad(src, prog.Opt, opt); err != nil || !cacheHit {
 		t.Fatalf("second load: hit=%v err=%v, want cache hit", cacheHit, err)
-	}
-
-	// Store rehydration needs a key this process has never loaded (the
-	// in-process table would otherwise serve it): build a variant
-	// without loading it, persist it, drop the .so, and let
-	// buildAndLoad materialize it from the store.
-	src2 := src + "\n// store-rehydration probe\n"
-	key2 := pluginKey(src2, prog.Opt)
-	so2 := filepath.Join(opt.CacheDir, key2+".so")
-	if err := buildPlugin(src2, key2, opt.CacheDir, so2); err != nil {
-		t.Fatal(err)
-	}
-	putInStore(opt.StorePath, key2, so2)
-	if err := os.Remove(so2); err != nil {
-		t.Fatal(err)
-	}
-	kernels, cacheHit, err = buildAndLoad(src2, prog.Opt, opt)
-	if err != nil || !cacheHit {
-		t.Fatalf("store rehydration: hit=%v err=%v, want store hit", cacheHit, err)
-	}
-	for _, u := range units {
-		if kernels[u.Fingerprint()] == nil {
-			t.Fatalf("rehydrated plugin missing kernel for unit %s", u.Fingerprint())
-		}
 	}
 }
 

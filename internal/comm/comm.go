@@ -100,31 +100,12 @@ func (a *Analysis) Live() []*Event {
 	return out
 }
 
-// Options controls the optional passes.
-type Options struct {
-	Availability bool // §7 data-availability elimination
-	// RedundantWriteback eliminates write-backs of elements the owner
-	// also computes itself with the same statement (partial replication:
-	// the LOCALIZE/NEW CPs make the owner and its neighbours compute
-	// identical boundary values, so no finalization message is needed —
-	// §4.2's "no communication ... as part of the loop's finalization").
-	RedundantWriteback bool
-}
-
-// DefaultOptions enables everything.
-func DefaultOptions() Options { return Options{Availability: true, RedundantWriteback: true} }
-
-// Analyze builds the communication plan for a procedure under the given
-// CP selection.  It is the all-in-one convenience the pass pipeline
-// decomposes into BuildEvents, ApplyAvailability and ApplyWritebackElim.
-func Analyze(ctx *cp.Context, proc *ir.Procedure, sel *cp.Selection, opt Options) *Analysis {
+// Analyze runs every communication phase in pipeline order: BuildEvents,
+// ApplyAvailability, ApplyWritebackElim.
+func Analyze(ctx *cp.Context, proc *ir.Procedure, sel *cp.Selection) *Analysis {
 	out := BuildEvents(ctx, proc, sel)
-	if opt.Availability {
-		ApplyAvailability(ctx, sel, out)
-	}
-	if opt.RedundantWriteback {
-		ApplyWritebackElim(ctx, sel, out)
-	}
+	ApplyAvailability(ctx, sel, out)
+	ApplyWritebackElim(ctx, sel, out)
 	return out
 }
 

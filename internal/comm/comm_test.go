@@ -53,7 +53,7 @@ end
 func TestStencilReadEventsHoisted(t *testing.T) {
 	ctx, sel := build(t, stencilSrc)
 	proc := ctx.Prog.Main()
-	an := Analyze(ctx, proc, sel, DefaultOptions())
+	an := Analyze(ctx, proc, sel)
 	reads := 0
 	for _, e := range an.Events {
 		if e.Kind != ReadComm {
@@ -108,7 +108,7 @@ end
 func TestAvailabilityEliminatesAntiPipelineRead(t *testing.T) {
 	ctx, sel := build(t, ySolve4Src)
 	proc := ctx.Prog.Main()
-	an := Analyze(ctx, proc, sel, DefaultOptions())
+	an := Analyze(ctx, proc, sel)
 
 	var elimJ1, liveJ2 bool
 	for _, e := range an.Events {
@@ -138,7 +138,8 @@ func TestAvailabilityEliminatesAntiPipelineRead(t *testing.T) {
 func TestAvailabilityOffKeepsEvents(t *testing.T) {
 	ctx, sel := build(t, ySolve4Src)
 	proc := ctx.Prog.Main()
-	an := Analyze(ctx, proc, sel, Options{Availability: false})
+	an := BuildEvents(ctx, proc, sel)
+	ApplyWritebackElim(ctx, sel, an)
 	for _, e := range an.Events {
 		if e.Eliminated {
 			t.Fatalf("event eliminated with availability off: %v", e)
@@ -149,7 +150,7 @@ func TestAvailabilityOffKeepsEvents(t *testing.T) {
 func TestPipelinedEventsMarked(t *testing.T) {
 	ctx, sel := build(t, ySolve4Src)
 	proc := ctx.Prog.Main()
-	an := Analyze(ctx, proc, sel, DefaultOptions())
+	an := Analyze(ctx, proc, sel)
 	// The write-backs to lhs(i,j+1/j+2) are carried by the j loop across
 	// the distributed dimension: pipelined.
 	pipelined := 0
@@ -201,7 +202,7 @@ subroutine main()
 end
 `)
 	proc := ctx.Prog.Main()
-	an := Analyze(ctx, proc, sel, DefaultOptions())
+	an := Analyze(ctx, proc, sel)
 	// Reads of rho_i must generate no live communication: partial
 	// replication computed the boundary values locally, so availability
 	// analysis eliminates every rho_i read event.

@@ -66,10 +66,40 @@ func NewContextNoDeps(prog *ir.Program, bind *hpf.Binding) (*Context, error) {
 			}
 		}
 	}
+	for _, proc := range prog.Procs {
+		if err := checkLoopBounds(proc, bind.Params); err != nil {
+			return nil, err
+		}
+	}
 	if err := ctx.propagateFormalLayouts(); err != nil {
 		return nil, err
 	}
 	return ctx, nil
+}
+
+// checkLoopBounds rejects a loop bound that names anything but a program
+// parameter.  Every analysis evaluates bounds under the parameter
+// binding alone (IterBox), so a bound over an enclosing loop variable (a
+// triangular nest) or an integer formal has no compile-time value.
+func checkLoopBounds(proc *ir.Procedure, params map[string]int) error {
+	var err error
+	ir.Walk(proc.Body, func(s ir.Stmt, _ []*ir.Loop) bool {
+		l, ok := s.(*ir.Loop)
+		if !ok || err != nil {
+			return err == nil
+		}
+		for _, bound := range []ir.AffExpr{l.Lo, l.Hi} {
+			for _, t := range bound.Terms {
+				if _, ok := params[t.Name]; !ok {
+					err = fmt.Errorf("cp: proc %s: loop %s: bound %s names %q, which is not a program parameter (bounds over loop variables or formals are not supported)",
+						proc.Name, l.Var, bound, t.Name)
+					return false
+				}
+			}
+		}
+		return true
+	})
+	return err
 }
 
 // Layout resolves the layout of an array name inside a procedure:

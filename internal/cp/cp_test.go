@@ -1,6 +1,7 @@
 package cp
 
 import (
+	"strings"
 	"testing"
 
 	"dhpf/internal/hpf"
@@ -498,14 +499,62 @@ func TestLocalizeEliminatesBoundaryComm(t *testing.T) {
 }
 
 func TestLocalizeOffFallsBackToOwner(t *testing.T) {
+	// The pipeline with the localize pass dropped: every phase but
+	// PropagateLocalize.
 	ctx := mustCtx(t, computeRhsSrc)
 	opt := DefaultOptions()
-	opt.Localize = false
-	sel := mustSelect(t, ctx, opt)
+	sel, err := SelectBase(ctx, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := PropagateNewArrays(ctx, sel, opt); err != nil {
+		t.Fatal(err)
+	}
+	if err := SelectInterproc(ctx, sel); err != nil {
+		t.Fatal(err)
+	}
 	one := ctx.Prog.Main().Body[0].(*ir.Loop)
 	def := one.Body[0].(*ir.Loop).Body[0].(*ir.Loop).Body[0].(*ir.Loop).Body[0].(*ir.Assign)
 	cp := sel.CPOf(def.ID)
 	if len(cp.Terms) != 1 {
 		t.Fatalf("without LOCALIZE expected single-term CP, got %v", cp)
+	}
+}
+
+// A loop bound naming an enclosing loop variable has no value under the
+// parameter binding every analysis evaluates bounds with; NewContext
+// must refuse it with an error, not leave IterBox to panic.
+func TestTriangularLoopBoundRejected(t *testing.T) {
+	prog, err := parser.Parse(`
+program tri
+param N = 16
+!hpf$ processors procs(4)
+!hpf$ template tm(N, N)
+!hpf$ align a with tm(d0, d1)
+!hpf$ distribute tm(*, BLOCK) onto procs
+subroutine main()
+  real a(0:N-1, 0:N-1)
+  do i = 0, N-1
+    do j = 0, i
+      a(j,i) = 1.0
+    enddo
+  enddo
+end
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := hpf.Bind(prog, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = NewContext(prog, b)
+	if err == nil {
+		t.Fatal("triangular nest accepted")
+	}
+	for _, want := range []string{"proc main", "loop j", `"i"`} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %s", err, want)
+		}
 	}
 }

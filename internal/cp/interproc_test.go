@@ -114,10 +114,20 @@ func TestInterprocCallPartitionsWork(t *testing.T) {
 }
 
 func TestInterprocDisabledReplicates(t *testing.T) {
+	// The pipeline with the interproc pass dropped: SelectInterproc never
+	// runs, so no call statement is assigned a CP.
 	ctx := mustCtx(t, interprocSrc)
 	opt := DefaultOptions()
-	opt.Interproc = false
-	sel := mustSelect(t, ctx, opt)
+	sel, err := SelectBase(ctx, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := PropagateNewArrays(ctx, sel, opt); err != nil {
+		t.Fatal(err)
+	}
+	if err := PropagateLocalize(ctx, sel, opt); err != nil {
+		t.Fatal(err)
+	}
 	mainProc := ctx.Prog.Proc("main")
 	var call *ir.CallStmt
 	ir.Walk(mainProc.Body, func(s ir.Stmt, _ []*ir.Loop) bool {

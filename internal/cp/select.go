@@ -25,24 +25,16 @@ const (
 	NewPropOwner
 )
 
-// Options toggles the individual optimizations (for ablations).
+// Options parameterizes CP selection.  Whether an optimization runs at
+// all is not decided here: a phase is in the pass pipeline or it is not.
 type Options struct {
 	NewProp   NewPropMode
-	Localize  bool // §4.2 LOCALIZE partial replication
-	LoopDist  bool // §5 grouping + selective distribution
-	Interproc bool // §6 entry-CP translation at call sites
-	MaxCombos int  // cap on exhaustive CP-combination search
+	MaxCombos int // cap on exhaustive CP-combination search
 }
 
-// DefaultOptions enables everything the paper describes.
+// DefaultOptions is the paper's configuration.
 func DefaultOptions() Options {
-	return Options{
-		NewProp:   NewPropTranslate,
-		Localize:  true,
-		LoopDist:  true,
-		Interproc: true,
-		MaxCombos: 4096,
-	}
+	return Options{NewProp: NewPropTranslate, MaxCombos: 4096}
 }
 
 // Selection is the result of CP selection for a whole program.
@@ -157,11 +149,8 @@ func (s *Selection) notef(format string, args ...any) {
 	s.notes = append(s.notes, noteRec{key: s.cur, text: fmt.Sprintf(format, args...)})
 }
 
-// Select runs the complete CP selection: local selection with §5
-// grouping, §4.1/§4.2 propagation, and §6 interprocedural entry-CP
-// translation.  It is the all-in-one convenience the pass pipeline
-// decomposes into SelectBase, PropagateNewArrays, PropagateLocalize and
-// SelectInterproc.
+// Select runs every CP-selection phase in pipeline order: SelectBase,
+// PropagateNewArrays, PropagateLocalize, SelectInterproc.
 func Select(ctx *Context, opt Options) (*Selection, error) {
 	sel, err := SelectBase(ctx, opt)
 	if err != nil {
@@ -170,12 +159,10 @@ func Select(ctx *Context, opt Options) (*Selection, error) {
 	if err := PropagateNewArrays(ctx, sel, opt); err != nil {
 		return nil, err
 	}
-	if opt.Localize {
-		if err := PropagateLocalize(ctx, sel, opt); err != nil {
-			return nil, err
-		}
+	if err := PropagateLocalize(ctx, sel, opt); err != nil {
+		return nil, err
 	}
-	if err := SelectInterproc(ctx, sel, opt); err != nil {
+	if err := SelectInterproc(ctx, sel); err != nil {
 		return nil, err
 	}
 	return sel, nil
@@ -183,10 +170,10 @@ func Select(ctx *Context, opt Options) (*Selection, error) {
 
 // SelectBase runs the local CP selection of §2 and §5 for every
 // procedure, bottom-up on the call graph: candidate enumeration,
-// union-find grouping over loop-independent dependences (when
-// opt.LoopDist), and the least-communication combination search.  It
-// assigns CPs to assignments only; call statements are handled by
-// SelectInterproc and privatizable overrides by the propagation phases.
+// union-find grouping over loop-independent dependences, and the
+// least-communication combination search.  It assigns CPs to
+// assignments only; call statements are handled by SelectInterproc and
+// privatizable overrides by the propagation phases.
 func SelectBase(ctx *Context, opt Options) (*Selection, error) {
 	sel := NewSelection()
 	if err := SelectBaseInto(ctx, sel, opt, nil); err != nil {
@@ -292,13 +279,13 @@ func propagatePhase(ctx *Context, sel *Selection, opt Options, localize bool, sk
 
 // SelectInterproc applies §6 bottom-up on the call graph: every call
 // statement receives the callee's entry CP translated through the
-// formal→actual binding (replicated when opt.Interproc is off, the
-// callee has no uniform entry CP, or translation fails), and then the
-// procedure's own entry CP is computed from its now-complete statement
-// CPs and recorded in sel.Entry and ctx.EntryCPs.  Must run after the
-// propagation phases so entry CPs reflect the propagated selections.
-func SelectInterproc(ctx *Context, sel *Selection, opt Options) error {
-	return SelectInterprocPartial(ctx, sel, opt, nil)
+// formal→actual binding (replicated when the callee has no uniform
+// entry CP or translation fails), and then the procedure's own entry CP
+// is computed from its now-complete statement CPs and recorded in
+// sel.Entry and ctx.EntryCPs.  Must run after the propagation phases so
+// entry CPs reflect the propagated selections.
+func SelectInterproc(ctx *Context, sel *Selection) error {
+	return SelectInterprocPartial(ctx, sel, nil)
 }
 
 // SelectInterprocPartial is SelectInterproc restricted to the procedures
@@ -306,7 +293,7 @@ func SelectInterproc(ctx *Context, sel *Selection, opt Options) error {
 // thaw (Selection.InstallProc); it is republished into ctx.EntryCPs here
 // — at the procedure's bottom-up turn — so dirty callers later in the
 // order translate against exactly what a cold run would have computed.
-func SelectInterprocPartial(ctx *Context, sel *Selection, opt Options, skip func(*ir.Procedure) bool) error {
+func SelectInterprocPartial(ctx *Context, sel *Selection, skip func(*ir.Procedure) bool) error {
 	order, err := ctx.Callees()
 	if err != nil {
 		return err
@@ -324,11 +311,11 @@ func SelectInterprocPartial(ctx *Context, sel *Selection, opt Options, skip func
 			sel.cur = noteKey{proc: pi, top: ti, phase: 1}
 			switch st := s.(type) {
 			case *ir.CallStmt:
-				sel.CPs[st.ID] = callCP(ctx, proc, st, sel, opt)
+				sel.CPs[st.ID] = callCP(ctx, proc, st, sel)
 			case *ir.Loop:
 				ir.Walk(st.Body, func(inner ir.Stmt, _ []*ir.Loop) bool {
 					if call, ok := inner.(*ir.CallStmt); ok {
-						sel.CPs[call.ID] = callCP(ctx, proc, call, sel, opt)
+						sel.CPs[call.ID] = callCP(ctx, proc, call, sel)
 					}
 					return true
 				})
@@ -348,10 +335,7 @@ func SelectInterprocPartial(ctx *Context, sel *Selection, opt Options, skip func
 // callCP computes a call statement's CP from the callee's entry CP (§6),
 // translated through the formal→actual binding; replicated when the
 // callee has no uniform entry CP or translation fails.
-func callCP(ctx *Context, proc *ir.Procedure, call *ir.CallStmt, sel *Selection, opt Options) *CP {
-	if !opt.Interproc {
-		return &CP{}
-	}
+func callCP(ctx *Context, proc *ir.Procedure, call *ir.CallStmt, sel *Selection) *CP {
 	entry := ctx.EntryCPs[call.Callee]
 	if entry == nil || entry.Replicated() {
 		return &CP{}
@@ -394,36 +378,34 @@ func selectLoopBase(ctx *Context, proc *ir.Procedure, loop *ir.Loop, sel *Select
 	groupChoices := make([][]*CP, len(asn))
 	copy(groupChoices, choices)
 
-	if opt.LoopDist {
-		for _, d := range ctx.Deps[proc] {
-			if !d.LoopIndependent() || !nestHasLoop(d.CommonNest, loop) {
-				continue
-			}
-			si, oki := idx[d.Src.ID]
-			di, okj := idx[d.Dst.ID]
-			if !oki || !okj {
-				continue
-			}
-			ri, rj := find(si), find(di)
-			if ri == rj {
-				continue
-			}
-			// Statements with no distributed refs are CP-neutral: they
-			// can join any group.
-			common := intersectChoiceSets(ctx, proc, groupChoices[ri], groupChoices[rj])
-			switch {
-			case len(groupChoices[ri]) == 0:
-				parent[ri] = rj
-			case len(groupChoices[rj]) == 0:
-				parent[rj] = ri
-			case len(common) > 0:
-				parent[rj] = ri
-				groupChoices[ri] = common
-			default:
-				sel.Marked[proc] = append(sel.Marked[proc], [2]*ir.Assign{d.Src, d.Dst})
-				sel.notef("proc %s loop %s: cannot localize dep %v -> %v; marked for distribution",
-					proc.Name, loop.Var, d.SrcRef, d.DstRef)
-			}
+	for _, d := range ctx.Deps[proc] {
+		if !d.LoopIndependent() || !nestHasLoop(d.CommonNest, loop) {
+			continue
+		}
+		si, oki := idx[d.Src.ID]
+		di, okj := idx[d.Dst.ID]
+		if !oki || !okj {
+			continue
+		}
+		ri, rj := find(si), find(di)
+		if ri == rj {
+			continue
+		}
+		// Statements with no distributed refs are CP-neutral: they
+		// can join any group.
+		common := intersectChoiceSets(ctx, proc, groupChoices[ri], groupChoices[rj])
+		switch {
+		case len(groupChoices[ri]) == 0:
+			parent[ri] = rj
+		case len(groupChoices[rj]) == 0:
+			parent[rj] = ri
+		case len(common) > 0:
+			parent[rj] = ri
+			groupChoices[ri] = common
+		default:
+			sel.Marked[proc] = append(sel.Marked[proc], [2]*ir.Assign{d.Src, d.Dst})
+			sel.notef("proc %s loop %s: cannot localize dep %v -> %v; marked for distribution",
+				proc.Name, loop.Var, d.SrcRef, d.DstRef)
 		}
 	}
 

@@ -334,3 +334,27 @@ end
 		t.Fatal(err)
 	}
 }
+
+// The grammar admits a bound over an enclosing loop variable; refusing
+// the triangular nest is cp.NewContext's job, on the parsed bound.
+func TestParseTriangularLoopBound(t *testing.T) {
+	prog, err := Parse(`
+program tri
+param N = 16
+subroutine main()
+  real a(0:N-1, 0:N-1)
+  do i = 0, N-1
+    do j = 0, i
+      a(j,i) = 1.0
+    enddo
+  enddo
+end
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner := prog.Procs[0].Body[0].(*ir.Loop).Body[0].(*ir.Loop)
+	if len(inner.Hi.Terms) != 1 || inner.Hi.Terms[0].Name != "i" {
+		t.Fatalf("inner upper bound = %v, want i", inner.Hi)
+	}
+}

@@ -12,12 +12,12 @@ import (
 // fingerprintVersion is bumped whenever the canonical encoding below (or
 // the meaning of any Options field) changes, so stale cache keys from an
 // older build can never alias a new configuration.
-const fingerprintVersion = "dhpf-options-v2"
+const fingerprintVersion = "dhpf-options-v3"
 
 // Fingerprint returns a stable content hash of the options: two Options
 // values that configure the same pipeline (e.g. Disable lists that are
 // permutations of each other, or contain duplicates) hash identically,
-// and any semantic difference — a toggled optimization, a different NEW
+// and any semantic difference — a disabled pass, a different NEW
 // propagation mode, pipeline grain, or instrumentation — yields a
 // different hash.  It is the Options half of the compile-cache key (see
 // FingerprintKey).
@@ -53,10 +53,8 @@ func FingerprintKey(source string, params map[string]int, o Options) string {
 // field in a fixed order, labeled and delimited, with Disable sorted and
 // deduplicated (disabling a pass twice is the same ablation).
 func writeOptions(h hash.Hash, o Options) {
-	fmt.Fprintf(h, "%s\x00newprop=%d\x00localize=%t\x00loopdist=%t\x00interproc=%t\x00maxcombos=%d\x00",
-		fingerprintVersion, o.CP.NewProp, o.CP.Localize, o.CP.LoopDist, o.CP.Interproc, o.CP.MaxCombos)
-	fmt.Fprintf(h, "availability=%t\x00wbelim=%t\x00grain=%d\x00instrument=%t\x00",
-		o.Comm.Availability, o.Comm.RedundantWriteback, o.PipelineGrain, o.Instrument)
+	fmt.Fprintf(h, "%s\x00newprop=%d\x00maxcombos=%d\x00grain=%d\x00instrument=%t\x00",
+		fingerprintVersion, o.CP.NewProp, o.CP.MaxCombos, o.PipelineGrain, o.Instrument)
 	// Backend is canonicalized so "" and "mp" (the same configuration)
 	// hash identically; an unknown name still hashes distinctly and is
 	// rejected later by BuildPipeline.

@@ -35,12 +35,9 @@ func TestFingerprintDistinguishes(t *testing.T) {
 		"disable":    base.WithDisabled(PassAvailability),
 		"grain":      func() Options { o := base; o.PipelineGrain = 16; return o }(),
 		"instrument": func() Options { o := base; o.Instrument = true; return o }(),
-		"localize":   func() Options { o := base; o.CP.Localize = false; return o }(),
-		"loopdist":   func() Options { o := base; o.CP.LoopDist = false; return o }(),
-		"interproc":  func() Options { o := base; o.CP.Interproc = false; return o }(),
 		"newprop":    func() Options { o := base; o.CP.NewProp++; return o }(),
-		"avail":      func() Options { o := base; o.Comm.Availability = false; return o }(),
-		"wbelim":     func() Options { o := base; o.Comm.RedundantWriteback = false; return o }(),
+		"maxcombos":  func() Options { o := base; o.CP.MaxCombos++; return o }(),
+		"backend":    func() Options { o := base; o.Backend = BackendShm; return o }(),
 	}
 	seen := map[string]string{base.Fingerprint(): "base"}
 	for name, o := range variants {
@@ -77,12 +74,7 @@ func TestFingerprintDistinguishes(t *testing.T) {
 func randomOptions(rng *rand.Rand) Options {
 	o := DefaultOptions()
 	o.CP.NewProp = cp.NewPropMode(rng.Intn(3))
-	o.CP.Localize = rng.Intn(2) == 0
-	o.CP.LoopDist = rng.Intn(2) == 0
-	o.CP.Interproc = rng.Intn(2) == 0
 	o.CP.MaxCombos = 1 + rng.Intn(64)
-	o.Comm.Availability = rng.Intn(2) == 0
-	o.Comm.RedundantWriteback = rng.Intn(2) == 0
 	o.PipelineGrain = 1 << rng.Intn(6)
 	o.Instrument = rng.Intn(2) == 0
 	optional := OptionalPassNames()
@@ -123,13 +115,9 @@ func TestFingerprintFieldSensitivityProperty(t *testing.T) {
 	optional := OptionalPassNames()
 	mutations := map[string]func(*rand.Rand, *Options){
 		"newprop":    func(r *rand.Rand, o *Options) { o.CP.NewProp = (o.CP.NewProp + 1 + cp.NewPropMode(r.Intn(2))) % 3 },
-		"localize":   func(_ *rand.Rand, o *Options) { o.CP.Localize = !o.CP.Localize },
-		"loopdist":   func(_ *rand.Rand, o *Options) { o.CP.LoopDist = !o.CP.LoopDist },
-		"interproc":  func(_ *rand.Rand, o *Options) { o.CP.Interproc = !o.CP.Interproc },
 		"maxcombos":  func(_ *rand.Rand, o *Options) { o.CP.MaxCombos++ },
-		"avail":      func(_ *rand.Rand, o *Options) { o.Comm.Availability = !o.Comm.Availability },
-		"wbelim":     func(_ *rand.Rand, o *Options) { o.Comm.RedundantWriteback = !o.Comm.RedundantWriteback },
 		"grain":      func(_ *rand.Rand, o *Options) { o.PipelineGrain *= 2 },
+		"backend":    func(_ *rand.Rand, o *Options) { o.Backend = BackendShm },
 		"instrument": func(_ *rand.Rand, o *Options) { o.Instrument = !o.Instrument },
 		"disable": func(r *rand.Rand, o *Options) {
 			// Toggle one pass's membership in the ablation set.

@@ -350,9 +350,6 @@ func (r *incrRun) newProp() (bool, error) {
 
 // localize mirrors newProp for §4.2.
 func (r *incrRun) localize() (bool, error) {
-	if !r.cc.Opt.CP.Localize {
-		return false, nil
-	}
 	if err := cp.PropagateLocalizePartial(r.cc.Ctx, r.cc.Sel, r.cc.Opt.CP, r.selClean); err != nil {
 		return false, err
 	}
@@ -363,7 +360,7 @@ func (r *incrRun) localize() (bool, error) {
 // clean ones republish their thawed entry CPs into ctx.EntryCPs at
 // their bottom-up turn, so dirty callers translate against them.
 func (r *incrRun) interproc() (bool, error) {
-	if err := cp.SelectInterprocPartial(r.cc.Ctx, r.cc.Sel, r.cc.Opt.CP, r.selClean); err != nil {
+	if err := cp.SelectInterprocPartial(r.cc.Ctx, r.cc.Sel, r.selClean); err != nil {
 		return false, err
 	}
 	return len(r.selDirty) == 0, nil
@@ -426,9 +423,6 @@ func (r *incrRun) commPlan() (bool, error) {
 // graphs to re-derive proofs from.
 func (r *incrRun) availability() (bool, error) {
 	cc := r.cc
-	if !cc.Opt.Comm.Availability {
-		return false, nil
-	}
 	n := 0
 	for _, proc := range cc.IR.Procs {
 		if r.commFresh[proc] {
@@ -442,9 +436,6 @@ func (r *incrRun) availability() (bool, error) {
 // writebackRed mirrors availability for write-back redundancy.
 func (r *incrRun) writebackRed() (bool, error) {
 	cc := r.cc
-	if !cc.Opt.Comm.RedundantWriteback {
-		return false, nil
-	}
 	n := 0
 	for _, proc := range cc.IR.Procs {
 		if r.commFresh[proc] {

@@ -83,8 +83,7 @@ func canonicalBackend(s string) string {
 
 // Options bundles the optimization switches of the whole pipeline.
 type Options struct {
-	CP   cp.Options
-	Comm comm.Options
+	CP cp.Options
 	// PipelineGrain is the strip width of coarse-grain pipelining in
 	// wavefront loops (iterations of the strip-mined inner loop per
 	// message).  The paper notes dHPF applies one global granularity.
@@ -97,16 +96,6 @@ type Options struct {
 	// threads within a rank.  Part of the fingerprint: two compilations
 	// differing only in backend are distinct cache entries.
 	Backend string
-
-	// Engine names the execution engine programs compiled with these
-	// options run under by default ("" or "compiled" for the closure
-	// engine, "interp" for the reference interpreter, "codegen" for
-	// native kernels with closure fallback).  Engine choice is an
-	// execution-time concern: it never changes compilation decisions or
-	// results (all engines are byte-identical by construction), so it is
-	// deliberately EXCLUDED from Fingerprint — the compile cache would
-	// otherwise duplicate entries for identical programs.
-	Engine string
 
 	// Disable lists optimization passes excluded from the pipeline by
 	// name (PassNewProp, PassLocalize, PassInterproc, PassLoopDist,
@@ -126,7 +115,6 @@ type Options struct {
 func DefaultOptions() Options {
 	return Options{
 		CP:            cp.DefaultOptions(),
-		Comm:          comm.DefaultOptions(),
 		PipelineGrain: 8,
 	}
 }
@@ -424,20 +412,14 @@ func runNewProp(cc *CompileContext) error {
 }
 
 func runLocalize(cc *CompileContext) error {
-	if !cc.Opt.CP.Localize {
-		return nil
-	}
 	return cp.PropagateLocalize(cc.Ctx, cc.Sel, cc.Opt.CP)
 }
 
 func runInterproc(cc *CompileContext) error {
-	return cp.SelectInterproc(cc.Ctx, cc.Sel, cc.Opt.CP)
+	return cp.SelectInterproc(cc.Ctx, cc.Sel)
 }
 
 func runLoopDist(cc *CompileContext) error {
-	if !cc.Opt.CP.LoopDist {
-		return nil
-	}
 	for _, proc := range cc.IR.Procs {
 		cp.DistributeLoops(cc.Ctx, proc, cc.Sel)
 	}
@@ -461,9 +443,6 @@ func runCommPlan(cc *CompileContext) error {
 }
 
 func runAvailability(cc *CompileContext) error {
-	if !cc.Opt.Comm.Availability {
-		return nil
-	}
 	for _, proc := range cc.IR.Procs {
 		comm.ApplyAvailability(cc.Ctx, cc.Sel, cc.Comm[proc.Name])
 	}
@@ -471,9 +450,6 @@ func runAvailability(cc *CompileContext) error {
 }
 
 func runWritebackRed(cc *CompileContext) error {
-	if !cc.Opt.Comm.RedundantWriteback {
-		return nil
-	}
 	for _, proc := range cc.IR.Procs {
 		comm.ApplyWritebackElim(cc.Ctx, cc.Sel, cc.Comm[proc.Name])
 	}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"dhpf/internal/passes"
-	"dhpf/internal/spmd"
 )
 
 func lhsy(t *testing.T) string {
@@ -57,38 +56,6 @@ func TestDisableValidation(t *testing.T) {
 	}
 	if _, err := passes.BuildPipeline(passes.DefaultOptions().WithDisabled(passes.PassCPSelect)); err == nil {
 		t.Fatal("core pass disable accepted")
-	}
-}
-
-// Disabling a pass must be equivalent to the legacy option boolean it
-// replaces: same report, hence same CPs and same communication events.
-func TestDisableMatchesLegacyBooleans(t *testing.T) {
-	src := lhsy(t)
-	cases := []struct {
-		name   string
-		legacy func(*spmd.Options)
-		pass   string
-	}{
-		{"availability", func(o *spmd.Options) { o.Comm.Availability = false }, passes.PassAvailability},
-		{"wbelim", func(o *spmd.Options) { o.Comm.RedundantWriteback = false }, passes.PassWritebackRed},
-		{"localize", func(o *spmd.Options) { o.CP.Localize = false }, passes.PassLocalize},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			legacyOpt := spmd.DefaultOptions()
-			c.legacy(&legacyOpt)
-			lp, err := spmd.CompileSource(src, nil, legacyOpt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			dp, err := spmd.CompileSource(src, nil, spmd.DefaultOptions().WithDisabled(c.pass))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if lp.Report() != dp.Report() {
-				t.Errorf("reports differ between legacy boolean and Disable(%q)", c.pass)
-			}
-		})
 	}
 }
 

@@ -38,7 +38,7 @@ func schedFor(t *testing.T, src string) (*Schedule, map[string]*comm.Analysis) {
 	}
 	analyses := map[string]*comm.Analysis{}
 	for _, proc := range prog.Procs {
-		analyses[proc.Name] = comm.Analyze(ctx, proc, sel, comm.DefaultOptions())
+		analyses[proc.Name] = comm.Analyze(ctx, proc, sel)
 	}
 	return New(Input{IR: prog, Ctx: ctx, Sel: sel, Comm: analyses, Grid: grid}), analyses
 }

@@ -2,7 +2,9 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -454,6 +456,14 @@ func TestBadRequests(t *testing.T) {
 			_, err := client.Compile(context.Background(), dhpf.CompileRequest{Source: "not hpf"})
 			return err
 		}, http.StatusUnprocessableEntity},
+		{"loop bound over a loop variable", func() error { // once a compiler panic
+			_, err := client.Compile(context.Background(), dhpf.CompileRequest{
+				Source: strings.Replace(tinySrc, "do i = 0, N-1", "do k = 0, N-1\n  enddo\n  do i = 0, k", 1)})
+			if err == nil || !strings.Contains(err.Error(), "not a program parameter") {
+				return fmt.Errorf("want the loop-bound diagnostic, got %v", err)
+			}
+			return err
+		}, http.StatusUnprocessableEntity},
 		{"bad newprop", func() error {
 			_, err := client.Compile(context.Background(), dhpf.CompileRequest{
 				Source: tinySrc, Options: &dhpf.RequestOptions{NewProp: "wat"}})
@@ -476,6 +486,25 @@ func TestBadRequests(t *testing.T) {
 			_, err := client.Run(context.Background(), dhpf.RunRequest{Source: tinySrc, Machine: "sp2:25"})
 			return err
 		}, http.StatusUnprocessableEntity},
+		// An old client's per-optimization boolean must be refused by
+		// name, never accepted and compiled un-ablated.
+		{"retired option field", func() error {
+			src, _ := json.Marshal(tinySrc)
+			resp, err := http.Post(client.BaseURL+"/v1/compile", "application/json",
+				strings.NewReader(`{"source":`+string(src)+`,"options":{"availability":false}}`))
+			if err != nil {
+				return err
+			}
+			defer resp.Body.Close()
+			apiErr := &dhpf.APIError{StatusCode: resp.StatusCode}
+			if err := json.NewDecoder(resp.Body).Decode(apiErr); err != nil {
+				return err
+			}
+			if !strings.Contains(apiErr.Message, `unknown field "availability"`) {
+				return errors.New("400 does not name the field: " + apiErr.Message)
+			}
+			return apiErr
+		}, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		err := tc.call()

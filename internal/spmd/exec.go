@@ -83,13 +83,9 @@ func (er *ExecResult) Global(name string) ([]float64, []int, []int, error) {
 }
 
 // Execute runs the compiled program on the virtual machine with the
-// engine named by Options.Engine ("" = the compiled closure engine).
+// default engine, the compiled closure engine.
 func (p *Program) Execute(cfg mpsim.Config) (*ExecResult, error) {
-	engine, err := ParseEngine(p.Opt.Engine)
-	if err != nil {
-		return nil, err
-	}
-	return p.ExecuteEngine(cfg, engine)
+	return p.ExecuteEngine(cfg, EngineCompiled)
 }
 
 // ExecuteEngine runs the compiled program with an explicit engine

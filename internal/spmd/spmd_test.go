@@ -4,8 +4,10 @@ import (
 	"math"
 	"testing"
 
+	"dhpf/internal/ir"
 	"dhpf/internal/mpsim"
 	"dhpf/internal/parser"
+	"dhpf/internal/passes"
 )
 
 func testMachine(p int) mpsim.Config {
@@ -213,7 +215,7 @@ end
 	// LOCALIZE trades rho_i boundary messages for u boundary messages at
 	// the definition site (the paper's acknowledged cost, §4.2), and
 	// must come out ahead of compiling the same program without it.
-	progOff, err := CompileSource(src, nil, optionsWithoutLocalize())
+	progOff, err := CompileSource(src, nil, DefaultOptions().WithDisabled(passes.PassLocalize))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,10 +231,72 @@ end
 	}
 }
 
-func optionsWithoutLocalize() Options {
-	opt := DefaultOptions()
-	opt.CP.Localize = false
-	return opt
+// TestLoopDistDisabledKeepsMarkedPair pins what dropping the loopdist
+// pass means: §5's grouping still runs inside cpselect and still records
+// the pair it could not give a common CP (s2 joins s1 on a(j), leaving
+// nothing in common with s3, pinned to row j+1), but nothing splits the
+// loop.  Selective distribution makes 2 loops of the nest, not 4.
+func TestLoopDistDisabledKeepsMarkedPair(t *testing.T) {
+	src := `
+program sel
+param N = 64
+!hpf$ processors procs(4)
+!hpf$ template tm(N)
+!hpf$ align a with tm(d0)
+!hpf$ align b with tm(d0)
+!hpf$ align c with tm(d0)
+!hpf$ align d with tm(d0)
+!hpf$ align e with tm(d0)
+!hpf$ distribute tm(BLOCK) onto procs
+
+subroutine main()
+  real a(0:N-1)
+  real b(0:N-1)
+  real c(0:N-1)
+  real d(0:N-1)
+  real e(0:N-1)
+  do j = 0, N-1
+    a(j) = 0.5 * j
+    b(j) = 1.0 + 0.25 * j
+    c(j) = 0.0
+    d(j) = 0.0
+    e(j) = 0.0
+  enddo
+  do j = 1, N-3
+    a(j) = 1.5 * j
+    e(j) = 2.0
+    c(j+1) = a(j) + 2.0
+    d(j+1) = c(j+1) * b(j+1)
+  enddo
+end
+`
+	topLoops := func(p *Program) int {
+		n := 0
+		for _, s := range p.IR.Main().Body {
+			if _, ok := s.(*ir.Loop); ok {
+				n++
+			}
+		}
+		return n
+	}
+	prog, _ := compareWithSerial(t, src, 4, []string{"a", "c", "d", "e"})
+	if n := topLoops(prog); n != 3 {
+		t.Errorf("default: %d top-level loops, want 3 (init + the nest split in 2)", n)
+	}
+
+	// The ablated program is not run: it is verifier-clean yet differs
+	// from serial in d at the three block boundaries (ROADMAP item 3).
+	off, err := CompileSource(src, nil, DefaultOptions().WithDisabled(passes.PassLoopDist))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := topLoops(off); n != 2 {
+		t.Errorf("loopdist disabled: %d top-level loops, want 2 (nothing distributed)", n)
+	}
+	marked := off.Sel.Marked[off.IR.Main()]
+	if len(marked) != 1 || marked[0][0].LHS.Name != "c" || marked[0][1].LHS.Name != "d" {
+		t.Errorf("loopdist disabled: marked pairs = %v, want the one c -> d pair", marked)
+	}
 }
 
 func TestWavefrontPipelineExecution(t *testing.T) {

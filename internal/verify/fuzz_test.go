@@ -41,6 +41,24 @@ func FuzzCompileVerify(f *testing.F) {
 	for _, src := range corpus(f) {
 		f.Add(src)
 	}
+	// A triangular nest: once a compiler panic (IterBox evaluating the
+	// inner bound under the parameter binding), now a diagnostic.
+	f.Add(`
+program tri
+param N = 16
+!hpf$ processors procs(4)
+!hpf$ template tm(N, N)
+!hpf$ align a with tm(d0, d1)
+!hpf$ distribute tm(*, BLOCK) onto procs
+subroutine main()
+  real a(0:N-1, 0:N-1)
+  do i = 0, N-1
+    do j = 0, i
+      a(j,i) = 1.0
+    enddo
+  enddo
+end
+`)
 	opt := spmd.DefaultOptions()
 	opt.Disable = append(opt.Disable, passes.PassVerify)
 	f.Fuzz(func(t *testing.T, src string) {
