@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -244,6 +245,37 @@ func TestLint(t *testing.T) {
 	}
 	if rep.Stmts == 0 || len(rep.Diagnostics) == 0 {
 		t.Errorf("JSON report empty: %s", jout.String())
+	}
+}
+
+// TestLintRankMismatch: an array subscripted with two different ranks is
+// a compile error (exit 1, one line naming procedure, array and ranks);
+// it used to panic in the set algebra under -lint.
+func TestLintRankMismatch(t *testing.T) {
+	src := filepath.Join(t.TempDir(), "ranks.hpf")
+	if err := os.WriteFile(src, []byte(`
+program ranks
+param N = 16
+!hpf$ processors procs(4)
+!hpf$ template tm(N)
+!hpf$ align b with tm(d0)
+!hpf$ distribute tm(BLOCK) onto procs
+subroutine main()
+  real b(0:N-1)
+  do i = 0, N-1
+    b(i) = a(i,0)
+    a(i) = 1.0
+  enddo
+end
+`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out, errb bytes.Buffer
+	if code := run([]string{"-lint", src}, &out, &errb); code != 1 {
+		t.Fatalf("exit %d, want 1; stderr: %s", code, errb.String())
+	}
+	if want := `proc main: array "a" has rank 2`; !strings.Contains(errb.String(), want) || strings.Count(errb.String(), "\n") != 1 {
+		t.Errorf("stderr = %q, want one line containing %q", errb.String(), want)
 	}
 }
 

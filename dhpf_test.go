@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"dhpf/internal/nas"
 )
 
 const quickSrc = `
@@ -125,5 +127,34 @@ end
 		t.Error("expected CYCLIC rejection")
 	} else if !strings.Contains(err.Error(), "CYCLIC") {
 		t.Errorf("error %q does not mention CYCLIC", err)
+	}
+}
+
+// TestColdCompileAllocBudget: what a library caller pays in allocations
+// for one cold SP compile with its report and every node program.  The
+// count is deterministic to a few objects; the budget is the measured
+// 52 451 (154 565 before the set layer stopped copying boxes) plus 10 %,
+// so an allocation regression fails here and not first in the benchmark.
+func TestColdCompileAllocBudget(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector allocates on its own account")
+	}
+	const budget = 57_700
+	src := nas.SPSource(12, 1, 2, 2)
+	got := testing.AllocsPerRun(3, func() {
+		prog, err := Compile(src, nil, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := len(prog.Report())
+		for r := 0; r < prog.Ranks(); r++ {
+			out += len(prog.NodeProgram(r))
+		}
+		if out == 0 {
+			t.Fatal("no output")
+		}
+	})
+	if got > budget {
+		t.Errorf("cold compile of SP(12,1,2,2): %.0f allocations, budget %d", got, budget)
 	}
 }

@@ -36,6 +36,23 @@ func fuzzCorpus(f *testing.F) {
 // screen) is built on.
 func FuzzAnalyze(f *testing.F) {
 	fuzzCorpus(f)
+	// One array, two subscript counts: once "iset: set rank mismatch"
+	// out of the dataflow pass, now a bind diagnostic.
+	f.Add(`
+program ranks
+param N = 16
+!hpf$ processors procs(4)
+!hpf$ template tm(N)
+!hpf$ align b with tm(d0)
+!hpf$ distribute tm(BLOCK) onto procs
+subroutine main()
+  real b(0:N-1)
+  do i = 0, N-1
+    b(i) = a(i,0)
+    a(i) = 1.0
+  enddo
+end
+`)
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 1<<15 {
 			t.Skip("oversized input")

@@ -201,16 +201,15 @@ func (c *CP) String() string {
 // (outermost first) under the parameter binding, normalizing backward
 // loops to forward intervals.
 func IterBox(nest []*ir.Loop, bind map[string]int) iset.Box {
-	lo := make([]int, len(nest))
-	hi := make([]int, len(nest))
+	box := iset.MakeBox(len(nest))
 	for i, l := range nest {
 		a, b := l.Lo.Eval(bind), l.Hi.Eval(bind)
 		if l.Step < 0 {
 			a, b = b, a
 		}
-		lo[i], hi[i] = a, b
+		box.Lo[i], box.Hi[i] = a, b
 	}
-	return iset.NewBox(lo, hi)
+	return box
 }
 
 // ExecBox computes the iterations of iterBox (whose dimensions are the
@@ -223,50 +222,41 @@ func (t Term) ExecBox(nestVars []string, iterBox iset.Box, local iset.Box, bind 
 		panic(fmt.Sprintf("cp: term %v rank %d vs local box rank %d", t, len(t.Subs), local.Rank()))
 	}
 	out := iset.NewBox(iterBox.Lo, iterBox.Hi)
-	kill := func() iset.Box {
-		e := iset.NewBox(iterBox.Lo, iterBox.Hi)
-		for k := range e.Lo {
-			e.Lo[k], e.Hi[k] = 1, 0
-		}
-		return e
-	}
 	for d, s := range t.Subs {
 		dlo, dhi := local.Lo[d], local.Hi[d]
+		if s.IsRange {
+			if max(s.Lo.EvalOr(bind, 0), dlo) > min(s.Hi.EvalOr(bind, 0), dhi) {
+				return emptied(out)
+			}
+			continue
+		}
+		off := s.Off.EvalOr(bind, 0)
+		j := indexOf(nestVars, s.Var)
 		switch {
-		case s.IsRange:
-			rlo, rhi := s.Lo.EvalOr(bind, 0), s.Hi.EvalOr(bind, 0)
-			if max(rlo, dlo) > min(rhi, dhi) {
-				return kill()
+		case j < 0:
+			// A constant, or a variable that is not a nest variable
+			// (e.g. an integer formal bound at run time): a symbolic
+			// parameter.  bind[""] is 0.
+			if v := s.Coef*bind[s.Var] + off; v < dlo || v > dhi {
+				return emptied(out)
 			}
-		case s.Var == "":
-			v := s.Off.EvalOr(bind, 0)
-			if v < dlo || v > dhi {
-				return kill()
-			}
-		default:
-			j := indexOf(nestVars, s.Var)
-			if j < 0 {
-				// Subscript variable is not a nest variable (e.g. an
-				// integer formal bound at run time); treat as a symbolic
-				// parameter.
-				v := s.Coef*bind[s.Var] + s.Off.EvalOr(bind, 0)
-				if v < dlo || v > dhi {
-					return kill()
-				}
-				continue
-			}
-			off := s.Off.EvalOr(bind, 0)
-			var a, b int
-			if s.Coef == 1 {
-				a, b = dlo-off, dhi-off
-			} else { // Coef == -1: dlo ≤ -i+off ≤ dhi
-				a, b = off-dhi, off-dlo
-			}
-			out.Lo[j] = max(out.Lo[j], a)
-			out.Hi[j] = min(out.Hi[j], b)
+		case s.Coef == 1:
+			out.Lo[j] = max(out.Lo[j], dlo-off)
+			out.Hi[j] = min(out.Hi[j], dhi-off)
+		default: // Coef == -1: dlo ≤ -i+off ≤ dhi
+			out.Lo[j] = max(out.Lo[j], off-dhi)
+			out.Hi[j] = min(out.Hi[j], off-dlo)
 		}
 	}
 	return out
+}
+
+// emptied makes every dimension of a box still being built empty.
+func emptied(b iset.Box) iset.Box {
+	for k := range b.Lo {
+		b.Lo[k], b.Hi[k] = 1, 0
+	}
+	return b
 }
 
 // IterSet computes the set of iterations of the nest a processor with the
@@ -293,31 +283,18 @@ func (c *CP) IterSet(nest []*ir.Loop, bind map[string]int, localOf func(array st
 // RefDataBox computes the box of array elements a reference touches over
 // an iteration box (dimensions = nestVars).
 func RefDataBox(ref *ir.ArrayRef, nestVars []string, iter iset.Box, bind map[string]int) iset.Box {
-	lo := make([]int, len(ref.Subs))
-	hi := make([]int, len(ref.Subs))
-	empty := iter.Empty()
-	for d, s := range ref.Subs {
-		if s.Var == "" {
-			v := s.Off.EvalOr(bind, 0)
-			lo[d], hi[d] = v, v
-			continue
-		}
-		j := indexOf(nestVars, s.Var)
-		if j < 0 {
-			v := s.Coef*bind[s.Var] + s.Off.EvalOr(bind, 0)
-			lo[d], hi[d] = v, v
-			continue
-		}
-		off := s.Off.EvalOr(bind, 0)
-		a := s.Coef*iter.Lo[j] + off
-		b := s.Coef*iter.Hi[j] + off
-		lo[d], hi[d] = min(a, b), max(a, b)
+	box := iset.MakeBox(len(ref.Subs))
+	if iter.Empty() {
+		return emptied(box)
 	}
-	box := iset.NewBox(lo, hi)
-	if empty {
-		for d := range box.Lo {
-			box.Lo[d], box.Hi[d] = 1, 0
+	for d, s := range ref.Subs {
+		off := s.Off.EvalOr(bind, 0)
+		a := s.Coef*bind[s.Var] + off // no nest variable: a point (bind[""] is 0)
+		b := a
+		if j := indexOf(nestVars, s.Var); j >= 0 {
+			a, b = s.Coef*iter.Lo[j]+off, s.Coef*iter.Hi[j]+off
 		}
+		box.Lo[d], box.Hi[d] = min(a, b), max(a, b)
 	}
 	return box
 }

@@ -9,6 +9,7 @@ package dep
 
 import (
 	"fmt"
+	"slices"
 
 	"dhpf/internal/ir"
 )
@@ -119,20 +120,39 @@ func Analyze(body []ir.Stmt) []*Dependence {
 		return true
 	})
 
-	var deps []*Dependence
+	// Pair each access with the accesses of the same name only; the
+	// dependences still come out i-major, j-minor over accs.
+	byName := map[string][]*access{}
+	depth := 0
 	for i := range accs {
-		for j := range accs {
-			a, b := &accs[i], &accs[j]
-			if a.ref.Name != b.ref.Name {
-				continue
+		a := &accs[i]
+		byName[a.ref.Name] = append(byName[a.ref.Name], a)
+		depth = max(depth, len(a.nest))
+	}
+	t := tester{dist: make([]Dist, depth), constrained: make([]bool, depth), unknown: make([]Dist, depth), zero: make([]Dist, depth)}
+	for i := range t.zero {
+		t.zero[i] = Dist{Known: true}
+	}
+	for i := range accs {
+		a := &accs[i]
+		for _, b := range byName[a.ref.Name] {
+			if a.write || b.write {
+				t.testPair(a, b)
 			}
-			if !a.write && !b.write {
-				continue
-			}
-			deps = append(deps, testPair(a, b)...)
 		}
 	}
-	return deps
+	return t.deps
+}
+
+// tester is the state of one Analyze: the dependences found so far, the
+// per-pair scratch vectors, and the two constant distance vectors every
+// dependence of a given depth shares (Distance is never written).
+type tester struct {
+	deps          []*Dependence
+	dist          []Dist
+	constrained   []bool
+	unknown, zero []Dist
+	chunk         []Dependence // Dependences are allocated 64 at a time
 }
 
 // testPair tests for a dependence with source a and destination b: does
@@ -142,18 +162,20 @@ func Analyze(body []ir.Stmt) []*Dependence {
 // unconstrained by any subscript) yields two dependences: one
 // loop-independent and one carried at the outermost carriable level —
 // the standard level-wise decomposition of a direction vector.
-func testPair(a, b *access) []*Dependence {
+func (t *tester) testPair(a, b *access) {
 	common := ir.CommonPrefix(a.nest, b.nest)
 	if len(a.ref.Subs) != len(b.ref.Subs) {
 		// Whole-array vs element reference: conservative dependence with
 		// unknown distances.
-		return emit(a, b, common, unknownDists(len(common)))
+		t.emit(a, b, common, t.unknown[:len(common):len(common)], true)
+		return
 	}
 
 	// For each common loop, derive the distance constraint implied by the
 	// subscript pair(s) that use its index variable.
-	dist := make([]Dist, len(common))
-	constrained := make([]bool, len(common))
+	dist, constrained := t.dist[:len(common)], t.constrained[:len(common)]
+	clear(dist)
+	clear(constrained)
 	for k := range a.ref.Subs {
 		sa, sb := a.ref.Subs[k], b.ref.Subs[k]
 		switch {
@@ -163,7 +185,7 @@ func testPair(a, b *access) []*Dependence {
 			// assumed to overlap.
 			diff := sa.Off.Sub(sb.Off)
 			if c, ok := diff.IsConst(); ok && c != 0 {
-				return nil
+				return
 			}
 		case sa.Var != "" && sa.Var == sb.Var && sa.Coef == sb.Coef:
 			// Strong SIV on a shared variable: a at iteration i and b at
@@ -187,7 +209,7 @@ func testPair(a, b *access) []*Dependence {
 			d := c * sa.Coef // (ca-cb)/coef with coef ∈ {1,-1}
 			if constrained[li] && dist[li].Known && dist[li].D != d {
 				// Two subscript pairs demand inconsistent distances.
-				return nil
+				return
 			}
 			if !constrained[li] || dist[li].Known {
 				dist[li] = Dist{Known: true, D: d}
@@ -222,7 +244,7 @@ func testPair(a, b *access) []*Dependence {
 		}
 	}
 
-	return emit(a, b, common, dist)
+	t.emit(a, b, common, dist, false)
 }
 
 // emit decomposes a distance vector into its dependence instances,
@@ -238,64 +260,53 @@ func testPair(a, b *access) []*Dependence {
 // A known component with a non-zero value stops the scan after its own
 // level (deeper levels would need it to be zero); a known strictly
 // negative trip count means the direction at that level is backward.
-func emit(a, b *access, common []*ir.Loop, dist []Dist) []*Dependence {
-	admitsZero := func(d Dist) bool { return !d.Known || d.D == 0 }
-	admitsPos := func(li int, d Dist) bool {
-		if !d.Known {
-			return true
-		}
-		return d.D*common[li].Step > 0
-	}
-
-	var out []*Dependence
-
+//
+// The carried instances share one distance vector: dist itself when the
+// caller lets go of it (keep), a copy of the scratch otherwise.
+func (t *tester) emit(a, b *access, common []*ir.Loop, dist []Dist, keep bool) {
 	// Carried dependences at every carriable level.
+	zeroOK := true
 	for li, d := range dist {
-		if admitsPos(li, d) {
-			out = append(out, makeDep(a, b, common, dist, li+1))
+		if !d.Known || d.D*common[li].Step > 0 {
+			if !keep {
+				dist, keep = slices.Clone(dist), true
+			}
+			t.add(a, b, common, dist, li+1)
 		}
-		if !admitsZero(d) {
+		if d.Known && d.D != 0 {
+			zeroOK = false
 			break // deeper levels need this component to be zero
 		}
 	}
 
 	// Loop-independent instance.
-	zeroOK := true
-	for _, d := range dist {
-		if !admitsZero(d) {
-			zeroOK = false
-			break
-		}
-	}
 	if zeroOK && a.stmt != b.stmt && a.order < b.order {
-		zero := make([]Dist, len(dist))
-		for i := range zero {
-			zero[i] = Dist{Known: true, D: 0}
-		}
-		out = append(out, makeDep(a, b, common, zero, 0))
+		t.add(a, b, common, t.zero[:len(dist):len(dist)], 0)
 	}
-	return out
 }
 
-func makeDep(a, b *access, common []*ir.Loop, dist []Dist, level int) *Dependence {
-	d := &Dependence{
+func (t *tester) add(a, b *access, common []*ir.Loop, dist []Dist, level int) {
+	if len(t.chunk) == 0 {
+		t.chunk = make([]Dependence, 64)
+	}
+	d := &t.chunk[0]
+	t.chunk = t.chunk[1:]
+	*d = Dependence{
 		Src: a.stmt, Dst: b.stmt,
 		SrcRef: a.ref, DstRef: b.ref,
 		CommonNest: common,
 		Distance:   dist,
+		Level:      level,
 	}
 	switch {
 	case a.write && b.write:
 		d.Kind = Output
 	case a.write:
 		d.Kind = Flow
-	case b.write:
+	default: // b writes: Analyze pairs no two reads
 		d.Kind = Anti
-	default:
-		d.Kind = Input
 	}
-	d.Level = level
-	return d
+	t.deps = append(t.deps, d)
 }
 
 func indexOfVar(nest []*ir.Loop, v string) int {
@@ -305,14 +316,6 @@ func indexOfVar(nest []*ir.Loop, v string) int {
 		}
 	}
 	return -1
-}
-
-func unknownDists(n int) []Dist {
-	out := make([]Dist, n)
-	for i := range out {
-		out[i] = Dist{Known: false}
-	}
-	return out
 }
 
 // LoopIndependentDeps filters to the loop-independent dependences whose

@@ -35,6 +35,11 @@ func Bind(prog *ir.Program, params map[string]int) (*Binding, error) {
 		bind[k] = v
 	}
 	out := &Binding{Grids: map[string]*Grid{}, Layouts: map[string]*Layout{}, Params: bind}
+	for _, proc := range prog.Procs {
+		if err := checkRefRanks(proc); err != nil {
+			return nil, err
+		}
+	}
 
 	for _, pd := range prog.Processors {
 		shape := make([]int, len(pd.Extents))
@@ -174,4 +179,39 @@ func Bind(prog *ir.Program, params map[string]int) (*Binding, error) {
 		}
 	}
 	return out, nil
+}
+
+// checkRefRanks rejects a procedure that subscripts one array with two
+// ranks (its declaration's, or its first reference's when it has none):
+// the analyses compare the data sets of same-named references.
+func checkRefRanks(proc *ir.Procedure) error {
+	ranks := map[string]int{}
+	for _, d := range proc.Decls {
+		if d.Rank() > 0 {
+			ranks[d.Name] = d.Rank()
+		}
+	}
+	var err error
+	ir.Walk(proc.Body, func(s ir.Stmt, _ []*ir.Loop) bool {
+		var refs []*ir.ArrayRef
+		switch st := s.(type) {
+		case *ir.Assign:
+			refs = append(ir.Refs(st.RHS), st.LHS)
+		case *ir.CallStmt:
+			for _, a := range st.Args {
+				refs = append(refs, ir.Refs(a)...)
+			}
+		}
+		for _, r := range refs {
+			want, seen := ranks[r.Name]
+			if n := len(r.Subs); n > 0 && !seen { // n == 0: whole array or scalar
+				ranks[r.Name] = n
+			} else if n > 0 && n != want && err == nil {
+				err = fmt.Errorf("hpf: proc %s: array %q has rank %d (its declaration or first reference) but is also referenced with %d subscripts",
+					proc.Name, r.Name, want, n)
+			}
+		}
+		return err == nil
+	})
+	return err
 }

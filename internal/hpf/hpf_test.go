@@ -2,6 +2,7 @@ package hpf
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -271,12 +272,40 @@ subroutine main()
   a(0) = 1.0
 end
 `,
+		// Once a compiler panic (iset: set rank mismatch in the analyses).
+		"one array, two ranks": `
+program t
+param N = 8
+!hpf$ processors procs(2)
+!hpf$ distribute b(BLOCK) onto procs
+subroutine main()
+  real b(0:N-1)
+  do i = 0, N-1
+    b(i) = a(i,0)
+    a(i) = 1.0
+  enddo
+end
+`,
+		"reference rank differs from the declaration": `
+program t
+param N = 8
+!hpf$ processors procs(2)
+!hpf$ distribute a(BLOCK) onto procs
+subroutine main()
+  real a(0:N-1)
+  a(0,1) = 1.0
+end
+`,
 	}
 	for name, src := range srcs {
 		t.Run(name, func(t *testing.T) {
 			prog := parser.MustParse(src)
-			if _, err := Bind(prog, nil); err == nil {
+			_, err := Bind(prog, nil)
+			if err == nil {
 				t.Fatal("expected bind error")
+			}
+			if strings.Contains(name, "rank") && !strings.Contains(err.Error(), `proc main: array "a" has rank`) {
+				t.Fatalf("error does not name procedure, array and rank: %v", err)
 			}
 		})
 	}
@@ -393,6 +422,12 @@ func TestLocalBoxShared(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { _ = l.LocalBox(3) }); n != 0 {
 		t.Errorf("LocalBox allocates %v times per call", n)
 	}
+	if n := testing.AllocsPerRun(100, func() { _ = l.Space() }); n != 0 {
+		t.Errorf("Space allocates %v times per call", n)
+	}
+	if got := l.Space().String(); got != "[0:63, 0:63]" {
+		t.Errorf("Space = %s", got)
+	}
 	b, err := Bind(parser.MustParse(`
 program t
 param N = 16
@@ -405,6 +440,9 @@ end
 `), nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := b.LayoutOf("a").Space().String(); got != "[0:15]" {
+		t.Errorf("Space of the CYCLIC layout = %s", got)
 	}
 	defer func() {
 		if recover() == nil {

@@ -114,6 +114,7 @@ type Layout struct {
 	Grid *Grid
 	Dims []DimLayout
 
+	space iset.Box
 	local []iset.Box // LocalBox by rank; nil when a dimension is CYCLIC
 }
 
@@ -148,15 +149,9 @@ func DefaultBlockSize(extent, np int) int {
 // Rank returns the array's dimensionality.
 func (l *Layout) Rank() int { return len(l.Dims) }
 
-// Space returns the full index space of the array as a box.
-func (l *Layout) Space() iset.Box {
-	lo := make([]int, l.Rank())
-	hi := make([]int, l.Rank())
-	for k, d := range l.Dims {
-		lo[k], hi[k] = d.Lo, d.Hi
-	}
-	return iset.NewBox(lo, hi)
-}
+// Space returns the full index space of the array as a box, shared like
+// LocalBox's.
+func (l *Layout) Space() iset.Box { return l.space }
 
 // Distributed reports whether any dimension is distributed.
 func (l *Layout) Distributed() bool {
@@ -169,8 +164,8 @@ func (l *Layout) Distributed() bool {
 }
 
 // LocalBox returns the box of array indices owned by the processor with
-// the given linear rank.  The box is shared by every caller: read it,
-// never write its bounds (iset.Box's own methods copy).  For CYCLIC
+// the given linear rank.  The box is shared by every caller and by every
+// set built from it: read it, never write its bounds.  For CYCLIC
 // dimensions ownership is not a box; LocalBox panics — the compiler
 // rejects CYCLIC earlier (the paper's codes use BLOCK only).
 func (l *Layout) LocalBox(rank int) iset.Box {
@@ -180,8 +175,13 @@ func (l *Layout) LocalBox(rank int) iset.Box {
 	return l.local[rank]
 }
 
-// setLocal computes every rank's box, once the dimensions are final.
+// setLocal computes the index space and every rank's box, once the
+// dimensions are final.
 func (l *Layout) setLocal() {
+	l.space = iset.MakeBox(l.Rank())
+	for k, d := range l.Dims {
+		l.space.Lo[k], l.space.Hi[k] = d.Lo, d.Hi
+	}
 	for _, d := range l.Dims {
 		if d.Kind == Cyclic {
 			return
@@ -195,8 +195,8 @@ func (l *Layout) setLocal() {
 
 func (l *Layout) localBox(rank int) iset.Box {
 	coord := l.Grid.Coord(rank)
-	lo := make([]int, l.Rank())
-	hi := make([]int, l.Rank())
+	box := iset.MakeBox(l.Rank())
+	lo, hi := box.Lo, box.Hi
 	for k, d := range l.Dims {
 		switch d.Kind {
 		case Star:
@@ -211,7 +211,7 @@ func (l *Layout) localBox(rank int) iset.Box {
 			hi[k] = min(d.Hi, end)
 		}
 	}
-	return iset.Box{Lo: lo, Hi: hi}
+	return box
 }
 
 // OwnerOf returns the linear rank of the unique owner of the element.

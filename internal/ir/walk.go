@@ -133,15 +133,15 @@ func NestVars(nest []*Loop) []string {
 	return out
 }
 
-// CommonPrefix returns the loops shared by both nests (outermost-in).
+// CommonPrefix returns the loops shared by both nests (outermost-in): a
+// capacity-clipped prefix of a, to read and not to write.
 func CommonPrefix(a, b []*Loop) []*Loop {
-	n := min(len(a), len(b))
-	var out []*Loop
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			break
-		}
-		out = append(out, a[i])
+	n := 0
+	for n < len(a) && n < len(b) && a[n] == b[n] {
+		n++
 	}
-	return out
+	if n == 0 {
+		return nil
+	}
+	return a[:n:n]
 }

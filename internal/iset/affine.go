@@ -132,7 +132,7 @@ func (m AffineMap) ImageBox(b Box) Box {
 	if b.Rank() != m.InRank {
 		panic("iset: ImageBox rank mismatch")
 	}
-	out := Box{Lo: make([]int, len(m.Out)), Hi: make([]int, len(m.Out))}
+	out := MakeBox(len(m.Out))
 	if b.Empty() {
 		// Preserve emptiness with an inverted interval.
 		for k := range m.Out {

@@ -15,17 +15,29 @@
 package iset
 
 import (
+	"bytes"
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
+	"strconv"
 )
 
 // Box is an axis-aligned product of inclusive integer intervals
 // [Lo[0]:Hi[0]] x ... x [Lo[d-1]:Hi[d-1]].  A Box with any Lo[k] > Hi[k]
-// is empty.  Boxes are immutable by convention: operations return fresh
-// boxes and never alias their operands' slices.
+// is empty.  Boxes are shared, not copied: a set keeps the boxes it is
+// given and hands the same boxes out again, so a box is read forever and
+// never written once anything else has seen it.  Only the constructors
+// (MakeBox, NewBox, Interval, Point and the Box methods that return a
+// Box) and Set.AsBox return a box the caller may still write.
 type Box struct {
 	Lo, Hi []int
+}
+
+// MakeBox returns the rank-n box [0:0]ⁿ for the caller to fill before
+// anything else sees it.  Lo and Hi are the two halves of one array,
+// each clipped to its own capacity.
+func MakeBox(n int) Box {
+	buf := make([]int, 2*n)
+	return Box{Lo: buf[:n:n], Hi: buf[n:]}
 }
 
 // NewBox returns the box with the given inclusive bounds.
@@ -34,7 +46,7 @@ func NewBox(lo, hi []int) Box {
 	if len(lo) != len(hi) {
 		panic(fmt.Sprintf("iset: NewBox rank mismatch %d vs %d", len(lo), len(hi)))
 	}
-	b := Box{Lo: make([]int, len(lo)), Hi: make([]int, len(hi))}
+	b := MakeBox(len(lo))
 	copy(b.Lo, lo)
 	copy(b.Hi, hi)
 	return b
@@ -109,7 +121,7 @@ func (b Box) Intersect(c Box) Box {
 	if b.Rank() != c.Rank() {
 		panic("iset: Intersect rank mismatch")
 	}
-	out := Box{Lo: make([]int, b.Rank()), Hi: make([]int, b.Rank())}
+	out := MakeBox(b.Rank())
 	for k := range b.Lo {
 		out.Lo[k] = max(b.Lo[k], c.Lo[k])
 		out.Hi[k] = min(b.Hi[k], c.Hi[k])
@@ -118,7 +130,17 @@ func (b Box) Intersect(c Box) Box {
 }
 
 // Intersects reports whether the two boxes share at least one point.
-func (b Box) Intersects(c Box) bool { return !b.Intersect(c).Empty() }
+func (b Box) Intersects(c Box) bool {
+	if b.Rank() != c.Rank() {
+		panic("iset: Intersect rank mismatch")
+	}
+	for k := range b.Lo {
+		if max(b.Lo[k], c.Lo[k]) > min(b.Hi[k], c.Hi[k]) {
+			return false
+		}
+	}
+	return true
+}
 
 // ContainsBox reports whether c ⊆ b.
 func (b Box) ContainsBox(c Box) bool {
@@ -137,35 +159,33 @@ func (b Box) ContainsBox(c Box) bool {
 }
 
 // Subtract returns b − c as a slice of disjoint boxes.  The result has at
-// most 2·rank boxes (the classic axis-sweep decomposition).
-func (b Box) Subtract(c Box) []Box {
+// most 2·rank boxes (the classic axis-sweep decomposition); it is b
+// itself when c cuts nothing.
+func (b Box) Subtract(c Box) []Box { return b.appendMinus(nil, c) }
+
+// appendMinus appends the boxes of b − c to dst.
+func (b Box) appendMinus(dst []Box, c Box) []Box {
 	if b.Empty() {
-		return nil
+		return dst
 	}
-	inter := b.Intersect(c)
-	if inter.Empty() {
-		return []Box{b.clone()}
+	if !b.Intersects(c) {
+		return append(dst, b)
 	}
-	if inter.Eq(b) {
-		return nil
+	if c.ContainsBox(b) {
+		return dst
 	}
-	var out []Box
 	rem := b.clone()
 	for k := range b.Lo {
-		if rem.Lo[k] < inter.Lo[k] {
-			low := rem.clone()
-			low.Hi[k] = inter.Lo[k] - 1
-			out = append(out, low)
-			rem.Lo[k] = inter.Lo[k]
+		if lo := c.Lo[k]; rem.Lo[k] < lo {
+			dst = append(dst, rem.WithDim(k, rem.Lo[k], lo-1))
+			rem.Lo[k] = lo
 		}
-		if rem.Hi[k] > inter.Hi[k] {
-			high := rem.clone()
-			high.Lo[k] = inter.Hi[k] + 1
-			out = append(out, high)
-			rem.Hi[k] = inter.Hi[k]
+		if hi := c.Hi[k]; rem.Hi[k] > hi {
+			dst = append(dst, rem.WithDim(k, hi+1, rem.Hi[k]))
+			rem.Hi[k] = hi
 		}
 	}
-	return out
+	return dst
 }
 
 // Translate returns the box shifted by the offset vector.
@@ -203,29 +223,23 @@ func (b Box) Project(dim int) (lo, hi int) { return b.Lo[dim], b.Hi[dim] }
 
 // Drop returns the box with dimension dim removed (projection away).
 func (b Box) Drop(dim int) Box {
-	lo := make([]int, 0, b.Rank()-1)
-	hi := make([]int, 0, b.Rank()-1)
-	for k := range b.Lo {
-		if k == dim {
-			continue
-		}
-		lo = append(lo, b.Lo[k])
-		hi = append(hi, b.Hi[k])
-	}
-	return Box{Lo: lo, Hi: hi}
+	out := MakeBox(b.Rank() - 1)
+	copy(out.Lo, b.Lo[:dim])
+	copy(out.Lo[dim:], b.Lo[dim+1:])
+	copy(out.Hi, b.Hi[:dim])
+	copy(out.Hi[dim:], b.Hi[dim+1:])
+	return out
 }
 
 // Insert returns the box with a new dimension [lo:hi] inserted at index dim.
 func (b Box) Insert(dim, lo, hi int) Box {
-	nlo := make([]int, 0, b.Rank()+1)
-	nhi := make([]int, 0, b.Rank()+1)
-	nlo = append(nlo, b.Lo[:dim]...)
-	nlo = append(nlo, lo)
-	nlo = append(nlo, b.Lo[dim:]...)
-	nhi = append(nhi, b.Hi[:dim]...)
-	nhi = append(nhi, hi)
-	nhi = append(nhi, b.Hi[dim:]...)
-	return Box{Lo: nlo, Hi: nhi}
+	out := MakeBox(b.Rank() + 1)
+	copy(out.Lo, b.Lo[:dim])
+	copy(out.Lo[dim+1:], b.Lo[dim:])
+	copy(out.Hi, b.Hi[:dim])
+	copy(out.Hi[dim+1:], b.Hi[dim:])
+	out.Lo[dim], out.Hi[dim] = lo, hi
+	return out
 }
 
 func (b Box) clone() Box {
@@ -234,24 +248,24 @@ func (b Box) clone() Box {
 
 // String renders the box in the paper's bracket notation, e.g.
 // "[1:62, 17, 1:62]".
-func (b Box) String() string {
+func (b Box) String() string { return string(b.appendText(make([]byte, 0, 48))) }
+
+func (b Box) appendText(dst []byte) []byte {
 	if b.Empty() {
-		return "[]"
+		return append(dst, "[]"...)
 	}
-	var sb strings.Builder
-	sb.WriteByte('[')
+	dst = append(dst, '[')
 	for k := range b.Lo {
 		if k > 0 {
-			sb.WriteString(", ")
+			dst = append(dst, ", "...)
 		}
-		if b.Lo[k] == b.Hi[k] {
-			fmt.Fprintf(&sb, "%d", b.Lo[k])
-		} else {
-			fmt.Fprintf(&sb, "%d:%d", b.Lo[k], b.Hi[k])
+		dst = strconv.AppendInt(dst, int64(b.Lo[k]), 10)
+		if b.Lo[k] != b.Hi[k] {
+			dst = append(dst, ':')
+			dst = strconv.AppendInt(dst, int64(b.Hi[k]), 10)
 		}
 	}
-	sb.WriteByte(']')
-	return sb.String()
+	return append(dst, ']')
 }
 
 // Each calls fn for every tuple in the box in lexicographic order.  The
@@ -282,9 +296,26 @@ func (b Box) Each(fn func(p []int) bool) bool {
 	}
 }
 
-// canonKey orders boxes deterministically for normalization.
-func (b Box) canonKey() string { return b.String() }
-
+// sortBoxes puts boxes in canonical order: the byte order of their
+// rendered text ("[10:12]" before "[2:3]"), which every report, emitted
+// node program and schedule golden depends on.  Each box is rendered once.
 func sortBoxes(bs []Box) {
-	sort.Slice(bs, func(i, j int) bool { return bs[i].canonKey() < bs[j].canonKey() })
+	if len(bs) < 2 {
+		return
+	}
+	type keyed struct {
+		b      Box
+		lo, hi int // the box's text is text[lo:hi]
+	}
+	text := make([]byte, 0, 32*len(bs))
+	ks := make([]keyed, len(bs))
+	for i, b := range bs {
+		lo := len(text)
+		text = b.appendText(text)
+		ks[i] = keyed{b, lo, len(text)}
+	}
+	slices.SortFunc(ks, func(x, y keyed) int { return bytes.Compare(text[x.lo:x.hi], text[y.lo:y.hi]) })
+	for i, k := range ks {
+		bs[i] = k.b
+	}
 }

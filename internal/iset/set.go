@@ -1,12 +1,15 @@
 package iset
 
 import (
+	"slices"
 	"strings"
 )
 
 // Set is a finite union of integer boxes of a common rank.  The zero value
 // is the empty set of rank -1 (rank adapts to the first box added).
-// Sets are immutable by convention: all methods return new sets.
+// Sets are immutable: all methods return new sets, and a result shares
+// the boxes of its operands wherever an operation leaves a box whole
+// (see Box for the rule that makes this safe).
 //
 // Internal invariant: boxes are non-empty and pairwise disjoint.  This
 // makes Card a simple sum and Subset/Eq exact.
@@ -22,7 +25,7 @@ func EmptySet(rank int) Set { return Set{rank: rank} }
 func FromBox(b Box) Set {
 	s := Set{rank: b.Rank()}
 	if !b.Empty() {
-		s.boxes = []Box{b.clone()}
+		s.boxes = []Box{b}
 	}
 	return s
 }
@@ -44,10 +47,7 @@ func (s Set) Rank() int { return s.rank }
 
 // Boxes returns the disjoint boxes comprising the set, in canonical order.
 func (s Set) Boxes() []Box {
-	out := make([]Box, len(s.boxes))
-	for i, b := range s.boxes {
-		out[i] = b.clone()
-	}
+	out := slices.Clone(s.boxes)
 	sortBoxes(out)
 	return out
 }
@@ -113,21 +113,46 @@ func (s Set) UnionBox(b Box) Set {
 	if s.rank < 0 {
 		s.rank = b.Rank()
 	}
-	frags := []Box{b.clone()}
+	if covered(b, s.boxes) {
+		return s
+	}
+	n := len(s.boxes)
+	out := Set{rank: s.rank, boxes: append(append(make([]Box, 0, n+1), s.boxes...), b)}
+	var scratch []Box
 	for _, have := range s.boxes {
-		var next []Box
-		for _, f := range frags {
-			next = append(next, f.Subtract(have)...)
-		}
-		frags = next
-		if len(frags) == 0 {
-			return s
+		out.boxes, scratch = cutTail(out.boxes, n, have, scratch)
+	}
+	if len(out.boxes) == n {
+		return s
+	}
+	return out.coalesce()
+}
+
+// covered reports whether one of the boxes alone contains b.
+func covered(b Box, boxes []Box) bool {
+	for _, have := range boxes {
+		if have.ContainsBox(b) {
+			return true
 		}
 	}
-	out := Set{rank: s.rank, boxes: make([]Box, 0, len(s.boxes)+len(frags))}
-	out.boxes = append(out.boxes, s.boxes...)
-	out.boxes = append(out.boxes, frags...)
-	return out.coalesce()
+	return false
+}
+
+// cutTail replaces bs[from:] by the pieces of those boxes outside c, in
+// order; bs must be the caller's own.  scratch is handed back for reuse.
+func cutTail(bs []Box, from int, c Box, scratch []Box) ([]Box, []Box) {
+	for from < len(bs) && !bs[from].Intersects(c) {
+		from++
+	}
+	if from == len(bs) {
+		return bs, scratch
+	}
+	scratch = append(scratch[:0], bs[from:]...)
+	bs = bs[:from]
+	for _, f := range scratch {
+		bs = f.appendMinus(bs, c)
+	}
+	return bs, scratch
 }
 
 // Union returns s ∪ t.
@@ -147,12 +172,17 @@ func (s Set) Intersect(t Set) Set {
 	out := Set{rank: s.rankOr(t)}
 	for _, a := range s.boxes {
 		for _, b := range t.boxes {
-			c := a.Intersect(b)
-			if !c.Empty() {
-				// Disjointness of s's boxes ensures the pieces
-				// a∩b are disjoint across a; across b they are
-				// disjoint because t's boxes are disjoint.
-				out.boxes = append(out.boxes, c)
+			// Disjointness of s's boxes ensures the pieces a∩b are
+			// disjoint across a; across b they are disjoint because
+			// t's boxes are disjoint.
+			switch {
+			case !a.Intersects(b):
+			case b.ContainsBox(a):
+				out.boxes = append(out.boxes, a)
+			case a.ContainsBox(b):
+				out.boxes = append(out.boxes, b)
+			default:
+				out.boxes = append(out.boxes, a.Intersect(b))
 			}
 		}
 	}
@@ -166,19 +196,18 @@ func (s Set) IntersectBox(b Box) Set { return s.Intersect(FromBox(b)) }
 func (s Set) Subtract(t Set) Set {
 	s.checkRank(t)
 	out := Set{rank: s.rank}
+	var scratch []Box
 	for _, a := range s.boxes {
-		frags := []Box{a.clone()}
+		if covered(a, t.boxes) {
+			continue
+		}
+		n := len(out.boxes)
+		out.boxes = append(out.boxes, a)
 		for _, b := range t.boxes {
-			var next []Box
-			for _, f := range frags {
-				next = append(next, f.Subtract(b)...)
-			}
-			frags = next
-			if len(frags) == 0 {
+			if out.boxes, scratch = cutTail(out.boxes, n, b, scratch); len(out.boxes) == n {
 				break
 			}
 		}
-		out.boxes = append(out.boxes, frags...)
 	}
 	return out.coalesce()
 }
@@ -274,13 +303,10 @@ func (s Set) WithDim(dim, lo, hi int) Set {
 
 // coalesce merges boxes that are adjacent along one dimension and equal in
 // all others, keeping the representation small.  It preserves disjointness.
+// It works in place: s.boxes must be the caller's own slice.
 func (s Set) coalesce() Set {
-	if len(s.boxes) <= 1 {
-		return s
-	}
-	boxes := make([]Box, len(s.boxes))
-	copy(boxes, s.boxes)
-	changed := true
+	boxes := s.boxes
+	changed := len(boxes) > 1
 	for changed {
 		changed = false
 	outer:
@@ -315,7 +341,7 @@ func tryMerge(a, b Box) (Box, bool) {
 	}
 	if diff < 0 {
 		// Identical boxes (should not happen under disjointness).
-		return a.clone(), true
+		return a, true
 	}
 	// Contiguity check along diff: [aLo:aHi] ∪ [bLo:bHi] must be an interval.
 	lo1, hi1 := a.Lo[diff], a.Hi[diff]

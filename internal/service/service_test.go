@@ -464,6 +464,14 @@ func TestBadRequests(t *testing.T) {
 			}
 			return err
 		}, http.StatusUnprocessableEntity},
+		{"one array, two ranks", func() error { // once a compiler panic
+			_, err := client.Compile(context.Background(), dhpf.CompileRequest{
+				Source: strings.Replace(tinySrc, "a(i) = 2.0*i", "a(i) = b(i,0)\n    b(i) = 1.0", 1)})
+			if err == nil || !strings.Contains(err.Error(), `array "b" has rank 2`) {
+				return fmt.Errorf("want the reference-rank diagnostic, got %v", err)
+			}
+			return err
+		}, http.StatusUnprocessableEntity},
 		{"bad newprop", func() error {
 			_, err := client.Compile(context.Background(), dhpf.CompileRequest{
 				Source: tinySrc, Options: &dhpf.RequestOptions{NewProp: "wat"}})
