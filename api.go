@@ -227,11 +227,11 @@ type RunRequest struct {
 	// "interp" (the reference tree-walking interpreter), or "codegen"
 	// (native Go kernels where the binary's registry has one for the
 	// program's units — the pre-generated corpus covers the NAS
-	// benchmarks — and the closure engine elsewhere; the service never
-	// builds plugins on behalf of a request).  All engines produce
-	// byte-identical results; the field exists for differential checks
-	// and perf comparison.  Engine choice does not affect the compile
-	// fingerprint — it is an execution-time concern.
+	// benchmarks — and the default engine's evaluator elsewhere; the
+	// service never builds plugins on behalf of a request).  All engines
+	// produce byte-identical results; the field exists for differential
+	// checks and perf comparison.  Engine choice does not affect the
+	// compile fingerprint — it is an execution-time concern.
 	Engine string `json:"engine,omitempty"`
 }
 
@@ -262,13 +262,14 @@ type RunResponse struct {
 	PulledBytes int64                `json:"pulled_bytes,omitempty"`
 	Arrays      map[string]ArrayJSON `json:"arrays,omitempty"`
 	Cached      bool                 `json:"cached"`
-	// KernelCalls, KernelBails and NativeFlopShare say how much of the
-	// run the native tier served (engine "codegen"; zero otherwise):
-	// loop-nest invocations that ran a native kernel, invocations whose
-	// precheck bailed to the closure engine keyed by reason (absent when
-	// there were none), and the share of all flops executed inside
-	// native kernels.  Results never depend on them; a codegen run whose
-	// share is near zero ran at closure-engine speed.
+	// KernelCalls and NativeFlopShare say how much of the run registered
+	// native kernels served (engine "codegen"; zero otherwise): loop-nest
+	// invocations that ran one, and the share of all flops executed
+	// inside them.  KernelBails counts, on the default engine too, the
+	// invocations whose precheck sent a nest back to the checked closures,
+	// keyed by reason (absent when there were none).  Results never
+	// depend on them; a codegen run whose share is near zero ran at the
+	// default engine's speed.
 	KernelCalls     int64            `json:"kernel_calls"`
 	KernelBails     map[string]int64 `json:"kernel_bails,omitempty"`
 	NativeFlopShare float64          `json:"native_flop_share"`

@@ -390,15 +390,17 @@ func BenchmarkExecuteSPStepShm(b *testing.B) {
 // BenchmarkExecuteSPStepCodegen is the same step under the native
 // codegen tier: the checked-in gen corpus pre-registers SP's kernels
 // (no plugin build in the loop), and results stay Float64bits-identical
-// to both other engines.  tools/benchjson -check gates the ratio
-// against BenchmarkExecuteSPStep.
+// to both other engines.  Both run the same kernel units behind the same
+// precheck; tools/benchjson -check requires the emitted code to stay
+// ≥1.5× ahead of BenchmarkExecuteSPStep's evaluator, and that one ≥5×
+// ahead of the interpreter.
 func BenchmarkExecuteSPStepCodegen(b *testing.B) { benchExecuteSPStep(b, spmd.EngineCodegen) }
 
 // BenchmarkExecuteBTStep and its Codegen twin are the same pair on one
 // BT step at the corpus shape (12³ on 2×2).  BT spends most of its
 // flops inside the LOCALIZE wrapper, whose guards are unions of boxes,
 // so this pair — not SP's — is the one that shows whether those nests
-// run natively; tools/benchjson -check gates it like SP's.
+// run natively; tools/benchjson -check gates it at ≥1.5× like SP's.
 func BenchmarkExecuteBTStep(b *testing.B) {
 	benchExecuteStep(b, nas.BTSource(12, 1, 2, 2), spmd.EngineCompiled, spmd.DefaultOptions())
 }

@@ -11,10 +11,11 @@
 //
 //	-run             execute on the simulated machine after compiling
 //	-engine E        with -run: compiled (default) | interp | codegen —
-//	                 the closure-compiled execution engine, the reference
+//	                 the compiled execution engine (loop nests on the
+//	                 in-process kernel evaluator), the reference
 //	                 tree-walking interpreter, or native Go kernels
 //	                 (emitted, compiled and hot-loaded per program; units
-//	                 without a kernel run on the closure engine).  All
+//	                 without a kernel run on the evaluator).  All
 //	                 engines produce byte-identical results; when plugin
 //	                 builds are unavailable, codegen prints an INFO
 //	                 diagnostic and falls back without failing
@@ -299,8 +300,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if engine == spmd.EngineCodegen {
 		// Bring native kernels online: pre-generated corpus entries are
 		// free, the rest build a plugin.  Degradation is informational,
-		// never fatal — unkerneled units run on the closure engine with
-		// identical results.
+		// never fatal — unkerneled units run on the in-process evaluator
+		// with identical results.
 		rep, err := codegen.EnableNative(prog, codegen.Options{})
 		if err != nil {
 			fmt.Fprintln(stderr, "dhpfc:", err)

@@ -68,8 +68,8 @@ func TestEngineFlagGolden(t *testing.T) {
 // TestEngineCodegenFallback: -engine codegen on a program outside the
 // generated corpus, with plugin builds disabled, degrades gracefully —
 // an INFO diagnostic on stderr, exit 0, and the report byte-identical
-// to the golden (the closure engine runs the unkerneled units) up to
-// the codegen engine's own coverage line, which says so.
+// to the golden (the in-process evaluator runs the unkerneled units) up
+// to the codegen engine's own coverage line, which says so.
 func TestEngineCodegenFallback(t *testing.T) {
 	t.Setenv("DHPF_NO_PLUGIN", "1")
 	var out, errb bytes.Buffer
@@ -83,7 +83,7 @@ func TestEngineCodegenFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := string(golden) + "kernels: 0 units bound, 0 calls, 0 bails, native flop share 0.000\n"
+	want := string(golden) + "kernels: 0 units bound, 0 calls, 0 bails, native flop share 0.000; evaluator: 8 calls, flop share 1.000\n"
 	if out.String() != want {
 		t.Errorf("-engine codegen output differs from golden + coverage line:\n--- got ---\n%s\n--- want ---\n%s",
 			out.String(), want)

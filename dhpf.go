@@ -258,13 +258,13 @@ func (p *Program) Run(cfg MachineConfig) (*Result, error) {
 }
 
 // RunEngine executes the program with an explicit execution engine:
-// "compiled" (or "", the default) for the closure-compiled engine,
+// "compiled" (or "", the default) for the compiled engine,
 // "interp" for the reference tree-walking interpreter, "codegen" for
 // native kernels (units with a registered kernel — import
 // dhpf/internal/codegen/gen or run codegen.EnableNative — execute
-// natively, the rest on the closure engine).  All engines produce
-// byte-identical results; the interpreter exists as the oracle the
-// others are differentially tested against.
+// natively, the rest on the default engine's evaluator).  All engines
+// produce byte-identical results; the interpreter exists as the oracle
+// the others are differentially tested against.
 func (p *Program) RunEngine(cfg MachineConfig, engine string) (*Result, error) {
 	eng, err := spmd.ParseEngine(engine)
 	if err != nil {
@@ -319,13 +319,13 @@ func (r *Result) PulledBytes() int64 {
 	return r.exec.Shm.TotalPulledBytes()
 }
 
-// KernelStats is the native codegen tier's coverage of one run: kernel
-// units bound, native invocations, precheck bails by reason, and the
-// native share of the flops.
+// KernelStats is one run's kernel-unit coverage: native units bound,
+// native invocations and the native share of the flops, precheck bails
+// by reason, and what the in-process evaluator ran.
 type KernelStats = spmd.KernelStats
 
-// Kernels reports how much of the run native kernels served; all zero
-// unless the run used the codegen engine.
+// Kernels reports which back end served the run's kernel units; the
+// native counts are zero unless the run used the codegen engine.
 func (r *Result) Kernels() KernelStats { return r.exec.Kernels }
 
 // SpaceTime renders an ASCII space–time diagram of the run (requires the

@@ -4,7 +4,7 @@ package codegen
 // emission corpus (the programs whose kernels are pre-generated into
 // internal/codegen/gen), analysis-driven unit selection (specialize
 // only phases whose flop count clears a threshold; everything else
-// stays on the closure engine), and EnableNative — the entry point
+// stays on the in-process evaluator), and EnableNative — the entry point
 // cmd/dhpfc and the service use to bring a program's kernels online,
 // falling back gracefully when plugins are unavailable.
 
@@ -24,7 +24,7 @@ import (
 // is worth native code only when its phase's whole-program flop count
 // (analysis.PhaseSummary.Flops, executed instances × cost summed over
 // ranks) reaches it.  Phases below it — scalar epilogues, tiny setup
-// loops — stay on the closure engine, whose per-call overhead is
+// loops — stay on the in-process evaluator, whose per-call overhead is
 // already negligible at that size.
 const DefaultMinPhaseFlops = 256
 
@@ -265,16 +265,16 @@ type Options struct {
 // Report says what EnableNative did.  Fallback is empty when native
 // execution is fully available for the selected units; otherwise it is
 // an INFO-grade reason (missing toolchain, plugins unsupported, build
-// failure) and execution proceeds on the closure engine for the units
-// that stayed unregistered — never an error, by the fallback-ladder
-// contract (codegen → engine → interp).
+// failure) and execution proceeds on the in-process evaluator for the
+// units that stayed unregistered — never an error: every unit always has
+// that back end.
 type Report struct {
 	Units      int    // kernel units extracted from the program
 	Selected   int    // units above the specialization threshold
 	Registered int    // selected units already in the registry
 	Built      int    // kernels loaded from a freshly built plugin
 	CacheHit   bool   // plugin came from the content-addressed cache
-	Fallback   string // why some units stay on the closure engine ("" = none)
+	Fallback   string // why some units stay on the evaluator ("" = none)
 }
 
 // String renders the report as the one-line diagnostic dhpfc prints.
@@ -299,7 +299,7 @@ func (r Report) String() string {
 // unsupported on this platform, race-instrumented host binary,
 // DHPF_NO_PLUGIN set in the environment (only kernels already in the
 // registry are used) — lands in Report.Fallback with a nil error, and
-// EngineCodegen silently uses the closure engine for unregistered units.
+// EngineCodegen silently evaluates unregistered units in process.
 func EnableNative(p *spmd.Program, opt Options) (Report, error) {
 	var rep Report
 	units := p.KernelUnits()
@@ -328,8 +328,8 @@ func EnableNative(p *spmd.Program, opt Options) (Report, error) {
 	src := EmitPlugin(missing)
 	kernels, cacheHit, err := buildAndLoad(src, p.Opt, opt)
 	if err != nil {
-		// Build or load failures degrade, not fail: the closure engine
-		// is always a correct executor for every unit.
+		// Build or load failures degrade, not fail: the evaluator is
+		// always a correct back end for every unit.
 		rep.Fallback = err.Error()
 		return rep, nil
 	}

@@ -2,12 +2,13 @@ package codegen
 
 // The three-tier differential harness: every corpus program — the NAS
 // benchmarks, their ablation/backend/grain variants, and the feature
-// programs — is executed under the interpreter, the closure engine,
-// and the native codegen tier, and all observables must be
-// Float64bits-identical: global array contents, the virtual clocks
-// (total, per-rank busy/idle/flops), and per-rank traffic counters.
-// The checked-in gen corpus provides the kernels, so this runs with no
-// plugin machinery (and therefore also under -race).
+// programs — is executed under the interpreter, the default engine
+// (kernel units on the in-process evaluator) and the native codegen
+// tier, and all observables must be Float64bits-identical: global array
+// contents, the virtual clocks (total, per-rank busy/idle/flops), and
+// per-rank traffic counters.  The checked-in gen corpus provides the
+// kernels, so this runs with no plugin machinery (and therefore also
+// under -race).
 
 import (
 	"errors"
@@ -102,7 +103,9 @@ func isNAS(name string) bool {
 // the gen package pre-registers every corpus kernel — requires that
 // the native tier actually served the run: no precheck bailed, and on
 // the NAS codes at least 95 % of the flops ran inside native kernels,
-// so the tier cannot quietly fall back to closure-engine speed.
+// so the tier cannot quietly fall back to the evaluator's speed.  On the
+// NAS codes neither compiled engine may leave a statement instance on
+// the checked closures (Nests.InNest): that is the slow path now.
 func TestCodegenParityCorpus(t *testing.T) {
 	for _, e := range Corpus() {
 		e := e
@@ -135,6 +138,12 @@ func TestCodegenParityCorpus(t *testing.T) {
 			}
 			re := runEngine(t, prog, e.Procs, spmd.EngineCompiled)
 			ri := runEngine(t, prog, e.Procs, spmd.EngineInterp)
+			if k := re.Kernels; k.EvalCalls == 0 || k.Calls != 0 || k.TotalBails() != 0 {
+				t.Fatalf("default engine, want every unit evaluated and no bails: %s", k)
+			}
+			if isNAS(e.Name) && (rc.Nests.InNest != 0 || re.Nests.InNest != 0) {
+				t.Fatalf("statement instances on checked closures: codegen %s; compiled %s", rc.Nests, re.Nests)
+			}
 			requireIdentical(t, prog, "codegen", "compiled", rc, re)
 			requireIdentical(t, prog, "codegen", "interp", rc, ri)
 		})
@@ -145,8 +154,9 @@ func TestCodegenParityCorpus(t *testing.T) {
 // features-localize the three ranks of the grid's middle row — the
 // interior rank's cross included — compute rho over three boxes, the
 // other six over two, so shrinking that statement's capacity to two
-// must send exactly those three invocations back to the closure engine,
-// counted as guard-overflow, with every observable still bit-identical.
+// must send exactly those three invocations back to the checked
+// closures, counted as guard-overflow on both compiled engines, with
+// every observable still bit-identical to the interpreter's.
 func TestGuardOverflowBails(t *testing.T) {
 	e := corpusEntry(t, "features-localize")
 	prog, err := spmd.CompileSource(e.Source, e.Params, e.Opt)
@@ -180,19 +190,36 @@ func TestGuardOverflowBails(t *testing.T) {
 	if ks.Bails[spmd.BailGuardOverflow] != 3 || ks.TotalBails() != 3 {
 		t.Fatalf("want three guard-overflow bails (ranks 1, 4 and 7), got %s", ks)
 	}
-	if ks.Calls == 0 || ks.NativeFlopShare() >= 1 {
-		t.Fatalf("want the other ranks native and the bailed nest on closures, got %s", ks)
+	if ks.Calls == 0 || ks.NativeFlopShare() >= 1 || rc.Nests.InNest == 0 {
+		t.Fatalf("want the other ranks native and the bailed nest on closures, got %s; %s", ks, rc.Nests)
 	}
 	if !strings.Contains(ks.String(), "3 bails (guard-overflow 3)") {
 		t.Fatalf("summary line does not name the bail: %s", ks)
 	}
 	re := runEngine(t, prog, e.Procs, spmd.EngineCompiled)
+	if ks := re.Kernels; ks.Bails[spmd.BailGuardOverflow] != 3 || ks.TotalBails() != 3 || ks.EvalCalls == 0 || re.Nests.InNest != rc.Nests.InNest {
+		t.Fatalf("default engine: want the same three bails onto the same closure instances, got %s; %s", ks, re.Nests)
+	}
+	ri := runEngine(t, prog, e.Procs, spmd.EngineInterp)
 	requireIdentical(t, prog, "codegen", "compiled", rc, re)
+	requireIdentical(t, prog, "codegen", "interp", rc, ri)
+}
+
+// bailAlways breaks the array geometry of every kernel unit of prog, so
+// each precheck bails and a compiled engine runs the unit on its checked
+// closures: the wholesale form of the bail path, from outside spmd.
+func bailAlways(prog *spmd.Program) {
+	for _, u := range prog.KernelUnits() {
+		for i := range u.Arrays {
+			u.Arrays[i].Hi[0]++
+		}
+	}
 }
 
 // TestCodegenEmptyRegistryEqualsCompiled: a program whose kernels are
 // not registered (novel source, not in the generated corpus) runs
-// under EngineCodegen exactly as EngineCompiled — the fallback ladder.
+// under EngineCodegen exactly as EngineCompiled — every unit on the
+// evaluator, none native — bit-identical to it and to the interpreter.
 func TestCodegenEmptyRegistryEqualsCompiled(t *testing.T) {
 	const src = `
 program novel
@@ -221,7 +248,12 @@ end
 		t.Fatalf("unregistered program still invoked kernels")
 	}
 	re := runEngine(t, prog, 4, spmd.EngineCompiled)
+	if rc.Kernels != re.Kernels || rc.Kernels.EvalCalls != 4 || rc.Kernels.Units != 0 || rc.Nests != re.Nests || rc.Nests.InNest != 0 {
+		t.Fatalf("want the one unit evaluated once per rank on both engines: codegen %s; %s, compiled %s; %s",
+			rc.Kernels, rc.Nests, re.Kernels, re.Nests)
+	}
 	requireIdentical(t, prog, "codegen", "compiled", rc, re)
+	requireIdentical(t, prog, "codegen", "interp", rc, runEngine(t, prog, 4, spmd.EngineInterp))
 }
 
 // TestSelectUnits: the threshold keeps hot phases and drops cold ones;
@@ -299,8 +331,10 @@ end
 }
 
 // FuzzCodegenVsEngine fuzzes the execution configuration — corpus
-// entry, machine cost parameters, pipeline grain — and requires the
-// native tier to stay bit-identical to the closure engine.  Cost
+// entry, machine cost parameters, pipeline grain — and requires every
+// way a kernel unit runs to stay bit-identical: native kernel, in-process
+// evaluator, checked closures (a second compile whose every precheck
+// bails) and the interpreter.  Cost
 // parameters change virtual-time interleavings and strip windows
 // without changing which kernels are registered, so prechecks and
 // window packing get exercised under many schedules.  The seeds include
@@ -328,14 +362,32 @@ func FuzzCodegenVsEngine(f *testing.F) {
 		cfg := mpsim.SP2Config(e.Procs)
 		cfg.Latency = float64(latency) * 1e-6
 		cfg.FlopTime = float64(flop) * 1e-9
+		bailing, err := spmd.CompileSource(e.Source, e.Params, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bailAlways(bailing)
 		rc, errC := prog.ExecuteEngine(cfg, spmd.EngineCodegen)
-		re, errE := prog.ExecuteEngine(cfg, spmd.EngineCompiled)
-		if (errC == nil) != (errE == nil) {
-			t.Fatalf("engines disagree on success: codegen %v, compiled %v", errC, errE)
+		for _, other := range []struct {
+			name   string
+			prog   *spmd.Program
+			engine spmd.Engine
+		}{
+			{"evaluator", prog, spmd.EngineCompiled},
+			{"checked closures", bailing, spmd.EngineCompiled},
+			{"interp", prog, spmd.EngineInterp},
+		} {
+			ro, errO := other.prog.ExecuteEngine(cfg, other.engine)
+			if (errC == nil) != (errO == nil) {
+				t.Fatalf("engines disagree on success: codegen %v, %s %v", errC, other.name, errO)
+			}
+			if errC != nil {
+				continue
+			}
+			if other.prog == bailing && (ro.Kernels.TotalBails() == 0 || ro.Nests.InNest == 0) {
+				t.Fatalf("forced bails did not reach the checked closures: %s; %s", ro.Kernels, ro.Nests)
+			}
+			requireIdentical(t, prog, "codegen", other.name, rc, ro)
 		}
-		if errC != nil {
-			return
-		}
-		requireIdentical(t, prog, "codegen", "compiled", rc, re)
 	})
 }

@@ -40,6 +40,7 @@ func TestAllocationPins(t *testing.T) {
 		{"Box.Subtract covered", 0, func() { sinkBoxes = in.Subtract(a) }},
 		{"FromBox", 1, func() { sinkSet = FromBox(a) }},
 		{"Set.Boxes one box", 1, func() { sinkBoxes = sa.Boxes() }},
+		{"Set.SharedBoxes", 0, func() { sinkBoxes = sa.SharedBoxes() }},
 		{"Set.Intersect contained", 1, func() { sinkSet = sa.Intersect(sin) }},
 		{"Set.Intersect overlapping", 2, func() { sinkSet = sa.Intersect(slap) }},
 		{"Set.Intersect disjoint", 0, func() { sinkSet = sa.IntersectBox(far) }},

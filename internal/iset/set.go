@@ -52,6 +52,12 @@ func (s Set) Boxes() []Box {
 	return out
 }
 
+// SharedBoxes returns the set's own boxes in the order it holds them —
+// no copy and no canonical order, for a reader that visits them all and
+// is indifferent to order.  Under the sharing rule the caller writes
+// neither the boxes nor the slice.
+func (s Set) SharedBoxes() []Box { return s.boxes }
+
 // IsEmpty reports whether the set contains no points.
 func (s Set) IsEmpty() bool { return len(s.boxes) == 0 }
 

@@ -57,12 +57,12 @@ type Program struct {
 	engOnce sync.Once
 	eng     *enginePlan
 
-	// Lazily extracted native-kernel units (kernel_extract.go):
-	// kunits[i]'s plan root is krootList[i]; registry resolution happens
-	// per execution so late-registered kernels still bind.
-	kuOnce    sync.Once
-	kunits    []*KernelUnit
-	krootList []*pLoop
+	// Lazily extracted kernel units (kernel_extract.go): kbind.units[i]'s
+	// plan root carries i (pLoop.unit).  kbind is the default engine's
+	// binding, every unit on its evaluator; native kernels are resolved
+	// per execution so late-registered ones still bind.
+	kuOnce sync.Once
+	kbind  kernelBinding
 
 	// Lazily built rank schedule (internal/sched): placement tables plus
 	// the transfer-plan memo every execution of this Program shares.

@@ -6,17 +6,23 @@ package spmd
 // reductions run through the reference interpreter's Ops (exec.go).  The
 // compiled tiers add one thing: nestOps.Handled claims every compute nest
 // — a loop whose strict interior the schedule marks as needing no walker
-// (sched.LoopSched.ComputeNest) — and runs it as a closure tree over a
-// slot-indexed environment, or as its native kernel.  Results are
-// byte-identical to the interpreter because a nest performs the same
-// floating-point operations, flop accounting, guard decisions and stores
-// in the same order; only provably result-free work is removed:
+// (sched.LoopSched.ComputeNest) — and runs it compiled.  A nest is
+// lowered twice.  Its kernel units (kernel_extract.go) run unchecked on
+// a back end — a registered native kernel, or the in-process evaluator
+// of kernel_eval.go — once the per-invocation precheck has proven every
+// access in bounds (kernel_invoke.go).  The closure tree of this file,
+// over a slot-indexed environment, checks every subscript at every
+// point: it runs what lies outside every unit and whatever a precheck
+// bails on, with the interpreter's panics.  Results are byte-identical
+// to the interpreter because a nest performs the same floating-point
+// operations, flop accounting, guard decisions and stores in the same
+// order; only provably result-free work is removed:
 //
 //   - name → value resolution moves from per-point map lookups to
 //     integer slots assigned once per Program (engineEnv);
 //   - the per-point membership test against a statement's iteration set
 //     becomes per-dimension bounds comparisons when the set is a single
-//     box (iset.Set.AsBox), with loop ranges additionally clamped to the
+//     box, with loop ranges additionally clamped to the
 //     union of member boxes for innermost loops (engine_bounds.go).
 //
 // The nest contract: slots mean nothing outside a nest.  runNest copies
@@ -38,15 +44,15 @@ import (
 type Engine int
 
 const (
-	// EngineCompiled is the closure-compiled engine (the default).
+	// EngineCompiled is the compiled engine (the default): kernel units
+	// on the in-process evaluator, everything else on checked closures.
 	EngineCompiled Engine = iota
 	// EngineInterp is the original tree-walking interpreter, retained as
 	// the reference oracle for differential testing.
 	EngineInterp
-	// EngineCodegen runs the closure engine with registered native
-	// kernels (internal/codegen) replacing eligible loop nests; any nest
-	// without a registered, precheck-passing kernel falls through to the
-	// closures, so with an empty registry EngineCodegen ≡ EngineCompiled.
+	// EngineCodegen is EngineCompiled with registered native kernels
+	// (internal/codegen) preferred over the evaluator, unit by unit; with
+	// an empty registry EngineCodegen ≡ EngineCompiled.
 	EngineCodegen
 )
 
@@ -172,6 +178,7 @@ type pLoop struct {
 	lo, hi   intFn
 	body     []planStmt
 	clampIdx int // index into frame.clamps, -1 when not clampable
+	unit     int // index of the kernel unit rooted here (kernel_extract.go), -1 when none
 }
 
 type pIf struct {
@@ -386,6 +393,7 @@ func (c *planCompiler) compileLoop(l *ir.Loop, depth int, loops []*ir.Loop) *pLo
 		lo:       c.compileAff(l.Lo),
 		hi:       c.compileAff(l.Hi),
 		clampIdx: -1,
+		unit:     -1,
 	}
 	// An innermost loop whose if conditions all read no array skips
 	// nothing observable on an iteration where every statement is guarded
@@ -763,13 +771,11 @@ func (rx *rankExec) planGuardPass(guardIdx int, nestSlots []int) bool {
 // innermost loops) by the hoisted union of member iteration boxes, and
 // the loop variable lives in its slot.
 func (rx *rankExec) iteratePlanLoop(pl *pLoop) {
-	if rx.kernels != nil {
-		// EngineCodegen: a registered native kernel replaces the whole
-		// closure walk when its precheck holds (kernel_invoke.go).  This
-		// covers both direct and pipelined (per-strip) invocations.
-		if bk := rx.kernels[pl]; bk != nil && rx.runKernel(bk) {
-			return
-		}
+	// A kernel unit's back end replaces the whole closure walk when its
+	// precheck holds (kernel_invoke.go).  This covers both direct and
+	// pipelined (per-strip) invocations.
+	if pl.unit >= 0 && rx.kbind != nil && rx.runKernel(pl.unit) {
+		return
 	}
 	e := &rx.env
 	l := pl.l

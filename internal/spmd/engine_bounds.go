@@ -5,7 +5,7 @@ package spmd
 // against.  The interpreter answers "does this rank run statement s at
 // point p?" with a fresh point slice and a general iset.Set membership
 // scan on every iteration point; here the overwhelmingly common case —
-// the statement's iteration set is a single box (iset.Set.AsBox) — is
+// the statement's iteration set is a single box — is
 // specialized to per-dimension comparisons on slot values, and for
 // innermost loops the member boxes additionally tighten the loop range
 // itself so non-member points are never visited at all.
@@ -50,9 +50,10 @@ func buildGuards(f *frame, pp *procPlan) {
 		case s.IsEmpty():
 			g.kind = guardNever
 		default:
-			if b, ok := s.AsBox(); ok && b.Rank() == len(gs.nestSlots) {
+			// The set's own box, shared and only ever read (AsBox copies).
+			if bs := s.SharedBoxes(); len(bs) == 1 && bs[0].Rank() == len(gs.nestSlots) {
 				g.kind = guardBox
-				g.lo, g.hi = b.Lo, b.Hi
+				g.lo, g.hi = bs[0].Lo, bs[0].Hi
 			} else {
 				// Multi-box set, or a rank mismatch against the nest
 				// (Contains is then vacuously false per box, which the

@@ -1,10 +1,11 @@
 package spmd
 
 // Differential tests of the compiled execution engine against the
-// tree-walking interpreter: the two engines must be byte-identical on
-// every observable — global array contents (bit-for-bit), the machine's
-// virtual clocks (total, per-rank busy/idle/flops), and per-rank message
-// and byte counters.  The corpus covers every shipped testdata program
+// tree-walking interpreter, run three ways — interpreter, kernel units on
+// the in-process evaluator, every nest on the checked closures: all must
+// be byte-identical on every observable — global array contents
+// (bit-for-bit), the machine's virtual clocks (total, per-rank
+// busy/idle/flops), and per-rank message and byte counters.  The corpus covers every shipped testdata program
 // plus inline programs exercising reductions, interprocedural calls,
 // data-dependent conditionals (the clamp-disabling case), wavefront
 // pipelining, and replicated broadcast reads.
@@ -207,6 +208,62 @@ subroutine main()
   enddo
 end
 `,
+	// A NEW temporary read three columns to either side: its definition
+	// runs ON_HOME lhs(i,j+3) ∪ lhs(i,j-3), two boxes with a gap between
+	// them along the innermost loop — the evaluator's hoisted guard range
+	// then covers columns no box holds.
+	"gap-guard": `
+program gap
+param N = 16
+!hpf$ processors procs(4)
+!hpf$ template tm(N, N)
+!hpf$ template tline(N)
+!hpf$ align lhs with tm(d0, d1)
+!hpf$ align cv with tline(d0)
+!hpf$ distribute tm(*, BLOCK) onto procs
+!hpf$ distribute tline(BLOCK) onto procs
+subroutine main()
+  real lhs(0:N-1, 0:N-1)
+  real cv(0:N-1)
+  do j = 0, N-1
+    do i = 0, N-1
+      lhs(i,j) = 0.0
+    enddo
+  enddo
+  !hpf$ independent, new(cv)
+  do i = 1, N-2
+    do j = 0, N-1
+      cv(j) = 0.1*j + 0.01*i
+    enddo
+    do j = 3, N-4
+      lhs(i,j) = cv(j-3) + cv(j+3)
+    enddo
+  enddo
+end
+`,
+	// A descending innermost loop of statements only: the evaluator
+	// narrows its range from the top.
+	"descending": `
+program desc
+param N = 32
+!hpf$ processors procs(4)
+!hpf$ template tm(N, N)
+!hpf$ align a with tm(d0, d1)
+!hpf$ distribute tm(*, BLOCK) onto procs
+subroutine main()
+  real a(0:N-1, 0:N-1)
+  do j = 0, N-1
+    do i = 0, N-1
+      a(i,j) = 0.01 * i + 0.1 * j
+    enddo
+  enddo
+  do j = 1, N-2
+    do i = N-2, 1, -1
+      a(i,j) = a(i,j) + 0.5 * a(i+1,j)
+    enddo
+  enddo
+end
+`,
 	"if-around-events": `
 program ife
 param N = 32
@@ -267,63 +324,111 @@ subroutine main()
 end
 `
 
-// requireEnginesIdentical executes prog under both engines and fails the
-// test on any bit-level difference in results or machine state.
+// threeWays executes prog on the interpreter, on the default engine
+// (kernel units on the evaluator) and on the default engine with no
+// kernel bound (every nest on the checked closures a precheck bail falls
+// to), in that order.
+func threeWays(prog *Program, cfg mpsim.Config) (res [3]*ExecResult, errs [3]error) {
+	res[0], errs[0] = prog.ExecuteEngine(cfg, EngineInterp)
+	res[1], errs[1] = prog.ExecuteEngine(cfg, EngineCompiled)
+	res[2], errs[2] = prog.execute(cfg, EngineCompiled, false)
+	return res, errs
+}
+
+var threeWayNames = [3]string{"interp", "evaluator", "checked closures"}
+
+// requireEnginesIdentical executes prog three ways and fails the test on
+// any bit-level difference in results or machine state.
 func requireEnginesIdentical(t *testing.T, prog *Program, cfg mpsim.Config) {
 	t.Helper()
-	ri, erri := prog.ExecuteEngine(cfg, EngineInterp)
-	rc, errc := prog.ExecuteEngine(cfg, EngineCompiled)
-	if errors.Is(erri, mpsim.ErrWallLimit) || errors.Is(errc, mpsim.ErrWallLimit) {
+	if errs, wall := compareThreeWays(t, prog, cfg); wall {
 		// Wall-limit aborts fire at nondeterministic points (some
 		// configurations genuinely deadlock — e.g. ysolve with
-		// availability analysis disabled, identically in both engines);
+		// availability analysis disabled, identically on every engine);
 		// there is nothing deterministic to compare.
-		t.Skipf("wall limit hit (interp err=%v, compiled err=%v)", erri, errc)
+		t.Skipf("wall limit hit (errors: %v)", errs)
 	}
-	if (erri == nil) != (errc == nil) {
-		t.Fatalf("engines disagree on success: interp err=%v, compiled err=%v", erri, errc)
+}
+
+// compareThreeWays is requireEnginesIdentical's body; it reports, without
+// comparing anything, when some run hit the wall limit.
+func compareThreeWays(t *testing.T, prog *Program, cfg mpsim.Config) (errs [3]error, wall bool) {
+	t.Helper()
+	res, errs := threeWays(prog, cfg)
+	for _, err := range errs {
+		if errors.Is(err, mpsim.ErrWallLimit) {
+			return errs, true
+		}
 	}
-	if erri != nil {
-		return
+	for k := 1; k < 3; k++ {
+		if (errs[0] == nil) != (errs[k] == nil) {
+			t.Fatalf("engines disagree on success: interp err=%v, %s err=%v", errs[0], threeWayNames[k], errs[k])
+		}
 	}
+	if errs[0] != nil {
+		return errs, false
+	}
+	if res[2].Kernels.EvalCalls != 0 || res[2].Kernels.Calls != 0 {
+		t.Fatalf("the unbound run still ran kernel units: %s", res[2].Kernels)
+	}
+	for k := 1; k < 3; k++ {
+		requireSameRun(t, prog, threeWayNames[k], res[0], res[k], true)
+	}
+	return errs, false
+}
+
+// requireSameRun compares a run against the interpreter's bit for bit:
+// virtual clocks, flops and traffic per rank, shared-memory pulls, and —
+// unless the configuration is known to race on its values — every array
+// of main.
+func requireSameRun(t *testing.T, prog *Program, name string, ri, rc *ExecResult, values bool) {
+	t.Helper()
 	mi, mc := ri.Machine, rc.Machine
 	if math.Float64bits(mi.Time) != math.Float64bits(mc.Time) {
-		t.Fatalf("virtual time differs: interp %v, compiled %v", mi.Time, mc.Time)
+		t.Fatalf("virtual time differs: interp %v, %s %v", mi.Time, name, mc.Time)
 	}
 	if mi.TotalMessages() != mc.TotalMessages() || mi.TotalBytes() != mc.TotalBytes() {
-		t.Fatalf("traffic differs: interp %d msgs/%d bytes, compiled %d msgs/%d bytes",
-			mi.TotalMessages(), mi.TotalBytes(), mc.TotalMessages(), mc.TotalBytes())
+		t.Fatalf("traffic differs: interp %d msgs/%d bytes, %s %d msgs/%d bytes",
+			mi.TotalMessages(), mi.TotalBytes(), name, mc.TotalMessages(), mc.TotalBytes())
 	}
 	for r := range mi.RankTime {
 		if math.Float64bits(mi.RankTime[r]) != math.Float64bits(mc.RankTime[r]) {
-			t.Fatalf("rank %d clock differs: %v vs %v", r, mi.RankTime[r], mc.RankTime[r])
+			t.Fatalf("rank %d clock differs: interp %v, %s %v", r, mi.RankTime[r], name, mc.RankTime[r])
 		}
 		if math.Float64bits(mi.RankIdle[r]) != math.Float64bits(mc.RankIdle[r]) {
-			t.Fatalf("rank %d idle differs: %v vs %v", r, mi.RankIdle[r], mc.RankIdle[r])
+			t.Fatalf("rank %d idle differs: interp %v, %s %v", r, mi.RankIdle[r], name, mc.RankIdle[r])
 		}
 		if math.Float64bits(mi.RankFlops[r]) != math.Float64bits(mc.RankFlops[r]) {
-			t.Fatalf("rank %d flops differ: %v vs %v", r, mi.RankFlops[r], mc.RankFlops[r])
+			t.Fatalf("rank %d flops differ: interp %v, %s %v", r, mi.RankFlops[r], name, mc.RankFlops[r])
 		}
 		if mi.SentMsgs[r] != mc.SentMsgs[r] || mi.SentBytes[r] != mc.SentBytes[r] || mi.RecvMsgs[r] != mc.RecvMsgs[r] {
-			t.Fatalf("rank %d counters differ: interp %d/%d/%d, compiled %d/%d/%d", r,
+			t.Fatalf("rank %d counters differ: interp %d/%d/%d, %s %d/%d/%d", r,
 				mi.SentMsgs[r], mi.SentBytes[r], mi.RecvMsgs[r],
-				mc.SentMsgs[r], mc.SentBytes[r], mc.RecvMsgs[r])
+				name, mc.SentMsgs[r], mc.SentBytes[r], mc.RecvMsgs[r])
 		}
 	}
-	for _, d := range prog.IR.Main().Decls {
+	if (ri.Shm == nil) != (rc.Shm == nil) ||
+		ri.Shm != nil && (ri.Shm.TotalPulls() != rc.Shm.TotalPulls() || ri.Shm.TotalPulledBytes() != rc.Shm.TotalPulledBytes()) {
+		t.Fatalf("shared-memory pulls differ between interp and %s", name)
+	}
+	main := prog.IR.Main()
+	if main == nil || !values {
+		return
+	}
+	for _, d := range main.Decls {
 		if d.Rank() == 0 {
 			continue
 		}
 		gi, loI, hiI, errI := ri.Global(d.Name)
 		gc, loC, hiC, errC := rc.Global(d.Name)
 		if (errI == nil) != (errC == nil) {
-			t.Fatalf("%s: Global errors differ: %v vs %v", d.Name, errI, errC)
+			t.Fatalf("%s: Global errors differ: interp %v, %s %v", d.Name, errI, name, errC)
 		}
 		if errI != nil {
 			continue
 		}
 		if len(gi) != len(gc) {
-			t.Fatalf("%s: lengths differ: %d vs %d", d.Name, len(gi), len(gc))
+			t.Fatalf("%s: lengths differ: interp %d, %s %d", d.Name, len(gi), name, len(gc))
 		}
 		for k := range loI {
 			if loI[k] != loC[k] || hiI[k] != hiC[k] {
@@ -332,8 +437,8 @@ func requireEnginesIdentical(t *testing.T, prog *Program, cfg mpsim.Config) {
 		}
 		for k := range gi {
 			if math.Float64bits(gi[k]) != math.Float64bits(gc[k]) {
-				t.Fatalf("%s[%d]: interp %v (%#x), compiled %v (%#x)",
-					d.Name, k, gi[k], math.Float64bits(gi[k]), gc[k], math.Float64bits(gc[k]))
+				t.Fatalf("%s[%d]: interp %v (%#x), %s %v (%#x)",
+					d.Name, k, gi[k], math.Float64bits(gi[k]), name, gc[k], math.Float64bits(gc[k]))
 			}
 		}
 	}
@@ -355,7 +460,9 @@ func TestEnginesByteIdenticalInline(t *testing.T) {
 // TestDeclinedNestRunsOnWalker: a nest holding a construct the closure
 // compiler does not lower — here an intrinsic with one argument too many,
 // which the interpreter evaluates and ignores — is not claimed; the
-// walker runs it, the run says so, and the engines still agree.
+// walker runs it, the other nests run as kernel units on the evaluator
+// (one invocation each per rank, nothing on checked closures), the run
+// says so, and the engines still agree.
 func TestDeclinedNestRunsOnWalker(t *testing.T) {
 	prog, err := CompileSource(`
 program dec
@@ -380,8 +487,11 @@ end
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := res.Nests; n.Declined != 1 || n.Walked != 16 || n.InNest != 16 {
-		t.Errorf("%s, want 1 declined nest with its 16 instances walked and the other nest's 16 compiled", n)
+	if n := res.Nests; n.Declined != 1 || n.Walked != 16 || n.InNest != 0 {
+		t.Errorf("%s, want 1 declined nest with its 16 instances walked and nothing on checked closures", n)
+	}
+	if k := res.Kernels; k.EvalCalls != 4 || k.Calls != 0 || k.TotalBails() != 0 {
+		t.Errorf("%s, want the other nest evaluated once per rank", k)
 	}
 	requireEnginesIdentical(t, prog, cfg)
 }
@@ -438,11 +548,12 @@ func TestEngineGrainSweep(t *testing.T) {
 	}
 }
 
-// FuzzExecEngines cross-checks the engines on arbitrary source text:
-// anything that compiles must execute identically under both.  A wall
-// clock limit bounds runaway programs; wall-limit aborts fire at a
-// nondeterministic virtual time, so those runs only check that both
-// engines abort or neither does nothing further.
+// FuzzExecEngines cross-checks, on arbitrary source text, the three ways
+// a compute nest runs: anything that compiles must execute identically
+// on the interpreter, with kernel units on the evaluator, and with every
+// nest on the checked closures.  A wall clock limit bounds runaway
+// programs; wall-limit aborts fire at a nondeterministic virtual time, so
+// those runs are not compared.
 func FuzzExecEngines(f *testing.F) {
 	files, _ := filepath.Glob("../../testdata/*.hpf")
 	for _, file := range files {
@@ -474,46 +585,6 @@ func FuzzExecEngines(f *testing.F) {
 		cfg := testMachine(prog.Grid.Size())
 		cfg.TimeLimit = 1.0             // deterministic abort: identical across engines
 		cfg.WallLimit = 2 * time.Second // catches deadlocks (frozen clocks), then skipped below
-		ri, erri := prog.ExecuteEngine(cfg, EngineInterp)
-		rc, errc := prog.ExecuteEngine(cfg, EngineCompiled)
-		if errors.Is(erri, mpsim.ErrWallLimit) || errors.Is(errc, mpsim.ErrWallLimit) {
-			return
-		}
-		if (erri == nil) != (errc == nil) {
-			t.Fatalf("engines disagree on success: interp err=%v, compiled err=%v", erri, errc)
-		}
-		if erri != nil {
-			return
-		}
-		mi, mc := ri.Machine, rc.Machine
-		if math.Float64bits(mi.Time) != math.Float64bits(mc.Time) {
-			t.Fatalf("virtual time differs: interp %v, compiled %v", mi.Time, mc.Time)
-		}
-		if mi.TotalMessages() != mc.TotalMessages() || mi.TotalBytes() != mc.TotalBytes() {
-			t.Fatalf("traffic differs: %d/%d vs %d/%d",
-				mi.TotalMessages(), mi.TotalBytes(), mc.TotalMessages(), mc.TotalBytes())
-		}
-		main := prog.IR.Main()
-		if main == nil {
-			return
-		}
-		for _, d := range main.Decls {
-			if d.Rank() == 0 {
-				continue
-			}
-			gi, _, _, errI := ri.Global(d.Name)
-			gc, _, _, errC := rc.Global(d.Name)
-			if (errI == nil) != (errC == nil) || errI != nil || len(gi) != len(gc) {
-				if (errI == nil) != (errC == nil) {
-					t.Fatalf("%s: Global errors differ: %v vs %v", d.Name, errI, errC)
-				}
-				continue
-			}
-			for k := range gi {
-				if math.Float64bits(gi[k]) != math.Float64bits(gc[k]) {
-					t.Fatalf("%s[%d]: interp %v, compiled %v", d.Name, k, gi[k], gc[k])
-				}
-			}
-		}
+		compareThreeWays(t, prog, cfg)
 	})
 }

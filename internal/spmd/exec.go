@@ -28,13 +28,17 @@ type ExecResult struct {
 	// Shm carries the shared-memory team's own counters (pulls, pulled
 	// bytes, barriers); nil under the message-passing backend.
 	Shm *shm.Result
-	// Kernels is the native tier's coverage of this run: units bound,
-	// invocations, precheck bails by reason, native share of the flops.
-	// All zero except under EngineCodegen.
+	// Kernels is the run's kernel-unit coverage.  Native units bound,
+	// native invocations and the native share of the flops are zero
+	// except under EngineCodegen; precheck bails by reason and what the
+	// in-process evaluator ran are counted on both compiled engines.  All
+	// zero under EngineInterp.
 	Kernels KernelStats
-	// Nests is the compiled tiers' coverage of this run: statement
-	// instances run inside claimed compute nests against those the walker
-	// ran one at a time.  All zero under EngineInterp.
+	// Nests is the compiled engines' coverage of this run: nests claimed
+	// from the walker, and the statement instances that still ran one at
+	// a time — on the walker, or on the checked closures a precheck bail
+	// or a nest outside every kernel unit falls to.  All zero under
+	// EngineInterp.
 	Nests NestStats
 	// Plans is the run's traffic on the schedule's memo: how many of its
 	// firings and activations were computed rather than found.
@@ -48,7 +52,7 @@ type ExecResult struct {
 // virtual time.
 type NestStats struct {
 	Entries  int64 // nests claimed from the walker
-	InNest   int64 // statement instances the closure trees ran (a kernel's are in KernelStats)
+	InNest   int64 // statement instances the checked closures ran: what no kernel unit's back end did
 	Walked   int64 // statement instances run through the walker's Assign
 	Declined int   // compute nests the plan build could not lower, left to the walker
 }
@@ -83,7 +87,7 @@ func (er *ExecResult) Global(name string) ([]float64, []int, []int, error) {
 }
 
 // Execute runs the compiled program on the virtual machine with the
-// default engine, the compiled closure engine.
+// default engine, the compiled engine.
 func (p *Program) Execute(cfg mpsim.Config) (*ExecResult, error) {
 	return p.ExecuteEngine(cfg, EngineCompiled)
 }
@@ -94,6 +98,14 @@ func (p *Program) Execute(cfg mpsim.Config) (*ExecResult, error) {
 // compute nests and run them compiled (engine.go), byte-identical to
 // EngineInterp, the oracle.
 func (p *Program) ExecuteEngine(cfg mpsim.Config, engine Engine) (*ExecResult, error) {
+	return p.execute(cfg, engine, true)
+}
+
+// execute is ExecuteEngine with the kernel binding made optional: with
+// bind false a compiled engine runs every nest on its checked closures —
+// the path a precheck bail takes, which only tests can ask for
+// wholesale.
+func (p *Program) execute(cfg mpsim.Config, engine Engine, bind bool) (*ExecResult, error) {
 	if cfg.Procs != p.Grid.Size() {
 		return nil, fmt.Errorf("spmd: machine has %d ranks, program wants %d", cfg.Procs, p.Grid.Size())
 	}
@@ -111,9 +123,9 @@ func (p *Program) ExecuteEngine(cfg mpsim.Config, engine Engine) (*ExecResult, e
 	if engine != EngineInterp {
 		plan = p.enginePlanFor()
 	}
-	var kernels map[*pLoop]*boundKernel
-	if engine == EngineCodegen {
-		kernels = p.kernelBindings()
+	var kbind *kernelBinding
+	if plan != nil && bind {
+		kbind = p.bindKernels(engine)
 	}
 	ranks := make([]*rankExec, cfg.Procs)
 	var mu sync.Mutex
@@ -152,17 +164,17 @@ func (p *Program) ExecuteEngine(cfg mpsim.Config, engine Engine) (*ExecResult, e
 	var sres *shm.Result
 	if backend == passes.BackendMP {
 		res = mpsim.Run(cfg, func(r *mpsim.Rank) {
-			runRank(newRankExec(s, r, nil, plan, kernels))
+			runRank(newRankExec(s, r, nil, plan, kbind))
 		})
 	} else {
 		res, sres = shm.Run(shm.FromMachine(cfg, p.shmGroups(backend)), func(t *shm.Thread) {
-			runRank(newRankExec(s, t.Rank, t, plan, kernels))
+			runRank(newRankExec(s, t.Rank, t, plan, kbind))
 		})
 	}
 	if execErr != nil {
 		return nil, execErr
 	}
-	er := &ExecResult{Machine: res, Shm: sres, Kernels: kernelStatsOf(len(kernels), ranks, res.RankFlops), prog: p, ranks: ranks}
+	er := &ExecResult{Machine: res, Shm: sres, Kernels: kernelStatsOf(kbind, ranks, res.RankFlops), prog: p, ranks: ranks}
 	if plan != nil {
 		er.Nests.Declined = plan.declined
 	}
@@ -239,11 +251,10 @@ type frame struct {
 	// Compiled-engine state, derived on the frame's first nest entry
 	// (nil under the interpreter): array slots, and the guards and clamps
 	// derived from iters (engine_bounds.go).
-	aslots   []*array
-	guards   []stmtGuard
-	clamps   []clampRange
-	point    []int        // reusable membership buffer for guardSet
-	setBoxes [][]iset.Box // guardSet guards' boxes by guard index, for the kernel precheck
+	aslots []*array
+	guards []stmtGuard
+	clamps []clampRange
+	point  []int // reusable membership buffer for guardSet
 }
 
 // rankExec is one rank of one execution.  The embedded walker carries
@@ -278,26 +289,50 @@ type rankExec struct {
 	env    engineEnv
 	nstats NestStats
 
-	// Native-kernel state (nil/empty except under EngineCodegen):
-	// kernels maps plan loops to registered kernels for this execution;
-	// kb/ka/khull/knarrow are reused invocation scratch
-	// (kernel_invoke.go), never shared across ranks; kstats counts this
-	// rank's invocations and bails, merged into ExecResult after the join.
-	kernels map[*pLoop]*boundKernel
+	// Kernel-unit state (nil/empty under the interpreter): kbind is the
+	// execution's binding of units to back ends; kb/ka/khull/knarrow and
+	// kenv are invocation scratch (kernel_invoke.go, kernel_eval.go),
+	// sized once for the largest bound unit and never shared across ranks;
+	// kstats counts this rank's invocations and bails, merged into
+	// ExecResult after the join.
+	kbind   *kernelBinding
 	kb      []int
+	kreach  []int // per loop level: lo, hi of the guard boxes packed beneath it
 	ka      [][]float64
 	khull   []kiv
 	knarrow []kiv
+	kenv    kenv
 	kstats  KernelStats
 }
 
-func newRankExec(s *sched.Schedule, rk *mpsim.Rank, th *shm.Thread, plan *enginePlan, kernels map[*pLoop]*boundKernel) *rankExec {
-	rx := &rankExec{rk: rk, th: th, plan: plan, kernels: kernels}
+func newRankExec(s *sched.Schedule, rk *mpsim.Rank, th *shm.Thread, plan *enginePlan, kbind *kernelBinding) *rankExec {
+	rx := &rankExec{rk: rk, th: th, plan: plan, kbind: kbind}
 	var ops sched.Ops = rx
 	if plan != nil {
+		// One integer block holds the slots and, behind them, the kernel
+		// scratch: packed bounds, box reach, and the evaluator's locals,
+		// index parts and guard ranges.
+		var sc kernelScratch
+		if kbind != nil {
+			sc = kbind.scratch
+		}
+		ints := make([]int, plan.nInts+sc.bounds+3*sc.levels+sc.refs+3*sc.assigns)
+		cut := func(n int) []int {
+			out := ints[:n:n]
+			ints = ints[n:]
+			return out
+		}
 		rx.env = engineEnv{
-			ints: make([]int, plan.nInts), intSet: make([]bool, plan.nInts),
+			ints: cut(plan.nInts), intSet: make([]bool, plan.nInts),
 			floats: make([]float64, plan.nFloats), fset: make([]bool, plan.nFloats),
+		}
+		if kbind != nil {
+			rx.kb, rx.kreach = cut(sc.bounds), cut(2*sc.levels)
+			rx.ka = make([][]float64, sc.arrays)
+			hulls := make([]kiv, 2*sc.levels)
+			rx.khull, rx.knarrow = hulls[:sc.levels], hulls[sc.levels:]
+			rx.kenv = kenv{loc: cut(sc.levels), off: cut(sc.refs), rng: cut(3 * sc.assigns),
+				ints: rx.env.ints, intSet: rx.env.intSet, floats: rx.env.floats, fset: rx.env.fset}
 		}
 		ops = nestOps{rx}
 	}

@@ -12,12 +12,12 @@ package spmd
 // iteratePlanLoop's closure walk with one flat compiled function is
 // unobservable as long as that function performs the same floating-point
 // operations, flop accumulation, guard decisions and stores in the same
-// order.  The
-// emitted Go source (internal/codegen) and the runtime precheck
-// (kernel_invoke.go) are two consumers of the same spec; the
-// fingerprint ties them together, so a registered kernel is reused by
-// every program containing a structurally identical unit regardless of
-// which program it was generated from.
+// order.  One spec, one runtime precheck (kernel_invoke.go), two back
+// ends that run behind it: the emitted Go source (internal/codegen) and
+// the in-process evaluator (kernel_eval.go), the default.  The
+// fingerprint ties an emitted kernel to the spec, so a registered kernel
+// is reused by every program containing a structurally identical unit
+// regardless of which program it was generated from.
 
 import (
 	"crypto/sha256"
@@ -38,7 +38,7 @@ const KernelABI = "dhpf-kernel-v2"
 // bounds[] for a statement whose CP has more than one ON_HOME term (a
 // partially replicated CP such as LOCALIZE's owner ∪ halo faces, whose
 // per-rank iteration set is a union of boxes).  An invocation whose
-// guard needs more boxes than this bails to the closure engine.
+// guard needs more boxes than this bails to the checked closures.
 const KernelGuardBoxes = 8
 
 // KernelFunc is the compiled form of one kernel unit.  The signature
@@ -89,7 +89,7 @@ type KSub struct {
 // KArray describes one array the unit touches: its frame slot plus the
 // exact geometry the emitted code inlines as constants.  The runtime
 // precheck compares the live array against this geometry and bails to
-// the closure engine on any mismatch.
+// the checked closures on any mismatch.
 type KArray struct {
 	ASlot  int
 	Name   string
@@ -165,9 +165,9 @@ func (*KIntrin) kExpr()     {}
 type KStmt interface{ kStmt() }
 
 // KLoop is one kernel loop level.  bounds[WinIdx] and bounds[WinIdx+1]
-// hold the invocation's [winLo, winHi] value window (strip ∩ clamp;
-// math.MinInt/MaxInt when unconstrained), applied exactly like
-// iteratePlanLoop: step>0 runs max(lo,winLo)..min(hi,winHi); step<0
+// hold the invocation's [winLo, winHi] value window (strip ∩ clamp ∩ the
+// reach of the guard boxes packed beneath the level), applied exactly
+// like iteratePlanLoop: step>0 runs max(lo,winLo)..min(hi,winHi); step<0
 // runs min(lo,winHi) down to max(hi,winLo).
 type KLoop struct {
 	Var      string
@@ -240,6 +240,13 @@ type KernelUnit struct {
 	// on the codegen engine all ask for it.
 	fpOnce sync.Once
 	fp     string
+
+	// The in-process evaluator (kernel_eval.go), built when an invocation
+	// first needs it and shared by every rank of every execution;
+	// numRefs (every KAssign's Refs) and numAssigns size its scratch.
+	numRefs, numAssigns int
+	evOnce              sync.Once
+	ev                  kstmtFn
 }
 
 // Fingerprint returns the unit's content hash: a SHA-256 over a

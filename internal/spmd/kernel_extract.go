@@ -27,8 +27,9 @@ func (p *Program) KernelUnits() []*KernelUnit {
 				scanKernelRoots(ep, n.pp, []planStmt{n.root}, p)
 			}
 		}
+		p.kbind.native = make([]KernelFunc, len(p.kbind.units))
 	})
-	return p.kunits
+	return p.kbind.units
 }
 
 func scanKernelRoots(ep *enginePlan, pp *procPlan, body []planStmt, p *Program) {
@@ -36,8 +37,14 @@ func scanKernelRoots(ep *enginePlan, pp *procPlan, body []planStmt, p *Program) 
 		switch st := s.(type) {
 		case *pLoop:
 			if u := tryKernelUnit(ep, pp, p.Ctx.Bind.Params, p.Sel, st); u != nil {
-				p.kunits = append(p.kunits, u)
-				p.krootList = append(p.krootList, st)
+				st.unit = len(p.kbind.units)
+				p.kbind.units = append(p.kbind.units, u)
+				sc := &p.kbind.scratch
+				sc.arrays = max(sc.arrays, len(u.Arrays))
+				sc.bounds = max(sc.bounds, u.NumBounds)
+				sc.levels = max(sc.levels, u.NumLevels)
+				sc.refs = max(sc.refs, u.numRefs)
+				sc.assigns = max(sc.assigns, u.numAssigns)
 			} else {
 				scanKernelRoots(ep, pp, st.body, p)
 			}
@@ -61,6 +68,7 @@ type kextract struct {
 	nLevels  int
 	nBounds  int
 	nAssigns int
+	nRefs    int
 	arrIdx   map[string]int
 	curRefs  []KRefCheck
 	noArray  bool // inside an if condition: array reads are ineligible
@@ -91,6 +99,7 @@ func tryKernelUnit(ep *enginePlan, pp *procPlan, params map[string]int, sel *cp.
 	x.u.Root = root
 	x.u.NumLevels = x.nLevels
 	x.u.NumBounds = x.nBounds
+	x.u.numRefs, x.u.numAssigns = x.nRefs, x.nAssigns
 	x.u.Points = x.points(root)
 	return x.u
 }
@@ -215,6 +224,7 @@ func (x *kextract) assign(st *pAssign) *KAssign {
 		ka.Subs = subs
 	}
 	ka.Refs = x.curRefs
+	x.nRefs += len(ka.Refs)
 	x.curRefs = nil
 	if !x.ok {
 		return nil

@@ -1,27 +1,26 @@
 package spmd
 
-// kernel_invoke.go is the runtime half of the native-kernel contract:
-// before a registered kernel may replace iteratePlanLoop for one
+// kernel_invoke.go is the runtime half of the kernel contract: before a
+// unit's back end — a registered native kernel, or the in-process
+// evaluator (kernel_eval.go) — may replace iteratePlanLoop for one
 // invocation, the precheck interprets the unit spec against the live
 // frame — array geometry must equal the spec constants, every guard's
 // boxes must fit the capacity the unit reserved, and saturating interval
 // analysis over the loop value hulls must prove every array access in
-// bounds, because the emitted code carries no bounds checks.  Any doubt
-// bails to the closure engine, which is bit-identical by construction,
-// so a bail is a performance event, never a correctness one — and a
-// counted one (KernelStats), so it cannot be a silent one.
+// bounds, because neither back end carries bounds checks.  Any doubt
+// bails to the checked closures of engine.go, which are bit-identical by
+// construction, so a bail is a performance event, never a correctness
+// one — and a counted one (KernelStats), so it cannot be a silent one.
 
 import (
 	"fmt"
 	"math"
 	"strings"
 	"sync/atomic"
-
-	"dhpf/internal/iset"
 )
 
 // KernelBail names why a precheck sent one invocation back to the
-// closure engine.
+// checked closures.
 type KernelBail uint8
 
 const (
@@ -47,14 +46,18 @@ var kernelBailNames = [numKernelBails]string{
 
 func (b KernelBail) String() string { return kernelBailNames[b] }
 
-// KernelStats is one execution's native-tier coverage, summed over
-// ranks after they join.  It is telemetry only: nothing in it feeds
-// results or virtual time.
+// KernelStats is one execution's kernel-unit coverage, summed over ranks
+// after they join.  Units, Calls and NativeFlops count registered native
+// kernels only; what the in-process evaluator served is counted apart,
+// so "no kernel ran natively" stays detectable.  It is telemetry only:
+// nothing in it feeds results or virtual time.
 type KernelStats struct {
 	Units       int                   // kernel units bound to a registered kernel
 	Calls       int64                 // invocations that ran natively
-	Bails       [numKernelBails]int64 // invocations sent back to the closures, by KernelBail
+	Bails       [numKernelBails]int64 // invocations sent back to the checked closures, by KernelBail
 	NativeFlops float64               // flops accumulated inside native kernels
+	EvalCalls   int64                 // invocations the in-process evaluator ran
+	EvalFlops   float64               // flops accumulated inside the evaluator
 	TotalFlops  float64               // flops of the whole execution
 }
 
@@ -69,11 +72,13 @@ func (k KernelStats) TotalBails() int64 {
 
 // NativeFlopShare is the fraction of the execution's flops that ran in
 // native kernels (0 for an execution without flops).
-func (k KernelStats) NativeFlopShare() float64 {
+func (k KernelStats) NativeFlopShare() float64 { return k.share(k.NativeFlops) }
+
+func (k KernelStats) share(flops float64) float64 {
 	if k.TotalFlops == 0 {
 		return 0
 	}
-	return k.NativeFlops / k.TotalFlops
+	return flops / k.TotalFlops
 }
 
 // BailsByReason returns the non-zero bail counts keyed by reason name.
@@ -87,7 +92,8 @@ func (k KernelStats) BailsByReason() map[string]int64 {
 	return out
 }
 
-// String is the one-line summary dhpfc -run -engine codegen prints.
+// String is the one-line summary dhpfc -run -engine codegen prints; the
+// evaluator's part appears only when it ran something.
 func (k KernelStats) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "kernels: %d units bound, %d calls, %d bails", k.Units, k.Calls, k.TotalBails())
@@ -102,6 +108,9 @@ func (k KernelStats) String() string {
 		b.WriteByte(')')
 	}
 	fmt.Fprintf(&b, ", native flop share %.3f", k.NativeFlopShare())
+	if k.EvalCalls > 0 {
+		fmt.Fprintf(&b, "; evaluator: %d calls, flop share %.3f", k.EvalCalls, k.share(k.EvalFlops))
+	}
 	return b.String()
 }
 
@@ -111,28 +120,36 @@ func (rx *rankExec) bail(r KernelBail) bool {
 	return false
 }
 
-// boundKernel pairs a unit spec with its registered implementation.
-type boundKernel struct {
-	u  *KernelUnit
-	fn KernelFunc
+// kernelBinding is what one execution runs the program's kernel units
+// on, shared read-only by its ranks.  Every unit is bound: to its
+// registered native kernel where native holds one, to its evaluator
+// otherwise.
+type kernelBinding struct {
+	units   []*KernelUnit // indexed by pLoop.unit
+	native  []KernelFunc  // by unit; all nil on the default engine
+	scratch kernelScratch
 }
 
-// kernelBindings maps plan loop roots to registered kernels.  Resolved
-// per execution (not memoized) so kernels registered between runs —
-// e.g. a plugin loaded after compile — take effect; the result is
-// shared read-only by all ranks of one execution.
-func (p *Program) kernelBindings() map[*pLoop]*boundKernel {
-	units := p.KernelUnits()
-	var out map[*pLoop]*boundKernel
-	for i, u := range units {
-		if fn := KernelFor(u.Fingerprint()); fn != nil {
-			if out == nil {
-				out = make(map[*pLoop]*boundKernel, len(units))
-			}
-			out[p.krootList[i]] = &boundKernel{u: u, fn: fn}
-		}
+// kernelScratch is the per-rank scratch one invocation of any bound unit
+// needs: the maxima over the units, so newRankExec sizes it once.
+type kernelScratch struct {
+	arrays, bounds, levels, refs, assigns int
+}
+
+// bindKernels resolves the engine's binding.  Native kernels are looked
+// up per execution (not memoized) so kernels registered between runs —
+// e.g. a plugin loaded after compile — take effect.
+func (p *Program) bindKernels(engine Engine) *kernelBinding {
+	p.KernelUnits()
+	if engine != EngineCodegen {
+		return &p.kbind
 	}
-	return out
+	kb := p.kbind
+	kb.native = make([]KernelFunc, len(kb.units))
+	for i, u := range kb.units {
+		kb.native[i] = KernelFor(u.Fingerprint())
+	}
+	return &kb
 }
 
 // kiv is a conservative value interval; sat marks that saturation
@@ -222,55 +239,64 @@ func subIv(s KSub, ints []int, hull []kiv) kiv {
 	return out
 }
 
-// runKernel prechecks and, on success, runs a kernel in place of
-// iteratePlanLoop's closure walk.  Returns false to fall back.
-func (rx *rankExec) runKernel(bk *boundKernel) bool {
-	u := bk.u
+// runKernel prechecks one invocation of a bound unit and, on success,
+// runs it — natively or on the evaluator — in place of iteratePlanLoop's
+// closure walk.  Returns false to fall back.
+func (rx *rankExec) runKernel(ui int) bool {
+	u := rx.kbind.units[ui]
 	f := rx.top()
-	if cap(rx.ka) < len(u.Arrays) {
-		rx.ka = make([][]float64, len(u.Arrays))
-	}
-	rx.ka = rx.ka[:len(u.Arrays)]
+	ka := rx.ka[:len(u.Arrays)]
 	for i := range u.Arrays {
-		ka := &u.Arrays[i]
-		if ka.ASlot >= len(f.aslots) {
+		a := &u.Arrays[i]
+		if a.ASlot >= len(f.aslots) {
 			return rx.bail(BailGeometry)
 		}
-		arr := f.aslots[ka.ASlot]
-		if arr == nil || !kernelGeomOK(arr, ka) {
+		arr := f.aslots[a.ASlot]
+		if arr == nil || !kernelGeomOK(arr, a) {
 			return rx.bail(BailGeometry)
 		}
-		rx.ka[i] = arr.data
-	}
-	if cap(rx.kb) < u.NumBounds {
-		rx.kb = make([]int, u.NumBounds)
+		ka[i] = arr.data
 	}
 	kb := rx.kb[:u.NumBounds]
-	if cap(rx.khull) < u.NumLevels {
-		rx.khull = make([]kiv, u.NumLevels)
-		rx.knarrow = make([]kiv, u.NumLevels)
-	}
-	hull := rx.khull[:u.NumLevels]
-	if !rx.prepKLoop(u, u.Root, f, kb, hull) {
+	if !rx.prepKLoop(u, u.Root, f, kb, rx.khull[:u.NumLevels]) {
 		return false
 	}
 	before := rx.flops
-	rx.flops = bk.fn(rx.env.ints, rx.env.intSet, rx.env.floats, rx.env.fset, rx.ka, kb, rx.flops)
-	rx.kstats.Calls++
-	rx.kstats.NativeFlops += rx.flops - before
+	if fn := rx.kbind.native[ui]; fn != nil {
+		rx.flops = fn(rx.env.ints, rx.env.intSet, rx.env.floats, rx.env.fset, ka, kb, rx.flops)
+		rx.kstats.Calls++
+		rx.kstats.NativeFlops += rx.flops - before
+		return true
+	}
+	e := &rx.kenv
+	e.arrays, e.bounds, e.flops = ka, kb, rx.flops
+	u.evaluator()(e)
+	rx.flops = e.flops
+	rx.kstats.EvalCalls++
+	rx.kstats.EvalFlops += rx.flops - before
 	return true
 }
 
 // kernelStatsOf merges the joined ranks' counters into the execution's
-// KernelStats and publishes the invocations to the process-wide count.
-func kernelStatsOf(units int, ranks []*rankExec, rankFlops []float64) KernelStats {
-	ks := KernelStats{Units: units}
+// KernelStats and publishes the native invocations to the process-wide
+// count.
+func kernelStatsOf(kb *kernelBinding, ranks []*rankExec, rankFlops []float64) KernelStats {
+	var ks KernelStats
+	if kb != nil {
+		for _, fn := range kb.native {
+			if fn != nil {
+				ks.Units++
+			}
+		}
+	}
 	for _, rx := range ranks {
 		ks.Calls += rx.kstats.Calls
 		for i, n := range rx.kstats.Bails {
 			ks.Bails[i] += n
 		}
 		ks.NativeFlops += rx.kstats.NativeFlops
+		ks.EvalCalls += rx.kstats.EvalCalls
+		ks.EvalFlops += rx.kstats.EvalFlops
 	}
 	for _, fl := range rankFlops {
 		ks.TotalFlops += fl
@@ -279,11 +305,11 @@ func kernelStatsOf(units int, ranks []*rankExec, rankFlops []float64) KernelStat
 	return ks
 }
 
-// kernelCalls counts successful kernel invocations process-wide, folded
-// in once per execution after its ranks join.  The count never
-// influences execution — it exists so differential tests can assert the
-// native tier actually ran rather than silently falling back to the
-// closures on every loop.
+// kernelCalls counts successful native kernel invocations process-wide
+// (the evaluator's are not in it), folded in once per execution after its
+// ranks join.  The count never influences execution — it exists so
+// differential tests can assert the native tier actually ran rather than
+// silently falling back on every loop.
 var kernelCalls atomic.Int64
 
 // KernelInvocations returns the process-wide number of native kernel
@@ -314,7 +340,11 @@ func kernelGeomOK(arr *array, ka *KArray) bool {
 
 // prepKLoop packs one loop level's window into bounds[] and extends the
 // value-hull analysis downward, mirroring iteratePlanLoop's strip and
-// clamp narrowing exactly.
+// clamp narrowing exactly.  The packed window is narrowed once more, to
+// the reach of the guard boxes packed beneath the level: on an iteration
+// outside it every statement below is guarded out, and kernel units hold
+// nothing else an iteration could show (conditions read no array), so
+// both back ends skip it whole instead of failing guards point by point.
 func (rx *rankExec) prepKLoop(u *KernelUnit, kl *KLoop, f *frame, kb []int, hull []kiv) bool {
 	wLo, wHi := math.MinInt, math.MaxInt
 	if rx.Strip != nil && rx.Strip.Var == kl.Var {
@@ -347,7 +377,13 @@ func (rx *rankExec) prepKLoop(u *KernelUnit, kl *KLoop, f *frame, kb []int, hull
 		fillKernelDisabled(kl.Body, kb)
 		return true
 	}
-	return rx.prepKStmts(u, kl.Body, f, kb, hull)
+	reach := rx.kreach[2*kl.Level : 2*kl.Level+2]
+	reach[0], reach[1] = math.MaxInt, math.MinInt
+	if !rx.prepKStmts(u, kl.Body, f, kb, hull) {
+		return false
+	}
+	kb[kl.WinIdx], kb[kl.WinIdx+1] = max(wLo, reach[0]), min(wHi, reach[1])
+	return true
 }
 
 func (rx *rankExec) prepKStmts(u *KernelUnit, body []KStmt, f *frame, kb []int, hull []kiv) bool {
@@ -393,7 +429,9 @@ func (rx *rankExec) prepKAssign(u *KernelUnit, st *KAssign, f *frame, kb []int, 
 		if g.set.Rank() != len(st.NestSlots) {
 			return rx.bail(BailGuardRank)
 		}
-		boxes := f.guardSetBoxes(st.GuardIdx)
+		// The set's own boxes, in its own order: they are disjoint, so
+		// the order they are packed in decides nothing.
+		boxes := g.set.SharedBoxes()
 		for i := 0; i < len(boxes) && ok; i++ {
 			n, ok = rx.packGuardBox(u, st, kb, hull, n, boxes[i].Lo, boxes[i].Hi)
 		}
@@ -407,19 +445,6 @@ func (rx *rankExec) prepKAssign(u *KernelUnit, st *KAssign, f *frame, kb []int, 
 		kb[st.BoundsIdx] = n
 	}
 	return true
-}
-
-// guardSetBoxes returns the boxes of a guardSet guard, enumerated on
-// first use and kept for the frame: Set.Boxes copies, and a precheck
-// must not allocate per invocation.
-func (f *frame) guardSetBoxes(gi int) []iset.Box {
-	if f.setBoxes == nil {
-		f.setBoxes = make([][]iset.Box, len(f.guards))
-	}
-	if f.setBoxes[gi] == nil {
-		f.setBoxes[gi] = f.guards[gi].set.Boxes()
-	}
-	return f.setBoxes[gi]
 }
 
 // packGuardBox handles one box of a statement's guard, n boxes being
@@ -449,6 +474,7 @@ func (rx *rankExec) packGuardBox(u *KernelUnit, st *KAssign, kb []int, hull []ki
 		kb[base+2*d] = l
 		kb[base+2*d+1] = h
 		lv := st.Levels[d]
+		rx.kreach[2*lv], rx.kreach[2*lv+1] = min(rx.kreach[2*lv], l), max(rx.kreach[2*lv+1], h)
 		narrow[lv].lo = maxI64(narrow[lv].lo, int64(l))
 		narrow[lv].hi = minI64(narrow[lv].hi, int64(h))
 		if !narrow[lv].sat && narrow[lv].lo > narrow[lv].hi {

@@ -6,7 +6,9 @@
 //     Interp-suffixed interpreter variant over the same workload
 //     (bench_test.go routes both through the same body via
 //     Program.ExecuteEngine), and the tool reports the speedup of the
-//     closure-compiled engine over the tree-walking interpreter;
+//     default compiled engine over the tree-walking interpreter; -check
+//     gates it at 5x on the SP step, where the kernel evaluator does
+//     nearly all the work, and at > 1x elsewhere;
 //   - warm/cold pairs: each recompile benchmark against its
 //     Cold-suffixed from-scratch twin, compared at the p50_ns metric
 //     the benchmarks report (medians, because compile times are
@@ -22,12 +24,13 @@
 //     a small band of each other — a large divergence means one
 //     substrate grew an accidental hot path;
 //   - codegen pairs: each Codegen-suffixed benchmark against its
-//     closure-engine base name.  The native tier replaces the closure
-//     walk with emitted flat-loop kernels at bit-identical results (the
-//     parity suite enforces identity), and -check gates the speedup at
-//     3x — the headline claim of the native backend.  Two pairs, one SP
-//     and one BT step: BT's flops sit in LOCALIZE nests SP barely has,
-//     so each pair can fall back to closure speed without the other.
+//     default-engine base name.  Both run the same kernel units behind
+//     the same precheck — emitted flat-loop kernels against the
+//     in-process evaluator — at bit-identical results (the parity suite
+//     enforces identity), and -check requires the emitted code to stay
+//     1.5x ahead.  Two pairs, one SP and one BT step: BT's flops sit in
+//     LOCALIZE nests SP barely has, so each pair can fall back to
+//     evaluator speed without the other.
 //
 // Usage:
 //
@@ -39,12 +42,12 @@
 //	-benchtime T  passed through to go test (default 1x per bench: "2s")
 //	-o FILE       write JSON here (default BENCH_13.json; "-" = stdout)
 //	-check        gate mode: exit 1 unless the compiled engine beats the
-//	              interpreter on every engine pair AND every warm/cold
-//	              recompile pair is at least 10x faster warm at p50 AND
-//	              every shm/mp backend pair stays within the host-time
-//	              band AND every codegen pair is at least 3x faster than
-//	              the closure engine (CI smoke; uses a short -benchtime
-//	              unless given)
+//	              interpreter on every engine pair (by 5x on the SP
+//	              step) AND every warm/cold recompile pair is at least
+//	              10x faster warm at p50 AND every shm/mp backend pair
+//	              stays within the host-time band AND every codegen pair
+//	              is at least 1.5x faster than the default engine (CI
+//	              smoke; uses a short -benchtime unless given)
 //
 // Stdlib-only by design, like tools/vetdet: the container has no
 // golang.org/x/perf, so the benchmark output is parsed directly.  The
@@ -109,7 +112,7 @@ type BackendPair struct {
 }
 
 // CodegenPair is a Codegen-suffixed benchmark matched with its
-// closure-engine base, compared at host ns/op.
+// default-engine base, compared at host ns/op.
 type CodegenPair struct {
 	Benchmark  string  `json:"benchmark"`
 	CompiledNs float64 `json:"compiled_ns_per_op"`
@@ -127,8 +130,21 @@ const warmGate = 10.0
 const backendBand = 3.0
 
 // codegenGate is the -check floor for the native tier: emitted kernels
-// must beat the closure engine by at least this much on every pair.
-const codegenGate = 3.0
+// must beat the default engine's evaluator, which runs the same units
+// behind the same precheck, by at least this much on every pair
+// (measured 2.7x on SP and 3.5x on BT, single samples on a box whose
+// speed flips 1.5–1.8x; the floor was 3x while the default engine ran
+// checked closures — a gate that a faster default engine failed).
+const codegenGate = 1.5
+
+// evalGate is the -check floor for the default engine over the
+// interpreter on the SP step, where kernel units hold nearly every flop
+// (measured ≈ 22x; ≈ 6x when the default engine ran checked closures).
+// Other engine pairs only have to beat the interpreter.
+const (
+	evalGate      = 5.0
+	evalGateBench = "BenchmarkExecuteSPStep"
+)
 
 // Report is the BENCH_13.json document.
 type Report struct {
@@ -145,7 +161,7 @@ func main() {
 		"benchmark selection regexp (go test -bench)")
 	benchtime := flag.String("benchtime", "", "go test -benchtime (default 2s, or 40x with -check)")
 	out := flag.String("o", "BENCH_13.json", `output file ("-" for stdout)`)
-	check := flag.Bool("check", false, "exit 1 unless compiled beats interp on every pair")
+	check := flag.Bool("check", false, "exit 1 unless every gated ratio holds (see the package comment)")
 	flag.Parse()
 
 	bt := *benchtime
@@ -201,9 +217,13 @@ func main() {
 	if *check {
 		fail := false
 		for _, p := range rep.Pairs {
-			if p.Speedup <= 1 {
-				fmt.Fprintf(os.Stderr, "benchjson: FAIL %s: compiled %.0f ns/op not faster than interp %.0f ns/op\n",
-					p.Benchmark, p.CompiledNs, p.InterpNs)
+			floor := 1.0
+			if p.Benchmark == evalGateBench {
+				floor = evalGate
+			}
+			if p.Speedup <= 1 || p.Speedup < floor {
+				fmt.Fprintf(os.Stderr, "benchjson: FAIL %s: compiled %.0f ns/op only %.2fx faster than interp %.0f ns/op (gate %.0fx)\n",
+					p.Benchmark, p.CompiledNs, p.Speedup, p.InterpNs, floor)
 				fail = true
 			}
 		}
@@ -239,7 +259,7 @@ func main() {
 		}
 		for _, cg := range rep.CodegenPairs {
 			if cg.Speedup < codegenGate {
-				fmt.Fprintf(os.Stderr, "benchjson: FAIL %s: codegen %.0f ns/op only %.2fx faster than compiled %.0f ns/op (gate %.0fx)\n",
+				fmt.Fprintf(os.Stderr, "benchjson: FAIL %s: codegen %.0f ns/op only %.2fx faster than compiled %.0f ns/op (gate %.1fx)\n",
 					cg.Benchmark, cg.CodegenNs, cg.Speedup, cg.CompiledNs, codegenGate)
 				fail = true
 			}
@@ -379,7 +399,7 @@ func pairBackends(bs []Bench) []BackendPair {
 }
 
 // pairCodegen matches each Codegen-suffixed benchmark with its
-// closure-engine base name.
+// default-engine base name.
 func pairCodegen(bs []Bench) []CodegenPair {
 	byName := make(map[string]Bench, len(bs))
 	for _, b := range bs {
