@@ -266,8 +266,8 @@ type RunResponse struct {
 	// native kernels served (engine "codegen"; zero otherwise): loop-nest
 	// invocations that ran one, and the share of all flops executed
 	// inside them.  KernelBails counts, on the default engine too, the
-	// invocations whose precheck sent a nest back to the checked closures,
-	// keyed by reason (absent when there were none).  Results never
+	// invocations whose precheck declined a nest to the interpreter, keyed
+	// by reason (absent when there were none).  Results never
 	// depend on them; a codegen run whose share is near zero ran at the
 	// default engine's speed.
 	KernelCalls     int64            `json:"kernel_calls"`

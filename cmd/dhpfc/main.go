@@ -333,6 +333,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	// What the run computed of its schedule rather than found memoized.
 	fmt.Fprintln(stdout, res.Plans.String())
+	if res.Nests.Walked > 0 || res.Nests.Declined > 0 {
+		// What a compiled engine left to the interpreter, at several times
+		// the cost of a kernel unit: the only place a slow default run shows.
+		fmt.Fprintln(stdout, res.Nests.String())
+	}
 	if engine == spmd.EngineCodegen {
 		// Which tier actually served the run: a bail is never an error,
 		// so this line is the only place a slow native run shows.

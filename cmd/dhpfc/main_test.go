@@ -90,6 +90,39 @@ func TestEngineCodegenFallback(t *testing.T) {
 	}
 }
 
+// TestRunShowsInterpretedNests: a compiled engine that leaves work to
+// the interpreter says so under the execution summary — here a nest
+// outside the unit grammar (max with an argument too many) and its 16
+// statement instances — and the interpreter itself, like a run with
+// nothing left over (the goldens above), prints no such line.
+func TestRunShowsInterpretedNests(t *testing.T) {
+	src := filepath.Join(t.TempDir(), "declined.hpf")
+	if err := os.WriteFile(src, []byte(`
+program dec
+param N = 16
+!hpf$ processors procs(4)
+!hpf$ distribute a(BLOCK) onto procs
+subroutine main()
+  real a(0:N-1)
+  do i = 0, N-1
+    a(i) = max(0.5 * i, 3.0, 100.0)
+  enddo
+end
+`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for engine, want := range map[string]bool{"compiled": true, "codegen": true, "interp": false} {
+		t.Setenv("DHPF_NO_PLUGIN", "1")
+		var out, errb bytes.Buffer
+		if code := run([]string{"-run", "-engine", engine, src}, &out, &errb); code != 0 {
+			t.Fatalf("-engine %s exit %d, stderr: %s", engine, code, errb.String())
+		}
+		if got := strings.Contains(out.String(), "\nnests: 1 declined, 16 interpreted instances\n"); got != want {
+			t.Errorf("-engine %s: nests line present = %v, want %v:\n%s", engine, got, want, out.String())
+		}
+	}
+}
+
 // TestBackendFlag: -backend shm runs the program on the shared-memory
 // substrate — the execution line reports pulls instead of messages —
 // and -backend hybrid reports both levels.  An unknown backend is a

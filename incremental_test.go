@@ -103,6 +103,39 @@ func TestIncrementalSPModCachedStats(t *testing.T) {
 	}
 }
 
+// TestIncrementalEditDoesNoCleanPassWork: after a one-procedure edit the
+// recompile does pass work for the dirty procedures only — every
+// per-procedure artifact of every clean procedure is thawed from the
+// store, none recomputed.  This is what the benchmark gate's "warm ≥ 10×
+// cold" ratio stood for, as an exact count: a ratio against the cold side
+// fails whenever the compiler itself gets faster.
+func TestIncrementalEditDoesNoCleanPassWork(t *testing.T) {
+	base := nas.SPModSource(12, 1, 2, 2)
+	inc := dhpf.NewIncremental(0)
+	_, prime, err := inc.Compile(base, nil, dhpf.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The priming compile recomputes everything: its misses are the
+	// artifacts one procedure has, times the procedures.
+	perProc := prime.ArtifactMisses / int64(prime.Procs)
+	if prime.Dirty != prime.Procs || perProc == 0 || prime.ArtifactMisses != perProc*int64(prime.Procs) {
+		t.Fatalf("priming compile: %v, want every procedure dirty and the same artifacts for each", prime)
+	}
+	_, delta, err := inc.Compile(editSPMod(t, base), nil, dhpf.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirty, clean := int64(delta.Dirty), int64(delta.Procs-delta.Dirty)
+	if dirty == 0 || clean == 0 {
+		t.Fatalf("edited recompile: %v, want some but not all procedures dirty", delta)
+	}
+	if delta.ArtifactMisses != perProc*dirty || delta.ArtifactHits != perProc*clean {
+		t.Errorf("edited recompile: %v, want %d artifacts recomputed (the dirty procedures') and %d reused (every clean procedure's)",
+			delta, perProc*dirty, perProc*clean)
+	}
+}
+
 // TestIncrementalSPModAblations: the byte-identical invariant holds for
 // the modular SP program under every single-pass ablation.
 func TestIncrementalSPModAblations(t *testing.T) {

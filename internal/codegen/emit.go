@@ -6,11 +6,13 @@
 // -buildmode=plugin` behind a content-addressed cache, and registers
 // the resulting functions with the engine's kernel registry
 // (spmd.RegisterKernel).  Emitted code is bit-compatible with the
-// closure engine by construction: every floating-point operation is
+// interpreter by construction: every floating-point operation is
 // performed in the same order and individually wrapped in float64(...)
 // so the compiler may not contract it (no FMA), constants are exact
-// hex literals, and guard/window decisions replicate
-// iteratePlanLoop's arithmetic on precomputed bounds.
+// hex literals, and guard/window decisions replicate the walker's
+// arithmetic on precomputed bounds.  The unit grammar is spmd's: every
+// operator, intrinsic and comparison met here is one its extractor
+// admitted.
 package codegen
 
 import (
@@ -148,12 +150,6 @@ func (em *emitter) index(arr *spmd.KArray, subs []spmd.KSub) string {
 	return b.String()
 }
 
-var intrinFunc = map[string]string{
-	"sqrt": "math.Sqrt", "exp": "math.Exp", "sin": "math.Sin",
-	"cos": "math.Cos", "log": "math.Log", "abs": "math.Abs",
-	"min": "math.Min", "max": "math.Max", "mod": "math.Mod", "pow": "math.Pow",
-}
-
 func (em *emitter) expr(e spmd.KExpr) string {
 	switch x := e.(type) {
 	case spmd.KConst:
@@ -172,14 +168,14 @@ func (em *emitter) expr(e spmd.KExpr) string {
 	case *spmd.KBin:
 		// The float64 conversion around every binary operation forbids
 		// fused multiply-add per the Go spec: results stay bit-identical
-		// to the closure engine's one-operation-per-node evaluation.
+		// to the interpreter's one-operation-per-node evaluation.
 		return fmt.Sprintf("float64(%s %c %s)", em.expr(x.L), x.Op, em.expr(x.R))
 	case *spmd.KIntrin:
 		args := make([]string, len(x.Args))
 		for i, a := range x.Args {
 			args[i] = em.expr(a)
 		}
-		return intrinFunc[x.Name] + "(" + strings.Join(args, ", ") + ")"
+		return x.GoFunc() + "(" + strings.Join(args, ", ") + ")"
 	}
 	panic(fmt.Sprintf("codegen: unknown expr %T", e))
 }
@@ -214,7 +210,7 @@ func (em *emitter) stmts(body []spmd.KStmt, ind int) {
 
 // loop emits one level: bounds from the inlined affine forms, then the
 // invocation window (strip ∩ clamp, packed by the runtime precheck)
-// applied exactly like iteratePlanLoop's max/min clamping.
+// applied exactly like the walker's max/min strip clamping.
 func (em *emitter) loop(kl *spmd.KLoop, ind int) {
 	v := em.local(kl.Level)
 	em.line(ind, "lo%d := %s", kl.Level, em.affExpr(kl.Lo))
@@ -242,7 +238,7 @@ func (em *emitter) loop(kl *spmd.KLoop, ind int) {
 
 // assign emits the per-point guard test over the kernel dimensions
 // (outer dimensions were checked once by the precheck) and, on pass,
-// the evaluate → count flops → store sequence of execPlanStmts.  A
+// the interpreter's evaluate → count flops → store sequence.  A
 // single-box statement tests its one packed box inline; a multi-box
 // statement ORs the test over the boxes the precheck packed.
 func (em *emitter) assign(ka *spmd.KAssign, ind int) {

@@ -18,7 +18,9 @@ import (
 	"time"
 
 	_ "dhpf/internal/codegen/gen"
+	"dhpf/internal/ir"
 	"dhpf/internal/mpsim"
+	"dhpf/internal/sched"
 	"dhpf/internal/spmd"
 )
 
@@ -104,8 +106,8 @@ func isNAS(name string) bool {
 // the native tier actually served the run: no precheck bailed, and on
 // the NAS codes at least 95 % of the flops ran inside native kernels,
 // so the tier cannot quietly fall back to the evaluator's speed.  On the
-// NAS codes neither compiled engine may leave a statement instance on
-// the checked closures (Nests.InNest): that is the slow path now.
+// NAS codes neither compiled engine may leave a statement instance to the
+// interpreter (Nests.Walked): that is the slow path.
 func TestCodegenParityCorpus(t *testing.T) {
 	for _, e := range Corpus() {
 		e := e
@@ -141,8 +143,8 @@ func TestCodegenParityCorpus(t *testing.T) {
 			if k := re.Kernels; k.EvalCalls == 0 || k.Calls != 0 || k.TotalBails() != 0 {
 				t.Fatalf("default engine, want every unit evaluated and no bails: %s", k)
 			}
-			if isNAS(e.Name) && (rc.Nests.InNest != 0 || re.Nests.InNest != 0) {
-				t.Fatalf("statement instances on checked closures: codegen %s; compiled %s", rc.Nests, re.Nests)
+			if isNAS(e.Name) && (rc.Nests.Walked != 0 || re.Nests.Walked != 0) {
+				t.Fatalf("statement instances interpreted: codegen %s; compiled %s", rc.Nests, re.Nests)
 			}
 			requireIdentical(t, prog, "codegen", "compiled", rc, re)
 			requireIdentical(t, prog, "codegen", "interp", rc, ri)
@@ -154,9 +156,9 @@ func TestCodegenParityCorpus(t *testing.T) {
 // features-localize the three ranks of the grid's middle row — the
 // interior rank's cross included — compute rho over three boxes, the
 // other six over two, so shrinking that statement's capacity to two
-// must send exactly those three invocations back to the checked
-// closures, counted as guard-overflow on both compiled engines, with
-// every observable still bit-identical to the interpreter's.
+// must decline exactly those three invocations to the walker, counted as
+// guard-overflow on both compiled engines, with every observable still
+// bit-identical to the interpreter's.
 func TestGuardOverflowBails(t *testing.T) {
 	e := corpusEntry(t, "features-localize")
 	prog, err := spmd.CompileSource(e.Source, e.Params, e.Opt)
@@ -190,15 +192,34 @@ func TestGuardOverflowBails(t *testing.T) {
 	if ks.Bails[spmd.BailGuardOverflow] != 3 || ks.TotalBails() != 3 {
 		t.Fatalf("want three guard-overflow bails (ranks 1, 4 and 7), got %s", ks)
 	}
-	if ks.Calls == 0 || ks.NativeFlopShare() >= 1 || rc.Nests.InNest == 0 {
-		t.Fatalf("want the other ranks native and the bailed nest on closures, got %s; %s", ks, rc.Nests)
+	// What the walker interprets is exactly the bailed invocations: on each
+	// rank whose rho guard has more than two boxes, every statement instance
+	// of the localized nest, counted off the iteration sets.
+	var walked int64
+	var scratch sched.KeyScratch
+	main := prog.IR.Main()
+	for rank := 0; rank < e.Procs; rank++ {
+		iters, _ := prog.Schedule().IterSets(main, rank, prog.Ctx.Bind.Params, &scratch)
+		var nest, boxes int64
+		for _, a := range ir.Assignments(main.Body) {
+			if len(a.Nest) > 0 && a.Nest[0].Var == "onetrip" {
+				nest += iters[a.Assign.ID].Card()
+				boxes = max(boxes, int64(len(iters[a.Assign.ID].SharedBoxes())))
+			}
+		}
+		if boxes > 2 {
+			walked += nest
+		}
+	}
+	if ks.Calls == 0 || ks.NativeFlopShare() >= 1 || walked == 0 || rc.Nests.Walked != walked {
+		t.Fatalf("want the other ranks native and the bailed nest's %d instances interpreted, got %s; %s", walked, ks, rc.Nests)
 	}
 	if !strings.Contains(ks.String(), "3 bails (guard-overflow 3)") {
 		t.Fatalf("summary line does not name the bail: %s", ks)
 	}
 	re := runEngine(t, prog, e.Procs, spmd.EngineCompiled)
-	if ks := re.Kernels; ks.Bails[spmd.BailGuardOverflow] != 3 || ks.TotalBails() != 3 || ks.EvalCalls == 0 || re.Nests.InNest != rc.Nests.InNest {
-		t.Fatalf("default engine: want the same three bails onto the same closure instances, got %s; %s", ks, re.Nests)
+	if ks := re.Kernels; ks.Bails[spmd.BailGuardOverflow] != 3 || ks.TotalBails() != 3 || ks.EvalCalls == 0 || re.Nests != rc.Nests {
+		t.Fatalf("default engine: want the same three bails onto the same interpreted instances, got %s; %s", ks, re.Nests)
 	}
 	ri := runEngine(t, prog, e.Procs, spmd.EngineInterp)
 	requireIdentical(t, prog, "codegen", "compiled", rc, re)
@@ -206,8 +227,8 @@ func TestGuardOverflowBails(t *testing.T) {
 }
 
 // bailAlways breaks the array geometry of every kernel unit of prog, so
-// each precheck bails and a compiled engine runs the unit on its checked
-// closures: the wholesale form of the bail path, from outside spmd.
+// each precheck bails and the walker interprets the invocation: the
+// wholesale form of the decline path, from outside spmd.
 func bailAlways(prog *spmd.Program) {
 	for _, u := range prog.KernelUnits() {
 		for i := range u.Arrays {
@@ -248,7 +269,7 @@ end
 		t.Fatalf("unregistered program still invoked kernels")
 	}
 	re := runEngine(t, prog, 4, spmd.EngineCompiled)
-	if rc.Kernels != re.Kernels || rc.Kernels.EvalCalls != 4 || rc.Kernels.Units != 0 || rc.Nests != re.Nests || rc.Nests.InNest != 0 {
+	if rc.Kernels != re.Kernels || rc.Kernels.EvalCalls != 4 || rc.Kernels.Units != 0 || rc.Nests != re.Nests || rc.Nests.Walked != 0 {
 		t.Fatalf("want the one unit evaluated once per rank on both engines: codegen %s; %s, compiled %s; %s",
 			rc.Kernels, rc.Nests, re.Kernels, re.Nests)
 	}
@@ -333,8 +354,8 @@ end
 // FuzzCodegenVsEngine fuzzes the execution configuration — corpus
 // entry, machine cost parameters, pipeline grain — and requires every
 // way a kernel unit runs to stay bit-identical: native kernel, in-process
-// evaluator, checked closures (a second compile whose every precheck
-// bails) and the interpreter.  Cost
+// evaluator, declined to the walker (a second compile whose every
+// precheck bails) and the interpreter.  Cost
 // parameters change virtual-time interleavings and strip windows
 // without changing which kernels are registered, so prechecks and
 // window packing get exercised under many schedules.  The seeds include
@@ -374,7 +395,7 @@ func FuzzCodegenVsEngine(f *testing.F) {
 			engine spmd.Engine
 		}{
 			{"evaluator", prog, spmd.EngineCompiled},
-			{"checked closures", bailing, spmd.EngineCompiled},
+			{"every precheck bailed", bailing, spmd.EngineCompiled},
 			{"interp", prog, spmd.EngineInterp},
 		} {
 			ro, errO := other.prog.ExecuteEngine(cfg, other.engine)
@@ -384,8 +405,8 @@ func FuzzCodegenVsEngine(f *testing.F) {
 			if errC != nil {
 				continue
 			}
-			if other.prog == bailing && (ro.Kernels.TotalBails() == 0 || ro.Nests.InNest == 0) {
-				t.Fatalf("forced bails did not reach the checked closures: %s; %s", ro.Kernels, ro.Nests)
+			if other.prog == bailing && (ro.Kernels.TotalBails() == 0 || ro.Nests.Walked == 0) {
+				t.Fatalf("forced bails did not reach the walker: %s; %s", ro.Kernels, ro.Nests)
 			}
 			requireIdentical(t, prog, "codegen", other.name, rc, ro)
 		}

@@ -27,7 +27,7 @@ import (
 // given and hands the same boxes out again, so a box is read forever and
 // never written once anything else has seen it.  Only the constructors
 // (MakeBox, NewBox, Interval, Point and the Box methods that return a
-// Box) and Set.AsBox return a box the caller may still write.
+// Box) return a box the caller may still write.
 type Box struct {
 	Lo, Hi []int
 }

@@ -61,21 +61,6 @@ func (s Set) SharedBoxes() []Box { return s.boxes }
 // IsEmpty reports whether the set contains no points.
 func (s Set) IsEmpty() bool { return len(s.boxes) == 0 }
 
-// AsBox returns the set's single box when the set is exactly one box
-// (the overwhelmingly common case for iteration sets after CP selection)
-// and reports whether it is.  Empty and multi-box sets return false.
-// The returned box is a copy; mutating it does not affect the set.
-//
-// This is the supported fast path for consumers that can specialize the
-// box case — e.g. replacing a per-point Contains test with hoisted
-// per-dimension bounds comparisons.
-func (s Set) AsBox() (Box, bool) {
-	if len(s.boxes) != 1 {
-		return Box{}, false
-	}
-	return s.boxes[0].clone(), true
-}
-
 // Card returns the number of points in the set.
 func (s Set) Card() int64 {
 	var n int64

@@ -77,11 +77,11 @@ func TestEnginesByteIdenticalNAS(t *testing.T) {
 }
 
 // TestNestCoverageNAS pins where the NAS codes spend their statement
-// instances under the compiled engines: every one runs inside a compute
-// nest the engines claim from the walker, none through the walker's
-// per-instance Assign, and the plan build declines no nest.  A schedule
-// change that pushes a hot loop out of a nest fails here before it shows
-// as a slowdown.  The modular SP is checked on its schedule only: it
+// instances under the compiled engines: every one runs inside a kernel
+// unit the engines claim from the walker, none through the walker's
+// per-instance Assign, no precheck bails and no compute nest is left
+// without a unit.  A schedule change that pushes a hot loop out of a nest
+// fails here before it shows as a slowdown.  The modular SP is checked on its schedule only: it
 // does not run to completion yet (ROADMAP item 1).
 func TestNestCoverageNAS(t *testing.T) {
 	cases := []struct {
@@ -111,8 +111,8 @@ func TestNestCoverageNAS(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %s: %v", c.name, engine, err)
 			}
-			if n := res.Nests; n.Walked != 0 || n.Declined != 0 || n.Entries == 0 {
-				t.Errorf("%s %s: %s, want every instance inside a claimed nest", c.name, engine, n)
+			if n, k := res.Nests, res.Kernels; n.Walked != 0 || n.Declined != 0 || k.EvalCalls+k.Calls == 0 || k.TotalBails() != 0 {
+				t.Errorf("%s %s: %s; %s, want every instance inside a kernel unit", c.name, engine, n, k)
 			}
 		}
 	}

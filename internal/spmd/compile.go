@@ -52,17 +52,11 @@ type Program struct {
 	// run that produced this program.
 	Stats []passes.Stat
 
-	// Lazily built compiled-engine plan (engine.go): constructed at most
-	// once per Program and shared read-only by every execution and rank.
+	// Lazily built compiled-engine plan (engine.go) — the slot numbering
+	// and the kernel units cut against it: constructed at most once per
+	// Program and shared read-only by every execution and rank.
 	engOnce sync.Once
 	eng     *enginePlan
-
-	// Lazily extracted kernel units (kernel_extract.go): kbind.units[i]'s
-	// plan root carries i (pLoop.unit).  kbind is the default engine's
-	// binding, every unit on its evaluator; native kernels are resolved
-	// per execution so late-registered ones still bind.
-	kuOnce sync.Once
-	kbind  kernelBinding
 
 	// Lazily built rank schedule (internal/sched): placement tables plus
 	// the transfer-plan memo every execution of this Program shares.

@@ -1,14 +1,13 @@
 package spmd
 
 // engine_bounds.go derives, once per procedure activation, the per-rank
-// iteration guards and hoisted loop-bound clamps the engine executes
-// against.  The interpreter answers "does this rank run statement s at
-// point p?" with a fresh point slice and a general iset.Set membership
-// scan on every iteration point; here the overwhelmingly common case —
-// the statement's iteration set is a single box — is
-// specialized to per-dimension comparisons on slot values, and for
-// innermost loops the member boxes additionally tighten the loop range
-// itself so non-member points are never visited at all.
+// iteration guards and loop-bound clamps a kernel unit's precheck packs
+// into its bounds[].  The interpreter answers "does this rank run
+// statement s at point p?" with a general iset.Set membership scan on
+// every iteration point; a unit tests the point against boxes the
+// precheck packed once per invocation, and for innermost loops the member
+// boxes additionally tighten the loop range itself so non-member points
+// are never visited at all.
 
 import (
 	"math"
@@ -20,8 +19,8 @@ type guardKind uint8
 
 const (
 	guardNever guardKind = iota // empty iteration set: never executes
-	guardBox                    // single box: compare slots to lo/hi
-	guardSet                    // general set: point buffer + Contains
+	guardBox                    // single box: lo/hi
+	guardSet                    // general set: its boxes
 )
 
 // stmtGuard is one statement's per-frame membership test.
@@ -50,14 +49,13 @@ func buildGuards(f *frame, pp *procPlan) {
 		case s.IsEmpty():
 			g.kind = guardNever
 		default:
-			// The set's own box, shared and only ever read (AsBox copies).
+			// The set's own box, shared and only ever read.
 			if bs := s.SharedBoxes(); len(bs) == 1 && bs[0].Rank() == len(gs.nestSlots) {
 				g.kind = guardBox
 				g.lo, g.hi = bs[0].Lo, bs[0].Hi
 			} else {
-				// Multi-box set, or a rank mismatch against the nest
-				// (Contains is then vacuously false per box, which the
-				// general path reproduces exactly).
+				// Multi-box set, or a rank mismatch against the nest (the
+				// precheck then bails).
 				g.kind = guardSet
 				g.set = s
 			}

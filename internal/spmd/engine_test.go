@@ -2,10 +2,11 @@ package spmd
 
 // Differential tests of the compiled execution engine against the
 // tree-walking interpreter, run three ways — interpreter, kernel units on
-// the in-process evaluator, every nest on the checked closures: all must
-// be byte-identical on every observable — global array contents
-// (bit-for-bit), the machine's virtual clocks (total, per-rank
-// busy/idle/flops), and per-rank message and byte counters.  The corpus covers every shipped testdata program
+// the in-process evaluator, every unit's precheck bailing so the walker
+// interprets it: all must be byte-identical on every observable — global
+// array contents (bit-for-bit), the machine's virtual clocks (total,
+// per-rank busy/idle/flops), and per-rank message and byte counters.  The
+// corpus covers every shipped testdata program
 // plus inline programs exercising reductions, interprocedural calls,
 // data-dependent conditionals (the clamp-disabling case), wavefront
 // pipelining, and replicated broadcast reads.
@@ -325,17 +326,18 @@ end
 `
 
 // threeWays executes prog on the interpreter, on the default engine
-// (kernel units on the evaluator) and on the default engine with no
-// kernel bound (every nest on the checked closures a precheck bail falls
-// to), in that order.
+// (kernel units on the evaluator) and on the default engine with every
+// precheck bailing (each invocation declined to the walker), in that
+// order.
 func threeWays(prog *Program, cfg mpsim.Config) (res [3]*ExecResult, errs [3]error) {
 	res[0], errs[0] = prog.ExecuteEngine(cfg, EngineInterp)
 	res[1], errs[1] = prog.ExecuteEngine(cfg, EngineCompiled)
-	res[2], errs[2] = prog.execute(cfg, EngineCompiled, false)
+	defer BailAlways(prog)()
+	res[2], errs[2] = prog.ExecuteEngine(cfg, EngineCompiled)
 	return res, errs
 }
 
-var threeWayNames = [3]string{"interp", "evaluator", "checked closures"}
+var threeWayNames = [3]string{"interp", "evaluator", "every precheck bailed"}
 
 // requireEnginesIdentical executes prog three ways and fails the test on
 // any bit-level difference in results or machine state.
@@ -368,8 +370,9 @@ func compareThreeWays(t *testing.T, prog *Program, cfg mpsim.Config) (errs [3]er
 	if errs[0] != nil {
 		return errs, false
 	}
-	if res[2].Kernels.EvalCalls != 0 || res[2].Kernels.Calls != 0 {
-		t.Fatalf("the unbound run still ran kernel units: %s", res[2].Kernels)
+	if ran, bailed := res[1].Kernels, res[2].Kernels; bailed.TotalBails()+bailed.EvalCalls != ran.EvalCalls ||
+		ran.EvalCalls > 0 && bailed.TotalBails() == 0 {
+		t.Fatalf("the bailing run did not decline the evaluated run's invocations: %s; evaluated %s", bailed, ran)
 	}
 	for k := 1; k < 3; k++ {
 		requireSameRun(t, prog, threeWayNames[k], res[0], res[k], true)
@@ -457,12 +460,12 @@ func TestEnginesByteIdenticalInline(t *testing.T) {
 	}
 }
 
-// TestDeclinedNestRunsOnWalker: a nest holding a construct the closure
-// compiler does not lower — here an intrinsic with one argument too many,
-// which the interpreter evaluates and ignores — is not claimed; the
-// walker runs it, the other nests run as kernel units on the evaluator
-// (one invocation each per rank, nothing on checked closures), the run
-// says so, and the engines still agree.
+// TestDeclinedNestRunsOnWalker: a nest holding a construct outside the
+// unit grammar — here an intrinsic with one argument too many, which the
+// interpreter evaluates and ignores — yields no unit; the walker
+// interprets it, the other nest runs as a kernel unit on the evaluator
+// (one invocation per rank), the run says so, and the engines still
+// agree.
 func TestDeclinedNestRunsOnWalker(t *testing.T) {
 	prog, err := CompileSource(`
 program dec
@@ -487,8 +490,8 @@ end
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := res.Nests; n.Declined != 1 || n.Walked != 16 || n.InNest != 0 {
-		t.Errorf("%s, want 1 declined nest with its 16 instances walked and nothing on checked closures", n)
+	if n := res.Nests; n.Declined != 1 || n.Walked != 16 {
+		t.Errorf("%s, want 1 declined nest with its 16 instances interpreted", n)
 	}
 	if k := res.Kernels; k.EvalCalls != 4 || k.Calls != 0 || k.TotalBails() != 0 {
 		t.Errorf("%s, want the other nest evaluated once per rank", k)
@@ -551,7 +554,7 @@ func TestEngineGrainSweep(t *testing.T) {
 // FuzzExecEngines cross-checks, on arbitrary source text, the three ways
 // a compute nest runs: anything that compiles must execute identically
 // on the interpreter, with kernel units on the evaluator, and with every
-// nest on the checked closures.  A wall clock limit bounds runaway
+// unit's precheck bailing.  A wall clock limit bounds runaway
 // programs; wall-limit aborts fire at a nondeterministic virtual time, so
 // those runs are not compared.
 func FuzzExecEngines(f *testing.F) {

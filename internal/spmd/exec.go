@@ -34,11 +34,10 @@ type ExecResult struct {
 	// in-process evaluator ran are counted on both compiled engines.  All
 	// zero under EngineInterp.
 	Kernels KernelStats
-	// Nests is the compiled engines' coverage of this run: nests claimed
-	// from the walker, and the statement instances that still ran one at
-	// a time — on the walker, or on the checked closures a precheck bail
-	// or a nest outside every kernel unit falls to.  All zero under
-	// EngineInterp.
+	// Nests is what the compiled engines left to the interpreter in this
+	// run: compute nests no kernel unit covers, and the statement
+	// instances that ran one at a time — outside every unit, or in an
+	// invocation whose precheck bailed.  All zero under EngineInterp.
 	Nests NestStats
 	// Plans is the run's traffic on the schedule's memo: how many of its
 	// firings and activations were computed rather than found.
@@ -47,19 +46,17 @@ type ExecResult struct {
 	ranks []*rankExec
 }
 
-// NestStats is one execution's compute-nest coverage, summed over ranks
-// after they join.  It is telemetry only: nothing in it feeds results or
-// virtual time.
+// NestStats is the slow path of one execution on a compiled engine,
+// summed over ranks after they join: a statement instance interpreted
+// costs several times one inside a kernel unit.  It is telemetry only:
+// nothing in it feeds results or virtual time.
 type NestStats struct {
-	Entries  int64 // nests claimed from the walker
-	InNest   int64 // statement instances the checked closures ran: what no kernel unit's back end did
-	Walked   int64 // statement instances run through the walker's Assign
-	Declined int   // compute nests the plan build could not lower, left to the walker
+	Walked   int64 // statement instances interpreted, through the walker's Assign
+	Declined int   // compute nests no kernel unit was cut from
 }
 
 func (n NestStats) String() string {
-	return fmt.Sprintf("nests: %d entries, %d closure instances, %d walked instances, %d declined",
-		n.Entries, n.InNest, n.Walked, n.Declined)
+	return fmt.Sprintf("nests: %d declined, %d interpreted instances", n.Declined, n.Walked)
 }
 
 // Global assembles the authoritative global contents of an array: each
@@ -95,17 +92,9 @@ func (p *Program) Execute(cfg mpsim.Config) (*ExecResult, error) {
 // ExecuteEngine runs the compiled program with an explicit engine
 // choice.  Every engine is the schedule walker over the reference
 // interpreter's ops; EngineCompiled and EngineCodegen additionally claim
-// compute nests and run them compiled (engine.go), byte-identical to
-// EngineInterp, the oracle.
+// the loops kernel units are rooted at and run them compiled (engine.go),
+// byte-identical to EngineInterp, the oracle.
 func (p *Program) ExecuteEngine(cfg mpsim.Config, engine Engine) (*ExecResult, error) {
-	return p.execute(cfg, engine, true)
-}
-
-// execute is ExecuteEngine with the kernel binding made optional: with
-// bind false a compiled engine runs every nest on its checked closures —
-// the path a precheck bail takes, which only tests can ask for
-// wholesale.
-func (p *Program) execute(cfg mpsim.Config, engine Engine, bind bool) (*ExecResult, error) {
 	if cfg.Procs != p.Grid.Size() {
 		return nil, fmt.Errorf("spmd: machine has %d ranks, program wants %d", cfg.Procs, p.Grid.Size())
 	}
@@ -120,12 +109,10 @@ func (p *Program) execute(cfg mpsim.Config, engine Engine, bind bool) (*ExecResu
 	// The plan is built once per Program, before any rank spawns; it is
 	// immutable and shared read-only by all ranks.
 	var plan *enginePlan
+	var native []KernelFunc
 	if engine != EngineInterp {
 		plan = p.enginePlanFor()
-	}
-	var kbind *kernelBinding
-	if plan != nil && bind {
-		kbind = p.bindKernels(engine)
+		native = plan.bindKernels(engine)
 	}
 	ranks := make([]*rankExec, cfg.Procs)
 	var mu sync.Mutex
@@ -164,24 +151,22 @@ func (p *Program) execute(cfg mpsim.Config, engine Engine, bind bool) (*ExecResu
 	var sres *shm.Result
 	if backend == passes.BackendMP {
 		res = mpsim.Run(cfg, func(r *mpsim.Rank) {
-			runRank(newRankExec(s, r, nil, plan, kbind))
+			runRank(newRankExec(s, r, nil, plan, native))
 		})
 	} else {
 		res, sres = shm.Run(shm.FromMachine(cfg, p.shmGroups(backend)), func(t *shm.Thread) {
-			runRank(newRankExec(s, t.Rank, t, plan, kbind))
+			runRank(newRankExec(s, t.Rank, t, plan, native))
 		})
 	}
 	if execErr != nil {
 		return nil, execErr
 	}
-	er := &ExecResult{Machine: res, Shm: sres, Kernels: kernelStatsOf(kbind, ranks, res.RankFlops), prog: p, ranks: ranks}
+	er := &ExecResult{Machine: res, Shm: sres, Kernels: kernelStatsOf(native, ranks, res.RankFlops), prog: p, ranks: ranks}
 	if plan != nil {
 		er.Nests.Declined = plan.declined
 	}
 	for _, rx := range ranks {
-		er.Nests.Entries += rx.nstats.Entries
-		er.Nests.InNest += rx.nstats.InNest
-		er.Nests.Walked += rx.nstats.Walked
+		er.Nests.Walked += rx.walked
 		er.Plans.Firings += rx.Plans.Firings
 		er.Plans.PlanMisses += rx.Plans.PlanMisses
 		er.Plans.ActivationMisses += rx.Plans.ActivationMisses
@@ -248,20 +233,19 @@ type frame struct {
 	// computed over the statement's full nest at procedure entry
 	iters map[int]iset.Set
 
-	// Compiled-engine state, derived on the frame's first nest entry
+	// Compiled-engine state, derived on the frame's first unit invocation
 	// (nil under the interpreter): array slots, and the guards and clamps
 	// derived from iters (engine_bounds.go).
 	aslots []*array
 	guards []stmtGuard
 	clamps []clampRange
-	point  []int // reusable membership buffer for guardSet
 }
 
 // rankExec is one rank of one execution.  The embedded walker carries
 // the control state — the scalar binding (params + loop variables +
 // integer formals), the strip window, the tag-block counter — and drives
 // rankExec's sched.Ops methods below, the reference interpreter; the
-// compiled tiers wrap them in nestOps (engine.go).
+// compiled engines wrap them in nestOps (engine.go).
 type rankExec struct {
 	*sched.Walker
 	// rk is the machine rank this executor runs on; th is the
@@ -282,20 +266,18 @@ type rankExec struct {
 	// before returning).
 	payload []float64
 
-	// Compiled-tier state (nil/zero under the interpreter): env holds the
-	// slots of the nest being run; nstats counts this rank's nest
-	// coverage, merged into ExecResult after the join.
-	plan   *enginePlan
-	env    engineEnv
-	nstats NestStats
-
-	// Kernel-unit state (nil/empty under the interpreter): kbind is the
-	// execution's binding of units to back ends; kb/ka/khull/knarrow and
-	// kenv are invocation scratch (kernel_invoke.go, kernel_eval.go),
-	// sized once for the largest bound unit and never shared across ranks;
-	// kstats counts this rank's invocations and bails, merged into
+	// Compiled-engine state (nil/zero under the interpreter): plan holds
+	// the kernel units and native the execution's binding of each to a
+	// registered kernel (nil: its evaluator); env holds the slots of the
+	// unit being run; kb/ka/khull/knarrow and kenv are invocation scratch
+	// (kernel_invoke.go, kernel_eval.go), sized once for the largest unit
+	// and never shared across ranks; walked and kstats count this rank's
+	// interpreted statement instances, invocations and bails, merged into
 	// ExecResult after the join.
-	kbind   *kernelBinding
+	plan    *enginePlan
+	native  []KernelFunc
+	env     engineEnv
+	walked  int64
 	kb      []int
 	kreach  []int // per loop level: lo, hi of the guard boxes packed beneath it
 	ka      [][]float64
@@ -305,35 +287,30 @@ type rankExec struct {
 	kstats  KernelStats
 }
 
-func newRankExec(s *sched.Schedule, rk *mpsim.Rank, th *shm.Thread, plan *enginePlan, kbind *kernelBinding) *rankExec {
-	rx := &rankExec{rk: rk, th: th, plan: plan, kbind: kbind}
+func newRankExec(s *sched.Schedule, rk *mpsim.Rank, th *shm.Thread, plan *enginePlan, native []KernelFunc) *rankExec {
+	rx := &rankExec{rk: rk, th: th, plan: plan, native: native}
 	var ops sched.Ops = rx
 	if plan != nil {
 		// One integer block holds the slots and, behind them, the kernel
 		// scratch: packed bounds, box reach, and the evaluator's locals,
 		// index parts and guard ranges.
-		var sc kernelScratch
-		if kbind != nil {
-			sc = kbind.scratch
-		}
-		ints := make([]int, plan.nInts+sc.bounds+3*sc.levels+sc.refs+3*sc.assigns)
+		sc, nInts := plan.scratch, len(plan.intSlot)
+		ints := make([]int, nInts+sc.bounds+3*sc.levels+sc.refs+3*sc.assigns)
 		cut := func(n int) []int {
 			out := ints[:n:n]
 			ints = ints[n:]
 			return out
 		}
 		rx.env = engineEnv{
-			ints: cut(plan.nInts), intSet: make([]bool, plan.nInts),
+			ints: cut(nInts), intSet: make([]bool, nInts),
 			floats: make([]float64, plan.nFloats), fset: make([]bool, plan.nFloats),
 		}
-		if kbind != nil {
-			rx.kb, rx.kreach = cut(sc.bounds), cut(2*sc.levels)
-			rx.ka = make([][]float64, sc.arrays)
-			hulls := make([]kiv, 2*sc.levels)
-			rx.khull, rx.knarrow = hulls[:sc.levels], hulls[sc.levels:]
-			rx.kenv = kenv{loc: cut(sc.levels), off: cut(sc.refs), rng: cut(3 * sc.assigns),
-				ints: rx.env.ints, intSet: rx.env.intSet, floats: rx.env.floats, fset: rx.env.fset}
-		}
+		rx.kb, rx.kreach = cut(sc.bounds), cut(2*sc.levels)
+		rx.ka = make([][]float64, sc.arrays)
+		hulls := make([]kiv, 2*sc.levels)
+		rx.khull, rx.knarrow = hulls[:sc.levels], hulls[sc.levels:]
+		rx.kenv = kenv{loc: cut(sc.levels), off: cut(sc.refs), rng: cut(3 * sc.assigns),
+			ints: rx.env.ints, intSet: rx.env.intSet, floats: rx.env.floats, fset: rx.env.fset}
 		ops = nestOps{rx}
 	}
 	rx.Walker = sched.NewWalker(s, rk.ID, ops)

@@ -9,7 +9,7 @@ package spmd
 // A kernel unit is a maximal loop subtree of a compute nest: all
 // transfers, reductions and pipelined exchanges attached to the root loop
 // fire outside the iteration (the walker's loop boundary), so replacing
-// iteratePlanLoop's closure walk with one flat compiled function is
+// the walker's iteration of the loop with one flat compiled function is
 // unobservable as long as that function performs the same floating-point
 // operations, flop accumulation, guard decisions and stores in the same
 // order.  One spec, one runtime precheck (kernel_invoke.go), two back
@@ -18,6 +18,9 @@ package spmd
 // fingerprint ties an emitted kernel to the spec, so a registered kernel
 // is reused by every program containing a structurally identical unit
 // regardless of which program it was generated from.
+//
+// The unit grammar's operator tables live here too: what kextract admits
+// is exactly what the back ends implement.
 
 import (
 	"crypto/sha256"
@@ -38,7 +41,7 @@ const KernelABI = "dhpf-kernel-v2"
 // bounds[] for a statement whose CP has more than one ON_HOME term (a
 // partially replicated CP such as LOCALIZE's owner ∪ halo faces, whose
 // per-rank iteration set is a union of boxes).  An invocation whose
-// guard needs more boxes than this bails to the checked closures.
+// guard needs more boxes than this bails: the walker interprets it.
 const KernelGuardBoxes = 8
 
 // KernelFunc is the compiled form of one kernel unit.  The signature
@@ -47,8 +50,8 @@ const KernelGuardBoxes = 8
 //
 //   - ints/intSet: the rank's global integer slots (read-only; kernel
 //     loop variables live in locals, never written back to slots).
-//   - floats/fset: the current frame's scalar slots (scalar stores write
-//     both, exactly like the closure engine).
+//   - floats/fset: the current frame's scalar slots (a scalar store
+//     writes both: the value and its presence).
 //   - arrays: per-unit array data slices, in KernelUnit.Arrays order.
 //   - bounds: per-invocation window and guard-box values packed by the
 //     runtime precheck (see KernelUnit bounds layout).
@@ -88,8 +91,8 @@ type KSub struct {
 
 // KArray describes one array the unit touches: its frame slot plus the
 // exact geometry the emitted code inlines as constants.  The runtime
-// precheck compares the live array against this geometry and bails to
-// the checked closures on any mismatch.
+// precheck compares the live array against this geometry and bails on
+// any mismatch.
 type KArray struct {
 	ASlot  int
 	Name   string
@@ -120,13 +123,13 @@ type KLocal struct{ Level int }
 type KSlotInt struct{ Slot int }
 
 // KScalar is a dynamic scalar read: floats[FSlot] if set, else the
-// integer slot as float64 if bound, else 0 — the closure engine's
-// ScalarRef semantics verbatim.
+// integer slot as float64 if bound, else 0 — the interpreter's ScalarRef
+// semantics verbatim.
 type KScalar struct{ FSlot, ISlot int }
 
 // KScalarLocal is a scalar read whose name is an in-scope kernel loop
 // variable: floats[FSlot] if set, else the loop local (inside the loop
-// the closure engine always has the variable's intSet true).
+// the variable is always bound).
 type KScalarLocal struct {
 	FSlot int
 	Level int
@@ -138,19 +141,47 @@ type KARead struct {
 	Subs []KSub
 }
 
-// KBin is a binary float op; Op is one of '+', '-', '*', '/'.  Each
-// emitted operation is wrapped in float64(...) so the Go compiler may
-// not fuse it (no FMA): results stay bit-identical to the closures.
+// KBin is a binary float op; Op is one of kbinOps.  Each emitted
+// operation is wrapped in float64(...) so the Go compiler may not fuse
+// it (no FMA): results stay bit-identical to the interpreter's.
 type KBin struct {
 	Op   byte
 	L, R KExpr
 }
 
-// KIntrin is a canonical-arity intrinsic call (math.X).
+// kbinOps are the binary operators the unit grammar admits.
+const kbinOps = "+-*/"
+
+// KIntrin is an intrinsic call of kintrinsics, at its arity.
 type KIntrin struct {
 	Name string
 	Args []KExpr
 }
+
+// kintrinsic is one intrinsic the unit grammar admits: its arity and the
+// math function both back ends call (f1 or f2, by arity).
+type kintrinsic struct {
+	arity  int
+	goName string
+	f1     func(float64) float64
+	f2     func(float64, float64) float64
+}
+
+var kintrinsics = map[string]kintrinsic{
+	"sqrt": {1, "math.Sqrt", math.Sqrt, nil},
+	"exp":  {1, "math.Exp", math.Exp, nil},
+	"sin":  {1, "math.Sin", math.Sin, nil},
+	"cos":  {1, "math.Cos", math.Cos, nil},
+	"log":  {1, "math.Log", math.Log, nil},
+	"abs":  {1, "math.Abs", math.Abs, nil},
+	"min":  {2, "math.Min", nil, math.Min},
+	"max":  {2, "math.Max", nil, math.Max},
+	"mod":  {2, "math.Mod", nil, math.Mod},
+	"pow":  {2, "math.Pow", nil, math.Pow},
+}
+
+// GoFunc names the math function the intrinsic calls, for the emitter.
+func (x *KIntrin) GoFunc() string { return kintrinsics[x.Name].goName }
 
 func (KConst) kExpr()       {}
 func (KLocal) kExpr()       {}
@@ -167,8 +198,8 @@ type KStmt interface{ kStmt() }
 // KLoop is one kernel loop level.  bounds[WinIdx] and bounds[WinIdx+1]
 // hold the invocation's [winLo, winHi] value window (strip ∩ clamp ∩ the
 // reach of the guard boxes packed beneath the level), applied exactly
-// like iteratePlanLoop: step>0 runs max(lo,winLo)..min(hi,winHi); step<0
-// runs min(lo,winHi) down to max(hi,winLo).
+// like the walker's strip clamp: step>0 runs max(lo,winLo)..min(hi,winHi);
+// step<0 runs min(lo,winHi) down to max(hi,winLo).
 type KLoop struct {
 	Var      string
 	Slot     int // the variable's global int slot (restore semantics doc only)
@@ -205,13 +236,23 @@ type KAssign struct {
 	Refs      []KRefCheck // every array access (LHS last), for the precheck
 }
 
-// KIf mirrors pIf: the condition is evaluated at every enclosing
+// KIf mirrors ir.IfStmt: the condition is evaluated at every enclosing
 // iteration point (it is panic-free by eligibility), then one arm runs.
 type KIf struct {
-	Op   string // "<" ">" "<=" ">=" "==" "/="
+	Op   string // a key of kcompare
 	L, R KExpr
 	Then []KStmt
 	Els  []KStmt
+}
+
+// kcompare are the comparisons the unit grammar admits.
+var kcompare = map[string]func(l, r float64) bool{
+	"<":  func(l, r float64) bool { return l < r },
+	">":  func(l, r float64) bool { return l > r },
+	"<=": func(l, r float64) bool { return l <= r },
+	">=": func(l, r float64) bool { return l >= r },
+	"==": func(l, r float64) bool { return l == r },
+	"/=": func(l, r float64) bool { return l != r },
 }
 
 func (*KLoop) kStmt()   {}
@@ -241,12 +282,24 @@ type KernelUnit struct {
 	fpOnce sync.Once
 	fp     string
 
+	// What an invocation loads and stores back (runUnit): the integer
+	// names the unit or its precheck reads, the scalars it reads or may
+	// store, and of those the ones it may store; pp is its procedure's
+	// numbering, which the frame's array slots, guards and clamps follow.
+	pp                   *procPlan
+	ints, floats, stores []slotName
+
 	// The in-process evaluator (kernel_eval.go), built when an invocation
 	// first needs it and shared by every rank of every execution;
 	// numRefs (every KAssign's Refs) and numAssigns size its scratch.
 	numRefs, numAssigns int
 	evOnce              sync.Once
 	ev                  kstmtFn
+}
+
+type slotName struct {
+	name string
+	slot int
 }
 
 // Fingerprint returns the unit's content hash: a SHA-256 over a

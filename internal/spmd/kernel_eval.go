@@ -4,18 +4,18 @@ package spmd
 // internal/codegen emits a KernelUnit as Go source, this file lowers the
 // same unit to a closure tree, and both run behind the one precheck of
 // kernel_invoke.go.  The evaluator therefore has the emitted code's
-// semantics, not the checked closures' (engine.go): loop variables are
-// locals, never slot writes; an array access is one folded linear form
-// over the unit's inlined geometry with no per-dimension range check (the
-// precheck proved it in bounds); a guard is a test against the boxes
-// packed in bounds[]; every floating-point operation is one node, in the
-// closure tree's order; flops accumulate per executed statement in
-// iteration order.  Two things the emitted code computes at every point
-// are computed once per loop entry instead, neither observable: the part
-// of each array index that the loop's own variable does not move, and the
-// range of that variable over which each statement's guard passes.  A
-// built evaluator is immutable and shared by every rank of every
-// execution; all per-invocation state lives in the rank's kenv.
+// semantics, not the interpreter's: loop variables are locals, never
+// slot writes; an array access is one folded linear form over the unit's
+// inlined geometry with no per-dimension range check (the precheck proved
+// it in bounds); a guard is a test against the boxes packed in bounds[];
+// every floating-point operation is one node, in the expression tree's
+// order; flops accumulate per executed statement in iteration order.  Two
+// things the emitted code computes at every point are computed once per
+// loop entry instead, neither observable: the part of each array index
+// that the loop's own variable does not move, and the range of that
+// variable over which each statement's guard passes.  A built evaluator
+// is immutable and shared by every rank of every execution; all
+// per-invocation state lives in the rank's kenv.
 
 import (
 	"math"
@@ -314,23 +314,9 @@ func (b *kevalBuilder) loop(kl *KLoop) kstmtFn {
 func (b *kevalBuilder) ifStmt(ki *KIf) kstmtFn {
 	l, r := b.expr(ki.L), b.expr(ki.R)
 	then, els := b.stmts(ki.Then), b.stmts(ki.Els)
-	var cond func(*kenv) bool
-	switch ki.Op {
-	case "<":
-		cond = func(e *kenv) bool { return l(e) < r(e) }
-	case ">":
-		cond = func(e *kenv) bool { return l(e) > r(e) }
-	case "<=":
-		cond = func(e *kenv) bool { return l(e) <= r(e) }
-	case ">=":
-		cond = func(e *kenv) bool { return l(e) >= r(e) }
-	case "==":
-		cond = func(e *kenv) bool { return l(e) == r(e) }
-	case "/=":
-		cond = func(e *kenv) bool { return l(e) != r(e) }
-	}
+	cmp := kcompare[ki.Op]
 	return func(e *kenv) {
-		if cond(e) {
+		if cmp(l(e), r(e)) {
 			runStmts(then, e)
 		} else {
 			runStmts(els, e)
@@ -455,40 +441,11 @@ func (b *kevalBuilder) expr(x KExpr) kvalFn {
 }
 
 func (b *kevalBuilder) intrin(x *KIntrin) kvalFn {
-	args := make([]kvalFn, len(x.Args))
-	for i, a := range x.Args {
-		args[i] = b.expr(a)
-	}
-	if len(args) == 1 {
-		var f func(float64) float64
-		switch x.Name {
-		case "sqrt":
-			f = math.Sqrt
-		case "exp":
-			f = math.Exp
-		case "sin":
-			f = math.Sin
-		case "cos":
-			f = math.Cos
-		case "log":
-			f = math.Log
-		case "abs":
-			f = math.Abs
-		}
-		a0 := args[0]
+	in, a0 := kintrinsics[x.Name], b.expr(x.Args[0])
+	if in.arity == 1 {
+		f := in.f1
 		return func(e *kenv) float64 { return f(a0(e)) }
 	}
-	var f func(float64, float64) float64
-	switch x.Name {
-	case "min":
-		f = math.Min
-	case "max":
-		f = math.Max
-	case "mod":
-		f = math.Mod
-	case "pow":
-		f = math.Pow
-	}
-	a0, a1 := args[0], args[1]
+	f, a1 := in.f2, b.expr(x.Args[1])
 	return func(e *kenv) float64 { return f(a0(e), a1(e)) }
 }

@@ -1,56 +1,85 @@
 package spmd
 
-// kernel_extract.go lowers loop subtrees of the engine plan's compute
-// nests to KernelUnit specs.  Extraction is conservative: a subtree
-// qualifies only when the runtime precheck plus the emitted flat code can
-// reproduce the closure tree's behaviour exactly — same FP operations
-// and order, same flop accumulation, same guard decisions, same stores —
-// so shapes whose bounds safety interval analysis cannot establish are
-// simply left to the closures.  Units are cut from claimed nests only,
-// so every operator, intrinsic and comparison met here is one the closure
-// compiler lowered.  Maximal qualifying subtrees are chosen: if a loop
-// qualifies, its descendants are covered by the same unit; if not, its
+// kernel_extract.go cuts KernelUnit specs from the IR: loop subtrees of
+// the compute nests the schedule marks (sched.LoopSched.ComputeNest),
+// lowered against the slot, guard and clamp numbering of engine.go.
+// Extraction is conservative and owns its grammar: a subtree qualifies
+// only when the runtime precheck plus a back end's flat code can
+// reproduce the interpreter's behaviour exactly — same FP operations and
+// order, same flop accumulation, same guard decisions, same stores — so
+// a shape whose bounds safety interval analysis cannot establish, and
+// any operator, intrinsic, arity or comparison outside the tables of
+// kernel.go, fails the candidate and is simply interpreted.  Maximal
+// qualifying subtrees are chosen: if a loop qualifies, its descendants
+// are covered by the same unit; if not, the walker iterates it and its
 // body is scanned for smaller roots.
 
 import (
+	"strings"
+
 	"dhpf/internal/cp"
 	"dhpf/internal/ir"
+	"dhpf/internal/sched"
 )
 
 // KernelUnits returns the program's specializable loop nests, extracted
 // once and shared.  The list is deterministic (procedure order, then
 // body order) and empty for a program the schedule cannot walk.
 func (p *Program) KernelUnits() []*KernelUnit {
-	p.kuOnce.Do(func() {
-		if ep := p.enginePlanFor(); ep != nil {
-			for _, n := range ep.roots {
-				scanKernelRoots(ep, n.pp, []planStmt{n.root}, p)
-			}
-		}
-		p.kbind.native = make([]KernelFunc, len(p.kbind.units))
-	})
-	return p.kbind.units
+	if ep := p.enginePlanFor(); ep != nil {
+		return ep.units
+	}
+	return nil
 }
 
-func scanKernelRoots(ep *enginePlan, pp *procPlan, body []planStmt, p *Program) {
-	for _, s := range body {
+// kcut is the context one procedure's units are cut in.
+type kcut struct {
+	ep     *enginePlan
+	pp     *procPlan
+	ps     *sched.ProcSched
+	params map[string]int
+	sel    *cp.Selection
+}
+
+// cutKernelUnits scans one numbered procedure for unit roots.
+func cutKernelUnits(ep *enginePlan, pp *procPlan, ps *sched.ProcSched, p *Program) {
+	c := &kcut{ep: ep, pp: pp, ps: ps, params: p.Ctx.Bind.Params, sel: p.Sel}
+	c.scan(pp.proc.Body, 0, false)
+}
+
+// scan looks for unit roots under stmts, depth loops deep; inNest says an
+// enclosing loop is a compute nest already.  Only a compute nest's loops
+// are candidates — whatever fires at a unit root's boundary fires outside
+// its iteration, and inside a compute nest no interior loop has a
+// boundary — and a compute nest no unit is cut from is counted declined.
+func (c *kcut) scan(stmts []ir.Stmt, depth int, inNest bool) {
+	for _, s := range stmts {
 		switch st := s.(type) {
-		case *pLoop:
-			if u := tryKernelUnit(ep, pp, p.Ctx.Bind.Params, p.Sel, st); u != nil {
-				st.unit = len(p.kbind.units)
-				p.kbind.units = append(p.kbind.units, u)
-				sc := &p.kbind.scratch
+		case *ir.Loop:
+			nest := c.ps.Loops[st].ComputeNest
+			before := len(c.ep.units)
+			var u *KernelUnit
+			if nest {
+				u = c.tryKernelUnit(st, depth)
+			}
+			if u != nil {
+				c.ep.unitAt[st] = len(c.ep.units)
+				c.ep.units = append(c.ep.units, u)
+				sc := &c.ep.scratch
 				sc.arrays = max(sc.arrays, len(u.Arrays))
 				sc.bounds = max(sc.bounds, u.NumBounds)
 				sc.levels = max(sc.levels, u.NumLevels)
 				sc.refs = max(sc.refs, u.numRefs)
 				sc.assigns = max(sc.assigns, u.numAssigns)
 			} else {
-				scanKernelRoots(ep, pp, st.body, p)
+				c.scan(st.Body, depth+1, nest)
 			}
-		case *pIf:
-			scanKernelRoots(ep, pp, st.then, p)
-			scanKernelRoots(ep, pp, st.els, p)
+			if nest && !inNest && len(c.ep.units) == before {
+				c.ep.declined++
+			}
+		case *ir.IfStmt:
+			c.scan(st.Then, depth, inNest)
+			c.scan(st.Else, depth, inNest)
 		}
 	}
 }
@@ -58,11 +87,8 @@ func scanKernelRoots(ep *enginePlan, pp *procPlan, body []planStmt, p *Program) 
 // kextract converts one candidate subtree; any unsupported construct
 // flips ok and the candidate is abandoned.
 type kextract struct {
-	ep     *enginePlan
-	pp     *procPlan
-	params map[string]int
-	sel    *cp.Selection
-	u      *KernelUnit
+	*kcut
+	u *KernelUnit
 
 	scope    []kscopeEntry // in-scope kernel loops, outer → inner
 	nLevels  int
@@ -80,19 +106,20 @@ type kscopeEntry struct {
 	level int
 }
 
-func tryKernelUnit(ep *enginePlan, pp *procPlan, params map[string]int, sel *cp.Selection, pl *pLoop) *KernelUnit {
+func (c *kcut) tryKernelUnit(l *ir.Loop, depth int) *KernelUnit {
 	x := &kextract{
-		ep: ep, pp: pp, params: params, sel: sel,
+		kcut: c,
 		u: &KernelUnit{
-			Proc:      pp.proc.Name,
-			RootID:    pl.l.ID,
-			RootDepth: pl.depth,
+			Proc:      c.pp.proc.Name,
+			RootID:    l.ID,
+			RootDepth: depth,
 			SlotNames: map[int]string{},
+			pp:        c.pp,
 		},
 		arrIdx: map[string]int{},
 		ok:     true,
 	}
-	root := x.loop(pl)
+	root := x.loop(l)
 	if !x.ok || x.nAssigns == 0 {
 		return nil
 	}
@@ -117,111 +144,125 @@ func (x *kextract) lookupScope(name string) (int, bool) {
 	return 0, false
 }
 
-func (x *kextract) islot(name string) int {
-	s, ok := x.ep.intSlot[name]
-	if !ok {
-		// Plan compilation registered a slot for every referenced name;
-		// a miss means the construct never went through compileExpr.
-		x.fail()
-		return 0
+// addSlot records a name whose slot an invocation loads, once.
+func addSlot(list []slotName, name string, slot int) []slotName {
+	for _, v := range list {
+		if v.slot == slot {
+			return list
+		}
 	}
+	return append(list, slotName{name, slot})
+}
+
+// islot resolves an integer name the unit reads from its slot.
+func (x *kextract) islot(name string) int {
+	s := x.ep.intSlot[name] // numbered: the walk of engine.go met every name
 	x.u.SlotNames[s] = name
+	x.u.ints = addSlot(x.u.ints, name, s)
 	return s
 }
 
-// loop converts one pLoop level.  Whatever fires at the unit root's
-// boundary fires outside its iteration, and inside a compute nest no
-// interior loop has a boundary.
-func (x *kextract) loop(pl *pLoop) *KLoop {
+// fslot resolves a scalar name the unit reads or stores.
+func (x *kextract) fslot(name string) int {
+	s := x.pp.floatSlot[name]
+	x.u.floats = addSlot(x.u.floats, name, s)
+	return s
+}
+
+// loop converts one loop level.
+func (x *kextract) loop(l *ir.Loop) *KLoop {
 	if !x.ok {
 		return nil
 	}
-	if pl.l.Step != 1 && pl.l.Step != -1 {
+	if l.Step != 1 && l.Step != -1 {
 		x.fail()
 		return nil
 	}
-	// Lo/Hi are converted before this level enters scope: the closure
-	// engine evaluates them with the loop's own slot still holding its
-	// pre-entry value, which slot restoration keeps invariant across
-	// repeated entries within one kernel invocation.
+	clamp, ok := x.pp.clampOf[l]
+	if !ok {
+		clamp = -1
+	}
+	// Lo/Hi are converted before this level enters scope: the interpreter
+	// evaluates them with the loop's own variable still holding its
+	// pre-entry binding, which is what its slot holds for the invocation.
 	kl := &KLoop{
-		Var:      pl.l.Var,
-		Slot:     pl.varSlot,
+		Var:      l.Var,
+		Slot:     x.ep.intSlot[l.Var],
 		Level:    x.nLevels,
-		Step:     pl.l.Step,
-		Lo:       x.aff(pl.l.Lo),
-		Hi:       x.aff(pl.l.Hi),
-		ClampIdx: pl.clampIdx,
+		Step:     l.Step,
+		Lo:       x.aff(l.Lo),
+		Hi:       x.aff(l.Hi),
+		ClampIdx: clamp,
 		WinIdx:   x.nBounds,
 	}
 	x.nLevels++
 	x.nBounds += 2
-	x.scope = append(x.scope, kscopeEntry{name: pl.l.Var, level: kl.Level})
-	kl.Body = x.stmts(pl.body)
+	x.scope = append(x.scope, kscopeEntry{name: l.Var, level: kl.Level})
+	kl.Body = x.stmts(l.Body)
 	x.scope = x.scope[:len(x.scope)-1]
 	return kl
 }
 
-func (x *kextract) stmts(body []planStmt) []KStmt {
+func (x *kextract) stmts(body []ir.Stmt) []KStmt {
 	var out []KStmt
 	for _, s := range body {
 		if !x.ok {
 			return nil
 		}
 		switch st := s.(type) {
-		case *pAssign:
+		case *ir.Assign:
 			out = append(out, x.assign(st))
-		case *pLoop:
+		case *ir.Loop:
 			out = append(out, x.loop(st))
-		case *pIf:
+		case *ir.IfStmt:
 			out = append(out, x.ifStmt(st))
 		}
 	}
 	return out
 }
 
-func (x *kextract) assign(st *pAssign) *KAssign {
-	kd := len(st.nestSlots) - x.u.RootDepth
+func (x *kextract) assign(a *ir.Assign) *KAssign {
+	gi := x.pp.guardOf[a.ID]
+	nestSlots := x.pp.guardStmts[gi].nestSlots
+	kd := len(nestSlots) - x.u.RootDepth
 	if kd != len(x.scope) || kd < 1 {
 		x.fail()
 		return nil
+	}
+	// The loops enclosing the root hold the outer point of the guard: the
+	// precheck reads their slots.
+	for k, name := range x.ps.Vars[a.ID][:x.u.RootDepth] {
+		x.u.ints = addSlot(x.u.ints, name, nestSlots[k])
 	}
 	levels := make([]int, kd)
 	for i, sc := range x.scope {
 		levels[i] = sc.level
 	}
 	x.curRefs = nil
-	rhs := x.expr(st.a.RHS)
+	rhs := x.expr(a.RHS)
 	ka := &KAssign{
-		GuardIdx:  st.guardIdx,
-		NestSlots: st.nestSlots,
+		GuardIdx:  gi,
+		NestSlots: nestSlots,
 		Levels:    levels,
 		BoundsIdx: x.nBounds,
 		KDims:     kd,
 		MaxBoxes:  1,
 		RHS:       rhs,
-		Flops:     st.flops,
+		Flops:     flopsOf(a),
 	}
 	// IterSet unions one box per CP term, so only a multi-term CP can
 	// give this rank a guard of more than one box.
-	if len(x.sel.CPOf(st.a.ID).Terms) > 1 {
+	if len(x.sel.CPOf(a.ID).Terms) > 1 {
 		ka.MaxBoxes = KernelGuardBoxes
 		x.nBounds++ // the packed-box count
 	}
 	x.nBounds += ka.MaxBoxes * 2 * kd
-	lhs := st.a.LHS
-	if len(lhs.Subs) == 0 {
-		fs, ok := x.pp.floatSlot[lhs.Name]
-		if !ok {
-			x.fail()
-			return nil
-		}
+	if lhs := a.LHS; len(lhs.Subs) == 0 {
 		ka.Scalar = true
-		ka.FSlot = fs
+		ka.FSlot = x.fslot(lhs.Name)
+		x.u.stores = addSlot(x.u.stores, lhs.Name, ka.FSlot)
 	} else {
-		ai, subs := x.arefParts(lhs)
-		ka.Arr = ai
-		ka.Subs = subs
+		ka.Arr, ka.Subs = x.arefParts(lhs)
 	}
 	ka.Refs = x.curRefs
 	x.nRefs += len(ka.Refs)
@@ -233,17 +274,21 @@ func (x *kextract) assign(st *pAssign) *KAssign {
 	return ka
 }
 
-func (x *kextract) ifStmt(st *pIf) *KIf {
-	// The closure engine evaluates the condition on every enclosing
+func (x *kextract) ifStmt(st *ir.IfStmt) *KIf {
+	if _, known := kcompare[st.Cond.Op]; !known {
+		x.fail()
+		return nil
+	}
+	// The interpreter evaluates the condition on every enclosing
 	// iteration point regardless of guards; that is only reproducible
 	// without bounds analysis if the condition cannot touch arrays.
 	x.noArray = true
-	l := x.expr(st.cond.L)
-	r := x.expr(st.cond.R)
+	l := x.expr(st.Cond.L)
+	r := x.expr(st.Cond.R)
 	x.noArray = false
-	ki := &KIf{Op: st.cond.Op, L: l, R: r}
-	ki.Then = x.stmts(st.then)
-	ki.Els = x.stmts(st.els)
+	ki := &KIf{Op: st.Cond.Op, L: l, R: r}
+	ki.Then = x.stmts(st.Then)
+	ki.Els = x.stmts(st.Else)
 	if !x.ok {
 		return nil
 	}
@@ -262,15 +307,10 @@ func (x *kextract) expr(e ir.Expr) KExpr {
 	case ir.ParamRef:
 		return x.intName(v.Name)
 	case ir.ScalarRef:
-		fs, ok := x.pp.floatSlot[v.Name]
-		if !ok {
-			x.fail()
-			return nil
-		}
 		if lv, in := x.lookupScope(v.Name); in {
-			return KScalarLocal{FSlot: fs, Level: lv}
+			return KScalarLocal{FSlot: x.fslot(v.Name), Level: lv}
 		}
-		return KScalar{FSlot: fs, ISlot: x.islot(v.Name)}
+		return KScalar{FSlot: x.fslot(v.Name), ISlot: x.islot(v.Name)}
 	case *ir.ArrayRef:
 		if x.noArray {
 			x.fail()
@@ -282,6 +322,10 @@ func (x *kextract) expr(e ir.Expr) KExpr {
 		}
 		return &KARead{Arr: ai, Subs: subs}
 	case *ir.Bin:
+		if strings.IndexByte(kbinOps, v.Op) < 0 {
+			x.fail()
+			return nil
+		}
 		l := x.expr(v.L)
 		r := x.expr(v.R)
 		if !x.ok {
@@ -289,6 +333,10 @@ func (x *kextract) expr(e ir.Expr) KExpr {
 		}
 		return &KBin{Op: v.Op, L: l, R: r}
 	case *ir.Intrinsic:
+		if in, known := kintrinsics[v.Name]; !known || in.arity != len(v.Args) {
+			x.fail()
+			return nil
+		}
 		args := make([]KExpr, len(v.Args))
 		for i, a := range v.Args {
 			args[i] = x.expr(a)
@@ -304,9 +352,8 @@ func (x *kextract) expr(e ir.Expr) KExpr {
 
 // intName resolves an IndexRef/ParamRef: an in-scope kernel loop
 // variable reads the loop local; anything else reads its integer slot,
-// whose value is invariant for the whole invocation (kernels never
-// write slots, and interior loops restore them on exit exactly like
-// iteratePlanLoop).
+// whose value is invariant for the whole invocation (kernels never write
+// integer slots).
 func (x *kextract) intName(name string) KExpr {
 	if lv, in := x.lookupScope(name); in {
 		return KLocal{Level: lv}
@@ -328,9 +375,6 @@ func (x *kextract) arefParts(ar *ir.ArrayRef) (int, []KSub) {
 	for k, s := range ar.Subs {
 		subs[k] = x.sub(s)
 	}
-	if !x.ok {
-		return 0, nil
-	}
 	x.curRefs = append(x.curRefs, KRefCheck{Arr: ai, Subs: subs})
 	return ai, subs
 }
@@ -339,16 +383,11 @@ func (x *kextract) arefParts(ar *ir.ArrayRef) (int, []KSub) {
 // Declared bounds must be affine in program parameters only, so lo, hi
 // and the row-major strides are constants the emitted code can inline;
 // the runtime precheck re-verifies the live array against them (a
-// formal's dummy shape may differ from the actual — then the kernel
-// simply does not run).
+// formal's dummy shape may differ from the actual — then the unit simply
+// does not run).
 func (x *kextract) array(name string) int {
 	if ai, ok := x.arrIdx[name]; ok {
 		return ai
-	}
-	aslot, ok := x.pp.arraySlot[name]
-	if !ok {
-		x.fail()
-		return 0
 	}
 	d := x.pp.proc.DeclOf(name)
 	if d == nil || d.Rank() == 0 {
@@ -356,7 +395,7 @@ func (x *kextract) array(name string) int {
 		return 0
 	}
 	rank := d.Rank()
-	ka := KArray{ASlot: aslot, Name: name, Lo: make([]int, rank), Hi: make([]int, rank), Stride: make([]int, rank)}
+	ka := KArray{ASlot: x.pp.arraySlot[name], Name: name, Lo: make([]int, rank), Hi: make([]int, rank), Stride: make([]int, rank)}
 	for k := 0; k < rank; k++ {
 		lo, ok1 := x.paramAff(d.LB[k])
 		hi, ok2 := x.paramAff(d.UB[k])
@@ -382,7 +421,7 @@ func (x *kextract) array(name string) int {
 }
 
 // paramAff evaluates a declaration-bound affine over parameters alone,
-// matching pushFrame's EvalOr(Bind, 0) when every term is a parameter.
+// matching newFrame's EvalOr(Bind, 0) when every term is a parameter.
 func (x *kextract) paramAff(a ir.AffExpr) (int, bool) {
 	v := a.Const
 	for _, t := range a.Terms {

@@ -2,15 +2,16 @@ package spmd
 
 // kernel_invoke.go is the runtime half of the kernel contract: before a
 // unit's back end — a registered native kernel, or the in-process
-// evaluator (kernel_eval.go) — may replace iteratePlanLoop for one
-// invocation, the precheck interprets the unit spec against the live
-// frame — array geometry must equal the spec constants, every guard's
-// boxes must fit the capacity the unit reserved, and saturating interval
-// analysis over the loop value hulls must prove every array access in
-// bounds, because neither back end carries bounds checks.  Any doubt
-// bails to the checked closures of engine.go, which are bit-identical by
-// construction, so a bail is a performance event, never a correctness
-// one — and a counted one (KernelStats), so it cannot be a silent one.
+// evaluator (kernel_eval.go) — may replace the walker's iteration of the
+// root loop for one invocation, the precheck interprets the unit spec
+// against the live frame — array geometry must equal the spec constants,
+// every guard's boxes must fit the capacity the unit reserved, and
+// saturating interval analysis over the loop value hulls must prove every
+// array access in bounds, because neither back end carries bounds checks.
+// Any doubt bails before anything is written, and a bail is a decline:
+// the walker interprets that invocation, the reference semantics itself,
+// so a bail is a performance event, never a correctness one — and a
+// counted one (KernelStats), so it cannot be a silent one.
 
 import (
 	"fmt"
@@ -19,8 +20,7 @@ import (
 	"sync/atomic"
 )
 
-// KernelBail names why a precheck sent one invocation back to the
-// checked closures.
+// KernelBail names why a precheck declined one invocation to the walker.
 type KernelBail uint8
 
 const (
@@ -54,7 +54,7 @@ func (b KernelBail) String() string { return kernelBailNames[b] }
 type KernelStats struct {
 	Units       int                   // kernel units bound to a registered kernel
 	Calls       int64                 // invocations that ran natively
-	Bails       [numKernelBails]int64 // invocations sent back to the checked closures, by KernelBail
+	Bails       [numKernelBails]int64 // invocations declined to the walker, by KernelBail
 	NativeFlops float64               // flops accumulated inside native kernels
 	EvalCalls   int64                 // invocations the in-process evaluator ran
 	EvalFlops   float64               // flops accumulated inside the evaluator
@@ -114,42 +114,32 @@ func (k KernelStats) String() string {
 	return b.String()
 }
 
-// bail counts one precheck failure and reports it as runKernel's false.
+// bail counts one precheck failure and reports it as runUnit's false.
 func (rx *rankExec) bail(r KernelBail) bool {
 	rx.kstats.Bails[r]++
 	return false
 }
 
-// kernelBinding is what one execution runs the program's kernel units
-// on, shared read-only by its ranks.  Every unit is bound: to its
-// registered native kernel where native holds one, to its evaluator
-// otherwise.
-type kernelBinding struct {
-	units   []*KernelUnit // indexed by pLoop.unit
-	native  []KernelFunc  // by unit; all nil on the default engine
-	scratch kernelScratch
-}
-
-// kernelScratch is the per-rank scratch one invocation of any bound unit
-// needs: the maxima over the units, so newRankExec sizes it once.
+// kernelScratch is the per-rank scratch one invocation of any unit needs:
+// the maxima over the units, so newRankExec sizes it once.
 type kernelScratch struct {
 	arrays, bounds, levels, refs, assigns int
 }
 
-// bindKernels resolves the engine's binding.  Native kernels are looked
-// up per execution (not memoized) so kernels registered between runs —
-// e.g. a plugin loaded after compile — take effect.
-func (p *Program) bindKernels(engine Engine) *kernelBinding {
-	p.KernelUnits()
+// bindKernels resolves what the engine runs each unit on: its registered
+// native kernel where the result holds one, its evaluator otherwise.
+// Native kernels are looked up per execution (not memoized) so kernels
+// registered between runs — e.g. a plugin loaded after compile — take
+// effect.
+func (ep *enginePlan) bindKernels(engine Engine) []KernelFunc {
 	if engine != EngineCodegen {
-		return &p.kbind
+		return ep.evalOnly
 	}
-	kb := p.kbind
-	kb.native = make([]KernelFunc, len(kb.units))
-	for i, u := range kb.units {
-		kb.native[i] = KernelFor(u.Fingerprint())
+	native := make([]KernelFunc, len(ep.units))
+	for i, u := range ep.units {
+		native[i] = KernelFor(u.Fingerprint())
 	}
-	return &kb
+	return native
 }
 
 // kiv is a conservative value interval; sat marks that saturation
@@ -239,18 +229,28 @@ func subIv(s KSub, ints []int, hull []kiv) kiv {
 	return out
 }
 
-// runKernel prechecks one invocation of a bound unit and, on success,
-// runs it — natively or on the evaluator — in place of iteratePlanLoop's
-// closure walk.  Returns false to fall back.
-func (rx *rankExec) runKernel(ui int) bool {
-	u := rx.kbind.units[ui]
-	f := rx.top()
+// runUnit is one invocation of a unit under the walker's current binding
+// and strip: the integers it names are loaded from Bind and prechecked;
+// on success its scalars are loaded from the frame, the unit runs —
+// natively or on the evaluator — in place of the walker's iteration of
+// the root loop, and the scalars it may have stored go back.  Returns
+// false, nothing written, for the walker to interpret the loop instead.
+func (rx *rankExec) runUnit(ui int) bool {
+	u := rx.plan.units[ui]
+	f, e := rx.top(), &rx.env
+	if f.aslots == nil {
+		f.aslots = make([]*array, len(u.pp.arraySlot))
+		for name, idx := range u.pp.arraySlot {
+			f.aslots[idx] = f.arrays[name]
+		}
+		buildGuards(f, u.pp)
+	}
+	for _, v := range u.ints {
+		e.ints[v.slot], e.intSet[v.slot] = rx.Bind[v.name]
+	}
 	ka := rx.ka[:len(u.Arrays)]
 	for i := range u.Arrays {
 		a := &u.Arrays[i]
-		if a.ASlot >= len(f.aslots) {
-			return rx.bail(BailGeometry)
-		}
 		arr := f.aslots[a.ASlot]
 		if arr == nil || !kernelGeomOK(arr, a) {
 			return rx.bail(BailGeometry)
@@ -261,32 +261,38 @@ func (rx *rankExec) runKernel(ui int) bool {
 	if !rx.prepKLoop(u, u.Root, f, kb, rx.khull[:u.NumLevels]) {
 		return false
 	}
+	for _, v := range u.floats {
+		e.floats[v.slot], e.fset[v.slot] = f.fenv[v.name]
+	}
 	before := rx.flops
-	if fn := rx.kbind.native[ui]; fn != nil {
-		rx.flops = fn(rx.env.ints, rx.env.intSet, rx.env.floats, rx.env.fset, ka, kb, rx.flops)
+	if fn := rx.native[ui]; fn != nil {
+		rx.flops = fn(e.ints, e.intSet, e.floats, e.fset, ka, kb, rx.flops)
 		rx.kstats.Calls++
 		rx.kstats.NativeFlops += rx.flops - before
-		return true
+	} else {
+		ke := &rx.kenv
+		ke.arrays, ke.bounds, ke.flops = ka, kb, rx.flops
+		u.evaluator()(ke)
+		rx.flops = ke.flops
+		rx.kstats.EvalCalls++
+		rx.kstats.EvalFlops += rx.flops - before
 	}
-	e := &rx.kenv
-	e.arrays, e.bounds, e.flops = ka, kb, rx.flops
-	u.evaluator()(e)
-	rx.flops = e.flops
-	rx.kstats.EvalCalls++
-	rx.kstats.EvalFlops += rx.flops - before
+	for _, v := range u.stores {
+		if e.fset[v.slot] {
+			f.fenv[v.name] = e.floats[v.slot]
+		}
+	}
 	return true
 }
 
 // kernelStatsOf merges the joined ranks' counters into the execution's
 // KernelStats and publishes the native invocations to the process-wide
 // count.
-func kernelStatsOf(kb *kernelBinding, ranks []*rankExec, rankFlops []float64) KernelStats {
+func kernelStatsOf(native []KernelFunc, ranks []*rankExec, rankFlops []float64) KernelStats {
 	var ks KernelStats
-	if kb != nil {
-		for _, fn := range kb.native {
-			if fn != nil {
-				ks.Units++
-			}
+	for _, fn := range native {
+		if fn != nil {
+			ks.Units++
 		}
 	}
 	for _, rx := range ranks {
@@ -339,8 +345,8 @@ func kernelGeomOK(arr *array, ka *KArray) bool {
 }
 
 // prepKLoop packs one loop level's window into bounds[] and extends the
-// value-hull analysis downward, mirroring iteratePlanLoop's strip and
-// clamp narrowing exactly.  The packed window is narrowed once more, to
+// value-hull analysis downward: the walker's strip clamp, then the
+// frame's clamp.  The packed window is narrowed once more, to
 // the reach of the guard boxes packed beneath the level: on an iteration
 // outside it every statement below is guarded out, and kernel units hold
 // nothing else an iteration could show (conditions read no array), so

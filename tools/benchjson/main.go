@@ -12,15 +12,19 @@
 //   - warm/cold pairs: each recompile benchmark against its
 //     Cold-suffixed from-scratch twin, compared at the p50_ns metric
 //     the benchmarks report (medians, because compile times are
-//     long-tailed under GC and scheduler noise).  Two families:
+//     long-tailed under GC and scheduler noise).  Reported, not gated: a
+//     ratio against the cold side fails whenever the compiler itself gets
+//     faster, and what it stood for — a one-procedure edit does no pass
+//     work for clean procedures — is a tier-1 assertion
+//     (TestIncrementalEditDoesNoCleanPassWork).  Two families:
 //     BenchmarkWarmEditRecompile (one-procedure edit against a primed
 //     artifact store) and BenchmarkRestartWarmCompile (a freshly
 //     restarted server serving a known fingerprint from its durable
 //     store, in internal/service);
 //   - backend pairs: each Shm-suffixed benchmark against its
 //     message-passing base name (BenchmarkExecuteSPStepShm vs
-//     BenchmarkExecuteSPStep).  Both backends run the same compiled
-//     closures over the same data, so their host times must stay within
+//     BenchmarkExecuteSPStep).  Both backends run the same kernel
+//     units over the same data, so their host times must stay within
 //     a small band of each other — a large divergence means one
 //     substrate grew an accidental hot path;
 //   - codegen pairs: each Codegen-suffixed benchmark against its
@@ -43,11 +47,10 @@
 //	-o FILE       write JSON here (default BENCH_13.json; "-" = stdout)
 //	-check        gate mode: exit 1 unless the compiled engine beats the
 //	              interpreter on every engine pair (by 5x on the SP
-//	              step) AND every warm/cold recompile pair is at least
-//	              10x faster warm at p50 AND every shm/mp backend pair
-//	              stays within the host-time band AND every codegen pair
-//	              is at least 1.5x faster than the default engine (CI
-//	              smoke; uses a short -benchtime unless given)
+//	              step) AND every shm/mp backend pair stays within the
+//	              host-time band AND every codegen pair is at least 1.5x
+//	              faster than the default engine (CI smoke; uses a short
+//	              -benchtime unless given)
 //
 // Stdlib-only by design, like tools/vetdet: the container has no
 // golang.org/x/perf, so the benchmark output is parsed directly.  The
@@ -120,11 +123,6 @@ type CodegenPair struct {
 	Speedup    float64 `json:"speedup"`
 }
 
-// warmGate is the -check floor for warm/cold speedup: a warm-edit
-// recompile, and a restart-warm store hit, must each beat their cold
-// twin by at least this much at p50.
-const warmGate = 10.0
-
 // backendBand is the -check tolerance for the shm/mp host-time ratio:
 // the pair must land in [1/backendBand, backendBand].
 const backendBand = 3.0
@@ -133,14 +131,14 @@ const backendBand = 3.0
 // must beat the default engine's evaluator, which runs the same units
 // behind the same precheck, by at least this much on every pair
 // (measured 2.7x on SP and 3.5x on BT, single samples on a box whose
-// speed flips 1.5–1.8x; the floor was 3x while the default engine ran
-// checked closures — a gate that a faster default engine failed).
+// speed flips 1.5–1.8x).
 const codegenGate = 1.5
 
 // evalGate is the -check floor for the default engine over the
 // interpreter on the SP step, where kernel units hold nearly every flop
-// (measured ≈ 22x; ≈ 6x when the default engine ran checked closures).
-// Other engine pairs only have to beat the interpreter.
+// (measured ≈ 22x).  It is also the stated cost of the slow path: what a
+// declined nest or a bailed invocation pays.  Other engine pairs only
+// have to beat the interpreter.
 const (
 	evalGate      = 5.0
 	evalGateBench = "BenchmarkExecuteSPStep"
@@ -227,23 +225,8 @@ func main() {
 				fail = true
 			}
 		}
-		for _, w := range rep.WarmPairs {
-			if w.Speedup < warmGate {
-				fmt.Fprintf(os.Stderr, "benchjson: FAIL %s: warm p50 %.0f ns only %.2fx faster than cold p50 %.0f ns (gate %.0fx)\n",
-					w.Benchmark, w.WarmP50Ns, w.Speedup, w.ColdP50Ns, warmGate)
-				fail = true
-			}
-		}
 		if len(rep.Pairs) == 0 {
 			fmt.Fprintln(os.Stderr, "benchjson: -check found no compiled/interp pairs")
-			fail = true
-		}
-		if len(rep.WarmPairs) == 0 && strings.Contains(*benchRE, "WarmEditRecompile") {
-			fmt.Fprintln(os.Stderr, "benchjson: -check found no warm/cold recompile pairs")
-			fail = true
-		}
-		if strings.Contains(*benchRE, "RestartWarm") && !hasWarmPair(rep.WarmPairs, "BenchmarkRestartWarmCompile") {
-			fmt.Fprintln(os.Stderr, "benchjson: -check found no restart-warm/cold pair")
 			fail = true
 		}
 		for _, bp := range rep.BackendPairs {
@@ -361,15 +344,6 @@ func pairUp(bs []Bench) []Pair {
 		pairs = append(pairs, p)
 	}
 	return pairs
-}
-
-func hasWarmPair(pairs []WarmPair, name string) bool {
-	for _, p := range pairs {
-		if p.Benchmark == name {
-			return true
-		}
-	}
-	return false
 }
 
 // pairBackends matches each Shm-suffixed benchmark with its
