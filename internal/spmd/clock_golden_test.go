@@ -63,7 +63,7 @@ subroutine main()
 end
 `
 
-func clockCorpus(t *testing.T) (names []string, srcs map[string]string) {
+func clockCorpus(t testing.TB) (names []string, srcs map[string]string) {
 	t.Helper()
 	srcs = map[string]string{
 		"sp16":     nas.SPSource(16, 1, 2, 2),

@@ -370,7 +370,7 @@ func compareThreeWays(t *testing.T, prog *Program, cfg mpsim.Config) (errs [3]er
 	if errs[0] != nil {
 		return errs, false
 	}
-	if ran, bailed := res[1].Kernels, res[2].Kernels; bailed.TotalBails()+bailed.EvalCalls != ran.EvalCalls ||
+	if ran, bailed := res[1].Kernels, res[2].Kernels; bailed.TotalBails()+bailed.EvalCalls != ran.EvalCalls+ran.TotalBails() ||
 		ran.EvalCalls > 0 && bailed.TotalBails() == 0 {
 		t.Fatalf("the bailing run did not decline the evaluated run's invocations: %s; evaluated %s", bailed, ran)
 	}
@@ -566,6 +566,9 @@ func FuzzExecEngines(f *testing.F) {
 	}
 	for _, src := range engineCorpus {
 		f.Add(src)
+	}
+	for _, row := range hoistRows {
+		f.Add(row.Src)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		// The front end can panic on degenerate directives (pre-existing,

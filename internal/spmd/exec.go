@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"dhpf/internal/ir"
@@ -285,6 +286,7 @@ type rankExec struct {
 	knarrow []kiv
 	kenv    kenv
 	kstats  KernelStats
+	setBuf  [64]bool // env.intSet and env.fset of a program with no more names than this
 }
 
 func newRankExec(s *sched.Schedule, rk *mpsim.Rank, th *shm.Thread, plan *enginePlan, native []KernelFunc) *rankExec {
@@ -293,24 +295,32 @@ func newRankExec(s *sched.Schedule, rk *mpsim.Rank, th *shm.Thread, plan *engine
 	if plan != nil {
 		// One integer block holds the slots and, behind them, the kernel
 		// scratch: packed bounds, box reach, and the evaluator's locals,
-		// index parts and guard ranges.
-		sc, nInts := plan.scratch, len(plan.intSlot)
-		ints := make([]int, nInts+sc.bounds+3*sc.levels+sc.refs+3*sc.assigns)
+		// index parts, box masks and guard ranges; its cells — array
+		// accesses and temporaries — are one block more.
+		sc, nInts, el := plan.scratch, len(plan.intSlot), plan.scratch.levels
+		if !slices.ContainsFunc(native, func(fn KernelFunc) bool { return fn == nil }) {
+			sc.offs, sc.masks, sc.assigns, sc.cells, el = 0, 0, 0, 0, 0 // every unit runs native: the evaluator needs nothing
+		}
+		ints := make([]int, nInts+sc.bounds+2*sc.levels+6*el+sc.offs+sc.masks+4*sc.assigns)
 		cut := func(n int) []int {
 			out := ints[:n:n]
 			ints = ints[n:]
 			return out
 		}
+		set := rx.setBuf[:]
+		if n := nInts + plan.nFloats; n > len(set) {
+			set = make([]bool, n)
+		}
 		rx.env = engineEnv{
-			ints: cut(nInts), intSet: make([]bool, nInts),
-			floats: make([]float64, plan.nFloats), fset: make([]bool, plan.nFloats),
+			ints: cut(nInts), intSet: set[:nInts:nInts],
+			floats: make([]float64, plan.nFloats), fset: set[nInts : nInts+plan.nFloats],
 		}
 		rx.kb, rx.kreach = cut(sc.bounds), cut(2*sc.levels)
 		rx.ka = make([][]float64, sc.arrays)
 		hulls := make([]kiv, 2*sc.levels)
 		rx.khull, rx.knarrow = hulls[:sc.levels], hulls[sc.levels:]
-		rx.kenv = kenv{loc: cut(sc.levels), off: cut(sc.refs), rng: cut(3 * sc.assigns),
-			ints: rx.env.ints, intSet: rx.env.intSet, floats: rx.env.floats, fset: rx.env.fset}
+		rx.kenv = kenv{loc: cut(el), off: cut(sc.offs), msk: cut(sc.masks), ent: cut(5 * el), rng: cut(4 * sc.assigns),
+			cell: make([]kcell, sc.cells), ints: rx.env.ints, intSet: rx.env.intSet, floats: rx.env.floats, fset: rx.env.fset}
 		ops = nestOps{rx}
 	}
 	rx.Walker = sched.NewWalker(s, rk.ID, ops)

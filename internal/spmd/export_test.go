@@ -4,6 +4,23 @@ package spmd
 // the external tests of this package.
 var RequireSameRun = requireSameRun
 
+// HoistRow is one program of hoistRows.
+type HoistRow struct {
+	Name, Src      string
+	Hoisted, Bails int
+}
+
+// HoistRows is hoistRows, for the external tests of this package.
+var HoistRows = hoistRows
+
+// Hoisted counts the subtrees prog's evaluators hoist to loop entries.
+func Hoisted(prog *Program) (n int) {
+	for _, u := range prog.KernelUnits() {
+		n += u.ev.hoisted
+	}
+	return n
+}
+
 // BailAlways breaks the array geometry of every kernel unit of prog, so
 // each precheck bails and the walker interprets the invocation — the
 // wholesale form of the decline path — until the returned function puts

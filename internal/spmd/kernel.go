@@ -289,12 +289,9 @@ type KernelUnit struct {
 	pp                   *procPlan
 	ints, floats, stores []slotName
 
-	// The in-process evaluator (kernel_eval.go), built when an invocation
-	// first needs it and shared by every rank of every execution;
-	// numRefs (every KAssign's Refs) and numAssigns size its scratch.
-	numRefs, numAssigns int
-	evOnce              sync.Once
-	ev                  kstmtFn
+	// The in-process evaluator (kernel_eval.go), shared by every rank of
+	// every execution.
+	ev *keval
 }
 
 type slotName struct {

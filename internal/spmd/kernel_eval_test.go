@@ -18,12 +18,14 @@ import (
 )
 
 // threeWaysAgree executes src at the grain on the backend three ways —
-// the interpreter, the default engine (every kernel unit on the
-// evaluator, nothing bailing) and the default engine with every precheck
-// bailing (every invocation declined to the walker) — and requires
-// identical clocks, flops and traffic, and identical arrays unless the
-// configuration is known to race on its values.
-func threeWaysAgree(t *testing.T, src, backend string, grain int, values bool) {
+// the interpreter, the default engine (kernel units on the evaluator, but
+// for the bails invocations the row expects to decline) and the default
+// engine with every precheck bailing (every invocation declined to the
+// walker) — and requires identical clocks, flops and traffic, and
+// identical arrays unless the configuration is known to race on its
+// values.  The codegen engine, with no kernel registered in this package,
+// must be the default engine again.  It returns the program.
+func threeWaysAgree(t *testing.T, src, backend string, grain int, values bool, bails int64) *spmd.Program {
 	opt := spmd.DefaultOptions()
 	opt.Backend = backend
 	opt.PipelineGrain = grain
@@ -33,17 +35,20 @@ func threeWaysAgree(t *testing.T, src, backend string, grain int, values bool) {
 	}
 	interp := execute(t, prog, spmd.EngineInterp)
 	eval := execute(t, prog, spmd.EngineCompiled)
+	codegen := execute(t, prog, spmd.EngineCodegen)
 	restore := spmd.BailAlways(prog)
 	bailed := execute(t, prog, spmd.EngineCompiled)
 	restore()
-	if k := eval.Kernels; k.EvalCalls == 0 || k.TotalBails() != 0 {
-		t.Errorf("default engine: %s, want units evaluated and no bails", k)
+	if k := eval.Kernels; k.EvalCalls == 0 || k.TotalBails() != bails {
+		t.Errorf("default engine: %s, want units evaluated and %d bails", k, bails)
 	}
-	if k, n := bailed.Kernels, bailed.Nests; k.EvalCalls != 0 || k.TotalBails() != eval.Kernels.EvalCalls || n.Walked <= eval.Nests.Walked {
-		t.Errorf("bailing run: %s; %s, want each of the %d invocations declined to the walker", k, n, eval.Kernels.EvalCalls)
+	if k, n := bailed.Kernels, bailed.Nests; k.EvalCalls != 0 || k.TotalBails() != eval.Kernels.EvalCalls+bails || n.Walked <= eval.Nests.Walked {
+		t.Errorf("bailing run: %s; %s, want each of the %d invocations declined to the walker", k, n, eval.Kernels.EvalCalls+bails)
 	}
 	spmd.RequireSameRun(t, prog, "evaluator", interp, eval, values)
+	spmd.RequireSameRun(t, prog, "codegen engine", interp, codegen, values)
 	spmd.RequireSameRun(t, prog, "every precheck bailed", interp, bailed, values)
+	return prog
 }
 
 // racyValues: BT below grain 5 on a shared-memory backend races on r
@@ -54,7 +59,8 @@ func racyValues(name, backend string, grain int) bool {
 }
 
 // TestThreeWaysAgree runs the clock corpus (SP, BT, LU, the shipped
-// programs) at pipeline grains 1 and 8 on mp and shm three ways.
+// programs) at pipeline grains 1 and 8 on mp and shm three ways, and the
+// hoist rows, which have no pipeline, on both backends.
 func TestThreeWaysAgree(t *testing.T) {
 	names, srcs := clockCorpus(t)
 	for _, name := range names {
@@ -65,9 +71,19 @@ func TestThreeWaysAgree(t *testing.T) {
 					continue
 				}
 				t.Run(fmt.Sprintf("%s/%s/g%d", name, backend, grain), func(t *testing.T) {
-					threeWaysAgree(t, srcs[name], backend, grain, !racy)
+					threeWaysAgree(t, srcs[name], backend, grain, !racy, 0)
 				})
 			}
+		}
+	}
+	for _, row := range spmd.HoistRows {
+		for _, backend := range []string{"mp", "shm"} {
+			t.Run(fmt.Sprintf("%s/%s", row.Name, backend), func(t *testing.T) {
+				prog := threeWaysAgree(t, row.Src, backend, 1, true, int64(row.Bails))
+				if got := spmd.Hoisted(prog); got != row.Hoisted {
+					t.Errorf("the evaluator hoists %d subtrees, want %d", got, row.Hoisted)
+				}
+			})
 		}
 	}
 }
@@ -79,17 +95,26 @@ func FuzzThreeWays(f *testing.F) {
 	f.Add(uint8(3), uint8(0), false)
 	f.Add(uint8(4), uint8(2), true)
 	f.Add(uint8(5), uint8(0), true)
+	corpus, _ := clockCorpus(f)
+	for i := range spmd.HoistRows {
+		f.Add(uint8(len(corpus)+i), uint8(3), i%2 == 0)
+	}
 	f.Fuzz(func(t *testing.T, idx, grain uint8, shm bool) {
 		names, srcs := clockCorpus(t)
-		name, backend, g := names[int(idx)%len(names)], "mp", 1+int(grain)%16
+		bails := make([]int64, len(names))
+		for _, row := range spmd.HoistRows {
+			names, bails = append(names, row.Name), append(bails, int64(row.Bails))
+			srcs[row.Name] = row.Src
+		}
+		i, backend, g := int(idx)%len(names), "mp", 1+int(grain)%16
 		if shm {
 			backend = "shm"
 		}
-		racy := racyValues(name, backend, g)
+		racy := racyValues(names[i], backend, g)
 		if racy && raceDetector {
 			t.Skip()
 		}
-		threeWaysAgree(t, srcs[name], backend, g, !racy)
+		threeWaysAgree(t, srcs[names[i]], backend, g, !racy, bails[i])
 	})
 }
 

@@ -65,12 +65,7 @@ func (c *kcut) scan(stmts []ir.Stmt, depth int, inNest bool) {
 			if u != nil {
 				c.ep.unitAt[st] = len(c.ep.units)
 				c.ep.units = append(c.ep.units, u)
-				sc := &c.ep.scratch
-				sc.arrays = max(sc.arrays, len(u.Arrays))
-				sc.bounds = max(sc.bounds, u.NumBounds)
-				sc.levels = max(sc.levels, u.NumLevels)
-				sc.refs = max(sc.refs, u.numRefs)
-				sc.assigns = max(sc.assigns, u.numAssigns)
+				c.ep.scratch.fit(u.lower())
 			} else {
 				c.scan(st.Body, depth+1, nest)
 			}
@@ -94,7 +89,6 @@ type kextract struct {
 	nLevels  int
 	nBounds  int
 	nAssigns int
-	nRefs    int
 	arrIdx   map[string]int
 	curRefs  []KRefCheck
 	noArray  bool // inside an if condition: array reads are ineligible
@@ -126,7 +120,6 @@ func (c *kcut) tryKernelUnit(l *ir.Loop, depth int) *KernelUnit {
 	x.u.Root = root
 	x.u.NumLevels = x.nLevels
 	x.u.NumBounds = x.nBounds
-	x.u.numRefs, x.u.numAssigns = x.nRefs, x.nAssigns
 	x.u.Points = x.points(root)
 	return x.u
 }
@@ -265,7 +258,6 @@ func (x *kextract) assign(a *ir.Assign) *KAssign {
 		ka.Arr, ka.Subs = x.arefParts(lhs)
 	}
 	ka.Refs = x.curRefs
-	x.nRefs += len(ka.Refs)
 	x.curRefs = nil
 	if !x.ok {
 		return nil

@@ -120,10 +120,17 @@ func (rx *rankExec) bail(r KernelBail) bool {
 	return false
 }
 
-// kernelScratch is the per-rank scratch one invocation of any unit needs:
-// the maxima over the units, so newRankExec sizes it once.
+// kernelScratch is the per-rank scratch one invocation of a unit needs;
+// newRankExec sizes it once, to the maxima over the units.  offs, masks,
+// assigns and cells are the evaluator's (kenv).
 type kernelScratch struct {
-	arrays, bounds, levels, refs, assigns int
+	arrays, bounds, levels, offs, masks, assigns, cells int
+}
+
+func (s *kernelScratch) fit(u kernelScratch) {
+	s.arrays, s.bounds, s.levels = max(s.arrays, u.arrays), max(s.bounds, u.bounds), max(s.levels, u.levels)
+	s.offs, s.masks = max(s.offs, u.offs), max(s.masks, u.masks)
+	s.assigns, s.cells = max(s.assigns, u.assigns), max(s.cells, u.cells)
 }
 
 // bindKernels resolves what the engine runs each unit on: its registered
@@ -272,7 +279,7 @@ func (rx *rankExec) runUnit(ui int) bool {
 	} else {
 		ke := &rx.kenv
 		ke.arrays, ke.bounds, ke.flops = ka, kb, rx.flops
-		u.evaluator()(ke)
+		u.ev.run(ke)
 		rx.flops = ke.flops
 		rx.kstats.EvalCalls++
 		rx.kstats.EvalFlops += rx.flops - before

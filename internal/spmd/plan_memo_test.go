@@ -59,9 +59,9 @@ func TestAllocationBudgets(t *testing.T) {
 		engine spmd.Engine
 		budget float64
 	}{
-		{"lu16 grain 1", lu, spmd.EngineCompiled, 2990},         // measured 2 719
-		{"lu16 grain 1, codegen", lu, spmd.EngineCodegen, 2990}, // measured 2 719–2 721
-		{"sp16", sp, spmd.EngineCompiled, 530},                  // measured 480
+		{"lu16 grain 1", lu, spmd.EngineCompiled, 2990},         // measured 2 713
+		{"lu16 grain 1, codegen", lu, spmd.EngineCodegen, 2990}, // measured 2 714–2 715
+		{"sp16", sp, spmd.EngineCompiled, 530},                  // measured 475–476
 	} {
 		got := testing.AllocsPerRun(5, func() { execute(t, c.prog, c.engine) })
 		if got > c.budget {
