@@ -285,6 +285,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *emit >= 0 {
+		if ranks := prog.Grid.Size(); *emit >= ranks {
+			fmt.Fprintf(stderr, "dhpfc: -emit %d: program has %d ranks (0..%d)\n", *emit, ranks, ranks-1)
+			return 1
+		}
 		fmt.Fprintln(stdout)
 		fmt.Fprint(stdout, prog.EmitNodeProgram(*emit))
 	}

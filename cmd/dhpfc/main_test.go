@@ -248,6 +248,24 @@ func TestBadUsage(t *testing.T) {
 	if !strings.Contains(errb.String(), "unknown pass") {
 		t.Errorf("bad -disable stderr = %q, want mention of unknown pass", errb.String())
 	}
+
+	// A rank the program does not have is refused after the report, in
+	// one line: it used to reach the grid and panic.
+	var report bytes.Buffer
+	if code := run([]string{"../../testdata/ysolve.hpf"}, &report, &errb); code != 0 {
+		t.Fatalf("ysolve.hpf: exit %d: %s", code, errb.String())
+	}
+	out.Reset()
+	errb.Reset()
+	if code := run([]string{"-emit", "9", "../../testdata/ysolve.hpf"}, &out, &errb); code != 1 {
+		t.Errorf("-emit 9 exit = %d, want 1", code)
+	}
+	if want := "dhpfc: -emit 9: program has 4 ranks (0..3)\n"; errb.String() != want {
+		t.Errorf("-emit 9 stderr = %q, want %q", errb.String(), want)
+	}
+	if out.String() != report.String() {
+		t.Errorf("-emit 9 stdout is not exactly the report:\n%s", out.String())
+	}
 }
 
 // TestLint: -lint prints the verifier's report (clean for the shipped

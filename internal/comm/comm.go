@@ -8,6 +8,7 @@ package comm
 
 import (
 	"fmt"
+	"strconv"
 
 	"dhpf/internal/cp"
 	"dhpf/internal/dep"
@@ -58,14 +59,17 @@ type Event struct {
 }
 
 func (e *Event) String() string {
-	s := fmt.Sprintf("%s comm for %v in stmt %d (depth %d", e.Kind, e.Ref, e.Stmt.ID, e.Depth)
+	s := append(make([]byte, 0, 96), e.Kind.String()...)
+	s = e.Ref.AppendText(append(s, " comm for "...))
+	s = strconv.AppendInt(append(s, " in stmt "...), int64(e.Stmt.ID), 10)
+	s = strconv.AppendInt(append(s, " (depth "...), int64(e.Depth), 10)
 	if e.Pipelined {
-		s += fmt.Sprintf(", pipelined on %s", e.CarriedBy.Var)
+		s = append(append(s, ", pipelined on "...), e.CarriedBy.Var...)
 	}
 	if e.Eliminated {
-		s += ", ELIMINATED: " + e.Reason
+		s = append(append(s, ", ELIMINATED: "...), e.Reason...)
 	}
-	return s + ")"
+	return string(append(s, ')'))
 }
 
 // Analysis is the communication plan for one procedure.

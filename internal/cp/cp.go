@@ -69,12 +69,15 @@ func (h HomeSub) Eq(o HomeSub) bool {
 	return h.Off.Eq(o.Off)
 }
 
-func (h HomeSub) String() string {
+func (h HomeSub) appendText(dst []byte) []byte {
 	if h.IsRange {
-		return fmt.Sprintf("%s:%s", h.Lo, h.Hi)
+		dst = append(h.Lo.AppendText(dst), ':')
+		return h.Hi.AppendText(dst)
 	}
-	return ir.Subscript{Var: h.Var, Coef: h.Coef, Off: h.Off}.String()
+	return ir.Subscript{Var: h.Var, Coef: h.Coef, Off: h.Off}.AppendText(dst)
 }
+
+func (h HomeSub) String() string { return string(h.appendText(nil)) }
 
 // Term is one ON_HOME term: the owner set of Array(Subs...).
 type Term struct {
@@ -104,13 +107,18 @@ func (t Term) Eq(o Term) bool {
 	return true
 }
 
-func (t Term) String() string {
-	subs := make([]string, len(t.Subs))
+func (t Term) appendText(dst []byte) []byte {
+	dst = append(append(dst, t.Array...), '(')
 	for k, s := range t.Subs {
-		subs[k] = s.String()
+		if k > 0 {
+			dst = append(dst, ',')
+		}
+		dst = s.appendText(dst)
 	}
-	return fmt.Sprintf("%s(%s)", t.Array, strings.Join(subs, ","))
+	return append(dst, ')')
 }
+
+func (t Term) String() string { return string(t.appendText(nil)) }
 
 // CP is a computation partitioning: the union of the owner sets of its
 // ON_HOME terms.  A nil/empty CP means replicated execution (every

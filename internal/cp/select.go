@@ -3,6 +3,7 @@ package cp
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"dhpf/internal/hpf"
 	"dhpf/internal/ir"
@@ -558,38 +559,47 @@ func candidates(ctx *Context, proc *ir.Procedure, a *ir.Assign) []*CP {
 // subscript used there.  Two references with equal keys assign every
 // iteration to the same processor.
 func partitionKey(ctx *Context, l *hpf.Layout, r *ir.ArrayRef) string {
-	key := ""
+	key := make([]byte, 0, 128)
 	for d, dl := range l.Dims {
-		if dl.Kind != hpf.Block {
-			continue
+		if dl.Kind == hpf.Block {
+			key = appendSubKey(appendDimKey(key, dl), ctx, FromSubscript(r.Subs[d]))
 		}
-		s := r.Subs[d]
-		off := s.Off.EvalOr(ctx.Bind.Params, 0)
-		key += fmt.Sprintf("g%d:b%d:t%d:%s*%d+%d;", dl.GridDim, dl.BlockSz, dl.TplOff, s.Var, s.Coef, off)
 	}
-	return key
+	return string(key)
 }
 
-// termPartitionKey is partitionKey for an ON_HOME term (used when
+// appendDimKey spells the block layout of one array dimension.
+func appendDimKey(key []byte, dl hpf.DimLayout) []byte {
+	key = strconv.AppendInt(append(key, 'g'), int64(dl.GridDim), 10)
+	key = strconv.AppendInt(append(key, ":b"...), int64(dl.BlockSz), 10)
+	key = strconv.AppendInt(append(key, ":t"...), int64(dl.TplOff), 10)
+	return append(key, ':')
+}
+
+// appendSubKey spells the subscript used in a block dimension, its
+// offset (or range ends) evaluated at the parameter binding.
+func appendSubKey(key []byte, ctx *Context, s HomeSub) []byte {
+	if s.IsRange {
+		key = strconv.AppendInt(append(key, '['), int64(s.Lo.EvalOr(ctx.Bind.Params, 0)), 10)
+		key = strconv.AppendInt(append(key, ':'), int64(s.Hi.EvalOr(ctx.Bind.Params, 0)), 10)
+		return append(key, "];"...)
+	}
+	key = strconv.AppendInt(append(append(key, s.Var...), '*'), int64(s.Coef), 10)
+	key = strconv.AppendInt(append(key, '+'), int64(s.Off.EvalOr(ctx.Bind.Params, 0)), 10)
+	return append(key, ';')
+}
+
+// appendTermKey is partitionKey for an ON_HOME term (used when
 // intersecting group choice sets).
-func termPartitionKey(ctx *Context, proc *ir.Procedure, t Term) string {
+func appendTermKey(key []byte, ctx *Context, proc *ir.Procedure, t Term) []byte {
 	l := ctx.Layout(proc, t.Array)
 	if l == nil {
-		return "<replicated>"
+		return append(key, "<replicated>"...)
 	}
-	key := ""
 	for d, dl := range l.Dims {
-		if dl.Kind != hpf.Block {
-			continue
+		if dl.Kind == hpf.Block {
+			key = appendSubKey(appendDimKey(key, dl), ctx, t.Subs[d])
 		}
-		s := t.Subs[d]
-		if s.IsRange {
-			key += fmt.Sprintf("g%d:b%d:t%d:[%d:%d];", dl.GridDim, dl.BlockSz, dl.TplOff,
-				s.Lo.EvalOr(ctx.Bind.Params, 0), s.Hi.EvalOr(ctx.Bind.Params, 0))
-			continue
-		}
-		off := s.Off.EvalOr(ctx.Bind.Params, 0)
-		key += fmt.Sprintf("g%d:b%d:t%d:%s*%d+%d;", dl.GridDim, dl.BlockSz, dl.TplOff, s.Var, s.Coef, off)
 	}
 	return key
 }
@@ -605,11 +615,11 @@ func cpKey(ctx *Context, proc *ir.Procedure, c *CP) string {
 	if c.Replicated() {
 		return "<replicated>"
 	}
-	key := ""
+	key := make([]byte, 0, 128)
 	for _, t := range c.Terms {
-		key += termPartitionKey(ctx, proc, t) + "|"
+		key = append(appendTermKey(key, ctx, proc, t), '|')
 	}
-	return key
+	return string(key)
 }
 
 func collectLoops(body []ir.Stmt, out *[]*ir.Loop) {

@@ -13,7 +13,6 @@ package ir
 import (
 	"fmt"
 	"sort"
-	"strings"
 )
 
 // AffTerm is one coefficient*parameter term of an affine expression.
@@ -157,41 +156,4 @@ func (a AffExpr) isZero() bool {
 		}
 	}
 	return true
-}
-
-// String renders the expression, e.g. "N-2" or "2*P+1".
-func (a AffExpr) String() string {
-	var sb strings.Builder
-	first := true
-	for _, t := range a.Terms {
-		if t.Coef == 0 {
-			continue
-		}
-		switch {
-		case first && t.Coef == 1:
-			sb.WriteString(t.Name)
-		case first && t.Coef == -1:
-			sb.WriteString("-" + t.Name)
-		case first:
-			fmt.Fprintf(&sb, "%d*%s", t.Coef, t.Name)
-		case t.Coef == 1:
-			sb.WriteString("+" + t.Name)
-		case t.Coef == -1:
-			sb.WriteString("-" + t.Name)
-		case t.Coef > 0:
-			fmt.Fprintf(&sb, "+%d*%s", t.Coef, t.Name)
-		default:
-			fmt.Fprintf(&sb, "%d*%s", t.Coef, t.Name)
-		}
-		first = false
-	}
-	if first {
-		return fmt.Sprintf("%d", a.Const)
-	}
-	if a.Const > 0 {
-		fmt.Fprintf(&sb, "+%d", a.Const)
-	} else if a.Const < 0 {
-		fmt.Fprintf(&sb, "%d", a.Const)
-	}
-	return sb.String()
 }

@@ -1,7 +1,5 @@
 package ir
 
-import "fmt"
-
 // ---------------------------------------------------------------------------
 // Expressions
 // ---------------------------------------------------------------------------
@@ -13,6 +11,8 @@ import "fmt"
 type Expr interface {
 	exprNode()
 	String() string
+	// AppendText appends the text String returns.
+	AppendText(dst []byte) []byte
 }
 
 // FloatConst is a literal floating-point constant.
@@ -49,27 +49,6 @@ func (*Bin) exprNode()       {}
 func (*Intrinsic) exprNode() {}
 func (*ArrayRef) exprNode()  {}
 
-func (e FloatConst) String() string { return trimFloat(e.Val) }
-func (e IndexRef) String() string   { return e.Name }
-func (e ParamRef) String() string   { return e.Name }
-func (e ScalarRef) String() string  { return e.Name }
-func (e *Bin) String() string       { return fmt.Sprintf("(%s %c %s)", e.L, e.Op, e.R) }
-func (e *Intrinsic) String() string {
-	s := e.Name + "("
-	for i, a := range e.Args {
-		if i > 0 {
-			s += ", "
-		}
-		s += a.String()
-	}
-	return s + ")"
-}
-
-func trimFloat(v float64) string {
-	s := fmt.Sprintf("%g", v)
-	return s
-}
-
 // ---------------------------------------------------------------------------
 // Array references and subscripts
 // ---------------------------------------------------------------------------
@@ -93,30 +72,6 @@ func SubVar(v string, off int) Subscript {
 // SubConst returns a loop-invariant subscript.
 func SubConst(a AffExpr) Subscript { return Subscript{Off: a} }
 
-// String renders the subscript, e.g. "i+1", "-i+N", "5".
-func (s Subscript) String() string {
-	if s.Var == "" {
-		return s.Off.String()
-	}
-	var v string
-	switch s.Coef {
-	case 1:
-		v = s.Var
-	case -1:
-		v = "-" + s.Var
-	default:
-		v = fmt.Sprintf("%d*%s", s.Coef, s.Var)
-	}
-	if s.Off.isZero() {
-		return v
-	}
-	off := s.Off.String()
-	if off[0] != '-' && off[0] != '+' {
-		off = "+" + off
-	}
-	return v + off
-}
-
 // Eq reports structural equality.
 func (s Subscript) Eq(t Subscript) bool {
 	if s.Var != t.Var {
@@ -139,20 +94,6 @@ type ArrayRef struct {
 // NewRef builds an ArrayRef.
 func NewRef(name string, subs ...Subscript) *ArrayRef {
 	return &ArrayRef{Name: name, Subs: subs}
-}
-
-func (r *ArrayRef) String() string {
-	if len(r.Subs) == 0 {
-		return r.Name
-	}
-	s := r.Name + "("
-	for i, sub := range r.Subs {
-		if i > 0 {
-			s += ","
-		}
-		s += sub.String()
-	}
-	return s + ")"
 }
 
 // Eq reports whether two references are structurally identical.
@@ -216,10 +157,6 @@ type Cond struct {
 	L  Expr
 	Op string // < > <= >= == /=
 	R  Expr
-}
-
-func (c Cond) String() string {
-	return fmt.Sprintf("%s %s %s", c.L, c.Op, c.R)
 }
 
 // IfStmt is a two-armed conditional.

@@ -2,7 +2,6 @@ package iset
 
 import (
 	"slices"
-	"strings"
 )
 
 // Set is a finite union of integer boxes of a common rank.  The zero value
@@ -354,10 +353,12 @@ func (s Set) String() string {
 	if s.IsEmpty() {
 		return "{}"
 	}
-	bs := s.Boxes()
-	parts := make([]string, len(bs))
-	for i, b := range bs {
-		parts[i] = b.String()
+	text := make([]byte, 0, 48)
+	for i, b := range s.Boxes() {
+		if i > 0 {
+			text = append(text, " u "...)
+		}
+		text = b.appendText(text)
 	}
-	return strings.Join(parts, " u ")
+	return string(text)
 }

@@ -482,8 +482,13 @@ func TestBadRequests(t *testing.T) {
 				Source: tinySrc, Options: &dhpf.RequestOptions{Disable: []string{"nosuchpass"}}})
 			return err
 		}, http.StatusUnprocessableEntity},
+		// nodeProgram relies on this refusal: it is never asked for a
+		// rank the program does not have.
 		{"bad rank", func() error {
-			_, err := client.Compile(context.Background(), dhpf.CompileRequest{Source: tinySrc, Ranks: []int{99}})
+			_, err := client.Compile(context.Background(), dhpf.CompileRequest{Source: tinySrc, Ranks: []int{4}})
+			if err == nil || !strings.Contains(err.Error(), "rank 4 out of range (program has 4 ranks)") {
+				return fmt.Errorf("want the refusal to name the rank count, got %v", err)
+			}
 			return err
 		}, http.StatusUnprocessableEntity},
 		{"bad machine", func() error {

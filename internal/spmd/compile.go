@@ -62,6 +62,10 @@ type Program struct {
 	// the transfer-plan memo every execution of this Program shares.
 	schedOnce sync.Once
 	sched     *sched.Schedule
+
+	// Zero-point plans by event, each computed once (zeroPlan).
+	zeroMu sync.Mutex
+	zero   map[*comm.Event][]comm.Transfer
 }
 
 // Schedule returns the program's rank schedule, building it once.  Its
@@ -83,9 +87,21 @@ func (p *Program) newSchedule() *sched.Schedule {
 }
 
 // zeroPlan is the fully vectorized plan of one event — the planner at
-// the zero point — as Report and EmitNodeProgram print it.
+// the zero point — as Report and EmitNodeProgram print it.  The plan is
+// the same for every rank, so the first caller computes it for Report and
+// all ranks' node programs; it is shared and read-only.
 func (p *Program) zeroPlan(proc *ir.Procedure, e *comm.Event) []comm.Transfer {
-	return p.Schedule().Plan(proc, []*comm.Event{e}, sched.Point{Bind: p.Ctx.Bind.Params})
+	p.zeroMu.Lock()
+	defer p.zeroMu.Unlock()
+	plan, ok := p.zero[e]
+	if !ok {
+		plan = p.Schedule().Plan(proc, []*comm.Event{e}, sched.Point{Bind: p.Ctx.Bind.Params})
+		if p.zero == nil {
+			p.zero = map[*comm.Event][]comm.Transfer{}
+		}
+		p.zero[e] = plan
+	}
+	return plan
 }
 
 // Compile parses nothing: it takes an already-parsed program and runs
@@ -194,49 +210,50 @@ func (p *Program) PredictCost() (*analysis.Cost, error) {
 // Report renders the compilation decisions (CPs, communication events,
 // notes) as text — what cmd/dhpfc prints.
 func (p *Program) Report() string {
-	out := fmt.Sprintf("program %s on %s%v (%d ranks)\n", p.IR.Name, p.Grid.Name, p.Grid.Shape, p.Grid.Size())
+	out := fmt.Appendf(nil, "program %s on %s%v (%d ranks)\n", p.IR.Name, p.Grid.Name, p.Grid.Shape, p.Grid.Size())
 	for _, proc := range p.IR.Procs {
-		out += fmt.Sprintf("\nsubroutine %s:\n", proc.Name)
+		out = fmt.Appendf(out, "\nsubroutine %s:\n", proc.Name)
 		if e := p.Sel.Entry[proc.Name]; e != nil && !e.Replicated() {
-			out += fmt.Sprintf("  entry CP: %s\n", e)
+			out = fmt.Appendf(out, "  entry CP: %s\n", e)
 		}
 		ir.Walk(proc.Body, func(s ir.Stmt, _ []*ir.Loop) bool {
 			switch st := s.(type) {
 			case *ir.Assign:
-				out += fmt.Sprintf("  stmt %-3d %-40s %s\n", st.ID, st.LHS.String()+" = ...", p.Sel.CPOf(st.ID))
+				out = fmt.Appendf(out, "  stmt %-3d %-40s %s\n", st.ID, append(st.LHS.AppendText(nil), " = ..."...), p.Sel.CPOf(st.ID))
 			case *ir.CallStmt:
-				out += fmt.Sprintf("  stmt %-3d call %-35s %s\n", st.ID, st.Callee, p.Sel.CPOf(st.ID))
+				out = fmt.Appendf(out, "  stmt %-3d call %-35s %s\n", st.ID, st.Callee, p.Sel.CPOf(st.ID))
 			}
 			return true
 		})
 		for _, e := range p.Comm[proc.Name].Events {
-			out += "  " + e.String() + p.eventVolume(proc, e) + "\n"
+			out = append(append(out, "  "...), e.String()...)
+			out = append(p.appendEventVolume(out, proc, e), '\n')
 		}
 	}
 	if notes := p.Sel.Notes(); len(notes) > 0 {
-		out += "\nnotes:\n"
+		out = append(out, "\nnotes:\n"...)
 		for _, n := range notes {
-			out += "  " + n + "\n"
+			out = append(append(append(out, "  "...), n...), '\n')
 		}
 	}
-	return out
+	return string(out)
 }
 
-// eventVolume summarizes a live event's fully-vectorized transfer plan
-// (messages and bytes) for the report.
-func (p *Program) eventVolume(proc *ir.Procedure, e *comm.Event) string {
+// appendEventVolume summarizes a live event's fully-vectorized transfer
+// plan (messages and bytes) for the report.
+func (p *Program) appendEventVolume(out []byte, proc *ir.Procedure, e *comm.Event) []byte {
 	if e.Eliminated {
-		return ""
+		return out
 	}
 	plan := p.zeroPlan(proc, e)
 	if len(plan) == 0 {
-		return ""
+		return out
 	}
 	var bytes int64
 	for _, t := range plan {
 		bytes += t.Bytes()
 	}
-	return fmt.Sprintf("  [%d msgs, %d B vectorized]", len(plan), bytes)
+	return fmt.Appendf(out, "  [%d msgs, %d B vectorized]", len(plan), bytes)
 }
 
 // StaticFlops exposes the per-statement flop cost so that hand-coded

@@ -37,3 +37,14 @@ func BailAlways(prog *Program) (restore func()) {
 	bump(1)
 	return func() { bump(-1) }
 }
+
+// EmitFills returns, by statement id, how many times the derivation pass
+// of one rank's node program built the statement's iteration set.
+func EmitFills(prog *Program, rank int) []int {
+	rows := prog.emitRows(rank)
+	fills := make([]int, len(rows))
+	for id, row := range rows {
+		fills[id] = row.fills
+	}
+	return fills
+}

@@ -6,6 +6,8 @@ import (
 	"math"
 	"sync"
 	"testing"
+
+	"dhpf/internal/nas"
 )
 
 // TestCompileParallel hammers the public API from many goroutines: the
@@ -102,6 +104,55 @@ func TestCompileParallel(t *testing.T) {
 		}(g)
 	}
 
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Error(err)
+	}
+}
+
+// TestRenderParallel: the first renderings of a fresh Program — nothing
+// has built its schedule or a zero-point plan yet — race each other: every
+// rank's node program from eight goroutines and the report from a ninth.
+// Each must read exactly what a serial caller reads; the plans they share
+// are computed once and never written again.
+func TestRenderParallel(t *testing.T) {
+	src := nas.SPSource(12, 1, 2, 2)
+	serial, err := Compile(src, nil, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantReport := serial.Report()
+	wantNodes := make([]string, serial.Ranks())
+	for r := range wantNodes {
+		wantNodes[r] = serial.NodeProgram(r)
+	}
+
+	fresh, err := Compile(src, nil, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const goroutines = 8
+	var wg sync.WaitGroup
+	errc := make(chan error, goroutines*len(wantNodes)+1)
+	wg.Add(goroutines + 1)
+	for g := 0; g < goroutines; g++ {
+		go func(g int) {
+			defer wg.Done()
+			for i := range wantNodes {
+				r := (g + i) % len(wantNodes)
+				if fresh.NodeProgram(r) != wantNodes[r] {
+					errc <- fmt.Errorf("goroutine %d: node program of rank %d differs from the serial rendering", g, r)
+				}
+			}
+		}(g)
+	}
+	go func() {
+		defer wg.Done()
+		if fresh.Report() != wantReport {
+			errc <- fmt.Errorf("report differs from the serial rendering")
+		}
+	}()
 	wg.Wait()
 	close(errc)
 	for err := range errc {
