@@ -9,7 +9,9 @@
 //
 //	dhpfc [flags] file.hpf
 //
-//	-run             execute on the simulated machine after compiling
+//	-run             execute on the simulated machine after compiling; a
+//	                 program that deadlocks is one "dhpfc: deadlock: …"
+//	                 line naming every rank's wait, and exit 1
 //	-engine E        with -run: compiled (default) | interp | codegen —
 //	                 the compiled execution engine (loop nests on the
 //	                 in-process kernel evaluator), the reference

@@ -268,6 +268,21 @@ func TestBadUsage(t *testing.T) {
 	}
 }
 
+// TestRunDeadlockExitsOne: a program that cannot finish is one line on
+// stderr — the machine's report of every rank's wait — and exit 1, on
+// every engine; not a hang, and not a goroutine dump.
+func TestRunDeadlockExitsOne(t *testing.T) {
+	const want = "dhpfc: deadlock: rank 0 <- rank 1 tag 8193 w[8]; rank 1 <- rank 0 tag 8192 w[16]; " +
+		"rank 2 <- rank 1 tag 8194 w[16]; rank 3 <- rank 2 tag 8196 w[16]\n"
+	for _, engine := range []string{"interp", "compiled", "codegen"} {
+		var out, errb bytes.Buffer
+		code := run([]string{"-run", "-engine", engine, "-disable", "availability", "../../testdata/ysolve.hpf"}, &out, &errb)
+		if code != 1 || errb.String() != want {
+			t.Errorf("-engine %s: exit %d, stderr %q, want 1 and %q", engine, code, errb.String(), want)
+		}
+	}
+}
+
 // TestLint: -lint prints the verifier's report (clean for the shipped
 // corpus, with the INFO re-proofs visible) and -json switches to the
 // structured form.

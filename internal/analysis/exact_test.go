@@ -13,7 +13,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"dhpf/internal/mpsim"
 	"dhpf/internal/nas"
@@ -29,7 +28,6 @@ func exactMachine(p int) mpsim.Config {
 		Latency:      10e-6,
 		GapPerByte:   1e-8,
 		FlopTime:     1e-8,
-		WallLimit:    5 * time.Second,
 	}
 }
 
@@ -50,8 +48,22 @@ func requireExact(t *testing.T, src string, opt spmd.Options, backend string) {
 		t.Fatalf("predict degraded to inexact on an affine program")
 	}
 	res, err := prog.Execute(exactMachine(prog.Grid.Size()))
-	if errors.Is(err, mpsim.ErrWallLimit) {
-		t.Skipf("wall limit hit measuring the reference: %v", err)
+	if errors.Is(err, mpsim.ErrDeadlock) {
+		// The machine cannot finish the run the prediction prices (ysolve
+		// without availability analysis), so there are no counters to hold
+		// it to.  What is left to hold is the hang: one cycle, whatever
+		// the engine and the backend.
+		opt.Backend = passes.BackendMP
+		mp, cerr := spmd.CompileSource(src, nil, opt)
+		if cerr != nil {
+			t.Fatalf("compile (backend mp): %v", cerr)
+		}
+		for _, other := range []*spmd.Program{prog, mp} {
+			if _, oerr := other.ExecuteEngine(exactMachine(prog.Grid.Size()), spmd.EngineInterp); oerr == nil || oerr.Error() != err.Error() {
+				t.Fatalf("%v\ninterpreter, backend %s: %v", err, other.Opt.Backend, oerr)
+			}
+		}
+		return
 	}
 	if err != nil {
 		t.Fatalf("execute: %v", err)

@@ -15,10 +15,10 @@
 //
 // The package is the one machine core under every execution substrate:
 // rank goroutines, clocks and idle accounting, the keyed FIFO boxes, the
-// abort protocol, barriers, rank-order reductions, trace capture and
-// result assembly live here once.  Send/Recv below are the message front;
-// internal/shm is the shared-memory front, built on Post, Take, PaySend,
-// Spend, Sleep and NewCond.
+// abort protocol, the deadlock detector, barriers, rank-order reductions,
+// trace capture and result assembly live here once.  Send/Recv below are
+// the message front; internal/shm is the shared-memory front, built on
+// Post, Take, PaySend, Spend, Sleep, Wake and NewCond.
 package mpsim
 
 import (
@@ -28,7 +28,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Config fixes the machine size and cost model.
@@ -53,11 +52,6 @@ type Config struct {
 	// auto-tuner uses this to abandon candidates that are already slower
 	// than the incumbent (early pruning).
 	TimeLimit float64
-	// WallLimit aborts the run after a real-time duration (0 =
-	// unlimited): a safety valve for pathological configurations whose
-	// virtual clocks stop advancing (e.g. a deadlocked exchange), which
-	// TimeLimit alone can never catch.
-	WallLimit time.Duration
 }
 
 // ErrAborted is the base error of every mpsim-initiated abort; aborted
@@ -67,8 +61,11 @@ var ErrAborted = errors.New("mpsim: run aborted")
 // ErrTimeLimit reports a Config.TimeLimit abort; wraps ErrAborted.
 var ErrTimeLimit = fmt.Errorf("virtual time limit exceeded: %w", ErrAborted)
 
-// ErrWallLimit reports a Config.WallLimit abort; wraps ErrAborted.
-var ErrWallLimit = fmt.Errorf("wall-clock limit exceeded: %w", ErrAborted)
+// ErrDeadlock is what errors.Is matches on a run that could never have
+// finished: every rank blocked or returned, at least one blocked.  The
+// error a run returns wraps it (and, through it, ErrAborted) and reads
+// "deadlock: " followed by every rank's wait in rank order.
+var ErrDeadlock = fmt.Errorf("deadlock: %w", ErrAborted)
 
 // SP2Config approximates a 1998 IBM SP2 with 120 MHz P2SC nodes and the
 // user-space MPI library: ~29 µs one-way latency, ~90 MB/s bandwidth,
@@ -158,6 +155,7 @@ type SyncCost struct {
 type collective struct {
 	mu     sync.Mutex
 	cond   sync.Cond
+	on     Wait // what a rank sleeping here waits on
 	cost   [3]float64
 	count  int
 	gen    int
@@ -166,6 +164,89 @@ type collective struct {
 	target float64   // completion time of the last finished generation
 	result float64   // its fold
 }
+
+// Wait names what a rank sleeps for: a message from Src under Tag or,
+// when On is set, a team-wide condition — a collective, or a front's own.
+type Wait struct {
+	On       string
+	Src, Tag int
+}
+
+const (
+	running = iota
+	blocked
+	finished
+)
+
+// waitTable is the deadlock detector: one row per rank saying whether it
+// runs, sleeps (on what, holding what) or has returned.  A row turns
+// blocked in Sleep, under the lock of the condition the rank is about to
+// wait on, and turns back in Wake, called by whoever makes that condition
+// true while it holds the same lock and before it signals — so a rank that
+// was signalled but has not run yet never counts as blocked.  Lock order
+// is always condition, then mu.  DESIGN.md ("A hang is a value") argues
+// why the state it reports is the same on every run.
+type waitTable struct {
+	mu      sync.Mutex
+	rows    []waitRow
+	running int
+	// asleep counts the blocked rows; written under mu, read without it
+	// by Wake.
+	asleep atomic.Int32
+}
+
+type waitRow struct {
+	state int
+	on    Wait
+	held  string // Rank.Holding when the rank blocked
+	heldN int
+}
+
+// settle moves r's row to blocked (on what it sleeps for) or finished and,
+// when that leaves no rank running and at least one asleep, returns the
+// deadlock: every row, in rank order.
+func (t *waitTable) settle(r *Rank, state int, on Wait) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	row := &t.rows[r.ID]
+	switch row.state {
+	case running:
+		t.running--
+	case blocked: // woken by a broadcast meant for another rank, or by an abort
+		t.asleep.Add(-1)
+	}
+	if state == blocked {
+		t.asleep.Add(1)
+	}
+	*row = waitRow{state: state, on: on, held: r.held, heldN: r.heldN}
+	if t.running > 0 || t.asleep.Load() == 0 {
+		return nil
+	}
+	b := []byte("deadlock: ")
+	for id, row := range t.rows {
+		if id > 0 {
+			b = append(b, "; "...)
+		}
+		switch {
+		case row.state == finished:
+			b = fmt.Appendf(b, "rank %d finished", id)
+			continue
+		case row.on.On != "":
+			b = fmt.Appendf(b, "rank %d in %s", id, row.on.On)
+		default:
+			b = fmt.Appendf(b, "rank %d <- rank %d tag %d", id, row.on.Src, row.on.Tag)
+		}
+		if row.held != "" {
+			b = fmt.Appendf(b, " %s[%d]", row.held, row.heldN)
+		}
+	}
+	return deadlockError(b)
+}
+
+type deadlockError string
+
+func (e deadlockError) Error() string { return string(e) }
+func (e deadlockError) Unwrap() error { return ErrDeadlock }
 
 // Machine is the running virtual machine.
 type Machine struct {
@@ -181,6 +262,7 @@ type Machine struct {
 	conds []*sync.Cond
 
 	barrier, reduce collective
+	waits           waitTable
 
 	// bufPool recycles message payload buffers: Send draws its internal
 	// copy from here and Recycle returns consumed receive buffers.
@@ -233,6 +315,10 @@ type Rank struct {
 	idle   float64
 	syncs  int64
 	events []Event
+	// held is what the caller said it is moving (Holding), copied into the
+	// wait table when the rank blocks.
+	held  string
+	heldN int
 }
 
 // Result aggregates a finished run.
@@ -272,11 +358,11 @@ func (r *Result) TotalBytes() int64 {
 // collects the result; barriers and reductions complete a log-tree of
 // message latencies after the last arrival.
 //
-// When the machine aborts (Config.TimeLimit, Config.WallLimit,
-// Rank.Abort), every rank blocked in a machine operation is woken and
-// panics with an error wrapping ErrAborted; body is expected to recover
-// it (the spmd executor and the nas hand-coded drivers do) and surface it
-// to their caller.
+// When the machine aborts (Config.TimeLimit, a deadlock, Rank.Abort),
+// every rank blocked in a machine operation is woken and panics with an
+// error wrapping ErrAborted; body is expected to recover it (the spmd
+// executor and the nas hand-coded drivers do) and surface it to their
+// caller.
 func Run(cfg Config, body func(r *Rank)) *Result {
 	steps := math.Ceil(math.Log2(float64(cfg.Procs)))
 	return NewMachine(cfg, SyncCost{
@@ -293,8 +379,9 @@ func NewMachine(cfg Config, cost SyncCost) *Machine {
 		panic("mpsim: Procs must be positive")
 	}
 	m := &Machine{cfg: cfg, boxes: map[boxKey]*mailbox{}}
-	m.barrier.cost[0] = cost.Barrier
-	m.reduce.cost = cost.Reduce
+	m.waits.rows, m.waits.running = make([]waitRow, cfg.Procs), cfg.Procs
+	m.barrier.on, m.barrier.cost[0] = Wait{On: "barrier"}, cost.Barrier
+	m.reduce.on, m.reduce.cost = Wait{On: "allreduce"}, cost.Reduce
 	for _, c := range []*collective{&m.barrier, &m.reduce} {
 		c.cond.L = &c.mu
 		c.vals = make([]float64, cfg.Procs)
@@ -316,11 +403,6 @@ func (m *Machine) NewCond(l sync.Locker) *sync.Cond {
 // Run executes body on every rank concurrently and collects the result.
 func (m *Machine) Run(body func(r *Rank)) *Result {
 	procs := m.cfg.Procs
-	var wallTimer *time.Timer
-	if m.cfg.WallLimit > 0 {
-		wallTimer = time.AfterFunc(m.cfg.WallLimit, func() { m.Abort(ErrWallLimit) })
-	}
-
 	ranks := make([]*Rank, procs)
 	var wg sync.WaitGroup
 	for i := range ranks {
@@ -329,12 +411,15 @@ func (m *Machine) Run(body func(r *Rank)) *Result {
 		go func(r *Rank) {
 			defer wg.Done()
 			body(r)
+			// A returned rank will never post, complete or acknowledge
+			// again: peers still asleep once every rank has settled
+			// wait forever.
+			if err := m.waits.settle(r, finished, Wait{}); err != nil {
+				m.Abort(err)
+			}
 		}(ranks[i])
 	}
 	wg.Wait()
-	if wallTimer != nil {
-		wallTimer.Stop()
-	}
 
 	res := &Result{
 		Procs:     procs,
@@ -409,18 +494,49 @@ func (m *Machine) abortedErr() error {
 }
 
 // Sleep is the machine's one blocking site: every wait — for a message,
-// a collective or a front's own condition — loops over it with c.L held.
-// It waits on c, unless the machine is dead: then it releases c.L and
-// panics with the abort cause.  Abort broadcasts while holding c.L, so a
-// waiter either sees the flag here or is woken by the broadcast — it can
-// never sleep through an abort.
-func (r *Rank) Sleep(c *sync.Cond) {
-	if err := r.m.abortedErr(); err != nil {
-		c.L.Unlock()
-		panic(err)
+// a collective or a front's own condition — loops over it with c.L held,
+// saying what it waits on.  It waits on c, unless the machine is dead or
+// this rank was the last one running (a deadlock, which kills it): then
+// it releases c.L and panics with the abort cause.  Abort broadcasts while
+// holding c.L, so a waiter either sees the flag here or is woken by the
+// broadcast — it can never sleep through an abort.  Whoever makes the
+// awaited condition true calls Wake before signalling c.
+func (r *Rank) Sleep(c *sync.Cond, on Wait) {
+	m := r.m
+	err := m.abortedErr()
+	if err == nil {
+		if err = m.waits.settle(r, blocked, on); err == nil {
+			c.Wait()
+			return
+		}
 	}
-	c.Wait()
+	c.L.Unlock()
+	m.Abort(err) // the deadlock just found; a no-op on a machine already dead
+	panic(m.abortedErr())
 }
+
+// Wake tells the deadlock detector that rank id, if it sleeps on on, is
+// about to be signalled.  The caller holds the lock of the condition id
+// sleeps on — the lock under which id's row turned blocked, so no other
+// is needed to see that nobody sleeps.
+func (r *Rank) Wake(id int, on Wait) {
+	t := &r.m.waits
+	if t.asleep.Load() == 0 {
+		return
+	}
+	t.mu.Lock()
+	if row := &t.rows[id]; row.state == blocked && row.on == on {
+		row.state = running
+		t.running++
+		t.asleep.Add(-1)
+	}
+	t.mu.Unlock()
+}
+
+// Holding notes what the caller is about to move — an array name and an
+// element count — for the deadlock report to print beside this rank's
+// wait.  It lasts until the next call or collective.
+func (r *Rank) Holding(array string, elems int) { r.held, r.heldN = array, elems }
 
 // CheckLimits panics with the abort cause if the machine is dead, and
 // trips the virtual-time limit when this rank's clock has passed it.
@@ -508,6 +624,7 @@ func (r *Rank) Post(dst, tag int, msg Message) {
 	mb := r.m.box(r.ID, dst, tag)
 	mb.mu.Lock()
 	mb.queue = append(mb.queue, msg)
+	r.Wake(dst, Wait{Src: r.ID, Tag: tag})
 	mb.cond.Signal()
 	mb.mu.Unlock()
 }
@@ -519,7 +636,7 @@ func (r *Rank) Take(src, tag int) Message {
 	r.CheckLimits()
 	mb.mu.Lock()
 	for len(mb.queue) == 0 {
-		r.Sleep(&mb.cond)
+		r.Sleep(&mb.cond, Wait{Src: src, Tag: tag})
 	}
 	msg := mb.queue[0]
 	mb.queue = mb.queue[1:]
@@ -589,6 +706,7 @@ func (r *Rank) AllReduce(op byte, v float64) float64 {
 
 func (r *Rank) collect(c *collective, op byte, v float64, label string) float64 {
 	r.CheckLimits()
+	r.Holding("", 0)
 	c.mu.Lock()
 	gen := c.gen
 	if c.count == 0 {
@@ -607,10 +725,13 @@ func (r *Rank) collect(c *collective, op byte, v float64, label string) float64 
 			c.target += t
 		}
 		c.gen++
+		for id := range c.vals {
+			r.Wake(id, c.on)
+		}
 		c.cond.Broadcast()
 	} else {
 		for gen == c.gen {
-			r.Sleep(&c.cond)
+			r.Sleep(&c.cond, c.on)
 		}
 	}
 	result, target := c.result, c.target

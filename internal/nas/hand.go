@@ -11,9 +11,9 @@ import (
 )
 
 // rankPanicErr converts a recovered rank panic into an error.  Machine
-// aborts (mpsim time/wall limits) keep their typed error so callers can
-// errors.Is(err, mpsim.ErrAborted); everything else is a driver bug and
-// keeps the rank-labeled formatting.
+// aborts (the mpsim time limit, a deadlock) keep their typed error so
+// callers can errors.Is(err, mpsim.ErrAborted); everything else is a
+// driver bug and keeps the rank-labeled formatting.
 func rankPanicErr(rec any, impl string, rank int) error {
 	if err, ok := rec.(error); ok && errors.Is(err, mpsim.ErrAborted) {
 		return err

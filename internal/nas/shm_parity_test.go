@@ -8,12 +8,10 @@ package nas
 // shm run must simply report zero message traffic.
 
 import (
-	"errors"
+	"fmt"
 	"math"
 	"testing"
-	"time"
 
-	"dhpf/internal/mpsim"
 	"dhpf/internal/passes"
 	"dhpf/internal/spmd"
 )
@@ -55,16 +53,12 @@ func TestShmByteIdenticalNAS(t *testing.T) {
 						t.Fatalf("compile %s: %v", backend, err)
 					}
 					cfg := smallMachine(c.procs)
-					cfg.WallLimit = 2 * time.Second
 					rm, errm := mp.ExecuteEngine(cfg, spmd.EngineCompiled)
 					rs, errs := sm.ExecuteEngine(cfg, spmd.EngineCompiled)
-					if errors.Is(errm, mpsim.ErrWallLimit) || errors.Is(errs, mpsim.ErrWallLimit) {
-						// Some ablations genuinely deadlock (identically on
-						// both substrates); nothing deterministic to compare.
-						t.Skipf("wall limit hit (mp err=%v, %s err=%v)", errm, backend, errs)
-					}
-					if (errm == nil) != (errs == nil) {
-						t.Fatalf("backends disagree on success: mp err=%v, %s err=%v", errm, backend, errs)
+					// SP without availability analysis deadlocks: in the
+					// same receives, so with the same text, on both.
+					if fmt.Sprint(errm) != fmt.Sprint(errs) {
+						t.Fatalf("backends disagree on the outcome: mp err=%v, %s err=%v", errm, backend, errs)
 					}
 					if errm != nil {
 						return

@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -386,6 +387,29 @@ func TestExplainAndRun(t *testing.T) {
 	}
 	if !run2.Cached {
 		t.Error("second run did not reuse the cached program")
+	}
+}
+
+// TestRunRefusesDeadlock: a program the machine cannot finish is a 422
+// naming the cycle, not a request that never returns — and the server,
+// here with a single worker, serves the next run.
+func TestRunRefusesDeadlock(t *testing.T) {
+	_, client := newTestServer(t, Config{Workers: 1})
+	src, err := os.ReadFile("../../testdata/ysolve.hpf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := dhpf.RunRequest{Source: string(src), Machine: "sp2:4",
+		Options: &dhpf.RequestOptions{Disable: []string{dhpf.PassAvailability}}}
+	_, err = client.Run(context.Background(), req)
+	var apiErr *dhpf.APIError
+	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusUnprocessableEntity ||
+		!strings.Contains(err.Error(), "deadlock: rank 0 <- rank 1 tag ") {
+		t.Fatalf("run without availability analysis: %v, want a 422 carrying the cycle", err)
+	}
+	req.Options = nil
+	if run, err := client.Run(context.Background(), req); err != nil || run.Seconds <= 0 {
+		t.Fatalf("run after the refused one: %+v, %v", run, err)
 	}
 }
 

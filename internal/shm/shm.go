@@ -38,7 +38,7 @@
 // goroutines, clocks, the keyed FIFO boxes, barriers, rank-order
 // reductions, trace capture and the abort protocol are the core's, so
 // reductions are bit-identical across substrates and aborts (virtual-time
-// limit, wall-clock limit, Thread.Abort) panic with the mpsim error
+// limit, deadlock, Thread.Abort) panic with the mpsim error
 // values whatever the backend.  This package adds the rendezvous
 // operations, the group map, the outstanding-acknowledgement wait and the
 // cost model.
@@ -257,11 +257,15 @@ func (t *Thread) Ack(src, bytes int) {
 	tm.ackMu.Lock()
 	tm.pending[src]--
 	if tm.pending[src] == 0 {
+		t.Wake(src, draining)
 		tm.ackCond.Broadcast()
 	}
 	tm.ackMu.Unlock()
 	t.CheckLimits()
 }
+
+// draining is what a thread asleep in Drain waits on.
+var draining = mpsim.Wait{On: "drain"}
 
 // Drain blocks until every token this thread published has been
 // acknowledged: the shared-memory write-after-read obligation.  A
@@ -273,7 +277,7 @@ func (t *Thread) Drain() {
 	tm := t.tm
 	tm.ackMu.Lock()
 	for tm.pending[t.ID] > 0 {
-		t.Sleep(tm.ackCond)
+		t.Sleep(tm.ackCond, draining)
 	}
 	tm.ackMu.Unlock()
 	t.CheckLimits()

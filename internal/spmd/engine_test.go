@@ -18,7 +18,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"dhpf/internal/mpsim"
 )
@@ -339,36 +338,33 @@ func threeWays(prog *Program, cfg mpsim.Config) (res [3]*ExecResult, errs [3]err
 
 var threeWayNames = [3]string{"interp", "evaluator", "every precheck bailed"}
 
-// requireEnginesIdentical executes prog three ways and fails the test on
-// any bit-level difference in results or machine state.
-func requireEnginesIdentical(t *testing.T, prog *Program, cfg mpsim.Config) {
-	t.Helper()
-	if errs, wall := compareThreeWays(t, prog, cfg); wall {
-		// Wall-limit aborts fire at nondeterministic points (some
-		// configurations genuinely deadlock — e.g. ysolve with
-		// availability analysis disabled, identically on every engine);
-		// there is nothing deterministic to compare.
-		t.Skipf("wall limit hit (errors: %v)", errs)
+// sameOutcome reports whether two executions ended alike: both finished,
+// or both failed — and when the machine aborted them (a deadlock, the
+// virtual-time limit: both deterministic), with the same text.
+func sameOutcome(a, b error) bool {
+	if a == nil || b == nil {
+		return a == nil && b == nil
 	}
+	if errors.Is(a, mpsim.ErrAborted) || errors.Is(b, mpsim.ErrAborted) {
+		return a.Error() == b.Error()
+	}
+	return true
 }
 
-// compareThreeWays is requireEnginesIdentical's body; it reports, without
-// comparing anything, when some run hit the wall limit.
-func compareThreeWays(t *testing.T, prog *Program, cfg mpsim.Config) (errs [3]error, wall bool) {
+// requireEnginesIdentical executes prog three ways and fails the test on
+// any bit-level difference in results or machine state — or, for a
+// program that does not finish (ysolve with availability analysis
+// disabled deadlocks), in the error.
+func requireEnginesIdentical(t *testing.T, prog *Program, cfg mpsim.Config) {
 	t.Helper()
 	res, errs := threeWays(prog, cfg)
-	for _, err := range errs {
-		if errors.Is(err, mpsim.ErrWallLimit) {
-			return errs, true
-		}
-	}
 	for k := 1; k < 3; k++ {
-		if (errs[0] == nil) != (errs[k] == nil) {
-			t.Fatalf("engines disagree on success: interp err=%v, %s err=%v", errs[0], threeWayNames[k], errs[k])
+		if !sameOutcome(errs[0], errs[k]) {
+			t.Fatalf("engines disagree on the outcome: interp err=%v, %s err=%v", errs[0], threeWayNames[k], errs[k])
 		}
 	}
 	if errs[0] != nil {
-		return errs, false
+		return
 	}
 	if ran, bailed := res[1].Kernels, res[2].Kernels; bailed.TotalBails()+bailed.EvalCalls != ran.EvalCalls+ran.TotalBails() ||
 		ran.EvalCalls > 0 && bailed.TotalBails() == 0 {
@@ -377,7 +373,6 @@ func compareThreeWays(t *testing.T, prog *Program, cfg mpsim.Config) (errs [3]er
 	for k := 1; k < 3; k++ {
 		requireSameRun(t, prog, threeWayNames[k], res[0], res[k], true)
 	}
-	return errs, false
 }
 
 // requireSameRun compares a run against the interpreter's bit for bit:
@@ -524,9 +519,7 @@ func TestEnginesByteIdenticalTestdata(t *testing.T) {
 				if err != nil {
 					t.Fatalf("compile: %v", err)
 				}
-				cfg := testMachine(prog.Grid.Size())
-				cfg.WallLimit = 3 * time.Second
-				requireEnginesIdentical(t, prog, cfg)
+				requireEnginesIdentical(t, prog, testMachine(prog.Grid.Size()))
 			})
 		}
 	}
@@ -554,9 +547,9 @@ func TestEngineGrainSweep(t *testing.T) {
 // FuzzExecEngines cross-checks, on arbitrary source text, the three ways
 // a compute nest runs: anything that compiles must execute identically
 // on the interpreter, with kernel units on the evaluator, and with every
-// unit's precheck bailing.  A wall clock limit bounds runaway
-// programs; wall-limit aborts fire at a nondeterministic virtual time, so
-// those runs are not compared.
+// unit's precheck bailing — or fail identically: a program that runs away
+// trips the virtual-time limit and one that deadlocks is reported by the
+// machine, both with the same text on every engine.
 func FuzzExecEngines(f *testing.F) {
 	files, _ := filepath.Glob("../../testdata/*.hpf")
 	for _, file := range files {
@@ -589,8 +582,7 @@ func FuzzExecEngines(f *testing.F) {
 			return
 		}
 		cfg := testMachine(prog.Grid.Size())
-		cfg.TimeLimit = 1.0             // deterministic abort: identical across engines
-		cfg.WallLimit = 2 * time.Second // catches deadlocks (frozen clocks), then skipped below
-		compareThreeWays(t, prog, cfg)
+		cfg.TimeLimit = 1.0
+		requireEnginesIdentical(t, prog, cfg)
 	})
 }

@@ -128,7 +128,7 @@ func (p *Program) ExecuteEngine(cfg mpsim.Config, engine Engine) (*ExecResult, e
 			}
 			mu.Lock()
 			if execErr == nil {
-				// Machine aborts (time/wall limit) keep their typed
+				// Machine aborts (time limit, deadlock) keep their typed
 				// error so callers can errors.Is on ErrAborted.
 				if err, ok := rec.(error); ok && errors.Is(err, mpsim.ErrAborted) {
 					execErr = err
@@ -141,8 +141,9 @@ func (p *Program) ExecuteEngine(cfg mpsim.Config, engine Engine) (*ExecResult, e
 			}
 			mu.Unlock()
 			// A dead rank can never send, publish or acknowledge again:
-			// abort the machine so peers blocked on it unwind at once
-			// instead of waiting for a wall limit nobody may have set.
+			// abort the machine so peers blocked on it unwind at once,
+			// with this rank's error and not the deadlock its absence
+			// would be reported as.
 			rx.rk.Abort(mpsim.ErrAborted)
 		}()
 		rx.Run()
@@ -266,6 +267,11 @@ type rankExec struct {
 	// payload is the reused message staging buffer (mpsim.Send copies
 	// before returning).
 	payload []float64
+	// The array and element count of the last transfer this thread
+	// published: what a deadlock report says its Drain waits to have
+	// pulled.
+	pubArray string
+	pubElems int
 
 	// Compiled-engine state (nil/zero under the interpreter): plan holds
 	// the kernel units and native the execution's binding of each to a
@@ -540,6 +546,7 @@ func (rx *rankExec) Send(plan []sched.Transfer, base int) {
 		}
 		if rx.th != nil {
 			rx.th.Publish(tr.To, base+i, int(tr.Bytes()), f.arrays[tr.Array])
+			rx.pubArray, rx.pubElems = tr.Array, int(tr.Elems)
 			continue
 		}
 		rx.payload = packPayload(rx.payload[:0], f.arrays[tr.Array], tr.Boxes)
@@ -554,6 +561,7 @@ func (rx *rankExec) Recv(plan []sched.Transfer, base int) {
 		if tr.To != rx.Me {
 			continue
 		}
+		rx.rk.Holding(tr.Array, int(tr.Elems))
 		if rx.th != nil {
 			src := rx.th.Await(tr.From, base+i).(*array)
 			pullPayload(f.arrays[tr.Array], src, tr.Boxes)
@@ -569,6 +577,7 @@ func (rx *rankExec) Recv(plan []sched.Transfer, base int) {
 // Drain is a no-op on the message-passing backend (Send copied the data).
 func (rx *rankExec) Drain() {
 	if rx.th != nil {
+		rx.rk.Holding(rx.pubArray, rx.pubElems)
 		rx.th.Drain()
 	}
 }

@@ -185,13 +185,13 @@ func sortedKeys(m map[string]int) []string {
 // executor's pipelined sweep schedule handles: below 3 points a
 // distributed dimension has no interior strip between its halos and the
 // wavefront exchange deadlocks, so the tuner refuses such grids up
-// front rather than relying on the wall-clock safety valve.
+// front rather than compiling and running them to find out.
 const minFeasibleBlock = 3
 
 // feasible reports whether the candidate can run at all, with the
 // reason when it cannot.  Block-shape checks need the problem size, so
-// they only apply in bench mode (generic sources fall back to the
-// evaluation wall limit).
+// they only apply in bench mode (a generic source that deadlocks is
+// reported by the machine, as an error entry carrying the cycle).
 func (s *Spec) feasible(c Candidate) (bool, string) {
 	switch c.Scheme {
 	case SchemeTranspose:

@@ -139,10 +139,6 @@ type Spec struct {
 
 	// Machine is the simulated cost model; zero means the paper's SP2.
 	Machine mpsim.Config
-	// EvalWallLimit bounds each full evaluation in real time (default
-	// 2m): the safety valve for configurations that deadlock the
-	// executor, which no virtual-time limit can catch.
-	EvalWallLimit time.Duration
 
 	// VerifyArrays names the arrays compared against the serial
 	// reference; empty means every main-procedure array (bench-mode
@@ -207,9 +203,6 @@ func (s Spec) withDefaults() (Spec, error) {
 	}
 	if s.Machine.FlopTime == 0 && s.Machine.Latency == 0 {
 		s.Machine = mpsim.SP2Config(s.Procs)
-	}
-	if s.EvalWallLimit <= 0 {
-		s.EvalWallLimit = 2 * time.Minute
 	}
 	if s.VerifyTol <= 0 {
 		s.VerifyTol = 1e-10
@@ -632,10 +625,12 @@ func (t *Tuner) finishEval(ctx context.Context, s *Spec, e *Entry, limit float64
 				e.ModelRatio = ev.Seconds / pred
 			}
 		}
-	case errors.Is(err, mpsim.ErrAborted):
+	case errors.Is(err, mpsim.ErrAborted) && !errors.Is(err, mpsim.ErrDeadlock):
 		e.Status = StatusPruned
 		e.Note = fmt.Sprintf("abandoned at virtual limit %.6fs (incumbent × %.3g): %v", limit, s.PruneFactor, err)
 	default:
+		// Includes a deadlock: not a slow candidate but a broken one, and
+		// the note is the cycle.
 		e.Status = StatusError
 		e.Note = err.Error()
 	}
@@ -678,7 +673,6 @@ func (t *Tuner) evalFull(ctx context.Context, s *Spec, c Candidate, limit float6
 func (t *Tuner) evalOnce(ctx context.Context, s *Spec, c Candidate, limit float64) (fullEval, error) {
 	cfg := s.Machine
 	cfg.TimeLimit = limit
-	cfg.WallLimit = s.EvalWallLimit
 
 	var ev fullEval
 	var ref map[string][]float64

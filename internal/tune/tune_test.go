@@ -2,8 +2,10 @@ package tune
 
 import (
 	"context"
+	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"dhpf/internal/comm"
 	"dhpf/internal/cp"
@@ -554,5 +556,47 @@ func TestTuneRejectsUnsafeCandidate(t *testing.T) {
 	trail := strings.Join(res.Trail, "\n")
 	if !strings.Contains(trail, "safety gate") || !strings.Contains(trail, "[comm]") {
 		t.Errorf("decision trail lacks the safety-gate diagnostic:\n%s", trail)
+	}
+}
+
+// A candidate that deadlocks is not a slow candidate: the tuner sweeps
+// Disable, so it does try ysolve without availability analysis, and must
+// file it as an error carrying the cycle — at once, and never as "pruned …
+// abandoned at virtual limit".
+func TestTuneReportsDeadlockedCandidate(t *testing.T) {
+	src, err := os.ReadFile("../../testdata/ysolve.hpf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := Spec{
+		Source:    string(src),
+		Procs:     4,
+		Grains:    []int{8},
+		Ablations: [][]string{nil, {passes.PassAvailability}},
+		TopK:      8,
+	}
+	start := time.Now()
+	res, err := New().Run(context.Background(), s)
+	if err != nil {
+		t.Fatalf("%v\ntrail: %v", err, res.Trail)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Errorf("tuning took %v: a deadlocked candidate is rejected when it stops, not when a clock runs out", took)
+	}
+	if res.Winner == nil || len(res.Winner.Disable) != 0 {
+		t.Fatalf("winner %+v, want the candidate with nothing disabled", res.Winner)
+	}
+	hung := 0
+	for _, e := range res.Entries {
+		if len(e.Disable) == 0 {
+			continue
+		}
+		hung++
+		if e.Status != StatusError || !strings.HasPrefix(e.Note, "deadlock: rank 0 <- rank 1 tag ") {
+			t.Errorf("%s: %s %q, want an error whose note is the cycle", e.Key(), e.Status, e.Note)
+		}
+	}
+	if hung == 0 {
+		t.Fatalf("no candidate disabled availability: %v", leaderboard(t, res))
 	}
 }
