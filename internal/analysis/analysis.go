@@ -146,14 +146,13 @@ func RunProc(in *Input, proc *ir.Procedure) (*Result, error) {
 		return nil, fmt.Errorf("analysis: %w", err)
 	}
 	res := &Result{}
-	sc := newProcScratch()
-	sc.prepare(in, proc)
-	ps, err := summarizeProc(in, grid, proc, sc)
+	phases := in.procPhases(proc)
+	ps, err := summarizeProc(in, grid, proc, phases)
 	if err != nil {
 		return nil, err
 	}
 	res.Procs = append(res.Procs, *ps)
-	diags := dataflowProc(in, grid, proc, sc)
+	diags := dataflowProc(in, grid, proc, phases)
 	sortDiagnostics(diags)
 	res.Diagnostics = append(res.Diagnostics, diags...)
 	return res, nil

@@ -41,12 +41,10 @@ type phaseIO struct {
 	writes map[string]iset.Set
 }
 
-// dataflowProc runs the dataflow checks for one procedure.  The phase
-// footprints and iteration sets come pre-computed from the scratch
-// shared with the summary layer.
-func dataflowProc(in *Input, grid *hpf.Grid, proc *ir.Procedure, sc *procScratch) []verify.Diagnostic {
+// dataflowProc runs the dataflow checks for one procedure over the phase
+// footprints shared with the summary layer.
+func dataflowProc(in *Input, grid *hpf.Grid, proc *ir.Procedure, phases []phaseIO) []verify.Diagnostic {
 	var diags []verify.Diagnostic
-	phases := sc.phases
 
 	// Formal arrays are defined by the caller; everything else starts
 	// undefined.
@@ -122,7 +120,7 @@ func dataflowProc(in *Input, grid *hpf.Grid, proc *ir.Procedure, sc *procScratch
 		}
 	}
 
-	diags = append(diags, deadCommDiags(in, grid, proc, sc)...)
+	diags = append(diags, deadCommDiags(in, grid, proc)...)
 	diags = append(diags, redundantWBDiags(in, proc)...)
 	return diags
 }
@@ -286,7 +284,7 @@ func declBox(d *ir.Decl, bind map[string]int) iset.Box {
 // elements the anchored statement's references never read: the
 // transferred non-local section must be covered by the union of the
 // statement's own reads of that array.
-func deadCommDiags(in *Input, grid *hpf.Grid, proc *ir.Procedure, sc *procScratch) []verify.Diagnostic {
+func deadCommDiags(in *Input, grid *hpf.Grid, proc *ir.Procedure) []verify.Diagnostic {
 	an := in.Comm[proc.Name]
 	if an == nil {
 		return nil
@@ -300,7 +298,7 @@ func deadCommDiags(in *Input, grid *hpf.Grid, proc *ir.Procedure, sc *procScratc
 		if layout == nil {
 			continue
 		}
-		vars := ir.NestVars(e.Nest)
+		c := in.Sel.CPOf(e.Stmt.ID)
 		var refs []*ir.ArrayRef
 		ir.WalkExpr(e.Stmt.RHS, func(x ir.Expr) {
 			if r, ok := x.(*ir.ArrayRef); ok && r.Name == e.Ref.Name {
@@ -309,17 +307,13 @@ func deadCommDiags(in *Input, grid *hpf.Grid, proc *ir.Procedure, sc *procScratc
 		})
 		dead := iset.EmptySet(len(e.Ref.Subs))
 		for t := 0; t < grid.Size(); t++ {
-			iters := sc.iterSet(in, proc, e.Stmt.ID, e.Nest, t)
-			if iters.IsEmpty() {
-				continue
-			}
-			moved := sc.nonLocal(in, proc, e.Stmt.ID, e.Ref, vars, iters, t)
+			moved := in.Ctx.NonLocal(proc, e.Stmt.ID, c, e.Nest, e.Ref, t)
 			if moved.IsEmpty() {
 				continue
 			}
 			needed := iset.EmptySet(len(e.Ref.Subs))
 			for _, r := range refs {
-				needed = needed.Union(sc.nonLocal(in, proc, e.Stmt.ID, r, vars, iters, t))
+				needed = needed.Union(in.Ctx.NonLocal(proc, e.Stmt.ID, c, e.Nest, r, t))
 			}
 			dead = dead.Union(moved.Subtract(needed))
 		}

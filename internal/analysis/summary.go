@@ -55,10 +55,10 @@ type Footprint struct {
 }
 
 // summarizeProc builds the per-phase symbolic summaries of a procedure
-// under the program's bound parameters.  Footprints come from the
-// scratch's shared phase IO (which also resolves calls through callee
-// interfaces); iteration sets are memoized per (statement, rank).
-func summarizeProc(in *Input, grid *hpf.Grid, proc *ir.Procedure, sc *procScratch) (*ProcSummary, error) {
+// under the program's bound parameters.  Footprints come from the shared
+// phase IO (which also resolves calls through callee interfaces);
+// iteration and non-local sets from the context's derived-set table.
+func summarizeProc(in *Input, grid *hpf.Grid, proc *ir.Procedure, phases []phaseIO) (*ProcSummary, error) {
 	ps := &ProcSummary{Proc: proc.Name}
 	bind := in.Ctx.Bind.Params
 	for idx, s := range proc.Body {
@@ -85,12 +85,12 @@ func summarizeProc(in *Input, grid *hpf.Grid, proc *ir.Procedure, sc *procScratc
 				})
 			case *ir.Assign:
 				nest := append([]*ir.Loop(nil), loops...)
-				ph.Flops += FlopsOf(x) * float64(executedInstances(in, grid, proc, x.ID, nest, sc))
+				ph.Flops += FlopsOf(x) * float64(executedInstances(in, grid, proc, x.ID, nest))
 			}
 			return true
 		})
-		ph.Reads = footprints(sc.phases[idx].reads)
-		ph.Writes = footprints(sc.phases[idx].writes)
+		ph.Reads = footprints(phases[idx].reads)
+		ph.Writes = footprints(phases[idx].writes)
 
 		// Communication: every live event anchored anywhere inside the
 		// phase, priced by its fully-vectorized transfer plan.
@@ -102,17 +102,13 @@ func summarizeProc(in *Input, grid *hpf.Grid, proc *ir.Procedure, sc *procScratc
 					continue
 				}
 				ph.CommEvents++
-				vars := ir.NestVars(e.Nest)
 				layout := in.Ctx.Layout(proc, e.Ref.Name)
 				if layout == nil {
 					continue
 				}
+				c := in.Sel.CPOf(e.Stmt.ID)
 				for t := 0; t < grid.Size(); t++ {
-					iters := sc.iterSet(in, proc, e.Stmt.ID, e.Nest, t)
-					if iters.IsEmpty() {
-						continue
-					}
-					nl := sc.nonLocal(in, proc, e.Stmt.ID, e.Ref, vars, iters, t)
+					nl := in.Ctx.NonLocal(proc, e.Stmt.ID, c, e.Nest, e.Ref, t)
 					if nl.IsEmpty() {
 						continue
 					}
@@ -147,10 +143,11 @@ func summarizeProc(in *Input, grid *hpf.Grid, proc *ir.Procedure, sc *procScratc
 // statement execute per phase execution — the iteration-set cardinality
 // summed over the grid (replicated boundary work counts once per
 // executing rank, matching what the machines charge).
-func executedInstances(in *Input, grid *hpf.Grid, proc *ir.Procedure, id int, nest []*ir.Loop, sc *procScratch) int64 {
+func executedInstances(in *Input, grid *hpf.Grid, proc *ir.Procedure, id int, nest []*ir.Loop) int64 {
 	var total int64
+	c := in.Sel.CPOf(id)
 	for r := 0; r < grid.Size(); r++ {
-		total += sc.iterSet(in, proc, id, nest, r).Card()
+		total += in.Ctx.IterSet(proc, id, c, nest, r).Card()
 	}
 	return total
 }

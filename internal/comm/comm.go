@@ -77,18 +77,13 @@ type Analysis struct {
 	Proc   *ir.Procedure
 	Events []*Event
 	Notes  []string
-
-	// deps is the dependence analysis the events were built from (computed
-	// on the post-distribution body), reused by the elimination phases.
-	deps []*dep.Dependence
 }
 
 // Restore rebuilds an Analysis from previously-computed events and notes
-// — the thaw path of incremental compilation.  The restored analysis has
-// no dependence information, so the elimination phases (ApplyAvailability,
-// ApplyWritebackElim) must not be run on it; a restored plan is already
-// post-elimination by construction, since artifacts are frozen at the end
-// of the communication passes.
+// — the thaw path of incremental compilation.  The elimination phases
+// (ApplyAvailability, ApplyWritebackElim) must not be run on it: a
+// restored plan is already post-elimination by construction, since
+// artifacts are frozen at the end of the communication passes.
 func Restore(proc *ir.Procedure, events []*Event, notes []string) *Analysis {
 	return &Analysis{Proc: proc, Events: events, Notes: notes}
 }
@@ -116,13 +111,11 @@ func Analyze(ctx *cp.Context, proc *ir.Procedure, sel *cp.Selection) *Analysis {
 // BuildEvents constructs the raw communication plan for a procedure:
 // read and write-back events for every possibly-non-local reference,
 // each vectorized to the outermost legal loop level and flagged when it
-// must be pipelined.  Dependences are re-analyzed here because loop
-// distribution may have changed the body; they are kept on the Analysis
-// for the elimination phases.
+// must be pipelined.  Dependences are ctx.Deps[proc], the dependences of
+// the body as loop distribution left it.
 func BuildEvents(ctx *cp.Context, proc *ir.Procedure, sel *cp.Selection) *Analysis {
 	out := &Analysis{Proc: proc}
-	deps := dep.Analyze(proc.Body)
-	out.deps = deps
+	deps := ctx.Deps[proc]
 
 	asn := ir.Assignments(proc.Body)
 	for _, a := range asn {
@@ -156,7 +149,7 @@ func BuildEvents(ctx *cp.Context, proc *ir.Procedure, sel *cp.Selection) *Analys
 // ApplyAvailability runs §7 data-availability elimination on a built
 // plan (see applyAvailability).
 func ApplyAvailability(ctx *cp.Context, sel *cp.Selection, a *Analysis) {
-	applyAvailability(ctx, a.Proc, sel, a, a.deps)
+	applyAvailability(ctx, a.Proc, sel, a, ctx.Deps[a.Proc])
 }
 
 // ApplyWritebackElim eliminates write-backs made redundant by partial
@@ -189,7 +182,7 @@ func applyWritebackRedundancy(ctx *cp.Context, proc *ir.Procedure, sel *cp.Selec
 		// Precompute what each rank writes with this statement.
 		written := make([]iset.Set, grid.Size())
 		for r := 0; r < grid.Size(); r++ {
-			iters := c.IterSet(e.Nest, ctx.Bind.Params, ctx.LocalOf(proc, r))
+			iters := ctx.IterSet(proc, e.Stmt.ID, c, e.Nest, r)
 			written[r] = cp.RefDataSet(e.Ref, vars, iters, ctx.Bind.Params).IntersectBox(layout.Space())
 		}
 		ok := true
@@ -228,13 +221,8 @@ func mayBeNonLocal(ctx *cp.Context, proc *ir.Procedure, a ir.AssignInNest, r *ir
 	if err != nil {
 		return false
 	}
-	vars := ir.NestVars(a.Nest)
 	for rank := 0; rank < grid.Size(); rank++ {
-		iters := c.IterSet(a.Nest, ctx.Bind.Params, ctx.LocalOf(proc, rank))
-		if iters.IsEmpty() {
-			continue
-		}
-		if !ctx.NonLocalData(proc, r, vars, iters, rank).IsEmpty() {
+		if !ctx.NonLocal(proc, a.Assign.ID, c, a.Nest, r, rank).IsEmpty() {
 			return true
 		}
 	}
@@ -492,9 +480,7 @@ func lexEq(a, b []float64) bool {
 // nonLocalOf computes a reference's non-local data on one rank, given the
 // statement the reference sits in (its CP determines the iterations).
 func nonLocalOf(ctx *cp.Context, proc *ir.Procedure, sel *cp.Selection, stmt *ir.Assign, nest []*ir.Loop, ref *ir.ArrayRef, rank int) iset.Set {
-	c := sel.CPOf(stmt.ID)
-	iters := c.IterSet(nest, ctx.Bind.Params, ctx.LocalOf(proc, rank))
-	return ctx.NonLocalData(proc, ref, ir.NestVars(nest), iters, rank)
+	return ctx.NonLocal(proc, stmt.ID, sel.CPOf(stmt.ID), nest, ref, rank)
 }
 
 // --- transfers ---------------------------------------------------------------

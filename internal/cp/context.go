@@ -23,13 +23,18 @@ type Context struct {
 	// are program-global, so only formals need translation).
 	Overlay map[*ir.Procedure]map[string]*hpf.Layout
 
-	// Deps caches dependence analysis per procedure.
+	// Deps holds the dependences of each procedure's body as it stands:
+	// whoever rewrites a body (loop distribution) re-derives its entry.
+	// Only the passes read it; EndPipeline releases it.
 	Deps map[*ir.Procedure][]*dep.Dependence
 
 	// EntryCPs holds, per processed procedure, the CP of its entry point
 	// expressed over its formals with callee-loop subscripts vectorized,
 	// or nil when the procedure has no uniform CP.
 	EntryCPs map[string]*CP
+
+	// sets is the derived-set table behind IterSet and NonLocal.
+	sets derived
 }
 
 // NewContext builds a context, running dependence analysis on every

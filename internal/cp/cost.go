@@ -44,7 +44,7 @@ func (ctx *Context) CommCost(proc *ir.Procedure, loop *ir.Loop, cps map[int]*CP)
 			}
 			refs := []*ir.ArrayRef{a.Assign.LHS}
 			refs = append(refs, ir.Refs(a.Assign.RHS)...)
-			for ri, r := range refs {
+			for _, r := range refs {
 				l := ctx.Layout(proc, r.Name)
 				if l == nil || len(r.Subs) == 0 {
 					continue
@@ -56,16 +56,10 @@ func (ctx *Context) CommCost(proc *ir.Procedure, loop *ir.Loop, cps map[int]*CP)
 				if nonlocal.IsEmpty() {
 					continue
 				}
-				boxes := nonlocal.Boxes()
-				cost := int64(len(boxes)) * msgCost
-				cost += nonlocal.Card() * elemCost
-				if ri == 0 {
-					// Non-owner writes also force the owner's copy to be
-					// fetched or the value returned; same order of cost.
-					total += cost
-				} else {
-					total += cost
-				}
+				// A non-owner write (the LHS) also forces the owner's copy
+				// to be fetched or the value returned: same order of cost
+				// as a non-local read.
+				total += int64(len(nonlocal.SharedBoxes()))*msgCost + nonlocal.Card()*elemCost
 			}
 		}
 	}

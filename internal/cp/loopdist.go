@@ -1,6 +1,8 @@
 package cp
 
 import (
+	"slices"
+
 	"dhpf/internal/dep"
 	"dhpf/internal/ir"
 )
@@ -15,7 +17,9 @@ import (
 // reported in the selection notes.
 //
 // Statement objects are reused, so CPs recorded by statement ID remain
-// valid; only Loop nodes are re-created (with fresh IDs).
+// valid; only Loop nodes are re-created (with fresh IDs).  It reports
+// whether it rewrote the body: ctx.Deps[proc] no longer describes it
+// then, and the caller re-derives it.
 func DistributeLoops(ctx *Context, proc *ir.Procedure, sel *Selection) bool {
 	// Distribution notes come after every selection note, grouped by the
 	// procedure's program order (the order compile calls us in).
@@ -232,6 +236,11 @@ func splitLoop(ctx *Context, proc *ir.Procedure, l *ir.Loop, parent *[]ir.Stmt, 
 		return false
 	}
 
+	at := slices.Index(*parent, ir.Stmt(l))
+	if at < 0 {
+		return false
+	}
+
 	// Scalar expansion: any expandable scalar whose value now flows
 	// between the split loops must become a per-iteration array so each
 	// new loop sees the right instance (the standard enabling transform
@@ -244,18 +253,13 @@ func splitLoop(ctx *Context, proc *ir.Procedure, l *ir.Loop, parent *[]ir.Stmt, 
 	}
 
 	// Replace l in its parent body.
-	for i, s := range *parent {
-		if s == ir.Stmt(l) {
-			nb := make([]ir.Stmt, 0, len(*parent)+len(repl)-1)
-			nb = append(nb, (*parent)[:i]...)
-			nb = append(nb, repl...)
-			nb = append(nb, (*parent)[i+1:]...)
-			*parent = nb
-			sel.notef("proc %s: distributed loop %s into %d loops", proc.Name, l.Var, len(repl))
-			return true
-		}
-	}
-	return false
+	nb := make([]ir.Stmt, 0, len(*parent)+len(repl)-1)
+	nb = append(nb, (*parent)[:at]...)
+	nb = append(nb, repl...)
+	nb = append(nb, (*parent)[at+1:]...)
+	*parent = nb
+	sel.notef("proc %s: distributed loop %s into %d loops", proc.Name, l.Var, len(repl))
+	return true
 }
 
 // expandableScalars finds scalars that are privatizable on loop l: every

@@ -1,6 +1,7 @@
 package cp
 
 import (
+	"os"
 	"testing"
 
 	"dhpf/internal/ir"
@@ -101,34 +102,15 @@ func TestConflictingChoicesMarkedAndDistributed(t *testing.T) {
 	}
 }
 
-// trueConflictSrc really has no common choice: the dependence connects
-// statements whose only candidates are pinned to different partitions
-// (each statement references exactly one distributed array, at offsets
-// that conflict).
-const trueConflictSrc = `
-program conflict2
-param N = 64
-!hpf$ processors procs(4)
-!hpf$ template tm(N)
-!hpf$ align a with tm(d0)
-!hpf$ align b with tm(d0)
-!hpf$ align c with tm(d0)
-!hpf$ distribute tm(BLOCK) onto procs
-
-subroutine main()
-  real a(0:N-1)
-  real b(0:N-1)
-  real c(0:N-1)
-  real s
-  do j = 1, N-3
-    s = a(j) * 2.0
-    c(j+1) = s + b(j+1)
-  enddo
-end
-`
-
+// TestTrueConflictMarksPair: testdata/conflict2.hpf really has no common
+// choice; the root's TestDerivedSetsAreACache and dep's
+// TestColdCompileAnalyzeCount compile it for the same reason.
 func TestTrueConflictMarksPair(t *testing.T) {
-	ctx := mustCtx(t, trueConflictSrc)
+	src, err := os.ReadFile("testdata/conflict2.hpf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := mustCtx(t, string(src))
 	sel := mustSelect(t, ctx, DefaultOptions())
 	proc := ctx.Prog.Main()
 	// s=a(j)… is pinned to partition a(j); c(j+1)=s+b(j+1) to partition

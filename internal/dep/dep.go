@@ -92,6 +92,10 @@ type access struct {
 	order int // textual order of the statement
 }
 
+// analyzed, when set, is called once per Analyze: the test hook
+// (export_test.go) that counts how often a compile derives dependences.
+var analyzed func()
+
 // Analyze computes the dependences among the assignments of a body.
 // Input (read-read) dependences are omitted.  Scalar accesses (rank-0
 // refs) participate: every pair of same-iteration or cross-iteration
@@ -99,6 +103,9 @@ type access struct {
 // (a scalar behaves like an array reference with zero dimensions, always
 // overlapping).
 func Analyze(body []ir.Stmt) []*Dependence {
+	if analyzed != nil {
+		analyzed()
+	}
 	var accs []access
 	order := 0
 	ir.Walk(body, func(s ir.Stmt, loops []*ir.Loop) bool {

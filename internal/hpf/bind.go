@@ -2,6 +2,7 @@ package hpf
 
 import (
 	"fmt"
+	"slices"
 
 	"dhpf/internal/ir"
 )
@@ -84,6 +85,24 @@ func Bind(prog *ir.Program, params map[string]int) (*Binding, error) {
 		grid, ok := out.Grids[dd.Onto]
 		if !ok {
 			return fmt.Errorf("hpf: distribute onto unknown processors %q", dd.Onto)
+		}
+		// Every bound, offset and extent below is evaluated now, so each
+		// must name parameters only.
+		exprs := append(append(slices.Clone(decl.LB), decl.UB...), tplExtents...)
+		if align != nil {
+			for _, d := range align.Dims {
+				exprs = append(exprs, d.Off)
+			}
+		}
+		for _, sp := range dd.Specs {
+			exprs = append(exprs, sp.Size)
+		}
+		for _, e := range exprs {
+			for _, t := range e.Terms {
+				if _, ok := bind[t.Name]; !ok {
+					return fmt.Errorf("hpf: layout of %q uses unbound parameter %q", array, t.Name)
+				}
+			}
 		}
 		l := &Layout{Name: array, Grid: grid, Dims: make([]DimLayout, decl.Rank())}
 		// Map grid dimensions: the i-th non-* spec uses grid dim i.

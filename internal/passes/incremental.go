@@ -470,17 +470,7 @@ func (r *incrRun) lower() (bool, error) {
 // final report identical to a cold verify.Run.
 func (r *incrRun) verify() (bool, error) {
 	cc := r.cc
-	reductions := map[int]bool{}
-	for _, plans := range cc.Reductions {
-		for _, red := range plans {
-			reductions[red.Stmt.ID] = true
-		}
-	}
-	in := verify.Input{
-		IR: cc.IR, Ctx: cc.Ctx, Sel: cc.Sel, Comm: cc.Comm,
-		Reductions: reductions,
-		Backend:    canonicalBackend(cc.Opt.Backend),
-	}
+	in := cc.VerifyInput()
 	frags := make([]*verify.Report, len(cc.IR.Procs))
 	var fresh []int
 	for i, proc := range cc.IR.Procs {

@@ -18,6 +18,7 @@ import (
 	"dhpf/internal/analysis"
 	"dhpf/internal/comm"
 	"dhpf/internal/cp"
+	"dhpf/internal/dep"
 	"dhpf/internal/hpf"
 	"dhpf/internal/ir"
 	"dhpf/internal/parser"
@@ -343,13 +344,13 @@ func allPasses() []Pass {
 		{Name: PassInterproc, Run: runInterproc, Check: checkInterproc, Optional: true,
 			Reads: []string{ArtIR, ArtDeps, ArtSel}, Produces: []string{ArtSel}},
 		{Name: PassLoopDist, Run: runLoopDist, Check: checkLoopDist, Optional: true,
-			Reads: []string{ArtIR, ArtDeps, ArtSel}, Produces: []string{ArtIR}, PerProc: true},
+			Reads: []string{ArtIR, ArtDeps, ArtSel}, Produces: []string{ArtIR, ArtDeps}, PerProc: true},
 		{Name: PassReductions, Run: runReductions, Check: checkReductions,
 			Reads: []string{ArtIR, ArtSel}, Produces: []string{ArtReductions}, PerProc: true},
 		{Name: PassCommPlan, Run: runCommPlan, Check: checkCommPlan,
-			Reads: []string{ArtIR, ArtBind, ArtSel}, Produces: []string{ArtComm}, PerProc: true},
+			Reads: []string{ArtIR, ArtBind, ArtDeps, ArtSel}, Produces: []string{ArtComm}, PerProc: true},
 		{Name: PassAvailability, Run: runAvailability, Check: checkElimReasons, Optional: true,
-			Reads: []string{ArtComm}, Produces: []string{ArtComm}, PerProc: true},
+			Reads: []string{ArtDeps, ArtComm}, Produces: []string{ArtComm}, PerProc: true},
 		{Name: PassWritebackRed, Run: runWritebackRed, Check: checkElimReasons, Optional: true,
 			Reads: []string{ArtComm}, Produces: []string{ArtComm}, PerProc: true},
 		{Name: PassLower, Run: runLower, Check: checkLower,
@@ -419,9 +420,14 @@ func runInterproc(cc *CompileContext) error {
 	return cp.SelectInterproc(cc.Ctx, cc.Sel)
 }
 
+// runLoopDist distributes loops and re-derives the dependences of exactly
+// the bodies it rewrote, so ctx.Deps stays the dependences of every body
+// as it stands for the passes after it.
 func runLoopDist(cc *CompileContext) error {
 	for _, proc := range cc.IR.Procs {
-		cp.DistributeLoops(cc.Ctx, proc, cc.Sel)
+		if cp.DistributeLoops(cc.Ctx, proc, cc.Sel) {
+			cc.Ctx.Deps[proc] = dep.Analyze(proc.Body)
+		}
 	}
 	return nil
 }

@@ -13,22 +13,29 @@ import (
 // on the context.  The pass is optional (Options.Disable "verify") but on
 // by default — a pipeline bug should fail the compile, not the run.
 func runVerify(cc *CompileContext) error {
+	rep, err := verify.Run(cc.VerifyInput())
+	if err != nil {
+		return err
+	}
+	cc.Verify = rep
+	return nil
+}
+
+// VerifyInput is the validator's input over the analyses the pipeline
+// produced: the one place it is built, for the verify pass, its
+// incremental form and every later re-verify.
+func (cc *CompileContext) VerifyInput() verify.Input {
 	reductions := map[int]bool{}
 	for _, plans := range cc.Reductions {
 		for _, r := range plans {
 			reductions[r.Stmt.ID] = true
 		}
 	}
-	rep, err := verify.Run(verify.Input{
+	return verify.Input{
 		IR: cc.IR, Ctx: cc.Ctx, Sel: cc.Sel, Comm: cc.Comm,
 		Reductions: reductions,
 		Backend:    canonicalBackend(cc.Opt.Backend),
-	})
-	if err != nil {
-		return err
 	}
-	cc.Verify = rep
-	return nil
 }
 
 // checkVerify is the pass invariant: a program that fails its own safety

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"encoding/binary"
+	"maps"
 	"sort"
 	"sync"
 
@@ -213,31 +214,23 @@ func (pl *Planner) Plan(proc *ir.Procedure, events []*comm.Event, at Point) []co
 	acc := map[key]iset.Set{}
 	var order []key
 	ranks := pl.Grid.Size()
+	// At the zero point every rank's part is the statement's non-local
+	// data, which the context's derived-set table serves.
+	zero := at.Depth == 0 && at.Strip == nil && maps.Equal(at.Bind, pl.Ctx.Bind.Params)
 	for _, e := range events {
 		layout := pl.Ctx.Layout(proc, e.Ref.Name)
 		if layout == nil {
 			continue
 		}
+		c := pl.Sel.CPOf(e.Stmt.ID)
 		vars := ir.NestVars(e.Nest)
 		for t := 0; t < ranks; t++ {
-			iters := pl.Sel.CPOf(e.Stmt.ID).IterSet(e.Nest, at.Bind, pl.Ctx.LocalOf(proc, t))
-			for k := 0; k < at.Depth && k < len(vars); k++ {
-				v := at.Bind[vars[k]]
-				iters = iters.ClampDim(k, v, v)
+			var nl iset.Set
+			if zero {
+				nl = pl.Ctx.NonLocal(proc, e.Stmt.ID, c, e.Nest, e.Ref, t)
+			} else {
+				nl = nonLocalAt(pl.Ctx, proc, c, e, vars, layout, t, at)
 			}
-			if at.Strip != nil {
-				for k, v := range vars {
-					if v == at.Strip.Var {
-						iters = iters.ClampDim(k, at.Strip.Lo, at.Strip.Hi)
-					}
-				}
-			}
-			if iters.IsEmpty() {
-				continue
-			}
-			data := cp.RefDataSet(e.Ref, vars, iters, at.Bind)
-			data = data.IntersectBox(layout.Space())
-			nl := data.SubtractBox(layout.LocalBox(t))
 			if nl.IsEmpty() {
 				continue
 			}
@@ -275,4 +268,27 @@ func (pl *Planner) Plan(proc *ir.Procedure, events []*comm.Event, at Point) []co
 		return a.To < b.To
 	})
 	return out
+}
+
+// nonLocalAt is the data event e's reference touches on rank t at the
+// point and t does not own: the statement's iterations under the point's
+// binding, its outermost Depth loops fixed and its strip loop windowed.
+func nonLocalAt(ctx *cp.Context, proc *ir.Procedure, c *cp.CP, e *comm.Event, vars []string, layout *hpf.Layout, t int, at Point) iset.Set {
+	iters := c.IterSet(e.Nest, at.Bind, ctx.LocalOf(proc, t))
+	for k := 0; k < at.Depth && k < len(vars); k++ {
+		v := at.Bind[vars[k]]
+		iters = iters.ClampDim(k, v, v)
+	}
+	if at.Strip != nil {
+		for k, v := range vars {
+			if v == at.Strip.Var {
+				iters = iters.ClampDim(k, at.Strip.Lo, at.Strip.Hi)
+			}
+		}
+	}
+	if iters.IsEmpty() {
+		return iters
+	}
+	data := cp.RefDataSet(e.Ref, vars, iters, at.Bind)
+	return data.IntersectBox(layout.Space()).SubtractBox(layout.LocalBox(t))
 }

@@ -132,7 +132,10 @@ func compilePipeline(ctx context.Context, cc *passes.CompileContext) (*Program, 
 	return programOf(cc), nil
 }
 
+// programOf hands the pipeline's result over as a program, which keeps
+// only what its readers need: what only the passes read is released.
 func programOf(cc *passes.CompileContext) *Program {
+	cc.Ctx.EndPipeline()
 	return &Program{
 		IR: cc.IR, Ctx: cc.Ctx, Sel: cc.Sel,
 		Comm:       cc.Comm,
@@ -173,18 +176,11 @@ func (p *Program) PassStats() []passes.Stat { return p.Stats }
 // the analyses — the tuner's corruption tests, external tooling — get an
 // honest verdict.
 func (p *Program) Verify() (*verify.Report, error) {
-	reductions := map[int]bool{}
-	for _, plans := range p.Reductions {
-		for _, r := range plans {
-			reductions[r.Stmt.ID] = true
-		}
-	}
-	backend, _ := passes.ParseBackend(p.Opt.Backend)
-	return verify.Run(verify.Input{
+	cc := &passes.CompileContext{
 		IR: p.IR, Ctx: p.Ctx, Sel: p.Sel, Comm: p.Comm,
-		Reductions: reductions,
-		Backend:    backend,
-	})
+		Reductions: p.Reductions, Opt: p.Opt,
+	}
+	return verify.Run(cc.VerifyInput())
 }
 
 // AnalysisInput builds the static-analysis input for this program: the

@@ -14,7 +14,9 @@ import (
 // checker verifies one procedure.  It re-runs dependence analysis on the
 // (post-distribution) body itself, so its placement and availability
 // obligations are derived from scratch rather than read off the comm
-// package's cached state.
+// package's cached state (ctx.Deps).  Iteration and non-local sets are
+// read from the context's derived-set table, which recomputes any row
+// whose CP or nest differs from what it was computed for.
 type checker struct {
 	in   Input
 	proc *ir.Procedure
@@ -25,7 +27,6 @@ type checker struct {
 	deps   []*dep.Dependence
 	asn    []ir.AssignInNest
 	nestOf map[int][]*ir.Loop
-	iters  map[int][]iset.Set // per assignment: per-rank iteration sets
 }
 
 func newChecker(in Input, proc *ir.Procedure, an *comm.Analysis, grid *hpf.Grid, rep *Report) *checker {
@@ -34,7 +35,6 @@ func newChecker(in Input, proc *ir.Procedure, an *comm.Analysis, grid *hpf.Grid,
 		deps:   dep.Analyze(proc.Body),
 		asn:    ir.Assignments(proc.Body),
 		nestOf: map[int][]*ir.Loop{},
-		iters:  map[int][]iset.Set{},
 	}
 	for _, a := range c.asn {
 		c.nestOf[a.Assign.ID] = a.Nest
@@ -92,28 +92,25 @@ func (c *checker) diag(d Diagnostic) {
 
 func (c *checker) params() map[string]int { return c.in.Ctx.Bind.Params }
 
-// iterSets returns (and caches) the per-rank iteration sets of an
-// assignment under its selected CP.
+// iterSets returns the per-rank iteration sets of an assignment under its
+// selected CP.
 func (c *checker) iterSets(a ir.AssignInNest) []iset.Set {
-	if s, ok := c.iters[a.Assign.ID]; ok {
-		return s
-	}
-	stmtCP := c.in.Sel.CPOf(a.Assign.ID)
 	out := make([]iset.Set, c.grid.Size())
 	for r := range out {
-		out[r] = stmtCP.IterSet(a.Nest, c.params(), c.in.Ctx.LocalOf(c.proc, r))
+		out[r] = c.iterSet(a, r)
 	}
-	c.iters[a.Assign.ID] = out
 	return out
 }
 
+// iterSet is iterSets on one rank.
+func (c *checker) iterSet(a ir.AssignInNest, rank int) iset.Set {
+	return c.in.Ctx.IterSet(c.proc, a.Assign.ID, c.in.Sel.CPOf(a.Assign.ID), a.Nest, rank)
+}
+
 // nonLocal computes the data of ref a rank touches but does not own when
-// the given statement executes under its CP (the verifier's independent
-// equivalent of the comm package's nonLocalOf).
+// the given statement executes under its CP.
 func (c *checker) nonLocal(stmt *ir.Assign, nest []*ir.Loop, ref *ir.ArrayRef, rank int) iset.Set {
-	stmtCP := c.in.Sel.CPOf(stmt.ID)
-	iters := stmtCP.IterSet(nest, c.params(), c.in.Ctx.LocalOf(c.proc, rank))
-	return c.in.Ctx.NonLocalData(c.proc, ref, ir.NestVars(nest), iters, rank)
+	return c.in.Ctx.NonLocal(c.proc, stmt.ID, c.in.Sel.CPOf(stmt.ID), nest, ref, rank)
 }
 
 // eventsFor finds the events attached to a (statement, reference shape).
@@ -313,8 +310,6 @@ func (c *checker) checkRace(a ir.AssignInNest) {
 // dependence analysis — that the reading rank itself produced the values
 // with an earlier write.
 func (c *checker) checkReads(a ir.AssignInNest) {
-	vars := ir.NestVars(a.Nest)
-	sets := c.iterSets(a)
 	var seen []*ir.ArrayRef
 refs:
 	for _, ref := range ir.Refs(a.Assign.RHS) {
@@ -328,10 +323,10 @@ refs:
 		}
 		seen = append(seen, ref)
 
-		nl := make([]iset.Set, len(sets))
+		nl := make([]iset.Set, c.grid.Size())
 		all := iset.EmptySet(len(ref.Subs))
-		for r := range sets {
-			nl[r] = c.in.Ctx.NonLocalData(c.proc, ref, vars, sets[r], r)
+		for r := range nl {
+			nl[r] = c.nonLocal(a.Assign, a.Nest, ref, r)
 			all = all.Union(nl[r])
 		}
 		if all.IsEmpty() {
@@ -417,11 +412,9 @@ func (c *checker) checkWriteback(a ir.AssignInNest) {
 	if layout == nil || len(lhs.Subs) == 0 {
 		return
 	}
-	vars := ir.NestVars(a.Nest)
-	sets := c.iterSets(a)
 	all := iset.EmptySet(len(lhs.Subs))
-	for r := range sets {
-		all = all.Union(c.in.Ctx.NonLocalData(c.proc, lhs, vars, sets[r], r))
+	for r := 0; r < c.grid.Size(); r++ {
+		all = all.Union(c.nonLocal(a.Assign, a.Nest, lhs, r))
 	}
 	if all.IsEmpty() {
 		return
@@ -674,7 +667,7 @@ func (c *checker) checkProductionOf(l *ir.Loop, array string) {
 	for rank := 0; rank < c.grid.Size(); rank++ {
 		produced := iset.EmptySet(layout.Rank())
 		for _, d := range defs {
-			iters := c.iterSets(d)[rank]
+			iters := c.iterSet(d, rank)
 			produced = produced.Union(
 				cp.RefDataSet(d.Assign.LHS, ir.NestVars(d.Nest), iters, c.params()).IntersectBox(layout.Space()))
 		}
@@ -686,7 +679,7 @@ func (c *checker) checkProductionOf(l *ir.Loop, array string) {
 				if ref.Name != array || len(ref.Subs) == 0 {
 					continue
 				}
-				iters := c.iterSets(a)[rank]
+				iters := c.iterSet(a, rank)
 				needed := cp.RefDataSet(ref, ir.NestVars(a.Nest), iters, c.params()).IntersectBox(layout.Space())
 				if needed.IsEmpty() {
 					continue
@@ -694,7 +687,7 @@ func (c *checker) checkProductionOf(l *ir.Loop, array string) {
 				fetched := iset.EmptySet(layout.Rank())
 				for _, e := range c.eventsFor(comm.ReadComm, a.Assign.ID, ref) {
 					if !e.Eliminated {
-						fetched = fetched.Union(c.in.Ctx.NonLocalData(c.proc, ref, ir.NestVars(a.Nest), iters, rank))
+						fetched = fetched.Union(c.nonLocal(a.Assign, a.Nest, ref, rank))
 					}
 				}
 				missing := needed.Subtract(produced).Subtract(fetched)

@@ -12,6 +12,7 @@ import (
 	"dhpf/internal/parser"
 	"dhpf/internal/passes"
 	"dhpf/internal/spmd"
+	"dhpf/internal/verify"
 )
 
 // corpus returns every shipped mini-HPF program.
@@ -34,7 +35,8 @@ func corpus(t testing.TB) map[string]string {
 
 // FuzzCompileVerify: any mutation of the corpus must either fail to
 // parse, fail to compile with a diagnostic, or compile and verify —
-// never panic and never produce a report that cannot render.  The
+// never panic and never produce a report that cannot render — and what
+// the compile derived once must audit clean (cp.Context.Audit).  The
 // in-pipeline verify pass is disabled so the explicit Verify call also
 // exercises unsafe-but-compilable mutants.
 func FuzzCompileVerify(f *testing.F) {
@@ -72,14 +74,20 @@ end
 		// checks it at every pass boundary).
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
-		prog, err := spmd.CompileSourceCtx(ctx, src, nil, opt)
-		if err != nil {
+		cc := &passes.CompileContext{Source: src, Opt: opt}
+		if err := passes.RunCtx(ctx, cc); err != nil {
 			return // compile diagnostics are an accepted outcome
 		}
-		if prog.Grid.Size() > 32 {
+		if cc.Grid.Size() > 32 {
 			t.Skip("fuzzed grid too large to verify cheaply")
 		}
-		rep, err := prog.Verify()
+		// What the compiler derived once is a cache: ctx.Deps is the
+		// dependences of every body as it stands, every table row its
+		// from-scratch set.
+		if err := cc.Ctx.Audit(); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := verify.Run(cc.VerifyInput())
 		if err != nil {
 			return // malformed-input error, still no panic
 		}
