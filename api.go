@@ -283,8 +283,9 @@ type TuneOptions struct {
 	// Params are base parameter overrides applied to every candidate.
 	Params map[string]int `json:"params,omitempty"`
 	// Bench names the benchmark family of the source ("sp" or "bt"),
-	// unlocking the analytic screen and the 1-D transpose comparison
-	// scheme; empty means a generic source ranked by simulation alone.
+	// letting the screen run at the target size and unlocking the 1-D
+	// transpose comparison scheme; empty means a generic source,
+	// screened at its source size.
 	Bench string `json:"bench,omitempty"`
 	// N, Steps are the source problem size (bench mode).
 	N     int `json:"n,omitempty"`
@@ -323,12 +324,6 @@ type TuneOptions struct {
 	Seed        int64   `json:"seed,omitempty"`
 	Workers     int     `json:"workers,omitempty"`
 	PruneFactor float64 `json:"prune_factor,omitempty"`
-	// StaticScreen inserts the zero-simulation middle tier: analytic
-	// survivors are compiled and costed by the static analysis oracle
-	// (exact flop/message counters at the target size) and only the
-	// statically cheapest ⌈TopK/2⌉ block candidates reach the full
-	// simulator.
-	StaticScreen bool `json:"static_screen,omitempty"`
 	// SkipVerify disables the serial-reference numerics check;
 	// VerifyArrays restricts it to named arrays.
 	SkipVerify   bool     `json:"skip_verify,omitempty"`
@@ -358,20 +353,16 @@ type TuneEntry struct {
 	Extra   map[string]int `json:"extra,omitempty"`
 	Rank    int            `json:"rank"`
 	// Status: "ok" (simulated and verified), "screened" (ranked by the
-	// analytic tier only), "pruned", "mismatch", "error", "infeasible".
+	// screen only), "pruned", "mismatch", "error", "infeasible".
 	Status string `json:"status"`
-	// ScreenSeconds is the analytic prediction at the target size;
-	// StaticSeconds the cost oracle's zero-simulation time (static
-	// screen tier only); SimSeconds the measured virtual time at the
-	// source size.
-	ScreenSeconds float64 `json:"screen_seconds"`
-	StaticSeconds float64 `json:"static_seconds,omitempty"`
-	SimSeconds    float64 `json:"sim_seconds,omitempty"`
-	SimMessages   int64   `json:"sim_messages,omitempty"`
-	SimBytes      int64   `json:"sim_bytes,omitempty"`
-	// ModelRatio is simulation/model at the source size — the
-	// calibration factor behind the target-size ranking.
-	ModelRatio     float64 `json:"model_ratio,omitempty"`
+	// ScreenSeconds is the screen's time at the target size — a block
+	// candidate's dry-run virtual time, the transpose point's analytic
+	// prediction; SimSeconds the measured virtual time at the source
+	// size.
+	ScreenSeconds  float64 `json:"screen_seconds"`
+	SimSeconds     float64 `json:"sim_seconds,omitempty"`
+	SimMessages    int64   `json:"sim_messages,omitempty"`
+	SimBytes       int64   `json:"sim_bytes,omitempty"`
 	MaxRelErr      float64 `json:"max_rel_err,omitempty"`
 	Verified       bool    `json:"verified,omitempty"`
 	ComparedArrays int     `json:"compared_arrays,omitempty"`
@@ -393,9 +384,7 @@ type TuneCounters struct {
 	Pruned       int   `json:"pruned"`
 	MemoHits     int   `json:"memo_hits"`
 	MemoMisses   int   `json:"memo_misses"`
-	StaticEvals  int   `json:"static_evals,omitempty"`
 	ScreenWallNS int64 `json:"screen_wall_ns"`
-	StaticWallNS int64 `json:"static_wall_ns,omitempty"`
 	FullWallNS   int64 `json:"full_wall_ns"`
 }
 

@@ -315,23 +315,21 @@ func BenchmarkAblationAvailability(b *testing.B) {
 }
 
 // BenchmarkAblationPipelineGrain sweeps the coarse-grain pipelining
-// strip width on the projected SP time at 16 processors — the trade-off
-// the paper says dHPF leaves on the table by using one global value.
+// strip width on the dry-run time of one SP 64³ step on 4×4 processors
+// — the trade-off the paper says dHPF leaves on the table by using one
+// global value.
 func BenchmarkAblationPipelineGrain(b *testing.B) {
 	for _, g := range []int{1, 4, 8, 16, 31, 62} {
 		b.Run(fmt.Sprintf("grain=%d", g), func(b *testing.B) {
 			var t float64
 			for i := 0; i < b.N; i++ {
-				v, err := perfmodel.PredictDHPF(perfmodel.Input{
-					Bench: "sp", N: 64, Steps: 1, Procs: 16,
-					Cfg: mpsim.SP2Config(16), PipelineGrain: g,
-				})
+				v, _, err := perfmodel.DryRunDHPF("sp", 64, 1, 4, 4, mpsim.SP2Config(16), g)
 				if err != nil {
 					b.Fatal(err)
 				}
 				t = v
 			}
-			b.ReportMetric(t*1e3, "projected_ms")
+			b.ReportMetric(t*1e3, "dryrun_ms")
 		})
 	}
 }

@@ -1,7 +1,7 @@
 // Command dhpftune auto-tunes a mini-HPF program: it searches
 // processor-grid shapes, distribution schemes (compiled 2-D BLOCK vs
 // the PGI-style 1-D transpose), coarse-grain pipelining granularities,
-// pass ablations, and swept parameters for the lowest-predicted-cost
+// pass ablations, and swept parameters for the lowest-cost
 // configuration, then prints the ranked leaderboard, the decision
 // trail, and (on request) the winning options as /v1/compile-ready
 // JSON.
@@ -31,10 +31,6 @@
 //	-workers N       parallel evaluation wave size (default 4)
 //	-seed N          subsample seed
 //	-prune-factor F  abandon candidates above incumbent×F (default 4)
-//	-static-screen   insert the zero-simulation oracle tier: analytic
-//	                 survivors are compiled and costed by the static
-//	                 analyzer's exact counters at the target size, and
-//	                 only the statically cheapest half reach the simulator
 //	-no-transpose    drop the 1-D transpose comparison candidate
 //	-skip-verify     skip the serial-reference numerics check
 //	-trail           print the decision trail (why candidates were pruned)
@@ -99,28 +95,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("dhpftune", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		bench        = fs.String("bench", "", "generate the SP or BT source (sp|bt)")
-		srcFile      = fs.String("src", "", "tune a mini-HPF file (generic mode)")
-		procs        = fs.Int("procs", 0, "virtual machine size (required)")
-		n            = fs.Int("n", 12, "source grid points per dimension (bench mode)")
-		steps        = fs.Int("steps", 1, "source time steps (bench mode)")
-		targetN      = fs.Int("target-n", 0, "problem size the ranking targets (0 = source)")
-		targetSteps  = fs.Int("target-steps", 0, "step count the ranking targets (0 = source)")
-		grids        = fs.String("grids", "", `grid shapes, e.g. "2x8,4x4" (default: all factorizations)`)
-		grains       = fs.String("grains", "", `pipeline strip widths, e.g. "4,8,16"`)
-		backends     = fs.String("backends", "", `execution substrates to search, e.g. "mp,shm,hybrid"`)
-		ablate       = fs.String("ablate", "", `ablation sets: ';'-separated Disable lists`)
-		topK         = fs.Int("topk", 0, "survivors fully simulated (default 3)")
-		maxScreen    = fs.Int("max-screen", 0, "cap screened candidates (0 = all)")
-		workers      = fs.Int("workers", 0, "parallel evaluation wave size (default 4)")
-		seed         = fs.Int64("seed", 0, "subsample seed")
-		pruneFactor  = fs.Float64("prune-factor", 0, "abandon above incumbent×F (default 4)")
-		staticScreen = fs.Bool("static-screen", false, "insert the zero-simulation static oracle tier")
-		noTranspose  = fs.Bool("no-transpose", false, "drop the transpose comparison candidate")
-		skipVerify   = fs.Bool("skip-verify", false, "skip the serial-reference numerics check")
-		trail        = fs.Bool("trail", false, "print the decision trail")
-		asJSON       = fs.Bool("json", false, "print the full TuneResult as JSON")
-		emitOptions  = fs.Bool("emit-options", false, "print the winner's {params, options} as JSON")
+		bench       = fs.String("bench", "", "generate the SP or BT source (sp|bt)")
+		srcFile     = fs.String("src", "", "tune a mini-HPF file (generic mode)")
+		procs       = fs.Int("procs", 0, "virtual machine size (required)")
+		n           = fs.Int("n", 12, "source grid points per dimension (bench mode)")
+		steps       = fs.Int("steps", 1, "source time steps (bench mode)")
+		targetN     = fs.Int("target-n", 0, "problem size the ranking targets (0 = source)")
+		targetSteps = fs.Int("target-steps", 0, "step count the ranking targets (0 = source)")
+		grids       = fs.String("grids", "", `grid shapes, e.g. "2x8,4x4" (default: all factorizations)`)
+		grains      = fs.String("grains", "", `pipeline strip widths, e.g. "4,8,16"`)
+		backends    = fs.String("backends", "", `execution substrates to search, e.g. "mp,shm,hybrid"`)
+		ablate      = fs.String("ablate", "", `ablation sets: ';'-separated Disable lists`)
+		topK        = fs.Int("topk", 0, "survivors fully simulated (default 3)")
+		maxScreen   = fs.Int("max-screen", 0, "cap screened candidates (0 = all)")
+		workers     = fs.Int("workers", 0, "parallel evaluation wave size (default 4)")
+		seed        = fs.Int64("seed", 0, "subsample seed")
+		pruneFactor = fs.Float64("prune-factor", 0, "abandon above incumbent×F (default 4)")
+		noTranspose = fs.Bool("no-transpose", false, "drop the transpose comparison candidate")
+		skipVerify  = fs.Bool("skip-verify", false, "skip the serial-reference numerics check")
+		trail       = fs.Bool("trail", false, "print the decision trail")
+		asJSON      = fs.Bool("json", false, "print the full TuneResult as JSON")
+		emitOptions = fs.Bool("emit-options", false, "print the winner's {params, options} as JSON")
 	)
 	params := paramFlags{}
 	fs.Var(params, "param", "parameter override NAME=VALUE (repeatable)")
@@ -139,18 +134,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	opt := dhpf.TuneOptions{
-		Params:       params,
-		Procs:        *procs,
-		TargetN:      *targetN,
-		TargetSteps:  *targetSteps,
-		TopK:         *topK,
-		MaxScreen:    *maxScreen,
-		Workers:      *workers,
-		Seed:         *seed,
-		PruneFactor:  *pruneFactor,
-		StaticScreen: *staticScreen,
-		NoTranspose:  *noTranspose,
-		SkipVerify:   *skipVerify,
+		Params:      params,
+		Procs:       *procs,
+		TargetN:     *targetN,
+		TargetSteps: *targetSteps,
+		TopK:        *topK,
+		MaxScreen:   *maxScreen,
+		Workers:     *workers,
+		Seed:        *seed,
+		PruneFactor: *pruneFactor,
+		NoTranspose: *noTranspose,
+		SkipVerify:  *skipVerify,
 	}
 	if len(sweep) > 0 {
 		opt.Sweep = sweep
@@ -229,29 +223,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 func printLeaderboard(w io.Writer, res *dhpf.TuneResult, withTrail bool) {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "RANK\tSTATUS\tCANDIDATE\tPREDICTED\tSIMULATED\tRATIO\tNOTE")
+	fmt.Fprintln(tw, "RANK\tSTATUS\tCANDIDATE\tSCREENED\tSIMULATED\tNOTE")
 	for _, e := range res.Entries {
-		pred, sim, ratio := "-", "-", "-"
+		screen, sim := "-", "-"
 		if e.ScreenSeconds > 0 {
-			pred = fmt.Sprintf("%.4gs", e.ScreenSeconds)
+			screen = fmt.Sprintf("%.4gs", e.ScreenSeconds)
 		}
 		if e.SimSeconds > 0 {
 			sim = fmt.Sprintf("%.4gs", e.SimSeconds)
 		}
-		if e.ModelRatio > 0 {
-			ratio = fmt.Sprintf("%.2f", e.ModelRatio)
-		}
-		fmt.Fprintf(tw, "%d\t%s\t%s\t%s\t%s\t%s\t%s\n",
-			e.Rank, e.Status, e.Key, pred, sim, ratio, e.Note)
+		fmt.Fprintf(tw, "%d\t%s\t%s\t%s\t%s\t%s\n",
+			e.Rank, e.Status, e.Key, screen, sim, e.Note)
 	}
 	tw.Flush()
 	c := res.Counters
-	static := ""
-	if c.StaticEvals > 0 {
-		static = fmt.Sprintf(", %d static costings", c.StaticEvals)
-	}
-	fmt.Fprintf(w, "search: %d candidates, %d screened%s, %d infeasible, %d simulated (%d pruned, %d memo hits)\n",
-		c.Candidates, c.Screened, static, c.Infeasible, c.FullEvals, c.Pruned, c.MemoHits)
+	fmt.Fprintf(w, "search: %d candidates, %d screened, %d infeasible, %d simulated (%d pruned, %d memo hits)\n",
+		c.Candidates, c.Screened, c.Infeasible, c.FullEvals, c.Pruned, c.MemoHits)
 	if withTrail {
 		fmt.Fprintln(w, "trail:")
 		for _, line := range res.Trail {

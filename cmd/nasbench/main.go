@@ -5,11 +5,13 @@
 //
 // Two modes, reflecting the reproduction protocol (DESIGN.md):
 //
+//	(default)  the paper's Class A/B sizes across the paper's processor
+//	           counts: the dHPF column is a dry run of the compiled code
+//	           (one and two steps, extrapolated to 400), with its idle
+//	           share; the hand-MPI and PGI columns are analytic;
 //	-measure   run all three implementations on the virtual machine at a
 //	           reduced size (default N=24, 2 steps) and print measured
-//	           times — this validates the shape of the comparison;
-//	-project   print the analytic LogGP projection of the paper's Class
-//	           A/B sizes across the paper's processor counts (default).
+//	           times — this validates the shape of the comparison.
 //
 // With -json the rows are emitted as a machine-readable JSON array (for
 // benchmark-trajectory tracking) instead of the rendered tables.
@@ -61,6 +63,9 @@ type jsonRow struct {
 	SpeedupPgi  *float64 `json:"speedup_pgi,omitempty"`
 	EffDhpf     *float64 `json:"eff_dhpf,omitempty"`
 	EffPgi      *float64 `json:"eff_pgi,omitempty"`
+	// IdleDhpf is the dry run's largest rank idle time over its makespan
+	// (projection only).
+	IdleDhpf *float64 `json:"dhpf_idle_share,omitempty"`
 }
 
 // fptr maps a table cell to its JSON field: NaN and zero (the table's
@@ -138,7 +143,7 @@ func projectedRows(tb *perfmodel.Table) []jsonRow {
 			N: tb.Class.N, Steps: tb.Class.Steps, Procs: r.Procs,
 			HandS: fptr(r.Hand), DhpfS: fptr(r.DHPF), PgiS: fptr(r.PGI),
 			SpeedupHand: fptr(r.SpHand), SpeedupDhpf: fptr(r.SpDHPF), SpeedupPgi: fptr(r.SpPGI),
-			EffDhpf: fptr(r.EffDHPF), EffPgi: fptr(r.EffPGI),
+			EffDhpf: fptr(r.EffDHPF), EffPgi: fptr(r.EffPGI), IdleDhpf: fptr(r.IdleDHPF),
 		})
 	}
 	return out

@@ -15,7 +15,7 @@ func TestProjectionText(t *testing.T) {
 		t.Fatalf("run: %v", err)
 	}
 	got := out.String()
-	for _, want := range []string{"Table: SP Class A", "Table: SP Class B", "E.dHPF"} {
+	for _, want := range []string{"Table: SP Class A", "Table: SP Class B", "E.dHPF", "I.dHPF", "T(400) = T(2) + 398·(T(2) − T(1))"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("output missing %q:\n%s", want, got)
 		}
@@ -43,7 +43,7 @@ func TestProjectionJSON(t *testing.T) {
 		if r.Procs != 4 && r.Procs != 9 {
 			t.Errorf("unexpected procs %d", r.Procs)
 		}
-		if r.DhpfS == nil || r.EffDhpf == nil {
+		if r.DhpfS == nil || r.EffDhpf == nil || r.IdleDhpf == nil {
 			t.Errorf("projected row missing dHPF fields: %+v", r)
 		}
 	}

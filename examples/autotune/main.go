@@ -1,9 +1,11 @@
 // Autotune: search the SP mini-benchmark's configuration space — grid
 // shapes, pipeline granularities, and the 1-D transpose alternative —
-// ranking for the paper's Class A problem size (64³) while simulating
-// at a tractable source size, the tuner's two-level protocol.  The
-// leaderboard should rediscover Table 8.1's ordering: the compiled 2-D
-// BLOCK code beats the PGI-style transpose code at 16 processors.
+// ranking for the paper's Class A problem size (64³) by dry run while
+// executing at a tractable source size, the tuner's two-level protocol.
+// The paper's Table 8.1 has the compiled 2-D BLOCK code beating the
+// PGI-style transpose code at 16 processors; the compiled program's own
+// clock does not reproduce that ordering (EXPERIMENTS.md, "Known
+// divergences" #4), and the example says which one it found.
 package main
 
 import (
@@ -44,7 +46,7 @@ func run(w io.Writer) error {
 	for _, e := range res.Entries {
 		line := fmt.Sprintf("  #%d %-16s %-10s", e.Rank, e.Key, e.Status)
 		if e.ScreenSeconds > 0 {
-			line += fmt.Sprintf("  predicted %.4gs", e.ScreenSeconds)
+			line += fmt.Sprintf("  screened %.4gs", e.ScreenSeconds)
 		}
 		if e.SimSeconds > 0 {
 			line += fmt.Sprintf("  simulated %.4gs", e.SimSeconds)
@@ -62,6 +64,8 @@ func run(w io.Writer) error {
 	fmt.Fprintf(w, "winner: %s (verified against serial reference: %v)\n", win.Key, win.Verified)
 	if win.Scheme == "block" {
 		fmt.Fprintln(w, "Table 8.1 ordering rediscovered: 2-D BLOCK beats 1-D transpose at 16 ranks")
+	} else {
+		fmt.Fprintln(w, "Table 8.1 ordering not reproduced: 1-D transpose beats 2-D BLOCK at 16 ranks")
 	}
 	return nil
 }

@@ -15,9 +15,12 @@ func TestRun(t *testing.T) {
 	for _, want := range []string{
 		"auto-tuning SP at 16 ranks",
 		"search:",
-		"winner: block",
+		// The measured ordering, not the paper's (EXPERIMENTS.md, "Known
+		// divergences" #4).
+		"winner: transpose",
+		"#2 block 4x4 g",
 		"verified against serial reference: true",
-		"Table 8.1 ordering rediscovered",
+		"Table 8.1 ordering not reproduced",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)

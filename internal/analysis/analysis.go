@@ -16,10 +16,13 @@
 //   - A static cost oracle (predict.go): Predict runs the rank
 //     schedule's walker (internal/sched) with counting ops and returns
 //     flop and traffic counters that agree exactly — integer for
-//     integer — with what the virtual machines measure.
+//     integer — with what the virtual machines measure.  DryRun
+//     (dryrun.go) runs the same counting walk on the machines
+//     themselves, which adds their clocks: Execute's, bit for bit.
 //
 // The package deliberately imports only the fact layers (ir, iset, cp,
-// comm, hpf, verify, sched); the pipeline and the executors sit above it.
+// comm, hpf, verify, sched) and the machines (mpsim, shm); the pipeline
+// and the executors sit above it.
 package analysis
 
 import (

@@ -3,7 +3,8 @@ package analysis_test
 // The exactness invariant: analysis.Predict must agree integer for
 // integer (and bit for bit on flops) with what the virtual machines
 // measure, on every affine program, under every pass ablation, on all
-// three backends.  This is the static-analysis sibling of the
+// three backends — and so must analysis.DryRun, which runs the same
+// counting walk on the machine itself.  This is the static-analysis sibling of the
 // "incremental ≡ cold" and "shm ≡ mp" invariants: the oracle is not a
 // model of the executor, it *is* the executor minus the values.
 
@@ -12,6 +13,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"dhpf/internal/mpsim"
@@ -31,8 +33,8 @@ func exactMachine(p int) mpsim.Config {
 	}
 }
 
-// requireExact compiles src for the backend, predicts, executes, and
-// fails on any counter mismatch.
+// requireExact compiles src for the backend, predicts, dry-runs,
+// executes, and fails on any counter mismatch.
 func requireExact(t *testing.T, src string, opt spmd.Options, backend string) {
 	t.Helper()
 	opt.Backend = backend
@@ -47,8 +49,12 @@ func requireExact(t *testing.T, src string, opt spmd.Options, backend string) {
 	if !cost.Exact {
 		t.Fatalf("predict degraded to inexact on an affine program")
 	}
+	dcost, dres, derr := prog.DryRun(exactMachine(prog.Grid.Size()))
 	res, err := prog.Execute(exactMachine(prog.Grid.Size()))
 	if errors.Is(err, mpsim.ErrDeadlock) {
+		if derr == nil || derr.Error() != err.Error() {
+			t.Fatalf("%v\ndry run: %v", err, derr)
+		}
 		// The machine cannot finish the run the prediction prices (ysolve
 		// without availability analysis), so there are no counters to hold
 		// it to.  What is left to hold is the hang: one cycle, whatever
@@ -68,9 +74,23 @@ func requireExact(t *testing.T, src string, opt spmd.Options, backend string) {
 	if err != nil {
 		t.Fatalf("execute: %v", err)
 	}
+	if derr != nil {
+		t.Fatalf("dry run: %v", derr)
+	}
 	m := res.Machine
 	if cost.Ranks != m.Procs {
 		t.Fatalf("ranks: predicted %d, measured %d", cost.Ranks, m.Procs)
+	}
+	if !reflect.DeepEqual(dcost, cost) {
+		t.Errorf("dry-run counters differ from Predict's:\n dry run %+v\n predict %+v", dcost, cost)
+	}
+	for r := 0; r < m.Procs; r++ {
+		if dres.RankFlops[r] != m.RankFlops[r] || dres.SentMsgs[r] != m.SentMsgs[r] ||
+			dres.SentBytes[r] != m.SentBytes[r] || dres.RecvMsgs[r] != m.RecvMsgs[r] {
+			t.Errorf("rank %d: dry-run machine counters %v/%d/%d/%d, measured %v/%d/%d/%d", r,
+				dres.RankFlops[r], dres.SentMsgs[r], dres.SentBytes[r], dres.RecvMsgs[r],
+				m.RankFlops[r], m.SentMsgs[r], m.SentBytes[r], m.RecvMsgs[r])
+		}
 	}
 	for r := 0; r < m.Procs; r++ {
 		if cost.Flops[r] != m.RankFlops[r] {

@@ -80,16 +80,34 @@ func (c *Cost) TotalPulled() int64 {
 // (the exactness invariant; see the differential tests).  backend is the
 // canonical name ("mp", "shm" or "hybrid"); empty means "mp".
 func Predict(s *sched.Schedule, backend string) (*Cost, error) {
+	cost, groups, err := newCost(s, backend)
+	if err != nil {
+		return nil, err
+	}
+	pure := map[*ir.Loop]bool{}
+	for me := 0; me < cost.Ranks; me++ {
+		c := &counter{cost: cost, mp: cost.Backend == "mp", groups: groups, pure: pure}
+		c.w = sched.NewWalker(s, me, c)
+		c.w.Run()
+		c.done()
+	}
+	return cost, nil
+}
+
+// newCost validates the backend and the schedule and returns zeroed
+// counters for it, with the outer group of every rank (all zero except
+// on hybrid, where a group is a dimension-0 coordinate).
+func newCost(s *sched.Schedule, backend string) (*Cost, []int, error) {
 	if backend == "" {
 		backend = "mp"
 	}
 	switch backend {
 	case "mp", "shm", "hybrid":
 	default:
-		return nil, fmt.Errorf("analysis: unknown backend %q", backend)
+		return nil, nil, fmt.Errorf("analysis: unknown backend %q", backend)
 	}
 	if err := s.Check(); err != nil {
-		return nil, fmt.Errorf("analysis: %w", err)
+		return nil, nil, fmt.Errorf("analysis: %w", err)
 	}
 	p := s.Grid.Size()
 	cost := &Cost{
@@ -102,7 +120,7 @@ func Predict(s *sched.Schedule, backend string) (*Cost, error) {
 		RecvMsgs:  make([]int64, p),
 		Exact:     true,
 	}
-	groups := make([]int, p) // group per rank; all zero except hybrid
+	groups := make([]int, p)
 	if backend == "hybrid" {
 		for r := 0; r < p; r++ {
 			groups[r] = s.Grid.Coord(r)[0]
@@ -112,25 +130,31 @@ func Predict(s *sched.Schedule, backend string) (*Cost, error) {
 		cost.Pulls = make([]int64, p)
 		cost.PulledBytes = make([]int64, p)
 	}
-	pure := map[*ir.Loop]bool{}
-	for me := 0; me < p; me++ {
-		c := &counter{cost: cost, mp: backend == "mp", groups: groups, pure: pure}
-		c.w = sched.NewWalker(s, me, c)
-		c.w.Run()
-	}
-	return cost, nil
+	return cost, groups, nil
 }
 
 // counter is one rank's counting sched.Ops.  The transfer plans it
 // counts are rank-independent and memoized on the schedule, so each
 // distinct firing is planned once and re-attributed per rank; pure is
-// the per-loop memo, shared by all rank walks, that gates bulk counting.
+// the per-loop memo that gates bulk counting, shared by every rank walk
+// Predict runs one after another.  A counter writes only its own rank's
+// slots of cost; barriers and inexact are its share of the run-wide
+// fields, which done folds in.
 type counter struct {
-	w      *sched.Walker
-	cost   *Cost
-	mp     bool
-	groups []int
-	pure   map[*ir.Loop]bool
+	w        *sched.Walker
+	cost     *Cost
+	mp       bool
+	groups   []int
+	pure     map[*ir.Loop]bool
+	barriers int64
+	inexact  bool
+}
+
+func (c *counter) done() {
+	c.cost.Barriers += c.barriers
+	if c.inexact {
+		c.cost.Exact = false
+	}
 }
 
 // Value state does not exist here: activations and value actuals carry
@@ -149,7 +173,7 @@ func (c *counter) Assign(a *ir.Assign) { c.cost.Flops[c.w.Me] += FlopsOf(a) }
 func (c *counter) Scalar(e ir.Expr) float64 {
 	v, ok := c.evalScalar(e)
 	if !ok {
-		c.cost.Exact = false
+		c.inexact = true
 	}
 	return v
 }
@@ -192,7 +216,7 @@ func (c *counter) ReduceInit([]sched.Reduction) []float64 { return nil }
 
 func (c *counter) ReduceCombine(reds []sched.Reduction, _ []float64) {
 	if !c.mp {
-		c.cost.Barriers += int64(len(reds))
+		c.barriers += int64(len(reds))
 	}
 }
 

@@ -1,55 +1,39 @@
-// Package perfmodel analytically projects per-timestep execution times
-// of the three SP/BT parallelizations — hand-MPI multipartitioning, dhpf
-// block distribution with coarse-grain pipelining, and PGI-style 1-D
-// block with transposes — onto the paper's Class A/B problem sizes and
-// 2–32 processors.
+// Package perfmodel produces the paper's Tables 8.1/8.2 at Class A/B
+// sizes on 2–32 processors for the three SP/BT parallelizations.
 //
-// Directly simulating Class A/B (64³/102³ × 400 steps × up to 32 ranks)
-// through the interpreting executor is infeasible on a laptop, so the
-// reproduction follows a two-level protocol: the simulator *measures*
-// all three implementations at reduced sizes (validating the model's
-// shape), and this model — a LogGP-style composition of the same flop
-// weights and message volumes the simulator charges — *extrapolates* the
-// paper's table sizes.  The model's terms mirror the phase structure
-// exactly: face exchanges, partially-replicated reciprocals, pipelined
-// wavefronts with fill time, and full transposes.
+// The dhpf-compiled code is not modelled: its column is the compiled
+// program's own clock, a dry run (spmd.Program.DryRun) of nas.SPSource
+// or nas.BTSource at the class size — the schedule walked on the
+// virtual machine with payload-free messages, so the clocks are
+// Execute's without touching an array.  Two dry runs, of one and two
+// time steps, fix the per-step cost, and DryRunDHPF extrapolates it
+// exactly (see there).
+//
+// The hand-MPI multipartitioning and PGI-style transpose codes are
+// hand-written Go, not compiled, so they stay analytic: a LogGP-style
+// composition of the flop weights and message volumes the simulator
+// charges, whose terms mirror their phase structure (face exchanges,
+// pipelined wavefronts with fill time, full transposes).  At reduced
+// sizes cmd/nasbench -measure runs all three on the simulator.
 package perfmodel
 
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"dhpf/internal/mpsim"
 	"dhpf/internal/nas"
-	"dhpf/internal/shm"
+	"dhpf/internal/spmd"
 )
 
-// Input describes one projection.
+// Input describes one analytic prediction of a hand-written code.
 type Input struct {
 	Bench string // "sp" or "bt"
 	N     int    // grid points per dimension
 	Steps int
 	Procs int
 	Cfg   mpsim.Config // cost model (Procs field ignored)
-	// PipelineGrain is the dhpf coarse-grain pipelining strip width.
-	PipelineGrain int
-	// P1, P2 fix the dhpf processor-grid shape explicitly (P1·P2 must
-	// equal Procs); both zero means the default most-square
-	// nas.GridShape factorization.  The auto-tuner sets these to score
-	// each grid-shape candidate separately.
-	P1, P2 int
-}
-
-// gridShape resolves the dhpf processor grid of the projection.
-func (in Input) gridShape() (p1, p2 int, err error) {
-	if in.P1 == 0 && in.P2 == 0 {
-		p1, p2 = nas.GridShape(in.Procs)
-		return p1, p2, nil
-	}
-	if in.P1 <= 0 || in.P2 <= 0 || in.P1*in.P2 != in.Procs {
-		return 0, 0, fmt.Errorf("perfmodel: grid %dx%d does not tile %d procs", in.P1, in.P2, in.Procs)
-	}
-	return in.P1, in.P2, nil
 }
 
 func (in Input) comp() float64 {
@@ -65,38 +49,6 @@ func (in Input) comp() float64 {
 // real codes perform).
 func msg(cfg mpsim.Config, bytes float64) float64 {
 	return cfg.SendOverhead + cfg.RecvOverhead + cfg.Latency + 2*bytes*cfg.GapPerByte
-}
-
-// xferCosts prices one grid dimension's boundary exchanges on a given
-// substrate: full is the end-to-end time of one coalesced transfer,
-// strip the steady-state per-strip overhead of a pipelined sweep.
-type xferCosts struct {
-	full  func(bytes float64) float64
-	strip func(bytes float64) float64
-}
-
-// msgCosts is the message substrate: LogGP messages with pack/unpack
-// copies on both ends (exactly what PredictDHPF always charged).
-func msgCosts(cfg mpsim.Config) xferCosts {
-	return xferCosts{
-		full:  func(b float64) float64 { return msg(cfg, b) },
-		strip: func(b float64) float64 { return cfg.SendOverhead + cfg.RecvOverhead + b*cfg.GapPerByte },
-	}
-}
-
-// pullCosts is the shared-memory substrate: a transfer is a rendezvous
-// (one barrier-scale handshake) plus a single direct copy through the
-// memory system — no per-side overheads, no wire latency, no second
-// pack/unpack copy.  The constants are the same MemSpeedup/SyncSpeedup
-// the shm simulator derives its Config from, so predicted and simulated
-// shm times share one cost model.
-func pullCosts(cfg mpsim.Config) xferCosts {
-	memGap := cfg.GapPerByte / shm.MemSpeedup
-	sync := cfg.Latency / shm.SyncSpeedup
-	return xferCosts{
-		full:  func(b float64) float64 { return sync + b*memGap },
-		strip: func(b float64) float64 { return b * memGap },
-	}
 }
 
 // baseFlops returns the total flops of one time step (all ranks), split
@@ -131,7 +83,6 @@ func PredictMultipart(in Input) (float64, error) {
 	cfg := in.Cfg
 	n := float64(in.N)
 	cell := n / float64(q)
-	mult := in.comp()
 
 	t := par / float64(in.Procs) * cfg.FlopTime
 
@@ -151,113 +102,6 @@ func PredictMultipart(in Input) (float64, error) {
 			t += perPivotPts*c*w.Bwd*cfg.FlopTime + float64(q-1)*msg(cfg, 2*cell*cell*c*8)
 		}
 	}
-	_ = mult
-	return t * float64(in.Steps), nil
-}
-
-// PredictDHPF models the dhpf-compiled block-distributed code: a p1×p2
-// grid over (y,z), LOCALIZE'd reciprocals (replicated boundary compute,
-// u halo fetches), local x sweeps, and coarse-grain pipelined y/z sweeps
-// whose fill time grows with the processor count — the effect that drags
-// the paper's Figure 8.2 efficiency at 25 processors.
-func PredictDHPF(in Input) (float64, error) {
-	c := msgCosts(in.Cfg)
-	return predictBlocked(in, c, c)
-}
-
-// PredictShm models the same compiled plans on the shared-memory team:
-// every boundary exchange is a rendezvous pull through the memory
-// system.  Compute, pipeline fill structure, and replicated shells are
-// identical to PredictDHPF — the backends differ only in what a
-// transfer costs, which is exactly how the executors differ too.
-func PredictShm(in Input) (float64, error) {
-	c := pullCosts(in.Cfg)
-	return predictBlocked(in, c, c)
-}
-
-// PredictHybrid models the hierarchical layout: ranks across grid
-// dimension 0 exchange messages, threads within a rank share memory.
-// Dimension-0 boundary exchanges (the p1-wise sweeps and halos) pay
-// message costs; dimension-1 exchanges are intra-group pulls.
-func PredictHybrid(in Input) (float64, error) {
-	return predictBlocked(in, msgCosts(in.Cfg), pullCosts(in.Cfg))
-}
-
-// predictBlocked is the shared body of the three dhpf-compiled
-// projections; dim0/dim1 price the boundary exchanges that cross the
-// first and second grid dimensions respectively.
-func predictBlocked(in Input, dim0, dim1 xferCosts) (float64, error) {
-	p1, p2, err := in.gridShape()
-	if err != nil {
-		return 0, err
-	}
-	par, pivots, w := baseFlops(in)
-	cfg := in.Cfg
-	n := float64(in.N)
-	mult := in.comp()
-	g := float64(in.PipelineGrain)
-	if g <= 0 {
-		g = 8
-	}
-
-	t := par / float64(in.Procs) * cfg.FlopTime
-
-	// Replicated boundary computation for the LOCALIZE'd reciprocals:
-	// each rank recomputes a one-deep shell around its block.
-	shell := n * (2*n/float64(p1) + 2*n/float64(p2))
-	t += shell * w.Rho * cfg.FlopTime
-
-	// u halo fetches before compute_rhs: 2-deep planes from up to 4
-	// neighbours, coalesced per neighbour.
-	planeJ := 2 * n * (n / float64(p2)) * 8
-	planeK := 2 * n * (n / float64(p1)) * 8
-	if p1 > 1 {
-		t += 2 * dim0.full(planeJ)
-	}
-	if p2 > 1 {
-		t += 2 * dim1.full(planeK)
-	}
-
-	// x sweeps: local.  Every line system runs its own pair of sweeps.
-	perPivotPts := pivots / float64(in.Procs)
-	systems := nas.SweepSystems(in.Bench)
-	for _, sys := range systems {
-		t += perPivotPts * float64(sys.Comps()) * (w.Fwd + w.Bwd) * cfg.FlopTime
-	}
-
-	// y and z sweeps: each system's forward and backward sweeps form a
-	// *separate pipeline* over the grid dimension (SP's two scalar
-	// systems ⇒ four pipelines per direction, the structure of Figure
-	// 8.2; BT's single block system ⇒ two).  Wall time per pipeline =
-	// local compute + fill of (pDim−1) strip stages + per-strip message
-	// overheads.
-	sweepPair := func(pDim, pOther int, xc xferCosts) float64 {
-		var tt float64
-		for _, sys := range systems {
-			c := float64(sys.Comps())
-			if pDim == 1 {
-				tt += perPivotPts * c * (w.Fwd + w.Bwd) * cfg.FlopTime
-				continue
-			}
-			strips := math.Ceil((n - 2) / g)
-			stripPivots := (n - 4) / float64(pDim) * g * (n - 2) / float64(pOther)
-			stripBytes := 2 * g * (n - 2) / float64(pOther) * c * 8
-			for _, wgt := range []float64{w.Fwd, w.Bwd} {
-				stripT := stripPivots * wgt * c * cfg.FlopTime
-				local := perPivotPts * c * wgt * cfg.FlopTime
-				fill := float64(pDim-1) * (stripT + xc.full(stripBytes))
-				overhead := strips * xc.strip(stripBytes)
-				tt += local + fill + overhead
-				// Boundary-row prefetch before the sweep (the §7
-				// residual read that is hoisted out of the nest).
-				tt += xc.full(2 * (n - 2) / float64(pOther) * (n - 2) * c * 8)
-			}
-		}
-		return tt
-	}
-	t += sweepPair(p1, p2, dim0) // y
-	t += sweepPair(p2, p1, dim1) // z
-	_ = mult
 	return t * float64(in.Steps), nil
 }
 
@@ -299,4 +143,54 @@ func PredictTranspose(in Input) (float64, error) {
 	back := float64(p-1) * msg(cfg, blockBytes*mult)
 	t += fwd + back
 	return t * float64(in.Steps), nil
+}
+
+// DryRunDHPF is the dHPF column: the compiled SP or BT code at n³ on the
+// p1×p2 grid under cfg's costs (its Procs ignored), dry-run for one and
+// two time steps.  Every step after the first walks the same schedule,
+// so the second run's extra step is the per-step cost, and steps > 2
+// extrapolate exactly: T(steps) = T(2) + (steps−2)·(T(2)−T(1)).  Each
+// rank's idle time extrapolates the same way, and idleShare is the
+// largest of them over T(steps).
+func DryRunDHPF(bench string, n, steps, p1, p2 int, cfg mpsim.Config, grain int) (secs, idleShare float64, err error) {
+	source := nas.SPSource
+	switch bench {
+	case "sp":
+	case "bt":
+		source = nas.BTSource
+	default:
+		return 0, 0, fmt.Errorf("perfmodel: unknown bench %q", bench)
+	}
+	opt := spmd.DefaultOptions()
+	opt.PipelineGrain = grain
+	cfg.Procs = p1 * p2
+	run := func(steps int) (*mpsim.Result, error) {
+		prog, err := spmd.CompileSource(source(n, steps, p1, p2), nil, opt)
+		var res *mpsim.Result
+		if err == nil {
+			_, res, err = prog.DryRun(cfg)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("perfmodel: %s %d³×%d on %dx%d: %w", bench, n, steps, p1, p2, err)
+		}
+		return res, nil
+	}
+	last, err := run(min(steps, 2))
+	if err != nil {
+		return 0, 0, err
+	}
+	secs, idle := last.Time, slices.Max(last.RankIdle)
+	if steps > 2 {
+		first, err := run(1)
+		if err != nil {
+			return 0, 0, err
+		}
+		k := float64(steps - 2)
+		secs = last.Time + k*(last.Time-first.Time)
+		idle = 0
+		for r, i2 := range last.RankIdle {
+			idle = max(idle, i2+k*(i2-first.RankIdle[r]))
+		}
+	}
+	return secs, idle / secs, nil
 }

@@ -7,11 +7,23 @@ import (
 
 	"dhpf/internal/mpsim"
 	"dhpf/internal/nas"
+	"dhpf/internal/spmd"
 )
 
 func in(bench string, n, steps, procs int) Input {
-	return Input{Bench: bench, N: n, Steps: steps, Procs: procs,
-		Cfg: mpsim.SP2Config(procs), PipelineGrain: 8}
+	return Input{Bench: bench, N: n, Steps: steps, Procs: procs, Cfg: mpsim.SP2Config(procs)}
+}
+
+// dhpf is the dHPF column at one point: the dry run on nas.GridShape(p)
+// at grain 8, the tables' default.
+func dhpf(t *testing.T, bench string, n, steps, p int) float64 {
+	t.Helper()
+	p1, p2 := nas.GridShape(p)
+	v, _, err := DryRunDHPF(bench, n, steps, p1, p2, mpsim.SP2Config(1), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
 }
 
 func TestModelScalesDown(t *testing.T) {
@@ -31,10 +43,7 @@ func TestModelScalesDown(t *testing.T) {
 		}
 		prev = math.Inf(1)
 		for _, p := range []int{4, 16} {
-			v, err := PredictDHPF(in(bench, 64, 10, p))
-			if err != nil {
-				t.Fatal(err)
-			}
+			v := dhpf(t, bench, 64, 10, p)
 			if v >= prev {
 				t.Errorf("%s dHPF did not scale: %g at %d procs", bench, v, p)
 			}
@@ -43,19 +52,57 @@ func TestModelScalesDown(t *testing.T) {
 	}
 }
 
+// TestDryRunExtrapolation pins the tables' rule: every step after the
+// first walks the same schedule, so a STEPS = 6 dry run is the one- and
+// two-step runs extrapolated, T(2) + 4·(T(2) − T(1)), and the same holds
+// for the idle times behind the idle share.
+func TestDryRunExtrapolation(t *testing.T) {
+	for _, c := range []struct {
+		bench string
+		n     int
+	}{{"sp", 16}, {"bt", 12}} {
+		source := nas.SPSource
+		if c.bench == "bt" {
+			source = nas.BTSource
+		}
+		opt := spmd.DefaultOptions()
+		opt.PipelineGrain = 8
+		prog, err := spmd.CompileSource(source(c.n, 6, 2, 2), nil, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, run, err := prog.DryRun(mpsim.SP2Config(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		secs, idle, err := DryRunDHPF(c.bench, c.n, 6, 2, 2, mpsim.SP2Config(1), 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 0.0
+		for _, i := range run.RankIdle {
+			want = max(want, i)
+		}
+		if math.Abs(secs-run.Time) > 1e-12*run.Time || math.Abs(idle*secs-want) > 1e-12*run.Time {
+			t.Errorf("%s%d: 6 steps dry-run to %v s (idle %v), extrapolated %v s (idle %v)",
+				c.bench, c.n, run.Time, want, secs, idle*secs)
+		}
+	}
+}
+
+// TestPaperShapeHolds holds the paper's headline shape at 25 processors,
+// Class A, against the measured table.  Hand-MPI is fastest, as in the
+// paper.  The other two claims do not hold for the compiled code, whose
+// wavefronts run block-serialized (EXPERIMENTS "Known divergences"), so
+// the measured ordering is pinned instead: PGI beats dHPF (#4), and
+// dHPF/hand stays ≤ 2 on SP but not on BT (#2).
 func TestPaperShapeHolds(t *testing.T) {
-	// The paper's headline shape at 25 processors, Class A:
-	//   hand-written fastest; dHPF within 1.15× (BT) / 1.33× (SP)-ish;
-	//   PGI slower than dHPF.
 	for _, bench := range []string{"sp", "bt"} {
 		h, err := PredictMultipart(in(bench, 64, 400, 25))
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := PredictDHPF(in(bench, 64, 400, 25))
-		if err != nil {
-			t.Fatal(err)
-		}
+		d := dhpf(t, bench, 64, 400, 25)
 		g, err := PredictTranspose(in(bench, 64, 400, 25))
 		if err != nil {
 			t.Fatal(err)
@@ -63,41 +110,40 @@ func TestPaperShapeHolds(t *testing.T) {
 		if !(h < d) {
 			t.Errorf("%s: hand %g not fastest (dHPF %g)", bench, h, d)
 		}
-		if !(d < g) {
-			t.Errorf("%s: dHPF %g not faster than PGI %g", bench, d, g)
+		if !(g < d) {
+			t.Errorf("%s: PGI %g no longer beats dHPF %g: known divergence #4 closed?", bench, g, d)
 		}
-		if d/h > 2.0 {
-			t.Errorf("%s: dHPF/hand ratio %g too large (paper: ≤ ~1.5)", bench, d/h)
+		if ratio := d / h; (bench == "sp") != (ratio <= 2) {
+			t.Errorf("%s: dHPF/hand = %.2f: known divergence #2 (SP ≤ 2, BT > 2) changed", bench, ratio)
 		}
 	}
 }
 
+// The paper: BT's dHPF code is much closer to hand-MPI than SP's (15 %
+// vs 33 %), because BT has ~5× more computation per communicated byte.
+// Measured, the BT gap is the larger one (known divergence #2).
 func TestBTCloserThanSP(t *testing.T) {
-	// BT has ~5× more computation per communicated byte, so the dHPF gap
-	// is smaller for BT than SP — the paper's 15% vs 33%.
 	hs, _ := PredictMultipart(in("sp", 64, 400, 25))
-	ds, _ := PredictDHPF(in("sp", 64, 400, 25))
 	hb, _ := PredictMultipart(in("bt", 64, 400, 25))
-	db, _ := PredictDHPF(in("bt", 64, 400, 25))
-	gapSP := ds/hs - 1
-	gapBT := db/hb - 1
-	if gapBT >= gapSP {
-		t.Errorf("BT gap %.3f not smaller than SP gap %.3f", gapBT, gapSP)
+	gapSP := dhpf(t, "sp", 64, 400, 25)/hs - 1
+	gapBT := dhpf(t, "bt", 64, 400, 25)/hb - 1
+	if gapBT <= gapSP {
+		t.Errorf("BT gap %.3f no longer above SP gap %.3f: known divergence #2 changed", gapBT, gapSP)
 	}
 }
 
+// The paper (§8.1): larger problems amortize communication, so relative
+// efficiency at 25 processors improves from Class A to Class B.
+// Measured, it declines (known divergence #5).
 func TestClassBScalesBetter(t *testing.T) {
-	// Larger problems amortize communication: relative efficiency at 25
-	// processors improves from Class A to Class B (paper §8.1).
 	effAt := func(class nas.Class) float64 {
-		h, _ := PredictMultipart(Input{Bench: "sp", N: class.N, Steps: 1, Procs: 25, Cfg: mpsim.SP2Config(25), PipelineGrain: 8})
-		d, _ := PredictDHPF(Input{Bench: "sp", N: class.N, Steps: 1, Procs: 25, Cfg: mpsim.SP2Config(25), PipelineGrain: 8})
-		return h / d
+		h, _ := PredictMultipart(in("sp", class.N, 1, 25))
+		return h / dhpf(t, "sp", class.N, 1, 25)
 	}
 	effA := effAt(nas.ClassA)
 	effB := effAt(nas.ClassB)
-	if effB <= effA {
-		t.Errorf("efficiency did not improve with class size: A=%.3f B=%.3f", effA, effB)
+	if effB >= effA {
+		t.Errorf("efficiency A=%.3f B=%.3f no longer declines with class size: known divergence #5 closed?", effA, effB)
 	}
 }
 
@@ -105,8 +151,7 @@ func TestEfficiencyDeclinesWithScale(t *testing.T) {
 	// Both HPF variants lose efficiency as ranks grow for a fixed size.
 	eff := func(p int) float64 {
 		h, _ := PredictMultipart(in("sp", 64, 1, p))
-		d, _ := PredictDHPF(in("sp", 64, 1, p))
-		return h / d
+		return h / dhpf(t, "sp", 64, 1, p)
 	}
 	if !(eff(25) < eff(4)) {
 		t.Errorf("dHPF efficiency did not decline: eff(4)=%.3f eff(25)=%.3f", eff(4), eff(25))
@@ -122,6 +167,9 @@ func TestBuildTableConventions(t *testing.T) {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
 	for _, r := range tb.Rows {
+		if r.IdleDHPF <= 0 || r.IdleDHPF >= 1 {
+			t.Errorf("idle share at %d procs = %g", r.Procs, r.IdleDHPF)
+		}
 		switch r.Procs {
 		case 2, 8, 32:
 			if !math.IsNaN(r.Hand) {
@@ -136,30 +184,37 @@ func TestBuildTableConventions(t *testing.T) {
 				t.Errorf("E.dHPF(4) = %g", r.EffDHPF)
 			}
 		case 25:
-			if !(r.EffDHPF > r.EffPGI) {
-				t.Errorf("at 25 procs dHPF efficiency %g not above PGI %g", r.EffDHPF, r.EffPGI)
+			// The paper has dHPF above PGI here; measured, it is below
+			// (known divergence #4).
+			if !(r.EffDHPF < r.EffPGI) {
+				t.Errorf("at 25 procs dHPF efficiency %g no longer below PGI %g: known divergence #4 closed?", r.EffDHPF, r.EffPGI)
 			}
 		}
 	}
 	out := tb.Render()
-	for _, want := range []string{"Class A", "S.dHPF", "E.PGI"} {
+	for _, want := range []string{"Class A", "S.dHPF", "E.PGI", "I.dHPF", "T(400) = T(2) + 398·(T(2) − T(1))"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q", want)
 		}
 	}
 }
 
+// The paper: too fine a grain pays message overheads and too coarse a
+// grain pays fill time, so an intermediate grain beats an extreme.
+// Measured, the finest grain is fastest and every grain from 4 up runs
+// the same schedule (known divergence #6): the strip loop is the
+// innermost m, 2 or 3 components long.
 func TestPipelineGrainTradeoff(t *testing.T) {
-	// Too-fine grain pays message overheads; too-coarse pays fill time.
-	// An intermediate grain must beat at least one extreme (the paper's
-	// observation that a single global granularity is suboptimal).
 	at := func(g int) float64 {
-		v, _ := PredictDHPF(Input{Bench: "sp", N: 64, Steps: 1, Procs: 16, Cfg: mpsim.SP2Config(16), PipelineGrain: g})
+		v, _, err := DryRunDHPF("sp", 64, 1, 4, 4, mpsim.SP2Config(1), g)
+		if err != nil {
+			t.Fatal(err)
+		}
 		return v
 	}
-	mid := at(8)
-	if !(mid < at(1) || mid < at(62)) {
-		t.Errorf("grain 8 (%g) worse than both grain 1 (%g) and grain 62 (%g)", mid, at(1), at(62))
+	fine, mid, coarse := at(1), at(8), at(62)
+	if !(fine < mid && mid == coarse) {
+		t.Errorf("grain 1 %g, 8 %g, 62 %g: known divergence #6 (1 fastest, 8 ≡ 62) changed", fine, mid, coarse)
 	}
 }
 
@@ -171,49 +226,33 @@ func TestBuildTableBTClassBConvention(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range tb.Rows {
-		if r.Procs == 16 && mathAbs(r.SpHand-16) > 1e-9 {
+		if r.Procs == 16 && math.Abs(r.SpHand-16) > 1e-9 {
 			t.Errorf("S.hand(16) = %g, want 16 by convention", r.SpHand)
 		}
 	}
 }
 
-func mathAbs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
-
+// TestExplicitGridShape: the table's dHPF column is the dry run on
+// nas.GridShape's most-square grid, and the grid is a real input of the
+// dry run.
 func TestExplicitGridShape(t *testing.T) {
-	// Default shape = nas.GridShape's most-square factorization.
-	base := in("sp", 64, 1, 16)
-	def, err := PredictDHPF(base)
+	class := nas.Class{Name: "T", N: 24, Steps: 3}
+	tb, err := BuildTable("sp", class, []int{16}, 16, mpsim.SP2Config(1), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sq := base
-	sq.P1, sq.P2 = 4, 4
-	v, err := PredictDHPF(sq)
+	sq, _, err := DryRunDHPF("sp", class.N, class.Steps, 4, 4, mpsim.SP2Config(1), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v != def {
-		t.Errorf("explicit 4x4 (%g) differs from default shape (%g)", v, def)
+	if tb.Rows[0].DHPF != sq {
+		t.Errorf("table row at 16 procs (%g) is not the 4x4 dry run (%g)", tb.Rows[0].DHPF, sq)
 	}
-	// Shape is a real model input: a skewed grid changes the projection.
-	skew := base
-	skew.P1, skew.P2 = 2, 8
-	s, err := PredictDHPF(skew)
+	skew, _, err := DryRunDHPF("sp", class.N, class.Steps, 2, 8, mpsim.SP2Config(1), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s == def {
-		t.Error("2x8 grid predicted identical to 4x4 — shape ignored")
-	}
-	// Invalid tilings are rejected.
-	bad := base
-	bad.P1, bad.P2 = 3, 4
-	if _, err := PredictDHPF(bad); err == nil {
-		t.Error("3x4 grid over 16 procs accepted")
+	if skew == sq {
+		t.Error("2x8 grid dry-runs identical to 4x4 — shape ignored")
 	}
 }

@@ -838,7 +838,7 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 // what a re-run would produce.
 func tuneFingerprint(source string, opt dhpf.TuneOptions) string {
 	js, _ := json.Marshal(opt)
-	sum := sha256.Sum256([]byte(cache.Key("tune-v1", source, string(js))))
+	sum := sha256.Sum256([]byte(cache.Key("tune-v2", source, string(js))))
 	return "tune:" + hex.EncodeToString(sum[:])
 }
 

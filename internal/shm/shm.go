@@ -53,14 +53,12 @@ import (
 
 // MemSpeedup is the modelled advantage of a shared-memory pull over the
 // message network's bandwidth: one byte through the memory system costs
-// GapPerByte/MemSpeedup seconds.  Shared by FromMachine and the
-// perfmodel screen so predicted and simulated shm times use one
-// constant.
+// GapPerByte/MemSpeedup seconds.
 const MemSpeedup = 12.0
 
 // SyncSpeedup is the modelled advantage of a shared-memory barrier or
 // reduction step over one network latency: BarrierLatency =
-// Latency/SyncSpeedup.  Shared with perfmodel like MemSpeedup.
+// Latency/SyncSpeedup.
 const SyncSpeedup = 20.0
 
 // Config is a machine configuration — one thread per rank, the machine's

@@ -101,27 +101,25 @@ func goldenRows(golden, prefix string) string {
 	return b.String()
 }
 
+// TestClockGolden has two producers of every row: Execute, and the dry
+// run (Program.DryRun), which walks the same schedule on the same
+// machine with no values at all.
 func TestClockGolden(t *testing.T) {
 	names, srcs := clockCorpus(t)
 	want, err := os.ReadFile(clockGoldenPath)
 	if err != nil && !*updateClocks {
 		t.Fatal(err)
 	}
-	var b strings.Builder
+	var exec, dry strings.Builder
+	rows := func(b *strings.Builder, name, backend string, grain int, m *mpsim.Result) {
+		for r, clock := range m.RankTime {
+			fmt.Fprintf(b, "%s %s g%d rank%d clock=%016x idle=%016x\n", name, backend, grain, r,
+				math.Float64bits(clock), math.Float64bits(m.RankIdle[r]))
+		}
+	}
 	for _, name := range names {
 		for _, backend := range []string{"mp", "shm", "hybrid"} {
 			for _, grain := range []int{1, 8} {
-				if raceDetector && name == "bt12" && grain < 5 && backend != "mp" {
-					// A real, older data race, not this test's to hide from
-					// the plain run: below grain 5 BT's wavefronts are
-					// strip-mined over m, a strip republishes rows the next
-					// strip overwrites, and the producer drains only after
-					// the last strip (ROADMAP, "BT below grain 5").  Clocks
-					// do not depend on the values, so the golden still pins
-					// these rows; only the race detector cannot run them.
-					b.WriteString(goldenRows(string(want), fmt.Sprintf("%s %s g%d ", name, backend, grain)))
-					continue
-				}
 				opt := spmd.DefaultOptions()
 				opt.Backend = backend
 				opt.PipelineGrain = grain
@@ -129,30 +127,49 @@ func TestClockGolden(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%s/g%d: compile: %v", name, backend, grain, err)
 				}
-				res, err := prog.Execute(mpsim.SP2Config(prog.Grid.Size()))
+				cfg := mpsim.SP2Config(prog.Grid.Size())
+				_, dres, err := prog.DryRun(cfg)
+				if err != nil {
+					t.Fatalf("%s/%s/g%d: dry run: %v", name, backend, grain, err)
+				}
+				rows(&dry, name, backend, grain, dres)
+				if raceDetector && name == "bt12" && grain < 5 && backend != "mp" {
+					// A real, older data race, not this test's to hide from
+					// the plain run: below grain 5 BT's wavefronts are
+					// strip-mined over m, a strip republishes rows the next
+					// strip overwrites, and the producer drains only after
+					// the last strip (ROADMAP, "BT below grain 5").  Clocks
+					// do not depend on the values, so the golden still pins
+					// these rows, and the dry run, which touches no array,
+					// still produces them; only Execute cannot run them.
+					exec.WriteString(goldenRows(string(want), fmt.Sprintf("%s %s g%d ", name, backend, grain)))
+					continue
+				}
+				res, err := prog.Execute(cfg)
 				if err != nil {
 					t.Fatalf("%s/%s/g%d: execute: %v", name, backend, grain, err)
 				}
-				for r, clock := range res.Machine.RankTime {
-					fmt.Fprintf(&b, "%s %s g%d rank%d clock=%016x idle=%016x\n", name, backend, grain, r,
-						math.Float64bits(clock), math.Float64bits(res.Machine.RankIdle[r]))
-				}
+				rows(&exec, name, backend, grain, res.Machine)
 			}
 		}
 	}
 	if *updateClocks {
-		if err := os.WriteFile(clockGoldenPath, []byte(b.String()), 0o644); err != nil {
+		if err := os.WriteFile(clockGoldenPath, []byte(exec.String()), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	if got := b.String(); got != string(want) {
+	for producer, b := range map[string]*strings.Builder{"execute": &exec, "dry run": &dry} {
+		got := b.String()
+		if got == string(want) {
+			continue
+		}
 		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
 		for i := range gl {
 			if i >= len(wl) || gl[i] != wl[i] {
-				t.Fatalf("virtual clocks drifted from the golden at line %d:\n got  %s\n want %s", i+1, gl[i], wl[min(i, len(wl)-1)])
+				t.Fatalf("%s: virtual clocks drifted from the golden at line %d:\n got  %s\n want %s", producer, i+1, gl[i], wl[min(i, len(wl)-1)])
 			}
 		}
-		t.Fatalf("virtual clocks drifted from the golden: %d lines, want %d", len(gl), len(wl))
+		t.Fatalf("%s: virtual clocks drifted from the golden: %d lines, want %d", producer, len(gl), len(wl))
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"dhpf/internal/cp"
 	"dhpf/internal/hpf"
 	"dhpf/internal/ir"
+	"dhpf/internal/mpsim"
 	"dhpf/internal/passes"
 	"dhpf/internal/sched"
 	"dhpf/internal/verify"
@@ -70,8 +71,8 @@ type Program struct {
 
 // Schedule returns the program's rank schedule, building it once.  Its
 // plan memo lives as long as the Program, so only executions — which
-// repeat their firings run after run — plan through it; PredictCost
-// walks a schedule of its own that dies with the call.
+// repeat their firings run after run — plan through it; PredictCost and
+// DryRun walk a schedule of their own that dies with the call.
 func (p *Program) Schedule() *sched.Schedule {
 	p.schedOnce.Do(func() { p.sched = p.newSchedule() })
 	return p.sched
@@ -201,6 +202,18 @@ func (p *Program) Analyze() (*analysis.Result, error) {
 func (p *Program) PredictCost() (*analysis.Cost, error) {
 	backend, _ := passes.ParseBackend(p.Opt.Backend)
 	return analysis.Predict(p.newSchedule(), backend)
+}
+
+// DryRun runs this program's schedule on the virtual machine without
+// its values (analysis.DryRun): PredictCost's counters plus the
+// machine's result, whose clocks and idle times are Execute's bit for
+// bit.
+func (p *Program) DryRun(cfg mpsim.Config) (*analysis.Cost, *mpsim.Result, error) {
+	backend, err := passes.ParseBackend(p.Opt.Backend)
+	if err != nil {
+		return nil, nil, fmt.Errorf("spmd: %w", err)
+	}
+	return analysis.DryRun(p.newSchedule(), backend, cfg)
 }
 
 // Report renders the compilation decisions (CPs, communication events,

@@ -285,7 +285,7 @@ end
 	}
 
 	// The ablated program is not run: it is verifier-clean yet differs
-	// from serial in d at the three block boundaries (ROADMAP item 3).
+	// from serial in d at the three block boundaries (ROADMAP item 2b).
 	off, err := CompileSource(src, nil, DefaultOptions().WithDisabled(passes.PassLoopDist))
 	if err != nil {
 		t.Fatal(err)

@@ -6,11 +6,8 @@ import (
 )
 
 // BenchmarkTuneScreenVsFull contrasts the cost of the two evaluation
-// tiers on the same candidate: the analytic screen (a closed-form model
-// evaluation) versus a full compile + simulate + verify pass.  The
-// screen must be orders of magnitude cheaper — that gap is what lets
-// the tuner cover the whole configuration space before spending the
-// simulation budget on the top-K.
+// tiers on the same candidate: the screen (compile + dry run) versus a
+// full compile + execute + verify pass.
 func BenchmarkTuneScreenVsFull(b *testing.B) {
 	s, err := specSP(4, 12, 1).withDefaults()
 	if err != nil {
@@ -20,7 +17,8 @@ func BenchmarkTuneScreenVsFull(b *testing.B) {
 
 	b.Run("screen", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := modelPredict(&s, c, s.TargetN, s.TargetSteps); err != nil {
+			tu := New() // cold caches, as below
+			if _, err := tu.screen(context.Background(), &s, c); err != nil {
 				b.Fatal(err)
 			}
 		}

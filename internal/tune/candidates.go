@@ -7,7 +7,6 @@ import (
 
 	"dhpf/internal/hpf"
 	"dhpf/internal/passes"
-	"dhpf/internal/perfmodel"
 )
 
 // Scheme names of a candidate's parallelization strategy.
@@ -218,54 +217,4 @@ func (s *Spec) feasible(c Candidate) (bool, string) {
 		}
 	}
 	return true, ""
-}
-
-// ablationPriors multiply the analytic screen's prediction when a pass
-// is disabled: coarse cost factors distilled from the paper's measured
-// optimization contributions (§4–§7).  They only order candidates for
-// the screen — the full tier measures the real cost of any ablated
-// survivor.
-var ablationPriors = map[string]float64{
-	passes.PassNewProp:      1.35,
-	passes.PassLocalize:     1.20,
-	passes.PassInterproc:    1.05,
-	passes.PassLoopDist:     1.10,
-	passes.PassAvailability: 1.25,
-	passes.PassWritebackRed: 1.05,
-}
-
-func ablationFactor(disable []string) float64 {
-	f := 1.0
-	for _, d := range disable {
-		if p, ok := ablationPriors[d]; ok {
-			f *= p
-		} else {
-			f *= 1.15 // unknown pass: assume it mattered
-		}
-	}
-	return f
-}
-
-// modelPredict scores a candidate analytically at problem size n×steps.
-// Only meaningful in bench mode.
-func modelPredict(s *Spec, c Candidate, n, steps int) (float64, error) {
-	in := perfmodel.Input{
-		Bench: s.Bench, N: n, Steps: steps, Procs: s.Procs, Cfg: s.Machine,
-		PipelineGrain: c.Grain, P1: c.P1, P2: c.P2,
-	}
-	if c.Scheme == SchemeTranspose {
-		return perfmodel.PredictTranspose(in)
-	}
-	predict := perfmodel.PredictDHPF
-	switch c.Backend {
-	case passes.BackendShm:
-		predict = perfmodel.PredictShm
-	case passes.BackendHybrid:
-		predict = perfmodel.PredictHybrid
-	}
-	t, err := predict(in)
-	if err != nil {
-		return 0, err
-	}
-	return t * ablationFactor(c.Disable), nil
 }

@@ -7,17 +7,19 @@
 // configuration with the lowest predicted cost at a target problem
 // size.
 //
-// The search follows the repo's two-level evaluation protocol (see
-// internal/perfmodel): a cheap analytic screen scores every candidate
-// at the *target* size — the paper's Class A/B scale, where the
-// interpreting simulator cannot go — and the top-K survivors are then
-// compiled and run through the deterministic message-passing simulator
-// at the *source* size, which verifies each survivor's numerics against
-// the serial reference, measures its virtual-time cost, and reports the
-// simulation/model calibration ratio.  Candidates whose simulated
-// virtual time exceeds the incumbent best by a margin are abandoned
-// early (the simulator's TimeLimit), and completed evaluations are
-// memoized across Tune calls through content-addressed fingerprints.
+// The search has two tiers.  The screen scores every candidate at the
+// *target* size — the paper's Class A/B scale, where executing the
+// arrays is out of reach — by the virtual time of its dry run
+// (spmd.Program.DryRun): the compiled program's own clock, walked on
+// the virtual machine without values (the transpose comparison point,
+// hand-written and not compiled, keeps perfmodel's analytic model).
+// The top-K survivors are then compiled and executed at the *source*
+// size, which verifies each survivor's numerics against the serial
+// reference and measures its virtual-time cost.  Candidates whose
+// simulated virtual time exceeds the incumbent best by a margin are
+// abandoned early (the simulator's TimeLimit), and screens and completed
+// evaluations are memoized across Tune calls through content-addressed
+// fingerprints.
 //
 // Everything is deterministic for a fixed spec: enumeration order is
 // fixed, subsampling uses the caller's seed, the full tier runs in
@@ -38,12 +40,12 @@ import (
 	"sync"
 	"time"
 
-	"dhpf/internal/analysis"
 	"dhpf/internal/cache"
 	"dhpf/internal/mpsim"
 	"dhpf/internal/nas"
 	"dhpf/internal/parser"
 	"dhpf/internal/passes"
+	"dhpf/internal/perfmodel"
 	"dhpf/internal/spmd"
 )
 
@@ -57,17 +59,17 @@ type Spec struct {
 	Params map[string]int
 
 	// Bench names the benchmark family of Source ("sp" or "bt").  It
-	// unlocks the analytic screen and the transpose comparison scheme;
-	// empty means a generic source, for which every screen score is
-	// zero and the full tier ranks by measured simulation alone.
+	// lets the screen run at a target size (through the source's N and
+	// STEPS parameters) and unlocks the transpose comparison scheme;
+	// empty means a generic source, screened at its source size.
 	Bench string
 	// N, Steps are the source problem size (bench mode; used by the
-	// feasibility filter, the transpose runner, and model calibration).
+	// feasibility filter and the transpose runner).
 	N, Steps int
 	// TargetN, TargetSteps are the problem size the screen ranks for;
 	// zero means the source size.  Setting these to a paper-scale size
 	// (e.g. Class A's 64³) makes the tuner answer "which configuration
-	// wins at scale" while still simulating at a tractable size.
+	// wins at scale" while still executing at a tractable size.
 	TargetN, TargetSteps int
 
 	// Procs is the virtual machine size.
@@ -101,19 +103,6 @@ type Spec struct {
 	// TopK bounds the full tier: how many screen survivors are compiled
 	// and simulated (default 3).
 	TopK int
-	// StaticScreen inserts a zero-simulation middle tier between the
-	// analytic screen and the full tier: every block-scheme survivor is
-	// compiled (never simulated) and the static cost oracle
-	// (internal/analysis) derives its exact execution counters, which
-	// the machine's cost parameters convert to a static time.  Only the
-	// ⌈TopK/2⌉ statically-cheapest block survivors go on to full
-	// simulation, so the full tier strictly shrinks whenever more than
-	// that survive the analytic screen; transpose candidates have no
-	// compiled program and bypass the tier.  Unlike the analytic screen
-	// the oracle's counters are exact (the same flop and message totals
-	// the simulator would observe), so the demotions are grounded in
-	// measurements, not a model.
-	StaticScreen bool
 	// MaxScreen caps the screened candidate count; when the space is
 	// larger, a Seed-deterministic subsample is screened (0 = screen
 	// everything).
@@ -223,7 +212,7 @@ const (
 	StatusScreened   = "screened"   // ranked by the screen only
 	StatusPruned     = "pruned"     // abandoned: slower than incumbent × margin
 	StatusMismatch   = "mismatch"   // simulated but numerics diverged
-	StatusError      = "error"      // compile or execution failure
+	StatusError      = "error"      // compile, dry-run or execution failure
 	StatusInfeasible = "infeasible" // rejected before evaluation
 )
 
@@ -249,24 +238,17 @@ type Entry struct {
 	Candidate
 	Rank   int    `json:"rank"`
 	Status string `json:"status"`
-	// Screen is the analytic prediction at the target size (seconds
-	// per run); zero for generic sources.
+	// Screen is the screen's time at the target size (seconds per
+	// run): a block candidate's dry-run virtual time, the transpose
+	// point's analytic prediction.
 	Screen float64 `json:"screen_seconds"`
-	// Static is the cost oracle's zero-simulation time at the source
-	// size (StaticScreen tier only; zero when the tier is off or the
-	// candidate bypassed it).
-	Static float64 `json:"static_seconds,omitempty"`
 	// Sim is the measured virtual time at the source size, with its
 	// message totals (full tier only).
-	Sim   float64 `json:"sim_seconds,omitempty"`
-	Msgs  int64   `json:"sim_messages,omitempty"`
-	Bytes int64   `json:"sim_bytes,omitempty"`
-	// ModelRatio is Sim divided by the model's prediction at the
-	// *source* size — the calibration factor the report surfaces so a
-	// reader can judge how much to trust the target-size ranking.
-	ModelRatio float64 `json:"model_ratio,omitempty"`
-	MaxRelErr  float64 `json:"max_rel_err,omitempty"`
-	Verified   bool    `json:"verified,omitempty"`
+	Sim       float64 `json:"sim_seconds,omitempty"`
+	Msgs      int64   `json:"sim_messages,omitempty"`
+	Bytes     int64   `json:"sim_bytes,omitempty"`
+	MaxRelErr float64 `json:"max_rel_err,omitempty"`
+	Verified  bool    `json:"verified,omitempty"`
 	// ComparedArrays counts the arrays checked against the serial
 	// reference.
 	ComparedArrays int `json:"compared_arrays,omitempty"`
@@ -288,15 +270,8 @@ type Counters struct {
 	Pruned     int `json:"pruned"`
 	MemoHits   int `json:"memo_hits"`
 	MemoMisses int `json:"memo_misses"`
-	// StaticEvals counts candidates costed by the static oracle tier
-	// (zero unless Spec.StaticScreen).
-	StaticEvals int `json:"static_evals,omitempty"`
-	// ScreenWall and FullWall are the real time spent in each tier —
-	// the two-level protocol's economics (the screen covers the whole
-	// space for a fraction of one simulation).  StaticWall is the
-	// oracle tier's share when enabled.
+	// ScreenWall and FullWall are the real time spent in each tier.
 	ScreenWall time.Duration `json:"screen_wall_ns"`
-	StaticWall time.Duration `json:"static_wall_ns,omitempty"`
 	FullWall   time.Duration `json:"full_wall_ns"`
 }
 
@@ -319,23 +294,12 @@ type fullEval struct {
 	Compared  int
 }
 
-// staticEval is one memoized static-tier costing: the oracle's exact
-// counters for a compiled (never simulated) candidate, reduced to a
-// ranking time under the machine's cost parameters.
-type staticEval struct {
-	Seconds float64
-	Flops   float64
-	Msgs    int64
-	Bytes   int64
-	Exact   bool
-}
-
 // Tuner runs tuning requests over shared memo caches: repeated Tune
-// calls (or overlapping specs) reuse full evaluations and serial
-// reference runs keyed by content fingerprints.
+// calls (or overlapping specs) reuse screens, full evaluations and
+// serial reference runs keyed by content fingerprints.
 type Tuner struct {
 	evals   *cache.Cache[fullEval]
-	statics *cache.Cache[staticEval]
+	screens *cache.Cache[float64]
 	serials *cache.Cache[map[string][]float64]
 }
 
@@ -344,7 +308,7 @@ type Tuner struct {
 func New() *Tuner {
 	return &Tuner{
 		evals:   cache.New[fullEval](1 << 16),
-		statics: cache.New[staticEval](1 << 16),
+		screens: cache.New[float64](1 << 16),
 		serials: cache.New[map[string][]float64](128 << 20),
 	}
 }
@@ -379,7 +343,7 @@ func (t *Tuner) Run(ctx context.Context, spec Spec) (*Result, error) {
 		cands = sampled
 	}
 
-	// Tier 1: analytic screen over every candidate.
+	// Tier 1: screen every feasible candidate.
 	screenStart := time.Now()
 	entries := make([]Entry, 0, len(cands))
 	for _, c := range cands {
@@ -394,28 +358,30 @@ func (t *Tuner) Run(ctx context.Context, spec Spec) (*Result, error) {
 			entries = append(entries, e)
 			continue
 		}
-		e.Status = StatusScreened
-		if s.Bench != "" {
-			pred, err := modelPredict(&s, c, s.TargetN, s.TargetSteps)
-			if err != nil {
-				e.Status, e.Note = StatusInfeasible, err.Error()
-				res.Counters.Infeasible++
-				entries = append(entries, e)
-				continue
-			}
-			e.Screen = pred
+		secs, err := t.screen(ctx, &s, c)
+		if ctx.Err() != nil {
+			return res, ctx.Err()
 		}
+		if err != nil {
+			// A deadlock included: the dry run is the run the full tier
+			// would make, so a broken candidate is filed here, with its
+			// cycle, and costs no execution.
+			e.Status, e.Note = StatusError, err.Error()
+			trail("%s %s: %s", e.Status, e.Key(), e.Note)
+			entries = append(entries, e)
+			continue
+		}
+		e.Status, e.Screen = StatusScreened, secs
 		res.Counters.Screened++
 		entries = append(entries, e)
 	}
 	res.Counters.ScreenWall = time.Since(screenStart)
+	size := "source size"
 	if s.Bench != "" {
-		trail("screened %d candidates analytically at target %d³×%d steps in %v (%d infeasible)",
-			res.Counters.Screened, s.TargetN, s.TargetSteps, res.Counters.ScreenWall.Round(time.Microsecond), res.Counters.Infeasible)
-	} else {
-		trail("generic source: no analytic model, full tier ranks %d feasible candidates by simulation (%d infeasible)",
-			res.Counters.Screened, res.Counters.Infeasible)
+		size = fmt.Sprintf("target %d³×%d steps", s.TargetN, s.TargetSteps)
 	}
+	trail("screened %d candidates at %s in %v (%d infeasible)",
+		res.Counters.Screened, size, res.Counters.ScreenWall.Round(time.Microsecond), res.Counters.Infeasible)
 
 	// Select survivors: feasible candidates by (screen score, key).
 	survivors := make([]*Entry, 0, len(entries))
@@ -438,75 +404,7 @@ func (t *Tuner) Run(ctx context.Context, spec Spec) (*Result, error) {
 		for i, e := range survivors {
 			keys[i] = e.Key()
 		}
-		trail("full tier: top %d by predicted cost: %v", len(survivors), keys)
-	}
-
-	// Tier 1.5 (opt-in): the static cost oracle re-ranks the analytic
-	// survivors with zero simulation and forwards only the statically
-	// cheapest block candidates to the full tier.
-	if s.StaticScreen && len(survivors) > 0 {
-		staticStart := time.Now()
-		type ranked struct {
-			e   *Entry
-			sec float64
-		}
-		var blocks []ranked
-		var rest []*Entry
-		for _, e := range survivors {
-			if e.Scheme != SchemeBlock {
-				// The transpose comparison point has no compiled program
-				// for the oracle to walk; it always reaches the full tier.
-				rest = append(rest, e)
-				continue
-			}
-			ev, err := t.evalStatic(ctx, &s, e.Candidate)
-			if err != nil {
-				// A candidate the oracle cannot compile would fail the
-				// full tier's identical compile too; rank it last rather
-				// than spend a simulation discovering that.
-				trail("static screen: %s: %v (ranked last)", e.Key(), err)
-				blocks = append(blocks, ranked{e, math.Inf(1)})
-				continue
-			}
-			e.Static = ev.Seconds
-			res.Counters.StaticEvals++
-			trail("static screen: %s: %.6fs static (%.0f flops, %d msgs, %d bytes, exact=%v)",
-				e.Key(), ev.Seconds, ev.Flops, ev.Msgs, ev.Bytes, ev.Exact)
-			blocks = append(blocks, ranked{e, ev.Seconds})
-		}
-		if ctx.Err() != nil {
-			return res, ctx.Err()
-		}
-		sort.Slice(blocks, func(i, j int) bool {
-			if blocks[i].sec != blocks[j].sec {
-				return blocks[i].sec < blocks[j].sec
-			}
-			return blocks[i].e.Key() < blocks[j].e.Key()
-		})
-		keep := (s.TopK + 1) / 2
-		if keep < 1 {
-			keep = 1
-		}
-		if len(blocks) > keep {
-			for i, r := range blocks[keep:] {
-				r.e.Note = fmt.Sprintf("static screen: ranked %d of %d block survivors, top %d simulated",
-					keep+i+1, len(blocks), keep)
-			}
-			blocks = blocks[:keep]
-		}
-		kept := make([]*Entry, 0, len(blocks)+len(rest))
-		for _, r := range blocks {
-			kept = append(kept, r.e)
-		}
-		kept = append(kept, rest...)
-		survivors = kept
-		res.Counters.StaticWall = time.Since(staticStart)
-		keys := make([]string, len(survivors))
-		for i, e := range survivors {
-			keys[i] = e.Key()
-		}
-		trail("static screen kept %d for full simulation in %v: %v",
-			len(survivors), res.Counters.StaticWall.Round(time.Microsecond), keys)
+		trail("full tier: top %d by screen: %v", len(survivors), keys)
 	}
 
 	// Tier 2: compile + simulate survivors in deterministic waves.
@@ -554,7 +452,7 @@ func (t *Tuner) Run(ctx context.Context, spec Spec) (*Result, error) {
 	}
 	res.Counters.FullWall = time.Since(fullStart)
 
-	// Rank: status class, then predicted target cost, then measured
+	// Rank: status class, then screened target cost, then measured
 	// time, then the canonical key.
 	sort.Slice(entries, func(i, j int) bool {
 		a, b := &entries[i], &entries[j]
@@ -575,7 +473,7 @@ func (t *Tuner) Run(ctx context.Context, spec Spec) (*Result, error) {
 	res.Entries = entries
 	if len(entries) > 0 && entries[0].Status == StatusOK {
 		res.Winner = &res.Entries[0]
-		trail("winner: %s (predicted %.4fs at target, measured %.6fs virtual at source)",
+		trail("winner: %s (screened %.4fs at target, measured %.6fs virtual at source)",
 			res.Winner.Key(), res.Winner.Screen, res.Winner.Sim)
 	} else {
 		trail("no candidate completed evaluation")
@@ -620,11 +518,6 @@ func (t *Tuner) finishEval(ctx context.Context, s *Spec, e *Entry, limit float64
 			return
 		}
 		e.Status = StatusOK
-		if s.Bench != "" {
-			if pred, perr := modelPredict(s, e.Candidate, s.N, s.Steps); perr == nil && pred > 0 {
-				e.ModelRatio = ev.Seconds / pred
-			}
-		}
 	case errors.Is(err, mpsim.ErrAborted) && !errors.Is(err, mpsim.ErrDeadlock):
 		e.Status = StatusPruned
 		e.Note = fmt.Sprintf("abandoned at virtual limit %.6fs (incumbent × %.3g): %v", limit, s.PruneFactor, err)
@@ -768,85 +661,38 @@ func (t *Tuner) evalOnce(ctx context.Context, s *Spec, c Candidate, limit float6
 	return ev, nil
 }
 
-// staticParams binds the candidate's parameters at the static tier's
-// costing size.  Bench-mode sources expose their problem size as the
-// N/STEPS parameters, so the oracle costs the candidate at the
-// *target* size — the size the analytic screen ranks for and the
-// simulator cannot reach; the tiers then agree on what "cheapest"
-// means.  Generic sources are costed at the source size.
-func staticParams(s *Spec, c Candidate) map[string]int {
-	p := c.params(s)
+// screen scores one feasible candidate at the target size.  The
+// transpose point is the hand-written PGI-style code, not compiled, and
+// keeps perfmodel's analytic model.  A block candidate's score is the
+// virtual time of its dry run (spmd.Program.DryRun), memoized by compile
+// fingerprint and machine: the clock Execute would report, with no
+// array touched.  Bench sources expose their problem size as the N and
+// STEPS parameters and are dry-run at the target size; generic sources
+// at their source size.
+func (t *Tuner) screen(ctx context.Context, s *Spec, c Candidate) (float64, error) {
+	if c.Scheme == SchemeTranspose {
+		return perfmodel.PredictTranspose(perfmodel.Input{
+			Bench: s.Bench, N: s.TargetN, Steps: s.TargetSteps, Procs: s.Procs, Cfg: s.Machine})
+	}
+	params := c.params(s)
 	if s.Bench != "" {
-		p["N"], p["STEPS"] = s.TargetN, s.TargetSteps
+		params["N"], params["STEPS"] = s.TargetN, s.TargetSteps
 	}
-	return p
-}
-
-// evalStatic memoizes the zero-simulation costing of one block
-// candidate: compile it at the static costing size, run the static
-// cost oracle over the compiled program, and reduce the exact per-rank
-// counters to a ranking time.  The memo key is the candidate's compile
-// fingerprint plus the machine's cost parameters — the same identity
-// the full tier uses, minus the verify configuration (the oracle never
-// touches numerics).
-func (t *Tuner) evalStatic(ctx context.Context, s *Spec, c Candidate) (staticEval, error) {
-	key := cache.Key("static",
-		passes.FingerprintKey(s.Source, staticParams(s, c), c.options()),
-		machineKey(s.Machine, s.Procs))
-	ev, _, err := t.statics.GetOrCompute(ctx, key, func(ctx context.Context) (staticEval, int64, error) {
-		var ev staticEval
-		prog, err := spmd.CompileSourceCtx(ctx, s.Source, staticParams(s, c), c.options())
+	key := cache.Key("screen", passes.FingerprintKey(s.Source, params, c.options()), machineKey(s.Machine, s.Procs))
+	secs, _, err := t.screens.GetOrCompute(ctx, key, func(ctx context.Context) (float64, int64, error) {
+		prog, err := spmd.CompileSourceCtx(ctx, s.Source, params, c.options())
 		if err != nil {
-			return ev, 0, fmt.Errorf("compile: %w", err)
+			return 0, 0, fmt.Errorf("compile: %w", err)
 		}
-		cost, err := prog.PredictCost()
+		cfg := s.Machine
+		cfg.Procs, cfg.TimeLimit = prog.Grid.Size(), 0
+		_, run, err := prog.DryRun(cfg)
 		if err != nil {
-			return ev, 0, fmt.Errorf("predict: %w", err)
+			return 0, 0, err
 		}
-		ev.Seconds = staticSeconds(cost, s.Machine)
-		ev.Flops = cost.TotalFlops()
-		ev.Msgs = cost.TotalMessages()
-		ev.Bytes = cost.TotalBytes()
-		ev.Exact = cost.Exact
-		return ev, 1, nil
+		return run.Time, 1, nil
 	})
-	return ev, err
-}
-
-// staticSeconds converts the oracle's per-rank counters into a ranking
-// time under the machine's cost parameters: the aggregate work — every
-// rank's flops, send and receive overheads, wire latency, per-byte gap,
-// and shared-memory pulls — divided by the machine width.  Under the
-// coarse-grain pipelined schedule the machine runs throughput-bound,
-// so the steady-state volume bound is the stable discriminator between
-// grid shapes (a squarer grid moves less halo surface); wavefront fill
-// and load imbalance are second-order there.  This is a ranking
-// heuristic, not the simulator — which is exactly why the survivors it
-// forwards are still measured by the full tier.
-func staticSeconds(cost *analysis.Cost, cfg mpsim.Config) float64 {
-	var total float64
-	for _, f := range cost.Flops {
-		total += f * cfg.FlopTime
-	}
-	for _, m := range cost.SentMsgs {
-		total += float64(m) * (cfg.SendOverhead + cfg.Latency)
-	}
-	for _, b := range cost.SentBytes {
-		total += float64(b) * cfg.GapPerByte
-	}
-	for _, m := range cost.RecvMsgs {
-		total += float64(m) * cfg.RecvOverhead
-	}
-	for _, p := range cost.Pulls {
-		total += float64(p) * cfg.Latency
-	}
-	for _, b := range cost.PulledBytes {
-		total += float64(b) * cfg.GapPerByte
-	}
-	if cost.Ranks > 0 {
-		total /= float64(cost.Ranks)
-	}
-	return total
+	return secs, err
 }
 
 func sortedArrayKeys(m map[string][]float64) []string {

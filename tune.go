@@ -19,9 +19,9 @@ func NewTuner() *Tuner { return &Tuner{inner: tune.New()} }
 
 // Tune searches the configuration space of source — processor-grid
 // shapes, distribution schemes, pipeline granularities, pass ablations,
-// swept parameters — for the lowest-predicted-cost configuration, using
-// the two-tier protocol of internal/tune: an analytic screen over every
-// candidate at the target problem size, then compile + simulate + verify
+// swept parameters — for the lowest-cost configuration, using the
+// two-tier protocol of internal/tune: a dry-run screen over every
+// candidate at the target problem size, then compile + execute + verify
 // for the top-K survivors with deterministic early pruning.  The result
 // is the ranked leaderboard with the search trail; the winner's Params
 // and Options replay directly through Compile.
@@ -51,7 +51,6 @@ func (t *Tuner) Tune(ctx context.Context, source string, opt TuneOptions) (*Tune
 		Seed:         opt.Seed,
 		Workers:      opt.Workers,
 		PruneFactor:  opt.PruneFactor,
-		StaticScreen: opt.StaticScreen,
 		SkipVerify:   opt.SkipVerify,
 		VerifyArrays: opt.VerifyArrays,
 	})
@@ -80,9 +79,7 @@ func convertTuneResult(res *tune.Result) *TuneResult {
 			Pruned:       res.Counters.Pruned,
 			MemoHits:     res.Counters.MemoHits,
 			MemoMisses:   res.Counters.MemoMisses,
-			StaticEvals:  res.Counters.StaticEvals,
 			ScreenWallNS: res.Counters.ScreenWall.Nanoseconds(),
-			StaticWallNS: res.Counters.StaticWall.Nanoseconds(),
 			FullWallNS:   res.Counters.FullWall.Nanoseconds(),
 		},
 		Trail: res.Trail,
@@ -109,11 +106,9 @@ func convertTuneEntry(e *tune.Entry) TuneEntry {
 		Rank:           e.Rank,
 		Status:         e.Status,
 		ScreenSeconds:  e.Screen,
-		StaticSeconds:  e.Static,
 		SimSeconds:     e.Sim,
 		SimMessages:    e.Msgs,
 		SimBytes:       e.Bytes,
-		ModelRatio:     e.ModelRatio,
 		MaxRelErr:      e.MaxRelErr,
 		Verified:       e.Verified,
 		ComparedArrays: e.ComparedArrays,
