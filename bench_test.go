@@ -17,14 +17,9 @@ package dhpf
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"testing"
-	"time"
 
-	// The checked-in kernel corpus: BenchmarkExecuteSPStepCodegen uses
-	// the pre-generated SP kernels, no plugin build involved.
-	_ "dhpf/internal/codegen/gen"
 	"dhpf/internal/cp"
 	"dhpf/internal/iset"
 	"dhpf/internal/mpsim"
@@ -370,58 +365,29 @@ func BenchmarkCompileBT(b *testing.B) {
 }
 
 // BenchmarkExecuteSPStep measures the simulated execution of one SP step
-// on 4 ranks under the default compiled engine; BenchmarkExecuteSPStepInterp
-// is the tree-walking reference baseline the speedup is quoted against.
-func BenchmarkExecuteSPStep(b *testing.B)       { benchExecuteSPStep(b, spmd.EngineCompiled) }
-func BenchmarkExecuteSPStepInterp(b *testing.B) { benchExecuteSPStep(b, spmd.EngineInterp) }
-
-// BenchmarkExecuteSPStepShm is the same step on the shared-memory
-// backend: one 4-thread team, barrier phases in place of messages.
-// tools/benchjson pairs it with BenchmarkExecuteSPStep to quote the
-// shm-vs-mp host-time ratio.
-func BenchmarkExecuteSPStepShm(b *testing.B) {
-	opt := spmd.DefaultOptions()
-	opt.Backend = BackendShm
-	benchExecuteSPStepOpt(b, spmd.EngineCompiled, opt)
+// at the corpus shape (16³ on 2×2) under the default engine.  It and the
+// LU and recompile benchmarks below are profiling handles (go test
+// -bench … -cpuprofile); the pinned benchmark in benchmark/ measures
+// their speed from one change to the next.
+func BenchmarkExecuteSPStep(b *testing.B) {
+	benchExecuteStep(b, nas.SPSource(16, 1, 2, 2))
 }
 
-// BenchmarkExecuteSPStepCodegen is the same step under the native
-// codegen tier: the checked-in gen corpus pre-registers SP's kernels
-// (no plugin build in the loop), and results stay Float64bits-identical
-// to both other engines.  Both run the same kernel units behind the same
-// precheck; tools/benchjson -check requires the emitted code to stay
-// ≥1.5× ahead of BenchmarkExecuteSPStep's evaluator, and that one ≥5×
-// ahead of the interpreter.
-func BenchmarkExecuteSPStepCodegen(b *testing.B) { benchExecuteSPStep(b, spmd.EngineCodegen) }
-
-// BenchmarkExecuteBTStep and its Codegen twin are the same pair on one
-// BT step at the corpus shape (12³ on 2×2).  BT spends most of its
-// flops inside the LOCALIZE wrapper, whose guards are unions of boxes,
-// so this pair — not SP's — is the one that shows whether those nests
-// run natively; tools/benchjson -check gates it at ≥1.5× like SP's.
+// BenchmarkExecuteBTStep is one BT step at the corpus shape (12³ on
+// 2×2).  BT spends most of its flops inside the LOCALIZE wrapper, whose
+// guards are unions of boxes — nests SP barely has.
 func BenchmarkExecuteBTStep(b *testing.B) {
-	benchExecuteStep(b, nas.BTSource(12, 1, 2, 2), spmd.EngineCompiled, spmd.DefaultOptions())
-}
-func BenchmarkExecuteBTStepCodegen(b *testing.B) {
-	benchExecuteStep(b, nas.BTSource(12, 1, 2, 2), spmd.EngineCodegen, spmd.DefaultOptions())
+	benchExecuteStep(b, nas.BTSource(12, 1, 2, 2))
 }
 
-func benchExecuteSPStep(b *testing.B, engine spmd.Engine) {
-	benchExecuteSPStepOpt(b, engine, spmd.DefaultOptions())
-}
-
-func benchExecuteSPStepOpt(b *testing.B, engine spmd.Engine, opt spmd.Options) {
-	benchExecuteStep(b, nas.SPSource(16, 1, 2, 2), engine, opt)
-}
-
-func benchExecuteStep(b *testing.B, src string, engine spmd.Engine, opt spmd.Options) {
-	prog, err := spmd.CompileSource(src, nil, opt)
+func benchExecuteStep(b *testing.B, src string) {
+	prog, err := spmd.CompileSource(src, nil, spmd.DefaultOptions())
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := prog.ExecuteEngine(mpsim.SP2Config(4), engine); err != nil {
+		if _, err := prog.Execute(mpsim.SP2Config(4)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -458,24 +424,9 @@ func BenchmarkMPSimPingPong(b *testing.B) {
 // BenchmarkLUWavefront runs the LU-extension's 2-D diagonal wavefront
 // (the "line-sweeps in multiple physical dimensions" code class the
 // paper's conclusion raises) on 4 simulated ranks under the compiled
-// engine; BenchmarkLUWavefrontInterp is the interpreter baseline.
-func BenchmarkLUWavefront(b *testing.B)       { benchLUWavefront(b, spmd.EngineCompiled) }
-func BenchmarkLUWavefrontInterp(b *testing.B) { benchLUWavefront(b, spmd.EngineInterp) }
-
-func benchLUWavefront(b *testing.B, engine spmd.Engine) {
-	prog, err := spmd.CompileSource(nas.LUSource(16, 1, 2, 2), nil, spmd.DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	var vt float64
-	for i := 0; i < b.N; i++ {
-		res, err := prog.ExecuteEngine(mpsim.SP2Config(4), engine)
-		if err != nil {
-			b.Fatal(err)
-		}
-		vt = res.Machine.Time
-	}
-	b.ReportMetric(vt*1e3, "virtual_ms")
+// engine.
+func BenchmarkLUWavefront(b *testing.B) {
+	benchExecuteStep(b, nas.LUSource(16, 1, 2, 2))
 }
 
 // --- Incremental compilation -------------------------------------------------
@@ -493,31 +444,21 @@ func warmEdit(b *testing.B, base string, i int) string {
 	return edited
 }
 
-func p50ns(durs []time.Duration) float64 {
-	sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
-	return float64(durs[len(durs)/2].Nanoseconds())
-}
-
 // BenchmarkWarmEditRecompile measures the warm-edit recompile latency of
 // the modular SP program: one procedure (add) is edited each iteration
 // and recompiled through the per-procedure artifact store, thawing every
 // unchanged procedure's dependence graph, communication plan and
-// verification fragment.  The p50_ns metric is gated against
-// BenchmarkWarmEditRecompileCold by tools/benchjson -check (warm must be
-// ≥10× faster at p50).
+// verification fragment.  That a clean procedure does no pass work is
+// the tier-1 TestIncrementalEditDoesNoCleanPassWork.
 func BenchmarkWarmEditRecompile(b *testing.B) {
 	base := nas.SPModSource(32, 2, 2, 2)
 	inc := NewIncremental(0)
 	if _, _, err := inc.Compile(base, nil, DefaultOptions()); err != nil {
 		b.Fatal(err)
 	}
-	durs := make([]time.Duration, 0, b.N)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		src := warmEdit(b, base, i)
-		t0 := time.Now()
-		_, delta, err := inc.Compile(src, nil, DefaultOptions())
-		durs = append(durs, time.Since(t0))
+		_, delta, err := inc.Compile(warmEdit(b, base, i), nil, DefaultOptions())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -525,23 +466,4 @@ func BenchmarkWarmEditRecompile(b *testing.B) {
 			b.Fatalf("warm edit dirtied every procedure: %v", delta)
 		}
 	}
-	b.ReportMetric(p50ns(durs), "p50_ns")
-}
-
-// BenchmarkWarmEditRecompileCold is the baseline: the same per-iteration
-// edits compiled cold through the full pipeline.
-func BenchmarkWarmEditRecompileCold(b *testing.B) {
-	base := nas.SPModSource(32, 2, 2, 2)
-	durs := make([]time.Duration, 0, b.N)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		src := warmEdit(b, base, i)
-		t0 := time.Now()
-		_, err := Compile(src, nil, DefaultOptions())
-		durs = append(durs, time.Since(t0))
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(p50ns(durs), "p50_ns")
 }

@@ -12,10 +12,16 @@ package cache
 import (
 	"container/list"
 	"context"
+	"errors"
+	"fmt"
 	"strconv"
 	"strings"
 	"sync"
 )
+
+// ErrPanic is wrapped by the error GetOrCompute returns when compute
+// (or the backing tier) panicked.
+var ErrPanic = errors.New("cache: computation panicked")
 
 // Key builds a composite cache key from parts.  Each part is
 // length-prefixed so distinct part lists can never collide by
@@ -146,7 +152,9 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 // — if ctx is cancelled, this caller unblocks with ctx.Err(), and only
 // when the last waiter leaves is the computation itself cancelled.
 // compute returns the value and the size to charge against the cache
-// budget; errors are returned to every waiter and never cached.
+// budget; errors are returned to every waiter and never cached.  A
+// compute that panics fails the same way, with an error wrapping
+// ErrPanic.
 //
 // The second result reports whether the value came from the cache (a
 // stored entry, a coalesced flight, or the durable backing tier) rather
@@ -182,6 +190,26 @@ func (c *Cache[V]) GetOrCompute(ctx context.Context, key string,
 			err  error
 		)
 		fromBacking := false
+		defer func() {
+			// The flight has no caller to unwind into: a panic here would
+			// kill the process, so it fails this key's waiters instead.
+			if p := recover(); p != nil {
+				var zero V
+				val, err, fromBacking = zero, fmt.Errorf("%w: %v", ErrPanic, p), false
+			}
+			c.mu.Lock()
+			f.val, f.err, f.cached = val, err, fromBacking
+			if fromBacking {
+				c.stats.BackingHits++
+			}
+			delete(c.inflight, key)
+			if err == nil {
+				c.insertLocked(key, val, size)
+			}
+			c.mu.Unlock()
+			cancel()
+			close(f.done)
+		}()
 		if backing != nil {
 			val, size, fromBacking = backing.Load(key)
 		}
@@ -193,18 +221,6 @@ func (c *Cache[V]) GetOrCompute(ctx context.Context, key string,
 				backing.Store(key, val, size)
 			}
 		}
-		c.mu.Lock()
-		f.val, f.err, f.cached = val, err, fromBacking
-		if fromBacking {
-			c.stats.BackingHits++
-		}
-		delete(c.inflight, key)
-		if err == nil {
-			c.insertLocked(key, val, size)
-		}
-		c.mu.Unlock()
-		cancel()
-		close(f.done)
 	}()
 	return c.wait(ctx, key, f, false)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -92,6 +93,48 @@ func TestErrorNotCached(t *testing.T) {
 	}
 	if calls != 2 {
 		t.Errorf("compute ran %d times", calls)
+	}
+}
+
+// TestPanicFailsEveryWaiter: a computation that panics fails every
+// coalesced waiter with ErrPanic instead of killing the process, caches
+// nothing, and the next lookup of the key computes afresh.
+func TestPanicFailsEveryWaiter(t *testing.T) {
+	c := New[string](1 << 20)
+	release := make(chan struct{})
+	f := func(context.Context) (string, int64, error) {
+		<-release
+		panic("boom in the compiler")
+	}
+	const waiters = 8
+	var wg sync.WaitGroup
+	errs := make([]error, waiters)
+	for i := 0; i < waiters; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, _, errs[i] = c.GetOrCompute(context.Background(), "k", f)
+		}(i)
+	}
+	for s := c.Stats(); s.Misses+s.InflightCoalesced < waiters; s = c.Stats() {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	wg.Wait()
+	for i, err := range errs {
+		if !errors.Is(err, ErrPanic) || !strings.Contains(err.Error(), "boom in the compiler") {
+			t.Errorf("waiter %d: want ErrPanic carrying the panic value, got %v", i, err)
+		}
+	}
+	if c.Len() != 0 {
+		t.Errorf("a panicked computation left %d entries", c.Len())
+	}
+	v, fromCache, err := c.GetOrCompute(context.Background(), "k", compute("ok", 1))
+	if err != nil || v != "ok" || fromCache {
+		t.Fatalf("lookup after the panic: v=%q fromCache=%v err=%v", v, fromCache, err)
+	}
+	if s := c.Stats(); s.Misses != 2 || s.InflightCoalesced != waiters-1 {
+		t.Errorf("stats = %+v, want 2 misses and %d coalesced", s, waiters-1)
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 	_ "dhpf/internal/codegen/gen"
 	"dhpf/internal/ir"
 	"dhpf/internal/mpsim"
+	"dhpf/internal/passes"
 	"dhpf/internal/sched"
 	"dhpf/internal/spmd"
 )
@@ -118,7 +119,9 @@ func isNAS(name string) bool {
 // the NAS codes at least 95 % of the flops ran inside native kernels,
 // so the tier cannot quietly fall back to the evaluator's speed.  On the
 // NAS codes neither compiled engine may leave a statement instance to the
-// interpreter (Nests.Walked): that is the slow path.
+// interpreter (Nests.Walked): that is the slow path.  On sp16, bt12 and
+// lu16 both compiled engines must do the same kernel work on the shm
+// and hybrid backends as on mp.
 func TestCodegenParityCorpus(t *testing.T) {
 	for _, e := range Corpus() {
 		e := e
@@ -166,7 +169,38 @@ func TestCodegenParityCorpus(t *testing.T) {
 			}
 			requireIdentical(t, prog, "codegen", "compiled", rc, re)
 			requireIdentical(t, prog, "codegen", "interp", rc, ri)
+			if e.Name == "sp16" || e.Name == "bt12" || e.Name == "lu16" {
+				requireSameUnitsOnEveryBackend(t, e, rc, re)
+			}
 		})
+	}
+}
+
+// requireSameUnitsOnEveryBackend compiles e for the shm and hybrid
+// backends and requires each compiled engine to run there exactly the
+// kernel units, calls, bails and interpreted instances it ran on mp (rc
+// under codegen, re under the default engine): the backends may differ
+// only in how data moves, which is what makes their host times
+// comparable.
+func requireSameUnitsOnEveryBackend(t *testing.T, e CorpusEntry, rc, re *spmd.ExecResult) {
+	t.Helper()
+	for _, backend := range []string{passes.BackendShm, passes.BackendHybrid} {
+		opt := e.Opt
+		opt.Backend = backend
+		prog, err := spmd.CompileSource(e.Source, e.Params, opt)
+		if err != nil {
+			t.Fatalf("compile %s: %v", backend, err)
+		}
+		for _, want := range []struct {
+			engine spmd.Engine
+			onMP   *spmd.ExecResult
+		}{{spmd.EngineCodegen, rc}, {spmd.EngineCompiled, re}} {
+			got := runEngine(t, prog, e.Procs, want.engine)
+			if got.Kernels != want.onMP.Kernels || got.Nests != want.onMP.Nests {
+				t.Fatalf("%s, %v engine: %s; %s\nmp: %s; %s",
+					backend, want.engine, got.Kernels, got.Nests, want.onMP.Kernels, want.onMP.Nests)
+			}
+		}
 	}
 }
 

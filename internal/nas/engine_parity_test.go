@@ -82,7 +82,7 @@ func TestEnginesByteIdenticalNAS(t *testing.T) {
 // per-instance Assign, no precheck bails and no compute nest is left
 // without a unit.  A schedule change that pushes a hot loop out of a nest
 // fails here before it shows as a slowdown.  The modular SP is checked on its schedule only: it
-// does not run to completion yet (ROADMAP item 1).
+// does not run to completion yet (ROADMAP item 1b-i).
 func TestNestCoverageNAS(t *testing.T) {
 	cases := []struct {
 		name  string

@@ -4,7 +4,6 @@ import (
 	"context"
 	"net/http/httptest"
 	"path/filepath"
-	"sort"
 	"testing"
 	"time"
 
@@ -62,19 +61,12 @@ func BenchmarkServiceWarmVsCold(b *testing.B) {
 	b.ReportMetric(float64(coldNS)/float64(warmNS), "cold_vs_warm_x")
 }
 
-func p50ns(durs []time.Duration) float64 {
-	sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
-	return float64(durs[len(durs)/2].Nanoseconds())
-}
-
 // BenchmarkRestartWarmCompile measures the restart-warm path: a server
 // whose program store was populated by a previous process serves its
 // first request for a known fingerprint from disk.  Each iteration
 // builds a fresh Server (empty in-memory tiers — the restart) over the
 // same open store and times one compileOne call, which must be a
-// cached, zero-pass-work hit.  Compare the p50_ns against
-// BenchmarkRestartWarmCompileCold's: the ≥10× gap is the durable
-// store's payoff, gated in CI by tools/benchjson -check.
+// cached, zero-pass-work hit.
 func BenchmarkRestartWarmCompile(b *testing.B) {
 	st, err := store.Open(filepath.Join(b.TempDir(), "dhpfd.store"), store.Options{})
 	if err != nil {
@@ -88,15 +80,12 @@ func BenchmarkRestartWarmCompile(b *testing.B) {
 		b.Fatal(err)
 	}
 
-	durs := make([]time.Duration, 0, b.N)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		srv := New(Config{Store: st}) // the "restarted" process
 		b.StartTimer()
-		t0 := time.Now()
 		resp, err := srv.compileOne(ctx, req)
-		durs = append(durs, time.Since(t0))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -104,33 +93,4 @@ func BenchmarkRestartWarmCompile(b *testing.B) {
 			b.Fatal("restart-warm request missed the store")
 		}
 	}
-	b.StopTimer()
-	b.ReportMetric(p50ns(durs), "p50_ns")
-}
-
-// BenchmarkRestartWarmCompileCold is the control: the same restarted
-// server shape with no store, so every iteration compiles cold.
-func BenchmarkRestartWarmCompileCold(b *testing.B) {
-	src := nas.SPSource(12, 1, 2, 2)
-	req := dhpf.CompileRequest{Source: src, Ranks: []int{0}}
-	ctx := context.Background()
-
-	durs := make([]time.Duration, 0, b.N)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		srv := New(Config{})
-		b.StartTimer()
-		t0 := time.Now()
-		resp, err := srv.compileOne(ctx, req)
-		durs = append(durs, time.Since(t0))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if resp.Cached {
-			b.Fatal("cold request unexpectedly cached")
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(p50ns(durs), "p50_ns")
 }

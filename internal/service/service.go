@@ -881,9 +881,12 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, into any) bool {
 }
 
 // failCompile maps a compile-path error to its status: queue pressure,
-// deadline, client cancellation, or a compile diagnostic.
+// deadline, client cancellation, a compiler panic, or a compile
+// diagnostic.
 func (s *Server) failCompile(w http.ResponseWriter, err error) {
 	switch {
+	case errors.Is(err, cache.ErrPanic):
+		s.fail(w, http.StatusInternalServerError, err)
 	case errors.Is(err, ErrBusy):
 		s.rejected.Add(1)
 		s.fail(w, http.StatusTooManyRequests, err)

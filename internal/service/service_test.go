@@ -11,6 +11,7 @@ import (
 	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -264,6 +265,38 @@ func TestCancelAbortsWithoutCorruption(t *testing.T) {
 	}
 	if got := srv.cache.Stats().Entries; got != 1 {
 		t.Errorf("cache entries = %d, want 1", got)
+	}
+}
+
+// TestCompilePanicIs500: a compile that panics fails its request with
+// 500 instead of taking the daemon down; it caches nothing and releases
+// its worker, so the next identical request compiles and answers 200.
+func TestCompilePanicIs500(t *testing.T) {
+	var panicked atomic.Bool
+	testPreCompile = func(context.Context) {
+		if panicked.CompareAndSwap(false, true) {
+			panic("boom in the compiler")
+		}
+	}
+	defer func() { testPreCompile = nil }()
+
+	srv, client := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
+	req := dhpf.CompileRequest{Source: tinySrc, Ranks: []int{0}}
+	_, err := client.Compile(context.Background(), req)
+	var apiErr *dhpf.APIError
+	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusInternalServerError ||
+		!strings.Contains(apiErr.Message, "boom in the compiler") {
+		t.Fatalf("panicking compile: want 500 carrying the panic, got %v", err)
+	}
+	resp, err := client.Compile(context.Background(), req)
+	if err != nil {
+		t.Fatalf("compile after the panic: %v", err)
+	}
+	if resp.Cached {
+		t.Error("the panicked compile left a cache entry")
+	}
+	if got := srv.pending.Load(); got != 0 {
+		t.Errorf("pending = %d after both requests, want 0", got)
 	}
 }
 

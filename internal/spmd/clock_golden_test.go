@@ -138,7 +138,7 @@ func TestClockGolden(t *testing.T) {
 					// the plain run: below grain 5 BT's wavefronts are
 					// strip-mined over m, a strip republishes rows the next
 					// strip overwrites, and the producer drains only after
-					// the last strip (ROADMAP, "BT below grain 5").  Clocks
+					// the last strip (ROADMAP item 2c).  Clocks
 					// do not depend on the values, so the golden still pins
 					// these rows, and the dry run, which touches no array,
 					// still produces them; only Execute cannot run them.

@@ -52,7 +52,7 @@ func threeWaysAgree(t *testing.T, src, backend string, grain int, values bool, b
 }
 
 // racyValues: BT below grain 5 on a shared-memory backend races on r
-// (ROADMAP, "BT below grain 5"), so its values differ run to run on every
+// (ROADMAP item 2c), so its values differ run to run on every
 // engine; clocks, flops and traffic do not depend on them.
 func racyValues(name, backend string, grain int) bool {
 	return name == "bt12" && grain < 5 && backend != "mp"
