@@ -1,11 +1,14 @@
 package dhpf
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
 	"dhpf/internal/nas"
+	"dhpf/internal/parser"
 )
 
 const quickSrc = `
@@ -133,16 +136,17 @@ end
 // TestColdCompileAllocBudget: what a library caller pays in allocations
 // for one cold SP compile with its report and every node program.  The
 // count is deterministic to a few objects; the budget is the measured
-// 18 766 (28 693 before one dependence graph per body and one iteration /
-// non-local set per (statement, rank) served every pass, 52 937 before the
-// node program was printed from one derivation per rank, 154 565 before
-// the set layer stopped copying boxes) plus 1.2 %, so an allocation
-// regression fails here and not first in the benchmark.
+// 18 279 (18 766 before the parser stopped making garbage, 28 693 before
+// one dependence graph per body and one iteration / non-local set per
+// (statement, rank) served every pass, 52 937 before the node program was
+// printed from one derivation per rank, 154 565 before the set layer
+// stopped copying boxes) plus 1.2 %, so an allocation regression fails
+// here and not first in the benchmark.
 func TestColdCompileAllocBudget(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector allocates on its own account")
 	}
-	const budget = 19_000
+	const budget = 18_500
 	src := nas.SPSource(12, 1, 2, 2)
 	got := testing.AllocsPerRun(3, func() {
 		prog, err := Compile(src, nil, DefaultOptions())
@@ -160,4 +164,76 @@ func TestColdCompileAllocBudget(t *testing.T) {
 	if got > budget {
 		t.Errorf("cold compile of SP(12,1,2,2): %.0f allocations, budget %d", got, budget)
 	}
+}
+
+// TestParseAllocBudget: one parse of the modular SP program at 32³ — the
+// program serve-session edits — at the measured 1 278 objects / 94 KB
+// plus a margin.  A lexer that materialized its token slice (it regrew
+// past len(src)/3) and affine terms summed through a map per term made
+// 2 166 objects / 585 KB here.
+func TestParseAllocBudget(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector allocates on its own account")
+	}
+	const objBudget, kbBudget = 1_300, 120
+	src := nas.SPModSource(32, 2, 2, 2)
+	objs, bytes := allocsPerRun(5, func() {
+		if _, err := parser.Parse(src); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if objs > objBudget || bytes > kbBudget<<10 {
+		t.Errorf("parse of SPMod(32,2,2,2): %.0f objects, %.1f KB; budget %d objects, %d KB", objs, bytes/1024, objBudget, kbBudget)
+	}
+}
+
+// TestWarmEditAllocBudget: one warm edit through the public incremental
+// API — the add procedure of SPMod(12,1,2,2) changed, so add and its
+// caller main are dirty and every other procedure thaws — at the measured
+// 5 283 objects plus 1.2 %.  It parses the whole program as a cold
+// compile does; the per-procedure AST, raw-text and call-list caches it
+// replaced made 5 409 here.
+func TestWarmEditAllocBudget(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector allocates on its own account")
+	}
+	const budget, runs = 5_346, 5
+	base := nas.SPModSource(12, 1, 2, 2)
+	inc := NewIncremental(0)
+	if _, _, err := inc.Compile(base, nil, DefaultOptions()); err != nil {
+		t.Fatal(err)
+	}
+	// Every run edits afresh: a source compiled before would be all hits.
+	edits := make([]string, runs+1)
+	for i := range edits {
+		edits[i] = strings.Replace(base, " + 0.1*(rhs(1", fmt.Sprintf(" + 0.1%04d*(rhs(1", i+1), 1)
+	}
+	next := 0
+	got := testing.AllocsPerRun(runs, func() {
+		_, delta, err := inc.Compile(edits[next], nil, DefaultOptions())
+		next++
+		if err != nil {
+			t.Fatal(err)
+		}
+		if delta.Dirty != 2 {
+			t.Fatalf("edit dirtied %v, want add and main", delta.DirtyProcs)
+		}
+	})
+	if got > budget {
+		t.Errorf("warm edit of SPMod(12,1,2,2): %.0f allocations, budget %d", got, budget)
+	}
+}
+
+// allocsPerRun is testing.AllocsPerRun that also reports the bytes one
+// run allocates.
+func allocsPerRun(runs int, f func()) (objs, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs), float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }

@@ -1,150 +1,174 @@
 package ir
 
 import (
-	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 )
 
 // Print renders the program in mini-HPF surface syntax.  The output is
 // re-parseable by internal/parser, which the round-trip tests exercise.
 func Print(p *Program) string {
-	var sb strings.Builder
-	printHeader(&sb, p)
+	b := AppendHeader(nil, p)
 	for _, pr := range p.Procs {
-		sb.WriteByte('\n')
-		printProc(&sb, pr)
+		b = AppendProc(append(b, '\n'), pr)
 	}
-	return sb.String()
+	return string(b)
 }
 
-func printHeader(sb *strings.Builder, p *Program) {
-	fmt.Fprintf(sb, "program %s\n", p.Name)
+// AppendHeader appends the program-level context every procedure
+// compiles under: program name, parameter defaults, and the directive set
+// (processors, templates, aligns, distributes).  It is Print minus the
+// procedure bodies, and forms the shared half of per-unit fingerprints —
+// a directive or parameter edit must dirty every unit.
+func AppendHeader(b []byte, p *Program) []byte {
+	b = append(append(append(b, "program "...), p.Name...), '\n')
 	names := make([]string, 0, len(p.Params))
 	for n := range p.Params {
 		names = append(names, n)
 	}
 	sort.Strings(names)
 	for _, n := range names {
-		fmt.Fprintf(sb, "param %s = %d\n", n, p.Params[n])
+		b = append(append(append(b, "param "...), n...), " = "...)
+		b = append(strconv.AppendInt(b, int64(p.Params[n]), 10), '\n')
 	}
 	for _, d := range p.Processors {
-		fmt.Fprintf(sb, "!hpf$ processors %s(%s)\n", d.Name, affList(d.Extents))
+		b = appendExtents(append(b, "!hpf$ processors "...), d.Name, d.Extents)
 	}
 	for _, d := range p.Templates {
-		fmt.Fprintf(sb, "!hpf$ template %s(%s)\n", d.Name, affList(d.Extents))
+		b = appendExtents(append(b, "!hpf$ template "...), d.Name, d.Extents)
 	}
 	for _, d := range p.Aligns {
-		dims := make([]string, len(d.Dims))
+		b = append(append(append(b, "!hpf$ align "...), d.Array...), " with "...)
+		b = append(append(b, d.Template...), '(')
 		for i, ad := range d.Dims {
+			if i > 0 {
+				b = append(b, ',')
+			}
 			if ad.TDim < 0 {
-				dims[i] = "*"
-			} else if c, ok := ad.Off.IsConst(); ok && c == 0 {
-				dims[i] = fmt.Sprintf("d%d", ad.TDim)
-			} else {
-				dims[i] = fmt.Sprintf("d%d+%s", ad.TDim, ad.Off)
+				b = append(b, '*')
+				continue
+			}
+			b = strconv.AppendInt(append(b, 'd'), int64(ad.TDim), 10)
+			if c, ok := ad.Off.IsConst(); !ok || c != 0 {
+				b = ad.Off.AppendText(append(b, '+'))
 			}
 		}
-		fmt.Fprintf(sb, "!hpf$ align %s with %s(%s)\n", d.Array, d.Template, strings.Join(dims, ","))
+		b = append(b, ")\n"...)
 	}
 	for _, d := range p.Distributes {
-		specs := make([]string, len(d.Specs))
+		b = append(append(append(b, "!hpf$ distribute "...), d.Target...), '(')
 		for i, s := range d.Specs {
-			specs[i] = s.Kind.String()
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, s.Kind.String()...)
 			if s.Kind == DistBlock && s.Has {
-				specs[i] += "(" + s.Size.String() + ")"
+				b = append(s.Size.AppendText(append(b, '(')), ')')
 			}
 		}
-		fmt.Fprintf(sb, "!hpf$ distribute %s(%s) onto %s\n", d.Target, strings.Join(specs, ","), d.Onto)
+		b = append(append(append(b, ") onto "...), d.Onto...), '\n')
 	}
+	return b
 }
 
-// ProcText renders one procedure in the same canonical surface syntax
+// appendExtents appends "name(e1, e2, …)" and ends the line.
+func appendExtents(b []byte, name string, extents []AffExpr) []byte {
+	b = append(append(b, name...), '(')
+	for i, x := range extents {
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = x.AppendText(b)
+	}
+	return append(b, ")\n"...)
+}
+
+// AppendProc appends one procedure in the same canonical surface syntax
 // Print uses.  Because the parser already normalized whitespace and
 // stripped comments, two procedure bodies that differ only in layout or
 // commentary render identically — which makes this the per-unit content
 // hash input of incremental compilation: a procedure's fingerprint
 // changes exactly when its parsed form does.
-func ProcText(pr *Procedure) string {
-	var sb strings.Builder
-	printProc(&sb, pr)
-	return sb.String()
-}
-
-// HeaderText renders the program-level context every procedure compiles
-// under: program name, parameter defaults, and the directive set
-// (processors, templates, aligns, distributes).  It is Print minus the
-// procedure bodies, and forms the shared half of per-unit fingerprints —
-// a directive or parameter edit must dirty every unit.
-func HeaderText(p *Program) string {
-	var sb strings.Builder
-	printHeader(&sb, p)
-	return sb.String()
-}
-
-func printProc(sb *strings.Builder, pr *Procedure) {
-	fmt.Fprintf(sb, "subroutine %s(%s)\n", pr.Name, strings.Join(pr.Formals, ", "))
-	for _, d := range pr.Decls {
-		if d.Rank() == 0 {
-			fmt.Fprintf(sb, "  real %s\n", d.Name)
-			continue
+func AppendProc(b []byte, pr *Procedure) []byte {
+	b = append(append(append(b, "subroutine "...), pr.Name...), '(')
+	for i, f := range pr.Formals {
+		if i > 0 {
+			b = append(b, ", "...)
 		}
-		dims := make([]string, d.Rank())
-		for k := range d.LB {
-			dims[k] = fmt.Sprintf("%s:%s", d.LB[k], d.UB[k])
-		}
-		fmt.Fprintf(sb, "  real %s(%s)\n", d.Name, strings.Join(dims, ", "))
+		b = append(b, f...)
 	}
-	printBody(sb, pr.Body, 1)
-	fmt.Fprintf(sb, "end\n")
+	b = append(b, ")\n"...)
+	for _, d := range pr.Decls {
+		b = append(append(b, "  real "...), d.Name...)
+		if d.Rank() > 0 {
+			b = append(b, '(')
+			for k := range d.LB {
+				if k > 0 {
+					b = append(b, ", "...)
+				}
+				b = d.UB[k].AppendText(append(d.LB[k].AppendText(b), ':'))
+			}
+			b = append(b, ')')
+		}
+		b = append(b, '\n')
+	}
+	return append(appendBody(b, pr.Body, 1), "end\n"...)
 }
 
-func printBody(sb *strings.Builder, body []Stmt, depth int) {
-	ind := strings.Repeat("  ", depth)
+func appendBody(b []byte, body []Stmt, depth int) []byte {
 	for _, s := range body {
 		switch st := s.(type) {
 		case *Assign:
-			fmt.Fprintf(sb, "%s%s = %s\n", ind, st.LHS, st.RHS)
+			b = st.RHS.AppendText(append(st.LHS.AppendText(appendIndent(b, depth)), " = "...))
+			b = append(b, '\n')
 		case *CallStmt:
-			args := make([]string, len(st.Args))
-			for i, a := range st.Args {
-				args[i] = a.String()
-			}
-			fmt.Fprintf(sb, "%scall %s(%s)\n", ind, st.Callee, strings.Join(args, ", "))
+			b = append(append(append(appendIndent(b, depth), "call "...), st.Callee...), '(')
+			b = append(AppendArgs(b, st.Args), ")\n"...)
 		case *IfStmt:
-			fmt.Fprintf(sb, "%sif (%s) then\n", ind, st.Cond)
-			printBody(sb, st.Then, depth+1)
+			b = append(st.Cond.AppendText(append(appendIndent(b, depth), "if ("...)), ") then\n"...)
+			b = appendBody(b, st.Then, depth+1)
 			if len(st.Else) > 0 {
-				fmt.Fprintf(sb, "%selse\n", ind)
-				printBody(sb, st.Else, depth+1)
+				b = appendBody(append(appendIndent(b, depth), "else\n"...), st.Else, depth+1)
 			}
-			fmt.Fprintf(sb, "%sendif\n", ind)
+			b = append(appendIndent(b, depth), "endif\n"...)
 		case *Loop:
 			if st.Independent {
-				dir := "!hpf$ independent"
-				if len(st.New) > 0 {
-					dir += ", new(" + strings.Join(st.New, ",") + ")"
-				}
-				if len(st.Localize) > 0 {
-					dir += ", localize(" + strings.Join(st.Localize, ",") + ")"
-				}
-				fmt.Fprintf(sb, "%s%s\n", ind, dir)
+				b = append(appendIndent(b, depth), "!hpf$ independent"...)
+				b = appendClause(b, ", new(", st.New)
+				b = appendClause(b, ", localize(", st.Localize)
+				b = append(b, '\n')
 			}
-			if st.Step == 1 {
-				fmt.Fprintf(sb, "%sdo %s = %s, %s\n", ind, st.Var, st.Lo, st.Hi)
-			} else {
-				fmt.Fprintf(sb, "%sdo %s = %s, %s, %d\n", ind, st.Var, st.Lo, st.Hi, st.Step)
+			b = append(append(append(appendIndent(b, depth), "do "...), st.Var...), " = "...)
+			b = st.Hi.AppendText(append(st.Lo.AppendText(b), ", "...))
+			if st.Step != 1 {
+				b = strconv.AppendInt(append(b, ", "...), int64(st.Step), 10)
 			}
-			printBody(sb, st.Body, depth+1)
-			fmt.Fprintf(sb, "%senddo\n", ind)
+			b = appendBody(append(b, '\n'), st.Body, depth+1)
+			b = append(appendIndent(b, depth), "enddo\n"...)
 		}
 	}
+	return b
 }
 
-func affList(xs []AffExpr) string {
-	out := make([]string, len(xs))
-	for i, x := range xs {
-		out[i] = x.String()
+func appendIndent(b []byte, depth int) []byte {
+	for ; depth > 0; depth-- {
+		b = append(b, "  "...)
 	}
-	return strings.Join(out, ", ")
+	return b
+}
+
+// appendClause appends a directive clause "open name,name)", or nothing
+// for an empty list.
+func appendClause(b []byte, open string, names []string) []byte {
+	if len(names) == 0 {
+		return b
+	}
+	b = append(b, open...)
+	for i, n := range names {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, n...)
+	}
+	return append(b, ')')
 }

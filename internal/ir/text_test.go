@@ -3,6 +3,8 @@ package ir
 import (
 	"fmt"
 	"math"
+	"math/rand/v2"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -118,6 +120,150 @@ func oracleExpr(e Expr) string {
 
 func oracleCond(c Cond) string {
 	return fmt.Sprintf("%s %s %s", oracleExpr(c.L), c.Op, oracleExpr(c.R))
+}
+
+// The fmt printer Print, AppendHeader and AppendProc replaced: the
+// program text, and through it every procedure and header fingerprint,
+// was spelled by these.
+
+func oraclePrint(p *Program) string {
+	var sb strings.Builder
+	oracleHeader(&sb, p)
+	for _, pr := range p.Procs {
+		sb.WriteByte('\n')
+		oracleProc(&sb, pr)
+	}
+	return sb.String()
+}
+
+func oracleHeader(sb *strings.Builder, p *Program) {
+	fmt.Fprintf(sb, "program %s\n", p.Name)
+	names := make([]string, 0, len(p.Params))
+	for n := range p.Params {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	for _, n := range names {
+		fmt.Fprintf(sb, "param %s = %d\n", n, p.Params[n])
+	}
+	for _, d := range p.Processors {
+		fmt.Fprintf(sb, "!hpf$ processors %s(%s)\n", d.Name, oracleAffList(d.Extents))
+	}
+	for _, d := range p.Templates {
+		fmt.Fprintf(sb, "!hpf$ template %s(%s)\n", d.Name, oracleAffList(d.Extents))
+	}
+	for _, d := range p.Aligns {
+		dims := make([]string, len(d.Dims))
+		for i, ad := range d.Dims {
+			if ad.TDim < 0 {
+				dims[i] = "*"
+			} else if c, ok := ad.Off.IsConst(); ok && c == 0 {
+				dims[i] = fmt.Sprintf("d%d", ad.TDim)
+			} else {
+				dims[i] = fmt.Sprintf("d%d+%s", ad.TDim, oracleAff(ad.Off))
+			}
+		}
+		fmt.Fprintf(sb, "!hpf$ align %s with %s(%s)\n", d.Array, d.Template, strings.Join(dims, ","))
+	}
+	for _, d := range p.Distributes {
+		specs := make([]string, len(d.Specs))
+		for i, s := range d.Specs {
+			specs[i] = s.Kind.String()
+			if s.Kind == DistBlock && s.Has {
+				specs[i] += "(" + oracleAff(s.Size) + ")"
+			}
+		}
+		fmt.Fprintf(sb, "!hpf$ distribute %s(%s) onto %s\n", d.Target, strings.Join(specs, ","), d.Onto)
+	}
+}
+
+func oracleProc(sb *strings.Builder, pr *Procedure) {
+	fmt.Fprintf(sb, "subroutine %s(%s)\n", pr.Name, strings.Join(pr.Formals, ", "))
+	for _, d := range pr.Decls {
+		if d.Rank() == 0 {
+			fmt.Fprintf(sb, "  real %s\n", d.Name)
+			continue
+		}
+		dims := make([]string, d.Rank())
+		for k := range d.LB {
+			dims[k] = fmt.Sprintf("%s:%s", oracleAff(d.LB[k]), oracleAff(d.UB[k]))
+		}
+		fmt.Fprintf(sb, "  real %s(%s)\n", d.Name, strings.Join(dims, ", "))
+	}
+	oracleBody(sb, pr.Body, 1)
+	fmt.Fprintf(sb, "end\n")
+}
+
+func oracleBody(sb *strings.Builder, body []Stmt, depth int) {
+	ind := strings.Repeat("  ", depth)
+	for _, s := range body {
+		switch st := s.(type) {
+		case *Assign:
+			fmt.Fprintf(sb, "%s%s = %s\n", ind, oracleRef(st.LHS), oracleExpr(st.RHS))
+		case *CallStmt:
+			args := make([]string, len(st.Args))
+			for i, a := range st.Args {
+				args[i] = oracleExpr(a)
+			}
+			fmt.Fprintf(sb, "%scall %s(%s)\n", ind, st.Callee, strings.Join(args, ", "))
+		case *IfStmt:
+			fmt.Fprintf(sb, "%sif (%s) then\n", ind, oracleCond(st.Cond))
+			oracleBody(sb, st.Then, depth+1)
+			if len(st.Else) > 0 {
+				fmt.Fprintf(sb, "%selse\n", ind)
+				oracleBody(sb, st.Else, depth+1)
+			}
+			fmt.Fprintf(sb, "%sendif\n", ind)
+		case *Loop:
+			if st.Independent {
+				dir := "!hpf$ independent"
+				if len(st.New) > 0 {
+					dir += ", new(" + strings.Join(st.New, ",") + ")"
+				}
+				if len(st.Localize) > 0 {
+					dir += ", localize(" + strings.Join(st.Localize, ",") + ")"
+				}
+				fmt.Fprintf(sb, "%s%s\n", ind, dir)
+			}
+			if st.Step == 1 {
+				fmt.Fprintf(sb, "%sdo %s = %s, %s\n", ind, st.Var, oracleAff(st.Lo), oracleAff(st.Hi))
+			} else {
+				fmt.Fprintf(sb, "%sdo %s = %s, %s, %d\n", ind, st.Var, oracleAff(st.Lo), oracleAff(st.Hi), st.Step)
+			}
+			oracleBody(sb, st.Body, depth+1)
+			fmt.Fprintf(sb, "%senddo\n", ind)
+		}
+	}
+}
+
+func oracleAffList(xs []AffExpr) string {
+	out := make([]string, len(xs))
+	for i, x := range xs {
+		out[i] = oracleAff(x)
+	}
+	return strings.Join(out, ", ")
+}
+
+// checkProgramText asserts Print, AppendHeader and AppendProc spell the
+// program exactly as the fmt printer did, each appending onto a buffer
+// that already holds text.
+func checkProgramText(t *testing.T, p *Program) {
+	t.Helper()
+	if got, want := Print(p), oraclePrint(p); got != want {
+		t.Errorf("program %s: Print differs from the fmt printer:\n--- Print\n%s\n--- oracle\n%s", p.Name, got, want)
+	}
+	var want strings.Builder
+	oracleHeader(&want, p)
+	if got := string(AppendHeader([]byte("x\n"), p)); got != "x\n"+want.String() {
+		t.Errorf("program %s: AppendHeader = %q, oracle %q", p.Name, got, "x\n"+want.String())
+	}
+	for _, pr := range p.Procs {
+		want.Reset()
+		oracleProc(&want, pr)
+		if got := string(AppendProc([]byte("x\n"), pr)); got != "x\n"+want.String() {
+			t.Errorf("procedure %s: AppendProc = %q, oracle %q", pr.Name, got, "x\n"+want.String())
+		}
+	}
 }
 
 // checkText asserts the three spellings of one value agree: the oracle,
@@ -275,6 +421,96 @@ func (g *treeFromBytes) expr(depth int) Expr {
 	}
 }
 
+func (g *treeFromBytes) names() []string {
+	var out []string
+	for n := g.next() % 3; n > 0; n-- {
+		out = append(out, g.name())
+	}
+	return out
+}
+
+func (g *treeFromBytes) cond() Cond {
+	return Cond{L: g.expr(4), Op: []string{"<", ">", "<=", ">=", "==", "/="}[g.next()%6], R: g.expr(4)}
+}
+
+func (g *treeFromBytes) body(depth int) []Stmt {
+	var out []Stmt
+	for n := g.next() % 4; n > 0; n-- {
+		kind := g.next() % 4
+		if depth > 3 {
+			kind %= 2
+		}
+		switch kind {
+		case 0:
+			out = append(out, &Assign{LHS: g.ref(), RHS: g.expr(2)})
+		case 1:
+			call := &CallStmt{Callee: g.name()}
+			for k := g.next() % 3; k > 0; k-- {
+				call.Args = append(call.Args, g.expr(5))
+			}
+			out = append(out, call)
+		case 2:
+			out = append(out, &IfStmt{Cond: g.cond(), Then: g.body(depth + 1), Else: g.body(depth + 1)})
+		default:
+			l := &Loop{Var: g.name(), Lo: g.aff(), Hi: g.aff(), Step: 1 - 2*(g.next()%2),
+				Independent: g.next()%2 == 0, New: g.names(), Localize: g.names()}
+			l.Body = g.body(depth + 1)
+			out = append(out, l)
+		}
+	}
+	return out
+}
+
+// program grows a whole program: every header directive form the printer
+// spells and procedures with every statement kind.
+func (g *treeFromBytes) program() *Program {
+	p := NewProgram(g.name())
+	for n := g.next() % 3; n > 0; n-- {
+		p.Params[g.name()] = g.next()%40 - 8
+	}
+	for n := g.next() % 2; n > 0; n-- {
+		p.Processors = append(p.Processors, &ProcessorsDecl{Name: g.name(), Extents: []AffExpr{g.aff(), g.aff()}})
+		p.Templates = append(p.Templates, &TemplateDecl{Name: g.name(), Extents: []AffExpr{g.aff()}})
+		al := &AlignDecl{Array: g.name(), Template: g.name()}
+		for k := g.next()%3 + 1; k > 0; k-- {
+			al.Dims = append(al.Dims, AlignDim{TDim: g.next()%4 - 1, Off: g.aff()})
+		}
+		p.Aligns = append(p.Aligns, al)
+		d := &DistributeDecl{Target: g.name(), Onto: g.name()}
+		for k := g.next()%3 + 1; k > 0; k-- {
+			d.Specs = append(d.Specs, DistSpec{Kind: DistKind(g.next() % 3), Size: g.aff(), Has: g.next()%2 == 0})
+		}
+		p.Distributes = append(p.Distributes, d)
+	}
+	for n := g.next()%2 + 1; n > 0; n-- {
+		pr := &Procedure{Name: g.name(), Formals: g.names()}
+		for k := g.next() % 3; k > 0; k-- {
+			d := &Decl{Name: g.name()}
+			for r := g.next() % 3; r > 0; r-- {
+				d.LB, d.UB = append(d.LB, g.aff()), append(d.UB, g.aff())
+			}
+			pr.Decls = append(pr.Decls, d)
+		}
+		pr.Body = g.body(0)
+		p.Procs = append(p.Procs, pr)
+	}
+	return p
+}
+
+// TestProgramTextMatchesOracle: whole programs grown from 500 seeded
+// byte strings — every header directive and statement form, nested —
+// print as the fmt printer spelled them.
+func TestProgramTextMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewPCG(28, 1))
+	data := make([]byte, 400)
+	for i := 0; i < 500; i++ {
+		for k := range data {
+			data[k] = byte(rng.Uint32())
+		}
+		checkProgramText(t, (&treeFromBytes{data: data}).program())
+	}
+}
+
 func FuzzAppendText(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{5, 0, 4, 3, 1, 0, 5, 2, 6, 1, 4, 2, 0, 0, 3})    // (u(…) + sqrt(…))
@@ -286,7 +522,8 @@ func FuzzAppendText(f *testing.F) {
 		checkExpr(t, g.expr(0))
 		checkAff(t, g.aff())
 		checkSubscript(t, g.subscript())
-		c := Cond{L: g.expr(4), Op: []string{"<", ">", "<=", ">=", "==", "/="}[g.next()%6], R: g.expr(4)}
+		c := g.cond()
 		checkText(t, "cond", oracleCond(c), c.String(), c.AppendText)
+		checkProgramText(t, g.program())
 	})
 }

@@ -63,32 +63,40 @@ func (t token) String() string {
 	}
 }
 
-// lexer tokenizes the whole input eagerly; mini-HPF files are small.
+// lexer tokenizes on demand: the parser holds two tokens at a time, so
+// parsing a source never materializes its token stream.
 type lexer struct {
-	src   string
-	pos   int
-	line  int
-	col   int
-	items []token
+	src     string
+	pos     int
+	line    int
+	col     int
+	newline bool // the last token handed out was a newline
 }
 
-func lex(src string) ([]token, error) {
-	l := &lexer{src: src, line: 1, col: 1, items: make([]token, 0, len(src)/3)}
+func newLexer(src string) lexer { return lexer{src: src, line: 1, col: 1} }
+
+// check scans the whole input for its first lexical error, so that a bad
+// character anywhere is reported ahead of a syntax error earlier on.
+func check(src string) error {
+	l := newLexer(src)
 	for {
 		tok, err := l.next()
-		if err != nil {
-			return nil, err
+		if err != nil || tok.kind == tEOF {
+			return err
 		}
-		// Collapse consecutive newlines.
-		if tok.kind == tNewline {
-			if n := len(l.items); n > 0 && l.items[n-1].kind == tNewline {
-				continue
-			}
+	}
+}
+
+// token returns the next token of a checked input, collapsing
+// consecutive newlines into one.
+func (l *lexer) token() token {
+	for {
+		tok, _ := l.next()
+		if tok.kind == tNewline && l.newline {
+			continue
 		}
-		l.items = append(l.items, tok)
-		if tok.kind == tEOF {
-			return l.items, nil
-		}
+		l.newline = tok.kind == tNewline
+		return tok
 	}
 }
 

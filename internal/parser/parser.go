@@ -2,6 +2,7 @@ package parser
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -16,16 +17,11 @@ var intrinsics = map[string]bool{
 
 // Parse parses mini-HPF source into an ir.Program.
 func Parse(src string) (*ir.Program, error) {
-	toks, err := lex(src)
+	p, err := newParser(src)
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks}
-	prog, err := p.parseProgram()
-	if err != nil {
-		return nil, err
-	}
-	return prog, nil
+	return p.parseProgram()
 }
 
 // MustParse is Parse that panics on error; for embedded workload sources
@@ -39,15 +35,28 @@ func MustParse(src string) *ir.Program {
 }
 
 type parser struct {
-	toks []token
-	pos  int
-	prog *ir.Program
-	proc *ir.Procedure
+	lx lexer
+	// tok is the current token and ahead the one after it.
+	tok, ahead token
+	prog       *ir.Program
+	proc       *ir.Procedure
 	// loop index variables currently in scope
 	loopVars []string
 }
 
-func (p *parser) cur() token { return p.toks[p.pos] }
+// newParser checks src for lexical errors and positions a parser on its
+// first token.
+func newParser(src string) (*parser, error) {
+	if err := check(src); err != nil {
+		return nil, err
+	}
+	p := &parser{lx: newLexer(src)}
+	p.tok = p.lx.token()
+	p.ahead = p.lx.token()
+	return p, nil
+}
+
+func (p *parser) cur() token { return p.tok }
 func (p *parser) at(k tokKind) bool {
 	return p.cur().kind == k
 }
@@ -59,9 +68,9 @@ func (p *parser) atKw(kw string) bool {
 }
 
 func (p *parser) next() token {
-	t := p.cur()
+	t := p.tok
 	if t.kind != tEOF {
-		p.pos++
+		p.tok, p.ahead = p.ahead, p.lx.token()
 	}
 	return t
 }
@@ -180,11 +189,11 @@ func (p *parser) parseParam() error {
 // parseGlobalDirective handles processors/template/align/distribute.  The
 // directive text was captured as one token; re-lex it.
 func (p *parser) parseGlobalDirective(text string) error {
-	toks, err := lex(text)
+	d, err := newParser(text)
 	if err != nil {
 		return err
 	}
-	d := &parser{toks: toks, prog: p.prog}
+	d.prog = p.prog
 	switch {
 	case d.atKw("processors"):
 		d.next()
@@ -365,11 +374,10 @@ type loopDirective struct {
 }
 
 func parseLoopDirective(text string) (*loopDirective, error) {
-	toks, err := lex(text)
+	d, err := newParser(text)
 	if err != nil {
 		return nil, err
 	}
-	d := &parser{toks: toks}
 	out := &loopDirective{}
 	if !d.atKw("independent") {
 		return nil, fmt.Errorf("parser: unknown loop directive %q", text)
@@ -834,11 +842,7 @@ func (p *parser) parseAdd() (ir.Expr, error) {
 // given punctuation (one-token lookahead, used to keep "/" division
 // distinct from the "/=" comparison).
 func (p *parser) nextIsPunct(s string) bool {
-	if p.pos+1 >= len(p.toks) {
-		return false
-	}
-	t := p.toks[p.pos+1]
-	return t.kind == tPunct && t.text == s
+	return p.ahead.kind == tPunct && p.ahead.text == s
 }
 
 func (p *parser) parseMul() (ir.Expr, error) {
@@ -953,7 +957,9 @@ func (p *parser) parseSubscripts() ([]ir.Subscript, error) {
 	if err := p.expectPunct("("); err != nil {
 		return nil, err
 	}
-	var subs []ir.Subscript
+	// Collected on the stack and copied once, at their final length.
+	var stack [4]ir.Subscript
+	subs := stack[:0]
 	for {
 		s, err := p.parseSubscript()
 		if err != nil {
@@ -969,7 +975,7 @@ func (p *parser) parseSubscripts() ([]ir.Subscript, error) {
 	if err := p.expectPunct(")"); err != nil {
 		return nil, err
 	}
-	return subs, nil
+	return slices.Clone(subs), nil
 }
 
 func (p *parser) isLoopVar(name string) bool {
@@ -984,7 +990,7 @@ func (p *parser) isLoopVar(name string) bool {
 // parseSubscript parses one affine subscript: a sum of terms over loop
 // variables, parameters and integers.
 func (p *parser) parseSubscript() (ir.Subscript, error) {
-	sub := ir.Subscript{Off: ir.Num(0)}
+	var sub ir.Subscript
 	sign := 1
 	first := true
 	for {
@@ -1020,7 +1026,7 @@ func (p *parser) parseSubTerm(sub *ir.Subscript, sign int) error {
 			}
 			return p.addSubTerm(sub, name, sign*c)
 		}
-		sub.Off = sub.Off.AddConst(sign * c)
+		sub.Off.Const += sign * c
 		return nil
 	case p.at(tIdent):
 		name := p.next().text
@@ -1048,14 +1054,31 @@ func (p *parser) addSubTerm(sub *ir.Subscript, name string, coef int) error {
 		sub.Var, sub.Coef = name, coef
 		return nil
 	}
-	sub.Off = sub.Off.AddAff(ir.Sym(name).Scale(coef))
+	addTerm(&sub.Off, name, coef)
 	return nil
+}
+
+// addTerm adds coef*name to a in place, keeping AddAff's normal form: a
+// term stays where it first appeared, and a term that cancels is dropped.
+func addTerm(a *ir.AffExpr, name string, coef int) {
+	if coef == 0 {
+		return
+	}
+	for i := range a.Terms {
+		if a.Terms[i].Name == name {
+			if a.Terms[i].Coef += coef; a.Terms[i].Coef == 0 {
+				a.Terms = append(a.Terms[:i], a.Terms[i+1:]...)
+			}
+			return
+		}
+	}
+	a.Terms = append(a.Terms, ir.AffTerm{Name: name, Coef: coef})
 }
 
 // parseAffParamExpr parses an affine expression over parameters only
 // (loop bounds, extents, align offsets).
 func (p *parser) parseAffParamExpr() (ir.AffExpr, error) {
-	out := ir.Num(0)
+	var out ir.AffExpr
 	sign := 1
 	first := true
 	for {
@@ -1076,13 +1099,12 @@ func (p *parser) parseAffParamExpr() (ir.AffExpr, error) {
 				if err != nil {
 					return out, err
 				}
-				out = out.AddAff(ir.Sym(name).Scale(sign * c))
+				addTerm(&out, name, sign*c)
 			} else {
-				out = out.AddConst(sign * c)
+				out.Const += sign * c
 			}
 		case p.at(tIdent):
-			name := p.next().text
-			out = out.AddAff(ir.Sym(name).Scale(sign))
+			addTerm(&out, p.next().text, sign)
 		default:
 			return out, p.errf("expected affine term, found %s", p.cur())
 		}

@@ -249,6 +249,40 @@ end
 	}
 }
 
+// Affine terms are summed in place in AddAff's normal form: a term keeps
+// the position it first took, one that cancels is dropped, and one that
+// comes back goes last.
+func TestParseAffineNormalForm(t *testing.T) {
+	for _, c := range []struct {
+		text string
+		want []ir.AffTerm
+		k    int
+	}{
+		{"N-N", nil, 0},
+		{"N+M-N+N", []ir.AffTerm{{Name: "M", Coef: 1}, {Name: "N", Coef: 1}}, 0},
+		{"2*N+3-M+N-1-M", []ir.AffTerm{{Name: "N", Coef: 3}, {Name: "M", Coef: -2}}, 2},
+		{"0*N+M", []ir.AffTerm{{Name: "M", Coef: 1}}, 0},
+	} {
+		prog, err := Parse("program t\nparam N = 8\nparam M = 4\nsubroutine main()\n  real a(0:" + c.text + ")\n  do i = 1, 2\n    a(i+" + c.text + ") = 1.0\n  enddo\nend\n")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ub := prog.Main().Decls[0].UB[0]
+		off := prog.Main().Body[0].(*ir.Loop).Body[0].(*ir.Assign).LHS.Subs[0].Off
+		for _, got := range []ir.AffExpr{ub, off} {
+			if got.Const != c.k || len(got.Terms) != len(c.want) {
+				t.Errorf("%s parsed as %+v, want %+v%+d", c.text, got, c.want, c.k)
+				continue
+			}
+			for i := range c.want {
+				if got.Terms[i] != c.want[i] {
+					t.Errorf("%s parsed as %+v, want %+v%+d", c.text, got, c.want, c.k)
+				}
+			}
+		}
+	}
+}
+
 func TestParseErrors(t *testing.T) {
 	cases := []struct {
 		name string

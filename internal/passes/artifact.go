@@ -26,19 +26,6 @@ const (
 	// summary-plus-diagnostics fragment, frozen on the post-distribution
 	// body like verify's.
 	artifactAnalyze = "analyze"
-	// artifactRawUnit is the raw-text tier: it maps the hash of a
-	// procedure's raw source chunk to its canonical unit hash, so an
-	// unedited procedure skips the canonical re-rendering entirely.
-	artifactRawUnit = "rawunit"
-	// artifactAST is the front-end tier: it maps the hash of (header,
-	// raw source chunk) to the pristine parsed Procedure, so an unedited
-	// procedure skips re-parsing — it is deep-cloned into the program and
-	// renumbered instead.
-	artifactAST = "ast"
-	// artifactCalls maps a procedure's unit hash to its direct-callee
-	// name list, so environment fingerprinting skips the body walk for
-	// unedited procedures.
-	artifactCalls = "calls"
 )
 
 // refSel names one array reference of an assignment positionally, so a
@@ -264,6 +251,27 @@ func relocateText(text string, m map[int]int) (string, error) {
 	return sb.String(), nil
 }
 
+// relocateDiagnostics moves frozen diagnostics onto a fresh body: the
+// Stmt field and any statement named inside Why.
+func relocateDiagnostics(ds []verify.Diagnostic, m map[int]int) ([]verify.Diagnostic, error) {
+	out := make([]verify.Diagnostic, 0, len(ds))
+	for _, d := range ds {
+		if d.Stmt >= 0 {
+			nn, ok := m[d.Stmt]
+			if !ok {
+				return nil, fmt.Errorf("diagnostic names unknown stmt %d", d.Stmt)
+			}
+			d.Stmt = nn
+		}
+		var err error
+		if d.Why, err = relocateText(d.Why, m); err != nil {
+			return nil, err
+		}
+		out = append(out, d)
+	}
+	return out, nil
+}
+
 // --- selection artifacts -----------------------------------------------------
 
 type frozenSel struct {
@@ -444,19 +452,9 @@ func thawVerify(proc *ir.Procedure, fz *frozenVerify) (*verify.Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	diags := make([]verify.Diagnostic, 0, len(fz.Diagnostics))
-	for _, d := range fz.Diagnostics {
-		if d.Stmt >= 0 {
-			nn, ok := m[d.Stmt]
-			if !ok {
-				return nil, fmt.Errorf("diagnostic names unknown stmt %d", d.Stmt)
-			}
-			d.Stmt = nn
-		}
-		if d.Why, err = relocateText(d.Why, m); err != nil {
-			return nil, err
-		}
-		diags = append(diags, d)
+	diags, err := relocateDiagnostics(fz.Diagnostics, m)
+	if err != nil {
+		return nil, err
 	}
 	return &verify.Report{
 		Diagnostics: diags, Stmts: fz.Stmts, Events: fz.Events, Ranks: fz.Ranks,
@@ -516,19 +514,9 @@ func thawAnalyze(proc *ir.Procedure, fz *frozenAnalyze) (*analysis.Result, error
 			ph.Loops[k].Stmt = ln
 		}
 	}
-	diags := make([]verify.Diagnostic, 0, len(fz.Diagnostics))
-	for _, d := range fz.Diagnostics {
-		if d.Stmt >= 0 {
-			nn, ok := m[d.Stmt]
-			if !ok {
-				return nil, fmt.Errorf("diagnostic names unknown stmt %d", d.Stmt)
-			}
-			d.Stmt = nn
-		}
-		if d.Why, err = relocateText(d.Why, m); err != nil {
-			return nil, err
-		}
-		diags = append(diags, d)
+	diags, err := relocateDiagnostics(fz.Diagnostics, m)
+	if err != nil {
+		return nil, err
 	}
 	return &analysis.Result{Procs: []analysis.ProcSummary{ps}, Diagnostics: diags}, nil
 }

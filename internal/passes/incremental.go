@@ -2,11 +2,7 @@ package passes
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
-	"strings"
-	"time"
 
 	"dhpf/internal/analysis"
 	"dhpf/internal/cache"
@@ -14,7 +10,6 @@ import (
 	"dhpf/internal/cp"
 	"dhpf/internal/dep"
 	"dhpf/internal/ir"
-	"dhpf/internal/parser"
 	"dhpf/internal/verify"
 )
 
@@ -41,10 +36,6 @@ type incrRun struct {
 	cc    *CompileContext
 	store *cache.ArtifactStore
 	fps   *unitFingerprints
-	// src is the compile's source text, or "" when the caller supplied a
-	// pre-parsed program — the raw-text shortcut tiers (ast, rawunit) key
-	// on source chunks and must stay off in that case.
-	src string
 	// dirty marks procedures whose dependence artifact was recomputed —
 	// the procedures whose environment changed since the artifacts were
 	// frozen.
@@ -69,10 +60,10 @@ type incrRun struct {
 // fragments are reused from the store when the procedure's environment
 // fingerprint is unchanged, and only dirty procedures are re-analyzed —
 // in parallel on a bounded worker pool.  The cheap whole-program passes
-// (parsing, binding, loop distribution, reductions, lowering) always
-// run, so the resulting CompileContext is byte-for-byte identical to a
-// cold RunCtx of the same source: reports, node programs and
-// verification diagnostics cannot tell the difference.
+// (parsing, binding, loop distribution, reductions, lowering) run as
+// they do cold, so the resulting CompileContext is byte-for-byte
+// identical to a cold RunCtx of the same source: reports, node programs
+// and verification diagnostics cannot tell the difference.
 func RunIncremental(cc *CompileContext, store *cache.ArtifactStore) (*Delta, error) {
 	return RunIncrementalCtx(context.Background(), cc, store)
 }
@@ -90,148 +81,26 @@ func RunIncrementalCtx(ctx context.Context, cc *CompileContext, store *cache.Art
 		commFresh: map[*ir.Procedure]bool{},
 		delta:     &Delta{},
 	}
-	if cc.IR == nil {
-		r.src = cc.Source
-	}
-	pipeline, err := BuildPipeline(cc.Opt)
-	if err != nil {
-		return nil, err
-	}
-	overrides := map[string]func() (bool, error){
-		PassParse:        r.parse,
+	err := runPipeline(ctx, cc, map[string]func() (bool, error){
 		PassDependence:   r.dependence,
 		PassCPSelect:     r.cpSelect,
 		PassNewProp:      r.newProp,
 		PassLocalize:     r.localize,
 		PassInterproc:    r.interproc,
+		PassLoopDist:     r.beforeDistribution(runLoopDist),
+		PassReductions:   r.beforeDistribution(runReductions),
 		PassCommPlan:     r.commPlan,
 		PassAvailability: r.availability,
 		PassWritebackRed: r.writebackRed,
 		PassLower:        r.lower,
 		PassVerify:       r.verify,
 		PassAnalyze:      r.analyze,
-	}
-	var prev probe
-	prevValid := false
-	for _, p := range pipeline {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("passes: aborted before %s: %w", p.Name, err)
-		}
-		// The selection state is frozen at the last moment the
-		// pre-distribution body exists.  Keying on either pass makes the
-		// freeze independent of whether loopdist is ablated (reductions is
-		// mandatory).
-		if !r.selFrozen && (p.Name == PassLoopDist || p.Name == PassReductions) {
-			r.freezeSelArtifacts()
-			r.selFrozen = true
-		}
-		noteBase := 0
-		if cc.Sel != nil {
-			noteBase = cc.Sel.NoteCount()
-		}
-		start := time.Now() //vetdet:ok recompile wall times are -stats telemetry, never fingerprinted
-		cached := false
-		if ov, ok := overrides[p.Name]; ok {
-			cached, err = ov()
-		} else {
-			err = p.Run(cc)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("pass %s: %w", p.Name, err)
-		}
-		st := Stat{Name: p.Name, Wall: time.Since(start), Cached: cached} //vetdet:ok telemetry
-		if cc.Sel != nil {
-			st.Notes = cc.Sel.NotesSince(noteBase)
-		}
-		st.Summary = summarize(p.Name, cc)
-		if st.Summary == "" {
-			st.Summary = fmt.Sprintf("%d decisions", len(st.Notes))
-		}
-		if cc.Opt.Instrument {
-			cur, ok := measureComm(cc)
-			if ok {
-				st.Msgs, st.Bytes = cur.msgs, cur.bytes
-				st.Measured = true
-				if prevValid {
-					st.DeltaBytes = cur.bytes - prev.bytes
-					st.HasDelta = true
-				}
-				prev, prevValid = cur, true
-			}
-		}
-		cc.Stats = append(cc.Stats, st)
-		if p.Check != nil {
-			if err := p.Check(cc); err != nil {
-				return nil, fmt.Errorf("pass %s: invariant violated: %w", p.Name, err)
-			}
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	r.delta.Procs = len(cc.IR.Procs)
 	return r.delta, nil
-}
-
-// parse replaces runParse: the source is split into per-subroutine raw
-// chunks, and chunks seen before (under the same header) skip the parser
-// entirely — the pristine cached Procedure is deep-cloned into the
-// program instead.  Only unseen chunks are parsed, as a synthetic
-// source of header + dirty chunks (token-equivalent to their place in
-// the full text).  Statement ids are then renumbered program-wide in
-// cold parse order, so the assembled AST — and everything downstream
-// that prints statement ids — is identical to a cold parse.  Any
-// irregularity (unsplittable source, parse error, chunk/procedure
-// mismatch) falls back to the cold whole-source parse.
-func (r *incrRun) parse() (bool, error) {
-	cc := r.cc
-	if cc.IR != nil || r.src == "" {
-		return false, runParse(cc)
-	}
-	header, chunks := splitSource(r.src)
-	if len(chunks) == 0 {
-		return false, runParse(cc)
-	}
-	keys := make([]string, len(chunks))
-	hit := make([]*ir.Procedure, len(chunks))
-	misses := 0
-	for i, ch := range chunks {
-		h := sha256.Sum256([]byte(artifactVersion + "\x00ast\x00" + header + "\x00" + ch))
-		keys[i] = artifactKey(artifactAST, hex.EncodeToString(h[:]))
-		if v, ok := r.store.Get(keys[i]); ok {
-			hit[i] = v.(*ir.Procedure)
-		} else {
-			misses++
-		}
-	}
-	var sb strings.Builder
-	sb.Grow(len(header) + len(r.src)/len(chunks)*misses + 64)
-	sb.WriteString(header)
-	for i, ch := range chunks {
-		if hit[i] == nil {
-			sb.WriteString(ch)
-			sb.WriteByte('\n')
-		}
-	}
-	prog, err := parser.Parse(sb.String())
-	if err != nil || len(prog.Procs) != misses {
-		// Either the chunking misjudged the source or the error position
-		// would be misleading: report exactly what a cold parse reports.
-		return false, runParse(cc)
-	}
-	procs := make([]*ir.Procedure, 0, len(chunks))
-	next := 0
-	for i := range chunks {
-		if hit[i] != nil {
-			procs = append(procs, ir.CloneProc(hit[i]))
-			continue
-		}
-		proc := prog.Procs[next]
-		next++
-		procs = append(procs, proc)
-		r.store.Put(keys[i], ir.CloneProc(proc), int64(128+8*len(chunks[i])))
-	}
-	prog.Procs = procs
-	ir.RenumberStmts(prog)
-	cc.IR = prog
-	return misses == 0, nil
 }
 
 // dependence replaces runDependence: the context is built without
@@ -249,7 +118,7 @@ func (r *incrRun) dependence() (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	r.fps = fingerprintUnits(ctx, cc.Opt, r.src, r.store)
+	r.fps = fingerprintUnits(ctx, cc.Opt)
 
 	// Look the artifacts up serially (the store is cheap), then thaw the
 	// hits on the worker pool — relocation walks every statement of every
@@ -366,21 +235,24 @@ func (r *incrRun) interproc() (bool, error) {
 	return len(r.selDirty) == 0, nil
 }
 
-// freezeSelArtifacts stores the finished selection state of the
-// procedures selected this run.  It runs exactly once, just before the
-// first of loopdist/reductions — the last moment the pre-distribution
-// statement walk (the relocation anchor shared with the deps artifact)
-// is computable.
-func (r *incrRun) freezeSelArtifacts() {
-	if r.cc.Sel == nil || r.fps == nil {
-		return
-	}
-	for pi, proc := range r.selOrder {
-		if !r.selDirty[proc] {
-			continue
+// beforeDistribution runs a cold pass after storing the finished
+// selection state of the procedures selected this run.  It is the first
+// of loopdist and reductions (mandatory, so the freeze does not depend on
+// whether loopdist is ablated) that freezes: that is the last moment the
+// pre-distribution statement walk — the relocation anchor shared with
+// the deps artifact — is computable.
+func (r *incrRun) beforeDistribution(run func(*CompileContext) error) func() (bool, error) {
+	return func() (bool, error) {
+		if !r.selFrozen {
+			r.selFrozen = true
+			for pi, proc := range r.selOrder {
+				if r.selDirty[proc] {
+					fz := freezeSel(proc, pi, r.cc.Sel)
+					r.store.Put(artifactKey(artifactSel, r.fps.Env[proc]), fz, approxSize(fz))
+				}
+			}
 		}
-		fz := freezeSel(proc, pi, r.cc.Sel)
-		r.store.Put(artifactKey(artifactSel, r.fps.Env[proc]), fz, approxSize(fz))
+		return false, run(r.cc)
 	}
 }
 

@@ -295,9 +295,7 @@ func TestIncrementalOptionChangeRecompiles(t *testing.T) {
 }
 
 // A syntax error introduced by an edit must surface through the warm
-// path with exactly the cold parser's message — the chunk-level parse
-// cache falls back to a whole-source parse on any synthetic-parse
-// anomaly so line numbers stay true to the original text.
+// path with exactly the cold parser's message, line number included.
 func TestIncrementalParseErrorMatchesCold(t *testing.T) {
 	base := incrSrc(12)
 	store := cache.NewArtifactStore(0)

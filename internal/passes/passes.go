@@ -174,38 +174,13 @@ type Pass struct {
 	Check func(*CompileContext) error
 	// Optional passes may be dropped via Options.Disable.
 	Optional bool
-	// Reads and Produces name the CompileContext artifacts the pass
-	// consumes and defines — the edges of the artifact DAG the
-	// incremental scheduler (RunIncremental) reasons over.  A pass whose
-	// Produces are all reusable from the artifact store for every
-	// procedure is skipped on a warm recompile; ArtifactKinds lists which
-	// artifacts are cached per procedure.
-	Reads    []string
-	Produces []string
-	// PerProc marks passes whose work decomposes per procedure, so the
-	// incremental scheduler can recompute only dirty procedures and run
-	// them in parallel.
-	PerProc bool
 }
 
-// Artifact names used in Pass.Reads/Produces.  The first block lives on
-// the CompileContext; the ArtifactKinds subset is additionally cached per
-// (procedure, environment-fingerprint) in a cache.ArtifactStore.
-const (
-	ArtIR         = "ir"         // parsed program
-	ArtBind       = "bind"       // resolved directives and parameters
-	ArtDeps       = "deps"       // per-procedure dependence graphs
-	ArtSel        = "sel"        // CP selection
-	ArtReductions = "reductions" // recognized reduction plans
-	ArtComm       = "comm"       // per-procedure communication plans
-	ArtVerify     = "verify"     // per-procedure verification fragments
-	ArtAnalysis   = "analysis"   // per-procedure static-analysis fragments
-)
-
 // ArtifactKinds lists the per-procedure artifacts the incremental
-// scheduler memoizes in the store, in pipeline order.
+// scheduler memoizes in the store, in pipeline order — every kind the
+// store holds.
 func ArtifactKinds() []string {
-	return []string{ArtDeps, ArtSel, ArtComm, ArtVerify, ArtAnalysis}
+	return []string{artifactDeps, artifactSel, artifactComm, artifactVerify, artifactAnalyze}
 }
 
 // BuildPipeline returns the ordered pass list for the options: the full
@@ -276,6 +251,14 @@ func Run(cc *CompileContext) error {
 // the pipeline's consistency points, so an aborted context can never
 // leave cc half-mutated by a pass.
 func RunCtx(ctx context.Context, cc *CompileContext) error {
+	return runPipeline(ctx, cc, nil)
+}
+
+// runPipeline is the one pass loop, cold and incremental.  An override
+// replaces a pass's Run and reports whether the artifact store served all
+// of its per-procedure work (the Stat's Cached); the cold pipeline has
+// none.
+func runPipeline(ctx context.Context, cc *CompileContext, overrides map[string]func() (bool, error)) error {
 	pipeline, err := BuildPipeline(cc.Opt)
 	if err != nil {
 		return err
@@ -291,10 +274,16 @@ func RunCtx(ctx context.Context, cc *CompileContext) error {
 			noteBase = cc.Sel.NoteCount()
 		}
 		start := time.Now() //vetdet:ok pass wall times are -explain telemetry, never fingerprinted
-		if err := p.Run(cc); err != nil {
+		cached := false
+		if ov, ok := overrides[p.Name]; ok {
+			cached, err = ov()
+		} else {
+			err = p.Run(cc)
+		}
+		if err != nil {
 			return fmt.Errorf("pass %s: %w", p.Name, err)
 		}
-		st := Stat{Name: p.Name, Wall: time.Since(start)} //vetdet:ok telemetry
+		st := Stat{Name: p.Name, Wall: time.Since(start), Cached: cached} //vetdet:ok telemetry
 		if cc.Sel != nil {
 			st.Notes = cc.Sel.NotesSince(noteBase)
 		}
@@ -324,41 +313,24 @@ func RunCtx(ctx context.Context, cc *CompileContext) error {
 	return nil
 }
 
-// allPasses is the full pipeline in the order the paper's phases run,
-// with each pass's artifact reads/produces declared (the DAG the
-// incremental scheduler memoizes over).
+// allPasses is the full pipeline in the order the paper's phases run.
 func allPasses() []Pass {
 	return []Pass{
-		{Name: PassParse, Run: runParse, Check: checkParse,
-			Produces: []string{ArtIR}},
-		{Name: PassBind, Run: runBind, Check: checkBind,
-			Reads: []string{ArtIR}, Produces: []string{ArtBind}},
-		{Name: PassDependence, Run: runDependence, Check: checkDependence,
-			Reads: []string{ArtIR, ArtBind}, Produces: []string{ArtDeps}, PerProc: true},
-		{Name: PassCPSelect, Run: runCPSelect, Check: checkCPSelect,
-			Reads: []string{ArtIR, ArtBind, ArtDeps}, Produces: []string{ArtSel}, PerProc: true},
-		{Name: PassNewProp, Run: runNewProp, Optional: true,
-			Reads: []string{ArtIR, ArtDeps}, Produces: []string{ArtSel}, PerProc: true},
-		{Name: PassLocalize, Run: runLocalize, Optional: true,
-			Reads: []string{ArtIR, ArtDeps}, Produces: []string{ArtSel}, PerProc: true},
-		{Name: PassInterproc, Run: runInterproc, Check: checkInterproc, Optional: true,
-			Reads: []string{ArtIR, ArtDeps, ArtSel}, Produces: []string{ArtSel}},
-		{Name: PassLoopDist, Run: runLoopDist, Check: checkLoopDist, Optional: true,
-			Reads: []string{ArtIR, ArtDeps, ArtSel}, Produces: []string{ArtIR, ArtDeps}, PerProc: true},
-		{Name: PassReductions, Run: runReductions, Check: checkReductions,
-			Reads: []string{ArtIR, ArtSel}, Produces: []string{ArtReductions}, PerProc: true},
-		{Name: PassCommPlan, Run: runCommPlan, Check: checkCommPlan,
-			Reads: []string{ArtIR, ArtBind, ArtDeps, ArtSel}, Produces: []string{ArtComm}, PerProc: true},
-		{Name: PassAvailability, Run: runAvailability, Check: checkElimReasons, Optional: true,
-			Reads: []string{ArtDeps, ArtComm}, Produces: []string{ArtComm}, PerProc: true},
-		{Name: PassWritebackRed, Run: runWritebackRed, Check: checkElimReasons, Optional: true,
-			Reads: []string{ArtComm}, Produces: []string{ArtComm}, PerProc: true},
-		{Name: PassLower, Run: runLower, Check: checkLower,
-			Reads: []string{ArtSel, ArtComm, ArtReductions}},
-		{Name: PassVerify, Run: runVerify, Check: checkVerify, Optional: true,
-			Reads: []string{ArtIR, ArtBind, ArtSel, ArtComm, ArtReductions}, Produces: []string{ArtVerify}, PerProc: true},
-		{Name: PassAnalyze, Run: runAnalyze, Check: checkAnalyze, Optional: true,
-			Reads: []string{ArtIR, ArtBind, ArtSel, ArtComm, ArtReductions}, Produces: []string{ArtAnalysis}, PerProc: true},
+		{Name: PassParse, Run: runParse, Check: checkParse},
+		{Name: PassBind, Run: runBind, Check: checkBind},
+		{Name: PassDependence, Run: runDependence, Check: checkDependence},
+		{Name: PassCPSelect, Run: runCPSelect, Check: checkCPSelect},
+		{Name: PassNewProp, Run: runNewProp, Optional: true},
+		{Name: PassLocalize, Run: runLocalize, Optional: true},
+		{Name: PassInterproc, Run: runInterproc, Check: checkInterproc, Optional: true},
+		{Name: PassLoopDist, Run: runLoopDist, Check: checkLoopDist, Optional: true},
+		{Name: PassReductions, Run: runReductions, Check: checkReductions},
+		{Name: PassCommPlan, Run: runCommPlan, Check: checkCommPlan},
+		{Name: PassAvailability, Run: runAvailability, Check: checkElimReasons, Optional: true},
+		{Name: PassWritebackRed, Run: runWritebackRed, Check: checkElimReasons, Optional: true},
+		{Name: PassLower, Run: runLower, Check: checkLower},
+		{Name: PassVerify, Run: runVerify, Check: checkVerify, Optional: true},
+		{Name: PassAnalyze, Run: runAnalyze, Check: checkAnalyze, Optional: true},
 	}
 }
 

@@ -10,14 +10,12 @@
 // Because artifact keys are content fingerprints, what's on disk can
 // never be stale — at worst it is absent.
 //
-// Serializable tiers: deps, sel, comm, verify, analyze (pure-data
-// frozen structs) and the rawunit/calls front-end tiers (strings).  The ast
-// tier holds live *ir.Procedure graphs and is deliberately memory-only:
-// a restart re-parses, which keeps output byte-identical at a small,
-// bounded cost.  Encoding an unsupported kind is a silent no-op and
-// decoding bytes from an older format version is a miss (codec
-// envelope check), so schema evolution degrades to recompute, never to
-// failure.
+// Every kind the store holds — deps, sel, comm, verify, analyze
+// (ArtifactKinds) — is a pure-data frozen struct and persists; nothing
+// of the front end is stored, since a compile always parses its source.
+// Encoding an unknown kind is a silent no-op and decoding bytes from an
+// older format version is a miss (codec envelope check), so schema
+// evolution degrades to recompute, never to failure.
 package passes
 
 import (
@@ -92,7 +90,7 @@ func (b *storeBacking) Load(key string) (any, int64, bool) {
 }
 
 // encodeArtifact serializes one artifact value; ok=false means the kind
-// is not persisted (ast) or the value has an unexpected type.
+// is unknown or the value has an unexpected type.
 func encodeArtifact(kind string, val any) ([]byte, bool) {
 	switch kind {
 	case artifactDeps:
@@ -135,22 +133,6 @@ func encodeArtifact(kind string, val any) ([]byte, bool) {
 		w := codec.NewWriter("artifact/"+kind, artifactCodecVersion)
 		encAnalyze(w, v)
 		return w.Bytes(), true
-	case artifactRawUnit:
-		v, ok := val.(string)
-		if !ok {
-			return nil, false
-		}
-		w := codec.NewWriter("artifact/"+kind, artifactCodecVersion)
-		w.String(v)
-		return w.Bytes(), true
-	case artifactCalls:
-		v, ok := val.([]string)
-		if !ok {
-			return nil, false
-		}
-		w := codec.NewWriter("artifact/"+kind, artifactCodecVersion)
-		encStrings(w, v)
-		return w.Bytes(), true
 	}
 	return nil, false
 }
@@ -178,12 +160,6 @@ func decodeArtifact(kind string, data []byte) (any, bool) {
 		return v, r.Done()
 	case artifactAnalyze:
 		v := decAnalyze(r)
-		return v, r.Done()
-	case artifactRawUnit:
-		v := r.String()
-		return v, r.Done()
-	case artifactCalls:
-		v := decStrings(r)
 		return v, r.Done()
 	}
 	return nil, false
@@ -429,16 +405,7 @@ func decComm(r *codec.Reader) *frozenComm {
 }
 
 func encVerify(w *codec.Writer, v *frozenVerify) {
-	w.Uvarint(uint64(len(v.Diagnostics)))
-	for _, d := range v.Diagnostics {
-		w.String(d.Check)
-		w.String(string(d.Severity))
-		w.String(d.Proc)
-		w.Int(d.Stmt)
-		w.String(d.Ref)
-		w.String(d.Set)
-		w.String(d.Why)
-	}
+	encDiagnostics(w, v.Diagnostics)
 	w.Int(v.Stmts)
 	w.Int(v.Events)
 	w.Int(v.Ranks)
@@ -616,19 +583,7 @@ func decInt64s(r *codec.Reader) []int64 {
 }
 
 func decVerify(r *codec.Reader) *frozenVerify {
-	out := &frozenVerify{}
-	n := r.Uvarint()
-	for i := uint64(0); i < n && r.Err() == nil; i++ {
-		out.Diagnostics = append(out.Diagnostics, verify.Diagnostic{
-			Check:    r.String(),
-			Severity: verify.Severity(r.String()),
-			Proc:     r.String(),
-			Stmt:     r.Int(),
-			Ref:      r.String(),
-			Set:      r.String(),
-			Why:      r.String(),
-		})
-	}
+	out := &frozenVerify{Diagnostics: decDiagnostics(r)}
 	out.Stmts = r.Int()
 	out.Events = r.Int()
 	out.Ranks = r.Int()

@@ -98,14 +98,6 @@ func TestArtifactCodecRoundTrip(t *testing.T) {
 	if got := roundTrip(t, artifactVerify, vf); !reflect.DeepEqual(got, vf) {
 		t.Errorf("verify round trip:\n got %+v\nwant %+v", got, vf)
 	}
-
-	if got := roundTrip(t, artifactRawUnit, "deadbeef-unit-hash"); got != "deadbeef-unit-hash" {
-		t.Errorf("rawunit round trip: %v", got)
-	}
-	calls := []string{"sweep", "add"}
-	if got := roundTrip(t, artifactCalls, calls); !reflect.DeepEqual(got, calls) {
-		t.Errorf("calls round trip: %v", got)
-	}
 }
 
 // Deterministic encoding: the sel tier holds a map, which must encode
@@ -126,11 +118,11 @@ func TestArtifactCodecDeterministic(t *testing.T) {
 	}
 }
 
-// The ast tier (live IR pointers) and unexpected value types must be
-// skipped, not serialized wrongly.
+// Kinds the store does not hold (a live IR graph under any name) and
+// unexpected value types must be skipped, not serialized wrongly.
 func TestArtifactCodecSkipsUnsupported(t *testing.T) {
-	if _, ok := encodeArtifact(artifactAST, &ir.Procedure{}); ok {
-		t.Error("ast tier encoded")
+	if _, ok := encodeArtifact("ast", &ir.Procedure{}); ok {
+		t.Error("live IR encoded")
 	}
 	if _, ok := encodeArtifact(artifactDeps, "wrong type"); ok {
 		t.Error("mistyped deps encoded")
@@ -145,9 +137,9 @@ func TestArtifactCodecSkipsUnsupported(t *testing.T) {
 
 // A value written under a different codec version reads as a miss.
 func TestArtifactCodecVersionMismatchIsMiss(t *testing.T) {
-	w := codec.NewWriter("artifact/"+artifactRawUnit, artifactCodecVersion+1)
-	w.String("future bytes")
-	if _, ok := decodeArtifact(artifactRawUnit, w.Bytes()); ok {
+	w := codec.NewWriter("artifact/"+artifactDeps, artifactCodecVersion+1)
+	w.Uvarint(0)
+	if _, ok := decodeArtifact(artifactDeps, w.Bytes()); ok {
 		t.Fatal("future-version artifact decoded")
 	}
 	if _, ok := decodeArtifact(artifactDeps, []byte("not even codec")); ok {
@@ -184,10 +176,10 @@ func TestStoreBackingPersists(t *testing.T) {
 	want := &frozenDeps{Deps: []frozenDep{{Kind: dep.Output, Src: 1, Dst: 2, Level: 1}}}
 	b.Store(key, want, 128)
 
-	// ast-tier values are skipped silently.
-	b.Store(artifactKey(artifactAST, "x"), &ir.Procedure{}, 1)
-	if _, _, ok := b.Load(artifactKey(artifactAST, "x")); ok {
-		t.Error("ast tier persisted")
+	// Values of kinds the store does not hold are skipped silently.
+	b.Store(artifactKey("ast", "x"), &ir.Procedure{}, 1)
+	if _, _, ok := b.Load(artifactKey("ast", "x")); ok {
+		t.Error("live IR persisted")
 	}
 	st.Close()
 

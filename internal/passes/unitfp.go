@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strings"
 
-	"dhpf/internal/cache"
 	"dhpf/internal/cp"
 	"dhpf/internal/hpf"
 	"dhpf/internal/ir"
@@ -40,92 +39,22 @@ type unitFingerprints struct {
 	Env map[*ir.Procedure]string
 }
 
-// splitUnits best-effort splits a source text into one raw chunk per
-// subroutine, in source order (each chunk spans its "subroutine" line
-// through its terminating "end" line).  It returns nil when the text
-// doesn't decompose cleanly; callers must treat nil — or a chunk count
-// that disagrees with the parsed procedure list — as "no raw chunks" and
-// fall back to canonical rendering.
-func splitUnits(src string) []string {
-	_, chunks := splitSource(src)
-	return chunks
-}
-
-// splitSource splits a source text into the header (everything before
-// the first subroutine — program name, params, directives) and one raw
-// chunk per subroutine.  Chunks are only returned when the split is
-// token-equivalent to the whole text: every line outside the header and
-// outside a chunk must be blank or a plain (non-directive) comment,
-// which the lexer discards, so parsing header+chunks sees exactly the
-// token stream of the full source.  Returns (src, nil) otherwise.
-func splitSource(src string) (string, []string) {
-	var chunks []string
-	header := src
-	start := -1
-	for pos := 0; pos < len(src); {
-		next := len(src)
-		line := src[pos:]
-		if nl := strings.IndexByte(line, '\n'); nl >= 0 {
-			line = line[:nl]
-			next = pos + nl + 1
-		}
-		t := strings.TrimSpace(line)
-		if start < 0 {
-			switch {
-			case strings.HasPrefix(t, "subroutine"):
-				if chunks == nil {
-					header = src[:pos]
-				}
-				start = pos
-			case chunks == nil:
-				// still in the header; anything goes
-			case t == "" || (strings.HasPrefix(t, "!") && !strings.EqualFold(firstN(t, 5), "!hpf$")):
-				// blank or comment between subroutines: lexer-invisible
-			default:
-				return src, nil // significant text outside any subroutine
-			}
-		} else if t == "end" {
-			chunks = append(chunks, src[start:next])
-			start = -1
-		}
-		pos = next
-	}
-	if start >= 0 {
-		return src, nil // unterminated subroutine; parser will reject it anyway
-	}
-	return header, chunks
-}
-
-func firstN(s string, n int) string {
-	if len(s) < n {
-		return s
-	}
-	return s[:n]
-}
-
 // fingerprintUnits computes the fingerprint table for a parsed, bound
 // program whose formal-layout overlays are already propagated (the ctx
 // from cp.NewContextNoDeps).  Call graphs with cycles get conservative
 // fingerprints for the procedures on the cycle path (the selection passes
 // reject recursion later with the same error as a cold compile).
-//
-// src and store enable the raw-text shortcut: a procedure whose raw
-// source chunk is byte-identical to one hashed before parses to the same
-// AST and therefore has the same canonical unit hash, so the expensive
-// canonical re-rendering is skipped and the unit hash is read from the
-// store's rawunit tier instead.  A cosmetic (whitespace/comment) edit
-// misses the raw tier and falls through to the canonical path, which
-// still yields an unchanged unit hash.  Pass src == "" or store == nil
-// to disable the shortcut.
-func fingerprintUnits(ctx *cp.Context, opt Options, src string, store *cache.ArtifactStore) *unitFingerprints {
+func fingerprintUnits(ctx *cp.Context, opt Options) *unitFingerprints {
 	fps := &unitFingerprints{
 		Unit: make(map[*ir.Procedure]string, len(ctx.Prog.Procs)),
 		Env:  make(map[*ir.Procedure]string, len(ctx.Prog.Procs)),
 	}
 
+	// One buffer carries every canonical rendering: the header's, then
+	// each procedure's behind its hash prefix.
+	buf := ir.AppendHeader(append(make([]byte, 0, 4096), artifactVersion+"\x00header\x00"...), ctx.Prog)
 	h := sha256.New()
-	fmt.Fprintf(h, "%s\x00header\x00", artifactVersion)
-	io.WriteString(h, ir.HeaderText(ctx.Prog))
+	h.Write(buf)
 	// Request-supplied parameter overrides resolve through the binding;
 	// hash the final values so an override dirties everything it touches.
 	names := make([]string, 0, len(ctx.Bind.Params))
@@ -139,68 +68,19 @@ func fingerprintUnits(ctx *cp.Context, opt Options, src string, store *cache.Art
 	writeOptions(h, opt)
 	fps.Header = hex.EncodeToString(h.Sum(nil))
 
-	// The unit hashes dominate fingerprinting cost (one canonical
-	// rendering plus a SHA-256 per procedure) and are independent, so they
-	// run on the worker pool; each goroutine writes only its own slot.
-	// The rawunit tier short-circuits the rendering for procedures whose
-	// raw source chunk was seen before.
-	var chunks []string
-	if src != "" && store != nil {
-		if c := splitUnits(src); len(c) == len(ctx.Prog.Procs) {
-			chunks = c
-		}
-	}
-	unitHashes := make([]string, len(ctx.Prog.Procs))
-	forEach(len(ctx.Prog.Procs), 0, func(i int) error {
-		var rawKey string
-		if chunks != nil {
-			rh := sha256.Sum256([]byte(artifactVersion + "\x00rawunit\x00" + chunks[i]))
-			rawKey = artifactKey(artifactRawUnit, hex.EncodeToString(rh[:]))
-			if v, ok := store.Get(rawKey); ok {
-				unitHashes[i] = v.(string)
-				return nil
-			}
-		}
-		uh := sha256.New()
-		fmt.Fprintf(uh, "%s\x00unit\x00", artifactVersion)
-		io.WriteString(uh, ir.ProcText(ctx.Prog.Procs[i]))
-		unitHashes[i] = hex.EncodeToString(uh.Sum(nil))
-		if rawKey != "" {
-			store.Put(rawKey, unitHashes[i], int64(len(rawKey)+len(unitHashes[i])))
-		}
-		return nil
-	})
-	for i, proc := range ctx.Prog.Procs {
-		fps.Unit[proc] = unitHashes[i]
+	for _, proc := range ctx.Prog.Procs {
+		buf = ir.AppendProc(append(buf[:0], artifactVersion+"\x00unit\x00"...), proc)
+		sum := sha256.Sum256(buf)
+		fps.Unit[proc] = hex.EncodeToString(sum[:])
 	}
 
 	// Each procedure's own env contribution (unit hash + overlay
 	// rendering) is rendered once and reused from every caller's
 	// environment hash — the env loop is O(procs × transitive callees).
 	contrib := make(map[string]string, len(ctx.Prog.Procs))
+	direct := make(map[string][]string, len(ctx.Prog.Procs))
 	for _, proc := range ctx.Prog.Procs {
 		contrib[proc.Name] = unitEnvContribution(ctx, fps, proc)
-	}
-
-	// Direct-call lists are pure functions of the body, so the calls tier
-	// memoizes them per unit hash and unedited procedures skip the walk.
-	direct := make(map[string][]string, len(ctx.Prog.Procs))
-	for i, proc := range ctx.Prog.Procs {
-		if store != nil {
-			key := artifactKey(artifactCalls, unitHashes[i])
-			if v, ok := store.Get(key); ok {
-				direct[proc.Name] = v.([]string)
-				continue
-			}
-			calls := directCalls(proc)
-			direct[proc.Name] = calls
-			sz := int64(len(key))
-			for _, c := range calls {
-				sz += int64(len(c))
-			}
-			store.Put(key, calls, sz)
-			continue
-		}
 		direct[proc.Name] = directCalls(proc)
 	}
 
@@ -267,9 +147,7 @@ func layoutDesc(l *hpf.Layout) string {
 }
 
 // directCalls returns the distinct callee names of a procedure in first-
-// call order.  It is a pure function of the procedure body, so its result
-// is cached per unit hash (the calls tier) and the body walk skipped for
-// unedited procedures.
+// call order.
 func directCalls(proc *ir.Procedure) []string {
 	var out []string
 	seen := map[string]bool{}

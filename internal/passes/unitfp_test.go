@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"dhpf/internal/cache"
 	"dhpf/internal/cp"
 	"dhpf/internal/hpf"
 	"dhpf/internal/parser"
@@ -59,7 +58,7 @@ func fpsFor(t *testing.T, src string, opt Options) (unit, env map[string]string)
 	if err != nil {
 		t.Fatalf("context: %v", err)
 	}
-	fps := fingerprintUnits(ctx, opt, "", nil)
+	fps := fingerprintUnits(ctx, opt)
 	unit, env = map[string]string{}, map[string]string{}
 	for _, p := range prog.Procs {
 		unit[p.Name] = fps.Unit[p]
@@ -171,87 +170,4 @@ func TestFingerprintParamSensitivity(t *testing.T) {
 			t.Errorf("proc %s: env fingerprint ignores a parameter change", name)
 		}
 	}
-}
-
-// splitSource must decompose a clean modular program into a header and
-// per-subroutine chunks whose concatenation is token-equivalent to the
-// whole source.
-func TestSplitSourceRoundTrip(t *testing.T) {
-	header, chunks := splitSource(fpSrc)
-	if len(chunks) != 3 {
-		t.Fatalf("want 3 chunks, got %d", len(chunks))
-	}
-	if !strings.Contains(header, "program fp") || strings.Contains(header, "subroutine") {
-		t.Fatalf("bad header: %q", header)
-	}
-	for i, c := range chunks {
-		if !strings.HasPrefix(strings.TrimSpace(c), "subroutine") || !strings.HasSuffix(strings.TrimSpace(c), "end") {
-			t.Fatalf("chunk %d not subroutine..end: %q", i, c)
-		}
-	}
-	whole, err := parser.Parse(fpSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	joined, err := parser.Parse(header + strings.Join(chunks, "\n"))
-	if err != nil {
-		t.Fatalf("header+chunks reparse: %v", err)
-	}
-	if len(joined.Procs) != len(whole.Procs) {
-		t.Fatalf("reparse proc count %d != %d", len(joined.Procs), len(whole.Procs))
-	}
-}
-
-// Significant text between subroutines, an unterminated subroutine, or a
-// directive outside the header must refuse the split (nil chunks), while
-// blank lines and plain comments between subroutines are fine.
-func TestSplitSourceRejections(t *testing.T) {
-	if _, chunks := splitSource(strings.Replace(fpSrc, "subroutine smooth", "x = 1\nsubroutine smooth", 1)); chunks != nil {
-		t.Fatal("stray statement between subroutines not rejected")
-	}
-	trimmed := strings.TrimRight(fpSrc, "\n")
-	if _, chunks := splitSource(trimmed[:len(trimmed)-len("end")]); chunks != nil {
-		t.Fatal("unterminated final subroutine not rejected")
-	}
-	if _, chunks := splitSource(strings.Replace(fpSrc, "subroutine smooth", "!hpf$ independent\nsubroutine smooth", 1)); chunks != nil {
-		t.Fatal("directive between subroutines not rejected")
-	}
-	if _, chunks := splitSource(strings.Replace(fpSrc, "subroutine smooth", "! a comment\n\nsubroutine smooth", 1)); len(chunks) != 3 {
-		t.Fatalf("comment between subroutines should split, got %d chunks", len(chunks))
-	}
-}
-
-// The rawunit shortcut must agree with the canonical rendering path:
-// identical unit and env fingerprints whether the store is absent, cold,
-// or primed.
-func TestFingerprintRawTierAgreesWithCanonical(t *testing.T) {
-	canonUnit, canonEnv := fpsFor(t, fpSrc, DefaultOptions())
-
-	check := func(tag string, store *cache.ArtifactStore) {
-		prog, err := parser.Parse(fpSrc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bind, err := hpf.Bind(prog, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx, err := cp.NewContextNoDeps(prog, bind)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fps := fingerprintUnits(ctx, DefaultOptions(), fpSrc, store)
-		for _, p := range prog.Procs {
-			if fps.Unit[p] != canonUnit[p.Name] {
-				t.Fatalf("%s: unit fingerprint of %s diverges from canonical", tag, p.Name)
-			}
-			if fps.Env[p] != canonEnv[p.Name] {
-				t.Fatalf("%s: env fingerprint of %s diverges from canonical", tag, p.Name)
-			}
-		}
-	}
-	store := cache.NewArtifactStore(0)
-	check("cold store", store)
-	check("primed store", store)
-	check("nil store", nil)
 }

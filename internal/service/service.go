@@ -312,7 +312,9 @@ func (s *Server) Handler() http.Handler {
 }
 
 // logged wraps the mux with counters and one structured log line per
-// request.
+// request.  A handler that panics answers 500 naming the path, counted
+// in Errors, instead of net/http dropping the connection; one that
+// panics after its response began can only be cut off.
 func (s *Server) logged(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		s.requests.Add(1)
@@ -320,11 +322,21 @@ func (s *Server) logged(next http.Handler) http.Handler {
 		defer s.active.Add(-1)
 		lw := &loggingWriter{ResponseWriter: w, status: http.StatusOK}
 		t0 := time.Now()
+		defer func() {
+			if p := recover(); p != nil {
+				s.cfg.Logger.Error("handler panic", "path", r.URL.Path, "panic", fmt.Sprint(p))
+				if lw.wrote {
+					s.errCount.Add(1)
+					panic(http.ErrAbortHandler)
+				}
+				s.fail(lw, http.StatusInternalServerError, fmt.Errorf("%s: handler panicked: %v", r.URL.Path, p))
+			}
+			s.cfg.Logger.Info("request",
+				"method", r.Method, "path", r.URL.Path,
+				"status", lw.status, "bytes", lw.bytes,
+				"dur", time.Since(t0).Round(time.Microsecond).String())
+		}()
 		next.ServeHTTP(lw, r)
-		s.cfg.Logger.Info("request",
-			"method", r.Method, "path", r.URL.Path,
-			"status", lw.status, "bytes", lw.bytes,
-			"dur", time.Since(t0).Round(time.Microsecond).String())
 	})
 }
 
@@ -332,14 +344,16 @@ type loggingWriter struct {
 	http.ResponseWriter
 	status int
 	bytes  int64
+	wrote  bool // the response has begun
 }
 
 func (w *loggingWriter) WriteHeader(code int) {
-	w.status = code
+	w.status, w.wrote = code, true
 	w.ResponseWriter.WriteHeader(code)
 }
 
 func (w *loggingWriter) Write(p []byte) (int, error) {
+	w.wrote = true
 	n, err := w.ResponseWriter.Write(p)
 	w.bytes += int64(n)
 	return n, err

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -297,6 +298,52 @@ func TestCompilePanicIs500(t *testing.T) {
 	}
 	if got := srv.pending.Load(); got != 0 {
 		t.Errorf("pending = %d after both requests, want 0", got)
+	}
+}
+
+// TestHandlerPanicIs500: a panic in a handler's own code, outside any
+// cache flight, answers 500 with an APIError naming the path and counts
+// as an error — net/http alone would drop the connection.
+func TestHandlerPanicIs500(t *testing.T) {
+	srv := New(Config{})
+	ts := httptest.NewServer(srv.logged(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+		panic("boom in a handler")
+	})))
+	defer ts.Close()
+	resp, err := http.Post(ts.URL+"/v1/boom", "application/json", strings.NewReader("{}"))
+	if err != nil {
+		t.Fatalf("panicking handler: want a 500, got %v", err)
+	}
+	defer resp.Body.Close()
+	var apiErr dhpf.APIError
+	if err := json.NewDecoder(resp.Body).Decode(&apiErr); err != nil {
+		t.Fatalf("500 body is not an APIError: %v", err)
+	}
+	if resp.StatusCode != http.StatusInternalServerError ||
+		!strings.Contains(apiErr.Message, "/v1/boom") || !strings.Contains(apiErr.Message, "boom in a handler") {
+		t.Fatalf("panicking handler: status %d, message %q; want 500 naming the path and the panic", resp.StatusCode, apiErr.Message)
+	}
+	if st := srv.Stats().Server; st.Errors != 1 || st.Active != 0 {
+		t.Errorf("after the panic: errors %d, active %d; want 1 and 0", st.Errors, st.Active)
+	}
+
+	// Once the response has begun a 500 cannot be sent: the connection is
+	// cut instead of a second body being appended to the first.
+	late := httptest.NewServer(srv.logged(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.WriteHeader(http.StatusOK)
+		w.Write([]byte(`{"partial":`))
+		panic("boom after the header")
+	})))
+	defer late.Close()
+	if resp, err := http.Get(late.URL + "/v1/late"); err == nil {
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err == nil {
+			t.Errorf("panic after the header: read a whole %d response %q, want the connection cut", resp.StatusCode, body)
+		}
+	}
+	if got := srv.Stats().Server.Errors; got != 2 {
+		t.Errorf("errors after the second panic = %d, want 2", got)
 	}
 }
 
