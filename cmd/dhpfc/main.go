@@ -40,8 +40,10 @@
 //	                 volume after each pass (with deltas), and decisions
 //	-incremental     compile through the per-procedure artifact store:
 //	                 prime it cold, then recompile warm — the warm run
-//	                 thaws every procedure's frozen analyses, and its
-//	                 output (printed) is byte-identical to the cold one
+//	                 thaws every procedure's frozen selection, plans and
+//	                 fragments, derives dependences only for a procedure
+//	                 loop distribution splits, and its output (printed)
+//	                 is byte-identical to the cold one
 //	-stats           with -incremental: print the recompile delta and the
 //	                 per-pass table (reused passes are labelled "cached")
 //	-lint            run the translation validator and print its
@@ -205,7 +207,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var delta *passes.Delta
 	if *incremental {
 		// Prime the artifact store with a cold compile, then recompile
-		// warm: the warm run thaws every procedure's frozen analyses and
+		// warm: the warm run thaws every procedure's frozen artifacts and
 		// is the compile whose (byte-identical) output gets printed.
 		store := cache.NewArtifactStore(0)
 		if _, _, err = spmd.CompileIncremental(string(src), params, opt, store); err == nil {

@@ -1,6 +1,7 @@
 package dhpf
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -15,11 +16,12 @@ import (
 // dependences, each (statement, rank) iteration set and each (reference,
 // rank) non-local set — is a cache, never a source of truth.  Over the
 // codegen corpus, testdata and the NAS sources at N = 12, under defaults
-// and under each single-pass Disable, cp.Context.Audit re-derives all of
-// it from scratch: with the pass pipeline just run (nothing released
-// yet), after a cold and a warm incremental pipeline (the warm one thaws
-// every procedure's dependences from the artifact store), and after a
-// Compile has printed its Report and every node program.
+// and under each single-pass Disable, cp.Context.Audit re-derives every
+// graph and set the context holds from scratch: with the pass pipeline
+// just run (nothing released yet), after a cold and a warm incremental
+// pipeline (the warm one holds the graphs of the procedures a pass read
+// them for), and after a Compile has printed its Report and every node
+// program.
 func TestDerivedSetsAreACache(t *testing.T) {
 	// conflict2 is the one program loop distribution rewrites under
 	// defaults; no other source here is.
@@ -59,13 +61,24 @@ func TestDerivedSetsAreACache(t *testing.T) {
 			t.Run(name+"/"+oname, func(t *testing.T) {
 				cc := &passes.CompileContext{Source: src, Opt: opt}
 				if err := passes.Run(cc); err != nil {
-					t.Skipf("does not compile: %v", err)
+					var pair *passes.UndistributedPairError
+					if !errors.As(err, &pair) {
+						t.Skipf("does not compile: %v", err)
+					}
+					// A marked pair with loopdist disabled: every path
+					// refuses alike, and there is nothing to audit.
+					_, warmErr := passes.RunIncremental(&passes.CompileContext{Source: src, Opt: opt}, cache.NewArtifactStore(0))
+					_, pubErr := Compile(src, nil, opt)
+					if warmErr == nil || pubErr == nil || warmErr.Error() != err.Error() || pubErr.Error() != err.Error() {
+						t.Fatalf("refusals differ: pipeline %v, incremental %v, Compile %v", err, warmErr, pubErr)
+					}
+					return
 				}
 				if err := cc.Ctx.Audit(); err != nil {
 					t.Fatalf("after the pipeline: %v", err)
 				}
-				// Round 1 is cold; in round 2 every procedure's Deps is
-				// thawed from the store.
+				// Round 1 is cold; round 2 thaws every procedure's
+				// selection from the store.
 				store := cache.NewArtifactStore(0)
 				for round := 1; round <= 2; round++ {
 					cc := &passes.CompileContext{Source: src, Opt: opt}
@@ -84,8 +97,8 @@ func TestDerivedSetsAreACache(t *testing.T) {
 				for r := 0; r < prog.Ranks(); r++ {
 					prog.NodeProgram(r)
 				}
-				if prog.inner.Ctx.Deps != nil {
-					t.Error("Deps outlived the pipeline")
+				if n := prog.inner.Ctx.DepsHeld(); n != 0 {
+					t.Errorf("%d dependences outlived the pipeline", n)
 				}
 				if err := prog.inner.Ctx.Audit(); err != nil {
 					t.Fatalf("after Report and the node programs: %v", err)

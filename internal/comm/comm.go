@@ -111,11 +111,11 @@ func Analyze(ctx *cp.Context, proc *ir.Procedure, sel *cp.Selection) *Analysis {
 // BuildEvents constructs the raw communication plan for a procedure:
 // read and write-back events for every possibly-non-local reference,
 // each vectorized to the outermost legal loop level and flagged when it
-// must be pipelined.  Dependences are ctx.Deps[proc], the dependences of
+// must be pipelined.  Dependences are ctx.Deps(proc), the dependences of
 // the body as loop distribution left it.
 func BuildEvents(ctx *cp.Context, proc *ir.Procedure, sel *cp.Selection) *Analysis {
 	out := &Analysis{Proc: proc}
-	deps := ctx.Deps[proc]
+	deps := ctx.Deps(proc)
 
 	asn := ir.Assignments(proc.Body)
 	for _, a := range asn {
@@ -149,7 +149,7 @@ func BuildEvents(ctx *cp.Context, proc *ir.Procedure, sel *cp.Selection) *Analys
 // ApplyAvailability runs §7 data-availability elimination on a built
 // plan (see applyAvailability).
 func ApplyAvailability(ctx *cp.Context, sel *cp.Selection, a *Analysis) {
-	applyAvailability(ctx, a.Proc, sel, a, ctx.Deps[a.Proc])
+	applyAvailability(ctx, a.Proc, sel, a, ctx.Deps(a.Proc))
 }
 
 // ApplyWritebackElim eliminates write-backs made redundant by partial

@@ -3,16 +3,16 @@ package cp
 import (
 	"fmt"
 
-	"dhpf/internal/dep"
 	"dhpf/internal/hpf"
 	"dhpf/internal/ir"
 	"dhpf/internal/iset"
 )
 
 // Context carries everything CP selection needs for one program: the
-// bound layouts, per-procedure dependence information, layouts propagated
-// onto procedure formals, and the entry CPs of already-processed callees
-// (the bottom-up interprocedural state of §6).
+// bound layouts, layouts propagated onto procedure formals, the entry CPs
+// of already-processed callees (the bottom-up interprocedural state of
+// §6), and what the passes derive once — each body's dependences (Deps),
+// iteration sets and non-local sets.
 type Context struct {
 	Prog *ir.Program
 	Bind *hpf.Binding
@@ -23,45 +23,23 @@ type Context struct {
 	// are program-global, so only formals need translation).
 	Overlay map[*ir.Procedure]map[string]*hpf.Layout
 
-	// Deps holds the dependences of each procedure's body as it stands:
-	// whoever rewrites a body (loop distribution) re-derives its entry.
-	// Only the passes read it; EndPipeline releases it.
-	Deps map[*ir.Procedure][]*dep.Dependence
-
 	// EntryCPs holds, per processed procedure, the CP of its entry point
 	// expressed over its formals with callee-loop subscripts vectorized,
 	// or nil when the procedure has no uniform CP.
 	EntryCPs map[string]*CP
 
-	// sets is the derived-set table behind IterSet and NonLocal.
+	// sets is the derived table behind Deps, IterSet and NonLocal.
 	sets derived
 }
 
-// NewContext builds a context, running dependence analysis on every
-// procedure and propagating formal layouts through call sites.
+// NewContext builds a context, propagating formal layouts through call
+// sites.  It derives no dependences: Deps does, per procedure, when a
+// pass first asks.
 func NewContext(prog *ir.Program, bind *hpf.Binding) (*Context, error) {
-	ctx, err := NewContextNoDeps(prog, bind)
-	if err != nil {
-		return nil, err
-	}
-	for _, proc := range prog.Procs {
-		ctx.Deps[proc] = dep.Analyze(proc.Body)
-	}
-	return ctx, nil
-}
-
-// NewContextNoDeps builds a context with formal layouts propagated but
-// ctx.Deps left empty.  The incremental compiler uses it to compute
-// per-procedure fingerprints (which need the formal-layout overlays but
-// not the dependence graphs) before deciding which procedures' dependence
-// analyses it can reuse from the artifact store; it then fills Deps
-// itself, per procedure, from the store or a fresh dep.Analyze.
-func NewContextNoDeps(prog *ir.Program, bind *hpf.Binding) (*Context, error) {
 	ctx := &Context{
 		Prog:     prog,
 		Bind:     bind,
 		Overlay:  map[*ir.Procedure]map[string]*hpf.Layout{},
-		Deps:     map[*ir.Procedure][]*dep.Dependence{},
 		EntryCPs: map[string]*CP{},
 	}
 	for _, l := range bind.Layouts {

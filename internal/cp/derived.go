@@ -10,23 +10,72 @@ import (
 	"dhpf/internal/iset"
 )
 
-// derived is the table of the sets every pass after CP selection asks
-// for at the parameter binding: each statement's iteration set per rank,
-// and each reference's non-local data per rank.  It is a cache, never a
-// source of truth: a row is stamped with what it was computed from and a
-// lookup whose inputs differ recomputes it, so a caller that swaps a CP
-// or rewrites a nest can never read a stale set.  Sets are shared under
-// iset's read-only rule.
+// derived is the table of what the passes ask for instead of deriving it
+// again: each body's dependences, and at the parameter binding each
+// statement's iteration set per rank and each reference's non-local data
+// per rank.  It is a cache, never a source of truth: a dependence graph
+// is dropped when loop distribution rewrites its body, a set row is
+// stamped with what it was computed from and a lookup whose inputs differ
+// recomputes it, so a caller that swaps a CP or rewrites a nest can never
+// read a stale entry.  Sets are shared under iset's read-only rule.
 //
 // Lifetimes differ: iteration rows stay with the Context (Report and the
-// node printer read them after compile); the non-local table is the large
-// part and is dropped with Deps when the pass pipeline ends (EndPipeline),
-// after which NonLocal computes without keeping.
+// node printer read them after compile); dependence graphs and the
+// non-local table are read by passes only and are dropped when the pass
+// pipeline ends (EndPipeline), after which Deps and NonLocal compute
+// without keeping.
 type derived struct {
 	mu    sync.Mutex
+	deps  map[*ir.Procedure][]*dep.Dependence
 	iters []*iterRow               // by statement id
 	nl    map[*ir.ArrayRef][]nlRow // by reference, then rank
 	ended bool
+}
+
+// Deps returns the dependences of proc's body as it stands, derived the
+// first time a pass asks and kept until loop distribution rewrites the
+// body.  The cold dependence pass asks for every procedure's; a warm
+// compile only for the procedures it re-selects, plans or distributes.
+func (ctx *Context) Deps(proc *ir.Procedure) []*dep.Dependence {
+	t := &ctx.sets
+	t.mu.Lock()
+	if d, ok := t.deps[proc]; ok {
+		t.mu.Unlock()
+		return d
+	}
+	t.mu.Unlock()
+	d := dep.Analyze(proc.Body)
+	t.mu.Lock()
+	if !t.ended {
+		if t.deps == nil {
+			t.deps = map[*ir.Procedure][]*dep.Dependence{}
+		}
+		t.deps[proc] = d
+	}
+	t.mu.Unlock()
+	return d
+}
+
+// DepsHeld counts the dependences the context holds: after the cold
+// dependence pass every procedure's, after a warm one the dirty
+// procedures'.
+func (ctx *Context) DepsHeld() int {
+	t := &ctx.sets
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	n := 0
+	for _, d := range t.deps {
+		n += len(d)
+	}
+	return n
+}
+
+// dropDeps forgets proc's dependences once its body has been rewritten;
+// the next Deps derives them from the body as it then stands.
+func (ctx *Context) dropDeps(proc *ir.Procedure) {
+	ctx.sets.mu.Lock()
+	delete(ctx.sets.deps, proc)
+	ctx.sets.mu.Unlock()
 }
 
 // iterRow is one statement's iteration sets, one per rank, stamped with
@@ -138,34 +187,34 @@ func (ctx *Context) NonLocal(proc *ir.Procedure, id int, c *CP, nest []*ir.Loop,
 	return set
 }
 
-// EndPipeline releases what only the passes read — Deps and the
-// non-local table — keeping the iteration rows; NonLocal computes without
-// keeping from then on.  It is called once the pipeline's result becomes
-// a program, before anything else can see the context.
+// EndPipeline releases what only the passes read — the dependence graphs
+// and the non-local table — keeping the iteration rows; Deps and NonLocal
+// compute without keeping from then on.  It is called once the pipeline's
+// result becomes a program, before anything else can see the context.
 func (ctx *Context) EndPipeline() {
-	ctx.Deps = nil
 	ctx.sets.mu.Lock()
-	ctx.sets.nl, ctx.sets.ended = nil, true
+	ctx.sets.deps, ctx.sets.nl, ctx.sets.ended = nil, nil, true
 	ctx.sets.mu.Unlock()
 }
 
 // Audit re-derives everything the context derived once and reports the
-// first difference: every procedure's Deps (until EndPipeline) against a
-// fresh dep.Analyze of its body as it stands, and every filled table row
+// first difference: every dependence graph it holds against a fresh
+// dep.Analyze of its body as it stands, and every filled table row
 // against a from-scratch CP.IterSet or NonLocalData of its stamp.  It is
 // the test oracle for "a cache, never a source of truth".
 func (ctx *Context) Audit() error {
-	for _, proc := range ctx.Prog.Procs {
-		if ctx.Deps == nil {
-			break // released with the pipeline
-		}
-		if err := sameDeps(ctx.Deps[proc], dep.Analyze(proc.Body)); err != nil {
-			return fmt.Errorf("cp: proc %s: Deps is not the dependences of its body: %w", proc.Name, err)
-		}
-	}
 	t := &ctx.sets
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	for _, proc := range ctx.Prog.Procs {
+		held, ok := t.deps[proc]
+		if !ok {
+			continue
+		}
+		if err := sameDeps(held, dep.Analyze(proc.Body)); err != nil {
+			return fmt.Errorf("cp: proc %s: Deps is not the dependences of its body: %w", proc.Name, err)
+		}
+	}
 	for id, row := range t.iters {
 		if row == nil {
 			continue

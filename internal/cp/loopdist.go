@@ -17,10 +17,10 @@ import (
 // reported in the selection notes.
 //
 // Statement objects are reused, so CPs recorded by statement ID remain
-// valid; only Loop nodes are re-created (with fresh IDs).  It reports
-// whether it rewrote the body: ctx.Deps[proc] no longer describes it
-// then, and the caller re-derives it.
-func DistributeLoops(ctx *Context, proc *ir.Procedure, sel *Selection) bool {
+// valid; only Loop nodes are re-created (with fresh IDs).  When it
+// rewrites the body it drops proc's dependences from ctx: the next reader
+// derives them from the body as it stands.
+func DistributeLoops(ctx *Context, proc *ir.Procedure, sel *Selection) {
 	// Distribution notes come after every selection note, grouped by the
 	// procedure's program order (the order compile calls us in).
 	sel.cur = noteKey{late: 1}
@@ -32,7 +32,7 @@ func DistributeLoops(ctx *Context, proc *ir.Procedure, sel *Selection) bool {
 	}
 	pairs := sel.Marked[proc]
 	if len(pairs) == 0 {
-		return false
+		return
 	}
 
 	changed := false
@@ -62,7 +62,9 @@ func DistributeLoops(ctx *Context, proc *ir.Procedure, sel *Selection) bool {
 		sel.notef("proc %s: pair (stmt %d, stmt %d) not distributable (shared SCC); communication stays inner",
 			proc.Name, pair[0].ID, pair[1].ID)
 	}
-	return changed
+	if changed {
+		ctx.dropDeps(proc)
+	}
 }
 
 // lcaLoop finds the innermost loop containing both statements, and the
@@ -157,7 +159,7 @@ func splitLoop(ctx *Context, proc *ir.Procedure, l *ir.Loop, parent *[]ir.Stmt, 
 		})
 	}
 	expandable := expandableScalars(ctx, proc, l, stmtUnit)
-	for _, d := range ctx.Deps[proc] {
+	for _, d := range ctx.Deps(proc) {
 		// Dependence endpoints must both be inside l.
 		if !nestHasLoop(d.CommonNest, l) {
 			continue
@@ -330,7 +332,7 @@ func selfAccumulates(l *ir.Loop, name string) bool {
 // scalarCrossesGroups reports whether any flow dependence on the scalar
 // connects statements placed in different groups.
 func scalarCrossesGroups(ctx *Context, proc *ir.Procedure, name string, stmtUnit map[int]int, groupOf []int) bool {
-	for _, d := range ctx.Deps[proc] {
+	for _, d := range ctx.Deps(proc) {
 		if d.SrcRef.Name != name || len(d.SrcRef.Subs) != 0 || d.Kind != dep.Flow {
 			continue
 		}

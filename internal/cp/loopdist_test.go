@@ -119,10 +119,7 @@ func TestTrueConflictMarksPair(t *testing.T) {
 		t.Fatal("expected a marked pair")
 	}
 	// Distribution must split the loop into two.
-	changed := DistributeLoops(ctx, proc, sel)
-	if !changed {
-		t.Fatal("DistributeLoops made no change")
-	}
+	DistributeLoops(ctx, proc, sel)
 	loops := 0
 	for _, s := range proc.Body {
 		if _, ok := s.(*ir.Loop); ok {
@@ -216,9 +213,7 @@ end
 	s1 := loop.Body[0].(*ir.Assign)
 	s4 := loop.Body[3].(*ir.Assign)
 	sel.Marked[proc] = [][2]*ir.Assign{{s1, s4}}
-	if !DistributeLoops(ctx, proc, sel) {
-		t.Fatal("no distribution performed")
-	}
+	DistributeLoops(ctx, proc, sel)
 	loops := 0
 	for _, s := range proc.Body {
 		if _, ok := s.(*ir.Loop); ok {

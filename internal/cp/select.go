@@ -379,7 +379,7 @@ func selectLoopBase(ctx *Context, proc *ir.Procedure, loop *ir.Loop, sel *Select
 	groupChoices := make([][]*CP, len(asn))
 	copy(groupChoices, choices)
 
-	for _, d := range ctx.Deps[proc] {
+	for _, d := range ctx.Deps(proc) {
 		if !d.LoopIndependent() || !nestHasLoop(d.CommonNest, loop) {
 			continue
 		}

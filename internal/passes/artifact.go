@@ -8,7 +8,6 @@ import (
 	"dhpf/internal/analysis"
 	"dhpf/internal/comm"
 	"dhpf/internal/cp"
-	"dhpf/internal/dep"
 	"dhpf/internal/ir"
 	"dhpf/internal/verify"
 )
@@ -18,7 +17,6 @@ import (
 // distribution, reduction recognition — is cheap and deterministic given
 // the thawed inputs, so it is always re-run rather than cached.
 const (
-	artifactDeps   = "deps"   // dependence graph, frozen on the parse-stage body
 	artifactSel    = "sel"    // per-procedure CP selection, frozen post-§6 on the pre-distribution body
 	artifactComm   = "comm"   // communication plan, frozen post-distribution and post-elimination
 	artifactVerify = "verify" // per-procedure verification fragment
@@ -32,21 +30,16 @@ const (
 // frozen artifact can rebind it to the structurally-identical assignment
 // of a later compile whose AST pointers differ.
 type refSel struct {
-	Kind int    // 0 = LHS, 1 = RHS ref by index, 2 = synthetic scalar read by name
-	Idx  int    // valid for Kind 1
-	Name string // valid for Kind 2
+	Kind int // selLHS or selRHS
+	Idx  int // the RHS reference's index, for selRHS
 }
 
 const (
 	selLHS = iota
 	selRHS
-	selScalar
 )
 
-// selectRef computes the selector for a reference of assignment a.  The
-// synthetic case covers the rank-0 refs dep.Analyze fabricates for scalar
-// reads: they match no AST pointer, and every downstream consumer compares
-// them by name/value, so the name alone reconstructs them faithfully.
+// selectRef computes the selector for a reference of assignment a.
 func selectRef(a *ir.Assign, ref *ir.ArrayRef) (refSel, error) {
 	if ref == a.LHS {
 		return refSel{Kind: selLHS}, nil
@@ -56,15 +49,11 @@ func selectRef(a *ir.Assign, ref *ir.ArrayRef) (refSel, error) {
 			return refSel{Kind: selRHS, Idx: i}, nil
 		}
 	}
-	if len(ref.Subs) == 0 {
-		return refSel{Kind: selScalar, Name: ref.Name}, nil
-	}
 	return refSel{}, fmt.Errorf("reference %v not locatable in stmt %d", ref, a.ID)
 }
 
-// refCache memoizes ir.Refs per assignment, so thawing many frozen
-// records against the same statement (a dependence graph routinely holds
-// several dependences per statement pair) walks each RHS only once.
+// refCache memoizes ir.Refs per assignment, so thawing several frozen
+// events against the same statement walks its RHS only once.
 type refCache map[*ir.Assign][]*ir.ArrayRef
 
 // resolveRef rebinds a selector against a fresh assignment.
@@ -82,93 +71,8 @@ func (c refCache) resolveRef(a *ir.Assign, s refSel) (*ir.ArrayRef, error) {
 			return nil, fmt.Errorf("RHS ref %d out of range in stmt %d", s.Idx, a.ID)
 		}
 		return refs[s.Idx], nil
-	case selScalar:
-		return &ir.ArrayRef{Name: s.Name}, nil
 	}
 	return nil, fmt.Errorf("unknown ref selector kind %d", s.Kind)
-}
-
-// --- dependence artifacts ----------------------------------------------------
-
-type frozenDep struct {
-	Kind     dep.Kind
-	Src, Dst int // assignment rank in ir.Assignments order
-	SrcRef   refSel
-	DstRef   refSel
-	Distance []dep.Dist
-	Level    int
-}
-
-type frozenDeps struct {
-	Deps []frozenDep
-}
-
-// freezeDeps captures a procedure's dependence graph against the ranks of
-// its parse-stage assignments.  It must run before loop distribution,
-// which rewrites references in place.
-func freezeDeps(proc *ir.Procedure, deps []*dep.Dependence) (*frozenDeps, error) {
-	rank := map[*ir.Assign]int{}
-	for i, a := range ir.Assignments(proc.Body) {
-		rank[a.Assign] = i
-	}
-	out := &frozenDeps{Deps: make([]frozenDep, 0, len(deps))}
-	for _, d := range deps {
-		si, ok := rank[d.Src]
-		if !ok {
-			return nil, fmt.Errorf("dep source stmt %d not in body", d.Src.ID)
-		}
-		di, ok := rank[d.Dst]
-		if !ok {
-			return nil, fmt.Errorf("dep dest stmt %d not in body", d.Dst.ID)
-		}
-		sr, err := selectRef(d.Src, d.SrcRef)
-		if err != nil {
-			return nil, err
-		}
-		dr, err := selectRef(d.Dst, d.DstRef)
-		if err != nil {
-			return nil, err
-		}
-		out.Deps = append(out.Deps, frozenDep{
-			Kind: d.Kind, Src: si, Dst: di, SrcRef: sr, DstRef: dr,
-			Distance: append([]dep.Dist(nil), d.Distance...), Level: d.Level,
-		})
-	}
-	return out, nil
-}
-
-// thawDeps rebinds a frozen dependence graph to a fresh parse of the same
-// procedure text.  CommonNest is recomputed exactly as dep.Analyze's
-// makeDep computes it; the dependence order of the frozen list is
-// preserved, since note and event generation iterate it.
-func thawDeps(proc *ir.Procedure, fz *frozenDeps) ([]*dep.Dependence, error) {
-	asn := ir.Assignments(proc.Body)
-	rc := refCache{}
-	// One bulk allocation for the thawed graph; Distance aliases the
-	// frozen slice — every consumer reads it, none mutates.
-	bulk := make([]dep.Dependence, len(fz.Deps))
-	out := make([]*dep.Dependence, 0, len(fz.Deps))
-	for i, f := range fz.Deps {
-		if f.Src < 0 || f.Src >= len(asn) || f.Dst < 0 || f.Dst >= len(asn) {
-			return nil, fmt.Errorf("dep stmt rank out of range (%d, %d of %d)", f.Src, f.Dst, len(asn))
-		}
-		src, dst := asn[f.Src], asn[f.Dst]
-		sr, err := rc.resolveRef(src.Assign, f.SrcRef)
-		if err != nil {
-			return nil, err
-		}
-		dr, err := rc.resolveRef(dst.Assign, f.DstRef)
-		if err != nil {
-			return nil, err
-		}
-		bulk[i] = dep.Dependence{
-			Kind: f.Kind, Src: src.Assign, Dst: dst.Assign, SrcRef: sr, DstRef: dr,
-			CommonNest: ir.CommonPrefix(src.Nest, dst.Nest),
-			Distance:   f.Distance, Level: f.Level,
-		}
-		out = append(out, &bulk[i])
-	}
-	return out, nil
 }
 
 // --- statement-ID relocation -------------------------------------------------
@@ -527,8 +431,6 @@ func thawAnalyze(proc *ir.Procedure, fz *frozenAnalyze) (*analysis.Result, error
 // byte budget.  Exactness is unnecessary; the budget only bounds growth.
 func approxSize(v any) int64 {
 	switch a := v.(type) {
-	case *frozenDeps:
-		return 64 + int64(len(a.Deps))*96
 	case *frozenSel:
 		n := int64(64 + len(a.OldIDs)*8 + len(a.Sel.Marked)*16)
 		for _, c := range a.Sel.CPs {

@@ -8,7 +8,6 @@ import (
 	"dhpf/internal/cache"
 	"dhpf/internal/comm"
 	"dhpf/internal/cp"
-	"dhpf/internal/dep"
 	"dhpf/internal/ir"
 	"dhpf/internal/verify"
 )
@@ -36,10 +35,12 @@ type incrRun struct {
 	cc    *CompileContext
 	store *cache.ArtifactStore
 	fps   *unitFingerprints
-	// dirty marks procedures whose dependence artifact was recomputed —
-	// the procedures whose environment changed since the artifacts were
-	// frozen.
-	dirty map[*ir.Procedure]bool
+	// dirty marks procedures with no selection artifact under their
+	// environment — those whose environment changed since the artifacts
+	// were frozen, or whose artifacts the store evicted; frozenSel holds
+	// the clean procedures' selection artifacts.
+	dirty     map[*ir.Procedure]bool
+	frozenSel map[*ir.Procedure]*frozenSel
 	// selOrder is the bottom-up call-graph order the selection phases
 	// iterate; selDirty marks procedures whose selection is being computed
 	// this run (dirty, or whose frozen selection failed to thaw), and
@@ -55,8 +56,8 @@ type incrRun struct {
 	delta     *Delta
 }
 
-// RunIncremental is RunCtx with artifact memoization: per-procedure
-// dependence graphs, CP selections, communication plans and verification
+// RunIncremental is RunCtx with artifact memoization: per-procedure CP
+// selections, communication plans, verification fragments and analysis
 // fragments are reused from the store when the procedure's environment
 // fingerprint is unchanged, and only dirty procedures are re-analyzed —
 // in parallel on a bounded worker pool.  The cheap whole-program passes
@@ -103,69 +104,34 @@ func RunIncrementalCtx(ctx context.Context, cc *CompileContext, store *cache.Art
 	return r.delta, nil
 }
 
-// dependence replaces runDependence: the context is built without
-// dependence graphs, fingerprints decide which procedures are dirty, and
-// only those are re-analyzed (in parallel).  Dirty graphs are frozen
-// immediately — loop distribution rewrites references in place later, so
-// this is the last moment the parse-stage selectors are computable.
+// dependence replaces runDependence: fingerprints decide which
+// procedures are dirty — those with no selection artifact under their
+// environment — and only their dependences are derived, in parallel.  A
+// clean procedure's are derived later only if a pass reads them: loop
+// distribution, for a procedure whose thawed selection marked a pair.
 func (r *incrRun) dependence() (bool, error) {
 	cc := r.cc
-	ctx, err := cp.NewContextNoDeps(cc.IR, cc.Bind)
-	if err != nil {
+	if err := newContext(cc); err != nil {
 		return false, err
 	}
-	grid, err := ctx.Grid()
-	if err != nil {
-		return false, err
-	}
-	r.fps = fingerprintUnits(ctx, cc.Opt)
-
-	// Look the artifacts up serially (the store is cheap), then thaw the
-	// hits on the worker pool — relocation walks every statement of every
-	// clean procedure, which is the bulk of a fully-warm compile.
-	frozen := make([]*frozenDeps, len(cc.IR.Procs))
-	thawed := make([][]*dep.Dependence, len(cc.IR.Procs))
-	for i, proc := range cc.IR.Procs {
-		if v, ok := r.store.Get(artifactKey(artifactDeps, r.fps.Env[proc])); ok {
-			frozen[i] = v.(*frozenDeps)
-		}
-	}
-	forEach(len(cc.IR.Procs), 0, func(i int) error {
-		if frozen[i] != nil {
-			thawed[i], _ = thawDeps(cc.IR.Procs[i], frozen[i])
-		}
-		return nil
-	})
-	var dirtyIdx []int
-	for i, proc := range cc.IR.Procs {
-		if thawed[i] != nil {
-			ctx.Deps[proc] = thawed[i]
-			r.delta.ArtifactHits++
+	r.fps = fingerprintUnits(cc.Ctx, cc.Opt)
+	r.frozenSel = map[*ir.Procedure]*frozenSel{}
+	var dirty []*ir.Procedure
+	for _, proc := range cc.IR.Procs {
+		if v, ok := r.store.Get(artifactKey(artifactSel, r.fps.Env[proc])); ok {
+			r.frozenSel[proc] = v.(*frozenSel)
 			continue
 		}
-		dirtyIdx = append(dirtyIdx, i)
+		dirty = append(dirty, proc)
 		r.dirty[proc] = true
 		r.delta.DirtyProcs = append(r.delta.DirtyProcs, proc.Name)
 	}
-	r.delta.Dirty = len(dirtyIdx)
-
-	results := make([][]*dep.Dependence, len(dirtyIdx))
-	forEach(len(dirtyIdx), 0, func(k int) error {
-		results[k] = dep.Analyze(cc.IR.Procs[dirtyIdx[k]].Body)
+	r.delta.Dirty = len(dirty)
+	forEach(len(dirty), 0, func(k int) error {
+		cc.Ctx.Deps(dirty[k])
 		return nil
 	})
-	for k, i := range dirtyIdx {
-		proc := cc.IR.Procs[i]
-		ctx.Deps[proc] = results[k]
-		r.delta.ArtifactMisses++
-		r.store.MarkDirty(1)
-		if fz, err := freezeDeps(proc, results[k]); err == nil {
-			r.store.Put(artifactKey(artifactDeps, r.fps.Env[proc]), fz, approxSize(fz))
-		}
-	}
-	cc.Ctx = ctx
-	cc.Grid = grid
-	return len(dirtyIdx) == 0, nil
+	return len(dirty) == 0, nil
 }
 
 // selClean is the skip predicate the partial selection phases take: a
@@ -189,13 +155,10 @@ func (r *incrRun) cpSelect() (bool, error) {
 	cc.Sel = sel
 	r.selDirty = map[*ir.Procedure]bool{}
 	for pi, proc := range order {
-		if !r.dirty[proc] {
-			key := artifactKey(artifactSel, r.fps.Env[proc])
-			if v, ok := r.store.Get(key); ok {
-				if err := thawSel(proc, pi, sel, v.(*frozenSel)); err == nil {
-					r.delta.ArtifactHits++
-					continue
-				}
+		if fz := r.frozenSel[proc]; fz != nil {
+			if err := thawSel(proc, pi, sel, fz); err == nil {
+				r.delta.ArtifactHits++
+				continue
 			}
 		}
 		r.selDirty[proc] = true
@@ -205,7 +168,7 @@ func (r *incrRun) cpSelect() (bool, error) {
 	if err := cp.SelectBaseInto(cc.Ctx, sel, cc.Opt.CP, r.selClean); err != nil {
 		return false, err
 	}
-	return len(r.selDirty) == 0, nil
+	return len(r.selDirty) == 0, refuseUndistributed(cc)
 }
 
 // newProp replaces runNewProp, propagating §4.1 only through dirty
@@ -239,8 +202,8 @@ func (r *incrRun) interproc() (bool, error) {
 // selection state of the procedures selected this run.  It is the first
 // of loopdist and reductions (mandatory, so the freeze does not depend on
 // whether loopdist is ablated) that freezes: that is the last moment the
-// pre-distribution statement walk — the relocation anchor shared with
-// the deps artifact — is computable.
+// pre-distribution statement walk — the selection's relocation anchor —
+// is computable.
 func (r *incrRun) beforeDistribution(run func(*CompileContext) error) func() (bool, error) {
 	return func() (bool, error) {
 		if !r.selFrozen {

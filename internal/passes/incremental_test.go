@@ -1,6 +1,7 @@
 package passes
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -315,5 +316,91 @@ func TestIncrementalParseErrorMatchesCold(t *testing.T) {
 	}
 	if warmErr.Error() != coldErr.Error() {
 		t.Fatalf("warm error %q != cold error %q", warmErr, coldErr)
+	}
+}
+
+// pairSrc is two procedures: split holds conflict2's nest (cp's testdata),
+// whose scalar hand-off CP selection marks for §5 to distribute, and main,
+// which split's environment does not embed, carries the edit marker.
+const pairSrc = `
+program pair
+param N = 64
+!hpf$ processors procs(4)
+!hpf$ template tm(N)
+!hpf$ align a with tm(d0)
+!hpf$ align b with tm(d0)
+!hpf$ align c with tm(d0)
+!hpf$ distribute tm(BLOCK) onto procs
+
+subroutine split(a, b, c)
+  real a(0:N-1)
+  real b(0:N-1)
+  real c(0:N-1)
+  real s
+  do j = 1, N-3
+    s = a(j) * 2.0
+    c(j+1) = s + b(j+1)
+  enddo
+end
+
+subroutine main()
+  real a(0:N-1)
+  real b(0:N-1)
+  real c(0:N-1)
+  do j = 0, N-1
+    a(j) = 0.10000 * j
+    b(j) = 1.0
+  enddo
+  call split(a, b, c)
+end
+`
+
+// The one warm path on which a clean procedure's dependences are derived:
+// an edit in main leaves split clean, and split's thawed selection marks
+// a pair, so loop distribution reads split's graph.  Under defaults and
+// every single Disable the warm compile matches a cold one — and without
+// loopdist both refuse the pair alike.
+func TestIncrementalMatchesColdWithCleanMarkedPair(t *testing.T) {
+	edited := editAdd(pairSrc, 1)
+	for _, name := range append([]string{""}, OptionalPassNames()...) {
+		label, opt := "default", DefaultOptions()
+		if name != "" {
+			label, opt = "no-"+name, opt.WithDisabled(name)
+		}
+		t.Run(label, func(t *testing.T) {
+			store := cache.NewArtifactStore(0)
+			_, primeErr := RunIncremental(&CompileContext{Source: pairSrc, Opt: opt}, store)
+			warm := &CompileContext{Source: edited, Opt: opt}
+			delta, warmErr := RunIncremental(warm, store)
+			cold := &CompileContext{Source: edited, Opt: opt}
+			coldErr := Run(cold)
+			if name == PassLoopDist {
+				var pair *UndistributedPairError
+				if !errors.As(coldErr, &pair) || pair.Proc != "split" || primeErr == nil || warmErr == nil || warmErr.Error() != coldErr.Error() {
+					t.Fatalf("want every compile to refuse split's pair alike: prime %v, warm %v, cold %v", primeErr, warmErr, coldErr)
+				}
+				return
+			}
+			if primeErr != nil || warmErr != nil || coldErr != nil {
+				t.Fatalf("prime %v, warm %v, cold %v", primeErr, warmErr, coldErr)
+			}
+			if delta.Dirty != 1 || delta.DirtyProcs[0] != "main" {
+				t.Fatalf("dirty procs = %v, want exactly [main]", delta.DirtyProcs)
+			}
+			split := warm.IR.Proc("split")
+			if len(warm.Sel.Marked[split]) == 0 {
+				t.Fatal("split's thawed selection marks no pair")
+			}
+			got, want := snapshot(warm), snapshot(cold)
+			if !strings.Contains(want, "proc split: distributed loop j") {
+				t.Fatalf("cold compile did not distribute split:\n%s", want)
+			}
+			if got != want {
+				t.Fatalf("incremental differs from cold:\n--- incremental ---\n%s\n--- cold ---\n%s", got, want)
+			}
+			if err := warm.Ctx.Audit(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

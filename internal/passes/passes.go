@@ -18,7 +18,6 @@ import (
 	"dhpf/internal/analysis"
 	"dhpf/internal/comm"
 	"dhpf/internal/cp"
-	"dhpf/internal/dep"
 	"dhpf/internal/hpf"
 	"dhpf/internal/ir"
 	"dhpf/internal/parser"
@@ -178,9 +177,10 @@ type Pass struct {
 
 // ArtifactKinds lists the per-procedure artifacts the incremental
 // scheduler memoizes in the store, in pipeline order — every kind the
-// store holds.
+// store holds.  Dependence graphs are not one: a compile derives a
+// procedure's only where a pass reads it (cp.Context.Deps).
 func ArtifactKinds() []string {
-	return []string{artifactDeps, artifactSel, artifactComm, artifactVerify, artifactAnalyze}
+	return []string{artifactSel, artifactComm, artifactVerify, artifactAnalyze}
 }
 
 // BuildPipeline returns the ordered pass list for the options: the full
@@ -357,7 +357,21 @@ func runBind(cc *CompileContext) error {
 	return nil
 }
 
+// runDependence builds the CP context and derives every procedure's
+// dependences, so their cost is this pass's row and not the first
+// reader's.
 func runDependence(cc *CompileContext) error {
+	if err := newContext(cc); err != nil {
+		return err
+	}
+	for _, proc := range cc.IR.Procs {
+		cc.Ctx.Deps(proc)
+	}
+	return nil
+}
+
+// newContext builds the CP context and fixes the processor grid.
+func newContext(cc *CompileContext) error {
 	ctx, err := cp.NewContext(cc.IR, cc.Bind)
 	if err != nil {
 		return err
@@ -377,6 +391,34 @@ func runCPSelect(cc *CompileContext) error {
 		return err
 	}
 	cc.Sel = sel
+	return refuseUndistributed(cc)
+}
+
+// UndistributedPairError refuses a pipeline without loopdist in which CP
+// selection marked a statement pair.  §5 gives such a pair no common CP
+// and separates it by distributing the loop the two share; left in one
+// loop, the pair computes a wrong answer the verifier does not catch.
+type UndistributedPairError struct {
+	Proc     string
+	Src, Dst int // the pair's statement IDs
+}
+
+func (e *UndistributedPairError) Error() string {
+	return fmt.Sprintf("proc %s: stmt %d and stmt %d have no common CP and only %s separates them, which is disabled",
+		e.Proc, e.Src, e.Dst, PassLoopDist)
+}
+
+// refuseUndistributed returns the first marked pair, in program order, as
+// an UndistributedPairError when loopdist is disabled.
+func refuseUndistributed(cc *CompileContext) error {
+	if !cc.Opt.Disabled(PassLoopDist) {
+		return nil
+	}
+	for _, proc := range cc.IR.Procs {
+		if pairs := cc.Sel.Marked[proc]; len(pairs) > 0 {
+			return &UndistributedPairError{Proc: proc.Name, Src: pairs[0][0].ID, Dst: pairs[0][1].ID}
+		}
+	}
 	return nil
 }
 
@@ -392,14 +434,13 @@ func runInterproc(cc *CompileContext) error {
 	return cp.SelectInterproc(cc.Ctx, cc.Sel)
 }
 
-// runLoopDist distributes loops and re-derives the dependences of exactly
-// the bodies it rewrote, so ctx.Deps stays the dependences of every body
-// as it stands for the passes after it.
+// runLoopDist distributes loops.  A procedure with no marked pair is left
+// alone without reading its dependences; one whose body it rewrote has
+// them dropped, so the passes after it derive them from the body as it
+// stands.
 func runLoopDist(cc *CompileContext) error {
 	for _, proc := range cc.IR.Procs {
-		if cp.DistributeLoops(cc.Ctx, proc, cc.Sel) {
-			cc.Ctx.Deps[proc] = dep.Analyze(proc.Body)
-		}
+		cp.DistributeLoops(cc.Ctx, proc, cc.Sel)
 	}
 	return nil
 }
@@ -468,11 +509,6 @@ func checkBind(cc *CompileContext) error {
 func checkDependence(cc *CompileContext) error {
 	if cc.Ctx == nil || cc.Grid == nil {
 		return fmt.Errorf("no CP context or grid produced")
-	}
-	for _, proc := range cc.IR.Procs {
-		if _, ok := cc.Ctx.Deps[proc]; !ok {
-			return fmt.Errorf("no dependence info for proc %s", proc.Name)
-		}
 	}
 	return nil
 }
@@ -615,11 +651,7 @@ func summarize(name string, cc *CompileContext) string {
 	case PassBind:
 		return fmt.Sprintf("%d params", len(cc.Bind.Params))
 	case PassDependence:
-		deps := 0
-		for _, d := range cc.Ctx.Deps {
-			deps += len(d)
-		}
-		return fmt.Sprintf("%d deps, grid %s%v", deps, cc.Grid.Name, cc.Grid.Shape)
+		return fmt.Sprintf("%d deps, grid %s%v", cc.Ctx.DepsHeld(), cc.Grid.Name, cc.Grid.Shape)
 	case PassCPSelect:
 		marked := 0
 		for _, pairs := range cc.Sel.Marked {

@@ -10,9 +10,11 @@
 // Because artifact keys are content fingerprints, what's on disk can
 // never be stale — at worst it is absent.
 //
-// Every kind the store holds — deps, sel, comm, verify, analyze
+// Every kind the store holds — sel, comm, verify, analyze
 // (ArtifactKinds) — is a pure-data frozen struct and persists; nothing
-// of the front end is stored, since a compile always parses its source.
+// of the front end is stored, since a compile always parses its source,
+// and no dependence graph, since a compile derives one only where a pass
+// reads it.
 // Encoding an unknown kind is a silent no-op and decoding bytes from an
 // older format version is a miss (codec envelope check), so schema
 // evolution degrades to recompute, never to failure.
@@ -27,7 +29,6 @@ import (
 	"dhpf/internal/cache"
 	"dhpf/internal/comm"
 	"dhpf/internal/cp"
-	"dhpf/internal/dep"
 	"dhpf/internal/ir"
 	"dhpf/internal/iset"
 	"dhpf/internal/store"
@@ -37,7 +38,7 @@ import (
 
 // artifactCodecVersion is the body-layout version shared by every
 // artifact format below; bump it when any frozen struct changes shape.
-const artifactCodecVersion = 1
+const artifactCodecVersion = 2
 
 // NewStoreBacking returns a durable backing for the artifact tier,
 // persisting frozen artifacts into st.
@@ -93,14 +94,6 @@ func (b *storeBacking) Load(key string) (any, int64, bool) {
 // is unknown or the value has an unexpected type.
 func encodeArtifact(kind string, val any) ([]byte, bool) {
 	switch kind {
-	case artifactDeps:
-		v, ok := val.(*frozenDeps)
-		if !ok {
-			return nil, false
-		}
-		w := codec.NewWriter("artifact/"+kind, artifactCodecVersion)
-		encDeps(w, v)
-		return w.Bytes(), true
 	case artifactSel:
 		v, ok := val.(*frozenSel)
 		if !ok || v.Sel == nil {
@@ -146,9 +139,6 @@ func decodeArtifact(kind string, data []byte) (any, bool) {
 		return nil, false
 	}
 	switch kind {
-	case artifactDeps:
-		v := decDeps(r)
-		return v, r.Done()
 	case artifactSel:
 		v := decSel(r)
 		return v, r.Done() && v.Sel != nil
@@ -220,11 +210,10 @@ func decAff(r *codec.Reader) ir.AffExpr {
 func encRefSel(w *codec.Writer, s refSel) {
 	w.Int(s.Kind)
 	w.Int(s.Idx)
-	w.String(s.Name)
 }
 
 func decRefSel(r *codec.Reader) refSel {
-	return refSel{Kind: r.Int(), Idx: r.Int(), Name: r.String()}
+	return refSel{Kind: r.Int(), Idx: r.Int()}
 }
 
 func encCP(w *codec.Writer, c *cp.CP) {
@@ -272,44 +261,6 @@ func decCP(r *codec.Reader) *cp.CP {
 }
 
 // --- per-tier bodies ---------------------------------------------------------
-
-func encDeps(w *codec.Writer, v *frozenDeps) {
-	w.Uvarint(uint64(len(v.Deps)))
-	for _, d := range v.Deps {
-		w.Int(int(d.Kind))
-		w.Int(d.Src)
-		w.Int(d.Dst)
-		encRefSel(w, d.SrcRef)
-		encRefSel(w, d.DstRef)
-		w.Uvarint(uint64(len(d.Distance)))
-		for _, dd := range d.Distance {
-			w.Bool(dd.Known)
-			w.Int(dd.D)
-		}
-		w.Int(d.Level)
-	}
-}
-
-func decDeps(r *codec.Reader) *frozenDeps {
-	out := &frozenDeps{}
-	n := r.Uvarint()
-	for i := uint64(0); i < n && r.Err() == nil; i++ {
-		d := frozenDep{
-			Kind:   dep.Kind(r.Int()),
-			Src:    r.Int(),
-			Dst:    r.Int(),
-			SrcRef: decRefSel(r),
-			DstRef: decRefSel(r),
-		}
-		nd := r.Uvarint()
-		for j := uint64(0); j < nd && r.Err() == nil; j++ {
-			d.Distance = append(d.Distance, dep.Dist{Known: r.Bool(), D: r.Int()})
-		}
-		d.Level = r.Int()
-		out.Deps = append(out.Deps, d)
-	}
-	return out
-}
 
 func encSel(w *codec.Writer, v *frozenSel) {
 	ids := make([]int, 0, len(v.Sel.CPs))

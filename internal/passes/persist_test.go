@@ -7,7 +7,6 @@ import (
 
 	"dhpf/internal/comm"
 	"dhpf/internal/cp"
-	"dhpf/internal/dep"
 	"dhpf/internal/ir"
 	"dhpf/internal/store"
 	"dhpf/internal/store/codec"
@@ -40,24 +39,6 @@ func roundTrip(t *testing.T, kind string, val any) any {
 }
 
 func TestArtifactCodecRoundTrip(t *testing.T) {
-	deps := &frozenDeps{Deps: []frozenDep{
-		{
-			Kind: dep.Flow, Src: 0, Dst: 3,
-			SrcRef:   refSel{Kind: selLHS},
-			DstRef:   refSel{Kind: selRHS, Idx: 2},
-			Distance: []dep.Dist{{Known: true, D: -1}, {Known: false}},
-			Level:    2,
-		},
-		{
-			Kind: dep.Anti, Src: 5, Dst: 5,
-			SrcRef: refSel{Kind: selScalar, Name: "tmp"},
-			DstRef: refSel{Kind: selLHS},
-		},
-	}}
-	if got := roundTrip(t, artifactDeps, deps); !reflect.DeepEqual(got, deps) {
-		t.Errorf("deps round trip:\n got %+v\nwant %+v", got, deps)
-	}
-
 	sel := &frozenSel{
 		Sel: &cp.ProcSelection{
 			CPs:      map[int]*cp.CP{4: sampleCP(), 9: nil, 11: {}},
@@ -124,8 +105,8 @@ func TestArtifactCodecSkipsUnsupported(t *testing.T) {
 	if _, ok := encodeArtifact("ast", &ir.Procedure{}); ok {
 		t.Error("live IR encoded")
 	}
-	if _, ok := encodeArtifact(artifactDeps, "wrong type"); ok {
-		t.Error("mistyped deps encoded")
+	if _, ok := encodeArtifact(artifactComm, "wrong type"); ok {
+		t.Error("mistyped comm encoded")
 	}
 	if _, ok := encodeArtifact("nonsense", 7); ok {
 		t.Error("unknown kind encoded")
@@ -137,12 +118,12 @@ func TestArtifactCodecSkipsUnsupported(t *testing.T) {
 
 // A value written under a different codec version reads as a miss.
 func TestArtifactCodecVersionMismatchIsMiss(t *testing.T) {
-	w := codec.NewWriter("artifact/"+artifactDeps, artifactCodecVersion+1)
+	w := codec.NewWriter("artifact/"+artifactComm, artifactCodecVersion+1)
 	w.Uvarint(0)
-	if _, ok := decodeArtifact(artifactDeps, w.Bytes()); ok {
+	if _, ok := decodeArtifact(artifactComm, w.Bytes()); ok {
 		t.Fatal("future-version artifact decoded")
 	}
-	if _, ok := decodeArtifact(artifactDeps, []byte("not even codec")); ok {
+	if _, ok := decodeArtifact(artifactComm, []byte("not even codec")); ok {
 		t.Fatal("garbage decoded")
 	}
 }
@@ -172,8 +153,8 @@ func TestStoreBackingPersists(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := NewStoreBacking(st)
-	key := artifactKey(artifactDeps, "env-fp-1")
-	want := &frozenDeps{Deps: []frozenDep{{Kind: dep.Output, Src: 1, Dst: 2, Level: 1}}}
+	key := artifactKey(artifactComm, "env-fp-1")
+	want := &frozenComm{Events: []frozenEvent{{Kind: comm.WriteBack, Stmt: 1, Ref: refSel{Kind: selLHS}, Depth: 1}}}
 	b.Store(key, want, 128)
 
 	// Values of kinds the store does not hold are skipped silently.
@@ -193,9 +174,9 @@ func TestStoreBackingPersists(t *testing.T) {
 		t.Fatalf("Load after reopen: ok=%v size=%d", ok, size)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("thawed deps differ:\n got %+v\nwant %+v", got, want)
+		t.Errorf("thawed comm differs:\n got %+v\nwant %+v", got, want)
 	}
-	if _, _, ok := NewStoreBacking(st2).Load(artifactKey(artifactDeps, "other-env")); ok {
+	if _, _, ok := NewStoreBacking(st2).Load(artifactKey(artifactComm, "other-env")); ok {
 		t.Error("phantom artifact")
 	}
 }

@@ -41,7 +41,7 @@ type unitFingerprints struct {
 
 // fingerprintUnits computes the fingerprint table for a parsed, bound
 // program whose formal-layout overlays are already propagated (the ctx
-// from cp.NewContextNoDeps).  Call graphs with cycles get conservative
+// from cp.NewContext).  Call graphs with cycles get conservative
 // fingerprints for the procedures on the cycle path (the selection passes
 // reject recursion later with the same error as a cold compile).
 func fingerprintUnits(ctx *cp.Context, opt Options) *unitFingerprints {

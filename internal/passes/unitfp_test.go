@@ -54,7 +54,7 @@ func fpsFor(t *testing.T, src string, opt Options) (unit, env map[string]string)
 	if err != nil {
 		t.Fatalf("bind: %v", err)
 	}
-	ctx, err := cp.NewContextNoDeps(prog, bind)
+	ctx, err := cp.NewContext(prog, bind)
 	if err != nil {
 		t.Fatalf("context: %v", err)
 	}

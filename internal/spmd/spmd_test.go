@@ -1,6 +1,7 @@
 package spmd
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -234,8 +235,11 @@ end
 // TestLoopDistDisabledKeepsMarkedPair pins what dropping the loopdist
 // pass means: §5's grouping still runs inside cpselect and still records
 // the pair it could not give a common CP (s2 joins s1 on a(j), leaving
-// nothing in common with s3, pinned to row j+1), but nothing splits the
-// loop.  Selective distribution makes 2 loops of the nest, not 4.
+// nothing in common with s3, pinned to row j+1), and with nothing to
+// split their loop the pipeline refuses the program, naming the pair.
+// Left in one loop, the pair computed a wrong d at the three block
+// boundaries and verified clean.  Selective distribution makes 2 loops of
+// the nest, not 4.
 func TestLoopDistDisabledKeepsMarkedPair(t *testing.T) {
 	src := `
 program sel
@@ -284,18 +288,18 @@ end
 		t.Errorf("default: %d top-level loops, want 3 (init + the nest split in 2)", n)
 	}
 
-	// The ablated program is not run: it is verifier-clean yet differs
-	// from serial in d at the three block boundaries (ROADMAP item 2b).
-	off, err := CompileSource(src, nil, DefaultOptions().WithDisabled(passes.PassLoopDist))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := topLoops(off); n != 2 {
-		t.Errorf("loopdist disabled: %d top-level loops, want 2 (nothing distributed)", n)
-	}
-	marked := off.Sel.Marked[off.IR.Main()]
+	marked := prog.Sel.Marked[prog.IR.Main()]
 	if len(marked) != 1 || marked[0][0].LHS.Name != "c" || marked[0][1].LHS.Name != "d" {
-		t.Errorf("loopdist disabled: marked pairs = %v, want the one c -> d pair", marked)
+		t.Fatalf("default: marked pairs = %v, want the one c -> d pair", marked)
+	}
+
+	_, err := CompileSource(src, nil, DefaultOptions().WithDisabled(passes.PassLoopDist))
+	var pair *passes.UndistributedPairError
+	if !errors.As(err, &pair) {
+		t.Fatalf("loopdist disabled: compile returned %v, want an UndistributedPairError", err)
+	}
+	if want := (passes.UndistributedPairError{Proc: "main", Src: marked[0][0].ID, Dst: marked[0][1].ID}); *pair != want {
+		t.Errorf("loopdist disabled: refused %+v, want the c -> d pair %+v", *pair, want)
 	}
 }
 

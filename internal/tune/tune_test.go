@@ -554,3 +554,40 @@ func TestTuneReportsDeadlockedCandidate(t *testing.T) {
 		t.Errorf("%d screened + %d infeasible + %d deadlocked of %d candidates", res.Counters.Screened, res.Counters.Infeasible, hung, want)
 	}
 }
+
+// The tuner sweeps Disable, so it tries a program whose CP selection
+// marks a pair without the loopdist pass that separates it.  The compile
+// refuses that candidate, naming the pair, and the screen files it as an
+// error: it is never run, so it can never win with a wrong answer.
+func TestTuneReportsUndistributedPair(t *testing.T) {
+	src, err := os.ReadFile("../cp/testdata/conflict2.hpf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := Spec{
+		Source:    string(src),
+		Procs:     4,
+		Grains:    []int{8},
+		Ablations: [][]string{nil, {passes.PassLoopDist}},
+	}
+	res, _ := New().Run(context.Background(), s)
+	if res == nil {
+		t.Fatal("no result")
+	}
+	refused := 0
+	for _, e := range res.Entries {
+		if len(e.Disable) == 0 {
+			continue
+		}
+		refused++
+		if e.Status != StatusError || !strings.Contains(e.Note, "have no common CP and only loopdist separates them") {
+			t.Errorf("%s: %s %q, want an error naming the marked pair", e.Key(), e.Status, e.Note)
+		}
+		if e.Screen != 0 || e.Sim != 0 {
+			t.Errorf("%s: screened %v, executed %v: a refused candidate has neither", e.Key(), e.Screen, e.Sim)
+		}
+	}
+	if refused == 0 {
+		t.Fatalf("no candidate disabled loopdist: %v", leaderboard(t, res))
+	}
+}

@@ -118,9 +118,11 @@ func TestIncrementalPersistWarmEditAcrossRestart(t *testing.T) {
 	}
 }
 
-// TestIncrementalPersistSharesChunks: two compiles differing only in an
-// unused parameter produce different fingerprints but identical frozen
-// artifacts — the content-addressed store must share their chunks.
+// TestIncrementalPersistSharesChunks: the pipeline grain is part of every
+// environment fingerprint but changes no frozen artifact, so recompiling
+// under another grain re-keys every artifact without changing its bytes —
+// the content-addressed store must write no new chunk, and every chunk
+// write dedups.
 func TestIncrementalPersistSharesChunks(t *testing.T) {
 	st := openStoreT(t, filepath.Join(t.TempDir(), "artifacts.journal"))
 	src := nas.SPModSource(12, 1, 2, 2)
@@ -131,14 +133,18 @@ func TestIncrementalPersistSharesChunks(t *testing.T) {
 	if _, _, err := inc.Compile(src, nil, opt); err != nil {
 		t.Fatal(err)
 	}
-	// A second process compiling the same source: fresh memory, same
-	// store — every chunk write dedups.
-	inc2 := dhpf.NewIncremental(0)
-	inc2.Persist(st)
-	if _, _, err := inc2.Compile(src+"\n", nil, opt); err != nil {
+	first := st.Stats()
+	if first.ChunkPuts == 0 || first.ManifestPuts == 0 {
+		t.Fatalf("priming compile persisted nothing: %+v", first)
+	}
+	opt.PipelineGrain /= 2
+	if _, _, err := inc.Compile(src, nil, opt); err != nil {
 		t.Fatal(err)
 	}
-	if stats := st.Stats(); stats.DedupHits == 0 {
-		t.Errorf("no chunk-level structural sharing: %+v", stats)
+	second := st.Stats()
+	puts, dedups, keys := second.ChunkPuts-first.ChunkPuts, second.DedupHits-first.DedupHits, second.ManifestPuts-first.ManifestPuts
+	if keys != first.ManifestPuts || puts != 0 || dedups != keys {
+		t.Errorf("recompile under grain %d: %d artifacts re-keyed (want %d), %d new chunks, %d dedup hits (want 0 and %d)",
+			opt.PipelineGrain, keys, first.ManifestPuts, puts, dedups, keys)
 	}
 }
