@@ -225,12 +225,11 @@ type RunRequest struct {
 	Arrays []string `json:"arrays,omitempty"`
 	// Engine selects the execution engine: "compiled" (the default),
 	// "interp" (the reference tree-walking interpreter), or "codegen"
-	// (native Go kernels where the binary's registry has one for the
-	// program's units — the pre-generated corpus covers the NAS
-	// benchmarks — and the default engine's evaluator elsewhere; the
-	// service never builds plugins on behalf of a request).  All engines
-	// produce byte-identical results; the field exists for differential
-	// checks and perf comparison.  Engine choice does not affect the
+	// (native Go kernels where the checked-in generated corpus has one
+	// for the program's units — it covers the NAS benchmarks — and the
+	// default engine's evaluator elsewhere).  All engines produce
+	// byte-identical results; the field exists for differential checks
+	// and perf comparison.  Engine choice does not affect the
 	// compile fingerprint — it is an execution-time concern.
 	Engine string `json:"engine,omitempty"`
 }

@@ -15,12 +15,12 @@
 //	-engine E        with -run: compiled (default) | interp | codegen —
 //	                 the compiled execution engine (loop nests on the
 //	                 in-process kernel evaluator), the reference
-//	                 tree-walking interpreter, or native Go kernels
-//	                 (emitted, compiled and hot-loaded per program; units
-//	                 without a kernel run on the evaluator).  All
-//	                 engines produce byte-identical results; when plugin
-//	                 builds are unavailable, codegen prints an INFO
-//	                 diagnostic and falls back without failing
+//	                 tree-walking interpreter, or native Go kernels (the
+//	                 checked-in internal/codegen/gen corpus linked into
+//	                 this binary; a unit outside it runs on the
+//	                 evaluator, and the closing "kernels:" line says
+//	                 which served each unit).  All engines produce
+//	                 byte-identical results
 //	-trace           with -run: print an ASCII space–time diagram
 //	-bins N          diagram width in time bins (default 100)
 //	-param NAME=V    override a program parameter (repeatable)
@@ -77,9 +77,7 @@ import (
 
 	"dhpf"
 	"dhpf/internal/cache"
-	"dhpf/internal/codegen"
-	// The checked-in kernel corpus: programs whose kernels are
-	// pre-generated (the NAS benchmarks) need no plugin build.
+	// The checked-in kernel corpus: -engine codegen runs these natively.
 	_ "dhpf/internal/codegen/gen"
 	"dhpf/internal/cp"
 	"dhpf/internal/mpsim"
@@ -304,20 +302,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		fmt.Fprintln(stderr, "dhpfc:", err)
 		return 1
-	}
-	if engine == spmd.EngineCodegen {
-		// Bring native kernels online: pre-generated corpus entries are
-		// free, the rest build a plugin.  Degradation is informational,
-		// never fatal — unkerneled units run on the in-process evaluator
-		// with identical results.
-		rep, err := codegen.EnableNative(prog, codegen.Options{})
-		if err != nil {
-			fmt.Fprintln(stderr, "dhpfc:", err)
-			return 1
-		}
-		if rep.Fallback != "" {
-			fmt.Fprintln(stderr, "dhpfc: INFO:", rep.String())
-		}
 	}
 	cfg := mpsim.SP2Config(prog.Grid.Size())
 	cfg.Trace = *doTrace

@@ -66,18 +66,16 @@ func TestEngineFlagGolden(t *testing.T) {
 }
 
 // TestEngineCodegenFallback: -engine codegen on a program outside the
-// generated corpus, with plugin builds disabled, degrades gracefully —
-// an INFO diagnostic on stderr, exit 0, and the report byte-identical
-// to the golden (the in-process evaluator runs the unkerneled units) up
-// to the codegen engine's own coverage line, which says so.
+// generated corpus runs every unit on the in-process evaluator, silently
+// — exit 0, nothing on stderr — and its report is byte-identical to the
+// golden up to the codegen engine's own coverage line, which says so.
 func TestEngineCodegenFallback(t *testing.T) {
-	t.Setenv("DHPF_NO_PLUGIN", "1")
 	var out, errb bytes.Buffer
 	if code := run([]string{"-run", "-engine", "codegen", "../../testdata/lhsy.hpf"}, &out, &errb); code != 0 {
 		t.Fatalf("-engine codegen exit %d, stderr: %s", code, errb.String())
 	}
-	if !strings.Contains(errb.String(), "INFO") || !strings.Contains(errb.String(), "fallback") {
-		t.Errorf("stderr = %q, want an INFO fallback diagnostic", errb.String())
+	if errb.Len() != 0 {
+		t.Errorf("stderr = %q, want nothing", errb.String())
 	}
 	golden, err := os.ReadFile("testdata/lhsy.golden")
 	if err != nil {
@@ -112,7 +110,6 @@ end
 		t.Fatal(err)
 	}
 	for engine, want := range map[string]bool{"compiled": true, "codegen": true, "interp": false} {
-		t.Setenv("DHPF_NO_PLUGIN", "1")
 		var out, errb bytes.Buffer
 		if code := run([]string{"-run", "-engine", engine, src}, &out, &errb); code != 0 {
 			t.Fatalf("-engine %s exit %d, stderr: %s", engine, code, errb.String())

@@ -55,8 +55,8 @@ import (
 	"time"
 
 	"dhpf"
-	// The checked-in kernel corpus: RunRequest.Engine="codegen" serves
-	// the pre-generated NAS kernels without any plugin machinery.
+	// The checked-in kernel corpus: RunRequest.Engine="codegen" runs the
+	// pre-generated NAS kernels natively.
 	_ "dhpf/internal/codegen/gen"
 	"dhpf/internal/nas"
 	"dhpf/internal/service"

@@ -260,11 +260,11 @@ func (p *Program) Run(cfg MachineConfig) (*Result, error) {
 // RunEngine executes the program with an explicit execution engine:
 // "compiled" (or "", the default) for the compiled engine,
 // "interp" for the reference tree-walking interpreter, "codegen" for
-// native kernels (units with a registered kernel — import
-// dhpf/internal/codegen/gen or run codegen.EnableNative — execute
-// natively, the rest on the default engine's evaluator).  All engines
-// produce byte-identical results; the interpreter exists as the oracle
-// the others are differentially tested against.
+// native kernels (units of a program in the generated corpus — import
+// dhpf/internal/codegen/gen — execute natively, the rest on the default
+// engine's evaluator).  All engines produce byte-identical results; the
+// interpreter exists as the oracle the others are differentially tested
+// against.
 func (p *Program) RunEngine(cfg MachineConfig, engine string) (*Result, error) {
 	eng, err := spmd.ParseEngine(engine)
 	if err != nil {

@@ -1,32 +1,18 @@
 package codegen
 
-// codegen.go is the orchestration layer of the native tier: the shared
-// emission corpus (the programs whose kernels are pre-generated into
-// internal/codegen/gen), analysis-driven unit selection (specialize
-// only phases whose flop count clears a threshold; everything else
-// stays on the in-process evaluator), and EnableNative — the entry point
-// cmd/dhpfc and the service use to bring a program's kernels online,
-// falling back gracefully when plugins are unavailable.
+// codegen.go holds the emission corpus: the programs whose kernels
+// gencorpus pre-generates into internal/codegen/gen, which is the whole
+// native tier.  A program becomes native by being appended here and
+// regenerated with `go generate ./internal/codegen`; a unit of any other
+// program runs on the in-process evaluator.
 
 //go:generate go run ./gencorpus -o gen/kernels.go
 
 import (
-	"fmt"
-	"os"
-
-	"dhpf/internal/ir"
 	"dhpf/internal/nas"
 	"dhpf/internal/passes"
 	"dhpf/internal/spmd"
 )
-
-// DefaultMinPhaseFlops is the specialization threshold: a kernel unit
-// is worth native code only when its phase's whole-program flop count
-// (analysis.PhaseSummary.Flops, executed instances × cost summed over
-// ranks) reaches it.  Phases below it — scalar epilogues, tiny setup
-// loops — stay on the in-process evaluator, whose per-call overhead is
-// already negligible at that size.
-const DefaultMinPhaseFlops = 256
 
 // CorpusEntry is one program of the emission corpus.
 type CorpusEntry struct {
@@ -196,153 +182,3 @@ subroutine main()
   enddo
 end
 `
-
-// SelectUnits returns the program's kernel units whose containing
-// top-level phase clears the flop threshold, per the static analysis
-// (the same exact oracle the tuner trusts).  minPhaseFlops == 0 uses
-// DefaultMinPhaseFlops; a negative value selects every unit (the
-// corpus generator's setting, so parity tests can exercise kernels the
-// threshold would skip).  If the analysis itself fails, every unit is
-// selected: the precheck and registry make over-selection safe.
-func SelectUnits(p *spmd.Program, minPhaseFlops float64) []*spmd.KernelUnit {
-	units := p.KernelUnits()
-	if minPhaseFlops < 0 {
-		return units
-	}
-	if minPhaseFlops == 0 {
-		minPhaseFlops = DefaultMinPhaseFlops
-	}
-	res, err := p.Analyze()
-	if err != nil {
-		return units
-	}
-	// Phase flops are keyed by top-level statement; map every statement
-	// to its containing top-level statement, per procedure.
-	topOf := map[string]map[int]int{}
-	for _, proc := range p.IR.Procs {
-		m := map[int]int{}
-		for _, s := range proc.Body {
-			top := s.StmtID()
-			ir.Walk([]ir.Stmt{s}, func(st ir.Stmt, _ []*ir.Loop) bool {
-				m[st.StmtID()] = top
-				return true
-			})
-		}
-		topOf[proc.Name] = m
-	}
-	flops := map[string]map[int]float64{}
-	for _, ps := range res.Procs {
-		m := map[int]float64{}
-		for _, ph := range ps.Phases {
-			m[ph.Stmt] = ph.Flops
-		}
-		flops[ps.Proc] = m
-	}
-	var out []*spmd.KernelUnit
-	for _, u := range units {
-		top, ok := topOf[u.Proc][u.RootID]
-		if !ok {
-			continue
-		}
-		if flops[u.Proc][top] >= minPhaseFlops {
-			out = append(out, u)
-		}
-	}
-	return out
-}
-
-// Options configures EnableNative.
-type Options struct {
-	// MinPhaseFlops is the specialization threshold (0 = default,
-	// negative = every unit); see SelectUnits.
-	MinPhaseFlops float64
-	// CacheDir overrides the plugin build/cache directory (default: a
-	// "dhpf-codegen" directory under os.UserCacheDir, falling back to
-	// the system temp directory).
-	CacheDir string
-}
-
-// Report says what EnableNative did.  Fallback is empty when native
-// execution is fully available for the selected units; otherwise it is
-// an INFO-grade reason (missing toolchain, plugins unsupported, build
-// failure) and execution proceeds on the in-process evaluator for the
-// units that stayed unregistered — never an error: every unit always has
-// that back end.
-type Report struct {
-	Units      int    // kernel units extracted from the program
-	Selected   int    // units above the specialization threshold
-	Registered int    // selected units already in the registry
-	Built      int    // kernels loaded from a freshly built plugin
-	CacheHit   bool   // plugin came from the content-addressed cache
-	Fallback   string // why some units stay on the evaluator ("" = none)
-}
-
-// String renders the report as the one-line diagnostic dhpfc prints.
-func (r Report) String() string {
-	s := fmt.Sprintf("codegen: %d units, %d selected, %d pre-registered, %d built",
-		r.Units, r.Selected, r.Registered, r.Built)
-	if r.CacheHit {
-		s += " (cache hit)"
-	}
-	if r.Fallback != "" {
-		s += "; fallback: " + r.Fallback
-	}
-	return s
-}
-
-// EnableNative makes the native tier available for p: it extracts and
-// selects kernel units, reuses registry entries where fingerprints
-// already match (the checked-in gen corpus covers the standard
-// benchmarks), and emits + builds + loads a plugin for the rest.  The
-// error return is reserved for invariant violations (corrupt cache
-// store); every expected obstacle — no go toolchain, plugin buildmode
-// unsupported on this platform, race-instrumented host binary,
-// DHPF_NO_PLUGIN set in the environment (only kernels already in the
-// registry are used) — lands in Report.Fallback with a nil error, and
-// EngineCodegen silently evaluates unregistered units in process.
-func EnableNative(p *spmd.Program, opt Options) (Report, error) {
-	var rep Report
-	units := p.KernelUnits()
-	rep.Units = len(units)
-	selected := SelectUnits(p, opt.MinPhaseFlops)
-	rep.Selected = len(selected)
-	var missing []*spmd.KernelUnit
-	for _, u := range selected {
-		if spmd.KernelFor(u.Fingerprint()) != nil {
-			rep.Registered++
-		} else {
-			missing = append(missing, u)
-		}
-	}
-	if len(missing) == 0 {
-		return rep, nil
-	}
-	if os.Getenv("DHPF_NO_PLUGIN") != "" {
-		rep.Fallback = fmt.Sprintf("%d kernels not pre-generated and plugin builds disabled", len(missing))
-		return rep, nil
-	}
-	if reason := pluginUnsupported(); reason != "" {
-		rep.Fallback = fmt.Sprintf("%d kernels not pre-generated and %s", len(missing), reason)
-		return rep, nil
-	}
-	src := EmitPlugin(missing)
-	kernels, cacheHit, err := buildAndLoad(src, p.Opt, opt)
-	if err != nil {
-		// Build or load failures degrade, not fail: the evaluator is
-		// always a correct back end for every unit.
-		rep.Fallback = err.Error()
-		return rep, nil
-	}
-	rep.CacheHit = cacheHit
-	for _, u := range missing {
-		fp := u.Fingerprint()
-		if fn, ok := kernels[fp]; ok {
-			spmd.RegisterKernel(fp, fn)
-			rep.Built++
-		}
-	}
-	if rep.Built < len(missing) {
-		rep.Fallback = fmt.Sprintf("plugin served %d of %d kernels", rep.Built, len(missing))
-	}
-	return rep, nil
-}

@@ -1,18 +1,17 @@
 // Package codegen is the native execution tier: it emits specialized
 // Go source for a program's kernel units (flat loops with inlined
-// affine subscripts, hoisted guard boxes and precomputed slot
-// offsets), compiles it either into the binary as a checked-in
-// generated corpus (internal/codegen/gen) or on the fly via `go build
-// -buildmode=plugin` behind a content-addressed cache, and registers
-// the resulting functions with the engine's kernel registry
-// (spmd.RegisterKernel).  Emitted code is bit-compatible with the
-// interpreter by construction: every floating-point operation is
-// performed in the same order and individually wrapped in float64(...)
-// so the compiler may not contract it (no FMA), constants are exact
-// hex literals, and guard/window decisions replicate the walker's
-// arithmetic on precomputed bounds.  The unit grammar is spmd's: every
-// operator, intrinsic and comparison met here is one its extractor
-// admitted.
+// affine subscripts, hoisted guard boxes and precomputed slot offsets)
+// into the checked-in generated corpus (internal/codegen/gen), whose
+// init registers every function with the engine's kernel registry
+// (spmd.RegisterKernel) in any binary that imports it: the native tier
+// is built ahead of the run, never during it.  Emitted code is
+// bit-compatible with the interpreter by construction: every
+// floating-point operation is performed in the same order and
+// individually wrapped in float64(...) so the compiler may not contract
+// it (no FMA), constants are exact hex literals, and guard/window
+// decisions replicate the walker's arithmetic on precomputed bounds.
+// The unit grammar is spmd's: every operator, intrinsic and comparison
+// met here is one its extractor admitted.
 package codegen
 
 import (
@@ -375,8 +374,8 @@ func EmitKernel(u *spmd.KernelUnit) string {
 	return em.b.String()
 }
 
-// helperSource is the shared scalar-read helper pair, emitted once per
-// generated package.  sref is ScalarRef's dynamic resolution verbatim;
+// helperSource is the shared scalar-read helper pair, emitted once into
+// the generated package.  sref is ScalarRef's dynamic resolution verbatim;
 // srefl is the same for names that are in-scope loop variables, whose
 // integer binding is always present inside the loop.
 const helperSource = `var _ = math.Sqrt
@@ -449,34 +448,6 @@ func EmitCorpus(units []*spmd.KernelUnit) string {
 		fmt.Fprintf(&b, "\tspmd.RegisterKernel(%q, %s)\n", fp, KernelFuncName(fp))
 	}
 	b.WriteString("}\n\n")
-	for i, u := range units {
-		if i > 0 {
-			b.WriteString("\n")
-		}
-		b.WriteString(EmitKernel(u))
-	}
-	return b.String()
-}
-
-// EmitPlugin renders a standalone main package for
-// `go build -buildmode=plugin`: no dhpf imports (the plugin must not
-// share package identity with the host), kernels exported through the
-// unnamed-typed Kernels table the loader looks up.
-func EmitPlugin(units []*spmd.KernelUnit) string {
-	units = dedupeSorted(units)
-	var b strings.Builder
-	b.WriteString(GeneratedHeader + "\n")
-	b.WriteString(VetdetExempt + "\n\n")
-	b.WriteString("package main\n\n")
-	b.WriteString("import \"math\"\n\n")
-	b.WriteString(helperSource)
-	b.WriteString("\n// Kernels is the loader contract: unit fingerprint → kernel.\n")
-	b.WriteString("var Kernels = []struct {\n\tUnit string\n\tFn   func([]int, []bool, []float64, []bool, [][]float64, []int, float64) float64\n}{\n")
-	for _, u := range units {
-		fp := u.Fingerprint()
-		fmt.Fprintf(&b, "\t{Unit: %q, Fn: %s},\n", fp, KernelFuncName(fp))
-	}
-	b.WriteString("}\n\nfunc main() {}\n\n")
 	for i, u := range units {
 		if i > 0 {
 			b.WriteString("\n")

@@ -22,7 +22,7 @@ func corpusUnits(t *testing.T) []*spmd.KernelUnit {
 		if err != nil {
 			t.Fatalf("compile %s: %v", e.Name, err)
 		}
-		units = append(units, SelectUnits(prog, -1)...)
+		units = append(units, prog.KernelUnits()...)
 	}
 	return units
 }
@@ -157,28 +157,6 @@ func TestEmitUnionGuard(t *testing.T) {
 	}
 	if next := 7 + spmd.KernelGuardBoxes*6; !strings.Contains(src, "lo3 = bounds["+strconv.Itoa(next)+"]") {
 		t.Errorf("statement after the union guard does not start at bounds[%d]:\n%s", next, src)
-	}
-}
-
-// TestEmitPluginShape: the plugin variant is a self-contained main
-// package with the loader's Kernels table and no dhpf imports.
-func TestEmitPluginShape(t *testing.T) {
-	e := Corpus()[0]
-	prog, err := spmd.CompileSource(e.Source, e.Params, e.Opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := EmitPlugin(prog.KernelUnits())
-	for _, want := range []string{"package main", "var Kernels = []struct {", "func main() {}"} {
-		if !strings.Contains(src, want) {
-			t.Errorf("plugin source missing %q", want)
-		}
-	}
-	if strings.Contains(src, "dhpf/") {
-		t.Error("plugin source must not import dhpf packages (package identity must not cross the plugin boundary)")
-	}
-	if _, err := format.Source([]byte(src)); err != nil {
-		t.Fatalf("plugin source does not parse: %v", err)
 	}
 }
 

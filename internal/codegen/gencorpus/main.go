@@ -1,9 +1,8 @@
 // Command gencorpus regenerates the checked-in native-kernel corpus
 // (internal/codegen/gen): it compiles every program in codegen.Corpus,
-// extracts all kernel units regardless of the specialization threshold
-// (so parity tests can exercise kernels the runtime would skip), and
-// writes the deduplicated, fingerprint-sorted generated package.  The
-// output is deterministic — CI regenerates and diffs it.
+// extracts every kernel unit, and writes the deduplicated,
+// fingerprint-sorted generated package.  The output is deterministic —
+// CI regenerates and diffs it.
 package main
 
 import (
@@ -26,7 +25,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "gencorpus: compile %s: %v\n", e.Name, err)
 			os.Exit(1)
 		}
-		us := codegen.SelectUnits(prog, -1)
+		us := prog.KernelUnits()
 		if len(us) == 0 {
 			fmt.Fprintf(os.Stderr, "gencorpus: %s yields no kernel units\n", e.Name)
 			os.Exit(1)

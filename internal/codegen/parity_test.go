@@ -6,9 +6,8 @@ package codegen
 // (kernel units on the in-process evaluator) and the native codegen
 // tier, and all observables must be Float64bits-identical: global array
 // contents, the virtual clocks (total, per-rank busy/idle/flops), and
-// per-rank traffic counters.  The checked-in gen corpus provides the
-// kernels, so this runs with no plugin machinery (and therefore also
-// under -race).
+// per-rank traffic counters.  The checked-in gen corpus, linked into the
+// test binary, provides the kernels.
 
 import (
 	"errors"
@@ -329,53 +328,26 @@ end
 	requireIdentical(t, prog, "codegen", "interp", rc, runEngine(t, prog, 4, spmd.EngineInterp))
 }
 
-// TestSelectUnits: the threshold keeps hot phases and drops cold ones;
-// negative selects everything; an absurd threshold selects nothing.
-func TestSelectUnits(t *testing.T) {
-	prog, err := spmd.CompileSource(Corpus()[0].Source, nil, spmd.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	all := SelectUnits(prog, -1)
-	if len(all) != len(prog.KernelUnits()) {
-		t.Fatalf("negative threshold selected %d of %d units", len(all), len(prog.KernelUnits()))
-	}
-	def := SelectUnits(prog, 0)
-	if len(def) == 0 {
-		t.Fatalf("default threshold selected no SP units")
-	}
-	if len(def) > len(all) {
-		t.Fatalf("threshold selected more units (%d) than exist (%d)", len(def), len(all))
-	}
-	if got := SelectUnits(prog, 1e18); len(got) != 0 {
-		t.Fatalf("absurd threshold still selected %d units", len(got))
-	}
-}
-
-// TestEnableNativePreRegistered: for a corpus program, the generated
-// package already covers every selected unit, so EnableNative is a
-// no-op with no fallback and no build.
+// TestEnableNativePreRegistered: the generated package is the whole
+// native tier — every unit of every corpus program has a registered
+// kernel the moment the binary starts, and the registry holds exactly
+// the corpus's distinct units, nothing else.
 func TestEnableNativePreRegistered(t *testing.T) {
-	e := Corpus()[0]
-	prog, err := spmd.CompileSource(e.Source, e.Params, e.Opt)
-	if err != nil {
-		t.Fatal(err)
+	units := corpusUnits(t)
+	for _, u := range units {
+		if spmd.KernelFor(u.Fingerprint()) == nil {
+			t.Fatalf("unit %s (proc %s, stmt %d) has no registered kernel — rerun go generate ./internal/codegen",
+				u.Fingerprint(), u.Proc, u.RootID)
+		}
 	}
-	t.Setenv("DHPF_NO_PLUGIN", "1")
-	rep, err := EnableNative(prog, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Fallback != "" {
-		t.Fatalf("corpus program fell back: %s", rep.String())
-	}
-	if rep.Registered != rep.Selected || rep.Built != 0 {
-		t.Fatalf("want all selected units pre-registered with no build, got %s", rep.String())
+	if got, want := spmd.RegisteredKernels(), len(dedupeSorted(units)); got != want {
+		t.Fatalf("registry holds %d kernels, the corpus %d distinct units", got, want)
 	}
 }
 
-// TestEnableNativeNoPluginFallback: a program outside the corpus with
-// plugin builds disabled reports an INFO fallback, never an error.
+// TestEnableNativeNoPluginFallback: a program outside the corpus runs
+// under EngineCodegen with no error and nothing native — every unit on
+// the in-process evaluator — bit-identical to the interpreter.
 func TestEnableNativeNoPluginFallback(t *testing.T) {
 	const src = `
 program nofb
@@ -393,14 +365,14 @@ end
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Setenv("DHPF_NO_PLUGIN", "1")
-	rep, err := EnableNative(prog, Options{MinPhaseFlops: -1})
+	rc, err := prog.ExecuteEngine(mpsim.SP2Config(4), spmd.EngineCodegen)
 	if err != nil {
-		t.Fatalf("fallback must not be an error: %v", err)
+		t.Fatalf("an out-of-corpus program must not be an error: %v", err)
 	}
-	if rep.Fallback == "" {
-		t.Fatalf("DHPF_NO_PLUGIN did not force a fallback: %s", rep.String())
+	if k := rc.Kernels; k.Units != 0 || k.Calls != 0 || k.EvalCalls == 0 {
+		t.Fatalf("want 0 units bound and every unit evaluated: %s", k)
 	}
+	requireIdentical(t, prog, "codegen", "interp", rc, runEngine(t, prog, 4, spmd.EngineInterp))
 }
 
 // FuzzCodegenVsEngine fuzzes the execution configuration — corpus

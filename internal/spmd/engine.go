@@ -27,6 +27,7 @@ package spmd
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"dhpf/internal/ir"
 	"dhpf/internal/sched"
@@ -90,13 +91,15 @@ type engineEnv struct {
 // all ranks of all executions: the slot numbering and the kernel units
 // cut against it.
 type enginePlan struct {
-	intSlot  map[string]int
-	nFloats  int // the widest procedure's scalar slots
-	units    []*KernelUnit
-	unitAt   map[*ir.Loop]int // unit index by root loop
-	evalOnly []KernelFunc     // the default engine's binding: no unit native
-	scratch  kernelScratch
-	declined int // compute nests no unit was cut from
+	intSlot    map[string]int
+	nFloats    int // the widest procedure's scalar slots
+	units      []*KernelUnit
+	unitAt     map[*ir.Loop]int // unit index by root loop
+	evalOnly   []KernelFunc     // the default engine's binding: no unit native
+	native     []KernelFunc     // EngineCodegen's binding (bindKernels)
+	nativeOnce sync.Once
+	scratch    kernelScratch
+	declined   int // compute nests no unit was cut from
 }
 
 // procPlan is one procedure's slot, guard and clamp tables.

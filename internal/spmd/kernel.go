@@ -44,9 +44,10 @@ const KernelABI = "dhpf-kernel-v2"
 // guard needs more boxes than this bails: the walker interprets it.
 const KernelGuardBoxes = 8
 
-// KernelFunc is the compiled form of one kernel unit.  The signature
-// uses only unnamed/builtin types so implementations can cross a
-// plugin boundary without sharing package identity with this package.
+// KernelFunc is the compiled form of one kernel unit: the signature of
+// every function internal/codegen/gen emits.  It names only builtin
+// types, so the emitted code needs nothing of this package but
+// RegisterKernel.
 //
 //   - ints/intSet: the rank's global integer slots (read-only; kernel
 //     loop variables live in locals, never written back to slots).
@@ -452,11 +453,12 @@ var kernelReg = struct {
 	m  map[string]KernelFunc
 }{m: map[string]KernelFunc{}}
 
-// RegisterKernel makes a compiled kernel available to every subsequent
-// EngineCodegen execution whose program contains a unit with the given
-// fingerprint.  Registering the same fingerprint again replaces the
-// previous function (generated corpus and a freshly built plugin may
-// both carry a kernel; they are bit-identical by construction).
+// RegisterKernel makes a compiled kernel available to EngineCodegen for
+// every unit with the given fingerprint.  Its one caller is the init of
+// the generated corpus (internal/codegen/gen), so the registry is
+// complete before any program runs; an engine plan reads it once, at its
+// first EngineCodegen execution (bindKernels).  The lock keeps a reader
+// safe all the same.
 func RegisterKernel(fingerprint string, fn KernelFunc) {
 	if fn == nil {
 		return

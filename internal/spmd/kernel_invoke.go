@@ -135,18 +135,20 @@ func (s *kernelScratch) fit(u kernelScratch) {
 
 // bindKernels resolves what the engine runs each unit on: its registered
 // native kernel where the result holds one, its evaluator otherwise.
-// Native kernels are looked up per execution (not memoized) so kernels
-// registered between runs — e.g. a plugin loaded after compile — take
-// effect.
+// Only the generated corpus's init writes the registry, so the native
+// binding is looked up once per plan, by the first EngineCodegen
+// execution, and shared by every later one.
 func (ep *enginePlan) bindKernels(engine Engine) []KernelFunc {
 	if engine != EngineCodegen {
 		return ep.evalOnly
 	}
-	native := make([]KernelFunc, len(ep.units))
-	for i, u := range ep.units {
-		native[i] = KernelFor(u.Fingerprint())
-	}
-	return native
+	ep.nativeOnce.Do(func() {
+		ep.native = make([]KernelFunc, len(ep.units))
+		for i, u := range ep.units {
+			ep.native[i] = KernelFor(u.Fingerprint())
+		}
+	})
+	return ep.native
 }
 
 // kiv is a conservative value interval; sat marks that saturation

@@ -46,8 +46,9 @@ func execute(t *testing.T, prog *spmd.Program, engine spmd.Engine) *spmd.ExecRes
 // activation allocates five to eight times as much, and a kernel
 // invocation that heap-allocates its environment shows first at grain 1,
 // where LU invokes a unit per strip per nest (+1 600 when it did).
-// No kernel is registered in this package, so the codegen engine differs
-// from the default by its per-execution table of native kernels only.
+// No kernel is registered in this package, and the codegen engine binds
+// its units once per plan, so a steady codegen execution allocates within
+// a count or two of the default engine's.
 func TestAllocationBudgets(t *testing.T) {
 	if raceDetector {
 		t.Skip("allocation counts are inflated under -race")
@@ -59,8 +60,8 @@ func TestAllocationBudgets(t *testing.T) {
 		engine spmd.Engine
 		budget float64
 	}{
-		{"lu16 grain 1", lu, spmd.EngineCompiled, 2990},         // measured 2 713
-		{"lu16 grain 1, codegen", lu, spmd.EngineCodegen, 2990}, // measured 2 714–2 715
+		{"lu16 grain 1", lu, spmd.EngineCompiled, 2990},         // measured 2 714–2 715
+		{"lu16 grain 1, codegen", lu, spmd.EngineCodegen, 2990}, // measured 2 715–2 716
 		{"sp16", sp, spmd.EngineCompiled, 530},                  // measured 475–476
 	} {
 		got := testing.AllocsPerRun(5, func() { execute(t, c.prog, c.engine) })

@@ -190,10 +190,10 @@ func deterministicCore(importPath string) bool {
 		"dhpf/internal/iset", "dhpf/internal/cp", "dhpf/internal/comm",
 		"dhpf/internal/sched", "dhpf/internal/spmd", "dhpf/internal/passes", "dhpf/internal/analysis",
 		"dhpf/internal/verify", "dhpf/internal/perfmodel", "dhpf/internal/nas",
-		// The native tier: emission is fingerprinted (kernel sources are
-		// content-addressed), so the emitter must be deterministic; the
-		// generated corpus rides along and is exempted per-file by its
-		// machine-generated header.
+		// The native tier: CI regenerates the kernel corpus and diffs it,
+		// so the emitter must be deterministic; the generated corpus
+		// rides along and is exempted per-file by its machine-generated
+		// header.
 		"dhpf/internal/codegen", "dhpf/internal/codegen/gen":
 		return true
 	}
