@@ -13,12 +13,31 @@ type HoistRow struct {
 // HoistRows is hoistRows, for the external tests of this package.
 var HoistRows = hoistRows
 
+// relower lowers each kernel unit of prog again and returns the builders.
+func relower(prog *Program) []*kevalBuilder {
+	var bs []*kevalBuilder
+	for _, u := range prog.KernelUnits() {
+		b := &kevalBuilder{u: u}
+		b.loop(u.Root)
+		bs = append(bs, b)
+	}
+	return bs
+}
+
 // Hoisted counts the subtrees prog's evaluators hoist to loop entries.
 func Hoisted(prog *Program) (n int) {
-	for _, u := range prog.KernelUnits() {
-		n += u.ev.hoisted
+	for _, b := range relower(prog) {
+		n += b.hoisted
 	}
 	return n
+}
+
+// Opcodes returns the opcodes prog's evaluators contain, a bit each.
+func Opcodes(prog *Program) (codes uint64) {
+	for _, b := range relower(prog) {
+		codes |= b.codes
+	}
+	return codes
 }
 
 // BailAlways breaks the array geometry of every kernel unit of prog, so

@@ -271,4 +271,41 @@ subroutine main()
   enddo
 end
 `, 2, 0},
+	// Right operands of every kind under the operations no other row puts
+	// them under — a constant, a local, a constant times an element, an
+	// intrinsic and a hoisted subtree divided by; a local and an intrinsic
+	// subtracted; a constant times an element multiplied by — so that each
+	// arm of the evaluator's dispatch runs against the interpreter.  (The
+	// other hoist is 0.125*i of the first nest.)
+	{"operand-ops", `
+program opo
+param N = 16
+!hpf$ processors procs(4)
+!hpf$ template tm(3, N)
+!hpf$ template tline(N)
+!hpf$ align b with tm(d0, d1)
+!hpf$ align c with tm(d0, d1)
+!hpf$ align d with tm(d0, d1)
+!hpf$ align a with tline(d0)
+!hpf$ distribute tm(*, BLOCK) onto procs
+!hpf$ distribute tline(BLOCK) onto procs
+subroutine main()
+  real a(0:N-1)
+  real b(1:3, 0:N-1)
+  real c(1:3, 0:N-1)
+  real d(1:3, 0:N-1)
+  do i = 0, N-1
+    a(i) = 1.0 + 0.5 * i
+    do m = 1, 3
+      c(m,i) = 0.75 * m + 0.125 * i
+    enddo
+  enddo
+  do i = 0, N-1
+    do m = 1, 3
+      b(m,i) = (c(m,i) / 3.0 - m) * (2.0 * c(m,i)) / (0.7 * c(m,i)) / m
+      d(m,i) = (c(m,i) - sqrt(c(m,i))) / abs(c(m,i) - 0.5) / (a(i) * 3.0 + 0.5)
+    enddo
+  enddo
+end
+`, 2, 0},
 }

@@ -12,13 +12,16 @@ package spmd
 //
 // A loop or an if is a closure; the assignments of a body are records one
 // function (krun) runs in line, a right-hand side being a postfix program
-// whose instructions read their operand — a constant, an array element, a
-// constant times one, a loop local, a temporary — without a call.  What
-// is guaranteed of the arithmetic is one rounding per operation, on the
-// expression tree's operands in the tree's order: each result is
-// converted to float64 before the next operation uses it, as in the
-// emitted code, so no platform may contract two into a fused multiply-add
-// (CI cross-compiles this package for arm64 and greps for one).
+// of one-byte opcodes.  An opcode is an operand kind — a constant, an
+// array element, a constant times one, a loop local, a temporary — plus
+// an operation, and krun's one switch over the dense opcodes is a jump
+// table (CI checks): an instruction reads its operand without a call and
+// applies its operation in one dispatch.  What is guaranteed of the
+// arithmetic is one rounding per operation, on the expression tree's
+// operands in the tree's order: each result is converted to float64
+// before the next operation uses it, as in the emitted code, so no
+// platform may contract two into a fused multiply-add (CI cross-compiles
+// this package for arm64 and greps for one).
 //
 // Three things the emitted code computes at every point are computed once
 // per loop entry, none observable.  The part of each array index the
@@ -41,6 +44,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"strings"
 )
 
 // kenv is one rank's evaluator state: the kernel ABI's arguments plus
@@ -138,7 +142,7 @@ func (l *klin) val(e *kenv) int {
 // what an invocation of the unit needs.
 func (u *KernelUnit) lower() kernelScratch {
 	b := &kevalBuilder{u: u}
-	u.ev = &keval{root: b.loop(u.Root), arr: b.arr, hoisted: b.hoisted}
+	u.ev = &keval{root: b.loop(u.Root), arr: b.arr}
 	return kernelScratch{arrays: len(u.Arrays), bounds: u.NumBounds, levels: u.NumLevels,
 		offs: b.nOff, masks: b.nMsk, assigns: b.nAsg, cells: len(b.arr)}
 }
@@ -301,20 +305,33 @@ type kcell struct {
 }
 
 // kins is one instruction of an expression's code, a postfix program over
-// an accumulator and a small stack: it reads its operand — in line unless
-// it is an opFn — and applies its operation to the accumulator and the
+// an accumulator and a small stack.  Its opcode is its operand's kind plus
+// its operation, so that one dispatch reads the operand — in line unless
+// it is an opFn — and applies the operation to the accumulator and the
 // operand; kPush saves the accumulator and loads the operand instead.
 // The operand opPop is the accumulator itself, a right operand just
-// computed, the accumulator becoming the value saved before it.
+// computed, the accumulator becoming the value saved before it; as a
+// right operand it is never pushed.
 type kins struct {
-	op, kind byte    // kPush or one of kbinOps; operand kind
-	c        float64 // opConst, opMulRead
-	i, k     int     // element reads: e.cell[i], own-term coefficient k; i is also opTemp's cell and opLocal's level
-	fn       kvalFn  // opFn: what no other kind reads, called
+	code byte    // an operand kind plus kPush or the operation: opRead + kMul
+	c    float64 // opConst, opMulRead
+	i, k int     // element reads: e.cell[i], own-term coefficient k; i is also opTemp's cell and opLocal's level
+	fn   kvalFn  // opFn: what no other kind reads, called
 }
 
+// The operations, kAdd on in kbinOps' order.
 const (
-	opConst = iota
+	kPush = iota
+	kAdd
+	kSub
+	kMul
+	kDiv
+	kops
+)
+
+// The operand kinds, kops apart.
+const (
+	opConst = kops * iota
 	opTemp
 	opLocal
 	opRead
@@ -322,11 +339,16 @@ const (
 	opFn
 	opPop
 
-	kPush = 0
 	// kstackMax bounds the stack: a right operand nested deeper is computed
 	// into a temporary first.
 	kstackMax = 4
 )
+
+// elem reads the element of an opRead or opMulRead at the current point.
+func (in *kins) elem(e *kenv) float64 {
+	a := &e.cell[in.i]
+	return a.data[a.off+in.k*e.v]
+}
 
 // kstmt is one lowered statement of a loop body or if arm: a nested loop
 // or if to call, or an assignment.
@@ -353,9 +375,11 @@ const (
 // krun runs a body at the current point.  An assignment is guard →
 // evaluate → count flops → store, the emitted statement's sequence, the
 // guard being the range its loop computed at entry and, where that has a
-// gap, the own dimension of the boxes left.  Each operation's result is
-// converted to float64 before the next uses it: one rounding per
-// operation, never a fused multiply-add.
+// gap, the own dimension of the boxes left.  Evaluation is one switch
+// arm per instruction, its opcode's: read the operand, apply the
+// operation.  Each operation's result is converted to float64 before the
+// next uses it — a constant times an element too, before the operation
+// takes it: one rounding per operation, never a fused multiply-add.
 func krun(body []kstmt, e *kenv) {
 	var st [kstackMax]float64
 	for i := range body {
@@ -384,42 +408,82 @@ func krun(body []kstmt, e *kenv) {
 		if e.shared {
 			krun(s.hoists, e)
 		}
-		var acc, y float64
+		var acc float64
 		sp := 0
 		for j := range s.rhs {
-			in := &s.rhs[j]
-			switch in.kind {
-			case opConst:
-				y = in.c
-			case opTemp:
-				y = e.cell[in.i].val
-			case opLocal:
-				y = float64(e.loc[in.i])
-			case opRead:
-				a := &e.cell[in.i]
-				y = a.data[a.off+in.k*e.v]
-			case opMulRead:
-				a := &e.cell[in.i]
-				y = float64(in.c * a.data[a.off+in.k*e.v])
-			case opFn:
-				y = in.fn(e)
-			case opPop:
+			switch in := &s.rhs[j]; in.code {
+			case opConst + kPush:
+				st[sp&(kstackMax-1)], sp, acc = acc, sp+1, in.c
+			case opConst + kAdd:
+				acc = float64(acc + in.c)
+			case opConst + kSub:
+				acc = float64(acc - in.c)
+			case opConst + kMul:
+				acc = float64(acc * in.c)
+			case opConst + kDiv:
+				acc = float64(acc / in.c)
+			case opTemp + kPush:
+				st[sp&(kstackMax-1)], sp, acc = acc, sp+1, e.cell[in.i].val
+			case opTemp + kAdd:
+				acc = float64(acc + e.cell[in.i].val)
+			case opTemp + kSub:
+				acc = float64(acc - e.cell[in.i].val)
+			case opTemp + kMul:
+				acc = float64(acc * e.cell[in.i].val)
+			case opTemp + kDiv:
+				acc = float64(acc / e.cell[in.i].val)
+			case opLocal + kPush:
+				st[sp&(kstackMax-1)], sp, acc = acc, sp+1, float64(e.loc[in.i])
+			case opLocal + kAdd:
+				acc = float64(acc + float64(e.loc[in.i]))
+			case opLocal + kSub:
+				acc = float64(acc - float64(e.loc[in.i]))
+			case opLocal + kMul:
+				acc = float64(acc * float64(e.loc[in.i]))
+			case opLocal + kDiv:
+				acc = float64(acc / float64(e.loc[in.i]))
+			case opRead + kPush:
+				st[sp&(kstackMax-1)], sp, acc = acc, sp+1, in.elem(e)
+			case opRead + kAdd:
+				acc = float64(acc + in.elem(e))
+			case opRead + kSub:
+				acc = float64(acc - in.elem(e))
+			case opRead + kMul:
+				acc = float64(acc * in.elem(e))
+			case opRead + kDiv:
+				acc = float64(acc / in.elem(e))
+			case opMulRead + kPush:
+				st[sp&(kstackMax-1)], sp, acc = acc, sp+1, float64(in.c*in.elem(e))
+			case opMulRead + kAdd:
+				acc = float64(acc + float64(in.c*in.elem(e)))
+			case opMulRead + kSub:
+				acc = float64(acc - float64(in.c*in.elem(e)))
+			case opMulRead + kMul:
+				acc = float64(acc * float64(in.c*in.elem(e)))
+			case opMulRead + kDiv:
+				acc = float64(acc / float64(in.c*in.elem(e)))
+			case opFn + kPush:
+				st[sp&(kstackMax-1)], sp, acc = acc, sp+1, in.fn(e)
+			case opFn + kAdd:
+				acc = float64(acc + in.fn(e))
+			case opFn + kSub:
+				acc = float64(acc - in.fn(e))
+			case opFn + kMul:
+				acc = float64(acc * in.fn(e))
+			case opFn + kDiv:
+				acc = float64(acc / in.fn(e))
+			case opPop + kAdd:
 				sp--
-				y, acc = acc, st[sp&(kstackMax-1)]
-			}
-			switch in.op {
-			case kPush:
-				st[sp&(kstackMax-1)] = acc
-				sp++
-				acc = y
-			case '+':
-				acc = float64(acc + y)
-			case '-':
-				acc = float64(acc - y)
-			case '*':
-				acc = float64(acc * y)
-			case '/':
-				acc = float64(acc / y)
+				acc = float64(st[sp&(kstackMax-1)] + acc)
+			case opPop + kSub:
+				sp--
+				acc = float64(st[sp&(kstackMax-1)] - acc)
+			case opPop + kMul:
+				sp--
+				acc = float64(st[sp&(kstackMax-1)] * acc)
+			case opPop + kDiv:
+				sp--
+				acc = float64(st[sp&(kstackMax-1)] / acc)
 			}
 		}
 		e.flops += s.flops
@@ -439,9 +503,8 @@ func krun(body []kstmt, e *kenv) {
 // unit array of the access, whose data an invocation binds before the loop
 // runs, -1 for a temporary.
 type keval struct {
-	root    func(*kenv)
-	arr     []int
-	hoisted int // subtrees hoisted to a loop entry
+	root func(*kenv)
+	arr  []int
 }
 
 func (ev *keval) run(e *kenv) {
@@ -470,7 +533,8 @@ type kevalBuilder struct {
 	hoists  []kstmt     // what the assignment being lowered has hoisted
 	depth   int         // right operands open in the program being emitted
 	arr     []int       // keval.arr: a cell per access and temporary
-	hoisted int
+	hoisted int         // subtrees hoisted to a loop entry
+	codes   uint64      // the opcodes emitted, a bit each
 	nOff    int
 	nAsg    int
 	nMsk    int
@@ -637,7 +701,7 @@ func (b *kevalBuilder) temp(x KExpr) kstmt {
 // called lowers x to an operand that computes it in a temporary of its own.
 func (b *kevalBuilder) called(x KExpr) kins {
 	s := []kstmt{b.temp(x)}
-	return kins{kind: opFn, fn: func(e *kenv) float64 {
+	return kins{code: opFn, fn: func(e *kenv) float64 {
 		krun(s, e)
 		return e.cell[s[0].i].val
 	}}
@@ -713,18 +777,18 @@ func (b *kevalBuilder) invariant(x KExpr) bool {
 func (b *kevalBuilder) operand(x KExpr) (kins, bool) {
 	switch x := x.(type) {
 	case KConst:
-		return kins{kind: opConst, c: x.Val}, true
+		return kins{code: opConst, c: x.Val}, true
 	case KLocal:
-		return kins{kind: opLocal, i: x.Level}, true
+		return kins{code: opLocal, i: x.Level}, true
 	case *KARead:
 		ai, k := b.index(x.Arr, x.Subs)
-		return kins{kind: opRead, i: ai, k: k}, true
+		return kins{code: opRead, i: ai, k: k}, true
 	case KSlotInt:
 		s := x.Slot
-		return kins{kind: opFn, fn: func(e *kenv) float64 { return float64(e.ints[s]) }}, true
+		return kins{code: opFn, fn: func(e *kenv) float64 { return float64(e.ints[s]) }}, true
 	case KScalar:
 		fs, is := x.FSlot, x.ISlot
-		return kins{kind: opFn, fn: func(e *kenv) float64 {
+		return kins{code: opFn, fn: func(e *kenv) float64 {
 			if e.fset[fs] {
 				return e.floats[fs]
 			}
@@ -735,7 +799,7 @@ func (b *kevalBuilder) operand(x KExpr) (kins, bool) {
 		}}, true
 	case KScalarLocal:
 		fs, lv := x.FSlot, x.Level
-		return kins{kind: opFn, fn: func(e *kenv) float64 {
+		return kins{code: opFn, fn: func(e *kenv) float64 {
 			if e.fset[fs] {
 				return e.floats[fs]
 			}
@@ -749,7 +813,7 @@ func (b *kevalBuilder) operand(x KExpr) (kins, bool) {
 		b.cur.hoists = append(b.cur.hoists, hv)
 		b.hoists = append(b.hoists, hv)
 		b.hoisted++
-		return kins{kind: opTemp, i: hv.i}, true
+		return kins{code: opTemp, i: hv.i}, true
 	}
 	switch x := x.(type) {
 	case *KIntrin:
@@ -758,7 +822,7 @@ func (b *kevalBuilder) operand(x KExpr) (kins, bool) {
 			args[i] = b.temp(a)
 		}
 		a0, a1 := args[0].i, args[len(args)-1].i
-		return kins{kind: opFn, fn: func(e *kenv) float64 {
+		return kins{code: opFn, fn: func(e *kenv) float64 {
 			if krun(args, e); in.arity == 1 {
 				return in.f1(e.cell[a0].val)
 			}
@@ -768,7 +832,7 @@ func (b *kevalBuilder) operand(x KExpr) (kins, bool) {
 		c, isC := x.L.(KConst)
 		if r, isR := x.R.(*KARead); isC && isR && x.Op == '*' {
 			o, _ := b.operand(r)
-			o.kind, o.c = opMulRead, c.Val
+			o.code, o.c = opMulRead, c.Val
 			return o, true
 		}
 		return kins{}, false
@@ -781,21 +845,20 @@ func (b *kevalBuilder) operand(x KExpr) (kins, bool) {
 // operand's — the operation's own operand when it has a kind — then the
 // operation.
 func (b *kevalBuilder) emit(x KExpr, prog *[]kins) {
-	if o, ok := b.operand(x); ok {
-		*prog = append(*prog, o)
-		return
+	o, ok := b.operand(x)
+	if !ok {
+		bin := x.(*KBin)
+		b.emit(bin.L, prog)
+		if o, ok = b.operand(bin.R); !ok && b.depth < kstackMax-1 {
+			b.depth++
+			b.emit(bin.R, prog)
+			b.depth--
+			o = kins{code: opPop}
+		} else if !ok {
+			o = b.called(bin.R)
+		}
+		o.code += byte(1 + strings.IndexByte(kbinOps, bin.Op))
 	}
-	bin := x.(*KBin)
-	b.emit(bin.L, prog)
-	o, ok := b.operand(bin.R)
-	if !ok && b.depth < kstackMax-1 {
-		b.depth++
-		b.emit(bin.R, prog)
-		b.depth--
-		o = kins{kind: opPop}
-	} else if !ok {
-		o = b.called(bin.R)
-	}
-	o.op = bin.Op
+	b.codes |= 1 << o.code
 	*prog = append(*prog, o)
 }

@@ -8,6 +8,12 @@ package spmd_test
 
 import (
 	"fmt"
+	"go/ast"
+	"go/constant"
+	goparser "go/parser"
+	"go/token"
+	"go/types"
+	"math/bits"
 	"regexp"
 	"testing"
 
@@ -116,6 +122,71 @@ func FuzzThreeWays(f *testing.F) {
 		}
 		threeWaysAgree(t, srcs[names[i]], backend, g, !racy, bails[i])
 	})
+}
+
+// TestEveryOpcodeRuns: every arm of krun's dispatch is an opcode of some
+// program of the clock corpus or the hoist rows, which TestThreeWaysAgree
+// runs against the interpreter bit for bit.  An arm no program reaches is
+// dead code or an untested arm; an opcode with no arm would be dropped.
+func TestEveryOpcodeRuns(t *testing.T) {
+	arms := krunArms(t)
+	names, srcs := clockCorpus(t)
+	for _, row := range spmd.HoistRows {
+		names, srcs[row.Name] = append(names, row.Name), row.Src
+	}
+	var codes uint64
+	for _, name := range names {
+		prog, err := spmd.CompileSource(srcs[name], nil, spmd.DefaultOptions())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		codes |= spmd.Opcodes(prog)
+	}
+	var all uint64
+	for code, arm := range arms {
+		if all |= 1 << code; codes&(1<<code) == 0 {
+			t.Errorf("no program's evaluator contains case %s", arm)
+		}
+	}
+	for m := codes &^ all; m != 0; m &= m - 1 {
+		t.Errorf("opcode %d has no case in krun", bits.TrailingZeros64(m))
+	}
+}
+
+// krunArms returns the cases of krun's switch on in.code, by value, from
+// kernel_eval.go type-checked on its own: what it refers to in the rest of
+// the package does not change a constant.
+func krunArms(t *testing.T) map[uint64]string {
+	fset := token.NewFileSet()
+	f, err := goparser.ParseFile(fset, "kernel_eval.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}}
+	(&types.Config{Error: func(error) {}}).Check("spmd", fset, []*ast.File{f}, info)
+	arms := map[uint64]string{}
+	for _, d := range f.Decls {
+		if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.Name == "krun" {
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				if sw, ok := n.(*ast.SwitchStmt); ok && types.ExprString(sw.Tag) == "in.code" {
+					for _, c := range sw.Body.List {
+						for _, x := range c.(*ast.CaseClause).List {
+							v, exact := constant.Uint64Val(info.Types[x].Value)
+							if !exact || v >= 64 {
+								t.Fatalf("case %s: not an opcode", types.ExprString(x))
+							}
+							arms[v] = types.ExprString(x)
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	if len(arms) == 0 {
+		t.Fatal("no switch on in.code in krun")
+	}
+	return arms
 }
 
 // TestUnitUnderWalkedLoop: a nest whose outer loop is no unit — its own
