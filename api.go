@@ -355,9 +355,9 @@ type TuneEntry struct {
 	// screen only), "pruned", "mismatch", "error", "infeasible".
 	Status string `json:"status"`
 	// ScreenSeconds is the screen's time at the target size — a block
-	// candidate's dry-run virtual time, the transpose point's analytic
-	// prediction; SimSeconds the measured virtual time at the source
-	// size.
+	// candidate's dry-run virtual time, the transpose point's virtual
+	// time run without its arrays; SimSeconds the measured virtual time
+	// at the source size.
 	ScreenSeconds  float64 `json:"screen_seconds"`
 	SimSeconds     float64 `json:"sim_seconds,omitempty"`
 	SimMessages    int64   `json:"sim_messages,omitempty"`

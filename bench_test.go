@@ -4,9 +4,9 @@ package dhpf
 // paper's evaluation (§8):
 //
 //	BenchmarkTable81SP / BenchmarkTable82BT  — the Class A/B comparison
-//	    tables (hand-MPI vs dHPF vs PGI), via the analytic projection
-//	    backed by measured reduced-size runs (run cmd/nasbench to print
-//	    the full rows);
+//	    tables (hand-MPI vs dHPF vs PGI), every column the simulator's
+//	    clock at the class size (run cmd/nasbench to print the full
+//	    rows);
 //	BenchmarkFigure81..84 — the 16-processor space–time traces;
 //	BenchmarkAblation*    — the design-choice ablations DESIGN.md lists;
 //	Benchmark<micro>      — substrate micro-benchmarks.

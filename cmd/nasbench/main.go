@@ -3,22 +3,19 @@
 // multipartitioning MPI code, the dhpf-compiled HPF code, and the
 // PGI-style transpose code, for NAS SP and BT.
 //
-// Two modes, reflecting the reproduction protocol (DESIGN.md):
-//
-//	(default)  the paper's Class A/B sizes across the paper's processor
-//	           counts: the dHPF column is a dry run of the compiled code
-//	           (one and two steps, extrapolated to 400), with its idle
-//	           share; the hand-MPI and PGI columns are analytic;
-//	-measure   run all three implementations on the virtual machine at a
-//	           reduced size (default N=24, 2 steps) and print measured
-//	           times — this validates the shape of the comparison.
+// Every cell is the virtual machine's clock: the dHPF column a dry run
+// of the compiled code, the hand-MPI and PGI columns the hand-written
+// codes run without their arrays, each at one and two time steps and
+// extrapolated to the class's steps by one rule (perfmodel.BuildTable).
+// By default it prints the paper's Classes A and B; -n N -steps S
+// prints one table at that size instead.
 //
 // With -json the rows are emitted as a machine-readable JSON array (for
 // benchmark-trajectory tracking) instead of the rendered tables.
 //
 // Usage:
 //
-//	nasbench [-bench sp|bt|all] [-measure] [-json] [-n N] [-steps S] [-procs csv]
+//	nasbench [-bench sp|bt|all] [-json] [-n N -steps S] [-procs csv] [-grain G]
 package main
 
 import (
@@ -34,7 +31,6 @@ import (
 	"dhpf/internal/mpsim"
 	"dhpf/internal/nas"
 	"dhpf/internal/perfmodel"
-	"dhpf/internal/spmd"
 )
 
 func main() {
@@ -48,8 +44,7 @@ func main() {
 // (NaN in the table) are omitted rather than serialized.
 type jsonRow struct {
 	Bench string `json:"bench"`
-	Class string `json:"class,omitempty"` // projection only
-	Mode  string `json:"mode"`            // "projected" or "measured"
+	Class string `json:"class"`
 	N     int    `json:"n"`
 	Steps int    `json:"steps"`
 	Procs int    `json:"procs"`
@@ -63,8 +58,7 @@ type jsonRow struct {
 	SpeedupPgi  *float64 `json:"speedup_pgi,omitempty"`
 	EffDhpf     *float64 `json:"eff_dhpf,omitempty"`
 	EffPgi      *float64 `json:"eff_pgi,omitempty"`
-	// IdleDhpf is the dry run's largest rank idle time over its makespan
-	// (projection only).
+	// IdleDhpf is the dry run's largest rank idle time over its makespan.
 	IdleDhpf *float64 `json:"dhpf_idle_share,omitempty"`
 }
 
@@ -83,10 +77,9 @@ func run(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("nasbench", flag.ContinueOnError)
 	fs.SetOutput(w)
 	bench := fs.String("bench", "all", "sp, bt or all")
-	measure := fs.Bool("measure", false, "measure reduced-size runs on the simulator")
 	asJSON := fs.Bool("json", false, "emit rows as a JSON array instead of tables")
-	n := fs.Int("n", 24, "grid size for -measure")
-	steps := fs.Int("steps", 2, "time steps for -measure")
+	n := fs.Int("n", 0, "grid size of one table in place of Classes A and B")
+	steps := fs.Int("steps", 2, "time steps of the -n table")
 	procsCSV := fs.String("procs", "", "comma-separated rank counts (default: the paper's)")
 	grain := fs.Int("grain", 8, "dhpf pipeline strip width")
 	if err := fs.Parse(args); err != nil {
@@ -106,12 +99,12 @@ func run(w io.Writer, args []string) error {
 				return err
 			}
 		}
-		if *measure {
-			rows = append(rows, measureTable(w, b, *n, *steps, procs, *grain, *asJSON)...)
-			continue
+		classes := []nas.Class{nas.ClassA, nas.ClassB}
+		if *n > 0 {
+			classes = []nas.Class{{Name: fmt.Sprintf("N%d", *n), N: *n, Steps: *steps}}
 		}
-		base := 4
-		for _, class := range []nas.Class{nas.ClassA, nas.ClassB} {
+		for _, class := range classes {
+			base := 4
 			if b == "bt" && class.Name == "B" {
 				base = 16 // the paper's convention for BT Class B
 			}
@@ -120,7 +113,7 @@ func run(w io.Writer, args []string) error {
 				return err
 			}
 			if *asJSON {
-				rows = append(rows, projectedRows(tb)...)
+				rows = append(rows, tableRows(tb)...)
 			} else {
 				fmt.Fprintln(w, tb.Render())
 			}
@@ -134,12 +127,12 @@ func run(w io.Writer, args []string) error {
 	return nil
 }
 
-// projectedRows converts a perfmodel table to JSON rows.
-func projectedRows(tb *perfmodel.Table) []jsonRow {
+// tableRows converts a perfmodel table to JSON rows.
+func tableRows(tb *perfmodel.Table) []jsonRow {
 	out := make([]jsonRow, 0, len(tb.Rows))
 	for _, r := range tb.Rows {
 		out = append(out, jsonRow{
-			Bench: tb.Bench, Class: tb.Class.Name, Mode: "projected",
+			Bench: tb.Bench, Class: tb.Class.Name,
 			N: tb.Class.N, Steps: tb.Class.Steps, Procs: r.Procs,
 			HandS: fptr(r.Hand), DhpfS: fptr(r.DHPF), PgiS: fptr(r.PGI),
 			SpeedupHand: fptr(r.SpHand), SpeedupDhpf: fptr(r.SpDHPF), SpeedupPgi: fptr(r.SpPGI),
@@ -147,71 +140,6 @@ func projectedRows(tb *perfmodel.Table) []jsonRow {
 		})
 	}
 	return out
-}
-
-// measureTable runs the three implementations at a reduced size.  With
-// asJSON it returns the rows silently; otherwise it renders the table.
-func measureTable(w io.Writer, bench string, n, steps int, procs []int, grain int, asJSON bool) []jsonRow {
-	if !asJSON {
-		fmt.Fprintf(w, "Measured on the virtual machine: %s, N=%d, %d steps\n", strings.ToUpper(bench), n, steps)
-		fmt.Fprintf(w, "%6s | %12s %12s %12s | %8s %8s\n", "procs", "hand(s)", "dHPF(s)", "PGI(s)", "E.dHPF", "E.PGI")
-		fmt.Fprintln(w, strings.Repeat("-", 72))
-	}
-	opt := spmd.DefaultOptions()
-	opt.PipelineGrain = grain
-	var rows []jsonRow
-	for _, p := range procs {
-		hand, dhpfT, pgi := "-", "-", "-"
-		var handT float64
-		if mp, err := nas.RunMultipart(bench, n, steps, p, mpsim.SP2Config(p)); err == nil {
-			handT = mp.Machine.Time
-			hand = fmt.Sprintf("%.6f", handT)
-		}
-		var dT, gT float64
-		if src := sourceFor(bench, n, steps, p); src != "" {
-			if prog, err := spmd.CompileSource(src, nil, opt); err == nil {
-				if res, err := prog.Execute(mpsim.SP2Config(p)); err == nil {
-					dT = res.Machine.Time
-					dhpfT = fmt.Sprintf("%.6f", dT)
-				}
-			}
-		}
-		if tp, err := nas.RunTranspose(bench, n, steps, p, mpsim.SP2Config(p)); err == nil {
-			gT = tp.Machine.Time
-			pgi = fmt.Sprintf("%.6f", gT)
-		}
-		ed, eg := "-", "-"
-		var edV, egV float64
-		if handT > 0 && dT > 0 {
-			edV = handT / dT
-			ed = fmt.Sprintf("%.2f", edV)
-		}
-		if handT > 0 && gT > 0 {
-			egV = handT / gT
-			eg = fmt.Sprintf("%.2f", egV)
-		}
-		if asJSON {
-			rows = append(rows, jsonRow{
-				Bench: bench, Mode: "measured", N: n, Steps: steps, Procs: p,
-				HandS: fptr(handT), DhpfS: fptr(dT), PgiS: fptr(gT),
-				EffDhpf: fptr(edV), EffPgi: fptr(egV),
-			})
-		} else {
-			fmt.Fprintf(w, "%6d | %12s %12s %12s | %8s %8s\n", p, hand, dhpfT, pgi, ed, eg)
-		}
-	}
-	if !asJSON {
-		fmt.Fprintln(w)
-	}
-	return rows
-}
-
-func sourceFor(bench string, n, steps, p int) string {
-	p1, p2 := nas.GridShape(p)
-	if bench == "sp" {
-		return nas.SPSource(n, steps, p1, p2)
-	}
-	return nas.BTSource(n, steps, p1, p2)
 }
 
 func parseCSV(s string) ([]int, error) {

@@ -3,6 +3,7 @@ package nas
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"dhpf/internal/ir"
 	"dhpf/internal/mpsim"
@@ -62,10 +63,90 @@ func point(dim, p, a, b int) (int, int, int) {
 	}
 }
 
+// handRank is one rank of a hand-coded driver.  On a clock run st is
+// nil: every phase charges the point count of its boxes and ranges —
+// the one count both kinds of run use — and every message its exact
+// length, but no array is allocated or touched.
+type handRank struct {
+	rk      *mpsim.Rank
+	st      *handState // nil on a clock run
+	n, comp int
+	bt      bool
+	systems []SweepSystem
+	w       FlopWeights
+	tag     int
+}
+
+func (h *handRank) nextTag() int {
+	h.tag++
+	return h.tag
+}
+
+// send ships a message of elems values to peer: payload on a data run;
+// on a clock run a message that carries nothing, charged and counted as
+// Send charges and counts elems values (analysis.DryRun's messages).
+func (h *handRank) send(peer, tag, elems int, payload []float64) {
+	if h.st == nil {
+		h.rk.CheckLimits()
+		h.rk.Post(peer, tag, mpsim.Message{At: h.rk.PaySend(peer, tag, 8*elems)})
+		return
+	}
+	if len(payload) != elems {
+		panic(fmt.Sprintf("nas: a message of %d values counted as %d", len(payload), elems))
+	}
+	h.rk.Send(peer, tag, payload)
+}
+
+// runHand runs body on every rank of a procs-rank machine under cfg's
+// costs, each rank with a fresh handState when data is set, and returns
+// the states (nil without data) and the machine's result.
+func runHand(impl, bench string, n, procs int, data bool, cfg mpsim.Config, body func(h *handRank)) ([]*handState, *mpsim.Result, error) {
+	bt, comp, err := fmtBench(bench)
+	if err != nil {
+		return nil, nil, err
+	}
+	var w FlopWeights
+	if bt {
+		w = weightsFrom(BTSource(8, 1, 1, 1), true)
+	} else {
+		w = weightsFrom(SPSource(8, 1, 1, 1), false)
+	}
+	var states []*handState
+	if data {
+		states = make([]*handState, procs)
+	}
+	var mu sync.Mutex
+	var runErr error
+	cfg.Procs = procs
+	res := mpsim.Run(cfg, func(rk *mpsim.Rank) {
+		defer func() {
+			if rec := recover(); rec != nil {
+				mu.Lock()
+				if runErr == nil {
+					runErr = rankPanicErr(rec, impl, rk.ID)
+				}
+				mu.Unlock()
+			}
+		}()
+		h := &handRank{rk: rk, n: n, comp: comp, bt: bt, systems: SweepSystems(bench), w: w}
+		if data {
+			h.st = newHandState(n, comp, !bt)
+			states[rk.ID] = h.st
+		}
+		body(h)
+	})
+	if runErr != nil {
+		return nil, nil, runErr
+	}
+	return states, res, nil
+}
+
+// span is the length of the range [lo, hi], 0 when it is empty.
+func span(lo, hi int) int { return max(0, hi-lo+1) }
+
 // FlopWeights are the per-point flop costs of each solver phase,
-// extracted from the mini-HPF sources so hand-coded runs (and the
-// analytic performance model) charge exactly what the compiled runs
-// charge per point.
+// extracted from the mini-HPF sources so hand-coded runs charge exactly
+// what the compiled runs charge per point.
 type FlopWeights struct {
 	Init    float64 // per point, all init statements
 	Rho     float64
@@ -75,18 +156,6 @@ type FlopWeights struct {
 	Bwd     float64
 	Add     float64
 	Jac     float64 // BT block-Jacobian statement, per (point, m, mm)
-}
-
-// WeightsFor returns the phase flop weights of a benchmark.
-func WeightsFor(bench string) (FlopWeights, error) {
-	bt, _, err := fmtBench(bench)
-	if err != nil {
-		return FlopWeights{}, err
-	}
-	if bt {
-		return weightsFrom(BTSource(8, 1, 1, 1), true), nil
-	}
-	return weightsFrom(SPSource(8, 1, 1, 1), false), nil
 }
 
 func weightsFrom(src string, bt bool) FlopWeights {
@@ -237,14 +306,10 @@ func (st *handState) spdPoint(i, j, k int) {
 // indexed from the system's first component) instead of local storage.
 func (st *handState) applyPivot(dim, p, a, b int, sys SweepSystem, writeLo, writeHi int, fp float64, rvals []float64) {
 	i, j, k := point(dim, p, a, b)
-	var f float64
-	var rv []float64
-	if rvals != nil {
-		f = fp
-		rv = rvals
-	} else {
-		f = st.fac(sys, i, j, k)
-		rv = make([]float64, sys.Comps())
+	f, rv := fp, rvals
+	if rvals == nil {
+		var own [NCOMP]float64
+		f, rv = st.fac(sys, i, j, k), own[:sys.Comps()]
 		for m := sys.Mlo; m <= sys.Mhi; m++ {
 			rv[m-sys.Mlo] = st.r[st.ridx(m, i, j, k)]
 		}

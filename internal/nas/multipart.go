@@ -3,7 +3,6 @@ package nas
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"dhpf/internal/hpf"
 	"dhpf/internal/iset"
@@ -31,55 +30,15 @@ type MultipartRun struct {
 //	              pivot rows — the NPB2.3b2 x_send_solve_info protocol;
 //	add           local.
 func RunMultipart(bench string, n, steps, procs int, cfg mpsim.Config) (*MultipartRun, error) {
-	bt, comp, err := fmtBench(bench)
+	mp, states, res, err := multipart(bench, n, steps, procs, cfg, true)
 	if err != nil {
 		return nil, err
 	}
-	q := int(math.Round(math.Sqrt(float64(procs))))
-	if q*q != procs {
-		return nil, fmt.Errorf("nas: multipartitioning needs a square rank count, got %d", procs)
-	}
-	mp, err := hpf.NewMultipartition(q, n, n, n)
-	if err != nil {
-		return nil, err
-	}
-	var w FlopWeights
-	if bt {
-		w = weightsFrom(BTSource(8, 1, 1, 1), true)
-	} else {
-		w = weightsFrom(SPSource(8, 1, 1, 1), false)
-	}
-
-	states := make([]*handState, procs)
-	var mu sync.Mutex
-	var runErr error
-	cfg.Procs = procs
-	res := mpsim.Run(cfg, func(rk *mpsim.Rank) {
-		defer func() {
-			if rec := recover(); rec != nil {
-				mu.Lock()
-				if runErr == nil {
-					runErr = rankPanicErr(rec, "multipart", rk.ID)
-				}
-				mu.Unlock()
-			}
-		}()
-		st := newHandState(n, comp, !bt)
-		mu.Lock()
-		states[rk.ID] = st
-		mu.Unlock()
-		d := &mpDriver{rk: rk, mp: mp, st: st, bt: bt, systems: SweepSystems(bench), w: w}
-		d.run(steps)
-	})
-	if runErr != nil {
-		return nil, runErr
-	}
-
+	comp := states[0].comp
 	out := &MultipartRun{Machine: res, N: n}
 	out.U = make([]float64, n*n*n)
 	out.R = make([]float64, comp*n*n*n)
-	for rank := 0; rank < procs; rank++ {
-		st := states[rank]
+	for rank, st := range states {
 		mp.LocalSet(rank).Each(func(p []int) bool {
 			i, j, k := p[0], p[1], p[2]
 			out.U[st.idx(i, j, k)] = st.u[st.idx(i, j, k)]
@@ -92,36 +51,58 @@ func RunMultipart(bench string, n, steps, procs int, cfg mpsim.Config) (*Multipa
 	return out, nil
 }
 
-type mpDriver struct {
-	rk      *mpsim.Rank
-	mp      *hpf.Multipartition
-	st      *handState
-	bt      bool
-	systems []SweepSystem
-	w       FlopWeights
-	tag     int
+// ClockMultipart is RunMultipart's machine result without its data: the
+// same driver, every phase charging the same point counts and every
+// message its exact length, with no array allocated — so the clocks,
+// flops and message totals are RunMultipart's bit for bit, at any size.
+func ClockMultipart(bench string, n, steps, procs int, cfg mpsim.Config) (*mpsim.Result, error) {
+	_, _, res, err := multipart(bench, n, steps, procs, cfg, false)
+	return res, err
 }
 
-func (d *mpDriver) nextTag() int {
-	d.tag++
-	return d.tag
+func multipart(bench string, n, steps, procs int, cfg mpsim.Config, data bool) (*hpf.Multipartition, []*handState, *mpsim.Result, error) {
+	q := int(math.Round(math.Sqrt(float64(procs))))
+	if q*q != procs {
+		return nil, nil, nil, fmt.Errorf("nas: multipartitioning needs a square rank count, got %d", procs)
+	}
+	mp, err := hpf.NewMultipartition(q, n, n, n)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	states, res, err := runHand("multipart", bench, n, procs, data, cfg, func(h *handRank) {
+		d := &mpDriver{handRank: h, mp: mp}
+		d.run(steps)
+	})
+	return mp, states, res, err
+}
+
+type mpDriver struct {
+	*handRank
+	mp *hpf.Multipartition
 }
 
 func (d *mpDriver) cells() [][3]int { return d.mp.CellsOf(d.rk.ID) }
 
+func (d *mpDriver) cellBox(c [3]int) iset.Box { return d.mp.CellBox(c[0], c[1], c[2]) }
+
+// within clamps a box to [lo, n-1-lo] along every dimension.
+func (d *mpDriver) within(box iset.Box, lo int) iset.Box {
+	hi := d.n - 1 - lo
+	return box.Intersect(iset.NewBox([]int{lo, lo, lo}, []int{hi, hi, hi}))
+}
+
 func (d *mpDriver) run(steps int) {
-	st, n := d.st, d.st.n
 	// Init: everything local (each rank initializes the union of its
 	// cells grown by the halo depth, so copy_faces has valid sources).
 	var ownPts float64
 	for _, c := range d.cells() {
-		box := d.mp.CellBox(c[0], c[1], c[2]).Grow(0, 2, 2).Grow(1, 2, 2).Grow(2, 2, 2)
-		box = box.Intersect(iset.NewBox([]int{0, 0, 0}, []int{n - 1, n - 1, n - 1}))
-		box.Each(func(p []int) bool {
-			st.initPoint(p[0], p[1], p[2])
-			return true
-		})
-		ownPts += float64(d.mp.CellBox(c[0], c[1], c[2]).Card())
+		ownPts += float64(d.cellBox(c).Card())
+		if st := d.st; st != nil {
+			d.within(d.cellBox(c).Grow(0, 2, 2).Grow(1, 2, 2).Grow(2, 2, 2), 0).Each(func(p []int) bool {
+				st.initPoint(p[0], p[1], p[2])
+				return true
+			})
+		}
 	}
 	d.rk.ComputeLabeled(d.w.Init*ownPts, "init")
 
@@ -150,12 +131,12 @@ func (d *mpDriver) run(steps int) {
 // coalesced message per face direction (all cells' faces for a direction
 // go to the same peer — the multipartitioning neighbour property).
 func (d *mpDriver) copyFaces() {
-	n := d.st.n
+	n := d.n
 	for dim := 0; dim < 3; dim++ {
 		for _, dir := range []int{+1, -1} {
 			// Outgoing: my boundary planes toward dir.
 			var payload []float64
-			var sendPeer = -1
+			sendPeer, elems := -1, 0
 			for _, c := range d.cells() {
 				nc := c
 				nc[dim] += dir
@@ -163,7 +144,7 @@ func (d *mpDriver) copyFaces() {
 					continue
 				}
 				sendPeer = d.mp.OwnerOfCell(nc[0], nc[1], nc[2])
-				box := d.mp.CellBox(c[0], c[1], c[2])
+				box := d.cellBox(c)
 				var rows [2]int
 				if dir > 0 {
 					rows = [2]int{box.Hi[dim] - 1, box.Hi[dim]}
@@ -175,15 +156,18 @@ func (d *mpDriver) copyFaces() {
 						continue
 					}
 					face := box.WithDim(dim, row, row)
-					face.Each(func(p []int) bool {
-						payload = append(payload, d.st.u[d.st.idx(p[0], p[1], p[2])])
-						return true
-					})
+					elems += int(face.Card())
+					if st := d.st; st != nil {
+						face.Each(func(p []int) bool {
+							payload = append(payload, st.u[st.idx(p[0], p[1], p[2])])
+							return true
+						})
+					}
 				}
 			}
 			tag := d.nextTag()
 			if sendPeer >= 0 {
-				d.rk.Send(sendPeer, tag, payload)
+				d.send(sendPeer, tag, elems, payload)
 			}
 			// Incoming: halos beyond my cells opposite to dir come from
 			// the -dir neighbour, which sent with the same tag sequence.
@@ -196,7 +180,7 @@ func (d *mpDriver) copyFaces() {
 					continue
 				}
 				recvPeer = d.mp.OwnerOfCell(nc[0], nc[1], nc[2])
-				box := d.mp.CellBox(c[0], c[1], c[2])
+				box := d.cellBox(c)
 				var rows [2]int
 				if dir > 0 {
 					rows = [2]int{box.Lo[dim] - 2, box.Lo[dim] - 1}
@@ -210,12 +194,15 @@ func (d *mpDriver) copyFaces() {
 					regions = append(regions, box.WithDim(dim, row, row))
 				}
 			}
-			if recvPeer >= 0 {
-				data := d.rk.Recv(recvPeer, tag)
+			if recvPeer < 0 {
+				continue
+			}
+			data := d.rk.Recv(recvPeer, tag)
+			if st := d.st; st != nil {
 				at := 0
 				for _, face := range regions {
 					face.Each(func(p []int) bool {
-						d.st.u[d.st.idx(p[0], p[1], p[2])] = data[at]
+						st.u[st.idx(p[0], p[1], p[2])] = data[at]
 						at++
 						return true
 					})
@@ -226,66 +213,67 @@ func (d *mpDriver) copyFaces() {
 }
 
 func (d *mpDriver) computeRHS() {
-	n := d.st.n
 	var rhoPts, stPts float64
 	for _, c := range d.cells() {
-		box := d.mp.CellBox(c[0], c[1], c[2])
+		box := d.cellBox(c)
 		// Reciprocals on the cell grown by 1 along each axis (the local
 		// replication that stands in for LOCALIZE).
-		grown := box.Grow(0, 1, 1).Grow(1, 1, 1).Grow(2, 1, 1).
-			Intersect(iset.NewBox([]int{0, 0, 0}, []int{n - 1, n - 1, n - 1}))
-		grown.Each(func(p []int) bool {
-			d.st.rhoPoint(p[0], p[1], p[2])
-			rhoPts++
-			return true
-		})
-		inner := box.Intersect(iset.NewBox([]int{2, 2, 2}, []int{n - 3, n - 3, n - 3}))
-		inner.Each(func(p []int) bool {
-			d.st.stencilPoint(p[0], p[1], p[2], d.bt)
-			stPts++
-			return true
-		})
+		grown := d.within(box.Grow(0, 1, 1).Grow(1, 1, 1).Grow(2, 1, 1), 0)
+		inner := d.within(box, 2)
+		rhoPts += float64(grown.Card())
+		stPts += float64(inner.Card())
+		if st := d.st; st != nil {
+			grown.Each(func(p []int) bool {
+				st.rhoPoint(p[0], p[1], p[2])
+				return true
+			})
+			inner.Each(func(p []int) bool {
+				st.stencilPoint(p[0], p[1], p[2], d.bt)
+				return true
+			})
+		}
 	}
-	mul := float64(d.st.comp)
+	mul := float64(d.comp)
 	d.rk.ComputeLabeled(d.w.Rho*rhoPts+d.w.Stencil*stPts*mul, "compute_rhs")
 }
 
 // jacPhase runs BT's fully-parallel block-Jacobian setup on own cells.
 func (d *mpDriver) jacPhase() {
-	n := d.st.n
 	var pts float64
 	for dim := 0; dim < 3; dim++ {
 		for _, c := range d.cells() {
-			box := d.mp.CellBox(c[0], c[1], c[2]).
-				Intersect(iset.NewBox([]int{1, 1, 1}, []int{n - 2, n - 2, n - 2}))
-			box.Each(func(p []int) bool {
-				d.st.jacPoint(dim, p[0], p[1], p[2])
-				pts++
-				return true
-			})
+			box := d.within(d.cellBox(c), 1)
+			pts += float64(box.Card())
+			if st := d.st; st != nil {
+				box.Each(func(p []int) bool {
+					st.jacPoint(dim, p[0], p[1], p[2])
+					return true
+				})
+			}
 		}
 	}
-	c := float64(d.st.comp)
+	c := float64(d.comp)
 	d.rk.ComputeLabeled(d.w.Jac*pts*c*c, "lhs")
 }
 
 func (d *mpDriver) spdPhase() {
-	n := d.st.n
+	n := d.n
 	var pts float64
 	for _, c := range d.cells() {
-		box := d.mp.CellBox(c[0], c[1], c[2]).
-			Intersect(iset.NewBox([]int{0, 1, 0}, []int{n - 1, n - 2, n - 1}))
-		box.Each(func(p []int) bool {
-			d.st.spdPoint(p[0], p[1], p[2])
-			pts++
-			return true
-		})
+		box := d.cellBox(c).Intersect(iset.NewBox([]int{0, 1, 0}, []int{n - 1, n - 2, n - 1}))
+		pts += float64(box.Card())
+		if st := d.st; st != nil {
+			box.Each(func(p []int) bool {
+				st.spdPoint(p[0], p[1], p[2])
+				return true
+			})
+		}
 	}
 	d.rk.ComputeLabeled((d.w.Cv+d.w.Spd)*pts, "lhs")
 }
 
 // pivotRange returns the global forward/backward pivot range.
-func (d *mpDriver) pivotRange() (int, int) { return 1, d.st.n - 4 }
+func (d *mpDriver) pivotRange() (int, int) { return 1, d.n - 4 }
 
 // tagBlock reserves Q tags for one sweep's stage boundaries; boundary b
 // (between stages b and b+1) uses tag base+b on both sides.
@@ -298,12 +286,13 @@ func (d *mpDriver) tagBlock() int {
 // forwardSweep runs one system's forward elimination along dim over the
 // Q stages.
 func (d *mpDriver) forwardSweep(dim int, sys SweepSystem, label string, tagBase int) {
+	st, nc := d.st, sys.Comps()
 	plo, phi := d.pivotRange()
 	for s := 0; s < d.mp.Q; s++ {
 		c := d.cellInSlab(dim, s)
-		box := d.mp.CellBox(c[0], c[1], c[2])
+		box := d.cellBox(c)
 		lo, hi := box.Lo[dim], box.Hi[dim]
-		foot := footprint(box, dim, d.st.n)
+		foot := footprint(box, dim, d.n)
 
 		// Receive the predecessor's last two pivots and apply their
 		// contributions to my rows.
@@ -312,34 +301,31 @@ func (d *mpDriver) forwardSweep(dim int, sys SweepSystem, label string, tagBase 
 			pred[dim]--
 			peer := d.mp.OwnerOfCell(pred[0], pred[1], pred[2])
 			pivots := clampPivots([]int{lo - 2, lo - 1}, plo, phi)
-			tag := tagBase + s - 1
 			if len(pivots) > 0 {
-				data := d.rk.Recv(peer, tag)
-				at := 0
-				nc := sys.Comps()
-				for _, p := range pivots {
-					foot.Each(func(ab []int) bool {
-						f := data[at]
-						at++
-						rv := data[at : at+nc]
-						at += nc
-						d.st.applyPivot(dim, p, ab[0], ab[1], sys, lo, hi, f, rv)
-						return true
-					})
+				data := d.rk.Recv(peer, tagBase+s-1)
+				if st != nil {
+					at := 0
+					for _, p := range pivots {
+						foot.Each(func(ab []int) bool {
+							st.applyPivot(dim, p, ab[0], ab[1], sys, lo, hi, data[at], data[at+1:at+1+nc])
+							at += 1 + nc
+							return true
+						})
+					}
 				}
 			}
 		}
 
 		// Eliminate my own pivots, writing only into my rows.
-		var pts float64
-		for p := max(lo, plo); p <= min(hi, phi); p++ {
+		first, last := max(lo, plo), min(hi, phi)
+		pts := float64(span(first, last) * int(foot.Card()))
+		for p := first; st != nil && p <= last; p++ {
 			foot.Each(func(ab []int) bool {
-				d.st.applyPivot(dim, p, ab[0], ab[1], sys, lo, hi, 0, nil)
-				pts++
+				st.applyPivot(dim, p, ab[0], ab[1], sys, lo, hi, 0, nil)
 				return true
 			})
 		}
-		d.rk.ComputeLabeled(d.w.Fwd*pts*float64(sys.Comps()), label)
+		d.rk.ComputeLabeled(d.w.Fwd*pts*float64(nc), label)
 
 		// Forward my last two pivots to the successor stage.
 		if s < d.mp.Q-1 {
@@ -347,20 +333,21 @@ func (d *mpDriver) forwardSweep(dim int, sys SweepSystem, label string, tagBase 
 			succ[dim]++
 			peer := d.mp.OwnerOfCell(succ[0], succ[1], succ[2])
 			pivots := clampPivots([]int{hi - 1, hi}, plo, phi)
-			tag := tagBase + s
 			if len(pivots) > 0 {
 				var payload []float64
-				for _, p := range pivots {
-					foot.Each(func(ab []int) bool {
-						i, j, k := point(dim, p, ab[0], ab[1])
-						payload = append(payload, d.st.fac(sys, i, j, k))
-						for m := sys.Mlo; m <= sys.Mhi; m++ {
-							payload = append(payload, d.st.r[d.st.ridx(m, i, j, k)])
-						}
-						return true
-					})
+				if st != nil {
+					for _, p := range pivots {
+						foot.Each(func(ab []int) bool {
+							i, j, k := point(dim, p, ab[0], ab[1])
+							payload = append(payload, st.fac(sys, i, j, k))
+							for m := sys.Mlo; m <= sys.Mhi; m++ {
+								payload = append(payload, st.r[st.ridx(m, i, j, k)])
+							}
+							return true
+						})
+					}
 				}
-				d.rk.Send(peer, tag, payload)
+				d.send(peer, tagBase+s, len(pivots)*int(foot.Card())*(1+nc), payload)
 			}
 		}
 	}
@@ -369,45 +356,45 @@ func (d *mpDriver) forwardSweep(dim int, sys SweepSystem, label string, tagBase 
 // backwardSweep runs one system's back substitution along dim, stages
 // descending.
 func (d *mpDriver) backwardSweep(dim int, sys SweepSystem, label string, tagBase int) {
-	n := d.st.n
+	st, n, nc := d.st, d.n, sys.Comps()
 	plo, phi := d.pivotRange()
 	for s := d.mp.Q - 1; s >= 0; s-- {
 		c := d.cellInSlab(dim, s)
-		box := d.mp.CellBox(c[0], c[1], c[2])
+		box := d.cellBox(c)
 		lo, hi := box.Lo[dim], box.Hi[dim]
-		foot := footprint(box, dim, d.st.n)
+		foot := footprint(box, dim, n)
 
 		// Receive the two finished rows beyond my cell.
 		if s < d.mp.Q-1 {
 			succ := c
 			succ[dim]++
 			peer := d.mp.OwnerOfCell(succ[0], succ[1], succ[2])
-			rows := clampPivots([]int{hi + 1, hi + 2}, 0, n-1)
-			tag := tagBase + s
-			data := d.rk.Recv(peer, tag)
-			at := 0
-			for _, row := range rows {
-				foot.Each(func(ab []int) bool {
-					i, j, k := point(dim, row, ab[0], ab[1])
-					for m := sys.Mlo; m <= sys.Mhi; m++ {
-						d.st.r[d.st.ridx(m, i, j, k)] = data[at]
-						at++
-					}
-					return true
-				})
+			data := d.rk.Recv(peer, tagBase+s)
+			if st != nil {
+				at := 0
+				for _, row := range clampPivots([]int{hi + 1, hi + 2}, 0, n-1) {
+					foot.Each(func(ab []int) bool {
+						i, j, k := point(dim, row, ab[0], ab[1])
+						for m := sys.Mlo; m <= sys.Mhi; m++ {
+							st.r[st.ridx(m, i, j, k)] = data[at]
+							at++
+						}
+						return true
+					})
+				}
 			}
 		}
 
 		// Back-substitute my rows, descending.
-		var pts float64
-		for p := min(hi, phi); p >= max(lo, plo); p-- {
+		first, last := max(lo, plo), min(hi, phi)
+		pts := float64(span(first, last) * int(foot.Card()))
+		for p := last; st != nil && p >= first; p-- {
 			foot.Each(func(ab []int) bool {
-				d.st.backSub(dim, p, ab[0], ab[1], sys)
-				pts++
+				st.backSub(dim, p, ab[0], ab[1], sys)
 				return true
 			})
 		}
-		d.rk.ComputeLabeled(d.w.Bwd*pts*float64(sys.Comps()), label)
+		d.rk.ComputeLabeled(d.w.Bwd*pts*float64(nc), label)
 
 		// Send my first two rows to the previous stage.
 		if s > 0 {
@@ -415,33 +402,34 @@ func (d *mpDriver) backwardSweep(dim int, sys SweepSystem, label string, tagBase
 			pred[dim]--
 			peer := d.mp.OwnerOfCell(pred[0], pred[1], pred[2])
 			rows := clampPivots([]int{lo, lo + 1}, 0, n-1)
-			tag := tagBase + s - 1
 			var payload []float64
-			for _, row := range rows {
-				foot.Each(func(ab []int) bool {
-					i, j, k := point(dim, row, ab[0], ab[1])
-					for m := sys.Mlo; m <= sys.Mhi; m++ {
-						payload = append(payload, d.st.r[d.st.ridx(m, i, j, k)])
-					}
-					return true
-				})
+			if st != nil {
+				for _, row := range rows {
+					foot.Each(func(ab []int) bool {
+						i, j, k := point(dim, row, ab[0], ab[1])
+						for m := sys.Mlo; m <= sys.Mhi; m++ {
+							payload = append(payload, st.r[st.ridx(m, i, j, k)])
+						}
+						return true
+					})
+				}
 			}
-			d.rk.Send(peer, tag, payload)
+			d.send(peer, tagBase+s-1, len(rows)*int(foot.Card())*nc, payload)
 		}
 	}
 }
 
 func (d *mpDriver) addPhase() {
-	n := d.st.n
 	var pts float64
 	for _, c := range d.cells() {
-		box := d.mp.CellBox(c[0], c[1], c[2]).
-			Intersect(iset.NewBox([]int{2, 2, 2}, []int{n - 3, n - 3, n - 3}))
-		box.Each(func(p []int) bool {
-			d.st.addPoint(p[0], p[1], p[2], d.bt)
-			pts++
-			return true
-		})
+		box := d.within(d.cellBox(c), 2)
+		pts += float64(box.Card())
+		if st := d.st; st != nil {
+			box.Each(func(p []int) bool {
+				st.addPoint(p[0], p[1], p[2], d.bt)
+				return true
+			})
+		}
 	}
 	d.rk.ComputeLabeled(d.w.Add*pts, "add")
 }

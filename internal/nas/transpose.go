@@ -2,7 +2,6 @@ package nas
 
 import (
 	"fmt"
-	"sync"
 
 	"dhpf/internal/hpf"
 	"dhpf/internal/mpsim"
@@ -22,57 +21,15 @@ type TransposeRun struct {
 // variables distributed along y, the z sweeps run locally, and the
 // results are transposed back.
 func RunTranspose(bench string, n, steps, procs int, cfg mpsim.Config) (*TransposeRun, error) {
-	bt, comp, err := fmtBench(bench)
+	lohi, states, res, err := transpose(bench, n, steps, procs, cfg, true)
 	if err != nil {
 		return nil, err
 	}
-	if procs > n {
-		return nil, fmt.Errorf("nas: transpose version needs procs ≤ n")
-	}
-	var w FlopWeights
-	if bt {
-		w = weightsFrom(BTSource(8, 1, 1, 1), true)
-	} else {
-		w = weightsFrom(SPSource(8, 1, 1, 1), false)
-	}
-
-	blk := hpf.DefaultBlockSize(n, procs)
-	lohi := func(rank int) (int, int) {
-		lo := rank * blk
-		hi := min(lo+blk-1, n-1)
-		return lo, hi
-	}
-
-	states := make([]*handState, procs)
-	var mu sync.Mutex
-	var runErr error
-	cfg.Procs = procs
-	res := mpsim.Run(cfg, func(rk *mpsim.Rank) {
-		defer func() {
-			if rec := recover(); rec != nil {
-				mu.Lock()
-				if runErr == nil {
-					runErr = rankPanicErr(rec, "transpose", rk.ID)
-				}
-				mu.Unlock()
-			}
-		}()
-		st := newHandState(n, comp, !bt)
-		mu.Lock()
-		states[rk.ID] = st
-		mu.Unlock()
-		d := &tpDriver{rk: rk, st: st, bt: bt, systems: SweepSystems(bench), w: w, procs: procs, lohi: lohi}
-		d.run(steps)
-	})
-	if runErr != nil {
-		return nil, runErr
-	}
-
+	comp := states[0].comp
 	out := &TransposeRun{Machine: res, N: n}
 	out.U = make([]float64, n*n*n)
 	out.R = make([]float64, comp*n*n*n)
-	for rank := 0; rank < procs; rank++ {
-		st := states[rank]
+	for rank, st := range states {
 		klo, khi := lohi(rank)
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
@@ -88,24 +45,43 @@ func RunTranspose(bench string, n, steps, procs int, cfg mpsim.Config) (*Transpo
 	return out, nil
 }
 
-type tpDriver struct {
-	rk      *mpsim.Rank
-	st      *handState
-	bt      bool
-	systems []SweepSystem
-	w       FlopWeights
-	procs   int
-	lohi    func(int) (int, int)
-	tag     int
+// ClockTranspose is RunTranspose's machine result without its data: the
+// same driver, every phase charging the same point counts and every
+// message its exact length, with no array allocated — so the clocks,
+// flops and message totals are RunTranspose's bit for bit, at any size.
+func ClockTranspose(bench string, n, steps, procs int, cfg mpsim.Config) (*mpsim.Result, error) {
+	_, _, res, err := transpose(bench, n, steps, procs, cfg, false)
+	return res, err
 }
 
-func (d *tpDriver) nextTag() int { d.tag++; return d.tag }
+func transpose(bench string, n, steps, procs int, cfg mpsim.Config, data bool) (func(int) (int, int), []*handState, *mpsim.Result, error) {
+	if procs > n {
+		return nil, nil, nil, fmt.Errorf("nas: transpose version needs procs ≤ n")
+	}
+	blk := hpf.DefaultBlockSize(n, procs)
+	lohi := func(rank int) (int, int) {
+		lo := rank * blk
+		hi := min(lo+blk-1, n-1)
+		return lo, hi
+	}
+	states, res, err := runHand("transpose", bench, n, procs, data, cfg, func(h *handRank) {
+		d := &tpDriver{handRank: h, procs: procs, lohi: lohi}
+		d.run(steps)
+	})
+	return lohi, states, res, err
+}
+
+type tpDriver struct {
+	*handRank
+	procs int
+	lohi  func(int) (int, int)
+}
 
 func (d *tpDriver) run(steps int) {
-	st, n := d.st, d.st.n
+	st, n := d.st, d.n
 	klo, khi := d.lohi(d.rk.ID)
 	// Initialize the slab plus a 2-deep k halo.
-	for i := 0; i < n; i++ {
+	for i := 0; st != nil && i < n; i++ {
 		for j := 0; j < n; j++ {
 			for k := max(0, klo-2); k <= min(n-1, khi+2); k++ {
 				st.initPoint(i, j, k)
@@ -124,17 +100,22 @@ func (d *tpDriver) run(steps int) {
 			d.spdPhase(klo, khi)
 		}
 		// x and y sweeps: fully local for a z-distributution.
-		d.localSweeps(0, klo, khi, "x_solve")
-		d.localSweeps(1, klo, khi, "y_solve")
+		d.sweeps(0, max(klo, 1), min(khi, n-2), "x_solve")
+		d.sweeps(1, max(klo, 1), min(khi, n-2), "y_solve")
 		// z sweeps: transpose to a y-distribution, solve, transpose back.
 		d.zSolveWithTranspose(klo, khi)
 		d.addPhase(klo, khi)
 	}
 }
 
+// planes returns the k planes among rows that lie inside the grid.
+func (d *tpDriver) planes(rows [2]int) []int {
+	return clampPivots(rows[:], 0, d.n-1)
+}
+
 // haloExchange ships 2 k-planes of u to each z neighbour.
 func (d *tpDriver) haloExchange(klo, khi int) {
-	st, n := d.st, d.st.n
+	st, n := d.st, d.n
 	me := d.rk.ID
 	for _, dir := range []int{+1, -1} {
 		peer := me + dir
@@ -146,18 +127,16 @@ func (d *tpDriver) haloExchange(klo, khi int) {
 			} else {
 				rows = [2]int{klo, klo + 1}
 			}
-			payload := make([]float64, 0, 2*n*n)
-			for _, k := range rows[:] {
-				if k < 0 || k >= n {
-					continue
-				}
-				for i := 0; i < n; i++ {
+			planes := d.planes(rows)
+			var payload []float64
+			for _, k := range planes {
+				for i := 0; st != nil && i < n; i++ {
 					for j := 0; j < n; j++ {
 						payload = append(payload, st.u[st.idx(i, j, k)])
 					}
 				}
 			}
-			d.rk.Send(peer, tag, payload)
+			d.send(peer, tag, len(planes)*n*n, payload)
 		}
 		// Receive from the opposite neighbour with the same tag position.
 		from := me - dir
@@ -171,11 +150,8 @@ func (d *tpDriver) haloExchange(klo, khi int) {
 				rows = [2]int{flo, flo + 1}
 			}
 			at := 0
-			for _, k := range rows[:] {
-				if k < 0 || k >= n {
-					continue
-				}
-				for i := 0; i < n; i++ {
+			for _, k := range d.planes(rows) {
+				for i := 0; st != nil && i < n; i++ {
 					for j := 0; j < n; j++ {
 						st.u[st.idx(i, j, k)] = data[at]
 						at++
@@ -187,85 +163,79 @@ func (d *tpDriver) haloExchange(klo, khi int) {
 }
 
 func (d *tpDriver) computeRHS(klo, khi int) {
-	st, n := d.st, d.st.n
-	var rhoPts, stPts float64
-	for i := 0; i < n; i++ {
+	st, n := d.st, d.n
+	for i := 0; st != nil && i < n; i++ {
 		for j := 0; j < n; j++ {
 			for k := max(0, klo-1); k <= min(n-1, khi+1); k++ {
 				st.rhoPoint(i, j, k)
-				rhoPts++
 			}
 		}
 	}
-	for i := 2; i <= n-3; i++ {
+	for i := 2; st != nil && i <= n-3; i++ {
 		for j := 2; j <= n-3; j++ {
 			for k := max(2, klo); k <= min(n-3, khi); k++ {
 				st.stencilPoint(i, j, k, d.bt)
-				stPts++
 			}
 		}
 	}
-	mul := float64(st.comp)
+	rhoPts := float64(n * n * span(max(0, klo-1), min(n-1, khi+1)))
+	stPts := float64(span(2, n-3) * span(2, n-3) * span(max(2, klo), min(n-3, khi)))
+	mul := float64(d.comp)
 	d.rk.ComputeLabeled(d.w.Rho*rhoPts+d.w.Stencil*stPts*mul, "compute_rhs")
 }
 
 // jacPhase runs BT's block-Jacobian setup on the slab.
 func (d *tpDriver) jacPhase(klo, khi int) {
-	st, n := d.st, d.st.n
-	var pts float64
-	for dim := 0; dim < 3; dim++ {
+	st, n := d.st, d.n
+	for dim := 0; st != nil && dim < 3; dim++ {
 		for i := 1; i <= n-2; i++ {
 			for j := 1; j <= n-2; j++ {
 				for k := max(1, klo); k <= min(n-2, khi); k++ {
 					st.jacPoint(dim, i, j, k)
-					pts++
 				}
 			}
 		}
 	}
-	c := float64(st.comp)
+	pts := float64(3 * span(1, n-2) * span(1, n-2) * span(max(1, klo), min(n-2, khi)))
+	c := float64(d.comp)
 	d.rk.ComputeLabeled(d.w.Jac*pts*c*c, "lhs")
 }
 
 func (d *tpDriver) spdPhase(klo, khi int) {
-	st, n := d.st, d.st.n
-	var pts float64
-	for i := 0; i < n; i++ {
+	st, n := d.st, d.n
+	for i := 0; st != nil && i < n; i++ {
 		for j := 1; j <= n-2; j++ {
 			for k := klo; k <= khi; k++ {
 				st.spdPoint(i, j, k)
-				pts++
 			}
 		}
 	}
+	pts := float64(n * span(1, n-2) * span(klo, khi))
 	d.rk.ComputeLabeled((d.w.Cv+d.w.Spd)*pts, "lhs")
 }
 
-// localSweeps performs the forward+backward sweeps along dim (0 or 1),
-// which are fully local under the z distribution.
-func (d *tpDriver) localSweeps(dim int, klo, khi int, label string) {
-	st, n := d.st, d.st.n
+// sweeps runs every system's forward eliminations, then every system's
+// back substitutions, along dim over the interior lines whose last
+// coordinate lies in [blo, bhi] — all pivots local.
+func (d *tpDriver) sweeps(dim, blo, bhi int, label string) {
+	st, n := d.st, d.n
 	plo, phi := 1, n-4
-	blo, bhi := max(klo, 1), min(khi, n-2)
+	pts := float64(span(plo, phi) * span(1, n-2) * span(blo, bhi))
 	for _, sys := range d.systems {
-		var pts float64
-		for p := plo; p <= phi; p++ {
+		for p := plo; st != nil && p <= phi; p++ {
 			for a := 1; a <= n-2; a++ {
 				for b := blo; b <= bhi; b++ {
 					st.applyPivot(dim, p, a, b, sys, 0, n-1, 0, nil)
-					pts++
 				}
 			}
 		}
 		d.rk.ComputeLabeled(d.w.Fwd*pts*float64(sys.Comps()), label)
 	}
 	for _, sys := range d.systems {
-		var pts float64
-		for p := phi; p >= plo; p-- {
+		for p := phi; st != nil && p >= plo; p-- {
 			for a := 1; a <= n-2; a++ {
 				for b := blo; b <= bhi; b++ {
 					st.backSub(dim, p, a, b, sys)
-					pts++
 				}
 			}
 		}
@@ -276,14 +246,22 @@ func (d *tpDriver) localSweeps(dim int, klo, khi int, label string) {
 // zSolveWithTranspose redistributes u, spd and r to a y-block layout,
 // runs the z sweeps locally, and transposes r back.
 func (d *tpDriver) zSolveWithTranspose(klo, khi int) {
-	st, n := d.st, d.st.n
+	st, n := d.st, d.n
 	me := d.rk.ID
 	jlo, jhi := d.lohi(me)
 
-	// Forward transpose: peer p gets my k rows restricted to p's j rows.
-	arrays := []([]float64){st.u, st.r}
-	if st.spd != nil {
-		arrays = []([]float64){st.u, st.spd, st.r}
+	// Forward transpose: peer p gets my k rows restricted to p's j rows —
+	// u, SP's spd and the components of r.
+	var arrays, rOnly [][]float64
+	comps := 1 + d.comp
+	if !d.bt {
+		comps++
+	}
+	if st != nil {
+		arrays, rOnly = [][]float64{st.u, st.r}, [][]float64{st.r}
+		if !d.bt {
+			arrays = [][]float64{st.u, st.spd, st.r}
+		}
 	}
 	base := d.tag + 1
 	d.tag += d.procs
@@ -292,48 +270,20 @@ func (d *tpDriver) zSolveWithTranspose(klo, khi int) {
 			continue
 		}
 		pjlo, pjhi := d.lohi(peer)
-		payload := d.pack(arrays, 0, n-1, pjlo, pjhi, klo, khi)
-		d.rk.Send(peer, base+me, payload)
+		d.send(peer, base+me, comps*n*span(pjlo, pjhi)*span(klo, khi), d.pack(arrays, pjlo, pjhi, klo, khi))
 	}
 	for peer := 0; peer < d.procs; peer++ {
 		if peer == me {
 			continue
 		}
 		pklo, pkhi := d.lohi(peer)
-		data := d.rk.Recv(peer, base+peer)
-		d.unpack(arrays, data, 0, n-1, jlo, jhi, pklo, pkhi)
+		d.unpack(arrays, d.rk.Recv(peer, base+peer), jlo, jhi, pklo, pkhi)
 	}
 
 	// Local z sweeps over my j rows (interior lines), all k.
-	plo, phi := 1, n-4
-	zjlo, zjhi := max(jlo, 1), min(jhi, n-2)
-	for _, sys := range d.systems {
-		var pts float64
-		for p := plo; p <= phi; p++ {
-			for i := 1; i <= n-2; i++ {
-				for j := zjlo; j <= zjhi; j++ {
-					st.applyPivot(2, p, i, j, sys, 0, n-1, 0, nil)
-					pts++
-				}
-			}
-		}
-		d.rk.ComputeLabeled(d.w.Fwd*pts*float64(sys.Comps()), "z_solve")
-	}
-	for _, sys := range d.systems {
-		var pts float64
-		for p := phi; p >= plo; p-- {
-			for i := 1; i <= n-2; i++ {
-				for j := zjlo; j <= zjhi; j++ {
-					st.backSub(2, p, i, j, sys)
-					pts++
-				}
-			}
-		}
-		d.rk.ComputeLabeled(d.w.Bwd*pts*float64(sys.Comps()), "z_solve")
-	}
+	d.sweeps(2, max(jlo, 1), min(jhi, n-2), "z_solve")
 
 	// Transpose r back: peer p gets my j rows restricted to p's k rows.
-	rOnly := []([]float64){st.r}
 	base = d.tag + 1
 	d.tag += d.procs
 	for peer := 0; peer < d.procs; peer++ {
@@ -341,64 +291,39 @@ func (d *tpDriver) zSolveWithTranspose(klo, khi int) {
 			continue
 		}
 		pklo, pkhi := d.lohi(peer)
-		payload := d.pack(rOnly, 0, n-1, jlo, jhi, pklo, pkhi)
-		d.rk.Send(peer, base+me, payload)
+		d.send(peer, base+me, d.comp*n*span(jlo, jhi)*span(pklo, pkhi), d.pack(rOnly, jlo, jhi, pklo, pkhi))
 	}
 	for peer := 0; peer < d.procs; peer++ {
 		if peer == me {
 			continue
 		}
 		pjlo, pjhi := d.lohi(peer)
-		data := d.rk.Recv(peer, base+peer)
-		d.unpack(rOnly, data, 0, n-1, pjlo, pjhi, klo, khi)
+		d.unpack(rOnly, d.rk.Recv(peer, base+peer), pjlo, pjhi, klo, khi)
 	}
 }
 
-// pack serializes the block [ilo:ihi]×[jlo:jhi]×[klo:khi] of each array
-// (r contributes comp components).
-func (d *tpDriver) pack(arrays [][]float64, ilo, ihi, jlo, jhi, klo, khi int) []float64 {
-	st := d.st
+// pack serializes the block [0:n-1]×[jlo:jhi]×[klo:khi] of each array,
+// component by component (r carries comp of them).
+func (d *tpDriver) pack(arrays [][]float64, jlo, jhi, klo, khi int) []float64 {
 	var payload []float64
-	for _, arr := range arrays {
-		comps := 1
-		if len(arr) == len(st.r) && st.comp > 1 {
-			comps = st.comp
-		}
-		for m := 0; m < comps; m++ {
-			for i := ilo; i <= ihi; i++ {
-				for j := jlo; j <= jhi; j++ {
-					for k := klo; k <= khi; k++ {
-						if comps > 1 || len(arr) == len(st.r) {
-							payload = append(payload, arr[st.ridx(m, i, j, k)])
-						} else {
-							payload = append(payload, arr[st.idx(i, j, k)])
-						}
-					}
-				}
-			}
-		}
-	}
+	d.block(arrays, jlo, jhi, klo, khi, func(v *float64) { payload = append(payload, *v) })
 	return payload
 }
 
-func (d *tpDriver) unpack(arrays [][]float64, data []float64, ilo, ihi, jlo, jhi, klo, khi int) {
-	st := d.st
-	at := 0
+func (d *tpDriver) unpack(arrays [][]float64, data []float64, jlo, jhi, klo, khi int) {
+	d.block(arrays, jlo, jhi, klo, khi, func(v *float64) { *v, data = data[0], data[1:] })
+}
+
+// block visits the block [0:n-1]×[jlo:jhi]×[klo:khi] of each array in
+// message order.
+func (d *tpDriver) block(arrays [][]float64, jlo, jhi, klo, khi int, visit func(*float64)) {
+	st, n := d.st, d.n
 	for _, arr := range arrays {
-		comps := 1
-		if len(arr) == len(st.r) && st.comp > 1 {
-			comps = st.comp
-		}
-		for m := 0; m < comps; m++ {
-			for i := ilo; i <= ihi; i++ {
+		for m := 0; m < len(arr)/(n*n*n); m++ {
+			for i := 0; i < n; i++ {
 				for j := jlo; j <= jhi; j++ {
 					for k := klo; k <= khi; k++ {
-						if comps > 1 || len(arr) == len(st.r) {
-							arr[st.ridx(m, i, j, k)] = data[at]
-						} else {
-							arr[st.idx(i, j, k)] = data[at]
-						}
-						at++
+						visit(&arr[st.ridx(m, i, j, k)])
 					}
 				}
 			}
@@ -407,15 +332,14 @@ func (d *tpDriver) unpack(arrays [][]float64, data []float64, ilo, ihi, jlo, jhi
 }
 
 func (d *tpDriver) addPhase(klo, khi int) {
-	st, n := d.st, d.st.n
-	var pts float64
-	for i := 2; i <= n-3; i++ {
+	st, n := d.st, d.n
+	for i := 2; st != nil && i <= n-3; i++ {
 		for j := 2; j <= n-3; j++ {
 			for k := max(2, klo); k <= min(n-3, khi); k++ {
 				st.addPoint(i, j, k, d.bt)
-				pts++
 			}
 		}
 	}
+	pts := float64(span(2, n-3) * span(2, n-3) * span(max(2, klo), min(n-3, khi)))
 	d.rk.ComputeLabeled(d.w.Add*pts, "add")
 }

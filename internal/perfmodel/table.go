@@ -35,28 +35,33 @@ var PaperProcs = map[string][]int{
 }
 
 // BuildTable fills the three implementations' columns across processor
-// counts — the dHPF one by dry run on nas.GridShape(p) (DryRunDHPF), the
-// other two analytically — following the paper's metric conventions:
-// speedups are relative to the baseProcs hand-written run (assumed
-// perfect), and relative efficiency compares each HPF code's speedup
-// with the hand-written speedup at the same count.
+// counts, each the virtual machine's clock at the class size
+// extrapolated by the one rule (extrapolate): hand-MPI is
+// nas.ClockMultipart (square counts only), dHPF the dry run on
+// nas.GridShape(p) (DryRunDHPF), PGI nas.ClockTranspose (counts up to
+// N).  It follows the paper's metric conventions: speedups are relative
+// to the baseProcs hand-written run (assumed perfect), and relative
+// efficiency compares each HPF code's speedup with the hand-written
+// speedup at the same count.
 func BuildTable(bench string, class nas.Class, procs []int, baseProcs int, cfg mpsim.Config, grain int) (*Table, error) {
 	t := &Table{Bench: bench, Class: class, BaseProcs: baseProcs}
-	mk := func(p int) Input {
-		return Input{Bench: bench, N: class.N, Steps: class.Steps, Procs: p, Cfg: cfg}
+	square := func(p int) bool {
+		q := int(math.Round(math.Sqrt(float64(p))))
+		return q*q == p
 	}
-	baseHand, err := PredictMultipart(mk(baseProcs))
+	baseHand, err := clockHand(bench, class.N, class.Steps, baseProcs, cfg)
 	if err != nil {
-		return nil, fmt.Errorf("perfmodel: base count %d: %w", baseProcs, err)
+		return nil, err
 	}
 	perfect := float64(baseProcs) * baseHand
 
 	for _, p := range procs {
 		r := Row{Procs: p, Hand: math.NaN(), DHPF: math.NaN(), PGI: math.NaN()}
-		if h, err := PredictMultipart(mk(p)); err == nil {
-			r.Hand = h
-			r.SpHand = perfect / (float64(1) * h) / float64(1)
-			r.SpHand = perfect / h / 1 // S(p) = baseProcs*T(base)/T(p)
+		if square(p) {
+			if r.Hand, err = clockHand(bench, class.N, class.Steps, p, cfg); err != nil {
+				return nil, err
+			}
+			r.SpHand = perfect / r.Hand // S(p) = baseProcs·T(base)/T(p)
 		}
 		p1, p2 := nas.GridShape(p)
 		d, idle, err := DryRunDHPF(bench, class.N, class.Steps, p1, p2, cfg, grain)
@@ -64,14 +69,14 @@ func BuildTable(bench string, class nas.Class, procs []int, baseProcs int, cfg m
 			return nil, err
 		}
 		r.DHPF, r.SpDHPF, r.IdleDHPF = d, perfect/d, idle
-		if g, err := PredictTranspose(mk(p)); err == nil {
-			r.PGI = g
-			r.SpPGI = perfect / g
+		if p <= class.N {
+			if r.PGI, err = clockPGI(bench, class.N, class.Steps, p, cfg); err != nil {
+				return nil, err
+			}
+			r.SpPGI = perfect / r.PGI
 		}
 		if !math.IsNaN(r.Hand) {
-			if !math.IsNaN(r.DHPF) {
-				r.EffDHPF = r.SpDHPF / r.SpHand
-			}
+			r.EffDHPF = r.SpDHPF / r.SpHand
 			if !math.IsNaN(r.PGI) {
 				r.EffPGI = r.SpPGI / r.SpHand
 			}
@@ -86,15 +91,21 @@ func (t *Table) Render() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Table: %s Class %s (N=%d, %d steps) on the simulated SP2 cost model\n",
 		strings.ToUpper(t.Bench), t.Class.Name, t.Class.N, t.Class.Steps)
-	fmt.Fprintf(&sb, "dHPF: dry run of the compiled code, T(%d) = T(2) + %d·(T(2) − T(1)); hand, PGI: analytic\n",
-		t.Class.Steps, t.Class.Steps-2)
+	if s := t.Class.Steps; s > 2 {
+		fmt.Fprintf(&sb, "hand, dHPF, PGI: the simulator's clock at one and two steps, T(%d) = T(2) + %d·(T(2) − T(1))\n", s, s-2)
+	} else {
+		fmt.Fprintf(&sb, "hand, dHPF, PGI: the simulator's clock at %d steps\n", s)
+	}
 	fmt.Fprintf(&sb, "speedups relative to the %d-processor hand-written code (assumed perfect)\n", t.BaseProcs)
 	fmt.Fprintf(&sb, "%6s | %10s %10s %10s | %7s %7s %7s | %7s %7s | %6s\n",
 		"procs", "hand(s)", "dHPF(s)", "PGI(s)", "S.hand", "S.dHPF", "S.PGI", "E.dHPF", "E.PGI", "I.dHPF")
 	fmt.Fprintf(&sb, "%s\n", strings.Repeat("-", 105))
 	f := func(v float64) string {
-		if math.IsNaN(v) || v == 0 {
+		switch {
+		case math.IsNaN(v) || v == 0:
 			return "-"
+		case v < 1: // a reduced size
+			return fmt.Sprintf("%.4f", v)
 		}
 		return fmt.Sprintf("%.1f", v)
 	}

@@ -12,7 +12,7 @@
 // arrays is out of reach — by the virtual time of its dry run
 // (spmd.Program.DryRun): the compiled program's own clock, walked on
 // the virtual machine without values (the transpose comparison point,
-// hand-written and not compiled, keeps perfmodel's analytic model).
+// hand-written and not compiled, runs without its arrays instead).
 // The top-K survivors are then compiled and executed at the *source*
 // size, which verifies each survivor's numerics against the serial
 // reference and measures its virtual-time cost.  Candidates whose
@@ -45,7 +45,6 @@ import (
 	"dhpf/internal/nas"
 	"dhpf/internal/parser"
 	"dhpf/internal/passes"
-	"dhpf/internal/perfmodel"
 	"dhpf/internal/spmd"
 )
 
@@ -240,7 +239,7 @@ type Entry struct {
 	Status string `json:"status"`
 	// Screen is the screen's time at the target size (seconds per
 	// run): a block candidate's dry-run virtual time, the transpose
-	// point's analytic prediction.
+	// point's virtual time run without its arrays.
 	Screen float64 `json:"screen_seconds"`
 	// Sim is the measured virtual time at the source size, with its
 	// message totals (full tier only).
@@ -661,18 +660,29 @@ func (t *Tuner) evalOnce(ctx context.Context, s *Spec, c Candidate, limit float6
 	return ev, nil
 }
 
-// screen scores one feasible candidate at the target size.  The
-// transpose point is the hand-written PGI-style code, not compiled, and
-// keeps perfmodel's analytic model.  A block candidate's score is the
-// virtual time of its dry run (spmd.Program.DryRun), memoized by compile
-// fingerprint and machine: the clock Execute would report, with no
-// array touched.  Bench sources expose their problem size as the N and
-// STEPS parameters and are dry-run at the target size; generic sources
-// at their source size.
+// screen scores one feasible candidate at the target size by its clock
+// on the virtual machine, memoized by candidate and machine.  The
+// transpose point is the hand-written PGI-style code run without its
+// arrays (nas.ClockTranspose) — the clock RunTranspose reports.  A block
+// candidate's score is the virtual time of its dry run
+// (spmd.Program.DryRun): the clock Execute would report, with no array
+// touched.  Bench sources expose their problem size as the N and STEPS
+// parameters and are dry-run at the target size; generic sources at
+// their source size.
 func (t *Tuner) screen(ctx context.Context, s *Spec, c Candidate) (float64, error) {
+	cfg := s.Machine
+	cfg.TimeLimit = 0
 	if c.Scheme == SchemeTranspose {
-		return perfmodel.PredictTranspose(perfmodel.Input{
-			Bench: s.Bench, N: s.TargetN, Steps: s.TargetSteps, Procs: s.Procs, Cfg: s.Machine})
+		key := cache.Key("screen", SchemeTranspose, s.Bench,
+			strconv.Itoa(s.TargetN), strconv.Itoa(s.TargetSteps), strconv.Itoa(s.Procs), machineKey(s.Machine, s.Procs))
+		secs, _, err := t.screens.GetOrCompute(ctx, key, func(context.Context) (float64, int64, error) {
+			run, err := nas.ClockTranspose(s.Bench, s.TargetN, s.TargetSteps, s.Procs, cfg)
+			if err != nil {
+				return 0, 0, err
+			}
+			return run.Time, 1, nil
+		})
+		return secs, err
 	}
 	params := c.params(s)
 	if s.Bench != "" {
@@ -684,8 +694,7 @@ func (t *Tuner) screen(ctx context.Context, s *Spec, c Candidate) (float64, erro
 		if err != nil {
 			return 0, 0, fmt.Errorf("compile: %w", err)
 		}
-		cfg := s.Machine
-		cfg.Procs, cfg.TimeLimit = prog.Grid.Size(), 0
+		cfg.Procs = prog.Grid.Size()
 		_, run, err := prog.DryRun(cfg)
 		if err != nil {
 			return 0, 0, err

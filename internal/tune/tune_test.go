@@ -2,6 +2,7 @@ package tune
 
 import (
 	"context"
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -254,11 +255,13 @@ func TestTuneGenericSource(t *testing.T) {
 	}
 }
 
-// The screen is the compiled program's own clock: where the target
-// size is the source size, the dry run the screen reads and the
-// execution the full tier measures are one run of one program, so every
-// fully evaluated block entry screens at exactly its simulated time —
-// bench and generic sources, every backend.
+// The screen is each candidate's own clock: where the target size is
+// the source size, the run the screen reads and the execution the full
+// tier measures are one run of one program, so every fully evaluated
+// entry screens at exactly its simulated time — block entries (a dry run
+// against Execute) on bench and generic sources and every backend, and
+// the transpose point (the hand-written code without its arrays against
+// it with them).
 func TestScreenIsTheSimulatedClock(t *testing.T) {
 	bench := specSP(4, 12, 1)
 	bench.Grains = []int{4, 8}
@@ -270,18 +273,21 @@ func TestScreenIsTheSimulatedClock(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v\ntrail: %v", name, err, res.Trail)
 		}
-		checked := 0
+		checked := map[string]int{}
 		for _, e := range res.Entries {
-			if e.Scheme != SchemeBlock || e.Status != StatusOK {
+			if e.Status != StatusOK {
 				continue
 			}
-			checked++
-			if e.Screen != e.Sim {
+			checked[e.Scheme]++
+			if math.Float64bits(e.Screen) != math.Float64bits(e.Sim) {
 				t.Errorf("%s: %s screened %v, executed %v", name, e.Key(), e.Screen, e.Sim)
 			}
 		}
-		if checked < 3 {
-			t.Errorf("%s: only %d block entries fully evaluated: %v", name, checked, leaderboard(t, res))
+		if checked[SchemeBlock] < 3 {
+			t.Errorf("%s: only %d block entries fully evaluated: %v", name, checked[SchemeBlock], leaderboard(t, res))
+		}
+		if name == "sp" && checked[SchemeTranspose] != 1 {
+			t.Errorf("%s: the transpose point was not fully evaluated: %v", name, leaderboard(t, res))
 		}
 	}
 }
