@@ -9,16 +9,19 @@
 // imbalance and communication overhead all show up in the final clocks
 // exactly as they would in a space–time diagram of a real run.
 //
-// Matching is deterministic (per (src,dst,tag) FIFO mailboxes), so both
-// numeric results and virtual times are reproducible run to run,
-// regardless of goroutine scheduling.
+// Matching is deterministic — a receive names its source and tag exactly,
+// and the messages from one source under one tag are taken in posting
+// order — so both numeric results and virtual times are reproducible run
+// to run, regardless of goroutine scheduling.
 //
 // The package is the one machine core under every execution substrate:
-// rank goroutines, clocks and idle accounting, the keyed FIFO boxes, the
-// abort protocol, the deadlock detector, barriers, rank-order reductions,
-// trace capture and result assembly live here once.  Send/Recv below are
-// the message front; internal/shm is the shared-memory front, built on
-// Post, Take, PaySend, Spend, Sleep, Wake and NewCond.
+// rank goroutines, clocks and idle accounting, one mailbox per rank
+// (allocated with the machine: the rank's queued messages and the payload
+// buffers it recycled), the abort protocol, the deadlock detector,
+// barriers, rank-order reductions, trace capture and result assembly live
+// here once.  Send/Recv below are the message front; internal/shm is the
+// shared-memory front, built on Post, Take, PaySend, Spend, Sleep, Wake
+// and NewCond.
 package mpsim
 
 import (
@@ -119,9 +122,9 @@ type Event struct {
 	Label      string
 }
 
-// Message is one element of a keyed FIFO box: what a sender posts and a
-// receiver takes.  The message front queues a payload copy (Data); the
-// shared-memory front queues a reference to the producer's storage (Ref).
+// Message is what a sender posts to a rank's mailbox and the rank takes.
+// The message front queues a payload copy (Data); the shared-memory front
+// queues a reference to the producer's storage (Ref).
 type Message struct {
 	Data []float64
 	Ref  any
@@ -129,14 +132,75 @@ type Message struct {
 	At float64
 }
 
-type boxKey struct {
-	src, dst, tag int
+// letter is a queued message with its sender and tag.
+type letter struct {
+	src, tag int
+	Message
 }
 
+// mailbox is one rank's incoming messages.  Every sender to the rank
+// appends under mu; only the rank itself takes, so cond has at most one
+// waiter.  free holds the payload buffers the rank recycled: a Send to
+// the rank copies into one of them, so in a steady exchange buffers
+// circulate between the mailbox and its owner and a message allocates
+// nothing.
 type mailbox struct {
 	mu    sync.Mutex
 	cond  sync.Cond
-	queue []Message
+	queue []letter // queue[head:] waits, in posting order
+	head  int
+	free  [][]float64
+}
+
+// push appends l, reusing the queue's storage: a full queue whose front
+// was taken slides down before it would grow.
+func (mb *mailbox) push(l letter) {
+	if len(mb.queue) == cap(mb.queue) && mb.head > 0 {
+		n := copy(mb.queue, mb.queue[mb.head:])
+		clear(mb.queue[n:])
+		mb.queue, mb.head = mb.queue[:n], 0
+	}
+	mb.queue = append(mb.queue, l)
+}
+
+// take removes and returns the first queued message from src under tag.
+func (mb *mailbox) take(src, tag int) (Message, bool) {
+	q := mb.queue
+	for i := mb.head; i < len(q); i++ {
+		if q[i].src != src || q[i].tag != tag {
+			continue
+		}
+		msg := q[i].Message
+		if i == mb.head {
+			q[i] = letter{}
+			mb.head++
+		} else {
+			copy(q[i:], q[i+1:])
+			q[len(q)-1] = letter{}
+			mb.queue = q[:len(q)-1]
+		}
+		if mb.head == len(mb.queue) {
+			mb.queue, mb.head = mb.queue[:0], 0
+		}
+		return msg, true
+	}
+	return Message{}, false
+}
+
+// buf returns a payload buffer of exactly n elements: the buffer the
+// owner recycled last when it is large enough, else a fresh one.  A
+// recycled buffer too small is dropped, so the free list never holds more
+// buffers than the owner once had messages in flight.
+func (mb *mailbox) buf(n int) []float64 {
+	if k := len(mb.free) - 1; k >= 0 {
+		b := mb.free[k]
+		mb.free[k] = nil
+		mb.free = mb.free[:k]
+		if cap(b) >= n {
+			return b[:n]
+		}
+	}
+	return make([]float64, n)
 }
 
 // SyncCost is what completing a team-wide collective adds to the latest
@@ -254,53 +318,16 @@ type Machine struct {
 	// abortErr is set once by Abort; every rank observing it panics with
 	// the stored error, which the body's recover handler reports.
 	abortErr atomic.Pointer[error]
-	// mu guards boxes and conds.  conds holds every condition a rank can
-	// block on other than a box's own: both collectives' and whatever a
-	// front registered with NewCond.
+	// boxes holds each rank's mailbox, by rank, for the machine's life.
+	boxes []mailbox
+	// mu guards conds: every condition a rank can block on other than its
+	// mailbox's — both collectives' and whatever a front registered with
+	// NewCond.
 	mu    sync.Mutex
-	boxes map[boxKey]*mailbox
 	conds []*sync.Cond
 
 	barrier, reduce collective
 	waits           waitTable
-
-	// bufPool recycles message payload buffers: Send draws its internal
-	// copy from here and Recycle returns consumed receive buffers.
-	// Pooling is invisible to the machine's semantics — a drawn buffer is
-	// resliced to the exact payload length and fully overwritten before
-	// it is enqueued — so numeric results and virtual clocks are
-	// byte-identical with or without recycling.
-	bufPool sync.Pool
-	// bufHigh is the high-water payload capacity (element count) seen by
-	// getBuf, maintained with atomics because Send runs on every rank
-	// goroutine concurrently.
-	bufHigh int64
-}
-
-// getBuf returns a payload buffer of exactly n elements, reusing a
-// recycled buffer when one of sufficient capacity is available.  Fresh
-// allocations carry the high-water capacity, not just n: on mixed-size
-// transfer patterns (a small exchange recycled between two large ones)
-// the pooled buffer drawn for a large payload is often the small one,
-// and allocating at exactly n would re-grow from scratch every time the
-// sizes alternate.  Allocating at the high-water mark instead makes the
-// pool converge to buffers that fit every payload in the run.
-func (m *Machine) getBuf(n int) []float64 {
-	for {
-		h := atomic.LoadInt64(&m.bufHigh)
-		if int64(n) <= h {
-			break
-		}
-		if atomic.CompareAndSwapInt64(&m.bufHigh, h, int64(n)) {
-			break
-		}
-	}
-	if v := m.bufPool.Get(); v != nil {
-		if b := v.(*[]float64); cap(*b) >= n {
-			return (*b)[:n]
-		}
-	}
-	return make([]float64, n, atomic.LoadInt64(&m.bufHigh))
 }
 
 // Rank is one simulated processor, owned by its goroutine.
@@ -378,7 +405,10 @@ func NewMachine(cfg Config, cost SyncCost) *Machine {
 	if cfg.Procs <= 0 {
 		panic("mpsim: Procs must be positive")
 	}
-	m := &Machine{cfg: cfg, boxes: map[boxKey]*mailbox{}}
+	m := &Machine{cfg: cfg, boxes: make([]mailbox, cfg.Procs)}
+	for i := range m.boxes {
+		m.boxes[i].cond.L = &m.boxes[i].mu
+	}
 	m.waits.rows, m.waits.running = make([]waitRow, cfg.Procs), cfg.Procs
 	m.barrier.on, m.barrier.cost[0] = Wait{On: "barrier"}, cost.Barrier
 	m.reduce.on, m.reduce.cost = Wait{On: "allreduce"}, cost.Reduce
@@ -474,8 +504,8 @@ func (m *Machine) Abort(cause error) {
 	for _, c := range m.conds {
 		wake(c)
 	}
-	for _, mb := range m.boxes {
-		wake(&mb.cond)
+	for i := range m.boxes {
+		wake(&m.boxes[i].cond)
 	}
 }
 
@@ -516,21 +546,24 @@ func (r *Rank) Sleep(c *sync.Cond, on Wait) {
 }
 
 // Wake tells the deadlock detector that rank id, if it sleeps on on, is
-// about to be signalled.  The caller holds the lock of the condition id
-// sleeps on — the lock under which id's row turned blocked, so no other
-// is needed to see that nobody sleeps.
-func (r *Rank) Wake(id int, on Wait) {
+// about to be signalled, and reports whether it does.  The caller holds
+// the lock of the condition id sleeps on — the lock under which id's row
+// turned blocked, so no other is needed to see that nobody sleeps.
+func (r *Rank) Wake(id int, on Wait) bool {
 	t := &r.m.waits
 	if t.asleep.Load() == 0 {
-		return
+		return false
 	}
 	t.mu.Lock()
-	if row := &t.rows[id]; row.state == blocked && row.on == on {
+	row := &t.rows[id]
+	woke := row.state == blocked && row.on == on
+	if woke {
 		row.state = running
 		t.running++
 		t.asleep.Add(-1)
 	}
 	t.mu.Unlock()
+	return woke
 }
 
 // Holding notes what the caller is about to move — an array name and an
@@ -554,21 +587,12 @@ func (r *Rank) CheckLimits() {
 	}
 }
 
-// box returns the FIFO of messages from src to dst under the tag.
-func (m *Machine) box(src, dst, tag int) *mailbox {
-	if min(src, dst) < 0 || max(src, dst) >= m.cfg.Procs {
+// mailbox returns dst's mailbox, for a message from src.
+func (m *Machine) mailbox(src, dst int) *mailbox {
+	if min(src, dst) < 0 || max(src, dst) >= len(m.boxes) {
 		panic(fmt.Sprintf("mpsim: message %d -> %d names an invalid rank", src, dst))
 	}
-	k := boxKey{src: src, dst: dst, tag: tag}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	mb, ok := m.boxes[k]
-	if !ok {
-		mb = &mailbox{}
-		mb.cond.L = &mb.mu
-		m.boxes[k] = mb
-	}
-	return mb
+	return &m.boxes[dst]
 }
 
 // Procs returns the machine size.
@@ -621,25 +645,33 @@ func (r *Rank) PaySend(dst, tag, bytes int) float64 {
 
 // Post queues msg for rank dst under the tag and returns at once.
 func (r *Rank) Post(dst, tag int, msg Message) {
-	mb := r.m.box(r.ID, dst, tag)
+	mb := r.m.mailbox(r.ID, dst)
 	mb.mu.Lock()
-	mb.queue = append(mb.queue, msg)
-	r.Wake(dst, Wait{Src: r.ID, Tag: tag})
-	mb.cond.Signal()
+	r.deliver(mb, dst, tag, msg)
 	mb.mu.Unlock()
 }
 
+// deliver queues msg on dst's mailbox, whose lock the caller holds, and
+// signals dst only if it sleeps on exactly this sender and tag.
+func (r *Rank) deliver(mb *mailbox, dst, tag int, msg Message) {
+	mb.push(letter{src: r.ID, tag: tag, Message: msg})
+	if r.Wake(dst, Wait{Src: r.ID, Tag: tag}) {
+		mb.cond.Signal()
+	}
+}
+
 // Take blocks until rank src has posted under the tag, then advances the
-// clock to the message's availability (idle time is recorded).
+// clock to the message's availability (idle time is recorded).  Of the
+// messages src posted under the tag, it takes the first.
 func (r *Rank) Take(src, tag int) Message {
-	mb := r.m.box(src, r.ID, tag)
+	mb := r.m.mailbox(src, r.ID)
 	r.CheckLimits()
 	mb.mu.Lock()
-	for len(mb.queue) == 0 {
+	msg, ok := mb.take(src, tag)
+	for !ok {
 		r.Sleep(&mb.cond, Wait{Src: src, Tag: tag})
+		msg, ok = mb.take(src, tag)
 	}
-	msg := mb.queue[0]
-	mb.queue = mb.queue[1:]
 	mb.mu.Unlock()
 	r.idleUntil(EvRecvWait, msg.At, src, 8*len(msg.Data), tag, "")
 	return msg
@@ -656,17 +688,20 @@ func (r *Rank) Take(src, tag int) Message {
 func (r *Rank) Send(dst, tag int, data []float64) {
 	r.CheckLimits()
 	at := r.PaySend(dst, tag, 8*len(data))
-	cp := r.m.getBuf(len(data))
+	mb := r.m.mailbox(r.ID, dst)
+	mb.mu.Lock()
+	cp := mb.buf(len(data))
 	copy(cp, data)
-	r.Post(dst, tag, Message{Data: cp, At: at})
+	r.deliver(mb, dst, tag, Message{Data: cp, At: at})
+	mb.mu.Unlock()
 }
 
 // Recv blocks until a message from src with the tag arrives, advancing
 // the virtual clock to the arrival time (idle time is recorded).
 //
 // The returned slice is owned by the caller.  A caller that has fully
-// consumed it may hand it back with Recycle so later Sends reuse the
-// storage instead of allocating.
+// consumed it may hand it back with Recycle so later Sends to this rank
+// copy into it instead of allocating.
 func (r *Rank) Recv(src, tag int) []float64 {
 	msg := r.Take(src, tag)
 	r.Spend(EvRecvCopy, r.m.cfg.RecvOverhead, src, 8*len(msg.Data), tag, "")
@@ -675,17 +710,20 @@ func (r *Rank) Recv(src, tag int) []float64 {
 	return msg.Data
 }
 
-// Recycle returns a buffer previously obtained from Recv to the
-// machine's payload pool.  The caller must not touch buf afterwards: a
-// later Send on any rank may reclaim and overwrite it.  Recycling is
-// optional — unreturned buffers are simply garbage-collected — and never
-// changes results: pooled buffers are resliced to the exact new payload
-// length and fully overwritten before reuse.
+// Recycle hands a buffer obtained from Recv back to this rank's mailbox.
+// The caller must not touch buf afterwards: the next Send to this rank
+// may copy its payload into it.  Recycling is optional — unreturned
+// buffers are simply garbage-collected — and never changes results: a
+// reused buffer is resliced to the exact payload length and fully
+// overwritten.
 func (r *Rank) Recycle(buf []float64) {
 	if buf == nil {
 		return
 	}
-	r.m.bufPool.Put(&buf)
+	mb := &r.m.boxes[r.ID]
+	mb.mu.Lock()
+	mb.free = append(mb.free, buf)
+	mb.mu.Unlock()
 }
 
 // Barrier synchronizes all ranks: every clock advances to the latest

@@ -190,6 +190,54 @@ func TestFIFOWithinTag(t *testing.T) {
 			}
 		}
 	})
+
+	// Three sources interleave two tags into rank 0, which takes them in
+	// an order unlike anyone's posting order: tag 20 before tag 10,
+	// sources in reverse.  Each (source, tag) must stay FIFO, and every
+	// receive must end at the clock the cost model gives it.
+	cfg := testCfg(4)
+	const perTag = 3
+	// arrival(j) is when a source's j-th send (from 1) reaches rank 0.
+	sendCost := cfg.SendOverhead + 24*cfg.GapPerByte
+	arrival := func(j int) float64 {
+		clock := 0.0
+		for ; j > 0; j-- {
+			clock += sendCost
+		}
+		return clock + cfg.Latency
+	}
+	Run(cfg, func(r *Rank) {
+		if r.ID > 0 {
+			for k := 0; k < perTag; k++ {
+				for _, tag := range []int{10, 20} {
+					r.Send(0, tag, []float64{float64(r.ID), float64(tag), float64(k)})
+				}
+			}
+			return
+		}
+		clock := 0.0
+		for _, tag := range []int{20, 10} {
+			for k := 0; k < perTag; k++ {
+				for src := 3; src >= 1; src-- {
+					got := r.Recv(src, tag)
+					if len(got) != 3 || got[0] != float64(src) || got[1] != float64(tag) || got[2] != float64(k) {
+						t.Errorf("Recv(%d, %d) #%d = %v, want [%d %d %d]", src, tag, k, got, src, tag, k)
+					}
+					j := 2*k + 1 // this message's place in its source's sends
+					if tag == 20 {
+						j++
+					}
+					if at := arrival(j); at > clock {
+						clock = at
+					}
+					clock += cfg.RecvOverhead
+					if r.Time() != clock {
+						t.Errorf("after Recv(%d, %d) #%d: clock %v, want %v", src, tag, k, r.Time(), clock)
+					}
+				}
+			}
+		}
+	})
 }
 
 func TestDeterministicTimes(t *testing.T) {
@@ -262,17 +310,54 @@ func TestNoLimitsUnchanged(t *testing.T) {
 	}
 }
 
-// TestUntracedOpsDoNotAllocate: with Trace off, advancing the clock and
-// meeting in a collective cost no allocation (events are never built up).
+// TestUntracedOpsDoNotAllocate: with Trace off, advancing the clock,
+// meeting in a collective and a round trip between two ranks — 128
+// doubles through Send/Recv/Recycle, or a token through Post/Take as shm
+// moves one — cost no allocation once the first round trip has warmed
+// the mailboxes (events are never built up, payload buffers and queue
+// storage are reused).
 func TestUntracedOpsDoNotAllocate(t *testing.T) {
-	res := Run(testCfg(1), func(r *Rank) {
-		n := testing.AllocsPerRun(100, func() {
+	const runs = 100
+	payload, token := make([]float64, 128), new(int)
+	ops := []struct {
+		name string
+		op   func(r *Rank) // rank 0 sends first, rank 1 answers
+	}{
+		{"compute+barrier+allreduce", func(r *Rank) {
 			r.Compute(10)
 			r.Barrier()
 			r.AllReduce('+', 1)
-		})
-		if n != 0 {
-			t.Errorf("%v allocations per untraced compute+barrier+allreduce, want 0", n)
+		}},
+		{"Send/Recv/Recycle round trip", func(r *Rank) {
+			if r.ID == 0 {
+				r.Send(1, 1, payload)
+			}
+			r.Recycle(r.Recv(1-r.ID, 1))
+			if r.ID == 1 {
+				r.Send(0, 1, payload)
+			}
+		}},
+		{"Post/Take token round trip", func(r *Rank) {
+			if r.ID == 0 {
+				r.Post(1, 2, Message{Ref: token, At: r.Time()})
+			}
+			r.Take(1-r.ID, 2)
+			if r.ID == 1 {
+				r.Post(0, 2, Message{Ref: token, At: r.Time()})
+			}
+		}},
+	}
+	res := Run(testCfg(2), func(r *Rank) {
+		for _, c := range ops {
+			if r.ID == 1 { // AllocsPerRun runs the op once more to warm up
+				for i := 0; i <= runs; i++ {
+					c.op(r)
+				}
+				continue
+			}
+			if n := testing.AllocsPerRun(runs, func() { c.op(r) }); n != 0 {
+				t.Errorf("%v allocations per untraced %s, want 0", n, c.name)
+			}
 		}
 	})
 	if len(res.Events) != 0 {

@@ -88,32 +88,43 @@ func TestRecycleKeepsResultsAndClocksIdentical(t *testing.T) {
 }
 
 // TestGetBufRetainsHighWater is the regression test for the mixed-size
-// staging regrowth bug: after a large payload has been seen, drawing a
-// too-small recycled buffer for a mid-size request must not fall back to
-// an exactly-sized allocation (which the next large payload would have
-// to re-grow from zero again).  Every allocation carries the high-water
-// capacity, so the pool converges instead of thrashing.
+// staging regrowth bug: payloads alternating 8, 2 048 and 500 doubles
+// through Send, Recv and Recycle must not re-grow a buffer every time the
+// sizes alternate.  After one warm round the recycled buffers fit every
+// payload, and a round trip of each size allocates nothing.
 func TestGetBufRetainsHighWater(t *testing.T) {
-	m := &Machine{}
-	big := m.getBuf(4096) // establishes the high-water mark
-	if cap(big) < 4096 {
-		t.Fatalf("cap(big) = %d, want ≥ 4096", cap(big))
-	}
-	small := m.getBuf(8)[:8:8] // capacity-clamped: cannot satisfy 500
-	m.bufPool.Put(&small)
-	mid := m.getBuf(500) // draws the 8-cap buffer, must discard it
-	if len(mid) != 500 {
-		t.Fatalf("len(mid) = %d, want 500", len(mid))
-	}
-	if cap(mid) < 4096 {
-		t.Fatalf("cap(mid) = %d, want high-water ≥ 4096 (mixed-size regrowth regression)", cap(mid))
-	}
+	sizes := []int{8, 2048, 500}
+	const rounds = 20
+	out := make([]float64, 2048)
+	Run(testCfg(2), func(r *Rank) {
+		if r.ID == 1 { // echo every payload back, recycling what it received
+			for k := 0; k < (rounds+1)*len(sizes); k++ {
+				in := r.Recv(0, k%len(sizes))
+				r.Send(0, k%len(sizes), in)
+				r.Recycle(in)
+			}
+			return
+		}
+		round := func() {
+			for tag, n := range sizes {
+				r.Send(1, tag, out[:n])
+				in := r.Recv(1, tag)
+				if len(in) != n {
+					t.Errorf("payload of %d doubles came back with %d", n, len(in))
+				}
+				r.Recycle(in)
+			}
+		}
+		if n := testing.AllocsPerRun(rounds, round); n != 0 {
+			t.Errorf("%v allocations per warm round of 8 / 2048 / 500 doubles, want 0", n)
+		}
+	})
 }
 
 // TestMixedSizeTransfersStayCorrect runs alternating small/large
-// exchanges with recycling: the high-water allocation policy must stay
+// exchanges with recycling: reusing a recycled buffer must stay
 // semantically invisible (payloads intact, exact lengths) while the
-// pool serves both sizes.
+// free lists serve both sizes.
 func TestMixedSizeTransfersStayCorrect(t *testing.T) {
 	cfg := Config{Procs: 2, Latency: 1e-6}
 	Run(cfg, func(r *Rank) {
@@ -137,7 +148,7 @@ func TestMixedSizeTransfersStayCorrect(t *testing.T) {
 	})
 }
 
-// TestRecycledBufferIsReusedBySend exercises the pool end to end: a
+// TestRecycledBufferIsReusedBySend exercises recycling end to end: a
 // recycled receive buffer of sufficient capacity must satisfy a later
 // Send's internal copy without changing what the receiver observes.
 func TestRecycledBufferIsReusedBySend(t *testing.T) {

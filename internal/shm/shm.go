@@ -5,10 +5,11 @@
 // not a packed message, it is a synchronization edge after which the
 // consumer pulls the producer's data directly, array to array.
 //
-// Tokens travel through the message machine's own per (src, dst, tag)
-// FIFO boxes, so any program whose sends and receives match on the
-// message machine matches here too, strip for strip, and the pulled
-// values are the values the message would have carried:
+// Tokens travel through the message machine's own mailboxes (exact
+// (src, tag) match, FIFO per (src, tag)), so any program whose sends and
+// receives match on the message machine matches here too, strip for
+// strip, and the pulled values are the values the message would have
+// carried:
 //
 //   - Publish replaces Send: the producer posts a token carrying its
 //     virtual clock and a reference to the source storage, then keeps
@@ -35,7 +36,7 @@
 // how shm candidates rank against message-passing ones in the tuner.
 //
 // The team is a front on the one machine core (internal/mpsim): rank
-// goroutines, clocks, the keyed FIFO boxes, barriers, rank-order
+// goroutines, clocks, the mailboxes, barriers, rank-order
 // reductions, trace capture and the abort protocol are the core's, so
 // reductions are bit-identical across substrates and aborts (virtual-time
 // limit, deadlock, Thread.Abort) panic with the mpsim error

@@ -34,20 +34,36 @@ func rowCopyable(b iset.Box, arr *array) bool {
 
 // rowWalk steps through the last-dimension rows of a row-copyable box in
 // iset.Box.Each's order: the one box odometer under pack, unpack and pull.
+// The odometer's point lives in the walker value, so a walk allocates
+// nothing; only a box of rank above len(small) keeps it on the heap.
 type rowWalk struct {
-	b    iset.Box
-	p    []int // first point of the current row
-	w    int   // row width
-	more bool
+	b     iset.Box
+	small [4]int
+	big   []int // the point of a box of higher rank
+	w     int   // row width
+	more  bool
 }
 
 func walkRows(b iset.Box) rowWalk {
 	r := b.Rank()
-	return rowWalk{b: b, p: append([]int(nil), b.Lo...), w: b.Hi[r-1] - b.Lo[r-1] + 1, more: true}
+	rw := rowWalk{b: b, w: b.Hi[r-1] - b.Lo[r-1] + 1, more: true}
+	if r > len(rw.small) {
+		rw.big = make([]int, r)
+	}
+	copy(rw.point(), b.Lo)
+	return rw
+}
+
+// point is the first point of the current row.
+func (rw *rowWalk) point() []int {
+	if rw.big != nil {
+		return rw.big
+	}
+	return rw.small[:len(rw.b.Lo)]
 }
 
 func (rw *rowWalk) next() {
-	b, p := rw.b, rw.p
+	b, p := rw.b, rw.point()
 	for k := len(p) - 2; k >= 0; k-- {
 		p[k]++
 		if p[k] <= b.Hi[k] {
@@ -61,7 +77,7 @@ func (rw *rowWalk) next() {
 // row returns arr's storage of the current row.
 func (rw *rowWalk) row(arr *array) []float64 {
 	off := 0
-	for k, v := range rw.p {
+	for k, v := range rw.point() {
 		off += (v - arr.lo[k]) * arr.stride[k]
 	}
 	return arr.data[off : off+rw.w]

@@ -13,6 +13,7 @@ import (
 
 	"dhpf/internal/mpsim"
 	"dhpf/internal/nas"
+	"dhpf/internal/passes"
 	"dhpf/internal/sched"
 	"dhpf/internal/spmd"
 )
@@ -20,7 +21,14 @@ import (
 // compileAt compiles src at the pipeline grain, 0 for the default.
 func compileAt(t *testing.T, src string, grain int) *spmd.Program {
 	t.Helper()
+	return compileOn(t, src, grain, "")
+}
+
+// compileOn is compileAt for the backend, "" for the default.
+func compileOn(t *testing.T, src string, grain int, backend string) *spmd.Program {
+	t.Helper()
 	opt := spmd.DefaultOptions()
+	opt.Backend = backend
 	if grain > 0 {
 		opt.PipelineGrain = grain
 	}
@@ -41,28 +49,36 @@ func execute(t *testing.T, prog *spmd.Program, engine spmd.Engine) *spmd.ExecRes
 }
 
 // TestAllocationBudgets pins what a steady execution on the compiled
-// engines (mp) allocates, at the measured count plus a tenth: a walker that
+// engines allocates, at the measured count plus a tenth: a walker that
 // renders its memo keys as text or re-derives iteration sets on every
 // activation allocates five to eight times as much, and a kernel
 // invocation that heap-allocates its environment shows first at grain 1,
-// where LU invokes a unit per strip per nest (+1 600 when it did).
-// No kernel is registered in this package, and the codegen engine binds
-// its units once per plan, so a steady codegen execution allocates within
-// a count or two of the default engine's.
+// where LU invokes a unit per strip per nest (+1 600 when it did).  LU at
+// grain 1 moves 912 tiny transfers, so the message path shows there too:
+// a mailbox per (src, dst, tag), a queue that grows or a box odometer on
+// the heap cost LU on mp about 2 000 allocations, on shm and hybrid about
+// 1 400.  No kernel is registered in this package, and the codegen engine
+// binds its units once per plan, so a steady codegen execution allocates
+// within a count or two of the default engine's.
 func TestAllocationBudgets(t *testing.T) {
 	if raceDetector {
 		t.Skip("allocation counts are inflated under -race")
 	}
-	lu, sp := compileAt(t, nas.LUSource(16, 1, 2, 2), 1), compileAt(t, nas.SPSource(16, 1, 2, 2), 0)
+	luSrc := nas.LUSource(16, 1, 2, 2)
+	lu := compileAt(t, luSrc, 1)
+	luShm, luHybrid := compileOn(t, luSrc, 1, passes.BackendShm), compileOn(t, luSrc, 1, passes.BackendHybrid)
+	sp := compileAt(t, nas.SPSource(16, 1, 2, 2), 0)
 	for _, c := range []struct {
 		name   string
 		prog   *spmd.Program
 		engine spmd.Engine
 		budget float64
 	}{
-		{"lu16 grain 1", lu, spmd.EngineCompiled, 2990},         // measured 2 714–2 715
-		{"lu16 grain 1, codegen", lu, spmd.EngineCodegen, 2990}, // measured 2 715–2 716
-		{"sp16", sp, spmd.EngineCompiled, 530},                  // measured 475–476
+		{"lu16 grain 1", lu, spmd.EngineCompiled, 777},               // measured 706
+		{"lu16 grain 1, codegen", lu, spmd.EngineCodegen, 777},       // measured 706
+		{"lu16 grain 1, shm", luShm, spmd.EngineCompiled, 224},       // measured 203
+		{"lu16 grain 1, hybrid", luHybrid, spmd.EngineCompiled, 229}, // measured 207–208
+		{"sp16", sp, spmd.EngineCompiled, 322},                       // measured 292
 	} {
 		got := testing.AllocsPerRun(5, func() { execute(t, c.prog, c.engine) })
 		if got > c.budget {
