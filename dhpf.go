@@ -136,9 +136,9 @@ func CompileCtx(ctx context.Context, source string, params map[string]int, opt O
 type CompileDelta = passes.Delta
 
 // Incremental is a compiler with a per-unit artifact store: repeated
-// Compile calls reuse the dependence graphs, communication plans and
-// verification fragments of procedures whose content (and whose
-// callees' content) is unchanged, re-analyzing only edited procedures —
+// Compile calls reuse the CP selections, communication plans,
+// verification and analysis fragments of procedures whose content (and
+// whose callees' content) is unchanged, re-analyzing only edited procedures —
 // in parallel.  The output is byte-for-byte identical to a cold
 // Compile of the same source.  Safe for concurrent use.
 type Incremental struct {

@@ -1,11 +1,15 @@
 package dhpf_test
 
 import (
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 
 	"dhpf"
+	"dhpf/internal/cache"
 	"dhpf/internal/nas"
+	"dhpf/internal/passes"
 )
 
 // editSPMod makes the canonical warm edit to the modular SP source: a
@@ -172,4 +176,92 @@ func TestIncrementalSPModAblations(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestOneCompilePath: the benchmark's traced compile drives
+// passes.BuildPipeline one pass at a time (Run, then Check).  That
+// driver, passes.Run and RunIncremental from an empty store are one
+// compile: they agree on the selection notes, every event, the verify
+// summary and the analysis text, and Run and RunIncremental on every
+// pass's name, summary and notes.  Nothing is cached without a store.
+func TestOneCompilePath(t *testing.T) {
+	lhsy, err := os.ReadFile("testdata/lhsy.hpf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range []struct{ name, src string }{
+		{"lhsy", string(lhsy)},
+		{"spmod12", nas.SPModSource(12, 1, 2, 2)},
+	} {
+		for _, opt := range []dhpf.Options{dhpf.DefaultOptions(), dhpf.DefaultOptions().WithDisabled(passes.PassAvailability)} {
+			src := in.src
+			t.Run(fmt.Sprintf("%s/disable=%v", in.name, opt.Disable), func(t *testing.T) {
+				pipeline, err := passes.BuildPipeline(opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				driven := &passes.CompileContext{Source: src, Opt: opt}
+				for _, p := range pipeline {
+					if err := p.Run(driven); err != nil {
+						t.Fatalf("pass %s: %v", p.Name, err)
+					}
+					if p.Check != nil {
+						if err := p.Check(driven); err != nil {
+							t.Fatalf("pass %s: invariant: %v", p.Name, err)
+						}
+					}
+				}
+				cold := &passes.CompileContext{Source: src, Opt: opt}
+				if err := passes.Run(cold); err != nil {
+					t.Fatal(err)
+				}
+				stored := &passes.CompileContext{Source: src, Opt: opt}
+				if _, err := passes.RunIncremental(stored, cache.NewArtifactStore(0)); err != nil {
+					t.Fatal(err)
+				}
+				want := compileFacts(cold)
+				for label, cc := range map[string]*passes.CompileContext{"pass by pass": driven, "empty store": stored} {
+					if got := compileFacts(cc); got != want {
+						t.Errorf("%s differs from passes.Run:\n--- %s ---\n%s\n--- passes.Run ---\n%s", label, label, got, want)
+					}
+				}
+				if got, want := passStats(stored.Stats), passStats(cold.Stats); got != want {
+					t.Errorf("stats differ:\n--- empty store ---\n%s\n--- passes.Run ---\n%s", got, want)
+				}
+				for _, st := range cold.Stats {
+					if st.Cached {
+						t.Errorf("pass %s is cached in a compile without a store", st.Name)
+					}
+				}
+			})
+		}
+	}
+}
+
+// compileFacts renders what the three compile paths must agree on.
+func compileFacts(cc *passes.CompileContext) string {
+	var b strings.Builder
+	for _, n := range cc.Sel.Notes() {
+		b.WriteString(n + "\n")
+	}
+	for _, proc := range cc.IR.Procs {
+		for _, e := range cc.Comm[proc.Name].Events {
+			b.WriteString(proc.Name + ": " + e.String() + "\n")
+		}
+	}
+	b.WriteString(cc.Verify.Summary() + "\n")
+	b.WriteString(cc.Analysis.Text())
+	return b.String()
+}
+
+// passStats renders each pass's name, summary and notes.
+func passStats(stats []passes.Stat) string {
+	var b strings.Builder
+	for _, st := range stats {
+		fmt.Fprintf(&b, "%s: %s\n", st.Name, st.Summary)
+		for _, n := range st.Notes {
+			b.WriteString("  " + n + "\n")
+		}
+	}
+	return b.String()
 }

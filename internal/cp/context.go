@@ -30,6 +30,10 @@ type Context struct {
 
 	// sets is the derived table behind Deps, IterSet and NonLocal.
 	sets derived
+	// callees is the bottom-up call-graph order Callees returns, fixed at
+	// construction: no pass adds or removes a call.
+	callees    []*ir.Procedure
+	calleesErr error
 }
 
 // NewContext builds a context, propagating formal layouts through call
@@ -57,6 +61,7 @@ func NewContext(prog *ir.Program, bind *hpf.Binding) (*Context, error) {
 	if err := ctx.propagateFormalLayouts(); err != nil {
 		return nil, err
 	}
+	ctx.callees, ctx.calleesErr = ctx.calleeOrder()
 	return ctx, nil
 }
 
@@ -182,8 +187,13 @@ func (ctx *Context) propagateFormalLayouts() error {
 
 // Callees returns procedures in bottom-up call-graph order (callees
 // before callers).  It rejects recursion, which the mini language (like
-// Fortran 77) does not support.
+// Fortran 77) does not support.  The slice is shared: callers must not
+// modify it.
 func (ctx *Context) Callees() ([]*ir.Procedure, error) {
+	return ctx.callees, ctx.calleesErr
+}
+
+func (ctx *Context) calleeOrder() ([]*ir.Procedure, error) {
 	const (
 		white = iota
 		grey

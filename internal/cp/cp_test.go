@@ -503,14 +503,14 @@ func TestLocalizeOffFallsBackToOwner(t *testing.T) {
 	// PropagateLocalize.
 	ctx := mustCtx(t, computeRhsSrc)
 	opt := DefaultOptions()
-	sel, err := SelectBase(ctx, opt)
-	if err != nil {
+	sel := NewSelection()
+	if err := SelectBase(ctx, sel, opt, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := PropagateNewArrays(ctx, sel, opt); err != nil {
+	if err := PropagateNewArrays(ctx, sel, opt, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := SelectInterproc(ctx, sel); err != nil {
+	if err := SelectInterproc(ctx, sel, nil); err != nil {
 		t.Fatal(err)
 	}
 	one := ctx.Prog.Main().Body[0].(*ir.Loop)

@@ -118,14 +118,14 @@ func TestInterprocDisabledReplicates(t *testing.T) {
 	// runs, so no call statement is assigned a CP.
 	ctx := mustCtx(t, interprocSrc)
 	opt := DefaultOptions()
-	sel, err := SelectBase(ctx, opt)
-	if err != nil {
+	sel := NewSelection()
+	if err := SelectBase(ctx, sel, opt, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := PropagateNewArrays(ctx, sel, opt); err != nil {
+	if err := PropagateNewArrays(ctx, sel, opt, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := PropagateLocalize(ctx, sel, opt); err != nil {
+	if err := PropagateLocalize(ctx, sel, opt, nil); err != nil {
 		t.Fatal(err)
 	}
 	mainProc := ctx.Prog.Proc("main")

@@ -150,46 +150,39 @@ func (s *Selection) notef(format string, args ...any) {
 	s.notes = append(s.notes, noteRec{key: s.cur, text: fmt.Sprintf(format, args...)})
 }
 
-// Select runs every CP-selection phase in pipeline order: SelectBase,
-// PropagateNewArrays, PropagateLocalize, SelectInterproc.
+// Select runs every CP-selection phase in pipeline order over every
+// procedure: SelectBase, PropagateNewArrays, PropagateLocalize,
+// SelectInterproc.
 func Select(ctx *Context, opt Options) (*Selection, error) {
-	sel, err := SelectBase(ctx, opt)
-	if err != nil {
-		return nil, err
-	}
-	if err := PropagateNewArrays(ctx, sel, opt); err != nil {
-		return nil, err
-	}
-	if err := PropagateLocalize(ctx, sel, opt); err != nil {
-		return nil, err
-	}
-	if err := SelectInterproc(ctx, sel); err != nil {
-		return nil, err
-	}
-	return sel, nil
-}
-
-// SelectBase runs the local CP selection of §2 and §5 for every
-// procedure, bottom-up on the call graph: candidate enumeration,
-// union-find grouping over loop-independent dependences, and the
-// least-communication combination search.  It assigns CPs to
-// assignments only; call statements are handled by SelectInterproc and
-// privatizable overrides by the propagation phases.
-func SelectBase(ctx *Context, opt Options) (*Selection, error) {
 	sel := NewSelection()
-	if err := SelectBaseInto(ctx, sel, opt, nil); err != nil {
+	if err := SelectBase(ctx, sel, opt, nil); err != nil {
+		return nil, err
+	}
+	if err := PropagateNewArrays(ctx, sel, opt, nil); err != nil {
+		return nil, err
+	}
+	if err := PropagateLocalize(ctx, sel, opt, nil); err != nil {
+		return nil, err
+	}
+	if err := SelectInterproc(ctx, sel, nil); err != nil {
 		return nil, err
 	}
 	return sel, nil
 }
 
-// SelectBaseInto is SelectBase running into an existing selection,
-// skipping procedures for which skip returns true — those had their
-// completed per-procedure selection installed from a frozen artifact by
-// the incremental scheduler (Selection.InstallProc), so re-selecting
-// them would both waste the search and duplicate their decision notes.
-// A nil skip selects every procedure.
-func SelectBaseInto(ctx *Context, sel *Selection, opt Options, skip func(*ir.Procedure) bool) error {
+// SelectBase runs the local CP selection of §2 and §5 into sel,
+// bottom-up on the call graph: candidate enumeration, union-find
+// grouping over loop-independent dependences, and the least-communication
+// combination search.  It assigns CPs to assignments only; call
+// statements are handled by SelectInterproc and privatizable overrides
+// by the propagation phases.
+//
+// Every phase skips the procedures for which skip returns true — those
+// had their completed per-procedure selection installed from a frozen
+// artifact (Selection.InstallProc), so re-selecting them would both
+// waste the search and duplicate their decision notes.  A nil skip
+// selects every procedure.
+func SelectBase(ctx *Context, sel *Selection, opt Options, skip func(*ir.Procedure) bool) error {
 	order, err := ctx.Callees()
 	if err != nil {
 		return err
@@ -216,27 +209,14 @@ func SelectBaseInto(ctx *Context, sel *Selection, opt Options, skip func(*ir.Pro
 // PropagateNewArrays applies §4.1: for every loop carrying a NEW
 // directive, innermost loops first, the CPs of the statements defining
 // the privatizable are recomputed from the CPs of its uses.
-func PropagateNewArrays(ctx *Context, sel *Selection, opt Options) error {
-	return propagatePhase(ctx, sel, opt, false, nil)
-}
-
-// PropagateNewArraysPartial is PropagateNewArrays restricted to the
-// procedures skip rejects (skipped ones carry thawed, already-propagated
-// selections).
-func PropagateNewArraysPartial(ctx *Context, sel *Selection, opt Options, skip func(*ir.Procedure) bool) error {
+func PropagateNewArrays(ctx *Context, sel *Selection, opt Options, skip func(*ir.Procedure) bool) error {
 	return propagatePhase(ctx, sel, opt, false, skip)
 }
 
 // PropagateLocalize applies §4.2: LOCALIZE partial replication for
 // distributed arrays, keeping the owner-computes term so the owner's
 // copy stays current.
-func PropagateLocalize(ctx *Context, sel *Selection, opt Options) error {
-	return propagatePhase(ctx, sel, opt, true, nil)
-}
-
-// PropagateLocalizePartial is PropagateLocalize restricted to the
-// procedures skip rejects.
-func PropagateLocalizePartial(ctx *Context, sel *Selection, opt Options, skip func(*ir.Procedure) bool) error {
+func PropagateLocalize(ctx *Context, sel *Selection, opt Options, skip func(*ir.Procedure) bool) error {
 	return propagatePhase(ctx, sel, opt, true, skip)
 }
 
@@ -284,17 +264,12 @@ func propagatePhase(ctx *Context, sel *Selection, opt Options, localize bool, sk
 // entry CP or translation fails), and then the procedure's own entry CP
 // is computed from its now-complete statement CPs and recorded in
 // sel.Entry and ctx.EntryCPs.  Must run after the propagation phases so
-// entry CPs reflect the propagated selections.
-func SelectInterproc(ctx *Context, sel *Selection) error {
-	return SelectInterprocPartial(ctx, sel, nil)
-}
-
-// SelectInterprocPartial is SelectInterproc restricted to the procedures
-// skip rejects.  A skipped procedure's entry CP was installed by the
-// thaw (Selection.InstallProc); it is republished into ctx.EntryCPs here
-// — at the procedure's bottom-up turn — so dirty callers later in the
-// order translate against exactly what a cold run would have computed.
-func SelectInterprocPartial(ctx *Context, sel *Selection, skip func(*ir.Procedure) bool) error {
+// entry CPs reflect the propagated selections.  A skipped procedure's
+// entry CP was installed by the thaw (Selection.InstallProc); it is
+// republished into ctx.EntryCPs here — at the procedure's bottom-up turn
+// — so callers later in the order translate against exactly what
+// selecting it would have computed.
+func SelectInterproc(ctx *Context, sel *Selection, skip func(*ir.Procedure) bool) error {
 	order, err := ctx.Callees()
 	if err != nil {
 		return err

@@ -13,9 +13,10 @@ import "fmt"
 // The split is what makes the program interesting to the incremental
 // compiler: editing one phase (the canonical warm-edit benchmark edits
 // the CoefAdd constant inside add) leaves every other phase's per-unit
-// fingerprint unchanged, so their dependence graphs, communication plans
-// and verification fragments all thaw from the artifact store and only
-// add — plus main, whose environment embeds its callees — recompiles.
+// fingerprint unchanged, so their CP selections, communication plans,
+// verification and analysis fragments all thaw from the artifact store
+// and only add — plus main, whose environment embeds its callees —
+// recompiles.
 func SPModSource(n, steps, p1, p2 int) string {
 	return fmt.Sprintf(`
 program spmod

@@ -7,23 +7,12 @@ import (
 )
 
 // buildAnalysisInput assembles the static-analysis input from the
-// compile context — the same facts the verifier reads.
+// compile context — the same facts the verifier reads.  The analyze pass
+// computes symbolic loop summaries and distributed-array dataflow over
+// it; Predict (the cost oracle) is run on demand by the surfaces, not
+// there, because its output depends on nothing the pipeline caches.
 func buildAnalysisInput(cc *CompileContext) *analysis.Input {
 	return &analysis.Input{IR: cc.IR, Ctx: cc.Ctx, Sel: cc.Sel, Comm: cc.Comm, Grid: cc.Grid}
-}
-
-// runAnalyze executes the static-analysis pass: symbolic loop summaries
-// and distributed-array dataflow over the post-pipeline facts.  The
-// result is stored on the context; Predict (the cost oracle) is run on
-// demand by the surfaces, not here, because its output depends on
-// nothing the pipeline caches.
-func runAnalyze(cc *CompileContext) error {
-	res, err := analysis.Run(buildAnalysisInput(cc))
-	if err != nil {
-		return err
-	}
-	cc.Analysis = res
-	return nil
 }
 
 // checkAnalyze is deliberately lenient, unlike checkVerify: dataflow

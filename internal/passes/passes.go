@@ -8,11 +8,17 @@
 // per-pass instrumentation (wall time, communication volume) and
 // inter-pass invariant checks.  Ablations drop a pass by name instead of
 // threading option booleans through three packages.
+//
+// Every pass has one body.  The per-procedure ones memoize their work in
+// a cache.ArtifactStore (RunIncremental); a cold compile (Run) is the
+// same run with a nil store, which stores and keeps nothing and treats
+// every procedure as dirty.
 package passes
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"dhpf/internal/analysis"
@@ -184,29 +190,29 @@ func ArtifactKinds() []string {
 }
 
 // BuildPipeline returns the ordered pass list for the options: the full
-// paper pipeline minus the disabled optional passes.  Unknown or
+// paper pipeline minus the disabled optional passes, bound to a fresh
+// run with no artifact store — driven pass by pass (Run, then Check),
+// the passes compile one program as RunCtx does.  Unknown or
 // non-optional names in Disable are errors — a misspelled ablation must
 // not silently run the full pipeline.
 func BuildPipeline(opt Options) ([]Pass, error) {
+	return (&pipelineRun{}).build(opt)
+}
+
+func (r *pipelineRun) build(opt Options) ([]Pass, error) {
 	if _, err := ParseBackend(opt.Backend); err != nil {
 		return nil, fmt.Errorf("passes: %w", err)
 	}
-	all := allPasses()
-	known := map[string]bool{}
-	optional := map[string]bool{}
-	for _, p := range all {
-		known[p.Name] = true
-		optional[p.Name] = p.Optional
-	}
+	all := r.allPasses()
 	for _, d := range opt.Disable {
-		if !known[d] {
+		switch k := slices.IndexFunc(all, func(p Pass) bool { return p.Name == d }); {
+		case k < 0:
 			return nil, fmt.Errorf("passes: unknown pass %q in Disable (known: %s)", d, PassNames())
-		}
-		if !optional[d] {
+		case !all[k].Optional:
 			return nil, fmt.Errorf("passes: pass %q is not optional and cannot be disabled", d)
 		}
 	}
-	var out []Pass
+	out := all[:0]
 	for _, p := range all {
 		if p.Optional && opt.Disabled(p.Name) {
 			continue
@@ -219,7 +225,7 @@ func BuildPipeline(opt Options) ([]Pass, error) {
 // PassNames lists every pass of the full pipeline, in order.
 func PassNames() []string {
 	var out []string
-	for _, p := range allPasses() {
+	for _, p := range (&pipelineRun{}).allPasses() {
 		out = append(out, p.Name)
 	}
 	return out
@@ -228,7 +234,7 @@ func PassNames() []string {
 // OptionalPassNames lists the passes Options.Disable accepts.
 func OptionalPassNames() []string {
 	var out []string
-	for _, p := range allPasses() {
+	for _, p := range (&pipelineRun{}).allPasses() {
 		if p.Optional {
 			out = append(out, p.Name)
 		}
@@ -249,17 +255,17 @@ func Run(cc *CompileContext) error {
 // pass starts and returns ctx.Err() (wrapped with the pass it stopped
 // ahead of).  Passes themselves run to completion — the boundaries are
 // the pipeline's consistency points, so an aborted context can never
-// leave cc half-mutated by a pass.
+// leave cc half-mutated by a pass.  It is RunIncrementalCtx with no
+// artifact store.
 func RunCtx(ctx context.Context, cc *CompileContext) error {
-	return runPipeline(ctx, cc, nil)
+	_, err := RunIncrementalCtx(ctx, cc, nil)
+	return err
 }
 
-// runPipeline is the one pass loop, cold and incremental.  An override
-// replaces a pass's Run and reports whether the artifact store served all
-// of its per-procedure work (the Stat's Cached); the cold pipeline has
-// none.
-func runPipeline(ctx context.Context, cc *CompileContext, overrides map[string]func() (bool, error)) error {
-	pipeline, err := BuildPipeline(cc.Opt)
+// execute is the one pass loop: it builds the pipeline bound to r and
+// runs it over cc, recording one Stat per pass.
+func (r *pipelineRun) execute(ctx context.Context, cc *CompileContext) error {
+	pipeline, err := r.build(cc.Opt)
 	if err != nil {
 		return err
 	}
@@ -274,16 +280,11 @@ func runPipeline(ctx context.Context, cc *CompileContext, overrides map[string]f
 			noteBase = cc.Sel.NoteCount()
 		}
 		start := time.Now() //vetdet:ok pass wall times are -explain telemetry, never fingerprinted
-		cached := false
-		if ov, ok := overrides[p.Name]; ok {
-			cached, err = ov()
-		} else {
-			err = p.Run(cc)
-		}
-		if err != nil {
+		r.cached = false
+		if err := p.Run(cc); err != nil {
 			return fmt.Errorf("pass %s: %w", p.Name, err)
 		}
-		st := Stat{Name: p.Name, Wall: time.Since(start), Cached: cached} //vetdet:ok telemetry
+		st := Stat{Name: p.Name, Wall: time.Since(start), Cached: r.cached} //vetdet:ok telemetry
 		if cc.Sel != nil {
 			st.Notes = cc.Sel.NotesSince(noteBase)
 		}
@@ -313,28 +314,29 @@ func runPipeline(ctx context.Context, cc *CompileContext, overrides map[string]f
 	return nil
 }
 
-// allPasses is the full pipeline in the order the paper's phases run.
-func allPasses() []Pass {
+// allPasses is the full pipeline in the order the paper's phases run,
+// its per-procedure passes bound to r.
+func (r *pipelineRun) allPasses() []Pass {
 	return []Pass{
 		{Name: PassParse, Run: runParse, Check: checkParse},
 		{Name: PassBind, Run: runBind, Check: checkBind},
-		{Name: PassDependence, Run: runDependence, Check: checkDependence},
-		{Name: PassCPSelect, Run: runCPSelect, Check: checkCPSelect},
-		{Name: PassNewProp, Run: runNewProp, Optional: true},
-		{Name: PassLocalize, Run: runLocalize, Optional: true},
-		{Name: PassInterproc, Run: runInterproc, Check: checkInterproc, Optional: true},
-		{Name: PassLoopDist, Run: runLoopDist, Check: checkLoopDist, Optional: true},
-		{Name: PassReductions, Run: runReductions, Check: checkReductions},
-		{Name: PassCommPlan, Run: runCommPlan, Check: checkCommPlan},
-		{Name: PassAvailability, Run: runAvailability, Check: checkElimReasons, Optional: true},
-		{Name: PassWritebackRed, Run: runWritebackRed, Check: checkElimReasons, Optional: true},
-		{Name: PassLower, Run: runLower, Check: checkLower},
-		{Name: PassVerify, Run: runVerify, Check: checkVerify, Optional: true},
-		{Name: PassAnalyze, Run: runAnalyze, Check: checkAnalyze, Optional: true},
+		{Name: PassDependence, Run: r.dependence, Check: checkDependence},
+		{Name: PassCPSelect, Run: r.cpSelect, Check: checkCPSelect},
+		{Name: PassNewProp, Run: r.newProp, Optional: true},
+		{Name: PassLocalize, Run: r.localize, Optional: true},
+		{Name: PassInterproc, Run: r.interproc, Check: checkInterproc, Optional: true},
+		{Name: PassLoopDist, Run: r.beforeDistribution(runLoopDist), Check: checkLoopDist, Optional: true},
+		{Name: PassReductions, Run: r.beforeDistribution(runReductions), Check: checkReductions},
+		{Name: PassCommPlan, Run: r.commPlan, Check: checkCommPlan},
+		{Name: PassAvailability, Run: r.eliminate(comm.ApplyAvailability), Check: checkElimReasons, Optional: true},
+		{Name: PassWritebackRed, Run: r.eliminate(comm.ApplyWritebackElim), Check: checkElimReasons, Optional: true},
+		{Name: PassLower, Run: r.lower, Check: checkLower},
+		{Name: PassVerify, Run: r.verify, Check: checkVerify, Optional: true},
+		{Name: PassAnalyze, Run: r.analyze, Check: checkAnalyze, Optional: true},
 	}
 }
 
-// --- pass bodies -------------------------------------------------------------
+// --- whole-program pass bodies -----------------------------------------------
 
 func runParse(cc *CompileContext) error {
 	if cc.IR != nil {
@@ -357,19 +359,6 @@ func runBind(cc *CompileContext) error {
 	return nil
 }
 
-// runDependence builds the CP context and derives every procedure's
-// dependences, so their cost is this pass's row and not the first
-// reader's.
-func runDependence(cc *CompileContext) error {
-	if err := newContext(cc); err != nil {
-		return err
-	}
-	for _, proc := range cc.IR.Procs {
-		cc.Ctx.Deps(proc)
-	}
-	return nil
-}
-
 // newContext builds the CP context and fixes the processor grid.
 func newContext(cc *CompileContext) error {
 	ctx, err := cp.NewContext(cc.IR, cc.Bind)
@@ -383,15 +372,6 @@ func newContext(cc *CompileContext) error {
 	cc.Ctx = ctx
 	cc.Grid = grid
 	return nil
-}
-
-func runCPSelect(cc *CompileContext) error {
-	sel, err := cp.SelectBase(cc.Ctx, cc.Opt.CP)
-	if err != nil {
-		return err
-	}
-	cc.Sel = sel
-	return refuseUndistributed(cc)
 }
 
 // UndistributedPairError refuses a pipeline without loopdist in which CP
@@ -422,18 +402,6 @@ func refuseUndistributed(cc *CompileContext) error {
 	return nil
 }
 
-func runNewProp(cc *CompileContext) error {
-	return cp.PropagateNewArrays(cc.Ctx, cc.Sel, cc.Opt.CP)
-}
-
-func runLocalize(cc *CompileContext) error {
-	return cp.PropagateLocalize(cc.Ctx, cc.Sel, cc.Opt.CP)
-}
-
-func runInterproc(cc *CompileContext) error {
-	return cp.SelectInterproc(cc.Ctx, cc.Sel)
-}
-
 // runLoopDist distributes loops.  A procedure with no marked pair is left
 // alone without reading its dependences; one whose body it rewrote has
 // them dropped, so the passes after it derive them from the body as it
@@ -449,28 +417,6 @@ func runReductions(cc *CompileContext) error {
 	cc.Reductions = map[string][]ReductionPlan{}
 	for _, proc := range cc.IR.Procs {
 		cc.Reductions[proc.Name] = planReductions(cc.Ctx, proc, cc.Sel)
-	}
-	return nil
-}
-
-func runCommPlan(cc *CompileContext) error {
-	cc.Comm = map[string]*comm.Analysis{}
-	for _, proc := range cc.IR.Procs {
-		cc.Comm[proc.Name] = comm.BuildEvents(cc.Ctx, proc, cc.Sel)
-	}
-	return nil
-}
-
-func runAvailability(cc *CompileContext) error {
-	for _, proc := range cc.IR.Procs {
-		comm.ApplyAvailability(cc.Ctx, cc.Sel, cc.Comm[proc.Name])
-	}
-	return nil
-}
-
-func runWritebackRed(cc *CompileContext) error {
-	for _, proc := range cc.IR.Procs {
-		comm.ApplyWritebackElim(cc.Ctx, cc.Sel, cc.Comm[proc.Name])
 	}
 	return nil
 }

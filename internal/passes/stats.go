@@ -29,8 +29,9 @@ type Stat struct {
 	HasDelta   bool
 	DeltaBytes int64
 	// Cached marks a pass whose per-procedure work was satisfied entirely
-	// from the artifact store by an incremental compile (no procedure was
-	// re-analyzed).  Always false on the cold pipeline.
+	// from the artifact store (no procedure was re-analyzed); the pass
+	// body records it.  Always false without a store, where every
+	// procedure is dirty.
 	Cached bool
 }
 

@@ -6,24 +6,13 @@ import (
 	"dhpf/internal/verify"
 )
 
-// runVerify executes the translation-validation pass: the verify package
-// independently re-proves the four safety theorems (coverage,
-// communication completeness, writeback soundness, pipeline legality)
-// over the analyses the pipeline just produced, and the report is stored
-// on the context.  The pass is optional (Options.Disable "verify") but on
-// by default — a pipeline bug should fail the compile, not the run.
-func runVerify(cc *CompileContext) error {
-	rep, err := verify.Run(cc.VerifyInput())
-	if err != nil {
-		return err
-	}
-	cc.Verify = rep
-	return nil
-}
-
 // VerifyInput is the validator's input over the analyses the pipeline
-// produced: the one place it is built, for the verify pass, its
-// incremental form and every later re-verify.
+// produced: the one place it is built, for the verify pass and every
+// later re-verify.  The verify pass re-proves the four safety theorems
+// (coverage, communication completeness, writeback soundness, pipeline
+// legality) procedure by procedure; it is optional (Options.Disable
+// "verify") but on by default — a pipeline bug should fail the compile,
+// not the run.
 func (cc *CompileContext) VerifyInput() verify.Input {
 	reductions := map[int]bool{}
 	for _, plans := range cc.Reductions {

@@ -110,7 +110,8 @@ func (p *Program) zeroPlan(proc *ir.Procedure, e *comm.Event) []comm.Transfer {
 // CP selection (§2, §4, §6), selective loop distribution (§5), and
 // communication planning with availability elimination (§7).
 func Compile(prog *ir.Program, params map[string]int, opt Options) (*Program, error) {
-	return compilePipeline(context.Background(), &passes.CompileContext{IR: prog, Params: params, Opt: opt})
+	p, _, err := compile(context.Background(), &passes.CompileContext{IR: prog, Params: params, Opt: opt}, nil)
+	return p, err
 }
 
 // CompileSource is Compile from mini-HPF source text (the parse pass
@@ -123,19 +124,19 @@ func CompileSource(src string, params map[string]int, opt Options) (*Program, er
 // checks ctx at every pass boundary, so a cancelled or timed-out compile
 // aborts between passes (the service's per-request timeout path).
 func CompileSourceCtx(ctx context.Context, src string, params map[string]int, opt Options) (*Program, error) {
-	return compilePipeline(ctx, &passes.CompileContext{Source: src, Params: params, Opt: opt})
+	p, _, err := compile(ctx, &passes.CompileContext{Source: src, Params: params, Opt: opt}, nil)
+	return p, err
 }
 
-func compilePipeline(ctx context.Context, cc *passes.CompileContext) (*Program, error) {
-	if err := passes.RunCtx(ctx, cc); err != nil {
-		return nil, err
+// compile is every compile's one body: the pass pipeline over cc with
+// the artifact store (nil: nothing stored, nothing kept), then the hand-
+// over to a program, which keeps only what its readers need — what only
+// the passes read is released.
+func compile(ctx context.Context, cc *passes.CompileContext, store *cache.ArtifactStore) (*Program, *passes.Delta, error) {
+	delta, err := passes.RunIncrementalCtx(ctx, cc, store)
+	if err != nil {
+		return nil, nil, err
 	}
-	return programOf(cc), nil
-}
-
-// programOf hands the pipeline's result over as a program, which keeps
-// only what its readers need: what only the passes read is released.
-func programOf(cc *passes.CompileContext) *Program {
 	cc.Ctx.EndPipeline()
 	return &Program{
 		IR: cc.IR, Ctx: cc.Ctx, Sel: cc.Sel,
@@ -143,14 +144,14 @@ func programOf(cc *passes.CompileContext) *Program {
 		Reductions: cc.Reductions,
 		Grid:       cc.Grid, Opt: cc.Opt,
 		Stats: cc.Stats,
-	}
+	}, delta, nil
 }
 
-// CompileIncremental compiles source through the memoizing scheduler
-// (passes.RunIncremental): per-procedure dependence graphs, communication
-// plans and verification fragments are reused from the store when the
-// procedure's environment fingerprint is unchanged, and only dirty
-// procedures are re-analyzed.  The resulting Program is byte-for-byte
+// CompileIncremental compiles source through the artifact store
+// (passes.RunIncremental): per-procedure CP selections, communication
+// plans, verification and analysis fragments are reused from the store
+// when the procedure's environment fingerprint is unchanged, and only
+// dirty procedures are re-analyzed.  The resulting Program is byte-for-byte
 // identical to CompileSource of the same text.
 func CompileIncremental(src string, params map[string]int, opt Options, store *cache.ArtifactStore) (*Program, *passes.Delta, error) {
 	return CompileIncrementalCtx(context.Background(), src, params, opt, store)
@@ -159,12 +160,7 @@ func CompileIncremental(src string, params map[string]int, opt Options, store *c
 // CompileIncrementalCtx is CompileIncremental with cancellation at pass
 // boundaries.
 func CompileIncrementalCtx(ctx context.Context, src string, params map[string]int, opt Options, store *cache.ArtifactStore) (*Program, *passes.Delta, error) {
-	cc := &passes.CompileContext{Source: src, Params: params, Opt: opt}
-	delta, err := passes.RunIncrementalCtx(ctx, cc, store)
-	if err != nil {
-		return nil, nil, err
-	}
-	return programOf(cc), delta, nil
+	return compile(ctx, &passes.CompileContext{Source: src, Params: params, Opt: opt}, store)
 }
 
 // PassStats returns the per-pass instrumentation of the compilation:
