@@ -91,6 +91,7 @@ type Schedule struct {
 	// names are the program's scalar names — everything a walker ever
 	// binds — sorted: the fixed order the memo keys spell a binding in.
 	names   []string
+	deepest int // the most loops around any statement
 	firings int
 	memo    memo
 }
@@ -112,6 +113,9 @@ func New(in Input) *Schedule {
 		ps := s.buildProc(proc, in.Comm[proc.Name], in.Reductions[proc.Name])
 		ps.id = i
 		s.procs[proc] = ps
+		for _, vars := range ps.Vars {
+			s.deepest = max(s.deepest, len(vars))
+		}
 	}
 	s.names = scalarNames(in.IR, in.Ctx.Bind.Params)
 	return s
@@ -157,6 +161,12 @@ func (s *Schedule) firing(proc *ir.Procedure) Firing {
 
 // Check reports why the program cannot be walked, or nil.
 func (s *Schedule) Check() error { return s.invalid }
+
+// NumProcs is the number of procedures in the program.
+func (s *Schedule) NumProcs() int { return len(s.prog.Procs) }
+
+// Index is the procedure's position in the program, below NumProcs.
+func (ps *ProcSched) Index() int { return ps.id }
 
 // Proc returns a procedure's placement tables.
 func (s *Schedule) Proc(proc *ir.Procedure) *ProcSched { return s.procs[proc] }

@@ -45,7 +45,9 @@ type Ops interface {
 
 // Frame is one procedure activation: the procedure's placement tables
 // plus this rank's iteration sets under the entry binding, shared
-// read-only with every other activation under the same binding.
+// read-only with every other activation under the same binding.  The
+// walker keeps one Frame per call depth and rewrites it at every
+// activation there: Ops may read it until Leave, not keep it.
 type Frame struct {
 	Proc *ir.Procedure
 	*ProcSched
@@ -79,7 +81,16 @@ type Walker struct {
 	tagSeq int
 	point  []int
 	key    KeyScratch
-	strip  Strip // what Strip points at: wavefronts do not nest their strips
+	strip  Strip   // what Strip points at: wavefronts do not nest their strips
+	frames []Frame // per call depth, the activation running there
+	depth  int     // the call depth: activations running
+
+	// What saved, point and frames start on when the schedule's sizes
+	// fit, and key on (NewWalker).
+	savedBuf [8]savedInt
+	pointBuf [8]int
+	frameBuf [4]Frame
+	keyBuf   [64]byte
 }
 
 // PlanStats is a walk's memo traffic: plans taken, and how many of them
@@ -95,12 +106,33 @@ func (p PlanStats) String() string {
 }
 
 // NewWalker returns rank me's walker, bound to the program parameters.
+// Its scratch is sized once, from the schedule: the save stack and the
+// membership point to the deepest nest, the frames to the procedures (a
+// chain of calls repeats none) — inside the walker when that fits, as
+// does a memo key of up to 64 bytes.  Only a call can push the save
+// stack past that: the caller's loops and integer formals stay saved
+// under the callee's.  The binding is not presized: under the compiled
+// engines a kernel unit's loop variables never enter it, and a map made
+// for every scalar name costs more allocations than the few it grows by.
 func NewWalker(s *Schedule, me int, ops Ops) *Walker {
 	w := &Walker{S: s, Me: me, Bind: map[string]int{}, ops: ops}
+	w.saved = scratch(w.savedBuf[:], s.deepest)
+	w.point = scratch(w.pointBuf[:], s.deepest)
+	w.frames = scratch(w.frameBuf[:], s.NumProcs())
+	w.key.buf = w.keyBuf[:0]
 	for k, v := range s.Ctx.Bind.Params {
 		w.Bind[k] = v
 	}
 	return w
+}
+
+// scratch returns buf emptied when it has room for n, else a new empty
+// slice with room for n.
+func scratch[T any](buf []T, n int) []T {
+	if n <= cap(buf) {
+		return buf[:0]
+	}
+	return make([]T, 0, n)
 }
 
 // Run walks the main procedure.  The schedule must pass Check.
@@ -111,10 +143,19 @@ func (w *Walker) proc(proc *ir.Procedure) {
 	if miss {
 		w.Plans.ActivationMisses++
 	}
-	f := &Frame{Proc: proc, ProcSched: w.S.procs[proc], Iters: iters}
+	if w.depth == len(w.frames) {
+		// First activation this deep.  Past the room NewWalker made,
+		// append moves the frames, but the enclosing activations keep
+		// their old elements, which nothing rewrites until they end.
+		w.frames = append(w.frames, Frame{})
+	}
+	f := &w.frames[w.depth]
+	*f = Frame{Proc: proc, ProcSched: w.S.procs[proc], Iters: iters}
+	w.depth++
 	w.ops.Enter(f)
 	w.stmts(f, proc.Body, 0)
 	w.ops.Leave()
+	w.depth--
 }
 
 func (w *Walker) stmts(f *Frame, stmts []ir.Stmt, depth int) {

@@ -1,16 +1,19 @@
 package spmd
 
-// engine_bounds.go derives, once per procedure activation, the per-rank
-// iteration guards and loop-bound clamps a kernel unit's precheck packs
-// into its bounds[].  The interpreter answers "does this rank run
-// statement s at point p?" with a general iset.Set membership scan on
-// every iteration point; a unit tests the point against boxes the
-// precheck packed once per invocation, and for innermost loops the member
-// boxes additionally tighten the loop range itself so non-member points
-// are never visited at all.
+// engine_bounds.go derives, once per procedure activation — at its first
+// unit invocation, into the slices the frame keeps from one activation of
+// the procedure to the next on its rank — the per-rank iteration guards
+// and loop-bound clamps a kernel unit's precheck packs into its bounds[].
+// The interpreter answers "does this rank run statement s at point p?"
+// with a general iset.Set membership scan on every iteration point; a
+// unit tests the point against boxes the precheck packed once per
+// invocation, and for innermost loops the member boxes additionally
+// tighten the loop range itself so non-member points are never visited
+// at all.
 
 import (
 	"math"
+	"slices"
 
 	"dhpf/internal/iset"
 )
@@ -36,33 +39,29 @@ type clampRange struct {
 	lo, hi int
 }
 
-// buildGuards populates f.guards and f.clamps from the activation's
-// iteration sets.  Guards are exact restatements of the interpreter's
-// membership test; clamps may only discard iterations on which no member
-// statement would execute.
+// buildGuards rebuilds f.guards and f.clamps from the activation's
+// iteration sets, in the backing arrays an earlier activation of the
+// procedure left, overwriting every entry whole.  Guards are exact
+// restatements of the interpreter's membership test; clamps may only
+// discard iterations on which no member statement would execute.
 func buildGuards(f *frame, pp *procPlan) {
-	f.guards = make([]stmtGuard, len(pp.guardStmts))
+	f.guards = slices.Grow(f.guards[:0], len(pp.guardStmts))[:len(pp.guardStmts)]
 	for i, gs := range pp.guardStmts {
 		s := f.iters[gs.id]
-		g := &f.guards[i]
-		switch {
+		switch bs := s.SharedBoxes(); {
 		case s.IsEmpty():
-			g.kind = guardNever
-		default:
+			f.guards[i] = stmtGuard{kind: guardNever}
+		case len(bs) == 1 && bs[0].Rank() == len(gs.nestSlots):
 			// The set's own box, shared and only ever read.
-			if bs := s.SharedBoxes(); len(bs) == 1 && bs[0].Rank() == len(gs.nestSlots) {
-				g.kind = guardBox
-				g.lo, g.hi = bs[0].Lo, bs[0].Hi
-			} else {
-				// Multi-box set, or a rank mismatch against the nest (the
-				// precheck then bails).
-				g.kind = guardSet
-				g.set = s
-			}
+			f.guards[i] = stmtGuard{kind: guardBox, lo: bs[0].Lo, hi: bs[0].Hi}
+		default:
+			// Multi-box set, or a rank mismatch against the nest (the
+			// precheck then bails).
+			f.guards[i] = stmtGuard{kind: guardSet, set: s}
 		}
 	}
 
-	f.clamps = make([]clampRange, len(pp.clamps))
+	f.clamps = slices.Grow(f.clamps[:0], len(pp.clamps))[:len(pp.clamps)]
 	for i, cs := range pp.clamps {
 		c := clampRange{lo: 0, hi: -1} // all members empty: run nothing
 		for _, gi := range cs.members {

@@ -234,10 +234,19 @@ type frame struct {
 	// iteration sets (this rank) per assignment/call statement id,
 	// computed over the statement's full nest at procedure entry
 	iters map[int]iset.Set
+	// locals holds, per declaration of proc, the array an activation
+	// allocated for it (nil: a scalar, or aliased at every activation so
+	// far): reset hands it to the next activation, zeroed.
+	locals []*array
+	// pos is proc's index in the rank's free list, and next links the
+	// frames of finished activations of proc there.
+	pos  int
+	next *frame
 
-	// Compiled-engine state, derived on the frame's first unit invocation
-	// (nil under the interpreter): array slots, and the guards and clamps
-	// derived from iters (engine_bounds.go).
+	// Compiled-engine state, rebuilt in place on the activation's first
+	// unit invocation (bound; never under the interpreter): array slots,
+	// and the guards and clamps derived from iters (engine_bounds.go).
+	bound  bool
 	aslots []*array
 	guards []stmtGuard
 	clamps []clampRange
@@ -258,14 +267,19 @@ type rankExec struct {
 	frames    []*frame
 	flops     float64
 	mainFrame *frame // retained after execution for result gathering
+	// free holds, per procedure (sched.ProcSched.Index), the frames of
+	// its finished activations, linked through frame.next: Enter takes
+	// one back before it makes one.  The main frame never returns.
+	free     []*frame
+	stackBuf [8]*frame // frames and free of a program with at most 4 procedures
 
 	// The array and value actuals of the call being entered, collected
-	// by Actual and consumed by Enter.
+	// by Actual and consumed by Enter, which empties them for the next.
 	actualArrays map[string]*array
 	actualFloats map[string]float64
 
 	// payload is the reused message staging buffer (mpsim.Send copies
-	// before returning).
+	// before returning), grown to a transfer's size before it is packed.
 	payload []float64
 	// The array and element count of the last transfer this thread
 	// published: what a deadlock report says its Drain waits to have
@@ -297,6 +311,11 @@ type rankExec struct {
 
 func newRankExec(s *sched.Schedule, rk *mpsim.Rank, th *shm.Thread, plan *enginePlan, native []KernelFunc) *rankExec {
 	rx := &rankExec{rk: rk, th: th, plan: plan, native: native}
+	n, stack := s.NumProcs(), rx.stackBuf[:]
+	if 2*n > len(stack) {
+		stack = make([]*frame, 2*n)
+	}
+	rx.frames, rx.free = stack[:0:n], stack[n:2*n]
 	var ops sched.Ops = rx
 	if plan != nil {
 		// One integer block holds the slots and, behind them, the kernel
@@ -352,48 +371,97 @@ func (rx *rankExec) combine(op byte, v, s0 float64) float64 {
 	return rx.rk.AllReduce(op, v) // '<' min, '>' max: every rank's partial includes s0
 }
 
-// newFrame lays out a procedure activation under the entry binding.
-// actualArrays maps formal array names to the caller's array objects
-// (aliasing, like Fortran); every other declared array is allocated.
+// newFrame lays out a procedure activation under the entry binding, in a
+// frame of its own: the serial oracle's.  actualArrays maps formal array
+// names to the caller's array objects (aliasing, like Fortran); every
+// other declared array is allocated.
 func newFrame(proc *ir.Procedure, bind map[string]int, actualArrays map[string]*array, floatFormals map[string]float64) *frame {
-	f := &frame{proc: proc, arrays: map[string]*array{}, fenv: map[string]float64{}}
+	f := &frame{arrays: map[string]*array{}, fenv: map[string]float64{}}
+	f.reset(proc, bind, actualArrays, floatFormals)
+	return f
+}
+
+// reset lays out an activation of proc in f, whatever an earlier
+// activation of proc left there: the names are rebound to the actuals,
+// and each other declared array is the one the last activation had,
+// zeroed, while its bounds under the entry binding are the same, a new
+// one when they differ.  Either way it reads as zero throughout, as a
+// fresh activation's does.  The kernel state is unbound.
+func (f *frame) reset(proc *ir.Procedure, bind map[string]int, actualArrays map[string]*array, floatFormals map[string]float64) {
+	f.proc, f.bound = proc, false
+	clear(f.arrays)
+	clear(f.fenv)
 	for name, a := range actualArrays {
 		f.arrays[name] = a
 	}
 	for name, v := range floatFormals {
 		f.fenv[name] = v
 	}
-	for _, d := range proc.Decls {
+	if len(f.locals) != len(proc.Decls) {
+		f.locals = make([]*array, len(proc.Decls))
+	}
+	for i, d := range proc.Decls {
 		if d.Rank() == 0 {
 			continue
 		}
 		if _, aliased := f.arrays[d.Name]; aliased {
 			continue
 		}
-		lo := make([]int, d.Rank())
-		hi := make([]int, d.Rank())
-		for k := range d.LB {
-			lo[k] = d.LB[k].EvalOr(bind, 0)
-			hi[k] = d.UB[k].EvalOr(bind, 0)
+		a := f.locals[i]
+		if a != nil && a.boundsAre(d, bind) {
+			clear(a.data)
+		} else {
+			r := d.Rank()
+			dims := make([]int, 2*r)
+			lo, hi := dims[:r:r], dims[r:]
+			for k := range d.LB {
+				lo[k] = d.LB[k].EvalOr(bind, 0)
+				hi[k] = d.UB[k].EvalOr(bind, 0)
+			}
+			a = newArray(d.Name, lo, hi)
+			f.locals[i] = a
 		}
-		f.arrays[d.Name] = newArray(d.Name, lo, hi)
+		f.arrays[d.Name] = a
 	}
-	return f
+}
+
+// boundsAre reports whether a has the bounds d declares under bind.
+func (a *array) boundsAre(d *ir.Decl, bind map[string]int) bool {
+	for k := range d.LB {
+		if a.lo[k] != d.LB[k].EvalOr(bind, 0) || a.hi[k] != d.UB[k].EvalOr(bind, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // --- sched.Ops: the reference interpreter ----------------------------------------
 
 func (rx *rankExec) Enter(sf *sched.Frame) {
-	f := newFrame(sf.Proc, rx.Bind, rx.actualArrays, rx.actualFloats)
+	pos := sf.Index()
+	f := rx.free[pos]
+	if f != nil {
+		rx.free[pos], f.next = f.next, nil
+	} else {
+		f = &frame{pos: pos, arrays: map[string]*array{}, fenv: map[string]float64{}}
+	}
+	f.reset(sf.Proc, rx.Bind, rx.actualArrays, rx.actualFloats)
 	f.iters = sf.Iters
 	rx.frames = append(rx.frames, f)
 	if rx.mainFrame == nil {
 		rx.mainFrame = f
 	}
-	rx.actualArrays, rx.actualFloats = nil, nil
+	clear(rx.actualArrays)
+	clear(rx.actualFloats)
 }
 
-func (rx *rankExec) Leave() { rx.frames = rx.frames[:len(rx.frames)-1] }
+func (rx *rankExec) Leave() {
+	f := rx.top()
+	rx.frames = rx.frames[:len(rx.frames)-1]
+	if f != rx.mainFrame {
+		rx.free[f.pos], f.next = f, rx.free[f.pos]
+	}
+}
 
 func (rx *rankExec) Actual(formal string, arg ir.Expr) {
 	if sched.ClassifyArg(arg) == sched.ArgAlias {
@@ -549,7 +617,7 @@ func (rx *rankExec) Send(plan []sched.Transfer, base int) {
 			rx.pubArray, rx.pubElems = tr.Array, int(tr.Elems)
 			continue
 		}
-		rx.payload = packPayload(rx.payload[:0], f.arrays[tr.Array], tr.Boxes)
+		rx.payload = packPayload(slices.Grow(rx.payload[:0], int(tr.Elems)), f.arrays[tr.Array], tr.Boxes)
 		rx.rk.Send(tr.To, base+i, rx.payload)
 	}
 }

@@ -413,7 +413,7 @@ func (x *kextract) array(name string) int {
 }
 
 // paramAff evaluates a declaration-bound affine over parameters alone,
-// matching newFrame's EvalOr(Bind, 0) when every term is a parameter.
+// matching frame.reset's EvalOr(Bind, 0) when every term is a parameter.
 func (x *kextract) paramAff(a ir.AffExpr) (int, bool) {
 	v := a.Const
 	for _, t := range a.Terms {

@@ -16,6 +16,7 @@ package spmd
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync/atomic"
 )
@@ -239,20 +240,23 @@ func subIv(s KSub, ints []int, hull []kiv) kiv {
 }
 
 // runUnit is one invocation of a unit under the walker's current binding
-// and strip: the integers it names are loaded from Bind and prechecked;
-// on success its scalars are loaded from the frame, the unit runs —
+// and strip.  The activation's first invocation binds the frame: its
+// array slots, guards and clamps are rebuilt in place (buildGuards).  The
+// integers the unit names are loaded from Bind and prechecked; on
+// success its scalars are loaded from the frame, the unit runs —
 // natively or on the evaluator — in place of the walker's iteration of
 // the root loop, and the scalars it may have stored go back.  Returns
 // false, nothing written, for the walker to interpret the loop instead.
 func (rx *rankExec) runUnit(ui int) bool {
 	u := rx.plan.units[ui]
 	f, e := rx.top(), &rx.env
-	if f.aslots == nil {
-		f.aslots = make([]*array, len(u.pp.arraySlot))
+	if !f.bound {
+		f.aslots = slices.Grow(f.aslots[:0], len(u.pp.arraySlot))[:len(u.pp.arraySlot)]
 		for name, idx := range u.pp.arraySlot {
 			f.aslots[idx] = f.arrays[name]
 		}
 		buildGuards(f, u.pp)
+		f.bound = true
 	}
 	for _, v := range u.ints {
 		e.ints[v.slot], e.intSet[v.slot] = rx.Bind[v.name]

@@ -57,9 +57,12 @@ func execute(t *testing.T, prog *spmd.Program, engine spmd.Engine) *spmd.ExecRes
 // grain 1 moves 912 tiny transfers, so the message path shows there too:
 // a mailbox per (src, dst, tag), a queue that grows or a box odometer on
 // the heap cost LU on mp about 2 000 allocations, on shm and hybrid about
-// 1 400.  No kernel is registered in this package, and the codegen engine
-// binds its units once per plan, so a steady codegen execution allocates
-// within a count or two of the default engine's.
+// 1 400.  BT calls its solve_cell leaf about a hundred times per
+// execution: a frame, its maps, kernel slots, guards and clamps built per
+// activation cost it about a thousand.  No kernel is registered in this
+// package, and the codegen engine binds its units once per plan, so a
+// steady codegen execution allocates within a count or two of the
+// default engine's.
 func TestAllocationBudgets(t *testing.T) {
 	if raceDetector {
 		t.Skip("allocation counts are inflated under -race")
@@ -68,23 +71,79 @@ func TestAllocationBudgets(t *testing.T) {
 	lu := compileAt(t, luSrc, 1)
 	luShm, luHybrid := compileOn(t, luSrc, 1, passes.BackendShm), compileOn(t, luSrc, 1, passes.BackendHybrid)
 	sp := compileAt(t, nas.SPSource(16, 1, 2, 2), 0)
+	bt := compileAt(t, nas.BTSource(12, 1, 2, 2), 0)
 	for _, c := range []struct {
 		name   string
 		prog   *spmd.Program
 		engine spmd.Engine
 		budget float64
 	}{
-		{"lu16 grain 1", lu, spmd.EngineCompiled, 777},               // measured 706
-		{"lu16 grain 1, codegen", lu, spmd.EngineCodegen, 777},       // measured 706
-		{"lu16 grain 1, shm", luShm, spmd.EngineCompiled, 224},       // measured 203
-		{"lu16 grain 1, hybrid", luHybrid, spmd.EngineCompiled, 229}, // measured 207–208
-		{"sp16", sp, spmd.EngineCompiled, 322},                       // measured 292
+		{"lu16 grain 1", lu, spmd.EngineCompiled, 713},               // measured 647–648
+		{"lu16 grain 1, codegen", lu, spmd.EngineCodegen, 713},       // measured 648
+		{"lu16 grain 1, shm", luShm, spmd.EngineCompiled, 184},       // measured 167
+		{"lu16 grain 1, hybrid", luHybrid, spmd.EngineCompiled, 189}, // measured 172
+		{"sp16", sp, spmd.EngineCompiled, 244},                       // measured 222
+		{"bt12", bt, spmd.EngineCompiled, 263},                       // measured 239
 	} {
 		got := testing.AllocsPerRun(5, func() { execute(t, c.prog, c.engine) })
 		if got > c.budget {
 			t.Errorf("%s: a steady execution allocates %.0f times, budget %.0f", c.name, got, c.budget)
 		}
 		t.Logf("%s: %.0f allocations per steady execution", c.name, got)
+	}
+}
+
+// leafCallsSrc calls leaf K times from main's loop: an array formal, an
+// integer formal and a value formal, a loop the compiled engines run as
+// a kernel unit.
+const leafCallsSrc = `
+program leaf_calls
+param N = 64
+param K = 8
+!hpf$ processors procs(4)
+!hpf$ distribute a(BLOCK) onto procs
+
+subroutine leaf(v, kk, s)
+  real v(0:N-1)
+  do i = 0, N-1
+    v(i) = v(i) + s * kk
+  enddo
+end
+
+subroutine main()
+  real a(0:N-1)
+  do i = 0, N-1
+    a(i) = 1.0 * i
+  enddo
+  do k = 1, K
+    call leaf(a, k, 0.5 * k)
+  enddo
+end
+`
+
+// TestActivationsDoNotAllocate: a procedure activation costs a steady
+// execution nothing — its frame, actuals, kernel slots and guards and
+// the walker's frame are the rank's from the activation before — so the
+// execution allocates as much at 64 calls per rank as at 8.
+func TestActivationsDoNotAllocate(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	for _, backend := range []string{passes.BackendMP, passes.BackendShm} {
+		var allocs [2]float64
+		for i, k := range []int{8, 64} {
+			opt := spmd.DefaultOptions()
+			opt.Backend = backend
+			prog, err := spmd.CompileSource(leafCallsSrc, map[string]int{"K": k}, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			allocs[i] = testing.AllocsPerRun(5, func() { execute(t, prog, spmd.EngineCompiled) })
+		}
+		if math.Abs(allocs[1]-allocs[0]) > 1 {
+			t.Errorf("%s: a steady execution allocates %.0f times at 8 calls per rank, %.0f at 64", backend, allocs[0], allocs[1])
+		}
+		t.Logf("%s: %.0f allocations per steady execution at 8 calls per rank, %.0f at 64", backend, allocs[0], allocs[1])
 	}
 }
 
