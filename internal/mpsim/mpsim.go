@@ -17,17 +17,25 @@
 // The package is the one machine core under every execution substrate:
 // rank goroutines, clocks and idle accounting, one mailbox per rank
 // (allocated with the machine: the rank's queued messages and the payload
-// buffers it recycled), the abort protocol, the deadlock detector,
-// barriers, rank-order reductions, trace capture and result assembly live
-// here once.  Send/Recv below are the message front; internal/shm is the
-// shared-memory front, built on Post, Take, PaySend, Spend, Sleep, Wake
-// and NewCond.
+// buffers it recycled, by size class), the abort protocol, the deadlock
+// detector, barriers, rank-order reductions, trace capture and result
+// assembly live here once.  Send/Recv below are the message front;
+// internal/shm is the shared-memory front, built on Post, Take, PaySend,
+// Spend, Sleep, Wake and NewCond.
+//
+// A machine runs more than once.  Every run starts its clocks, counters,
+// collectives, wait table and abort flag at zero, and Configure rebinds
+// the cost model and limits between runs, while the ranks, the mailboxes'
+// queue storage and their payload free lists stay: a caller that keeps a
+// machine (internal/spmd keeps one per compiled program) sends its next
+// run's messages into the buffers the last run recycled.
 package mpsim
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -140,16 +148,18 @@ type letter struct {
 
 // mailbox is one rank's incoming messages.  Every sender to the rank
 // appends under mu; only the rank itself takes, so cond has at most one
-// waiter.  free holds the payload buffers the rank recycled: a Send to
-// the rank copies into one of them, so in a steady exchange buffers
-// circulate between the mailbox and its owner and a message allocates
-// nothing.
+// waiter.  free holds the payload buffers the rank recycled, by size
+// class: a Send to the rank copies into one of them, so in a steady
+// exchange buffers circulate between the mailbox and its owner and a
+// message allocates nothing.
 type mailbox struct {
 	mu    sync.Mutex
 	cond  sync.Cond
 	queue []letter // queue[head:] waits, in posting order
 	head  int
-	free  [][]float64
+	// free[c] holds recycled buffers whose capacity is at least 1<<c and
+	// less than 1<<(c+1).
+	free [bits.UintSize][][]float64
 }
 
 // push appends l, reusing the queue's storage: a full queue whose front
@@ -187,20 +197,32 @@ func (mb *mailbox) take(src, tag int) (Message, bool) {
 	return Message{}, false
 }
 
-// buf returns a payload buffer of exactly n elements: the buffer the
-// owner recycled last when it is large enough, else a fresh one.  A
-// recycled buffer too small is dropped, so the free list never holds more
-// buffers than the owner once had messages in flight.
+// buf returns a payload buffer of exactly n elements: one the owner
+// recycled from n's size class — the capacities from n rounded up to a
+// power of two to just under twice that — else a fresh one with that
+// power of two as capacity.  A class only ever serves its own sizes, so
+// however the sizes of a machine's runs mix, each class holds no more
+// buffers than the owner once had messages of its sizes in flight, each
+// under twice the size of any of them.
 func (mb *mailbox) buf(n int) []float64 {
-	if k := len(mb.free) - 1; k >= 0 {
-		b := mb.free[k]
-		mb.free[k] = nil
-		mb.free = mb.free[:k]
-		if cap(b) >= n {
-			return b[:n]
-		}
+	c := bits.Len(uint(max(n, 1) - 1))
+	free := mb.free[c]
+	if k := len(free) - 1; k >= 0 {
+		b := free[k]
+		free[k] = nil
+		mb.free[c] = free[:k]
+		return b[:n]
 	}
-	return make([]float64, n)
+	return make([]float64, n, 1<<c)
+}
+
+// recycle files b under its capacity's size class.
+func (mb *mailbox) recycle(b []float64) {
+	if cap(b) == 0 {
+		return
+	}
+	c := bits.Len(uint(cap(b))) - 1
+	mb.free[c] = append(mb.free[c], b)
 }
 
 // SyncCost is what completing a team-wide collective adds to the latest
@@ -312,14 +334,18 @@ type deadlockError string
 func (e deadlockError) Error() string { return string(e) }
 func (e deadlockError) Unwrap() error { return ErrDeadlock }
 
-// Machine is the running virtual machine.
+// Machine is the virtual machine.
 type Machine struct {
 	cfg Config
-	// abortErr is set once by Abort; every rank observing it panics with
-	// the stored error, which the body's recover handler reports.
+	// abortErr is set once per run by Abort; every rank observing it
+	// panics with the stored error, which the body's recover handler
+	// reports.
 	abortErr atomic.Pointer[error]
-	// boxes holds each rank's mailbox, by rank, for the machine's life.
+	// ranks and boxes hold each rank and its mailbox, by rank, for the
+	// machine's life.
+	ranks []Rank
 	boxes []mailbox
+	wg    sync.WaitGroup
 	// mu guards conds: every condition a rank can block on other than its
 	// mailbox's — both collectives' and whatever a front registered with
 	// NewCond.
@@ -391,33 +417,87 @@ func (r *Result) TotalBytes() int64 {
 // executor and the nas hand-coded drivers do) and surface it to their
 // caller.
 func Run(cfg Config, body func(r *Rank)) *Result {
-	steps := math.Ceil(math.Log2(float64(cfg.Procs)))
-	return NewMachine(cfg, SyncCost{
-		Barrier: cfg.Latency * steps,
-		Reduce:  [3]float64{steps * (cfg.Latency + 8*cfg.GapPerByte)},
-	}).Run(body)
+	return NewMachine(cfg, MessageCost(cfg)).Run(body)
 }
 
-// NewMachine builds a machine whose collectives complete cost after the
-// last arrival.  A front with a blocking condition of its own registers
-// it (NewCond) before calling Run.
+// MessageCost is the message machine's collective cost: a log-tree of
+// message latencies, plus a reduction's 8 bytes per step.
+func MessageCost(cfg Config) SyncCost {
+	steps := math.Ceil(math.Log2(float64(cfg.Procs)))
+	return SyncCost{
+		Barrier: cfg.Latency * steps,
+		Reduce:  [3]float64{steps * (cfg.Latency + 8*cfg.GapPerByte)},
+	}
+}
+
+// NewMachine builds a machine of cfg.Procs ranks whose collectives
+// complete cost after the last arrival.  A front with a blocking
+// condition of its own registers it (NewCond) before calling Run.
 func NewMachine(cfg Config, cost SyncCost) *Machine {
 	if cfg.Procs <= 0 {
 		panic("mpsim: Procs must be positive")
 	}
-	m := &Machine{cfg: cfg, boxes: make([]mailbox, cfg.Procs)}
+	m := &Machine{ranks: make([]Rank, cfg.Procs), boxes: make([]mailbox, cfg.Procs)}
 	for i := range m.boxes {
+		m.ranks[i] = Rank{ID: i, m: m}
 		m.boxes[i].cond.L = &m.boxes[i].mu
 	}
-	m.waits.rows, m.waits.running = make([]waitRow, cfg.Procs), cfg.Procs
-	m.barrier.on, m.barrier.cost[0] = Wait{On: "barrier"}, cost.Barrier
-	m.reduce.on, m.reduce.cost = Wait{On: "allreduce"}, cost.Reduce
+	m.waits.rows = make([]waitRow, cfg.Procs)
+	m.barrier.on, m.reduce.on = Wait{On: "barrier"}, Wait{On: "allreduce"}
 	for _, c := range []*collective{&m.barrier, &m.reduce} {
 		c.cond.L = &c.mu
 		c.vals = make([]float64, cfg.Procs)
 		m.conds = append(m.conds, &c.cond)
 	}
+	m.Configure(cfg, cost)
 	return m
+}
+
+// Configure sets the configuration and collective cost of the machine's
+// next runs; the rank count is the machine's for life.
+func (m *Machine) Configure(cfg Config, cost SyncCost) {
+	if cfg.Procs != len(m.ranks) {
+		panic(fmt.Sprintf("mpsim: a machine of %d ranks configured for %d", len(m.ranks), cfg.Procs))
+	}
+	m.cfg = cfg
+	m.barrier.cost = [3]float64{cost.Barrier}
+	m.reduce.cost = cost.Reduce
+}
+
+// Rank returns rank id, the same Rank in every run of the machine.
+func (m *Machine) Rank(id int) *Rank { return &m.ranks[id] }
+
+// Idle reports whether the machine's last run ended cleanly: no abort,
+// and no message left queued in any mailbox.
+func (m *Machine) Idle() bool {
+	if m.abortedErr() != nil {
+		return false
+	}
+	for i := range m.boxes {
+		if mb := &m.boxes[i]; mb.head != len(mb.queue) {
+			return false
+		}
+	}
+	return true
+}
+
+// reset starts a run: clocks, counters, events, collectives, the wait
+// table and the abort flag at zero, every queue empty.  What the ranks
+// recycled stays in their free lists.
+func (m *Machine) reset() {
+	m.abortErr.Store(nil)
+	for i := range m.ranks {
+		m.ranks[i] = Rank{ID: i, m: m}
+		mb := &m.boxes[i]
+		clear(mb.queue)
+		mb.queue, mb.head = mb.queue[:0], 0
+	}
+	for _, c := range []*collective{&m.barrier, &m.reduce} {
+		c.count, c.gen, c.max, c.target, c.result = 0, 0, 0, 0, 0
+	}
+	clear(m.waits.rows)
+	m.waits.running = len(m.ranks)
+	m.waits.asleep.Store(0)
 }
 
 // NewCond returns a condition on l that Abort wakes; ranks wait on it
@@ -431,36 +511,28 @@ func (m *Machine) NewCond(l sync.Locker) *sync.Cond {
 }
 
 // Run executes body on every rank concurrently and collects the result.
+// The machine may run again once Run has returned.
 func (m *Machine) Run(body func(r *Rank)) *Result {
-	procs := m.cfg.Procs
-	ranks := make([]*Rank, procs)
-	var wg sync.WaitGroup
-	for i := range ranks {
-		ranks[i] = &Rank{ID: i, m: m}
-		wg.Add(1)
-		go func(r *Rank) {
-			defer wg.Done()
-			body(r)
-			// A returned rank will never post, complete or acknowledge
-			// again: peers still asleep once every rank has settled
-			// wait forever.
-			if err := m.waits.settle(r, finished, Wait{}); err != nil {
-				m.Abort(err)
-			}
-		}(ranks[i])
+	m.reset()
+	for i := range m.ranks {
+		m.wg.Add(1)
+		go m.runRank(&m.ranks[i], body)
 	}
-	wg.Wait()
+	m.wg.Wait()
 
+	p := len(m.ranks)
+	floats, counts := make([]float64, 3*p), make([]int64, 3*p)
 	res := &Result{
-		Procs:     procs,
-		RankTime:  make([]float64, procs),
-		RankIdle:  make([]float64, procs),
-		RankFlops: make([]float64, procs),
-		SentMsgs:  make([]int64, procs),
-		SentBytes: make([]int64, procs),
-		RecvMsgs:  make([]int64, procs),
+		Procs:     p,
+		RankTime:  floats[:p:p],
+		RankIdle:  floats[p : 2*p : 2*p],
+		RankFlops: floats[2*p:],
+		SentMsgs:  counts[:p:p],
+		SentBytes: counts[p : 2*p : 2*p],
+		RecvMsgs:  counts[2*p:],
 	}
-	for i, r := range ranks {
+	for i := range m.ranks {
+		r := &m.ranks[i]
 		res.RankTime[i] = r.clock
 		res.RankIdle[i] = r.idle
 		res.RankFlops[i] = r.flops
@@ -470,13 +542,25 @@ func (m *Machine) Run(body func(r *Rank)) *Result {
 		res.Time = math.Max(res.Time, r.clock)
 		res.Events = append(res.Events, r.events...)
 	}
-	sort.Slice(res.Events, func(i, j int) bool {
-		if res.Events[i].Rank != res.Events[j].Rank {
-			return res.Events[i].Rank < res.Events[j].Rank
-		}
-		return res.Events[i].Start < res.Events[j].Start
-	})
+	if len(res.Events) > 0 {
+		sort.Slice(res.Events, func(i, j int) bool {
+			if res.Events[i].Rank != res.Events[j].Rank {
+				return res.Events[i].Rank < res.Events[j].Rank
+			}
+			return res.Events[i].Start < res.Events[j].Start
+		})
+	}
 	return res
+}
+
+func (m *Machine) runRank(r *Rank, body func(r *Rank)) {
+	defer m.wg.Done()
+	body(r)
+	// A returned rank will never post, complete or acknowledge again:
+	// peers still asleep once every rank has settled wait forever.
+	if err := m.waits.settle(r, finished, Wait{}); err != nil {
+		m.Abort(err)
+	}
 }
 
 // Abort marks the machine dead with the given cause (first call wins)
@@ -722,7 +806,7 @@ func (r *Rank) Recycle(buf []float64) {
 	}
 	mb := &r.m.boxes[r.ID]
 	mb.mu.Lock()
-	mb.free = append(mb.free, buf)
+	mb.recycle(buf)
 	mb.mu.Unlock()
 }
 

@@ -166,3 +166,110 @@ func TestRecycledBufferIsReusedBySend(t *testing.T) {
 		}
 	})
 }
+
+// TestReusedFreeListsStayBounded: a machine kept across runs whose
+// payload sizes mix keeps, per size class, only what the class had in
+// flight.  Each run has 64 payloads in flight at once: one of 1 000
+// doubles, at a tag that moves from run to run, and 63 small ones.  A
+// free list that hands any large-enough buffer to any request lets the
+// small payloads take the large buffers while the large one drops a
+// small buffer for a fresh one, so large buffers pile up (one such list
+// retained 3 183 doubles after the third run, against a high water of
+// 1 189); by size class the retained capacity stays under twice the
+// in-flight high water.
+func TestReusedFreeListsStayBounded(t *testing.T) {
+	cfg := testCfg(2)
+	m := NewMachine(cfg, MessageCost(cfg))
+	out := make([]float64, 1000)
+	for i := range out {
+		out[i] = float64(i)
+	}
+	high := 0
+	for run := 0; run < 16; run++ {
+		sizes := make([]int, 64)
+		for tag := range sizes {
+			sizes[tag] = 1 + run%8
+		}
+		sizes[run*17%64] = 1000
+		inFlight := 0
+		for _, n := range sizes {
+			inFlight += n
+		}
+		high = max(high, inFlight)
+		m.Run(func(r *Rank) {
+			if r.ID == 0 {
+				for tag, n := range sizes {
+					r.Send(1, tag, out[:n])
+				}
+				r.Barrier()
+				return
+			}
+			r.Barrier()
+			got := make([][]float64, len(sizes))
+			for tag, n := range sizes {
+				got[tag] = r.Recv(0, tag)
+				if len(got[tag]) != n || got[tag][n-1] != float64(n-1) {
+					t.Errorf("run %d tag %d: payload of %d doubles arrived as %d", run, tag, n, len(got[tag]))
+				}
+			}
+			for _, b := range got {
+				r.Recycle(b)
+			}
+		})
+		if !m.Idle() {
+			t.Fatalf("run %d left the machine busy", run)
+		}
+		retained := 0
+		for _, class := range m.boxes[1].free {
+			for _, b := range class {
+				retained += cap(b)
+			}
+		}
+		if retained > 2*high {
+			t.Fatalf("run %d: %d doubles retained, in-flight high water %d", run, retained, high)
+		}
+	}
+}
+
+// TestRunAgainIsFirstRun: a machine's later runs start where its first
+// did — clocks, counters, collectives and the abort flag at zero — even
+// after a run that aborted, and under the configuration of the run.
+func TestRunAgainIsFirstRun(t *testing.T) {
+	cfg := testCfg(3)
+	body := func(r *Rank) {
+		peer := (r.ID + 1) % 3
+		r.Compute(float64(1000 * (r.ID + 1)))
+		r.Send(peer, 1, make([]float64, 8*(r.ID+1)))
+		r.Recycle(r.Recv((r.ID+2)%3, 1))
+		r.AllReduce('+', float64(r.ID))
+		r.Barrier()
+	}
+	want := Run(cfg, body)
+	m := NewMachine(cfg, MessageCost(cfg))
+	for run := 0; run < 4; run++ {
+		if run == 2 { // an aborted run in between
+			limited := cfg
+			limited.TimeLimit = want.Time / 2
+			m.Configure(limited, MessageCost(limited))
+			m.Run(func(r *Rank) {
+				defer func() { recover() }()
+				body(r)
+			})
+			if m.Idle() {
+				t.Fatal("an aborted run left the machine idle")
+			}
+			m.Configure(cfg, MessageCost(cfg))
+		}
+		got := m.Run(body)
+		if got.Time != want.Time || got.TotalMessages() != want.TotalMessages() || got.TotalBytes() != want.TotalBytes() {
+			t.Fatalf("run %d: time %v, %d msgs, %d B; a fresh machine's %v, %d, %d", run,
+				got.Time, got.TotalMessages(), got.TotalBytes(), want.Time, want.TotalMessages(), want.TotalBytes())
+		}
+		for i := range want.RankTime {
+			if got.RankTime[i] != want.RankTime[i] || got.RankIdle[i] != want.RankIdle[i] || got.RankFlops[i] != want.RankFlops[i] {
+				t.Fatalf("run %d rank %d: clock %v idle %v flops %v; a fresh machine's %v %v %v", run, i,
+					got.RankTime[i], got.RankIdle[i], got.RankFlops[i], want.RankTime[i], want.RankIdle[i], want.RankFlops[i])
+			}
+		}
+	}
+}

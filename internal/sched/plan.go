@@ -62,13 +62,15 @@ type Firing struct {
 }
 
 // Transfer is one transfer of a memoized plan, resolved once when the
-// plan is stored: Boxes are Data's boxes in canonical order
+// plan is stored: Boxes are the planned set's boxes in canonical order
 // (iset.Set.Each's, so every consumer packs and unpacks the same element
-// order) and Elems its cardinality.  Both are shared and read-only.
+// order) and Elems its cardinality.  The set itself is not kept.  Both
+// are shared and read-only.
 type Transfer struct {
-	comm.Transfer
-	Boxes []iset.Box
-	Elems int64
+	Array    string
+	From, To int
+	Boxes    []iset.Box
+	Elems    int64
 }
 
 // Bytes returns the message payload size.
@@ -193,7 +195,7 @@ func (s *Schedule) Transfers(f *Firing, at Point, ks *KeyScratch) (plan []Transf
 func resolve(plan []comm.Transfer) []Transfer {
 	out := make([]Transfer, len(plan))
 	for i, t := range plan {
-		out[i] = Transfer{Transfer: t, Boxes: t.Data.Boxes(), Elems: t.Data.Card()}
+		out[i] = Transfer{Array: t.Array, From: t.From, To: t.To, Boxes: t.Data.Boxes(), Elems: t.Data.Card()}
 	}
 	return out
 }

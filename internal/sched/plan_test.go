@@ -250,9 +250,18 @@ func TestMemoKey(t *testing.T) {
 		if !miss || again {
 			t.Errorf("%q: first lookup miss = %v, second = %v; want true, false", name, miss, again)
 		}
-		for _, tr := range first {
-			if tr.Elems != tr.Data.Card() || fmt.Sprint(tr.Boxes) != fmt.Sprint(tr.Data.Boxes()) {
-				t.Errorf("%q: resolved %d elements %v, the set holds %d %v", name, tr.Elems, tr.Boxes, tr.Data.Card(), tr.Data.Boxes())
+		// The memo's boxes are a fresh plan's at the same point.
+		fresh := s.Plan(p.f.Proc, p.f.Events, p.at)
+		if len(fresh) != len(first) {
+			t.Errorf("%q: memoized %d transfers, a fresh plan has %d", name, len(first), len(fresh))
+			continue
+		}
+		for i, tr := range first {
+			want := fresh[i]
+			if tr.Array != want.Array || tr.From != want.From || tr.To != want.To ||
+				tr.Elems != want.Data.Card() || fmt.Sprint(tr.Boxes) != fmt.Sprint(want.Data.Boxes()) {
+				t.Errorf("%q: memoized %s %d->%d, %d elements %v; a fresh plan has %s %d->%d, %d elements %v", name,
+					tr.Array, tr.From, tr.To, tr.Elems, tr.Boxes, want.Array, want.From, want.To, want.Data.Card(), want.Data.Boxes())
 			}
 		}
 	}

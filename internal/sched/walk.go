@@ -120,10 +120,20 @@ func NewWalker(s *Schedule, me int, ops Ops) *Walker {
 	w.point = scratch(w.pointBuf[:], s.deepest)
 	w.frames = scratch(w.frameBuf[:], s.NumProcs())
 	w.key.buf = w.keyBuf[:0]
-	for k, v := range s.Ctx.Bind.Params {
+	w.Reset()
+	return w
+}
+
+// Reset readies the walker for another walk of its schedule: bound to
+// the program parameters, outside every strip, at the first tag block,
+// with no memo traffic counted.  Its scratch stays.
+func (w *Walker) Reset() {
+	clear(w.Bind)
+	for k, v := range w.S.Ctx.Bind.Params {
 		w.Bind[k] = v
 	}
-	return w
+	w.Strip, w.Plans, w.tagSeq, w.depth = nil, PlanStats{}, 0, 0
+	w.saved = w.saved[:0]
 }
 
 // scratch returns buf emptied when it has room for n, else a new empty

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"dhpf/internal/ir"
+	"dhpf/internal/iset"
 	"dhpf/internal/nas"
 	"dhpf/internal/sched"
 	"dhpf/internal/spmd"
@@ -88,10 +89,23 @@ func (r *recorder) side(what string, plan []sched.Transfer, base int, mine func(
 	var parts []string
 	for i, tr := range plan {
 		if ok, peer := mine(tr); ok {
-			parts = append(parts, fmt.Sprintf("tag %d %s%v rank %d", base+i, tr.Array, tr.Data, peer))
+			parts = append(parts, fmt.Sprintf("tag %d %s%v rank %d", base+i, tr.Array, setText(tr.Boxes), peer))
 		}
 	}
 	r.logf("%s block %d: %s", what, base, strings.Join(parts, "; "))
+}
+
+// setText renders a transfer's boxes as iset.Set.String renders the set
+// they were planned as.
+func setText(boxes []iset.Box) string {
+	if len(boxes) == 0 {
+		return "{}"
+	}
+	parts := make([]string, len(boxes))
+	for i, b := range boxes {
+		parts[i] = b.String()
+	}
+	return strings.Join(parts, " u ")
 }
 
 func (r *recorder) Send(plan []sched.Transfer, base int) {

@@ -42,7 +42,9 @@
 // limit, deadlock, Thread.Abort) panic with the mpsim error
 // values whatever the backend.  This package adds the rendezvous
 // operations, the group map, the outstanding-acknowledgement wait and the
-// cost model.
+// cost model.  Like the core machine, a Team runs more than once: its
+// threads, mailboxes and acknowledgement counters outlive a run, and
+// each run starts them at zero.
 package shm
 
 import (
@@ -92,22 +94,28 @@ func FromMachine(cfg mpsim.Config, groups []int) Config {
 	}
 }
 
-// team is the state the threads of one run share beyond the core
-// machine's.
-type team struct {
-	cfg Config
+// Team is a shared-memory team: the core machine, the acknowledgement
+// counters and one Thread per rank.  It runs more than once: every run
+// starts its clocks, counters and acknowledgements at zero, Configure
+// rebinds the cost model and limits between runs, and the mailboxes and
+// threads stay.
+type Team struct {
+	m      *mpsim.Machine
+	cfg    Config
+	groups int // the group count of cfg.Groups
 	// ackMu guards pending: published-not-yet-acknowledged token counts
 	// per producer thread.  Drain waits for its own count to reach zero.
 	ackMu   sync.Mutex
 	ackCond *sync.Cond
 	pending []int
+	threads []Thread
 }
 
 // Thread is one team member, owned by its goroutine: the core rank
 // (Compute, Barrier, AllReduce, Abort, …) plus the rendezvous operations.
 type Thread struct {
 	*mpsim.Rank
-	tm      *team
+	tm      *Team
 	pulls   int64
 	pulledB int64
 }
@@ -144,13 +152,34 @@ func (r *Result) TotalPulledBytes() int64 {
 	return n
 }
 
-// Run executes body on every thread concurrently.  The machine result
-// carries clocks, idle time, flops and trace events as on the message
-// machine; its message counters hold the cross-group publishes of a
-// hybrid layout (all zero for pure shm).  Aborts wake every blocked
-// thread, which panics with an error wrapping mpsim.ErrAborted; body is
-// expected to recover it.
+// Run executes body on every thread of a new team concurrently.  The
+// machine result carries clocks, idle time, flops and trace events as on
+// the message machine; its message counters hold the cross-group
+// publishes of a hybrid layout (all zero for pure shm).  Aborts wake
+// every blocked thread, which panics with an error wrapping
+// mpsim.ErrAborted; body is expected to recover it.
 func Run(cfg Config, body func(t *Thread)) (*mpsim.Result, *Result) {
+	return NewTeam(cfg).Run(body)
+}
+
+// NewTeam builds a team of cfg.Procs threads configured by cfg.
+func NewTeam(cfg Config) *Team {
+	tm := &Team{
+		m:       mpsim.NewMachine(cfg.Config, mpsim.SyncCost{}),
+		pending: make([]int, cfg.Procs),
+		threads: make([]Thread, cfg.Procs),
+	}
+	tm.ackCond = tm.m.NewCond(&tm.ackMu)
+	for i := range tm.threads {
+		tm.threads[i] = Thread{Rank: tm.m.Rank(i), tm: tm}
+	}
+	tm.Configure(cfg)
+	return tm
+}
+
+// Configure sets the configuration of the team's next runs; the thread
+// count is the team's for life.
+func (tm *Team) Configure(cfg Config) {
 	if cfg.Groups != nil && len(cfg.Groups) != cfg.Procs {
 		panic("shm: Groups must have one entry per thread")
 	}
@@ -158,26 +187,34 @@ func Run(cfg Config, body func(t *Thread)) (*mpsim.Result, *Result) {
 	// BarrierLatency plus cross-group steps at the message latency; a
 	// reduction also moves 8 bytes per step at each level's bandwidth.
 	groups, groupSteps, outerSteps := treeDepths(cfg)
-	syncCost := groupSteps*cfg.BarrierLatency + outerSteps*cfg.Latency
-	m := mpsim.NewMachine(cfg.Config, mpsim.SyncCost{
-		Barrier: syncCost,
-		Reduce:  [3]float64{syncCost, groupSteps * 8 * cfg.MemGapPerByte, outerSteps * 8 * cfg.GapPerByte},
+	step := groupSteps*cfg.BarrierLatency + outerSteps*cfg.Latency
+	tm.m.Configure(cfg.Config, mpsim.SyncCost{
+		Barrier: step,
+		Reduce:  [3]float64{step, groupSteps * 8 * cfg.MemGapPerByte, outerSteps * 8 * cfg.GapPerByte},
 	})
-	tm := &team{cfg: cfg, pending: make([]int, cfg.Procs)}
-	tm.ackCond = m.NewCond(&tm.ackMu)
+	tm.cfg, tm.groups = cfg, groups
+}
 
-	threads := make([]*Thread, cfg.Procs)
-	mres := m.Run(func(r *mpsim.Rank) {
-		threads[r.ID] = &Thread{Rank: r, tm: tm}
-		body(threads[r.ID])
-	})
-	res := &Result{
-		Threads:     cfg.Procs,
-		Groups:      groups,
-		Pulls:       make([]int64, cfg.Procs),
-		PulledBytes: make([]int64, cfg.Procs),
+// Thread returns thread id, the same Thread in every run of the team.
+func (tm *Team) Thread(id int) *Thread { return &tm.threads[id] }
+
+// Idle reports whether the team's last run ended cleanly: no abort, and
+// no token left unawaited.
+func (tm *Team) Idle() bool { return tm.m.Idle() }
+
+// Run executes body on every thread concurrently (see the package-level
+// Run).  The team may run again once Run has returned.
+func (tm *Team) Run(body func(t *Thread)) (*mpsim.Result, *Result) {
+	clear(tm.pending)
+	for i := range tm.threads {
+		tm.threads[i].pulls, tm.threads[i].pulledB = 0, 0
 	}
-	for i, t := range threads {
+	mres := tm.m.Run(func(r *mpsim.Rank) { body(&tm.threads[r.ID]) })
+	p := len(tm.threads)
+	counts := make([]int64, 2*p)
+	res := &Result{Threads: p, Groups: tm.groups, Pulls: counts[:p:p], PulledBytes: counts[p:]}
+	for i := range tm.threads {
+		t := &tm.threads[i]
 		res.Pulls[i] = t.pulls
 		res.PulledBytes[i] = t.pulledB
 		res.Barriers += t.Collectives()

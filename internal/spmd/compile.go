@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"dhpf/internal/analysis"
 	"dhpf/internal/cache"
@@ -67,6 +68,10 @@ type Program struct {
 	// Zero-point plans by event, each computed once (zeroPlan).
 	zeroMu sync.Mutex
 	zero   map[*comm.Event][]comm.Transfer
+
+	// The idle crew the next execution borrows (exec.go): empty while an
+	// execution holds it, or before the first one returns it.
+	crew atomic.Pointer[crew]
 }
 
 // Schedule returns the program's rank schedule, building it once.  Its

@@ -44,7 +44,9 @@ type ExecResult struct {
 	// firings and activations were computed rather than found.
 	Plans sched.PlanStats
 	prog  *Program
-	ranks []*rankExec
+	// main holds each rank's arrays of main, by rank: the execution's own,
+	// which no later execution touches.
+	main []map[string]*array
 }
 
 // NestStats is the slow path of one execution on a compiled engine,
@@ -68,7 +70,7 @@ func (er *ExecResult) Global(name string) ([]float64, []int, []int, error) {
 	if decl == nil {
 		return nil, nil, nil, fmt.Errorf("spmd: unknown array %q", name)
 	}
-	a0 := er.ranks[0].mainFrame.arrays[name]
+	a0 := er.main[0][name]
 	if a0 == nil {
 		return nil, nil, nil, fmt.Errorf("spmd: array %q not allocated in main", name)
 	}
@@ -79,7 +81,7 @@ func (er *ExecResult) Global(name string) ([]float64, []int, []int, error) {
 		return out.data, out.lo, out.hi, nil
 	}
 	for rank := 0; rank < er.prog.Grid.Size(); rank++ {
-		pullPayload(out, er.ranks[rank].mainFrame.arrays[name], []iset.Box{layout.LocalBox(rank)})
+		pullPayload(out, er.main[rank][name], []iset.Box{layout.LocalBox(rank)})
 	}
 	return out.data, out.lo, out.hi, nil
 }
@@ -115,65 +117,142 @@ func (p *Program) ExecuteEngine(cfg mpsim.Config, engine Engine) (*ExecResult, e
 		plan = p.enginePlanFor()
 		native = plan.bindKernels(engine)
 	}
-	ranks := make([]*rankExec, cfg.Procs)
-	var mu sync.Mutex
-	var execErr error
-	// runRank is every rank's body on either substrate.
-	runRank := func(rx *rankExec) {
-		ranks[rx.Me] = rx
-		defer func() {
-			rec := recover()
-			if rec == nil {
-				return
-			}
-			mu.Lock()
-			if execErr == nil {
-				// Machine aborts (time limit, deadlock) keep their typed
-				// error so callers can errors.Is on ErrAborted.
-				if err, ok := rec.(error); ok && errors.Is(err, mpsim.ErrAborted) {
-					execErr = err
-				} else {
-					execErr = fmt.Errorf("spmd: rank %d: %v", rx.Me, rec)
-				}
-			}
-			if debugPanics {
-				fmt.Println("SPMD-PANIC:", execErr)
-			}
-			mu.Unlock()
-			// A dead rank can never send, publish or acknowledge again:
-			// abort the machine so peers blocked on it unwind at once,
-			// with this rank's error and not the deadlock its absence
-			// would be reported as.
-			rx.rk.Abort(mpsim.ErrAborted)
-		}()
-		rx.Run()
-		rx.flushFlops()
+	c := p.crew.Swap(nil)
+	if c == nil {
+		c = p.newCrew(backend, cfg)
 	}
-	var res *mpsim.Result
-	var sres *shm.Result
-	if backend == passes.BackendMP {
-		res = mpsim.Run(cfg, func(r *mpsim.Rank) {
-			runRank(newRankExec(s, r, nil, plan, native))
-		})
-	} else {
-		res, sres = shm.Run(shm.FromMachine(cfg, p.shmGroups(backend)), func(t *shm.Thread) {
-			runRank(newRankExec(s, t.Rank, t, plan, native))
-		})
+	mres, sres, err := c.run(s, cfg, engine, plan, native)
+	if err != nil {
+		return nil, err
 	}
-	if execErr != nil {
-		return nil, execErr
-	}
-	er := &ExecResult{Machine: res, Shm: sres, Kernels: kernelStatsOf(native, ranks, res.RankFlops), prog: p, ranks: ranks}
+	er := &ExecResult{Machine: mres, Shm: sres, Kernels: kernelStatsOf(native, c.ranks, mres.RankFlops),
+		prog: p, main: make([]map[string]*array, len(c.ranks))}
 	if plan != nil {
 		er.Nests.Declined = plan.declined
 	}
-	for _, rx := range ranks {
+	for i, rx := range c.ranks {
+		er.main[i] = rx.mainFrame.arrays
 		er.Nests.Walked += rx.walked
 		er.Plans.Firings += rx.Plans.Firings
 		er.Plans.PlanMisses += rx.Plans.PlanMisses
 		er.Plans.ActivationMisses += rx.Plans.ActivationMisses
 	}
+	if c.idle() {
+		p.crew.Store(c)
+	}
 	return er, nil
+}
+
+// crew is what an execution runs on: a machine — the message machine, or
+// the shared-memory team around one — and a rank executor per rank.  A
+// Program keeps its last idle crew and the next execution borrows it, so
+// the mailboxes' queues and payload free lists, the walkers' scratch, the
+// frame free lists, the kernel scratch and the payload staging buffers
+// are warm from the first message on.  A crew serves one execution at a
+// time: two concurrent executions of one Program never share one.
+type crew struct {
+	m    *mpsim.Machine // the message backend's machine, or nil
+	team *shm.Team      // the shared-memory backends' team, or nil
+	// groups is the team's grouping (shmGroups), for Configure.
+	groups []int
+	// ranks are the rank executors, by rank; engine is what their engine
+	// state was built for.  A nil entry is built by its rank's goroutine,
+	// as every rank's state is: built side by side by one goroutine, the
+	// ranks' hot scratch shares cache lines across cores.
+	ranks  []*rankExec
+	engine Engine
+	// rankBody and threadBody run one rank of the crew's machine or team.
+	rankBody   func(r *mpsim.Rank)
+	threadBody func(t *shm.Thread)
+
+	// This execution's schedule, plan and kernel binding, and its first
+	// rank error, under mu.
+	s      *sched.Schedule
+	plan   *enginePlan
+	native []KernelFunc
+	mu     sync.Mutex
+	err    error
+}
+
+func (p *Program) newCrew(backend string, cfg mpsim.Config) *crew {
+	c := &crew{ranks: make([]*rankExec, cfg.Procs)}
+	if backend == passes.BackendMP {
+		c.m = mpsim.NewMachine(cfg, mpsim.MessageCost(cfg))
+		c.rankBody = func(r *mpsim.Rank) { c.runRank(r, nil) }
+	} else {
+		c.groups = p.shmGroups(backend)
+		c.team = shm.NewTeam(shm.FromMachine(cfg, c.groups))
+		c.threadBody = func(t *shm.Thread) { c.runRank(t.Rank, t) }
+	}
+	return c
+}
+
+// run binds the crew to this execution — the configuration (which sets
+// the limits and whether to trace), the engine, its plan and its kernel
+// binding — and runs the schedule on every rank.
+func (c *crew) run(s *sched.Schedule, cfg mpsim.Config, engine Engine, plan *enginePlan, native []KernelFunc) (*mpsim.Result, *shm.Result, error) {
+	if engine != c.engine {
+		clear(c.ranks)
+		c.engine = engine
+	}
+	c.s, c.plan, c.native, c.err = s, plan, native, nil
+	if c.m != nil {
+		c.m.Configure(cfg, mpsim.MessageCost(cfg))
+		return c.m.Run(c.rankBody), nil, c.err
+	}
+	c.team.Configure(shm.FromMachine(cfg, c.groups))
+	mres, sres := c.team.Run(c.threadBody)
+	return mres, sres, c.err
+}
+
+// idle reports whether the crew may serve another execution: its last
+// one finished on every rank and left no message queued.
+func (c *crew) idle() bool {
+	if c.err != nil {
+		return false
+	}
+	if c.m != nil {
+		return c.m.Idle()
+	}
+	return c.team.Idle()
+}
+
+// runRank is every rank's body on either substrate: th is the
+// shared-memory thread around rk, nil on the message backend.
+func (c *crew) runRank(rk *mpsim.Rank, th *shm.Thread) {
+	defer func() {
+		rec := recover()
+		if rec == nil {
+			return
+		}
+		c.mu.Lock()
+		if c.err == nil {
+			// Machine aborts (time limit, deadlock) keep their typed
+			// error so callers can errors.Is on ErrAborted.
+			if err, ok := rec.(error); ok && errors.Is(err, mpsim.ErrAborted) {
+				c.err = err
+			} else {
+				c.err = fmt.Errorf("spmd: rank %d: %v", rk.ID, rec)
+			}
+		}
+		if debugPanics {
+			fmt.Println("SPMD-PANIC:", c.err)
+		}
+		c.mu.Unlock()
+		// A dead rank can never send, publish or acknowledge again:
+		// abort the machine so peers blocked on it unwind at once,
+		// with this rank's error and not the deadlock its absence
+		// would be reported as.
+		rk.Abort(mpsim.ErrAborted)
+	}()
+	rx := c.ranks[rk.ID]
+	if rx == nil {
+		rx = newRankExec(c.s, rk, th, c.plan, c.native)
+		c.ranks[rk.ID] = rx
+	}
+	rx.reset()
+	rx.Run()
+	rx.flushFlops()
 }
 
 // --- array storage -----------------------------------------------------------
@@ -252,7 +331,8 @@ type frame struct {
 	clamps []clampRange
 }
 
-// rankExec is one rank of one execution.  The embedded walker carries
+// rankExec is one rank of an execution, kept with its crew for the
+// next (reset).  The embedded walker carries
 // the control state — the scalar binding (params + loop variables +
 // integer formals), the strip window, the tag-block counter — and drives
 // rankExec's sched.Ops methods below, the reference interpreter; the
@@ -350,6 +430,17 @@ func newRankExec(s *sched.Schedule, rk *mpsim.Rank, th *shm.Thread, plan *engine
 	}
 	rx.Walker = sched.NewWalker(s, rk.ID, ops)
 	return rx
+}
+
+// reset readies the executor for an execution, whichever it served
+// before: the walker back at the parameters, no frame and no main frame,
+// and every counter at zero.  Its scratch, its frame free lists and its
+// payload buffer stay.
+func (rx *rankExec) reset() {
+	rx.Walker.Reset()
+	rx.frames, rx.mainFrame = rx.frames[:0], nil
+	rx.flops, rx.walked, rx.kstats = 0, 0, KernelStats{}
+	rx.pubArray, rx.pubElems = "", 0
 }
 
 func (rx *rankExec) top() *frame { return rx.frames[len(rx.frames)-1] }

@@ -59,10 +59,14 @@ func execute(t *testing.T, prog *spmd.Program, engine spmd.Engine) *spmd.ExecRes
 // the heap cost LU on mp about 2 000 allocations, on shm and hybrid about
 // 1 400.  BT calls its solve_cell leaf about a hundred times per
 // execution: a frame, its maps, kernel slots, guards and clamps built per
-// activation cost it about a thousand.  No kernel is registered in this
-// package, and the codegen engine binds its units once per plan, so a
-// steady codegen execution allocates within a count or two of the
-// default engine's.
+// activation cost it about a thousand.  An execution runs on the crew
+// the Program kept from the last one: a machine and rank executors built
+// per execution cost LU on mp about 560 more — most of them payload
+// buffers its empty free lists could not serve — and SP and BT about 100
+// each.  What is left is mostly the main frame's arrays, which the result
+// keeps.  No kernel is registered in this package, and the codegen engine
+// binds its units once per plan, so a steady codegen execution allocates
+// within a count or two of the default engine's.
 func TestAllocationBudgets(t *testing.T) {
 	if raceDetector {
 		t.Skip("allocation counts are inflated under -race")
@@ -78,12 +82,12 @@ func TestAllocationBudgets(t *testing.T) {
 		engine spmd.Engine
 		budget float64
 	}{
-		{"lu16 grain 1", lu, spmd.EngineCompiled, 713},               // measured 647–648
-		{"lu16 grain 1, codegen", lu, spmd.EngineCodegen, 713},       // measured 648
-		{"lu16 grain 1, shm", luShm, spmd.EngineCompiled, 184},       // measured 167
-		{"lu16 grain 1, hybrid", luHybrid, spmd.EngineCompiled, 189}, // measured 172
-		{"sp16", sp, spmd.EngineCompiled, 244},                       // measured 222
-		{"bt12", bt, spmd.EngineCompiled, 263},                       // measured 239
+		{"lu16 grain 1", lu, spmd.EngineCompiled, 98},                // measured 89
+		{"lu16 grain 1, codegen", lu, spmd.EngineCodegen, 98},        // measured 89
+		{"lu16 grain 1, shm", luShm, spmd.EngineCompiled, 101},       // measured 92
+		{"lu16 grain 1, hybrid", luHybrid, spmd.EngineCompiled, 101}, // measured 92
+		{"sp16", sp, spmd.EngineCompiled, 133},                       // measured 121
+		{"bt12", bt, spmd.EngineCompiled, 98},                        // measured 89
 	} {
 		got := testing.AllocsPerRun(5, func() { execute(t, c.prog, c.engine) })
 		if got > c.budget {
