@@ -1,9 +1,7 @@
 package analysis
 
 import (
-	"errors"
 	"fmt"
-	"sync"
 
 	"dhpf/internal/ir"
 	"dhpf/internal/mpsim"
@@ -33,44 +31,30 @@ func DryRun(s *sched.Schedule, backend string, cfg mpsim.Config) (*Cost, *mpsim.
 	if cfg.Procs != cost.Ranks {
 		return nil, nil, fmt.Errorf("analysis: machine has %d ranks, program wants %d", cfg.Procs, cost.Ranks)
 	}
-	var mu sync.Mutex
-	var runErr error
+	// The call owns its memo: nothing it plans outlives it.
+	memo := new(sched.Memo)
+	ranks := make([]*dryRank, cfg.Procs)
 	body := func(rk *mpsim.Rank, th *shm.Thread) {
 		d := &dryRank{counter: counter{cost: cost, mp: th == nil, groups: groups, pure: map[*ir.Loop]bool{}}, rk: rk, th: th}
-		defer func() {
-			rec := recover()
-			if rec == nil {
-				return
-			}
-			mu.Lock()
-			if runErr == nil {
-				if err, ok := rec.(error); ok && errors.Is(err, mpsim.ErrAborted) {
-					runErr = err
-				} else {
-					runErr = fmt.Errorf("analysis: rank %d: %v", rk.ID, rec)
-				}
-			}
-			mu.Unlock()
-			rk.Abort(mpsim.ErrAborted)
-		}()
-		d.w = sched.NewWalker(s, rk.ID, d)
+		ranks[rk.ID] = d
+		d.w = sched.NewWalker(s, memo, rk.ID, d)
 		d.w.Run()
 		d.flush()
-		mu.Lock()
-		d.done()
-		mu.Unlock()
 	}
 	var res *mpsim.Result
-	switch cost.Backend {
-	case "mp":
-		res = mpsim.Run(cfg, func(r *mpsim.Rank) { body(r, nil) })
-	case "shm":
-		res, _ = shm.Run(shm.FromMachine(cfg, nil), func(t *shm.Thread) { body(t.Rank, t) })
-	default:
-		res, _ = shm.Run(shm.FromMachine(cfg, groups), func(t *shm.Thread) { body(t.Rank, t) })
+	if cost.Backend == "mp" {
+		res, err = mpsim.NewMachine(cfg, mpsim.MessageCost(cfg)).Run(func(r *mpsim.Rank) { body(r, nil) })
+	} else {
+		res, _, err = shm.NewTeam(shm.FromMachine(cfg, groups)).Run(func(t *shm.Thread) { body(t.Rank, t) })
 	}
-	if runErr != nil {
-		return nil, nil, runErr
+	if _, ok := err.(*mpsim.RankPanic); ok {
+		return nil, nil, fmt.Errorf("analysis: %w", err)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, d := range ranks {
+		d.done()
 	}
 	return cost, res, nil
 }

@@ -85,9 +85,10 @@ func Predict(s *sched.Schedule, backend string) (*Cost, error) {
 		return nil, err
 	}
 	pure := map[*ir.Loop]bool{}
+	memo := new(sched.Memo) // the call owns its memo: nothing it plans outlives it
 	for me := 0; me < cost.Ranks; me++ {
 		c := &counter{cost: cost, mp: cost.Backend == "mp", groups: groups, pure: pure}
-		c.w = sched.NewWalker(s, me, c)
+		c.w = sched.NewWalker(s, memo, me, c)
 		c.w.Run()
 		c.done()
 	}
@@ -95,8 +96,8 @@ func Predict(s *sched.Schedule, backend string) (*Cost, error) {
 }
 
 // newCost validates the backend and the schedule and returns zeroed
-// counters for it, with the outer group of every rank (all zero except
-// on hybrid, where a group is a dimension-0 coordinate).
+// counters for it, with the hybrid layout's groups (nil on the other
+// backends: no transfer crosses groups).
 func newCost(s *sched.Schedule, backend string) (*Cost, []int, error) {
 	if backend == "" {
 		backend = "mp"
@@ -120,11 +121,9 @@ func newCost(s *sched.Schedule, backend string) (*Cost, []int, error) {
 		RecvMsgs:  make([]int64, p),
 		Exact:     true,
 	}
-	groups := make([]int, p)
+	var groups []int
 	if backend == "hybrid" {
-		for r := 0; r < p; r++ {
-			groups[r] = s.Grid.Coord(r)[0]
-		}
+		groups = s.Grid.Groups()
 	}
 	if backend != "mp" {
 		cost.Pulls = make([]int64, p)
@@ -134,7 +133,7 @@ func newCost(s *sched.Schedule, backend string) (*Cost, []int, error) {
 }
 
 // counter is one rank's counting sched.Ops.  The transfer plans it
-// counts are rank-independent and memoized on the schedule, so each
+// counts are rank-independent and memoized for the call, so each
 // distinct firing is planned once and re-attributed per rank; pure is
 // the per-loop memo that gates bulk counting, shared by every rank walk
 // Predict runs one after another.  A counter writes only its own rank's
@@ -226,7 +225,7 @@ func (c *counter) ReduceCombine(reds []sched.Reduction, _ []float64) {
 func (c *counter) Send(plan []sched.Transfer, _ int) {
 	me := c.w.Me
 	for _, tr := range plan {
-		if tr.From == me && (c.mp || c.groups[tr.From] != c.groups[tr.To]) {
+		if tr.From == me && (c.mp || c.groups != nil && c.groups[tr.From] != c.groups[tr.To]) {
 			c.cost.SentMsgs[me]++
 			c.cost.SentBytes[me] += tr.Bytes()
 		}

@@ -248,9 +248,10 @@ func TestGuardOverflowBails(t *testing.T) {
 	// of the localized nest, counted off the iteration sets.
 	var walked int64
 	var scratch sched.KeyScratch
+	var memo sched.Memo
 	main := prog.IR.Main()
 	for rank := 0; rank < e.Procs; rank++ {
-		iters, _ := prog.Schedule().IterSets(main, rank, prog.Ctx.Bind.Params, &scratch)
+		iters, _ := prog.Schedule().IterSets(&memo, main, rank, prog.Ctx.Bind.Params, &scratch)
 		var nest, boxes int64
 		for _, a := range ir.Assignments(main.Body) {
 			if len(a.Nest) > 0 && a.Nest[0].Var == "onetrip" {

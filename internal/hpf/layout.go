@@ -56,6 +56,18 @@ func (g *Grid) Coord(rank int) []int {
 	return c
 }
 
+// Groups returns every rank's group in a hybrid layout ("ranks across a
+// grid dimension × threads within a rank"): ranks whose coordinate
+// agrees in dimension 0 share memory, and a transfer between groups is
+// priced like a message of the outer rank level.
+func (g *Grid) Groups() []int {
+	groups := make([]int, g.Size())
+	for r := range groups {
+		groups[r] = g.Coord(r)[0]
+	}
+	return groups
+}
+
 // Rank returns the linear rank of Cartesian coordinates.
 func (g *Grid) Rank(coord []int) int {
 	if len(coord) != len(g.Shape) {

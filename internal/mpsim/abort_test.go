@@ -2,8 +2,8 @@ package mpsim_test
 
 // The abort protocol, pinned once for every front on the core: whatever
 // kills the machine — the virtual-time limit, a deadlock, a rank's own
-// Abort — every rank blocked in a machine operation wakes, and every rank
-// sees the same typed error.
+// Abort or its panic — every rank blocked in a machine operation wakes,
+// and every rank sees the same cause.
 
 import (
 	"errors"
@@ -25,37 +25,59 @@ type member struct {
 	drain func()
 }
 
+// front runs body on every rank of a new machine of one front: run
+// through the package-level Run, machine through Machine.Run or Team.Run,
+// returning whether the run left the machine idle and its error.
 type front struct {
-	name string
-	run  func(cfg mpsim.Config, body func(m member))
+	name    string
+	run     func(cfg mpsim.Config, body func(m member))
+	machine func(cfg mpsim.Config, body func(m member)) (idle bool, err error)
+}
+
+func mpMember(r *mpsim.Rank) member {
+	return member{
+		Rank: r,
+		send: func(dst, tag int) { r.Send(dst, tag, []float64{1}) },
+		recv: func(src, tag int) { r.Recv(src, tag) },
+	}
+}
+
+func shmMember(t *shm.Thread) member {
+	return member{
+		Rank: t.Rank,
+		send: func(dst, tag int) { t.Publish(dst, tag, 8, nil) },
+		recv: func(src, tag int) {
+			t.Await(src, tag)
+			t.Ack(src, 8)
+		},
+		drain: t.Drain,
+	}
 }
 
 func shmFront(name string, groups func(procs int) []int) front {
-	return front{name, func(cfg mpsim.Config, body func(m member)) {
-		shm.Run(shm.FromMachine(cfg, groups(cfg.Procs)), func(t *shm.Thread) {
-			body(member{
-				Rank: t.Rank,
-				send: func(dst, tag int) { t.Publish(dst, tag, 8, nil) },
-				recv: func(src, tag int) {
-					t.Await(src, tag)
-					t.Ack(src, 8)
-				},
-				drain: t.Drain,
-			})
-		})
-	}}
+	return front{name,
+		func(cfg mpsim.Config, body func(m member)) {
+			shm.Run(shm.FromMachine(cfg, groups(cfg.Procs)), func(t *shm.Thread) { body(shmMember(t)) })
+		},
+		func(cfg mpsim.Config, body func(m member)) (bool, error) {
+			tm := shm.NewTeam(shm.FromMachine(cfg, groups(cfg.Procs)))
+			_, _, err := tm.Run(func(t *shm.Thread) { body(shmMember(t)) })
+			return tm.Idle(), err
+		},
+	}
 }
 
 var fronts = []front{
-	{"mp", func(cfg mpsim.Config, body func(m member)) {
-		mpsim.Run(cfg, func(r *mpsim.Rank) {
-			body(member{
-				Rank: r,
-				send: func(dst, tag int) { r.Send(dst, tag, []float64{1}) },
-				recv: func(src, tag int) { r.Recv(src, tag) },
-			})
-		})
-	}},
+	{"mp",
+		func(cfg mpsim.Config, body func(m member)) {
+			mpsim.Run(cfg, func(r *mpsim.Rank) { body(mpMember(r)) })
+		},
+		func(cfg mpsim.Config, body func(m member)) (bool, error) {
+			m := mpsim.NewMachine(cfg, mpsim.MessageCost(cfg))
+			_, err := m.Run(func(r *mpsim.Rank) { body(mpMember(r)) })
+			return m.Idle(), err
+		},
+	},
 	shmFront("shm", func(int) []int { return nil }),
 	shmFront("hybrid", func(procs int) []int { // 0 0 1 1 2 …
 		g := make([]int, procs)
@@ -160,5 +182,59 @@ func TestTimeLimitIsDeterministic(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRankPanicIsTheMachines: a rank body that panics — with a string, or
+// with an error that does not wrap ErrAborted — kills its machine on every
+// front.  Rank 0 panics once rank 1 is blocked receiving from it, rank 2
+// in Barrier and rank 3 in AllReduce; they unwind with its panic, Run
+// returns that panic as a *RankPanic naming rank 0, the machine is not
+// idle, and the package-level Run re-panics it on the caller's goroutine.
+func TestRankPanicIsTheMachines(t *testing.T) {
+	for _, f := range fronts {
+		for _, v := range []any{"boom", errors.New("boom")} {
+			t.Run(fmt.Sprintf("%s/%T", f.name, v), func(t *testing.T) {
+				cfg := mpsim.Config{Procs: 4, FlopTime: 1e-6, Latency: 1e-6}
+				var unwound [4]any // what each peer unwound with
+				body := func(m member) {
+					if m.ID == 0 {
+						time.Sleep(5 * time.Millisecond) // let the peers block first
+						panic(v)
+					}
+					defer func() { unwound[m.ID] = recover() }()
+					switch m.ID {
+					case 1:
+						m.recv(0, 7)
+					case 2:
+						m.Barrier()
+					case 3:
+						m.AllReduce('+', 1)
+					}
+				}
+				idle, err := f.machine(cfg, body)
+				p, ok := err.(*mpsim.RankPanic)
+				if !ok || p.Rank != 0 || p.Value != v || err.Error() != "rank 0: boom" || errors.Is(err, mpsim.ErrAborted) {
+					t.Fatalf("Run returned %#v, want a RankPanic of rank 0 with %v, not wrapping ErrAborted", err, v)
+				}
+				for id := 1; id < 4; id++ {
+					if unwound[id] != any(p) {
+						t.Errorf("rank %d unwound with %v, want rank 0's panic", id, unwound[id])
+					}
+				}
+				if idle {
+					t.Error("the machine is idle after a rank panicked")
+				}
+				func() {
+					defer func() {
+						if p, ok := recover().(*mpsim.RankPanic); !ok || p.Rank != 0 || p.Value != v {
+							t.Errorf("the package-level Run panicked with %v, want rank 0's RankPanic", p)
+						}
+					}()
+					f.run(cfg, body)
+					t.Error("the package-level Run returned")
+				}()
+			})
+		}
 	}
 }

@@ -17,9 +17,10 @@
 // The package is the one machine core under every execution substrate:
 // rank goroutines, clocks and idle accounting, one mailbox per rank
 // (allocated with the machine: the rank's queued messages and the payload
-// buffers it recycled, by size class), the abort protocol, the deadlock
-// detector, barriers, rank-order reductions, trace capture and result
-// assembly live here once.  Send/Recv below are the message front;
+// buffers it recycled, by size class), the abort protocol — a rank
+// body's panic included (RankPanic) — the deadlock detector, barriers,
+// rank-order reductions, trace capture and result assembly live here
+// once.  Send/Recv below are the message front;
 // internal/shm is the shared-memory front, built on Post, Take, PaySend,
 // Spend, Sleep, Wake and NewCond.
 //
@@ -65,8 +66,9 @@ type Config struct {
 	TimeLimit float64
 }
 
-// ErrAborted is the base error of every mpsim-initiated abort; aborted
-// runs surface it (wrapped) through the body's panic-recovery path.
+// ErrAborted is the base error of every mpsim-initiated abort: the error
+// an aborted run returns wraps it, unless a rank's own panic caused the
+// abort (RankPanic).
 var ErrAborted = errors.New("mpsim: run aborted")
 
 // ErrTimeLimit reports a Config.TimeLimit abort; wraps ErrAborted.
@@ -77,6 +79,18 @@ var ErrTimeLimit = fmt.Errorf("virtual time limit exceeded: %w", ErrAborted)
 // error a run returns wraps it (and, through it, ErrAborted) and reads
 // "deadlock: " followed by every rank's wait in rank order.
 var ErrDeadlock = fmt.Errorf("deadlock: %w", ErrAborted)
+
+// RankPanic is the abort cause of a run in which a rank body panicked
+// with a value the machine did not raise itself: Value is what it
+// panicked with.  It does not wrap ErrAborted, so a caller tells a broken
+// rank from a time limit or a deadlock, and it reads "rank N: value" for
+// the caller to prefix with its own name.
+type RankPanic struct {
+	Rank  int
+	Value any
+}
+
+func (p *RankPanic) Error() string { return fmt.Sprintf("rank %d: %v", p.Rank, p.Value) }
 
 // SP2Config approximates a 1998 IBM SP2 with 120 MHz P2SC nodes and the
 // user-space MPI library: ~29 µs one-way latency, ~90 MB/s bandwidth,
@@ -338,8 +352,7 @@ func (e deadlockError) Unwrap() error { return ErrDeadlock }
 type Machine struct {
 	cfg Config
 	// abortErr is set once per run by Abort; every rank observing it
-	// panics with the stored error, which the body's recover handler
-	// reports.
+	// panics with the stored error, and Run returns it.
 	abortErr atomic.Pointer[error]
 	// ranks and boxes hold each rank and its mailbox, by rank, for the
 	// machine's life.
@@ -412,12 +425,17 @@ func (r *Result) TotalBytes() int64 {
 // message latencies after the last arrival.
 //
 // When the machine aborts (Config.TimeLimit, a deadlock, Rank.Abort),
-// every rank blocked in a machine operation is woken and panics with an
-// error wrapping ErrAborted; body is expected to recover it (the spmd
-// executor and the nas hand-coded drivers do) and surface it to their
-// caller.
+// every rank blocked in a machine operation is woken and panics with the
+// cause; the machine recovers what body does not.  A rank body's own
+// panic aborts the run too, and Run re-panics it, as a *RankPanic, on
+// the caller's goroutine.  A caller that wants the abort cause as an
+// error runs a Machine (Machine.Run).
 func Run(cfg Config, body func(r *Rank)) *Result {
-	return NewMachine(cfg, MessageCost(cfg)).Run(body)
+	res, err := NewMachine(cfg, MessageCost(cfg)).Run(body)
+	if p, ok := err.(*RankPanic); ok {
+		panic(p)
+	}
+	return res
 }
 
 // MessageCost is the message machine's collective cost: a log-tree of
@@ -511,8 +529,11 @@ func (m *Machine) NewCond(l sync.Locker) *sync.Cond {
 }
 
 // Run executes body on every rank concurrently and collects the result.
-// The machine may run again once Run has returned.
-func (m *Machine) Run(body func(r *Rank)) *Result {
+// The error is the abort cause, nil when the run finished: an error
+// wrapping ErrAborted (the time limit, a deadlock, Rank.Abort's cause)
+// or the *RankPanic of the first rank body that panicked.  The machine
+// may run again once Run has returned.
+func (m *Machine) Run(body func(r *Rank)) (*Result, error) {
 	m.reset()
 	for i := range m.ranks {
 		m.wg.Add(1)
@@ -550,11 +571,27 @@ func (m *Machine) Run(body func(r *Rank)) *Result {
 			return res.Events[i].Start < res.Events[j].Start
 		})
 	}
-	return res
+	return res, m.abortedErr()
 }
 
+// runRank runs body on r.  A panic out of body on a live machine kills
+// it: a dead rank can never send, publish or acknowledge again, so its
+// peers unwind at once, with its panic and not the deadlock its absence
+// would be found as.  A panic on a dead machine is the abort unwinding
+// the rank, and the first cause stands.
 func (m *Machine) runRank(r *Rank, body func(r *Rank)) {
 	defer m.wg.Done()
+	defer func() {
+		v := recover()
+		if v == nil || m.abortedErr() != nil {
+			return
+		}
+		err, ok := v.(error)
+		if !ok || !errors.Is(err, ErrAborted) {
+			err = &RankPanic{Rank: r.ID, Value: v}
+		}
+		m.Abort(err)
+	}()
 	body(r)
 	// A returned rank will never post, complete or acknowledge again:
 	// peers still asleep once every rank has settled wait forever.
@@ -565,8 +602,8 @@ func (m *Machine) runRank(r *Rank, body func(r *Rank)) {
 
 // Abort marks the machine dead with the given cause (first call wins)
 // and wakes every blocked rank; woken ranks — and any rank entering a
-// machine operation afterwards — panic with the cause, to be recovered by
-// the run body.
+// machine operation afterwards — panic with the cause, which the machine
+// recovers unless the run body does.
 func (m *Machine) Abort(cause error) {
 	if cause == nil {
 		cause = ErrAborted
@@ -593,10 +630,8 @@ func (m *Machine) Abort(cause error) {
 	}
 }
 
-// Abort lets a rank kill its own machine — typically from a panic
-// handler, so peers blocked on a message, rendezvous, barrier or
-// reduction the dead rank will never complete unwind instead of
-// deadlocking.
+// Abort lets a rank kill its own machine with a cause of its own: peers
+// blocked on a message, rendezvous, barrier or reduction unwind with it.
 func (r *Rank) Abort(cause error) { r.m.Abort(cause) }
 
 // abortedErr returns the abort cause, or nil while the machine is live.

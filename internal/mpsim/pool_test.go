@@ -260,7 +260,7 @@ func TestRunAgainIsFirstRun(t *testing.T) {
 			}
 			m.Configure(cfg, MessageCost(cfg))
 		}
-		got := m.Run(body)
+		got, _ := m.Run(body)
 		if got.Time != want.Time || got.TotalMessages() != want.TotalMessages() || got.TotalBytes() != want.TotalBytes() {
 			t.Fatalf("run %d: time %v, %d msgs, %d B; a fresh machine's %v, %d, %d", run,
 				got.Time, got.TotalMessages(), got.TotalBytes(), want.Time, want.TotalMessages(), want.TotalBytes())

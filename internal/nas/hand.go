@@ -1,26 +1,13 @@
 package nas
 
 import (
-	"errors"
 	"fmt"
-	"sync"
 
 	"dhpf/internal/ir"
 	"dhpf/internal/mpsim"
 	"dhpf/internal/parser"
 	"dhpf/internal/spmd"
 )
-
-// rankPanicErr converts a recovered rank panic into an error.  Machine
-// aborts (the mpsim time limit, a deadlock) keep their typed error so
-// callers can errors.Is(err, mpsim.ErrAborted); everything else is a
-// driver bug and keeps the rank-labeled formatting.
-func rankPanicErr(rec any, impl string, rank int) error {
-	if err, ok := rec.(error); ok && errors.Is(err, mpsim.ErrAborted) {
-		return err
-	}
-	return fmt.Errorf("nas: %s rank %d: %v", impl, rank, rec)
-}
 
 // handState is the per-rank storage of the hand-coded implementations:
 // full-size arrays with only the locally-owned (plus halo) portions kept
@@ -115,19 +102,8 @@ func runHand(impl, bench string, n, procs int, data bool, cfg mpsim.Config, body
 	if data {
 		states = make([]*handState, procs)
 	}
-	var mu sync.Mutex
-	var runErr error
 	cfg.Procs = procs
-	res := mpsim.Run(cfg, func(rk *mpsim.Rank) {
-		defer func() {
-			if rec := recover(); rec != nil {
-				mu.Lock()
-				if runErr == nil {
-					runErr = rankPanicErr(rec, impl, rk.ID)
-				}
-				mu.Unlock()
-			}
-		}()
+	res, err := mpsim.NewMachine(cfg, mpsim.MessageCost(cfg)).Run(func(rk *mpsim.Rank) {
 		h := &handRank{rk: rk, n: n, comp: comp, bt: bt, systems: SweepSystems(bench), w: w}
 		if data {
 			h.st = newHandState(n, comp, !bt)
@@ -135,8 +111,13 @@ func runHand(impl, bench string, n, procs int, data bool, cfg mpsim.Config, body
 		}
 		body(h)
 	})
-	if runErr != nil {
-		return nil, nil, runErr
+	// A rank's own panic is a driver bug, named after the driver; a
+	// machine abort (the time limit, a deadlock) keeps its typed error.
+	if _, ok := err.(*mpsim.RankPanic); ok {
+		return nil, nil, fmt.Errorf("nas: %s %w", impl, err)
+	}
+	if err != nil {
+		return nil, nil, err
 	}
 	return states, res, nil
 }

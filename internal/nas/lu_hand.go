@@ -2,7 +2,6 @@ package nas
 
 import (
 	"fmt"
-	"sync"
 
 	"dhpf/internal/hpf"
 	"dhpf/internal/ir"
@@ -37,28 +36,18 @@ func RunLU2D(n, steps, p1, p2 int, cfg mpsim.Config) (*LURun, error) {
 	kr := func(pk int) (int, int) { return pk * blkK, min(pk*blkK+blkK-1, n-1) }
 
 	states := make([]*handState, procs)
-	var mu sync.Mutex
-	var runErr error
 	cfg.Procs = procs
-	res := mpsim.Run(cfg, func(rk *mpsim.Rank) {
-		defer func() {
-			if rec := recover(); rec != nil {
-				mu.Lock()
-				if runErr == nil {
-					runErr = rankPanicErr(rec, "lu2d", rk.ID)
-				}
-				mu.Unlock()
-			}
-		}()
+	res, err := mpsim.NewMachine(cfg, mpsim.MessageCost(cfg)).Run(func(rk *mpsim.Rank) {
 		st := newHandState(n, 1, false)
-		mu.Lock()
 		states[rk.ID] = st
-		mu.Unlock()
 		d := &luDriver{rk: rk, st: st, w: w, p1: p1, p2: p2, jr: jr, kr: kr}
 		d.run(steps)
 	})
-	if runErr != nil {
-		return nil, runErr
+	if _, ok := err.(*mpsim.RankPanic); ok {
+		return nil, fmt.Errorf("nas: lu2d %w", err)
+	}
+	if err != nil {
+		return nil, err
 	}
 
 	out := &LURun{Machine: res, N: n}

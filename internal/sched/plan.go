@@ -116,11 +116,14 @@ func (ks *KeyScratch) bind(b []byte, names []string, bind map[string]int) []byte
 	return b
 }
 
-// memo is the schedule's one memo: firing plans and activation iteration
-// sets by key.  It hangs off the Schedule and dies with its Program —
-// never make it (or anything it holds) process-global, which pins the IR
-// of every program ever compiled.
-type memo struct {
+// Memo is a plan memo: firing plans and activation iteration sets of
+// one schedule by key.  Whoever walks a schedule owns the memo it plans
+// through — the Program one for all its executions, an analysis one per
+// call — and it dies with its owner.  Never make one (or anything it
+// holds) process-global, which pins the IR of every program ever
+// compiled.  The zero Memo is empty and ready; one serves any number of
+// concurrent walkers of its schedule.
+type Memo struct {
 	mu sync.RWMutex
 	m  map[string]memoEntry
 }
@@ -130,9 +133,16 @@ type memoEntry struct {
 	iters map[int]iset.Set
 }
 
+// Len returns the number of plans and activations stored.
+func (m *Memo) Len() int {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return len(m.m)
+}
+
 // load and store treat a nil key as no key: nothing is found, nothing
 // is kept.
-func (m *memo) load(key []byte) (memoEntry, bool) {
+func (m *Memo) load(key []byte) (memoEntry, bool) {
 	if key == nil {
 		return memoEntry{}, false
 	}
@@ -145,7 +155,7 @@ func (m *memo) load(key []byte) (memoEntry, bool) {
 // store keeps the first entry stored under a key and returns it with
 // whether that was e, so racing ranks share one value and exactly one of
 // them counts the miss.
-func (m *memo) store(key []byte, e memoEntry) (memoEntry, bool) {
+func (m *Memo) store(key []byte, e memoEntry) (memoEntry, bool) {
 	if key == nil {
 		return e, true
 	}
@@ -178,17 +188,16 @@ func (s *Schedule) planKey(ks *KeyScratch, f *Firing, at Point) []byte {
 	return ks.bind(b, s.names, at.Bind)
 }
 
-// Transfers is Plan through the memo, for firings that repeat: the first
-// computation of a key serves all ranks, executions and analyses that
-// share the schedule, and a warm lookup allocates nothing.  The result is
-// shared: callers must not modify it.  miss reports that this call
-// stored the plan.
-func (s *Schedule) Transfers(f *Firing, at Point, ks *KeyScratch) (plan []Transfer, miss bool) {
+// Transfers is Plan through memo m, for firings that repeat: the first
+// computation of a key serves every walker planning through m, and a
+// warm lookup allocates nothing.  The result is shared: callers must not
+// modify it.  miss reports that this call stored the plan.
+func (s *Schedule) Transfers(m *Memo, f *Firing, at Point, ks *KeyScratch) (plan []Transfer, miss bool) {
 	key := s.planKey(ks, f, at)
-	if e, hit := s.memo.load(key); hit {
+	if e, hit := m.load(key); hit {
 		return e.plan, false
 	}
-	e, miss := s.memo.store(key, memoEntry{plan: resolve(s.Plan(f.Proc, f.Events, at))})
+	e, miss := m.store(key, memoEntry{plan: resolve(s.Plan(f.Proc, f.Events, at))})
 	return e.plan, miss
 }
 

@@ -232,6 +232,7 @@ func TestMemoKey(t *testing.T) {
 		"same events as Pipe": {&Firing{ID: ls.Pipe.ID, Proc: proc, Events: reads}, zero},
 	}
 	var ks KeyScratch
+	var m Memo
 	seen := map[string]string{}
 	for name, p := range points {
 		key := string(s.planKey(&ks, p.f, p.at))
@@ -242,8 +243,8 @@ func TestMemoKey(t *testing.T) {
 		if again := string(s.planKey(new(KeyScratch), p.f, p.at)); again != key {
 			t.Errorf("%q: key depends on the scratch: %q vs %q", name, key, again)
 		}
-		first, miss := s.Transfers(p.f, p.at, &ks)
-		second, again := s.Transfers(p.f, p.at, new(KeyScratch))
+		first, miss := s.Transfers(&m, p.f, p.at, &ks)
+		second, again := s.Transfers(&m, p.f, p.at, new(KeyScratch))
 		if len(first) == 0 || len(second) != len(first) || &first[0] != &second[0] {
 			t.Errorf("%q: equal inputs did not return the memoized slice", name)
 		}
@@ -266,8 +267,8 @@ func TestMemoKey(t *testing.T) {
 		}
 	}
 	// The strip window really restricts the plan it keys.
-	full, _ := s.Transfers(placed, zero, &ks)
-	strip, _ := s.Transfers(placed, points["strip"].at, &ks)
+	full, _ := s.Transfers(&m, placed, zero, &ks)
+	strip, _ := s.Transfers(&m, placed, points["strip"].at, &ks)
 	if full[0].Elems != 30 || strip[0].Elems != 8 {
 		t.Errorf("full column %d elements, strip window %d; want 30 and 8", full[0].Elems, strip[0].Elems)
 	}
@@ -277,8 +278,8 @@ func TestMemoKey(t *testing.T) {
 	if key := s.planKey(&ks, placed, foreign); key != nil {
 		t.Errorf("foreign binding got the key %q", key)
 	}
-	a, missA := s.Transfers(placed, foreign, &ks)
-	b, missB := s.Transfers(placed, foreign, &ks)
+	a, missA := s.Transfers(&m, placed, foreign, &ks)
+	b, missB := s.Transfers(&m, placed, foreign, &ks)
 	if !missA || !missB || len(a) == 0 || &a[0] == &b[0] {
 		t.Errorf("foreign binding was memoized")
 	}
@@ -332,15 +333,16 @@ func TestMemoKeyProcedures(t *testing.T) {
 		t.Fatalf("placement: %d and %d reads, want 2 and 2", len(fx.Events), len(fx1.Events))
 	}
 	var ks KeyScratch
+	var m Memo
 	kx := string(s.planKey(&ks, fx, Point{Bind: params, Depth: 10}))
 	kx1 := string(s.planKey(&ks, fx1, Point{Bind: params}))
 	if kx == kx1 {
 		t.Errorf("x at depth 10 and x1 at depth 0 share the key %q", kx)
 	}
-	ix, missX := s.IterSets(x, 1, params, &ks)
-	ix1, missX1 := s.IterSets(x1, 1, params, &ks)
-	again, missAgain := s.IterSets(x, 1, params, &ks)
-	other, missOther := s.IterSets(x, 2, params, &ks)
+	ix, missX := s.IterSets(&m, x, 1, params, &ks)
+	ix1, missX1 := s.IterSets(&m, x1, 1, params, &ks)
+	again, missAgain := s.IterSets(&m, x, 1, params, &ks)
+	other, missOther := s.IterSets(&m, x, 2, params, &ks)
 	if !missX || !missX1 || missAgain || !missOther {
 		t.Errorf("activation misses %v %v %v %v, want true true false true", missX, missX1, missAgain, missOther)
 	}

@@ -77,9 +77,9 @@ type ProcSched struct {
 	Vars  map[int][]string   // their variables
 }
 
-// Schedule is the immutable per-program rank schedule.  It is shared
-// read-only by every rank of every execution and analysis; the memo
-// (plan.go) is its only mutable state.
+// Schedule is the immutable per-program rank schedule, shared read-only
+// by every rank of every execution and analysis.  What they plan under
+// it is kept in a Memo (plan.go) each walker is handed.
 type Schedule struct {
 	Planner
 
@@ -93,7 +93,6 @@ type Schedule struct {
 	names   []string
 	deepest int // the most loops around any statement
 	firings int
-	memo    memo
 }
 
 // New builds the schedule.  It is total: a program the walker cannot run
@@ -290,16 +289,16 @@ func chooseStrip(l *ir.Loop, events []*comm.Event) *ir.Loop {
 // IterSets returns one activation's iteration sets: for every assignment
 // and call of proc, the points of its full nest this rank executes under
 // the entry binding (parameters plus integer formals).  It goes through
-// the memo, keyed by (procedure, rank, binding): frames on every engine
-// and every execution share the result, which callers must not modify.
-// miss reports that this call stored the sets.
-func (s *Schedule) IterSets(proc *ir.Procedure, rank int, bind map[string]int, ks *KeyScratch) (iters map[int]iset.Set, miss bool) {
+// memo m, keyed by (procedure, rank, binding): every frame planned
+// through m shares the result, which callers must not modify.  miss
+// reports that this call stored the sets.
+func (s *Schedule) IterSets(m *Memo, proc *ir.Procedure, rank int, bind map[string]int, ks *KeyScratch) (iters map[int]iset.Set, miss bool) {
 	ps := s.procs[proc]
 	b := append(ks.buf[:0], keyActivation)
 	b = binary.AppendUvarint(b, uint64(ps.id))
 	b = binary.AppendUvarint(b, uint64(rank))
 	key := ks.bind(b, s.names, bind)
-	if e, hit := s.memo.load(key); hit {
+	if e, hit := m.load(key); hit {
 		return e.iters, false
 	}
 	localOf := s.Ctx.LocalOf(proc, rank)
@@ -307,7 +306,7 @@ func (s *Schedule) IterSets(proc *ir.Procedure, rank int, bind map[string]int, k
 	for id, nest := range ps.Nest {
 		out[id] = s.Sel.CPOf(id).IterSet(nest, bind, localOf)
 	}
-	e, miss := s.memo.store(key, memoEntry{iters: out})
+	e, miss := m.store(key, memoEntry{iters: out})
 	return e.iters, miss
 }
 

@@ -73,9 +73,10 @@ type Walker struct {
 	// Strip is the active strip window, nil outside a strip-mined
 	// wavefront.
 	Strip *Strip
-	// Plans counts this walk's memo traffic.
+	// Plans counts this walk's traffic on its memo.
 	Plans PlanStats
 
+	memo   *Memo // what the walk plans through
 	ops    Ops
 	saved  []savedInt
 	tagSeq int
@@ -105,7 +106,8 @@ func (p PlanStats) String() string {
 	return fmt.Sprintf("plans: %d firings, %d plan misses, %d activation misses", p.Firings, p.PlanMisses, p.ActivationMisses)
 }
 
-// NewWalker returns rank me's walker, bound to the program parameters.
+// NewWalker returns rank me's walker of s, planning through m and bound
+// to the program parameters.
 // Its scratch is sized once, from the schedule: the save stack and the
 // membership point to the deepest nest, the frames to the procedures (a
 // chain of calls repeats none) — inside the walker when that fits, as
@@ -114,8 +116,8 @@ func (p PlanStats) String() string {
 // under the callee's.  The binding is not presized: under the compiled
 // engines a kernel unit's loop variables never enter it, and a map made
 // for every scalar name costs more allocations than the few it grows by.
-func NewWalker(s *Schedule, me int, ops Ops) *Walker {
-	w := &Walker{S: s, Me: me, Bind: map[string]int{}, ops: ops}
+func NewWalker(s *Schedule, m *Memo, me int, ops Ops) *Walker {
+	w := &Walker{S: s, Me: me, memo: m, Bind: map[string]int{}, ops: ops}
 	w.saved = scratch(w.savedBuf[:], s.deepest)
 	w.point = scratch(w.pointBuf[:], s.deepest)
 	w.frames = scratch(w.frameBuf[:], s.NumProcs())
@@ -149,7 +151,7 @@ func scratch[T any](buf []T, n int) []T {
 func (w *Walker) Run() { w.proc(w.S.prog.Main()) }
 
 func (w *Walker) proc(proc *ir.Procedure) {
-	iters, miss := w.S.IterSets(proc, w.Me, w.Bind, &w.key)
+	iters, miss := w.S.IterSets(w.memo, proc, w.Me, w.Bind, &w.key)
 	if miss {
 		w.Plans.ActivationMisses++
 	}
@@ -343,7 +345,7 @@ func (w *Walker) iterate(f *Frame, l *ir.Loop, depth int) {
 // transfers takes the plan firing f requires under the current binding,
 // with the outermost depth loop variables fixed, inside the strip.
 func (w *Walker) transfers(f *Firing, depth int, strip *Strip) []Transfer {
-	plan, miss := w.S.Transfers(f, Point{Bind: w.Bind, Depth: depth, Strip: strip}, &w.key)
+	plan, miss := w.S.Transfers(w.memo, f, Point{Bind: w.Bind, Depth: depth, Strip: strip}, &w.key)
 	w.Plans.Firings++
 	if miss {
 		w.Plans.PlanMisses++

@@ -155,11 +155,18 @@ func (r *Result) TotalPulledBytes() int64 {
 // Run executes body on every thread of a new team concurrently.  The
 // machine result carries clocks, idle time, flops and trace events as on
 // the message machine; its message counters hold the cross-group
-// publishes of a hybrid layout (all zero for pure shm).  Aborts wake
-// every blocked thread, which panics with an error wrapping
-// mpsim.ErrAborted; body is expected to recover it.
+// publishes of a hybrid layout (all zero for pure shm).  Aborts are the
+// core's (mpsim.Run): every blocked thread wakes and panics with the
+// cause, the team recovers what body does not, and a thread body's own
+// panic is re-panicked, as a *mpsim.RankPanic, on the caller's
+// goroutine.  A caller that wants the abort cause as an error runs a
+// Team (Team.Run).
 func Run(cfg Config, body func(t *Thread)) (*mpsim.Result, *Result) {
-	return NewTeam(cfg).Run(body)
+	mres, res, err := NewTeam(cfg).Run(body)
+	if p, ok := err.(*mpsim.RankPanic); ok {
+		panic(p)
+	}
+	return mres, res
 }
 
 // NewTeam builds a team of cfg.Procs threads configured by cfg.
@@ -203,13 +210,14 @@ func (tm *Team) Thread(id int) *Thread { return &tm.threads[id] }
 func (tm *Team) Idle() bool { return tm.m.Idle() }
 
 // Run executes body on every thread concurrently (see the package-level
-// Run).  The team may run again once Run has returned.
-func (tm *Team) Run(body func(t *Thread)) (*mpsim.Result, *Result) {
+// Run).  The error is the abort cause, as mpsim.Machine.Run returns it.
+// The team may run again once Run has returned.
+func (tm *Team) Run(body func(t *Thread)) (*mpsim.Result, *Result, error) {
 	clear(tm.pending)
 	for i := range tm.threads {
 		tm.threads[i].pulls, tm.threads[i].pulledB = 0, 0
 	}
-	mres := tm.m.Run(func(r *mpsim.Rank) { body(&tm.threads[r.ID]) })
+	mres, err := tm.m.Run(func(r *mpsim.Rank) { body(&tm.threads[r.ID]) })
 	p := len(tm.threads)
 	counts := make([]int64, 2*p)
 	res := &Result{Threads: p, Groups: tm.groups, Pulls: counts[:p:p], PulledBytes: counts[p:]}
@@ -219,7 +227,7 @@ func (tm *Team) Run(body func(t *Thread)) (*mpsim.Result, *Result) {
 		res.PulledBytes[i] = t.pulledB
 		res.Barriers += t.Collectives()
 	}
-	return mres, res
+	return mres, res, err
 }
 
 // treeDepths returns the group count and the log-tree depths of the

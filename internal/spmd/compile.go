@@ -60,10 +60,12 @@ type Program struct {
 	engOnce sync.Once
 	eng     *enginePlan
 
-	// Lazily built rank schedule (internal/sched): placement tables plus
-	// the transfer-plan memo every execution of this Program shares.
+	// Lazily built rank schedule (internal/sched), walked by every
+	// execution, PredictCost and DryRun, and the plan memo only the
+	// executions plan through.
 	schedOnce sync.Once
 	sched     *sched.Schedule
+	memo      sched.Memo
 
 	// Zero-point plans by event, each computed once (zeroPlan).
 	zeroMu sync.Mutex
@@ -74,22 +76,21 @@ type Program struct {
 	crew atomic.Pointer[crew]
 }
 
-// Schedule returns the program's rank schedule, building it once.  Its
-// plan memo lives as long as the Program, so only executions — which
-// repeat their firings run after run — plan through it; PredictCost and
-// DryRun walk a schedule of their own that dies with the call.
+// Schedule returns the program's rank schedule, building it once: the
+// one schedule its executions, PredictCost and DryRun walk.  The
+// Program's plan memo lives as long as the Program, so only executions —
+// which repeat their firings run after run — plan through it;
+// PredictCost and DryRun plan through a memo that dies with the call.
 func (p *Program) Schedule() *sched.Schedule {
-	p.schedOnce.Do(func() { p.sched = p.newSchedule() })
-	return p.sched
-}
-
-func (p *Program) newSchedule() *sched.Schedule {
-	return sched.New(sched.Input{
-		IR: p.IR, Ctx: p.Ctx, Sel: p.Sel, Comm: p.Comm,
-		Reductions: p.Reductions,
-		Grid:       p.Grid,
-		Grain:      p.Opt.PipelineGrain,
+	p.schedOnce.Do(func() {
+		p.sched = sched.New(sched.Input{
+			IR: p.IR, Ctx: p.Ctx, Sel: p.Sel, Comm: p.Comm,
+			Reductions: p.Reductions,
+			Grid:       p.Grid,
+			Grain:      p.Opt.PipelineGrain,
+		})
 	})
+	return p.sched
 }
 
 // zeroPlan is the fully vectorized plan of one event — the planner at
@@ -202,7 +203,7 @@ func (p *Program) Analyze() (*analysis.Result, error) {
 // counting walk of the rank schedule Execute walks.
 func (p *Program) PredictCost() (*analysis.Cost, error) {
 	backend, _ := passes.ParseBackend(p.Opt.Backend)
-	return analysis.Predict(p.newSchedule(), backend)
+	return analysis.Predict(p.Schedule(), backend)
 }
 
 // DryRun runs this program's schedule on the virtual machine without
@@ -214,7 +215,7 @@ func (p *Program) DryRun(cfg mpsim.Config) (*analysis.Cost, *mpsim.Result, error
 	if err != nil {
 		return nil, nil, fmt.Errorf("spmd: %w", err)
 	}
-	return analysis.DryRun(p.newSchedule(), backend, cfg)
+	return analysis.DryRun(p.Schedule(), backend, cfg)
 }
 
 // Report renders the compilation decisions (CPs, communication events,

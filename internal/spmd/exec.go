@@ -1,11 +1,9 @@
 package spmd
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 
 	"dhpf/internal/ir"
 	"dhpf/internal/iset"
@@ -14,10 +12,6 @@ import (
 	"dhpf/internal/sched"
 	"dhpf/internal/shm"
 )
-
-// debugPanics prints rank panics immediately (set by tests when
-// diagnosing distributed deadlocks caused by a dead rank).
-var debugPanics = false
 
 // ExecResult is the outcome of running a compiled program.
 type ExecResult struct {
@@ -40,8 +34,8 @@ type ExecResult struct {
 	// instances that ran one at a time — outside every unit, or in an
 	// invocation whose precheck bailed.  All zero under EngineInterp.
 	Nests NestStats
-	// Plans is the run's traffic on the schedule's memo: how many of its
-	// firings and activations were computed rather than found.
+	// Plans is the run's traffic on the program's plan memo: how many of
+	// its firings and activations were computed rather than found.
 	Plans sched.PlanStats
 	prog  *Program
 	// main holds each rank's arrays of main, by rank: the execution's own,
@@ -153,7 +147,7 @@ func (p *Program) ExecuteEngine(cfg mpsim.Config, engine Engine) (*ExecResult, e
 type crew struct {
 	m    *mpsim.Machine // the message backend's machine, or nil
 	team *shm.Team      // the shared-memory backends' team, or nil
-	// groups is the team's grouping (shmGroups), for Configure.
+	// groups is the team's grouping (nil unless hybrid), for Configure.
 	groups []int
 	// ranks are the rank executors, by rank; engine is what their engine
 	// state was built for.  A nil entry is built by its rank's goroutine,
@@ -165,22 +159,32 @@ type crew struct {
 	rankBody   func(r *mpsim.Rank)
 	threadBody func(t *shm.Thread)
 
-	// This execution's schedule, plan and kernel binding, and its first
-	// rank error, under mu.
+	// memo is the Program's plan memo, which the rank executors plan
+	// through; s, plan and native are this execution's schedule, plan
+	// and kernel binding.
+	memo   *sched.Memo
 	s      *sched.Schedule
 	plan   *enginePlan
 	native []KernelFunc
-	mu     sync.Mutex
-	err    error
 }
 
+// newCrew builds a crew for the backend.  On the shared-memory backends
+// one thread stands for each rank of the grid, with private full-size
+// arrays, and replays the message plans as rendezvous-then-pull (Send,
+// Recv and Drain below): the threads execute exactly the message ranks'
+// partitions in the same order, so numeric results are bit-identical
+// across backends by construction and only the clocks differ.  A hybrid
+// layout prices a pull across the grid's groups (hpf.Grid.Groups) like a
+// message.
 func (p *Program) newCrew(backend string, cfg mpsim.Config) *crew {
-	c := &crew{ranks: make([]*rankExec, cfg.Procs)}
+	c := &crew{ranks: make([]*rankExec, cfg.Procs), memo: &p.memo}
 	if backend == passes.BackendMP {
 		c.m = mpsim.NewMachine(cfg, mpsim.MessageCost(cfg))
 		c.rankBody = func(r *mpsim.Rank) { c.runRank(r, nil) }
 	} else {
-		c.groups = p.shmGroups(backend)
+		if backend == passes.BackendHybrid {
+			c.groups = p.Grid.Groups()
+		}
 		c.team = shm.NewTeam(shm.FromMachine(cfg, c.groups))
 		c.threadBody = func(t *shm.Thread) { c.runRank(t.Rank, t) }
 	}
@@ -195,22 +199,26 @@ func (c *crew) run(s *sched.Schedule, cfg mpsim.Config, engine Engine, plan *eng
 		clear(c.ranks)
 		c.engine = engine
 	}
-	c.s, c.plan, c.native, c.err = s, plan, native, nil
+	c.s, c.plan, c.native = s, plan, native
+	var mres *mpsim.Result
+	var sres *shm.Result
+	var err error
 	if c.m != nil {
 		c.m.Configure(cfg, mpsim.MessageCost(cfg))
-		return c.m.Run(c.rankBody), nil, c.err
+		mres, err = c.m.Run(c.rankBody)
+	} else {
+		c.team.Configure(shm.FromMachine(cfg, c.groups))
+		mres, sres, err = c.team.Run(c.threadBody)
 	}
-	c.team.Configure(shm.FromMachine(cfg, c.groups))
-	mres, sres := c.team.Run(c.threadBody)
-	return mres, sres, c.err
+	if _, ok := err.(*mpsim.RankPanic); ok {
+		err = fmt.Errorf("spmd: %w", err)
+	}
+	return mres, sres, err
 }
 
 // idle reports whether the crew may serve another execution: its last
 // one finished on every rank and left no message queued.
 func (c *crew) idle() bool {
-	if c.err != nil {
-		return false
-	}
 	if c.m != nil {
 		return c.m.Idle()
 	}
@@ -218,36 +226,13 @@ func (c *crew) idle() bool {
 }
 
 // runRank is every rank's body on either substrate: th is the
-// shared-memory thread around rk, nil on the message backend.
+// shared-memory thread around rk, nil on the message backend.  A panic
+// is the machine's to recover: it aborts the run, and the crew is
+// dropped.
 func (c *crew) runRank(rk *mpsim.Rank, th *shm.Thread) {
-	defer func() {
-		rec := recover()
-		if rec == nil {
-			return
-		}
-		c.mu.Lock()
-		if c.err == nil {
-			// Machine aborts (time limit, deadlock) keep their typed
-			// error so callers can errors.Is on ErrAborted.
-			if err, ok := rec.(error); ok && errors.Is(err, mpsim.ErrAborted) {
-				c.err = err
-			} else {
-				c.err = fmt.Errorf("spmd: rank %d: %v", rk.ID, rec)
-			}
-		}
-		if debugPanics {
-			fmt.Println("SPMD-PANIC:", c.err)
-		}
-		c.mu.Unlock()
-		// A dead rank can never send, publish or acknowledge again:
-		// abort the machine so peers blocked on it unwind at once,
-		// with this rank's error and not the deadlock its absence
-		// would be reported as.
-		rk.Abort(mpsim.ErrAborted)
-	}()
 	rx := c.ranks[rk.ID]
 	if rx == nil {
-		rx = newRankExec(c.s, rk, th, c.plan, c.native)
+		rx = newRankExec(c.s, c.memo, rk, th, c.plan, c.native)
 		c.ranks[rk.ID] = rx
 	}
 	rx.reset()
@@ -389,7 +374,7 @@ type rankExec struct {
 	setBuf  [64]bool // env.intSet and env.fset of a program with no more names than this
 }
 
-func newRankExec(s *sched.Schedule, rk *mpsim.Rank, th *shm.Thread, plan *enginePlan, native []KernelFunc) *rankExec {
+func newRankExec(s *sched.Schedule, memo *sched.Memo, rk *mpsim.Rank, th *shm.Thread, plan *enginePlan, native []KernelFunc) *rankExec {
 	rx := &rankExec{rk: rk, th: th, plan: plan, native: native}
 	n, stack := s.NumProcs(), rx.stackBuf[:]
 	if 2*n > len(stack) {
@@ -428,7 +413,7 @@ func newRankExec(s *sched.Schedule, rk *mpsim.Rank, th *shm.Thread, plan *engine
 			cell: make([]kcell, sc.cells), ints: rx.env.ints, intSet: rx.env.intSet, floats: rx.env.floats, fset: rx.env.fset}
 		ops = nestOps{rx}
 	}
-	rx.Walker = sched.NewWalker(s, rk.ID, ops)
+	rx.Walker = sched.NewWalker(s, memo, rk.ID, ops)
 	return rx
 }
 

@@ -1,5 +1,7 @@
 package spmd
 
+import "dhpf/internal/sched"
+
 // RequireSameRun is the bit-for-bit run comparison of engine_test.go, for
 // the external tests of this package.
 var RequireSameRun = requireSameRun
@@ -67,3 +69,9 @@ func EmitFills(prog *Program, rank int) []int {
 	}
 	return fills
 }
+
+// UseSchedule makes s the schedule of p, before anything builds one.
+func UseSchedule(p *Program, s *sched.Schedule) { p.schedOnce.Do(func() { p.sched = s }) }
+
+// MemoLen is the number of plans and activations in p's plan memo.
+func MemoLen(p *Program) int { return p.memo.Len() }

@@ -1,6 +1,6 @@
 package spmd_test
 
-// The schedule's memo (sched/plan.go) as executions see it: a warm firing
+// The program's plan memo (sched/plan.go) as executions see it: a warm firing
 // and a warm activation are lookups, a steady execution stays inside an
 // allocation budget, the counters say what was computed, and one Program
 // may be executed from many goroutines at once.
@@ -169,15 +169,16 @@ func TestWarmLookupsDoNotAllocate(t *testing.T) {
 		t.Fatal("LU has no pipelined firing")
 	}
 	var ks sched.KeyScratch
+	var memo sched.Memo
 	at := sched.Point{Bind: prog.Ctx.Bind.Params}
-	if plan, miss := s.Transfers(firing, at, &ks); !miss || len(plan) == 0 {
+	if plan, miss := s.Transfers(&memo, firing, at, &ks); !miss || len(plan) == 0 {
 		t.Fatalf("first lookup: %d transfers, miss %v", len(plan), miss)
 	}
-	if n := testing.AllocsPerRun(100, func() { s.Transfers(firing, at, &ks) }); n > 1 {
+	if n := testing.AllocsPerRun(100, func() { s.Transfers(&memo, firing, at, &ks) }); n > 1 {
 		t.Errorf("a warm Transfers lookup allocates %v times", n)
 	}
-	s.IterSets(main, 1, prog.Ctx.Bind.Params, &ks)
-	if n := testing.AllocsPerRun(100, func() { s.IterSets(main, 1, prog.Ctx.Bind.Params, &ks) }); n > 1 {
+	s.IterSets(&memo, main, 1, prog.Ctx.Bind.Params, &ks)
+	if n := testing.AllocsPerRun(100, func() { s.IterSets(&memo, main, 1, prog.Ctx.Bind.Params, &ks) }); n > 1 {
 		t.Errorf("a warm IterSets lookup allocates %v times", n)
 	}
 }
@@ -204,9 +205,52 @@ func TestPlanStats(t *testing.T) {
 	}
 }
 
+// TestEveryWalkReadsOneSchedule: ExecuteEngine, PredictCost and DryRun
+// of one Program walk its one schedule, and only the execution plans
+// through the Program's memo.  The program compiled for grain 1 is handed
+// a schedule strip-mined at grain 4: a consumer that built a schedule of
+// its own would count grain 1's messages.
+func TestEveryWalkReadsOneSchedule(t *testing.T) {
+	src := nas.LUSource(16, 1, 2, 2)
+	grain1 := execute(t, compileAt(t, src, 1), spmd.EngineCompiled).Machine
+	prog := compileAt(t, src, 1)
+	s := sched.New(sched.Input{IR: prog.IR, Ctx: prog.Ctx, Sel: prog.Sel, Comm: prog.Comm,
+		Reductions: prog.Reductions, Grid: prog.Grid, Grain: 4})
+	spmd.UseSchedule(prog, s)
+	res := execute(t, prog, spmd.EngineCompiled).Machine
+	if prog.Schedule() != s {
+		t.Fatal("the program's schedule was replaced")
+	}
+	if res.TotalMessages() == grain1.TotalMessages() {
+		t.Fatalf("grain 4 and grain 1 both send %d messages: the test cannot tell the schedules apart", res.TotalMessages())
+	}
+	planned := spmd.MemoLen(prog)
+	if planned == 0 {
+		t.Fatal("the execution planned nothing through the program's memo")
+	}
+	cost, err := prog.PredictCost()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, dry, err := prog.DryRun(mpsim.SP2Config(prog.Grid.Size()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := spmd.MemoLen(prog); n != planned {
+		t.Errorf("PredictCost and DryRun took the program's memo from %d entries to %d", planned, n)
+	}
+	if cost.TotalMessages() != res.TotalMessages() || dry.TotalMessages() != res.TotalMessages() {
+		t.Errorf("messages: PredictCost %d, DryRun %d, ExecuteEngine %d (grain 1: %d)",
+			cost.TotalMessages(), dry.TotalMessages(), res.TotalMessages(), grain1.TotalMessages())
+	}
+	if math.Float64bits(dry.Time) != math.Float64bits(res.Time) {
+		t.Errorf("DryRun makespan %v, ExecuteEngine %v", dry.Time, res.Time)
+	}
+}
+
 // TestConcurrentExecutions: eight goroutines execute one cold sp16
 // Program at once — the daemon's /v1/run shape — across all three
-// engines.  They share the schedule's memo and its read-only plans and
+// engines.  They share the program's memo and its read-only plans and
 // iteration sets; every result is bit-identical to a lone execution's.
 func TestConcurrentExecutions(t *testing.T) {
 	src := nas.SPSource(16, 1, 2, 2)
