@@ -283,8 +283,9 @@ type Result struct {
 	exec *spmd.ExecResult
 }
 
-// Array gathers the authoritative global contents of an array (each
-// element from its owner) plus its per-dimension inclusive bounds.
+// Array returns the authoritative global contents of an array — each
+// element its owner's copy, gathered once when the execution ended — as
+// a fresh slice per call, plus its per-dimension inclusive bounds.
 func (r *Result) Array(name string) (data []float64, lo, hi []int, err error) {
 	return r.exec.Global(name)
 }

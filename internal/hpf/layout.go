@@ -11,6 +11,7 @@ package hpf
 
 import (
 	"fmt"
+	"slices"
 
 	"dhpf/internal/iset"
 )
@@ -126,8 +127,9 @@ type Layout struct {
 	Grid *Grid
 	Dims []DimLayout
 
-	space iset.Box
-	local []iset.Box // LocalBox by rank; nil when a dimension is CYCLIC
+	space   iset.Box
+	local   []iset.Box // LocalBox by rank; nil when a dimension is CYCLIC
+	unowned []iset.Box // Unowned; nil when a dimension is CYCLIC
 }
 
 // NewBlockLayout builds the common case directly: array with the given
@@ -187,8 +189,20 @@ func (l *Layout) LocalBox(rank int) iset.Box {
 	return l.local[rank]
 }
 
-// setLocal computes the index space and every rank's box, once the
-// dimensions are final.
+// Unowned returns the elements of the index space no rank's LocalBox
+// covers, as disjoint boxes shared like LocalBox's: none for a default
+// BLOCK layout, the tail for a BLOCK(n) whose n·P falls short of the
+// extent or an alignment offset that runs past the template.  Like
+// LocalBox it panics for a CYCLIC dimension.
+func (l *Layout) Unowned() []iset.Box {
+	if l.local == nil {
+		panic("hpf: Unowned on CYCLIC dimension")
+	}
+	return l.unowned
+}
+
+// setLocal computes the index space, every rank's box and what no box
+// covers, once the dimensions are final.
 func (l *Layout) setLocal() {
 	l.space = iset.MakeBox(l.Rank())
 	for k, d := range l.Dims {
@@ -202,6 +216,13 @@ func (l *Layout) setLocal() {
 	l.local = make([]iset.Box, l.Grid.Size())
 	for rank := range l.local {
 		l.local[rank] = l.localBox(rank)
+	}
+	// The boxes tile one box: per dimension, the BLOCKs of consecutive
+	// grid coordinates abut, so their union runs from the first rank's
+	// low corner to the last rank's high corner.
+	first, last := l.local[0], l.local[len(l.local)-1]
+	if !slices.Equal(first.Lo, l.space.Lo) || !slices.Equal(last.Hi, l.space.Hi) {
+		l.unowned = l.space.Subtract(iset.NewBox(first.Lo, last.Hi))
 	}
 }
 

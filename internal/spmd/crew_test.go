@@ -79,6 +79,41 @@ func TestReusedCrewIsFresh(t *testing.T) {
 	}
 }
 
+// TestResultOutlivesItsCrew: a result holds rank 0's main arrays, which
+// the crew forgets at the join, so the next execution — borrowing the
+// same crew, on another goroutine — neither writes them nor reads them
+// while the result's owner reads it (run under -race in CI).
+func TestResultOutlivesItsCrew(t *testing.T) {
+	for _, backend := range []string{passes.BackendMP, passes.BackendShm} {
+		prog := compileOn(t, nas.BTSource(8, 1, 2, 2), 0, backend)
+		a := execute(t, prog, spmd.EngineCompiled)
+		kept := globals(t, prog, a)
+		done := make(chan error, 1)
+		go func() {
+			_, err := prog.ExecuteEngine(mpsim.SP2Config(prog.Grid.Size()), spmd.EngineCompiled)
+			done <- err
+		}()
+		for running := true; running; {
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+				running = false
+			default:
+			}
+			for array, data := range globals(t, prog, a) {
+				for k := range data {
+					if math.Float64bits(data[k]) != math.Float64bits(kept[array][k]) {
+						t.Fatalf("%s: an execution on the crew changed the last result's %s[%d]: %v, was %v",
+							backend, array, k, data[k], kept[array][k])
+					}
+				}
+			}
+		}
+	}
+}
+
 // requireSameExecution is spmd.RequireSameRun plus the kernel and nest
 // counters, which only a run on the same engine can match.
 func requireSameExecution(t *testing.T, prog *spmd.Program, name string, want, got *spmd.ExecResult) {

@@ -141,3 +141,19 @@ func pullPayload(dst, src *array, boxes []iset.Box) {
 		}
 	}
 }
+
+// clearBoxes zeroes the boxes' elements of arr.
+func clearBoxes(arr *array, boxes []iset.Box) {
+	for _, b := range boxes {
+		if !rowCopyable(b, arr) {
+			b.Each(func(p []int) bool {
+				arr.set(p, 0)
+				return true
+			})
+			continue
+		}
+		for rw := walkRows(b); rw.more; rw.next() {
+			clear(rw.row(arr))
+		}
+	}
+}

@@ -2,9 +2,11 @@ package spmd
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 
+	"dhpf/internal/hpf"
 	"dhpf/internal/ir"
 	"dhpf/internal/iset"
 	"dhpf/internal/mpsim"
@@ -38,9 +40,11 @@ type ExecResult struct {
 	// its firings and activations were computed rather than found.
 	Plans sched.PlanStats
 	prog  *Program
-	// main holds each rank's arrays of main, by rank: the execution's own,
-	// which no later execution touches.
-	main []map[string]*array
+	// main holds main's arrays by name, one copy each: rank 0's, handed
+	// over at the join, every distributed one completed there with the
+	// other ranks' local boxes (gather), so each element is its owner's.
+	// No later execution touches them.
+	main map[string]*array
 }
 
 // NestStats is the slow path of one execution on a compiled engine,
@@ -56,28 +60,19 @@ func (n NestStats) String() string {
 	return fmt.Sprintf("nests: %d declined, %d interpreted instances", n.Declined, n.Walked)
 }
 
-// Global assembles the authoritative global contents of an array: each
-// element is taken from its owner's copy (replicated arrays come from
-// rank 0).  Returns the flattened data plus the per-dimension bounds.
+// Global returns the authoritative global contents of an array — each
+// element its owner's copy, a replicated array rank 0's, an element no
+// rank owns zero — as a fresh copy of the flattened data, plus the
+// per-dimension bounds.
 func (er *ExecResult) Global(name string) ([]float64, []int, []int, error) {
-	decl := findDecl(er.prog.IR, name)
-	if decl == nil {
+	if findDecl(er.prog.IR, name) == nil {
 		return nil, nil, nil, fmt.Errorf("spmd: unknown array %q", name)
 	}
-	a0 := er.main[0][name]
-	if a0 == nil {
+	a := er.main[name]
+	if a == nil {
 		return nil, nil, nil, fmt.Errorf("spmd: array %q not allocated in main", name)
 	}
-	out := newArrayLike(a0)
-	layout := er.prog.Ctx.Bind.LayoutOf(name)
-	if layout == nil {
-		copy(out.data, a0.data)
-		return out.data, out.lo, out.hi, nil
-	}
-	for rank := 0; rank < er.prog.Grid.Size(); rank++ {
-		pullPayload(out, er.main[rank][name], []iset.Box{layout.LocalBox(rank)})
-	}
-	return out.data, out.lo, out.hi, nil
+	return slices.Clone(a.data), a.lo, a.hi, nil
 }
 
 // Execute runs the compiled program on the virtual machine with the
@@ -120,12 +115,11 @@ func (p *Program) ExecuteEngine(cfg mpsim.Config, engine Engine) (*ExecResult, e
 		return nil, err
 	}
 	er := &ExecResult{Machine: mres, Shm: sres, Kernels: kernelStatsOf(native, c.ranks, mres.RankFlops),
-		prog: p, main: make([]map[string]*array, len(c.ranks))}
+		prog: p, main: c.gather(p.Ctx.Bind)}
 	if plan != nil {
 		er.Nests.Declined = plan.declined
 	}
-	for i, rx := range c.ranks {
-		er.main[i] = rx.mainFrame.arrays
+	for _, rx := range c.ranks {
 		er.Nests.Walked += rx.walked
 		er.Plans.Firings += rx.Plans.Firings
 		er.Plans.PlanMisses += rx.Plans.PlanMisses
@@ -216,6 +210,30 @@ func (c *crew) run(s *sched.Schedule, cfg mpsim.Config, engine Engine, plan *eng
 	return mres, sres, err
 }
 
+// gather hands rank 0's arrays of main over to the result.  Each
+// distributed one is completed in place, at the join: the other ranks'
+// local boxes are copied in, in rank order (where boxes overlap, the
+// highest rank's copy wins), and the elements no rank owns are cleared.
+// Rank 0's main frame forgets the arrays, so its next activation
+// allocates new ones; the other ranks' main frames keep theirs for the
+// next execution.
+func (c *crew) gather(bind *hpf.Binding) map[string]*array {
+	f := c.ranks[0].mainFrame
+	main := maps.Clone(f.arrays)
+	clear(f.locals)
+	for name, a := range main {
+		l := bind.LayoutOf(name)
+		if l == nil {
+			continue
+		}
+		for r := 1; r < len(c.ranks); r++ {
+			pullPayload(a, c.ranks[r].mainFrame.arrays[name], []iset.Box{l.LocalBox(r)})
+		}
+		clearBoxes(a, l.Unowned())
+	}
+	return main
+}
+
 // idle reports whether the crew may serve another execution: its last
 // one finished on every rank and left no message queued.
 func (c *crew) idle() bool {
@@ -249,22 +267,21 @@ type array struct {
 	data   []float64
 }
 
-func newArray(name string, lo, hi []int) *array {
-	a := &array{name: name, lo: lo, hi: hi, stride: make([]int, len(lo))}
+// newArray allocates d's array under bind: the array, one block for its
+// bounds and strides, and its data.
+func newArray(d *ir.Decl, bind map[string]int) *array {
+	r := d.Rank()
+	dims := make([]int, 3*r)
+	a := &array{name: d.Name, lo: dims[:r:r], hi: dims[r : 2*r : 2*r], stride: dims[2*r:]}
 	size := 1
-	for k := len(lo) - 1; k >= 0; k-- {
+	for k := r - 1; k >= 0; k-- {
+		a.lo[k], a.hi[k] = d.LB[k].EvalOr(bind, 0), d.UB[k].EvalOr(bind, 0)
 		a.stride[k] = size
-		w := hi[k] - lo[k] + 1
-		if w < 0 {
-			w = 0
-		}
-		size *= w
+		size *= max(a.hi[k]-a.lo[k]+1, 0)
 	}
 	a.data = make([]float64, size)
 	return a
 }
-
-func newArrayLike(a *array) *array { return newArray(a.name, a.lo, a.hi) }
 
 func (a *array) off(p []int) int {
 	o := 0
@@ -299,8 +316,9 @@ type frame struct {
 	// computed over the statement's full nest at procedure entry
 	iters map[int]iset.Set
 	// locals holds, per declaration of proc, the array an activation
-	// allocated for it (nil: a scalar, or aliased at every activation so
-	// far): reset hands it to the next activation, zeroed.
+	// allocated for it (nil: a scalar, aliased at every activation so
+	// far, or handed over to a result): reset hands it to the next
+	// activation, zeroed.
 	locals []*array
 	// pos is proc's index in the rank's free list, and next links the
 	// frames of finished activations of proc there.
@@ -331,10 +349,10 @@ type rankExec struct {
 	th        *shm.Thread
 	frames    []*frame
 	flops     float64
-	mainFrame *frame // retained after execution for result gathering
+	mainFrame *frame // main's activation, which the join gathers from
 	// free holds, per procedure (sched.ProcSched.Index), the frames of
 	// its finished activations, linked through frame.next: Enter takes
-	// one back before it makes one.  The main frame never returns.
+	// one back before it makes one.
 	free     []*frame
 	stackBuf [8]*frame // frames and free of a program with at most 4 procedures
 
@@ -461,8 +479,8 @@ func newFrame(proc *ir.Procedure, bind map[string]int, actualArrays map[string]*
 // activation of proc left there: the names are rebound to the actuals,
 // and each other declared array is the one the last activation had,
 // zeroed, while its bounds under the entry binding are the same, a new
-// one when they differ.  Either way it reads as zero throughout, as a
-// fresh activation's does.  The kernel state is unbound.
+// one when they differ or a result took it.  Either way it reads as zero
+// throughout, as a fresh activation's does.  The kernel state is unbound.
 func (f *frame) reset(proc *ir.Procedure, bind map[string]int, actualArrays map[string]*array, floatFormals map[string]float64) {
 	f.proc, f.bound = proc, false
 	clear(f.arrays)
@@ -487,14 +505,7 @@ func (f *frame) reset(proc *ir.Procedure, bind map[string]int, actualArrays map[
 		if a != nil && a.boundsAre(d, bind) {
 			clear(a.data)
 		} else {
-			r := d.Rank()
-			dims := make([]int, 2*r)
-			lo, hi := dims[:r:r], dims[r:]
-			for k := range d.LB {
-				lo[k] = d.LB[k].EvalOr(bind, 0)
-				hi[k] = d.UB[k].EvalOr(bind, 0)
-			}
-			a = newArray(d.Name, lo, hi)
+			a = newArray(d, bind)
 			f.locals[i] = a
 		}
 		f.arrays[d.Name] = a
@@ -534,9 +545,7 @@ func (rx *rankExec) Enter(sf *sched.Frame) {
 func (rx *rankExec) Leave() {
 	f := rx.top()
 	rx.frames = rx.frames[:len(rx.frames)-1]
-	if f != rx.mainFrame {
-		rx.free[f.pos], f.next = f, rx.free[f.pos]
-	}
+	rx.free[f.pos], f.next = f, rx.free[f.pos]
 }
 
 func (rx *rankExec) Actual(formal string, arg ir.Expr) {

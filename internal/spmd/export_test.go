@@ -1,6 +1,11 @@
 package spmd
 
-import "dhpf/internal/sched"
+import (
+	"dhpf/internal/iset"
+	"dhpf/internal/mpsim"
+	"dhpf/internal/passes"
+	"dhpf/internal/sched"
+)
 
 // RequireSameRun is the bit-for-bit run comparison of engine_test.go, for
 // the external tests of this package.
@@ -75,3 +80,33 @@ func UseSchedule(p *Program, s *sched.Schedule) { p.schedOnce.Do(func() { p.sche
 
 // MemoLen is the number of plans and activations in p's plan memo.
 func MemoLen(p *Program) int { return p.memo.Len() }
+
+// ZeroThenPull executes p on the default engine, on a crew of its own,
+// and gathers main's arrays as results did when they kept every rank's
+// copy: each one from a zeroed array into which every rank's local box is
+// pulled, in rank order.
+func ZeroThenPull(p *Program, cfg mpsim.Config) (map[string][]float64, error) {
+	backend, err := passes.ParseBackend(p.Opt.Backend)
+	if err != nil {
+		return nil, err
+	}
+	plan := p.enginePlanFor()
+	c := p.newCrew(backend, cfg)
+	if _, _, err := c.run(p.Schedule(), cfg, EngineCompiled, plan, plan.bindKernels(EngineCompiled)); err != nil {
+		return nil, err
+	}
+	out := map[string][]float64{}
+	for name, a0 := range c.ranks[0].mainFrame.arrays {
+		g := &array{name: name, lo: a0.lo, hi: a0.hi, stride: a0.stride, data: make([]float64, len(a0.data))}
+		l := p.Ctx.Bind.LayoutOf(name)
+		if l == nil {
+			copy(g.data, a0.data)
+		} else {
+			for r := range c.ranks {
+				pullPayload(g, c.ranks[r].mainFrame.arrays[name], []iset.Box{l.LocalBox(r)})
+			}
+		}
+		out[name] = g.data
+	}
+	return out, nil
+}

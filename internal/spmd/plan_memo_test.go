@@ -7,6 +7,7 @@ package spmd_test
 
 import (
 	"math"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -63,10 +64,14 @@ func execute(t *testing.T, prog *spmd.Program, engine spmd.Engine) *spmd.ExecRes
 // the Program kept from the last one: a machine and rank executors built
 // per execution cost LU on mp about 560 more — most of them payload
 // buffers its empty free lists could not serve — and SP and BT about 100
-// each.  What is left is mostly the main frame's arrays, which the result
-// keeps.  No kernel is registered in this package, and the codegen engine
-// binds its units once per plan, so a steady codegen execution allocates
-// within a count or two of the default engine's.
+// each.  A result that kept every rank's main arrays — four objects each —
+// instead of rank 0's, gathered at the join, cost SP about 95 more and
+// LU and BT about 70.  What is left is rank 0's main
+// arrays (three objects each: the array, its bounds and strides, its
+// data) and the result itself.  No kernel is registered in this package,
+// and the codegen engine binds its units once per plan, so a steady
+// codegen execution allocates within a count or two of the default
+// engine's.
 func TestAllocationBudgets(t *testing.T) {
 	if raceDetector {
 		t.Skip("allocation counts are inflated under -race")
@@ -82,18 +87,60 @@ func TestAllocationBudgets(t *testing.T) {
 		engine spmd.Engine
 		budget float64
 	}{
-		{"lu16 grain 1", lu, spmd.EngineCompiled, 98},                // measured 89
-		{"lu16 grain 1, codegen", lu, spmd.EngineCodegen, 98},        // measured 89
-		{"lu16 grain 1, shm", luShm, spmd.EngineCompiled, 101},       // measured 92
-		{"lu16 grain 1, hybrid", luHybrid, spmd.EngineCompiled, 101}, // measured 92
-		{"sp16", sp, spmd.EngineCompiled, 133},                       // measured 121
-		{"bt12", bt, spmd.EngineCompiled, 98},                        // measured 89
+		{"lu16 grain 1", lu, spmd.EngineCompiled, 21},               // measured 19
+		{"lu16 grain 1, codegen", lu, spmd.EngineCodegen, 21},       // measured 19
+		{"lu16 grain 1, shm", luShm, spmd.EngineCompiled, 24},       // measured 22
+		{"lu16 grain 1, hybrid", luHybrid, spmd.EngineCompiled, 24}, // measured 22
+		{"sp16", sp, spmd.EngineCompiled, 28},                       // measured 25
+		{"bt12", bt, spmd.EngineCompiled, 21},                       // measured 19
 	} {
 		got := testing.AllocsPerRun(5, func() { execute(t, c.prog, c.engine) })
 		if got > c.budget {
 			t.Errorf("%s: a steady execution allocates %.0f times, budget %.0f", c.name, got, c.budget)
 		}
 		t.Logf("%s: %.0f allocations per steady execution", c.name, got)
+	}
+}
+
+// TestExecutionAllocatesWhatItReturns: a steady execution allocates
+// little more than the one copy of main's arrays its result holds, on
+// every backend — at most a tenth over 8 bytes per global element.  A
+// result that kept every rank's full-size arrays cost P times that; any
+// per-execution buffer the size of an array shows here first.  As in
+// testing.AllocsPerRun, one thread runs the ranks, so a rank running
+// ahead of its peers does not grow its mailboxes' free lists.
+func TestExecutionAllocatesWhatItReturns(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, c := range []struct {
+		name, src string
+		grain     int
+	}{
+		{"sp16", nas.SPSource(16, 1, 2, 2), 0},
+		{"bt12", nas.BTSource(12, 1, 2, 2), 0},
+		{"lu16 grain 1", nas.LUSource(16, 1, 2, 2), 1},
+	} {
+		for _, backend := range []string{passes.BackendMP, passes.BackendShm, passes.BackendHybrid} {
+			prog := compileOn(t, c.src, c.grain, backend)
+			returned := 0
+			for _, data := range globals(t, prog, execute(t, prog, spmd.EngineCompiled)) {
+				returned += 8 * len(data)
+			}
+			const runs = 5
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for range runs {
+				execute(t, prog, spmd.EngineCompiled)
+			}
+			runtime.ReadMemStats(&after)
+			got := float64(after.TotalAlloc-before.TotalAlloc) / runs
+			if got > 1.1*float64(returned) {
+				t.Errorf("%s on %s: a steady execution allocates %.0f bytes to return %d", c.name, backend, got, returned)
+			}
+			t.Logf("%s on %s: %.0f bytes allocated per steady execution, %d returned (%.3f×)", c.name, backend, got, returned, got/float64(returned))
+		}
 	}
 }
 
