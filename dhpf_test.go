@@ -136,17 +136,19 @@ end
 // TestColdCompileAllocBudget: what a library caller pays in allocations
 // for one cold SP compile with its report and every node program.  The
 // count is deterministic to a few objects; the budget is the measured
-// 18 279 (18 766 before the parser stopped making garbage, 28 693 before
-// one dependence graph per body and one iteration / non-local set per
-// (statement, rank) served every pass, 52 937 before the node program was
-// printed from one derivation per rank, 154 565 before the set layer
-// stopped copying boxes) plus 1.2 %, so an allocation regression fails
-// here and not first in the benchmark.
+// 11 658 plus a tenth, so an allocation regression fails here and not
+// first in the benchmark.  Earlier counts: 18 161 before distance vectors
+// came from a slab, constant subscript differences were read without
+// building them and a walk kept one loop stack; 18 766 before the parser
+// stopped making garbage; 28 693 before one dependence graph per body and
+// one iteration / non-local set per (statement, rank) served every pass;
+// 52 937 before the node program was printed from one derivation per
+// rank; 154 565 before the set layer stopped copying boxes.
 func TestColdCompileAllocBudget(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector allocates on its own account")
 	}
-	const budget = 18_500
+	const budget = 12_820
 	src := nas.SPSource(12, 1, 2, 2)
 	got := testing.AllocsPerRun(3, func() {
 		prog, err := Compile(src, nil, DefaultOptions())
@@ -190,16 +192,17 @@ func TestParseAllocBudget(t *testing.T) {
 // TestWarmEditAllocBudget: one warm edit through the public incremental
 // API — the add procedure of SPMod(12,1,2,2) changed, so add and its
 // caller main are dirty and every other procedure thaws — at the measured
-// 4 995 objects / 329 KB plus a margin.  It parses the whole program as a
-// cold compile does and derives only add's and main's dependences;
-// persisting and thawing every procedure's dependence graph made 5 283
-// objects / 474 KB here, and the per-procedure AST, raw-text and
-// call-list caches before that 5 409 objects.
+// 3 838 objects / 307 KB plus a tenth.  It parses the whole program as a
+// cold compile does and derives only add's and main's dependences.  The
+// dependence tester's per-pair garbage made 4 726 objects / 318 KB here;
+// persisting and thawing every procedure's dependence graph 5 283
+// objects / 474 KB, and the per-procedure AST, raw-text and call-list
+// caches before that 5 409 objects.
 func TestWarmEditAllocBudget(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector allocates on its own account")
 	}
-	const objBudget, kbBudget, runs = 5_055, 340, 5
+	const objBudget, kbBudget, runs = 4_220, 338, 5
 	base := nas.SPModSource(12, 1, 2, 2)
 	inc := NewIncremental(0)
 	if _, _, err := inc.Compile(base, nil, DefaultOptions()); err != nil {

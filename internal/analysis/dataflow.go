@@ -225,9 +225,8 @@ func (in *Input) collectIOLocked(s ir.Stmt, bind map[string]int, reads, writes m
 	ir.Walk([]ir.Stmt{s}, func(st ir.Stmt, loops []*ir.Loop) bool {
 		switch x := st.(type) {
 		case *ir.Assign:
-			nest := append([]*ir.Loop(nil), loops...)
-			vars := ir.NestVars(nest)
-			ibox := cp.IterBox(nest, bind)
+			vars := ir.NestVars(loops)
+			ibox := cp.IterBox(loops, bind)
 			addFootprint(writes, x.LHS, vars, ibox, bind)
 			ir.WalkExpr(x.RHS, func(e ir.Expr) {
 				if r, ok := e.(*ir.ArrayRef); ok {

@@ -84,8 +84,7 @@ func summarizeProc(in *Input, grid *hpf.Grid, proc *ir.Procedure, phases []phase
 					Points: pts,
 				})
 			case *ir.Assign:
-				nest := append([]*ir.Loop(nil), loops...)
-				ph.Flops += FlopsOf(x) * float64(executedInstances(in, grid, proc, x.ID, nest))
+				ph.Flops += FlopsOf(x) * float64(executedInstances(in, grid, proc, x.ID, loops))
 			}
 			return true
 		})

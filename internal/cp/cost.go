@@ -31,26 +31,34 @@ const (
 func (ctx *Context) CommCost(proc *ir.Procedure, loop *ir.Loop, cps map[int]*CP) int64 {
 	ranks := ctx.sampleRanks()
 	var total int64
+	// What every sampled rank reads of an assignment — its nest's
+	// variables and its references, the LHS first — is built once.
+	type stmt struct {
+		nest []*ir.Loop
+		cp   *CP
+		vars []string
+		refs []*ir.ArrayRef
+	}
 	asn := ir.Assignments([]ir.Stmt{loop})
+	stmts := make([]stmt, len(asn))
+	for i, a := range asn {
+		stmts[i] = stmt{a.Nest, cps[a.Assign.ID], ir.NestVars(a.Nest),
+			append([]*ir.ArrayRef{a.Assign.LHS}, ir.Refs(a.Assign.RHS)...)}
+	}
 	for _, rank := range ranks {
 		localOf := ctx.LocalOf(proc, rank)
-		for _, a := range asn {
-			cp := cps[a.Assign.ID]
-			nest := a.Nest
-			vars := ir.NestVars(nest)
-			iters := cp.IterSet(nest, ctx.Bind.Params, localOf)
+		for _, a := range stmts {
+			iters := a.cp.IterSet(a.nest, ctx.Bind.Params, localOf)
 			if iters.IsEmpty() {
 				continue
 			}
-			refs := []*ir.ArrayRef{a.Assign.LHS}
-			refs = append(refs, ir.Refs(a.Assign.RHS)...)
-			for _, r := range refs {
+			for _, r := range a.refs {
 				l := ctx.Layout(proc, r.Name)
 				if l == nil || len(r.Subs) == 0 {
 					continue
 				}
 				local, _ := localOf(r.Name)
-				data := RefDataSet(r, vars, iters, ctx.Bind.Params)
+				data := RefDataSet(r, a.vars, iters, ctx.Bind.Params)
 				data = data.IntersectBox(l.Space())
 				nonlocal := data.SubtractBox(local)
 				if nonlocal.IsEmpty() {

@@ -307,10 +307,16 @@ func RefDataBox(ref *ir.ArrayRef, nestVars []string, iter iset.Box, bind map[str
 	return box
 }
 
-// RefDataSet maps an iteration set through a reference.
+// RefDataSet maps an iteration set through a reference.  A one-box set is
+// read in place; a larger one in canonical order, because UnionBox's
+// decomposition of the result depends on the order its boxes arrive in.
 func RefDataSet(ref *ir.ArrayRef, nestVars []string, iters iset.Set, bind map[string]int) iset.Set {
 	out := iset.EmptySet(len(ref.Subs))
-	for _, b := range iters.Boxes() {
+	boxes := iters.SharedBoxes()
+	if len(boxes) > 1 {
+		boxes = iters.Boxes()
+	}
+	for _, b := range boxes {
 		out = out.UnionBox(RefDataBox(ref, nestVars, b, bind))
 	}
 	return out

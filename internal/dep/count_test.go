@@ -7,6 +7,7 @@ import (
 
 	"dhpf/internal/dep"
 	"dhpf/internal/nas"
+	"dhpf/internal/parser"
 	"dhpf/internal/spmd"
 )
 
@@ -53,5 +54,23 @@ func TestColdCompileAnalyzeCount(t *testing.T) {
 					got, tc.analyzeCalls, tc.procs, tc.split)
 			}
 		})
+	}
+}
+
+// TestAnalyzeAllocBudget pins the objects one Analyze of each of
+// SP(12,1,2,2)'s procedures allocates, summed: measured plus a tenth.  A
+// carried distance vector is cut from the tester's slab and a constant
+// subscript difference is read without building it; a per-pair
+// allocation there shows here first.
+func TestAnalyzeAllocBudget(t *testing.T) {
+	const budget = 225 // measured 205 (2 443 before the slab and ConstDiff)
+	prog := parser.MustParse(nas.SPSource(12, 1, 2, 2))
+	got := testing.AllocsPerRun(5, func() {
+		for _, proc := range prog.Procs {
+			dep.Analyze(proc.Body)
+		}
+	})
+	if got > budget {
+		t.Errorf("dep.Analyze over SP12's %d procedures allocates %.0f objects, budget %d", len(prog.Procs), got, budget)
 	}
 }

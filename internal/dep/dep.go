@@ -9,7 +9,6 @@ package dep
 
 import (
 	"fmt"
-	"slices"
 
 	"dhpf/internal/ir"
 )
@@ -160,6 +159,7 @@ type tester struct {
 	constrained   []bool
 	unknown, zero []Dist
 	chunk         []Dependence // Dependences are allocated 64 at a time
+	slab          []Dist       // kept distance vectors, 64 at a time
 }
 
 // testPair tests for a dependence with source a and destination b: does
@@ -190,8 +190,7 @@ func (t *tester) testPair(a, b *access) {
 			// ZIV: both loop-invariant.  Distinct constant offsets can
 			// never overlap; symbolic differences are conservatively
 			// assumed to overlap.
-			diff := sa.Off.Sub(sb.Off)
-			if c, ok := diff.IsConst(); ok && c != 0 {
+			if c, ok := sa.Off.ConstDiff(sb.Off); ok && c != 0 {
 				return
 			}
 		case sa.Var != "" && sa.Var == sb.Var && sa.Coef == sb.Coef:
@@ -205,8 +204,7 @@ func (t *tester) testPair(a, b *access) {
 				// unconstrained.
 				continue
 			}
-			diff := sa.Off.Sub(sb.Off)
-			c, ok := diff.IsConst()
+			c, ok := sa.Off.ConstDiff(sb.Off)
 			if !ok {
 				// Symbolic distance: unknown.
 				constrained[li] = true
@@ -269,14 +267,15 @@ func (t *tester) testPair(a, b *access) {
 // negative trip count means the direction at that level is backward.
 //
 // The carried instances share one distance vector: dist itself when the
-// caller lets go of it (keep), a copy of the scratch otherwise.
+// caller lets go of it (keep), a copy of the scratch from the slab
+// otherwise.
 func (t *tester) emit(a, b *access, common []*ir.Loop, dist []Dist, keep bool) {
 	// Carried dependences at every carriable level.
 	zeroOK := true
 	for li, d := range dist {
 		if !d.Known || d.D*common[li].Step > 0 {
 			if !keep {
-				dist, keep = slices.Clone(dist), true
+				dist, keep = t.kept(dist), true
 			}
 			t.add(a, b, common, dist, li+1)
 		}
@@ -290,6 +289,18 @@ func (t *tester) emit(a, b *access, common []*ir.Loop, dist []Dist, keep bool) {
 	if zeroOK && a.stmt != b.stmt && a.order < b.order {
 		t.add(a, b, common, t.zero[:len(dist):len(dist)], 0)
 	}
+}
+
+// kept returns a copy of dist cut from the tester's slab, capacity-clipped
+// so that no later vector shares its backing.
+func (t *tester) kept(dist []Dist) []Dist {
+	if len(t.slab) < len(dist) {
+		t.slab = make([]Dist, 64*len(t.dist))
+	}
+	out := t.slab[:len(dist):len(dist)]
+	t.slab = t.slab[len(dist):]
+	copy(out, dist)
+	return out
 }
 
 func (t *tester) add(a, b *access, common []*ir.Loop, dist []Dist, level int) {

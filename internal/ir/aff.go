@@ -143,8 +143,39 @@ func (a AffExpr) clone() AffExpr {
 	return out
 }
 
+// ConstDiff returns a − b and true when the difference is a constant —
+// every parameter's coefficients cancel — and false otherwise.  It equals
+// a.Sub(b).IsConst() without building the difference.
+func (a AffExpr) ConstDiff(b AffExpr) (int, bool) {
+	for _, t := range a.Terms {
+		if a.coef(t.Name) != b.coef(t.Name) {
+			return 0, false
+		}
+	}
+	for _, t := range b.Terms {
+		if a.coef(t.Name) != b.coef(t.Name) {
+			return 0, false
+		}
+	}
+	return a.Const - b.Const, true
+}
+
+// coef returns the net coefficient of name (terms may repeat a name).
+func (a AffExpr) coef(name string) int {
+	c := 0
+	for _, t := range a.Terms {
+		if t.Name == name {
+			c += t.Coef
+		}
+	}
+	return c
+}
+
 // Eq reports structural equality after normalization.
-func (a AffExpr) Eq(b AffExpr) bool { return a.Sub(b).isZero() }
+func (a AffExpr) Eq(b AffExpr) bool {
+	c, ok := a.ConstDiff(b)
+	return ok && c == 0
+}
 
 func (a AffExpr) isZero() bool {
 	if a.Const != 0 {

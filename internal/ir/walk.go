@@ -2,8 +2,13 @@ package ir
 
 // Walk calls fn for every statement in the body, pre-order, recursing into
 // loop bodies.  fn returning false prunes the subtree.
+//
+// loops is the statement's enclosing nest, outermost first.  It is valid
+// only during the call, like Box.Each's tuple: the walk keeps one loop
+// stack and the next sibling loop overwrites it, so a caller that keeps
+// the nest copies it.
 func Walk(body []Stmt, fn func(s Stmt, loops []*Loop) bool) {
-	walk(body, nil, fn)
+	walk(body, make([]*Loop, 0, 8), fn)
 }
 
 func walk(body []Stmt, loops []*Loop, fn func(Stmt, []*Loop) bool) {
