@@ -1,12 +1,14 @@
 package dhpf
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
 	"strings"
 	"testing"
 
+	"dhpf/internal/hpf"
 	"dhpf/internal/nas"
 	"dhpf/internal/parser"
 )
@@ -130,6 +132,14 @@ end
 		t.Error("expected CYCLIC rejection")
 	} else if !strings.Contains(err.Error(), "CYCLIC") {
 		t.Errorf("error %q does not mention CYCLIC", err)
+	}
+	// A subscript over a name nothing binds: once a panic in the
+	// verifier's privatization check, now the binder's typed error.
+	unbound := "progrAm A\npArAm P =01\n!hpf$proCessors A0000(1)\nsuBroutine A()\n!hpf$independent, new(cv)\n" +
+		"do A0=00,0\ndo A0=00,0\ncv= cv(A1)\nenddo\nenddo\nend\n"
+	var unboundErr *hpf.UnboundNameError
+	if _, err := Compile(unbound, nil, DefaultOptions()); !errors.As(err, &unboundErr) {
+		t.Errorf("unbound subscript name: got %v, want an hpf.UnboundNameError", err)
 	}
 }
 

@@ -178,16 +178,17 @@ func (c *counter) Scalar(e ir.Expr) float64 {
 }
 
 func (c *counter) evalScalar(e ir.Expr) (float64, bool) {
-	bind := c.w.Bind
 	switch x := e.(type) {
 	case ir.FloatConst:
 		return x.Val, true
 	case ir.IndexRef:
-		return float64(bind[x.Name]), true
+		v, _ := c.w.Lookup(x.Name)
+		return float64(v), true
 	case ir.ParamRef:
-		return float64(bind[x.Name]), true
+		v, _ := c.w.Lookup(x.Name)
+		return float64(v), true
 	case ir.ScalarRef:
-		if v, ok := bind[x.Name]; ok {
+		if v, ok := c.w.Lookup(x.Name); ok {
 			return float64(v), true // integer formal read as a value
 		}
 		return 0, false
@@ -309,11 +310,12 @@ func (c *counter) bulkCount(f *sched.Frame, l *ir.Loop, depth int) {
 		}
 		set := f.Iters[a.ID]
 		nest := f.Nest[a.ID]
-		for k, v := range f.Vars[a.ID] {
-			lo, hi := c.w.Bind[v], c.w.Bind[v]
+		for k, m := range nest {
+			at, _ := c.w.Lookup(m.Var)
+			lo, hi := at, at
 			if k >= depth {
-				lo, hi = c.w.Range(nest[k])
-				if nest[k].Step < 0 {
+				lo, hi = c.w.Range(m)
+				if m.Step < 0 {
 					lo, hi = hi, lo // direction does not matter for counting
 				}
 				if lo > hi {

@@ -37,7 +37,7 @@ func Bind(prog *ir.Program, params map[string]int) (*Binding, error) {
 	}
 	out := &Binding{Grids: map[string]*Grid{}, Layouts: map[string]*Layout{}, Params: bind}
 	for _, proc := range prog.Procs {
-		if err := checkRefRanks(proc); err != nil {
+		if err := checkRefs(proc, bind); err != nil {
 			return nil, err
 		}
 	}
@@ -200,10 +200,39 @@ func Bind(prog *ir.Program, params map[string]int) (*Binding, error) {
 	return out, nil
 }
 
-// checkRefRanks rejects a procedure that subscripts one array with two
+// UnboundNameError reports an affine subscript that names something
+// other than a parameter, an enclosing loop variable or a formal of its
+// procedure: nothing binds that name when the program runs, and no
+// analysis can evaluate it.  (A loop bound must name parameters only:
+// cp.NewContext rejects any other.)
+type UnboundNameError struct {
+	Proc  string
+	Name  string
+	Array string // whose subscript names it
+}
+
+func (e *UnboundNameError) Error() string {
+	return fmt.Sprintf("hpf: proc %s: a subscript of %s names %q, which is not a parameter, an enclosing loop variable or a formal", e.Proc, e.Array, e.Name)
+}
+
+// checkRefs rejects a procedure that subscripts one array with two
 // ranks (its declaration's, or its first reference's when it has none):
-// the analyses compare the data sets of same-named references.
-func checkRefRanks(proc *ir.Procedure) error {
+// the analyses compare the data sets of same-named references.  It
+// rejects a subscript that names anything but a parameter of bind, an
+// enclosing loop variable or a formal with an UnboundNameError.
+func checkRefs(proc *ir.Procedure, bind map[string]int) error {
+	// unbound returns a name of a that nothing binds inside loops, or "".
+	unbound := func(a ir.AffExpr, loops []*ir.Loop) string {
+		for _, t := range a.Terms {
+			if _, ok := bind[t.Name]; ok || slices.Contains(proc.Formals, t.Name) {
+				continue
+			}
+			if !slices.ContainsFunc(loops, func(l *ir.Loop) bool { return l.Var == t.Name }) {
+				return t.Name
+			}
+		}
+		return ""
+	}
 	ranks := map[string]int{}
 	for _, d := range proc.Decls {
 		if d.Rank() > 0 {
@@ -211,7 +240,7 @@ func checkRefRanks(proc *ir.Procedure) error {
 		}
 	}
 	var err error
-	ir.Walk(proc.Body, func(s ir.Stmt, _ []*ir.Loop) bool {
+	ir.Walk(proc.Body, func(s ir.Stmt, loops []*ir.Loop) bool {
 		var refs []*ir.ArrayRef
 		switch st := s.(type) {
 		case *ir.Assign:
@@ -222,6 +251,11 @@ func checkRefRanks(proc *ir.Procedure) error {
 			}
 		}
 		for _, r := range refs {
+			for _, sub := range r.Subs {
+				if name := unbound(sub.Off, loops); name != "" && err == nil {
+					err = &UnboundNameError{Proc: proc.Name, Name: name, Array: r.Name}
+				}
+			}
 			want, seen := ranks[r.Name]
 			if n := len(r.Subs); n > 0 && !seen { // n == 0: whole array or scalar
 				ranks[r.Name] = n

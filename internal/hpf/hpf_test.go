@@ -1,6 +1,7 @@
 package hpf
 
 import (
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -308,6 +309,40 @@ end
 				t.Fatalf("error does not name procedure, array and rank: %v", err)
 			}
 		})
+	}
+}
+
+// TestBindRejectsUnboundSubscriptName: a subscript naming what is neither
+// a parameter, an enclosing loop variable nor a formal is a typed bind
+// error — once a panic in dep.refElemSet under NEW(cv).  Parameters,
+// loop variables and formals are accepted.
+func TestBindRejectsUnboundSubscriptName(t *testing.T) {
+	bad := "progrAm A\npArAm P =01\n!hpf$proCessors A0000(1)\nsuBroutine A()\n!hpf$independent, new(cv)\n" +
+		"do A0=00,0\ndo A0=00,0\ncv= cv(A1)\nenddo\nenddo\nend\n"
+	_, err := Bind(parser.MustParse(bad), nil)
+	var unbound *UnboundNameError
+	if !errors.As(err, &unbound) || unbound.Proc != "A" || unbound.Name != "A1" || unbound.Array != "cv" {
+		t.Fatalf("got %v, want an UnboundNameError for A1 in cv's subscript in A", err)
+	}
+	good := `
+program t
+param N = 8
+!hpf$ processors procs(2)
+!hpf$ distribute a(BLOCK) onto procs
+subroutine main()
+  real a(0:N-1)
+  do i = 0, N-2
+    a(i+1) = a(N-1-i)
+  enddo
+  call f(a, 3)
+end
+subroutine f(b, m)
+  real b(0:N-1)
+  b(m) = b(N-m)
+end
+`
+	if _, err := Bind(parser.MustParse(good), nil); err != nil {
+		t.Fatalf("parameters, loop variables and formals rejected: %v", err)
 	}
 }
 

@@ -77,9 +77,13 @@ type Transfer struct {
 func (t Transfer) Bytes() int64 { return 8 * t.Elems }
 
 // KeyScratch is caller-owned scratch the memo key is built on, so a rank
-// looking up in a loop does not allocate.  Never share one across
+// looking up in a loop does not allocate, with the slot form a map
+// binding is turned into at the API edges.  Never share one across
 // goroutines.
-type KeyScratch struct{ buf []byte }
+type KeyScratch struct {
+	buf []byte
+	b   binding
+}
 
 // Memo key tags: a key is a tag byte, the tag's own fields, then the
 // whole scalar binding.  Every field is a varint or a length-prefixed
@@ -90,30 +94,23 @@ const (
 	keyActivation = 'A' // procedure id, rank
 )
 
-// bind completes the key b (built on ks's buffer) with the value of every
-// scalar name of the program (parameters, loop variables, integer formals
-// — names, in New's sorted order) as unbound, or bound and the value.
-// That is the entire binding, a superset of what the set algebra can
-// read, so equal keys imply equal sets even if some bound scalar never
-// occurs in a subscript.  A binding that holds a name outside names has
-// no key: the result is nil.
-func (ks *KeyScratch) bind(b []byte, names []string, bind map[string]int) []byte {
-	bound := 0
-	for _, name := range names {
-		v, ok := bind[name]
+// spell completes the key k (built on ks's buffer) with the value of
+// every scalar name of the program (parameters, loop variables, integer
+// formals — slots, in New's sorted order of the names) as unbound, or
+// bound and the value.  That is the entire binding, a superset of what
+// the set algebra can read, so equal keys imply equal sets even if some
+// bound scalar never occurs in a subscript.
+func (ks *KeyScratch) spell(k []byte, b *binding) []byte {
+	for i, ok := range b.bound {
 		if !ok {
-			b = append(b, 0)
+			k = append(k, 0)
 			continue
 		}
-		bound++
-		b = append(b, 1)
-		b = binary.AppendVarint(b, int64(v))
+		k = append(k, 1)
+		k = binary.AppendVarint(k, int64(b.vals[i]))
 	}
-	ks.buf = b
-	if bound != len(bind) {
-		return nil
-	}
-	return b
+	ks.buf = k
+	return k
 }
 
 // Memo is a plan memo: firing plans and activation iteration sets of
@@ -140,12 +137,7 @@ func (m *Memo) Len() int {
 	return len(m.m)
 }
 
-// load and store treat a nil key as no key: nothing is found, nothing
-// is kept.
 func (m *Memo) load(key []byte) (memoEntry, bool) {
-	if key == nil {
-		return memoEntry{}, false
-	}
 	m.mu.RLock()
 	e, ok := m.m[string(key)]
 	m.mu.RUnlock()
@@ -156,9 +148,6 @@ func (m *Memo) load(key []byte) (memoEntry, bool) {
 // whether that was e, so racing ranks share one value and exactly one of
 // them counts the miss.
 func (m *Memo) store(key []byte, e memoEntry) (memoEntry, bool) {
-	if key == nil {
-		return e, true
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if have, ok := m.m[string(key)]; ok {
@@ -171,32 +160,49 @@ func (m *Memo) store(key []byte, e memoEntry) (memoEntry, bool) {
 	return e, true
 }
 
-// planKey builds the key of firing f at the point.
-func (s *Schedule) planKey(ks *KeyScratch, f *Firing, at Point) []byte {
-	b := append(ks.buf[:0], keyPlan)
-	b = binary.AppendUvarint(b, uint64(f.ID))
-	b = binary.AppendVarint(b, int64(at.Depth))
-	if at.Strip == nil {
-		b = append(b, 0)
+// planKey builds the key of firing f at depth in the strip under b.
+func (s *Schedule) planKey(ks *KeyScratch, f *Firing, depth int, strip *Strip, b *binding) []byte {
+	k := append(ks.buf[:0], keyPlan)
+	k = binary.AppendUvarint(k, uint64(f.ID))
+	k = binary.AppendVarint(k, int64(depth))
+	if strip == nil {
+		k = append(k, 0)
 	} else {
-		b = append(b, 1)
-		b = binary.AppendUvarint(b, uint64(len(at.Strip.Var)))
-		b = append(b, at.Strip.Var...)
-		b = binary.AppendVarint(b, int64(at.Strip.Lo))
-		b = binary.AppendVarint(b, int64(at.Strip.Hi))
+		k = append(k, 1)
+		k = binary.AppendUvarint(k, uint64(len(strip.Var)))
+		k = append(k, strip.Var...)
+		k = binary.AppendVarint(k, int64(strip.Lo))
+		k = binary.AppendVarint(k, int64(strip.Hi))
 	}
-	return ks.bind(b, s.names, at.Bind)
+	return ks.spell(k, b)
+}
+
+// activationKey builds the key of an activation of ps's procedure on
+// rank under b.
+func (s *Schedule) activationKey(ks *KeyScratch, ps *ProcSched, rank int, b *binding) []byte {
+	k := append(ks.buf[:0], keyActivation)
+	k = binary.AppendUvarint(k, uint64(ps.id))
+	k = binary.AppendUvarint(k, uint64(rank))
+	return ks.spell(k, b)
 }
 
 // Transfers is Plan through memo m, for firings that repeat: the first
 // computation of a key serves every walker planning through m, and a
 // warm lookup allocates nothing.  The result is shared: callers must not
-// modify it.  miss reports that this call stored the plan.
+// modify it.  miss reports that this call stored the plan.  A name the
+// program never binds is dropped from at.Bind.
 func (s *Schedule) Transfers(m *Memo, f *Firing, at Point, ks *KeyScratch) (plan []Transfer, miss bool) {
-	key := s.planKey(ks, f, at)
+	return s.transfers(m, f, at.Depth, at.Strip, s.slotted(at.Bind, &ks.b), ks)
+}
+
+// transfers is Transfers under a slot binding, which is turned into names
+// only on a miss.
+func (s *Schedule) transfers(m *Memo, f *Firing, depth int, strip *Strip, b *binding, ks *KeyScratch) ([]Transfer, bool) {
+	key := s.planKey(ks, f, depth, strip, b)
 	if e, hit := m.load(key); hit {
 		return e.plan, false
 	}
+	at := Point{Bind: b.byName(s.names), Depth: depth, Strip: strip}
 	e, miss := m.store(key, memoEntry{plan: resolve(s.Plan(f.Proc, f.Events, at))})
 	return e.plan, miss
 }

@@ -235,12 +235,12 @@ func TestMemoKey(t *testing.T) {
 	var m Memo
 	seen := map[string]string{}
 	for name, p := range points {
-		key := string(s.planKey(&ks, p.f, p.at))
+		key := string(s.planKey(&ks, p.f, p.at.Depth, p.at.Strip, s.slotted(p.at.Bind, new(binding))))
 		if other, dup := seen[key]; dup {
 			t.Errorf("%q and %q share the key %q", name, other, key)
 		}
 		seen[key] = name
-		if again := string(s.planKey(new(KeyScratch), p.f, p.at)); again != key {
+		if again := string(s.planKey(new(KeyScratch), p.f, p.at.Depth, p.at.Strip, s.slotted(p.at.Bind, new(binding)))); again != key {
 			t.Errorf("%q: key depends on the scratch: %q vs %q", name, key, again)
 		}
 		first, miss := s.Transfers(&m, p.f, p.at, &ks)
@@ -272,17 +272,6 @@ func TestMemoKey(t *testing.T) {
 	if full[0].Elems != 30 || strip[0].Elems != 8 {
 		t.Errorf("full column %d elements, strip window %d; want 30 and 8", full[0].Elems, strip[0].Elems)
 	}
-	// A binding with a name the program does not have has no key: it is
-	// planned, never memoized.
-	foreign := Point{Bind: map[string]int{"N": 32, "nosuch": 1}}
-	if key := s.planKey(&ks, placed, foreign); key != nil {
-		t.Errorf("foreign binding got the key %q", key)
-	}
-	a, missA := s.Transfers(&m, placed, foreign, &ks)
-	b, missB := s.Transfers(&m, placed, foreign, &ks)
-	if !missA || !missB || len(a) == 0 || &a[0] == &b[0] {
-		t.Errorf("foreign binding was memoized")
-	}
 }
 
 // TestMemoKeyProperty: over random firings, depths, strips and bindings —
@@ -306,7 +295,7 @@ func TestMemoKeyProperty(t *testing.T) {
 			}
 		}
 		fields := fmt.Sprintf("%d %d %v %v", f.ID, at.Depth, at.Strip, at.Bind)
-		key := string(s.planKey(&ks, f, at))
+		key := string(s.planKey(&ks, f, at.Depth, at.Strip, s.slotted(at.Bind, new(binding))))
 		if other, ok := byKey[key]; ok && other != fields {
 			t.Fatalf("key %q stands for both %s and %s", key, other, fields)
 		}
@@ -334,8 +323,8 @@ func TestMemoKeyProcedures(t *testing.T) {
 	}
 	var ks KeyScratch
 	var m Memo
-	kx := string(s.planKey(&ks, fx, Point{Bind: params, Depth: 10}))
-	kx1 := string(s.planKey(&ks, fx1, Point{Bind: params}))
+	kx := string(s.planKey(&ks, fx, 10, nil, s.slotted(params, new(binding))))
+	kx1 := string(s.planKey(&ks, fx1, 0, nil, s.slotted(params, new(binding))))
 	if kx == kx1 {
 		t.Errorf("x at depth 10 and x1 at depth 0 share the key %q", kx)
 	}

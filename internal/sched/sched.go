@@ -11,7 +11,6 @@
 package sched
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -59,6 +58,12 @@ type LoopSched struct {
 	// own boundary fires outside its iteration, so a consumer may run the
 	// whole range in one step (Ops.Handled) with its own representation.
 	ComputeNest bool
+
+	// The loop's variable and bounds in slot form, and the strip loop's
+	// placement (slots.go).
+	slot   int
+	lo, hi slotAff
+	strip  *LoopSched
 }
 
 // StmtSched is the communication around one top-level assignment.
@@ -68,13 +73,13 @@ type StmtSched struct {
 
 // ProcSched is one procedure's placement tables.  Every loop has a
 // LoopSched, every assignment outside all loops a StmtSched, and every
-// assignment or call an entry in Nest and Vars.
+// assignment or call an entry in Nest.
 type ProcSched struct {
-	id    int // position in the program, for the activation key
-	Loops map[*ir.Loop]*LoopSched
-	Top   map[*ir.Assign]*StmtSched
-	Nest  map[int][]*ir.Loop // enclosing loops per statement id, outermost first
-	Vars  map[int][]string   // their variables
+	id      int // position in the program, for the activation key
+	Loops   map[*ir.Loop]*LoopSched
+	Top     map[*ir.Assign]*StmtSched
+	Nest    map[int][]*ir.Loop // enclosing loops per statement id, outermost first
+	formals []int              // each formal's slot, -1 for one no call binds an integer
 }
 
 // Schedule is the immutable per-program rank schedule, shared read-only
@@ -89,10 +94,18 @@ type Schedule struct {
 	invalid error
 
 	// names are the program's scalar names — everything a walker ever
-	// binds — sorted: the fixed order the memo keys spell a binding in.
+	// binds — sorted: a name's slot is its index here, and the memo keys
+	// spell a binding in this order.
 	names   []string
-	deepest int // the most loops around any statement
+	params  binding // the parameter binding, what a walk starts from
+	deepest int     // the most loops around any statement
 	firings int
+
+	// What membership reads, by statement id: the variables of each
+	// statement's nest, and the ON_HOME terms of each statement outside
+	// every loop whose CP is not replicated (slots.go).
+	nestSlots [][]int
+	homes     map[int][]homeTerm
 }
 
 // New builds the schedule.  It is total: a program the walker cannot run
@@ -112,11 +125,12 @@ func New(in Input) *Schedule {
 		ps := s.buildProc(proc, in.Comm[proc.Name], in.Reductions[proc.Name])
 		ps.id = i
 		s.procs[proc] = ps
-		for _, vars := range ps.Vars {
-			s.deepest = max(s.deepest, len(vars))
+		for _, nest := range ps.Nest {
+			s.deepest = max(s.deepest, len(nest))
 		}
 	}
 	s.names = scalarNames(in.IR, in.Ctx.Bind.Params)
+	s.number(in.Ctx.Bind.Params)
 	return s
 }
 
@@ -175,7 +189,6 @@ func (s *Schedule) buildProc(proc *ir.Procedure, an *comm.Analysis, reds []Reduc
 		Loops: map[*ir.Loop]*LoopSched{},
 		Top:   map[*ir.Assign]*StmtSched{},
 		Nest:  map[int][]*ir.Loop{},
-		Vars:  map[int][]string{},
 	}
 	ir.Walk(proc.Body, func(st ir.Stmt, loops []*ir.Loop) bool {
 		switch x := st.(type) {
@@ -193,9 +206,7 @@ func (s *Schedule) buildProc(proc *ir.Procedure, an *comm.Analysis, reds []Reduc
 		default:
 			return true
 		}
-		nest := append([]*ir.Loop(nil), loops...)
-		ps.Nest[st.StmtID()] = nest
-		ps.Vars[st.StmtID()] = ir.NestVars(nest)
+		ps.Nest[st.StmtID()] = append([]*ir.Loop(nil), loops...)
 		return true
 	})
 	for _, r := range reds {
@@ -291,16 +302,21 @@ func chooseStrip(l *ir.Loop, events []*comm.Event) *ir.Loop {
 // the entry binding (parameters plus integer formals).  It goes through
 // memo m, keyed by (procedure, rank, binding): every frame planned
 // through m shares the result, which callers must not modify.  miss
-// reports that this call stored the sets.
+// reports that this call stored the sets.  A name the program never
+// binds is dropped from bind.
 func (s *Schedule) IterSets(m *Memo, proc *ir.Procedure, rank int, bind map[string]int, ks *KeyScratch) (iters map[int]iset.Set, miss bool) {
+	return s.activation(m, proc, rank, s.slotted(bind, &ks.b), ks)
+}
+
+// activation is IterSets under a slot binding, which is turned into names
+// only on a miss.
+func (s *Schedule) activation(m *Memo, proc *ir.Procedure, rank int, b *binding, ks *KeyScratch) (map[int]iset.Set, bool) {
 	ps := s.procs[proc]
-	b := append(ks.buf[:0], keyActivation)
-	b = binary.AppendUvarint(b, uint64(ps.id))
-	b = binary.AppendUvarint(b, uint64(rank))
-	key := ks.bind(b, s.names, bind)
+	key := s.activationKey(ks, ps, rank, b)
 	if e, hit := m.load(key); hit {
 		return e.iters, false
 	}
+	bind := b.byName(s.names)
 	localOf := s.Ctx.LocalOf(proc, rank)
 	out := make(map[int]iset.Set, len(ps.Nest))
 	for id, nest := range ps.Nest {
@@ -308,45 +324,4 @@ func (s *Schedule) IterSets(m *Memo, proc *ir.Procedure, rank int, bind map[stri
 	}
 	e, miss := m.store(key, memoEntry{iters: out})
 	return e.iters, miss
-}
-
-// OwnsTopLevel guards a statement outside any loop: the rank executes it
-// when the CP is replicated or when it owns the data of some ON_HOME term
-// (subscripts are loop-invariant at depth 0).
-func (s *Schedule) OwnsTopLevel(proc *ir.Procedure, id, rank int, bind map[string]int) bool {
-	c := s.Sel.CPOf(id)
-	if c.Replicated() {
-		return true
-	}
-	for _, t := range c.Terms {
-		layout := s.Ctx.Layout(proc, t.Array)
-		if layout == nil {
-			return true
-		}
-		local := layout.LocalBox(rank)
-		owns := true
-		for k, sub := range t.Subs {
-			if sub.IsRange {
-				lo := sub.Lo.EvalOr(bind, 0)
-				hi := sub.Hi.EvalOr(bind, 0)
-				if max(lo, local.Lo[k]) > min(hi, local.Hi[k]) {
-					owns = false
-					break
-				}
-				continue
-			}
-			v := sub.Off.EvalOr(bind, 0)
-			if sub.Var != "" {
-				v += sub.Coef * bind[sub.Var]
-			}
-			if v < local.Lo[k] || v > local.Hi[k] {
-				owns = false
-				break
-			}
-		}
-		if owns {
-			return true
-		}
-	}
-	return false
 }

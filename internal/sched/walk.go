@@ -59,17 +59,14 @@ type Frame struct {
 const tagBlock = 8192
 
 type savedInt struct {
-	name string
-	val  int
-	had  bool
+	slot, val int
+	had       bool
 }
 
 // Walker is one rank's walk of the schedule.
 type Walker struct {
 	S  *Schedule
 	Me int
-	// Bind holds parameters, loop variables and integer formals.
-	Bind map[string]int
 	// Strip is the active strip window, nil outside a strip-mined
 	// wavefront.
 	Strip *Strip
@@ -78,6 +75,7 @@ type Walker struct {
 
 	memo   *Memo // what the walk plans through
 	ops    Ops
+	b      binding // parameters, loop variables and integer formals, by slot
 	saved  []savedInt
 	tagSeq int
 	point  []int
@@ -86,12 +84,14 @@ type Walker struct {
 	frames []Frame // per call depth, the activation running there
 	depth  int     // the call depth: activations running
 
-	// What saved, point and frames start on when the schedule's sizes
-	// fit, and key on (NewWalker).
+	// What saved, point, frames and the binding start on when the
+	// schedule's sizes fit, and key on (NewWalker).
 	savedBuf [8]savedInt
 	pointBuf [8]int
 	frameBuf [4]Frame
 	keyBuf   [64]byte
+	valBuf   [16]int
+	boundBuf [16]bool
 }
 
 // PlanStats is a walk's memo traffic: plans taken, and how many of them
@@ -108,16 +108,17 @@ func (p PlanStats) String() string {
 
 // NewWalker returns rank me's walker of s, planning through m and bound
 // to the program parameters.
-// Its scratch is sized once, from the schedule: the save stack and the
-// membership point to the deepest nest, the frames to the procedures (a
-// chain of calls repeats none) — inside the walker when that fits, as
-// does a memo key of up to 64 bytes.  Only a call can push the save
-// stack past that: the caller's loops and integer formals stay saved
-// under the callee's.  The binding is not presized: under the compiled
-// engines a kernel unit's loop variables never enter it, and a map made
-// for every scalar name costs more allocations than the few it grows by.
+// Its scratch is sized once, from the schedule: the binding to the
+// scalar names, one slot each, the save stack and the membership point
+// to the deepest nest, the frames to the procedures (a chain of calls
+// repeats none) — inside the walker when that fits, as does a memo key
+// of up to 64 bytes.  Only a call can push the save stack past that: the
+// caller's loops and integer formals stay saved under the callee's.
 func NewWalker(s *Schedule, m *Memo, me int, ops Ops) *Walker {
-	w := &Walker{S: s, Me: me, memo: m, Bind: map[string]int{}, ops: ops}
+	w := &Walker{S: s, Me: me, memo: m, ops: ops}
+	n := len(s.names)
+	w.b.vals = scratch(w.valBuf[:], n)[:n]
+	w.b.bound = scratch(w.boundBuf[:], n)[:n]
 	w.saved = scratch(w.savedBuf[:], s.deepest)
 	w.point = scratch(w.pointBuf[:], s.deepest)
 	w.frames = scratch(w.frameBuf[:], s.NumProcs())
@@ -130,13 +131,24 @@ func NewWalker(s *Schedule, m *Memo, me int, ops Ops) *Walker {
 // the program parameters, outside every strip, at the first tag block,
 // with no memo traffic counted.  Its scratch stays.
 func (w *Walker) Reset() {
-	clear(w.Bind)
-	for k, v := range w.S.Ctx.Bind.Params {
-		w.Bind[k] = v
-	}
+	copy(w.b.vals, w.S.params.vals)
+	copy(w.b.bound, w.S.params.bound)
 	w.Strip, w.Plans, w.tagSeq, w.depth = nil, PlanStats{}, 0, 0
 	w.saved = w.saved[:0]
 }
+
+// Value returns the value bound in slot i (Schedule.Slot) and whether
+// one is; a negative slot is never bound.
+func (w *Walker) Value(i int) (int, bool) {
+	if i < 0 {
+		return 0, false
+	}
+	return w.b.vals[i], w.b.bound[i]
+}
+
+// Lookup is Value by name, for readers that hold only a name: the API
+// edges, never the walk itself.
+func (w *Walker) Lookup(name string) (int, bool) { return w.Value(w.S.Slot(name)) }
 
 // scratch returns buf emptied when it has room for n, else a new empty
 // slice with room for n.
@@ -151,7 +163,7 @@ func scratch[T any](buf []T, n int) []T {
 func (w *Walker) Run() { w.proc(w.S.prog.Main()) }
 
 func (w *Walker) proc(proc *ir.Procedure) {
-	iters, miss := w.S.IterSets(w.memo, proc, w.Me, w.Bind, &w.key)
+	iters, miss := w.S.activation(w.memo, proc, w.Me, &w.b, &w.key)
 	if miss {
 		w.Plans.ActivationMisses++
 	}
@@ -214,14 +226,42 @@ func Compare(op string, l, r float64) bool {
 // loop point.
 func (w *Walker) member(f *Frame, id, depth int) bool {
 	if depth == 0 {
-		return w.S.OwnsTopLevel(f.Proc, id, w.Me, w.Bind)
+		return w.ownsTopLevel(f.Proc, id)
 	}
 	pt := w.point[:0]
-	for _, v := range f.Vars[id] {
-		pt = append(pt, w.Bind[v])
+	for _, v := range w.S.nestSlots[id] {
+		pt = append(pt, w.b.vals[v])
 	}
 	w.point = pt
 	return f.Iters[id].Contains(pt)
+}
+
+// ownsTopLevel guards a statement outside any loop: the rank executes it
+// when the CP is replicated or when it owns the data of some ON_HOME term
+// (subscripts are loop-invariant at depth 0).
+func (w *Walker) ownsTopLevel(proc *ir.Procedure, id int) bool {
+	homes := w.S.homes[id]
+	if len(homes) == 0 {
+		return true
+	}
+	for _, t := range homes {
+		layout := w.S.Ctx.Layout(proc, t.array)
+		if layout == nil {
+			return true
+		}
+		local := layout.LocalBox(w.Me)
+		owns := true
+		for k, sp := range t.subs {
+			if max(sp.lo.eval(w.b.vals), local.Lo[k]) > min(sp.hi.eval(w.b.vals), local.Hi[k]) {
+				owns = false
+				break
+			}
+		}
+		if owns {
+			return true
+		}
+	}
+	return false
 }
 
 func (w *Walker) assign(f *Frame, a *ir.Assign, depth int) {
@@ -245,7 +285,7 @@ type ArgKind int
 
 const (
 	ArgAlias ArgKind = iota // whole array: the callee aliases the caller's storage
-	ArgInt                  // index, parameter or integral constant: an integer formal in Bind
+	ArgInt                  // index, parameter or integral constant: an integer formal the walker binds
 	ArgFloat                // anything else: a value formal
 )
 
@@ -268,10 +308,11 @@ func ClassifyArg(arg ir.Expr) ArgKind {
 
 func (w *Walker) call(c *ir.CallStmt) {
 	callee := w.S.prog.Proc(c.Callee)
+	slots := w.S.procs[callee].formals
 	mark := w.mark()
 	for k, formal := range callee.Formals {
 		if arg := c.Args[k]; ClassifyArg(arg) == ArgInt {
-			w.bindInt(formal, int(w.ops.Scalar(arg)))
+			w.bindInt(slots[k], int(w.ops.Scalar(arg)))
 		} else {
 			w.ops.Actual(formal, arg)
 		}
@@ -281,23 +322,19 @@ func (w *Walker) call(c *ir.CallStmt) {
 }
 
 // mark, bindInt and unbind are the integer save/restore discipline of
-// calls and loops: bindInt shadows a name, unbind(mark) restores every
-// name shadowed since mark returned mark, innermost first.
+// calls and loops: bindInt shadows a slot, unbind(mark) restores every
+// slot shadowed since mark returned mark, innermost first.
 func (w *Walker) mark() int { return len(w.saved) }
 
-func (w *Walker) bindInt(name string, v int) {
-	old, had := w.Bind[name]
-	w.saved = append(w.saved, savedInt{name, old, had})
-	w.Bind[name] = v
+func (w *Walker) bindInt(slot, v int) {
+	w.saved = append(w.saved, savedInt{slot, w.b.vals[slot], w.b.bound[slot]})
+	w.b.vals[slot], w.b.bound[slot] = v, true
 }
 
 func (w *Walker) unbind(mark int) {
 	for i := len(w.saved) - 1; i >= mark; i-- {
-		if s := w.saved[i]; s.had {
-			w.Bind[s.name] = s.val
-		} else {
-			delete(w.Bind, s.name)
-		}
+		s := w.saved[i]
+		w.b.vals[s.slot], w.b.bound[s.slot] = s.val, s.had
 	}
 	w.saved = w.saved[:mark]
 }
@@ -307,35 +344,40 @@ func (w *Walker) loop(f *Frame, l *ir.Loop, depth int) {
 	w.fire(&ls.Reads, depth)
 	init := w.ops.ReduceInit(ls.Reds)
 	if len(ls.Pipe.Events) > 0 {
-		w.pipeline(f, l, depth)
+		w.pipeline(f, l, ls, depth)
 	} else {
-		w.iterate(f, l, depth)
+		w.iterate(f, l, ls, depth)
 	}
 	w.ops.ReduceCombine(ls.Reds, init)
 	w.fire(&ls.Writes, depth)
 }
 
-// Range evaluates the range loop l visits under the current binding and
-// strip, from its first value to its last in the direction of l.Step.
+// Range evaluates the range loop l of the running activation visits
+// under the current binding and strip, from its first value to its last
+// in the direction of l.Step.
 func (w *Walker) Range(l *ir.Loop) (lo, hi int) {
-	return w.Strip.Clamp(l, l.Lo.EvalOr(w.Bind, 0), l.Hi.EvalOr(w.Bind, 0))
+	return w.rangeOf(l, w.frames[w.depth-1].Loops[l])
 }
 
-func (w *Walker) iterate(f *Frame, l *ir.Loop, depth int) {
+func (w *Walker) rangeOf(l *ir.Loop, ls *LoopSched) (lo, hi int) {
+	return w.Strip.Clamp(l, ls.lo.eval(w.b.vals), ls.hi.eval(w.b.vals))
+}
+
+func (w *Walker) iterate(f *Frame, l *ir.Loop, ls *LoopSched, depth int) {
 	if w.ops.Handled(f, l, depth) {
 		return
 	}
-	lo, hi := w.Range(l)
+	lo, hi := w.rangeOf(l, ls)
 	mark := w.mark()
-	w.bindInt(l.Var, lo)
+	w.bindInt(ls.slot, lo)
 	if l.Step > 0 {
 		for v := lo; v <= hi; v++ {
-			w.Bind[l.Var] = v
+			w.b.vals[ls.slot] = v
 			w.stmts(f, l.Body, depth+1)
 		}
 	} else {
 		for v := lo; v >= hi; v-- {
-			w.Bind[l.Var] = v
+			w.b.vals[ls.slot] = v
 			w.stmts(f, l.Body, depth+1)
 		}
 	}
@@ -345,7 +387,7 @@ func (w *Walker) iterate(f *Frame, l *ir.Loop, depth int) {
 // transfers takes the plan firing f requires under the current binding,
 // with the outermost depth loop variables fixed, inside the strip.
 func (w *Walker) transfers(f *Firing, depth int, strip *Strip) []Transfer {
-	plan, miss := w.S.Transfers(w.memo, f, Point{Bind: w.Bind, Depth: depth, Strip: strip}, &w.key)
+	plan, miss := w.S.transfers(w.memo, f, depth, strip, &w.b, &w.key)
 	w.Plans.Firings++
 	if miss {
 		w.Plans.PlanMisses++
@@ -385,13 +427,12 @@ func (w *Walker) nextTags() int {
 // wavefront of LU-class codes), does not strip again: it runs
 // block-serialized, exchanging its boundary once, restricted to the
 // enclosing chunk if there is one.
-func (w *Walker) pipeline(f *Frame, l *ir.Loop, depth int) {
-	ls := f.Loops[l]
+func (w *Walker) pipeline(f *Frame, l *ir.Loop, ls *LoopSched, depth int) {
 	if w.Strip != nil || ls.Strip == nil {
-		w.chunk(f, l, depth, w.Strip)
+		w.chunk(f, l, ls, depth, w.Strip)
 	} else {
-		lo := ls.Strip.Lo.EvalOr(w.Bind, 0)
-		hi := ls.Strip.Hi.EvalOr(w.Bind, 0)
+		lo := ls.strip.lo.eval(w.b.vals)
+		hi := ls.strip.hi.eval(w.b.vals)
 		if lo > hi {
 			lo, hi = hi, lo
 		}
@@ -401,7 +442,7 @@ func (w *Walker) pipeline(f *Frame, l *ir.Loop, depth int) {
 		}
 		for s := lo; s <= hi; s += g {
 			w.strip = Strip{Var: ls.Strip.Var, Lo: s, Hi: min(s+g-1, hi)}
-			w.chunk(f, l, depth, &w.strip)
+			w.chunk(f, l, ls, depth, &w.strip)
 		}
 	}
 	w.ops.Drain()
@@ -409,13 +450,13 @@ func (w *Walker) pipeline(f *Frame, l *ir.Loop, depth int) {
 
 // chunk is one receive → compute → send step of a wavefront, with its
 // own tag block.
-func (w *Walker) chunk(f *Frame, l *ir.Loop, depth int, strip *Strip) {
-	plan := w.transfers(&f.Loops[l].Pipe, depth, strip)
+func (w *Walker) chunk(f *Frame, l *ir.Loop, ls *LoopSched, depth int, strip *Strip) {
+	plan := w.transfers(&ls.Pipe, depth, strip)
 	base := w.nextTags()
 	w.ops.Recv(plan, base)
 	outer := w.Strip
 	w.Strip = strip
-	w.iterate(f, l, depth)
+	w.iterate(f, l, ls, depth)
 	w.Strip = outer
 	w.ops.Send(plan, base)
 }

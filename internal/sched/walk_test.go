@@ -50,9 +50,11 @@ func (r *recorder) Scalar(e ir.Expr) float64 {
 	case ir.FloatConst:
 		return x.Val
 	case ir.IndexRef:
-		return float64(r.w.Bind[x.Name])
+		v, _ := r.w.Lookup(x.Name)
+		return float64(v)
 	case ir.ParamRef:
-		return float64(r.w.Bind[x.Name])
+		v, _ := r.w.Lookup(x.Name)
+		return float64(v)
 	}
 	return 0
 }

@@ -76,10 +76,10 @@ func ParseEngine(s string) (Engine, error) {
 }
 
 // engineEnv is the flat environment kernels read and write while a unit
-// runs; runUnit loads it.  Invariant inside an invocation: ints[s] equals
-// the interpreter's bind[name] when the name is bound and 0 when it is
-// not (intSet tracks presence), so affine evaluation over slots matches
-// AffExpr.EvalOr(bind, 0) exactly.
+// runs; runUnit loads it from the walker's slots.  Invariant inside an
+// invocation: ints[s] equals the walker's value of the name when the name
+// is bound and 0 when it is not (intSet tracks presence), so affine
+// evaluation over slots matches AffExpr.EvalOr(bind, 0) exactly.
 type engineEnv struct {
 	ints   []int
 	intSet []bool
@@ -180,6 +180,14 @@ func buildEnginePlan(p *Program) *enginePlan {
 		c.stmts(proc.Body, nil)
 		ep.nFloats = max(ep.nFloats, len(c.pp.floatSlot))
 		cutKernelUnits(ep, c.pp, c.ps, p)
+	}
+	// An invocation loads its integers by walker slot; the engine's own
+	// numbering above feeds the kernel fingerprints and stays.
+	s := p.Schedule()
+	for _, u := range ep.units {
+		for i := range u.ints {
+			u.ints[i].walk = s.Slot(u.ints[i].name)
+		}
 	}
 	ep.evalOnly = make([]KernelFunc, len(ep.units))
 	return ep

@@ -267,15 +267,39 @@ type array struct {
 	data   []float64
 }
 
-// newArray allocates d's array under bind: the array, one block for its
-// bounds and strides, and its data.
-func newArray(d *ir.Decl, bind map[string]int) *array {
+// scalars is where integer names are read by name: a rank's walker
+// (sched.Walker.Lookup), or the serial oracle's binding.
+type scalars interface {
+	Lookup(name string) (int, bool)
+}
+
+// nameBinding is a binding by name read as scalars.
+type nameBinding map[string]int
+
+func (b nameBinding) Lookup(name string) (int, bool) {
+	v, ok := b[name]
+	return v, ok
+}
+
+// evalAff is a.EvalOr(bind, 0) with the names read from sc.
+func evalAff(a ir.AffExpr, sc scalars) int {
+	v := a.Const
+	for _, t := range a.Terms {
+		x, _ := sc.Lookup(t.Name)
+		v += t.Coef * x
+	}
+	return v
+}
+
+// newArray allocates d's array under the entry binding sc: the array,
+// one block for its bounds and strides, and its data.
+func newArray(d *ir.Decl, sc scalars) *array {
 	r := d.Rank()
 	dims := make([]int, 3*r)
 	a := &array{name: d.Name, lo: dims[:r:r], hi: dims[r : 2*r : 2*r], stride: dims[2*r:]}
 	size := 1
 	for k := r - 1; k >= 0; k-- {
-		a.lo[k], a.hi[k] = d.LB[k].EvalOr(bind, 0), d.UB[k].EvalOr(bind, 0)
+		a.lo[k], a.hi[k] = evalAff(d.LB[k], sc), evalAff(d.UB[k], sc)
 		a.stride[k] = size
 		size *= max(a.hi[k]-a.lo[k]+1, 0)
 	}
@@ -342,6 +366,9 @@ type frame struct {
 // compiled engines wrap them in nestOps (engine.go).
 type rankExec struct {
 	*sched.Walker
+	// sc is what eval reads integer names from: the walker, or the
+	// serial oracle's binding.
+	sc scalars
 	// rk is the machine rank this executor runs on; th is the
 	// shared-memory thread around it, nil on the message backend.  Only
 	// Send, Recv and Drain ask which.
@@ -432,6 +459,7 @@ func newRankExec(s *sched.Schedule, memo *sched.Memo, rk *mpsim.Rank, th *shm.Th
 		ops = nestOps{rx}
 	}
 	rx.Walker = sched.NewWalker(s, memo, rk.ID, ops)
+	rx.sc = rx.Walker
 	return rx
 }
 
@@ -469,9 +497,9 @@ func (rx *rankExec) combine(op byte, v, s0 float64) float64 {
 // frame of its own: the serial oracle's.  actualArrays maps formal array
 // names to the caller's array objects (aliasing, like Fortran); every
 // other declared array is allocated.
-func newFrame(proc *ir.Procedure, bind map[string]int, actualArrays map[string]*array, floatFormals map[string]float64) *frame {
+func newFrame(proc *ir.Procedure, sc scalars, actualArrays map[string]*array, floatFormals map[string]float64) *frame {
 	f := &frame{arrays: map[string]*array{}, fenv: map[string]float64{}}
-	f.reset(proc, bind, actualArrays, floatFormals)
+	f.reset(proc, sc, actualArrays, floatFormals)
 	return f
 }
 
@@ -481,7 +509,7 @@ func newFrame(proc *ir.Procedure, bind map[string]int, actualArrays map[string]*
 // zeroed, while its bounds under the entry binding are the same, a new
 // one when they differ or a result took it.  Either way it reads as zero
 // throughout, as a fresh activation's does.  The kernel state is unbound.
-func (f *frame) reset(proc *ir.Procedure, bind map[string]int, actualArrays map[string]*array, floatFormals map[string]float64) {
+func (f *frame) reset(proc *ir.Procedure, sc scalars, actualArrays map[string]*array, floatFormals map[string]float64) {
 	f.proc, f.bound = proc, false
 	clear(f.arrays)
 	clear(f.fenv)
@@ -502,20 +530,20 @@ func (f *frame) reset(proc *ir.Procedure, bind map[string]int, actualArrays map[
 			continue
 		}
 		a := f.locals[i]
-		if a != nil && a.boundsAre(d, bind) {
+		if a != nil && a.boundsAre(d, sc) {
 			clear(a.data)
 		} else {
-			a = newArray(d, bind)
+			a = newArray(d, sc)
 			f.locals[i] = a
 		}
 		f.arrays[d.Name] = a
 	}
 }
 
-// boundsAre reports whether a has the bounds d declares under bind.
-func (a *array) boundsAre(d *ir.Decl, bind map[string]int) bool {
+// boundsAre reports whether a has the bounds d declares under sc.
+func (a *array) boundsAre(d *ir.Decl, sc scalars) bool {
 	for k := range d.LB {
-		if a.lo[k] != d.LB[k].EvalOr(bind, 0) || a.hi[k] != d.UB[k].EvalOr(bind, 0) {
+		if a.lo[k] != evalAff(d.LB[k], sc) || a.hi[k] != evalAff(d.UB[k], sc) {
 			return false
 		}
 	}
@@ -532,7 +560,7 @@ func (rx *rankExec) Enter(sf *sched.Frame) {
 	} else {
 		f = &frame{pos: pos, arrays: map[string]*array{}, fenv: map[string]float64{}}
 	}
-	f.reset(sf.Proc, rx.Bind, rx.actualArrays, rx.actualFloats)
+	f.reset(sf.Proc, rx.sc, rx.actualArrays, rx.actualFloats)
 	f.iters = sf.Iters
 	rx.frames = append(rx.frames, f)
 	if rx.mainFrame == nil {
@@ -599,10 +627,10 @@ func (rx *rankExec) ReduceCombine(reds []sched.Reduction, s0 []float64) {
 func (rx *rankExec) subVals(r *ir.ArrayRef) []int {
 	p := make([]int, len(r.Subs))
 	for k, s := range r.Subs {
-		if s.Var == "" {
-			p[k] = s.Off.EvalOr(rx.Bind, 0)
-		} else {
-			p[k] = s.Coef*rx.Bind[s.Var] + s.Off.EvalOr(rx.Bind, 0)
+		p[k] = evalAff(s.Off, rx.sc)
+		if s.Var != "" {
+			v, _ := rx.sc.Lookup(s.Var)
+			p[k] += s.Coef * v
 		}
 	}
 	return p
@@ -613,14 +641,16 @@ func (rx *rankExec) eval(e ir.Expr) float64 {
 	case ir.FloatConst:
 		return x.Val
 	case ir.IndexRef:
-		return float64(rx.Bind[x.Name])
+		v, _ := rx.sc.Lookup(x.Name)
+		return float64(v)
 	case ir.ParamRef:
-		return float64(rx.Bind[x.Name])
+		v, _ := rx.sc.Lookup(x.Name)
+		return float64(v)
 	case ir.ScalarRef:
 		if v, ok := rx.top().fenv[x.Name]; ok {
 			return v
 		}
-		if v, ok := rx.Bind[x.Name]; ok {
+		if v, ok := rx.sc.Lookup(x.Name); ok {
 			return float64(v) // integer formal read as a value
 		}
 		return 0

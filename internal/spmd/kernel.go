@@ -298,6 +298,7 @@ type KernelUnit struct {
 type slotName struct {
 	name string
 	slot int
+	walk int // of ints: the name's walker slot (sched.Schedule.Slot)
 }
 
 // Fingerprint returns the unit's content hash: a SHA-256 over a

@@ -144,7 +144,7 @@ func addSlot(list []slotName, name string, slot int) []slotName {
 			return list
 		}
 	}
-	return append(list, slotName{name, slot})
+	return append(list, slotName{name: name, slot: slot})
 }
 
 // islot resolves an integer name the unit reads from its slot.
@@ -224,8 +224,8 @@ func (x *kextract) assign(a *ir.Assign) *KAssign {
 	}
 	// The loops enclosing the root hold the outer point of the guard: the
 	// precheck reads their slots.
-	for k, name := range x.ps.Vars[a.ID][:x.u.RootDepth] {
-		x.u.ints = addSlot(x.u.ints, name, nestSlots[k])
+	for k, l := range x.ps.Nest[a.ID][:x.u.RootDepth] {
+		x.u.ints = addSlot(x.u.ints, l.Var, nestSlots[k])
 	}
 	levels := make([]int, kd)
 	for i, sc := range x.scope {
@@ -413,7 +413,7 @@ func (x *kextract) array(name string) int {
 }
 
 // paramAff evaluates a declaration-bound affine over parameters alone,
-// matching frame.reset's EvalOr(Bind, 0) when every term is a parameter.
+// matching frame.reset's evalAff when every term is a parameter.
 func (x *kextract) paramAff(a ir.AffExpr) (int, bool) {
 	v := a.Const
 	for _, t := range a.Terms {

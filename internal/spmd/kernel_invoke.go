@@ -242,11 +242,12 @@ func subIv(s KSub, ints []int, hull []kiv) kiv {
 // runUnit is one invocation of a unit under the walker's current binding
 // and strip.  The activation's first invocation binds the frame: its
 // array slots, guards and clamps are rebuilt in place (buildGuards).  The
-// integers the unit names are loaded from Bind and prechecked; on
-// success its scalars are loaded from the frame, the unit runs —
-// natively or on the evaluator — in place of the walker's iteration of
-// the root loop, and the scalars it may have stored go back.  Returns
-// false, nothing written, for the walker to interpret the loop instead.
+// integers the unit names are copied from the walker's slots and
+// prechecked; on success its scalars are loaded from the frame, the unit
+// runs — natively or on the evaluator — in place of the walker's
+// iteration of the root loop, and the scalars it may have stored go
+// back.  Returns false, nothing written, for the walker to interpret the
+// loop instead.
 func (rx *rankExec) runUnit(ui int) bool {
 	u := rx.plan.units[ui]
 	f, e := rx.top(), &rx.env
@@ -259,7 +260,7 @@ func (rx *rankExec) runUnit(ui int) bool {
 		f.bound = true
 	}
 	for _, v := range u.ints {
-		e.ints[v.slot], e.intSet[v.slot] = rx.Bind[v.name]
+		e.ints[v.slot], e.intSet[v.slot] = rx.Value(v.walk)
 	}
 	ka := rx.ka[:len(u.Arrays)]
 	for i := range u.Arrays {

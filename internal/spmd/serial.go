@@ -73,7 +73,7 @@ func (se *serialExec) top() *frame { return se.frames[len(se.frames)-1] }
 // enter runs proc in a fresh frame; the layout is the SPMD executor's,
 // the walk below is this file's own.
 func (se *serialExec) enter(proc *ir.Procedure, actualArrays map[string]*array, floatFormals map[string]float64) {
-	f := newFrame(proc, se.bind, actualArrays, floatFormals)
+	f := newFrame(proc, nameBinding(se.bind), actualArrays, floatFormals)
 	se.frames = append(se.frames, f)
 	if se.mainArrays == nil {
 		se.mainArrays = f.arrays
@@ -199,6 +199,6 @@ func (se *serialExec) call(proc *ir.Procedure, call *ir.CallStmt) {
 
 func (se *serialExec) eval(e ir.Expr) float64 {
 	// Reuse the rank evaluator's logic through a lightweight shim.
-	rx := &rankExec{Walker: &sched.Walker{Bind: se.bind}, frames: se.frames}
+	rx := &rankExec{sc: nameBinding(se.bind), frames: se.frames}
 	return rx.eval(e)
 }

@@ -68,8 +68,9 @@ func main() {
 		os.Exit(2)
 	}
 	var findings []string
+	l := newLinter()
 	for _, p := range pkgs {
-		fs, err := lintPackage(p)
+		fs, err := l.lintPackage(p)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "vetdet:", err)
 			os.Exit(2)
@@ -114,10 +115,23 @@ func listPackages(patterns []string) ([]listedPackage, error) {
 	return pkgs, nil
 }
 
+// linter is one run's file set and source importer, shared by every
+// package it lints: each package an import closure reaches is
+// type-checked from source once per run, not once per importer.
+type linter struct {
+	fset *token.FileSet
+	imp  types.Importer
+}
+
+func newLinter() *linter {
+	fset := token.NewFileSet()
+	return &linter{fset: fset, imp: importer.ForCompiler(fset, "source", nil)}
+}
+
 // lintPackage parses, type-checks and lints one package's non-test
 // files.
-func lintPackage(p listedPackage) ([]string, error) {
-	fset := token.NewFileSet()
+func (l *linter) lintPackage(p listedPackage) ([]string, error) {
+	fset := l.fset
 	var files []*ast.File
 	for _, name := range p.GoFiles {
 		f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.ParseComments)
@@ -134,7 +148,7 @@ func lintPackage(p listedPackage) ([]string, error) {
 		Uses:  map[*ast.Ident]types.Object{},
 		Defs:  map[*ast.Ident]types.Object{},
 	}
-	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
+	conf := types.Config{Importer: l.imp}
 	if _, err := conf.Check(files[0].Name.Name, fset, files, info); err != nil {
 		return nil, fmt.Errorf("typecheck %s: %w", p.Dir, err)
 	}

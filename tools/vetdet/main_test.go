@@ -77,7 +77,7 @@ func TestLintFixture(t *testing.T) {
 	if err := os.WriteFile(path, []byte(fixture), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	findings, err := lintPackage(listedPackage{Dir: dir, GoFiles: []string{"fixture.go"}})
+	findings, err := newLinter().lintPackage(listedPackage{Dir: dir, GoFiles: []string{"fixture.go"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestNondetCallsInCore(t *testing.T) {
 		t.Fatal(err)
 	}
 	core := listedPackage{Dir: dir, ImportPath: "dhpf/internal/analysis", GoFiles: []string{"fixture.go"}}
-	findings, err := lintPackage(core)
+	findings, err := newLinter().lintPackage(core)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestNondetCallsInCore(t *testing.T) {
 	}
 
 	outside := listedPackage{Dir: dir, ImportPath: "dhpf/internal/service", GoFiles: []string{"fixture.go"}}
-	findings, err = lintPackage(outside)
+	findings, err = newLinter().lintPackage(outside)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestUnsortedKeyReturns(t *testing.T) {
 	if err := os.WriteFile(path, []byte(keyReturnFixture), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	findings, err := lintPackage(listedPackage{Dir: dir, GoFiles: []string{"fixture.go"}})
+	findings, err := newLinter().lintPackage(listedPackage{Dir: dir, GoFiles: []string{"fixture.go"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestExemptFile(t *testing.T) {
 		}
 	}
 
-	findings, err := lintPackage(listedPackage{Dir: gen, ImportPath: "dhpf/internal/codegen/gen", GoFiles: []string{"fixture.go"}})
+	findings, err := newLinter().lintPackage(listedPackage{Dir: gen, ImportPath: "dhpf/internal/codegen/gen", GoFiles: []string{"fixture.go"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestExemptFile(t *testing.T) {
 		t.Errorf("generated exempt file should lint clean:\n%s", strings.Join(findings, "\n"))
 	}
 
-	findings, err = lintPackage(listedPackage{Dir: hand, ImportPath: "dhpf/internal/analysis", GoFiles: []string{"fixture.go"}})
+	findings, err = newLinter().lintPackage(listedPackage{Dir: hand, ImportPath: "dhpf/internal/analysis", GoFiles: []string{"fixture.go"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,8 @@ func TestExemptFile(t *testing.T) {
 }
 
 // TestRepoClean: the tree this linter ships in must itself lint clean —
-// the same invocation CI runs.
+// the same invocation CI runs, every package through one linter.  The
+// package count is pinned: a package added or removed changes it here.
 func TestRepoClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("source-importer type-check of the whole tree is slow")
@@ -313,8 +314,12 @@ func TestRepoClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(pkgs) != 31 {
+		t.Errorf("%d packages listed, want 31", len(pkgs))
+	}
+	l := newLinter()
 	for _, p := range pkgs {
-		findings, err := lintPackage(p)
+		findings, err := l.lintPackage(p)
 		if err != nil {
 			t.Fatal(err)
 		}
