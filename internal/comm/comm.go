@@ -8,6 +8,7 @@ package comm
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"dhpf/internal/cp"
@@ -48,9 +49,12 @@ type Event struct {
 
 	// Pipelined marks events that remain inside a loop carrying a
 	// processor-crossing dependence: the wavefront case.  CarriedBy is
-	// that loop.
+	// that loop.  Strip is the outermost loop inside it that carries no
+	// dependence but input ones, nil when there is none: a wavefront may
+	// be cut into strips over it.
 	Pipelined bool
 	CarriedBy *ir.Loop
+	Strip     *ir.Loop
 
 	// Eliminated marks events removed by data-availability analysis,
 	// with the reason recorded.
@@ -332,10 +336,22 @@ func markPipelined(ctx *cp.Context, proc *ir.Procedure, a *Analysis, deps []*dep
 			if crossesPartition(ctx, proc, d, carrier) {
 				e.Pipelined = true
 				e.CarriedBy = carrier
+				e.Strip = stripLoop(e.Nest[e.Depth:], deps)
 				break
 			}
 		}
 	}
+}
+
+// stripLoop returns the outermost of loops that carries no dependence but
+// input ones, or nil.
+func stripLoop(loops []*ir.Loop, deps []*dep.Dependence) *ir.Loop {
+	for _, l := range loops {
+		if !slices.ContainsFunc(deps, func(d *dep.Dependence) bool { return d.Kind != dep.Input && d.CarriedBy(l) }) {
+			return l
+		}
+	}
+	return nil
 }
 
 // crossesPartition reports whether a dependence carried by loop l moves

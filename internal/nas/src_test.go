@@ -86,6 +86,47 @@ func TestBTCompiledMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestBTFineGrainMatchesSerial: below grain 5 a strip of BT's wavefronts
+// no longer splits the component loop m, whose window does not bound the
+// rows of r the inner loop reads — there a strip republished rows the
+// next one overwrote, and r came out 3e-4 to 1e-3 off serial.  The strip
+// is now the outermost loop that carries no dependence (comm's
+// Event.Strip), and every array equals the serial run's bit for bit on
+// both backends.
+func TestBTFineGrainMatchesSerial(t *testing.T) {
+	src := BTSource(12, 1, 2, 2)
+	ref, err := spmd.RunSerial(parser.MustParse(src), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, backend := range []string{"mp", "shm"} {
+		for grain := 1; grain <= 4; grain++ {
+			opt := spmd.DefaultOptions()
+			opt.Backend, opt.PipelineGrain = backend, grain
+			prog, err := spmd.CompileSource(src, nil, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := prog.Execute(smallMachine(4))
+			if err != nil {
+				t.Fatalf("%s/g%d: %v", backend, grain, err)
+			}
+			for _, name := range ref.Names() {
+				got, _, _, err := res.Global(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, _, _, _ := ref.Array(name)
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%s/g%d: %s[%d] = %v, serial %v", backend, grain, name, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestSPWorkIsDistributed(t *testing.T) {
 	src := SPSource(ClassS.N, 1, 2, 2)
 	prog, err := spmd.CompileSource(src, nil, spmd.DefaultOptions())

@@ -2,6 +2,7 @@ package passes
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -236,6 +237,7 @@ type frozenEvent struct {
 	Ref        refSel
 	Depth      int
 	Pipelined  bool
+	Strip      int // 1 + the strip loop's position in the nest, 0 for none
 	Eliminated bool
 	Reason     string
 }
@@ -269,7 +271,8 @@ func freezeComm(proc *ir.Procedure, a *comm.Analysis) (*frozenComm, error) {
 		}
 		out.Events = append(out.Events, frozenEvent{
 			Kind: e.Kind, Stmt: r, Ref: sel, Depth: e.Depth,
-			Pipelined: e.Pipelined, Eliminated: e.Eliminated, Reason: e.Reason,
+			Pipelined: e.Pipelined, Strip: 1 + slices.Index(e.Nest, e.Strip),
+			Eliminated: e.Eliminated, Reason: e.Reason,
 		})
 	}
 	return out, nil
@@ -313,6 +316,12 @@ func thawComm(proc *ir.Procedure, fz *frozenComm) (*comm.Analysis, error) {
 				return nil, fmt.Errorf("pipelined event at depth %d has no carrying loop", f.Depth)
 			}
 			e.CarriedBy = a.Nest[f.Depth-1]
+		}
+		if f.Strip < 0 || f.Strip > len(a.Nest) {
+			return nil, fmt.Errorf("event strip %d outside nest of %d", f.Strip, len(a.Nest))
+		}
+		if f.Strip > 0 {
+			e.Strip = a.Nest[f.Strip-1]
 		}
 		events = append(events, e)
 	}

@@ -38,7 +38,7 @@ import (
 
 // artifactCodecVersion is the body-layout version shared by every
 // artifact format below; bump it when any frozen struct changes shape.
-const artifactCodecVersion = 2
+const artifactCodecVersion = 3
 
 // NewStoreBacking returns a durable backing for the artifact tier,
 // persisting frozen artifacts into st.
@@ -329,6 +329,7 @@ func encComm(w *codec.Writer, v *frozenComm) {
 		encRefSel(w, e.Ref)
 		w.Int(e.Depth)
 		w.Bool(e.Pipelined)
+		w.Int(e.Strip)
 		w.Bool(e.Eliminated)
 		w.String(e.Reason)
 	}
@@ -346,6 +347,7 @@ func decComm(r *codec.Reader) *frozenComm {
 			Ref:        decRefSel(r),
 			Depth:      r.Int(),
 			Pipelined:  r.Bool(),
+			Strip:      r.Int(),
 			Eliminated: r.Bool(),
 			Reason:     r.String(),
 		})

@@ -239,7 +239,7 @@ func (s *Schedule) buildProc(proc *ir.Procedure, an *comm.Analysis, reds []Reduc
 		}
 	}
 	for l, ls := range ps.Loops {
-		ls.Strip = chooseStrip(l, ls.Pipe.Events)
+		ls.Strip = chooseStrip(l, ls.Pipe.Events, s.grain)
 	}
 	ps.markNests(proc.Body)
 	return ps
@@ -285,16 +285,33 @@ func place(e *comm.Event, reads, writes *Firing) {
 }
 
 // chooseStrip picks the strip-mining loop of a wavefront: the innermost
-// loop enclosing the pipelined statements that is not the carrier itself.
-func chooseStrip(l *ir.Loop, events []*comm.Event) *ir.Loop {
+// loop enclosing the pipelined statements that is not the carrier itself
+// — unless strips of the grain would split that loop, which is legal
+// only for a loop carrying no dependence: then the strip is the one comm
+// found (Event.Strip), where it found one.  A split loop whose window
+// does not bound the rows an inner loop reads would let a strip
+// republish rows the next strip overwrites.  This is strip legality
+// (every strip window bounds the data its statements read) decided from
+// the dependences, in its first instance.
+func chooseStrip(l *ir.Loop, events []*comm.Event, grain int) *ir.Loop {
 	for _, e := range events {
 		for i := len(e.Nest) - 1; i >= 0; i-- {
 			if e.Nest[i] != l {
-				return e.Nest[i]
+				if pick := e.Nest[i]; e.Strip == nil || !splits(pick, grain) {
+					return pick
+				}
+				return e.Strip
 			}
 		}
 	}
 	return nil
+}
+
+// splits reports whether strips of the grain cut loop l: its trip count
+// is a constant above the grain.
+func splits(l *ir.Loop, grain int) bool {
+	d, ok := l.Hi.ConstDiff(l.Lo)
+	return ok && grain > 0 && max(d, -d)+1 > grain
 }
 
 // IterSets returns one activation's iteration sets: for every assignment

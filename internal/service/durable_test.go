@@ -95,18 +95,32 @@ func TestRestartWarmByteIdentical(t *testing.T) {
 // TestRestartWarmVerifyAndRun: the memoized verify report survives a
 // restart (served with zero compiles), and /v1/run on a thawed entry
 // revives the program and reproduces the pre-restart execution exactly.
+// BT12 at grain 1 is a wavefront whose strip comm chose (Event.Strip):
+// a revival that lost the choice would strip it differently.
 func TestRestartWarmVerifyAndRun(t *testing.T) {
+	for _, c := range []struct {
+		name, src string
+		opt       *dhpf.RequestOptions
+		arrays    []string
+	}{
+		{"sp12", nas.SPSource(12, 1, 2, 2), nil, []string{"u"}},
+		{"bt12-g1", nas.BTSource(12, 1, 2, 2), &dhpf.RequestOptions{PipelineGrain: 1}, []string{"r"}},
+	} {
+		t.Run(c.name, func(t *testing.T) { restartWarmVerifyAndRun(t, c.src, c.opt, c.arrays) })
+	}
+}
+
+func restartWarmVerifyAndRun(t *testing.T, src string, opt *dhpf.RequestOptions, arrays []string) {
 	path := filepath.Join(t.TempDir(), "dhpfd.store")
-	src := nas.SPSource(12, 1, 2, 2)
 	ctx := context.Background()
 
 	st := openStoreT(t, path)
 	_, client := newTestServer(t, Config{Store: st})
-	verify, err := client.Verify(ctx, dhpf.VerifyRequest{Source: src})
+	verify, err := client.Verify(ctx, dhpf.VerifyRequest{Source: src, Options: opt})
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := client.Run(ctx, dhpf.RunRequest{Source: src, Arrays: []string{"u"}})
+	run, err := client.Run(ctx, dhpf.RunRequest{Source: src, Options: opt, Arrays: arrays})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +130,7 @@ func TestRestartWarmVerifyAndRun(t *testing.T) {
 
 	st2 := openStoreT(t, path)
 	srv2, client2 := newTestServer(t, Config{Store: st2})
-	verify2, err := client2.Verify(ctx, dhpf.VerifyRequest{Source: src})
+	verify2, err := client2.Verify(ctx, dhpf.VerifyRequest{Source: src, Options: opt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +145,7 @@ func TestRestartWarmVerifyAndRun(t *testing.T) {
 		t.Errorf("restart-warm verify differs:\n got %s\nwant %s", got, want)
 	}
 
-	run2, err := client2.Run(ctx, dhpf.RunRequest{Source: src, Arrays: []string{"u"}})
+	run2, err := client2.Run(ctx, dhpf.RunRequest{Source: src, Options: opt, Arrays: arrays})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -90,17 +90,6 @@ func clockCorpus(t testing.TB) (names []string, srcs map[string]string) {
 
 const clockGoldenPath = "testdata/clocks.golden"
 
-// goldenRows returns the golden's lines that start with prefix.
-func goldenRows(golden, prefix string) string {
-	var b strings.Builder
-	for _, line := range strings.SplitAfter(golden, "\n") {
-		if strings.HasPrefix(line, prefix) {
-			b.WriteString(line)
-		}
-	}
-	return b.String()
-}
-
 // TestClockGolden has two producers of every row: Execute, and the dry
 // run (Program.DryRun), which walks the same schedule on the same
 // machine with no values at all.
@@ -133,18 +122,6 @@ func TestClockGolden(t *testing.T) {
 					t.Fatalf("%s/%s/g%d: dry run: %v", name, backend, grain, err)
 				}
 				rows(&dry, name, backend, grain, dres)
-				if raceDetector && name == "bt12" && grain < 5 && backend != "mp" {
-					// A real, older data race, not this test's to hide from
-					// the plain run: below grain 5 BT's wavefronts are
-					// strip-mined over m, a strip republishes rows the next
-					// strip overwrites, and the producer drains only after
-					// the last strip (ROADMAP item 2c).  Clocks
-					// do not depend on the values, so the golden still pins
-					// these rows, and the dry run, which touches no array,
-					// still produces them; only Execute cannot run them.
-					exec.WriteString(goldenRows(string(want), fmt.Sprintf("%s %s g%d ", name, backend, grain)))
-					continue
-				}
 				res, err := prog.Execute(cfg)
 				if err != nil {
 					t.Fatalf("%s/%s/g%d: execute: %v", name, backend, grain, err)

@@ -118,7 +118,7 @@ func TestResultOutlivesItsCrew(t *testing.T) {
 // counters, which only a run on the same engine can match.
 func requireSameExecution(t *testing.T, prog *spmd.Program, name string, want, got *spmd.ExecResult) {
 	t.Helper()
-	spmd.RequireSameRun(t, prog, name, want, got, true)
+	spmd.RequireSameRun(t, prog, name, want, got)
 	if got.Kernels != want.Kernels || got.Nests != want.Nests {
 		t.Fatalf("%s: %s, %s; a fresh crew's %s, %s", name, got.Kernels, got.Nests, want.Kernels, want.Nests)
 	}

@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"dhpf/internal/ir"
 	"dhpf/internal/sched"
@@ -100,6 +101,10 @@ type enginePlan struct {
 	nativeOnce sync.Once
 	scratch    kernelScratch
 	declined   int // compute nests no unit was cut from
+	// How prechecks use whole-box proofs, and how many invocations
+	// boxProofCheck cross-checked: both for tests (export_test.go).
+	boxProof   boxProofMode
+	boxChecked atomic.Int64
 }
 
 // procPlan is one procedure's slot, guard and clamp tables.
@@ -116,6 +121,9 @@ type procPlan struct {
 	// bound the loop's useful range at the loop's nest position.
 	clamps  []clampSpec
 	clampOf map[*ir.Loop]int
+	// nAssigns counts the statements of the procedure's kernel units, each
+	// numbered by KAssign.ord.
+	nAssigns int
 }
 
 type guardedStmt struct {

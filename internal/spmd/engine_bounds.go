@@ -41,10 +41,14 @@ type clampRange struct {
 
 // buildGuards rebuilds f.guards and f.clamps from the activation's
 // iteration sets, in the backing arrays an earlier activation of the
-// procedure left, overwriting every entry whole.  Guards are exact
-// restatements of the interpreter's membership test; clamps may only
-// discard iterations on which no member statement would execute.
+// procedure left, overwriting every entry whole, and clears f.proofs: no
+// box of the new guards is proven yet.  Guards are exact restatements of
+// the interpreter's membership test; clamps may only discard iterations
+// on which no member statement would execute.
 func buildGuards(f *frame, pp *procPlan) {
+	f.proofs = slices.Grow(f.proofs[:0], pp.nAssigns)[:pp.nAssigns]
+	clear(f.proofs)
+
 	f.guards = slices.Grow(f.guards[:0], len(pp.guardStmts))[:len(pp.guardStmts)]
 	for i, gs := range pp.guardStmts {
 		s := f.iters[gs.id]

@@ -376,15 +376,15 @@ func requireEnginesIdentical(t *testing.T, prog *Program, cfg mpsim.Config) {
 		t.Fatalf("the bailing run did not decline the evaluated run's invocations: %s; evaluated %s", bailed, ran)
 	}
 	for k := 1; k < 3; k++ {
-		requireSameRun(t, prog, threeWayNames[k], res[0], res[k], true)
+		requireSameRun(t, prog, threeWayNames[k], res[0], res[k])
 	}
 }
 
 // requireSameRun compares a run against the interpreter's bit for bit:
 // virtual clocks, flops and traffic per rank, shared-memory pulls, and —
-// unless the configuration is known to race on its values — every array
+// every array
 // of main.
-func requireSameRun(t *testing.T, prog *Program, name string, ri, rc *ExecResult, values bool) {
+func requireSameRun(t *testing.T, prog *Program, name string, ri, rc *ExecResult) {
 	t.Helper()
 	mi, mc := ri.Machine, rc.Machine
 	if math.Float64bits(mi.Time) != math.Float64bits(mc.Time) {
@@ -415,7 +415,7 @@ func requireSameRun(t *testing.T, prog *Program, name string, ri, rc *ExecResult
 		t.Fatalf("shared-memory pulls differ between interp and %s", name)
 	}
 	main := prog.IR.Main()
-	if main == nil || !values {
+	if main == nil {
 		return
 	}
 	for _, d := range main.Decls {

@@ -351,11 +351,14 @@ type frame struct {
 
 	// Compiled-engine state, rebuilt in place on the activation's first
 	// unit invocation (bound; never under the interpreter): array slots,
-	// and the guards and clamps derived from iters (engine_bounds.go).
+	// the guards and clamps derived from iters (engine_bounds.go), and per
+	// unit statement which of its guard boxes the precheck has tried to
+	// prove whole, and proven (kernel_invoke.go).
 	bound  bool
 	aslots []*array
 	guards []stmtGuard
 	clamps []clampRange
+	proofs []boxProof
 }
 
 // rankExec is one rank of an execution, kept with its crew for the
@@ -400,7 +403,7 @@ type rankExec struct {
 	// Compiled-engine state (nil/zero under the interpreter): plan holds
 	// the kernel units and native the execution's binding of each to a
 	// registered kernel (nil: its evaluator); env holds the slots of the
-	// unit being run; kb/ka/khull/knarrow and kenv are invocation scratch
+	// unit being run; kb/ka/khull/knarrow/kbox and kenv are invocation scratch
 	// (kernel_invoke.go, kernel_eval.go), sized once for the largest unit
 	// and never shared across ranks; walked and kstats count this rank's
 	// interpreted statement instances, invocations and bails, merged into
@@ -414,6 +417,7 @@ type rankExec struct {
 	ka      [][]float64
 	khull   []kiv
 	knarrow []kiv
+	kbox    []kiv // per guard-box dimension, for the box proof
 	kenv    kenv
 	kstats  KernelStats
 	setBuf  [64]bool // env.intSet and env.fset of a program with no more names than this
@@ -452,8 +456,8 @@ func newRankExec(s *sched.Schedule, memo *sched.Memo, rk *mpsim.Rank, th *shm.Th
 		}
 		rx.kb, rx.kreach = cut(sc.bounds), cut(2*sc.levels)
 		rx.ka = make([][]float64, sc.arrays)
-		hulls := make([]kiv, 2*sc.levels)
-		rx.khull, rx.knarrow = hulls[:sc.levels], hulls[sc.levels:]
+		hulls := make([]kiv, 2*sc.levels+sc.dims)
+		rx.khull, rx.knarrow, rx.kbox = hulls[:sc.levels], hulls[sc.levels:2*sc.levels], hulls[2*sc.levels:]
 		rx.kenv = kenv{loc: cut(el), off: cut(sc.offs), msk: cut(sc.masks), ent: cut(5 * el), rng: cut(4 * sc.assigns),
 			cell: make([]kcell, sc.cells), ints: rx.env.ints, intSet: rx.env.intSet, floats: rx.env.floats, fset: rx.env.fset}
 		ops = nestOps{rx}

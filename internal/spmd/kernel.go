@@ -235,6 +235,14 @@ type KAssign struct {
 	RHS       KExpr
 	Flops     float64
 	Refs      []KRefCheck // every array access (LHS last), for the precheck
+
+	// ord numbers the statement among the unit statements of its procedure
+	// (the frame's proof bits, kernel_invoke.go); boxRefs is Refs over the
+	// statement's guard box — a kernel level reads box dimension
+	// RootDepth+d, an outer-nest slot its dimension k — or nil when a
+	// subscript reads a slot that may change within an activation.
+	ord     int
+	boxRefs []KRefCheck
 }
 
 // KIf mirrors ir.IfStmt: the condition is evaluated at every enclosing

@@ -143,7 +143,7 @@ func (l *klin) val(e *kenv) int {
 func (u *KernelUnit) lower() kernelScratch {
 	b := &kevalBuilder{u: u}
 	u.ev = &keval{root: b.loop(u.Root), arr: b.arr}
-	return kernelScratch{arrays: len(u.Arrays), bounds: u.NumBounds, levels: u.NumLevels,
+	return kernelScratch{arrays: len(u.Arrays), bounds: u.NumBounds, levels: u.NumLevels, dims: u.RootDepth + u.NumLevels,
 		offs: b.nOff, masks: b.nMsk, assigns: b.nAsg, cells: len(b.arr)}
 }
 

@@ -27,11 +27,10 @@ import (
 // the interpreter, the default engine (kernel units on the evaluator, but
 // for the bails invocations the row expects to decline) and the default
 // engine with every precheck bailing (every invocation declined to the
-// walker) — and requires identical clocks, flops and traffic, and
-// identical arrays unless the configuration is known to race on its
-// values.  The codegen engine, with no kernel registered in this package,
-// must be the default engine again.  It returns the program.
-func threeWaysAgree(t *testing.T, src, backend string, grain int, values bool, bails int64) *spmd.Program {
+// walker) — and requires identical clocks, flops, traffic and arrays.
+// The codegen engine, with no kernel registered in this package, must be
+// the default engine again.  It returns the program.
+func threeWaysAgree(t *testing.T, src, backend string, grain int, bails int64) *spmd.Program {
 	opt := spmd.DefaultOptions()
 	opt.Backend = backend
 	opt.PipelineGrain = grain
@@ -51,17 +50,10 @@ func threeWaysAgree(t *testing.T, src, backend string, grain int, values bool, b
 	if k, n := bailed.Kernels, bailed.Nests; k.EvalCalls != 0 || k.TotalBails() != eval.Kernels.EvalCalls+bails || n.Walked <= eval.Nests.Walked {
 		t.Errorf("bailing run: %s; %s, want each of the %d invocations declined to the walker", k, n, eval.Kernels.EvalCalls+bails)
 	}
-	spmd.RequireSameRun(t, prog, "evaluator", interp, eval, values)
-	spmd.RequireSameRun(t, prog, "codegen engine", interp, codegen, values)
-	spmd.RequireSameRun(t, prog, "every precheck bailed", interp, bailed, values)
+	spmd.RequireSameRun(t, prog, "evaluator", interp, eval)
+	spmd.RequireSameRun(t, prog, "codegen engine", interp, codegen)
+	spmd.RequireSameRun(t, prog, "every precheck bailed", interp, bailed)
 	return prog
-}
-
-// racyValues: BT below grain 5 on a shared-memory backend races on r
-// (ROADMAP item 2c), so its values differ run to run on every
-// engine; clocks, flops and traffic do not depend on them.
-func racyValues(name, backend string, grain int) bool {
-	return name == "bt12" && grain < 5 && backend != "mp"
 }
 
 // TestThreeWaysAgree runs the clock corpus (SP, BT, LU, the shipped
@@ -72,12 +64,8 @@ func TestThreeWaysAgree(t *testing.T) {
 	for _, name := range names {
 		for _, backend := range []string{"mp", "shm"} {
 			for _, grain := range []int{1, 8} {
-				racy := racyValues(name, backend, grain)
-				if racy && raceDetector {
-					continue
-				}
 				t.Run(fmt.Sprintf("%s/%s/g%d", name, backend, grain), func(t *testing.T) {
-					threeWaysAgree(t, srcs[name], backend, grain, !racy, 0)
+					threeWaysAgree(t, srcs[name], backend, grain, 0)
 				})
 			}
 		}
@@ -85,7 +73,7 @@ func TestThreeWaysAgree(t *testing.T) {
 	for _, row := range spmd.HoistRows {
 		for _, backend := range []string{"mp", "shm"} {
 			t.Run(fmt.Sprintf("%s/%s", row.Name, backend), func(t *testing.T) {
-				prog := threeWaysAgree(t, row.Src, backend, 1, true, int64(row.Bails))
+				prog := threeWaysAgree(t, row.Src, backend, 1, int64(row.Bails))
 				if got := spmd.Hoisted(prog); got != row.Hoisted {
 					t.Errorf("the evaluator hoists %d subtrees, want %d", got, row.Hoisted)
 				}
@@ -116,11 +104,7 @@ func FuzzThreeWays(f *testing.F) {
 		if shm {
 			backend = "shm"
 		}
-		racy := racyValues(names[i], backend, g)
-		if racy && raceDetector {
-			t.Skip()
-		}
-		threeWaysAgree(t, srcs[names[i]], backend, g, !racy, bails[i])
+		threeWaysAgree(t, srcs[names[i]], backend, g, bails[i])
 	})
 }
 
@@ -234,7 +218,7 @@ end
 		if k, n := res.Kernels, res.Nests; k.EvalCalls != 16*4 || k.TotalBails() != 0 || n.Walked != 4+16 || n.Declined != 0 {
 			t.Errorf("%s: %s; %s, want 64 invocations, 20 interpreted instances, nothing declined", engine, k, n)
 		}
-		spmd.RequireSameRun(t, prog, engine.String(), interp, res, true)
+		spmd.RequireSameRun(t, prog, engine.String(), interp, res)
 	}
 }
 
@@ -311,7 +295,7 @@ end
 				t.Errorf("%s on %s: %s; %s, want %d %s bails and %d interpreted instances",
 					c.name, engine, k, n, c.bails, c.reason, c.walked)
 			}
-			spmd.RequireSameRun(t, prog, c.name+" on "+engine.String(), interp, res, true)
+			spmd.RequireSameRun(t, prog, c.name+" on "+engine.String(), interp, res)
 		}
 	}
 }

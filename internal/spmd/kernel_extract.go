@@ -15,6 +15,7 @@ package spmd
 // body is scanned for smaller roots.
 
 import (
+	"slices"
 	"strings"
 
 	"dhpf/internal/cp"
@@ -34,17 +35,32 @@ func (p *Program) KernelUnits() []*KernelUnit {
 
 // kcut is the context one procedure's units are cut in.
 type kcut struct {
-	ep     *enginePlan
-	pp     *procPlan
-	ps     *sched.ProcSched
-	params map[string]int
-	sel    *cp.Selection
+	ep       *enginePlan
+	pp       *procPlan
+	ps       *sched.ProcSched
+	params   map[string]int
+	sel      *cp.Selection
+	loopVars map[string]bool // every loop variable of the procedure
 }
 
 // cutKernelUnits scans one numbered procedure for unit roots.
 func cutKernelUnits(ep *enginePlan, pp *procPlan, ps *sched.ProcSched, p *Program) {
-	c := &kcut{ep: ep, pp: pp, ps: ps, params: p.Ctx.Bind.Params, sel: p.Sel}
+	c := &kcut{ep: ep, pp: pp, ps: ps, params: p.Ctx.Bind.Params, sel: p.Sel, loopVars: map[string]bool{}}
+	ir.Walk(pp.proc.Body, func(s ir.Stmt, _ []*ir.Loop) bool {
+		if l, ok := s.(*ir.Loop); ok {
+			c.loopVars[l.Var] = true
+		}
+		return true
+	})
 	c.scan(pp.proc.Body, 0, false)
+}
+
+// fixed reports whether the walker's value of an integer name is the same
+// throughout an activation: a parameter or a formal that no loop of the
+// procedure rebinds.
+func (c *kcut) fixed(name string) bool {
+	_, param := c.params[name]
+	return (param || slices.Contains(c.pp.proc.Formals, name)) && !c.loopVars[name]
 }
 
 // scan looks for unit roots under stmts, depth loops deep; inNest says an
@@ -89,6 +105,7 @@ type kextract struct {
 	nLevels  int
 	nBounds  int
 	nAssigns int
+	ordBase  int // the procedure's unit statements before this unit's
 	arrIdx   map[string]int
 	curRefs  []KRefCheck
 	noArray  bool // inside an if condition: array reads are ineligible
@@ -113,10 +130,12 @@ func (c *kcut) tryKernelUnit(l *ir.Loop, depth int) *KernelUnit {
 		arrIdx: map[string]int{},
 		ok:     true,
 	}
+	x.ordBase = c.pp.nAssigns
 	root := x.loop(l)
 	if !x.ok || x.nAssigns == 0 {
 		return nil
 	}
+	c.pp.nAssigns += x.nAssigns
 	x.u.Root = root
 	x.u.NumLevels = x.nLevels
 	x.u.NumBounds = x.nBounds
@@ -262,8 +281,50 @@ func (x *kextract) assign(a *ir.Assign) *KAssign {
 	if !x.ok {
 		return nil
 	}
+	ka.ord = x.ordBase + x.nAssigns
+	ka.boxRefs = x.boxRefs(ka)
 	x.nAssigns++
 	return ka
+}
+
+// boxRefs restates st's accesses over its guard box, for the precheck's
+// once-per-activation proof.  The box bounds every variable a subscript
+// can read but the fixed ones: a kernel level through its kernel
+// dimension, a loop enclosing the root through its outer dimension (the
+// precheck drops a box its point misses).  nil when some subscript reads
+// any other slot.
+func (x *kextract) boxRefs(st *KAssign) []KRefCheck {
+	outer := st.NestSlots[:x.u.RootDepth]
+	ok := true
+	term := func(local bool, level, slot int) (bool, int, int) {
+		if local {
+			return true, x.u.RootDepth + slices.Index(st.Levels, level), 0
+		}
+		if k := slices.Index(outer, slot); k >= 0 {
+			return true, k, 0
+		}
+		ok = ok && x.fixed(x.u.SlotNames[slot])
+		return false, 0, slot
+	}
+	out := make([]KRefCheck, len(st.Refs))
+	for i, rc := range st.Refs {
+		out[i] = KRefCheck{Arr: rc.Arr, Subs: slices.Clone(rc.Subs)}
+		for k := range out[i].Subs {
+			s := &out[i].Subs[k]
+			s.Off.Terms = slices.Clone(s.Off.Terms)
+			for j := range s.Off.Terms {
+				t := &s.Off.Terms[j]
+				t.Local, t.Level, t.Slot = term(t.Local, t.Level, t.Slot)
+			}
+			if s.HasVar {
+				s.VarLocal, s.Level, s.VarSlot = term(s.VarLocal, s.Level, s.VarSlot)
+			}
+		}
+	}
+	if !ok {
+		return nil
+	}
+	return out
 }
 
 func (x *kextract) ifStmt(st *ir.IfStmt) *KIf {

@@ -6,8 +6,11 @@ package spmd
 // root loop for one invocation, the precheck interprets the unit spec
 // against the live frame — array geometry must equal the spec constants,
 // every guard's boxes must fit the capacity the unit reserved, and
-// saturating interval analysis over the loop value hulls must prove every
-// array access in bounds, because neither back end carries bounds checks.
+// saturating interval analysis must prove every array access in bounds,
+// because neither back end carries bounds checks.  Geometry, guard
+// filtering and packing run per invocation; the bounds proof runs once
+// per activation and guard box, over the whole box, and per invocation
+// over the value hulls narrowed to the box only where that fails.
 // Any doubt bails before anything is written, and a bail is a decline:
 // the walker interprets that invocation, the reference semantics itself,
 // so a bail is a performance event, never a correctness one — and a
@@ -125,11 +128,12 @@ func (rx *rankExec) bail(r KernelBail) bool {
 // newRankExec sizes it once, to the maxima over the units.  offs, masks,
 // assigns and cells are the evaluator's (kenv).
 type kernelScratch struct {
-	arrays, bounds, levels, offs, masks, assigns, cells int
+	arrays, bounds, levels, dims, offs, masks, assigns, cells int
 }
 
 func (s *kernelScratch) fit(u kernelScratch) {
 	s.arrays, s.bounds, s.levels = max(s.arrays, u.arrays), max(s.bounds, u.bounds), max(s.levels, u.levels)
+	s.dims = max(s.dims, u.dims)
 	s.offs, s.masks = max(s.offs, u.offs), max(s.masks, u.masks)
 	s.assigns, s.cells = max(s.assigns, u.assigns), max(s.cells, u.cells)
 }
@@ -444,7 +448,7 @@ func (rx *rankExec) prepKAssign(u *KernelUnit, st *KAssign, f *frame, kb []int, 
 		if len(g.lo) != len(st.NestSlots) {
 			return rx.bail(BailGuardRank)
 		}
-		n, ok = rx.packGuardBox(u, st, kb, hull, n, g.lo, g.hi)
+		n, ok = rx.packGuardBox(u, st, f, kb, hull, n, 0, g.lo, g.hi)
 	case guardSet:
 		if g.set.Rank() != len(st.NestSlots) {
 			return rx.bail(BailGuardRank)
@@ -453,7 +457,7 @@ func (rx *rankExec) prepKAssign(u *KernelUnit, st *KAssign, f *frame, kb []int, 
 		// the order they are packed in decides nothing.
 		boxes := g.set.SharedBoxes()
 		for i := 0; i < len(boxes) && ok; i++ {
-			n, ok = rx.packGuardBox(u, st, kb, hull, n, boxes[i].Lo, boxes[i].Hi)
+			n, ok = rx.packGuardBox(u, st, f, kb, hull, n, i, boxes[i].Lo, boxes[i].Hi)
 		}
 	}
 	if !ok {
@@ -467,13 +471,15 @@ func (rx *rankExec) prepKAssign(u *KernelUnit, st *KAssign, f *frame, kb []int, 
 	return true
 }
 
-// packGuardBox handles one box of a statement's guard, n boxes being
+// packGuardBox handles box bi of a statement's guard, n boxes being
 // packed already.  A box that misses the outer-nest point — fixed for
 // the whole invocation, so checked once here instead of per point in
-// the kernel — is dropped; a survivor is packed as box n and the
-// statement's accesses are proven over the hulls narrowed to it.
-// Returns the new box count, and false after a counted bail.
-func (rx *rankExec) packGuardBox(u *KernelUnit, st *KAssign, kb []int, hull []kiv, n int, lo, hi []int) (int, bool) {
+// the kernel — is dropped; a survivor is packed as box n, and the
+// statement's accesses are proven in bounds: over the whole box once per
+// activation (boxProven), and where that fails over the hulls narrowed
+// to the box, on every invocation (proveNarrowed).  Returns the new box
+// count, and false after a counted bail.
+func (rx *rankExec) packGuardBox(u *KernelUnit, st *KAssign, f *frame, kb []int, hull []kiv, n, bi int, lo, hi []int) (int, bool) {
 	for k := 0; k < u.RootDepth; k++ {
 		if v := rx.env.ints[st.NestSlots[k]]; v < lo[k] || v > hi[k] {
 			return n, true
@@ -486,38 +492,114 @@ func (rx *rankExec) packGuardBox(u *KernelUnit, st *KAssign, kb []int, hull []ki
 	if st.MaxBoxes > 1 {
 		base++ // past the box count
 	}
-	narrow := rx.knarrow[:u.NumLevels]
-	copy(narrow, hull)
-	empty := false
 	for d := 0; d < st.KDims; d++ {
 		l, h := lo[u.RootDepth+d], hi[u.RootDepth+d]
 		kb[base+2*d] = l
 		kb[base+2*d+1] = h
 		lv := st.Levels[d]
 		rx.kreach[2*lv], rx.kreach[2*lv+1] = min(rx.kreach[2*lv], l), max(rx.kreach[2*lv+1], h)
-		narrow[lv].lo = maxI64(narrow[lv].lo, int64(l))
-		narrow[lv].hi = minI64(narrow[lv].hi, int64(h))
-		if !narrow[lv].sat && narrow[lv].lo > narrow[lv].hi {
-			empty = true
-		}
 	}
-	if empty {
-		return n + 1, true // no point passes this box: its accesses never happen
-	}
-	for i := range st.Refs {
-		rc := &st.Refs[i]
-		ka := &u.Arrays[rc.Arr]
-		for k := range rc.Subs {
-			iv := subIv(rc.Subs[k], rx.env.ints, narrow)
-			if iv.sat {
-				return n, rx.bail(BailSaturated)
-			}
-			if iv.lo < int64(ka.Lo[k]) || iv.hi > int64(ka.Hi[k]) {
-				return n, rx.bail(BailBoundsProof)
+	if rx.boxProven(u, st, f, bi, lo, hi) {
+		if rx.plan.boxProof == boxProofCheck {
+			rx.plan.boxChecked.Add(1)
+			if r, ok := rx.proveNarrowed(u, st, hull, lo, hi); !ok {
+				panic(fmt.Sprintf("spmd: unit %s/%d: guard box %d of statement %d is proven whole, but not for this invocation (%s)",
+					u.Proc, u.RootID, bi, st.ord, r))
 			}
 		}
+		return n + 1, true
+	}
+	if r, ok := rx.proveNarrowed(u, st, hull, lo, hi); !ok {
+		return n, rx.bail(r)
 	}
 	return n + 1, true
+}
+
+// boxProof is what the precheck knows this activation of one unit
+// statement's guard boxes, a bit per box index in the guard: which it
+// tried to prove whole, and which it proved.  A box at index proofBoxes
+// or past it is never tried.
+type boxProof struct{ tried, proven uint8 }
+
+const proofBoxes = 8
+
+// boxProofMode is how prechecks use the whole-box proof.  Only tests
+// change it from boxProofOn (export_test.go).
+type boxProofMode uint8
+
+const (
+	boxProofOn    boxProofMode = iota
+	boxProofOff                // every box takes the per-invocation proof
+	boxProofCheck              // a box proven whole takes it too, and it must pass
+)
+
+// boxProven reports whether st's accesses are in bounds over the whole of
+// guard box bi, trying the proof at the box's first use in the
+// activation.  The proof is sound for every invocation the box is packed
+// in: the kernel runs st only at points inside the box, the box bounds
+// the enclosing loops' variables there too (or packGuardBox drops it),
+// and every other slot a subscript reads is fixed for the activation
+// (kextract.boxRefs).  Interval arithmetic is monotone, so it implies the
+// narrowed proof of every such invocation.
+func (rx *rankExec) boxProven(u *KernelUnit, st *KAssign, f *frame, bi int, lo, hi []int) bool {
+	if st.boxRefs == nil || bi >= proofBoxes || rx.plan.boxProof == boxProofOff {
+		return false
+	}
+	p, bit := &f.proofs[st.ord], uint8(1)<<bi
+	if p.tried&bit == 0 {
+		p.tried |= bit
+		if rx.proveBox(u, st, lo, hi) {
+			p.proven |= bit
+		}
+	}
+	return p.proven&bit != 0
+}
+
+// proveBox is the whole-box proof: every access of st over box lo..hi.
+func (rx *rankExec) proveBox(u *KernelUnit, st *KAssign, lo, hi []int) bool {
+	iv := rx.kbox[:len(lo)]
+	for k := range lo {
+		iv[k] = kiv{lo: int64(lo[k]), hi: int64(hi[k])}
+	}
+	_, ok := refsInBounds(u, st.boxRefs, rx.env.ints, iv)
+	return ok
+}
+
+// proveNarrowed is the per-invocation proof: every access of st over the
+// value hulls narrowed to the kernel dimensions of box lo..hi.  It
+// returns the bail reason and false when some access is not proven.
+func (rx *rankExec) proveNarrowed(u *KernelUnit, st *KAssign, hull []kiv, lo, hi []int) (KernelBail, bool) {
+	narrow := rx.knarrow[:u.NumLevels]
+	copy(narrow, hull)
+	for d := 0; d < st.KDims; d++ {
+		lv := st.Levels[d]
+		narrow[lv].lo = maxI64(narrow[lv].lo, int64(lo[u.RootDepth+d]))
+		narrow[lv].hi = minI64(narrow[lv].hi, int64(hi[u.RootDepth+d]))
+		if !narrow[lv].sat && narrow[lv].lo > narrow[lv].hi {
+			return 0, true // no point passes this box: its accesses never happen
+		}
+	}
+	return refsInBounds(u, st.Refs, rx.env.ints, narrow)
+}
+
+// refsInBounds proves every access of refs inside u's arrays, the
+// variables ranging over iv; it returns the bail reason and false where
+// one is not proven.
+func refsInBounds(u *KernelUnit, refs []KRefCheck, ints []int, iv []kiv) (KernelBail, bool) {
+	for i := range refs {
+		rc := &refs[i]
+		ka := &u.Arrays[rc.Arr]
+		for k := range rc.Subs {
+			v := subIv(rc.Subs[k], ints, iv)
+			if v.sat {
+				return BailSaturated, false
+			}
+			if v.lo < int64(ka.Lo[k]) || v.hi > int64(ka.Hi[k]) {
+				return BailBoundsProof, false
+			}
+		}
+	}
+	return 0, true
 }
 
 // disableKAssign makes a statement's guard pass no point: a zero box

@@ -8,6 +8,8 @@ package spmd_test
 import (
 	"math"
 	"runtime"
+	"runtime/debug"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -72,6 +74,13 @@ func execute(t *testing.T, prog *spmd.Program, engine spmd.Engine) *spmd.ExecRes
 // and the codegen engine binds its units once per plan, so a steady
 // codegen execution allocates within a count or two of the default
 // engine's.
+// raceDetector reports whether the test binary was built with -race,
+// which inflates allocation counts.
+var raceDetector = func() bool {
+	bi, ok := debug.ReadBuildInfo()
+	return ok && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"})
+}()
+
 func TestAllocationBudgets(t *testing.T) {
 	if raceDetector {
 		t.Skip("allocation counts are inflated under -race")
