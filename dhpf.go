@@ -355,6 +355,13 @@ func RunSerial(source string, params map[string]int) (*Serial, error) {
 	return &Serial{inner: sr}, nil
 }
 
+// AgreesWithSerial returns an error unless the named arrays (all of
+// ref's by default) agree with ref as spmd.Agree decides under tol: bit
+// for bit at 0, else finite and within tol·max(1, |serial|).
+func (r *Result) AgreesWithSerial(ref *Serial, tol float64, names ...string) (worst float64, err error) {
+	return r.exec.AgreesWithSerial(ref.inner, tol, names...)
+}
+
 // Array returns a main-procedure array's data and bounds.
 func (s *Serial) Array(name string) (data []float64, lo, hi []int, err error) {
 	return s.inner.Array(name)

@@ -100,19 +100,10 @@ func run(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		got, _, _, _ := res.Array("t")
-		want, _, _, _ := ref.Array("t")
-		worst := 0.0
-		for i := range want {
-			if d := got[i] - want[i]; d > worst {
-				worst = d
-			} else if -d > worst {
-				worst = -d
-			}
-		}
-		fmt.Fprintf(w, "LOCALIZE=%-5v  time %.6fs  messages %4d  bytes %8d  max err %g\n",
+		worst, err := res.AgreesWithSerial(ref, 0, "t")
+		fmt.Fprintf(w, "LOCALIZE=%-5v  time %.6fs  messages %4d  bytes %8d  max rel err %g\n",
 			localize, res.Seconds(), res.Messages(), res.Bytes(), worst)
-		return nil
+		return err
 	}
 	fmt.Fprintln(w, "heat3d on 4 simulated ranks (2x2 over y,z), 3 time steps:")
 	if err := variant(true); err != nil {

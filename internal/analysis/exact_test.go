@@ -84,13 +84,8 @@ func requireExact(t *testing.T, src string, opt spmd.Options, backend string) {
 	if !reflect.DeepEqual(dcost, cost) {
 		t.Errorf("dry-run counters differ from Predict's:\n dry run %+v\n predict %+v", dcost, cost)
 	}
-	for r := 0; r < m.Procs; r++ {
-		if dres.RankFlops[r] != m.RankFlops[r] || dres.SentMsgs[r] != m.SentMsgs[r] ||
-			dres.SentBytes[r] != m.SentBytes[r] || dres.RecvMsgs[r] != m.RecvMsgs[r] {
-			t.Errorf("rank %d: dry-run machine counters %v/%d/%d/%d, measured %v/%d/%d/%d", r,
-				dres.RankFlops[r], dres.SentMsgs[r], dres.SentBytes[r], dres.RecvMsgs[r],
-				m.RankFlops[r], m.SentMsgs[r], m.SentBytes[r], m.RecvMsgs[r])
-		}
+	if err := spmd.SameMachine(dres, m); err != nil {
+		t.Errorf("dry run against execution: %v", err)
 	}
 	for r := 0; r < m.Procs; r++ {
 		if cost.Flops[r] != m.RankFlops[r] {

@@ -12,7 +12,6 @@ package codegen
 import (
 	"errors"
 	"fmt"
-	"math"
 	"strings"
 	"testing"
 
@@ -54,47 +53,13 @@ func requireSameDeadlock(t *testing.T, prog *spmd.Program, procs int) {
 	}
 }
 
-// requireIdentical compares every observable of two runs bit-for-bit.
-func requireIdentical(t *testing.T, prog *spmd.Program, la, lb string, ra, rb *spmd.ExecResult) {
+// requireSameRuns fails unless the codegen run rc is the compiled run
+// and the interpreted run bit for bit (spmd.SameRun).
+func requireSameRuns(t *testing.T, prog *spmd.Program, rc, compiled, interp *spmd.ExecResult) {
 	t.Helper()
-	ma, mb := ra.Machine, rb.Machine
-	if math.Float64bits(ma.Time) != math.Float64bits(mb.Time) {
-		t.Fatalf("virtual time differs: %s %v, %s %v", la, ma.Time, lb, mb.Time)
-	}
-	if ma.TotalMessages() != mb.TotalMessages() || ma.TotalBytes() != mb.TotalBytes() {
-		t.Fatalf("traffic differs: %s %d msgs/%d B, %s %d msgs/%d B",
-			la, ma.TotalMessages(), ma.TotalBytes(), lb, mb.TotalMessages(), mb.TotalBytes())
-	}
-	for r := range ma.RankTime {
-		if math.Float64bits(ma.RankTime[r]) != math.Float64bits(mb.RankTime[r]) ||
-			math.Float64bits(ma.RankIdle[r]) != math.Float64bits(mb.RankIdle[r]) ||
-			math.Float64bits(ma.RankFlops[r]) != math.Float64bits(mb.RankFlops[r]) {
-			t.Fatalf("rank %d clocks differ between %s and %s", r, la, lb)
-		}
-		if ma.SentMsgs[r] != mb.SentMsgs[r] || ma.SentBytes[r] != mb.SentBytes[r] {
-			t.Fatalf("rank %d counters differ between %s and %s", r, la, lb)
-		}
-	}
-	for _, d := range prog.IR.Main().Decls {
-		if d.Rank() == 0 {
-			continue
-		}
-		ga, _, _, errA := ra.Global(d.Name)
-		gb, _, _, errB := rb.Global(d.Name)
-		if (errA == nil) != (errB == nil) {
-			t.Fatalf("%s: Global errors differ: %s %v, %s %v", d.Name, la, errA, lb, errB)
-		}
-		if errA != nil {
-			continue
-		}
-		if len(ga) != len(gb) {
-			t.Fatalf("%s: lengths differ: %s %d, %s %d", d.Name, la, len(ga), lb, len(gb))
-		}
-		for k := range ga {
-			if math.Float64bits(ga[k]) != math.Float64bits(gb[k]) {
-				t.Fatalf("%s[%d]: %s %v (%#x), %s %v (%#x)", d.Name, k,
-					la, ga[k], math.Float64bits(ga[k]), lb, gb[k], math.Float64bits(gb[k]))
-			}
+	for k, ro := range []*spmd.ExecResult{compiled, interp} {
+		if err := spmd.SameRun(prog, rc, ro); err != nil {
+			t.Fatalf("codegen against %s: %v", []string{"compiled", "interp"}[k], err)
 		}
 	}
 }
@@ -166,8 +131,7 @@ func TestCodegenParityCorpus(t *testing.T) {
 			if isNAS(e.Name) && (rc.Nests.Walked != 0 || re.Nests.Walked != 0) {
 				t.Fatalf("statement instances interpreted: codegen %s; compiled %s", rc.Nests, re.Nests)
 			}
-			requireIdentical(t, prog, "codegen", "compiled", rc, re)
-			requireIdentical(t, prog, "codegen", "interp", rc, ri)
+			requireSameRuns(t, prog, rc, re, ri)
 			if e.Name == "sp16" || e.Name == "bt12" || e.Name == "lu16" {
 				requireSameUnitsOnEveryBackend(t, e, rc, re)
 			}
@@ -274,8 +238,7 @@ func TestGuardOverflowBails(t *testing.T) {
 		t.Fatalf("default engine: want the same three bails onto the same interpreted instances, got %s; %s", ks, re.Nests)
 	}
 	ri := runEngine(t, prog, e.Procs, spmd.EngineInterp)
-	requireIdentical(t, prog, "codegen", "compiled", rc, re)
-	requireIdentical(t, prog, "codegen", "interp", rc, ri)
+	requireSameRuns(t, prog, rc, re, ri)
 }
 
 // bailAlways breaks the array geometry of every kernel unit of prog, so
@@ -325,8 +288,7 @@ end
 		t.Fatalf("want the one unit evaluated once per rank on both engines: codegen %s; %s, compiled %s; %s",
 			rc.Kernels, rc.Nests, re.Kernels, re.Nests)
 	}
-	requireIdentical(t, prog, "codegen", "compiled", rc, re)
-	requireIdentical(t, prog, "codegen", "interp", rc, runEngine(t, prog, 4, spmd.EngineInterp))
+	requireSameRuns(t, prog, rc, re, runEngine(t, prog, 4, spmd.EngineInterp))
 }
 
 // TestEnableNativePreRegistered: the generated package is the whole
@@ -373,7 +335,9 @@ end
 	if k := rc.Kernels; k.Units != 0 || k.Calls != 0 || k.EvalCalls == 0 {
 		t.Fatalf("want 0 units bound and every unit evaluated: %s", k)
 	}
-	requireIdentical(t, prog, "codegen", "interp", rc, runEngine(t, prog, 4, spmd.EngineInterp))
+	if err := spmd.SameRun(prog, rc, runEngine(t, prog, 4, spmd.EngineInterp)); err != nil {
+		t.Fatalf("codegen against interp: %v", err)
+	}
 }
 
 // FuzzCodegenVsEngine fuzzes the execution configuration — corpus
@@ -433,7 +397,9 @@ func FuzzCodegenVsEngine(f *testing.F) {
 			if other.prog == bailing && (ro.Kernels.TotalBails() == 0 || ro.Nests.Walked == 0) {
 				t.Fatalf("forced bails did not reach the walker: %s; %s", ro.Kernels, ro.Nests)
 			}
-			requireIdentical(t, prog, "codegen", other.name, rc, ro)
+			if err := spmd.SameRun(prog, rc, ro); err != nil {
+				t.Fatalf("codegen against %s: %v", other.name, err)
+			}
 		}
 	})
 }

@@ -1,33 +1,11 @@
 package nas
 
 import (
-	"fmt"
-	"math"
 	"testing"
 
 	"dhpf/internal/mpsim"
+	"dhpf/internal/spmd"
 )
-
-// sameClocks reports the first difference between two machine results in
-// the makespan, any rank's clock, idle time or flops, or any rank's
-// message and byte counts — floats compared as bits.
-func sameClocks(a, b *mpsim.Result) error {
-	if math.Float64bits(a.Time) != math.Float64bits(b.Time) {
-		return fmt.Errorf("time %v vs %v", a.Time, b.Time)
-	}
-	for r := range a.RankTime {
-		for _, f := range [][2]float64{{a.RankTime[r], b.RankTime[r]}, {a.RankIdle[r], b.RankIdle[r]}, {a.RankFlops[r], b.RankFlops[r]}} {
-			if math.Float64bits(f[0]) != math.Float64bits(f[1]) {
-				return fmt.Errorf("rank %d: clock, idle or flops %v vs %v", r, f[0], f[1])
-			}
-		}
-		if a.SentMsgs[r] != b.SentMsgs[r] || a.SentBytes[r] != b.SentBytes[r] || a.RecvMsgs[r] != b.RecvMsgs[r] {
-			return fmt.Errorf("rank %d: messages %d/%d/%d vs %d/%d/%d", r,
-				a.SentMsgs[r], a.SentBytes[r], a.RecvMsgs[r], b.SentMsgs[r], b.SentBytes[r], b.RecvMsgs[r])
-		}
-	}
-	return nil
-}
 
 // TestClockRunIsTheDataRun pins the hand codes' two producers of one
 // clock: a run without data charges every phase and message exactly as
@@ -46,7 +24,7 @@ func TestClockRunIsTheDataRun(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if err := sameClocks(run.Machine, clock); err != nil {
+					if err := spmd.SameMachine(run.Machine, clock); err != nil {
 						t.Errorf("multipart %s %d³×%d on %d: %v", bench, n, steps, p, err)
 					}
 				}
@@ -59,7 +37,7 @@ func TestClockRunIsTheDataRun(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if err := sameClocks(run.Machine, clock); err != nil {
+					if err := spmd.SameMachine(run.Machine, clock); err != nil {
 						t.Errorf("transpose %s %d³×%d on %d: %v", bench, n, steps, p, err)
 					}
 				}

@@ -8,7 +8,6 @@ package nas
 // pipelined sweeps and boundary exchanges.
 
 import (
-	"math"
 	"testing"
 
 	"dhpf/internal/ir"
@@ -40,37 +39,8 @@ func TestEnginesByteIdenticalNAS(t *testing.T) {
 			if err != nil {
 				t.Fatalf("compiled: %v", err)
 			}
-			mi, mc := ri.Machine, rc.Machine
-			if math.Float64bits(mi.Time) != math.Float64bits(mc.Time) {
-				t.Fatalf("virtual time differs: interp %v, compiled %v", mi.Time, mc.Time)
-			}
-			if mi.TotalMessages() != mc.TotalMessages() || mi.TotalBytes() != mc.TotalBytes() {
-				t.Fatalf("traffic differs: interp %d msgs/%d B, compiled %d msgs/%d B",
-					mi.TotalMessages(), mi.TotalBytes(), mc.TotalMessages(), mc.TotalBytes())
-			}
-			for r := range mi.RankTime {
-				if math.Float64bits(mi.RankTime[r]) != math.Float64bits(mc.RankTime[r]) ||
-					math.Float64bits(mi.RankFlops[r]) != math.Float64bits(mc.RankFlops[r]) {
-					t.Fatalf("rank %d clocks/flops differ", r)
-				}
-			}
-			for _, d := range prog.IR.Main().Decls {
-				if d.Rank() == 0 {
-					continue
-				}
-				gi, _, _, err := ri.Global(d.Name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				gc, _, _, err := rc.Global(d.Name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for k := range gi {
-					if math.Float64bits(gi[k]) != math.Float64bits(gc[k]) {
-						t.Fatalf("%s[%d]: interp %v, compiled %v", d.Name, k, gi[k], gc[k])
-					}
-				}
+			if err := spmd.SameRun(prog, ri, rc); err != nil {
+				t.Fatalf("compiled against interp: %v", err)
 			}
 		})
 	}

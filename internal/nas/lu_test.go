@@ -1,6 +1,7 @@
 package nas
 
 import (
+	"fmt"
 	"testing"
 
 	"dhpf/internal/spmd"
@@ -47,18 +48,13 @@ func TestLUDiagonalWavefrontShape(t *testing.T) {
 
 func TestLUHand2DMatchesSerial(t *testing.T) {
 	n, steps := 12, 2
+	agrees := handAgrees(t, LUSource(n, steps, 1, 1))
 	for _, grid := range [][2]int{{1, 1}, {2, 2}, {3, 2}} {
 		run, err := RunLU2D(n, steps, grid[0], grid[1], smallMachine(grid[0]*grid[1]))
 		if err != nil {
 			t.Fatalf("grid %v: %v", grid, err)
 		}
-		ref := referenceArrays(t, LUSource(n, steps, 1, 1), "u", "v")
-		if e := maxRelErr(run.U, ref["u"]); e > 1e-12 {
-			t.Errorf("grid %v: u max rel err %g", grid, e)
-		}
-		if e := maxRelErr(run.V, ref["v"]); e > 1e-12 {
-			t.Errorf("grid %v: v max rel err %g", grid, e)
-		}
+		agrees(fmt.Sprintf("grid %v", grid), map[string][]float64{"u": run.U, "v": run.V})
 	}
 }
 

@@ -1,55 +1,47 @@
 package nas
 
 import (
+	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"testing"
 
 	"dhpf/internal/parser"
 	"dhpf/internal/spmd"
 )
 
-// referenceU runs the mini-HPF source serially and returns the named
-// arrays (the single source of truth for all implementations).
-func referenceArrays(t *testing.T, src string, names ...string) map[string][]float64 {
-	t.Helper()
+// handAgrees runs the mini-HPF source serially — the single source of
+// truth for all implementations — and returns a check that each array a
+// hand-written run computed agrees with it within 1e-12 relative.
+func handAgrees(t *testing.T, src string) func(label string, got map[string][]float64) {
 	ref, err := spmd.RunSerial(parser.MustParse(src), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := map[string][]float64{}
-	for _, n := range names {
-		data, _, _, err := ref.Array(n)
-		if err != nil {
-			t.Fatal(err)
+	return func(label string, got map[string][]float64) {
+		t.Helper()
+		for _, name := range slices.Sorted(maps.Keys(got)) {
+			want, _, _, err := ref.Array(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := spmd.Agree(name, got[name], want, 1e-12); err != nil {
+				t.Errorf("%s: %v", label, err)
+			}
 		}
-		out[n] = data
 	}
-	return out
-}
-
-func maxRelErr(got, want []float64) float64 {
-	worst := 0.0
-	for i := range want {
-		rel := math.Abs(got[i]-want[i]) / math.Max(1, math.Abs(want[i]))
-		worst = math.Max(worst, rel)
-	}
-	return worst
 }
 
 func TestMultipartSPMatchesSerial(t *testing.T) {
 	n, steps := 12, 2
+	agrees := handAgrees(t, SPSource(n, steps, 1, 1))
 	for _, procs := range []int{1, 4, 9} {
 		run, err := RunMultipart("sp", n, steps, procs, smallMachine(procs))
 		if err != nil {
 			t.Fatalf("procs=%d: %v", procs, err)
 		}
-		ref := referenceArrays(t, SPSource(n, steps, 1, 1), "u", "rhs")
-		if e := maxRelErr(run.U, ref["u"]); e > 1e-12 {
-			t.Errorf("procs=%d: u max rel err %g", procs, e)
-		}
-		if e := maxRelErr(run.R, ref["rhs"]); e > 1e-12 {
-			t.Errorf("procs=%d: rhs max rel err %g", procs, e)
-		}
+		agrees(fmt.Sprintf("procs=%d", procs), map[string][]float64{"u": run.U, "rhs": run.R})
 		if procs > 1 && run.Machine.TotalMessages() == 0 {
 			t.Errorf("procs=%d: no messages", procs)
 		}
@@ -58,18 +50,13 @@ func TestMultipartSPMatchesSerial(t *testing.T) {
 
 func TestMultipartBTMatchesSerial(t *testing.T) {
 	n, steps := 12, 2
+	agrees := handAgrees(t, BTSource(n, steps, 1, 1))
 	for _, procs := range []int{1, 4} {
 		run, err := RunMultipart("bt", n, steps, procs, smallMachine(procs))
 		if err != nil {
 			t.Fatalf("procs=%d: %v", procs, err)
 		}
-		ref := referenceArrays(t, BTSource(n, steps, 1, 1), "u", "r")
-		if e := maxRelErr(run.U, ref["u"]); e > 1e-12 {
-			t.Errorf("procs=%d: u max rel err %g", procs, e)
-		}
-		if e := maxRelErr(run.R, ref["r"]); e > 1e-12 {
-			t.Errorf("procs=%d: r max rel err %g", procs, e)
-		}
+		agrees(fmt.Sprintf("procs=%d", procs), map[string][]float64{"u": run.U, "r": run.R})
 	}
 }
 

@@ -9,7 +9,6 @@ package nas
 
 import (
 	"fmt"
-	"math"
 	"testing"
 
 	"dhpf/internal/passes"
@@ -71,23 +70,8 @@ func TestShmByteIdenticalNAS(t *testing.T) {
 							t.Fatalf("shm run reports no pulls (counters: %+v)", rs.Shm)
 						}
 					}
-					for _, d := range mp.IR.Main().Decls {
-						if d.Rank() == 0 {
-							continue
-						}
-						gm, _, _, err := rm.Global(d.Name)
-						if err != nil {
-							t.Fatal(err)
-						}
-						gs, _, _, err := rs.Global(d.Name)
-						if err != nil {
-							t.Fatal(err)
-						}
-						for k := range gm {
-							if math.Float64bits(gm[k]) != math.Float64bits(gs[k]) {
-								t.Fatalf("%s[%d]: mp %v, %s %v", d.Name, k, gm[k], backend, gs[k])
-							}
-						}
+					if err := spmd.SameArrays(mp, rm, rs); err != nil {
+						t.Fatalf("mp against %s: %v", backend, err)
 					}
 				})
 			}

@@ -1,7 +1,6 @@
 package nas
 
 import (
-	"math"
 	"testing"
 
 	"dhpf/internal/mpsim"
@@ -44,23 +43,8 @@ func verifyCompiled(t *testing.T, src string, procs int, arrays []string) *spmd.
 	if err != nil {
 		t.Fatalf("serial: %v", err)
 	}
-	for _, name := range arrays {
-		got, _, _, err := res.Global(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, _, _, err := ref.Array(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var maxRel float64
-		for i := range want {
-			rel := math.Abs(got[i]-want[i]) / math.Max(1, math.Abs(want[i]))
-			maxRel = math.Max(maxRel, rel)
-		}
-		if maxRel > 1e-10 {
-			t.Fatalf("%s: max rel error %g vs serial", name, maxRel)
-		}
+	if _, err := res.AgreesWithSerial(ref, 1e-10, arrays...); err != nil {
+		t.Fatal(err)
 	}
 	return res
 }
@@ -111,17 +95,8 @@ func TestBTFineGrainMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/g%d: %v", backend, grain, err)
 			}
-			for _, name := range ref.Names() {
-				got, _, _, err := res.Global(name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, _, _, _ := ref.Array(name)
-				for i := range want {
-					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-						t.Fatalf("%s/g%d: %s[%d] = %v, serial %v", backend, grain, name, i, got[i], want[i])
-					}
-				}
+			if _, err := res.AgreesWithSerial(ref, 0); err != nil {
+				t.Fatalf("%s/g%d: %v", backend, grain, err)
 			}
 		}
 	}

@@ -1,40 +1,31 @@
 package nas
 
 import (
+	"fmt"
 	"testing"
 )
 
 func TestTransposeSPMatchesSerial(t *testing.T) {
 	n, steps := 12, 2
+	agrees := handAgrees(t, SPSource(n, steps, 1, 1))
 	for _, procs := range []int{1, 2, 4} {
 		run, err := RunTranspose("sp", n, steps, procs, smallMachine(procs))
 		if err != nil {
 			t.Fatalf("procs=%d: %v", procs, err)
 		}
-		ref := referenceArrays(t, SPSource(n, steps, 1, 1), "u", "rhs")
-		if e := maxRelErr(run.U, ref["u"]); e > 1e-12 {
-			t.Errorf("procs=%d: u max rel err %g", procs, e)
-		}
-		if e := maxRelErr(run.R, ref["rhs"]); e > 1e-12 {
-			t.Errorf("procs=%d: rhs max rel err %g", procs, e)
-		}
+		agrees(fmt.Sprintf("procs=%d", procs), map[string][]float64{"u": run.U, "rhs": run.R})
 	}
 }
 
 func TestTransposeBTMatchesSerial(t *testing.T) {
 	n, steps := 12, 1
+	agrees := handAgrees(t, BTSource(n, steps, 1, 1))
 	for _, procs := range []int{2, 3} {
 		run, err := RunTranspose("bt", n, steps, procs, smallMachine(procs))
 		if err != nil {
 			t.Fatalf("procs=%d: %v", procs, err)
 		}
-		ref := referenceArrays(t, BTSource(n, steps, 1, 1), "u", "r")
-		if e := maxRelErr(run.U, ref["u"]); e > 1e-12 {
-			t.Errorf("procs=%d: u max rel err %g", procs, e)
-		}
-		if e := maxRelErr(run.R, ref["r"]); e > 1e-12 {
-			t.Errorf("procs=%d: r max rel err %g", procs, e)
-		}
+		agrees(fmt.Sprintf("procs=%d", procs), map[string][]float64{"u": run.U, "r": run.R})
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 
 	"dhpf"
 	"dhpf/internal/nas"
+	"dhpf/internal/spmd"
 )
 
 const tinySrc = `
@@ -524,19 +525,15 @@ func TestRunEngineField(t *testing.T) {
 		t.Errorf("traffic differs: compiled %d/%d, interp %d/%d",
 			runC.Messages, runC.Bytes, runI.Messages, runI.Bytes)
 	}
-	for r := range runC.RankSeconds {
-		if math.Float64bits(runC.RankSeconds[r]) != math.Float64bits(runI.RankSeconds[r]) {
-			t.Errorf("rank %d clock differs", r)
-		}
+	if _, err := spmd.Agree("rank clock", runC.RankSeconds, runI.RankSeconds, 0); err != nil {
+		t.Errorf("compiled against interp: %v", err)
 	}
 	uc, ui := runC.Arrays["u"], runI.Arrays["u"]
-	if len(uc.Data) == 0 || len(uc.Data) != len(ui.Data) {
-		t.Fatalf("array sizes: compiled %d, interp %d", len(uc.Data), len(ui.Data))
+	if len(uc.Data) == 0 {
+		t.Fatal("no u returned")
 	}
-	for k := range uc.Data {
-		if math.Float64bits(uc.Data[k]) != math.Float64bits(ui.Data[k]) {
-			t.Fatalf("u[%d]: compiled %v, interp %v", k, uc.Data[k], ui.Data[k])
-		}
+	if _, err := spmd.Agree("u", uc.Data, ui.Data, 0); err != nil {
+		t.Fatalf("compiled against interp: %v", err)
 	}
 
 	bad := base

@@ -35,7 +35,9 @@ func TestBoxProofIsInvisible(t *testing.T) {
 					restore = spmd.NoBoxProofs(prog)
 					off := execute(t, prog, spmd.EngineCompiled)
 					restore()
-					spmd.RequireSameRun(t, prog, "no box proofs", off, on)
+					if err := spmd.SameRun(prog, off, on); err != nil {
+						t.Fatalf("against no box proofs: %v", err)
+					}
 					if k, o := on.Kernels, off.Kernels; k.Calls != o.Calls || k.EvalCalls != o.EvalCalls || k.Bails != o.Bails {
 						t.Errorf("kernels: %s; without box proofs %s", k, o)
 					}

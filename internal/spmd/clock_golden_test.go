@@ -6,6 +6,7 @@ package spmd_test
 // the commit before the two machines were merged onto one core, so it
 // pins the cost model bit for bit — including the float association of
 // the barrier and reduction completion terms, which no other test sees.
+// The same corpus holds provenance values (item 25) to the serial run.
 
 import (
 	"flag"
@@ -18,6 +19,7 @@ import (
 
 	"dhpf/internal/mpsim"
 	"dhpf/internal/nas"
+	"dhpf/internal/parser"
 	"dhpf/internal/spmd"
 )
 
@@ -149,4 +151,78 @@ func TestClockGolden(t *testing.T) {
 		}
 		t.Fatalf("%s: virtual clocks drifted from the golden: %d lines, want %d", producer, len(gl), len(wl))
 	}
+}
+
+// provenanceRuns compiles src on mp and shm at pipeline grains 1 and 8
+// and hands each interpreted execution, with the serial run of src, to
+// check; every run, the serial one too, in provenance mode when prov.
+func provenanceRuns(t *testing.T, name, src string, prov bool, check func(cfg string, res *spmd.ExecResult, ref *spmd.SerialResult)) {
+	t.Helper()
+	if prov {
+		defer spmd.Provenance()()
+	}
+	ref, err := spmd.RunSerial(parser.MustParse(src), nil)
+	if err != nil {
+		t.Fatalf("%s: serial: %v", name, err)
+	}
+	for _, backend := range []string{"mp", "shm"} {
+		for _, grain := range []int{1, 8} {
+			opt := spmd.DefaultOptions()
+			opt.Backend, opt.PipelineGrain = backend, grain
+			prog, err := spmd.CompileSource(src, nil, opt)
+			if err != nil {
+				t.Fatalf("%s: compile: %v", name, err)
+			}
+			res, err := prog.ExecuteEngine(mpsim.SP2Config(prog.Grid.Size()), spmd.EngineInterp)
+			if err != nil {
+				t.Fatalf("%s/%s/g%d: %v", name, backend, grain, err)
+			}
+			check(fmt.Sprintf("%s/%s/g%d", name, backend, grain), res, ref)
+		}
+	}
+}
+
+// TestProvenanceFindsNoFalseDifference: on the clock corpus every array
+// that agrees with serial in float mode agrees bit for bit in provenance
+// mode too, so the mode sees only what a stale or misplaced value
+// causes.  The one array that differs is SP's cv, in both modes: a
+// replicated scratch row with no layout, whose result is rank 0's copy —
+// the last row rank 0 computed, not the last row of the serial run.
+func TestProvenanceFindsNoFalseDifference(t *testing.T) {
+	names, srcs := clockCorpus(t)
+	for _, name := range names {
+		provenanceRuns(t, name, srcs[name], true, func(cfg string, res *spmd.ExecResult, ref *spmd.SerialResult) {
+			for _, array := range ref.Names() {
+				_, err := res.AgreesWithSerial(ref, 0, array)
+				if scratch := name == "sp16" && array == "cv"; (err != nil) != scratch {
+					t.Errorf("%s: %s: %v, want a difference %v", cfg, array, err, scratch)
+				}
+			}
+		})
+	}
+}
+
+// TestConflict2ReadsStaleUnderProvenance pins ROADMAP item 2a until it
+// is fixed: loop distribution expands conflict2's s into s__x(j), which
+// has no layout, so where the owner of c(j+1) is not the owner of a(j)
+// it reads an s__x(j) only the other rank wrote, and no event brings it.
+// The committed program's a is all zero, so float values hide the stale
+// read; provenance values show it in c on every backend and grain.
+// 2a's fix flips this test: both modes agree.
+func TestConflict2ReadsStaleUnderProvenance(t *testing.T) {
+	src, err := os.ReadFile("../cp/testdata/conflict2.hpf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	provenanceRuns(t, "conflict2", string(src), false, func(cfg string, res *spmd.ExecResult, ref *spmd.SerialResult) {
+		if _, err := res.AgreesWithSerial(ref, 0); err != nil {
+			t.Errorf("%s in float mode: %v", cfg, err)
+		}
+	})
+	provenanceRuns(t, "conflict2", string(src), true, func(cfg string, res *spmd.ExecResult, ref *spmd.SerialResult) {
+		_, err := res.AgreesWithSerial(ref, 0)
+		if err == nil || !strings.Contains(err.Error(), " c[") {
+			t.Errorf("%s in provenance mode: %v, want c to differ from serial", cfg, err)
+		}
+	})
 }

@@ -6,7 +6,6 @@ package spmd_test
 
 import (
 	"errors"
-	"math"
 	"testing"
 
 	"dhpf/internal/mpsim"
@@ -63,11 +62,8 @@ func TestReusedCrewIsFresh(t *testing.T) {
 				requireSameExecution(t, prog, name+", after a traced execution", want, after)
 
 				for array, data := range globals(t, prog, first) {
-					for k := range data {
-						if math.Float64bits(data[k]) != math.Float64bits(kept[array][k]) {
-							t.Fatalf("%s, %s: a later execution changed the first one's %s[%d]: %v, was %v",
-								name, engine, array, k, data[k], kept[array][k])
-						}
+					if _, err := spmd.Agree(array, data, kept[array], 0); err != nil {
+						t.Fatalf("%s, %s: a later execution changed the first one's arrays: %v", name, engine, err)
 					}
 				}
 			}
@@ -103,22 +99,21 @@ func TestResultOutlivesItsCrew(t *testing.T) {
 			default:
 			}
 			for array, data := range globals(t, prog, a) {
-				for k := range data {
-					if math.Float64bits(data[k]) != math.Float64bits(kept[array][k]) {
-						t.Fatalf("%s: an execution on the crew changed the last result's %s[%d]: %v, was %v",
-							backend, array, k, data[k], kept[array][k])
-					}
+				if _, err := spmd.Agree(array, data, kept[array], 0); err != nil {
+					t.Fatalf("%s: an execution on the crew changed the last result's arrays: %v", backend, err)
 				}
 			}
 		}
 	}
 }
 
-// requireSameExecution is spmd.RequireSameRun plus the kernel and nest
+// requireSameExecution is spmd.SameRun plus the kernel and nest
 // counters, which only a run on the same engine can match.
 func requireSameExecution(t *testing.T, prog *spmd.Program, name string, want, got *spmd.ExecResult) {
 	t.Helper()
-	spmd.RequireSameRun(t, prog, name, want, got)
+	if err := spmd.SameRun(prog, want, got); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
 	if got.Kernels != want.Kernels || got.Nests != want.Nests {
 		t.Fatalf("%s: %s, %s; a fresh crew's %s, %s", name, got.Kernels, got.Nests, want.Kernels, want.Nests)
 	}

@@ -7,10 +7,6 @@ import (
 	"dhpf/internal/sched"
 )
 
-// RequireSameRun is the bit-for-bit run comparison of engine_test.go, for
-// the external tests of this package.
-var RequireSameRun = requireSameRun
-
 // HoistRow is one program of hoistRows.
 type HoistRow struct {
 	Name, Src      string

@@ -4,7 +4,6 @@ package spmd_test
 // join with the other ranks' local boxes (exec.go, gather).
 
 import (
-	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -95,14 +94,8 @@ func TestGlobalIsTheOwnersCopy(t *testing.T) {
 				t.Fatalf("%s: %d arrays gathered, want %d", name, len(got), len(want))
 			}
 			for array, w := range want {
-				g := got[array]
-				if len(g) != len(w) {
-					t.Fatalf("%s: %s has %d elements, want %d", name, array, len(g), len(w))
-				}
-				for k := range w {
-					if math.Float64bits(g[k]) != math.Float64bits(w[k]) {
-						t.Fatalf("%s: %s[%d] = %v, zero-then-pull gives %v", name, array, k, g[k], w[k])
-					}
+				if _, err := spmd.Agree(array, got[array], w, 0); err != nil {
+					t.Fatalf("%s: against zero-then-pull: %v", name, err)
 				}
 			}
 		}

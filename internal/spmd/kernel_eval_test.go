@@ -50,9 +50,11 @@ func threeWaysAgree(t *testing.T, src, backend string, grain int, bails int64) *
 	if k, n := bailed.Kernels, bailed.Nests; k.EvalCalls != 0 || k.TotalBails() != eval.Kernels.EvalCalls+bails || n.Walked <= eval.Nests.Walked {
 		t.Errorf("bailing run: %s; %s, want each of the %d invocations declined to the walker", k, n, eval.Kernels.EvalCalls+bails)
 	}
-	spmd.RequireSameRun(t, prog, "evaluator", interp, eval)
-	spmd.RequireSameRun(t, prog, "codegen engine", interp, codegen)
-	spmd.RequireSameRun(t, prog, "every precheck bailed", interp, bailed)
+	for k, res := range []*spmd.ExecResult{eval, codegen, bailed} {
+		if err := spmd.SameRun(prog, interp, res); err != nil {
+			t.Fatalf("%s against interp: %v", []string{"evaluator", "codegen engine", "every precheck bailed"}[k], err)
+		}
+	}
 	return prog
 }
 
@@ -218,7 +220,9 @@ end
 		if k, n := res.Kernels, res.Nests; k.EvalCalls != 16*4 || k.TotalBails() != 0 || n.Walked != 4+16 || n.Declined != 0 {
 			t.Errorf("%s: %s; %s, want 64 invocations, 20 interpreted instances, nothing declined", engine, k, n)
 		}
-		spmd.RequireSameRun(t, prog, engine.String(), interp, res)
+		if err := spmd.SameRun(prog, interp, res); err != nil {
+			t.Fatalf("%s against interp: %v", engine, err)
+		}
 	}
 }
 
@@ -295,7 +299,9 @@ end
 				t.Errorf("%s on %s: %s; %s, want %d %s bails and %d interpreted instances",
 					c.name, engine, k, n, c.bails, c.reason, c.walked)
 			}
-			spmd.RequireSameRun(t, prog, c.name+" on "+engine.String(), interp, res)
+			if err := spmd.SameRun(prog, interp, res); err != nil {
+				t.Fatalf("%s on %s against interp: %v", c.name, engine, err)
+			}
 		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"slices"
-	"sort"
 	"sync"
 	"testing"
 
@@ -295,12 +294,11 @@ func TestEveryWalkReadsOneSchedule(t *testing.T) {
 	if n := spmd.MemoLen(prog); n != planned {
 		t.Errorf("PredictCost and DryRun took the program's memo from %d entries to %d", planned, n)
 	}
-	if cost.TotalMessages() != res.TotalMessages() || dry.TotalMessages() != res.TotalMessages() {
-		t.Errorf("messages: PredictCost %d, DryRun %d, ExecuteEngine %d (grain 1: %d)",
-			cost.TotalMessages(), dry.TotalMessages(), res.TotalMessages(), grain1.TotalMessages())
+	if cost.TotalMessages() != res.TotalMessages() {
+		t.Errorf("messages: PredictCost %d, ExecuteEngine %d (grain 1: %d)", cost.TotalMessages(), res.TotalMessages(), grain1.TotalMessages())
 	}
-	if math.Float64bits(dry.Time) != math.Float64bits(res.Time) {
-		t.Errorf("DryRun makespan %v, ExecuteEngine %v", dry.Time, res.Time)
+	if err := spmd.SameMachine(dry, res); err != nil {
+		t.Errorf("DryRun against ExecuteEngine: %v", err)
 	}
 }
 
@@ -312,11 +310,6 @@ func TestConcurrentExecutions(t *testing.T) {
 	src := nas.SPSource(16, 1, 2, 2)
 	want := execute(t, compileAt(t, src, 0), spmd.EngineCompiled)
 	prog := compileAt(t, src, 0)
-	var arrays []string
-	for name := range prog.Ctx.Bind.Layouts {
-		arrays = append(arrays, name)
-	}
-	sort.Strings(arrays)
 	results := make([]*spmd.ExecResult, 8)
 	var wg sync.WaitGroup
 	for g := range results {
@@ -336,25 +329,8 @@ func TestConcurrentExecutions(t *testing.T) {
 		if res == nil {
 			continue
 		}
-		for r, clock := range want.Machine.RankTime {
-			if math.Float64bits(res.Machine.RankTime[r]) != math.Float64bits(clock) ||
-				math.Float64bits(res.Machine.RankIdle[r]) != math.Float64bits(want.Machine.RankIdle[r]) {
-				t.Errorf("goroutine %d rank %d: clock %v idle %v, want %v and %v", g, r,
-					res.Machine.RankTime[r], res.Machine.RankIdle[r], clock, want.Machine.RankIdle[r])
-			}
-		}
-		for _, name := range arrays {
-			got, _, _, err := res.Global(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref, _, _, _ := want.Global(name)
-			for i := range ref {
-				if math.Float64bits(got[i]) != math.Float64bits(ref[i]) {
-					t.Errorf("goroutine %d: %s[%d] = %v, want %v", g, name, i, got[i], ref[i])
-					break
-				}
-			}
+		if err := spmd.SameRun(prog, want, res); err != nil {
+			t.Errorf("goroutine %d: %v", g, err)
 		}
 	}
 }

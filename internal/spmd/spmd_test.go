@@ -2,7 +2,6 @@ package spmd
 
 import (
 	"errors"
-	"math"
 	"testing"
 
 	"dhpf/internal/ir"
@@ -38,23 +37,8 @@ func compareWithSerial(t *testing.T, src string, procs int, arrays []string) (*P
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range arrays {
-		got, _, _, err := res.Global(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, _, _, err := ref.Array(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("%s: length %d vs %d", name, len(got), len(want))
-		}
-		for i := range want {
-			if math.Abs(got[i]-want[i]) > 1e-10*math.Max(1, math.Abs(want[i])) {
-				t.Fatalf("%s[%d] = %g, serial %g", name, i, got[i], want[i])
-			}
-		}
+	if _, err := res.AgreesWithSerial(ref, 1e-10, arrays...); err != nil {
+		t.Fatal(err)
 	}
 	return prog, res
 }

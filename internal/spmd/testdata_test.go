@@ -4,10 +4,13 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"dhpf/internal/parser"
 )
 
 // TestShippedExamplesCompileAndVerify compiles every .hpf file under
-// testdata/ and checks the execution against serial.
+// testdata/ and checks every array of each engine's execution against
+// serial, bit for bit.
 func TestShippedExamplesCompileAndVerify(t *testing.T) {
 	files, err := filepath.Glob("../../testdata/*.hpf")
 	if err != nil || len(files) == 0 {
@@ -23,8 +26,18 @@ func TestShippedExamplesCompileAndVerify(t *testing.T) {
 			if err != nil {
 				t.Fatalf("compile: %v", err)
 			}
-			if _, err := prog.Execute(testMachine(prog.Grid.Size())); err != nil {
-				t.Fatalf("execute: %v", err)
+			ref, err := RunSerial(parser.MustParse(string(src)), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, engine := range []Engine{EngineInterp, EngineCompiled, EngineCodegen} {
+				res, err := prog.ExecuteEngine(testMachine(prog.Grid.Size()), engine)
+				if err != nil {
+					t.Fatalf("%s: execute: %v", engine, err)
+				}
+				if _, err := res.AgreesWithSerial(ref, 0); err != nil {
+					t.Fatalf("%s: %v", engine, err)
+				}
 			}
 		})
 	}

@@ -2,6 +2,7 @@ package tune
 
 import (
 	"context"
+	"encoding/json"
 	"math"
 	"os"
 	"strings"
@@ -408,6 +409,37 @@ func TestTuneBackendSafetyGate(t *testing.T) {
 			{Off: ir.Num(col)},
 		}})
 	}
+	rejected := tuneShmCorrupted(t, "", func(p *spmd.Program, a *ir.Assign) { p.Sel.CPs[a.ID] = overlap })
+	if rejected.Status != StatusError {
+		t.Fatalf("corrupted shm candidate not rejected: %+v", rejected)
+	}
+	if !strings.Contains(rejected.Note, "safety gate") {
+		t.Errorf("rejection note lacks the gate: %q", rejected.Note)
+	}
+}
+
+// A candidate that computes a NaN where serial has a finite value is
+// not verified: its note names the array and the element, and its
+// max_rel_err stays finite, so the result still encodes as JSON.  The
+// interpreter evaluates the IR as the hook leaves it; the serial
+// reference runs the source.
+func TestTuneRejectsNaNCandidate(t *testing.T) {
+	nan := tuneShmCorrupted(t, "interp", func(_ *spmd.Program, a *ir.Assign) {
+		a.RHS = &ir.Bin{Op: '*', L: ir.FloatConst{Val: math.NaN()}, R: a.RHS}
+	})
+	if nan.Status != StatusMismatch || nan.Verified || !strings.Contains(nan.Note, "a[") || !strings.Contains(nan.Note, "got NaN") {
+		t.Fatalf("the NaN candidate is not a mismatch naming a's element: %+v", nan)
+	}
+	if _, err := json.Marshal(nan); err != nil {
+		t.Errorf("the entry does not encode: %v", err)
+	}
+}
+
+// tuneShmCorrupted tunes genericSrc on a 1×4 grid over mp and shm with
+// corrupt applied to the shm candidate's relaxation statement, requires
+// the untouched mp twin to win, and returns the shm entry.
+func tuneShmCorrupted(t *testing.T, engine string, corrupt func(*spmd.Program, *ir.Assign)) *Entry {
+	t.Helper()
 	testCorrupt = func(p *spmd.Program) {
 		if b, _ := passes.ParseBackend(p.Opt.Backend); b != passes.BackendShm {
 			return
@@ -415,41 +447,36 @@ func TestTuneBackendSafetyGate(t *testing.T) {
 		for _, proc := range p.IR.Procs {
 			ir.Walk(proc.Body, func(s ir.Stmt, loops []*ir.Loop) bool {
 				if a, ok := s.(*ir.Assign); ok && a.LHS.Name == "b" && len(loops) == 3 {
-					p.Sel.CPs[a.ID] = overlap
+					corrupt(p, a)
 				}
 				return true
 			})
 		}
 	}
 	defer func() { testCorrupt = nil }()
-
 	s := Spec{
 		Source:   genericSrc,
 		Procs:    4,
 		Grids:    [][2]int{{1, 4}},
 		Grains:   []int{8},
 		Backends: []string{passes.BackendMP, passes.BackendShm},
+		Engine:   engine,
 		TopK:     2,
 	}
 	res, err := New().Run(context.Background(), s)
 	if err != nil {
 		t.Fatalf("%v\ntrail: %v", err, res.Trail)
 	}
-	if res.Winner == nil || res.Winner.Backend != passes.BackendMP {
-		t.Fatalf("mp twin should survive and win: %+v", res.Winner)
+	if res.Winner == nil || res.Winner.Backend != passes.BackendMP || !res.Winner.Verified {
+		t.Fatalf("the mp twin should verify and win: %+v", res.Winner)
 	}
-	var rejected *Entry
 	for i := range res.Entries {
 		if res.Entries[i].Backend == passes.BackendShm {
-			rejected = &res.Entries[i]
+			return &res.Entries[i]
 		}
 	}
-	if rejected == nil || rejected.Status != StatusError {
-		t.Fatalf("corrupted shm candidate not rejected: %+v", rejected)
-	}
-	if !strings.Contains(rejected.Note, "safety gate") {
-		t.Errorf("rejection note lacks the gate: %q", rejected.Note)
-	}
+	t.Fatal("no shm entry")
+	return nil
 }
 
 // Cancelling the context mid-search surfaces the context error.

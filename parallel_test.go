@@ -3,11 +3,11 @@ package dhpf
 import (
 	"context"
 	"fmt"
-	"math"
 	"sync"
 	"testing"
 
 	"dhpf/internal/nas"
+	"dhpf/internal/spmd"
 )
 
 // TestCompileParallel hammers the public API from many goroutines: the
@@ -22,10 +22,6 @@ func TestCompileParallel(t *testing.T) {
 		t.Fatal(err)
 	}
 	baseRes, err := base.Run(SP2Machine(base.Ranks()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseB, _, _, err := baseRes.Array("b")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,16 +58,8 @@ func TestCompileParallel(t *testing.T) {
 				errc <- fmt.Errorf("goroutine %d: run: %w", g, err)
 				return
 			}
-			b, _, _, err := res.Array("b")
-			if err != nil {
-				errc <- fmt.Errorf("goroutine %d: array: %w", g, err)
-				return
-			}
-			for i := range baseB {
-				if math.Abs(b[i]-baseB[i]) > 1e-12 {
-					errc <- fmt.Errorf("goroutine %d: b[%d] = %g, want %g", g, i, b[i], baseB[i])
-					return
-				}
+			if err := spmd.SameRun(base.inner, baseRes.exec, res.exec); err != nil {
+				errc <- fmt.Errorf("goroutine %d: %w", g, err)
 			}
 		}(g)
 	}
