@@ -31,13 +31,11 @@ func DryRun(s *sched.Schedule, backend string, cfg mpsim.Config) (*Cost, *mpsim.
 	if cfg.Procs != cost.Ranks {
 		return nil, nil, fmt.Errorf("analysis: machine has %d ranks, program wants %d", cfg.Procs, cost.Ranks)
 	}
-	// The call owns its memo: nothing it plans outlives it.
-	memo := new(sched.Memo)
 	ranks := make([]*dryRank, cfg.Procs)
 	body := func(rk *mpsim.Rank, th *shm.Thread) {
 		d := &dryRank{counter: counter{cost: cost, mp: th == nil, groups: groups, pure: map[*ir.Loop]bool{}}, rk: rk, th: th}
 		ranks[rk.ID] = d
-		d.w = sched.NewWalker(s, memo, rk.ID, d)
+		d.w = sched.NewWalker(s, rk.ID, d)
 		d.w.Run()
 		d.flush()
 	}

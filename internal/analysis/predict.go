@@ -85,10 +85,9 @@ func Predict(s *sched.Schedule, backend string) (*Cost, error) {
 		return nil, err
 	}
 	pure := map[*ir.Loop]bool{}
-	memo := new(sched.Memo) // the call owns its memo: nothing it plans outlives it
 	for me := 0; me < cost.Ranks; me++ {
 		c := &counter{cost: cost, mp: cost.Backend == "mp", groups: groups, pure: pure}
-		c.w = sched.NewWalker(s, memo, me, c)
+		c.w = sched.NewWalker(s, me, c)
 		c.w.Run()
 		c.done()
 	}
@@ -132,9 +131,8 @@ func newCost(s *sched.Schedule, backend string) (*Cost, []int, error) {
 	return cost, groups, nil
 }
 
-// counter is one rank's counting sched.Ops.  The transfer plans it
-// counts are rank-independent and memoized for the call, so each
-// distinct firing is planned once and re-attributed per rank; pure is
+// counter is one rank's counting sched.Ops.  It counts the transfers
+// of each plan its walker evaluates that its rank takes part in; pure is
 // the per-loop memo that gates bulk counting, shared by every rank walk
 // Predict runs one after another.  A counter writes only its own rank's
 // slots of cost; barriers and inexact are its share of the run-wide

@@ -278,6 +278,14 @@ func (c *Cache[V]) Len() int {
 	return c.ll.Len()
 }
 
+// Inflight returns how many computations are running: flights not yet
+// ended, whether or not anyone still waits for them.
+func (c *Cache[V]) Inflight() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.inflight)
+}
+
 // Stats returns a snapshot of the counters.
 func (c *Cache[V]) Stats() Stats {
 	c.mu.Lock()

@@ -19,7 +19,6 @@ import (
 	"dhpf/internal/ir"
 	"dhpf/internal/mpsim"
 	"dhpf/internal/passes"
-	"dhpf/internal/sched"
 	"dhpf/internal/spmd"
 )
 
@@ -211,16 +210,14 @@ func TestGuardOverflowBails(t *testing.T) {
 	// rank whose rho guard has more than two boxes, every statement instance
 	// of the localized nest, counted off the iteration sets.
 	var walked int64
-	var scratch sched.KeyScratch
-	var memo sched.Memo
 	main := prog.IR.Main()
 	for rank := 0; rank < e.Procs; rank++ {
-		iters, _ := prog.Schedule().IterSets(&memo, main, rank, prog.Ctx.Bind.Params, &scratch)
 		var nest, boxes int64
 		for _, a := range ir.Assignments(main.Body) {
 			if len(a.Nest) > 0 && a.Nest[0].Var == "onetrip" {
-				nest += iters[a.Assign.ID].Card()
-				boxes = max(boxes, int64(len(iters[a.Assign.ID].SharedBoxes())))
+				iters := prog.Ctx.IterSet(main, a.Assign.ID, prog.Sel.CPOf(a.Assign.ID), a.Nest, rank)
+				nest += iters.Card()
+				boxes = max(boxes, int64(len(iters.SharedBoxes())))
 			}
 		}
 		if boxes > 2 {

@@ -161,10 +161,10 @@ func (b Box) ContainsBox(c Box) bool {
 // Subtract returns b − c as a slice of disjoint boxes.  The result has at
 // most 2·rank boxes (the classic axis-sweep decomposition); it is b
 // itself when c cuts nothing.
-func (b Box) Subtract(c Box) []Box { return b.appendMinus(nil, c) }
+func (b Box) Subtract(c Box) []Box { return b.appendMinus(nil, c, nil) }
 
-// appendMinus appends the boxes of b − c to dst.
-func (b Box) appendMinus(dst []Box, c Box) []Box {
+// appendMinus appends the boxes of b − c, made on a, to dst.
+func (b Box) appendMinus(dst []Box, c Box, a *Arena) []Box {
 	if b.Empty() {
 		return dst
 	}
@@ -174,14 +174,14 @@ func (b Box) appendMinus(dst []Box, c Box) []Box {
 	if c.ContainsBox(b) {
 		return dst
 	}
-	rem := b.clone()
+	rem := a.clone(b)
 	for k := range b.Lo {
 		if lo := c.Lo[k]; rem.Lo[k] < lo {
-			dst = append(dst, rem.WithDim(k, rem.Lo[k], lo-1))
+			dst = append(dst, a.withDim(rem, k, rem.Lo[k], lo-1))
 			rem.Lo[k] = lo
 		}
 		if hi := c.Hi[k]; rem.Hi[k] > hi {
-			dst = append(dst, rem.WithDim(k, hi+1, rem.Hi[k]))
+			dst = append(dst, a.withDim(rem, k, hi+1, rem.Hi[k]))
 			rem.Hi[k] = hi
 		}
 	}
@@ -298,24 +298,35 @@ func (b Box) Each(fn func(p []int) bool) bool {
 
 // sortBoxes puts boxes in canonical order: the byte order of their
 // rendered text ("[10:12]" before "[2:3]"), which every report, emitted
-// node program and schedule golden depends on.  Each box is rendered once.
-func sortBoxes(bs []Box) {
+// node program and schedule golden depends on.  Each box is rendered
+// once, into a's scratch (fresh memory when a is nil).
+func sortBoxes(bs []Box, a *Arena) {
 	if len(bs) < 2 {
 		return
 	}
-	type keyed struct {
-		b      Box
-		lo, hi int // the box's text is text[lo:hi]
+	var text []byte
+	var ks []keyedBox
+	if a != nil {
+		text, ks = a.text[:0], a.keyed[:0]
+	} else {
+		text, ks = make([]byte, 0, 32*len(bs)), make([]keyedBox, 0, len(bs))
 	}
-	text := make([]byte, 0, 32*len(bs))
-	ks := make([]keyed, len(bs))
-	for i, b := range bs {
+	for _, b := range bs {
 		lo := len(text)
 		text = b.appendText(text)
-		ks[i] = keyed{b, lo, len(text)}
+		ks = append(ks, keyedBox{b, lo, len(text)})
 	}
-	slices.SortFunc(ks, func(x, y keyed) int { return bytes.Compare(text[x.lo:x.hi], text[y.lo:y.hi]) })
+	slices.SortFunc(ks, func(x, y keyedBox) int { return bytes.Compare(text[x.lo:x.hi], text[y.lo:y.hi]) })
 	for i, k := range ks {
 		bs[i] = k.b
 	}
+	if a != nil {
+		a.text, a.keyed = text, ks
+	}
+}
+
+// keyedBox is a box being sorted: its text is text[lo:hi].
+type keyedBox struct {
+	b      Box
+	lo, hi int
 }

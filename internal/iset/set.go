@@ -47,7 +47,7 @@ func (s Set) Rank() int { return s.rank }
 // Boxes returns the disjoint boxes comprising the set, in canonical order.
 func (s Set) Boxes() []Box {
 	out := slices.Clone(s.boxes)
-	sortBoxes(out)
+	sortBoxes(out, nil)
 	return out
 }
 
@@ -96,7 +96,10 @@ func (s Set) rankOr(t Set) int {
 
 // UnionBox returns s ∪ {b}, preserving disjointness by inserting only the
 // parts of b not already covered.
-func (s Set) UnionBox(b Box) Set {
+func (s Set) UnionBox(b Box) Set { return s.unionBox(b, nil) }
+
+// unionBox is UnionBox building on a.
+func (s Set) unionBox(b Box, a *Arena) Set {
 	if b.Empty() {
 		return s
 	}
@@ -107,15 +110,16 @@ func (s Set) UnionBox(b Box) Set {
 		return s
 	}
 	n := len(s.boxes)
-	out := Set{rank: s.rank, boxes: append(append(make([]Box, 0, n+1), s.boxes...), b)}
-	var scratch []Box
+	out := Set{rank: s.rank, boxes: append(append(a.list(n+1), s.boxes...), b)}
+	scratch := a.scratchList()
 	for _, have := range s.boxes {
-		out.boxes, scratch = cutTail(out.boxes, n, have, scratch)
+		out.boxes, scratch = a.cutTail(out.boxes, n, have, scratch)
 	}
+	a.keepScratch(scratch)
 	if len(out.boxes) == n {
 		return s
 	}
-	return out.coalesce()
+	return out.coalesce(a)
 }
 
 // covered reports whether one of the boxes alone contains b.
@@ -129,8 +133,9 @@ func covered(b Box, boxes []Box) bool {
 }
 
 // cutTail replaces bs[from:] by the pieces of those boxes outside c, in
-// order; bs must be the caller's own.  scratch is handed back for reuse.
-func cutTail(bs []Box, from int, c Box, scratch []Box) ([]Box, []Box) {
+// order, made on a; bs must be the caller's own.  scratch is handed back
+// for reuse.
+func (a *Arena) cutTail(bs []Box, from int, c Box, scratch []Box) ([]Box, []Box) {
 	for from < len(bs) && !bs[from].Intersects(c) {
 		from++
 	}
@@ -140,7 +145,7 @@ func cutTail(bs []Box, from int, c Box, scratch []Box) ([]Box, []Box) {
 	scratch = append(scratch[:0], bs[from:]...)
 	bs = bs[:from]
 	for _, f := range scratch {
-		bs = f.appendMinus(bs, c)
+		bs = f.appendMinus(bs, c, a)
 	}
 	return bs, scratch
 }
@@ -157,9 +162,12 @@ func (s Set) Union(t Set) Set {
 }
 
 // Intersect returns s ∩ t.
-func (s Set) Intersect(t Set) Set {
+func (s Set) Intersect(t Set) Set { return s.intersect(t, nil) }
+
+// intersect is Intersect building on ar.
+func (s Set) intersect(t Set, ar *Arena) Set {
 	s.checkRank(t)
-	out := Set{rank: s.rankOr(t)}
+	out := Set{rank: s.rankOr(t), boxes: ar.list(0)}
 	for _, a := range s.boxes {
 		for _, b := range t.boxes {
 			// Disjointness of s's boxes ensures the pieces a∩b are
@@ -172,21 +180,24 @@ func (s Set) Intersect(t Set) Set {
 			case a.ContainsBox(b):
 				out.boxes = append(out.boxes, b)
 			default:
-				out.boxes = append(out.boxes, a.Intersect(b))
+				out.boxes = append(out.boxes, ar.intersectBox(a, b))
 			}
 		}
 	}
-	return out.coalesce()
+	return out.coalesce(ar)
 }
 
 // IntersectBox returns s ∩ {b}.
 func (s Set) IntersectBox(b Box) Set { return s.Intersect(FromBox(b)) }
 
 // Subtract returns s − t.
-func (s Set) Subtract(t Set) Set {
+func (s Set) Subtract(t Set) Set { return s.subtract(t, nil) }
+
+// subtract is Subtract building on ar.
+func (s Set) subtract(t Set, ar *Arena) Set {
 	s.checkRank(t)
-	out := Set{rank: s.rank}
-	var scratch []Box
+	out := Set{rank: s.rank, boxes: ar.list(0)}
+	scratch := ar.scratchList()
 	for _, a := range s.boxes {
 		if covered(a, t.boxes) {
 			continue
@@ -194,12 +205,13 @@ func (s Set) Subtract(t Set) Set {
 		n := len(out.boxes)
 		out.boxes = append(out.boxes, a)
 		for _, b := range t.boxes {
-			if out.boxes, scratch = cutTail(out.boxes, n, b, scratch); len(out.boxes) == n {
+			if out.boxes, scratch = ar.cutTail(out.boxes, n, b, scratch); len(out.boxes) == n {
 				break
 			}
 		}
 	}
-	return out.coalesce()
+	ar.keepScratch(scratch)
+	return out.coalesce(ar)
 }
 
 // SubtractBox returns s − {b}.
@@ -271,13 +283,16 @@ func (s Set) Insert(dim, lo, hi int) Set {
 }
 
 // ClampDim intersects dimension dim of every box with [lo:hi].
-func (s Set) ClampDim(dim, lo, hi int) Set {
+func (s Set) ClampDim(dim, lo, hi int) Set { return s.clampDim(dim, lo, hi, nil) }
+
+// clampDim is ClampDim building on a.
+func (s Set) clampDim(dim, lo, hi int, a *Arena) Set {
 	out := EmptySet(s.rank)
 	for _, b := range s.boxes {
-		nb := b.clone()
+		nb := a.clone(b)
 		nb.Lo[dim] = max(nb.Lo[dim], lo)
 		nb.Hi[dim] = min(nb.Hi[dim], hi)
-		out = out.UnionBox(nb)
+		out = out.unionBox(nb, a)
 	}
 	return out
 }
@@ -293,8 +308,9 @@ func (s Set) WithDim(dim, lo, hi int) Set {
 
 // coalesce merges boxes that are adjacent along one dimension and equal in
 // all others, keeping the representation small.  It preserves disjointness.
-// It works in place: s.boxes must be the caller's own slice.
-func (s Set) coalesce() Set {
+// It works in place: s.boxes must be the caller's own slice, opened on a
+// (nil: the heap), which coalesce keeps.
+func (s Set) coalesce(a *Arena) Set {
 	boxes := s.boxes
 	changed := len(boxes) > 1
 	for changed {
@@ -302,7 +318,7 @@ func (s Set) coalesce() Set {
 	outer:
 		for i := 0; i < len(boxes); i++ {
 			for j := i + 1; j < len(boxes); j++ {
-				if m, ok := tryMerge(boxes[i], boxes[j]); ok {
+				if m, ok := a.tryMerge(boxes[i], boxes[j]); ok {
 					boxes[i] = m
 					boxes = append(boxes[:j], boxes[j+1:]...)
 					changed = true
@@ -311,12 +327,12 @@ func (s Set) coalesce() Set {
 			}
 		}
 	}
-	return Set{rank: s.rank, boxes: boxes}
+	return Set{rank: s.rank, boxes: a.keep(boxes)}
 }
 
 // tryMerge merges two boxes iff they agree in all dimensions except one,
 // where they are adjacent or would union to a contiguous interval.
-func tryMerge(a, b Box) (Box, bool) {
+func (ar *Arena) tryMerge(a, b Box) (Box, bool) {
 	if a.Rank() != b.Rank() {
 		return Box{}, false
 	}
@@ -342,7 +358,7 @@ func tryMerge(a, b Box) (Box, bool) {
 	if lo2 > hi1+1 {
 		return Box{}, false
 	}
-	m := a.clone()
+	m := ar.clone(a)
 	m.Lo[diff] = lo1
 	m.Hi[diff] = max(hi1, hi2)
 	return m, true

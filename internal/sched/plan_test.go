@@ -1,14 +1,13 @@
 package sched
 
 import (
-	"fmt"
-	"math/rand"
 	"testing"
 
 	"dhpf/internal/comm"
 	"dhpf/internal/cp"
 	"dhpf/internal/hpf"
 	"dhpf/internal/ir"
+	"dhpf/internal/iset"
 	"dhpf/internal/parser"
 )
 
@@ -186,10 +185,30 @@ end
 	}
 }
 
-// TestMemoKey: every input of a plan is in its key — a different
-// binding, depth, strip window or firing gets a different key — and equal
-// inputs get the one memoized slice back.
-func TestMemoKey(t *testing.T) {
+// formPlan evaluates fm, a closed form of s, for rank me at the point.
+func formPlan(s *Schedule, fm *form, pt Point, me int) []Transfer {
+	vals := make([]int, len(s.names))
+	for name, v := range pt.Bind {
+		if i := s.Slot(name); i >= 0 {
+			vals[i] = v
+		}
+	}
+	p := at{vals: vals, depth: pt.Depth}
+	if pt.Strip != nil {
+		strip := *pt.Strip
+		strip.slot = s.Slot(strip.Var)
+		p.strip = &strip
+	}
+	return fm.eval(&level{tmp: new(iset.Arena)}, p, me, s.Grid.Size())
+}
+
+// stencilPoints are points of the stencil's j loop firing, placed and
+// unplaced: every input of a plan varies — events, their order, the
+// binding, depth and strip window.
+func stencilPoints(t *testing.T) (*Schedule, map[string]struct {
+	f  *Firing
+	at Point
+}) {
 	s, proc, reads, zero := planFor(t, stencilSrc)
 	if len(reads) != 2 {
 		t.Fatalf("read events = %d, want 2", len(reads))
@@ -200,10 +219,7 @@ func TestMemoKey(t *testing.T) {
 	if len(placed.Events) != 2 || len(ls.Pipe.Events) != 0 {
 		t.Fatalf("placement: %d reads and %d pipelined events at the j loop, want 2 and 0", len(placed.Events), len(ls.Pipe.Events))
 	}
-	// Event lists New did not place get ids past its dense range.
-	unplaced := func(n int, events ...*comm.Event) *Firing {
-		return &Firing{ID: s.firings + n, Proc: proc, Events: events}
-	}
+	unplaced := func(events ...*comm.Event) *Firing { return &Firing{ID: -1, Proc: proc, Events: events} }
 	bound := func(j int) map[string]int {
 		m := map[string]int{"j": j}
 		for k, v := range zero.Bind {
@@ -211,142 +227,66 @@ func TestMemoKey(t *testing.T) {
 		}
 		return m
 	}
-	points := map[string]struct {
+	return s, map[string]struct {
 		f  *Firing
 		at Point
 	}{
 		"zero":        {placed, zero},
-		"one event":   {unplaced(0, reads[0]), zero},
-		"other event": {unplaced(1, reads[1]), zero},
-		"swapped":     {unplaced(2, reads[1], reads[0]), zero},
+		"one event":   {unplaced(reads[0]), zero},
+		"other event": {unplaced(reads[1]), zero},
+		"swapped":     {unplaced(reads[1], reads[0]), zero},
 		"j=8":         {placed, Point{Bind: bound(8)}},
-		"j=9":         {placed, Point{Bind: bound(9)}},
 		"j=8 depth 1": {placed, Point{Bind: bound(8), Depth: 1}},
+		"j=0 depth 1": {placed, Point{Bind: bound(0), Depth: 1}},
 		"strip":       {placed, Point{Bind: zero.Bind, Strip: &Strip{Var: "i", Lo: 1, Hi: 8}}},
-		"strip hi":    {placed, Point{Bind: zero.Bind, Strip: &Strip{Var: "i", Lo: 1, Hi: 9}}},
 		"strip lo":    {placed, Point{Bind: zero.Bind, Strip: &Strip{Var: "i", Lo: 2, Hi: 9}}},
 		"strip var":   {placed, Point{Bind: zero.Bind, Strip: &Strip{Var: "j", Lo: 2, Hi: 9}}},
-		// Unbound is not bound to zero.
-		"j=0": {placed, Point{Bind: bound(0)}},
-		// Two firings of one loop with identical events.
-		"same events as Pipe": {&Firing{ID: ls.Pipe.ID, Proc: proc, Events: reads}, zero},
+		"strip empty": {placed, Point{Bind: zero.Bind, Strip: &Strip{Var: "j", Lo: 9, Hi: 2}}},
 	}
-	var ks KeyScratch
-	var m Memo
-	seen := map[string]string{}
+}
+
+// TestFormIsThePlan: at every point, every rank's evaluation of the
+// closed form is Plan's transfer list — arrays, ranks and order — with
+// Plan's boxes where the rank takes part, and the strip window really
+// restricts it.
+func TestFormIsThePlan(t *testing.T) {
+	s, points := stencilPoints(t)
 	for name, p := range points {
-		key := string(s.planKey(&ks, p.f, p.at.Depth, p.at.Strip, s.slotted(p.at.Bind, new(binding))))
-		if other, dup := seen[key]; dup {
-			t.Errorf("%q and %q share the key %q", name, other, key)
-		}
-		seen[key] = name
-		if again := string(s.planKey(new(KeyScratch), p.f, p.at.Depth, p.at.Strip, s.slotted(p.at.Bind, new(binding)))); again != key {
-			t.Errorf("%q: key depends on the scratch: %q vs %q", name, key, again)
-		}
-		first, miss := s.Transfers(&m, p.f, p.at, &ks)
-		second, again := s.Transfers(&m, p.f, p.at, new(KeyScratch))
-		if len(first) == 0 || len(second) != len(first) || &first[0] != &second[0] {
-			t.Errorf("%q: equal inputs did not return the memoized slice", name)
-		}
-		if !miss || again {
-			t.Errorf("%q: first lookup miss = %v, second = %v; want true, false", name, miss, again)
-		}
-		// The memo's boxes are a fresh plan's at the same point.
-		fresh := s.Plan(p.f.Proc, p.f.Events, p.at)
-		if len(fresh) != len(first) {
-			t.Errorf("%q: memoized %d transfers, a fresh plan has %d", name, len(first), len(fresh))
-			continue
-		}
-		for i, tr := range first {
-			want := fresh[i]
-			if tr.Array != want.Array || tr.From != want.From || tr.To != want.To ||
-				tr.Elems != want.Data.Card() || fmt.Sprint(tr.Boxes) != fmt.Sprint(want.Data.Boxes()) {
-				t.Errorf("%q: memoized %s %d->%d, %d elements %v; a fresh plan has %s %d->%d, %d elements %v", name,
-					tr.Array, tr.From, tr.To, tr.Elems, tr.Boxes, want.Array, want.From, want.To, want.Data.Card(), want.Data.Boxes())
+		fm := s.derive(p.f)
+		for me := range s.Grid.Size() {
+			if err := samePlan(formPlan(s, fm, p.at, me), s.Plan(p.f.Proc, p.f.Events, p.at), me); err != nil {
+				t.Errorf("%q on rank %d: %v", name, me, err)
 			}
 		}
 	}
-	// The strip window really restricts the plan it keys.
-	full, _ := s.Transfers(&m, placed, zero, &ks)
-	strip, _ := s.Transfers(&m, placed, points["strip"].at, &ks)
+	fm := s.derive(points["zero"].f)
+	full, strip := formPlan(s, fm, points["zero"].at, 0), formPlan(s, fm, points["strip"].at, 0)
 	if full[0].Elems != 30 || strip[0].Elems != 8 {
 		t.Errorf("full column %d elements, strip window %d; want 30 and 8", full[0].Elems, strip[0].Elems)
 	}
 }
 
-// TestMemoKeyProperty: over random firings, depths, strips and bindings —
-// drawn from ranges small enough that equal draws recur, with names that
-// are prefixes of each other — two keys are equal exactly when every
-// field is.
-func TestMemoKeyProperty(t *testing.T) {
-	s := &Schedule{names: []string{"i", "i1", "n", "x", "x1"}}
-	rng := rand.New(rand.NewSource(17))
-	var ks KeyScratch
-	byKey, byFields := map[string]string{}, map[string]string{}
-	for n := 0; n < 20000; n++ {
-		f := &Firing{ID: rng.Intn(3) * 127}
-		at := Point{Bind: map[string]int{}, Depth: rng.Intn(3) * 5}
-		if rng.Intn(2) == 0 {
-			at.Strip = &Strip{Var: s.names[rng.Intn(2)], Lo: rng.Intn(2) - 1, Hi: rng.Intn(2) * 64}
-		}
-		for _, name := range s.names {
-			if rng.Intn(2) == 0 {
-				at.Bind[name] = rng.Intn(3)*64 - 64
-			}
-		}
-		fields := fmt.Sprintf("%d %d %v %v", f.ID, at.Depth, at.Strip, at.Bind)
-		key := string(s.planKey(&ks, f, at.Depth, at.Strip, s.slotted(at.Bind, new(binding))))
-		if other, ok := byKey[key]; ok && other != fields {
-			t.Fatalf("key %q stands for both %s and %s", key, other, fields)
-		}
-		if other, ok := byFields[fields]; ok && other != key {
-			t.Fatalf("%s has the keys %q and %q", fields, other, key)
-		}
-		byKey[key], byFields[fields] = fields, key
+// TestCheckFormsCatchesAPerturbedBound: one derived bound moved by one
+// — a rank's rows of the stencil's read starting a row late — is a plan
+// Plan does not make, and the comparison CheckForms runs at every firing
+// says so.
+func TestCheckFormsCatchesAPerturbedBound(t *testing.T) {
+	s, points := stencilPoints(t)
+	p := points["j=8 depth 1"]
+	fm := s.derive(p.f)
+	e := &fm.events[0]
+	if e.fixed == nil {
+		t.Fatal("the stencil's read reads fixed slots only, yet it was not fixed")
 	}
-	if len(byKey) < 1000 || len(byKey) > 15000 {
-		t.Errorf("%d distinct keys in 20000 draws: the ranges no longer exercise both directions", len(byKey))
+	// Rank 1's data of the read starts a row late.
+	stride := 1 + 2*len(e.vars) + 2*len(e.ref)
+	e.fixed.boxes[stride+1+2*len(e.vars)]++
+	caught := false
+	for me := range s.Grid.Size() {
+		caught = caught || samePlan(formPlan(s, fm, p.at, me), s.Plan(p.f.Proc, p.f.Events, p.at), me) != nil
 	}
-}
-
-// TestMemoKeyProcedures: two procedures whose names are prefixes of each
-// other ("x1" at depth 0 against "x" at depth 10 was one text in the old
-// rendered key) get distinct plan keys and distinct activations.
-func TestMemoKeyProcedures(t *testing.T) {
-	s, _ := schedFor(t, prefixProcsSrc)
-	params := s.Ctx.Bind.Params
-	x, x1 := s.prog.Proc("x"), s.prog.Proc("x1")
-	fx := &s.Proc(x).Loops[x.Body[0].(*ir.Loop)].Reads
-	fx1 := &s.Proc(x1).Loops[x1.Body[0].(*ir.Loop)].Reads
-	if len(fx.Events) != 2 || len(fx1.Events) != 2 {
-		t.Fatalf("placement: %d and %d reads, want 2 and 2", len(fx.Events), len(fx1.Events))
-	}
-	var ks KeyScratch
-	var m Memo
-	kx := string(s.planKey(&ks, fx, 10, nil, s.slotted(params, new(binding))))
-	kx1 := string(s.planKey(&ks, fx1, 0, nil, s.slotted(params, new(binding))))
-	if kx == kx1 {
-		t.Errorf("x at depth 10 and x1 at depth 0 share the key %q", kx)
-	}
-	ix, missX := s.IterSets(&m, x, 1, params, &ks)
-	ix1, missX1 := s.IterSets(&m, x1, 1, params, &ks)
-	again, missAgain := s.IterSets(&m, x, 1, params, &ks)
-	other, missOther := s.IterSets(&m, x, 2, params, &ks)
-	if !missX || !missX1 || missAgain || !missOther {
-		t.Errorf("activation misses %v %v %v %v, want true true false true", missX, missX1, missAgain, missOther)
-	}
-	// The two procedures number their statements apart, so sharing an
-	// activation would show as the other's statement ids.
-	for id := range ix {
-		if _, shared := ix1[id]; shared {
-			t.Errorf("x and x1 share an activation: statement %d in both", id)
-		}
-		if _, same := again[id]; !same {
-			t.Errorf("second activation of x lost statement %d", id)
-		}
-		if fmt.Sprint(other[id]) == fmt.Sprint(ix[id]) {
-			t.Errorf("ranks 1 and 2 share the iteration set %v of statement %d", ix[id], id)
-		}
+	if !caught {
+		t.Error("a form whose row range starts a row late matches Plan on every rank")
 	}
 }
 

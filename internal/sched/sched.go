@@ -12,7 +12,9 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync/atomic"
 
 	"dhpf/internal/comm"
 	"dhpf/internal/cp"
@@ -75,16 +77,16 @@ type StmtSched struct {
 // LoopSched, every assignment outside all loops a StmtSched, and every
 // assignment or call an entry in Nest.
 type ProcSched struct {
-	id      int // position in the program, for the activation key
+	id      int // position in the program
 	Loops   map[*ir.Loop]*LoopSched
 	Top     map[*ir.Assign]*StmtSched
 	Nest    map[int][]*ir.Loop // enclosing loops per statement id, outermost first
 	formals []int              // each formal's slot, -1 for one no call binds an integer
 }
 
-// Schedule is the immutable per-program rank schedule, shared read-only
-// by every rank of every execution and analysis.  What they plan under
-// it is kept in a Memo (plan.go) each walker is handed.
+// Schedule is the per-program rank schedule, shared read-only by every
+// rank of every execution and analysis, except for its firings' closed
+// forms (form.go), each published once by the first walk that derives it.
 type Schedule struct {
 	Planner
 
@@ -94,10 +96,10 @@ type Schedule struct {
 	invalid error
 
 	// names are the program's scalar names — everything a walker ever
-	// binds — sorted: a name's slot is its index here, and the memo keys
-	// spell a binding in this order.
+	// binds — sorted: a name's slot is its index here.
 	names   []string
 	params  binding // the parameter binding, what a walk starts from
+	fixed   []bool  // per slot: a parameter no walk rebinds
 	deepest int     // the most loops around any statement
 	firings int
 
@@ -106,6 +108,13 @@ type Schedule struct {
 	// every loop whose CP is not replicated (slots.go).
 	nestSlots [][]int
 	homes     map[int][]homeTerm
+
+	// forms holds each firing's closed form by id, nil until a walk
+	// derives it; checking makes every walk compare its plans with Plan's
+	// (CheckForms), and checked counts the firings compared.
+	forms    []atomic.Pointer[form]
+	checking atomic.Bool
+	checked  atomic.Int64
 }
 
 // New builds the schedule.  It is total: a program the walker cannot run
@@ -131,6 +140,7 @@ func New(in Input) *Schedule {
 	}
 	s.names = scalarNames(in.IR, in.Ctx.Bind.Params)
 	s.number(in.Ctx.Bind.Params)
+	s.forms = make([]atomic.Pointer[form], s.firings)
 	return s
 }
 
@@ -314,31 +324,52 @@ func splits(l *ir.Loop, grain int) bool {
 	return ok && grain > 0 && max(d, -d)+1 > grain
 }
 
-// IterSets returns one activation's iteration sets: for every assignment
-// and call of proc, the points of its full nest this rank executes under
-// the entry binding (parameters plus integer formals).  It goes through
-// memo m, keyed by (procedure, rank, binding): every frame planned
-// through m shares the result, which callers must not modify.  miss
-// reports that this call stored the sets.  A name the program never
-// binds is dropped from bind.
-func (s *Schedule) IterSets(m *Memo, proc *ir.Procedure, rank int, bind map[string]int, ks *KeyScratch) (iters map[int]iset.Set, miss bool) {
-	return s.activation(m, proc, rank, s.slotted(bind, &ks.b), ks)
+// reads returns the slots proc's iteration sets read that a walk can
+// rebind: the formals, loop variables or parameters in its loop bounds
+// and its statements' ON_HOME subscripts, other than a statement's own
+// nest variables.  Two activations of proc on one rank that agree on
+// these values have the same iteration sets.
+func (s *Schedule) reads(proc *ir.Procedure) []int {
+	var out []int
+	add := func(name string) {
+		if i := s.Slot(name); i >= 0 && !s.fixed[i] && !slices.Contains(out, i) {
+			out = append(out, i)
+		}
+	}
+	aff := func(a ir.AffExpr) {
+		for _, t := range a.Terms {
+			add(t.Name)
+		}
+	}
+	for id, nest := range s.procs[proc].Nest {
+		vars := ir.NestVars(nest)
+		for _, l := range nest {
+			aff(l.Lo)
+			aff(l.Hi)
+		}
+		for _, t := range s.homeTerms(id) {
+			for _, h := range t.Subs {
+				aff(h.Off)
+				aff(h.Lo)
+				aff(h.Hi)
+				if !slices.Contains(vars, h.Var) {
+					add(h.Var)
+				}
+			}
+		}
+	}
+	return out
 }
 
-// activation is IterSets under a slot binding, which is turned into names
-// only on a miss.
-func (s *Schedule) activation(m *Memo, proc *ir.Procedure, rank int, b *binding, ks *KeyScratch) (map[int]iset.Set, bool) {
-	ps := s.procs[proc]
-	key := s.activationKey(ks, ps, rank, b)
-	if e, hit := m.load(key); hit {
-		return e.iters, false
-	}
-	bind := b.byName(s.names)
+// iterSets computes one activation's iteration sets: for every
+// assignment and call of proc, the points of its full nest rank executes
+// under bind.
+func (s *Schedule) iterSets(proc *ir.Procedure, rank int, bind map[string]int) map[int]iset.Set {
+	nests := s.procs[proc].Nest
 	localOf := s.Ctx.LocalOf(proc, rank)
-	out := make(map[int]iset.Set, len(ps.Nest))
-	for id, nest := range ps.Nest {
+	out := make(map[int]iset.Set, len(nests))
+	for id, nest := range nests {
 		out[id] = s.Sel.CPOf(id).IterSet(nest, bind, localOf)
 	}
-	e, miss := m.store(key, memoEntry{iters: out})
-	return e.iters, miss
+	return out
 }

@@ -11,9 +11,9 @@ import (
 // everything the walk reads by name — each loop's variable and bounds,
 // each statement's nest variables, each procedure's integer formals, the
 // ON_HOME subscripts of the statements outside every loop — to slots
-// once, so a walk binds, keys its memo lookups and evaluates bounds
-// without touching a name.  Names stay at the API edges: Lookup, the
-// planner and the iteration sets on a memo miss, Point.Bind.
+// once, so a walk binds, evaluates bounds and plans (form.go) without
+// touching a name.  Names stay at the API edges: Lookup, the planner, a
+// rank's first activation under a binding, Point.Bind.
 
 // Slot returns name's slot, or -1 for a name the program never binds.
 func (s *Schedule) Slot(name string) int {
@@ -33,8 +33,8 @@ type binding struct {
 }
 
 // byName returns the binding as a name map for the API edges that take
-// one: the planner and the iteration sets, on a memo miss.  The map is
-// the binding's own, valid until the next call.
+// one: the planner and the iteration sets.  The map is the binding's
+// own, valid until the next call.
 func (b *binding) byName(names []string) map[string]int {
 	if b.m == nil {
 		b.m = make(map[string]int, len(names))
@@ -47,22 +47,6 @@ func (b *binding) byName(names []string) map[string]int {
 		}
 	}
 	return b.m
-}
-
-// slotted writes bind into b in slot form and returns b.  A name the
-// program never binds has no slot and is dropped: the key and, on a
-// miss, the sets are both taken without it.
-func (s *Schedule) slotted(bind map[string]int, b *binding) *binding {
-	n := len(s.names)
-	b.vals, b.bound = slices.Grow(b.vals[:0], n)[:n], slices.Grow(b.bound[:0], n)[:n]
-	clear(b.vals)
-	clear(b.bound)
-	for name, v := range bind {
-		if i := s.Slot(name); i >= 0 {
-			b.vals[i], b.bound[i] = v, true
-		}
-	}
-	return b
 }
 
 // slotAff is an affine form in slot form: c plus each term's coefficient
@@ -126,20 +110,24 @@ func (s *Schedule) number(params map[string]int) {
 		spans: make([]span, nSpans),
 	}
 	s.params = binding{vals: r.take(len(s.names)), bound: make([]bool, len(s.names))}
+	s.fixed = make([]bool, len(s.names))
 	for name, v := range params {
 		if i := s.Slot(name); i >= 0 {
-			s.params.vals[i], s.params.bound[i] = v, true
+			s.params.vals[i], s.params.bound[i], s.fixed[i] = v, true, true
 		}
 	}
 	s.nestSlots = make([][]int, s.prog.MaxStmtID())
 	for proc, ps := range s.procs { // each form is carved apart: the order does not show
 		ps.formals = r.take(len(proc.Formals))
 		for k, formal := range proc.Formals {
-			ps.formals[k] = s.Slot(formal)
+			if ps.formals[k] = s.Slot(formal); ps.formals[k] >= 0 {
+				s.fixed[ps.formals[k]] = false
+			}
 		}
 		for l, ls := range ps.Loops {
 			ls.slot, ls.lo, ls.hi = s.Slot(l.Var), r.aff(l.Lo, "", 0), r.aff(l.Hi, "", 0)
 			ls.strip = ps.Loops[ls.Strip]
+			s.fixed[ls.slot] = false
 		}
 		for id, nest := range ps.Nest {
 			vars := r.take(len(nest))

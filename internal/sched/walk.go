@@ -20,8 +20,8 @@ type Ops interface {
 	Enter(f *Frame)
 	Leave()
 	// Actual binds one array or value actual of the call being entered.
-	// Actuals arrive in argument order, interleaved with the walker's own
-	// binding of the integer formals before them.
+	// Actuals arrive in argument order, under the caller's binding: the
+	// walker binds the integer formals after the last of them.
 	Actual(formal string, arg ir.Expr)
 	// Scalar evaluates a condition operand or an integer actual.
 	Scalar(e ir.Expr) float64
@@ -45,7 +45,8 @@ type Ops interface {
 
 // Frame is one procedure activation: the procedure's placement tables
 // plus this rank's iteration sets under the entry binding, shared
-// read-only with every other activation under the same binding.  The
+// read-only with the rank's other activations that read the same
+// values (Schedule.reads).  The
 // walker keeps one Frame per call depth and rewrites it at every
 // activation there: Ops may read it until Leave, not keep it.
 type Frame struct {
@@ -70,70 +71,89 @@ type Walker struct {
 	// Strip is the active strip window, nil outside a strip-mined
 	// wavefront.
 	Strip *Strip
-	// Plans counts this walk's traffic on its memo.
+	// Plans counts this walk's firings and the forms it derived.
 	Plans PlanStats
 
-	memo   *Memo // what the walk plans through
 	ops    Ops
 	b      binding // parameters, loop variables and integer formals, by slot
 	saved  []savedInt
 	tagSeq int
 	point  []int
-	key    KeyScratch
+	args   []int   // a call's integer actuals, evaluated before any is bound
 	strip  Strip   // what Strip points at: wavefronts do not nest their strips
 	frames []Frame // per call depth, the activation running there
 	depth  int     // the call depth: activations running
+	// levels are what plans are evaluated on, one per plan still in use
+	// (held: a wavefront chunk keeps its plan while its strip runs).
+	levels []*level
+	held   int
+	tmp    iset.Arena // the levels' scratch of scratch (level.tmp)
+	// acts holds per procedure the iteration sets of this rank's
+	// activations so far, by the values of what they read.
+	acts []procActs
 
 	// What saved, point, frames and the binding start on when the
-	// schedule's sizes fit, and key on (NewWalker).
+	// schedule's sizes fit (NewWalker).
 	savedBuf [8]savedInt
 	pointBuf [8]int
 	frameBuf [4]Frame
-	keyBuf   [64]byte
 	valBuf   [16]int
 	boundBuf [16]bool
 }
 
-// PlanStats is a walk's memo traffic: plans taken, and how many of them
-// and of the procedure activations this walk computed and stored rather
-// than found.  It is telemetry only: nothing in it feeds results or
-// virtual time.
+// procActs are one procedure's iteration sets on the walker's rank, per
+// activation whose entry values of reads (Schedule.reads, found at the
+// first) differ.
+type procActs struct {
+	reads []int
+	seen  bool
+	acts  []activation
+}
+
+type activation struct {
+	key   []int
+	iters map[int]iset.Set
+}
+
+// PlanStats counts a walk's plan firings and the closed forms it
+// derived: a firing's form is derived by its first walk, in any
+// execution or analysis of the schedule, and published once.  It is
+// telemetry only: nothing in it feeds results or virtual time.
 type PlanStats struct {
-	Firings, PlanMisses, ActivationMisses int64
+	Firings, Derived int64
 }
 
 func (p PlanStats) String() string {
-	return fmt.Sprintf("plans: %d firings, %d plan misses, %d activation misses", p.Firings, p.PlanMisses, p.ActivationMisses)
+	return fmt.Sprintf("plans: %d firings, %d forms derived", p.Firings, p.Derived)
 }
 
-// NewWalker returns rank me's walker of s, planning through m and bound
-// to the program parameters.
+// NewWalker returns rank me's walker of s, bound to the program
+// parameters.
 // Its scratch is sized once, from the schedule: the binding to the
 // scalar names, one slot each, the save stack and the membership point
 // to the deepest nest, the frames to the procedures (a chain of calls
-// repeats none) — inside the walker when that fits, as does a memo key
-// of up to 64 bytes.  Only a call can push the save stack past that: the
-// caller's loops and integer formals stay saved under the callee's.
-func NewWalker(s *Schedule, m *Memo, me int, ops Ops) *Walker {
-	w := &Walker{S: s, Me: me, memo: m, ops: ops}
+// repeats none) — inside the walker when that fits.  Only a call can
+// push the save stack past that: the caller's loops and integer formals
+// stay saved under the callee's.
+func NewWalker(s *Schedule, me int, ops Ops) *Walker {
+	w := &Walker{S: s, Me: me, ops: ops, acts: make([]procActs, s.NumProcs())}
 	n := len(s.names)
 	w.b.vals = scratch(w.valBuf[:], n)[:n]
 	w.b.bound = scratch(w.boundBuf[:], n)[:n]
 	w.saved = scratch(w.savedBuf[:], s.deepest)
 	w.point = scratch(w.pointBuf[:], s.deepest)
 	w.frames = scratch(w.frameBuf[:], s.NumProcs())
-	w.key.buf = w.keyBuf[:0]
 	w.Reset()
 	return w
 }
 
 // Reset readies the walker for another walk of its schedule: bound to
 // the program parameters, outside every strip, at the first tag block,
-// with no memo traffic counted.  Its scratch stays.
+// with nothing counted.  Its scratch and activations stay.
 func (w *Walker) Reset() {
 	copy(w.b.vals, w.S.params.vals)
 	copy(w.b.bound, w.S.params.bound)
-	w.Strip, w.Plans, w.tagSeq, w.depth = nil, PlanStats{}, 0, 0
+	w.Strip, w.Plans, w.tagSeq, w.depth, w.held = nil, PlanStats{}, 0, 0, 0
 	w.saved = w.saved[:0]
 }
 
@@ -163,10 +183,7 @@ func scratch[T any](buf []T, n int) []T {
 func (w *Walker) Run() { w.proc(w.S.prog.Main()) }
 
 func (w *Walker) proc(proc *ir.Procedure) {
-	iters, miss := w.S.activation(w.memo, proc, w.Me, &w.b, &w.key)
-	if miss {
-		w.Plans.ActivationMisses++
-	}
+	iters := w.iterSets(proc)
 	if w.depth == len(w.frames) {
 		// First activation this deep.  Past the room NewWalker made,
 		// append moves the frames, but the enclosing activations keep
@@ -180,6 +197,31 @@ func (w *Walker) proc(proc *ir.Procedure) {
 	w.stmts(f, proc.Body, 0)
 	w.ops.Leave()
 	w.depth--
+}
+
+// iterSets returns the running activation's iteration sets: the rank's
+// earlier activation of proc that read the same values, or new ones.
+func (w *Walker) iterSets(proc *ir.Procedure) map[int]iset.Set {
+	pa := &w.acts[w.S.procs[proc].id]
+	if !pa.seen {
+		pa.reads, pa.seen = w.S.reads(proc), true
+	}
+next:
+	for _, a := range pa.acts {
+		for i, slot := range pa.reads {
+			if a.key[i] != w.b.vals[slot] {
+				continue next
+			}
+		}
+		return a.iters
+	}
+	key := make([]int, len(pa.reads))
+	for i, slot := range pa.reads {
+		key[i] = w.b.vals[slot]
+	}
+	iters := w.S.iterSets(proc, w.Me, w.b.byName(w.S.names))
+	pa.acts = append(pa.acts, activation{key: key, iters: iters})
+	return iters
 }
 
 func (w *Walker) stmts(f *Frame, stmts []ir.Stmt, depth int) {
@@ -306,15 +348,25 @@ func ClassifyArg(arg ir.Expr) ArgKind {
 	return ArgFloat
 }
 
+// call evaluates every actual under the caller's binding, then binds
+// the callee's integer formals and runs it: an actual that names a
+// formal of the callee reads the caller's value, not the new binding.
 func (w *Walker) call(c *ir.CallStmt) {
 	callee := w.S.prog.Proc(c.Callee)
 	slots := w.S.procs[callee].formals
-	mark := w.mark()
+	w.args = w.args[:0]
 	for k, formal := range callee.Formals {
 		if arg := c.Args[k]; ClassifyArg(arg) == ArgInt {
-			w.bindInt(slots[k], int(w.ops.Scalar(arg)))
+			w.args = append(w.args, int(w.ops.Scalar(arg)))
 		} else {
 			w.ops.Actual(formal, arg)
+		}
+	}
+	mark, i := w.mark(), 0
+	for k := range callee.Formals {
+		if ClassifyArg(c.Args[k]) == ArgInt {
+			w.bindInt(slots[k], w.args[i])
+			i++
 		}
 	}
 	w.proc(callee)
@@ -384,13 +436,29 @@ func (w *Walker) iterate(f *Frame, l *ir.Loop, ls *LoopSched, depth int) {
 	w.unbind(mark)
 }
 
-// transfers takes the plan firing f requires under the current binding,
-// with the outermost depth loop variables fixed, inside the strip.
+// transfers evaluates the plan firing f requires under the current
+// binding, with the outermost depth loop variables fixed, inside the
+// strip, from its closed form — derived here at the firing's first walk
+// and published once: racing ranks may both derive it, the first stored
+// wins.  The plan is valid until the walker evaluates on its level
+// again: the next firing, unless a chunk holds it.
 func (w *Walker) transfers(f *Firing, depth int, strip *Strip) []Transfer {
-	plan, miss := w.S.transfers(w.memo, f, depth, strip, &w.b, &w.key)
 	w.Plans.Firings++
-	if miss {
-		w.Plans.PlanMisses++
+	slot := &w.S.forms[f.ID]
+	fm := slot.Load()
+	if fm == nil {
+		if fm = w.S.derive(f); slot.CompareAndSwap(nil, fm) {
+			w.Plans.Derived++
+		} else {
+			fm = slot.Load()
+		}
+	}
+	if w.held == len(w.levels) {
+		w.levels = append(w.levels, &level{tmp: &w.tmp})
+	}
+	plan := fm.eval(w.levels[w.held], at{vals: w.b.vals, depth: depth, strip: strip}, w.Me, w.S.Grid.Size())
+	if w.S.checking.Load() {
+		w.check(f, plan, depth, strip)
 	}
 	return plan
 }
@@ -441,7 +509,7 @@ func (w *Walker) pipeline(f *Frame, l *ir.Loop, ls *LoopSched, depth int) {
 			g = hi - lo + 1
 		}
 		for s := lo; s <= hi; s += g {
-			w.strip = Strip{Var: ls.Strip.Var, Lo: s, Hi: min(s+g-1, hi)}
+			w.strip = Strip{Var: ls.Strip.Var, Lo: s, Hi: min(s+g-1, hi), slot: ls.strip.slot}
 			w.chunk(f, l, ls, depth, &w.strip)
 		}
 	}
@@ -456,7 +524,9 @@ func (w *Walker) chunk(f *Frame, l *ir.Loop, ls *LoopSched, depth int, strip *St
 	w.ops.Recv(plan, base)
 	outer := w.Strip
 	w.Strip = strip
+	w.held++
 	w.iterate(f, l, ls, depth)
+	w.held--
 	w.Strip = outer
 	w.ops.Send(plan, base)
 }

@@ -168,7 +168,7 @@ end
 				t.Fatalf("%s: %v", p.name, err)
 			}
 			r := &recorder{}
-			r.w = sched.NewWalker(s, new(sched.Memo), 1, r)
+			r.w = sched.NewWalker(s, 1, r)
 			r.w.Run()
 			golden(t, fmt.Sprintf("%s.g%d.walk", p.name, grain), r.sb.String())
 		}

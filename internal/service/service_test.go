@@ -247,18 +247,17 @@ func TestCancelAbortsWithoutCorruption(t *testing.T) {
 	}
 
 	// The aborted flight must not have cached anything or leaked the
-	// worker: the same request now compiles successfully.  (Retry
-	// briefly — the dying flight may still be unwinding, and a request
-	// that coalesces onto it inherits its cancellation error.)
+	// worker: the same request now compiles successfully.  The client
+	// gave up before the server noticed: the flight ends once the first
+	// request's connection does, its last waiter gone.  Wait for that.
+	// A request sent before it would join the flight — and, joining
+	// while the first waiter is still there, keep it alive, the hook
+	// holding the only worker until the joiner's own timeout.
 	testPreCompile = nil
-	var resp *dhpf.CompileResponse
-	var err error
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		resp, err = client.Compile(context.Background(), req)
-		if err == nil || time.Now().After(deadline) {
-			break
-		}
+	for srv.cache.Inflight() > 0 {
+		time.Sleep(time.Millisecond)
 	}
+	resp, err := client.Compile(context.Background(), req)
 	if err != nil {
 		t.Fatalf("recompile after abort: %v", err)
 	}

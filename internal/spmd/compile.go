@@ -61,11 +61,9 @@ type Program struct {
 	eng     *enginePlan
 
 	// Lazily built rank schedule (internal/sched), walked by every
-	// execution, PredictCost and DryRun, and the plan memo only the
-	// executions plan through.
+	// execution, PredictCost and DryRun.
 	schedOnce sync.Once
 	sched     *sched.Schedule
-	memo      sched.Memo
 
 	// Zero-point plans by event, each computed once (zeroPlan).
 	zeroMu sync.Mutex
@@ -77,10 +75,9 @@ type Program struct {
 }
 
 // Schedule returns the program's rank schedule, building it once: the
-// one schedule its executions, PredictCost and DryRun walk.  The
-// Program's plan memo lives as long as the Program, so only executions —
-// which repeat their firings run after run — plan through it;
-// PredictCost and DryRun plan through a memo that dies with the call.
+// one schedule its executions, PredictCost and DryRun walk, and the
+// keeper of the closed forms of its plans, derived by the first walk of
+// each firing.
 func (p *Program) Schedule() *sched.Schedule {
 	p.schedOnce.Do(func() {
 		p.sched = sched.New(sched.Input{

@@ -17,6 +17,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"dhpf/internal/mpsim"
@@ -536,6 +537,19 @@ func FuzzExecEngines(f *testing.F) {
 		}
 		cfg := testMachine(prog.Grid.Size())
 		cfg.TimeLimit = 1.0
+		formsArePlans(t, prog, cfg)
 		requireEnginesIdentical(t, prog, cfg)
 	})
+}
+
+// formsArePlans executes prog with every plan its closed forms give
+// compared with Planner.Plan's (sched.Schedule.CheckForms) and fails t
+// on a difference.
+func formsArePlans(t *testing.T, prog *Program, cfg mpsim.Config) {
+	t.Helper()
+	_, restore := prog.Schedule().CheckForms()
+	defer restore()
+	if _, err := prog.ExecuteEngine(cfg, EngineCompiled); err != nil && strings.Contains(err.Error(), "closed form is not Plan") {
+		t.Fatal(err)
+	}
 }

@@ -36,8 +36,8 @@ type ExecResult struct {
 	// instances that ran one at a time — outside every unit, or in an
 	// invocation whose precheck bailed.  All zero under EngineInterp.
 	Nests NestStats
-	// Plans is the run's traffic on the program's plan memo: how many of
-	// its firings and activations were computed rather than found.
+	// Plans counts the run's plan firings and the closed forms it derived
+	// rather than found on the program's schedule.
 	Plans sched.PlanStats
 	prog  *Program
 	// main holds main's arrays by name, one copy each: rank 0's, handed
@@ -122,8 +122,7 @@ func (p *Program) ExecuteEngine(cfg mpsim.Config, engine Engine) (*ExecResult, e
 	for _, rx := range c.ranks {
 		er.Nests.Walked += rx.walked
 		er.Plans.Firings += rx.Plans.Firings
-		er.Plans.PlanMisses += rx.Plans.PlanMisses
-		er.Plans.ActivationMisses += rx.Plans.ActivationMisses
+		er.Plans.Derived += rx.Plans.Derived
 	}
 	if c.idle() {
 		p.crew.Store(c)
@@ -153,10 +152,8 @@ type crew struct {
 	rankBody   func(r *mpsim.Rank)
 	threadBody func(t *shm.Thread)
 
-	// memo is the Program's plan memo, which the rank executors plan
-	// through; s, plan and native are this execution's schedule, plan
-	// and kernel binding.
-	memo   *sched.Memo
+	// s, plan and native are this execution's schedule, plan and kernel
+	// binding.
 	s      *sched.Schedule
 	plan   *enginePlan
 	native []KernelFunc
@@ -171,7 +168,7 @@ type crew struct {
 // layout prices a pull across the grid's groups (hpf.Grid.Groups) like a
 // message.
 func (p *Program) newCrew(backend string, cfg mpsim.Config) *crew {
-	c := &crew{ranks: make([]*rankExec, cfg.Procs), memo: &p.memo}
+	c := &crew{ranks: make([]*rankExec, cfg.Procs)}
 	if backend == passes.BackendMP {
 		c.m = mpsim.NewMachine(cfg, mpsim.MessageCost(cfg))
 		c.rankBody = func(r *mpsim.Rank) { c.runRank(r, nil) }
@@ -250,7 +247,7 @@ func (c *crew) idle() bool {
 func (c *crew) runRank(rk *mpsim.Rank, th *shm.Thread) {
 	rx := c.ranks[rk.ID]
 	if rx == nil {
-		rx = newRankExec(c.s, c.memo, rk, th, c.plan, c.native)
+		rx = newRankExec(c.s, rk, th, c.plan, c.native)
 		c.ranks[rk.ID] = rx
 	}
 	rx.reset()
@@ -423,7 +420,7 @@ type rankExec struct {
 	setBuf  [64]bool // env.intSet and env.fset of a program with no more names than this
 }
 
-func newRankExec(s *sched.Schedule, memo *sched.Memo, rk *mpsim.Rank, th *shm.Thread, plan *enginePlan, native []KernelFunc) *rankExec {
+func newRankExec(s *sched.Schedule, rk *mpsim.Rank, th *shm.Thread, plan *enginePlan, native []KernelFunc) *rankExec {
 	rx := &rankExec{rk: rk, th: th, plan: plan, native: native}
 	n, stack := s.NumProcs(), rx.stackBuf[:]
 	if 2*n > len(stack) {
@@ -462,7 +459,7 @@ func newRankExec(s *sched.Schedule, memo *sched.Memo, rk *mpsim.Rank, th *shm.Th
 			cell: make([]kcell, sc.cells), ints: rx.env.ints, intSet: rx.env.intSet, floats: rx.env.floats, fset: rx.env.fset}
 		ops = nestOps{rx}
 	}
-	rx.Walker = sched.NewWalker(s, memo, rk.ID, ops)
+	rx.Walker = sched.NewWalker(s, rk.ID, ops)
 	rx.sc = rx.Walker
 	return rx
 }

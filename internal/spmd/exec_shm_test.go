@@ -201,6 +201,8 @@ func FuzzShmVsMp(f *testing.F) {
 		}
 		cfg := testMachine(mp.Grid.Size())
 		cfg.TimeLimit = 1.0 // deterministic abort within each backend
+		formsArePlans(t, mp, cfg)
+		formsArePlans(t, sm, cfg)
 		rm, errm := mp.ExecuteEngine(cfg, EngineCompiled)
 		rs, errs := sm.ExecuteEngine(cfg, EngineCompiled)
 		ri, erri := mp.ExecuteEngine(cfg, EngineInterp)

@@ -94,9 +94,6 @@ func EmitFills(prog *Program, rank int) []int {
 // UseSchedule makes s the schedule of p, before anything builds one.
 func UseSchedule(p *Program, s *sched.Schedule) { p.schedOnce.Do(func() { p.sched = s }) }
 
-// MemoLen is the number of plans and activations in p's plan memo.
-func MemoLen(p *Program) int { return p.memo.Len() }
-
 // ZeroThenPull executes p on the default engine, on a crew of its own,
 // and gathers main's arrays as results did when they kept every rank's
 // copy: each one from a zeroed array into which every rank's local box is

@@ -458,7 +458,7 @@ func hashStmt(w func(...interface{}), s KStmt) {
 // --- kernel registry -----------------------------------------------------------
 
 var kernelReg = struct {
-	mu sync.RWMutex
+	mu sync.Mutex
 	m  map[string]KernelFunc
 }{m: map[string]KernelFunc{}}
 
@@ -479,16 +479,16 @@ func RegisterKernel(fingerprint string, fn KernelFunc) {
 
 // KernelFor returns the registered kernel for a fingerprint, or nil.
 func KernelFor(fingerprint string) KernelFunc {
-	kernelReg.mu.RLock()
+	kernelReg.mu.Lock()
 	fn := kernelReg.m[fingerprint]
-	kernelReg.mu.RUnlock()
+	kernelReg.mu.Unlock()
 	return fn
 }
 
 // RegisteredKernels reports how many kernels the registry holds.
 func RegisteredKernels() int {
-	kernelReg.mu.RLock()
+	kernelReg.mu.Lock()
 	n := len(kernelReg.m)
-	kernelReg.mu.RUnlock()
+	kernelReg.mu.Unlock()
 	return n
 }

@@ -149,53 +149,38 @@ func (se *serialExec) call(proc *ir.Procedure, call *ir.CallStmt) {
 	if callee == nil {
 		panic(fmt.Sprintf("call to undefined %q", call.Callee))
 	}
+	// Every actual is evaluated under the caller's binding before the
+	// callee's integer formals are bound.
 	f := se.top()
 	actualArrays := map[string]*array{}
 	floatFormals := map[string]float64{}
-	var saved []struct {
-		name string
-		val  int
-		had  bool
-	}
+	intFormals := map[string]int{}
 	for k, formal := range callee.Formals {
-		switch arg := call.Args[k].(type) {
-		case *ir.ArrayRef:
-			if len(arg.Subs) == 0 {
-				actualArrays[formal] = f.arrays[arg.Name]
-				continue
-			}
-			floatFormals[formal] = se.eval(arg)
-		case ir.IndexRef, ir.ParamRef:
-			old, had := se.bind[formal]
-			saved = append(saved, struct {
-				name string
-				val  int
-				had  bool
-			}{formal, old, had})
-			se.bind[formal] = int(se.eval(arg))
-		case ir.FloatConst:
-			if float64(int(arg.Val)) == arg.Val {
-				old, had := se.bind[formal]
-				saved = append(saved, struct {
-					name string
-					val  int
-					had  bool
-				}{formal, old, had})
-				se.bind[formal] = int(arg.Val)
-			} else {
-				floatFormals[formal] = se.eval(arg)
-			}
+		switch arg := call.Args[k]; sched.ClassifyArg(arg) {
+		case sched.ArgAlias:
+			actualArrays[formal] = f.arrays[arg.(*ir.ArrayRef).Name]
+		case sched.ArgInt:
+			intFormals[formal] = int(se.eval(arg))
 		default:
 			floatFormals[formal] = se.eval(arg)
 		}
 	}
+	type savedInt struct {
+		val int
+		had bool
+	}
+	saved := map[string]savedInt{}
+	for formal, v := range intFormals {
+		old, had := se.bind[formal]
+		saved[formal] = savedInt{old, had}
+		se.bind[formal] = v
+	}
 	se.enter(callee, actualArrays, floatFormals)
-	for i := len(saved) - 1; i >= 0; i-- {
-		s := saved[i]
+	for formal, s := range saved {
 		if s.had {
-			se.bind[s.name] = s.val
+			se.bind[formal] = s.val
 		} else {
-			delete(se.bind, s.name)
+			delete(se.bind, formal)
 		}
 	}
 }
