@@ -252,7 +252,7 @@ func (c *counter) Recv(plan []sched.Transfer, _ int) {
 func (c *counter) Handled(f *sched.Frame, l *ir.Loop, depth int) bool {
 	bulk, ok := c.pure[l]
 	if !ok {
-		bulk = f.Loops[l].ComputeNest && bulkable(l)
+		bulk = f.Loop(l).ComputeNest && bulkable(l)
 		c.pure[l] = bulk
 	}
 	if bulk {

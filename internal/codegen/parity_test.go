@@ -240,11 +240,12 @@ func TestGuardOverflowBails(t *testing.T) {
 
 // bailAlways breaks the array geometry of every kernel unit of prog, so
 // each precheck bails and the walker interprets the invocation: the
-// wholesale form of the decline path, from outside spmd.
+// wholesale form of the decline path, from outside spmd.  The first
+// stride goes negative, which no live array's is.
 func bailAlways(prog *spmd.Program) {
 	for _, u := range prog.KernelUnits() {
 		for i := range u.Arrays {
-			u.Arrays[i].Hi[0]++
+			u.Arrays[i].Stride[0] = -1 - u.Arrays[i].Stride[0]
 		}
 	}
 }

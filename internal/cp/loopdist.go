@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"dhpf/internal/dep"
+	"dhpf/internal/hpf"
 	"dhpf/internal/ir"
 )
 
@@ -249,7 +250,7 @@ func splitLoop(ctx *Context, proc *ir.Procedure, l *ir.Loop, parent *[]ir.Stmt, 
 	// for distribution past scalar temporaries like fac1 in Figure 5.1).
 	for name := range expandable {
 		if scalarCrossesGroups(ctx, proc, name, stmtUnit, groupOf) {
-			expandScalar(ctx, proc, l, name, repl)
+			expandScalar(ctx, proc, l, name, repl, sel)
 			sel.notef("proc %s: scalar %s expanded across distributed loops of %s", proc.Name, name, l.Var)
 		}
 	}
@@ -347,14 +348,18 @@ func scalarCrossesGroups(ctx *Context, proc *ir.Procedure, name string, stmtUnit
 
 // expandScalar rewrites every access to the scalar inside the split loops
 // into an access to a fresh array indexed by the loop variable, and
-// declares that array in the procedure.
-func expandScalar(ctx *Context, proc *ir.Procedure, l *ir.Loop, name string, newLoops []ir.Stmt) {
+// declares that array in the procedure — its name new to the program,
+// since layouts are bound by name.  The array is laid out with the
+// writing statement's one ON_HOME term (expandedLayout), so each element
+// lives where it is computed and communication placement moves it to
+// the statements that read it elsewhere.
+func expandScalar(ctx *Context, proc *ir.Procedure, l *ir.Loop, name string, newLoops []ir.Stmt, sel *Selection) {
 	lo, hi := l.Lo, l.Hi
 	if l.Step < 0 {
 		lo, hi = hi, lo
 	}
 	xname := name + "__x"
-	for proc.DeclOf(xname) != nil {
+	for declared(ctx.Prog, xname) || ctx.Bind.LayoutOf(xname) != nil {
 		xname += "x"
 	}
 	proc.Decls = append(proc.Decls, &ir.Decl{Name: xname, LB: []ir.AffExpr{lo}, UB: []ir.AffExpr{hi}})
@@ -366,6 +371,9 @@ func expandScalar(ctx *Context, proc *ir.Procedure, l *ir.Loop, name string, new
 		}
 		if a.LHS.Name == name && len(a.LHS.Subs) == 0 {
 			a.LHS = xref()
+			if layout := expandedLayout(ctx, proc, l.Var, xname, lo, hi, sel.CPOf(a.ID)); layout != nil {
+				ctx.Bind.Layouts[xname] = layout
+			}
 		}
 		a.RHS = ir.RewriteExpr(a.RHS, func(e ir.Expr) ir.Expr {
 			if sr, ok := e.(ir.ScalarRef); ok && sr.Name == name {
@@ -375,6 +383,53 @@ func expandScalar(ctx *Context, proc *ir.Procedure, l *ir.Loop, name string, new
 		})
 		return true
 	})
+}
+
+// declared reports whether some procedure of prog declares name.
+func declared(prog *ir.Program, name string) bool {
+	for _, p := range prog.Procs {
+		if p.DeclOf(name) != nil {
+			return true
+		}
+	}
+	return false
+}
+
+// expandedLayout is the layout of xname(lo:hi), the expansion over loop
+// variable v of a scalar written under CP c: element v sits with the
+// element c's one ON_HOME term names at v, when the term's array is
+// distributed in one dimension only and the term indexes it by v plus a
+// constant.  nil otherwise: the expansion stays replicated.
+func expandedLayout(ctx *Context, proc *ir.Procedure, v, xname string, lo, hi ir.AffExpr, c *CP) *hpf.Layout {
+	if len(c.Terms) != 1 {
+		return nil
+	}
+	t := c.Terms[0]
+	of := ctx.Bind.LayoutOf(t.Array)
+	if of == nil || ctx.Layout(proc, t.Array) != of {
+		return nil
+	}
+	if !paramsOnly(lo, ctx.Bind.Params) || !paramsOnly(hi, ctx.Bind.Params) {
+		return nil
+	}
+	l, h := lo.Eval(ctx.Bind.Params), hi.Eval(ctx.Bind.Params)
+	for k, s := range t.Subs {
+		off, ok := s.Off.IsConst()
+		if !s.IsRange && s.Var == v && s.Coef == 1 && ok {
+			return hpf.AlignedLayout(xname, of, k, l, h, off)
+		}
+	}
+	return nil
+}
+
+// paramsOnly reports whether a reads only the program's parameters.
+func paramsOnly(a ir.AffExpr, params map[string]int) bool {
+	for _, t := range a.Terms {
+		if _, ok := params[t.Name]; !ok {
+			return false
+		}
+	}
+	return true
 }
 
 func containsAssign(l *ir.Loop, a *ir.Assign) bool {

@@ -155,6 +155,23 @@ func NewBlockLayout(name string, g *Grid, lo, hi []int, distDims []int) *Layout 
 	return l
 }
 
+// AlignedLayout is the layout of a one-dimensional array of bounds lo..hi
+// whose element i sits with element i+off of dimension k of the array
+// laid out by of, or nil unless that dimension is BLOCK and of's only
+// distributed one.
+func AlignedLayout(name string, of *Layout, k, lo, hi, off int) *Layout {
+	for j, d := range of.Dims {
+		if j == k && d.Kind != Block || j != k && d.Kind != Star {
+			return nil
+		}
+	}
+	d := of.Dims[k]
+	d.Lo, d.Hi, d.TplOff = lo, hi, d.TplOff+off
+	l := &Layout{Name: name, Grid: of.Grid, Dims: []DimLayout{d}}
+	l.setLocal()
+	return l
+}
+
 // DefaultBlockSize is HPF's ceil(extent/np).
 func DefaultBlockSize(extent, np int) int {
 	return (extent + np - 1) / np

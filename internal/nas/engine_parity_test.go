@@ -100,12 +100,12 @@ func TestNestCoverageNAS(t *testing.T) {
 func assignsOutsideNests(prog *spmd.Program) int {
 	n := 0
 	for _, proc := range prog.IR.Procs {
-		loops := prog.Schedule().Proc(proc).Loops
+		ps := prog.Schedule().Proc(proc)
 		ir.Walk(proc.Body, func(s ir.Stmt, nest []*ir.Loop) bool {
 			if _, ok := s.(*ir.Assign); ok {
 				inside := false
 				for _, l := range nest {
-					inside = inside || loops[l].ComputeNest
+					inside = inside || ps.Loop(l).ComputeNest
 				}
 				if !inside {
 					n++

@@ -17,10 +17,73 @@ import (
 // walker's slot vector, the point's depth and strip, and the ranks'
 // LocalBox constants.  It does not depend on the rank.  A firing's form
 // is derived at its first walk and kept by the schedule
-// (Walker.transfers).
+// (Walker.transfers), with the site of that walk resolved.
 type form struct {
 	arrays []string // the events' arrays, sorted: the first key of the transfer order
+	slots  []int    // per array, its index in the procedure's ProcSched.Arrays
 	events []eventForm
+	site   site
+}
+
+// site is where a form is evaluated — the point's depth and the strip's
+// slot (-1: none) — and what that fixes of each fixed event: the nest
+// dimensions the point clamps, ascending, and the data dimensions each
+// maps onto.  A firing is evaluated at one site on every walk but for a
+// wavefront's firing inside a call from another wavefront's chunk; its
+// form holds the site of its first walk, and a level resolves any other
+// into its own.
+type site struct {
+	depth, strip int
+	events       []siteEvent
+}
+
+type siteEvent struct {
+	dims []siteDim
+	maps []siteMap
+}
+
+// siteDim is nest dimension k, fixed at the point's value (fix), within
+// the strip window (strip), or both.
+type siteDim struct {
+	k          int
+	fix, strip bool
+}
+
+// siteMap is data dimension d, coef times clamped dimension ci (an index
+// of siteEvent.dims) plus off.
+type siteMap struct{ d, ci, coef, off int }
+
+// resolve resolves fm's events at the site of depth and strip into st.
+func (fm *form) resolve(st *site, depth, strip int) {
+	st.depth, st.strip = depth, strip
+	st.events = slices.Grow(st.events[:0], len(fm.events))[:len(fm.events)]
+	for ei := range fm.events {
+		e, se := &fm.events[ei], &st.events[ei]
+		se.dims, se.maps = se.dims[:0], se.maps[:0]
+		if e.fixed == nil {
+			continue
+		}
+		for k, v := range e.vars {
+			if fix, str := k < depth, strip >= 0 && v == strip; fix || str {
+				se.dims = append(se.dims, siteDim{k: k, fix: fix, strip: str})
+			}
+		}
+		for d, rd := range e.ref {
+			for ci, sd := range se.dims {
+				if rd.j == sd.k && rd.coef != 0 {
+					se.maps = append(se.maps, siteMap{d: d, ci: ci, coef: rd.coef, off: e.fixed.offs[d]})
+				}
+			}
+		}
+	}
+}
+
+// slotOf is the slot of the strip p is inside, -1 outside every strip.
+func (p at) slotOf() int {
+	if p.strip == nil {
+		return -1
+	}
+	return p.strip.slot
 }
 
 // eventForm is one event of a form: what nonLocalAt computes for it on
@@ -102,9 +165,10 @@ type at struct {
 	strip *Strip
 }
 
-// derive builds firing f's form.  The transfers it plans are Plan's box
-// for box at every point (CheckForms compares them at every firing).
-func (s *Schedule) derive(f *Firing) *form {
+// derive builds firing f's form, resolved at the site of depth and
+// strip (a slot, -1: none).  The transfers it plans are Plan's box for
+// box at every point (CheckForms compares them at every firing).
+func (s *Schedule) derive(f *Firing, depth, strip int) *form {
 	fm := &form{}
 	ps := s.procs[f.Proc]
 	r := carver{s: s}
@@ -119,7 +183,7 @@ func (s *Schedule) derive(f *Firing) *form {
 		vars := ir.NestVars(e.Nest)
 		ef.vars, ef.iter = make([]int, len(vars)), make([]span, len(vars))
 		for k, l := range e.Nest {
-			ls := ps.Loops[l]
+			ls := ps.Loop(l)
 			ef.vars[k], ef.iter[k] = ls.slot, span{ls.lo, ls.hi}
 			if l.Step < 0 {
 				ef.iter[k] = span{ls.hi, ls.lo}
@@ -167,6 +231,9 @@ func (s *Schedule) derive(f *Firing) *form {
 		fm.events, names, fixable = append(fm.events, ef), append(names, e.Ref.Name), append(fixable, maps)
 	}
 	slices.Sort(fm.arrays)
+	for _, name := range fm.arrays {
+		fm.slots = append(fm.slots, slices.Index(ps.Arrays, name))
+	}
 	for i := range fm.events {
 		e := &fm.events[i]
 		e.arr = slices.Index(fm.arrays, names[i])
@@ -174,6 +241,7 @@ func (s *Schedule) derive(f *Firing) *form {
 			s.fix(e)
 		}
 	}
+	fm.resolve(&fm.site, depth, strip)
 	return fm
 }
 
@@ -413,65 +481,83 @@ type level struct {
 	// Per event of the form, its clamps (clamp) and whether they leave
 	// any iteration; per (event, rank), the non-local data nl holds
 	// where have says so.
-	cm   []clamps
-	live []bool
-	nl   []iset.Set
-	have []bool
-	d    []int      // a fixed event's data on a rank (fixedData)
-	out  []iset.Box // the plan's one-box transfers' boxes
-	plan []Transfer
+	cm     []clamps
+	live   []bool
+	nl     []iset.Set
+	have   []bool
+	d      []int      // a fixed event's data on a rank (fixedData)
+	out    []iset.Box // the plan's one-box transfers' boxes
+	plan   []Transfer
+	site   site  // a form's site other than the one it holds,
+	siteOf *form // resolved for this form
+	ind    induction
+	how    evalHow // how the last evaluation went, for CheckForms' counts
 }
+
+// evalHow is how a level's evaluation went: in full, induced from the
+// last, or in full where the last proved the form but a window left its
+// safe interval (crossed an edge of some pair's allowed range).
+type evalHow uint8
+
+const (
+	evalFull evalHow = iota
+	evalInduced
+	evalCrossed
+)
 
 // clamps are a point's clamps of one fixed event: the nest dimensions
-// it clamps, and once asked for (mapped), the data dimensions those
-// clamp, each as dimension, lo, hi.
+// it clamps and the data dimensions those clamp, each as dimension, lo,
+// hi.
 type clamps struct {
 	it, data []int
-	mapped   bool
 }
 
-// clamp computes fixed event ei's clamps at the point into cm[ei] and
-// reports whether they leave some iteration.  Each subscript is
-// monotone, so clamping a nest dimension clamps the data dimensions it
-// maps to, to the image of the clamp.
-func (lv *level) clamp(e *eventForm, ei int, p at) bool {
+// induction is what the level's last evaluation proved of the next,
+// when it evaluated a form of one fixed event of one term (fast): as
+// long as each clamped dimension's window stays within its safe
+// interval (safe: lo, hi per site dimension), no rank pair's liveness
+// changes, so neither do the plan's transfers, and each of rank me's
+// boxes is the image of the windows where they map (induce).  fm nil:
+// nothing proven.
+type induction struct {
+	fm   *form
+	st   *site
+	me   int
+	safe []int
+}
+
+// clamp computes fixed event ei's clamps at the point, at site event se,
+// into cm[ei] and reports whether they leave some iteration.  Each
+// subscript is monotone, so clamping a nest dimension clamps the data
+// dimensions it maps to, to the image of the clamp.
+func (lv *level) clamp(e *eventForm, se *siteEvent, ei int, p at) bool {
 	cl := &lv.cm[ei]
-	cl.it, cl.mapped = cl.it[:0], false
-	for k, v := range e.vars {
-		lo, hi := math.MinInt, math.MaxInt
-		if k < p.depth {
-			lo, hi = p.vals[v], p.vals[v]
-		}
-		if p.strip != nil && v == p.strip.slot {
-			lo, hi = max(lo, p.strip.Lo), min(hi, p.strip.Hi)
-		}
-		if lo > hi {
+	cl.it, cl.data = cl.it[:0], cl.data[:0]
+	for _, sd := range se.dims {
+		lo, hi, ok := sd.window(p, e.vars)
+		if !ok {
 			return false
 		}
-		if lo != math.MinInt || hi != math.MaxInt {
-			cl.it = append(cl.it, k, lo, hi)
-		}
+		cl.it = append(cl.it, sd.k, lo, hi)
+	}
+	for _, m := range se.maps {
+		a, b := m.coef*cl.it[3*m.ci+1], m.coef*cl.it[3*m.ci+2]
+		cl.data = append(cl.data, m.d, min(a, b)+m.off, max(a, b)+m.off)
 	}
 	return true
 }
 
-// mapped returns the data dimensions fixed event ei's clamps clamp.
-func (lv *level) mapped(e *eventForm, ei int) []int {
-	cl := &lv.cm[ei]
-	if cl.mapped {
-		return cl.data
+// window is what the point leaves of nest dimension sd.k of an event
+// over vars, and whether it leaves any.
+func (sd siteDim) window(p at, vars []int) (lo, hi int, ok bool) {
+	lo, hi = math.MinInt, math.MaxInt
+	if sd.fix {
+		lo, hi = p.vals[vars[sd.k]], p.vals[vars[sd.k]]
 	}
-	cl.data, cl.mapped = cl.data[:0], true
-	for d := range e.ref {
-		rd := &e.ref[d]
-		for i := 0; i < len(cl.it) && rd.j >= 0 && rd.coef != 0; i += 3 {
-			if cl.it[i] == rd.j {
-				a, b, off := rd.coef*cl.it[i+1], rd.coef*cl.it[i+2], e.fixed.offs[d]
-				cl.data = append(cl.data, d, min(a, b)+off, max(a, b)+off)
-			}
-		}
+	if sd.strip {
+		lo, hi = max(lo, p.strip.Lo), min(hi, p.strip.Hi)
 	}
-	return cl.data
+	return lo, hi, lo <= hi
 }
 
 // fixedData computes into d the data of fixed event ei of one term (or
@@ -489,10 +575,9 @@ func (lv *level) fixedData(e *eventForm, ei, t int) bool {
 	for k := range 2 * r {
 		d[k] = int(b[1+2*n+k])
 	}
-	data := lv.mapped(e, ei)
-	for i := 0; i < len(data); i += 3 {
-		k := data[i]
-		if d[k], d[r+k] = max(d[k], data[i+1]), min(d[r+k], data[i+2]); d[k] > d[r+k] {
+	for i := 0; i < len(cl.data); i += 3 {
+		k := cl.data[i]
+		if d[k], d[r+k] = max(d[k], cl.data[i+1]), min(d[r+k], cl.data[i+2]); d[k] > d[r+k] {
 			return false
 		}
 	}
@@ -560,16 +645,36 @@ func (lv *level) nonLocal(fm *form, ei int, p at, t, ranks int) iset.Set {
 	return set
 }
 
+// fast reports whether fm is one fixed event of one term — the form of
+// almost every firing — whose transfers are read off its pairs, one box
+// each.
+func (fm *form) fast() bool {
+	return len(fm.events) == 1 && fm.events[0].fixed != nil && fm.events[0].fixed.terms == 1
+}
+
 // eval evaluates the form on rank me at the point: the firing's
 // transfers in Plan's order — by array, source, target — so transfer i
 // is Plan's transfer i, with Boxes and Elems filled where me is its
 // source or target.  It lists them at least up to me's last, and one if
 // the firing has any: the rest is no rank's business but their own.
 // Which rank pairs of a fixed event exchange data is read off its pairs,
-// in transfer order — for a firing of one fixed event of one term only
-// until me's last pair, or the first that exchanges data; any other
-// event's, off nonLocalAt's sets.
+// in transfer order — for a fast form only until me's last pair, or the
+// first that exchanges data; any other event's, off nonLocalAt's sets.
+// A fast form's evaluation the level's last one proved is induced
+// (induce).
 func (fm *form) eval(lv *level, p at, me, ranks int) []Transfer {
+	st := &fm.site
+	if st.depth != p.depth || st.strip != p.slotOf() {
+		st = &lv.site
+		if lv.siteOf != fm || st.depth != p.depth || st.strip != p.slotOf() {
+			fm.resolve(st, p.depth, p.slotOf())
+			lv.siteOf, lv.ind.fm = fm, nil
+		}
+	}
+	if lv.how = evalFull; fm.fast() && lv.induce(fm, st, p, me) {
+		lv.how = evalInduced
+		return lv.plan
+	}
 	lv.ar.Reset()
 	lv.keys = lv.keys[:0]
 	cells := len(fm.events) * ranks
@@ -591,11 +696,11 @@ func (fm *form) eval(lv *level, p at, me, ranks int) []Transfer {
 			}
 			continue
 		}
-		if lv.live[ei] = lv.clamp(e, ei, p); !lv.live[ei] {
+		if lv.live[ei] = lv.clamp(e, &st.events[ei], ei, p); !lv.live[ei] {
 			continue
 		}
 		cl, last := &lv.cm[ei], len(e.fixed.pairs)
-		if len(fm.events) == 1 && e.fixed.terms == 1 {
+		if fm.fast() {
 			last = e.fixed.last[me]
 		}
 		for i := range e.fixed.pairs {
@@ -608,7 +713,7 @@ func (fm *form) eval(lv *level, p at, me, ranks int) []Transfer {
 			}
 		}
 	}
-	if len(fm.events) != 1 || fm.events[0].fixed == nil || fm.events[0].fixed.terms > 1 {
+	if !fm.fast() {
 		slices.Sort(lv.keys)
 		lv.keys = slices.Compact(lv.keys)
 	}
@@ -616,12 +721,90 @@ func (fm *form) eval(lv *level, p at, me, ranks int) []Transfer {
 	for i, k := range lv.keys {
 		tr := &lv.plan[i]
 		arr := k >> 32
-		tr.Array, tr.From, tr.To, tr.Boxes, tr.Elems = fm.arrays[arr], k>>16&0xffff, k&0xffff, nil, 0
+		tr.Array, tr.Slot, tr.From, tr.To, tr.Boxes, tr.Elems = fm.arrays[arr], fm.slots[arr], k>>16&0xffff, k&0xffff, nil, 0
 		if tr.From == me || tr.To == me {
 			tr.Boxes, tr.Elems = lv.transfer(fm, arr, tr.From, tr.To, p, ranks)
 		}
 	}
+	lv.ind.fm = nil
+	if fm.fast() {
+		lv.prove(fm, st, me)
+	}
 	return lv.plan
+}
+
+// prove records what the fast form fm's evaluation at site st on rank me
+// just made proves of the next (induction): per clamped dimension, the
+// interval that holds its window and that no edge of a pair's allowed
+// range splits — nothing, when an edge splits the window itself or a
+// transfer of me's is not one box.
+func (lv *level) prove(fm *form, st *site, me int) {
+	e, cl := &fm.events[0], &lv.cm[0]
+	if !lv.live[0] {
+		return
+	}
+	for _, tr := range lv.plan {
+		if (tr.From == me || tr.To == me) && len(tr.Boxes) != 1 {
+			return
+		}
+	}
+	n, safe := len(e.vars), lv.ind.safe[:0]
+	for i := 0; i < len(cl.it); i += 3 {
+		k, lo, hi := cl.it[i], cl.it[i+1], cl.it[i+2]
+		from, to := math.MinInt, math.MaxInt
+		for pi := range e.fixed.pairs {
+			pr := &e.fixed.pairs[pi]
+			for _, edge := range [2]int{int(pr.allow[k]), int(pr.allow[n+k]) + 1} {
+				switch {
+				case lo < edge && edge <= hi:
+					return
+				case edge <= lo:
+					from = max(from, edge)
+				default:
+					to = min(to, edge-1)
+				}
+			}
+		}
+		safe = append(safe, from, to)
+	}
+	lv.ind = induction{fm: fm, st: st, me: me, safe: safe}
+}
+
+// induce evaluates fast form fm at the point from the level's last
+// evaluation, when that proved it: with every window within its safe
+// interval each pair's window lies within its allowed range or misses it
+// as before, so the same pairs exchange data, and a transfer's data box,
+// in a dimension a window maps onto, is the window's image.  It reports
+// whether it did.
+func (lv *level) induce(fm *form, st *site, p at, me int) bool {
+	if lv.ind.fm != fm || lv.ind.st != st || lv.ind.me != me {
+		return false
+	}
+	se, cl, safe, vars := &st.events[0], &lv.cm[0], lv.ind.safe, fm.events[0].vars
+	for ci, sd := range se.dims {
+		lo, hi, ok := sd.window(p, vars)
+		if !ok || lo < safe[2*ci] || hi > safe[2*ci+1] {
+			lv.ind.fm, lv.how = nil, evalCrossed
+			return false
+		}
+		cl.it[3*ci+1], cl.it[3*ci+2] = lo, hi
+	}
+	for i, m := range se.maps {
+		a, b := m.coef*cl.it[3*m.ci+1], m.coef*cl.it[3*m.ci+2]
+		cl.data[3*i+1], cl.data[3*i+2] = min(a, b)+m.off, max(a, b)+m.off
+	}
+	for i := range lv.plan {
+		tr := &lv.plan[i]
+		if tr.From != me && tr.To != me {
+			continue
+		}
+		b := tr.Boxes[0]
+		for j := 0; j < len(cl.data); j += 3 {
+			b.Lo[cl.data[j]], b.Hi[cl.data[j]] = cl.data[j+1], cl.data[j+2]
+		}
+		tr.Elems = b.Card()
+	}
+	return true
 }
 
 // key is the transfer of e's data on rank t within peer's box: its
@@ -664,7 +847,7 @@ func (lv *level) transfer(fm *form, arr, from, to int, p at, ranks int) ([]iset.
 			for k := range r {
 				b.Lo[k], b.Hi[k] = max(int(d[k]), into.Lo[k]), min(int(d[r+k]), into.Hi[k])
 			}
-			data := lv.mapped(e, ei)
+			data := lv.cm[ei].data
 			for i := 0; i < len(data); i += 3 {
 				k := data[i]
 				b.Lo[k], b.Hi[k] = max(b.Lo[k], data[i+1]), min(b.Hi[k], data[i+2])
@@ -707,21 +890,38 @@ func (s *Schedule) FormsDerived() int {
 // CheckForms makes every walk of s plan each firing through Plan as
 // well, at the same point, and panic the rank on the first transfer
 // whose array, ranks, elements or boxes differ, until restore.  checked
-// counts the firings compared.  It is for tests.
+// counts the firings compared; Inductions, of those, the ones induced
+// and the ones evaluated in full where a window crossed an edge.  It is
+// for tests.
 func (s *Schedule) CheckForms() (checked func() int64, restore func()) {
 	s.checked.Store(0)
+	s.induced.Store(0)
+	s.crossed.Store(0)
 	s.checking.Store(true)
 	return s.checked.Load, func() { s.checking.Store(false) }
 }
 
+// Inductions returns how many of the firings CheckForms compared were
+// induced from their level's last evaluation (level.induce), and how
+// many were evaluated in full because a window left its safe interval.
+func (s *Schedule) Inductions() (induced, crossed int64) {
+	return s.induced.Load(), s.crossed.Load()
+}
+
 // check panics unless plan, the walker's plan of f at the point, is
 // Plan's there, box for box where the walker's rank takes part.
-func (w *Walker) check(f *Firing, plan []Transfer, depth int, strip *Strip) {
+func (w *Walker) check(f *Firing, plan []Transfer, depth int, strip *Strip, how evalHow) {
 	want := w.S.Plan(f.Proc, f.Events, Point{Bind: w.b.byName(w.S.names), Depth: depth, Strip: strip})
 	if err := samePlan(plan, want, w.Me); err != nil {
-		panic(fmt.Sprintf("sched: closed form is not Plan: firing %d on rank %d at depth %d, strip %v: %v", f.ID, w.Me, depth, strip, err))
+		panic(fmt.Sprintf("sched: closed form is not Plan: firing %d on rank %d at depth %d, strip %v (evaluation %d): %v", f.ID, w.Me, depth, strip, how, err))
 	}
 	w.S.checked.Add(1)
+	switch how {
+	case evalInduced:
+		w.S.induced.Add(1)
+	case evalCrossed:
+		w.S.crossed.Add(1)
+	}
 }
 
 // samePlan compares rank me's plan with Plan's: the same transfers, as

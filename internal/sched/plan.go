@@ -67,6 +67,7 @@ type Firing struct {
 // owns them: they are valid until the firing's exchange ends.
 type Transfer struct {
 	Array    string
+	Slot     int // Array's index in the firing procedure's ProcSched.Arrays
 	From, To int
 	Boxes    []iset.Box
 	Elems    int64

@@ -214,7 +214,7 @@ func stencilPoints(t *testing.T) (*Schedule, map[string]struct {
 		t.Fatalf("read events = %d, want 2", len(reads))
 	}
 	// The j loop is where both reads were placed; its Pipe list is empty.
-	ls := s.Proc(proc).Loops[proc.Body[0].(*ir.Loop)]
+	ls := s.Proc(proc).Loop(proc.Body[0].(*ir.Loop))
 	placed := &ls.Reads
 	if len(placed.Events) != 2 || len(ls.Pipe.Events) != 0 {
 		t.Fatalf("placement: %d reads and %d pipelined events at the j loop, want 2 and 0", len(placed.Events), len(ls.Pipe.Events))
@@ -252,14 +252,14 @@ func stencilPoints(t *testing.T) (*Schedule, map[string]struct {
 func TestFormIsThePlan(t *testing.T) {
 	s, points := stencilPoints(t)
 	for name, p := range points {
-		fm := s.derive(p.f)
+		fm := s.derive(p.f, p.at.Depth, -1)
 		for me := range s.Grid.Size() {
 			if err := samePlan(formPlan(s, fm, p.at, me), s.Plan(p.f.Proc, p.f.Events, p.at), me); err != nil {
 				t.Errorf("%q on rank %d: %v", name, me, err)
 			}
 		}
 	}
-	fm := s.derive(points["zero"].f)
+	fm := s.derive(points["zero"].f, 0, -1)
 	full, strip := formPlan(s, fm, points["zero"].at, 0), formPlan(s, fm, points["strip"].at, 0)
 	if full[0].Elems != 30 || strip[0].Elems != 8 {
 		t.Errorf("full column %d elements, strip window %d; want 30 and 8", full[0].Elems, strip[0].Elems)
@@ -273,7 +273,7 @@ func TestFormIsThePlan(t *testing.T) {
 func TestCheckFormsCatchesAPerturbedBound(t *testing.T) {
 	s, points := stencilPoints(t)
 	p := points["j=8 depth 1"]
-	fm := s.derive(p.f)
+	fm := s.derive(p.f, p.at.Depth, -1)
 	e := &fm.events[0]
 	if e.fixed == nil {
 		t.Fatal("the stencil's read reads fixed slots only, yet it was not fixed")
@@ -304,7 +304,7 @@ func TestFiringIDs(t *testing.T) {
 		}
 	}
 	for proc, ps := range s.procs {
-		for _, ls := range ps.Loops {
+		for _, ls := range ps.own {
 			note(proc, ls.Reads, ls.Writes, ls.Pipe)
 		}
 		for _, ss := range ps.Top {

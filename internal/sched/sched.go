@@ -61,8 +61,9 @@ type LoopSched struct {
 	// whole range in one step (Ops.Handled) with its own representation.
 	ComputeNest bool
 
-	// The loop's variable and bounds in slot form, and the strip loop's
-	// placement (slots.go).
+	// The loop, its variable and bounds in slot form, and the strip
+	// loop's placement (slots.go).
+	loop   *ir.Loop
 	slot   int
 	lo, hi slotAff
 	strip  *LoopSched
@@ -74,15 +75,24 @@ type StmtSched struct {
 }
 
 // ProcSched is one procedure's placement tables.  Every loop has a
-// LoopSched, every assignment outside all loops a StmtSched, and every
-// assignment or call an entry in Nest.
+// LoopSched (Loop), every assignment outside all loops a StmtSched, and
+// every assignment or call an entry in Nest.
 type ProcSched struct {
-	id      int // position in the program
-	Loops   map[*ir.Loop]*LoopSched
-	Top     map[*ir.Assign]*StmtSched
-	Nest    map[int][]*ir.Loop // enclosing loops per statement id, outermost first
-	formals []int              // each formal's slot, -1 for one no call binds an integer
+	id int // position in the program
+	// loops holds the program's LoopScheds by loop statement id, shared by
+	// every procedure; own lists this procedure's, in program order.
+	loops []*LoopSched
+	own   []*LoopSched
+	Top   map[*ir.Assign]*StmtSched
+	Nest  map[int][]*ir.Loop // enclosing loops per statement id, outermost first
+	// Arrays are the names of the arrays the procedure's firings move,
+	// sorted: a Transfer's Slot indexes them.
+	Arrays  []string
+	formals []int // each formal's slot, -1 for one no call binds an integer
 }
+
+// Loop returns loop l's placement: l is a loop of the procedure.
+func (ps *ProcSched) Loop(l *ir.Loop) *LoopSched { return ps.loops[l.ID] }
 
 // Schedule is the per-program rank schedule, shared read-only by every
 // rank of every execution and analysis, except for its firings' closed
@@ -111,10 +121,11 @@ type Schedule struct {
 
 	// forms holds each firing's closed form by id, nil until a walk
 	// derives it; checking makes every walk compare its plans with Plan's
-	// (CheckForms), and checked counts the firings compared.
-	forms    []atomic.Pointer[form]
-	checking atomic.Bool
-	checked  atomic.Int64
+	// (CheckForms), checked counts the firings compared, and induced and
+	// crossed those induced and crossing an edge (Inductions).
+	forms                     []atomic.Pointer[form]
+	checking                  atomic.Bool
+	checked, induced, crossed atomic.Int64
 }
 
 // New builds the schedule.  It is total: a program the walker cannot run
@@ -130,8 +141,9 @@ func New(in Input) *Schedule {
 	if in.IR.Main() == nil {
 		s.invalid = fmt.Errorf("program has no main procedure")
 	}
+	loops := make([]*LoopSched, in.IR.MaxStmtID())
 	for i, proc := range in.IR.Procs {
-		ps := s.buildProc(proc, in.Comm[proc.Name], in.Reductions[proc.Name])
+		ps := s.buildProc(proc, loops, in.Comm[proc.Name], in.Reductions[proc.Name])
 		ps.id = i
 		s.procs[proc] = ps
 		for _, nest := range ps.Nest {
@@ -194,9 +206,9 @@ func (ps *ProcSched) Index() int { return ps.id }
 // Proc returns a procedure's placement tables.
 func (s *Schedule) Proc(proc *ir.Procedure) *ProcSched { return s.procs[proc] }
 
-func (s *Schedule) buildProc(proc *ir.Procedure, an *comm.Analysis, reds []Reduction) *ProcSched {
+func (s *Schedule) buildProc(proc *ir.Procedure, byID []*LoopSched, an *comm.Analysis, reds []Reduction) *ProcSched {
 	ps := &ProcSched{
-		Loops: map[*ir.Loop]*LoopSched{},
+		loops: byID,
 		Top:   map[*ir.Assign]*StmtSched{},
 		Nest:  map[int][]*ir.Loop{},
 	}
@@ -211,7 +223,8 @@ func (s *Schedule) buildProc(proc *ir.Procedure, an *comm.Analysis, reds []Reduc
 				s.invalid = s.checkCall(x)
 			}
 		case *ir.Loop:
-			ps.Loops[x] = &LoopSched{Reads: s.firing(proc), Writes: s.firing(proc), Pipe: s.firing(proc)}
+			ls := &LoopSched{Reads: s.firing(proc), Writes: s.firing(proc), Pipe: s.firing(proc), loop: x}
+			byID[x.ID], ps.own = ls, append(ps.own, ls)
 			return true
 		default:
 			return true
@@ -220,7 +233,7 @@ func (s *Schedule) buildProc(proc *ir.Procedure, an *comm.Analysis, reds []Reduc
 		return true
 	})
 	for _, r := range reds {
-		if ls := ps.Loops[r.Loop]; ls != nil {
+		if ls := ps.find(r.Loop); ls != nil {
 			ls.Reds = append(ls.Reds, r)
 		}
 	}
@@ -231,8 +244,9 @@ func (s *Schedule) buildProc(proc *ir.Procedure, an *comm.Analysis, reds []Reduc
 	for _, e := range events {
 		switch {
 		case e.Eliminated:
+			continue
 		case e.Pipelined:
-			if ls := ps.Loops[e.CarriedBy]; ls != nil {
+			if ls := ps.find(e.CarriedBy); ls != nil {
 				ls.Pipe.Events = append(ls.Pipe.Events, e)
 			}
 		case len(e.Nest) == 0:
@@ -243,16 +257,29 @@ func (s *Schedule) buildProc(proc *ir.Procedure, an *comm.Analysis, reds []Reduc
 			// The event executes inside Nest[0:Depth] and is vectorized
 			// across the rest: it fires at the boundary of Nest[d].
 			d := min(e.Depth, len(e.Nest)-1)
-			if ls := ps.Loops[e.Nest[d]]; ls != nil {
+			if ls := ps.find(e.Nest[d]); ls != nil {
 				place(e, &ls.Reads, &ls.Writes)
 			}
 		}
+		if !slices.Contains(ps.Arrays, e.Ref.Name) {
+			ps.Arrays = append(ps.Arrays, e.Ref.Name)
+		}
 	}
-	for l, ls := range ps.Loops {
-		ls.Strip = chooseStrip(l, ls.Pipe.Events, s.grain)
+	slices.Sort(ps.Arrays)
+	for _, ls := range ps.own {
+		ls.Strip = chooseStrip(ls.loop, ls.Pipe.Events, s.grain)
 	}
 	ps.markNests(proc.Body)
 	return ps
+}
+
+// find returns loop l's placement when l is a loop of the procedure, else
+// nil.
+func (ps *ProcSched) find(l *ir.Loop) *LoopSched {
+	if l != nil && ps.loops[l.ID] != nil && ps.loops[l.ID].loop == l {
+		return ps.loops[l.ID]
+	}
+	return nil
 }
 
 // markNests sets ComputeNest on every loop under stmts and reports
@@ -267,7 +294,7 @@ func (ps *ProcSched) markNests(stmts []ir.Stmt) bool {
 			then, els := ps.markNests(st.Then), ps.markNests(st.Else)
 			busy = busy || then || els
 		case *ir.Loop:
-			ls := ps.Loops[st]
+			ls := ps.Loop(st)
 			ls.ComputeNest = !ps.markNests(st.Body)
 			busy = busy || !ls.ComputeNest || len(ls.Reads.Events)+len(ls.Writes.Events)+len(ls.Pipe.Events)+len(ls.Reds) > 0
 		}

@@ -85,8 +85,8 @@ func (s *Schedule) number(params map[string]int) {
 	nInts, nTerms, nHomes, nSpans := 0, 0, 0, 0
 	for proc, ps := range s.procs {
 		nInts += len(proc.Formals)
-		for l := range ps.Loops {
-			nTerms += len(l.Lo.Terms) + len(l.Hi.Terms)
+		for _, ls := range ps.own {
+			nTerms += len(ls.loop.Lo.Terms) + len(ls.loop.Hi.Terms)
 		}
 		for id, nest := range ps.Nest {
 			nInts += len(nest)
@@ -124,9 +124,10 @@ func (s *Schedule) number(params map[string]int) {
 				s.fixed[ps.formals[k]] = false
 			}
 		}
-		for l, ls := range ps.Loops {
+		for _, ls := range ps.own {
+			l := ls.loop
 			ls.slot, ls.lo, ls.hi = s.Slot(l.Var), r.aff(l.Lo, "", 0), r.aff(l.Hi, "", 0)
-			ls.strip = ps.Loops[ls.Strip]
+			ls.strip = ps.find(ls.Strip)
 			s.fixed[ls.slot] = false
 		}
 		for id, nest := range ps.Nest {

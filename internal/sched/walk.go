@@ -392,7 +392,7 @@ func (w *Walker) unbind(mark int) {
 }
 
 func (w *Walker) loop(f *Frame, l *ir.Loop, depth int) {
-	ls := f.Loops[l]
+	ls := f.Loop(l)
 	w.fire(&ls.Reads, depth)
 	init := w.ops.ReduceInit(ls.Reds)
 	if len(ls.Pipe.Events) > 0 {
@@ -408,7 +408,7 @@ func (w *Walker) loop(f *Frame, l *ir.Loop, depth int) {
 // under the current binding and strip, from its first value to its last
 // in the direction of l.Step.
 func (w *Walker) Range(l *ir.Loop) (lo, hi int) {
-	return w.rangeOf(l, w.frames[w.depth-1].Loops[l])
+	return w.rangeOf(l, w.frames[w.depth-1].Loop(l))
 }
 
 func (w *Walker) rangeOf(l *ir.Loop, ls *LoopSched) (lo, hi int) {
@@ -447,7 +447,7 @@ func (w *Walker) transfers(f *Firing, depth int, strip *Strip) []Transfer {
 	slot := &w.S.forms[f.ID]
 	fm := slot.Load()
 	if fm == nil {
-		if fm = w.S.derive(f); slot.CompareAndSwap(nil, fm) {
+		if fm = w.S.derive(f, depth, (at{strip: strip}).slotOf()); slot.CompareAndSwap(nil, fm) {
 			w.Plans.Derived++
 		} else {
 			fm = slot.Load()
@@ -456,9 +456,10 @@ func (w *Walker) transfers(f *Firing, depth int, strip *Strip) []Transfer {
 	if w.held == len(w.levels) {
 		w.levels = append(w.levels, &level{tmp: &w.tmp})
 	}
-	plan := fm.eval(w.levels[w.held], at{vals: w.b.vals, depth: depth, strip: strip}, w.Me, w.S.Grid.Size())
+	lv := w.levels[w.held]
+	plan := fm.eval(lv, at{vals: w.b.vals, depth: depth, strip: strip}, w.Me, w.S.Grid.Size())
 	if w.S.checking.Load() {
-		w.check(f, plan, depth, strip)
+		w.check(f, plan, depth, strip, lv.how)
 	}
 	return plan
 }

@@ -63,7 +63,7 @@ func (r *recorder) Scalar(e ir.Expr) float64 {
 // it runs under, and always lets the walker iterate (the strip-clamped
 // ranges below it show in the statement-instance counts).
 func (r *recorder) Handled(f *sched.Frame, l *ir.Loop, depth int) bool {
-	if len(f.Loops[l].Pipe.Events) > 0 {
+	if len(f.Loop(l).Pipe.Events) > 0 {
 		strip := ""
 		if s := r.w.Strip; s != nil {
 			strip = fmt.Sprintf(" strip %s[%d:%d]", s.Var, s.Lo, s.Hi)

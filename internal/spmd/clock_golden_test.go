@@ -202,27 +202,43 @@ func TestProvenanceFindsNoFalseDifference(t *testing.T) {
 	}
 }
 
-// TestConflict2ReadsStaleUnderProvenance pins ROADMAP item 2a until it
-// is fixed: loop distribution expands conflict2's s into s__x(j), which
-// has no layout, so where the owner of c(j+1) is not the owner of a(j)
-// it reads an s__x(j) only the other rank wrote, and no event brings it.
-// The committed program's a is all zero, so float values hide the stale
-// read; provenance values show it in c on every backend and grain.
-// 2a's fix flips this test: both modes agree.
+// TestConflict2ReadsStaleUnderProvenance: loop distribution expands
+// conflict2's s into s__x(j), laid out with its writing statement's
+// ON_HOME a(j), so where the owner of c(j+1) is not the owner of a(j) a
+// shift brings s__x(j) to it.  The committed program's a is all zero, so
+// float values alone would hide a stale read; provenance values — which
+// only the interpreter computes — show it in c.  Float mode agrees with
+// the serial run on every backend, grain and engine, provenance mode on
+// every backend and grain.
 func TestConflict2ReadsStaleUnderProvenance(t *testing.T) {
 	src, err := os.ReadFile("../cp/testdata/conflict2.hpf")
 	if err != nil {
 		t.Fatal(err)
 	}
-	provenanceRuns(t, "conflict2", string(src), false, func(cfg string, res *spmd.ExecResult, ref *spmd.SerialResult) {
-		if _, err := res.AgreesWithSerial(ref, 0); err != nil {
-			t.Errorf("%s in float mode: %v", cfg, err)
+	for _, prov := range []bool{false, true} {
+		engines := []spmd.Engine{spmd.EngineInterp}
+		if !prov {
+			engines = append(engines, spmd.EngineCompiled, spmd.EngineCodegen)
+		} else {
+			defer spmd.Provenance()()
 		}
-	})
-	provenanceRuns(t, "conflict2", string(src), true, func(cfg string, res *spmd.ExecResult, ref *spmd.SerialResult) {
-		_, err := res.AgreesWithSerial(ref, 0)
-		if err == nil || !strings.Contains(err.Error(), " c[") {
-			t.Errorf("%s in provenance mode: %v, want c to differ from serial", cfg, err)
+		ref, err := spmd.RunSerial(parser.MustParse(string(src)), nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
+		for _, backend := range []string{"mp", "shm", "hybrid"} {
+			for _, grain := range []int{1, 8} {
+				prog := compileOn(t, string(src), grain, backend)
+				for _, engine := range engines {
+					res, err := prog.ExecuteEngine(mpsim.SP2Config(prog.Grid.Size()), engine)
+					if err == nil {
+						_, err = res.AgreesWithSerial(ref, 0)
+					}
+					if err != nil {
+						t.Errorf("%s/g%d/%s, provenance %v: %v", backend, grain, engine, prov, err)
+					}
+				}
+			}
+		}
+	}
 }

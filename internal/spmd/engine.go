@@ -95,16 +95,20 @@ type enginePlan struct {
 	intSlot    map[string]int
 	nFloats    int // the widest procedure's scalar slots
 	units      []*KernelUnit
-	unitAt     map[*ir.Loop]int // unit index by root loop
-	evalOnly   []KernelFunc     // the default engine's binding: no unit native
-	native     []KernelFunc     // EngineCodegen's binding (bindKernels)
+	unitAt     []int32      // unit index by root loop statement id, -1: none
+	evalOnly   []KernelFunc // the default engine's binding: no unit native
+	native     []KernelFunc // EngineCodegen's binding (bindKernels)
 	nativeOnce sync.Once
 	scratch    kernelScratch
 	declined   int // compute nests no unit was cut from
 	// How prechecks use whole-box proofs, and how many invocations
-	// boxProofCheck cross-checked: both for tests (export_test.go).
+	// boxProofCheck cross-checked; whether each precheck is repeated
+	// from an activation state built afresh (recheck), and how many were:
+	// all for tests (export_test.go).
 	boxProof   boxProofMode
 	boxChecked atomic.Int64
+	recheck    bool
+	rechecked  atomic.Int64
 }
 
 // procPlan is one procedure's slot, guard and clamp tables.
@@ -120,10 +124,12 @@ type procPlan struct {
 	// clamps lists, per clampable loop, the guard indices whose boxes
 	// bound the loop's useful range at the loop's nest position.
 	clamps  []clampSpec
-	clampOf map[*ir.Loop]int
+	clampOf map[int]int // by loop statement id
 	// nAssigns counts the statements of the procedure's kernel units, each
-	// numbered by KAssign.ord.
-	nAssigns int
+	// numbered by KAssign.ord; nUnits its units (KernelUnit.pidx), nLevels
+	// their loop levels (lvBase), nArrays their arrays (kaBase) and nOuter
+	// their outer dimensions' bounds (outBase).
+	nAssigns, nUnits, nLevels, nArrays, nOuter int
 }
 
 type guardedStmt struct {
@@ -148,7 +154,10 @@ func (p *Program) enginePlanFor() *enginePlan {
 }
 
 func buildEnginePlan(p *Program) *enginePlan {
-	ep := &enginePlan{intSlot: map[string]int{}, unitAt: map[*ir.Loop]int{}}
+	ep := &enginePlan{intSlot: map[string]int{}, unitAt: make([]int32, p.IR.MaxStmtID())}
+	for i := range ep.unitAt {
+		ep.unitAt[i] = -1
+	}
 	c := &numberer{p: p, ep: ep}
 	// Parameters claim their global slots first.  Sorted: allocation order
 	// must not depend on map iteration.
@@ -166,7 +175,7 @@ func buildEnginePlan(p *Program) *enginePlan {
 			floatSlot: map[string]int{},
 			arraySlot: map[string]int{},
 			guardOf:   map[int]int{},
-			clampOf:   map[*ir.Loop]int{},
+			clampOf:   map[int]int{},
 		}
 		// Formals may be bound as arrays, integers or floats depending on
 		// the call site; give every formal all three identities up front.
@@ -311,8 +320,8 @@ func (c *numberer) stmts(stmts []ir.Stmt, loops []*ir.Loop) {
 			// read no array skips nothing observable on an iteration where
 			// every statement is guarded out, so its range can be clamped to
 			// the union of the statements' iteration boxes (engine_bounds.go).
-			if members, ok := c.clampMembers(st.Body); ok && c.ps.Loops[st].ComputeNest {
-				c.pp.clampOf[st] = len(c.pp.clamps)
+			if members, ok := c.clampMembers(st.Body); ok && c.ps.Loop(st).ComputeNest {
+				c.pp.clampOf[st.ID] = len(c.pp.clamps)
 				c.pp.clamps = append(c.pp.clamps, clampSpec{pos: len(loops), members: members})
 			}
 		case *ir.IfStmt:
@@ -359,6 +368,6 @@ func (o nestOps) Assign(a *ir.Assign) {
 }
 
 func (o nestOps) Handled(_ *sched.Frame, l *ir.Loop, _ int) bool {
-	ui, ok := o.plan.unitAt[l]
-	return ok && o.runUnit(ui)
+	ui := o.plan.unitAt[l.ID]
+	return ui >= 0 && o.runUnit(int(ui))
 }

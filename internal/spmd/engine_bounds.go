@@ -48,6 +48,11 @@ type clampRange struct {
 func buildGuards(f *frame, pp *procPlan) {
 	f.proofs = slices.Grow(f.proofs[:0], pp.nAssigns)[:pp.nAssigns]
 	clear(f.proofs)
+	f.units = slices.Grow(f.units[:0], pp.nUnits)[:pp.nUnits]
+	clear(f.units)
+	f.lvls = slices.Grow(f.lvls[:0], pp.nLevels)[:pp.nLevels]
+	f.kas = slices.Grow(f.kas[:0], pp.nArrays)[:pp.nArrays]
+	f.outer = slices.Grow(f.outer[:0], pp.nOuter)[:pp.nOuter]
 
 	f.guards = slices.Grow(f.guards[:0], len(pp.guardStmts))[:len(pp.guardStmts)]
 	for i, gs := range pp.guardStmts {

@@ -341,6 +341,10 @@ type frame struct {
 	// far, or handed over to a result): reset hands it to the next
 	// activation, zeroed.
 	locals []*array
+	// moved holds, per array the procedure's firings move
+	// (sched.ProcSched.Arrays), this activation's: what a transfer's Slot
+	// names.
+	moved []*array
 	// pos is proc's index in the rank's free list, and next links the
 	// frames of finished activations of proc there.
 	pos  int
@@ -356,6 +360,14 @@ type frame struct {
 	guards []stmtGuard
 	clamps []clampRange
 	proofs []boxProof
+	// What the precheck found at a unit's first invocation in the
+	// activation (kernel_invoke.go): per unit of the procedure, per level,
+	// array and outer dimension of its units (KernelUnit.pidx, lvBase,
+	// kaBase, outBase).
+	units []unitAct
+	lvls  []levelAct
+	kas   [][]float64
+	outer []int
 }
 
 // rankExec is one rank of an execution, kept with its crew for the
@@ -400,7 +412,7 @@ type rankExec struct {
 	// Compiled-engine state (nil/zero under the interpreter): plan holds
 	// the kernel units and native the execution's binding of each to a
 	// registered kernel (nil: its evaluator); env holds the slots of the
-	// unit being run; kb/ka/khull/knarrow/kbox and kenv are invocation scratch
+	// unit being run; kb/khull/knarrow/kbox and kenv are invocation scratch
 	// (kernel_invoke.go, kernel_eval.go), sized once for the largest unit
 	// and never shared across ranks; walked and kstats count this rank's
 	// interpreted statement instances, invocations and bails, merged into
@@ -411,7 +423,6 @@ type rankExec struct {
 	walked  int64
 	kb      []int
 	kreach  []int // per loop level: lo, hi of the guard boxes packed beneath it
-	ka      [][]float64
 	khull   []kiv
 	knarrow []kiv
 	kbox    []kiv // per guard-box dimension, for the box proof
@@ -452,7 +463,6 @@ func newRankExec(s *sched.Schedule, rk *mpsim.Rank, th *shm.Thread, plan *engine
 			floats: make([]float64, plan.nFloats), fset: set[nInts : nInts+plan.nFloats],
 		}
 		rx.kb, rx.kreach = cut(sc.bounds), cut(2*sc.levels)
-		rx.ka = make([][]float64, sc.arrays)
 		hulls := make([]kiv, 2*sc.levels+sc.dims)
 		rx.khull, rx.knarrow, rx.kbox = hulls[:sc.levels], hulls[sc.levels:2*sc.levels], hulls[2*sc.levels:]
 		rx.kenv = kenv{loc: cut(el), off: cut(sc.offs), msk: cut(sc.masks), ent: cut(5 * el), rng: cut(4 * sc.assigns),
@@ -566,6 +576,10 @@ func (rx *rankExec) Enter(sf *sched.Frame) {
 	}
 	f.reset(sf.Proc, rx.sc, rx.actualArrays, rx.actualFloats)
 	f.iters = sf.Iters
+	f.moved = slices.Grow(f.moved[:0], len(sf.Arrays))[:len(sf.Arrays)]
+	for i, name := range sf.Arrays {
+		f.moved[i] = f.arrays[name]
+	}
 	rx.frames = append(rx.frames, f)
 	if rx.mainFrame == nil {
 		rx.mainFrame = f
@@ -744,11 +758,11 @@ func (rx *rankExec) Send(plan []sched.Transfer, base int) {
 			continue
 		}
 		if rx.th != nil {
-			rx.th.Publish(tr.To, base+i, int(tr.Bytes()), f.arrays[tr.Array])
+			rx.th.Publish(tr.To, base+i, int(tr.Bytes()), f.moved[tr.Slot])
 			rx.pubArray, rx.pubElems = tr.Array, int(tr.Elems)
 			continue
 		}
-		rx.payload = packPayload(slices.Grow(rx.payload[:0], int(tr.Elems)), f.arrays[tr.Array], tr.Boxes)
+		rx.payload = packPayload(slices.Grow(rx.payload[:0], int(tr.Elems)), f.moved[tr.Slot], tr.Boxes)
 		rx.rk.Send(tr.To, base+i, rx.payload)
 	}
 }
@@ -763,12 +777,12 @@ func (rx *rankExec) Recv(plan []sched.Transfer, base int) {
 		rx.rk.Holding(tr.Array, int(tr.Elems))
 		if rx.th != nil {
 			src := rx.th.Await(tr.From, base+i).(*array)
-			pullPayload(f.arrays[tr.Array], src, tr.Boxes)
+			pullPayload(f.moved[tr.Slot], src, tr.Boxes)
 			rx.th.Ack(tr.From, int(tr.Bytes()))
 			continue
 		}
 		data := rx.rk.Recv(tr.From, base+i)
-		unpackPayload(data, f.arrays[tr.Array], tr.Boxes)
+		unpackPayload(data, f.moved[tr.Slot], tr.Boxes)
 		rx.rk.Recycle(data)
 	}
 }

@@ -46,18 +46,20 @@ func Opcodes(prog *Program) (codes uint64) {
 // BailAlways breaks the array geometry of every kernel unit of prog, so
 // each precheck bails and the walker interprets the invocation — the
 // wholesale form of the decline path — until the returned function puts
-// the geometry back.  (A unit touching no array cannot be made to bail;
-// it keeps running.)
+// the geometry back.  The first stride goes negative, which no live
+// array's is: a shifted bound could match an actual whose bounds differ
+// from the unit's, and let it run.  (A unit touching no array cannot be
+// made to bail; it keeps running.)
 func BailAlways(prog *Program) (restore func()) {
-	bump := func(d int) {
+	flip := func() {
 		for _, u := range prog.KernelUnits() {
 			for i := range u.Arrays {
-				u.Arrays[i].Hi[0] += d
+				u.Arrays[i].Stride[0] = -1 - u.Arrays[i].Stride[0]
 			}
 		}
 	}
-	bump(1)
-	return func() { bump(-1) }
+	flip()
+	return flip
 }
 
 // NoBoxProofs makes every precheck of prog prove each guard box for the
@@ -78,6 +80,18 @@ func CheckBoxProofs(prog *Program) (checked func() int64, restore func()) {
 	ep.boxProof = boxProofCheck
 	ep.boxChecked.Store(0)
 	return ep.boxChecked.Load, func() { ep.boxProof = boxProofOn }
+}
+
+// CheckPrechecks makes every precheck of prog repeat itself from the
+// unit's activation state found afresh, as at the activation's first
+// invocation; where the two pack different bounds or bail for different
+// reasons the rank panics, so the execution fails.  checked counts the
+// prechecks repeated so far; restore turns the check off.
+func CheckPrechecks(prog *Program) (checked func() int64, restore func()) {
+	ep := prog.enginePlanFor()
+	ep.recheck = true
+	ep.rechecked.Store(0)
+	return ep.rechecked.Load, func() { ep.recheck = false }
 }
 
 // EmitFills returns, by statement id, how many times the derivation pass

@@ -210,6 +210,10 @@ type KLoop struct {
 	ClampIdx int // frame clamp index, -1 when not clampable
 	WinIdx   int // bounds[] index of this level's window pair
 	Body     []KStmt
+
+	// fixed says Lo and Hi read only slots fixed for an activation, so
+	// the precheck takes their hull once per activation (levelAct).
+	fixed bool
 }
 
 // KAssign is one guarded assignment.  Its guard is a union of boxes over
@@ -297,6 +301,13 @@ type KernelUnit struct {
 	// numbering, which the frame's array slots, guards and clamps follow.
 	pp                   *procPlan
 	ints, floats, stores []slotName
+	// pidx numbers the unit among its procedure's, lvBase its levels,
+	// kaBase its arrays and outBase its outer dimensions' lo, hi pairs
+	// among theirs: where the frame keeps its activation state (unitAct,
+	// levelAct, kas, outer).  outer are the slots of the loops enclosing
+	// the root, every statement's outer point.
+	pidx, lvBase, kaBase, outBase int
+	outer                         []int
 
 	// The in-process evaluator (kernel_eval.go), shared by every rank of
 	// every execution.

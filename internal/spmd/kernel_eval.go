@@ -143,7 +143,7 @@ func (l *klin) val(e *kenv) int {
 func (u *KernelUnit) lower() kernelScratch {
 	b := &kevalBuilder{u: u}
 	u.ev = &keval{root: b.loop(u.Root), arr: b.arr}
-	return kernelScratch{arrays: len(u.Arrays), bounds: u.NumBounds, levels: u.NumLevels, dims: u.RootDepth + u.NumLevels,
+	return kernelScratch{bounds: u.NumBounds, levels: u.NumLevels, dims: u.RootDepth + u.NumLevels,
 		offs: b.nOff, masks: b.nMsk, assigns: b.nAsg, cells: len(b.arr)}
 }
 
@@ -508,14 +508,6 @@ type keval struct {
 }
 
 func (ev *keval) run(e *kenv) {
-	// Two formals may be one array of the caller: a subtree hoisted past a
-	// store to the one may read the other.
-	e.shared = false
-	for i, a := range e.arrays {
-		for _, b := range e.arrays[:i] {
-			e.shared = e.shared || len(a) > 0 && len(b) > 0 && &a[0] == &b[0]
-		}
-	}
 	for i, arr := range ev.arr {
 		if arr >= 0 {
 			e.cell[i].data = e.arrays[arr]

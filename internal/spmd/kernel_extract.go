@@ -72,14 +72,17 @@ func (c *kcut) scan(stmts []ir.Stmt, depth int, inNest bool) {
 	for _, s := range stmts {
 		switch st := s.(type) {
 		case *ir.Loop:
-			nest := c.ps.Loops[st].ComputeNest
+			nest := c.ps.Loop(st).ComputeNest
 			before := len(c.ep.units)
 			var u *KernelUnit
 			if nest {
 				u = c.tryKernelUnit(st, depth)
 			}
 			if u != nil {
-				c.ep.unitAt[st] = len(c.ep.units)
+				c.ep.unitAt[st.ID] = int32(len(c.ep.units))
+				u.pidx, u.lvBase, u.kaBase, u.outBase = c.pp.nUnits, c.pp.nLevels, c.pp.nArrays, c.pp.nOuter
+				c.pp.nUnits, c.pp.nLevels, c.pp.nArrays = c.pp.nUnits+1, c.pp.nLevels+u.NumLevels, c.pp.nArrays+len(u.Arrays)
+				c.pp.nOuter += 2 * u.RootDepth
 				c.ep.units = append(c.ep.units, u)
 				c.ep.scratch.fit(u.lower())
 			} else {
@@ -190,7 +193,7 @@ func (x *kextract) loop(l *ir.Loop) *KLoop {
 		x.fail()
 		return nil
 	}
-	clamp, ok := x.pp.clampOf[l]
+	clamp, ok := x.pp.clampOf[l.ID]
 	if !ok {
 		clamp = -1
 	}
@@ -207,12 +210,24 @@ func (x *kextract) loop(l *ir.Loop) *KLoop {
 		ClampIdx: clamp,
 		WinIdx:   x.nBounds,
 	}
+	kl.fixed = x.fixedAff(kl.Lo) && x.fixedAff(kl.Hi)
 	x.nLevels++
 	x.nBounds += 2
 	x.scope = append(x.scope, kscopeEntry{name: l.Var, level: kl.Level})
 	kl.Body = x.stmts(l.Body)
 	x.scope = x.scope[:len(x.scope)-1]
 	return kl
+}
+
+// fixedAff reports whether a reads only slots that hold one value
+// throughout an activation: no kernel level, no loop variable.
+func (x *kextract) fixedAff(a KAff) bool {
+	for _, t := range a.Terms {
+		if t.Local || !x.fixed(x.u.SlotNames[t.Slot]) {
+			return false
+		}
+	}
+	return true
 }
 
 func (x *kextract) stmts(body []ir.Stmt) []KStmt {
@@ -246,6 +261,7 @@ func (x *kextract) assign(a *ir.Assign) *KAssign {
 	for k, l := range x.ps.Nest[a.ID][:x.u.RootDepth] {
 		x.u.ints = addSlot(x.u.ints, l.Var, nestSlots[k])
 	}
+	x.u.outer = nestSlots[:x.u.RootDepth]
 	levels := make([]int, kd)
 	for i, sc := range x.scope {
 		levels[i] = sc.level

@@ -7,10 +7,15 @@ package spmd
 // against the live frame — array geometry must equal the spec constants,
 // every guard's boxes must fit the capacity the unit reserved, and
 // saturating interval analysis must prove every array access in bounds,
-// because neither back end carries bounds checks.  Geometry, guard
-// filtering and packing run per invocation; the bounds proof runs once
-// per activation and guard box, over the whole box, and per invocation
-// over the value hulls narrowed to the box only where that fails.
+// because neither back end carries bounds checks.  The precheck is split
+// by what changes: the array geometry, each loop's clamp and the hull of
+// bounds that read only activation-fixed slots are found at the unit's
+// first invocation in the activation (unitAct, levelAct), with the hull
+// of the guard boxes' outer dimensions; the bounds proof runs once per
+// activation and guard box, over the whole box; an invocation packs its
+// strip window, clamps and outer-point guard test — nothing but an empty
+// root window when its point misses the hull — and proves over the value
+// hulls narrowed to a box only where the whole-box proof fails.
 // Any doubt bails before anything is written, and a bail is a decline:
 // the walker interprets that invocation, the reference semantics itself,
 // so a bail is a performance event, never a correctness one — and a
@@ -128,11 +133,11 @@ func (rx *rankExec) bail(r KernelBail) bool {
 // newRankExec sizes it once, to the maxima over the units.  offs, masks,
 // assigns and cells are the evaluator's (kenv).
 type kernelScratch struct {
-	arrays, bounds, levels, dims, offs, masks, assigns, cells int
+	bounds, levels, dims, offs, masks, assigns, cells int
 }
 
 func (s *kernelScratch) fit(u kernelScratch) {
-	s.arrays, s.bounds, s.levels = max(s.arrays, u.arrays), max(s.bounds, u.bounds), max(s.levels, u.levels)
+	s.bounds, s.levels = max(s.bounds, u.bounds), max(s.levels, u.levels)
 	s.dims = max(s.dims, u.dims)
 	s.offs, s.masks = max(s.offs, u.offs), max(s.masks, u.masks)
 	s.assigns, s.cells = max(s.assigns, u.assigns), max(s.cells, u.cells)
@@ -266,19 +271,32 @@ func (rx *rankExec) runUnit(ui int) bool {
 	for _, v := range u.ints {
 		e.ints[v.slot], e.intSet[v.slot] = rx.Value(v.walk)
 	}
-	ka := rx.ka[:len(u.Arrays)]
-	for i := range u.Arrays {
-		a := &u.Arrays[i]
-		arr := f.aslots[a.ASlot]
-		if arr == nil || !kernelGeomOK(arr, a) {
-			return rx.bail(BailGeometry)
-		}
-		ka[i] = arr.data
+	if !f.units[u.pidx].ready {
+		rx.bindUnit(u, f)
 	}
 	kb := rx.kb[:u.NumBounds]
-	if !rx.prepKLoop(u, u.Root, f, kb, rx.khull[:u.NumLevels]) {
+	var bails [numKernelBails]int64
+	if rx.plan.recheck {
+		bails = rx.kstats.Bails
+	}
+	ok := rx.precheck(u, f, kb)
+	if rx.plan.recheck {
+		rx.recheck(u, f, kb, ok, bails)
+	}
+	if !ok {
 		return false
 	}
+	if kb[u.Root.WinIdx] > kb[u.Root.WinIdx+1] {
+		// An empty root window runs no iteration on either back end — the
+		// invocation is counted, and nothing else happens.
+		if rx.native[ui] != nil {
+			rx.kstats.Calls++
+		} else {
+			rx.kstats.EvalCalls++
+		}
+		return true
+	}
+	ka := f.kas[u.kaBase : u.kaBase+len(u.Arrays)]
 	for _, v := range u.floats {
 		e.floats[v.slot], e.fset[v.slot] = f.fenv[v.name]
 	}
@@ -289,7 +307,7 @@ func (rx *rankExec) runUnit(ui int) bool {
 		rx.kstats.NativeFlops += rx.flops - before
 	} else {
 		ke := &rx.kenv
-		ke.arrays, ke.bounds, ke.flops = ka, kb, rx.flops
+		ke.arrays, ke.bounds, ke.flops, ke.shared = ka, kb, rx.flops, f.units[u.pidx].shared
 		u.ev.run(ke)
 		rx.flops = ke.flops
 		rx.kstats.EvalCalls++
@@ -362,6 +380,171 @@ func kernelGeomOK(arr *array, ka *KArray) bool {
 	return len(arr.data) >= size
 }
 
+// unitAct is what a unit's precheck finds once per activation (ready:
+// found): whether the live arrays have the geometry the unit inlined —
+// their data then in the frame's kas, in KernelUnit.Arrays order — and
+// whether two of them are one (kenv.shared); and whether an outer point
+// its statements' guard boxes all miss empties the invocation with no
+// bail possible (idle), the hull of their outer dimensions in the
+// frame's outer, lo then hi, and whether they have any box.
+type unitAct struct{ ready, geom, shared, idle, boxes bool }
+
+// levelAct is one loop level's part of it: the frame's clamp window
+// (math.MinInt, math.MaxInt: none), or that the frame carries none for a
+// clampable loop (noClamp); and for a level of fixed bounds, their value
+// hull within the clamp.
+type levelAct struct {
+	lo, hi  int
+	noClamp bool
+	hull    kiv
+}
+
+// bindUnit finds u's activation state in f: the geometry of its arrays,
+// and per loop level its clamp and, where the bounds are fixed, their
+// hull — from the frame's array slots and clamps and the integers just
+// loaded, of which the fixed ones hold for the whole activation.
+func (rx *rankExec) bindUnit(u *KernelUnit, f *frame) {
+	ua, ka := &f.units[u.pidx], f.kas[u.kaBase:u.kaBase+len(u.Arrays)]
+	*ua = unitAct{ready: true, geom: true}
+	for i := range u.Arrays {
+		a := &u.Arrays[i]
+		arr := f.aslots[a.ASlot]
+		if arr == nil || !kernelGeomOK(arr, a) {
+			ua.geom = false
+			continue
+		}
+		ka[i] = arr.data
+		// Two formals may be one array of the caller: a subtree hoisted past
+		// a store to the one may read the other.
+		for _, b := range ka[:i] {
+			ua.shared = ua.shared || len(arr.data) > 0 && len(b) > 0 && &arr.data[0] == &b[0]
+		}
+	}
+	hull := f.outer[u.outBase : u.outBase+2*u.RootDepth]
+	for k := range u.RootDepth {
+		hull[k], hull[u.RootDepth+k] = math.MaxInt, math.MinInt
+	}
+	ua.idle = true
+	rx.bindLoop(u, f, u.Root)
+}
+
+func (rx *rankExec) bindLoop(u *KernelUnit, f *frame, kl *KLoop) {
+	la := &f.lvls[u.lvBase+kl.Level]
+	*la = levelAct{lo: math.MinInt, hi: math.MaxInt}
+	if kl.ClampIdx >= len(f.clamps) {
+		la.noClamp, f.units[u.pidx].idle = true, false
+	} else if kl.ClampIdx >= 0 {
+		la.lo, la.hi = f.clamps[kl.ClampIdx].lo, f.clamps[kl.ClampIdx].hi
+	}
+	if kl.fixed {
+		la.hull = loopHull(kl, affIv(kl.Lo, rx.env.ints, nil), affIv(kl.Hi, rx.env.ints, nil), la.lo, la.hi)
+	}
+	rx.bindStmts(u, f, kl.Body)
+}
+
+func (rx *rankExec) bindStmts(u *KernelUnit, f *frame, body []KStmt) {
+	for _, s := range body {
+		switch st := s.(type) {
+		case *KLoop:
+			rx.bindLoop(u, f, st)
+		case *KIf:
+			rx.bindStmts(u, f, st.Then)
+			rx.bindStmts(u, f, st.Els)
+		case *KAssign:
+			rx.bindGuard(u, f, st)
+		}
+	}
+}
+
+// bindGuard widens u's outer hull by st's guard boxes, or leaves the
+// unit never idle when the guard makes the precheck bail.
+func (rx *rankExec) bindGuard(u *KernelUnit, f *frame, st *KAssign) {
+	ua, hull, d := &f.units[u.pidx], f.outer[u.outBase:u.outBase+2*u.RootDepth], u.RootDepth
+	if st.GuardIdx >= len(f.guards) {
+		ua.idle = false
+		return
+	}
+	widen := func(lo, hi []int) {
+		ua.boxes = true
+		for k := range d {
+			hull[k], hull[d+k] = min(hull[k], lo[k]), max(hull[d+k], hi[k])
+		}
+	}
+	switch g := &f.guards[st.GuardIdx]; g.kind {
+	case guardBox:
+		if len(g.lo) != len(st.NestSlots) {
+			ua.idle = false
+			return
+		}
+		widen(g.lo, g.hi)
+	case guardSet:
+		if g.set.Rank() != len(st.NestSlots) {
+			ua.idle = false
+			return
+		}
+		for _, b := range g.set.SharedBoxes() {
+			widen(b.Lo, b.Hi)
+		}
+	}
+}
+
+// precheck packs kb for one invocation of u, or bails.  An outer point
+// outside every guard box of an idle unit packs an empty root window
+// and nothing else: the walk would disable every statement and could
+// not bail.
+func (rx *rankExec) precheck(u *KernelUnit, f *frame, kb []int) bool {
+	ua := &f.units[u.pidx]
+	if !ua.geom {
+		return rx.bail(BailGeometry)
+	}
+	if ua.idle {
+		out, hull, d := !ua.boxes, f.outer[u.outBase:u.outBase+2*u.RootDepth], u.RootDepth
+		for k := 0; k < d && !out; k++ {
+			v := rx.env.ints[u.outer[k]]
+			out = v < hull[k] || v > hull[d+k]
+		}
+		if out {
+			kb[u.Root.WinIdx], kb[u.Root.WinIdx+1] = 0, -1
+			return true
+		}
+	}
+	return rx.prepKLoop(u, u.Root, f, kb, rx.khull[:u.NumLevels])
+}
+
+// recheck repeats the precheck that packed kb, with result ok, from u's
+// activation state found afresh (bindUnit), and panics the rank unless
+// it packs the same bounds or bails for the same reason: the state is
+// what the activation fixes.  before are the bail counts before the
+// first precheck; the repeat's bail is not counted.
+func (rx *rankExec) recheck(u *KernelUnit, f *frame, kb []int, ok bool, before [numKernelBails]int64) {
+	rx.plan.rechecked.Add(1)
+	after, want := rx.kstats.Bails, slices.Clone(kb)
+	rx.bindUnit(u, f)
+	again := rx.precheck(u, f, kb)
+	fresh := rx.kstats.Bails
+	rx.kstats.Bails = after
+	same := again == ok && (!ok || slices.Equal(kb, want))
+	for r := range after {
+		same = same && after[r]-before[r] == fresh[r]-after[r]
+	}
+	if !same {
+		panic(fmt.Sprintf("spmd: unit %s/%d: the precheck from its activation state packs %v (%v), afresh %v (%v)",
+			u.Proc, u.RootID, want, ok, kb, again))
+	}
+}
+
+// loopHull is the value hull of loop kl whose bounds range over loI and
+// hiI, within the window wLo..wHi.
+func loopHull(kl *KLoop, loI, hiI kiv, wLo, wHi int) kiv {
+	h := kiv{sat: loI.sat || hiI.sat}
+	if kl.Step > 0 {
+		h.lo, h.hi = maxI64(loI.lo, int64(wLo)), minI64(hiI.hi, int64(wHi))
+	} else {
+		h.lo, h.hi = maxI64(hiI.lo, int64(wLo)), minI64(loI.hi, int64(wHi))
+	}
+	return h
+}
+
 // prepKLoop packs one loop level's window into bounds[] and extends the
 // value-hull analysis downward: the walker's strip clamp, then the
 // frame's clamp.  The packed window is narrowed once more, to
@@ -369,29 +552,25 @@ func kernelGeomOK(arr *array, ka *KArray) bool {
 // outside it every statement below is guarded out, and kernel units hold
 // nothing else an iteration could show (conditions read no array), so
 // both back ends skip it whole instead of failing guards point by point.
+// The clamp, and the hull of fixed bounds, are the activation's
+// (levelAct); only the strip narrows them here.
 func (rx *rankExec) prepKLoop(u *KernelUnit, kl *KLoop, f *frame, kb []int, hull []kiv) bool {
-	wLo, wHi := math.MinInt, math.MaxInt
-	if rx.Strip != nil && rx.Strip.Var == kl.Var {
+	la := &f.lvls[u.lvBase+kl.Level]
+	if la.noClamp {
+		return rx.bail(BailClamp)
+	}
+	wLo, wHi := la.lo, la.hi
+	strip := rx.Strip != nil && rx.Strip.Var == kl.Var
+	if strip {
 		wLo, wHi = max(wLo, rx.Strip.Lo), min(wHi, rx.Strip.Hi)
 	}
-	if kl.ClampIdx >= 0 {
-		if kl.ClampIdx >= len(f.clamps) {
-			return rx.bail(BailClamp)
-		}
-		c := &f.clamps[kl.ClampIdx]
-		wLo, wHi = max(wLo, c.lo), min(wHi, c.hi)
-	}
 	kb[kl.WinIdx], kb[kl.WinIdx+1] = wLo, wHi
-	loI := affIv(kl.Lo, rx.env.ints, hull)
-	hiI := affIv(kl.Hi, rx.env.ints, hull)
-	var h kiv
-	h.sat = loI.sat || hiI.sat
-	if kl.Step > 0 {
-		h.lo = maxI64(loI.lo, int64(wLo))
-		h.hi = minI64(hiI.hi, int64(wHi))
-	} else {
-		h.lo = maxI64(hiI.lo, int64(wLo))
-		h.hi = minI64(loI.hi, int64(wHi))
+	h := la.hull
+	switch {
+	case !kl.fixed:
+		h = loopHull(kl, affIv(kl.Lo, rx.env.ints, hull), affIv(kl.Hi, rx.env.ints, hull), wLo, wHi)
+	case strip:
+		h.lo, h.hi = maxI64(h.lo, int64(wLo)), minI64(h.hi, int64(wHi))
 	}
 	hull[kl.Level] = h
 	if !h.sat && h.lo > h.hi {

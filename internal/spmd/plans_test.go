@@ -7,10 +7,14 @@ package spmd_test
 // derived, and one Program may be executed from many goroutines at once.
 
 import (
+	"cmp"
+	"fmt"
 	"math"
+	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -104,12 +108,74 @@ func TestAllocationBudgets(t *testing.T) {
 		{"sp16", sp, spmd.EngineCompiled, 28},                       // measured 25
 		{"bt12", bt, spmd.EngineCompiled, 21},                       // measured 19
 	} {
-		got := testing.AllocsPerRun(5, func() { execute(t, c.prog, c.engine) })
+		run := func() { execute(t, c.prog, c.engine) }
+		got := testing.AllocsPerRun(5, run)
 		if got > c.budget {
-			t.Errorf("%s: a steady execution allocates %.0f times, budget %.0f", c.name, got, c.budget)
+			t.Errorf("%s: a steady execution allocates %.0f times, budget %.0f; by site, over 5 more:\n%s", c.name, got, c.budget, allocSites(run, 5, 12))
 		}
 		t.Logf("%s: %.0f allocations per steady execution", c.name, got)
 	}
+}
+
+// allocSites runs f n times with every allocation profiled and lists the
+// top sites by objects allocated: the first frame of each stack outside
+// the runtime, with the count.
+func allocSites(f func(), n, top int) string {
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	before := allocsByStack()
+	for range n {
+		f()
+	}
+	type site struct {
+		where string
+		objs  int64
+	}
+	var sites []site
+	for stack, objs := range allocsByStack() {
+		if objs -= before[stack]; objs <= 0 {
+			continue
+		}
+		where := "?"
+		frames := runtime.CallersFrames(stack[:])
+		for fr, more := frames.Next(); ; fr, more = frames.Next() {
+			if !strings.HasPrefix(fr.Function, "runtime.") && !strings.HasPrefix(fr.Function, "internal/") {
+				where = fmt.Sprintf("%s (%s:%d)", fr.Function, filepath.Base(fr.File), fr.Line)
+				break
+			}
+			if !more {
+				break
+			}
+		}
+		sites = append(sites, site{where, objs})
+	}
+	slices.SortFunc(sites, func(a, b site) int { return cmp.Compare(b.objs, a.objs) })
+	var b strings.Builder
+	for _, s := range sites[:min(top, len(sites))] {
+		fmt.Fprintf(&b, "\t%6d %s\n", s.objs, s.where)
+	}
+	return b.String()
+}
+
+// allocsByStack is the memory profile's allocated objects by stack, as
+// of two collections from now, when it is complete.
+func allocsByStack() map[[32]uintptr]int64 {
+	runtime.GC()
+	runtime.GC()
+	recs := make([]runtime.MemProfileRecord, 256)
+	for {
+		n, ok := runtime.MemProfile(recs, true)
+		if ok {
+			recs = recs[:n]
+			break
+		}
+		recs = make([]runtime.MemProfileRecord, n+n/2)
+	}
+	out := make(map[[32]uintptr]int64, len(recs))
+	for _, r := range recs {
+		out[r.Stack0] += r.AllocObjects
+	}
+	return out
 }
 
 // TestExecutionAllocatesWhatItReturns: a steady execution allocates
