@@ -36,40 +36,14 @@ func (a *Arena) Reset() {
 // before anything else sees it.
 func (a *Arena) Box(n int) Box { return a.makeBox(n) }
 
-// Clone returns a copy of b made on the arena.
-func (a *Arena) Clone(b Box) Box { return a.clone(b) }
-
 // UnionBox is Set.UnionBox.
 func (a *Arena) UnionBox(s Set, b Box) Set { return s.unionBox(b, a) }
-
-// IntersectBox is Set.IntersectBox.
-func (a *Arena) IntersectBox(s Set, b Box) Set {
-	one := [1]Box{b}
-	return s.intersect(boxSet(one[:]), a)
-}
-
-// SubtractBox is Set.SubtractBox.
-func (a *Arena) SubtractBox(s Set, b Box) Set {
-	one := [1]Box{b}
-	return s.subtract(boxSet(one[:]), a)
-}
-
-// ClampDim is Set.ClampDim.
-func (a *Arena) ClampDim(s Set, dim, lo, hi int) Set { return s.clampDim(dim, lo, hi, a) }
 
 // Boxes is Set.Boxes.
 func (a *Arena) Boxes(s Set) []Box {
 	out := append(a.list(len(s.boxes)), s.boxes...)
 	sortBoxes(out, a)
 	return a.keep(out)
-}
-
-// boxSet is FromBox over a caller-owned one-element slice.
-func boxSet(one []Box) Set {
-	if one[0].Empty() {
-		return Set{rank: one[0].Rank()}
-	}
-	return Set{rank: one[0].Rank(), boxes: one}
 }
 
 // makeBox is MakeBox on a, the heap when a is nil.
@@ -98,15 +72,6 @@ func (a *Arena) clone(b Box) Box {
 func (a *Arena) withDim(b Box, dim, lo, hi int) Box {
 	out := a.clone(b)
 	out.Lo[dim], out.Hi[dim] = lo, hi
-	return out
-}
-
-func (a *Arena) intersectBox(b, c Box) Box {
-	out := a.makeBox(b.Rank())
-	for k := range b.Lo {
-		out.Lo[k] = max(b.Lo[k], c.Lo[k])
-		out.Hi[k] = min(b.Hi[k], c.Hi[k])
-	}
 	return out
 }
 

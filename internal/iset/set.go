@@ -162,12 +162,9 @@ func (s Set) Union(t Set) Set {
 }
 
 // Intersect returns s ∩ t.
-func (s Set) Intersect(t Set) Set { return s.intersect(t, nil) }
-
-// intersect is Intersect building on ar.
-func (s Set) intersect(t Set, ar *Arena) Set {
+func (s Set) Intersect(t Set) Set {
 	s.checkRank(t)
-	out := Set{rank: s.rankOr(t), boxes: ar.list(0)}
+	out := Set{rank: s.rankOr(t)}
 	for _, a := range s.boxes {
 		for _, b := range t.boxes {
 			// Disjointness of s's boxes ensures the pieces a∩b are
@@ -180,24 +177,22 @@ func (s Set) intersect(t Set, ar *Arena) Set {
 			case a.ContainsBox(b):
 				out.boxes = append(out.boxes, b)
 			default:
-				out.boxes = append(out.boxes, ar.intersectBox(a, b))
+				out.boxes = append(out.boxes, a.Intersect(b))
 			}
 		}
 	}
-	return out.coalesce(ar)
+	return out.coalesce(nil)
 }
 
 // IntersectBox returns s ∩ {b}.
 func (s Set) IntersectBox(b Box) Set { return s.Intersect(FromBox(b)) }
 
 // Subtract returns s − t.
-func (s Set) Subtract(t Set) Set { return s.subtract(t, nil) }
-
-// subtract is Subtract building on ar.
-func (s Set) subtract(t Set, ar *Arena) Set {
+func (s Set) Subtract(t Set) Set {
 	s.checkRank(t)
-	out := Set{rank: s.rank, boxes: ar.list(0)}
-	scratch := ar.scratchList()
+	out := Set{rank: s.rank}
+	var heap *Arena // cutTail's pieces and scratch
+	var scratch []Box
 	for _, a := range s.boxes {
 		if covered(a, t.boxes) {
 			continue
@@ -205,13 +200,12 @@ func (s Set) subtract(t Set, ar *Arena) Set {
 		n := len(out.boxes)
 		out.boxes = append(out.boxes, a)
 		for _, b := range t.boxes {
-			if out.boxes, scratch = ar.cutTail(out.boxes, n, b, scratch); len(out.boxes) == n {
+			if out.boxes, scratch = heap.cutTail(out.boxes, n, b, scratch); len(out.boxes) == n {
 				break
 			}
 		}
 	}
-	ar.keepScratch(scratch)
-	return out.coalesce(ar)
+	return out.coalesce(nil)
 }
 
 // SubtractBox returns s − {b}.
@@ -283,16 +277,13 @@ func (s Set) Insert(dim, lo, hi int) Set {
 }
 
 // ClampDim intersects dimension dim of every box with [lo:hi].
-func (s Set) ClampDim(dim, lo, hi int) Set { return s.clampDim(dim, lo, hi, nil) }
-
-// clampDim is ClampDim building on a.
-func (s Set) clampDim(dim, lo, hi int, a *Arena) Set {
+func (s Set) ClampDim(dim, lo, hi int) Set {
 	out := EmptySet(s.rank)
 	for _, b := range s.boxes {
-		nb := a.clone(b)
+		nb := b.clone()
 		nb.Lo[dim] = max(nb.Lo[dim], lo)
 		nb.Hi[dim] = min(nb.Hi[dim], hi)
-		out = out.unionBox(nb, a)
+		out = out.UnionBox(nb)
 	}
 	return out
 }

@@ -36,8 +36,9 @@ type ExecResult struct {
 	// instances that ran one at a time — outside every unit, or in an
 	// invocation whose precheck bailed.  All zero under EngineInterp.
 	Nests NestStats
-	// Plans counts the run's plan firings and the closed forms it derived
-	// rather than found on the program's schedule.
+	// Plans counts the run's plan firings, the closed forms it derived
+	// rather than found on the program's schedule, and the firings whose
+	// form has no closed form there, planned by Plan.
 	Plans sched.PlanStats
 	prog  *Program
 	// main holds main's arrays by name, one copy each: rank 0's, handed
@@ -123,6 +124,7 @@ func (p *Program) ExecuteEngine(cfg mpsim.Config, engine Engine) (*ExecResult, e
 		er.Nests.Walked += rx.walked
 		er.Plans.Firings += rx.Plans.Firings
 		er.Plans.Derived += rx.Plans.Derived
+		er.Plans.General += rx.Plans.General
 	}
 	if c.idle() {
 		p.crew.Store(c)

@@ -16,6 +16,9 @@ type HoistRow struct {
 // HoistRows is hoistRows, for the external tests of this package.
 var HoistRows = hoistRows
 
+// FreshFrameSrc is freshFrameSrc, for the external tests of this package.
+const FreshFrameSrc = freshFrameSrc
+
 // relower lowers each kernel unit of prog again and returns the builders.
 func relower(prog *Program) []*kevalBuilder {
 	var bs []*kevalBuilder
