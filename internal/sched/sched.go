@@ -7,7 +7,9 @@
 // folds over it through the Walker (walk.go) — the compiled engines being
 // the reference interpreter's fold with the compute nests it marks
 // claimed through Ops.Handled — and the report and node-program printers
-// call its planner (plan.go) at the zero point.
+// call its planner (plan.go) at the zero point.  The walker evaluates a
+// firing from its closed form (form.go), or, for a firing whose form is
+// general, calls the planner at the firing's point.
 package sched
 
 import (

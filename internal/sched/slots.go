@@ -191,13 +191,18 @@ func (r *carver) onHome(terms []cp.Term) []homeTerm {
 		out[i] = homeTerm{array: t.Array, subs: r.spans[:len(t.Subs):len(t.Subs)]}
 		r.spans = r.spans[len(t.Subs):]
 		for k, h := range t.Subs {
-			if h.IsRange {
-				out[i].subs[k] = span{r.aff(h.Lo, "", 0), r.aff(h.Hi, "", 0)}
-			} else {
-				at := r.aff(h.Off, h.Var, h.Coef)
-				out[i].subs[k] = span{at, at}
-			}
+			out[i].subs[k] = r.span(h)
 		}
 	}
 	return out
+}
+
+// span resolves an ON_HOME subscript to the range it spans, a point v as
+// v:v.
+func (r *carver) span(h cp.HomeSub) span {
+	if h.IsRange {
+		return span{r.aff(h.Lo, "", 0), r.aff(h.Hi, "", 0)}
+	}
+	at := r.aff(h.Off, h.Var, h.Coef)
+	return span{at, at}
 }
