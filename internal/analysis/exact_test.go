@@ -11,11 +11,14 @@ package analysis_test
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
+	"dhpf/internal/ir"
 	"dhpf/internal/mpsim"
 	"dhpf/internal/nas"
 	"dhpf/internal/passes"
@@ -175,23 +178,111 @@ func TestPredictExactGrains(t *testing.T) {
 	}
 }
 
+// exactNAS are the NAS kernels the exactness invariant runs over.
+var exactNAS = []struct {
+	name string
+	src  string
+}{
+	{"sp", nas.SPSource(16, 1, 2, 2)},
+	{"bt", nas.BTSource(12, 1, 2, 2)},
+	{"lu", nas.LUSource(12, 1, 2, 2)},
+}
+
 // TestPredictExactNAS runs the invariant over the NAS kernels at small
 // sizes (BT's per-point leaf calls make the static walk iterate
 // concretely, so sizes stay tiny).
 func TestPredictExactNAS(t *testing.T) {
-	cases := []struct {
-		name string
-		src  string
-	}{
-		{"sp", nas.SPSource(16, 1, 2, 2)},
-		{"bt", nas.BTSource(12, 1, 2, 2)},
-		{"lu", nas.LUSource(12, 1, 2, 2)},
-	}
-	for _, c := range cases {
+	for _, c := range exactNAS {
 		for _, backend := range exactBackends {
 			t.Run(c.name+"/"+backend, func(t *testing.T) {
 				requireExact(t, c.src, spmd.DefaultOptions(), backend)
 			})
 		}
 	}
+}
+
+// probeSrc is a statement outside every loop, after one, whose ON_HOME
+// term one rank owns: the other three do not run it.
+const probeSrc = `
+program probe
+param N = 16
+!hpf$ processors procs(4)
+!hpf$ distribute a(BLOCK) onto procs
+!hpf$ distribute b(BLOCK) onto procs
+
+subroutine main()
+  real a(0:N-1)
+  real b(0:N-1)
+  do i = 0, N-1
+    b(i) = i * 2.0 + 1.0
+  enddo
+  a(1) = b(14) + 2.0
+end
+`
+
+// TestAnalyzeFlopsArePredict: on a program with no call and no
+// condition, every statement instance runs once per execution of its
+// phase, so the summary's phase flops — each statement's iteration-set
+// cardinality over the ranks times its cost — add up to Predict's.  The
+// programs are the exactness corpus's, and the probe, whose statement
+// outside every loop runs on one rank of four.
+func TestAnalyzeFlopsArePredict(t *testing.T) {
+	srcs := map[string]string{"probe": probeSrc}
+	files, err := filepath.Glob("../../testdata/*.hpf")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no testdata files found: %v", err)
+	}
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srcs[filepath.Base(f)] = string(src)
+	}
+	for _, c := range exactNAS {
+		srcs[c.name] = c.src
+	}
+	var compared []string
+	for _, name := range slices.Sorted(maps.Keys(srcs)) {
+		src := srcs[name]
+		prog, err := spmd.CompileSource(src, nil, spmd.DefaultOptions())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		straight := true
+		for _, proc := range prog.IR.Procs {
+			ir.Walk(proc.Body, func(st ir.Stmt, _ []*ir.Loop) bool {
+				switch st.(type) {
+				case *ir.CallStmt, *ir.IfStmt:
+					straight = false
+				}
+				return straight
+			})
+		}
+		if !straight {
+			continue
+		}
+		res, err := prog.Analyze()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		cost, err := prog.PredictCost()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var flops float64
+		for _, ps := range res.Procs {
+			for _, ph := range ps.Phases {
+				flops += ph.Flops
+			}
+		}
+		if flops != cost.TotalFlops() {
+			t.Errorf("%s: phase flops add up to %v, Predict counts %v", name, flops, cost.TotalFlops())
+		}
+		compared = append(compared, name)
+	}
+	if len(compared) < 5 {
+		t.Errorf("programs with no call and no condition: %v; want the probe and at least 4 more", compared)
+	}
+	t.Logf("compared %v", compared)
 }

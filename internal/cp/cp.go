@@ -222,10 +222,12 @@ func IterBox(nest []*ir.Loop, bind map[string]int) iset.Box {
 
 // ExecBox computes the iterations of iterBox (whose dimensions are the
 // nest variables, outermost first) that the term assigns to a processor
-// owning exactly the array box local.  A range subscript constrains no
-// iteration variable; it only gates the whole box on whether the range
-// intersects the local box in that dimension (∃-semantics).
-func (t Term) ExecBox(nestVars []string, iterBox iset.Box, local iset.Box, bind map[string]int) iset.Box {
+// owning exactly the array box local, and whether there are any.  A
+// range subscript constrains no iteration variable; it only gates the
+// whole box on whether the range intersects the local box in that
+// dimension (∃-semantics).  A subscript that misses the local box leaves
+// none, also at depth 0, where the box has no dimension to make empty.
+func (t Term) ExecBox(nestVars []string, iterBox iset.Box, local iset.Box, bind map[string]int) (iset.Box, bool) {
 	if len(t.Subs) != local.Rank() {
 		panic(fmt.Sprintf("cp: term %v rank %d vs local box rank %d", t, len(t.Subs), local.Rank()))
 	}
@@ -234,7 +236,7 @@ func (t Term) ExecBox(nestVars []string, iterBox iset.Box, local iset.Box, bind 
 		dlo, dhi := local.Lo[d], local.Hi[d]
 		if s.IsRange {
 			if max(s.Lo.EvalOr(bind, 0), dlo) > min(s.Hi.EvalOr(bind, 0), dhi) {
-				return emptied(out)
+				return out, false
 			}
 			continue
 		}
@@ -246,7 +248,7 @@ func (t Term) ExecBox(nestVars []string, iterBox iset.Box, local iset.Box, bind 
 			// (e.g. an integer formal bound at run time): a symbolic
 			// parameter.  bind[""] is 0.
 			if v := s.Coef*bind[s.Var] + off; v < dlo || v > dhi {
-				return emptied(out)
+				return out, false
 			}
 		case s.Coef == 1:
 			out.Lo[j] = max(out.Lo[j], dlo-off)
@@ -256,7 +258,7 @@ func (t Term) ExecBox(nestVars []string, iterBox iset.Box, local iset.Box, bind 
 			out.Hi[j] = min(out.Hi[j], off-dlo)
 		}
 	}
-	return out
+	return out, !out.Empty()
 }
 
 // emptied makes every dimension of a box still being built empty.
@@ -268,9 +270,11 @@ func emptied(b iset.Box) iset.Box {
 }
 
 // IterSet computes the set of iterations of the nest a processor with the
-// given local ownership boxes executes under this CP.  localOf maps an
-// array name to the processor's local box for it (nil layout arrays —
-// replicated — make the term cover the whole iteration space).
+// given local ownership boxes executes under this CP: the union of its
+// terms' ExecBoxes, empty (of rank 0 at depth 0) where no term has any.
+// localOf maps an array name to the processor's local box for it (nil
+// layout arrays — replicated — make the term cover the whole iteration
+// space).
 func (c *CP) IterSet(nest []*ir.Loop, bind map[string]int, localOf func(array string) (iset.Box, bool)) iset.Set {
 	iterBox := IterBox(nest, bind)
 	if c.Replicated() {
@@ -283,7 +287,9 @@ func (c *CP) IterSet(nest []*ir.Loop, bind map[string]int, localOf func(array st
 		if !distributed {
 			return iset.FromBox(iterBox)
 		}
-		out = out.UnionBox(t.ExecBox(vars, iterBox, local, bind))
+		if b, ok := t.ExecBox(vars, iterBox, local, bind); ok {
+			out = out.UnionBox(b)
+		}
 	}
 	return out
 }

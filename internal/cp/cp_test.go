@@ -166,6 +166,54 @@ end
 	}
 }
 
+// TestIterSetOutsideEveryLoop: a statement outside every loop has a
+// nest of no dimension, so its iteration set on a rank is {()} where the
+// rank runs it and empty where it does not — a point or range subscript
+// that misses the rank's box, a bound integer formal among them, leaves
+// nothing.  A replicated CP, and a term on an array with no layout, run
+// everywhere.
+func TestIterSetOutsideEveryLoop(t *testing.T) {
+	ctx := mustCtx(t, `
+program t
+param N = 16
+!hpf$ processors procs(4)
+!hpf$ distribute a(BLOCK) onto procs
+subroutine main()
+  real a(0:N-1)
+  real b(0:N-1)
+  a(1) = b(2)
+end
+`)
+	proc := ctx.Prog.Main()
+	bind := map[string]int{"c": 9}
+	for name, v := range ctx.Bind.Params {
+		bind[name] = v
+	}
+	term := func(array string, s HomeSub) *CP {
+		return &CP{Terms: []Term{{Array: array, Subs: []HomeSub{s}}}}
+	}
+	cases := []struct {
+		name string
+		cp   *CP
+		card []int64 // per rank, 1 where it runs; rank r owns a[4r:4r+3]
+	}{
+		{"point", term("a", FromSubscript(ir.SubConst(ir.Num(1)))), []int64{1, 0, 0, 0}},
+		{"range", term("a", RangeSub(ir.Num(6), ir.Num(8))), []int64{0, 1, 1, 0}},
+		{"formal", term("a", HomeSub{Var: "c", Coef: 1, Off: ir.Num(4)}), []int64{0, 0, 0, 1}},
+		{"union", OnHome(ir.NewRef("a", ir.SubConst(ir.Num(1))), ir.NewRef("a", ir.SubConst(ir.Num(14)))), []int64{1, 0, 0, 1}},
+		{"replicated", &CP{}, []int64{1, 1, 1, 1}},
+		{"no-layout", term("b", FromSubscript(ir.SubConst(ir.Num(1)))), []int64{1, 1, 1, 1}},
+	}
+	for _, c := range cases {
+		for r, want := range c.card {
+			got := c.cp.IterSet(nil, bind, ctx.LocalOf(proc, r))
+			if got.Rank() != 0 || got.Card() != want {
+				t.Errorf("%s, rank %d: iteration set %v of rank %d, %d points; want %d", c.name, r, got, got.Rank(), got.Card(), want)
+			}
+		}
+	}
+}
+
 func TestRefDataBoxAndSet(t *testing.T) {
 	iter := iset.NewBox([]int{1, 2}, []int{5, 9})
 	ref := ir.NewRef("a", ir.SubVar("j", 1), ir.SubVar("i", -1))

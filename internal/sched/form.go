@@ -178,7 +178,7 @@ func (s *Schedule) derive(f *Firing, depth, strip int) *form {
 		// at most one of the array's.
 		ok := true
 		var terms []termForm
-		for _, t := range s.homeTerms(e.Stmt.ID) {
+		for _, t := range s.termsOf(e.Stmt.ID) {
 			tl := s.Ctx.Layout(f.Proc, t.Array)
 			ok = ok && tl != nil
 			tf := termForm{layout: tl, dims: make([]termDim, len(t.Subs))}
@@ -265,13 +265,13 @@ func (s *Schedule) fix(e *eventForm) bool {
 	}
 	for t := range ranks {
 		own := e.layout.LocalBox(t)
-		it := e.execBox(s.params.vals, t)
+		it, has := e.execBox(s.params.vals, t)
 		d := e.refBox(s.params.vals, it)
 		space := e.layout.Space()
 		for k := range r {
 			d.Lo[k], d.Hi[k] = max(d.Lo[k], space.Lo[k]), min(d.Hi[k], space.Hi[k])
 		}
-		has, box := !it.Empty() && !d.Empty(), len(fx.boxes)
+		has, box := has && !d.Empty(), len(fx.boxes)
 		fx.boxes = append(fx.boxes, int32(b2i(has)))
 		for _, v := range [][]int{it.Lo, it.Hi, d.Lo, d.Hi} {
 			for _, x := range v {
@@ -330,15 +330,16 @@ func b2i(b bool) int {
 }
 
 // execBox is e's term's iterations on rank t (none: the whole box),
-// unclamped.
-func (e *eventForm) execBox(vals []int, t int) iset.Box {
+// unclamped, and whether there are any: as Term.ExecBox, a subscript
+// that misses t's box leaves none, at depth 0 too.
+func (e *eventForm) execBox(vals []int, t int) (iset.Box, bool) {
 	b := iset.MakeBox(len(e.iter))
 	for k, sp := range e.iter {
 		b.Lo[k], b.Hi[k] = sp.lo.eval(vals), sp.hi.eval(vals)
 	}
 	tf := e.term
 	if tf == nil {
-		return b
+		return b, !b.Empty()
 	}
 	local := tf.layout.LocalBox(t)
 	for d, td := range tf.dims {
@@ -347,10 +348,7 @@ func (e *eventForm) execBox(vals []int, t int) iset.Box {
 		switch {
 		case j < 0:
 			if max(off, dlo) > min(td.hi.eval(vals), dhi) {
-				for k := range b.Lo { // a box of no dimension stays whole
-					b.Lo[k], b.Hi[k] = 1, 0
-				}
-				return b
+				return b, false
 			}
 		case td.coef == 1:
 			b.Lo[j], b.Hi[j] = max(b.Lo[j], dlo-off), min(b.Hi[j], dhi-off)
@@ -358,7 +356,7 @@ func (e *eventForm) execBox(vals []int, t int) iset.Box {
 			b.Lo[j], b.Hi[j] = max(b.Lo[j], off-dhi), min(b.Hi[j], off-dlo)
 		}
 	}
-	return b
+	return b, !b.Empty()
 }
 
 // refBox maps the iteration box through the reference.

@@ -116,10 +116,8 @@ type Schedule struct {
 	firings int
 
 	// What membership reads, by statement id: the variables of each
-	// statement's nest, and the ON_HOME terms of each statement outside
-	// every loop whose CP is not replicated (slots.go).
+	// statement's nest (slots.go).
 	nestSlots [][]int
-	homes     map[int][]homeTerm
 
 	// forms holds each firing's closed form by id, nil until a walk
 	// derives it; checking makes every walk compare its plans with Plan's
@@ -376,7 +374,7 @@ func (s *Schedule) reads(proc *ir.Procedure) []int {
 			aff(l.Lo)
 			aff(l.Hi)
 		}
-		for _, t := range s.homeTerms(id) {
+		for _, t := range s.termsOf(id) {
 			for _, h := range t.Subs {
 				aff(h.Off)
 				aff(h.Lo)

@@ -9,10 +9,9 @@ import (
 
 // A slot is a scalar name's index in Schedule.names.  New resolves
 // everything the walk reads by name — each loop's variable and bounds,
-// each statement's nest variables, each procedure's integer formals, the
-// ON_HOME subscripts of the statements outside every loop — to slots
-// once, so a walk binds, evaluates bounds and plans (form.go) without
-// touching a name.  Names stay at the API edges: Lookup, the planner, a
+// each statement's nest variables, each procedure's integer formals — to
+// slots once, so a walk binds, evaluates bounds and plans (form.go)
+// without touching a name.  Names stay at the API edges: Lookup, the planner, a
 // rank's first activation under a binding, Point.Bind.
 
 // Slot returns name's slot, or -1 for a name the program never binds.
@@ -67,47 +66,28 @@ func (a slotAff) eval(vals []int) int {
 	return v
 }
 
-// homeTerm is one ON_HOME term outside every loop: per subscript the
-// range it spans, a point v as v:v.
-type homeTerm struct {
-	array string
-	subs  []span
-}
-
+// span is the range lo:hi in slot form.
 type span struct{ lo, hi slotAff }
 
 // number resolves the schedule's reads by name to slots: the parameter
 // binding Reset copies, every loop's variable, bounds and strip loop,
-// every statement's nest variables and top-level ON_HOME subscripts,
-// and every procedure's formals.  The slot forms of one schedule are
-// carved from one block per kind.
+// every statement's nest variables, and every procedure's formals.  The
+// slot forms of one schedule are carved from one block per kind.
 func (s *Schedule) number(params map[string]int) {
-	nInts, nTerms, nHomes, nSpans := 0, 0, 0, 0
+	nInts, nTerms := 0, 0
 	for proc, ps := range s.procs {
 		nInts += len(proc.Formals)
 		for _, ls := range ps.own {
 			nTerms += len(ls.loop.Lo.Terms) + len(ls.loop.Hi.Terms)
 		}
-		for id, nest := range ps.Nest {
+		for _, nest := range ps.Nest {
 			nInts += len(nest)
-			if len(nest) > 0 {
-				continue
-			}
-			for _, t := range s.homeTerms(id) {
-				nHomes++
-				nSpans += len(t.Subs)
-				for _, h := range t.Subs {
-					nTerms += len(h.Lo.Terms) + len(h.Hi.Terms) + len(h.Off.Terms) + 1
-				}
-			}
 		}
 	}
 	r := carver{
 		s:     s,
 		ints:  make([]int, len(s.names)+nInts),
 		terms: make([]slotTerm, 0, nTerms),
-		homes: make([]homeTerm, nHomes),
-		spans: make([]span, nSpans),
 	}
 	s.params = binding{vals: r.take(len(s.names)), bound: make([]bool, len(s.names))}
 	s.fixed = make([]bool, len(s.names))
@@ -136,12 +116,6 @@ func (s *Schedule) number(params map[string]int) {
 				vars[k] = s.Slot(l.Var)
 			}
 			s.nestSlots[id] = vars
-			if terms := s.homeTerms(id); len(nest) == 0 && len(terms) > 0 {
-				if s.homes == nil {
-					s.homes = map[int][]homeTerm{}
-				}
-				s.homes[id] = r.onHome(terms)
-			}
 		}
 	}
 }
@@ -151,8 +125,6 @@ type carver struct {
 	s     *Schedule
 	ints  []int
 	terms []slotTerm
-	homes []homeTerm
-	spans []span
 }
 
 func (r *carver) take(n int) []int {
@@ -175,26 +147,13 @@ func (r *carver) aff(a ir.AffExpr, v string, coef int) slotAff {
 	return slotAff{c: a.Const, terms: r.terms[from:len(r.terms):len(r.terms)]}
 }
 
-// homeTerms returns the ON_HOME terms of statement id's CP, none when it
-// is replicated.
-func (s *Schedule) homeTerms(id int) []cp.Term {
+// termsOf returns the ON_HOME terms of statement id's CP, none when it is
+// replicated.
+func (s *Schedule) termsOf(id int) []cp.Term {
 	if c := s.Sel.CPs[id]; c != nil {
 		return c.Terms
 	}
 	return nil
-}
-
-func (r *carver) onHome(terms []cp.Term) []homeTerm {
-	out := r.homes[:len(terms):len(terms)]
-	r.homes = r.homes[len(terms):]
-	for i, t := range terms {
-		out[i] = homeTerm{array: t.Array, subs: r.spans[:len(t.Subs):len(t.Subs)]}
-		r.spans = r.spans[len(t.Subs):]
-		for k, h := range t.Subs {
-			out[i].subs[k] = r.span(h)
-		}
-	}
-	return out
 }
 
 // span resolves an ON_HOME subscript to the range it spans, a point v as

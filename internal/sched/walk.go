@@ -234,7 +234,7 @@ func (w *Walker) stmts(f *Frame, stmts []ir.Stmt, depth int) {
 		case *ir.Assign:
 			w.assign(f, st, depth)
 		case *ir.CallStmt:
-			if w.member(f, st.ID, depth) {
+			if w.member(f, st.ID) {
 				w.call(st)
 			}
 		case *ir.Loop:
@@ -269,11 +269,9 @@ func Compare(op string, l, r float64) bool {
 }
 
 // member reports whether this rank executes the statement at the current
-// loop point.
-func (w *Walker) member(f *Frame, id, depth int) bool {
-	if depth == 0 {
-		return w.ownsTopLevel(f.Proc, id)
-	}
+// loop point: the point of its nest variables, none outside every loop,
+// is in its iteration set.
+func (w *Walker) member(f *Frame, id int) bool {
 	pt := w.point[:0]
 	for _, v := range w.S.nestSlots[id] {
 		pt = append(pt, w.b.vals[v])
@@ -282,37 +280,9 @@ func (w *Walker) member(f *Frame, id, depth int) bool {
 	return f.Iters[id].Contains(pt)
 }
 
-// ownsTopLevel guards a statement outside any loop: the rank executes it
-// when the CP is replicated or when it owns the data of some ON_HOME term
-// (subscripts are loop-invariant at depth 0).
-func (w *Walker) ownsTopLevel(proc *ir.Procedure, id int) bool {
-	homes := w.S.homes[id]
-	if len(homes) == 0 {
-		return true
-	}
-	for _, t := range homes {
-		layout := w.S.Ctx.Layout(proc, t.array)
-		if layout == nil {
-			return true
-		}
-		local := layout.LocalBox(w.Me)
-		owns := true
-		for k, sp := range t.subs {
-			if max(sp.lo.eval(w.b.vals), local.Lo[k]) > min(sp.hi.eval(w.b.vals), local.Hi[k]) {
-				owns = false
-				break
-			}
-		}
-		if owns {
-			return true
-		}
-	}
-	return false
-}
-
 func (w *Walker) assign(f *Frame, a *ir.Assign, depth int) {
 	if depth > 0 {
-		if w.member(f, a.ID, depth) {
+		if w.member(f, a.ID) {
 			w.ops.Assign(a)
 		}
 		return
@@ -320,7 +290,7 @@ func (w *Walker) assign(f *Frame, a *ir.Assign, depth int) {
 	// Top-level statement: its comm events fire around it.
 	ss := f.Top[a]
 	w.fire(&ss.Reads, 0)
-	if w.member(f, a.ID, 0) {
+	if w.member(f, a.ID) {
 		w.ops.Assign(a)
 	}
 	w.fire(&ss.Writes, 0)

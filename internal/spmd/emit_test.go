@@ -41,6 +41,47 @@ subroutine main()
 end
 `
 
+// probeSrc is a statement outside every loop, after one, whose ON_HOME
+// term rank 0 owns and whose read rank 3 owns.
+const probeSrc = `
+program probe
+param N = 16
+!hpf$ processors procs(4)
+!hpf$ distribute a(BLOCK) onto procs
+!hpf$ distribute b(BLOCK) onto procs
+
+subroutine main()
+  real a(0:N-1)
+  real b(0:N-1)
+  do i = 0, N-1
+    b(i) = i * 2.0 + 1.0
+  enddo
+  a(1) = b(14) + 2.0
+end
+`
+
+// TestEmitTopLevelComm: the communication around a statement outside
+// every loop is printed before and after it, as at a loop: rank 3 sends
+// b(14) to rank 0, the one rank that runs the statement, and ranks 1 and
+// 2 have nothing to do.
+func TestEmitTopLevelComm(t *testing.T) {
+	prog, err := CompileSource(probeSrc, nil, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const event = "  ! read comm for b(14) (stmt 3)"
+	for rank, want := range []string{
+		event + ", vectorized at this level:\n  call mpi_irecv(b[14] <- rank 3, 8 bytes)\n  a(1) = (b(14) + 2)\n",
+		event + ": nothing for this rank\n  a(1) = (b(14) + 2)\n",
+		event + ": nothing for this rank\n  a(1) = (b(14) + 2)\n",
+		event + ", vectorized at this level:\n  call mpi_isend(b[14] -> rank 0, 8 bytes)\n  a(1) = (b(14) + 2)\n",
+	} {
+		if out := prog.EmitNodeProgram(rank); !strings.Contains(out, want) {
+			t.Errorf("rank %d: node program lacks\n%s\n%s", rank, want, out)
+		}
+	}
+}
+
 func TestEmitNodeProgram(t *testing.T) {
 	prog, err := CompileSource(emitSrc, nil, DefaultOptions())
 	if err != nil {

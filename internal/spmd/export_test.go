@@ -19,6 +19,9 @@ var HoistRows = hoistRows
 // FreshFrameSrc is freshFrameSrc, for the external tests of this package.
 const FreshFrameSrc = freshFrameSrc
 
+// ProbeSrc is probeSrc, for the external tests of this package.
+const ProbeSrc = probeSrc
+
 // relower lowers each kernel unit of prog again and returns the builders.
 func relower(prog *Program) []*kevalBuilder {
 	var bs []*kevalBuilder

@@ -186,11 +186,51 @@ subroutine main()
   enddo
 end
 `, true},
+	// a(1) = b(14) + 2.0 after a loop: only rank 0 runs it, so only rank
+	// 0 receives b(14), from rank 3.
+	{"top-level", spmd.ProbeSrc, false},
+	// y(3, c) outside every loop of the callee, c a formal: rank 0 runs
+	// it at each of the K calls and receives x(4, c) from rank 1.  The
+	// read is not fixed.
+	{"top-level-formal", `
+program toplevelformal
+param N = 16
+param K = 4
+!hpf$ processors procs(4)
+!hpf$ distribute a(BLOCK, *) onto procs
+!hpf$ distribute b(BLOCK, *) onto procs
+
+subroutine put(x, y, c)
+  real x(0:N-1, 0:K-1)
+  real y(0:N-1, 0:K-1)
+  do i = 0, N-1
+    y(i, c) = 2.0 * x(i, c)
+  enddo
+  y(3, c) = x(4, c) + 1.0
+end
+
+subroutine main()
+  real a(0:N-1, 0:K-1)
+  real b(0:N-1, 0:K-1)
+  do j = 0, K-1
+    do i = 0, N-1
+      a(i, j) = 1.0 + i + 0.5 * j
+    enddo
+  enddo
+  do k = 0, K-1
+    call put(a, b, k)
+  enddo
+end
+`, true},
 }
+
+// formRowSent is what some formRows send on mp: messages and bytes.
+var formRowSent = map[string][2]int64{"top-level": {1, 8}, "top-level-formal": {4, 32}}
 
 // TestFormRowsArePlans: formRows agree with the serial run, and with
 // CheckForms on every plan is Plan's, at grains 1 and 3 on mp and shm;
-// the rows with a firing that is not fixed plan it with Plan.
+// the rows with a firing that is not fixed plan it with Plan, and the
+// rows formRowSent names send on mp what it says.
 func TestFormRowsArePlans(t *testing.T) {
 	for _, row := range formRows {
 		ref, err := spmd.RunSerial(parser.MustParse(row.src), nil)
@@ -206,6 +246,10 @@ func TestFormRowsArePlans(t *testing.T) {
 				}
 				if _, err := res.AgreesWithSerial(ref, 0); err != nil {
 					t.Errorf("%s/%s/g%d: %v", row.name, backend, grain, err)
+				}
+				m := res.Machine
+				if want, ok := formRowSent[row.name]; ok && backend == "mp" && [2]int64{m.TotalMessages(), m.TotalBytes()} != want {
+					t.Errorf("%s/%s/g%d: sent %d messages of %d B; want %d of %d", row.name, backend, grain, m.TotalMessages(), m.TotalBytes(), want[0], want[1])
 				}
 			}
 		}
