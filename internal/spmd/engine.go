@@ -101,14 +101,10 @@ type enginePlan struct {
 	nativeOnce sync.Once
 	scratch    kernelScratch
 	declined   int // compute nests no unit was cut from
-	// How prechecks use whole-box proofs, and how many invocations
-	// boxProofCheck cross-checked; whether each precheck is repeated
-	// from an activation state built afresh (recheck), and how many were:
-	// all for tests (export_test.go).
-	boxProof   boxProofMode
-	boxChecked atomic.Int64
-	recheck    bool
-	rechecked  atomic.Int64
+	// Whether each precheck is repeated from an activation state built
+	// afresh (recheck), and how many were: for tests (export_test.go).
+	recheck   bool
+	rechecked atomic.Int64
 }
 
 // procPlan is one procedure's slot, guard and clamp tables.

@@ -18,19 +18,13 @@ import (
 	"dhpf/internal/iset"
 )
 
-type guardKind uint8
-
-const (
-	guardNever guardKind = iota // empty iteration set: never executes
-	guardBox                    // single box: lo/hi
-	guardSet                    // general set: its boxes
-)
-
-// stmtGuard is one statement's per-frame membership test.
+// stmtGuard is one statement's per-frame membership test: the boxes of
+// its iteration set, shared with the set and only ever read (none: it
+// never executes), and whether their rank differs from the statement's
+// nest (badRank: the precheck then bails).
 type stmtGuard struct {
-	kind   guardKind
-	lo, hi []int
-	set    iset.Set
+	boxes   []iset.Box
+	badRank bool
 }
 
 // clampRange is a conservative [lo, hi] window covering every iteration
@@ -57,44 +51,27 @@ func buildGuards(f *frame, pp *procPlan) {
 	f.guards = slices.Grow(f.guards[:0], len(pp.guardStmts))[:len(pp.guardStmts)]
 	for i, gs := range pp.guardStmts {
 		s := f.iters[gs.id]
-		switch bs := s.SharedBoxes(); {
-		case s.IsEmpty():
-			f.guards[i] = stmtGuard{kind: guardNever}
-		case len(bs) == 1 && bs[0].Rank() == len(gs.nestSlots):
-			// The set's own box, shared and only ever read.
-			f.guards[i] = stmtGuard{kind: guardBox, lo: bs[0].Lo, hi: bs[0].Hi}
-		default:
-			// Multi-box set, or a rank mismatch against the nest (the
-			// precheck then bails).
-			f.guards[i] = stmtGuard{kind: guardSet, set: s}
-		}
+		f.guards[i] = stmtGuard{boxes: s.SharedBoxes(), badRank: !s.IsEmpty() && s.Rank() != len(gs.nestSlots)}
 	}
 
+	// No boxes contribute nothing; one box of the right rank clamps to its
+	// dimension; anything else has no cheap bound and disables the clamp.
 	f.clamps = slices.Grow(f.clamps[:0], len(pp.clamps))[:len(pp.clamps)]
 	for i, cs := range pp.clamps {
 		c := clampRange{lo: 0, hi: -1} // all members empty: run nothing
 		for _, gi := range cs.members {
 			g := &f.guards[gi]
-			switch g.kind {
-			case guardNever:
-				// contributes no iterations
-			case guardBox:
-				if cs.pos < len(g.lo) {
-					if c.lo > c.hi {
-						c = clampRange{lo: g.lo[cs.pos], hi: g.hi[cs.pos]}
-					} else {
-						c.lo = min(c.lo, g.lo[cs.pos])
-						c.hi = max(c.hi, g.hi[cs.pos])
-					}
-				} else {
-					c = clampRange{lo: math.MinInt, hi: math.MaxInt}
-				}
-			default:
-				// General set: no cheap bound — disable the clamp.
-				c = clampRange{lo: math.MinInt, hi: math.MaxInt}
+			if len(g.boxes) == 0 {
+				continue
 			}
-			if c.lo == math.MinInt && c.hi == math.MaxInt {
+			if len(g.boxes) > 1 || g.badRank || cs.pos >= g.boxes[0].Rank() {
+				c = clampRange{lo: math.MinInt, hi: math.MaxInt}
 				break
+			}
+			if b := g.boxes[0]; c.lo > c.hi {
+				c = clampRange{lo: b.Lo[cs.pos], hi: b.Hi[cs.pos]}
+			} else {
+				c.lo, c.hi = min(c.lo, b.Lo[cs.pos]), max(c.hi, b.Hi[cs.pos])
 			}
 		}
 		f.clamps[i] = c

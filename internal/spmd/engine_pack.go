@@ -8,31 +8,36 @@ package spmd
 // copies.  The element order is exactly iset.Set.Each's canonical order
 // (sorted boxes, lexicographic within a box, last dimension fastest), so
 // sender and receiver agree and payload contents stay byte-identical to
-// the element-wise interpreter path.  Boxes that cannot be row-copied (rank
-// mismatch with the array, out-of-bounds points, zero rank) fall back to
-// the element-wise walk, preserving the interpreter's panics exactly.
+// an element-wise walk of the boxes.  An empty box moves nothing, and any
+// other box must be row-copyable (hasRows).
 
-import "dhpf/internal/iset"
+import (
+	"fmt"
 
-// rowCopyable reports whether the box can be transferred with direct row
-// copies on arr: non-empty (a plan's boxes always are; the local box of a
-// rank past the end of a short array is not), every point in bounds and
-// the last dimension unit-stride (always true for newArray storage,
-// checked for robustness).
-func rowCopyable(b iset.Box, arr *array) bool {
-	r := b.Rank()
-	if arr == nil || r == 0 || len(arr.lo) != r || arr.stride[r-1] != 1 {
+	"dhpf/internal/iset"
+)
+
+// hasRows reports whether box b of arr has rows to move: false for an
+// empty box (a plan's boxes never are; the local box of a rank past the
+// end of a short array is).  Any other box must have arr's rank, lie
+// inside it and meet a unit-stride last dimension (newArray's storage
+// always does), or the rank panics naming the array and the box.
+func hasRows(b iset.Box, arr *array) bool {
+	if b.Empty() {
 		return false
 	}
-	for k := 0; k < r; k++ {
-		if b.Lo[k] < arr.lo[k] || b.Hi[k] > arr.hi[k] || b.Lo[k] > b.Hi[k] {
-			return false
-		}
+	r := b.Rank()
+	ok := r > 0 && len(arr.lo) == r && arr.stride[r-1] == 1
+	for k := 0; ok && k < r; k++ {
+		ok = b.Lo[k] >= arr.lo[k] && b.Hi[k] <= arr.hi[k]
+	}
+	if !ok {
+		panic(fmt.Sprintf("spmd: box %v of array %s cannot be moved by rows", b, arr.name))
 	}
 	return true
 }
 
-// rowWalk steps through the last-dimension rows of a row-copyable box in
+// rowWalk steps through the last-dimension rows of a non-empty box in
 // iset.Box.Each's order: the one box odometer under pack, unpack and pull.
 // The odometer's point lives in the walker value, so a walk allocates
 // nothing; only a box of rank above len(small) keeps it on the heap.
@@ -87,11 +92,7 @@ func (rw *rowWalk) row(arr *array) []float64 {
 // returns the extended buffer.
 func packPayload(buf []float64, arr *array, boxes []iset.Box) []float64 {
 	for _, b := range boxes {
-		if !rowCopyable(b, arr) {
-			b.Each(func(p []int) bool {
-				buf = append(buf, arr.get(p))
-				return true
-			})
+		if !hasRows(b, arr) {
 			continue
 		}
 		for rw := walkRows(b); rw.more; rw.next() {
@@ -106,12 +107,7 @@ func packPayload(buf []float64, arr *array, boxes []iset.Box) []float64 {
 func unpackPayload(data []float64, arr *array, boxes []iset.Box) {
 	j := 0
 	for _, b := range boxes {
-		if !rowCopyable(b, arr) {
-			b.Each(func(p []int) bool {
-				arr.set(p, data[j])
-				j++
-				return true
-			})
+		if !hasRows(b, arr) {
 			continue
 		}
 		for rw := walkRows(b); rw.more; rw.next() {
@@ -124,16 +120,10 @@ func unpackPayload(data []float64, arr *array, boxes []iset.Box) {
 // array to array: the shared-memory replacement for packPayload +
 // unpackPayload with no staging buffer in between.  dst and src are the
 // two ranks' private copies of the same declaration, so they share
-// geometry; offsets are still computed per array for robustness, and
-// boxes that cannot be row-copied on both fall back to the element-wise
-// walk with the interpreter's exact bounds panics.
+// geometry; offsets are still computed, and boxes checked, per array.
 func pullPayload(dst, src *array, boxes []iset.Box) {
 	for _, b := range boxes {
-		if !rowCopyable(b, dst) || !rowCopyable(b, src) {
-			b.Each(func(p []int) bool {
-				dst.set(p, src.get(p))
-				return true
-			})
+		if !hasRows(b, dst) || !hasRows(b, src) {
 			continue
 		}
 		for rw := walkRows(b); rw.more; rw.next() {
@@ -145,11 +135,7 @@ func pullPayload(dst, src *array, boxes []iset.Box) {
 // clearBoxes zeroes the boxes' elements of arr.
 func clearBoxes(arr *array, boxes []iset.Box) {
 	for _, b := range boxes {
-		if !rowCopyable(b, arr) {
-			b.Each(func(p []int) bool {
-				arr.set(p, 0)
-				return true
-			})
+		if !hasRows(b, arr) {
 			continue
 		}
 		for rw := walkRows(b); rw.more; rw.next() {

@@ -355,13 +355,13 @@ type frame struct {
 	// Compiled-engine state, rebuilt in place on the activation's first
 	// unit invocation (bound; never under the interpreter): array slots,
 	// the guards and clamps derived from iters (engine_bounds.go), and per
-	// unit statement which of its guard boxes the precheck has tried to
-	// prove whole, and proven (kernel_invoke.go).
+	// unit statement a bit per guard box the precheck has proven whole
+	// (kernel_invoke.go, proveBox).
 	bound  bool
 	aslots []*array
 	guards []stmtGuard
 	clamps []clampRange
-	proofs []boxProof
+	proofs []uint8
 	// What the precheck found at a unit's first invocation in the
 	// activation (kernel_invoke.go): per unit of the procedure, per level,
 	// array and outer dimension of its units (KernelUnit.pidx, lvBase,
@@ -414,23 +414,21 @@ type rankExec struct {
 	// Compiled-engine state (nil/zero under the interpreter): plan holds
 	// the kernel units and native the execution's binding of each to a
 	// registered kernel (nil: its evaluator); env holds the slots of the
-	// unit being run; kb/khull/knarrow/kbox and kenv are invocation scratch
+	// unit being run; kb/kreach/kbox and kenv are invocation scratch
 	// (kernel_invoke.go, kernel_eval.go), sized once for the largest unit
 	// and never shared across ranks; walked and kstats count this rank's
 	// interpreted statement instances, invocations and bails, merged into
 	// ExecResult after the join.
-	plan    *enginePlan
-	native  []KernelFunc
-	env     engineEnv
-	walked  int64
-	kb      []int
-	kreach  []int // per loop level: lo, hi of the guard boxes packed beneath it
-	khull   []kiv
-	knarrow []kiv
-	kbox    []kiv // per guard-box dimension, for the box proof
-	kenv    kenv
-	kstats  KernelStats
-	setBuf  [64]bool // env.intSet and env.fset of a program with no more names than this
+	plan   *enginePlan
+	native []KernelFunc
+	env    engineEnv
+	walked int64
+	kb     []int
+	kreach []int // per loop level: lo, hi of the guard boxes packed beneath it
+	kbox   []kiv // per guard-box dimension, for the box proof
+	kenv   kenv
+	kstats KernelStats
+	setBuf [64]bool // env.intSet and env.fset of a program with no more names than this
 }
 
 func newRankExec(s *sched.Schedule, rk *mpsim.Rank, th *shm.Thread, plan *enginePlan, native []KernelFunc) *rankExec {
@@ -464,9 +462,7 @@ func newRankExec(s *sched.Schedule, rk *mpsim.Rank, th *shm.Thread, plan *engine
 			ints: cut(nInts), intSet: set[:nInts:nInts],
 			floats: make([]float64, plan.nFloats), fset: set[nInts : nInts+plan.nFloats],
 		}
-		rx.kb, rx.kreach = cut(sc.bounds), cut(2*sc.levels)
-		hulls := make([]kiv, 2*sc.levels+sc.dims)
-		rx.khull, rx.knarrow, rx.kbox = hulls[:sc.levels], hulls[sc.levels:2*sc.levels], hulls[2*sc.levels:]
+		rx.kb, rx.kreach, rx.kbox = cut(sc.bounds), cut(2*sc.levels), make([]kiv, sc.dims)
 		rx.kenv = kenv{loc: cut(el), off: cut(sc.offs), msk: cut(sc.masks), ent: cut(5 * el), rng: cut(4 * sc.assigns),
 			cell: make([]kcell, sc.cells), ints: rx.env.ints, intSet: rx.env.intSet, floats: rx.env.floats, fset: rx.env.fset}
 		ops = nestOps{rx}

@@ -68,26 +68,6 @@ func BailAlways(prog *Program) (restore func()) {
 	return flip
 }
 
-// NoBoxProofs makes every precheck of prog prove each guard box for the
-// invocation alone, as if there were no once-per-activation box proof,
-// until the returned function turns it back on.
-func NoBoxProofs(prog *Program) (restore func()) {
-	ep := prog.enginePlanFor()
-	ep.boxProof = boxProofOff
-	return func() { ep.boxProof = boxProofOn }
-}
-
-// CheckBoxProofs makes every precheck of prog that packs a guard box
-// proven whole prove the box for the invocation as well; where that
-// proof fails the rank panics, so the execution fails.  checked counts
-// the invocations cross-checked so far; restore turns the check off.
-func CheckBoxProofs(prog *Program) (checked func() int64, restore func()) {
-	ep := prog.enginePlanFor()
-	ep.boxProof = boxProofCheck
-	ep.boxChecked.Store(0)
-	return ep.boxChecked.Load, func() { ep.boxProof = boxProofOn }
-}
-
 // CheckPrechecks makes every precheck of prog repeat itself from the
 // unit's activation state found afresh, as at the activation's first
 // invocation; where the two pack different bounds or bail for different

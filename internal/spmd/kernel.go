@@ -210,10 +210,6 @@ type KLoop struct {
 	ClampIdx int // frame clamp index, -1 when not clampable
 	WinIdx   int // bounds[] index of this level's window pair
 	Body     []KStmt
-
-	// fixed says Lo and Hi read only slots fixed for an activation, so
-	// the precheck takes their hull once per activation (levelAct).
-	fixed bool
 }
 
 // KAssign is one guarded assignment.  Its guard is a union of boxes over
@@ -243,8 +239,9 @@ type KAssign struct {
 	// ord numbers the statement among the unit statements of its procedure
 	// (the frame's proof bits, kernel_invoke.go); boxRefs is Refs over the
 	// statement's guard box — a kernel level reads box dimension
-	// RootDepth+d, an outer-nest slot its dimension k — or nil when a
-	// subscript reads a slot that may change within an activation.
+	// RootDepth+d, an outer-nest slot its dimension k — or nil, and every
+	// precheck packing a box of it bails, when a subscript reads a slot
+	// that may change within an activation.
 	ord     int
 	boxRefs []KRefCheck
 }

@@ -210,24 +210,12 @@ func (x *kextract) loop(l *ir.Loop) *KLoop {
 		ClampIdx: clamp,
 		WinIdx:   x.nBounds,
 	}
-	kl.fixed = x.fixedAff(kl.Lo) && x.fixedAff(kl.Hi)
 	x.nLevels++
 	x.nBounds += 2
 	x.scope = append(x.scope, kscopeEntry{name: l.Var, level: kl.Level})
 	kl.Body = x.stmts(l.Body)
 	x.scope = x.scope[:len(x.scope)-1]
 	return kl
-}
-
-// fixedAff reports whether a reads only slots that hold one value
-// throughout an activation: no kernel level, no loop variable.
-func (x *kextract) fixedAff(a KAff) bool {
-	for _, t := range a.Terms {
-		if t.Local || !x.fixed(x.u.SlotNames[t.Slot]) {
-			return false
-		}
-	}
-	return true
 }
 
 func (x *kextract) stmts(body []ir.Stmt) []KStmt {

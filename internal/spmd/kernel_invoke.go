@@ -6,20 +6,18 @@ package spmd
 // root loop for one invocation, the precheck interprets the unit spec
 // against the live frame — array geometry must equal the spec constants,
 // every guard's boxes must fit the capacity the unit reserved, and
-// saturating interval analysis must prove every array access in bounds,
-// because neither back end carries bounds checks.  The precheck is split
-// by what changes: the array geometry, each loop's clamp and the hull of
-// bounds that read only activation-fixed slots are found at the unit's
-// first invocation in the activation (unitAct, levelAct), with the hull
-// of the guard boxes' outer dimensions; the bounds proof runs once per
-// activation and guard box, over the whole box; an invocation packs its
-// strip window, clamps and outer-point guard test — nothing but an empty
-// root window when its point misses the hull — and proves over the value
-// hulls narrowed to a box only where the whole-box proof fails.
-// Any doubt bails before anything is written, and a bail is a decline:
-// the walker interprets that invocation, the reference semantics itself,
-// so a bail is a performance event, never a correctness one — and a
-// counted one (KernelStats), so it cannot be a silent one.
+// saturating interval analysis must prove every array access in bounds
+// over each packed guard box, because neither back end carries bounds
+// checks.  The array geometry, each loop's clamp and the hull of the guard
+// boxes' outer dimensions are found at the unit's first invocation in the
+// activation (unitAct, levelAct); a box is proven whole, and once proven
+// stays so for the activation; an invocation packs its strip window,
+// clamps and outer-point guard test — nothing but an empty root window
+// when its point misses the hull.  Any doubt bails before anything is
+// written, and a bail is a decline: the walker interprets that
+// invocation, the reference semantics itself, so a bail is a performance
+// event, never a correctness one — and a counted one (KernelStats), so it
+// cannot be a silent one.
 
 import (
 	"fmt"
@@ -27,6 +25,8 @@ import (
 	"slices"
 	"strings"
 	"sync/atomic"
+
+	"dhpf/internal/iset"
 )
 
 // KernelBail names why a precheck declined one invocation to the walker.
@@ -195,9 +195,9 @@ func satMul(a, b int64) (int64, bool) {
 }
 
 // affIv evaluates an affine form to an interval: slot terms are exact
-// (slots are invariant during a kernel invocation), local terms range
-// over the enclosing loop's value hull.
-func affIv(a KAff, ints []int, hull []kiv) kiv {
+// (slots are invariant during a kernel invocation), a local term ranges
+// over iv at its level.
+func affIv(a KAff, ints []int, iv []kiv) kiv {
 	out := kiv{lo: int64(a.Const), hi: int64(a.Const)}
 	for _, t := range a.Terms {
 		var lo, hi int64
@@ -206,7 +206,7 @@ func affIv(a KAff, ints []int, hull []kiv) kiv {
 			v, s := satMul(int64(t.Coef), int64(ints[t.Slot]))
 			lo, hi, s1, s2 = v, v, s, s
 		} else {
-			h := hull[t.Level]
+			h := iv[t.Level]
 			out.sat = out.sat || h.sat
 			lo, s1 = satMul(int64(t.Coef), h.lo)
 			hi, s2 = satMul(int64(t.Coef), h.hi)
@@ -222,15 +222,15 @@ func affIv(a KAff, ints []int, hull []kiv) kiv {
 	return out
 }
 
-func subIv(s KSub, ints []int, hull []kiv) kiv {
-	out := affIv(s.Off, ints, hull)
+func subIv(s KSub, ints []int, iv []kiv) kiv {
+	out := affIv(s.Off, ints, iv)
 	if !s.HasVar {
 		return out
 	}
 	var lo, hi int64
 	var s1, s2 bool
 	if s.VarLocal {
-		h := hull[s.Level]
+		h := iv[s.Level]
 		out.sat = out.sat || h.sat
 		lo, s1 = satMul(int64(s.Coef), h.lo)
 		hi, s2 = satMul(int64(s.Coef), h.hi)
@@ -272,7 +272,7 @@ func (rx *rankExec) runUnit(ui int) bool {
 		e.ints[v.slot], e.intSet[v.slot] = rx.Value(v.walk)
 	}
 	if !f.units[u.pidx].ready {
-		rx.bindUnit(u, f)
+		bindUnit(u, f)
 	}
 	kb := rx.kb[:u.NumBounds]
 	var bails [numKernelBails]int64
@@ -391,19 +391,16 @@ type unitAct struct{ ready, geom, shared, idle, boxes bool }
 
 // levelAct is one loop level's part of it: the frame's clamp window
 // (math.MinInt, math.MaxInt: none), or that the frame carries none for a
-// clampable loop (noClamp); and for a level of fixed bounds, their value
-// hull within the clamp.
+// clampable loop (noClamp).
 type levelAct struct {
 	lo, hi  int
 	noClamp bool
-	hull    kiv
 }
 
 // bindUnit finds u's activation state in f: the geometry of its arrays,
-// and per loop level its clamp and, where the bounds are fixed, their
-// hull — from the frame's array slots and clamps and the integers just
-// loaded, of which the fixed ones hold for the whole activation.
-func (rx *rankExec) bindUnit(u *KernelUnit, f *frame) {
+// per loop level its clamp, and the hull of its guard boxes' outer
+// dimensions — from the frame's array slots, clamps and guards.
+func bindUnit(u *KernelUnit, f *frame) {
 	ua, ka := &f.units[u.pidx], f.kas[u.kaBase:u.kaBase+len(u.Arrays)]
 	*ua = unitAct{ready: true, geom: true}
 	for i := range u.Arrays {
@@ -425,10 +422,10 @@ func (rx *rankExec) bindUnit(u *KernelUnit, f *frame) {
 		hull[k], hull[u.RootDepth+k] = math.MaxInt, math.MinInt
 	}
 	ua.idle = true
-	rx.bindLoop(u, f, u.Root)
+	bindLoop(u, f, u.Root)
 }
 
-func (rx *rankExec) bindLoop(u *KernelUnit, f *frame, kl *KLoop) {
+func bindLoop(u *KernelUnit, f *frame, kl *KLoop) {
 	la := &f.lvls[u.lvBase+kl.Level]
 	*la = levelAct{lo: math.MinInt, hi: math.MaxInt}
 	if kl.ClampIdx >= len(f.clamps) {
@@ -436,54 +433,35 @@ func (rx *rankExec) bindLoop(u *KernelUnit, f *frame, kl *KLoop) {
 	} else if kl.ClampIdx >= 0 {
 		la.lo, la.hi = f.clamps[kl.ClampIdx].lo, f.clamps[kl.ClampIdx].hi
 	}
-	if kl.fixed {
-		la.hull = loopHull(kl, affIv(kl.Lo, rx.env.ints, nil), affIv(kl.Hi, rx.env.ints, nil), la.lo, la.hi)
-	}
-	rx.bindStmts(u, f, kl.Body)
+	bindStmts(u, f, kl.Body)
 }
 
-func (rx *rankExec) bindStmts(u *KernelUnit, f *frame, body []KStmt) {
+func bindStmts(u *KernelUnit, f *frame, body []KStmt) {
 	for _, s := range body {
 		switch st := s.(type) {
 		case *KLoop:
-			rx.bindLoop(u, f, st)
+			bindLoop(u, f, st)
 		case *KIf:
-			rx.bindStmts(u, f, st.Then)
-			rx.bindStmts(u, f, st.Els)
+			bindStmts(u, f, st.Then)
+			bindStmts(u, f, st.Els)
 		case *KAssign:
-			rx.bindGuard(u, f, st)
+			bindGuard(u, f, st)
 		}
 	}
 }
 
 // bindGuard widens u's outer hull by st's guard boxes, or leaves the
 // unit never idle when the guard makes the precheck bail.
-func (rx *rankExec) bindGuard(u *KernelUnit, f *frame, st *KAssign) {
+func bindGuard(u *KernelUnit, f *frame, st *KAssign) {
 	ua, hull, d := &f.units[u.pidx], f.outer[u.outBase:u.outBase+2*u.RootDepth], u.RootDepth
-	if st.GuardIdx >= len(f.guards) {
+	if st.GuardIdx >= len(f.guards) || f.guards[st.GuardIdx].badRank {
 		ua.idle = false
 		return
 	}
-	widen := func(lo, hi []int) {
+	for _, b := range f.guards[st.GuardIdx].boxes {
 		ua.boxes = true
 		for k := range d {
-			hull[k], hull[d+k] = min(hull[k], lo[k]), max(hull[d+k], hi[k])
-		}
-	}
-	switch g := &f.guards[st.GuardIdx]; g.kind {
-	case guardBox:
-		if len(g.lo) != len(st.NestSlots) {
-			ua.idle = false
-			return
-		}
-		widen(g.lo, g.hi)
-	case guardSet:
-		if g.set.Rank() != len(st.NestSlots) {
-			ua.idle = false
-			return
-		}
-		for _, b := range g.set.SharedBoxes() {
-			widen(b.Lo, b.Hi)
+			hull[k], hull[d+k] = min(hull[k], b.Lo[k]), max(hull[d+k], b.Hi[k])
 		}
 	}
 }
@@ -508,7 +486,7 @@ func (rx *rankExec) precheck(u *KernelUnit, f *frame, kb []int) bool {
 			return true
 		}
 	}
-	return rx.prepKLoop(u, u.Root, f, kb, rx.khull[:u.NumLevels])
+	return rx.prepKLoop(u, u.Root, f, kb)
 }
 
 // recheck repeats the precheck that packed kb, with result ok, from u's
@@ -519,7 +497,7 @@ func (rx *rankExec) precheck(u *KernelUnit, f *frame, kb []int) bool {
 func (rx *rankExec) recheck(u *KernelUnit, f *frame, kb []int, ok bool, before [numKernelBails]int64) {
 	rx.plan.rechecked.Add(1)
 	after, want := rx.kstats.Bails, slices.Clone(kb)
-	rx.bindUnit(u, f)
+	bindUnit(u, f)
 	again := rx.precheck(u, f, kb)
 	fresh := rx.kstats.Bails
 	rx.kstats.Bails = after
@@ -533,78 +511,43 @@ func (rx *rankExec) recheck(u *KernelUnit, f *frame, kb []int, ok bool, before [
 	}
 }
 
-// loopHull is the value hull of loop kl whose bounds range over loI and
-// hiI, within the window wLo..wHi.
-func loopHull(kl *KLoop, loI, hiI kiv, wLo, wHi int) kiv {
-	h := kiv{sat: loI.sat || hiI.sat}
-	if kl.Step > 0 {
-		h.lo, h.hi = maxI64(loI.lo, int64(wLo)), minI64(hiI.hi, int64(wHi))
-	} else {
-		h.lo, h.hi = maxI64(hiI.lo, int64(wLo)), minI64(loI.hi, int64(wHi))
-	}
-	return h
-}
-
-// prepKLoop packs one loop level's window into bounds[] and extends the
-// value-hull analysis downward: the walker's strip clamp, then the
-// frame's clamp.  The packed window is narrowed once more, to
+// prepKLoop packs one loop level's window into bounds[]: the frame's
+// clamp (levelAct), then the walker's strip clamp, narrowed once more to
 // the reach of the guard boxes packed beneath the level: on an iteration
 // outside it every statement below is guarded out, and kernel units hold
 // nothing else an iteration could show (conditions read no array), so
 // both back ends skip it whole instead of failing guards point by point.
-// The clamp, and the hull of fixed bounds, are the activation's
-// (levelAct); only the strip narrows them here.
-func (rx *rankExec) prepKLoop(u *KernelUnit, kl *KLoop, f *frame, kb []int, hull []kiv) bool {
+func (rx *rankExec) prepKLoop(u *KernelUnit, kl *KLoop, f *frame, kb []int) bool {
 	la := &f.lvls[u.lvBase+kl.Level]
 	if la.noClamp {
 		return rx.bail(BailClamp)
 	}
 	wLo, wHi := la.lo, la.hi
-	strip := rx.Strip != nil && rx.Strip.Var == kl.Var
-	if strip {
+	if rx.Strip != nil && rx.Strip.Var == kl.Var {
 		wLo, wHi = max(wLo, rx.Strip.Lo), min(wHi, rx.Strip.Hi)
-	}
-	kb[kl.WinIdx], kb[kl.WinIdx+1] = wLo, wHi
-	h := la.hull
-	switch {
-	case !kl.fixed:
-		h = loopHull(kl, affIv(kl.Lo, rx.env.ints, hull), affIv(kl.Hi, rx.env.ints, hull), wLo, wHi)
-	case strip:
-		h.lo, h.hi = maxI64(h.lo, int64(wLo)), minI64(h.hi, int64(wHi))
-	}
-	hull[kl.Level] = h
-	if !h.sat && h.lo > h.hi {
-		// Provably empty for every enclosing iteration: the emitted loop
-		// header cannot fire, so the subtree's bounds are merely set to
-		// defensively-disabled values.
-		fillKernelDisabled(kl.Body, kb)
-		return true
 	}
 	reach := rx.kreach[2*kl.Level : 2*kl.Level+2]
 	reach[0], reach[1] = math.MaxInt, math.MinInt
-	if !rx.prepKStmts(u, kl.Body, f, kb, hull) {
+	if !rx.prepKStmts(u, kl.Body, f, kb) {
 		return false
 	}
 	kb[kl.WinIdx], kb[kl.WinIdx+1] = max(wLo, reach[0]), min(wHi, reach[1])
 	return true
 }
 
-func (rx *rankExec) prepKStmts(u *KernelUnit, body []KStmt, f *frame, kb []int, hull []kiv) bool {
+func (rx *rankExec) prepKStmts(u *KernelUnit, body []KStmt, f *frame, kb []int) bool {
 	for _, s := range body {
 		switch st := s.(type) {
 		case *KLoop:
-			if !rx.prepKLoop(u, st, f, kb, hull) {
+			if !rx.prepKLoop(u, st, f, kb) {
 				return false
 			}
 		case *KAssign:
-			if !rx.prepKAssign(u, st, f, kb, hull) {
+			if !rx.prepKAssign(u, st, f, kb) {
 				return false
 			}
 		case *KIf:
-			if !rx.prepKStmts(u, st.Then, f, kb, hull) {
-				return false
-			}
-			if !rx.prepKStmts(u, st.Els, f, kb, hull) {
+			if !rx.prepKStmts(u, st.Then, f, kb) || !rx.prepKStmts(u, st.Els, f, kb) {
 				return false
 			}
 		}
@@ -614,33 +557,19 @@ func (rx *rankExec) prepKStmts(u *KernelUnit, body []KStmt, f *frame, kb []int, 
 
 // prepKAssign packs one statement's guard — the boxes of its iteration
 // set that contain the current outer-nest point, projected onto the
-// kernel dimensions — and proves its array accesses in bounds over each
-// box-narrowed hull.
-func (rx *rankExec) prepKAssign(u *KernelUnit, st *KAssign, f *frame, kb []int, hull []kiv) bool {
-	if st.GuardIdx >= len(f.guards) {
+// kernel dimensions — with its accesses proven in bounds over each.  The
+// set's boxes are disjoint, so the order they are packed in decides
+// nothing.
+func (rx *rankExec) prepKAssign(u *KernelUnit, st *KAssign, f *frame, kb []int) bool {
+	if st.GuardIdx >= len(f.guards) || f.guards[st.GuardIdx].badRank {
 		return rx.bail(BailGuardRank)
 	}
-	g := &f.guards[st.GuardIdx]
-	n, ok := 0, true
-	switch g.kind {
-	case guardBox:
-		if len(g.lo) != len(st.NestSlots) {
-			return rx.bail(BailGuardRank)
+	n := 0
+	for bi, b := range f.guards[st.GuardIdx].boxes {
+		var ok bool
+		if n, ok = rx.packGuardBox(u, st, f, kb, n, bi, b); !ok {
+			return false
 		}
-		n, ok = rx.packGuardBox(u, st, f, kb, hull, n, 0, g.lo, g.hi)
-	case guardSet:
-		if g.set.Rank() != len(st.NestSlots) {
-			return rx.bail(BailGuardRank)
-		}
-		// The set's own boxes, in its own order: they are disjoint, so
-		// the order they are packed in decides nothing.
-		boxes := g.set.SharedBoxes()
-		for i := 0; i < len(boxes) && ok; i++ {
-			n, ok = rx.packGuardBox(u, st, f, kb, hull, n, i, boxes[i].Lo, boxes[i].Hi)
-		}
-	}
-	if !ok {
-		return false
 	}
 	if n == 0 {
 		disableKAssign(st, kb)
@@ -653,112 +582,61 @@ func (rx *rankExec) prepKAssign(u *KernelUnit, st *KAssign, f *frame, kb []int, 
 // packGuardBox handles box bi of a statement's guard, n boxes being
 // packed already.  A box that misses the outer-nest point — fixed for
 // the whole invocation, so checked once here instead of per point in
-// the kernel — is dropped; a survivor is packed as box n, and the
-// statement's accesses are proven in bounds: over the whole box once per
-// activation (boxProven), and where that fails over the hulls narrowed
-// to the box, on every invocation (proveNarrowed).  Returns the new box
-// count, and false after a counted bail.
-func (rx *rankExec) packGuardBox(u *KernelUnit, st *KAssign, f *frame, kb []int, hull []kiv, n, bi int, lo, hi []int) (int, bool) {
+// the kernel — is dropped; a survivor is packed as box n once the
+// statement's accesses are proven in bounds over it (proveBox).  Returns
+// the new box count, and false after a counted bail.
+func (rx *rankExec) packGuardBox(u *KernelUnit, st *KAssign, f *frame, kb []int, n, bi int, b iset.Box) (int, bool) {
 	for k := 0; k < u.RootDepth; k++ {
-		if v := rx.env.ints[st.NestSlots[k]]; v < lo[k] || v > hi[k] {
+		if v := rx.env.ints[st.NestSlots[k]]; v < b.Lo[k] || v > b.Hi[k] {
 			return n, true
 		}
 	}
 	if n == st.MaxBoxes {
 		return n, rx.bail(BailGuardOverflow)
 	}
+	if r, ok := rx.proveBox(u, st, f, bi, b); !ok {
+		return n, rx.bail(r)
+	}
 	base := st.BoundsIdx + n*2*st.KDims
 	if st.MaxBoxes > 1 {
 		base++ // past the box count
 	}
 	for d := 0; d < st.KDims; d++ {
-		l, h := lo[u.RootDepth+d], hi[u.RootDepth+d]
+		l, h := b.Lo[u.RootDepth+d], b.Hi[u.RootDepth+d]
 		kb[base+2*d] = l
 		kb[base+2*d+1] = h
 		lv := st.Levels[d]
 		rx.kreach[2*lv], rx.kreach[2*lv+1] = min(rx.kreach[2*lv], l), max(rx.kreach[2*lv+1], h)
 	}
-	if rx.boxProven(u, st, f, bi, lo, hi) {
-		if rx.plan.boxProof == boxProofCheck {
-			rx.plan.boxChecked.Add(1)
-			if r, ok := rx.proveNarrowed(u, st, hull, lo, hi); !ok {
-				panic(fmt.Sprintf("spmd: unit %s/%d: guard box %d of statement %d is proven whole, but not for this invocation (%s)",
-					u.Proc, u.RootID, bi, st.ord, r))
-			}
-		}
-		return n + 1, true
-	}
-	if r, ok := rx.proveNarrowed(u, st, hull, lo, hi); !ok {
-		return n, rx.bail(r)
-	}
 	return n + 1, true
 }
 
-// boxProof is what the precheck knows this activation of one unit
-// statement's guard boxes, a bit per box index in the guard: which it
-// tried to prove whole, and which it proved.  A box at index proofBoxes
-// or past it is never tried.
-type boxProof struct{ tried, proven uint8 }
-
-const proofBoxes = 8
-
-// boxProofMode is how prechecks use the whole-box proof.  Only tests
-// change it from boxProofOn (export_test.go).
-type boxProofMode uint8
-
-const (
-	boxProofOn    boxProofMode = iota
-	boxProofOff                // every box takes the per-invocation proof
-	boxProofCheck              // a box proven whole takes it too, and it must pass
-)
-
-// boxProven reports whether st's accesses are in bounds over the whole of
-// guard box bi, trying the proof at the box's first use in the
-// activation.  The proof is sound for every invocation the box is packed
-// in: the kernel runs st only at points inside the box, the box bounds
-// the enclosing loops' variables there too (or packGuardBox drops it),
-// and every other slot a subscript reads is fixed for the activation
-// (kextract.boxRefs).  Interval arithmetic is monotone, so it implies the
-// narrowed proof of every such invocation.
-func (rx *rankExec) boxProven(u *KernelUnit, st *KAssign, f *frame, bi int, lo, hi []int) bool {
-	if st.boxRefs == nil || bi >= proofBoxes || rx.plan.boxProof == boxProofOff {
-		return false
+// proveBox proves st's accesses in bounds over the whole of guard box bi,
+// b, or returns the bail reason and false.  The proof is sound for every
+// invocation the box is packed in: the kernel runs st only at points
+// inside the box, the box bounds the enclosing loops' variables there too
+// (or packGuardBox drops it), and every other slot a subscript reads is
+// fixed for the activation (kextract.boxRefs; nil, which bails, where one
+// is not).  The frame keeps a bit per box index among the first eight,
+// set once the box is proven; a box past them, or one whose proof
+// failed, is proven at every use — a failure bails that use anyway.
+func (rx *rankExec) proveBox(u *KernelUnit, st *KAssign, f *frame, bi int, b iset.Box) (KernelBail, bool) {
+	bit := uint8(1) << bi // 0 past the eighth box
+	if f.proofs[st.ord]&bit != 0 {
+		return 0, true
 	}
-	p, bit := &f.proofs[st.ord], uint8(1)<<bi
-	if p.tried&bit == 0 {
-		p.tried |= bit
-		if rx.proveBox(u, st, lo, hi) {
-			p.proven |= bit
-		}
+	if st.boxRefs == nil {
+		return BailBoundsProof, false
 	}
-	return p.proven&bit != 0
-}
-
-// proveBox is the whole-box proof: every access of st over box lo..hi.
-func (rx *rankExec) proveBox(u *KernelUnit, st *KAssign, lo, hi []int) bool {
-	iv := rx.kbox[:len(lo)]
-	for k := range lo {
-		iv[k] = kiv{lo: int64(lo[k]), hi: int64(hi[k])}
+	iv := rx.kbox[:len(b.Lo)]
+	for k := range b.Lo {
+		iv[k] = kiv{lo: int64(b.Lo[k]), hi: int64(b.Hi[k])}
 	}
-	_, ok := refsInBounds(u, st.boxRefs, rx.env.ints, iv)
-	return ok
-}
-
-// proveNarrowed is the per-invocation proof: every access of st over the
-// value hulls narrowed to the kernel dimensions of box lo..hi.  It
-// returns the bail reason and false when some access is not proven.
-func (rx *rankExec) proveNarrowed(u *KernelUnit, st *KAssign, hull []kiv, lo, hi []int) (KernelBail, bool) {
-	narrow := rx.knarrow[:u.NumLevels]
-	copy(narrow, hull)
-	for d := 0; d < st.KDims; d++ {
-		lv := st.Levels[d]
-		narrow[lv].lo = maxI64(narrow[lv].lo, int64(lo[u.RootDepth+d]))
-		narrow[lv].hi = minI64(narrow[lv].hi, int64(hi[u.RootDepth+d]))
-		if !narrow[lv].sat && narrow[lv].lo > narrow[lv].hi {
-			return 0, true // no point passes this box: its accesses never happen
-		}
+	r, ok := refsInBounds(u, st.boxRefs, rx.env.ints, iv)
+	if ok {
+		f.proofs[st.ord] |= bit
 	}
-	return refsInBounds(u, st.Refs, rx.env.ints, narrow)
+	return r, ok
 }
 
 // refsInBounds proves every access of refs inside u's arrays, the
@@ -791,35 +669,4 @@ func disableKAssign(st *KAssign, kb []int) {
 	for d := 0; d < st.KDims; d++ {
 		kb[st.BoundsIdx+2*d], kb[st.BoundsIdx+2*d+1] = 1, 0
 	}
-}
-
-// fillKernelDisabled writes defensively-disabled windows and guard
-// boxes for a subtree the hull analysis proved unreachable.
-func fillKernelDisabled(body []KStmt, kb []int) {
-	for _, s := range body {
-		switch st := s.(type) {
-		case *KLoop:
-			kb[st.WinIdx], kb[st.WinIdx+1] = 0, -1
-			fillKernelDisabled(st.Body, kb)
-		case *KAssign:
-			disableKAssign(st, kb)
-		case *KIf:
-			fillKernelDisabled(st.Then, kb)
-			fillKernelDisabled(st.Els, kb)
-		}
-	}
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
